@@ -160,6 +160,64 @@ fn phase_adversarial(checks: &mut Vec<Check>, factor: u64) {
         format!("{repaired} responses flagged Repaired"),
     );
 
+    // Conviction changes routing. The servers above fork the fleet, so
+    // this drives sessions directly to keep the workers' own counters
+    // in view: after the step that convicts it, a liar's job count and
+    // its record of observed encodings must stand still through more
+    // inference and training, which must stay exact meanwhile.
+    let rounds = 2 * factor;
+    let (mut leaked_jobs, mut leaked_encodings, mut inexact) = (0u64, 0u64, 0u64);
+    for p in 0..positions {
+        let mut behaviors = vec![Behavior::Honest; positions];
+        behaviors[p] = byzantine[p % byzantine.len()];
+        let mut session =
+            DarknightSession::new(cfg, GpuCluster::with_behaviors(&behaviors, 32 + p as u64)).unwrap();
+        let mut honest =
+            DarknightSession::new(cfg, GpuCluster::honest(positions, 32 + p as u64)).unwrap();
+        let (mut m, mut m_honest) = (model.clone(), model.clone());
+        let batch = |i: u64| {
+            let rows: Vec<f32> = (0..2).flat_map(|r| sample(p as u64, 2 * i + r).into_vec()).collect();
+            Tensor::from_vec(&[2, 3, HW, HW], rows)
+        };
+        let seen = |s: &DarknightSession| {
+            let w = s.cluster().worker(WorkerId(p));
+            (w.jobs_executed(), w.observations().len() as u64)
+        };
+        // One round: an inference batch, then a training step (which is
+        // what stores encodings on the workers), both against an honest
+        // fleet in lockstep.
+        let mut sgd = (Sgd::new(0.05), Sgd::new(0.05));
+        let mut step = |session: &mut DarknightSession, honest: &mut DarknightSession, i: u64| {
+            let x = batch(i);
+            let y = session.private_inference(&mut m, &x).expect("degraded inference");
+            let want = honest.private_inference(&mut m_honest, &x).expect("honest inference");
+            session.train_step(&mut m, &x, &[0, 1], &mut sgd.0).expect("degraded step");
+            honest.train_step(&mut m_honest, &x, &[0, 1], &mut sgd.1).expect("honest step");
+            u64::from(y.as_slice() != want.as_slice())
+                + u64::from(m.max_param_diff(&m_honest.snapshot_params()) != 0.0)
+        };
+        inexact += step(&mut session, &mut honest, 0);
+        let at_conviction = seen(&session);
+        for i in 1..=rounds {
+            inexact += step(&mut session, &mut honest, i);
+        }
+        let after = seen(&session);
+        leaked_jobs += after.0 - at_conviction.0;
+        leaked_encodings += after.1 - at_conviction.1;
+        if session.quarantined() != [WorkerId(p)] {
+            inexact += 1;
+        }
+    }
+    check(
+        checks,
+        "a convicted worker receives zero jobs and zero encodings after conviction, at every worker position",
+        leaked_jobs == 0 && leaked_encodings == 0 && inexact == 0,
+        format!(
+            "{positions} positions x {rounds} inference+training rounds after conviction: \
+             {leaked_jobs} jobs, {leaked_encodings} encodings sent to the liar; {inexact} inexact results"
+        ),
+    );
+
     // Collusion up to M: with M = 2, two workers lie at once.
     let cfg = DarknightConfig::new(2, 2).with_integrity(true).with_recovery(true).with_seed(0xC011);
     let model = mini_vgg(HW, CLASSES, 0xC011);

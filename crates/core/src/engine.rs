@@ -37,7 +37,7 @@
 
 use crate::config::DarknightConfig;
 use crate::error::DarknightError;
-use crate::session::{DarknightSession, SessionStats};
+use crate::session::{push_unique, DarknightSession, SessionStats};
 use crate::virtual_batch::LargeBatchReport;
 use dk_field::{F25, QuantConfig};
 use dk_gpu::dispatch::DispatchClient;
@@ -206,6 +206,17 @@ pub struct BatchOutcome {
 struct LaneAgg {
     stats: SessionStats,
     mem: MemoryStats,
+    /// Workers the lanes caught lying (any order, duplicates allowed).
+    convicted: Vec<WorkerId>,
+}
+
+impl LaneAgg {
+    /// Folds a finished lane's counters and convictions in.
+    fn absorb(&mut self, lane: &DarknightSession<DispatchClient>) {
+        self.stats.merge(&lane.stats());
+        self.mem.merge(&lane.enclave_stats());
+        self.convicted.extend_from_slice(lane.convicted());
+    }
 }
 
 /// Captures each BatchNorm layer's per-batch statistics (walk order).
@@ -252,6 +263,12 @@ pub struct PipelineEngine {
     stats: SessionStats,
     mem: MemoryStats,
     quarantined: Vec<WorkerId>,
+    /// The quarantined workers that were caught *lying*. Every fresh
+    /// lane session starts with these convicted, so a liar found by one
+    /// lane in one call is routed around by every lane of every later
+    /// call instead of being rediscovered (a full TEE localization) per
+    /// lane per call.
+    convicted: Vec<WorkerId>,
 }
 
 impl PipelineEngine {
@@ -300,6 +317,7 @@ impl PipelineEngine {
             stats: SessionStats::default(),
             mem: MemoryStats::default(),
             quarantined: Vec::new(),
+            convicted: Vec::new(),
         })
     }
 
@@ -387,24 +405,27 @@ impl PipelineEngine {
     fn lane_session(&self) -> Result<DarknightSession<DispatchClient>, DarknightError> {
         let lane_epc =
             EpcConfig::with_capacity(self.epc.capacity_bytes / self.opts.lanes.max(1));
-        DarknightSession::with_backend(
+        let mut lane = DarknightSession::with_backend(
             self.cfg,
             DispatchClient::new(self.dispatcher.clone()),
             lane_epc,
-        )
+        )?;
+        lane.seed_convictions(&self.convicted);
+        Ok(lane)
     }
 
     fn absorb_lane(&mut self, agg: LaneAgg) {
         self.stats.merge(&agg.stats);
         self.mem.merge(&agg.mem);
+        for w in agg.convicted {
+            push_unique(&mut self.convicted, w);
+        }
     }
 
     fn quarantine_in_order(&mut self, batches: impl Iterator<Item = Vec<WorkerId>>) {
         for delta in batches {
             for w in delta {
-                if !self.quarantined.contains(&w) {
-                    self.quarantined.push(w);
-                }
+                push_unique(&mut self.quarantined, w);
             }
         }
     }
@@ -521,9 +542,7 @@ impl PipelineEngine {
                             break; // receiver gone: stop consuming
                         }
                     }
-                    let mut a = agg.lock().expect("lane agg lock");
-                    a.stats.merge(&session.stats());
-                    a.mem.merge(&session.enclave_stats());
+                    agg.lock().expect("lane agg lock").absorb(&session);
                 });
             }
         });
@@ -686,9 +705,7 @@ impl PipelineEngine {
                         };
                         results.lock().expect("results lock")[v] = Some(entry);
                     }
-                    let mut a = agg.lock().expect("lane agg lock");
-                    a.stats.merge(&session.stats());
-                    a.mem.merge(&session.enclave_stats());
+                    agg.lock().expect("lane agg lock").absorb(&session);
                 });
             }
         });

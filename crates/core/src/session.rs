@@ -58,7 +58,7 @@ use crate::engine::StepPlan;
 use crate::error::DarknightError;
 use crate::scheme::EncodingScheme;
 use dk_field::{derive_seed, F25, FieldRng, P25};
-use dk_gpu::{GpuCluster, GpuExec, LinearJob, WorkerId};
+use dk_gpu::{GpuCluster, GpuError, GpuExec, LinearJob, WorkerId};
 use dk_linalg::{ops, Tensor, Workspace};
 use dk_nn::layers::{Conv2d, Dense, Layer, Residual};
 use dk_nn::loss::softmax_cross_entropy;
@@ -76,7 +76,8 @@ const DOMAIN_JSTAR: u64 = 0x4a53_5441;
 /// Counters describing one session's offload traffic and work.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct SessionStats {
-    /// Linear jobs dispatched to GPUs.
+    /// Linear jobs dispatched to GPUs (jobs withheld from a convicted
+    /// worker and computed in the TEE are not counted).
     pub linear_jobs: u64,
     /// Field elements produced by TEE encoding.
     pub encoded_elems: u64,
@@ -90,7 +91,9 @@ pub struct SessionStats {
     pub integrity_checks: u64,
     /// Elements processed by non-linear TEE ops.
     pub nonlinear_elems: u64,
-    /// Layers repaired by TEE-side fault localization (recovery mode).
+    /// Layers whose result set needed a TEE-computed slot (recovery
+    /// mode): a localized lie, a lost worker's row, or the row withheld
+    /// from a convicted worker.
     pub recoveries: u64,
 }
 
@@ -107,6 +110,16 @@ impl SessionStats {
         self.nonlinear_elems += o.nonlinear_elems;
         self.recoveries += o.recoveries;
     }
+}
+
+/// Appends `w` unless the list already holds it; says whether it did.
+/// Worker lists are a handful long and kept in detection order.
+pub(crate) fn push_unique(list: &mut Vec<WorkerId>, w: WorkerId) -> bool {
+    let new = !list.contains(&w);
+    if new {
+        list.push(w);
+    }
+    new
 }
 
 /// Result of one private training step.
@@ -162,6 +175,16 @@ pub struct DarknightSession<X: GpuExec = GpuCluster> {
     /// frozen within a step, so the engine extracts them once).
     plan: Option<Arc<StepPlan>>,
     quarantined: Vec<WorkerId>,
+    /// The quarantined workers the TEE's own recomputation caught
+    /// *lying* (not merely lost or late). Conviction changes routing:
+    /// for the rest of the session they are sent no job, no encoding
+    /// and no store, and the TEE computes their slot itself. Only ever
+    /// grows, by `push` — a prefix is a snapshot.
+    convicted: Vec<WorkerId>,
+    /// Slots of the result set in flight whose tensors the TEE computed
+    /// out of `ws`; [`DarknightSession::recycle_results`] returns them
+    /// there instead of to the worker that owns the slot.
+    tee_filled: Vec<usize>,
     /// The session's TEE-side buffer pool: quantization rows, noise
     /// vectors, stacking buffers, decoded rows and float activations
     /// all cycle through it across virtual batches, so the steady state
@@ -243,6 +266,8 @@ impl<X: GpuExec> DarknightSession<X> {
             stored_ctxs: Vec::new(),
             plan: None,
             quarantined: Vec::new(),
+            convicted: Vec::new(),
+            tee_filled: Vec::new(),
             ws: Workspace::new(),
         })
     }
@@ -330,11 +355,29 @@ impl<X: GpuExec> DarknightSession<X> {
         self.batch_index
     }
 
-    /// Workers caught lying by the recovery extension, in detection
-    /// order (duplicates removed). Empty unless recovery is enabled and
-    /// a violation occurred.
+    /// Workers the recovery extension has sidelined — caught lying, lost
+    /// or timed out — in detection order (duplicates removed). Empty
+    /// unless recovery is enabled and a fault occurred.
     pub fn quarantined(&self) -> &[WorkerId] {
         &self.quarantined
+    }
+
+    /// The quarantined workers that were caught *lying*: the ones this
+    /// session no longer sends anything to.
+    pub(crate) fn convicted(&self) -> &[WorkerId] {
+        &self.convicted
+    }
+
+    /// Starts the session with `liars` already convicted (the engine
+    /// hands each fresh lane what earlier lanes found out, so a known
+    /// liar is not rediscovered per lane per call). They count as
+    /// quarantined from the start, not as newly quarantined by any
+    /// batch this session runs.
+    pub(crate) fn seed_convictions(&mut self, liars: &[WorkerId]) {
+        for &w in liars {
+            push_unique(&mut self.quarantined, w);
+            push_unique(&mut self.convicted, w);
+        }
     }
 
     /// Installs (or clears, with `None`) a pre-quantized weight plan for
@@ -787,14 +830,17 @@ impl<X: GpuExec> DarknightSession<X> {
             enc_tensors.push(Tensor::from_parts(self.ws.take_shape(enc_shape), row));
         }
         self.ws.give(enc_rows);
-        self.stats.bytes_to_gpus += (s_cols * rest * 8) as u64;
+        // Convicted workers are sent nothing — no store, no job — so
+        // their encodings never leave the TEE.
+        let sent = s_cols - self.withheld_among(s_cols);
+        self.stats.bytes_to_gpus += (sent * rest * 8) as u64;
         drop(sp);
         let sp = dk_obs::span(dk_obs::Stage::Dispatch, batch, ordinal);
         if retain {
             // Only a pass with a backward half needs the workers to hold
             // the encodings (§6 stored-input reuse); inference skips the
             // store — and its clone — entirely.
-            self.cluster.store_encodings(layer_id, enc_tensors.clone());
+            self.cluster.store_encodings_sparse(layer_id, enc_tensors.clone(), &self.convicted);
             self.stored_ctxs.push(layer_id);
         }
         let mut jobs: Vec<LinearJob> = self.ws.take_cleared(enc_tensors.len());
@@ -802,12 +848,12 @@ impl<X: GpuExec> DarknightSession<X> {
             jobs.push(make_job(weights_q.clone(), t));
         }
         self.ws.give(enc_tensors);
-        self.stats.linear_jobs += jobs.len() as u64;
+        self.stats.linear_jobs += sent as u64;
         let mut results: Vec<dk_gpu::WorkerResult> = self.ws.take_cleared(jobs.len());
         let mut outputs: Vec<Tensor<F25>> = self.ws.take_cleared(jobs.len());
         let executed = self
             .cluster
-            .execute_into(layer_id, &jobs, &mut results)
+            .execute_sparse_into(layer_id, &jobs, &self.convicted, &mut results)
             .map_err(|fault| DarknightError::GpuFault { layer_id, phase: "forward", fault })
             .and_then(|()| {
                 self.absorb_worker_faults(layer_id, "forward", &jobs, &mut results, &mut outputs)
@@ -817,7 +863,7 @@ impl<X: GpuExec> DarknightSession<X> {
         if let Err(e) = executed {
             let _ = self.enclave.release(work_bytes);
             self.recycle_jobs(jobs);
-            self.cluster.recycle_outputs(&mut outputs);
+            self.recycle_results(&mut outputs);
             self.ws.give(outputs);
             self.give_rows(inputs_q);
             if let Some(rows) = noise.take() {
@@ -828,7 +874,7 @@ impl<X: GpuExec> DarknightSession<X> {
         }
         let out_shape = self.ws.take_shape(outputs[0].shape());
         let out_rest: usize = out_shape.iter().product();
-        self.stats.bytes_from_gpus += (s_cols * out_rest * 8) as u64;
+        self.stats.bytes_from_gpus += (sent * out_rest * 8) as u64;
         if self.scheme.has_integrity() {
             self.stats.integrity_checks += 1;
         }
@@ -843,7 +889,7 @@ impl<X: GpuExec> DarknightSession<X> {
                 // every later honest batch into pure paging traffic.
                 let _ = self.enclave.release(work_bytes);
                 self.recycle_jobs(jobs);
-                self.cluster.recycle_outputs(&mut outputs);
+                self.recycle_results(&mut outputs);
                 self.ws.give(outputs);
                 self.ws.give_shape(out_shape);
                 self.give_rows(inputs_q);
@@ -856,8 +902,9 @@ impl<X: GpuExec> DarknightSession<X> {
         };
         drop(sp);
         // Close the round-trip: worker outputs return to the worker
-        // pools that produced them, the job encodings to the session's.
-        self.cluster.recycle_outputs(&mut outputs);
+        // pools that produced them, TEE-filled slots and the job
+        // encodings to the session's.
+        self.recycle_results(&mut outputs);
         self.ws.give(outputs);
         self.recycle_jobs(jobs);
         self.stats.decoded_elems += (decoded.len() * out_rest) as u64;
@@ -895,13 +942,15 @@ impl<X: GpuExec> DarknightSession<X> {
         Ok((decoded, scales, out_shape, ctx))
     }
 
-    /// Folds per-worker faults (loss, timeout, remote refusal) out of an
-    /// execution round. With recovery enabled, a faulty worker is
-    /// treated exactly like a tampering one: quarantined, and its output
-    /// slot filled by TEE recomputation of the *explicit* job, so the
-    /// decode downstream sees a complete, honest result set. Without
-    /// recovery the fault is surfaced as a fail-closed
-    /// [`DarknightError::GpuFault`].
+    /// Folds per-worker faults (loss, timeout, remote refusal, a slot
+    /// withheld from a convicted worker) out of an execution round. With
+    /// recovery enabled the TEE fills the slot itself by running the
+    /// *explicit* job it already holds, so the decode downstream sees a
+    /// complete, honest result set — and its redundant equation still
+    /// checks all of it. A lost or late worker is quarantined on the
+    /// way. Without recovery the fault is surfaced as a fail-closed
+    /// [`DarknightError::GpuFault`]. A layer with any filled slot counts
+    /// as one recovery.
     fn absorb_worker_faults(
         &mut self,
         layer_id: u64,
@@ -910,7 +959,7 @@ impl<X: GpuExec> DarknightSession<X> {
         results: &mut Vec<dk_gpu::WorkerResult>,
         outputs: &mut Vec<Tensor<F25>>,
     ) -> Result<(), DarknightError> {
-        let mut repaired = false;
+        self.tee_filled.clear();
         for (j, r) in results.drain(..).enumerate() {
             match r {
                 Ok(t) => outputs.push(t),
@@ -918,21 +967,48 @@ impl<X: GpuExec> DarknightSession<X> {
                     if !self.cfg.recovery() {
                         return Err(DarknightError::GpuFault { layer_id, phase, fault });
                     }
-                    self.quarantine(fault.worker().unwrap_or(WorkerId(j)));
-                    outputs.push(jobs[j].execute());
-                    repaired = true;
+                    self.book_fault(j, &fault);
+                    outputs.push(jobs[j].execute_ws(&mut self.ws));
+                    self.tee_filled.push(j);
                 }
             }
         }
-        if repaired {
+        if !self.tee_filled.is_empty() {
             self.stats.recoveries += 1;
         }
         Ok(())
     }
 
+    /// Books a per-worker fault whose slot the TEE is about to fill: a
+    /// withheld slot is counted against the convicted worker it was
+    /// withheld from; any real fault quarantines its worker (which keeps
+    /// being offered work — see [`dk_gpu::exec`] on why loss and lying
+    /// are routed differently).
+    fn book_fault(&mut self, slot: usize, fault: &GpuError) {
+        let worker = fault.worker().unwrap_or(WorkerId(slot));
+        if !matches!(fault, GpuError::Withheld { .. }) {
+            self.quarantine(worker);
+        } else if dk_obs::enabled() {
+            dk_obs::fleet().worker(worker.0).withheld(1);
+        }
+    }
+
+    /// Returns a result set's tensors to the pools they came from:
+    /// TEE-filled slots to the session workspace, the rest to the
+    /// backend (worker `i` gets `results[i]` back; the emptied shell left
+    /// in a TEE-filled slot recycles as a no-op).
+    fn recycle_results(&mut self, results: &mut Vec<Tensor<F25>>) {
+        for j in self.tee_filled.drain(..) {
+            if let Some(slot) = results.get_mut(j) {
+                self.ws.give_tensor(std::mem::take(slot));
+            }
+        }
+        self.cluster.recycle_outputs(results);
+    }
+
     /// Decodes forward outputs, routing integrity violations through the
     /// recovery extension (localize the liars by TEE recomputation,
-    /// repair, re-decode) when it is enabled.
+    /// repair, convict, re-decode) when it is enabled.
     fn decode_forward_repairing(
         &mut self,
         jobs: &[LinearJob],
@@ -944,16 +1020,20 @@ impl<X: GpuExec> DarknightSession<X> {
             Err(violation @ DarknightError::IntegrityViolation { .. }) if self.cfg.recovery() => {
                 let _sp =
                     dk_obs::span(dk_obs::Stage::Repair, self.batch_index, layer_id - self.ctx_base);
-                let outcome = crate::recovery::localize_and_repair(jobs, outputs);
-                if outcome.faulty.is_empty() {
+                let liars = crate::recovery::localize_and_repair(jobs, outputs, &mut self.ws);
+                if liars.is_empty() {
                     // Detection without a localizable fault should not
                     // happen with explicit jobs; surface the original.
                     return Err(violation);
                 }
-                for w in outcome.faulty {
-                    self.quarantine(w);
+                // One recovery per layer, however its slots got filled.
+                if self.tee_filled.is_empty() {
+                    self.stats.recoveries += 1;
                 }
-                self.stats.recoveries += 1;
+                for w in liars {
+                    self.convict(w);
+                    self.tee_filled.push(w.0);
+                }
                 self.scheme.decode_forward_ws(outputs, layer_id, &mut self.ws)
             }
             Err(e) => Err(e),
@@ -1165,12 +1245,21 @@ impl<X: GpuExec> DarknightSession<X> {
     }
 
     fn quarantine(&mut self, w: WorkerId) {
-        if !self.quarantined.contains(&w) {
-            self.quarantined.push(w);
-            if dk_obs::enabled() {
-                dk_obs::fleet().worker(w.0).quarantined();
-            }
+        if push_unique(&mut self.quarantined, w) && dk_obs::enabled() {
+            dk_obs::fleet().worker(w.0).quarantined();
         }
+    }
+
+    /// How many of the first `slots` workers a dispatch would skip.
+    fn withheld_among(&self, slots: usize) -> usize {
+        self.convicted.iter().filter(|w| w.0 < slots).count()
+    }
+
+    /// Quarantines a worker whose answer the TEE's own ground truth
+    /// contradicted, and stops routing to it.
+    fn convict(&mut self, w: WorkerId) {
+        self.quarantine(w);
+        push_unique(&mut self.convicted, w);
     }
 
     fn untake_id(&mut self) -> u64 {
@@ -1205,23 +1294,31 @@ impl<X: GpuExec> DarknightSession<X> {
         let delta_q = Arc::new(Tensor::from_vec(dy.shape(), dq_flat));
         drop(sp);
         let sp = dk_obs::span(dk_obs::Stage::Dispatch, batch, bwd_ordinal);
-        // 1) Aggregate weight gradient via the encoded scheme.
+        // 1) Aggregate weight gradient via the encoded scheme. Convicted
+        //    workers are sent nothing; their `Withheld` slots are filled
+        //    below like any other fault.
         let jobs: Vec<LinearJob> =
             (0..s_sq).map(|j| wgrad_job(delta_q.clone(), self.scheme.beta_row(j))).collect();
-        self.stats.linear_jobs += jobs.len() as u64;
-        self.stats.bytes_to_gpus += (s_sq * delta_q.len() * 8) as u64;
+        // `convicted` only grows by `push`: this prefix stays the set the
+        // dispatch withheld, whoever gets convicted further down.
+        let withheld = self.convicted.len();
+        let sent = s_sq - self.withheld_among(s_sq);
+        self.stats.linear_jobs += sent as u64;
+        self.stats.bytes_to_gpus += (sent * delta_q.len() * 8) as u64;
         let mut results: Vec<dk_gpu::WorkerResult> = self.ws.take_cleared(s_sq);
-        if let Err(fault) = self.cluster.execute_into(layer_id, &jobs, &mut results) {
+        if let Err(fault) =
+            self.cluster.execute_sparse_into(layer_id, &jobs, &self.convicted, &mut results)
+        {
             self.ws.give(results);
             return Err(DarknightError::GpuFault { layer_id, phase: "backward", fault });
         }
-        // Fold out lost/refusing workers. Backward jobs are `*Stored`
-        // (they run against state the worker holds), so the TEE cannot
-        // replay the job itself — instead it reconstructs the worker's
-        // encoding x̄_j from the retained context (determinism by
-        // derivation) and computes Eq_j explicitly.
+        // Fold out withheld, lost and refusing workers. Backward jobs
+        // are `*Stored` (they run against state the worker holds), so
+        // the TEE cannot replay the job itself — instead it reconstructs
+        // the worker's encoding x̄_j from the retained context
+        // (determinism by derivation) and computes Eq_j explicitly.
         let mut eqs: Vec<Tensor<F25>> = self.ws.take_cleared(s_sq);
-        let mut repaired = false;
+        self.tee_filled.clear();
         for (j, r) in results.drain(..).enumerate() {
             match r {
                 Ok(t) => eqs.push(t),
@@ -1229,24 +1326,24 @@ impl<X: GpuExec> DarknightSession<X> {
                     if !self.cfg.recovery() {
                         return Err(DarknightError::GpuFault { layer_id, phase: "backward", fault });
                     }
-                    self.quarantine(fault.worker().unwrap_or(WorkerId(j)));
+                    self.book_fault(j, &fault);
                     let row =
                         self.scheme.encode_row_ws(j, &ctx.inputs_q, &ctx.noise, &mut self.ws);
                     let xbar = Tensor::from_vec(enc_shape, row);
                     let dtilde = dk_gpu::job::beta_combine(&delta_q, &self.scheme.beta_row(j));
-                    eqs.push(explicit_wgrad_job(dtilde, xbar).execute());
-                    repaired = true;
+                    eqs.push(explicit_wgrad_job(dtilde, xbar).execute_ws(&mut self.ws));
+                    self.tee_filled.push(j);
                 }
             }
         }
-        if repaired {
+        if !self.tee_filled.is_empty() {
             self.stats.recoveries += 1;
         }
         self.ws.give(results);
         drop(sp);
         let sp = dk_obs::span(dk_obs::Stage::Verify, batch, bwd_ordinal);
         let eq_len = eqs[0].len();
-        self.stats.bytes_from_gpus += (s_sq * eq_len * 8) as u64;
+        self.stats.bytes_from_gpus += (sent * eq_len * 8) as u64;
         // 2) Backward integrity. `j*` is derived per (batch, layer), so
         //    it is identical whether the batch runs sequentially or on a
         //    pipeline lane — and whether or not recovery is enabled.
@@ -1254,46 +1351,56 @@ impl<X: GpuExec> DarknightSession<X> {
         let jstar = self.layer_rng(DOMAIN_JSTAR, ordinal).index(s_sq);
         if self.cfg.recovery() && self.scheme.has_integrity() {
             // Deterministic duplicate-dispatch verification (recovery
-            // extension): every Eq_j is recomputed by the *next* worker
-            // from the TEE-regenerated x̄_j; any pairwise mismatch is
-            // resolved by a TEE ground-truth recomputation. Note the
-            // privacy accounting: each worker additionally observes one
+            // extension): every Eq_j a worker returned is recomputed
+            // from the TEE-regenerated x̄_j by the next worker round the
+            // ring of those this dispatch offered work; any pairwise
+            // mismatch is resolved by a TEE ground-truth recomputation,
+            // which convicts the liar(s). A withheld slot is TEE ground
+            // truth already and needs no duplicate. Note the privacy
+            // accounting: each worker additionally observes one
             // neighbouring encoding, so an M-tolerant configuration
-            // effectively tolerates ⌊M/2⌋ colluders in this mode.
+            // effectively tolerates ⌊M/2⌋ colluders in this mode. One
+            // and never two — which is why the TEE, not a second
+            // neighbour, stands in for a verifier convicted mid-pass.
             self.stats.integrity_checks += 1;
             let enc = self.scheme.encode_ws(&ctx.inputs_q, &ctx.noise, &mut self.ws);
             for j in 0..s_sq {
+                if self.convicted[..withheld].contains(&WorkerId(j)) {
+                    continue;
+                }
                 let xbar = Tensor::from_vec(enc_shape, enc[j].clone());
                 let dtilde = dk_gpu::job::beta_combine(&delta_q, &self.scheme.beta_row(j));
                 let job = explicit_wgrad_job(dtilde, xbar);
-                let verifier = WorkerId((j + 1) % s_sq);
-                match self.cluster.execute_on(verifier, &job) {
-                    Ok(dup) => {
-                        if dup != eqs[j] {
-                            // TEE ground truth identifies the liar(s).
-                            let truth = job.execute();
-                            if truth != eqs[j] {
-                                self.quarantine(WorkerId(j));
-                            }
-                            if truth != dup {
-                                self.quarantine(verifier);
-                            }
-                            eqs[j] = truth;
-                            self.stats.recoveries += 1;
-                        }
-                    }
-                    Err(fault) => {
+                let verifier = (1..s_sq)
+                    .map(|d| WorkerId((j + d) % s_sq))
+                    .find(|w| !self.convicted[..withheld].contains(w))
+                    .filter(|w| !self.convicted.contains(w));
+                let dup = match verifier.map(|v| self.cluster.execute_on(v, &job)) {
+                    Some(Ok(dup)) if dup == eqs[j] => continue,
+                    Some(Ok(dup)) => Some(dup),
+                    Some(Err(fault)) => {
                         // The duplicate checker died; the TEE takes over
                         // its verification duty directly.
-                        self.quarantine(fault.worker().unwrap_or(verifier));
-                        let truth = job.execute();
-                        if truth != eqs[j] {
-                            self.quarantine(WorkerId(j));
-                            eqs[j] = truth;
-                        }
-                        self.stats.recoveries += 1;
+                        self.quarantine(fault.worker().or(verifier).unwrap_or(WorkerId(j)));
+                        None
+                    }
+                    // ...as it does for a checker it no longer asks.
+                    None => None,
+                };
+                // TEE ground truth identifies the liar(s).
+                let mut truth = job.execute_ws(&mut self.ws);
+                if let (Some(dup), Some(v)) = (dup, verifier) {
+                    if truth != dup {
+                        self.convict(v);
                     }
                 }
+                if truth != eqs[j] {
+                    self.convict(WorkerId(j));
+                    std::mem::swap(&mut eqs[j], &mut truth);
+                    self.tee_filled.push(j);
+                }
+                self.ws.give_tensor(truth);
+                self.stats.recoveries += 1;
             }
             self.give_rows(enc);
         } else if self.scheme.has_integrity() {
@@ -1330,81 +1437,98 @@ impl<X: GpuExec> DarknightSession<X> {
         drop(sp);
         let sp = dk_obs::span(dk_obs::Stage::Decode, batch, bwd_ordinal);
         // The decode reads the Eq tensors in place; afterwards their
-        // buffers go back to the worker pools that produced them.
+        // buffers go back to the pools that produced them.
         let grad_field = self.scheme.decode_backward_ws(&eqs, &mut self.ws);
         self.stats.decoded_elems += grad_field.len() as u64;
-        self.cluster.recycle_outputs(&mut eqs);
+        self.recycle_results(&mut eqs);
         self.ws.give(eqs);
         drop(sp);
-        // 3) Data gradient: unencoded offload (worker 0), redundantly
-        //    recomputed on the spare when integrity is on.
-        let dj = data_job(delta_q.clone());
+        // 3) Data gradient: unencoded offload, redundantly recomputed
+        //    when integrity is on.
+        let dx_field = self.offload_data_gradient(layer_id, &data_job(delta_q.clone()))?;
+        self.stats.bytes_from_gpus += (dx_field.len() * 8) as u64;
+        Ok((grad_field, norm_d, dx_field))
+    }
+
+    /// The unencoded data-gradient offload (§4.2 item 2), recomputed by
+    /// a second worker when integrity is on: by the first and the last
+    /// worker not convicted of lying — workers `0` and `K' − 1` on a
+    /// clean fleet. The job carries no secret state, so routing it past
+    /// a convicted worker costs the TEE nothing; the TEE computes or
+    /// checks it itself only when a worker is lost or none is left.
+    fn offload_data_gradient(
+        &mut self,
+        layer_id: u64,
+        dj: &LinearJob,
+    ) -> Result<Tensor<F25>, DarknightError> {
+        let gpu_fault = |fault| DarknightError::GpuFault { layer_id, phase: "backward", fault };
+        let (primary, spare) = {
+            let mut healthy = (0..self.cluster.num_workers())
+                .map(WorkerId)
+                .filter(|w| !self.convicted.contains(w));
+            (healthy.next(), healthy.next_back())
+        };
+        let Some(primary) = primary else {
+            // Every worker convicted: the TEE's own result stands, and
+            // needs no second opinion.
+            self.stats.recoveries += 1;
+            return Ok(dj.execute());
+        };
         self.stats.linear_jobs += 1;
-        let mut dx_field = match self.cluster.execute_on(WorkerId(0), &dj) {
+        let mut dx = match self.cluster.execute_on(primary, dj) {
             Ok(t) => t,
             Err(fault) => {
                 if !self.cfg.recovery() {
-                    return Err(DarknightError::GpuFault { layer_id, phase: "backward", fault });
+                    return Err(gpu_fault(fault));
                 }
-                // The data-gradient job carries no secret state; the TEE
-                // simply recomputes it and sidelines the dead worker.
-                self.quarantine(fault.worker().unwrap_or(WorkerId(0)));
+                // The TEE simply recomputes the job and sidelines the
+                // dead worker.
+                self.quarantine(fault.worker().unwrap_or(primary));
                 self.stats.recoveries += 1;
-                dj.execute()
+                return Ok(dj.execute());
             }
         };
-        if self.scheme.has_integrity() {
-            let spare = WorkerId(self.cluster.num_workers() - 1);
-            match self.cluster.execute_on(spare, &dj) {
-                Ok(check) => {
-                    if check != dx_field {
-                        if self.cfg.recovery() {
-                            let truth = dj.execute();
-                            if truth != dx_field {
-                                self.quarantine(WorkerId(0));
-                            }
-                            if truth != check {
-                                self.quarantine(spare);
-                            }
-                            dx_field = truth;
-                            self.stats.recoveries += 1;
-                        } else {
-                            let mismatches = check
-                                .as_slice()
-                                .iter()
-                                .zip(dx_field.as_slice())
-                                .filter(|(a, b)| a != b)
-                                .count();
-                            return Err(DarknightError::IntegrityViolation {
-                                layer_id,
-                                phase: "backward",
-                                mismatches,
-                            });
-                        }
-                    }
+        if !self.scheme.has_integrity() {
+            return Ok(dx);
+        }
+        let check = match spare.map(|s| self.cluster.execute_on(s, dj)) {
+            Some(Ok(check)) if check == dx => return Ok(dx),
+            Some(Ok(check)) if !self.cfg.recovery() => {
+                let mismatches =
+                    check.as_slice().iter().zip(dx.as_slice()).filter(|(a, b)| a != b).count();
+                return Err(DarknightError::IntegrityViolation {
+                    layer_id,
+                    phase: "backward",
+                    mismatches,
+                });
+            }
+            Some(Ok(check)) => Some(check),
+            Some(Err(fault)) => {
+                if !self.cfg.recovery() {
+                    return Err(gpu_fault(fault));
                 }
-                Err(fault) => {
-                    if !self.cfg.recovery() {
-                        return Err(DarknightError::GpuFault {
-                            layer_id,
-                            phase: "backward",
-                            fault,
-                        });
-                    }
-                    // Lost the redundant checker: the TEE verifies the
-                    // primary answer itself.
-                    self.quarantine(fault.worker().unwrap_or(spare));
-                    let truth = dj.execute();
-                    if truth != dx_field {
-                        self.quarantine(WorkerId(0));
-                        dx_field = truth;
-                    }
-                    self.stats.recoveries += 1;
-                }
+                // Lost the redundant checker: the TEE verifies the
+                // primary answer itself.
+                self.quarantine(fault.worker().or(spare).unwrap_or(primary));
+                None
+            }
+            // No second worker left to ask: likewise.
+            None => None,
+        };
+        // TEE ground truth settles a disagreement (and convicts whoever
+        // it contradicts) or stands in for the missing checker.
+        let truth = dj.execute();
+        if let (Some(check), Some(spare)) = (check, spare) {
+            if truth != check {
+                self.convict(spare);
             }
         }
-        self.stats.bytes_from_gpus += (dx_field.len() * 8) as u64;
-        Ok((grad_field, norm_d, dx_field))
+        if truth != dx {
+            self.convict(primary);
+            dx = truth;
+        }
+        self.stats.recoveries += 1;
+        Ok(dx)
     }
 
     fn backward_conv(

@@ -126,10 +126,7 @@ impl GpuCluster {
     ///
     /// Panics if more encodings than workers are supplied.
     pub fn store_encodings(&mut self, layer_id: u64, encodings: Vec<dk_linalg::Tensor<dk_field::F25>>) {
-        assert!(encodings.len() <= self.workers.len(), "more encodings than workers");
-        for (w, e) in self.workers.iter_mut().zip(encodings) {
-            w.store_encoding(layer_id, e);
-        }
+        crate::GpuExec::store_encodings_sparse(self, layer_id, encodings, &[]);
     }
 
     /// Executes `jobs[i]` on worker `i`, returning outputs in worker
@@ -177,7 +174,7 @@ impl GpuCluster {
 }
 
 /// The blocking reference backend: one virtual batch in flight, jobs run
-/// to completion inside `execute`. A [`Behavior::Crash`] worker whose
+/// to completion inside the call. A [`Behavior::Crash`] worker whose
 /// honest-job budget is spent is reported as
 /// [`GpuError::WorkerLost`](crate::GpuError::WorkerLost) — the blocking
 /// backend's rendition of a dead accelerator.
@@ -188,9 +185,30 @@ impl crate::GpuExec for GpuCluster {
 
     fn execute(
         &mut self,
-        _tag: u64,
+        tag: u64,
         jobs: &[LinearJob],
     ) -> Result<Vec<crate::WorkerResult>, crate::GpuError> {
+        let mut out = Vec::with_capacity(jobs.len());
+        self.execute_sparse_into(tag, jobs, &[], &mut out)?;
+        Ok(out)
+    }
+
+    fn execute_into(
+        &mut self,
+        tag: u64,
+        jobs: &[LinearJob],
+        out: &mut Vec<crate::WorkerResult>,
+    ) -> Result<(), crate::GpuError> {
+        self.execute_sparse_into(tag, jobs, &[], out)
+    }
+
+    fn execute_sparse_into(
+        &mut self,
+        _tag: u64,
+        jobs: &[LinearJob],
+        withheld: &[WorkerId],
+        out: &mut Vec<crate::WorkerResult>,
+    ) -> Result<(), crate::GpuError> {
         if jobs.len() > self.workers.len() {
             return Err(crate::GpuError::Oversubscribed {
                 jobs: jobs.len(),
@@ -204,50 +222,32 @@ impl crate::GpuExec for GpuCluster {
                 Ok(w.execute(job))
             }
         };
+        let skipped = |i: usize| withheld.contains(&WorkerId(i));
+        let workers = &mut self.workers[..jobs.len()];
         if self.parallel {
-            let workers = &mut self.workers[..jobs.len()];
-            Ok(std::thread::scope(|scope| {
-                let mut handles = Vec::with_capacity(jobs.len());
-                for (w, job) in workers.iter_mut().zip(jobs) {
-                    handles.push(scope.spawn(move || run(w, job)));
-                }
-                handles
-                    .into_iter()
+            std::thread::scope(|scope| {
+                let handles: Vec<_> = workers
+                    .iter_mut()
+                    .zip(jobs)
                     .enumerate()
-                    .map(|(i, h)| {
-                        h.join().unwrap_or_else(|_| {
-                            Err(crate::GpuError::lost(WorkerId(i), "worker thread panicked"))
-                        })
-                    })
-                    .collect()
-            }))
-        } else {
-            Ok(self.workers.iter_mut().zip(jobs).map(|(w, j)| run(w, j)).collect())
-        }
-    }
-
-    fn execute_into(
-        &mut self,
-        tag: u64,
-        jobs: &[LinearJob],
-        out: &mut Vec<crate::WorkerResult>,
-    ) -> Result<(), crate::GpuError> {
-        if jobs.len() > self.workers.len() {
-            return Err(crate::GpuError::Oversubscribed {
-                jobs: jobs.len(),
-                workers: self.workers.len(),
+                    .map(|(i, (w, job))| (!skipped(i)).then(|| scope.spawn(move || run(w, job))))
+                    .collect();
+                for (i, h) in handles.into_iter().enumerate() {
+                    let worker = WorkerId(i);
+                    out.push(match h {
+                        None => Err(crate::GpuError::Withheld { worker }),
+                        Some(h) => h.join().unwrap_or_else(|_| {
+                            Err(crate::GpuError::lost(worker, "worker thread panicked"))
+                        }),
+                    });
+                }
             });
-        }
-        if self.parallel {
-            // Parallel dispatch joins through fresh per-thread handles
-            // anyway; reuse the allocating path and drain.
-            out.append(&mut crate::GpuExec::execute(self, tag, jobs)?);
         } else {
-            for (w, j) in self.workers.iter_mut().zip(jobs) {
-                out.push(if w.crash_pending() {
-                    Err(crate::GpuError::lost(w.id(), "worker crashed (simulated fail-stop)"))
+            for (i, (w, job)) in workers.iter_mut().zip(jobs).enumerate() {
+                out.push(if skipped(i) {
+                    Err(crate::GpuError::Withheld { worker: WorkerId(i) })
                 } else {
-                    Ok(w.execute(j))
+                    run(w, job)
                 });
             }
         }
@@ -273,7 +273,21 @@ impl crate::GpuExec for GpuCluster {
     }
 
     fn store_encodings(&mut self, ctx_id: u64, encodings: Vec<dk_linalg::Tensor<dk_field::F25>>) {
-        GpuCluster::store_encodings(self, ctx_id, encodings);
+        self.store_encodings_sparse(ctx_id, encodings, &[]);
+    }
+
+    fn store_encodings_sparse(
+        &mut self,
+        ctx_id: u64,
+        encodings: Vec<dk_linalg::Tensor<dk_field::F25>>,
+        withheld: &[WorkerId],
+    ) {
+        assert!(encodings.len() <= self.workers.len(), "more encodings than workers");
+        for (w, e) in self.workers.iter_mut().zip(encodings) {
+            if !withheld.contains(&w.id()) {
+                w.store_encoding(ctx_id, e);
+            }
+        }
     }
 
     fn release_contexts(&mut self, ctx_ids: &[u64]) {

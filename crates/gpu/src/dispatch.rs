@@ -234,30 +234,40 @@ impl GpuDispatcher {
     /// [`GpuError::Oversubscribed`] if more jobs than workers are
     /// supplied.
     pub fn submit(&self, tag: BatchTag, jobs: Vec<LinearJob>) -> Result<Ticket, GpuError> {
-        if jobs.len() > self.senders.len() {
-            return Err(GpuError::Oversubscribed {
-                jobs: jobs.len(),
-                workers: self.senders.len(),
-            });
+        self.submit_slots(tag, jobs.len(), jobs.into_iter().map(Some))
+    }
+
+    /// The one submission path: slot `i` goes to worker `i`; a `None`
+    /// slot is withheld — nothing is sent and the slot redeems as
+    /// [`GpuError::Withheld`].
+    fn submit_slots(
+        &self,
+        tag: BatchTag,
+        len: usize,
+        jobs: impl Iterator<Item = Option<LinearJob>>,
+    ) -> Result<Ticket, GpuError> {
+        if len > self.senders.len() {
+            return Err(GpuError::Oversubscribed { jobs: len, workers: self.senders.len() });
         }
-        let mut slots = Vec::with_capacity(jobs.len());
-        for (i, job) in jobs.into_iter().enumerate() {
-            let (tx, rx) = mpsc::channel();
-            let rx = self
-                .send(i, WorkerMsg::Run { job: Box::new(job), reply: tx })
-                .map(|()| rx);
-            self.queue_depth.inc();
-            self.jobs_total.inc();
-            slots.push(ReplySlot { worker: WorkerId(i), rx });
+        let mut slots = Vec::with_capacity(len);
+        for (i, job) in jobs.enumerate() {
+            let worker = WorkerId(i);
+            slots.push(match job {
+                Some(job) => self.submit_on(worker, job).slot,
+                None => ReplySlot { worker, rx: Err(GpuError::Withheld { worker }) },
+            });
         }
         Ok(Ticket { tag, slots })
     }
 
     fn redeem(&self, slot: ReplySlot) -> WorkerResult {
-        // Balanced against the `inc` in submit/submit_on: every slot —
-        // including faulted ones — passes through here exactly once.
-        self.queue_depth.dec();
         let ReplySlot { worker, rx } = slot;
+        // Balanced against the `inc` in submit_on: every submitted slot
+        // — including faulted ones — passes through here exactly once.
+        // A withheld slot was never submitted.
+        if !matches!(rx, Err(GpuError::Withheld { .. })) {
+            self.queue_depth.dec();
+        }
         let rx = rx?;
         match self.reply_timeout {
             None => rx
@@ -279,7 +289,14 @@ impl GpuDispatcher {
     /// worker claims only its own slot — the other workers' outputs are
     /// still returned, which is what lets the TEE repair around it.
     pub fn complete(&self, ticket: Ticket) -> Vec<WorkerResult> {
-        ticket.slots.into_iter().map(|slot| self.redeem(slot)).collect()
+        let mut out = Vec::with_capacity(ticket.len());
+        self.complete_into(ticket, &mut out);
+        out
+    }
+
+    /// [`GpuDispatcher::complete`], appending to a caller-owned buffer.
+    fn complete_into(&self, ticket: Ticket, out: &mut Vec<WorkerResult>) {
+        out.extend(ticket.slots.into_iter().map(|slot| self.redeem(slot)));
     }
 
     /// Submits one job to a specific worker.
@@ -312,9 +329,22 @@ impl GpuDispatcher {
     ///
     /// Panics if more encodings than workers are supplied.
     pub fn store_encodings(&self, ctx_id: u64, encodings: Vec<Tensor<F25>>) {
+        self.store_encodings_sparse(ctx_id, encodings, &[]);
+    }
+
+    /// [`GpuDispatcher::store_encodings`] that sends nothing to the
+    /// workers in `withheld`.
+    fn store_encodings_sparse(
+        &self,
+        ctx_id: u64,
+        encodings: Vec<Tensor<F25>>,
+        withheld: &[WorkerId],
+    ) {
         assert!(encodings.len() <= self.senders.len(), "more encodings than workers");
         for (i, e) in encodings.into_iter().enumerate() {
-            let _ = self.send(i, WorkerMsg::Store { ctx_id, encoding: e });
+            if !withheld.contains(&WorkerId(i)) {
+                let _ = self.send(i, WorkerMsg::Store { ctx_id, encoding: e });
+            }
         }
     }
 
@@ -399,8 +429,36 @@ impl GpuExec for DispatchClient {
     }
 
     fn execute(&mut self, tag: u64, jobs: &[LinearJob]) -> Result<Vec<WorkerResult>, GpuError> {
-        let ticket = self.inner.submit(BatchTag(tag), jobs.to_vec())?;
-        Ok(self.inner.complete(ticket))
+        let mut out = Vec::with_capacity(jobs.len());
+        self.execute_sparse_into(tag, jobs, &[], &mut out)?;
+        Ok(out)
+    }
+
+    fn execute_into(
+        &mut self,
+        tag: u64,
+        jobs: &[LinearJob],
+        out: &mut Vec<WorkerResult>,
+    ) -> Result<(), GpuError> {
+        self.execute_sparse_into(tag, jobs, &[], out)
+    }
+
+    /// One submit/complete round whatever the skip set: every job that
+    /// is offered is queued before the first reply is awaited.
+    fn execute_sparse_into(
+        &mut self,
+        tag: u64,
+        jobs: &[LinearJob],
+        withheld: &[WorkerId],
+        out: &mut Vec<WorkerResult>,
+    ) -> Result<(), GpuError> {
+        let offered = jobs
+            .iter()
+            .enumerate()
+            .map(|(i, job)| (!withheld.contains(&WorkerId(i))).then(|| job.clone()));
+        let ticket = self.inner.submit_slots(BatchTag(tag), jobs.len(), offered)?;
+        self.inner.complete_into(ticket, out);
+        Ok(())
     }
 
     fn execute_on(&mut self, id: WorkerId, job: &LinearJob) -> WorkerResult {
@@ -409,6 +467,15 @@ impl GpuExec for DispatchClient {
 
     fn store_encodings(&mut self, ctx_id: u64, encodings: Vec<Tensor<F25>>) {
         self.inner.store_encodings(ctx_id, encodings);
+    }
+
+    fn store_encodings_sparse(
+        &mut self,
+        ctx_id: u64,
+        encodings: Vec<Tensor<F25>>,
+        withheld: &[WorkerId],
+    ) {
+        self.inner.store_encodings_sparse(ctx_id, encodings, withheld);
     }
 
     fn release_contexts(&mut self, ctx_ids: &[u64]) {

@@ -5,10 +5,11 @@
 //! processes crash, hang, and reconnect as a matter of routine, and the
 //! TEE-side protocol must keep serving through all of it. Every backend
 //! fault therefore surfaces as a [`GpuError`] value that the `dk-core`
-//! session either converts into the quarantine + recovery flow (a lost
-//! worker is handled exactly like a tampering worker: the TEE
-//! reconstructs its row) or fails closed with a typed session error —
-//! never a process abort.
+//! session either converts into the quarantine + recovery flow (the TEE
+//! reconstructs a lost worker's row, and keeps offering it work — see
+//! [`crate::exec`]) or fails closed with a typed session error — never
+//! a process abort. [`GpuError::Withheld`] is the one variant that is
+//! not a fault of the worker: the caller asked for it to be skipped.
 
 use crate::worker::WorkerId;
 
@@ -52,6 +53,14 @@ pub enum GpuError {
         /// What was wrong with the frame.
         detail: String,
     },
+    /// The caller asked for this worker to be skipped
+    /// ([`GpuExec::execute_sparse_into`](crate::GpuExec::execute_sparse_into)):
+    /// nothing was sent, so there is nothing to wait for. Not a failure
+    /// of the worker — the slot is the caller's to fill.
+    Withheld {
+        /// Which worker was skipped.
+        worker: WorkerId,
+    },
 }
 
 impl GpuError {
@@ -65,7 +74,8 @@ impl GpuError {
         match self {
             GpuError::WorkerLost { worker, .. }
             | GpuError::Timeout { worker, .. }
-            | GpuError::Remote { worker, .. } => Some(*worker),
+            | GpuError::Remote { worker, .. }
+            | GpuError::Withheld { worker } => Some(*worker),
             GpuError::Oversubscribed { .. } | GpuError::Protocol { .. } => None,
         }
     }
@@ -87,6 +97,7 @@ impl std::fmt::Display for GpuError {
                 write!(f, "{worker} reported a failure: {message}")
             }
             GpuError::Protocol { detail } => write!(f, "wire protocol error: {detail}"),
+            GpuError::Withheld { worker } => write!(f, "{worker} was sent nothing (withheld)"),
         }
     }
 }
@@ -108,5 +119,8 @@ mod tests {
         let o = GpuError::Oversubscribed { jobs: 5, workers: 3 };
         assert!(o.to_string().contains("more jobs"));
         assert_eq!(o.worker(), None);
+        let w = GpuError::Withheld { worker: WorkerId(2) };
+        assert!(w.to_string().contains("gpu2"));
+        assert_eq!(w.worker(), Some(WorkerId(2)));
     }
 }

@@ -6,7 +6,7 @@
 //! accelerators:
 //!
 //! * [`crate::GpuCluster`] — the blocking reference backend: jobs run to
-//!   completion inside `execute` (serially, or on one ephemeral thread
+//!   completion inside the call (serially, or on one ephemeral thread
 //!   per worker). One virtual batch is in flight at a time.
 //! * [`crate::DispatchClient`] — the pipelined backend: jobs are
 //!   submitted to a shared [`crate::GpuDispatcher`] whose persistent
@@ -14,11 +14,47 @@
 //! * [`crate::TcpFleet`] — the wire backend: jobs travel as framed
 //!   messages to remote worker processes over TCP.
 //!
-//! Faults are part of the contract, not panics. `execute` reports
+//! # Faults and routing
+//!
+//! Faults are part of the contract, not panics. A dispatch reports
 //! per-worker outcomes ([`WorkerResult`]) so the session can route
-//! around one dead worker while using the others' answers — the same
-//! localize-and-repair flow that handles a tampering worker. Whole-call
+//! around one bad worker while using the others' answers. Whole-call
 //! failures (oversubscription) surface as the outer [`GpuError`].
+//!
+//! There is one dispatch, [`GpuExec::execute_sparse_into`]: job `i`
+//! goes to worker `i` unless the caller names that worker in
+//! `withheld`, in which case nothing is sent and the slot comes back as
+//! [`GpuError::Withheld`]. The dense calls (`execute`, `execute_into`)
+//! are that dispatch with an empty skip set — every backend here
+//! implements the sparse form and forwards the dense ones to it, with
+//! the sends still pipelined (all jobs out before the first reply is
+//! awaited). [`GpuExec::store_encodings_sparse`] is the same idea for
+//! the §6 forward-encoding stores.
+//!
+//! Who gets skipped is the session's policy, and it separates two kinds
+//! of bad worker:
+//!
+//! * A worker the TEE's own recomputation caught **lying** is
+//!   *convicted*: for the rest of that session it is sent no job, no
+//!   encoding and no store. The TEE computes that one slot itself and
+//!   the redundant-equation check still runs over the complete
+//!   `K+M+1`-slot set, so a convicted worker costs one TEE job per
+//!   layer — not a corrupted answer, a failed check, a `K+M+1`-job
+//!   localization and a second decode per layer. It is also the better
+//!   privacy position: a worker known to be adversarial stops
+//!   receiving encodings at all.
+//! * A worker that was **lost or timed out** is quarantined but keeps
+//!   being offered work. Its slot already costs one TEE job per layer
+//!   (the fault arrives instead of an answer, nothing needs
+//!   localizing), and being offered work is how a transport's redial
+//!   (e.g. [`crate::TcpFleet`]) gets the chance to re-admit it.
+//!
+//! The two new methods have defaults written in terms of the original
+//! seven, so a wrapper that forwards only those (a tracing shim, say)
+//! stays correct: a sparse dispatch reaches its inner backend as one
+//! `execute_on` per worker that is offered work.
+//!
+//! # Context ids
 //!
 //! Context ids are the protocol's handle for stored forward encodings
 //! (§6 backward reuse). Sequential execution could key them by layer
@@ -75,6 +111,42 @@ pub trait GpuExec {
         Ok(())
     }
 
+    /// [`GpuExec::execute_into`] that sends nothing to the workers in
+    /// `withheld`: their slots come back as [`GpuError::Withheld`] and
+    /// their jobs (encoded input included) never leave the caller. An
+    /// empty `withheld` *is* the dense dispatch. The default serves a
+    /// non-empty skip set with one [`GpuExec::execute_on`] per worker
+    /// that is offered work; backends override it to keep the round
+    /// batched.
+    ///
+    /// # Errors
+    ///
+    /// Same contract as [`GpuExec::execute`]; on error `out` is left
+    /// unchanged.
+    fn execute_sparse_into(
+        &mut self,
+        tag: u64,
+        jobs: &[LinearJob],
+        withheld: &[WorkerId],
+        out: &mut Vec<WorkerResult>,
+    ) -> Result<(), GpuError> {
+        if withheld.is_empty() {
+            return self.execute_into(tag, jobs, out);
+        }
+        if jobs.len() > self.num_workers() {
+            return Err(GpuError::Oversubscribed { jobs: jobs.len(), workers: self.num_workers() });
+        }
+        for (i, job) in jobs.iter().enumerate() {
+            let worker = WorkerId(i);
+            out.push(if withheld.contains(&worker) {
+                Err(GpuError::Withheld { worker })
+            } else {
+                self.execute_on(worker, job)
+            });
+        }
+        Ok(())
+    }
+
     /// Hands decoded output tensors back to the backend so their buffers
     /// can return to whichever pool produced them (worker workspaces for
     /// in-process backends). Drains `outputs`; the `Vec` itself stays
@@ -95,6 +167,26 @@ pub trait GpuExec {
     /// silently — that worker's subsequent jobs fail with a typed error
     /// and the session repairs around it.
     fn store_encodings(&mut self, ctx_id: u64, encodings: Vec<Tensor<F25>>);
+
+    /// [`GpuExec::store_encodings`] that sends nothing to the workers
+    /// in `withheld` (the caller will never send them the `*Stored` job
+    /// that would read the encoding). The positional dense store cannot
+    /// skip a slot, so the default swaps each withheld encoding for a
+    /// zero-length tensor — the worker still hears of the context but
+    /// learns nothing; backends override it to send nothing at all.
+    fn store_encodings_sparse(
+        &mut self,
+        ctx_id: u64,
+        mut encodings: Vec<Tensor<F25>>,
+        withheld: &[WorkerId],
+    ) {
+        for w in withheld {
+            if let Some(slot) = encodings.get_mut(w.0) {
+                *slot = Tensor::zeros(&[0]);
+            }
+        }
+        self.store_encodings(ctx_id, encodings);
+    }
 
     /// Releases stored encodings for the given context ids (virtual
     /// batch retired). Best-effort, like `store_encodings`.

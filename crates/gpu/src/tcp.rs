@@ -30,7 +30,7 @@ use crate::worker::{GpuWorker, WorkerId};
 use crate::{Behavior, LatencyModel};
 use dk_field::F25;
 use dk_linalg::Tensor;
-use std::io;
+use std::io::{self, Write};
 use std::net::{TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -224,6 +224,9 @@ struct RemoteWorker {
     io_timeout: Option<Duration>,
     connect_timeout: Duration,
     conn: Option<TcpStream>,
+    /// The encoded frame [`RemoteWorker::send_frame`] writes: one
+    /// buffer per connection, reused for every outgoing message.
+    frame: Vec<u8>,
     /// Live `Store`s in issue order, replayed on reconnect.
     replay: Vec<(u64, Tensor<F25>)>,
     reconnects: u64,
@@ -327,54 +330,58 @@ impl RemoteWorker {
         }
         // Reconstruct the worker's forward state: replay every live
         // stored encoding in original issue order.
+        let mut frame = Vec::new();
         for (ctx_id, tensor) in &self.replay {
-            let n = wire::write_msg_counted(
-                &mut stream,
-                &WireMsg::Store { ctx_id: *ctx_id, tensor: tensor.clone() },
-            )
-            .map_err(|e| self.lost(&e))?;
-            self.count_frame(n);
+            wire::encode_store(&mut frame, *ctx_id, tensor);
+            stream.write_all(&frame).map_err(|e| self.lost(&e))?;
+            self.count_frame(frame.len());
         }
         self.conn = Some(stream);
         Ok(())
     }
 
-    /// Sends one message, dialing (with replay) if there is no live
-    /// connection, and redialing once if a stale connection fails
-    /// mid-write.
-    fn send(&mut self, msg: &WireMsg) -> Result<(), GpuError> {
+    /// Sends the frame in `self.frame`, dialing (with replay) if there
+    /// is no live connection, and redialing once if a stale connection
+    /// fails mid-write. One `write_all` per frame: with `TCP_NODELAY`
+    /// set, header and payload leave in the same segment.
+    fn send_frame(&mut self) -> Result<(), GpuError> {
         let had_conn = self.conn.is_some();
         if !had_conn {
             self.reconnect()?;
         }
-        let stream = self.conn.as_mut().expect("reconnect installed a stream");
-        match wire::write_msg_counted(stream, msg) {
-            Ok(n) => {
-                self.count_frame(n);
+        let attempt = |this: &mut Self| -> io::Result<()> {
+            let stream = this.conn.as_mut().expect("reconnect installed a stream");
+            stream.write_all(&this.frame)
+        };
+        let mut written = attempt(self);
+        if written.is_err() && had_conn {
+            // The cached connection died since we last used it; one
+            // fresh dial gets its own chance.
+            self.conn = None;
+            self.reconnect()?;
+            written = attempt(self);
+        }
+        match written {
+            Ok(()) => {
+                self.count_frame(self.frame.len());
                 Ok(())
-            }
-            Err(_) if had_conn => {
-                // The cached connection died since we last used it;
-                // one fresh dial gets its own chance.
-                self.conn = None;
-                self.reconnect()?;
-                let stream = self.conn.as_mut().expect("reconnect installed a stream");
-                match wire::write_msg_counted(stream, msg) {
-                    Ok(n) => {
-                        self.count_frame(n);
-                        Ok(())
-                    }
-                    Err(e) => {
-                        self.conn = None;
-                        Err(self.lost(&e))
-                    }
-                }
             }
             Err(e) => {
                 self.conn = None;
                 Err(self.lost(&e))
             }
         }
+    }
+
+    fn send(&mut self, msg: &WireMsg) -> Result<(), GpuError> {
+        wire::encode_msg(&mut self.frame, msg);
+        self.send_frame()
+    }
+
+    /// Sends a `Run` for a borrowed job (no clone of its tensors).
+    fn send_run(&mut self, job: &LinearJob) -> Result<(), GpuError> {
+        wire::encode_run(&mut self.frame, job);
+        self.send_frame()
     }
 
     /// Reads one reply frame; faults tear the connection down so the
@@ -402,7 +409,7 @@ impl RemoteWorker {
         }
     }
 
-    /// Sends a Run and reads its Output/Fail reply.
+    /// Reads the Output/Fail reply to a `Run` already sent.
     fn run_reply(&mut self) -> WorkerResult {
         match self.recv()? {
             WireMsg::Output { tensor } => Ok(tensor),
@@ -447,6 +454,7 @@ impl TcpFleet {
                 io_timeout,
                 connect_timeout: Duration::from_millis(m.connect_timeout_ms.max(1)),
                 conn: None,
+                frame: Vec::new(),
                 replay: Vec::new(),
                 reconnects: 0,
                 backoff: Backoff {
@@ -493,40 +501,77 @@ impl GpuExec for TcpFleet {
         self.workers.len()
     }
 
-    fn execute(&mut self, _tag: u64, jobs: &[LinearJob]) -> Result<Vec<WorkerResult>, GpuError> {
+    fn execute(&mut self, tag: u64, jobs: &[LinearJob]) -> Result<Vec<WorkerResult>, GpuError> {
+        let mut out = Vec::with_capacity(jobs.len());
+        self.execute_sparse_into(tag, jobs, &[], &mut out)?;
+        Ok(out)
+    }
+
+    fn execute_into(
+        &mut self,
+        tag: u64,
+        jobs: &[LinearJob],
+        out: &mut Vec<WorkerResult>,
+    ) -> Result<(), GpuError> {
+        self.execute_sparse_into(tag, jobs, &[], out)
+    }
+
+    fn execute_sparse_into(
+        &mut self,
+        _tag: u64,
+        jobs: &[LinearJob],
+        withheld: &[WorkerId],
+        out: &mut Vec<WorkerResult>,
+    ) -> Result<(), GpuError> {
         if jobs.len() > self.workers.len() {
             return Err(GpuError::Oversubscribed { jobs: jobs.len(), workers: self.workers.len() });
         }
-        // Phase 1: pipeline the sends — every worker starts computing
-        // before we block on any reply.
-        let sent: Vec<Result<(), GpuError>> = self
-            .workers
-            .iter_mut()
-            .zip(jobs)
-            .map(|(w, job)| w.send(&WireMsg::Run { job: job.clone() }))
-            .collect();
+        // Phase 1: pipeline the sends — every worker that is offered
+        // work starts computing before we block on any reply. `Ok`
+        // (holding an empty shell) marks "sent, reply pending".
+        let first = out.len();
+        for (w, job) in self.workers.iter_mut().zip(jobs) {
+            out.push(if withheld.contains(&w.id) {
+                Err(GpuError::Withheld { worker: w.id })
+            } else {
+                w.send_run(job).map(|()| Tensor::default())
+            });
+        }
         // Phase 2: collect replies in worker order.
-        Ok(self
-            .workers
-            .iter_mut()
-            .zip(sent)
-            .map(|(w, s)| s.and_then(|()| w.run_reply()))
-            .collect())
+        for (w, slot) in self.workers.iter_mut().zip(&mut out[first..]) {
+            if slot.is_ok() {
+                *slot = w.run_reply();
+            }
+        }
+        Ok(())
     }
 
     fn execute_on(&mut self, id: WorkerId, job: &LinearJob) -> WorkerResult {
         let w = &mut self.workers[id.0];
-        w.send(&WireMsg::Run { job: job.clone() })?;
+        w.send_run(job)?;
         w.run_reply()
     }
 
     fn store_encodings(&mut self, ctx_id: u64, encodings: Vec<Tensor<F25>>) {
+        self.store_encodings_sparse(ctx_id, encodings, &[]);
+    }
+
+    fn store_encodings_sparse(
+        &mut self,
+        ctx_id: u64,
+        encodings: Vec<Tensor<F25>>,
+        withheld: &[WorkerId],
+    ) {
         assert!(encodings.len() <= self.workers.len(), "more encodings than workers");
         for (w, enc) in self.workers.iter_mut().zip(encodings) {
-            w.replay.push((ctx_id, enc.clone()));
+            if withheld.contains(&w.id) {
+                continue;
+            }
             // Best-effort: an unreachable worker gets the encoding via
             // replay when (if) it comes back.
-            let _ = w.send(&WireMsg::Store { ctx_id, tensor: enc });
+            wire::encode_store(&mut w.frame, ctx_id, &enc);
+            let _ = w.send_frame();
+            w.replay.push((ctx_id, enc));
         }
     }
 

@@ -101,9 +101,9 @@ impl WireMsg {
         match self {
             WireMsg::Hello { .. } => 1,
             WireMsg::HelloAck => 2,
-            WireMsg::Run { .. } => 3,
+            WireMsg::Run { .. } => TYPE_RUN,
             WireMsg::Output { .. } => 4,
-            WireMsg::Store { .. } => 5,
+            WireMsg::Store { .. } => TYPE_STORE,
             WireMsg::Release { .. } => 6,
             WireMsg::Fail { .. } => 7,
             WireMsg::Shutdown => 8,
@@ -168,6 +168,7 @@ impl<'a> Cursor<'a> {
 // ---- composite encodings ----
 
 fn put_tensor(buf: &mut Vec<u8>, t: &Tensor<F25>) {
+    buf.reserve(4 * (1 + t.shape().len() + t.len()));
     put_u32(buf, t.shape().len() as u32);
     for &d in t.shape() {
         put_u32(buf, d as u32);
@@ -350,30 +351,62 @@ fn get_job(c: &mut Cursor) -> io::Result<LinearJob> {
     })
 }
 
-/// Serializes a message into its payload bytes (header excluded).
-fn encode_payload(msg: &WireMsg) -> Vec<u8> {
-    let mut buf = Vec::new();
-    match msg {
+const HEADER_LEN: usize = 12;
+const TYPE_RUN: u16 = 3;
+const TYPE_STORE: u16 = 5;
+
+/// Replaces `buf` with one complete frame: the header, then whatever
+/// `payload` appends. Encoding into a caller-owned buffer is what lets
+/// a transport reuse one allocation per connection and put each frame
+/// on the socket with a single write.
+fn encode_frame(buf: &mut Vec<u8>, msg_type: u16, payload: impl FnOnce(&mut Vec<u8>)) {
+    buf.clear();
+    buf.extend_from_slice(&MAGIC.to_le_bytes());
+    buf.extend_from_slice(&VERSION.to_le_bytes());
+    buf.extend_from_slice(&msg_type.to_le_bytes());
+    put_u32(buf, 0); // payload length, patched below
+    payload(buf);
+    let len = (buf.len() - HEADER_LEN) as u32;
+    buf[8..HEADER_LEN].copy_from_slice(&len.to_le_bytes());
+}
+
+/// Encodes `msg` as one frame into `buf` (previous contents replaced).
+pub fn encode_msg(buf: &mut Vec<u8>, msg: &WireMsg) {
+    encode_frame(buf, msg.msg_type(), |buf| match msg {
         WireMsg::Hello { worker_id, seed, latency } => {
-            put_u64(&mut buf, *worker_id);
-            put_u64(&mut buf, *seed);
-            put_u64(&mut buf, latency.0);
-            put_u64(&mut buf, latency.1);
+            put_u64(buf, *worker_id);
+            put_u64(buf, *seed);
+            put_u64(buf, latency.0);
+            put_u64(buf, latency.1);
         }
         WireMsg::HelloAck | WireMsg::Shutdown => {}
-        WireMsg::Run { job } => put_job(&mut buf, job),
-        WireMsg::Output { tensor } => put_tensor(&mut buf, tensor),
+        WireMsg::Run { job } => put_job(buf, job),
+        WireMsg::Output { tensor } => put_tensor(buf, tensor),
         WireMsg::Store { ctx_id, tensor } => {
-            put_u64(&mut buf, *ctx_id);
-            put_tensor(&mut buf, tensor);
+            put_u64(buf, *ctx_id);
+            put_tensor(buf, tensor);
         }
-        WireMsg::Release { ctx_id } => put_u64(&mut buf, *ctx_id),
+        WireMsg::Release { ctx_id } => put_u64(buf, *ctx_id),
         WireMsg::Fail { message } => {
-            put_u32(&mut buf, message.len() as u32);
+            put_u32(buf, message.len() as u32);
             buf.extend_from_slice(message.as_bytes());
         }
-    }
-    buf
+    });
+}
+
+/// Encodes a [`WireMsg::Run`] frame straight from a borrowed job — the
+/// hot TEE→worker message, so the transport never clones the job (and
+/// the encoding tensor inside it) just to serialize it.
+pub fn encode_run(buf: &mut Vec<u8>, job: &LinearJob) {
+    encode_frame(buf, TYPE_RUN, |buf| put_job(buf, job));
+}
+
+/// Encodes a [`WireMsg::Store`] frame from a borrowed tensor.
+pub fn encode_store(buf: &mut Vec<u8>, ctx_id: u64, tensor: &Tensor<F25>) {
+    encode_frame(buf, TYPE_STORE, |buf| {
+        put_u64(buf, ctx_id);
+        put_tensor(buf, tensor);
+    });
 }
 
 fn decode_payload(msg_type: u16, payload: &[u8]) -> io::Result<WireMsg> {
@@ -420,16 +453,11 @@ pub fn write_msg<W: Write>(w: &mut W, msg: &WireMsg) -> io::Result<()> {
 ///
 /// Propagates I/O errors from the underlying writer.
 pub fn write_msg_counted<W: Write>(w: &mut W, msg: &WireMsg) -> io::Result<usize> {
-    let payload = encode_payload(msg);
-    let mut header = [0u8; 12];
-    header[0..4].copy_from_slice(&MAGIC.to_le_bytes());
-    header[4..6].copy_from_slice(&VERSION.to_le_bytes());
-    header[6..8].copy_from_slice(&msg.msg_type().to_le_bytes());
-    header[8..12].copy_from_slice(&(payload.len() as u32).to_le_bytes());
-    w.write_all(&header)?;
-    w.write_all(&payload)?;
+    let mut frame = Vec::new();
+    encode_msg(&mut frame, msg);
+    w.write_all(&frame)?;
     w.flush()?;
-    Ok(header.len() + payload.len())
+    Ok(frame.len())
 }
 
 /// Reads one framed message.
@@ -449,7 +477,7 @@ pub fn read_msg<R: Read>(r: &mut R) -> io::Result<WireMsg> {
 ///
 /// Same conditions as [`read_msg`].
 pub fn read_msg_counted<R: Read>(r: &mut R) -> io::Result<(WireMsg, usize)> {
-    let mut header = [0u8; 12];
+    let mut header = [0u8; HEADER_LEN];
     r.read_exact(&mut header)?;
     let magic = u32::from_le_bytes(header[0..4].try_into().unwrap());
     if magic != MAGIC {
@@ -561,6 +589,23 @@ mod tests {
                 _ => assert_eq!(job.execute(), decoded.execute()),
             }
         }
+    }
+
+    #[test]
+    fn borrowed_encoders_write_the_same_frames() {
+        let job = LinearJob::DenseForward {
+            weights: Arc::new(tensor(&[4, 6], 7)),
+            x: tensor(&[1, 6], 2),
+        };
+        let (mut owned, mut borrowed) = (Vec::new(), vec![0xAAu8; 3]);
+        write_msg(&mut owned, &WireMsg::Run { job: job.clone() }).unwrap();
+        encode_run(&mut borrowed, &job);
+        assert_eq!(owned, borrowed, "encode_run must replace the buffer with the Run frame");
+        let t = tensor(&[1, 5], 3);
+        owned.clear();
+        write_msg(&mut owned, &WireMsg::Store { ctx_id: 88, tensor: t.clone() }).unwrap();
+        encode_store(&mut borrowed, 88, &t);
+        assert_eq!(owned, borrowed);
     }
 
     #[test]

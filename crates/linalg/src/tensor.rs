@@ -26,6 +26,16 @@ pub struct Tensor<T> {
     data: Vec<T>,
 }
 
+/// The moved-from shell `std::mem::take` leaves behind: no shape, no
+/// elements (`len() == 0`), no heap memory. Positional result sets use
+/// it to mark a slot whose buffers were handed elsewhere; recycling one
+/// into a [`crate::Workspace`] is a no-op. Not a value to compute on.
+impl<T> Default for Tensor<T> {
+    fn default() -> Self {
+        Self { shape: Vec::new(), data: Vec::new() }
+    }
+}
+
 impl<T: Scalar> Tensor<T> {
     /// Creates a tensor of zeros with the given shape.
     pub fn zeros(shape: &[usize]) -> Self {

@@ -70,6 +70,7 @@ struct WorkerCell {
     faults: [AtomicU64; FaultKind::COUNT],
     quarantines: AtomicU64,
     repairs: AtomicU64,
+    withheld: AtomicU64,
 }
 
 /// A recording handle for one worker. Clone freely; all clones share
@@ -128,6 +129,15 @@ impl WorkerHandle {
             self.0.repairs.fetch_add(rows, Ordering::Relaxed);
         }
     }
+
+    /// The session withheld `jobs` jobs from this worker (it was
+    /// convicted of lying) and computed them in the TEE instead.
+    #[inline]
+    pub fn withheld(&self, jobs: u64) {
+        if crate::enabled() {
+            self.0.withheld.fetch_add(jobs, Ordering::Relaxed);
+        }
+    }
 }
 
 /// A point-in-time copy of one worker's health counters.
@@ -151,6 +161,9 @@ pub struct WorkerHealth {
     pub quarantines: u64,
     /// Rows the TEE recomputed on this worker's behalf.
     pub repairs: u64,
+    /// Jobs never sent to this worker because it was convicted of
+    /// lying (each one was computed in the TEE instead).
+    pub withheld: u64,
 }
 
 /// The process-global per-worker health aggregate.
@@ -187,6 +200,7 @@ impl FleetHealth {
             faults: std::array::from_fn(|_| AtomicU64::new(0)),
             quarantines: AtomicU64::new(0),
             repairs: AtomicU64::new(0),
+            withheld: AtomicU64::new(0),
         });
         cells.push(cell.clone());
         WorkerHandle(cell)
@@ -207,6 +221,7 @@ impl FleetHealth {
                 faults: std::array::from_fn(|i| c.faults[i].load(Ordering::Relaxed)),
                 quarantines: c.quarantines.load(Ordering::Relaxed),
                 repairs: c.repairs.load(Ordering::Relaxed),
+                withheld: c.withheld.load(Ordering::Relaxed),
             })
             .collect();
         out.sort_by_key(|w| w.worker);
@@ -227,6 +242,7 @@ impl FleetHealth {
             }
             c.quarantines.store(0, Ordering::Relaxed);
             c.repairs.store(0, Ordering::Relaxed);
+            c.withheld.store(0, Ordering::Relaxed);
         }
     }
 
@@ -235,8 +251,9 @@ impl FleetHealth {
         let snap = self.snapshot();
         let mut out = String::new();
         out.push_str(&format!(
-            "{:<8} {:>8} {:>10} {:>8} {:>12} {:>9} {:>24} {:>11} {:>8}\n",
-            "worker", "jobs", "busy_ms", "frames", "bytes", "redials", "faults", "quarantines", "repairs"
+            "{:<8} {:>8} {:>10} {:>8} {:>12} {:>9} {:>24} {:>11} {:>8} {:>8}\n",
+            "worker", "jobs", "busy_ms", "frames", "bytes", "redials", "faults", "quarantines", "repairs",
+            "withheld"
         ));
         for w in &snap {
             let faults: Vec<String> = FaultKind::all()
@@ -247,7 +264,7 @@ impl FleetHealth {
                 .collect();
             let faults = if faults.is_empty() { "-".to_string() } else { faults.join(" ") };
             out.push_str(&format!(
-                "gpu{:<5} {:>8} {:>10.1} {:>8} {:>12} {:>9} {:>24} {:>11} {:>8}\n",
+                "gpu{:<5} {:>8} {:>10.1} {:>8} {:>12} {:>9} {:>24} {:>11} {:>8} {:>8}\n",
                 w.worker,
                 w.jobs,
                 w.busy_ns as f64 / 1e6,
@@ -256,7 +273,8 @@ impl FleetHealth {
                 w.reconnects,
                 faults,
                 w.quarantines,
-                w.repairs
+                w.repairs,
+                w.withheld
             ));
         }
         out
@@ -285,6 +303,7 @@ mod tests {
         h.fault(FaultKind::Timeout);
         h.quarantined();
         h.repaired(3);
+        h.withheld(2);
         crate::disable();
         let snap = fleet().snapshot();
         let w = snap.iter().find(|w| w.worker == 900).unwrap();
@@ -296,6 +315,7 @@ mod tests {
         assert_eq!(w.faults[FaultKind::Timeout.index()], 1);
         assert_eq!(w.quarantines, 1);
         assert_eq!(w.repairs, 3);
+        assert_eq!(w.withheld, 2);
         let table = fleet().render_table();
         assert!(table.contains("gpu900"));
         assert!(table.contains("timeout:1"));

@@ -19,7 +19,8 @@
 //!   pipeline overlap is *visible* per run, not just asserted.
 //! * [`health`] — a [`health::FleetHealth`] view aggregating
 //!   per-worker jobs completed, busy time, bytes framed, reconnects,
-//!   fault kinds, quarantines, and TEE repairs.
+//!   fault kinds, quarantines, TEE repairs and jobs withheld from a
+//!   convicted worker.
 //!
 //! The single master switch is [`enable`] / [`disable`]: it governs
 //! the global registry, the span layer, and fleet health together.
