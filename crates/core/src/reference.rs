@@ -56,10 +56,7 @@ pub(crate) fn normalize_quantize_into(
     let norm = if max_abs > 0.0 { max_abs } else { 1.0 };
     let inv = 1.0 / norm;
     out.clear();
-    out.reserve(vals.len());
-    for &v in vals {
-        out.push(quant.quantize::<P25>((v * inv) as f64)?);
-    }
+    quant.quantize_slice_into::<P25>(vals, inv, out)?;
     Ok(norm)
 }
 
@@ -235,9 +232,7 @@ impl QuantizedReference {
             let yq = conv2d_forward(&xt, &ctx.weights_q, &shape);
             let out =
                 y.get_or_insert_with(|| Tensor::zeros(&[self.k, yq.shape()[1], yq.shape()[2], yq.shape()[3]]));
-            for (dst, &v) in out.batch_item_mut(i).iter_mut().zip(yq.as_slice()) {
-                *dst = q.dequantize_product(v) as f32 * scale;
-            }
+            q.dequantize_product_slice_into(yq.as_slice(), scale, out.batch_item_mut(i));
         }
         let mut y = y.expect("k > 0");
         ops::add_bias_nchw(&mut y, conv.bias().as_slice());
@@ -259,9 +254,7 @@ impl QuantizedReference {
         let mut y = Tensor::zeros(&[self.k, out_f]);
         for (i, xq) in ctx.inputs_q.iter().enumerate() {
             let yq = matmul_a_bt(xq, ctx.weights_q.as_slice(), 1, in_f, out_f);
-            for (dst, &v) in y.batch_item_mut(i).iter_mut().zip(&yq) {
-                *dst = q.dequantize_product(v) as f32 * scale;
-            }
+            q.dequantize_product_slice_into(&yq, scale, y.batch_item_mut(i));
         }
         ops::add_bias_rows(&mut y, dense.bias().as_slice());
         self.ctxs.insert(layer_id, ctx);
@@ -333,17 +326,15 @@ impl QuantizedReference {
         let grad_field = grad_field.expect("k > 0");
         let q = self.quant;
         let wscale = norm_d * ctx.norm_x;
-        let gw: Vec<f32> = grad_field
-            .as_slice()
-            .iter()
-            .map(|&v| q.dequantize_product(v) as f32 * wscale)
-            .collect();
-        conv.accumulate_weight_grad(&Tensor::from_vec(&shape.weight_shape(), gw));
+        let mut gw = Tensor::zeros(&shape.weight_shape());
+        q.dequantize_product_slice_into(grad_field.as_slice(), wscale, gw.as_mut_slice());
+        conv.accumulate_weight_grad(&gw);
         // Data gradient: the same whole-batch kernel the offloaded job
         // runs.
         let dx_field = conv2d_backward_input(&delta_q, &ctx.weights_q, &shape, input_hw);
         let dscale = norm_d * ctx.norm_w;
-        let dx = dx_field.map(|v| q.dequantize_product(v) as f32 * dscale);
+        let mut dx = Tensor::zeros(dx_field.shape());
+        q.dequantize_product_slice_into(dx_field.as_slice(), dscale, dx.as_mut_slice());
         Ok(dx)
     }
 
@@ -369,13 +360,13 @@ impl QuantizedReference {
         }
         let q = self.quant;
         let wscale = norm_d * ctx.norm_x;
-        let gw: Vec<f32> =
-            grad_field.iter().map(|&v| q.dequantize_product(v) as f32 * wscale).collect();
-        dense.accumulate_weight_grad(&Tensor::from_vec(&[out_f, in_f], gw));
+        let mut gw = Tensor::zeros(&[out_f, in_f]);
+        q.dequantize_product_slice_into(&grad_field, wscale, gw.as_mut_slice());
+        dense.accumulate_weight_grad(&gw);
         let dx_field = matmul(delta_q.as_slice(), ctx.weights_q.as_slice(), self.k, out_f, in_f);
         let dscale = norm_d * ctx.norm_w;
-        let dx = Tensor::from_vec(&[self.k, in_f], dx_field)
-            .map(|v| q.dequantize_product(v) as f32 * dscale);
+        let mut dx = Tensor::zeros(&[self.k, in_f]);
+        q.dequantize_product_slice_into(&dx_field, dscale, dx.as_mut_slice());
         Ok(dx)
     }
 }

@@ -21,12 +21,47 @@
 //! virtual batch share one quantization scale per layer — otherwise the
 //! γ-weighted aggregate would blend incompatible fixed-point scales.
 //!
-//! Backward integrity: the paper dedicates the spare worker to
-//! "redundant computation to verify the results" (§4.5). Here the spare
-//! recomputes one TEE-chosen `Eq_{j*}` (the TEE regenerates `x̄_{j*}`
-//! from its retained quantized inputs and noise) and the session
-//! compares; it also recomputes the unencoded data-gradient job. A
-//! mismatch aborts the step.
+//! # A layer pass is one round
+//!
+//! Each offloaded layer makes exactly one dispatch into the backend per
+//! pass — a round, [`GpuExec::execute_round_into`]: the TEE builds every
+//! job the pass needs, sends them together and waits once, so no job of
+//! a layer queues behind the reply to another. Forward, the round is the
+//! `K+M(+1)` encoded jobs (no addressed part:
+//! [`GpuExec::execute_sparse_into`]). Backward, everything depends only
+//! on the quantized `δ` and the retained `LinearCtx`, and the round
+//! holds:
+//!
+//! * the `K+M` `*Stored` weight-gradient jobs, one per worker holding a
+//!   forward encoding (§6);
+//! * their check. The paper dedicates the spare worker to "redundant
+//!   computation to verify the results" (§4.5): the spare recomputes one
+//!   TEE-chosen `Eq_{j*}` as an explicit job on the `x̄_{j*}` the TEE
+//!   regenerates from its retained quantized inputs and noise. With
+//!   recovery on, every `Eq_j` is recomputed instead, by the next worker
+//!   round the ring;
+//! * the unencoded data-gradient job (it carries no input information,
+//!   §4.2), twice when integrity is on: to the first and to the last
+//!   worker not convicted of lying.
+//!
+//! Then one fold (`settle`) compares each answer
+//! with its duplicate: equal answers stand, a mismatch aborts the step
+//! or — with recovery — is resolved by the TEE's own recomputation,
+//! which convicts whoever it contradicts.
+//!
+//! Issuing the check concurrently with the jobs it checks concedes
+//! nothing. `j*` comes from the TEE-only `(seed, batch, layer)` stream
+//! and is revealed only to the spot-checker, by the job it receives; the
+//! same tensors are compared with the same equality; the data gradient
+//! is still computed twice. What a sequential check might seem to add —
+//! worker `j*` has already committed to its answer when the checker is
+//! asked — protects nothing: a checker that colludes with worker `j*`
+//! defeats the comparison in either order, by echoing `j*`'s answer, and
+//! a checker that does not collude tells worker `j*` nothing in either
+//! order.
+//!
+//! In `dk_obs` terms the wait for all of it is the `Dispatch` span; the
+//! backward `Verify` span covers the comparison only.
 //!
 //! # Execution backends and determinism
 //!
@@ -696,14 +731,6 @@ impl<X: GpuExec> DarknightSession<X> {
         id
     }
 
-    /// Max-abs normalization (the paper's §5 VGG strategy, applied
-    /// uniformly) followed by Algorithm 1 quantization. Shared with
-    /// [`crate::reference::QuantizedReference`] so the private path and
-    /// the clear-text oracle can never drift numerically.
-    fn normalize_quantize(&self, vals: &[f32]) -> Result<(Vec<F25>, f32), DarknightError> {
-        crate::reference::normalize_quantize(self.cfg.quant(), vals)
-    }
-
     /// Quantized weights for the layer: from the step plan when one is
     /// installed (weights are frozen within a step, so the engine
     /// quantizes them once), freshly computed otherwise. Identical bits
@@ -717,7 +744,8 @@ impl<X: GpuExec> DarknightSession<X> {
         if let Some(planned) = self.plan.as_ref().and_then(|p| p.linear(ordinal)) {
             return Ok((planned.weights_q.clone(), planned.norm_w));
         }
-        let (wq_flat, norm_w) = self.normalize_quantize(weights.as_slice())?;
+        let (wq_flat, norm_w) =
+            crate::reference::normalize_quantize(self.cfg.quant(), weights.as_slice())?;
         Ok((Arc::new(Tensor::from_vec(weight_shape, wq_flat)), norm_w))
     }
 
@@ -1066,9 +1094,7 @@ impl<X: GpuExec> DarknightSession<X> {
         self.ws.give_shape(out_shape);
         let mut y = self.ws.take_tensor(&y_shape);
         for (i, (dec, &scale)) in decoded.iter().zip(&scales).enumerate() {
-            for (dst, &v) in y.batch_item_mut(i).iter_mut().zip(dec) {
-                *dst = q.dequantize_product(v) as f32 * scale;
-            }
+            q.dequantize_product_slice_into(dec, scale, y.batch_item_mut(i));
         }
         self.give_rows(decoded);
         self.ws.give(scales);
@@ -1106,9 +1132,7 @@ impl<X: GpuExec> DarknightSession<X> {
         let q = self.cfg.quant();
         let mut y = self.ws.take_tensor(&[k, out_f]);
         for (i, (dec, &scale)) in decoded.iter().zip(&scales).enumerate() {
-            for (dst, &v) in y.batch_item_mut(i).iter_mut().zip(dec) {
-                *dst = q.dequantize_product(v) as f32 * scale;
-            }
+            q.dequantize_product_slice_into(dec, scale, y.batch_item_mut(i));
         }
         self.give_rows(decoded);
         self.ws.give(scales);
@@ -1271,8 +1295,31 @@ impl<X: GpuExec> DarknightSession<X> {
         self.next_id
     }
 
-    /// Shared backward machinery: decodes the aggregate weight gradient
-    /// and (optionally) performs the spare-worker integrity checks.
+    /// The explicit form of worker `j`'s `*Stored` job: the TEE
+    /// regenerates `x̄_j` from the retained context (determinism by
+    /// derivation; encodings are row-independent, so one coefficient row
+    /// reproduces it bit for bit) and β-combines `δ` itself, so another
+    /// worker — or the TEE — can compute `Eq_j`.
+    fn explicit_wgrad(
+        &mut self,
+        j: usize,
+        delta_q: &Tensor<F25>,
+        enc_shape: &[usize],
+        ctx: &LinearCtx,
+        make: &impl Fn(Tensor<F25>, Tensor<F25>) -> LinearJob,
+    ) -> LinearJob {
+        let row = self.scheme.encode_row_ws(j, &ctx.inputs_q, &ctx.noise, &mut self.ws);
+        let xbar = Tensor::from_parts(self.ws.take_shape(enc_shape), row);
+        make(dk_gpu::job::beta_combine(delta_q, &self.scheme.beta_row(j)), xbar)
+    }
+
+    /// The backward offload round: quantize `δ`, then build, dispatch
+    /// and settle **one** round holding everything the layer asks of the
+    /// fleet (see the module docs) — the `K+M` `*Stored` weight-gradient
+    /// jobs, their explicit recomputation on TEE-regenerated encodings,
+    /// and both copies of the unencoded data-gradient job. Returns the
+    /// decoded aggregate weight gradient, `δ`'s scale, and the data
+    /// gradient, all still in the field.
     #[allow(clippy::too_many_arguments)]
     fn offload_backward(
         &mut self,
@@ -1280,255 +1327,235 @@ impl<X: GpuExec> DarknightSession<X> {
         dy: &Tensor<f32>,
         wgrad_job: impl Fn(Arc<Tensor<F25>>, Vec<F25>) -> LinearJob,
         explicit_wgrad_job: impl Fn(Tensor<F25>, Tensor<F25>) -> LinearJob,
-        data_job: impl Fn(Arc<Tensor<F25>>) -> LinearJob,
+        data_job: impl Fn(Tensor<F25>) -> LinearJob,
         enc_shape: &[usize],
         ctx: &LinearCtx,
     ) -> Result<(Vec<F25>, f32, Tensor<F25>), DarknightError> {
-        let k = self.cfg.k();
-        let m = self.cfg.m();
-        let s_sq = k + m;
-        let batch = self.batch_index;
-        let bwd_ordinal = layer_id - self.ctx_base;
-        let sp = dk_obs::span(dk_obs::Stage::Quantize, batch, bwd_ordinal);
-        let (dq_flat, norm_d) = self.normalize_quantize(dy.as_slice())?;
-        let delta_q = Arc::new(Tensor::from_vec(dy.shape(), dq_flat));
+        let s_sq = self.cfg.k() + self.cfg.m();
+        let (batch, ordinal) = (self.batch_index, layer_id - self.ctx_base);
+        let (recovery, integrity) = (self.cfg.recovery(), self.scheme.has_integrity());
+        let fail = |fault| DarknightError::GpuFault { layer_id, phase: "backward", fault };
+        let sp = dk_obs::span(dk_obs::Stage::Quantize, batch, ordinal);
+        let mut dq = self.ws.take_cleared::<F25>(dy.len());
+        let norm_d = match crate::reference::normalize_quantize_into(
+            self.cfg.quant(),
+            dy.as_slice(),
+            &mut dq,
+        ) {
+            Ok(norm) => norm,
+            Err(e) => {
+                self.ws.give(dq);
+                return Err(e);
+            }
+        };
+        let delta_q = Arc::new(Tensor::from_parts(self.ws.take_shape(dy.shape()), dq));
         drop(sp);
-        let sp = dk_obs::span(dk_obs::Stage::Dispatch, batch, bwd_ordinal);
-        // 1) Aggregate weight gradient via the encoded scheme. Convicted
-        //    workers are sent nothing; their `Withheld` slots are filled
-        //    below like any other fault.
+        let sp = dk_obs::span(dk_obs::Stage::Dispatch, batch, ordinal);
+        // 1) The aggregate weight gradient via the encoded scheme.
+        //    Convicted workers are sent nothing; their `Withheld` slots
+        //    are filled below like any other fault.
+        let withheld = self.convicted.clone();
         let jobs: Vec<LinearJob> =
             (0..s_sq).map(|j| wgrad_job(delta_q.clone(), self.scheme.beta_row(j))).collect();
-        // `convicted` only grows by `push`: this prefix stays the set the
-        // dispatch withheld, whoever gets convicted further down.
-        let withheld = self.convicted.len();
-        let sent = s_sq - self.withheld_among(s_sq);
-        self.stats.linear_jobs += sent as u64;
-        self.stats.bytes_to_gpus += (sent * delta_q.len() * 8) as u64;
-        let mut results: Vec<dk_gpu::WorkerResult> = self.ws.take_cleared(s_sq);
-        if let Err(fault) =
-            self.cluster.execute_sparse_into(layer_id, &jobs, &self.convicted, &mut results)
-        {
-            self.ws.give(results);
-            return Err(DarknightError::GpuFault { layer_id, phase: "backward", fault });
+        // 2) Its check: which `Eq_j` get recomputed, and by whom. `j*`
+        //    is derived per (batch, layer) from the TEE-only seed, so it
+        //    is identical whether the batch runs sequentially or on a
+        //    pipeline lane. With recovery on, every `Eq_j` a worker is
+        //    asked for is recomputed by the next worker round the ring
+        //    of those offered work (the TEE where there is none): each
+        //    worker additionally observes one neighbouring encoding — one
+        //    and never two — so an M-tolerant configuration effectively
+        //    tolerates ⌊M/2⌋ colluders in that mode.
+        let checked: Vec<(usize, Option<WorkerId>)> = if !integrity {
+            Vec::new()
+        } else if recovery {
+            let offered = |w: &WorkerId| !withheld.contains(w);
+            (0..s_sq)
+                .filter(|&j| offered(&WorkerId(j)))
+                .map(|j| (j, (1..s_sq).map(|d| WorkerId((j + d) % s_sq)).find(offered)))
+                .collect()
+        } else {
+            let jstar = self.layer_rng(DOMAIN_JSTAR, ordinal).index(s_sq);
+            vec![(jstar, Some(WorkerId(self.cluster.num_workers() - 1)))]
+        };
+        let mut check_jobs: Vec<LinearJob> = self.ws.take_cleared(checked.len());
+        for &(j, _) in &checked {
+            check_jobs.push(self.explicit_wgrad(j, &delta_q, enc_shape, ctx, &explicit_wgrad_job));
         }
-        // Fold out withheld, lost and refusing workers. Backward jobs
-        // are `*Stored` (they run against state the worker holds), so
-        // the TEE cannot replay the job itself — instead it reconstructs
-        // the worker's encoding x̄_j from the retained context
-        // (determinism by derivation) and computes Eq_j explicitly.
-        let mut eqs: Vec<Tensor<F25>> = self.ws.take_cleared(s_sq);
-        self.tee_filled.clear();
-        for (j, r) in results.drain(..).enumerate() {
-            match r {
-                Ok(t) => eqs.push(t),
-                Err(fault) => {
-                    if !self.cfg.recovery() {
-                        return Err(DarknightError::GpuFault { layer_id, phase: "backward", fault });
-                    }
-                    self.book_fault(j, &fault);
-                    let row =
-                        self.scheme.encode_row_ws(j, &ctx.inputs_q, &ctx.noise, &mut self.ws);
-                    let xbar = Tensor::from_vec(enc_shape, row);
-                    let dtilde = dk_gpu::job::beta_combine(&delta_q, &self.scheme.beta_row(j));
-                    eqs.push(explicit_wgrad_job(dtilde, xbar).execute_ws(&mut self.ws));
-                    self.tee_filled.push(j);
-                }
-            }
-        }
-        if !self.tee_filled.is_empty() {
-            self.stats.recoveries += 1;
-        }
-        self.ws.give(results);
-        drop(sp);
-        let sp = dk_obs::span(dk_obs::Stage::Verify, batch, bwd_ordinal);
-        let eq_len = eqs[0].len();
-        self.stats.bytes_from_gpus += (sent * eq_len * 8) as u64;
-        // 2) Backward integrity. `j*` is derived per (batch, layer), so
-        //    it is identical whether the batch runs sequentially or on a
-        //    pipeline lane — and whether or not recovery is enabled.
-        let ordinal = layer_id - self.ctx_base;
-        let jstar = self.layer_rng(DOMAIN_JSTAR, ordinal).index(s_sq);
-        if self.cfg.recovery() && self.scheme.has_integrity() {
-            // Deterministic duplicate-dispatch verification (recovery
-            // extension): every Eq_j a worker returned is recomputed
-            // from the TEE-regenerated x̄_j by the next worker round the
-            // ring of those this dispatch offered work; any pairwise
-            // mismatch is resolved by a TEE ground-truth recomputation,
-            // which convicts the liar(s). A withheld slot is TEE ground
-            // truth already and needs no duplicate. Note the privacy
-            // accounting: each worker additionally observes one
-            // neighbouring encoding, so an M-tolerant configuration
-            // effectively tolerates ⌊M/2⌋ colluders in this mode. One
-            // and never two — which is why the TEE, not a second
-            // neighbour, stands in for a verifier convicted mid-pass.
-            self.stats.integrity_checks += 1;
-            let enc = self.scheme.encode_ws(&ctx.inputs_q, &ctx.noise, &mut self.ws);
-            for j in 0..s_sq {
-                if self.convicted[..withheld].contains(&WorkerId(j)) {
-                    continue;
-                }
-                let xbar = Tensor::from_vec(enc_shape, enc[j].clone());
-                let dtilde = dk_gpu::job::beta_combine(&delta_q, &self.scheme.beta_row(j));
-                let job = explicit_wgrad_job(dtilde, xbar);
-                let verifier = (1..s_sq)
-                    .map(|d| WorkerId((j + d) % s_sq))
-                    .find(|w| !self.convicted[..withheld].contains(w))
-                    .filter(|w| !self.convicted.contains(w));
-                let dup = match verifier.map(|v| self.cluster.execute_on(v, &job)) {
-                    Some(Ok(dup)) if dup == eqs[j] => continue,
-                    Some(Ok(dup)) => Some(dup),
-                    Some(Err(fault)) => {
-                        // The duplicate checker died; the TEE takes over
-                        // its verification duty directly.
-                        self.quarantine(fault.worker().or(verifier).unwrap_or(WorkerId(j)));
-                        None
-                    }
-                    // ...as it does for a checker it no longer asks.
-                    None => None,
-                };
-                // TEE ground truth identifies the liar(s).
-                let mut truth = job.execute_ws(&mut self.ws);
-                if let (Some(dup), Some(v)) = (dup, verifier) {
-                    if truth != dup {
-                        self.convict(v);
-                    }
-                }
-                if truth != eqs[j] {
-                    self.convict(WorkerId(j));
-                    std::mem::swap(&mut eqs[j], &mut truth);
-                    self.tee_filled.push(j);
-                }
-                self.ws.give_tensor(truth);
-                self.stats.recoveries += 1;
-            }
-            self.give_rows(enc);
-        } else if self.scheme.has_integrity() {
-            // Spare-worker spot check (probabilistic, the base mode).
-            self.stats.integrity_checks += 1;
-            // Regenerate only x̄_{j*} inside the TEE from retained state
-            // — encodings are row-independent, so a single coefficient
-            // row reproduces it bit-for-bit at 1/S of the old
-            // whole-batch re-encode.
-            let row = self.scheme.encode_row_ws(jstar, &ctx.inputs_q, &ctx.noise, &mut self.ws);
-            let xbar = Tensor::from_vec(enc_shape, row);
-            let dtilde = dk_gpu::job::beta_combine(&delta_q, &self.scheme.beta_row(jstar));
-            let spare = WorkerId(self.cluster.num_workers() - 1);
-            // Recovery is off in this branch, so a lost spot-checker
-            // fails closed: without the check the batch is unverified.
-            let check = self
-                .cluster
-                .execute_on(spare, &explicit_wgrad_job(dtilde, xbar))
-                .map_err(|fault| DarknightError::GpuFault { layer_id, phase: "backward", fault })?;
-            if check != eqs[jstar] {
-                let mismatches = check
-                    .as_slice()
-                    .iter()
-                    .zip(eqs[jstar].as_slice())
-                    .filter(|(a, b)| a != b)
-                    .count();
-                return Err(DarknightError::IntegrityViolation {
-                    layer_id,
-                    phase: "backward",
-                    mismatches,
-                });
-            }
-        }
-        drop(sp);
-        let sp = dk_obs::span(dk_obs::Stage::Decode, batch, bwd_ordinal);
-        // The decode reads the Eq tensors in place; afterwards their
-        // buffers go back to the pools that produced them.
-        let grad_field = self.scheme.decode_backward_ws(&eqs, &mut self.ws);
-        self.stats.decoded_elems += grad_field.len() as u64;
-        self.recycle_results(&mut eqs);
-        self.ws.give(eqs);
-        drop(sp);
-        // 3) Data gradient: unencoded offload, redundantly recomputed
-        //    when integrity is on.
-        let dx_field = self.offload_data_gradient(layer_id, &data_job(delta_q.clone()))?;
-        self.stats.bytes_from_gpus += (dx_field.len() * 8) as u64;
-        Ok((grad_field, norm_d, dx_field))
-    }
-
-    /// The unencoded data-gradient offload (§4.2 item 2), recomputed by
-    /// a second worker when integrity is on: by the first and the last
-    /// worker not convicted of lying — workers `0` and `K' − 1` on a
-    /// clean fleet. The job carries no secret state, so routing it past
-    /// a convicted worker costs the TEE nothing; the TEE computes or
-    /// checks it itself only when a worker is lost or none is left.
-    fn offload_data_gradient(
-        &mut self,
-        layer_id: u64,
-        dj: &LinearJob,
-    ) -> Result<Tensor<F25>, DarknightError> {
-        let gpu_fault = |fault| DarknightError::GpuFault { layer_id, phase: "backward", fault };
+        // 3) The data gradient: offloaded unencoded (§4.2 item 2), to the
+        //    first worker not convicted of lying and, when integrity is
+        //    on, also to the last — workers `0` and `K' − 1` on a clean
+        //    fleet. The job carries no secret state, so routing it past
+        //    a convicted worker costs the TEE nothing.
         let (primary, spare) = {
             let mut healthy = (0..self.cluster.num_workers())
                 .map(WorkerId)
-                .filter(|w| !self.convicted.contains(w));
-            (healthy.next(), healthy.next_back())
+                .filter(|w| !withheld.contains(w));
+            (healthy.next(), healthy.next_back().filter(|_| integrity))
         };
-        let Some(primary) = primary else {
-            // Every worker convicted: the TEE's own result stands, and
-            // needs no second opinion.
-            self.stats.recoveries += 1;
-            return Ok(dj.execute());
+        let dj = data_job(self.ws.take_tensor_copy(delta_q.shape(), delta_q.as_slice()));
+        let sent = s_sq - self.withheld_among(s_sq);
+        self.stats.linear_jobs += (sent + usize::from(primary.is_some())) as u64;
+        self.stats.bytes_to_gpus += (sent * delta_q.len() * 8) as u64;
+        let mut results: Vec<dk_gpu::WorkerResult> = self.ws.take_cleared(2 * s_sq + 2);
+        let dispatched = {
+            let mut extra: Vec<(WorkerId, &LinearJob)> =
+                checked.iter().zip(&check_jobs).filter_map(|(&(_, v), job)| Some((v?, job))).collect();
+            extra.extend(primary.into_iter().chain(spare).map(|w| (w, &dj)));
+            self.cluster.execute_round_into(layer_id, &jobs, &withheld, &extra, &mut results)
         };
-        self.stats.linear_jobs += 1;
-        let mut dx = match self.cluster.execute_on(primary, dj) {
-            Ok(t) => t,
-            Err(fault) => {
-                if !self.cfg.recovery() {
-                    return Err(gpu_fault(fault));
+        let mut eqs: Vec<Tensor<F25>> = self.ws.take_cleared(s_sq);
+        let settled = (|| {
+            dispatched.map_err(fail)?;
+            let mut replies = results.drain(..);
+            let mut reply = || replies.next().expect("one reply per slot of the round");
+            // Fold out withheld, lost and refusing workers: the TEE
+            // computes their `Eq_j` explicitly.
+            self.tee_filled.clear();
+            for j in 0..s_sq {
+                match reply() {
+                    Ok(eq) => eqs.push(eq),
+                    Err(fault) if !recovery => return Err(fail(fault)),
+                    Err(fault) => {
+                        self.book_fault(j, &fault);
+                        let job = self.explicit_wgrad(j, &delta_q, enc_shape, ctx, &explicit_wgrad_job);
+                        eqs.push(job.execute_ws(&mut self.ws));
+                        self.ws.give_tensor(job.into_input().expect("an explicit job owns its x̄"));
+                        self.tee_filled.push(j);
+                    }
                 }
-                // The TEE simply recomputes the job and sidelines the
-                // dead worker.
-                self.quarantine(fault.worker().unwrap_or(primary));
-                self.stats.recoveries += 1;
-                return Ok(dj.execute());
             }
-        };
-        if !self.scheme.has_integrity() {
-            return Ok(dx);
+            if !self.tee_filled.is_empty() {
+                self.stats.recoveries += 1;
+            }
+            self.stats.bytes_from_gpus += (sent * eqs[0].len() * 8) as u64;
+            drop(sp);
+            let sp = dk_obs::span(dk_obs::Stage::Verify, batch, ordinal);
+            self.stats.integrity_checks += u64::from(integrity);
+            for (&(j, checker), job) in checked.iter().zip(&check_jobs) {
+                let dup = checker.map(|v| (v, reply()));
+                if self.settle(layer_id, job, WorkerId(j), &mut eqs[j], dup)? {
+                    self.tee_filled.push(j);
+                }
+            }
+            let dx = match primary.map(|w| (w, reply())) {
+                Some((w, Ok(mut dx))) if integrity => {
+                    let dup = spare.map(|v| (v, reply()));
+                    self.settle(layer_id, &dj, w, &mut dx, dup)?;
+                    dx
+                }
+                Some((_, Ok(dx))) => dx,
+                Some((_, Err(fault))) if !recovery => return Err(fail(fault)),
+                // A lost primary, or every worker convicted: the TEE's
+                // own result stands, and needs no second opinion.
+                lost => {
+                    if let Some((w, Err(fault))) = lost {
+                        self.quarantine(fault.worker().unwrap_or(w));
+                    }
+                    self.stats.recoveries += 1;
+                    dj.execute()
+                }
+            };
+            self.stats.bytes_from_gpus += (dx.len() * 8) as u64;
+            drop(sp);
+            let _sp = dk_obs::span(dk_obs::Stage::Decode, batch, ordinal);
+            // The decode reads the Eq tensors in place.
+            let grad_field = self.scheme.decode_backward_ws(&eqs, &mut self.ws);
+            self.stats.decoded_elems += grad_field.len() as u64;
+            Ok((grad_field, norm_d, dx))
+        })();
+        // Every buffer goes back to the pool that produced it, on the
+        // error paths too: an aborted step must not drain the pools.
+        results.clear();
+        self.ws.give(results);
+        self.recycle_results(&mut eqs);
+        self.ws.give(eqs);
+        self.recycle_jobs(check_jobs);
+        self.ws.give_tensor(dj.into_input().expect("a data-gradient job owns its δ"));
+        drop(jobs);
+        if let Ok(delta_q) = Arc::try_unwrap(delta_q) {
+            self.ws.give_tensor(delta_q);
         }
-        let check = match spare.map(|s| self.cluster.execute_on(s, dj)) {
-            Some(Ok(check)) if check == dx => return Ok(dx),
-            Some(Ok(check)) if !self.cfg.recovery() => {
+        settled
+    }
+
+    /// Settles one duplicated job — the single fault / conviction fold of
+    /// the backward round. `answer` came from `worker`; `dup` is what the
+    /// worker asked to recompute the same `job` said, if one was asked.
+    /// Equal answers stand. Otherwise, without recovery the layer fails
+    /// closed; with it the TEE computes the ground truth itself, which
+    /// convicts whoever it contradicts and replaces a wrong `answer`
+    /// (returns `true`: `answer` now comes out of `ws`) — and likewise
+    /// stands in for a checker that was lost or never asked.
+    fn settle(
+        &mut self,
+        layer_id: u64,
+        job: &LinearJob,
+        worker: WorkerId,
+        answer: &mut Tensor<F25>,
+        dup: Option<(WorkerId, dk_gpu::WorkerResult)>,
+    ) -> Result<bool, DarknightError> {
+        let dup = match dup {
+            Some((_, Ok(dup))) if dup == *answer => return Ok(false),
+            Some((_, Ok(dup))) if !self.cfg.recovery() => {
                 let mismatches =
-                    check.as_slice().iter().zip(dx.as_slice()).filter(|(a, b)| a != b).count();
+                    dup.as_slice().iter().zip(answer.as_slice()).filter(|(a, b)| a != b).count();
                 return Err(DarknightError::IntegrityViolation {
                     layer_id,
                     phase: "backward",
                     mismatches,
                 });
             }
-            Some(Ok(check)) => Some(check),
-            Some(Err(fault)) => {
-                if !self.cfg.recovery() {
-                    return Err(gpu_fault(fault));
-                }
-                // Lost the redundant checker: the TEE verifies the
-                // primary answer itself.
-                self.quarantine(fault.worker().or(spare).unwrap_or(primary));
+            Some((_, Err(fault))) if !self.cfg.recovery() => {
+                return Err(DarknightError::GpuFault { layer_id, phase: "backward", fault });
+            }
+            Some((v, Err(fault))) => {
+                self.quarantine(fault.worker().unwrap_or(v));
                 None
             }
-            // No second worker left to ask: likewise.
+            Some((v, Ok(dup))) => Some((v, dup)),
             None => None,
         };
-        // TEE ground truth settles a disagreement (and convicts whoever
-        // it contradicts) or stands in for the missing checker.
-        let truth = dj.execute();
-        if let (Some(check), Some(spare)) = (check, spare) {
-            if truth != check {
-                self.convict(spare);
+        let mut truth = job.execute_ws(&mut self.ws);
+        if let Some((v, dup)) = dup {
+            if truth != dup {
+                self.convict(v);
             }
         }
-        if truth != dx {
-            self.convict(primary);
-            dx = truth;
+        let replaced = truth != *answer;
+        if replaced {
+            self.convict(worker);
+            std::mem::swap(answer, &mut truth);
         }
+        self.ws.give_tensor(truth);
         self.stats.recoveries += 1;
-        Ok(dx)
+        Ok(replaced)
+    }
+
+    /// The tail every linear layer's backward shares: dequantize the
+    /// offloaded aggregate `∇W` (unscale by `norm_d · norm_x`; the 1/K of
+    /// Eq. 3 is already folded into the mean-reduced loss gradients, so
+    /// no extra averaging happens here) and `dx` (by `norm_d · norm_w`),
+    /// and retire the layer's context — also when the offload failed, so
+    /// an aborted step leaks neither its retained bytes nor its buffers.
+    fn finish_backward(
+        &mut self,
+        offloaded: Result<(Vec<F25>, f32, Tensor<F25>), DarknightError>,
+        ctx: LinearCtx,
+        weight_shape: &[usize],
+    ) -> Result<(Tensor<f32>, Tensor<f32>), DarknightError> {
+        let _ = self.enclave.release(ctx.enclave_bytes);
+        let grads = offloaded.map(|(grad_field, norm_d, dx_field)| {
+            let q = self.cfg.quant();
+            let mut gw = self.ws.take_tensor::<f32>(weight_shape);
+            q.dequantize_product_slice_into(&grad_field, norm_d * ctx.norm_x, gw.as_mut_slice());
+            self.ws.give(grad_field);
+            let mut dx = self.ws.take_tensor::<f32>(dx_field.shape());
+            q.dequantize_product_slice_into(dx_field.as_slice(), norm_d * ctx.norm_w, dx.as_mut_slice());
+            (gw, dx)
+        });
+        self.recycle_ctx(ctx);
+        grads
     }
 
     fn backward_conv(
@@ -1547,7 +1574,6 @@ impl<X: GpuExec> DarknightSession<X> {
         let shape = *conv.shape();
         let input_hw = (ctx.input_shape[2], ctx.input_shape[3]);
         let enc_shape = [1, ctx.input_shape[1], ctx.input_shape[2], ctx.input_shape[3]];
-        let weights_q = ctx.weights_q.clone();
         let offloaded = self.offload_backward(
             layer_id,
             dy,
@@ -1558,47 +1584,18 @@ impl<X: GpuExec> DarknightSession<X> {
                 shape,
             },
             |dtilde, xbar| LinearJob::ConvWeightGrad { delta: dtilde, x: xbar, shape },
-            move |delta| LinearJob::ConvBackwardData {
-                weights: weights_q.clone(),
-                delta: (*delta).clone(),
+            |delta| LinearJob::ConvBackwardData {
+                weights: ctx.weights_q.clone(),
+                delta,
                 shape,
                 input_hw,
             },
             &enc_shape,
             &ctx,
         );
-        let (grad_field, norm_d, dx_field) = match offloaded {
-            Ok(v) => v,
-            Err(e) => {
-                // The ctx left the map above; release its retained
-                // bytes so an aborted step doesn't leak them, and
-                // recycle its buffers.
-                let _ = self.enclave.release(ctx.enclave_bytes);
-                self.recycle_ctx(ctx);
-                return Err(e);
-            }
-        };
-        let q = self.cfg.quant();
-        // Aggregate ∇W: dequantize and unscale. The 1/K of Eq. 3 is
-        // already folded into the mean-reduced loss gradients, so no
-        // extra averaging happens here.
-        let wscale = norm_d * ctx.norm_x;
-        let mut gw = self.ws.take_tensor::<f32>(&shape.weight_shape());
-        assert_eq!(grad_field.len(), gw.len(), "decoded weight-gradient length mismatch");
-        for (dst, &v) in gw.as_mut_slice().iter_mut().zip(grad_field.iter()) {
-            *dst = q.dequantize_product(v) as f32 * wscale;
-        }
+        let (gw, dx) = self.finish_backward(offloaded, ctx, &shape.weight_shape())?;
         conv.accumulate_weight_grad(&gw);
         self.ws.give_tensor(gw);
-        self.ws.give(grad_field);
-        // dx: dequantize, unscale by norm_d · norm_w.
-        let dscale = norm_d * ctx.norm_w;
-        let mut dx = self.ws.take_tensor::<f32>(dx_field.shape());
-        for (dst, &v) in dx.as_mut_slice().iter_mut().zip(dx_field.as_slice()) {
-            *dst = q.dequantize_product(v) as f32 * dscale;
-        }
-        let _ = self.enclave.release(ctx.enclave_bytes);
-        self.recycle_ctx(ctx);
         Ok(dx)
     }
 
@@ -1614,47 +1611,19 @@ impl<X: GpuExec> DarknightSession<X> {
         let Some(ctx) = self.ctxs.remove(&layer_id) else {
             return Err(DarknightError::MissingForwardContext { layer_id });
         };
-        let in_f = dense.in_features();
-        let out_f = dense.out_features();
-        let enc_shape = [1, in_f];
-        let weights_q = ctx.weights_q.clone();
+        let weight_shape = [dense.out_features(), dense.in_features()];
         let offloaded = self.offload_backward(
             layer_id,
             dy,
             |delta, beta| LinearJob::DenseWeightGradStored { delta_batch: delta, beta, layer_id },
             |dtilde, xbar| LinearJob::DenseWeightGrad { delta: dtilde, x: xbar },
-            move |delta| LinearJob::DenseBackwardData {
-                weights: weights_q.clone(),
-                delta: (*delta).clone(),
-            },
-            &enc_shape,
+            |delta| LinearJob::DenseBackwardData { weights: ctx.weights_q.clone(), delta },
+            &[1, dense.in_features()],
             &ctx,
         );
-        let (grad_field, norm_d, dx_field) = match offloaded {
-            Ok(v) => v,
-            Err(e) => {
-                let _ = self.enclave.release(ctx.enclave_bytes);
-                self.recycle_ctx(ctx);
-                return Err(e);
-            }
-        };
-        let q = self.cfg.quant();
-        let wscale = norm_d * ctx.norm_x;
-        let mut gw = self.ws.take_tensor::<f32>(&[out_f, in_f]);
-        assert_eq!(grad_field.len(), gw.len(), "decoded weight-gradient length mismatch");
-        for (dst, &v) in gw.as_mut_slice().iter_mut().zip(grad_field.iter()) {
-            *dst = q.dequantize_product(v) as f32 * wscale;
-        }
+        let (gw, dx) = self.finish_backward(offloaded, ctx, &weight_shape)?;
         dense.accumulate_weight_grad(&gw);
         self.ws.give_tensor(gw);
-        self.ws.give(grad_field);
-        let dscale = norm_d * ctx.norm_w;
-        let mut dx = self.ws.take_tensor::<f32>(dx_field.shape());
-        for (dst, &v) in dx.as_mut_slice().iter_mut().zip(dx_field.as_slice()) {
-            *dst = q.dequantize_product(v) as f32 * dscale;
-        }
-        let _ = self.enclave.release(ctx.enclave_bytes);
-        self.recycle_ctx(ctx);
         Ok(dx)
     }
 }

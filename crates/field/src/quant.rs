@@ -93,15 +93,22 @@ impl QuantConfig {
         (1u64 << self.frac_bits) as f64
     }
 
-    /// The paper's `Round`: round-half-up on the scaled value.
-    fn round_scaled(self, v: f64, scale: f64) -> Result<i128, QuantError> {
+    /// `Field(Round(v · scale))` with the paper's round-half-up (Algorithm
+    /// 1, lines 12-17). The rounded value goes through `i64` (the cast
+    /// saturates, so anything past `±2^63` still fails the range check)
+    /// and one conditional add; the 128-bit integer exists only inside
+    /// the `Overflow` error.
+    #[inline]
+    fn quantize_scaled<const P: u64>(v: f64, scale: f64) -> Result<Fp<P>, QuantError> {
         if !v.is_finite() {
             return Err(QuantError::NotFinite);
         }
-        let scaled = v * scale;
-        // Round half up, as written in Algorithm 1 (lines 12-17).
-        let r = (scaled + 0.5).floor();
-        Ok(r as i128)
+        let r = (v * scale + 0.5).floor();
+        let i = r as i64;
+        if i.unsigned_abs() > P / 2 {
+            return Err(QuantError::Overflow { scaled: r as i128, bound: (P / 2) as i128 });
+        }
+        Ok(Fp::from_canonical(if i < 0 { (i + P as i64) as u64 } else { i as u64 }))
     }
 
     /// Quantizes a single input/weight value: `Field(Round(v · 2^l))`.
@@ -111,9 +118,9 @@ impl QuantConfig {
     /// [`QuantError::NotFinite`] for NaN/inf; [`QuantError::Overflow`] if
     /// the scaled value exceeds `p/2` in magnitude (it could not be
     /// recovered by the centered lift).
+    #[inline]
     pub fn quantize<const P: u64>(self, v: f64) -> Result<Fp<P>, QuantError> {
-        let scaled = self.round_scaled(v, self.scale())?;
-        self.into_field::<P>(scaled)
+        Self::quantize_scaled(v, self.scale())
     }
 
     /// Quantizes a bias value at product scale: `Field(Round(v · 2^{2l}))`.
@@ -122,16 +129,7 @@ impl QuantConfig {
     ///
     /// Same conditions as [`QuantConfig::quantize`].
     pub fn quantize_bias<const P: u64>(self, v: f64) -> Result<Fp<P>, QuantError> {
-        let scaled = self.round_scaled(v, self.scale() * self.scale())?;
-        self.into_field::<P>(scaled)
-    }
-
-    fn into_field<const P: u64>(self, scaled: i128) -> Result<Fp<P>, QuantError> {
-        let bound = (P / 2) as i128;
-        if scaled.abs() > bound {
-            return Err(QuantError::Overflow { scaled, bound });
-        }
-        Ok(Fp::from_i128(scaled))
+        Self::quantize_scaled(v, self.scale() * self.scale())
     }
 
     /// Quantizes a slice of inputs/weights.
@@ -140,7 +138,33 @@ impl QuantConfig {
     ///
     /// Returns the first element error encountered.
     pub fn quantize_slice<const P: u64>(self, vs: &[f32]) -> Result<Vec<Fp<P>>, QuantError> {
-        vs.iter().map(|&v| self.quantize(v as f64)).collect()
+        let mut out = Vec::new();
+        self.quantize_slice_into(vs, 1.0, &mut out)?;
+        Ok(out)
+    }
+
+    /// Appends `Field(Round((v · pre) · 2^l))` for every `v` to `out`,
+    /// the `v · pre` product taken in `f32` — the form max-abs
+    /// normalization feeds (`pre = 1/max`); `pre = 1.0` is plain
+    /// [`QuantConfig::quantize_slice`]. The private session and the
+    /// clear-text reference both quantize through this loop.
+    ///
+    /// # Errors
+    ///
+    /// Returns the first element error encountered; `out` then holds the
+    /// elements before it.
+    pub fn quantize_slice_into<const P: u64>(
+        self,
+        vs: &[f32],
+        pre: f32,
+        out: &mut Vec<Fp<P>>,
+    ) -> Result<(), QuantError> {
+        let scale = self.scale();
+        out.reserve(vs.len());
+        for &v in vs {
+            out.push(Self::quantize_scaled((v * pre) as f64, scale)?);
+        }
+        Ok(())
     }
 
     /// Recovers a float from a quantized *input-scale* value (`2^l`).
@@ -159,7 +183,29 @@ impl QuantConfig {
 
     /// Recovers a slice of bilinear-op results.
     pub fn dequantize_product_slice<const P: u64>(self, ys: &[Fp<P>]) -> Vec<f32> {
-        ys.iter().map(|&y| self.dequantize_product(y) as f32).collect()
+        let mut out = vec![0.0; ys.len()];
+        self.dequantize_product_slice_into(ys, 1.0, &mut out);
+        out
+    }
+
+    /// Writes `dequantize_product(y) as f32 · post` for every `y` into
+    /// `out` — the unscale every decoded layer output and gradient goes
+    /// through (`post` undoes the max-abs normalization), shared by the
+    /// private session and the clear-text reference.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the lengths differ.
+    pub fn dequantize_product_slice_into<const P: u64>(
+        self,
+        ys: &[Fp<P>],
+        post: f32,
+        out: &mut [f32],
+    ) {
+        assert_eq!(ys.len(), out.len(), "dequantize: length mismatch");
+        for (dst, &y) in out.iter_mut().zip(ys) {
+            *dst = self.dequantize_product(y) as f32 * post;
+        }
     }
 
     /// The worst-case quantization error of a single value: `2^{-l-1}`.

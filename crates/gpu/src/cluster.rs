@@ -204,9 +204,23 @@ impl crate::GpuExec for GpuCluster {
 
     fn execute_sparse_into(
         &mut self,
+        tag: u64,
+        jobs: &[LinearJob],
+        withheld: &[WorkerId],
+        out: &mut Vec<crate::WorkerResult>,
+    ) -> Result<(), crate::GpuError> {
+        self.execute_round_into(tag, jobs, withheld, &[], out)
+    }
+
+    /// The one native dispatch. Serially, slots run in round order;
+    /// with parallel dispatch each worker runs its own slots, in round
+    /// order, on one scoped thread.
+    fn execute_round_into(
+        &mut self,
         _tag: u64,
         jobs: &[LinearJob],
         withheld: &[WorkerId],
+        extra: &[(WorkerId, &LinearJob)],
         out: &mut Vec<crate::WorkerResult>,
     ) -> Result<(), crate::GpuError> {
         if jobs.len() > self.workers.len() {
@@ -219,38 +233,51 @@ impl crate::GpuExec for GpuCluster {
             if w.crash_pending() {
                 Err(crate::GpuError::lost(w.id(), "worker crashed (simulated fail-stop)"))
             } else {
-                Ok(w.execute(job))
+                w.try_execute(job)
             }
         };
-        let skipped = |i: usize| withheld.contains(&WorkerId(i));
-        let workers = &mut self.workers[..jobs.len()];
-        if self.parallel {
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = workers
-                    .iter_mut()
-                    .zip(jobs)
-                    .enumerate()
-                    .map(|(i, (w, job))| (!skipped(i)).then(|| scope.spawn(move || run(w, job))))
-                    .collect();
-                for (i, h) in handles.into_iter().enumerate() {
-                    let worker = WorkerId(i);
-                    out.push(match h {
-                        None => Err(crate::GpuError::Withheld { worker }),
-                        Some(h) => h.join().unwrap_or_else(|_| {
-                            Err(crate::GpuError::lost(worker, "worker thread panicked"))
-                        }),
-                    });
-                }
-            });
-        } else {
-            for (i, (w, job)) in workers.iter_mut().zip(jobs).enumerate() {
-                out.push(if skipped(i) {
-                    Err(crate::GpuError::Withheld { worker: WorkerId(i) })
-                } else {
-                    run(w, job)
-                });
-            }
+        let slot = |s| crate::exec::round_slot(jobs, withheld, extra, s);
+        let slots = jobs.len() + extra.len();
+        if !self.parallel {
+            out.extend((0..slots).map(|s| match slot(s) {
+                (w, Some(job)) => run(&mut self.workers[w.0], job),
+                (worker, None) => Err(crate::GpuError::Withheld { worker }),
+            }));
+            return Ok(());
         }
+        let first = out.len();
+        out.extend((0..slots).map(|s| Err(crate::GpuError::Withheld { worker: slot(s).0 })));
+        // The slots worker `id` is offered, in round order.
+        let offered = |id: WorkerId| {
+            (0..slots).filter_map(move |s| match slot(s) {
+                (w, Some(job)) if w == id => Some((s, job)),
+                _ => None,
+            })
+        };
+        std::thread::scope(|scope| {
+            let handles: Vec<_> = self
+                .workers
+                .iter_mut()
+                .map(|w| {
+                    let id = w.id();
+                    offered(id).next().is_some().then(|| {
+                        scope.spawn(move || {
+                            offered(id).map(|(s, job)| (s, run(w, job))).collect::<Vec<_>>()
+                        })
+                    })
+                })
+                .collect();
+            for (i, h) in handles.into_iter().enumerate() {
+                let Some(h) = h else { continue };
+                match h.join() {
+                    Ok(ran) => ran.into_iter().for_each(|(s, r)| out[first + s] = r),
+                    Err(_) => offered(WorkerId(i)).for_each(|(s, _)| {
+                        out[first + s] =
+                            Err(crate::GpuError::lost(WorkerId(i), "worker thread panicked"));
+                    }),
+                }
+            }
+        });
         Ok(())
     }
 
@@ -269,7 +296,7 @@ impl crate::GpuExec for GpuCluster {
         if w.crash_pending() {
             return Err(crate::GpuError::lost(id, "worker crashed (simulated fail-stop)"));
         }
-        Ok(GpuCluster::execute_on(self, id, job))
+        w.try_execute(job)
     }
 
     fn store_encodings(&mut self, ctx_id: u64, encodings: Vec<dk_linalg::Tensor<dk_field::F25>>) {

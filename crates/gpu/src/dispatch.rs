@@ -32,7 +32,7 @@
 use crate::cluster::GpuCluster;
 use crate::error::GpuError;
 use crate::exec::{GpuExec, WorkerResult};
-use crate::job::{JobOutput, LinearJob};
+use crate::job::LinearJob;
 use crate::worker::{GpuWorker, WorkerId};
 use dk_field::F25;
 use dk_linalg::Tensor;
@@ -48,7 +48,7 @@ pub struct BatchTag(pub u64);
 
 /// What flows to a worker thread.
 enum WorkerMsg {
-    Run { job: Box<LinearJob>, reply: mpsc::Sender<JobOutput> },
+    Run { job: Box<LinearJob>, reply: mpsc::Sender<WorkerResult> },
     Store { ctx_id: u64, encoding: Tensor<F25> },
     Release { ctx_id: u64 },
 }
@@ -58,7 +58,7 @@ enum WorkerMsg {
 #[derive(Debug)]
 struct ReplySlot {
     worker: WorkerId,
-    rx: Result<mpsc::Receiver<JobOutput>, GpuError>,
+    rx: Result<mpsc::Receiver<WorkerResult>, GpuError>,
 }
 
 /// A pending virtual-batch submission: redeem with
@@ -148,7 +148,10 @@ fn worker_main(
                     return worker;
                 }
                 let t0 = dk_obs::enabled().then(std::time::Instant::now);
-                let out = worker.execute(&job);
+                // A job the worker cannot run (a `*Stored` job whose
+                // context never arrived) is answered with the typed
+                // refusal; the thread lives on.
+                let out = worker.try_execute(&job);
                 if let Some(t0) = t0 {
                     health.job_done(t0.elapsed().as_nanos() as u64);
                 }
@@ -234,30 +237,28 @@ impl GpuDispatcher {
     /// [`GpuError::Oversubscribed`] if more jobs than workers are
     /// supplied.
     pub fn submit(&self, tag: BatchTag, jobs: Vec<LinearJob>) -> Result<Ticket, GpuError> {
-        self.submit_slots(tag, jobs.len(), jobs.into_iter().map(Some))
+        if jobs.len() > self.senders.len() {
+            return Err(GpuError::Oversubscribed { jobs: jobs.len(), workers: self.senders.len() });
+        }
+        Ok(self.submit_slots(tag, jobs.into_iter().enumerate().map(|(i, j)| (WorkerId(i), Some(j)))))
     }
 
-    /// The one submission path: slot `i` goes to worker `i`; a `None`
+    /// The one submission path: each slot names its worker, and a worker
+    /// named twice runs its slots in order (per-worker FIFO). A `None`
     /// slot is withheld — nothing is sent and the slot redeems as
-    /// [`GpuError::Withheld`].
+    /// [`GpuError::Withheld`]. Every slot is queued before this returns.
     fn submit_slots(
         &self,
         tag: BatchTag,
-        len: usize,
-        jobs: impl Iterator<Item = Option<LinearJob>>,
-    ) -> Result<Ticket, GpuError> {
-        if len > self.senders.len() {
-            return Err(GpuError::Oversubscribed { jobs: len, workers: self.senders.len() });
-        }
-        let mut slots = Vec::with_capacity(len);
-        for (i, job) in jobs.enumerate() {
-            let worker = WorkerId(i);
-            slots.push(match job {
+        slots: impl Iterator<Item = (WorkerId, Option<LinearJob>)>,
+    ) -> Ticket {
+        let slots = slots
+            .map(|(worker, job)| match job {
                 Some(job) => self.submit_on(worker, job).slot,
                 None => ReplySlot { worker, rx: Err(GpuError::Withheld { worker }) },
-            });
-        }
-        Ok(Ticket { tag, slots })
+            })
+            .collect();
+        Ticket { tag, slots }
     }
 
     fn redeem(&self, slot: ReplySlot) -> WorkerResult {
@@ -269,18 +270,15 @@ impl GpuDispatcher {
             self.queue_depth.dec();
         }
         let rx = rx?;
+        let dropped = || GpuError::lost(worker, "worker thread dropped the job");
         match self.reply_timeout {
-            None => rx
-                .recv()
-                .map_err(|_| GpuError::lost(worker, "worker thread dropped the job")),
+            None => rx.recv().map_err(|_| dropped())?,
             Some(t) => rx.recv_timeout(t).map_err(|e| match e {
                 mpsc::RecvTimeoutError::Timeout => {
                     GpuError::Timeout { worker, waited_ms: t.as_millis() as u64 }
                 }
-                mpsc::RecvTimeoutError::Disconnected => {
-                    GpuError::lost(worker, "worker thread dropped the job")
-                }
-            }),
+                mpsc::RecvTimeoutError::Disconnected => dropped(),
+            })?,
         }
     }
 
@@ -443,8 +441,6 @@ impl GpuExec for DispatchClient {
         self.execute_sparse_into(tag, jobs, &[], out)
     }
 
-    /// One submit/complete round whatever the skip set: every job that
-    /// is offered is queued before the first reply is awaited.
     fn execute_sparse_into(
         &mut self,
         tag: u64,
@@ -452,11 +448,29 @@ impl GpuExec for DispatchClient {
         withheld: &[WorkerId],
         out: &mut Vec<WorkerResult>,
     ) -> Result<(), GpuError> {
-        let offered = jobs
-            .iter()
-            .enumerate()
-            .map(|(i, job)| (!withheld.contains(&WorkerId(i))).then(|| job.clone()));
-        let ticket = self.inner.submit_slots(BatchTag(tag), jobs.len(), offered)?;
+        self.execute_round_into(tag, jobs, withheld, &[], out)
+    }
+
+    /// One submit/complete round whatever the skip set and the `extra`
+    /// jobs: every job that is offered is queued before the first reply
+    /// is awaited.
+    fn execute_round_into(
+        &mut self,
+        tag: u64,
+        jobs: &[LinearJob],
+        withheld: &[WorkerId],
+        extra: &[(WorkerId, &LinearJob)],
+        out: &mut Vec<WorkerResult>,
+    ) -> Result<(), GpuError> {
+        if jobs.len() > self.inner.len() {
+            return Err(GpuError::Oversubscribed { jobs: jobs.len(), workers: self.inner.len() });
+        }
+        let positional = jobs.iter().enumerate().map(|(i, job)| {
+            let worker = WorkerId(i);
+            (worker, (!withheld.contains(&worker)).then(|| job.clone()))
+        });
+        let addressed = extra.iter().map(|&(w, job)| (w, Some(job.clone())));
+        let ticket = self.inner.submit_slots(BatchTag(tag), positional.chain(addressed));
         self.inner.complete_into(ticket, out);
         Ok(())
     }
@@ -489,6 +503,7 @@ impl GpuExec for DispatchClient {
 mod tests {
     use super::*;
     use crate::behavior::Behavior;
+    use crate::job::JobOutput;
     use std::sync::Arc as StdArc;
 
     fn dense_job(scale: u64) -> LinearJob {

@@ -14,22 +14,48 @@
 //! * [`crate::TcpFleet`] — the wire backend: jobs travel as framed
 //!   messages to remote worker processes over TCP.
 //!
+//! # A layer pass is one round
+//!
+//! Everything a layer pass asks of the fleet depends only on what the
+//! TEE holds when the pass starts, so the session builds all of it,
+//! hands it over in **one** call and waits once. Forward that is the
+//! `K+M(+1)` encoded jobs. Backward it is the `K+M` `*Stored`
+//! weight-gradient jobs *and* the explicit weight-gradient recomputation
+//! that checks them *and* both copies of the unencoded data-gradient
+//! job. Issued one blocking call at a time, the single-job ones aimed
+//! at the first and the last worker are where pipelined lanes queue
+//! behind each other while the rest of the fleet idles.
+//!
+//! The call is [`GpuExec::execute_round_into`]. A round has a
+//! positional part — job `i` goes to worker `i` unless the caller names
+//! that worker in `withheld`, in which case nothing is sent and the slot
+//! comes back as [`GpuError::Withheld`] — and an addressed part, `extra`,
+//! whose jobs name their worker. A worker may appear in both, or several
+//! times in `extra`: its jobs run in round order (per-worker FIFO).
+//! Every backend here implements the round natively — all jobs out
+//! before the first reply is awaited, except that [`crate::TcpFleet`]
+//! holds a worker's second job until its first reply is read, so two
+//! full socket buffers can never face each other — and forwards the
+//! older calls to it: [`GpuExec::execute_sparse_into`] is the round
+//! with no `extra`, `execute` / `execute_into` that with nothing
+//! withheld. One native dispatch path per backend.
+//! [`GpuExec::store_encodings_sparse`] is the same skip-set idea for
+//! the §6 forward-encoding stores.
+//!
+//! The defaults of the newer methods are written in terms of the
+//! original seven, so a wrapper that forwards only those (a tracing
+//! shim, say) stays correct and sees the traffic it always saw: a round
+//! reaches its inner backend as the positional dispatch followed by one
+//! `execute_on` per `extra` job, a sparse dispatch as one `execute_on`
+//! per worker that is offered work. That is why the round keeps its
+//! positional part instead of being a bare address list.
+//!
 //! # Faults and routing
 //!
 //! Faults are part of the contract, not panics. A dispatch reports
-//! per-worker outcomes ([`WorkerResult`]) so the session can route
-//! around one bad worker while using the others' answers. Whole-call
-//! failures (oversubscription) surface as the outer [`GpuError`].
-//!
-//! There is one dispatch, [`GpuExec::execute_sparse_into`]: job `i`
-//! goes to worker `i` unless the caller names that worker in
-//! `withheld`, in which case nothing is sent and the slot comes back as
-//! [`GpuError::Withheld`]. The dense calls (`execute`, `execute_into`)
-//! are that dispatch with an empty skip set — every backend here
-//! implements the sparse form and forwards the dense ones to it, with
-//! the sends still pipelined (all jobs out before the first reply is
-//! awaited). [`GpuExec::store_encodings_sparse`] is the same idea for
-//! the §6 forward-encoding stores.
+//! per-slot outcomes ([`WorkerResult`]) so the session can route around
+//! one bad worker while using the others' answers. Whole-call failures
+//! (oversubscription) surface as the outer [`GpuError`].
 //!
 //! Who gets skipped is the session's policy, and it separates two kinds
 //! of bad worker:
@@ -49,11 +75,6 @@
 //!   localizing), and being offered work is how a transport's redial
 //!   (e.g. [`crate::TcpFleet`]) gets the chance to re-admit it.
 //!
-//! The two new methods have defaults written in terms of the original
-//! seven, so a wrapper that forwards only those (a tracing shim, say)
-//! stays correct: a sparse dispatch reaches its inner backend as one
-//! `execute_on` per worker that is offered work.
-//!
 //! # Context ids
 //!
 //! Context ids are the protocol's handle for stored forward encodings
@@ -71,6 +92,20 @@ use dk_linalg::Tensor;
 /// One worker's outcome for one job: the output, or the fault that kept
 /// it from answering.
 pub type WorkerResult = Result<JobOutput, GpuError>;
+
+/// Slot `s` of a round (see [`GpuExec::execute_round_into`]): the
+/// worker it belongs to, and its job unless that worker is withheld.
+pub(crate) fn round_slot<'a>(
+    jobs: &'a [LinearJob],
+    withheld: &[WorkerId],
+    extra: &[(WorkerId, &'a LinearJob)],
+    s: usize,
+) -> (WorkerId, Option<&'a LinearJob>) {
+    match s.checked_sub(jobs.len()) {
+        Some(i) => (extra[i].0, Some(extra[i].1)),
+        None => (WorkerId(s), (!withheld.contains(&WorkerId(s))).then(|| &jobs[s])),
+    }
+}
 
 /// An execution backend for the offloaded linear operations.
 pub trait GpuExec {
@@ -147,6 +182,36 @@ pub trait GpuExec {
         Ok(())
     }
 
+    /// One dispatch round (see the module docs): `jobs[i]` goes to
+    /// worker `i` unless it is in `withheld`, then each `extra` job to
+    /// the worker it names, queued behind whatever the round already
+    /// sent that worker. Appends one outcome per slot to `out`: the
+    /// `jobs.len()` positional ones in worker order, then one per
+    /// `extra` entry in order. The default is the positional dispatch
+    /// followed by one [`GpuExec::execute_on`] per `extra` job;
+    /// backends override it so the whole round is in flight at once.
+    ///
+    /// # Errors
+    ///
+    /// Same contract as [`GpuExec::execute`] (only the positional part
+    /// can oversubscribe); on error `out` is left unchanged.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an `extra` job names a worker outside the fleet.
+    fn execute_round_into(
+        &mut self,
+        tag: u64,
+        jobs: &[LinearJob],
+        withheld: &[WorkerId],
+        extra: &[(WorkerId, &LinearJob)],
+        out: &mut Vec<WorkerResult>,
+    ) -> Result<(), GpuError> {
+        self.execute_sparse_into(tag, jobs, withheld, out)?;
+        out.extend(extra.iter().map(|&(w, job)| self.execute_on(w, job)));
+        Ok(())
+    }
+
     /// Hands decoded output tensors back to the backend so their buffers
     /// can return to whichever pool produced them (worker workspaces for
     /// in-process backends). Drains `outputs`; the `Vec` itself stays
@@ -157,8 +222,10 @@ pub trait GpuExec {
         outputs.clear();
     }
 
-    /// Executes a single job on a specific worker (spot checks and the
-    /// unencoded data-gradient offload).
+    /// Executes a single job on a specific worker, blocking until it
+    /// answers. The session never calls this (a layer pass is one
+    /// round); it is what the default [`GpuExec::execute_round_into`]
+    /// and [`GpuExec::execute_sparse_into`] are written in.
     fn execute_on(&mut self, id: WorkerId, job: &LinearJob) -> WorkerResult;
 
     /// Stores per-worker forward encodings (worker `i` receives

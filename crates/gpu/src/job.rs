@@ -114,6 +114,21 @@ pub fn beta_combine(delta_batch: &Tensor<F25>, beta: &[F25]) -> Tensor<F25> {
     Tensor::from_vec(&shape, combined)
 }
 
+/// `Eq_j = δ̃_jᵀ·x̄_j` for a dense layer, on borrowed operands: the
+/// explicit [`LinearJob::DenseWeightGrad`] and a worker running the
+/// `*Stored` form against the encoding it holds share this kernel.
+pub(crate) fn dense_weight_grad(delta: &Tensor<F25>, x: &Tensor<F25>, ws: &mut Workspace) -> JobOutput {
+    let n = x.shape()[0];
+    let in_f = x.shape()[1];
+    let out_f = delta.shape()[1];
+    // Output buffer and matmul scratch both come from `ws`, so split the
+    // take to keep the borrows disjoint.
+    let mut dw = ws.take_zeroed::<F25>(out_f * in_f);
+    let shape = ws.take_shape(&[out_f, in_f]);
+    matmul_at_b_into(delta.as_slice(), x.as_slice(), &mut dw, out_f, n, in_f, ws);
+    Tensor::from_parts(shape, dw)
+}
+
 /// The result of a [`LinearJob`].
 pub type JobOutput = Tensor<F25>;
 
@@ -161,17 +176,7 @@ impl LinearJob {
                 matmul_a_bt_into(x.as_slice(), weights.as_slice(), y.as_mut_slice(), n, in_f, out_f);
                 y
             }
-            LinearJob::DenseWeightGrad { delta, x } => {
-                let n = x.shape()[0];
-                let in_f = x.shape()[1];
-                let out_f = delta.shape()[1];
-                // Output buffer and matmul scratch both come from `ws`,
-                // so split the take to keep the borrows disjoint.
-                let mut dw = ws.take_zeroed::<F25>(out_f * in_f);
-                let shape = ws.take_shape(&[out_f, in_f]);
-                matmul_at_b_into(delta.as_slice(), x.as_slice(), &mut dw, out_f, n, in_f, ws);
-                Tensor::from_parts(shape, dw)
-            }
+            LinearJob::DenseWeightGrad { delta, x } => dense_weight_grad(delta, x, ws),
             LinearJob::DenseBackwardData { weights, delta } => {
                 let n = delta.shape()[0];
                 let out_f = delta.shape()[1];
@@ -183,9 +188,10 @@ impl LinearJob {
         }
     }
 
-    /// Consumes the job, returning the owned encoded-input tensor for
+    /// Consumes the job, returning the input tensor it owns — the
+    /// encoded input, or the data-gradient job's copy of `δ` — for
     /// variants that carry one (the TEE recycles it into its workspace
-    /// once the batch's outputs are decoded). Variants whose inputs are
+    /// once the round's outputs are decoded). Variants whose inputs are
     /// shared (`Arc`) or stored worker-side return `None`.
     pub fn into_input(self) -> Option<Tensor<F25>> {
         match self {
@@ -193,9 +199,9 @@ impl LinearJob {
             | LinearJob::ConvWeightGrad { x, .. }
             | LinearJob::DenseForward { x, .. }
             | LinearJob::DenseWeightGrad { x, .. } => Some(x),
-            LinearJob::ConvBackwardData { .. }
-            | LinearJob::DenseBackwardData { .. }
-            | LinearJob::ConvWeightGradStored { .. }
+            LinearJob::ConvBackwardData { delta, .. }
+            | LinearJob::DenseBackwardData { delta, .. } => Some(delta),
+            LinearJob::ConvWeightGradStored { .. }
             | LinearJob::DenseWeightGradStored { .. } => None,
         }
     }

@@ -518,29 +518,59 @@ impl GpuExec for TcpFleet {
 
     fn execute_sparse_into(
         &mut self,
+        tag: u64,
+        jobs: &[LinearJob],
+        withheld: &[WorkerId],
+        out: &mut Vec<WorkerResult>,
+    ) -> Result<(), GpuError> {
+        self.execute_round_into(tag, jobs, withheld, &[], out)
+    }
+
+    /// The one native dispatch: sends are pipelined across workers, and
+    /// a connection carries one job at a time.
+    fn execute_round_into(
+        &mut self,
         _tag: u64,
         jobs: &[LinearJob],
         withheld: &[WorkerId],
+        extra: &[(WorkerId, &LinearJob)],
         out: &mut Vec<WorkerResult>,
     ) -> Result<(), GpuError> {
         if jobs.len() > self.workers.len() {
             return Err(GpuError::Oversubscribed { jobs: jobs.len(), workers: self.workers.len() });
         }
-        // Phase 1: pipeline the sends — every worker that is offered
-        // work starts computing before we block on any reply. `Ok`
-        // (holding an empty shell) marks "sent, reply pending".
+        let slot = |s| crate::exec::round_slot(jobs, withheld, extra, s);
+        let slots = jobs.len() + extra.len();
+        // Writes the job of slot `s`; `Ok` (holding an empty shell)
+        // marks "sent, reply pending".
+        let send = |workers: &mut [RemoteWorker], s: usize| match slot(s) {
+            (w, Some(job)) => workers[w.0].send_run(job).map(|()| Tensor::default()),
+            (worker, None) => Err(GpuError::Withheld { worker }),
+        };
+        // Phase 1: every worker's first job goes out before any reply is
+        // awaited, so the whole fleet starts computing at once.
         let first = out.len();
-        for (w, job) in self.workers.iter_mut().zip(jobs) {
-            out.push(if withheld.contains(&w.id) {
-                Err(GpuError::Withheld { worker: w.id })
-            } else {
-                w.send_run(job).map(|()| Tensor::default())
-            });
+        for s in 0..slots {
+            let (w, _) = slot(s);
+            let queued = (0..s).any(|t| matches!(slot(t), (v, Some(_)) if v == w));
+            out.push(if queued { Ok(Tensor::default()) } else { send(&mut self.workers, s) });
         }
-        // Phase 2: collect replies in worker order.
-        for (w, slot) in self.workers.iter_mut().zip(&mut out[first..]) {
-            if slot.is_ok() {
-                *slot = w.run_reply();
+        // Phase 2: collect replies in slot order. A worker's next job is
+        // written once the reply before it has been read: with a second
+        // job in flight the TEE could block writing it while the worker
+        // blocks writing its reply, both socket buffers full.
+        for s in 0..slots {
+            let (w, job) = slot(s);
+            if job.is_none() {
+                continue;
+            }
+            if out[first + s].is_ok() {
+                out[first + s] = self.workers[w.0].run_reply();
+            }
+            if let Some(next) =
+                (s + 1..slots).find(|&t| matches!(slot(t), (v, Some(_)) if v == w))
+            {
+                out[first + next] = send(&mut self.workers, next);
             }
         }
         Ok(())
@@ -714,14 +744,12 @@ fn serve_connection(mut stream: TcpStream) -> ConnSummary {
             Ok(WireMsg::Run { job }) => {
                 summary.frames += 1;
                 summary.jobs += 1;
-                // Pre-check instead of letting `execute` panic: a replay
-                // gap becomes a typed wire fault the TEE can attribute.
-                let reply = if worker.can_execute(&job) {
-                    WireMsg::Output { tensor: worker.execute(&job) }
-                } else {
-                    WireMsg::Fail {
-                        message: format!("{} holds no stored encoding for this job", worker.id()),
-                    }
+                // A replay gap is a typed wire fault the TEE can
+                // attribute, not a process abort.
+                let reply = match worker.try_execute(&job) {
+                    Ok(tensor) => WireMsg::Output { tensor },
+                    Err(GpuError::Remote { message, .. }) => WireMsg::Fail { message },
+                    Err(other) => WireMsg::Fail { message: other.to_string() },
                 };
                 if wire::write_msg(&mut stream, &reply).is_err() {
                     summary.exit = "write-failed";

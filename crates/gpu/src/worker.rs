@@ -16,14 +16,18 @@ impl std::fmt::Display for WorkerId {
     }
 }
 
-/// Cap on the retained adversary-view record. The privacy audits
-/// consume a few dozen observations; an unbounded log would grow for
-/// the whole lifetime of a training run. Beyond the cap the record
-/// wraps and overwrites the oldest entries — the retained view is a
-/// window of recent traffic, which is exactly what the chi-square
-/// uniformity audit samples. The backing `Vec` is reserved up front so
-/// the record never reallocates, keeping warm steps allocation-steady.
-const OBSERVATION_CAP: usize = 4096;
+/// Byte budget of the retained adversary-view record, per worker. The
+/// privacy audits consume a few dozen observations; an unbounded log
+/// (or one bounded only by entry count, whatever the entries weigh)
+/// would grow for the whole lifetime of a training run. Past the budget
+/// the record wraps and overwrites the oldest entries in place — the
+/// retained view is a window of recent traffic, which is exactly what
+/// the chi-square uniformity audit samples.
+const OBSERVATION_BUDGET_BYTES: usize = 4 << 20;
+
+/// Ring slots, reserved up front so the record never reallocates (warm
+/// training steps stay allocation-steady): the budget in 1 KiB entries.
+const OBSERVATION_SLOTS: usize = OBSERVATION_BUDGET_BYTES / 1024;
 
 /// A simulated accelerator.
 ///
@@ -35,8 +39,9 @@ const OBSERVATION_CAP: usize = 4096;
 ///   paper: "our current implementation of DarKnight stores these
 ///   encoded inputs within the GPU memory");
 /// * it **records every masked vector it observes** (up to
-///   [`OBSERVATION_CAP`], then a wrapping window), which is exactly
-///   the adversary's view — the collusion analyzer consumes this.
+///   [`OBSERVATION_BUDGET_BYTES`], then a wrapping window), which is
+///   exactly the adversary's view — the collusion analyzer consumes
+///   this.
 #[derive(Debug, Clone)]
 pub struct GpuWorker {
     id: WorkerId,
@@ -44,8 +49,11 @@ pub struct GpuWorker {
     rng: FieldRng,
     stored_encodings: HashMap<u64, Tensor<F25>>,
     observations: Vec<Vec<F25>>,
-    /// Ring cursor into `observations` once the record is at capacity.
-    obs_next: usize,
+    /// Bytes of field elements the record holds.
+    obs_bytes: usize,
+    /// Ring cursor into `observations` once the record has wrapped;
+    /// `None` while it is still growing.
+    obs_next: Option<usize>,
     jobs_executed: u64,
     macs_executed: u64,
     latency: Option<crate::LatencyModel>,
@@ -63,8 +71,9 @@ impl GpuWorker {
             behavior,
             rng: FieldRng::seed_from(seed ^ (id.0 as u64).wrapping_mul(0x9E37_79B9)),
             stored_encodings: HashMap::new(),
-            observations: Vec::with_capacity(OBSERVATION_CAP),
-            obs_next: 0,
+            observations: Vec::with_capacity(OBSERVATION_SLOTS),
+            obs_bytes: 0,
+            obs_next: None,
             jobs_executed: 0,
             macs_executed: 0,
             latency: None,
@@ -105,17 +114,40 @@ impl GpuWorker {
     /// Stores a forward encoding for later backward reuse and records it
     /// as an observation.
     pub fn store_encoding(&mut self, layer_id: u64, encoding: Tensor<F25>) {
-        if self.observations.len() < OBSERVATION_CAP {
-            self.observations.push(encoding.as_slice().to_vec());
-        } else {
-            // At capacity: overwrite the oldest slot in place, reusing
-            // its allocation when the new observation fits.
-            let slot = &mut self.observations[self.obs_next];
-            slot.clear();
-            slot.extend_from_slice(encoding.as_slice());
-            self.obs_next = (self.obs_next + 1) % OBSERVATION_CAP;
-        }
+        self.observe(encoding.as_slice());
         self.stored_encodings.insert(layer_id, encoding);
+    }
+
+    /// Adds one masked vector to the adversary-view record, keeping the
+    /// record inside [`OBSERVATION_BUDGET_BYTES`].
+    fn observe(&mut self, seen: &[F25]) {
+        let bytes = std::mem::size_of_val(seen);
+        let slots = self.observations.len();
+        if self.obs_next.is_none()
+            && slots < OBSERVATION_SLOTS
+            && (slots == 0 || self.obs_bytes + bytes <= OBSERVATION_BUDGET_BYTES)
+        {
+            self.observations.push(seen.to_vec());
+            self.obs_bytes += bytes;
+            return;
+        }
+        // Full: overwrite the oldest slot in place, reusing its
+        // allocation when the new observation fits.
+        let at = self.obs_next.unwrap_or(0);
+        let slot = &mut self.observations[at];
+        self.obs_bytes -= std::mem::size_of_val(slot.as_slice());
+        slot.clear();
+        slot.extend_from_slice(seen);
+        self.obs_bytes += bytes;
+        // A larger observation than the one it replaced also evicts the
+        // next-oldest ones (their slots refill as the cursor comes round).
+        let mut next = (at + 1) % slots;
+        while self.obs_bytes > OBSERVATION_BUDGET_BYTES && next != at {
+            let evicted = std::mem::take(&mut self.observations[next]);
+            self.obs_bytes -= std::mem::size_of_val(evicted.as_slice());
+            next = (next + 1) % slots;
+        }
+        self.obs_next = Some((at + 1) % slots);
     }
 
     /// Retrieves the stored encoding for a layer.
@@ -144,9 +176,7 @@ impl GpuWorker {
     }
 
     /// True if this worker holds every stored encoding the job needs —
-    /// i.e. [`GpuWorker::execute`] would not panic on it. Remote worker
-    /// processes check this up front so a replay gap becomes a typed
-    /// wire error instead of a process abort.
+    /// i.e. [`GpuWorker::try_execute`] would not refuse it.
     pub fn can_execute(&self, job: &LinearJob) -> bool {
         match job {
             LinearJob::ConvWeightGradStored { layer_id, .. }
@@ -162,10 +192,23 @@ impl GpuWorker {
     /// # Panics
     ///
     /// Panics if a `*Stored` job references a layer this worker has no
-    /// stored encoding for (a protocol violation by the dispatcher).
+    /// stored encoding for. The execution backends use
+    /// [`GpuWorker::try_execute`], where that is a typed fault.
     pub fn execute(&mut self, job: &LinearJob) -> JobOutput {
-        self.jobs_executed += 1;
-        self.macs_executed += job.macs();
+        self.try_execute(job).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// [`GpuWorker::execute`] for the execution backends: a `*Stored`
+    /// job for a context this worker does not hold (a protocol gap — a
+    /// dropped store, a replay that missed) is a
+    /// [`GpuError::Remote`](crate::GpuError::Remote) refusal that costs
+    /// the session one repaired slot, not a dead worker thread. The
+    /// refused job is not counted as executed.
+    ///
+    /// # Errors
+    ///
+    /// [`GpuError::Remote`](crate::GpuError::Remote) as described.
+    pub fn try_execute(&mut self, job: &LinearJob) -> crate::WorkerResult {
         // Record what the job reveals: the masked input (forward) or the
         // stored encoding is already recorded; backward-data inputs are
         // deltas, which the threat model treats as non-sensitive.
@@ -175,30 +218,25 @@ impl GpuWorker {
                 LinearJob::ConvForward { weights: weights.clone(), x: zero, shape: *shape }
                     .execute_ws(&mut self.ws)
             }
+            // `*Stored` jobs run against a borrow of the stored encoding.
             (_, LinearJob::ConvWeightGradStored { delta_batch, beta, layer_id, shape }) => {
-                let x = self
-                    .stored_encodings
-                    .get(layer_id)
-                    .unwrap_or_else(|| panic!("{} has no stored encoding for layer {layer_id}", self.id))
-                    .clone();
+                let x = self.stored_encodings.get(layer_id).ok_or_else(|| missing(self.id, *layer_id))?;
                 let delta = crate::job::beta_combine(delta_batch, beta);
-                LinearJob::ConvWeightGrad { delta, x, shape: *shape }.execute_ws(&mut self.ws)
+                dk_linalg::conv::conv2d_backward_weight_ws(&delta, x, shape, &mut self.ws)
             }
             (_, LinearJob::DenseWeightGradStored { delta_batch, beta, layer_id }) => {
-                let x = self
-                    .stored_encodings
-                    .get(layer_id)
-                    .unwrap_or_else(|| panic!("{} has no stored encoding for layer {layer_id}", self.id))
-                    .clone();
+                let x = self.stored_encodings.get(layer_id).ok_or_else(|| missing(self.id, *layer_id))?;
                 let delta = crate::job::beta_combine(delta_batch, beta);
-                LinearJob::DenseWeightGrad { delta, x }.execute_ws(&mut self.ws)
+                crate::job::dense_weight_grad(&delta, x, &mut self.ws)
             }
             _ => job.execute_ws(&mut self.ws),
         };
+        self.jobs_executed += 1;
+        self.macs_executed += job.macs();
         if let Some(l) = self.latency {
             std::thread::sleep(l.delay(job.macs()));
         }
-        self.behavior.corrupt(honest, &mut self.rng)
+        Ok(self.behavior.corrupt(honest, &mut self.rng))
     }
 
     /// Returns an output tensor this worker produced back to its
@@ -222,6 +260,10 @@ impl GpuWorker {
     pub fn macs_executed(&self) -> u64 {
         self.macs_executed
     }
+}
+
+fn missing(worker: WorkerId, layer_id: u64) -> crate::GpuError {
+    crate::GpuError::Remote { worker, message: format!("no stored encoding for layer {layer_id}") }
 }
 
 #[cfg(test)]
@@ -274,6 +316,46 @@ mod tests {
         assert!(w.stored_encoding(5).is_none());
         // Observation survives clearing (the adversary remembers).
         assert_eq!(w.observations().len(), 1);
+    }
+
+    #[test]
+    fn observation_record_stays_inside_its_byte_budget() {
+        let mut w = GpuWorker::new(WorkerId(0), Behavior::Honest, 6);
+        // Mixed sizes, well past the budget: 3 000 × (8 | 24) KiB.
+        for i in 0..3_000u64 {
+            let len = if i % 3 == 0 { 3 * 1024 } else { 1024 };
+            w.store_encoding(i % 7, Tensor::from_fn(&[1, len], |j| F25::new(i + j as u64)));
+            let held: usize = w.observations().iter().map(|o| o.len() * 8).sum();
+            assert!(held <= OBSERVATION_BUDGET_BYTES, "record holds {held} bytes after {i} stores");
+        }
+        // The window is recent traffic: the newest observation is in it.
+        let newest = F25::new(2_999);
+        assert!(w.observations().iter().any(|o| o.first() == Some(&newest)));
+        assert!(w.observations().len() <= OBSERVATION_SLOTS);
+    }
+
+    #[test]
+    fn stored_job_without_its_context_is_refused_not_fatal() {
+        let mut w = GpuWorker::new(WorkerId(3), Behavior::Honest, 7);
+        let job = LinearJob::DenseWeightGradStored {
+            delta_batch: Arc::new(Tensor::from_fn(&[1, 2], |i| F25::new(i as u64 + 1))),
+            beta: vec![F25::ONE],
+            layer_id: 9,
+        };
+        assert!(!w.can_execute(&job));
+        let err = w.try_execute(&job).unwrap_err();
+        assert!(matches!(err, crate::GpuError::Remote { worker: WorkerId(3), .. }), "{err}");
+        assert_eq!(w.jobs_executed(), 0);
+        // With the context stored the same job runs, against a borrow.
+        let enc = Tensor::from_fn(&[1, 3], |i| F25::new(i as u64 + 2));
+        w.store_encoding(9, enc.clone());
+        let want = LinearJob::DenseWeightGrad {
+            delta: Tensor::from_fn(&[1, 2], |i| F25::new(i as u64 + 1)),
+            x: enc.clone(),
+        }
+        .execute();
+        assert_eq!(w.try_execute(&job), Ok(want));
+        assert_eq!(w.stored_encoding(9), Some(&enc));
     }
 
     #[test]

@@ -3,7 +3,7 @@
 
 use darknight::core::EncodingScheme;
 use darknight::field::vandermonde::{is_mds, mds_matrix};
-use darknight::field::{F25, FieldMatrix, FieldRng, QuantConfig, P25};
+use darknight::field::{F25, FieldMatrix, FieldRng, QuantConfig, QuantError, P25};
 use darknight::tee::crypto::SealKey;
 use proptest::prelude::*;
 
@@ -11,8 +11,82 @@ fn arb_seed() -> impl Strategy<Value = u64> {
     any::<u64>()
 }
 
+/// Algorithm 1's `Field(Round(v · 2^l))` as first written — through
+/// `i128` and `rem_euclid` — kept here as the oracle for the division-free
+/// form `QuantConfig::quantize` uses. (`checked_abs`: the original
+/// overflowed on `i128::MIN`, where the new form reports `Overflow`.)
+fn quantize_via_i128(q: QuantConfig, v: f64) -> Result<F25, QuantError> {
+    if !v.is_finite() {
+        return Err(QuantError::NotFinite);
+    }
+    let scaled = (v * q.scale() + 0.5).floor() as i128;
+    let bound = (P25 / 2) as i128;
+    if scaled.checked_abs().is_none_or(|a| a > bound) {
+        return Err(QuantError::Overflow { scaled, bound });
+    }
+    Ok(F25::new(scaled.rem_euclid(P25 as i128) as u64))
+}
+
+/// The named edges: both sides of `±p/2`, half-way roundings, signed
+/// zero, subnormals, and everything not finite or not representable.
+#[test]
+fn quantize_matches_the_i128_formula_on_the_edges() {
+    for l in [0u32, 1, 6, 8, 20] {
+        let q = QuantConfig::new(l);
+        let half = (P25 / 2) as f64;
+        let mut edges = vec![
+            0.0,
+            -0.0,
+            f64::MIN_POSITIVE,
+            -f64::MIN_POSITIVE,
+            f64::from_bits(1),
+            -f64::from_bits(1),
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::MAX,
+            f64::MIN,
+            1.0e30,
+            -1.0e30,
+        ];
+        for k in [half, half + 1.0, half - 1.0, 0.0, 1.0, 2.0, 1000.0] {
+            for frac in [0.0, 0.5, 0.5 - f64::EPSILON, 0.5 + f64::EPSILON, 0.25, 0.75] {
+                for sign in [1.0, -1.0] {
+                    edges.push(sign * (k + frac) / q.scale());
+                    edges.push(sign * (k - frac) / q.scale());
+                }
+            }
+        }
+        for v in edges {
+            assert_eq!(q.quantize::<P25>(v), quantize_via_i128(q, v), "l={l} v={v:e}");
+            let (mut one, narrow) = (Vec::new(), v as f32);
+            let sliced = q.quantize_slice_into::<P25>(&[narrow], 1.0, &mut one).map(|()| one[0]);
+            assert_eq!(sliced, quantize_via_i128(q, narrow as f64), "l={l} v={v:e} (slice)");
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Quantization without the 128-bit division is the same function:
+    /// every `f64` and `f32` bit pattern, every scale, value or error.
+    #[test]
+    fn quantize_matches_the_i128_formula(bits in any::<u64>(), l in 0u32..21, pre_bits in any::<u32>()) {
+        let q = QuantConfig::new(l);
+        // Raw bit patterns reach NaNs, infinities and subnormals; the
+        // last value sweeps fractions across the field and a little past
+        // `±p/2` on either side.
+        let near = ((bits % (2 * P25)) as f64 - P25 as f64) / 1.7 / q.scale();
+        for v in [f64::from_bits(bits), (bits as i64) as f64 / 4096.0, near] {
+            prop_assert_eq!(q.quantize::<P25>(v), quantize_via_i128(q, v));
+        }
+        let (v, pre) = (f32::from_bits(bits as u32), f32::from_bits(pre_bits));
+        let mut out = Vec::new();
+        let sliced = q.quantize_slice_into::<P25>(&[1.0, v], pre, &mut out).map(|()| out[1]);
+        let want = quantize_via_i128(q, pre as f64).and_then(|_| quantize_via_i128(q, (v * pre) as f64));
+        prop_assert_eq!(sliced, want);
+    }
 
     /// Field axioms on random triples: associativity, commutativity,
     /// distributivity, inverses.
