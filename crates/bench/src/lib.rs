@@ -5,6 +5,10 @@
 //! real training. [`fig4`] runs it on the trainable mini models against
 //! the synthetic dataset (see DESIGN.md substitutions) and reports the
 //! per-epoch accuracy of both modes side by side.
+//!
+//! [`PairedRatio`] is the noise rule `dk_bench`'s pipelining gates
+//! judge by: a median over interleaved pairs, and no verdict at all
+//! on a miss when the pairs disagree by more than the margin policed.
 
 use dk_core::{session::DarknightSession, DarknightConfig};
 use dk_gpu::GpuCluster;
@@ -12,6 +16,72 @@ use dk_nn::data::Dataset;
 use dk_nn::model::Sequential;
 use dk_nn::optim::Sgd;
 use dk_nn::train;
+
+/// What a gate may conclude from a set of paired ratios.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum GateVerdict {
+    /// The median meets the floor, or misses it by no more than the
+    /// margin.
+    Ok,
+    /// The median misses the floor by more than the margin, and the
+    /// pairs agree to within it.
+    Regressed,
+    /// The median misses the floor, but the pairs disagree among
+    /// themselves by more than the margin: the runs cannot tell.
+    Unresolved,
+}
+
+/// Median and quartiles of the per-pair ratios of an interleaved A/B
+/// timing (here: sequential time over pipelined time, pair by pair).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct PairedRatio {
+    /// Pairs measured.
+    pub pairs: usize,
+    /// Lower quartile.
+    pub q1: f64,
+    /// Median: the value a gate judges.
+    pub median: f64,
+    /// Upper quartile.
+    pub q3: f64,
+}
+
+impl PairedRatio {
+    /// Quartiles by the exclusive method (what Python's
+    /// `statistics.quantiles(v, n=4)` and `dk_benchmark compare` use).
+    ///
+    /// # Panics
+    ///
+    /// Panics on fewer than two ratios.
+    pub fn of(ratios: &[f64]) -> Self {
+        let mut s = ratios.to_vec();
+        s.sort_by(f64::total_cmp);
+        let n = s.len();
+        assert!(n >= 2, "a paired ratio needs at least two pairs");
+        let q = |k: usize| {
+            let pos = (k * (n + 1)) as f64 / 4.0;
+            let j = (pos.floor() as usize).clamp(1, n - 1);
+            s[j - 1] + (s[j] - s[j - 1]) * (pos - j as f64)
+        };
+        Self { pairs: n, q1: q(1), median: q(2), q3: q(3) }
+    }
+
+    /// Judges `median >= floor` to within `margin` (a share, e.g. `0.10`),
+    /// by the rule `dk_benchmark compare` applies to a bounded metric: a
+    /// set of pairs whose quartile spread (over their median) is wider
+    /// than the margin can neither pass nor fail a miss; otherwise a
+    /// miss counts once it exceeds the margin.
+    pub fn verdict(&self, floor: f64, margin: f64) -> GateVerdict {
+        if self.median >= floor {
+            GateVerdict::Ok
+        } else if (self.q3 - self.q1) / self.median > margin {
+            GateVerdict::Unresolved
+        } else if self.median < floor * (1.0 - margin) {
+            GateVerdict::Regressed
+        } else {
+            GateVerdict::Ok
+        }
+    }
+}
 
 /// Accuracy trajectories of one model under both training modes.
 #[derive(Debug, Clone)]
@@ -130,6 +200,30 @@ pub fn render_fig4(curves: &[Fig4Curve]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn paired_ratio_quartiles_match_the_exclusive_method() {
+        // statistics.quantiles([1, 2, 3, 4, 5], n=4) == [1.5, 3.0, 4.5]
+        let r = PairedRatio::of(&[3.0, 1.0, 5.0, 2.0, 4.0]);
+        assert_eq!((r.pairs, r.q1, r.median, r.q3), (5, 1.5, 3.0, 4.5));
+        // statistics.quantiles([1, 2, 3, 4], n=4) == [1.25, 2.5, 3.75]
+        let r = PairedRatio::of(&[1.0, 2.0, 3.0, 4.0]);
+        assert_eq!((r.q1, r.median, r.q3), (1.25, 2.5, 3.75));
+    }
+
+    #[test]
+    fn a_miss_the_pairs_cannot_resolve_is_unresolved_not_regressed() {
+        let v = |ratios: &[f64]| PairedRatio::of(ratios).verdict(1.0, 0.10);
+        // Tight pairs well below the floor: a regression.
+        assert_eq!(v(&[0.84, 0.85, 0.85, 0.86, 0.85]), GateVerdict::Regressed);
+        // Tight pairs inside the margin: not one.
+        assert_eq!(v(&[0.92, 0.93, 0.94, 0.93, 0.95]), GateVerdict::Ok);
+        // The same low median from pairs that disagree by more than the
+        // margin says nothing either way...
+        assert_eq!(v(&[0.70, 1.20, 0.84, 1.10, 0.80]), GateVerdict::Unresolved);
+        // ...but a median over the floor passes however noisy.
+        assert_eq!(v(&[0.84, 1.20, 1.05, 1.10, 1.30]), GateVerdict::Ok);
+    }
 
     #[test]
     fn fig4_small_run_parity() {

@@ -121,12 +121,9 @@ pub(crate) fn dense_weight_grad(delta: &Tensor<F25>, x: &Tensor<F25>, ws: &mut W
     let n = x.shape()[0];
     let in_f = x.shape()[1];
     let out_f = delta.shape()[1];
-    // Output buffer and matmul scratch both come from `ws`, so split the
-    // take to keep the borrows disjoint.
-    let mut dw = ws.take_zeroed::<F25>(out_f * in_f);
-    let shape = ws.take_shape(&[out_f, in_f]);
-    matmul_at_b_into(delta.as_slice(), x.as_slice(), &mut dw, out_f, n, in_f, ws);
-    Tensor::from_parts(shape, dw)
+    let mut dw = ws.take_tensor_dirty::<F25>(&[out_f, in_f]);
+    matmul_at_b_into(delta.as_slice(), x.as_slice(), dw.as_mut_slice(), out_f, n, in_f);
+    dw
 }
 
 /// The result of a [`LinearJob`].

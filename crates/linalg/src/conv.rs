@@ -3,15 +3,37 @@
 //! These are the three bilinear operations DarKnight offloads to GPUs:
 //! the forward `⟨W, x⟩`, the backward data term `⟨δ_{l+1}, g'⟩` and the
 //! backward weight term `⟨δ, x⟩` (Eq. 3 in the paper). All three are
-//! implemented once, generically over [`Scalar`], via im2col lowering, so
-//! the masked field execution is bit-identical in structure to the float
-//! reference.
+//! implemented once, generically over [`Scalar`], as matrix products
+//! against the column matrix of the input (see [`crate::im2col`]), so
+//! the masked field execution is bit-identical in structure to the
+//! float reference. Per sample and group, with `krows = ic/g · kh · kw`
+//! and `ocols = oh · ow`:
+//!
+//! * **forward** — `y[oc/g × ocols] = W[oc/g × krows] · cols(x)`. The
+//!   column matrix is never built: [`crate::matmul`]'s strip kernel
+//!   runs column strips outermost and asks
+//!   [`Window::fill_panel`](crate::im2col) for one `[≤256 × 16]` block
+//!   of `cols(x)` at a time, gathered straight from the NCHW image (row
+//!   copies, clipped at the padding; any stride, padding, grouping,
+//!   depthwise, 1×1) into an L1-resident panel over which all `oc/g`
+//!   filter rows run before the next strip is touched. The kernel runs
+//!   in write mode, so the output tensor is taken from the workspace
+//!   uncleared. Each output element is the reference recurrence over
+//!   ascending `(ci, ki, kj)`, so results are bit-identical to
+//!   im2col-then-[`crate::reference::naive_matmul`] in every domain.
+//! * **input gradient** — `dcols = Wᵀ · dy` ([`matmul_at_b_into`], the
+//!   same strip kernel reading `W` transposed in place), scatter-added
+//!   into the image by [`col2im_acc_into`].
+//! * **weight gradient** — `dW += dy · cols(x)ᵀ`: the contraction runs
+//!   over output positions, so this pass does materialize `cols(x)` row
+//!   by row ([`im2col_into`], its only caller) for the dot-orientation
+//!   kernel [`matmul_a_bt_into`].
 //!
 //! Grouped convolution is supported (`groups > 1`); depthwise convolution
 //! — the core of MobileNet — is the special case `groups == in_channels`.
 
-use crate::im2col::{col2im_acc_into, im2col_into, out_hw};
-use crate::matmul::{matmul_a_bt_into, matmul_acc, matmul_at_b_into};
+use crate::im2col::{col2im_acc_into, im2col_into, out_hw, Window};
+use crate::matmul::{gemm_packed, matmul_a_bt_into, matmul_at_b_into, Panel};
 use crate::scalar::Scalar;
 use crate::tensor::Tensor;
 use crate::workspace::Workspace;
@@ -110,9 +132,9 @@ impl Conv2dShape {
 }
 
 /// Forward convolution `y = W ∗ x` (no bias; bias lives in the layer),
-/// with the output tensor and the im2col scratch drawn from `ws` —
-/// the allocation-free hot path (give the returned tensor back to the
-/// workspace when done with it).
+/// with the output tensor drawn from `ws` — the allocation-free hot
+/// path (give the returned tensor back to the workspace when done with
+/// it). See the module docs for the kernel.
 ///
 /// `x: [n, ic, h, w]`, `w: [oc, ic/g, kh, kw]` → `y: [n, oc, oh, ow]`.
 ///
@@ -133,22 +155,23 @@ pub fn conv2d_forward_ws<T: Scalar>(
     let (cgi, cgo) = (s.cg_in(), s.cg_out());
     let krows = cgi * s.kernel.0 * s.kernel.1;
     let ocols = oh * ow;
-    let mut y = ws.take_tensor(&[n, s.out_channels, oh, ow]);
-    let mut cols = ws.take_zeroed::<T>(krows * ocols);
+    let win = Window::new(hw, s.kernel, s.stride, s.padding);
+    // Every output element is stored by the write-mode kernel.
+    let mut y = ws.take_tensor_dirty(&[n, s.out_channels, oh, ow]);
+    let mut panel = Panel::new();
     for ni in 0..n {
         let xi = x.batch_item(ni);
         let yi = y.batch_item_mut(ni);
         for g in 0..s.groups {
             let xg = &xi[g * cgi * hw.0 * hw.1..(g + 1) * cgi * hw.0 * hw.1];
-            im2col_into(xg, cgi, hw, s.kernel, s.stride, s.padding, &mut cols);
             let wg = &w.as_slice()[g * cgo * krows..(g + 1) * cgo * krows];
-            // Accumulate straight into the (zeroed) output block — same
-            // blocked kernel, one less O(output) copy per group.
             let yg = &mut yi[g * cgo * ocols..(g + 1) * cgo * ocols];
-            matmul_acc(wg, &cols, yg, cgo, krows, ocols);
+            // yg[cgo x ocols] = wg[cgo x krows] · cols(xg)[krows x ocols],
+            // the column matrix packed one panel block at a time.
+            let fill = |p0, j0, rows: &mut [T]| win.fill_panel(xg, p0, j0, rows);
+            gemm_packed(wg, (krows, 1), yg, (cgo, krows, ocols), true, &mut panel, &fill);
         }
     }
-    ws.give(cols);
     y
 }
 
@@ -185,7 +208,7 @@ pub fn conv2d_backward_input_ws<T: Scalar>(
     let krows = cgi * s.kernel.0 * s.kernel.1;
     let ocols = oh * ow;
     let mut dx = ws.take_tensor(&[n, s.in_channels, hw.0, hw.1]);
-    let mut dcol = ws.take_zeroed::<T>(krows * ocols);
+    let mut dcol = ws.take_dirty::<T>(krows * ocols);
     for ni in 0..n {
         let dyi = dy.batch_item(ni);
         let dxi = dx.batch_item_mut(ni);
@@ -197,7 +220,7 @@ pub fn conv2d_backward_input_ws<T: Scalar>(
             // gradient image — contribution order is identical to the
             // old dcol → col2im → add triple pass, so float bits are
             // unchanged.
-            matmul_at_b_into(wg, dyg, &mut dcol, krows, cgo, ocols, ws);
+            matmul_at_b_into(wg, dyg, &mut dcol, krows, cgo, ocols);
             let dst = &mut dxi[g * cgi * hw.0 * hw.1..(g + 1) * cgi * hw.0 * hw.1];
             col2im_acc_into(&dcol, cgi, hw, s.kernel, s.stride, s.padding, dst);
         }
@@ -245,8 +268,9 @@ pub fn conv2d_backward_weight_ws<T: Scalar>(
     let krows = cgi * s.kernel.0 * s.kernel.1;
     let ocols = oh * ow;
     let mut dw = ws.take_tensor(&s.weight_shape());
-    let mut cols = ws.take_zeroed::<T>(krows * ocols);
-    let mut dwg = ws.take_zeroed::<T>(cgo * krows);
+    // Both fully overwritten before each use.
+    let mut cols = ws.take_dirty::<T>(krows * ocols);
+    let mut dwg = ws.take_dirty::<T>(cgo * krows);
     for ni in 0..n {
         let xi = x.batch_item(ni);
         let dyi = dy.batch_item(ni);
@@ -289,7 +313,7 @@ mod tests {
     use dk_field::F25;
 
     /// Direct (nested-loop) convolution reference used to validate the
-    /// im2col path.
+    /// lowered kernels.
     fn conv_reference(x: &Tensor<f32>, w: &Tensor<f32>, s: &Conv2dShape) -> Tensor<f32> {
         let n = x.shape()[0];
         let (h, wd) = (x.shape()[2], x.shape()[3]);

@@ -1,12 +1,28 @@
-//! im2col / col2im lowering for 2-D convolution.
+//! Sliding-window geometry, and the im2col / col2im lowering built on it.
 //!
-//! Lowering convolution to matrix multiplication is how both the paper's
-//! GPU path (cuDNN-style) and its SGX path (Intel DNNL) execute conv
-//! layers, and it lets DarKnight reuse one masked matmul kernel for every
-//! bilinear op. The routines here are generic over [`Scalar`] so the
-//! identical lowering runs in the float and field domains.
+//! A convolution is a matrix product against the *column matrix* of
+//! its input: row `(ci, ki, kj)` holds, for every output position, the
+//! pixel that kernel tap `(ki, kj)` of channel `ci` reads there (zero
+//! where the tap lands in the padding). [`Window`] is that geometry in
+//! one place, generic over [`Scalar`] so the identical lowering runs in
+//! the float and field domains, and it serves two consumers:
+//!
+//! * the **forward** convolution never builds the column matrix: its
+//!   strip kernel asks [`Window::fill_panel`] for one `[kb × LANES]`
+//!   block of it at a time, gathered straight from the image into the
+//!   L1-resident panel (see [`crate::matmul`] and [`crate::conv`]);
+//! * the **weight-gradient** pass contracts over output positions, so
+//!   it wants whole column-matrix rows contiguous: it is the one
+//!   remaining caller of [`im2col_into`]. The input-gradient pass goes
+//!   the other way through [`col2im_acc_into`].
+//!
+//! Both write every tap exactly once — a copy where the tap is inside
+//! the image, a zero where it is padding — so neither needs a cleared
+//! destination.
 
+use crate::matmul::LANES;
 use crate::scalar::Scalar;
+use std::ops::Range;
 
 /// Computes the output spatial size of a convolution/pooling window.
 ///
@@ -26,12 +42,129 @@ pub fn out_hw(
     ((h + 2 * ph - kh) / sh + 1, (w + 2 * pw - kw) / sw + 1)
 }
 
+/// One sliding-window geometry: which pixel of an `h × w` plane kernel
+/// tap `(ki, kj)` reads at output position `(oy, ox)`.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Window {
+    hw: (usize, usize),
+    kernel: (usize, usize),
+    stride: (usize, usize),
+    padding: (usize, usize),
+    out: (usize, usize),
+}
+
+impl Window {
+    /// # Panics
+    ///
+    /// Panics if the kernel does not fit the padded input.
+    pub(crate) fn new(
+        hw: (usize, usize),
+        kernel: (usize, usize),
+        stride: (usize, usize),
+        padding: (usize, usize),
+    ) -> Self {
+        Self { hw, kernel, stride, padding, out: out_hw(hw, kernel, stride, padding) }
+    }
+
+    /// The output columns `ox` at which tap column `kj` lands inside an
+    /// image row (`0 <= ox·sw + kj − pw < w`); everywhere else in the
+    /// row it reads padding. Only the first and last `pw` columns can,
+    /// so each loop runs at most `pw + 1` steps — this is computed per
+    /// panel block, where the closed form's two divisions would show.
+    fn ox_inside(&self, kj: usize) -> Range<usize> {
+        let ((_, w), (_, ow), (_, sw), (_, pw)) = (self.hw, self.out, self.stride, self.padding);
+        let mut lo = 0;
+        while lo < ow && lo * sw + kj < pw {
+            lo += 1;
+        }
+        let mut hi = ow;
+        while hi > lo && (hi - 1) * sw + kj >= w + pw {
+            hi -= 1;
+        }
+        lo..hi
+    }
+
+    /// Writes tap `(ki, kj)` of `plane` for the `dst.len()` consecutive
+    /// output positions (row-major over the output plane) starting at
+    /// `(oy, ox)`: the pixel where the tap is inside the image, zero
+    /// where it is padding. Every element of `dst` is written exactly
+    /// once. `inside` is [`Window::ox_inside`] of `kj`.
+    fn gather_tap<T: Scalar>(
+        &self,
+        plane: &[T],
+        (ki, kj): (usize, usize),
+        inside: &Range<usize>,
+        (mut oy, mut ox): (usize, usize),
+        mut dst: &mut [T],
+    ) {
+        let ((h, w), (_, ow), (sh, sw), (ph, pw)) = (self.hw, self.out, self.stride, self.padding);
+        while !dst.is_empty() {
+            let run = (ow - ox).min(dst.len());
+            let (seg, rest) = std::mem::take(&mut dst).split_at_mut(run);
+            let iy = oy * sh + ki;
+            if iy < ph || iy - ph >= h {
+                seg.fill(T::zero());
+            } else {
+                let end = ox + seg.len();
+                let (lo, hi) = (inside.start.clamp(ox, end), inside.end.clamp(ox, end));
+                if lo > ox {
+                    seg[..lo - ox].fill(T::zero());
+                }
+                if hi < end {
+                    seg[hi - ox..].fill(T::zero());
+                }
+                let src = &plane[(iy - ph) * w..(iy - ph + 1) * w];
+                let mid = &mut seg[lo - ox..hi - ox];
+                if !mid.is_empty() {
+                    let ix = lo * sw + kj - pw;
+                    if sw == 1 {
+                        mid.copy_from_slice(&src[ix..ix + mid.len()]);
+                    } else {
+                        for (t, d) in mid.iter_mut().enumerate() {
+                            *d = src[ix + t * sw];
+                        }
+                    }
+                }
+            }
+            (oy, ox, dst) = (oy + 1, 0, rest);
+        }
+    }
+
+    /// Packs one block of the column matrix of `image` (`[c, h, w]`)
+    /// into a strip-kernel panel: `rows` is `[kb × LANES]` row-major and
+    /// receives column-matrix rows `p0..p0+kb`, columns `j0..j0+LANES`
+    /// (zero in lanes past the last output position). This is the
+    /// `fill` contract of [`crate::matmul::gemm_packed`].
+    pub(crate) fn fill_panel<T: Scalar>(&self, image: &[T], p0: usize, j0: usize, rows: &mut [T]) {
+        let ((h, w), (oh, ow), (kh, kw)) = (self.hw, self.out, self.kernel);
+        let width = LANES.min(oh * ow - j0);
+        let start = (j0 / ow, j0 % ow);
+        let block = p0..p0 + rows.len() / LANES;
+        let channels = p0 / (kh * kw)..block.end.div_ceil(kh * kw);
+        for kj in 0..kw {
+            let inside = self.ox_inside(kj);
+            for ci in channels.clone() {
+                let plane = &image[ci * h * w..(ci + 1) * h * w];
+                for ki in 0..kh {
+                    let p = (ci * kh + ki) * kw + kj;
+                    if !block.contains(&p) {
+                        continue;
+                    }
+                    let row = &mut rows[(p - p0) * LANES..(p - p0 + 1) * LANES];
+                    self.gather_tap(plane, (ki, kj), &inside, start, &mut row[..width]);
+                    row[width..].fill(T::zero());
+                }
+            }
+        }
+    }
+}
+
 /// Lowers one sample's channel block `[c, h, w]` into a caller-provided
 /// column-matrix buffer of shape `[c*kh*kw, out_h*out_w]` (row-major,
-/// flat). The buffer is fully overwritten (padding taps become
+/// flat). Every element is written exactly once (padding taps become
 /// `T::zero()`), so a reused scratch buffer with stale contents is
-/// fine — this is the allocation-free form the convolution hot paths
-/// call with [`crate::workspace::Workspace`] scratch.
+/// fine — this is the allocation-free form the weight-gradient pass
+/// calls with [`crate::workspace::Workspace`] scratch.
 ///
 /// # Panics
 ///
@@ -42,36 +175,22 @@ pub fn im2col_into<T: Scalar>(
     c: usize,
     (h, w): (usize, usize),
     (kh, kw): (usize, usize),
-    (sh, sw): (usize, usize),
-    (ph, pw): (usize, usize),
+    stride: (usize, usize),
+    padding: (usize, usize),
     out: &mut [T],
 ) {
     assert_eq!(input.len(), c * h * w, "input volume mismatch");
-    let (oh, ow) = out_hw((h, w), (kh, kw), (sh, sw), (ph, pw));
-    let cols = oh * ow;
+    let win = Window::new((h, w), (kh, kw), stride, padding);
+    let cols = win.out.0 * win.out.1;
     assert_eq!(out.len(), c * kh * kw * cols, "column matrix volume mismatch");
-    for v in out.iter_mut() {
-        *v = T::zero();
-    }
-    for ci in 0..c {
-        let plane = &input[ci * h * w..(ci + 1) * h * w];
-        for ki in 0..kh {
-            for kj in 0..kw {
+    for kj in 0..kw {
+        let inside = win.ox_inside(kj);
+        for ci in 0..c {
+            let plane = &input[ci * h * w..(ci + 1) * h * w];
+            for ki in 0..kh {
                 let row = (ci * kh + ki) * kw + kj;
                 let dst = &mut out[row * cols..(row + 1) * cols];
-                for oy in 0..oh {
-                    let iy = (oy * sh + ki) as isize - ph as isize;
-                    if iy < 0 || iy >= h as isize {
-                        continue; // whole row stays zero
-                    }
-                    let src_row = &plane[iy as usize * w..(iy as usize + 1) * w];
-                    for ox in 0..ow {
-                        let ix = (ox * sw + kj) as isize - pw as isize;
-                        if ix >= 0 && ix < w as isize {
-                            dst[oy * ow + ox] = src_row[ix as usize];
-                        }
-                    }
-                }
+                win.gather_tap(plane, (ki, kj), &inside, (0, 0), dst);
             }
         }
     }

@@ -9,12 +9,14 @@
 //!
 //! The dense kernels run over the unreduced accumulator of
 //! [`Scalar::Acc`] (delayed modular reduction with Barrett/Mersenne
-//! folds in the field domain), hold a sixteen-wide struct-of-arrays
-//! strip of independent accumulator lanes in registers with the fold
-//! boundary hoisted out of the lane loop (so the autovectorizer emits
-//! real vector ops for both domains), and fan out across rows on a
-//! lazily-started persistent worker pool on large shapes (`DK_THREADS`
-//! / [`set_max_threads`] bound the fan-out). Results are bit-for-bit
+//! folds in the field domain) and hold a sixteen-wide struct-of-arrays
+//! strip of independent accumulator lanes in registers. The
+//! outer-product products and the forward convolution walk the output
+//! in column strips, packing each strip's slice of the right-hand
+//! operand into an L1-resident panel that every output row then reuses
+//! (see [`matmul`](mod@matmul)); large shapes fan out on a
+//! lazily-started persistent worker pool (`DK_THREADS` /
+//! [`set_max_threads`] bound the fan-out). Results are bit-for-bit
 //! identical to the per-MAC-reducing [`reference`] kernels at every
 //! thread count.
 //!
@@ -27,8 +29,9 @@
 //! Kernels included:
 //!
 //! * [`matmul()`] and its transpose variants,
-//! * im2col-based 2-D convolution with stride, padding and groups
-//!   (depthwise convolutions are `groups == in_channels`),
+//! * 2-D convolution with stride, padding and groups (depthwise
+//!   convolutions are `groups == in_channels`), lowered to those
+//!   products without materializing the forward column matrix,
 //! * the three convolution passes a training step needs: forward,
 //!   input-gradient and weight-gradient,
 //! * max pooling (with argmax bookkeeping for the backward pass) and

@@ -7,56 +7,109 @@
 //! * [`matmul_at_b`] — `C[m×n] = Aᵀ · B` with `A[k×m]`
 //! * [`matmul_a_bt`] — `C[m×n] = A · Bᵀ` with `B[n×k]`
 //!
-//! All kernels run over the **unreduced accumulator** of
-//! [`Scalar::Acc`]: in the field domain, per-MAC `%` is replaced by
-//! delayed reduction with one Barrett (or Mersenne shift-add) fold per
-//! [`Scalar::FOLD_INTERVAL`] products. The inner loops are structured
-//! as **struct-of-arrays lane strips**: [`LANES`] independent
-//! accumulators (one per output column) held in a register array, with
-//! the fold boundary hoisted *out* of the lane loop — the body the
-//! autovectorizer sees is a branch-free `acc[l] += a · b[l]` over a
-//! constant trip count, which it lowers to real vector
-//! multiply-accumulates for both the float and the Barrett/Mersenne
-//! paths. The `A·Bᵀ` dot orientation vectorizes along the reduction
-//! dimension instead ([`Scalar::EXACT`] domains only; float dots keep
-//! the reference recurrence order bit-for-bit — see [`a_bt_block`]).
+//! # The outer-product orientations: strip-major over a packed panel
 //!
-//! Large products fan out across row ranges on the persistent
+//! `A·B`, `Aᵀ·B` and the forward convolution are one kernel
+//! ([`gemm_packed`]). Its loop order is **column strips outermost**:
+//!
+//! ```text
+//! for each LANES-wide strip of output columns j0..j0+LANES
+//!   for each block of PANEL_ROWS reduction positions p0..p0+kb
+//!     pack B[p0..p0+kb, j0..j0+LANES] into a contiguous [kb × LANES] panel
+//!     for every output row i
+//!       C[i, strip] (=|+=) A[i, p0..p0+kb] · panel
+//! ```
+//!
+//! The panel ([`Panel`], stack scratch, at most 32 KB, cache-line
+//! aligned) is written once and then read by *all* `m` rows while it
+//! sits in L1, so `B` is streamed from memory exactly once per product
+//! whatever `m` is, and the micro-kernel's `B` loads are unit-stride
+//! whatever `n` is. Who packs the panel is the caller's business: the
+//! matmuls copy row segments of a row-major `B`, the forward
+//! convolution gathers them straight from the NCHW image (see
+//! [`crate::conv`]), so no column matrix ever exists. `A` is read in
+//! place through a `(row, column)` stride pair — `(k, 1)` for `A·B`,
+//! `(1, m)` for `Aᵀ·B` — so no transpose is packed either. A strip
+//! narrower than [`LANES`] (the last one when `n % LANES ≠ 0`) is the
+//! same full-width kernel over a panel whose surplus lanes are zero;
+//! only the strip's own lanes are stored.
+//!
+//! The micro-kernel ([`lane_strip`]) holds [`LANES`] independent
+//! [`Scalar::Acc`] accumulators in registers — one per output column —
+//! and runs the **reference recurrence** on each: ascending `p`,
+//! terms with `A[i,p] = 0` skipped, exactly as
+//! [`crate::reference::naive_matmul_acc`] does. Blocking `k` does not
+//! reorder it: a block ends with [`Scalar::acc_finish`] into `C` and
+//! the next starts from [`Scalar::acc_lift`] of that value, which for
+//! floats are both the identity (the running sum round-trips through
+//! `C` untouched) and for the fields a canonical reduction, which can
+//! never change a value mod `p`. So f32 results are bit-identical to
+//! the reference — loop order and panel layout only change *which
+//! register serves which column*, never the order of any element's
+//! additions — and field results are exact. `PANEL_ROWS` is below
+//! every domain's [`Scalar::FOLD_INTERVAL`], so a block never needs a
+//! fold in the middle. Write mode (`C = …`) starts the first block from
+//! `acc_lift(0) = 0` instead of reading `C`, so the output may hold
+//! stale data.
+//!
+//! For `F25` on x86-64 the micro-kernel is explicit SSE2/AVX2
+//! ([`crate::simd`]); every other instantiation is the portable body
+//! below, which the autovectorizer lowers to vector multiply-adds.
+//!
+//! Large products fan out across **strip ranges** on the persistent
 //! [`crate::threadpool`] (capped by [`crate::threads::max_threads`],
-//! i.e. the `DK_THREADS` knob; small shapes stay serial).
+//! i.e. the `DK_THREADS` knob; small shapes stay serial): each task
+//! owns whole strips, packs only its own panels and writes only its own
+//! columns. An element's recurrence never depends on the partition, so
+//! results are independent of the thread count in every domain.
 //!
-//! Every kernel also has a `_into` variant writing into a
-//! caller-provided buffer; the classic signatures are thin allocating
-//! wrappers, so steady-state callers (layers, jobs, the encoding
-//! scheme) route buffers through a [`crate::workspace::Workspace`] and
-//! perform **zero heap allocations** per step. [`matmul_at_b_into`]
-//! never materializes `Aᵀ`: it packs `k × AT_PANEL` panels of `A` into
-//! a workspace-owned scratch strip, one panel per tile of output rows.
+//! # The dot orientation
 //!
-//! Results are **bit-for-bit identical** to [`crate::reference`] in
-//! both domains and independent of the thread count — see
-//! `tests/kernel_equivalence.rs` and `tests/threaded_determinism.rs`.
-//! In the outer-product orientations the lane strip only changes *which
-//! column* a register serves, never the order of any element's
-//! ascending-`k` recurrence; in the dot orientation the field kernels
-//! do reassociate across lanes, which is value-transparent because
-//! field arithmetic is exact ([`Scalar::EXACT`]), while the float
-//! kernels never reassociate.
+//! `A·Bᵀ` vectorizes along the reduction dimension instead
+//! ([`Scalar::EXACT`] domains only; float dots keep the reference
+//! recurrence order bit-for-bit — see [`a_bt_block`]) and fans out
+//! across row ranges. The field kernels there do reassociate across
+//! lanes, which is value-transparent because field arithmetic is
+//! exact; the float kernels never reassociate.
+//!
+//! Every kernel has an `_into` variant writing into a caller-provided
+//! buffer; the classic signatures are thin allocating wrappers, so
+//! steady-state callers (layers, jobs, the encoding scheme) perform
+//! **zero heap allocations** per step. Results are **bit-for-bit
+//! identical** to [`crate::reference`] in both domains — see
+//! `tests/kernel_equivalence.rs`, `tests/conv_equivalence.rs` and
+//! `tests/pool_equivalence.rs`.
 
 use crate::scalar::Scalar;
 use crate::threadpool::{self, SendPtr};
-use crate::threads::workers_for;
-use crate::workspace::Workspace;
+use crate::threads::{col_partition, workers_for};
+use std::ops::Range;
 
 /// Width of the struct-of-arrays accumulator strip: independent
-/// [`Scalar::Acc`] lanes held in registers across the whole reduction
-/// dimension. Sixteen `u64` lanes are two AVX-512 registers, four AVX2
-/// registers, or eight SSE2 registers — within budget everywhere.
+/// [`Scalar::Acc`] lanes held in registers across a whole panel.
+/// Sixteen `u64` lanes are two AVX-512 registers, four AVX2 registers,
+/// or eight SSE2 registers — within budget everywhere.
 pub(crate) const LANES: usize = 16;
 
-/// Output rows packed per [`matmul_at_b_into`] panel: bounds the
-/// scratch strip to `AT_PANEL × k` elements regardless of `m`.
-const AT_PANEL: usize = 64;
+/// Reduction positions per packed panel (the `k` block): with 8-byte
+/// elements the panel is exactly 32 KB.
+pub(crate) const PANEL_ROWS: usize = 256;
+
+/// One packed block of `B`: `[kb × LANES]` row-major with `kb ≤
+/// PANEL_ROWS`, lanes past the strip's width zero. Cache-line aligned
+/// so no vector load of a panel row straddles two lines.
+#[repr(C, align(64))]
+pub(crate) struct Panel<T>([T; PANEL_ROWS * LANES]);
+
+impl<T: Scalar> Panel<T> {
+    pub(crate) fn new() -> Self {
+        const { assert!(std::mem::size_of::<T>() * PANEL_ROWS * LANES <= 32 << 10) };
+        // A block is at most PANEL_ROWS products on top of one lifted
+        // value, so `lane_strip` never has to fold mid-block.
+        const { assert!(PANEL_ROWS <= T::FOLD_INTERVAL) };
+        Self([T::zero(); PANEL_ROWS * LANES])
+    }
+}
 
 /// Expands `$body` once per lane with `$l` bound to a **const** index.
 ///
@@ -94,94 +147,147 @@ macro_rules! per_lane {
 }
 pub(crate) use per_lane;
 
-/// One full-width lane strip: `cs[l] += arow · B[:, j+l]` for
-/// `l = 0..LANES`.
+/// The micro-kernel: `cs[l] (=|+=) Σ_p a[p·a_stride] · panel[p][l]` for
+/// `l = 0..LANES`, over the `panel.len() / LANES` rows of one packed
+/// block.
 ///
-/// The `k` loop is chunked at [`Scalar::FOLD_INTERVAL`] *positions* so
-/// no lane ever exceeds its unreduced-product budget, and the fold runs
-/// between chunks — outside the hot loop. Inside a chunk the body is
-/// one zero-test on `a` (hoisted over all lanes) and a branch-free
+/// `load` selects accumulate (start from the lifted `cs`) or write
+/// (start from zero; `cs` is not read). The body is one zero-test on
+/// the `A` element (hoisted over all lanes) and a branch-free
 /// fully-unrolled lane group ([`per_lane`]) that stays in registers.
-/// Per output element the recurrence is the reference one: ascending
-/// `p`, zero rows of `A` skipped, which for floats is bit-identical to
-/// [`crate::reference::naive_matmul_acc`] (no folds ever fire:
-/// `FOLD_INTERVAL` is `usize::MAX`).
+/// Per output element this is the reference recurrence: ascending `p`,
+/// zero elements of `A` skipped.
 #[inline]
-fn lane_strip<T: Scalar>(arow: &[T], b: &[T], cs: &mut [T; LANES], n: usize, j: usize) {
-    if crate::simd::try_f25_lane_strip(arow, b, cs, n, j) {
+fn lane_strip<T: Scalar>(a: &[T], a_stride: usize, panel: &[T], cs: &mut [T; LANES], load: bool) {
+    if crate::simd::try_f25_lane_strip(a, a_stride, panel, cs, load) {
         return;
     }
-    let k = arow.len();
     let mut acc = [T::acc_zero(); LANES];
-    per_lane!(L => acc[L] = cs[L].acc_lift());
-    let mut p0 = 0;
-    while p0 < k {
-        let pend = k.min(p0.saturating_add(T::FOLD_INTERVAL));
-        for p in p0..pend {
-            let aip = arow[p];
-            if aip == T::zero() {
-                continue;
-            }
-            let brow: &[T; LANES] = b[p * n + j..p * n + j + LANES].try_into().unwrap();
-            per_lane!(L => acc[L] = T::mac(acc[L], aip, brow[L]));
+    if load {
+        per_lane!(L => acc[L] = cs[L].acc_lift());
+    }
+    for (p, brow) in panel.chunks_exact(LANES).enumerate() {
+        let aip = a[p * a_stride];
+        if aip == T::zero() {
+            continue;
         }
-        p0 = pend;
-        if p0 < k {
-            per_lane!(L => acc[L] = T::acc_fold(acc[L]));
-        }
+        let brow: &[T; LANES] = brow.try_into().unwrap();
+        per_lane!(L => acc[L] = T::mac(acc[L], aip, brow[L]));
     }
     per_lane!(L => cs[L] = T::acc_finish(acc[L]));
 }
 
-/// The variable-width remainder strip (`cs.len() < LANES`): identical
-/// structure to [`lane_strip`], trip count taken from the slice.
-fn lane_strip_tail<T: Scalar>(arow: &[T], b: &[T], cs: &mut [T], n: usize, j: usize) {
-    let k = arow.len();
-    let w = cs.len();
-    debug_assert!(w < LANES);
-    let mut acc = [T::acc_zero(); LANES];
-    for (aj, &cj) in acc.iter_mut().zip(cs.iter()) {
-        *aj = cj.acc_lift();
-    }
-    let mut p0 = 0;
-    while p0 < k {
-        let pend = k.min(p0.saturating_add(T::FOLD_INTERVAL));
-        for p in p0..pend {
-            let aip = arow[p];
-            if aip == T::zero() {
-                continue;
-            }
-            let brow = &b[p * n + j..p * n + j + w];
-            for (aj, &bj) in acc[..w].iter_mut().zip(brow) {
-                *aj = T::mac(*aj, aip, bj);
+/// `C[:, cols] (=|+=) A · B[:, cols]`, column strips outermost (see the
+/// module docs). `A[i, p]` is `a[i·a_row + p·a_col]`; `fill(p0, j0,
+/// rows)` must overwrite `rows` (`kb × LANES`, row-major) with
+/// `B[p0..p0+kb, j0..j0+LANES]`, zero in the lanes past column `n`.
+///
+/// # Safety
+///
+/// `c` must point to an `m × n` row-major matrix that is valid for
+/// reads and writes, and nothing else may access its columns `cols`
+/// for the duration of the call. `cols.start` must be a multiple of
+/// [`LANES`] and `cols.end <= n`.
+#[allow(clippy::too_many_arguments)]
+unsafe fn gemm_strips<T: Scalar, F: Fn(usize, usize, &mut [T])>(
+    a: &[T],
+    (a_row, a_col): (usize, usize),
+    c: *mut T,
+    (m, k, n): (usize, usize, usize),
+    cols: Range<usize>,
+    write: bool,
+    panel: &mut Panel<T>,
+    fill: &F,
+) {
+    for j0 in cols.step_by(LANES) {
+        let w = LANES.min(n - j0);
+        for p0 in (0..k).step_by(PANEL_ROWS) {
+            let kb = PANEL_ROWS.min(k - p0);
+            let rows = &mut panel.0[..kb * LANES];
+            fill(p0, j0, rows);
+            let load = !write || p0 > 0;
+            for i in 0..m {
+                let ai = &a[i * a_row + p0 * a_col..];
+                // SAFETY: row `i`, columns `j0..j0+w` lie inside the
+                // `m × n` matrix and inside `cols`, which the caller
+                // reserved for this call.
+                let cs = unsafe { std::slice::from_raw_parts_mut(c.add(i * n + j0), w) };
+                if let Ok(cs) = <&mut [T; LANES]>::try_from(&mut *cs) {
+                    lane_strip(ai, a_col, rows, cs, load);
+                } else {
+                    let mut full = [T::zero(); LANES];
+                    if load {
+                        full[..w].copy_from_slice(cs);
+                    }
+                    lane_strip(ai, a_col, rows, &mut full, load);
+                    cs.copy_from_slice(&full[..w]);
+                }
             }
         }
-        p0 = pend;
-        if p0 < k {
-            for aj in acc[..w].iter_mut() {
-                *aj = T::acc_fold(*aj);
-            }
-        }
-    }
-    for (cj, &aj) in cs.iter_mut().zip(acc[..w].iter()) {
-        *cj = T::acc_finish(aj);
     }
 }
 
-/// Serial kernel: `C[rows×n] += A[rows×k] · B[k×n]` over one row range,
-/// as [`LANES`]-wide register strips plus one remainder strip per row.
-fn matmul_block<T: Scalar>(a: &[T], b: &[T], c: &mut [T], rows: usize, k: usize, n: usize) {
-    for i in 0..rows {
-        let arow = &a[i * k..(i + 1) * k];
-        let crow = &mut c[i * n..(i + 1) * n];
-        let mut j = 0;
-        while j + LANES <= n {
-            let cs: &mut [T; LANES] = (&mut crow[j..j + LANES]).try_into().unwrap();
-            lane_strip(arow, b, cs, n, j);
-            j += LANES;
+/// `C[m×n] (=|+=) A · B` with `B` supplied one packed block at a time
+/// by `fill` (contract as in [`gemm_strips`]) and `A[i, p]` read at
+/// `a[i·a_row + p·a_col]`. `write` overwrites `C` (prior contents are
+/// irrelevant); otherwise the product accumulates on top of it. Strip
+/// ranges fan out on the pool when the shape clears the threading
+/// threshold; the serial path packs into the caller's `panel`, so a
+/// caller issuing many small products pays for one panel, not one each.
+pub(crate) fn gemm_packed<T: Scalar, F: Fn(usize, usize, &mut [T]) + Sync>(
+    a: &[T],
+    a_strides: (usize, usize),
+    c: &mut [T],
+    (m, k, n): (usize, usize, usize),
+    write: bool,
+    panel: &mut Panel<T>,
+    fill: &F,
+) {
+    assert_eq!(c.len(), m * n, "C size");
+    if m == 0 || n == 0 {
+        return;
+    }
+    if k == 0 {
+        if write {
+            c.fill(T::zero());
         }
-        if j < n {
-            lane_strip_tail(arow, b, &mut crow[j..], n, j);
+        return;
+    }
+    let (tasks, cols_per) = col_partition(n, LANES, m.saturating_mul(k).saturating_mul(n));
+    let cp = SendPtr(c.as_mut_ptr());
+    if tasks <= 1 {
+        // SAFETY: `c` is exclusively borrowed and exactly `m × n`.
+        unsafe { gemm_strips(a, a_strides, cp.0, (m, k, n), 0..n, write, panel, fill) };
+        return;
+    }
+    threadpool::run_tasks(tasks, &move |t| {
+        // Capture the whole `SendPtr` wrapper, not its raw-pointer field
+        // (closures capture disjoint fields, and a bare `*mut T` is not
+        // `Sync`).
+        let cp = cp;
+        let cols = t * cols_per..n.min((t + 1) * cols_per);
+        // SAFETY: `c` is exclusively borrowed for the whole fan-out and
+        // the tasks' column ranges are disjoint (`cols_per` is a
+        // multiple of `LANES`, so no strip straddles two tasks).
+        unsafe { gemm_strips(a, a_strides, cp.0, (m, k, n), cols, write, &mut Panel::new(), fill) };
+    });
+}
+
+/// The panel filler for a row-major `B[k×n]`: row segments copied as
+/// they are, surplus lanes of the last strip zeroed.
+fn fill_from_rows<T: Scalar>(b: &[T], n: usize) -> impl Fn(usize, usize, &mut [T]) + Sync + '_ {
+    move |p0, j0, rows| {
+        let w = LANES.min(n - j0);
+        for (r, row) in rows.chunks_exact_mut(LANES).enumerate() {
+            let src = &b[(p0 + r) * n + j0..][..w];
+            // A full strip copies a fixed sixteen elements: a few vector
+            // moves instead of a `memcpy` call per panel row.
+            if let Ok(src) = <&[T; LANES]>::try_from(src) {
+                row.copy_from_slice(src);
+            } else {
+                row[..w].copy_from_slice(src);
+                row[w..].fill(T::zero());
+            }
         }
     }
 }
@@ -350,11 +456,7 @@ where
 pub fn matmul_acc<T: Scalar>(a: &[T], b: &[T], c: &mut [T], m: usize, k: usize, n: usize) {
     assert_eq!(a.len(), m * k, "A size");
     assert_eq!(b.len(), k * n, "B size");
-    assert_eq!(c.len(), m * n, "C size");
-    if m == 0 || n == 0 {
-        return;
-    }
-    run_row_partitioned(a, c, m, k, n, |ach, cch, rows| matmul_block(ach, b, cch, rows, k, n));
+    gemm_packed(a, (k, 1), c, (m, k, n), false, &mut Panel::new(), &fill_from_rows(b, n));
 }
 
 /// `C[m×n] = A[m×k] · B[k×n]` into a caller-provided buffer
@@ -364,11 +466,9 @@ pub fn matmul_acc<T: Scalar>(a: &[T], b: &[T], c: &mut [T], m: usize, k: usize, 
 ///
 /// Panics if slice lengths do not match the given dimensions.
 pub fn matmul_into<T: Scalar>(a: &[T], b: &[T], c: &mut [T], m: usize, k: usize, n: usize) {
-    assert_eq!(c.len(), m * n, "C size");
-    for v in c.iter_mut() {
-        *v = T::zero();
-    }
-    matmul_acc(a, b, c, m, k, n);
+    assert_eq!(a.len(), m * k, "A size");
+    assert_eq!(b.len(), k * n, "B size");
+    gemm_packed(a, (k, 1), c, (m, k, n), true, &mut Panel::new(), &fill_from_rows(b, n));
 }
 
 /// `C[m×n] = A[m×k] · B[k×n]`.
@@ -378,47 +478,15 @@ pub fn matmul_into<T: Scalar>(a: &[T], b: &[T], c: &mut [T], m: usize, k: usize,
 /// Panics if slice lengths do not match the given dimensions.
 pub fn matmul<T: Scalar>(a: &[T], b: &[T], m: usize, k: usize, n: usize) -> Vec<T> {
     let mut c = vec![T::zero(); m * n];
-    matmul_acc(a, b, &mut c, m, k, n);
+    matmul_into(a, b, &mut c, m, k, n);
     c
 }
 
-/// Packs panel columns `i0..i0+iw` of `A[k×m]` into `scratch` as a
-/// row-major `iw×k` strip and multiplies it against `B`, one panel of
-/// output rows at a time. `c` covers output rows `i0..i0+rows`.
-#[allow(clippy::too_many_arguments)]
-fn at_b_panels<T: Scalar>(
-    a: &[T],
-    b: &[T],
-    c: &mut [T],
-    i0: usize,
-    rows: usize,
-    m: usize,
-    k: usize,
-    n: usize,
-    scratch: &mut [T],
-) {
-    let panel = scratch.len() / k;
-    debug_assert!(panel > 0);
-    let mut is = 0;
-    while is < rows {
-        let iw = (rows - is).min(panel);
-        for p in 0..k {
-            let acol = &a[p * m + i0 + is..p * m + i0 + is + iw];
-            for (r, &v) in acol.iter().enumerate() {
-                scratch[r * k + p] = v;
-            }
-        }
-        matmul_block(&scratch[..iw * k], b, &mut c[is * n..(is + iw) * n], iw, k, n);
-        is += iw;
-    }
-}
-
 /// `C[m×n] = Aᵀ · B` (with `A` stored `k×m`) into a caller-provided
-/// buffer, packing `A` columns into a `AT_PANEL × k` workspace-owned
-/// scratch strip per output-row tile instead of materializing the full
-/// `m×k` transpose. The packed panel is the layout the lane-strip
-/// [`matmul`] kernel wants, so the delayed-reduction machinery applies
-/// to this orientation too.
+/// buffer (overwritten). `Aᵀ` is never materialized: the strip kernel
+/// reads column `i` of `A` in place at stride `m`, and the block of
+/// `A` rows a panel needs stays cache-resident across the `m` output
+/// rows that share it.
 ///
 /// # Panics
 ///
@@ -430,63 +498,10 @@ pub fn matmul_at_b_into<T: Scalar>(
     m: usize,
     k: usize,
     n: usize,
-    ws: &mut Workspace,
 ) {
     assert_eq!(a.len(), k * m, "A size");
     assert_eq!(b.len(), k * n, "B size");
-    assert_eq!(c.len(), m * n, "C size");
-    for v in c.iter_mut() {
-        *v = T::zero();
-    }
-    if m == 0 || n == 0 || k == 0 {
-        return;
-    }
-    let workers = workers_for(m, m.saturating_mul(k).saturating_mul(n));
-    // F25 on x86-64 skips the panel packing entirely: the SIMD strips
-    // read A's columns with stride `m` directly (`a[p*m + i]` broadcast
-    // per product — the same ascending-`p`, zero-skipping, chunk-folding
-    // recurrence the packed path runs, so results are bit-identical).
-    let direct = crate::simd::has_f25_at_b_direct::<T>();
-    if workers <= 1 {
-        if direct {
-            crate::simd::f25_at_b_rows(a, b, c, 0, m, m, k, n);
-        } else {
-            let mut scratch = ws.take_zeroed::<T>(AT_PANEL.min(m) * k);
-            at_b_panels(a, b, c, 0, m, m, k, n, &mut scratch);
-            ws.give(scratch);
-        }
-        return;
-    }
-    let rows_per = m.div_ceil(workers);
-    let tasks = m.div_ceil(rows_per);
-    if direct {
-        let cp = SendPtr(c.as_mut_ptr());
-        threadpool::run_tasks(tasks, &move |t| {
-            let cp = cp;
-            let i0 = t * rows_per;
-            let rows = rows_per.min(m - i0);
-            // SAFETY: each task owns the disjoint output rows `i0..i0+rows`.
-            let cch = unsafe { std::slice::from_raw_parts_mut(cp.0.add(i0 * n), rows * n) };
-            crate::simd::f25_at_b_rows(a, b, cch, i0, rows, m, k, n);
-        });
-        return;
-    }
-    let panel = AT_PANEL.min(rows_per);
-    let mut scratch = ws.take_zeroed::<T>(tasks * panel * k);
-    let cp = SendPtr(c.as_mut_ptr());
-    let sp = SendPtr(scratch.as_mut_ptr());
-    let job = move |t: usize| {
-        let (cp, sp) = (cp, sp);
-        let i0 = t * rows_per;
-        let rows = rows_per.min(m - i0);
-        // SAFETY: each task owns the disjoint output rows `i0..i0+rows`
-        // and its own `panel * k` slab of the scratch strip.
-        let cch = unsafe { std::slice::from_raw_parts_mut(cp.0.add(i0 * n), rows * n) };
-        let sl = unsafe { std::slice::from_raw_parts_mut(sp.0.add(t * panel * k), panel * k) };
-        at_b_panels(a, b, cch, i0, rows, m, k, n, sl);
-    };
-    threadpool::run_tasks(tasks, &job);
-    ws.give(scratch);
+    gemm_packed(a, (1, m), c, (m, k, n), true, &mut Panel::new(), &fill_from_rows(b, n));
 }
 
 /// `C[m×n] = Aᵀ · B` where `A` is stored as `k×m`.
@@ -498,7 +513,7 @@ pub fn matmul_at_b_into<T: Scalar>(
 /// Panics if slice lengths do not match the given dimensions.
 pub fn matmul_at_b<T: Scalar>(a: &[T], b: &[T], m: usize, k: usize, n: usize) -> Vec<T> {
     let mut c = vec![T::zero(); m * n];
-    matmul_at_b_into(a, b, &mut c, m, k, n, &mut Workspace::new());
+    matmul_at_b_into(a, b, &mut c, m, k, n);
     c
 }
 
@@ -618,8 +633,8 @@ mod tests {
 
     #[test]
     fn at_b_crosses_panel_boundary() {
-        // m > AT_PANEL forces multiple packed panels.
-        let (m, k, n) = (AT_PANEL + 9, 5, 3);
+        // k > PANEL_ROWS forces a second packed block per strip.
+        let (m, k, n) = (9, PANEL_ROWS + 9, 3);
         let a: Vec<F25> = (0..k * m).map(|i| F25::new(i as u64 % 97 + 1)).collect();
         let b: Vec<F25> = (0..k * n).map(|i| F25::new(i as u64 % 89 + 2)).collect();
         let mut a_t = vec![F25::ZERO; m * k];
@@ -729,7 +744,7 @@ mod tests {
 
         let at: Vec<F25> = (0..k * m).map(|i| F25::new(i as u64 * 11 + 4)).collect();
         let mut c = vec![F25::new(999); m * n];
-        matmul_at_b_into(&at, &b, &mut c, m, k, n, &mut Workspace::new());
+        matmul_at_b_into(&at, &b, &mut c, m, k, n);
         assert_eq!(c, matmul_at_b(&at, &b, m, k, n));
 
         let x: Vec<F25> = (0..k).map(|i| F25::new(i as u64 + 5)).collect();

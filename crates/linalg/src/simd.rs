@@ -36,43 +36,47 @@ fn is_f25<T: 'static>() -> bool {
     TypeId::of::<T>() == TypeId::of::<dk_field::F25>()
 }
 
-/// `C strip += arow · B[:, j..j+LANES]` — the full-width matmul strip.
-/// Returns `false` (caller runs the portable kernel) unless `T` is
-/// `F25` on x86-64.
+/// The packed-panel matmul micro-kernel (contract as
+/// [`crate::matmul`]'s `lane_strip`). Returns `false` (caller runs the
+/// portable kernel) unless `T` is `F25` on x86-64.
 #[inline(always)]
 pub(crate) fn try_f25_lane_strip<T: Scalar>(
-    arow: &[T],
-    b: &[T],
+    a: &[T],
+    a_stride: usize,
+    panel: &[T],
     cs: &mut [T; LANES],
-    n: usize,
-    j: usize,
+    load: bool,
 ) -> bool {
     #[cfg(target_arch = "x86_64")]
     {
         if is_f25::<T>() {
+            let kb = panel.len() / LANES;
+            assert!(panel.len() == kb * LANES && (kb == 0 || (kb - 1) * a_stride < a.len()));
+            // One block's products must fit the u64 lanes without a fold.
+            assert!(kb <= <dk_field::F25 as Scalar>::FOLD_INTERVAL);
             // SAFETY: `T == F25` (TypeId-checked), so these casts are
             // identities; `F25` is `repr(transparent)` over `u64`.
-            let (arow, b, cs) = unsafe {
+            let (a, panel, cs) = unsafe {
                 (
-                    cast_slice::<T>(arow),
-                    cast_slice::<T>(b),
+                    cast_slice::<T>(a),
+                    cast_slice::<T>(panel),
                     &mut *(cs as *mut [T; LANES] as *mut [dk_field::F25; LANES]),
                 )
             };
-            // SAFETY: strip callers guarantee `j + LANES <= n` and
-            // `b.len() == k * n`; SSE2 is baseline on x86-64 and the
-            // AVX2 body only runs behind `is_x86_feature_detected!`.
+            // SAFETY: the assert above is the bodies' precondition; SSE2
+            // is baseline on x86-64 and the AVX2 body only runs behind
+            // `is_x86_feature_detected!`.
             unsafe {
                 if x86::has_avx2() {
-                    x86::lane_strip_avx2(arow, b, cs, n, j);
+                    x86::lane_strip_avx2(a, a_stride, panel, cs, load);
                 } else {
-                    x86::lane_strip_sse2(arow, b, cs, n, j);
+                    x86::lane_strip_sse2(a, a_stride, panel, cs, load);
                 }
             }
             return true;
         }
     }
-    let _ = (arow, b, cs, n, j);
+    let _ = (a, a_stride, panel, cs, load);
     false
 }
 
@@ -205,105 +209,6 @@ pub(crate) unsafe fn try_f25_coded_strip_store<T: Scalar>(
     false
 }
 
-/// Whether the direct strided `Aᵀ·B` path applies to `T`: `F25` on
-/// x86-64. Const-folds per monomorphization like the other dispatches.
-#[inline(always)]
-pub(crate) fn has_f25_at_b_direct<T: Scalar>() -> bool {
-    cfg!(target_arch = "x86_64") && is_f25::<T>()
-}
-
-/// `C[rows×n] = Aᵀ·B` output rows `i0..i0+rows` (with `A` stored
-/// `k×m`), reading `A`'s column `i` directly at stride `m` — no packed
-/// panel. `c` covers only the `rows × n` slice being produced. Callers
-/// must have checked [`has_f25_at_b_direct`].
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn f25_at_b_rows<T: Scalar>(
-    a: &[T],
-    b: &[T],
-    c: &mut [T],
-    i0: usize,
-    rows: usize,
-    m: usize,
-    k: usize,
-    n: usize,
-) {
-    #[cfg(target_arch = "x86_64")]
-    {
-        // SAFETY: identity casts as in `try_f25_lane_strip`.
-        let (a, b, c) = unsafe {
-            (
-                cast_slice::<T>(a),
-                cast_slice::<T>(b),
-                std::slice::from_raw_parts_mut(c.as_mut_ptr() as *mut dk_field::F25, c.len()),
-            )
-        };
-        let avx2 = x86::has_avx2();
-        for i in i0..i0 + rows {
-            let crow = &mut c[(i - i0) * n..(i - i0 + 1) * n];
-            let mut j = 0;
-            while j + LANES <= n {
-                let cs: &mut [dk_field::F25; LANES] =
-                    (&mut crow[j..j + LANES]).try_into().unwrap();
-                // SAFETY: `j + LANES <= n`; AVX2 body is detection-gated.
-                unsafe {
-                    if avx2 {
-                        x86::at_b_strip_avx2(a, i, m, b, cs, n, j);
-                    } else {
-                        x86::at_b_strip_sse2(a, i, m, b, cs, n, j);
-                    }
-                }
-                j += LANES;
-            }
-            if j < n {
-                at_b_tail(a, i, m, b, &mut crow[j..], n, j, k);
-            }
-        }
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    {
-        let _ = (a, b, c, i0, rows, m, k, n);
-        unreachable!("has_f25_at_b_direct gates this path to x86-64");
-    }
-}
-
-/// Scalar remainder columns of the direct `Aᵀ·B` path: the standard
-/// delayed-reduction recurrence (ascending `p`, zero-skip, folds at
-/// `FOLD_INTERVAL` positions) with the strided coefficient read.
-#[cfg(target_arch = "x86_64")]
-#[allow(clippy::too_many_arguments)]
-fn at_b_tail(
-    a: &[dk_field::F25],
-    i: usize,
-    m: usize,
-    b: &[dk_field::F25],
-    ctail: &mut [dk_field::F25],
-    n: usize,
-    j0: usize,
-    k: usize,
-) {
-    use dk_field::F25;
-    for (l, cj) in ctail.iter_mut().enumerate() {
-        let j = j0 + l;
-        let mut acc = cj.acc_lift();
-        let mut p0 = 0;
-        while p0 < k {
-            let pend = k.min(p0.saturating_add(<F25 as Scalar>::FOLD_INTERVAL));
-            for p in p0..pend {
-                let aip = a[p * m + i];
-                if aip == <F25 as Scalar>::zero() {
-                    continue;
-                }
-                acc = <F25 as Scalar>::mac(acc, aip, b[p * n + j]);
-            }
-            p0 = pend;
-            if p0 < k {
-                acc = <F25 as Scalar>::acc_fold(acc);
-            }
-        }
-        *cj = <F25 as Scalar>::acc_finish(acc);
-    }
-}
-
 /// Reinterprets `&[T]` as `&[F25]`. Caller must have proven `T == F25`.
 #[cfg(target_arch = "x86_64")]
 #[inline(always)]
@@ -409,62 +314,56 @@ mod x86 {
         }
     }
 
-    /// SSE2 matmul strip: sixteen column accumulators in eight `xmm`
-    /// registers, two exact widening products per `pmuludq`.
+    /// SSE2 matmul strip over one packed panel block: sixteen column
+    /// accumulators in eight `xmm` registers, two exact widening
+    /// products per `pmuludq`, panel rows at the constant stride
+    /// [`LANES`]. A block holds at most `PANEL_ROWS` products per lane
+    /// on top of one canonical value, far inside the `u64` budget, so
+    /// there is no fold inside the loop.
     ///
     /// # Safety
     ///
-    /// Requires `j + LANES <= n`, `b.len() >= arow.len() * n`.
+    /// With `kb = panel.len() / LANES`: `panel.len() == kb * LANES` and
+    /// `a` holds element `(kb - 1) * a_stride`.
     pub(super) unsafe fn lane_strip_sse2(
-        arow: &[F25],
-        b: &[F25],
+        a: &[F25],
+        a_stride: usize,
+        panel: &[F25],
         cs: &mut [F25; LANES],
-        n: usize,
-        j: usize,
+        load: bool,
     ) {
         unsafe {
-            let k = arow.len();
-            let cp = cs.as_ptr() as *const __m128i;
-            // acc starts from the lifted C strip, exactly like the
-            // portable kernel (`acc_lift` is the canonical value).
-            let mut a0 = _mm_loadu_si128(cp);
-            let mut a1 = _mm_loadu_si128(cp.add(1));
-            let mut a2 = _mm_loadu_si128(cp.add(2));
-            let mut a3 = _mm_loadu_si128(cp.add(3));
-            let mut a4 = _mm_loadu_si128(cp.add(4));
-            let mut a5 = _mm_loadu_si128(cp.add(5));
-            let mut a6 = _mm_loadu_si128(cp.add(6));
-            let mut a7 = _mm_loadu_si128(cp.add(7));
-            let mut p0 = 0;
-            while p0 < k {
-                let pend = k.min(p0.saturating_add(CHUNK));
-                for p in p0..pend {
-                    let aip = arow.get_unchecked(p).value();
-                    if aip == 0 {
-                        continue;
-                    }
-                    let av = _mm_set1_epi64x(aip as i64);
-                    let bp = b.as_ptr().add(p * n + j) as *const __m128i;
-                    a0 = _mm_add_epi64(a0, _mm_mul_epu32(av, _mm_loadu_si128(bp)));
-                    a1 = _mm_add_epi64(a1, _mm_mul_epu32(av, _mm_loadu_si128(bp.add(1))));
-                    a2 = _mm_add_epi64(a2, _mm_mul_epu32(av, _mm_loadu_si128(bp.add(2))));
-                    a3 = _mm_add_epi64(a3, _mm_mul_epu32(av, _mm_loadu_si128(bp.add(3))));
-                    a4 = _mm_add_epi64(a4, _mm_mul_epu32(av, _mm_loadu_si128(bp.add(4))));
-                    a5 = _mm_add_epi64(a5, _mm_mul_epu32(av, _mm_loadu_si128(bp.add(5))));
-                    a6 = _mm_add_epi64(a6, _mm_mul_epu32(av, _mm_loadu_si128(bp.add(6))));
-                    a7 = _mm_add_epi64(a7, _mm_mul_epu32(av, _mm_loadu_si128(bp.add(7))));
+            let z = _mm_setzero_si128();
+            let (mut a0, mut a1, mut a2, mut a3, mut a4, mut a5, mut a6, mut a7) =
+                (z, z, z, z, z, z, z, z);
+            if load {
+                // acc starts from the lifted C strip, exactly like the
+                // portable kernel (`acc_lift` is the canonical value).
+                let cp = cs.as_ptr() as *const __m128i;
+                a0 = _mm_loadu_si128(cp);
+                a1 = _mm_loadu_si128(cp.add(1));
+                a2 = _mm_loadu_si128(cp.add(2));
+                a3 = _mm_loadu_si128(cp.add(3));
+                a4 = _mm_loadu_si128(cp.add(4));
+                a5 = _mm_loadu_si128(cp.add(5));
+                a6 = _mm_loadu_si128(cp.add(6));
+                a7 = _mm_loadu_si128(cp.add(7));
+            }
+            for p in 0..panel.len() / LANES {
+                let aip = a.get_unchecked(p * a_stride).value();
+                if aip == 0 {
+                    continue;
                 }
-                p0 = pend;
-                if p0 < k {
-                    a0 = fold2(a0);
-                    a1 = fold2(a1);
-                    a2 = fold2(a2);
-                    a3 = fold2(a3);
-                    a4 = fold2(a4);
-                    a5 = fold2(a5);
-                    a6 = fold2(a6);
-                    a7 = fold2(a7);
-                }
+                let av = _mm_set1_epi64x(aip as i64);
+                let bp = panel.as_ptr().add(p * LANES) as *const __m128i;
+                a0 = _mm_add_epi64(a0, _mm_mul_epu32(av, _mm_loadu_si128(bp)));
+                a1 = _mm_add_epi64(a1, _mm_mul_epu32(av, _mm_loadu_si128(bp.add(1))));
+                a2 = _mm_add_epi64(a2, _mm_mul_epu32(av, _mm_loadu_si128(bp.add(2))));
+                a3 = _mm_add_epi64(a3, _mm_mul_epu32(av, _mm_loadu_si128(bp.add(3))));
+                a4 = _mm_add_epi64(a4, _mm_mul_epu32(av, _mm_loadu_si128(bp.add(4))));
+                a5 = _mm_add_epi64(a5, _mm_mul_epu32(av, _mm_loadu_si128(bp.add(5))));
+                a6 = _mm_add_epi64(a6, _mm_mul_epu32(av, _mm_loadu_si128(bp.add(6))));
+                a7 = _mm_add_epi64(a7, _mm_mul_epu32(av, _mm_loadu_si128(bp.add(7))));
             }
             let out = cs.as_mut_ptr();
             finish2(out, a0);
@@ -492,49 +391,42 @@ mod x86 {
         )
     }
 
-    /// AVX2 matmul strip: sixteen column accumulators in four `ymm`
-    /// registers, four exact widening products per `vpmuludq`.
+    /// AVX2 matmul strip over one packed panel block: sixteen column
+    /// accumulators in four `ymm` registers, four exact widening
+    /// products per `vpmuludq`.
     ///
     /// # Safety
     ///
     /// As [`lane_strip_sse2`], plus the CPU must support AVX2.
     #[target_feature(enable = "avx2")]
     pub(super) unsafe fn lane_strip_avx2(
-        arow: &[F25],
-        b: &[F25],
+        a: &[F25],
+        a_stride: usize,
+        panel: &[F25],
         cs: &mut [F25; LANES],
-        n: usize,
-        j: usize,
+        load: bool,
     ) {
         unsafe {
-            let k = arow.len();
-            let cp = cs.as_ptr() as *const __m256i;
-            let mut a0 = _mm256_loadu_si256(cp);
-            let mut a1 = _mm256_loadu_si256(cp.add(1));
-            let mut a2 = _mm256_loadu_si256(cp.add(2));
-            let mut a3 = _mm256_loadu_si256(cp.add(3));
-            let mut p0 = 0;
-            while p0 < k {
-                let pend = k.min(p0.saturating_add(CHUNK));
-                for p in p0..pend {
-                    let aip = arow.get_unchecked(p).value();
-                    if aip == 0 {
-                        continue;
-                    }
-                    let av = _mm256_set1_epi64x(aip as i64);
-                    let bp = b.as_ptr().add(p * n + j) as *const __m256i;
-                    a0 = _mm256_add_epi64(a0, _mm256_mul_epu32(av, _mm256_loadu_si256(bp)));
-                    a1 = _mm256_add_epi64(a1, _mm256_mul_epu32(av, _mm256_loadu_si256(bp.add(1))));
-                    a2 = _mm256_add_epi64(a2, _mm256_mul_epu32(av, _mm256_loadu_si256(bp.add(2))));
-                    a3 = _mm256_add_epi64(a3, _mm256_mul_epu32(av, _mm256_loadu_si256(bp.add(3))));
+            let z = _mm256_setzero_si256();
+            let (mut a0, mut a1, mut a2, mut a3) = (z, z, z, z);
+            if load {
+                let cp = cs.as_ptr() as *const __m256i;
+                a0 = _mm256_loadu_si256(cp);
+                a1 = _mm256_loadu_si256(cp.add(1));
+                a2 = _mm256_loadu_si256(cp.add(2));
+                a3 = _mm256_loadu_si256(cp.add(3));
+            }
+            for p in 0..panel.len() / LANES {
+                let aip = a.get_unchecked(p * a_stride).value();
+                if aip == 0 {
+                    continue;
                 }
-                p0 = pend;
-                if p0 < k {
-                    a0 = fold4(a0);
-                    a1 = fold4(a1);
-                    a2 = fold4(a2);
-                    a3 = fold4(a3);
-                }
+                let av = _mm256_set1_epi64x(aip as i64);
+                let bp = panel.as_ptr().add(p * LANES) as *const __m256i;
+                a0 = _mm256_add_epi64(a0, _mm256_mul_epu32(av, _mm256_loadu_si256(bp)));
+                a1 = _mm256_add_epi64(a1, _mm256_mul_epu32(av, _mm256_loadu_si256(bp.add(1))));
+                a2 = _mm256_add_epi64(a2, _mm256_mul_epu32(av, _mm256_loadu_si256(bp.add(2))));
+                a3 = _mm256_add_epi64(a3, _mm256_mul_epu32(av, _mm256_loadu_si256(bp.add(3))));
             }
             let mut t = [0u64; LANES];
             _mm256_storeu_si256(t.as_mut_ptr() as *mut __m256i, a0);
@@ -727,133 +619,6 @@ mod x86 {
             _mm256_storeu_si256(op.add(1), reduce4_coded(a1));
             _mm256_storeu_si256(op.add(2), reduce4_coded(a2));
             _mm256_storeu_si256(op.add(3), reduce4_coded(a3));
-        }
-    }
-
-    /// SSE2 strided `Aᵀ·B` strip: [`lane_strip_sse2`] with the
-    /// coefficient read `a[p*m + i]` (column `i` of the `k×m` operand)
-    /// instead of a packed panel row — same zero-skip, same chunked
-    /// fold schedule, so bit-identical to the packed path.
-    ///
-    /// # Safety
-    ///
-    /// Requires `j + LANES <= n`, `a.len() == k*m`, `b.len() >= k*n`.
-    pub(super) unsafe fn at_b_strip_sse2(
-        a: &[F25],
-        i: usize,
-        m: usize,
-        b: &[F25],
-        cs: &mut [F25; LANES],
-        n: usize,
-        j: usize,
-    ) {
-        unsafe {
-            let k = a.len() / m;
-            let cp = cs.as_ptr() as *const __m128i;
-            let mut a0 = _mm_loadu_si128(cp);
-            let mut a1 = _mm_loadu_si128(cp.add(1));
-            let mut a2 = _mm_loadu_si128(cp.add(2));
-            let mut a3 = _mm_loadu_si128(cp.add(3));
-            let mut a4 = _mm_loadu_si128(cp.add(4));
-            let mut a5 = _mm_loadu_si128(cp.add(5));
-            let mut a6 = _mm_loadu_si128(cp.add(6));
-            let mut a7 = _mm_loadu_si128(cp.add(7));
-            let mut p0 = 0;
-            while p0 < k {
-                let pend = k.min(p0.saturating_add(CHUNK));
-                for p in p0..pend {
-                    let aip = a.get_unchecked(p * m + i).value();
-                    if aip == 0 {
-                        continue;
-                    }
-                    let av = _mm_set1_epi64x(aip as i64);
-                    let bp = b.as_ptr().add(p * n + j) as *const __m128i;
-                    a0 = _mm_add_epi64(a0, _mm_mul_epu32(av, _mm_loadu_si128(bp)));
-                    a1 = _mm_add_epi64(a1, _mm_mul_epu32(av, _mm_loadu_si128(bp.add(1))));
-                    a2 = _mm_add_epi64(a2, _mm_mul_epu32(av, _mm_loadu_si128(bp.add(2))));
-                    a3 = _mm_add_epi64(a3, _mm_mul_epu32(av, _mm_loadu_si128(bp.add(3))));
-                    a4 = _mm_add_epi64(a4, _mm_mul_epu32(av, _mm_loadu_si128(bp.add(4))));
-                    a5 = _mm_add_epi64(a5, _mm_mul_epu32(av, _mm_loadu_si128(bp.add(5))));
-                    a6 = _mm_add_epi64(a6, _mm_mul_epu32(av, _mm_loadu_si128(bp.add(6))));
-                    a7 = _mm_add_epi64(a7, _mm_mul_epu32(av, _mm_loadu_si128(bp.add(7))));
-                }
-                p0 = pend;
-                if p0 < k {
-                    a0 = fold2(a0);
-                    a1 = fold2(a1);
-                    a2 = fold2(a2);
-                    a3 = fold2(a3);
-                    a4 = fold2(a4);
-                    a5 = fold2(a5);
-                    a6 = fold2(a6);
-                    a7 = fold2(a7);
-                }
-            }
-            let out = cs.as_mut_ptr();
-            finish2(out, a0);
-            finish2(out.add(2), a1);
-            finish2(out.add(4), a2);
-            finish2(out.add(6), a3);
-            finish2(out.add(8), a4);
-            finish2(out.add(10), a5);
-            finish2(out.add(12), a6);
-            finish2(out.add(14), a7);
-        }
-    }
-
-    /// AVX2 strided `Aᵀ·B` strip.
-    ///
-    /// # Safety
-    ///
-    /// As [`at_b_strip_sse2`], plus the CPU must support AVX2.
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn at_b_strip_avx2(
-        a: &[F25],
-        i: usize,
-        m: usize,
-        b: &[F25],
-        cs: &mut [F25; LANES],
-        n: usize,
-        j: usize,
-    ) {
-        unsafe {
-            let k = a.len() / m;
-            let cp = cs.as_ptr() as *const __m256i;
-            let mut a0 = _mm256_loadu_si256(cp);
-            let mut a1 = _mm256_loadu_si256(cp.add(1));
-            let mut a2 = _mm256_loadu_si256(cp.add(2));
-            let mut a3 = _mm256_loadu_si256(cp.add(3));
-            let mut p0 = 0;
-            while p0 < k {
-                let pend = k.min(p0.saturating_add(CHUNK));
-                for p in p0..pend {
-                    let aip = a.get_unchecked(p * m + i).value();
-                    if aip == 0 {
-                        continue;
-                    }
-                    let av = _mm256_set1_epi64x(aip as i64);
-                    let bp = b.as_ptr().add(p * n + j) as *const __m256i;
-                    a0 = _mm256_add_epi64(a0, _mm256_mul_epu32(av, _mm256_loadu_si256(bp)));
-                    a1 = _mm256_add_epi64(a1, _mm256_mul_epu32(av, _mm256_loadu_si256(bp.add(1))));
-                    a2 = _mm256_add_epi64(a2, _mm256_mul_epu32(av, _mm256_loadu_si256(bp.add(2))));
-                    a3 = _mm256_add_epi64(a3, _mm256_mul_epu32(av, _mm256_loadu_si256(bp.add(3))));
-                }
-                p0 = pend;
-                if p0 < k {
-                    a0 = fold4(a0);
-                    a1 = fold4(a1);
-                    a2 = fold4(a2);
-                    a3 = fold4(a3);
-                }
-            }
-            let mut t = [0u64; LANES];
-            _mm256_storeu_si256(t.as_mut_ptr() as *mut __m256i, a0);
-            _mm256_storeu_si256(t.as_mut_ptr().add(4) as *mut __m256i, a1);
-            _mm256_storeu_si256(t.as_mut_ptr().add(8) as *mut __m256i, a2);
-            _mm256_storeu_si256(t.as_mut_ptr().add(12) as *mut __m256i, a3);
-            for (c, &v) in cs.iter_mut().zip(t.iter()) {
-                *c = F25::reduce_u64(v);
-            }
         }
     }
 

@@ -1,8 +1,10 @@
 //! Thread-count policy for the multi-threaded kernels.
 //!
-//! The blocked matmul kernels split output rows across the persistent
-//! worker pool (see the `threadpool` module). How many lanes they may
-//! use is resolved here, in priority order:
+//! The matmul kernels split their output across the persistent worker
+//! pool (see the `threadpool` module): column-strip ranges for the
+//! packed-panel products and the coded combines, row ranges for the dot
+//! orientation. How many lanes they may use is resolved here, in
+//! priority order:
 //!
 //! 1. a programmatic override set with [`set_max_threads`] (used by
 //!    tests and embedders),
@@ -68,9 +70,10 @@ pub fn would_parallelize(units: usize, macs: usize) -> bool {
 
 /// Resolves a **column**-range fan-out as `(tasks, cols_per_task)`.
 ///
-/// Row partitioning cannot split the coding shapes — `k+m` output rows
-/// against an enormous `n` — so the streaming coded kernels partition
-/// output columns instead. `cols_per_task` is a multiple of `align`
+/// Used by the packed-panel products (a task then packs only the panels
+/// of its own strips) and by the streaming coded kernels (`k+m` output
+/// rows against an enormous `n` leave no rows to split).
+/// `cols_per_task` is a multiple of `align`
 /// (the SIMD strip width) so no strip ever straddles a partition
 /// boundary; columns are independent accumulations, so the split is
 /// bit-exact at every thread count in both domains. Returns `(1, n)`

@@ -144,7 +144,8 @@ impl Workspace {
 
     /// Pops the best-fitting pooled buffer: the smallest whose capacity
     /// covers `len`, else the largest available (which then grows —
-    /// a miss), else a fresh allocation (also a miss). Returned cleared.
+    /// a miss), else a fresh allocation (also a miss). Returned with
+    /// whatever its previous user left in it.
     fn pop_buffer<T: Send + 'static>(&mut self, len: usize) -> Vec<T> {
         self.stats.takes += 1;
         let pool = self.pool_mut::<T>();
@@ -163,10 +164,10 @@ impl Workspace {
             Some(i) => pool.swap_remove(i),
             None => Vec::new(),
         };
-        buf.clear();
         if buf.capacity() < len {
             self.stats.misses += 1;
-            buf.reserve_exact(len - buf.capacity());
+            buf.clear();
+            buf.reserve_exact(len);
         }
         self.stats.live_bytes += buf.capacity() * std::mem::size_of::<T>();
         self.stats.peak_bytes = self.stats.peak_bytes.max(self.stats.live_bytes);
@@ -177,6 +178,18 @@ impl Workspace {
     /// bit-identical to `vec![T::zero(); len]`.
     pub fn take_zeroed<T: Scalar>(&mut self, len: usize) -> Vec<T> {
         let mut buf = self.pop_buffer::<T>(len);
+        buf.clear();
+        buf.resize(len, T::zero());
+        buf
+    }
+
+    /// Takes a buffer of exactly `len` elements with **unspecified
+    /// contents** (whatever the buffer's previous user left, zero where
+    /// it had to grow) — for destinations a kernel overwrites in full.
+    /// In the steady state the same buffers cycle at the same lengths,
+    /// so this touches no memory at all.
+    pub fn take_dirty<T: Scalar>(&mut self, len: usize) -> Vec<T> {
+        let mut buf = self.pop_buffer::<T>(len);
         buf.resize(len, T::zero());
         buf
     }
@@ -184,13 +197,16 @@ impl Workspace {
     /// Takes an *empty* buffer with capacity for at least `cap`
     /// elements (for `push`/`extend` fills — quantization, stacking).
     pub fn take_cleared<T: Send + 'static>(&mut self, cap: usize) -> Vec<T> {
-        self.pop_buffer::<T>(cap)
+        let mut buf = self.pop_buffer::<T>(cap);
+        buf.clear();
+        buf
     }
 
     /// Takes a buffer holding a copy of `src` — bit-identical to
     /// `src.to_vec()`, single write pass.
     pub fn take_copy<T: Copy + Send + 'static>(&mut self, src: &[T]) -> Vec<T> {
         let mut buf = self.pop_buffer::<T>(src.len());
+        buf.clear();
         buf.extend_from_slice(src);
         buf
     }
@@ -231,6 +247,14 @@ impl Workspace {
     pub fn take_tensor<T: Scalar>(&mut self, shape: &[usize]) -> Tensor<T> {
         let len = shape.iter().product();
         let data = self.take_zeroed::<T>(len);
+        Tensor::from_parts(self.pop_shape(shape), data)
+    }
+
+    /// Takes a tensor of the given shape with **unspecified contents**
+    /// (see [`Workspace::take_dirty`]) — for outputs a kernel overwrites
+    /// in full.
+    pub fn take_tensor_dirty<T: Scalar>(&mut self, shape: &[usize]) -> Tensor<T> {
+        let data = self.take_dirty::<T>(shape.iter().product());
         Tensor::from_parts(self.pop_shape(shape), data)
     }
 

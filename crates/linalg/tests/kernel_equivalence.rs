@@ -6,15 +6,20 @@
 //! `dk_linalg::reference` — for all three matmul orientations, in the
 //! float domain (identical per-element accumulation order) and in both
 //! field domains (exact arithmetic: deferring reduction can never change
-//! the value mod p). Shapes cover the degenerate `m/k/n ∈ {0, 1}` edges
-//! and `k > 2^14`, which crosses the `F25` u64-accumulator fold boundary.
+//! the value mod p). Shapes cover the degenerate `m/k/n ∈ {0, 1}` edges,
+//! `k > 2^14` (the `F25` u64-accumulator fold boundary), and — in
+//! [`strip_sweep_matches_naive`] — output widths around and far past
+//! the sixteen-lane strip with `k` crossing the packed panel's 256-row
+//! block, which the small property shapes never reach.
 
 use dk_field::{F25, F61, FieldRng, P25, P61};
 use dk_linalg::im2col::{col2im, col2im_acc_into, im2col, im2col_into, out_hw};
-use dk_linalg::reference::{naive_matmul, naive_matmul_a_bt, naive_matmul_at_b, naive_matvec};
+use dk_linalg::reference::{
+    naive_matmul, naive_matmul_a_bt, naive_matmul_acc, naive_matmul_at_b, naive_matvec,
+};
 use dk_linalg::{
-    matmul, matmul_a_bt, matmul_a_bt_into, matmul_at_b, matmul_at_b_into, matmul_into, matvec,
-    matvec_into, Scalar, Workspace,
+    matmul, matmul_a_bt, matmul_a_bt_into, matmul_acc, matmul_at_b, matmul_at_b_into, matmul_into,
+    matvec, matvec_into, Scalar,
 };
 use proptest::prelude::*;
 
@@ -28,7 +33,6 @@ fn poisoned<T: Scalar>(len: usize) -> Vec<T> {
 /// both the allocating entry points and the `_into` variants (the
 /// latter against a reused, garbage-filled workspace buffer).
 fn assert_equiv<T: Scalar>(mut gen: impl FnMut() -> T, m: usize, k: usize, n: usize) {
-    let mut ws = Workspace::new();
     let a: Vec<T> = (0..m * k).map(|_| gen()).collect();
     let b: Vec<T> = (0..k * n).map(|_| gen()).collect();
     let want = naive_matmul(&a, &b, m, k, n);
@@ -41,7 +45,7 @@ fn assert_equiv<T: Scalar>(mut gen: impl FnMut() -> T, m: usize, k: usize, n: us
     let want = naive_matmul_at_b(&a_t, &b, m, k, n);
     assert_eq!(matmul_at_b(&a_t, &b, m, k, n), want, "at_b {m}x{k}x{n}");
     let mut c = poisoned::<T>(m * n);
-    matmul_at_b_into(&a_t, &b, &mut c, m, k, n, &mut ws);
+    matmul_at_b_into(&a_t, &b, &mut c, m, k, n);
     assert_eq!(c, want, "at_b_into {m}x{k}x{n}");
 
     let b_t: Vec<T> = (0..n * k).map(|_| gen()).collect();
@@ -179,6 +183,76 @@ proptest! {
         assert_lowering_equiv(field_gen::<P25>(seed), c, (h, w), (kh, kw), (sh, sw), (ph, pw));
         assert_lowering_equiv(field_gen::<P61>(seed ^ 1), c, (h, w), (kh, kw), (sh, sw), (ph, pw));
         assert_lowering_equiv(float_gen(seed ^ 2), c, (h, w), (kh, kw), (sh, sw), (ph, pw));
+    }
+}
+
+/// The packed-panel products on one shape: `matmul`, `matmul_into` and
+/// `matmul_at_b_into` into poisoned outputs, and `matmul_acc` on top of
+/// a nonzero base.
+fn assert_strip_equiv<T: Scalar>(mut gen: impl FnMut() -> T, m: usize, k: usize, n: usize) {
+    let a: Vec<T> = (0..m * k).map(|_| gen()).collect();
+    let b: Vec<T> = (0..k * n).map(|_| gen()).collect();
+    let want = naive_matmul(&a, &b, m, k, n);
+    assert_eq!(matmul(&a, &b, m, k, n), want, "matmul {m}x{k}x{n}");
+    let mut c = poisoned::<T>(m * n);
+    matmul_into(&a, &b, &mut c, m, k, n);
+    assert_eq!(c, want, "matmul_into {m}x{k}x{n}");
+
+    let base: Vec<T> = (0..m * n).map(|_| gen()).collect();
+    let mut want_acc = base.clone();
+    naive_matmul_acc(&a, &b, &mut want_acc, m, k, n);
+    let mut c = base;
+    matmul_acc(&a, &b, &mut c, m, k, n);
+    assert_eq!(c, want_acc, "matmul_acc {m}x{k}x{n}");
+
+    let a_t: Vec<T> = (0..k * m).map(|_| gen()).collect();
+    let mut c = poisoned::<T>(m * n);
+    matmul_at_b_into(&a_t, &b, &mut c, m, k, n);
+    assert_eq!(c, naive_matmul_at_b(&a_t, &b, m, k, n), "at_b_into {m}x{k}x{n}");
+}
+
+/// Output widths one short of, at, and one past one, two and three
+/// strips, and many strips wide; row counts from none to more than a
+/// panel serves at once; `k` one past the panel's 256-row block, so
+/// every strip carries its accumulators across a block boundary through
+/// `C`. The full `F25` grid exercises the SIMD body; the other domains
+/// take the corners (the float values round, so only the reference
+/// order reproduces their bits).
+#[test]
+fn strip_sweep_matches_naive() {
+    const NS: [usize; 9] = [15, 16, 17, 31, 32, 33, 48, 256, 1024];
+    const MS: [usize; 9] = [0, 1, 2, 3, 4, 5, 16, 17, 65];
+    let k = 257;
+    let mut f25 = field_gen::<P25>(0x57A1);
+    let mut f61 = field_gen::<P61>(0x57A2);
+    let mut rng = FieldRng::seed_from(0x57A3);
+    let mut f32s = move || ((rng.uniform::<P25>().value() % 2001) as f32 - 1000.0) / 3.0;
+    for n in NS {
+        for m in MS {
+            assert_strip_equiv(&mut f25, m, k, n);
+            if [15, 17, 32, 1024].contains(&n) && [0, 1, 5, 17].contains(&m) {
+                assert_strip_equiv(&mut f61, m, k, n);
+                assert_strip_equiv(&mut f32s, m, k, n);
+            }
+        }
+    }
+    // Two and three blocks, the last one a single row; and a `k` that
+    // fills its blocks exactly.
+    for k in [512, 513, 769] {
+        assert_strip_equiv(&mut f25, 3, k, 33);
+        assert_strip_equiv(&mut f32s, 3, k, 33);
+    }
+}
+
+/// `k` past both the panel block and the `F25` fold boundary with every
+/// operand — and the accumulation base — at `p − 1`, at widths with a
+/// full and a ragged strip.
+#[test]
+fn strip_worst_case_operands_cross_fold_boundary() {
+    let k = F25::FOLD_INTERVAL + 21;
+    let big = || F25::new(P25 - 1);
+    for (m, n) in [(1, 17), (2, 32)] {
+        assert_strip_equiv(big, m, k, n);
     }
 }
 

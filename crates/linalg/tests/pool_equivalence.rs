@@ -1,18 +1,19 @@
 //! Serial ≡ pooled equivalence of the persistent worker pool.
 //!
-//! The row-partitioned fan-out must be invisible in the results: the
-//! task-index → row-range mapping is fixed by the shape alone, so for
-//! every kernel orientation and element type, running under the pool at
-//! any thread cap must produce **bit-for-bit** the serial output —
-//! floats included (no accumulation order ever crosses a partition
-//! boundary). Property cases sweep three regimes:
+//! The fan-out must be invisible in the results: the task-index →
+//! output-range mapping (column-strip ranges for `A·B` and `Aᵀ·B`, row
+//! ranges for `A·Bᵀ`) is fixed by the shape alone, so for every kernel
+//! orientation and element type, running under the pool at any thread
+//! cap must produce **bit-for-bit** the serial output — floats
+//! included (no accumulation order ever crosses a partition boundary).
+//! Property cases sweep three regimes:
 //!
 //! * degenerate shapes (`m/k/n ∈ {0, 1}` among them) that stay on the
 //!   serial fallback regardless of the cap;
 //! * shapes pushed above the `PAR_MAC_THRESHOLD` fan-out point so the
-//!   pool genuinely partitions the rows;
+//!   pool genuinely partitions the output;
 //! * `k > 2^14`, which crosses the `F25` u64-accumulator fold boundary
-//!   *inside* each row partition.
+//!   *inside* each partition.
 //!
 //! Everything runs from a single `#[test]` because the thread cap is
 //! process-global: the property functions are generated without
@@ -117,11 +118,12 @@ proptest! {
     }
 
     // Shapes forced over PAR_MAC_THRESHOLD: the pool genuinely fans
-    // out, with enough rows that every lane owns a partition.
+    // out, with enough rows — and, past n = 16, enough column strips —
+    // that several lanes own a partition.
     fn pooled_matches_serial_threaded(
         seed in any::<u64>(),
         m in 8usize..33,
-        n in 8usize..33,
+        n in 8usize..100,
         extra in 1usize..64,
         threads in 2usize..9,
     ) {
@@ -130,12 +132,13 @@ proptest! {
     }
 
     // k past the F25 fold boundary (2^14 unreduced MACs per u64
-    // accumulator), sized so the row fan-out still engages: each lane
-    // must place its Barrett folds exactly where the serial path does.
+    // accumulator), sized so the fan-out still engages (n past one
+    // strip for the packed-panel products): each lane must reduce
+    // exactly where the serial path does.
     fn pooled_matches_serial_fold_boundary(
         seed in any::<u64>(),
         m in 4usize..7,
-        n in 4usize..7,
+        n in 4usize..40,
         extra in 1usize..128,
         threads in 2usize..9,
     ) {

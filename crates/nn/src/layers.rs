@@ -352,7 +352,6 @@ impl Dense {
             self.out_features,
             n,
             self.in_features,
-            ws,
         );
         for (d, &v) in self.dw.as_mut_slice().iter_mut().zip(dw.iter()) {
             *d += v;
