@@ -1,33 +1,40 @@
-//! Kernel/encoding/offload micro-benchmarks with machine-readable output.
+//! Kernel/encoding/offload micro-benchmarks with machine-readable
+//! output, and the evaluation report.
 //!
 //! Measures the delayed-reduction fast kernels against the preserved
-//! per-MAC-reducing scalar baselines (`dk_linalg::reference`) — and,
-//! for the rewritten kernels, against an in-binary snapshot of the
-//! previous-generation fast kernels ([`prev`]) so each optimization
-//! round's gain is recorded independently of the host — on the shapes
-//! the offload path actually runs. Also measures the staged pipelined
-//! engine against the sequential session on a real multi-layer model
-//! (the §7.1 overlap claim) and, with `--alloc`, the allocation
-//! behaviour of steady-state steps via a counting global allocator.
-//! Everything lands in `BENCH_kernels.json` so the performance
-//! trajectory is tracked across PRs. CI runs `--fast --alloc` as a
-//! smoke test, gates on the recorded invariants (zero steady-state
-//! inference allocations; no >10% relative regression of the tracked
-//! kernels — conv forward, the field matmul, and the streaming
-//! encode/decode — vs the committed baseline; pipelining not more
-//! than 10% slower than sequential on the median of interleaved pairs,
-//! `unresolved` rather than failed when the pairs' quartile spread
-//! exceeds that margin) and uploads the JSON as an artifact.
+//! per-MAC-reducing scalar baselines (`dk_linalg::reference`) on the
+//! shapes the offload path actually runs. Also measures the staged
+//! engine at its default lane count against the same engine with one
+//! virtual batch in flight, over the same dispatcher-backed fleet, on a
+//! real multi-layer model (the §7.1 overlap claim) and, with `--alloc`,
+//! the allocation behaviour of steady-state steps via a counting global
+//! allocator. Everything lands in `BENCH_kernels.json` so the kernel
+//! trajectory is tracked across PRs (end-to-end and per-layer numbers
+//! are `benchmark/`'s). CI runs `--fast --alloc` as a smoke test, gates
+//! on the recorded invariants (zero steady-state inference allocations;
+//! no >10% relative regression of the tracked kernels — conv forward,
+//! the field matmul, and the streaming encode/decode — vs the committed
+//! baseline; the default lane count not more than 10% slower than one
+//! lane on the median of interleaved pairs, `unresolved` rather than
+//! failed when the pairs' quartile spread exceeds that margin) and
+//! uploads the JSON as an artifact.
 //!
 //! With `--obs`, the same private-inference session step is timed with
 //! the `dk_obs` registry disabled and enabled, recording the
 //! instrumentation overhead ratio; CI gates it at ≤3%.
 //!
+//! `dk_bench report` prints every table and figure of the paper's
+//! evaluation section instead: Tables 1–4 and Figures 3/5/6a/6b/7 from
+//! the calibrated performance model, Figure 4 from real (mini-model)
+//! training, plus a measured pipelining comparison on this host.
+//!
 //! Usage: `cargo run --release -p dk_bench --bin dk_bench --
-//! [--fast] [--alloc] [--obs] [--baseline PATH] [--out PATH]`
+//! [--fast] [--alloc] [--obs] [--baseline PATH] [--out PATH]`, or
+//! `… -- report [--quick|--full]`
 
-use dk_bench::{GateVerdict, PairedRatio};
-use dk_core::engine::{compare_inference_modes, compare_training_modes, EngineOptions};
+use dk_bench::{
+    fig4, lanes_inference, lanes_training, render_fig4, Fig4Config, GateVerdict, PairedRatio,
+};
 use dk_core::scheme::EncodingScheme;
 use dk_core::DarknightConfig;
 use dk_field::{F25, FieldRng, P25};
@@ -46,202 +53,6 @@ use std::time::Instant;
 // test counting identically.
 #[global_allocator]
 static COUNTER: CountingAllocator = CountingAllocator;
-
-/// Verbatim snapshots of the *previous* fast kernels (PR 5 vintage:
-/// stack-resident `COL_TILE` accumulator strip with four pending `A`
-/// rows flushed per pass, packed `at_b` panels, and a four-lane `a_bt`
-/// dot loop), kept so the lane-parallel struct-of-arrays rewrite's gain
-/// is measured in-binary on the same host instead of against stale
-/// committed numbers.
-mod prev {
-    use dk_linalg::Scalar;
-
-    const LANES: usize = 4;
-    const COL_TILE: usize = 512;
-    const AT_PANEL: usize = 64;
-
-    #[inline]
-    fn flush_quad<T: Scalar>(
-        acc: &mut [T::Acc],
-        av: &[T; LANES],
-        b: &[T],
-        pq: &[usize; LANES],
-        n: usize,
-        j0: usize,
-    ) {
-        let jw = acc.len();
-        let b0 = &b[pq[0] * n + j0..][..jw];
-        let b1 = &b[pq[1] * n + j0..][..jw];
-        let b2 = &b[pq[2] * n + j0..][..jw];
-        let b3 = &b[pq[3] * n + j0..][..jw];
-        for ((((aj, &x0), &x1), &x2), &x3) in acc.iter_mut().zip(b0).zip(b1).zip(b2).zip(b3) {
-            *aj = T::mac(T::mac(T::mac(T::mac(*aj, av[0], x0), av[1], x1), av[2], x2), av[3], x3);
-        }
-    }
-
-    fn matmul_block<T: Scalar>(a: &[T], b: &[T], c: &mut [T], rows: usize, k: usize, n: usize) {
-        let mut strip = [T::acc_zero(); COL_TILE];
-        let fold_limit = T::FOLD_INTERVAL.saturating_sub(LANES - 1);
-        for i in 0..rows {
-            let arow = &a[i * k..(i + 1) * k];
-            let crow = &mut c[i * n..(i + 1) * n];
-            let mut j0 = 0;
-            while j0 < n {
-                let jw = (n - j0).min(COL_TILE);
-                let acc = &mut strip[..jw];
-                for (aj, &cj) in acc.iter_mut().zip(&crow[j0..j0 + jw]) {
-                    *aj = cj.acc_lift();
-                }
-                let mut unfolded = 0usize;
-                let mut av = [T::zero(); LANES];
-                let mut pq = [0usize; LANES];
-                let mut pending = 0usize;
-                for (p, &aip) in arow.iter().enumerate() {
-                    if aip == T::zero() {
-                        continue;
-                    }
-                    av[pending] = aip;
-                    pq[pending] = p;
-                    pending += 1;
-                    if pending == LANES {
-                        if unfolded >= fold_limit {
-                            for aj in acc.iter_mut() {
-                                *aj = T::acc_fold(*aj);
-                            }
-                            unfolded = 0;
-                        }
-                        flush_quad(acc, &av, b, &pq, n, j0);
-                        unfolded += LANES;
-                        pending = 0;
-                    }
-                }
-                for t in 0..pending {
-                    if unfolded >= fold_limit {
-                        for aj in acc.iter_mut() {
-                            *aj = T::acc_fold(*aj);
-                        }
-                        unfolded = 0;
-                    }
-                    let brow = &b[pq[t] * n + j0..][..jw];
-                    for (aj, &bj) in acc.iter_mut().zip(brow) {
-                        *aj = T::mac(*aj, av[t], bj);
-                    }
-                    unfolded += 1;
-                }
-                for (cj, &aj) in crow[j0..j0 + jw].iter_mut().zip(acc.iter()) {
-                    *cj = T::acc_finish(aj);
-                }
-                j0 += jw;
-            }
-        }
-    }
-
-    pub fn matmul<T: Scalar>(a: &[T], b: &[T], m: usize, k: usize, n: usize) -> Vec<T> {
-        let mut c = vec![T::zero(); m * n];
-        if m == 0 || n == 0 {
-            return c;
-        }
-        matmul_block(a, b, &mut c, m, k, n);
-        c
-    }
-
-    pub fn matmul_at_b<T: Scalar>(a: &[T], b: &[T], m: usize, k: usize, n: usize) -> Vec<T> {
-        let mut c = vec![T::zero(); m * n];
-        if m == 0 || n == 0 || k == 0 {
-            return c;
-        }
-        let panel = AT_PANEL.min(m);
-        let mut scratch = vec![T::zero(); panel * k];
-        let mut is = 0;
-        while is < m {
-            let iw = (m - is).min(panel);
-            for p in 0..k {
-                let acol = &a[p * m + is..p * m + is + iw];
-                for (r, &v) in acol.iter().enumerate() {
-                    scratch[r * k + p] = v;
-                }
-            }
-            matmul_block(&scratch[..iw * k], b, &mut c[is * n..(is + iw) * n], iw, k, n);
-            is += iw;
-        }
-        c
-    }
-
-    pub fn matmul_a_bt<T: Scalar>(a: &[T], b: &[T], m: usize, k: usize, n: usize) -> Vec<T> {
-        let mut c = vec![T::zero(); m * n];
-        for i in 0..m {
-            let arow = &a[i * k..(i + 1) * k];
-            let mut j = 0;
-            while j + LANES <= n {
-                let b0 = &b[j * k..(j + 1) * k];
-                let b1 = &b[(j + 1) * k..(j + 2) * k];
-                let b2 = &b[(j + 2) * k..(j + 3) * k];
-                let b3 = &b[(j + 3) * k..(j + 4) * k];
-                let mut acc = [T::acc_zero(); LANES];
-                let mut unfolded = 0usize;
-                for (p, &x) in arow.iter().enumerate() {
-                    if T::SKIP_ZEROS && x == T::zero() {
-                        continue;
-                    }
-                    if unfolded == T::FOLD_INTERVAL {
-                        for aj in acc.iter_mut() {
-                            *aj = T::acc_fold(*aj);
-                        }
-                        unfolded = 0;
-                    }
-                    acc[0] = T::mac(acc[0], x, b0[p]);
-                    acc[1] = T::mac(acc[1], x, b1[p]);
-                    acc[2] = T::mac(acc[2], x, b2[p]);
-                    acc[3] = T::mac(acc[3], x, b3[p]);
-                    unfolded += 1;
-                }
-                for (l, &aj) in acc.iter().enumerate() {
-                    c[i * n + j + l] = T::acc_finish(aj);
-                }
-                j += LANES;
-            }
-            while j < n {
-                let brow = &b[j * k..(j + 1) * k];
-                let mut acc = T::acc_zero();
-                let mut unfolded = 0usize;
-                for (&x, &y) in arow.iter().zip(brow) {
-                    if T::SKIP_ZEROS && x == T::zero() {
-                        continue;
-                    }
-                    if unfolded == T::FOLD_INTERVAL {
-                        acc = T::acc_fold(acc);
-                        unfolded = 0;
-                    }
-                    acc = T::mac(acc, x, y);
-                    unfolded += 1;
-                }
-                c[i * n + j] = T::acc_finish(acc);
-                j += 1;
-            }
-        }
-        c
-    }
-
-    /// The PR-8 coding path the streaming `coded_combine` kernels
-    /// replace: stack the separate rows into one flat operand (the copy
-    /// the streaming pass eliminates), run the lane-parallel matmul
-    /// over it, split the product back into freshly allocated rows — as
-    /// the committed `encode`/`decode` wrappers did per call.
-    pub fn coded_combine(
-        coeff: &[dk_field::F25],
-        x: &[Vec<dk_field::F25>],
-        rows: usize,
-        n: usize,
-    ) -> Vec<Vec<dk_field::F25>> {
-        let kdim = x.len();
-        let mut flat = vec![dk_field::F25::ZERO; kdim * n];
-        for (d, s) in flat.chunks_mut(n).zip(x) {
-            d.copy_from_slice(s);
-        }
-        let c = dk_linalg::matmul(coeff, &flat, rows, kdim, n);
-        c.chunks(n).map(<[dk_field::F25]>::to_vec).collect()
-    }
-}
 
 /// Median ns/iteration: calibrate the batch to roughly `target_ms`, then
 /// take five samples.
@@ -277,9 +88,6 @@ struct Entry {
     macs: u64,
     baseline_ns: f64,
     fast_ns: f64,
-    /// Same-host timing of the previous-generation fast kernel (the
-    /// [`prev`] snapshot), when one exists for this row.
-    prev_ns: Option<f64>,
 }
 
 impl Entry {
@@ -287,24 +95,15 @@ impl Entry {
         self.macs as f64 / ns * 1e3 // MACs/ns → M ops/s
     }
     fn to_json(&self) -> String {
-        let prev = match self.prev_ns {
-            Some(p) => format!(
-                ", \"prev_fast_ns_per_op\": {:.1}, \"speedup_vs_prev\": {:.2}",
-                p,
-                p / self.fast_ns
-            ),
-            None => String::new(),
-        };
         format!(
-            "    {{\"name\": \"{}\", \"macs\": {}, \"scalar_ns_per_op\": {:.1}, \"fast_ns_per_op\": {:.1}, \"scalar_mops\": {:.1}, \"fast_mops\": {:.1}, \"speedup\": {:.2}{}}}",
+            "    {{\"name\": \"{}\", \"macs\": {}, \"scalar_ns_per_op\": {:.1}, \"fast_ns_per_op\": {:.1}, \"scalar_mops\": {:.1}, \"fast_mops\": {:.1}, \"speedup\": {:.2}}}",
             self.name,
             self.macs,
             self.baseline_ns,
             self.fast_ns,
             self.mops(self.baseline_ns),
             self.mops(self.fast_ns),
-            self.baseline_ns / self.fast_ns,
-            prev
+            self.baseline_ns / self.fast_ns
         )
     }
 }
@@ -332,8 +131,52 @@ fn field_vec(rng: &mut FieldRng, len: usize) -> Vec<F25> {
     rng.uniform_vec::<P25>(len)
 }
 
+/// The `report` sub-command (see the module docs).
+fn report(mode: &str) {
+    let profile = DeviceProfile::calibrated();
+
+    println!("=================================================================");
+    println!(" DarKnight reproduction — evaluation report");
+    println!("=================================================================\n");
+    println!("{}", dk_perf::report::full_report(&profile));
+
+    println!("----------------------------------------------------------------\n");
+    let fig4_cfg = match mode {
+        "--quick" => Fig4Config { per_class: 12, epochs: 4, ..Default::default() },
+        "--full" => Fig4Config { hw: 12, per_class: 50, epochs: 14, ..Default::default() },
+        _ => Fig4Config::default(),
+    };
+    println!("{}", render_fig4(&fig4(fig4_cfg)));
+
+    println!("----------------------------------------------------------------\n");
+    println!("Measured pipelining (this host; functional analogue of Fig. 5):\n");
+    // Real Algorithm 2 training on a multi-layer model, one virtual batch
+    // in flight vs the engine's default lanes, over a fleet with a
+    // modeled accelerator latency (the workers simulate GPUs on this
+    // CPU; the latency model is what makes wall clock reflect device
+    // occupancy — see dk_gpu::LatencyModel).
+    let epochs = if mode == "--quick" { 1 } else { 3 };
+    let cfg = DarknightConfig::new(2, 1).with_seed(7);
+    let fleet = GpuCluster::honest(cfg.workers_required(), 7)
+        .with_latency(Some(LatencyModel { base_ns: 120_000, ns_per_kmac: 600 }));
+    let model = mini_vgg(8, 4, 42);
+    let x = Tensor::from_fn(&[8, 3, 8, 8], |i| ((i % 23) as f32 - 11.0) * 0.04);
+    let labels: Vec<usize> = (0..8).map(|i| i % 4).collect();
+    let (r, diff) = lanes_training(cfg, &fleet, &model, &x, &labels, epochs, 0.05);
+    assert_eq!(diff, 0.0, "lane count changed the trained weights");
+    println!(
+        "  one lane: {:>8.1?}   pipelined: {:>8.1?}   speedup: {:.2}x  (bit-identical weights)\n",
+        r.sequential,
+        r.pipelined,
+        r.speedup()
+    );
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    if args.first().is_some_and(|a| a == "report") {
+        return report(args.get(1).map_or("", String::as_str));
+    }
     let fast = args.iter().any(|a| a == "--fast");
     let measure_alloc = args.iter().any(|a| a == "--alloc");
     let measure_obs = args.iter().any(|a| a == "--obs");
@@ -370,9 +213,6 @@ fn main() {
         fast_ns: time_ns(target_ms, || {
             std::hint::black_box(matmul(&a, &b, m, k, n));
         }),
-        prev_ns: Some(time_ns(target_ms, || {
-            std::hint::black_box(prev::matmul(&a, &b, m, k, n));
-        })),
     });
     // The pre-optimization arithmetic in full: per-MAC `u128 %` division
     // (the baselines above already use the new Barrett scalar multiply,
@@ -397,7 +237,6 @@ fn main() {
         fast_ns: time_ns(target_ms, || {
             std::hint::black_box(matmul(&a, &b, m, k, n));
         }),
-        prev_ns: None,
     });
     let af: Vec<f32> = (0..m * k).map(|i| (i % 9) as f32 * 0.1).collect();
     let bf: Vec<f32> = (0..k * n).map(|i| (i % 5) as f32 * 0.1).collect();
@@ -410,9 +249,6 @@ fn main() {
         fast_ns: time_ns(target_ms, || {
             std::hint::black_box(matmul(&af, &bf, m, k, n));
         }),
-        prev_ns: Some(time_ns(target_ms, || {
-            std::hint::black_box(prev::matmul(&af, &bf, m, k, n));
-        })),
     });
     let at = field_vec(&mut rng, k * m);
     entries.push(Entry {
@@ -424,9 +260,6 @@ fn main() {
         fast_ns: time_ns(target_ms, || {
             std::hint::black_box(matmul_at_b(&at, &b, m, k, n));
         }),
-        prev_ns: Some(time_ns(target_ms, || {
-            std::hint::black_box(prev::matmul_at_b(&at, &b, m, k, n));
-        })),
     });
     let bt = field_vec(&mut rng, n * k);
     entries.push(Entry {
@@ -438,9 +271,6 @@ fn main() {
         fast_ns: time_ns(target_ms, || {
             std::hint::black_box(matmul_a_bt(&a, &bt, m, k, n));
         }),
-        prev_ns: Some(time_ns(target_ms, || {
-            std::hint::black_box(prev::matmul_a_bt(&a, &bt, m, k, n));
-        })),
     });
 
     // --- conv2d forward (the GPU worker's hot job) ----------------------
@@ -463,7 +293,6 @@ fn main() {
         fast_ns: time_ns(target_ms, || {
             std::hint::black_box(conv2d_forward(&xq, &wq, &shape));
         }),
-        prev_ns: None,
     });
 
     // The shapes the `infer_direct` workload actually offloads: the
@@ -485,7 +314,6 @@ fn main() {
         fast_ns: time_ns(target_ms, || {
             std::hint::black_box(conv2d_forward(&x32, &w32, &shape32));
         }),
-        prev_ns: None,
     });
     let x32f = Tensor::<f32>::from_fn(&[1, 16, 32, 32], |i| (i % 23) as f32 * 0.05 - 0.5);
     let w32f = Tensor::<f32>::from_fn(&shape32.weight_shape(), |i| (i % 7) as f32 * 0.1 - 0.3);
@@ -499,7 +327,6 @@ fn main() {
         fast_ns: time_ns(target_ms, || {
             std::hint::black_box(conv2d_forward(&x32f, &w32f, &shape32));
         }),
-        prev_ns: None,
     });
     let a32 = field_vec(&mut rng, cm * ck);
     let b32 = field_vec(&mut rng, ck * cn);
@@ -512,7 +339,6 @@ fn main() {
         fast_ns: time_ns(target_ms, || {
             std::hint::black_box(matmul(&a32, &b32, cm, ck, cn));
         }),
-        prev_ns: None,
     });
 
     // --- encoding: Algorithm-1 masking as coefficient-matrix matmuls ----
@@ -529,11 +355,6 @@ fn main() {
     // runs: a warm workspace, rows recycled after every call (so the
     // per-call zeroing is counted, the allocations are not).
     let mut cws = Workspace::new();
-    // The prev replica needs row-major coefficients and the stacked
-    // rows as one slice-of-rows (A's layout is scheme-private; timing
-    // depends only on shape).
-    let enc_at = field_vec(&mut rng, s_cols * (ek + em));
-    let enc_rows: Vec<Vec<F25>> = inputs.iter().chain(&noise).cloned().collect();
     entries.push(Entry {
         name: format!("encode_k{ek}_m{em}_n{en}/field"),
         macs: (s_cols * (ek + em) * en) as u64,
@@ -548,9 +369,6 @@ fn main() {
             }
             cws.give(enc);
         }),
-        prev_ns: Some(time_ns(target_ms, || {
-            std::hint::black_box(prev::coded_combine(&enc_at, &enc_rows, s_cols, en));
-        })),
     });
     let encodings = scheme.encode(&inputs, &noise);
     let s_sq = ek + em;
@@ -558,10 +376,6 @@ fn main() {
     let dec_inv = field_vec(&mut rng, s_sq * s_sq);
     let dec_y: Vec<F25> = encodings.iter().take(s_sq).flatten().copied().collect();
     let dec_col = field_vec(&mut rng, s_sq);
-    // Prev replica of the committed decode: stack, predict the
-    // redundant row, compare, then the k-row decode matmul.
-    let dec_coeff = field_vec(&mut rng, ek * s_sq);
-    let enc_rows_sq: Vec<Vec<F25>> = encodings.iter().take(s_sq).cloned().collect();
     entries.push(Entry {
         name: format!("decode_forward_k{ek}_m{em}_n{en}/field"),
         macs: ((s_sq * s_sq + s_sq) * en) as u64,
@@ -577,16 +391,6 @@ fn main() {
             }
             cws.give(dec);
         }),
-        prev_ns: Some(time_ns(target_ms, || {
-            let mut flat = vec![F25::ZERO; s_sq * en];
-            for (d, s) in flat.chunks_mut(en).zip(&enc_rows_sq) {
-                d.copy_from_slice(s);
-            }
-            let pred = matmul(&dec_col, &flat, 1, s_sq, en);
-            let mm = pred.iter().zip(&enc_rows_sq[0]).filter(|(p, r)| p != r).count();
-            std::hint::black_box(mm);
-            std::hint::black_box(matmul(&dec_coeff, &flat, ek, s_sq, en));
-        })),
     });
     // The γ-weighted backward aggregate (Eq. 6): one output row over
     // the first K+M equations.
@@ -602,9 +406,6 @@ fn main() {
             std::hint::black_box(&out);
             cws.give(out);
         }),
-        prev_ns: Some(time_ns(target_ms, || {
-            std::hint::black_box(prev::coded_combine(&gam, &enc_rows_sq, 1, en));
-        })),
     });
 
     // --- offload: a dense-layer forward job (dk_serve's hot path) -------
@@ -620,19 +421,19 @@ fn main() {
         fast_ns: time_ns(target_ms, || {
             std::hint::black_box(matmul_a_bt(&x, &w, dn, din, dout));
         }),
-        prev_ns: Some(time_ns(target_ms, || {
-            std::hint::black_box(prev::matmul_a_bt(&x, &w, dn, din, dout));
-        })),
     });
 
-    // --- pipeline: staged engine vs sequential session ------------------
-    // The workers simulate GPUs on this host's CPU, so two flavours are
-    // measured: `compute-only` (pure host compute — overlap can only pay
-    // on a multi-core host) and `modeled-gpu` (workers additionally
-    // occupy wall-clock per the LatencyModel, standing in for real
-    // device execution/transfer time — the §7.1 "shadow of GPU
-    // execution" the TEE stages hide under, measurable even on one
-    // core). Both runs assert bit-identical results as they go.
+    // --- pipeline: default lanes vs one lane, same dispatcher -----------
+    // Both sides run the engine over persistent per-worker threads, so
+    // the fleet's workers are busy at once either way; what differs is
+    // how many virtual batches are in flight. The workers simulate GPUs
+    // on this host's CPU, so two flavours are measured: `compute-only`
+    // (pure host compute — overlap can only pay on a multi-core host)
+    // and `modeled-gpu` (workers additionally occupy wall-clock per the
+    // LatencyModel, standing in for real device execution/transfer time
+    // — the §7.1 "shadow of GPU execution" the TEE stages hide under,
+    // measurable even on one core). Both runs assert bit-identical
+    // results as they go.
     let epochs = if fast { 1 } else { 3 };
     let pcfg = DarknightConfig::new(2, 1).with_seed(0xBE4C);
     let latency = LatencyModel { base_ns: 150_000, ns_per_kmac: 500 };
@@ -644,28 +445,25 @@ fn main() {
             .pipeline_gain();
     let mut pipeline_rows: Vec<PipelineRow> = Vec::new();
     let mut pipeline_ratios: Vec<PairedRatio> = Vec::new();
-    // Each comparison call is one interleaved sequential/pipelined
+    // Each comparison call is one interleaved one-lane/pipelined
     // pair. The row reports the median pair; the gates below judge the
     // median of the per-pair speedups against their quartile spread — a
     // single wall-clock pair on a shared host says nothing either way.
     let pairs = if fast { 5 } else { 7 };
     let mut pipeline_row = |label: &str, fleet: &GpuCluster, train: bool| {
-        let opts = EngineOptions::default();
         let mut runs = Vec::with_capacity(pairs);
         for _ in 0..pairs {
             let (r, diff) = if train {
-                compare_training_modes(pcfg, fleet, &pm, &px, &plabels, epochs, 0.05, opts)
-                    .expect("pipeline training comparison")
+                lanes_training(pcfg, fleet, &pm, &px, &plabels, epochs, 0.05)
             } else {
                 let inputs: Vec<Tensor<f32>> = (0..4 * epochs)
                     .map(|b| {
                         Tensor::from_fn(&[2, 3, 8, 8], move |i| ((i + b) % 9) as f32 * 0.1 - 0.4)
                     })
                     .collect();
-                compare_inference_modes(pcfg, fleet, &pm, &inputs, opts)
-                    .expect("pipeline inference comparison")
+                lanes_inference(pcfg, fleet, &pm, &inputs)
             };
-            assert_eq!(diff, 0.0, "{label}: pipelined execution diverged from sequential");
+            assert_eq!(diff, 0.0, "{label}: lane count changed the result");
             runs.push(r);
         }
         runs.sort_by(|a, b| a.speedup().total_cmp(&b.speedup()));
@@ -683,9 +481,8 @@ fn main() {
         });
     };
     let plain_fleet = GpuCluster::honest(pcfg.workers_required(), 7);
-    let modeled_fleet = GpuCluster::honest(pcfg.workers_required(), 7)
-        .with_parallel_dispatch(true)
-        .with_latency(Some(latency));
+    let modeled_fleet =
+        GpuCluster::honest(pcfg.workers_required(), 7).with_latency(Some(latency));
     pipeline_row("train/mini_vgg compute-only", &plain_fleet, true);
     pipeline_row("train/mini_vgg modeled-gpu", &modeled_fleet, true);
     pipeline_row("infer/mini_vgg modeled-gpu", &modeled_fleet, false);
@@ -962,14 +759,12 @@ fn main() {
         }
         std::process::exit(1);
     }
-    // And the staged engine must not lose to the sequential path under
+    // And the engine's default lanes must not lose to one lane under
     // modeled accelerator latency (where the §7.1 overlap must pay). On
     // a host with real parallelism the pure-compute overlap must pay
-    // too, but the staged run keeps two TEE lanes and three worker
-    // threads busy where the sequential one keeps one: on one or two
-    // hardware threads they only time-slice, and the staging overhead
-    // shows up as a steady 0.77–0.95x "speedup" (0.87–0.95x on two, at
-    // every commit measured), so that gate arms from three up. Both
+    // too, but on one or two hardware threads the second lane only
+    // time-slices with the first and with the worker threads (1.03–1.06x
+    // on two), so that gate arms from three up. Both
     // judge the median pair to within the 10% the kernel-ratio gate
     // below also allows; a miss from pairs whose own quartile spread is
     // wider than that is reported as unresolved instead of failing the
@@ -983,7 +778,7 @@ fn main() {
             continue;
         }
         let detail = format!(
-            "{} pipelined vs sequential: median {:.2}x over {} pairs, quartiles [{:.2}, {:.2}]",
+            "{} default lanes vs one lane: median {:.2}x over {} pairs, quartiles [{:.2}, {:.2}]",
             r.label, q.median, q.pairs, q.q1, q.q3
         );
         match q.verdict(1.0, 0.10) {

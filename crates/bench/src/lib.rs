@@ -1,21 +1,100 @@
-//! Shared harness utilities for the DarKnight benchmark suite.
+//! Shared harness utilities for the `dk_bench` and `dk_soak` binaries.
 //!
 //! The one experiment that cannot come from the analytical model is the
 //! paper's **Figure 4** (training accuracy, raw vs DarKnight): it needs
 //! real training. [`fig4`] runs it on the trainable mini models against
-//! the synthetic dataset (see DESIGN.md substitutions) and reports the
-//! per-epoch accuracy of both modes side by side.
+//! a synthetic dataset standing in for CIFAR-10/ImageNet and reports
+//! the per-epoch accuracy of both modes side by side.
 //!
+//! [`lanes_training`] / [`lanes_inference`] time the §7.1 overlap: the
+//! same engine over the same dispatcher-backed fleet with one virtual
+//! batch in flight, then with [`EngineOptions::default`] lanes.
 //! [`PairedRatio`] is the noise rule `dk_bench`'s pipelining gates
-//! judge by: a median over interleaved pairs, and no verdict at all
-//! on a miss when the pairs disagree by more than the margin policed.
+//! judge those by: a median over interleaved pairs, and no verdict at
+//! all on a miss when the pairs disagree by more than the margin
+//! policed.
 
+use dk_core::engine::{EngineOptions, PipelineEngine, PipelineReport};
 use dk_core::{session::DarknightSession, DarknightConfig};
 use dk_gpu::GpuCluster;
+use dk_linalg::Tensor;
 use dk_nn::data::Dataset;
 use dk_nn::model::Sequential;
 use dk_nn::optim::Sgd;
 use dk_nn::train;
+use std::time::Instant;
+
+/// Runs `run` on an engine with one lane, then with the default lane
+/// count — both dispatcher-backed, so the fleet's `K'` workers are busy
+/// at once either way and the pair differs only in how many virtual
+/// batches are in flight. The one-lane time lands in the report's
+/// `sequential` field.
+fn one_lane_vs_default<T>(
+    cfg: DarknightConfig,
+    fleet: &GpuCluster,
+    batches: usize,
+    mut run: impl FnMut(&mut PipelineEngine) -> T,
+) -> (PipelineReport, [T; 2]) {
+    let mut timed = |opts: EngineOptions| {
+        let mut engine = PipelineEngine::new(cfg, fleet.fork(cfg.seed()), opts)
+            .expect("fleet sized by the configuration");
+        let t0 = Instant::now();
+        let out = run(&mut engine);
+        (t0.elapsed(), out)
+    };
+    let (sequential, one) = timed(EngineOptions::default().with_lanes(1));
+    let (pipelined, many) = timed(EngineOptions::default());
+    (PipelineReport { sequential, pipelined, batches }, [one, many])
+}
+
+/// `epochs` Algorithm 2 large-batch steps at one lane vs the default
+/// lane count: the wall-clock report plus the final max parameter
+/// difference (which must be 0.0: lane count never changes a bit).
+///
+/// # Panics
+///
+/// Panics if private execution fails (the fleets here are honest).
+pub fn lanes_training(
+    cfg: DarknightConfig,
+    fleet: &GpuCluster,
+    model: &Sequential,
+    x: &Tensor<f32>,
+    labels: &[usize],
+    epochs: usize,
+    lr: f32,
+) -> (PipelineReport, f32) {
+    let batches = (x.shape()[0] / cfg.k()) * epochs;
+    let (report, [mut one, mut many]) = one_lane_vs_default(cfg, fleet, batches, |engine| {
+        let mut m = model.clone();
+        let mut sgd = Sgd::new(lr);
+        for _ in 0..epochs {
+            engine.train_large_batch(&mut m, x, labels, &mut sgd, 4096).expect("private training");
+        }
+        m
+    });
+    (report, one.max_param_diff(&many.snapshot_params()))
+}
+
+/// A stream of inference virtual batches at one lane vs the default
+/// lane count: the wall-clock report plus the max absolute output
+/// difference (must be 0.0).
+///
+/// # Panics
+///
+/// Panics if private execution fails (the fleets here are honest).
+pub fn lanes_inference(
+    cfg: DarknightConfig,
+    fleet: &GpuCluster,
+    model: &Sequential,
+    inputs: &[Tensor<f32>],
+) -> (PipelineReport, f32) {
+    let (report, [one, many]) = one_lane_vs_default(cfg, fleet, inputs.len(), |engine| {
+        let outcomes = engine.infer_batches(model, inputs, false).expect("private inference");
+        outcomes.into_iter().map(|o| o.output.expect("honest fleet")).collect::<Vec<_>>()
+    });
+    let diff = one.iter().zip(&many).map(|(a, b)| a.max_abs_diff(b)).fold(0.0, f32::max);
+    (report, diff)
+}
 
 /// What a gate may conclude from a set of paired ratios.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

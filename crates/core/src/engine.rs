@@ -38,7 +38,9 @@
 use crate::config::DarknightConfig;
 use crate::error::DarknightError;
 use crate::session::{push_unique, DarknightSession, SessionStats};
-use crate::virtual_batch::LargeBatchReport;
+use crate::virtual_batch::{
+    aggregate_and_step, slice_virtual_batch, virtual_batch_count, LargeBatchReport, SealedGradient,
+};
 use dk_field::{F25, QuantConfig};
 use dk_gpu::dispatch::DispatchClient;
 use dk_gpu::{GpuCluster, GpuDispatcher, WorkerId};
@@ -46,7 +48,7 @@ use dk_linalg::Tensor;
 use dk_nn::layers::Layer;
 use dk_nn::optim::Sgd;
 use dk_nn::Sequential;
-use dk_tee::crypto::{bytes_to_f32s, f32s_to_bytes, SealedBlob};
+use dk_tee::crypto::SealedBlob;
 use dk_tee::{Enclave, EpcConfig, MemoryStats};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
@@ -131,19 +133,22 @@ impl StepPlan {
     }
 }
 
+/// Bounded inbox depth of each persistent GPU worker thread: room for
+/// every job a few lanes' rounds address to one worker, small enough
+/// that a flooded fleet backpressures the encoders.
+const GPU_QUEUE_DEPTH: usize = 8;
+
 /// Tuning knobs for the pipelined engine.
 #[derive(Debug, Clone, Copy)]
 pub struct EngineOptions {
     /// In-flight virtual batches / TEE stage threads. 1 disables
     /// overlap (still dispatcher-backed).
     pub lanes: usize,
-    /// Bounded inbox depth of each persistent GPU worker thread.
-    pub gpu_queue_depth: usize,
 }
 
 impl Default for EngineOptions {
     fn default() -> Self {
-        Self { lanes: 2, gpu_queue_depth: 8 }
+        Self { lanes: 2 }
     }
 }
 
@@ -156,17 +161,6 @@ impl EngineOptions {
     pub fn with_lanes(mut self, lanes: usize) -> Self {
         assert!(lanes > 0, "the engine needs at least one lane");
         self.lanes = lanes;
-        self
-    }
-
-    /// Sets the per-worker queue depth.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `gpu_queue_depth == 0`.
-    pub fn with_gpu_queue_depth(mut self, depth: usize) -> Self {
-        assert!(depth > 0, "worker queues need capacity");
-        self.gpu_queue_depth = depth;
         self
     }
 }
@@ -311,7 +305,7 @@ impl PipelineEngine {
             cfg,
             epc,
             opts,
-            dispatcher: Arc::new(cluster.into_dispatcher(opts.gpu_queue_depth)),
+            dispatcher: Arc::new(cluster.into_dispatcher(GPU_QUEUE_DEPTH)),
             tee: Enclave::new(epc, b"darknight-enclave-v1"),
             next_batch: 0,
             stats: SessionStats::default(),
@@ -620,23 +614,13 @@ impl PipelineEngine {
         shard_elems: usize,
     ) -> Result<LargeBatchReport, DarknightError> {
         assert!(shard_elems > 0, "shard size must be positive");
-        let n = x.shape()[0];
-        assert_eq!(labels.len(), n, "one label per sample");
         let k = self.cfg.k();
-        if !n.is_multiple_of(k) || n == 0 {
-            return Err(DarknightError::BatchShape { expected: k, actual: n });
-        }
-        let v_count = n / k;
+        let v_count = virtual_batch_count(x, labels, k)?;
         let plan = Arc::new(StepPlan::extract(model, self.cfg.quant())?);
         let base = self.next_batch;
-        let sample_elems: usize = x.shape()[1..].iter().product();
-        let mut vb_shape = x.shape().to_vec();
-        vb_shape[0] = k;
 
         struct VbResult {
-            loss: f32,
-            accuracy: f32,
-            blobs: Vec<SealedBlob>,
+            grad: SealedGradient,
             bn: Vec<(Vec<f32>, Vec<f32>)>,
             quarantined: Vec<WorkerId>,
         }
@@ -659,21 +643,13 @@ impl PipelineEngine {
                 let next = &next;
                 let abort = &abort;
                 let agg = &agg;
-                let x = &x;
-                let vb_shape = &vb_shape;
                 scope.spawn(move || {
                     loop {
                         let v = next.fetch_add(1, Ordering::Relaxed) as usize;
                         if v >= v_count || abort.load(Ordering::Relaxed) {
                             break;
                         }
-                        let mut vb = Tensor::zeros(vb_shape);
-                        for i in 0..k {
-                            vb.batch_item_mut(i).copy_from_slice(
-                                &x.as_slice()
-                                    [(v * k + i) * sample_elems..(v * k + i + 1) * sample_elems],
-                            );
-                        }
+                        let vb = slice_virtual_batch(x, v, k);
                         let vb_labels = &labels[v * k..(v + 1) * k];
                         lane_model.zero_grad();
                         session.begin_numbered_batch(base + v as u64 + 1);
@@ -681,23 +657,16 @@ impl PipelineEngine {
                         let outcome =
                             session.accumulate_gradients(&mut lane_model, &vb, vb_labels);
                         let entry = match outcome {
-                            Ok(report) => {
-                                // Extract, shard, seal (Algorithm 2
-                                // lines 8–10); the blobs are the sealed
-                                // shards living in untrusted memory.
-                                let flat = lane_model.grad_vector();
-                                let blobs: Vec<SealedBlob> = flat
-                                    .chunks(shard_elems)
-                                    .map(|c| session.enclave_mut().seal(&f32s_to_bytes(c)))
-                                    .collect();
-                                Ok(VbResult {
-                                    loss: report.loss,
-                                    accuracy: report.accuracy,
-                                    blobs,
-                                    bn: collect_bn_stats(&mut lane_model),
-                                    quarantined: session.quarantined()[q0..].to_vec(),
-                                })
-                            }
+                            Ok(report) => Ok(VbResult {
+                                grad: SealedGradient::seal(
+                                    report,
+                                    &mut lane_model,
+                                    session.enclave_mut(),
+                                    shard_elems,
+                                ),
+                                bn: collect_bn_stats(&mut lane_model),
+                                quarantined: session.quarantined()[q0..].to_vec(),
+                            }),
                             Err(e) => {
                                 abort.store(true, Ordering::Relaxed);
                                 Err(e)
@@ -728,49 +697,15 @@ impl PipelineEngine {
         }
         self.quarantine_in_order(per.iter().map(|v| v.quarantined.clone()));
 
-        let mut report = LargeBatchReport { virtual_batches: v_count, ..Default::default() };
-        for v in &per {
-            report.losses.push(v.loss);
-            report.accuracies.push(v.accuracy);
-            report.seal_ops += v.blobs.len() as u64;
-            report.bytes_evicted += v.blobs.iter().map(|b| b.len() as u64).sum::<u64>();
-        }
-
-        // UpdateAggregation (Algorithm 2 lines 14–21), shard-wise and in
-        // batch order — the identical float-sum order to sequential.
-        let total: usize = model.grad_vector().len();
-        let shard_count = total.div_ceil(shard_elems);
-        let mut aggregate = vec![0.0f32; total];
-        for s in 0..shard_count {
-            let lo = s * shard_elems;
-            let mut acc: Vec<f32> = Vec::new();
-            for vb in &per {
-                report.bytes_reloaded += vb.blobs[s].len() as u64;
-                let bytes = self.tee.unseal(&vb.blobs[s])?;
-                report.unseal_ops += 1;
-                let shard = bytes_to_f32s(&bytes);
-                if acc.is_empty() {
-                    acc = shard;
-                } else {
-                    for (a, b) in acc.iter_mut().zip(shard) {
-                        *a += b;
-                    }
-                }
-            }
-            aggregate[lo..lo + acc.len()].copy_from_slice(&acc);
-        }
-        let inv_v = 1.0 / v_count as f32;
-        for g in aggregate.iter_mut() {
-            *g *= inv_v;
-        }
-        model.set_grad_vector(&aggregate);
         // BatchNorm running statistics are order-sensitive: replay each
         // batch's captured stats onto the real model in batch order.
         for vb in &per {
             replay_bn_stats(model, &vb.bn);
         }
-        sgd.step(model);
-        Ok(report)
+        // The lanes' shards unseal in the aggregation enclave and sum in
+        // batch order — the identical float-sum order to sequential.
+        let grads: Vec<SealedGradient> = per.into_iter().map(|vb| vb.grad).collect();
+        aggregate_and_step(&mut self.tee, &grads, model, sgd)
     }
 }
 

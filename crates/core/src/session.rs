@@ -27,10 +27,9 @@
 //! pass — a round, [`GpuExec::execute_round_into`]: the TEE builds every
 //! job the pass needs, sends them together and waits once, so no job of
 //! a layer queues behind the reply to another. Forward, the round is the
-//! `K+M(+1)` encoded jobs (no addressed part:
-//! [`GpuExec::execute_sparse_into`]). Backward, everything depends only
-//! on the quantized `δ` and the retained `LinearCtx`, and the round
-//! holds:
+//! `K+M(+1)` encoded jobs and has no addressed part. Backward,
+//! everything depends only on the quantized `δ` and the retained
+//! `LinearCtx`, and the round holds:
 //!
 //! * the `K+M` `*Stored` weight-gradient jobs, one per worker holding a
 //!   forward encoding (§6);
@@ -879,36 +878,32 @@ impl<X: GpuExec> DarknightSession<X> {
         self.stats.linear_jobs += sent as u64;
         let mut results: Vec<dk_gpu::WorkerResult> = self.ws.take_cleared(jobs.len());
         let mut outputs: Vec<Tensor<F25>> = self.ws.take_cleared(jobs.len());
-        let executed = self
-            .cluster
-            .execute_sparse_into(layer_id, &jobs, &self.convicted, &mut results)
-            .map_err(|fault| DarknightError::GpuFault { layer_id, phase: "forward", fault })
-            .and_then(|()| {
-                self.absorb_worker_faults(layer_id, "forward", &jobs, &mut results, &mut outputs)
-            });
-        self.ws.give(results);
-        drop(sp);
-        if let Err(e) = executed {
-            let _ = self.enclave.release(work_bytes);
-            self.recycle_jobs(jobs);
-            self.recycle_results(&mut outputs);
-            self.ws.give(outputs);
-            self.give_rows(inputs_q);
-            if let Some(rows) = noise.take() {
-                self.give_rows(rows);
+        let decoded = (|| {
+            self.cluster
+                .execute_round_into(layer_id, &jobs, &self.convicted, &[], &mut results)
+                .map_err(|fault| DarknightError::GpuFault { layer_id, phase: "forward", fault })?;
+            self.fold_faults(layer_id, "forward", results.drain(..), &mut outputs, |s, j| {
+                jobs[j].execute_ws(&mut s.ws)
+            })?;
+            drop(sp);
+            let out_rest: usize = outputs[0].shape().iter().product();
+            self.stats.bytes_from_gpus += (sent * out_rest * 8) as u64;
+            if self.scheme.has_integrity() {
+                self.stats.integrity_checks += 1;
             }
-            self.ws.give(norms);
-            return Err(e);
-        }
-        let out_shape = self.ws.take_shape(outputs[0].shape());
-        let out_rest: usize = out_shape.iter().product();
-        self.stats.bytes_from_gpus += (sent * out_rest * 8) as u64;
-        if self.scheme.has_integrity() {
-            self.stats.integrity_checks += 1;
-        }
-        let sp = dk_obs::span(dk_obs::Stage::Decode, batch, ordinal);
-        let decoded = match self.decode_forward_repairing(&jobs, &mut outputs, layer_id) {
-            Ok(d) => d,
+            let _sp = dk_obs::span(dk_obs::Stage::Decode, batch, ordinal);
+            let decoded = self.decode_forward_repairing(&jobs, &mut outputs, layer_id)?;
+            Ok((decoded, self.ws.take_shape(outputs[0].shape()), out_rest))
+        })();
+        // Close the round-trip, on the error paths too: worker outputs
+        // return to the worker pools that produced them, TEE-filled
+        // slots and the job encodings to the session's.
+        self.ws.give(results);
+        self.recycle_results(&mut outputs);
+        self.ws.give(outputs);
+        self.recycle_jobs(jobs);
+        let (decoded, out_shape, out_rest) = match decoded {
+            Ok(done) => done,
             Err(e) => {
                 // Don't leak the charged working set on an aborted
                 // batch: serving reuses one session across unboundedly
@@ -916,10 +911,6 @@ impl<X: GpuExec> DarknightSession<X> {
                 // `current_bytes` monotonically under attack and turn
                 // every later honest batch into pure paging traffic.
                 let _ = self.enclave.release(work_bytes);
-                self.recycle_jobs(jobs);
-                self.recycle_results(&mut outputs);
-                self.ws.give(outputs);
-                self.ws.give_shape(out_shape);
                 self.give_rows(inputs_q);
                 if let Some(rows) = noise.take() {
                     self.give_rows(rows);
@@ -928,13 +919,6 @@ impl<X: GpuExec> DarknightSession<X> {
                 return Err(e);
             }
         };
-        drop(sp);
-        // Close the round-trip: worker outputs return to the worker
-        // pools that produced them, TEE-filled slots and the job
-        // encodings to the session's.
-        self.recycle_results(&mut outputs);
-        self.ws.give(outputs);
-        self.recycle_jobs(jobs);
         self.stats.decoded_elems += (decoded.len() * out_rest) as u64;
         let mut scales: Vec<f32> = self.ws.take_cleared(k);
         scales.extend(norms.iter().map(|&n| norm_w * n));
@@ -970,33 +954,36 @@ impl<X: GpuExec> DarknightSession<X> {
         Ok((decoded, scales, out_shape, ctx))
     }
 
-    /// Folds per-worker faults (loss, timeout, remote refusal, a slot
-    /// withheld from a convicted worker) out of an execution round. With
-    /// recovery enabled the TEE fills the slot itself by running the
-    /// *explicit* job it already holds, so the decode downstream sees a
-    /// complete, honest result set — and its redundant equation still
-    /// checks all of it. A lost or late worker is quarantined on the
-    /// way. Without recovery the fault is surfaced as a fail-closed
-    /// [`DarknightError::GpuFault`]. A layer with any filled slot counts
-    /// as one recovery.
-    fn absorb_worker_faults(
+    /// The one fault fold both offload halves share: drains the
+    /// positional replies of a round into `outputs`, folding per-worker
+    /// faults (loss, timeout, remote refusal, a slot withheld from a
+    /// convicted worker) out on the way. With recovery enabled the TEE
+    /// fills slot `j` itself with `tee_slot(self, j)` — the *explicit*
+    /// form of the job, which it holds or can regenerate — so the decode
+    /// downstream sees a complete, honest result set, and its redundant
+    /// equation still checks all of it. A lost or late worker is
+    /// quarantined on the way. Without recovery the fault is surfaced as
+    /// a fail-closed [`DarknightError::GpuFault`]. A layer with any
+    /// filled slot counts as one recovery.
+    fn fold_faults(
         &mut self,
         layer_id: u64,
         phase: &'static str,
-        jobs: &[LinearJob],
-        results: &mut Vec<dk_gpu::WorkerResult>,
+        replies: impl Iterator<Item = dk_gpu::WorkerResult>,
         outputs: &mut Vec<Tensor<F25>>,
+        mut tee_slot: impl FnMut(&mut Self, usize) -> Tensor<F25>,
     ) -> Result<(), DarknightError> {
         self.tee_filled.clear();
-        for (j, r) in results.drain(..).enumerate() {
+        for (j, r) in replies.enumerate() {
             match r {
                 Ok(t) => outputs.push(t),
+                Err(fault) if !self.cfg.recovery() => {
+                    return Err(DarknightError::GpuFault { layer_id, phase, fault });
+                }
                 Err(fault) => {
-                    if !self.cfg.recovery() {
-                        return Err(DarknightError::GpuFault { layer_id, phase, fault });
-                    }
                     self.book_fault(j, &fault);
-                    outputs.push(jobs[j].execute_ws(&mut self.ws));
+                    let filled = tee_slot(self, j);
+                    outputs.push(filled);
                     self.tee_filled.push(j);
                 }
             }
@@ -1408,26 +1395,15 @@ impl<X: GpuExec> DarknightSession<X> {
         let settled = (|| {
             dispatched.map_err(fail)?;
             let mut replies = results.drain(..);
-            let mut reply = || replies.next().expect("one reply per slot of the round");
             // Fold out withheld, lost and refusing workers: the TEE
             // computes their `Eq_j` explicitly.
-            self.tee_filled.clear();
-            for j in 0..s_sq {
-                match reply() {
-                    Ok(eq) => eqs.push(eq),
-                    Err(fault) if !recovery => return Err(fail(fault)),
-                    Err(fault) => {
-                        self.book_fault(j, &fault);
-                        let job = self.explicit_wgrad(j, &delta_q, enc_shape, ctx, &explicit_wgrad_job);
-                        eqs.push(job.execute_ws(&mut self.ws));
-                        self.ws.give_tensor(job.into_input().expect("an explicit job owns its x̄"));
-                        self.tee_filled.push(j);
-                    }
-                }
-            }
-            if !self.tee_filled.is_empty() {
-                self.stats.recoveries += 1;
-            }
+            self.fold_faults(layer_id, "backward", replies.by_ref().take(s_sq), &mut eqs, |s, j| {
+                let job = s.explicit_wgrad(j, &delta_q, enc_shape, ctx, &explicit_wgrad_job);
+                let eq = job.execute_ws(&mut s.ws);
+                s.ws.give_tensor(job.into_input().expect("an explicit job owns its x̄"));
+                eq
+            })?;
+            let mut reply = || replies.next().expect("one reply per slot of the round");
             self.stats.bytes_from_gpus += (sent * eqs[0].len() * 8) as u64;
             drop(sp);
             let sp = dk_obs::span(dk_obs::Stage::Verify, batch, ordinal);

@@ -23,7 +23,7 @@ use dk_linalg::Tensor;
 use dk_nn::optim::Sgd;
 use dk_nn::Sequential;
 use dk_tee::crypto::{bytes_to_f32s, f32s_to_bytes, SealedBlob};
-use dk_tee::UntrustedStore;
+use dk_tee::{Enclave, UntrustedStore};
 
 /// Telemetry from one large-batch training step.
 #[derive(Debug, Clone, Default)]
@@ -55,6 +55,111 @@ impl LargeBatchReport {
     }
 }
 
+/// Number of virtual batches in a large batch `x` of `[N, ...]`.
+///
+/// # Errors
+///
+/// [`DarknightError::BatchShape`] if `N` is not a positive multiple of
+/// `K`.
+///
+/// # Panics
+///
+/// Panics if `labels.len() != N`.
+pub(crate) fn virtual_batch_count(
+    x: &Tensor<f32>,
+    labels: &[usize],
+    k: usize,
+) -> Result<usize, DarknightError> {
+    let n = x.shape()[0];
+    assert_eq!(labels.len(), n, "one label per sample");
+    if !n.is_multiple_of(k) || n == 0 {
+        return Err(DarknightError::BatchShape { expected: k, actual: n });
+    }
+    Ok(n / k)
+}
+
+/// Slices virtual batch `v` (`K` consecutive samples) out of `x`.
+pub(crate) fn slice_virtual_batch(x: &Tensor<f32>, v: usize, k: usize) -> Tensor<f32> {
+    let sample_elems: usize = x.shape()[1..].iter().product();
+    let mut shape = x.shape().to_vec();
+    shape[0] = k;
+    Tensor::from_vec(&shape, x.as_slice()[v * k * sample_elems..(v + 1) * k * sample_elems].to_vec())
+}
+
+/// One virtual batch's `∇W_v` as it leaves the enclave: sharded and
+/// sealed (Algorithm 2 lines 8–10), the blobs living in untrusted memory.
+pub(crate) struct SealedGradient {
+    report: StepReport,
+    blobs: Vec<SealedBlob>,
+}
+
+impl SealedGradient {
+    /// Extracts the gradient `model` holds after virtual batch `v`'s
+    /// backward pass, shards it and seals each shard with `enclave`.
+    pub(crate) fn seal(
+        report: StepReport,
+        model: &mut Sequential,
+        enclave: &mut Enclave,
+        shard_elems: usize,
+    ) -> Self {
+        let blobs = model
+            .grad_vector()
+            .chunks(shard_elems)
+            .map(|shard| enclave.seal(&f32s_to_bytes(shard)))
+            .collect();
+        Self { report, blobs }
+    }
+}
+
+/// `UpdateAggregation` and the step (Algorithm 2 lines 12–21), the tail
+/// both trainers share: reloads the sealed gradients shard by shard — so
+/// `tee` only ever holds one shard of the aggregate — unseals and sums
+/// them **in batch order**, takes the mean over virtual batches,
+/// installs it as the model's gradient and applies one SGD update
+/// (`W ← W − η·∇W`).
+///
+/// # Errors
+///
+/// The enclave's authentication failure if a blob was tampered with.
+pub(crate) fn aggregate_and_step(
+    tee: &mut Enclave,
+    grads: &[SealedGradient],
+    model: &mut Sequential,
+    sgd: &mut Sgd,
+) -> Result<LargeBatchReport, DarknightError> {
+    let mut report = LargeBatchReport { virtual_batches: grads.len(), ..Default::default() };
+    for g in grads {
+        report.losses.push(g.report.loss);
+        report.accuracies.push(g.report.accuracy);
+        report.seal_ops += g.blobs.len() as u64;
+        report.bytes_evicted += g.blobs.iter().map(|b| b.len() as u64).sum::<u64>();
+    }
+    let mut aggregate: Vec<f32> = Vec::with_capacity(model.num_params());
+    for s in 0..grads[0].blobs.len() {
+        let mut acc: Vec<f32> = Vec::new();
+        for g in grads {
+            report.bytes_reloaded += g.blobs[s].len() as u64;
+            let shard = bytes_to_f32s(&tee.unseal(&g.blobs[s])?);
+            report.unseal_ops += 1;
+            if acc.is_empty() {
+                acc = shard;
+            } else {
+                for (a, b) in acc.iter_mut().zip(shard) {
+                    *a += b;
+                }
+            }
+        }
+        aggregate.append(&mut acc);
+    }
+    let inv_v = 1.0 / grads.len() as f32;
+    for g in aggregate.iter_mut() {
+        *g *= inv_v;
+    }
+    model.set_grad_vector(&aggregate);
+    sgd.step(model);
+    Ok(report)
+}
+
 /// How the trainer executes its virtual batches.
 #[derive(Debug)]
 enum Backend {
@@ -72,7 +177,6 @@ enum Backend {
 #[derive(Debug)]
 pub struct LargeBatchTrainer {
     backend: Backend,
-    store: UntrustedStore,
     shard_elems: usize,
     steps: u64,
     checkpoint_every: Option<u64>,
@@ -111,7 +215,6 @@ impl LargeBatchTrainer {
         assert!(shard_elems > 0, "shard size must be positive");
         Self {
             backend,
-            store: UntrustedStore::new(),
             shard_elems,
             steps: 0,
             checkpoint_every: None,
@@ -240,18 +343,6 @@ impl LargeBatchTrainer {
         }
     }
 
-    /// Mutable access to the wrapped session (sequential mode).
-    ///
-    /// # Panics
-    ///
-    /// Panics in pipelined mode — use [`LargeBatchTrainer::engine_mut`].
-    pub fn session_mut(&mut self) -> &mut DarknightSession {
-        match &mut self.backend {
-            Backend::Sequential(s) => s,
-            Backend::Pipelined(_) => panic!("pipelined trainer has no single session"),
-        }
-    }
-
     /// The wrapped engine, if this trainer is pipelined.
     pub fn engine(&self) -> Option<&PipelineEngine> {
         match &self.backend {
@@ -265,18 +356,6 @@ impl LargeBatchTrainer {
         match &mut self.backend {
             Backend::Pipelined(e) => Some(e),
             Backend::Sequential(_) => None,
-        }
-    }
-
-    /// Consumes the trainer, returning the session (sequential mode).
-    ///
-    /// # Panics
-    ///
-    /// Panics in pipelined mode.
-    pub fn into_session(self) -> DarknightSession {
-        match self.backend {
-            Backend::Sequential(s) => *s,
-            Backend::Pipelined(_) => panic!("pipelined trainer has no single session"),
         }
     }
 
@@ -304,7 +383,9 @@ impl LargeBatchTrainer {
             Backend::Pipelined(engine) => {
                 engine.train_large_batch(model, x, labels, sgd, shard_elems)
             }
-            Backend::Sequential(_) => self.train_sequential(model, x, labels, sgd),
+            Backend::Sequential(session) => {
+                train_sequential(session, model, x, labels, sgd, shard_elems)
+            }
         }?;
         self.steps += 1;
         if self.checkpoint_every.is_some_and(|every| self.steps.is_multiple_of(every)) {
@@ -312,99 +393,29 @@ impl LargeBatchTrainer {
         }
         Ok(report)
     }
+}
 
-    /// The blocking reference implementation of Algorithm 2.
-    fn train_sequential(
-        &mut self,
-        model: &mut Sequential,
-        x: &Tensor<f32>,
-        labels: &[usize],
-        sgd: &mut Sgd,
-    ) -> Result<LargeBatchReport, DarknightError> {
-        let shard_elems = self.shard_elems;
-        let store = &mut self.store;
-        let Backend::Sequential(session) = &mut self.backend else {
-            unreachable!("train_sequential called on a pipelined trainer")
-        };
-        let n = x.shape()[0];
-        assert_eq!(labels.len(), n, "one label per sample");
-        let k = session.config().k();
-        if !n.is_multiple_of(k) || n == 0 {
-            return Err(DarknightError::BatchShape { expected: k, actual: n });
-        }
-        let v_count = n / k;
-        let mut report = LargeBatchReport { virtual_batches: v_count, ..Default::default() };
-        let sample_elems: usize = x.shape()[1..].iter().product();
-        let mut vb_shape = x.shape().to_vec();
-        vb_shape[0] = k;
-
-        let mut shard_count = 0usize;
-        for v in 0..v_count {
-            // Slice out virtual batch v.
-            let mut vb = Tensor::zeros(&vb_shape);
-            for i in 0..k {
-                vb.batch_item_mut(i)
-                    .copy_from_slice(&x.as_slice()[(v * k + i) * sample_elems..(v * k + i + 1) * sample_elems]);
-            }
-            let vb_labels = &labels[v * k..(v + 1) * k];
-            // Compute ∇W_v (gradients land in the model's grad buffers).
-            model.zero_grad();
-            let StepReport { loss, accuracy } =
-                session.accumulate_gradients(model, &vb, vb_labels)?;
-            report.losses.push(loss);
-            report.accuracies.push(accuracy);
-            // Extract, shard, seal, evict (Algorithm 2 lines 8–10).
-            let flat = model.grad_vector();
-            shard_count = flat.len().div_ceil(shard_elems);
-            for s in 0..shard_count {
-                let lo = s * shard_elems;
-                let hi = (lo + shard_elems).min(flat.len());
-                let blob = session.enclave_mut().seal(&f32s_to_bytes(&flat[lo..hi]));
-                report.seal_ops += 1;
-                report.bytes_evicted += blob.len() as u64;
-                store.put(Self::blob_id(v, s), blob);
-            }
-        }
-
-        // UpdateAggregation (Algorithm 2 lines 14–21), shard-wise so the
-        // enclave only ever holds one shard of the aggregate.
-        let total = model.grad_vector().len();
-        let mut aggregate = vec![0.0f32; total];
-        for s in 0..shard_count {
-            let lo = s * shard_elems;
-            let mut acc: Vec<f32> = Vec::new();
-            for v in 0..v_count {
-                let blob = store
-                    .remove(Self::blob_id(v, s))
-                    .expect("sealed shard disappeared from untrusted store");
-                report.bytes_reloaded += blob.len() as u64;
-                let bytes = session.enclave_mut().unseal(&blob)?;
-                report.unseal_ops += 1;
-                let shard = bytes_to_f32s(&bytes);
-                if acc.is_empty() {
-                    acc = shard;
-                } else {
-                    for (a, b) in acc.iter_mut().zip(shard) {
-                        *a += b;
-                    }
-                }
-            }
-            aggregate[lo..lo + acc.len()].copy_from_slice(&acc);
-        }
-        // Mean over virtual batches, install as the model's gradient and
-        // step (line 12: W ← W − η·∇W).
-        let inv_v = 1.0 / v_count as f32;
-        for g in aggregate.iter_mut() {
-            *g *= inv_v;
-        }
-        model.set_grad_vector(&aggregate);
-        sgd.step(model);
-        Ok(report)
+/// The blocking reference implementation of Algorithm 2: one virtual
+/// batch at a time on one session, gradients landing in `model`'s own
+/// buffers.
+fn train_sequential(
+    session: &mut DarknightSession,
+    model: &mut Sequential,
+    x: &Tensor<f32>,
+    labels: &[usize],
+    sgd: &mut Sgd,
+    shard_elems: usize,
+) -> Result<LargeBatchReport, DarknightError> {
+    let k = session.config().k();
+    let v_count = virtual_batch_count(x, labels, k)?;
+    let mut grads = Vec::with_capacity(v_count);
+    for v in 0..v_count {
+        let vb = slice_virtual_batch(x, v, k);
+        model.zero_grad();
+        let report = session.accumulate_gradients(model, &vb, &labels[v * k..(v + 1) * k])?;
+        grads.push(SealedGradient::seal(report, model, session.enclave_mut(), shard_elems));
     }
-
-    fn blob_id(v: usize, s: usize) -> u64 {
-        ((v as u64) << 32) | s as u64
-    }
+    aggregate_and_step(session.enclave_mut(), &grads, model, sgd)
 }
 
 #[cfg(test)]

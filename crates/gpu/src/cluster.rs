@@ -1,7 +1,7 @@
 //! A cluster of `K'` workers and the dispatch logic.
 
 use crate::behavior::Behavior;
-use crate::job::{JobOutput, LinearJob};
+use crate::job::LinearJob;
 use crate::worker::{GpuWorker, WorkerId};
 
 /// A fleet of simulated accelerators.
@@ -13,7 +13,6 @@ use crate::worker::{GpuWorker, WorkerId};
 #[derive(Debug, Clone)]
 pub struct GpuCluster {
     workers: Vec<GpuWorker>,
-    parallel: bool,
 }
 
 impl GpuCluster {
@@ -29,20 +28,13 @@ impl GpuCluster {
             .enumerate()
             .map(|(i, &b)| GpuWorker::new(WorkerId(i), b, seed))
             .collect();
-        Self { workers, parallel: false }
+        Self { workers }
     }
 
     /// Reassembles a cluster from workers previously moved into a
     /// dispatcher (state intact).
-    pub(crate) fn from_workers(workers: Vec<GpuWorker>, parallel: bool) -> Self {
-        Self { workers, parallel }
-    }
-
-    /// Enables multi-threaded dispatch (one OS thread per worker, as the
-    /// real deployment drives GPUs concurrently).
-    pub fn with_parallel_dispatch(mut self, parallel: bool) -> Self {
-        self.parallel = parallel;
-        self
+    pub(crate) fn from_workers(workers: Vec<GpuWorker>) -> Self {
+        Self { workers }
     }
 
     /// Attaches a modeled accelerator latency profile to every worker
@@ -58,15 +50,16 @@ impl GpuCluster {
 
     /// Moves the fleet into a [`crate::GpuDispatcher`]: one persistent
     /// OS thread per worker behind a `queue_depth`-bounded inbox. This
-    /// is the primary execution interface for pipelined workloads;
-    /// [`crate::GpuDispatcher::join`] returns the fleet with all
-    /// accumulated state.
+    /// is how the `K'` workers run concurrently (as the real deployment
+    /// drives its GPUs) — the cluster's own [`crate::GpuExec`] impl runs
+    /// them one after another. [`crate::GpuDispatcher::join`] returns
+    /// the fleet with all accumulated state.
     ///
     /// # Panics
     ///
     /// Panics if `queue_depth == 0`.
     pub fn into_dispatcher(self, queue_depth: usize) -> crate::GpuDispatcher {
-        crate::GpuDispatcher::spawn(self.workers, queue_depth, self.parallel)
+        crate::GpuDispatcher::spawn(self.workers, queue_depth)
     }
 
     /// Creates a fresh cluster over the *same fleet* — identical worker
@@ -79,7 +72,7 @@ impl GpuCluster {
     /// accumulated state should travel too.
     pub fn fork(&self, seed: u64) -> Self {
         let behaviors: Vec<Behavior> = self.workers.iter().map(|w| w.behavior()).collect();
-        let mut fork = Self::with_behaviors(&behaviors, seed).with_parallel_dispatch(self.parallel);
+        let mut fork = Self::with_behaviors(&behaviors, seed);
         for (w, old) in fork.workers.iter_mut().zip(&self.workers) {
             w.set_latency(old.latency());
         }
@@ -119,47 +112,6 @@ impl GpuCluster {
         &self.workers
     }
 
-    /// Stores per-worker forward encodings (worker `i` receives
-    /// `encodings[i]`) under the given layer id.
-    ///
-    /// # Panics
-    ///
-    /// Panics if more encodings than workers are supplied.
-    pub fn store_encodings(&mut self, layer_id: u64, encodings: Vec<dk_linalg::Tensor<dk_field::F25>>) {
-        crate::GpuExec::store_encodings_sparse(self, layer_id, encodings, &[]);
-    }
-
-    /// Executes `jobs[i]` on worker `i`, returning outputs in worker
-    /// order. With parallel dispatch enabled the jobs run on OS threads.
-    ///
-    /// # Panics
-    ///
-    /// Panics if more jobs than workers are supplied.
-    pub fn execute(&mut self, jobs: &[LinearJob]) -> Vec<JobOutput> {
-        assert!(jobs.len() <= self.workers.len(), "more jobs ({}) than workers ({})", jobs.len(), self.workers.len());
-        if self.parallel {
-            let workers = &mut self.workers[..jobs.len()];
-            std::thread::scope(|scope| {
-                let mut handles = Vec::with_capacity(jobs.len());
-                for (w, job) in workers.iter_mut().zip(jobs) {
-                    handles.push(scope.spawn(move || w.execute(job)));
-                }
-                handles.into_iter().map(|h| h.join().expect("worker thread panicked")).collect()
-            })
-        } else {
-            self.workers.iter_mut().zip(jobs).map(|(w, j)| w.execute(j)).collect()
-        }
-    }
-
-    /// Executes the same job on a single worker by id.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the id is out of range.
-    pub fn execute_on(&mut self, id: WorkerId, job: &LinearJob) -> JobOutput {
-        self.workers[id.0].execute(job)
-    }
-
     /// Clears all stored encodings (virtual batch boundary).
     pub fn clear_encodings(&mut self) {
         for w in &mut self.workers {
@@ -174,8 +126,8 @@ impl GpuCluster {
 }
 
 /// The blocking reference backend: one virtual batch in flight, jobs run
-/// to completion inside the call. A [`Behavior::Crash`] worker whose
-/// honest-job budget is spent is reported as
+/// inline and to completion inside the call. A [`Behavior::Crash`] worker
+/// whose honest-job budget is spent is reported as
 /// [`GpuError::WorkerLost`](crate::GpuError::WorkerLost) — the blocking
 /// backend's rendition of a dead accelerator.
 impl crate::GpuExec for GpuCluster {
@@ -189,7 +141,7 @@ impl crate::GpuExec for GpuCluster {
         jobs: &[LinearJob],
     ) -> Result<Vec<crate::WorkerResult>, crate::GpuError> {
         let mut out = Vec::with_capacity(jobs.len());
-        self.execute_sparse_into(tag, jobs, &[], &mut out)?;
+        self.execute_round_into(tag, jobs, &[], &[], &mut out)?;
         Ok(out)
     }
 
@@ -199,22 +151,10 @@ impl crate::GpuExec for GpuCluster {
         jobs: &[LinearJob],
         out: &mut Vec<crate::WorkerResult>,
     ) -> Result<(), crate::GpuError> {
-        self.execute_sparse_into(tag, jobs, &[], out)
+        self.execute_round_into(tag, jobs, &[], &[], out)
     }
 
-    fn execute_sparse_into(
-        &mut self,
-        tag: u64,
-        jobs: &[LinearJob],
-        withheld: &[WorkerId],
-        out: &mut Vec<crate::WorkerResult>,
-    ) -> Result<(), crate::GpuError> {
-        self.execute_round_into(tag, jobs, withheld, &[], out)
-    }
-
-    /// The one native dispatch. Serially, slots run in round order;
-    /// with parallel dispatch each worker runs its own slots, in round
-    /// order, on one scoped thread.
+    /// The one native dispatch: slots run serially, in round order.
     fn execute_round_into(
         &mut self,
         _tag: u64,
@@ -229,55 +169,12 @@ impl crate::GpuExec for GpuCluster {
                 workers: self.workers.len(),
             });
         }
-        let run = |w: &mut GpuWorker, job: &LinearJob| -> crate::WorkerResult {
-            if w.crash_pending() {
-                Err(crate::GpuError::lost(w.id(), "worker crashed (simulated fail-stop)"))
-            } else {
-                w.try_execute(job)
-            }
-        };
-        let slot = |s| crate::exec::round_slot(jobs, withheld, extra, s);
-        let slots = jobs.len() + extra.len();
-        if !self.parallel {
-            out.extend((0..slots).map(|s| match slot(s) {
-                (w, Some(job)) => run(&mut self.workers[w.0], job),
+        for s in 0..jobs.len() + extra.len() {
+            out.push(match crate::exec::round_slot(jobs, withheld, extra, s) {
+                (w, Some(job)) => self.execute_on(w, job),
                 (worker, None) => Err(crate::GpuError::Withheld { worker }),
-            }));
-            return Ok(());
+            });
         }
-        let first = out.len();
-        out.extend((0..slots).map(|s| Err(crate::GpuError::Withheld { worker: slot(s).0 })));
-        // The slots worker `id` is offered, in round order.
-        let offered = |id: WorkerId| {
-            (0..slots).filter_map(move |s| match slot(s) {
-                (w, Some(job)) if w == id => Some((s, job)),
-                _ => None,
-            })
-        };
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = self
-                .workers
-                .iter_mut()
-                .map(|w| {
-                    let id = w.id();
-                    offered(id).next().is_some().then(|| {
-                        scope.spawn(move || {
-                            offered(id).map(|(s, job)| (s, run(w, job))).collect::<Vec<_>>()
-                        })
-                    })
-                })
-                .collect();
-            for (i, h) in handles.into_iter().enumerate() {
-                let Some(h) = h else { continue };
-                match h.join() {
-                    Ok(ran) => ran.into_iter().for_each(|(s, r)| out[first + s] = r),
-                    Err(_) => offered(WorkerId(i)).for_each(|(s, _)| {
-                        out[first + s] =
-                            Err(crate::GpuError::lost(WorkerId(i), "worker thread panicked"));
-                    }),
-                }
-            }
-        });
         Ok(())
     }
 
@@ -329,6 +226,7 @@ impl crate::GpuExec for GpuCluster {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{GpuError, GpuExec};
     use dk_field::F25;
     use dk_linalg::Tensor;
     use std::sync::Arc;
@@ -344,21 +242,12 @@ mod tests {
     fn dispatch_in_worker_order() {
         let mut cluster = GpuCluster::honest(3, 1);
         let jobs: Vec<_> = (1..=3).map(dense_job).collect();
-        let outs = cluster.execute(&jobs);
+        let outs = cluster.execute(0, &jobs).unwrap();
         assert_eq!(outs.len(), 3);
         // Output scales linearly with the input scale.
         for k in 0..3 {
-            let expect = jobs[k].execute();
-            assert_eq!(outs[k], expect);
+            assert_eq!(outs[k], Ok(jobs[k].execute()));
         }
-    }
-
-    #[test]
-    fn parallel_dispatch_matches_sequential() {
-        let jobs: Vec<_> = (1..=4).map(dense_job).collect();
-        let mut seq = GpuCluster::honest(4, 2);
-        let mut par = GpuCluster::honest(4, 2).with_parallel_dispatch(true);
-        assert_eq!(seq.execute(&jobs), par.execute(&jobs));
     }
 
     #[test]
@@ -368,10 +257,10 @@ mod tests {
             3,
         );
         let jobs: Vec<_> = (1..=3).map(dense_job).collect();
-        let outs = cluster.execute(&jobs);
-        assert_eq!(outs[0], jobs[0].execute());
-        assert!(outs[1].as_slice().iter().all(|v| v.is_zero()));
-        assert_eq!(outs[2], jobs[2].execute());
+        let outs = cluster.execute(0, &jobs).unwrap();
+        assert_eq!(outs[0], Ok(jobs[0].execute()));
+        assert!(outs[1].as_ref().unwrap().as_slice().iter().all(|v| v.is_zero()));
+        assert_eq!(outs[2], Ok(jobs[2].execute()));
     }
 
     #[test]
@@ -379,10 +268,9 @@ mod tests {
         let mut cluster = GpuCluster::with_behaviors(
             &[Behavior::Honest, Behavior::Scale(3), Behavior::Honest],
             6,
-        )
-        .with_parallel_dispatch(true);
+        );
         let jobs: Vec<_> = (1..=3).map(dense_job).collect();
-        let _ = cluster.execute(&jobs);
+        let _ = cluster.execute(0, &jobs).unwrap();
         cluster.store_encodings(0, vec![Tensor::from_fn(&[1, 2], |i| F25::new(i as u64))]);
 
         let fork = cluster.fork(99);
@@ -403,11 +291,11 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "more jobs")]
-    fn too_many_jobs_panics() {
+    fn too_many_jobs_is_a_typed_error() {
         let mut cluster = GpuCluster::honest(1, 4);
         let jobs: Vec<_> = (1..=2).map(dense_job).collect();
-        let _ = cluster.execute(&jobs);
+        let err = cluster.execute(0, &jobs).unwrap_err();
+        assert_eq!(err, GpuError::Oversubscribed { jobs: 2, workers: 1 });
     }
 
     #[test]

@@ -1,9 +1,9 @@
 //! Asynchronous job dispatch over persistent per-worker OS threads.
 //!
-//! This is the primary execution interface of the fleet (the blocking
-//! [`GpuCluster::execute`](crate::GpuCluster::execute) remains as the
-//! sequential reference): a [`GpuDispatcher`] owns one long-lived OS
-//! thread per worker, each fed by a bounded channel. Callers
+//! This is the one way the fleet's workers run concurrently (the
+//! blocking [`GpuExec`] impl of [`GpuCluster`] remains as the inline,
+//! serial reference): a [`GpuDispatcher`] owns one long-lived OS thread
+//! per worker, each fed by a bounded channel. Callers
 //! [`submit`](GpuDispatcher::submit) a virtual batch of jobs and get a
 //! [`Ticket`] back immediately; [`complete`](GpuDispatcher::complete)
 //! blocks until the results are in. Between the two calls the submitting
@@ -113,7 +113,6 @@ pub struct GpuDispatcher {
     senders: Vec<mpsc::SyncSender<WorkerMsg>>,
     handles: Vec<JoinHandle<GpuWorker>>,
     specs: Vec<WorkerSpec>,
-    parallel: bool,
     reply_timeout: Option<Duration>,
     /// Jobs submitted and not yet redeemed (submit-side view, so a
     /// dying worker cannot leak depth — its faulted slots still get
@@ -126,7 +125,6 @@ impl std::fmt::Debug for GpuDispatcher {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("GpuDispatcher")
             .field("workers", &self.senders.len())
-            .field("parallel", &self.parallel)
             .field("reply_timeout", &self.reply_timeout)
             .finish()
     }
@@ -173,7 +171,7 @@ impl GpuDispatcher {
     /// # Panics
     ///
     /// Panics if `depth == 0` or thread spawning fails.
-    pub(crate) fn spawn(workers: Vec<GpuWorker>, depth: usize, parallel: bool) -> Self {
+    pub(crate) fn spawn(workers: Vec<GpuWorker>, depth: usize) -> Self {
         assert!(depth > 0, "worker queues need capacity");
         let mut senders = Vec::with_capacity(workers.len());
         let mut handles = Vec::with_capacity(workers.len());
@@ -195,7 +193,6 @@ impl GpuDispatcher {
             senders,
             handles,
             specs,
-            parallel,
             reply_timeout: None,
             queue_depth: dk_obs::global().gauge("dk_dispatch_queue_depth"),
             jobs_total: dk_obs::global().counter("dk_dispatch_jobs_total"),
@@ -389,8 +386,7 @@ impl GpuDispatcher {
     /// caller.
     pub fn join(mut self) -> (GpuCluster, Vec<WorkerId>) {
         let (workers, lost) = self.shutdown();
-        let parallel = self.parallel;
-        (GpuCluster::from_workers(workers, parallel), lost)
+        (GpuCluster::from_workers(workers), lost)
     }
 }
 
@@ -428,7 +424,7 @@ impl GpuExec for DispatchClient {
 
     fn execute(&mut self, tag: u64, jobs: &[LinearJob]) -> Result<Vec<WorkerResult>, GpuError> {
         let mut out = Vec::with_capacity(jobs.len());
-        self.execute_sparse_into(tag, jobs, &[], &mut out)?;
+        self.execute_round_into(tag, jobs, &[], &[], &mut out)?;
         Ok(out)
     }
 
@@ -438,17 +434,7 @@ impl GpuExec for DispatchClient {
         jobs: &[LinearJob],
         out: &mut Vec<WorkerResult>,
     ) -> Result<(), GpuError> {
-        self.execute_sparse_into(tag, jobs, &[], out)
-    }
-
-    fn execute_sparse_into(
-        &mut self,
-        tag: u64,
-        jobs: &[LinearJob],
-        withheld: &[WorkerId],
-        out: &mut Vec<WorkerResult>,
-    ) -> Result<(), GpuError> {
-        self.execute_round_into(tag, jobs, withheld, &[], out)
+        self.execute_round_into(tag, jobs, &[], &[], out)
     }
 
     /// One submit/complete round whatever the skip set and the `extra`
@@ -521,10 +507,9 @@ mod tests {
     fn submit_complete_matches_blocking_execute() {
         let jobs: Vec<_> = (1..=3).map(dense_job).collect();
         let mut blocking = GpuCluster::honest(3, 1);
-        let expect = blocking.execute(&jobs);
+        let expect = blocking.execute(1, &jobs).unwrap();
         let d = GpuCluster::honest(3, 1).into_dispatcher(4);
-        let outs = oks(d.complete(d.submit(BatchTag(1), jobs).unwrap()));
-        assert_eq!(outs, expect);
+        assert_eq!(d.complete(d.submit(BatchTag(1), jobs).unwrap()), expect);
     }
 
     #[test]

@@ -54,7 +54,7 @@ pub enum GpuError {
         detail: String,
     },
     /// The caller asked for this worker to be skipped
-    /// ([`GpuExec::execute_sparse_into`](crate::GpuExec::execute_sparse_into)):
+    /// ([`GpuExec::execute_round_into`](crate::GpuExec::execute_round_into)):
     /// nothing was sent, so there is nothing to wait for. Not a failure
     /// of the worker — the slot is the caller's to fill.
     Withheld {

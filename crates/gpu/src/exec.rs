@@ -5,12 +5,13 @@
 //! this trait; the backend decides *how* the linear jobs reach the
 //! accelerators:
 //!
-//! * [`crate::GpuCluster`] — the blocking reference backend: jobs run to
-//!   completion inside the call (serially, or on one ephemeral thread
-//!   per worker). One virtual batch is in flight at a time.
-//! * [`crate::DispatchClient`] — the pipelined backend: jobs are
+//! * [`crate::GpuCluster`] — the blocking reference backend: jobs run
+//!   inline, one after another, inside the call. One virtual batch is
+//!   in flight at a time.
+//! * [`crate::DispatchClient`] — the concurrent backend: jobs are
 //!   submitted to a shared [`crate::GpuDispatcher`] whose persistent
-//!   per-worker threads serve *several* virtual batches concurrently.
+//!   per-worker threads keep the `K'` workers busy at once and serve
+//!   *several* virtual batches concurrently.
 //! * [`crate::TcpFleet`] — the wire backend: jobs travel as framed
 //!   messages to remote worker processes over TCP.
 //!
@@ -26,29 +27,30 @@
 //! at the first and the last worker are where pipelined lanes queue
 //! behind each other while the rest of the fleet idles.
 //!
-//! The call is [`GpuExec::execute_round_into`]. A round has a
-//! positional part — job `i` goes to worker `i` unless the caller names
-//! that worker in `withheld`, in which case nothing is sent and the slot
-//! comes back as [`GpuError::Withheld`] — and an addressed part, `extra`,
-//! whose jobs name their worker. A worker may appear in both, or several
-//! times in `extra`: its jobs run in round order (per-worker FIFO).
-//! Every backend here implements the round natively — all jobs out
-//! before the first reply is awaited, except that [`crate::TcpFleet`]
-//! holds a worker's second job until its first reply is read, so two
-//! full socket buffers can never face each other — and forwards the
-//! older calls to it: [`GpuExec::execute_sparse_into`] is the round
-//! with no `extra`, `execute` / `execute_into` that with nothing
-//! withheld. One native dispatch path per backend.
+//! The call is [`GpuExec::execute_round_into`], the one dispatch verb
+//! the session uses. A round has a positional part — job `i` goes to
+//! worker `i` unless the caller names that worker in `withheld`, in
+//! which case nothing is sent and the slot comes back as
+//! [`GpuError::Withheld`] — and an addressed part, `extra`, whose jobs
+//! name their worker (empty on a forward pass). A worker may appear in
+//! both, or several times in `extra`: its jobs run in round order
+//! (per-worker FIFO). Every backend here implements the round natively
+//! — all jobs out before the first reply is awaited, except that
+//! [`crate::TcpFleet`] holds a worker's second job until its first
+//! reply is read, so two full socket buffers can never face each other
+//! — and serves `execute` / `execute_into` as the round with nothing
+//! withheld and no `extra`. One native dispatch path per backend.
 //! [`GpuExec::store_encodings_sparse`] is the same skip-set idea for
 //! the §6 forward-encoding stores.
 //!
-//! The defaults of the newer methods are written in terms of the
+//! The defaults of the two newer methods are written in terms of the
 //! original seven, so a wrapper that forwards only those (a tracing
-//! shim, say) stays correct and sees the traffic it always saw: a round
-//! reaches its inner backend as the positional dispatch followed by one
-//! `execute_on` per `extra` job, a sparse dispatch as one `execute_on`
-//! per worker that is offered work. That is why the round keeps its
-//! positional part instead of being a bare address list.
+//! shim, say) stays correct and sees the traffic it always saw: a
+//! round's positional part reaches its inner backend as one
+//! `execute_into` when nothing is withheld, else as one `execute_on`
+//! per worker that is offered work, and each `extra` job as one
+//! `execute_on`. That is why the round keeps its positional part
+//! instead of being a bare address list.
 //!
 //! # Faults and routing
 //!
@@ -146,50 +148,18 @@ pub trait GpuExec {
         Ok(())
     }
 
-    /// [`GpuExec::execute_into`] that sends nothing to the workers in
-    /// `withheld`: their slots come back as [`GpuError::Withheld`] and
-    /// their jobs (encoded input included) never leave the caller. An
-    /// empty `withheld` *is* the dense dispatch. The default serves a
-    /// non-empty skip set with one [`GpuExec::execute_on`] per worker
-    /// that is offered work; backends override it to keep the round
-    /// batched.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`GpuExec::execute`]; on error `out` is left
-    /// unchanged.
-    fn execute_sparse_into(
-        &mut self,
-        tag: u64,
-        jobs: &[LinearJob],
-        withheld: &[WorkerId],
-        out: &mut Vec<WorkerResult>,
-    ) -> Result<(), GpuError> {
-        if withheld.is_empty() {
-            return self.execute_into(tag, jobs, out);
-        }
-        if jobs.len() > self.num_workers() {
-            return Err(GpuError::Oversubscribed { jobs: jobs.len(), workers: self.num_workers() });
-        }
-        for (i, job) in jobs.iter().enumerate() {
-            let worker = WorkerId(i);
-            out.push(if withheld.contains(&worker) {
-                Err(GpuError::Withheld { worker })
-            } else {
-                self.execute_on(worker, job)
-            });
-        }
-        Ok(())
-    }
-
     /// One dispatch round (see the module docs): `jobs[i]` goes to
-    /// worker `i` unless it is in `withheld`, then each `extra` job to
-    /// the worker it names, queued behind whatever the round already
-    /// sent that worker. Appends one outcome per slot to `out`: the
-    /// `jobs.len()` positional ones in worker order, then one per
-    /// `extra` entry in order. The default is the positional dispatch
-    /// followed by one [`GpuExec::execute_on`] per `extra` job;
-    /// backends override it so the whole round is in flight at once.
+    /// worker `i` unless it is in `withheld` — that slot comes back as
+    /// [`GpuError::Withheld`] and its job (encoded input included) never
+    /// leaves the caller — then each `extra` job to the worker it names,
+    /// queued behind whatever the round already sent that worker.
+    /// Appends one outcome per slot to `out`: the `jobs.len()`
+    /// positional ones in worker order, then one per `extra` entry in
+    /// order. The default serves the positional part with one
+    /// [`GpuExec::execute_into`] when nothing is withheld, else with one
+    /// [`GpuExec::execute_on`] per worker that is offered work, and each
+    /// `extra` job with one `execute_on`; backends override it so the
+    /// whole round is in flight at once.
     ///
     /// # Errors
     ///
@@ -207,7 +177,24 @@ pub trait GpuExec {
         extra: &[(WorkerId, &LinearJob)],
         out: &mut Vec<WorkerResult>,
     ) -> Result<(), GpuError> {
-        self.execute_sparse_into(tag, jobs, withheld, out)?;
+        if withheld.is_empty() {
+            self.execute_into(tag, jobs, out)?;
+        } else {
+            if jobs.len() > self.num_workers() {
+                return Err(GpuError::Oversubscribed {
+                    jobs: jobs.len(),
+                    workers: self.num_workers(),
+                });
+            }
+            for (i, job) in jobs.iter().enumerate() {
+                let worker = WorkerId(i);
+                out.push(if withheld.contains(&worker) {
+                    Err(GpuError::Withheld { worker })
+                } else {
+                    self.execute_on(worker, job)
+                });
+            }
+        }
         out.extend(extra.iter().map(|&(w, job)| self.execute_on(w, job)));
         Ok(())
     }
@@ -225,7 +212,7 @@ pub trait GpuExec {
     /// Executes a single job on a specific worker, blocking until it
     /// answers. The session never calls this (a layer pass is one
     /// round); it is what the default [`GpuExec::execute_round_into`]
-    /// and [`GpuExec::execute_sparse_into`] are written in.
+    /// is written in.
     fn execute_on(&mut self, id: WorkerId, job: &LinearJob) -> WorkerResult;
 
     /// Stores per-worker forward encodings (worker `i` receives
@@ -258,4 +245,99 @@ pub trait GpuExec {
     /// Releases stored encodings for the given context ids (virtual
     /// batch retired). Best-effort, like `store_encodings`.
     fn release_contexts(&mut self, ctx_ids: &[u64]);
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::GpuCluster;
+    use std::sync::Arc;
+
+    /// A wrapper that forwards the original seven methods and nothing
+    /// else (what a tracing shim outside this crate does), counting the
+    /// dispatch calls that reach the inner backend.
+    struct SevenMethods {
+        inner: GpuCluster,
+        execute_into: usize,
+        execute_on: Vec<WorkerId>,
+    }
+
+    impl GpuExec for SevenMethods {
+        fn num_workers(&self) -> usize {
+            self.inner.num_workers()
+        }
+        fn execute(&mut self, tag: u64, jobs: &[LinearJob]) -> Result<Vec<WorkerResult>, GpuError> {
+            self.inner.execute(tag, jobs)
+        }
+        fn execute_into(
+            &mut self,
+            tag: u64,
+            jobs: &[LinearJob],
+            out: &mut Vec<WorkerResult>,
+        ) -> Result<(), GpuError> {
+            self.execute_into += 1;
+            self.inner.execute_into(tag, jobs, out)
+        }
+        fn recycle_outputs(&mut self, outputs: &mut Vec<Tensor<F25>>) {
+            self.inner.recycle_outputs(outputs);
+        }
+        fn execute_on(&mut self, id: WorkerId, job: &LinearJob) -> WorkerResult {
+            self.execute_on.push(id);
+            self.inner.execute_on(id, job)
+        }
+        fn store_encodings(&mut self, ctx_id: u64, encodings: Vec<Tensor<F25>>) {
+            self.inner.store_encodings(ctx_id, encodings);
+        }
+        fn release_contexts(&mut self, ctx_ids: &[u64]) {
+            self.inner.release_contexts(ctx_ids);
+        }
+    }
+
+    fn job(scale: u64) -> LinearJob {
+        LinearJob::DenseForward {
+            weights: Arc::new(Tensor::from_fn(&[2, 3], |i| F25::new(i as u64 + 1))),
+            x: Tensor::from_fn(&[1, 3], move |i| F25::new((i as u64 + 1) * scale)),
+        }
+    }
+
+    /// The default round shows a seven-method wrapper one `execute_into`
+    /// for a dense positional part, one `execute_on` per offered worker
+    /// for a sparse one, and one `execute_on` per `extra` job — with the
+    /// native round's answers, slot for slot.
+    #[test]
+    fn default_round_reaches_a_seven_method_wrapper_as_the_original_calls() {
+        let jobs: Vec<_> = (1..=3).map(job).collect();
+        let spare = job(9);
+        let extra = [(WorkerId(3), &spare), (WorkerId(0), &spare)];
+        for (withheld, into, on) in [
+            (vec![], 1, vec![3, 0]),
+            (vec![WorkerId(1)], 0, vec![0, 2, 3, 0]),
+        ] {
+            let mut wrapped = SevenMethods {
+                inner: GpuCluster::honest(4, 5),
+                execute_into: 0,
+                execute_on: Vec::new(),
+            };
+            let mut got = Vec::new();
+            wrapped.execute_round_into(7, &jobs, &withheld, &extra, &mut got).unwrap();
+            assert_eq!(wrapped.execute_into, into);
+            assert_eq!(wrapped.execute_on, on.into_iter().map(WorkerId).collect::<Vec<_>>());
+            let mut native = Vec::new();
+            GpuCluster::honest(4, 5)
+                .execute_round_into(7, &jobs, &withheld, &extra, &mut native)
+                .unwrap();
+            assert_eq!(got, native);
+            assert_eq!(got.len(), jobs.len() + extra.len());
+        }
+        // Only the positional part can oversubscribe, and it leaves
+        // `out` alone when it does.
+        let mut small =
+            SevenMethods { inner: GpuCluster::honest(2, 5), execute_into: 0, execute_on: vec![] };
+        let mut out = Vec::new();
+        for withheld in [vec![], vec![WorkerId(0)]] {
+            let err = small.execute_round_into(7, &jobs, &withheld, &[], &mut out).unwrap_err();
+            assert_eq!(err, GpuError::Oversubscribed { jobs: 3, workers: 2 });
+            assert!(out.is_empty() && small.execute_on.is_empty());
+        }
+    }
 }

@@ -14,16 +14,18 @@
 //!   records everything it observes (for collusion analysis), and can be
 //!   configured with adversarial [`behavior::Behavior`]s that corrupt
 //!   results — the faults DarKnight's integrity check (§4.4) must catch.
-//! * [`dispatch::GpuDispatcher`] — the **primary** execution interface:
-//!   asynchronous `submit(batch_tag, jobs) → Ticket` /
+//! * [`dispatch::GpuDispatcher`] — the one concurrent in-process
+//!   executor: asynchronous `submit(batch_tag, jobs) → Ticket` /
 //!   `complete(Ticket)` dispatch over persistent per-worker OS threads
-//!   with bounded queues, so TEE encode/decode work overlaps accelerator
-//!   execution (§7.1's pipelined mode).
-//! * [`cluster::GpuCluster`] — the fleet container; also offers the
-//!   legacy blocking `execute` used by the sequential reference path.
+//!   with bounded queues, so the `K'` workers run at once and TEE
+//!   encode/decode work overlaps accelerator execution (§7.1's
+//!   pipelined mode).
+//! * [`cluster::GpuCluster`] — the fleet container (worker state), and
+//!   the blocking reference backend: its `GpuExec` impl runs jobs
+//!   inline, one after another.
 //! * [`exec::GpuExec`] — the backend abstraction the `dk-core` session
-//!   is generic over: the same TEE-side protocol code drives either a
-//!   blocking cluster or a shared dispatcher.
+//!   is generic over: the same TEE-side protocol code drives a blocking
+//!   cluster, a shared dispatcher or a TCP fleet.
 //! * [`collusion`] — the empirical privacy harness: uniformity testing
 //!   of observations and a white-box noise-cancellation audit that
 //!   demonstrates the exact collusion-tolerance boundary `M`.

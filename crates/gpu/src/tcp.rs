@@ -503,7 +503,7 @@ impl GpuExec for TcpFleet {
 
     fn execute(&mut self, tag: u64, jobs: &[LinearJob]) -> Result<Vec<WorkerResult>, GpuError> {
         let mut out = Vec::with_capacity(jobs.len());
-        self.execute_sparse_into(tag, jobs, &[], &mut out)?;
+        self.execute_round_into(tag, jobs, &[], &[], &mut out)?;
         Ok(out)
     }
 
@@ -513,17 +513,7 @@ impl GpuExec for TcpFleet {
         jobs: &[LinearJob],
         out: &mut Vec<WorkerResult>,
     ) -> Result<(), GpuError> {
-        self.execute_sparse_into(tag, jobs, &[], out)
-    }
-
-    fn execute_sparse_into(
-        &mut self,
-        tag: u64,
-        jobs: &[LinearJob],
-        withheld: &[WorkerId],
-        out: &mut Vec<WorkerResult>,
-    ) -> Result<(), GpuError> {
-        self.execute_round_into(tag, jobs, withheld, &[], out)
+        self.execute_round_into(tag, jobs, &[], &[], out)
     }
 
     /// The one native dispatch: sends are pipelined across workers, and

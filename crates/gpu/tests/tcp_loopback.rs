@@ -44,11 +44,8 @@ fn remote_execution_matches_in_process_bit_for_bit() {
     let mut fleet = fleet(&addr, 3);
     let jobs: Vec<LinearJob> = (1..=3).map(conv_job).collect();
     let mut reference = GpuCluster::honest(3, 1);
-    let expect = reference.execute(&jobs);
-    let got = fleet.execute(7, &jobs).unwrap();
-    for (g, e) in got.into_iter().zip(expect) {
-        assert_eq!(g.unwrap(), e);
-    }
+    let expect = reference.execute(7, &jobs).unwrap();
+    assert_eq!(fleet.execute(7, &jobs).unwrap(), expect);
     fleet.shutdown();
 }
 

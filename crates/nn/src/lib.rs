@@ -14,7 +14,7 @@
 //! * [`optim`] — SGD with momentum and weight decay.
 //! * [`init`] — seeded He/Xavier initialization.
 //! * [`data`] — deterministic synthetic image-classification datasets
-//!   standing in for CIFAR-10/ImageNet (see DESIGN.md substitutions).
+//!   standing in for CIFAR-10/ImageNet.
 //! * [`train`] — the plaintext reference training loop DarKnight's
 //!   private loop is validated against.
 //! * [`arch`] — exact ImageNet-scale architecture descriptions (layer

@@ -2,8 +2,7 @@
 //!
 //! Our substrate is a simulator, not the paper's Coffee Lake + GTX 1080 Ti
 //! testbed, so absolute wall-clock comparisons are meaningless. Instead
-//! this crate follows the calibrate-then-derive discipline laid out in
-//! DESIGN.md:
+//! this crate follows a calibrate-then-derive discipline:
 //!
 //! 1. [`device::DeviceProfile::calibrated`] fixes per-operation
 //!    SGX/GPU throughput *ratios* to the paper's **Table 1**
@@ -36,7 +35,9 @@ pub use serving::ServingRow;
 /// [`report::pipeline_table`]).
 ///
 /// `measured_speedup` comes from actually running the staged engine
-/// against the sequential session (`dk_core::engine`); `analytical`
+/// (`dk_core::engine`) at its default lane count against the same
+/// engine with one lane — "sequential" here is one virtual batch in
+/// flight over the same dispatcher-backed fleet; `analytical`
 /// is the Fig.-5 overlap gain the cost model predicts for a reference
 /// architecture ([`cost::Breakdown::pipeline_gain`]). The two describe
 /// different hosts — the measured row is this machine's simulation, the
@@ -48,7 +49,7 @@ pub struct PipelineRow {
     pub label: String,
     /// Virtual batches executed per mode.
     pub batches: usize,
-    /// Sequential wall clock, milliseconds.
+    /// One-lane wall clock, milliseconds.
     pub sequential_ms: f64,
     /// Pipelined wall clock, milliseconds.
     pub pipelined_ms: f64,

@@ -18,6 +18,10 @@
 
 use std::time::Duration;
 
+/// Ingress-queue depth at which a tick scales up: any standing queue is
+/// pressure that admission control is about to turn into sheds.
+const QUEUE_HIGH: u64 = 1;
+
 /// Bounds and cadence for the elastic pool.
 #[derive(Debug, Clone)]
 pub struct AutoscaleConfig {
@@ -27,24 +31,20 @@ pub struct AutoscaleConfig {
     pub max_workers: usize,
     /// Controller tick interval.
     pub interval: Duration,
-    /// Ingress-queue depth at which a tick scales up (pressure that
-    /// admission control is about to turn into sheds).
-    pub queue_high: usize,
     /// Consecutive calm ticks (no sheds, empty queues) before one
     /// worker is retired.
     pub idle_ticks: u32,
 }
 
 impl AutoscaleConfig {
-    /// An autoscale range with a 10 ms tick, `queue_high = 1` and a
-    /// 3-tick scale-down hysteresis. Bounds are validated at
+    /// An autoscale range with a 10 ms tick and a 3-tick scale-down
+    /// hysteresis. Bounds are validated at
     /// [`crate::Server::start`], not here.
     pub fn new(min_workers: usize, max_workers: usize) -> Self {
         Self {
             min_workers,
             max_workers,
             interval: Duration::from_millis(10),
-            queue_high: 1,
             idle_ticks: 3,
         }
     }
@@ -52,12 +52,6 @@ impl AutoscaleConfig {
     /// Sets the controller tick interval.
     pub fn with_interval(mut self, interval: Duration) -> Self {
         self.interval = interval;
-        self
-    }
-
-    /// Sets the ingress-depth scale-up threshold.
-    pub fn with_queue_high(mut self, queue_high: usize) -> Self {
-        self.queue_high = queue_high.max(1);
         self
     }
 
@@ -100,7 +94,7 @@ pub(crate) fn decide(
     calm_ticks: &mut u32,
 ) -> ScaleDecision {
     let pressure =
-        s.shed_delta > 0 || s.queue_depth >= cfg.queue_high as u64 || s.dispatch_depth > 1;
+        s.shed_delta > 0 || s.queue_depth >= QUEUE_HIGH || s.dispatch_depth > 1;
     if pressure {
         *calm_ticks = 0;
         if active < cfg.max_workers {

@@ -138,6 +138,9 @@ pub enum ShedReason {
     /// cannot fail innocent batch-mates. Retrying without fixing the
     /// input will not help.
     NonFiniteInput,
+    /// The input's shape is not the server's configured sample shape.
+    /// Retrying without fixing the input will not help.
+    WrongShape,
 }
 
 impl std::fmt::Display for ShedReason {
@@ -146,6 +149,7 @@ impl std::fmt::Display for ShedReason {
             ShedReason::QueueFull => write!(f, "ingress queue full"),
             ShedReason::ShuttingDown => write!(f, "server shutting down"),
             ShedReason::NonFiniteInput => write!(f, "input contains non-finite values"),
+            ShedReason::WrongShape => write!(f, "input shape does not match the model's"),
         }
     }
 }

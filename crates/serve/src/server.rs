@@ -194,27 +194,25 @@ pub struct ServerHandle {
 impl ServerHandle {
     /// Submits a request. On acceptance returns a [`Ticket`] that
     /// blocks until the response is routed back; on overload (ingress
-    /// queue full) or after shutdown the request is handed back in a
-    /// [`Shed`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if the request's input shape differs from the server's
-    /// configured `sample_shape` (a caller bug, not an overload
-    /// condition).
+    /// queue full), after shutdown, or for an input the model cannot
+    /// take (wrong shape, non-finite values) the request is handed back
+    /// in a [`Shed`].
     pub fn submit(&self, request: InferenceRequest) -> Result<Ticket, Shed> {
-        assert_eq!(
-            request.input.shape(),
-            &self.sample_shape[..],
-            "request sample shape does not match the server's model input"
-        );
-        // Reject non-finite inputs here, where only the offending
-        // caller pays: admitted into a batch, a single NaN row would
-        // abort quantization for the whole virtual batch and fail its
-        // innocent batch-mates.
-        if !request.input.as_slice().iter().all(|v| v.is_finite()) {
+        // Reject malformed inputs here, where only the offending caller
+        // pays: a request comes from outside, so a wrong shape is an
+        // answer, not a panic; and admitted into a batch, a single NaN
+        // row would abort quantization for the whole virtual batch and
+        // fail its innocent batch-mates.
+        let malformed = if request.input.shape() != &self.sample_shape[..] {
+            Some(ShedReason::WrongShape)
+        } else if !request.input.as_slice().iter().all(|v| v.is_finite()) {
+            Some(ShedReason::NonFiniteInput)
+        } else {
+            None
+        };
+        if let Some(reason) = malformed {
             self.metrics.record_shed();
-            return Err(Shed { reason: ShedReason::NonFiniteInput, request });
+            return Err(Shed { reason, request });
         }
         let max_wait = request.max_wait;
         let id = RequestId(self.next_id.fetch_add(1, Ordering::Relaxed));
@@ -1412,11 +1410,22 @@ mod tests {
         assert_eq!(m.pool_workers, 0, "shutdown empties the pool gauge");
     }
 
+    /// Regression: a request of the wrong shape comes from outside the
+    /// program, so it must be handed back, not panic the caller's
+    /// thread — and the server keeps serving.
     #[test]
-    #[should_panic(expected = "sample shape")]
-    fn wrong_sample_shape_panics() {
-        let (server, _model, _cfg) = server(1, Duration::from_millis(1));
+    fn wrong_sample_shape_is_shed_and_the_server_keeps_serving() {
+        let (server, model, cfg) = server(1, Duration::from_millis(1));
         let handle = server.handle();
-        let _ = handle.submit(InferenceRequest::new(Tensor::zeros(&[3, HW + 2, HW])));
+        let shed =
+            handle.submit(InferenceRequest::new(Tensor::zeros(&[3, HW + 2, HW]))).unwrap_err();
+        assert_eq!(shed.reason, ShedReason::WrongShape);
+        assert_eq!(shed.request.input().shape(), &[3, HW + 2, HW], "request handed back intact");
+        let x = sample(1);
+        let resp = handle.submit(InferenceRequest::new(x.clone())).unwrap().wait().expect("alive");
+        let y = resp.output.expect("a well-formed request is still served");
+        assert_eq!(y.as_slice(), solo_reference(&model, &x, cfg.quant()).as_slice());
+        let m = server.shutdown();
+        assert_eq!((m.shed, m.served, m.failed), (1, 1, 0));
     }
 }

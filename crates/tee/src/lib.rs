@@ -2,8 +2,7 @@
 //!
 //! The paper runs DarKnight's encoder/decoder inside an Intel SGX enclave.
 //! No SGX hardware exists in this environment, so this crate provides the
-//! *algorithmic surface* of the enclave instead (see DESIGN.md §2 for the
-//! substitution argument):
+//! *algorithmic surface* of the enclave instead:
 //!
 //! * [`enclave::Enclave`] — a protected-memory budget (the 128 MB EPC of
 //!   the paper's hardware), allocation tracking and paging-event

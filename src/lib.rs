@@ -2,8 +2,7 @@
 //! trusted hardware, reproduced in Rust.
 //!
 //! This facade crate re-exports the full workspace API. See the README
-//! for the architecture overview and `DESIGN.md` for the per-experiment
-//! reproduction index.
+//! for the architecture overview.
 
 pub use dk_baselines as baselines;
 pub use dk_core as core;

@@ -156,19 +156,8 @@ impl<X: GpuExec> GpuExec for Probe<X> {
 
     fn execute(&mut self, tag: u64, jobs: &[LinearJob]) -> Result<Vec<WorkerResult>, GpuError> {
         let mut out = Vec::new();
-        self.execute_sparse_into(tag, jobs, &[], &mut out)?;
+        self.execute_round_into(tag, jobs, &[], &[], &mut out)?;
         Ok(out)
-    }
-
-    fn execute_sparse_into(
-        &mut self,
-        tag: u64,
-        jobs: &[LinearJob],
-        withheld: &[WorkerId],
-        out: &mut Vec<WorkerResult>,
-    ) -> Result<(), GpuError> {
-        self.dispatches += 1;
-        self.inner.execute_sparse_into(tag, jobs, withheld, out)
     }
 
     fn execute_round_into(
@@ -182,8 +171,13 @@ impl<X: GpuExec> GpuExec for Probe<X> {
         self.dispatches += 1;
         let first = out.len();
         self.inner.execute_round_into(tag, jobs, withheld, extra, out)?;
+        // A forward round has no addressed part; only backward rounds
+        // are numbered and injected into.
+        if extra.is_empty() {
+            return Ok(());
+        }
         let round = self.backward_rounds;
-        self.backward_rounds += usize::from(!extra.is_empty());
+        self.backward_rounds += 1;
         if let Some((_, role, what)) = self.inject.filter(|&(at, ..)| at == round) {
             if let Some((slot, worker)) = find_slot(role, jobs, extra) {
                 self.injected = Some(worker);

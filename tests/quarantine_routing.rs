@@ -90,10 +90,8 @@ struct Probe<X: GpuExec> {
     tamper: Option<(usize, usize)>,
     /// Every skip set a dispatch carried.
     withheld_seen: Vec<Vec<WorkerId>>,
-    /// Explicit weight-gradient jobs (the backward duplicate check) each
-    /// worker was sent since the last dispatch.
-    verifying: HashMap<usize, usize>,
-    /// The most any worker verified between two dispatches.
+    /// The most explicit weight-gradient jobs (the backward duplicate
+    /// check) any worker was sent in one dispatch.
     max_verifying: usize,
 }
 
@@ -104,7 +102,6 @@ impl<X: GpuExec> Probe<X> {
             rounds: 0,
             tamper: None,
             withheld_seen: Vec::new(),
-            verifying: HashMap::new(),
             max_verifying: 0,
         }
     }
@@ -117,26 +114,34 @@ impl<X: GpuExec> GpuExec for Probe<X> {
 
     fn execute(&mut self, tag: u64, jobs: &[LinearJob]) -> Result<Vec<WorkerResult>, GpuError> {
         let mut out = Vec::new();
-        self.execute_sparse_into(tag, jobs, &[], &mut out)?;
+        self.execute_round_into(tag, jobs, &[], &[], &mut out)?;
         Ok(out)
     }
 
-    fn execute_sparse_into(
+    fn execute_round_into(
         &mut self,
         tag: u64,
         jobs: &[LinearJob],
         withheld: &[WorkerId],
+        extra: &[(WorkerId, &LinearJob)],
         out: &mut Vec<WorkerResult>,
     ) -> Result<(), GpuError> {
         let first = out.len();
-        self.inner.execute_sparse_into(tag, jobs, withheld, out)?;
+        self.inner.execute_round_into(tag, jobs, withheld, extra, out)?;
         if let Some((_, w)) = self.tamper.filter(|&(round, _)| round == self.rounds) {
             let answer = out[first + w].as_mut().expect("tampering with an answer that arrived");
             answer.as_mut_slice()[0] += F25::ONE;
         }
         self.rounds += 1;
         self.withheld_seen.push(withheld.to_vec());
-        self.verifying.clear();
+        let mut verifying: HashMap<usize, usize> = HashMap::new();
+        for (w, job) in extra {
+            if matches!(job, LinearJob::ConvWeightGrad { .. } | LinearJob::DenseWeightGrad { .. }) {
+                let n = verifying.entry(w.0).or_insert(0);
+                *n += 1;
+                self.max_verifying = self.max_verifying.max(*n);
+            }
+        }
         Ok(())
     }
 
@@ -145,11 +150,6 @@ impl<X: GpuExec> GpuExec for Probe<X> {
     }
 
     fn execute_on(&mut self, id: WorkerId, job: &LinearJob) -> WorkerResult {
-        if matches!(job, LinearJob::ConvWeightGrad { .. } | LinearJob::DenseWeightGrad { .. }) {
-            let n = self.verifying.entry(id.0).or_insert(0);
-            *n += 1;
-            self.max_verifying = self.max_verifying.max(*n);
-        }
         self.inner.execute_on(id, job)
     }
 
@@ -580,7 +580,7 @@ fn tcp_session(cfg: DarknightConfig, addr: &str) -> DarknightSession<TcpFleet> {
     DarknightSession::with_backend(cfg, fleet, EpcConfig::default()).unwrap()
 }
 
-/// (a) + (d) over the wire, and the batching criterion: with one
+/// (a) + (d) over the wire, and the batching condition: with one
 /// convicted worker a layer moves exactly `2·(K+M)` frames, all `Run`s
 /// written before the first reply is read (the host refuses to answer
 /// any earlier), and the liar's connection goes silent — through
