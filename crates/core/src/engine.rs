@@ -23,6 +23,20 @@
 //!   [`DispatchClient`], so the *same* protocol code runs in both
 //!   modes.
 //!
+//! **One lane loop.** Virtual batches are independent, so the lanes are
+//! the only concurrency there is, and every lane — inference, training,
+//! a `dk_serve` pool worker — is the same loop on one thread: pull the
+//! next unit of work, run it on the lane's session, deliver the result.
+//! One private scaffold (`run_lanes`) builds the sessions, starts the
+//! named threads (`dk-lane-{i}`), joins them and hands back, in batch
+//! order, what the lanes report; nothing relays a batch to or from a
+//! lane.
+//!
+//! **Numbering is the engine's.** A batch's masks are a pure function of
+//! its number, so a number must never be used twice (§4.1). The engine
+//! assigns it at the pull, from one strictly increasing cursor
+//! ([`PipelineEngine::batches_consumed`]); callers never name a batch.
+//!
 //! **Determinism.** Every per-batch mask, scheme and spot-check draw is
 //! a pure function of `(seed, batch number, layer)` — see
 //! [`crate::session`] — and gradient/running-stat reductions happen in
@@ -39,7 +53,8 @@ use crate::config::DarknightConfig;
 use crate::error::DarknightError;
 use crate::session::{push_unique, DarknightSession, SessionStats};
 use crate::virtual_batch::{
-    aggregate_and_step, slice_virtual_batch, virtual_batch_count, LargeBatchReport, SealedGradient,
+    aggregate_and_step, seal_virtual_batch_gradient, virtual_batch_count, LargeBatchReport,
+    SealedGradient,
 };
 use dk_field::{F25, QuantConfig};
 use dk_gpu::dispatch::DispatchClient;
@@ -50,8 +65,9 @@ use dk_nn::optim::Sgd;
 use dk_nn::Sequential;
 use dk_tee::crypto::SealedBlob;
 use dk_tee::{Enclave, EpcConfig, MemoryStats};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
+use std::borrow::Borrow;
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
 /// Pre-quantized weights for one linear layer of a step plan.
@@ -165,52 +181,22 @@ impl EngineOptions {
     }
 }
 
-/// One streamed inference result (see
-/// [`PipelineEngine::pump_inference`]).
+/// One served virtual batch: what [`PipelineEngine::infer_batches`]
+/// returns per input and [`PipelineEngine::pump`] hands to its sink.
 #[derive(Debug)]
-pub struct InferenceOutcome {
-    /// The caller-assigned sequence number of the input batch.
-    pub seq: u64,
-    /// The input batch, handed back so the producer can recycle its
-    /// buffer for the next batch (the `dk_serve` feeder keeps a pool of
-    /// these — steady-state serving stops allocating batch tensors).
-    /// `Option` so consumers can `take()` it without a sentinel.
-    pub input: Option<Tensor<f32>>,
+pub struct BatchOutcome {
     /// The decoded logits, or the error that aborted the batch.
     pub output: Result<Tensor<f32>, DarknightError>,
     /// True if the batch needed TEE-side repair (recovery mode caught
     /// active tampering but served anyway).
     pub repaired: bool,
-    /// Workers newly quarantined while serving this batch.
-    pub quarantined: Vec<WorkerId>,
-    /// Lane wall-clock spent on this batch.
-    pub service: Duration,
 }
 
-/// One batch result of [`PipelineEngine::infer_batches`].
-#[derive(Debug)]
-pub struct BatchOutcome {
-    /// The decoded logits, or the error that aborted the batch.
-    pub output: Result<Tensor<f32>, DarknightError>,
-    /// True if the batch needed TEE-side repair.
-    pub repaired: bool,
-}
-
-#[derive(Default)]
-struct LaneAgg {
-    stats: SessionStats,
-    mem: MemoryStats,
-    /// Workers the lanes caught lying (any order, duplicates allowed).
-    convicted: Vec<WorkerId>,
-}
-
-impl LaneAgg {
-    /// Folds a finished lane's counters and convictions in.
-    fn absorb(&mut self, lane: &DarknightSession<DispatchClient>) {
-        self.stats.merge(&lane.stats());
-        self.mem.merge(&lane.enclave_stats());
-        self.convicted.extend_from_slice(lane.convicted());
-    }
+/// One TEE lane: a session over the shared dispatcher and the lane's
+/// own clone of the model.
+struct Lane {
+    session: DarknightSession<DispatchClient>,
+    model: Sequential,
 }
 
 /// Captures each BatchNorm layer's per-batch statistics (walk order).
@@ -320,11 +306,6 @@ impl PipelineEngine {
         &self.cfg
     }
 
-    /// The engine options.
-    pub fn options(&self) -> EngineOptions {
-        self.opts
-    }
-
     /// Aggregated offload counters across all lanes so far.
     pub fn stats(&self) -> SessionStats {
         self.stats
@@ -408,19 +389,77 @@ impl PipelineEngine {
         Ok(lane)
     }
 
-    fn absorb_lane(&mut self, agg: LaneAgg) {
-        self.stats.merge(&agg.stats);
-        self.mem.merge(&agg.mem);
-        for w in agg.convicted {
-            push_unique(&mut self.convicted, w);
+    /// The lane scaffold, owned once: extracts the step plan, builds
+    /// `lanes` sessions and model clones, runs `body` on each on its own
+    /// named thread, and after the join folds every lane's counters and
+    /// convictions into the engine. `body` returns what its lane has to
+    /// report per batch, keyed by batch; the lanes' reports come back
+    /// merged **in batch order**, which is the order every
+    /// order-sensitive reduction (quarantine list, BatchNorm replay,
+    /// gradient sums) must run in.
+    ///
+    /// # Errors
+    ///
+    /// Plan extraction (weight quantization) or lane-session
+    /// construction; no thread has started when either fails.
+    fn run_lanes<R: Send>(
+        &mut self,
+        model: &Sequential,
+        body: impl Fn(&mut Lane) -> Vec<(u64, R)> + Sync,
+    ) -> Result<Vec<R>, DarknightError> {
+        let plan = Arc::new(StepPlan::extract(model, self.cfg.quant())?);
+        // Sessions and model clones are all made here, on the calling
+        // thread, before any lane starts: a bad configuration fails with
+        // nothing to unwind, and `Sequential` is `Send` but not `Sync`.
+        let mut lanes = Vec::with_capacity(self.opts.lanes);
+        for _ in 0..self.opts.lanes {
+            let mut session = self.lane_session()?;
+            session.set_step_plan(Some(plan.clone()));
+            lanes.push(Lane { session, model: model.clone() });
         }
+        // Stable names, call after call: `dk_obs` keys a lane's span
+        // ring on them. A named caller (a `dk_serve` pool worker) shows
+        // up as a prefix, so two engines' lanes stay apart in a trace.
+        let caller = std::thread::current();
+        let prefix = match caller.name() {
+            Some(name) if name != "main" => format!("{name}/"),
+            _ => String::new(),
+        };
+        let body = &body;
+        let finished: Vec<(Vec<(u64, R)>, Lane)> = std::thread::scope(|scope| {
+            let handles: Vec<_> = lanes
+                .into_iter()
+                .enumerate()
+                .map(|(i, mut lane)| {
+                    std::thread::Builder::new()
+                        .name(format!("{prefix}dk-lane-{i}"))
+                        .spawn_scoped(scope, move || (body(&mut lane), lane))
+                        .expect("spawn lane thread")
+                })
+                .collect();
+            // Joined one by one (not left to the scope) so each thread
+            // has fully exited, thread-locals included, on return.
+            handles
+                .into_iter()
+                .map(|h| h.join().unwrap_or_else(|panic| std::panic::resume_unwind(panic)))
+                .collect()
+        });
+        let mut reports = Vec::new();
+        for (report, lane) in finished {
+            self.stats.merge(&lane.session.stats());
+            self.mem.merge(&lane.session.enclave_stats());
+            for &w in lane.session.convicted() {
+                push_unique(&mut self.convicted, w);
+            }
+            reports.extend(report);
+        }
+        reports.sort_by_key(|(batch, _)| *batch);
+        Ok(reports.into_iter().map(|(_, r)| r).collect())
     }
 
-    fn quarantine_in_order(&mut self, batches: impl Iterator<Item = Vec<WorkerId>>) {
-        for delta in batches {
-            for w in delta {
-                push_unique(&mut self.quarantined, w);
-            }
+    fn quarantine_in_order(&mut self, batches: impl IntoIterator<Item = Vec<WorkerId>>) {
+        for w in batches.into_iter().flatten() {
+            push_unique(&mut self.quarantined, w);
         }
     }
 
@@ -428,130 +467,85 @@ impl PipelineEngine {
     // Inference
     // -----------------------------------------------------------------
 
-    /// Streams virtual batches through the pipeline: reads `(seq, x)`
-    /// items from `input` until it disconnects, serves them on `lanes`
-    /// concurrent TEE threads over the shared dispatcher, and emits an
-    /// [`InferenceOutcome`] per item on `output` (completion order; use
-    /// `seq` to reorder). `dk_serve` workers wrap their dispatch queue
-    /// in exactly this.
+    /// Serves a stream of virtual batches on `lanes` concurrent TEE
+    /// threads over the shared dispatcher. Every lane runs the same
+    /// loop until `source` returns `None`: pull, run, deliver.
     ///
-    /// Batch `seq` is numbered `next_batch + seq + 1`, so results are
-    /// bit-for-bit those of a sequential session consuming the same
-    /// stream in `seq` order.
+    /// * `source(spare)` yields the next `[K, ...]` batch plus a ticket
+    ///   (whatever the caller needs to recognize the answer). `spare` is
+    ///   the batch this lane pulled last time, handed back so a source
+    ///   that assembles batches can refill it instead of allocating.
+    ///   Calls are serialized under the engine's lock; `source` may
+    ///   block.
+    /// * `sink(ticket, outcome, quarantined)` runs on the lane thread the
+    ///   moment the batch finishes (completion order, concurrently
+    ///   across lanes), with the workers the batch newly quarantined. An
+    ///   output tensor it returns goes back to the lane's buffer pool.
     ///
-    /// **Sequence numbers are safety-critical**: each batch's masks are
-    /// a pure function of its number, so reusing a `seq` would apply
-    /// the same one-time masks to two different plaintexts — exactly
-    /// the noise-cancellation attack the scheme's freshness rule (§4.1)
-    /// exists to prevent. `seq`s must therefore be strictly increasing;
-    /// a violation panics rather than serve.
+    /// **The engine numbers the batches**, in the same critical section
+    /// as the pull: the `i`-th batch `source` yields is batch
+    /// `batches_consumed() + i`. A batch's one-time masks are a pure
+    /// function of its number (§4.1), so a caller cannot make two
+    /// batches share them, and results are bit-for-bit those of a
+    /// sequential session consuming the batches in pull order.
     ///
     /// # Errors
     ///
-    /// Plan extraction failure (weight quantization); per-batch errors
-    /// travel in the outcomes instead.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the input stream yields a non-increasing `seq`.
-    pub fn pump_inference(
+    /// Plan extraction failure (weight quantization), before anything
+    /// is pulled; per-batch errors travel in the outcomes instead.
+    pub fn pump<X: Borrow<Tensor<f32>>, T>(
         &mut self,
         model: &Sequential,
         per_sample: bool,
-        input: mpsc::Receiver<(u64, Tensor<f32>)>,
-        output: mpsc::Sender<InferenceOutcome>,
+        source: impl FnMut(Option<X>) -> Option<(X, T)> + Send,
+        sink: impl Fn(T, BatchOutcome, &[WorkerId]) -> Option<Tensor<f32>> + Sync,
     ) -> Result<(), DarknightError> {
-        let plan = Arc::new(StepPlan::extract(model, self.cfg.quant())?);
         let base = self.next_batch;
-        struct SeqStream {
-            rx: mpsc::Receiver<(u64, Tensor<f32>)>,
-            last: Option<u64>,
-        }
-        let input = Mutex::new(SeqStream { rx: input, last: None });
-        let agg = Mutex::new(LaneAgg::default());
-        let seq_end = AtomicU64::new(0);
-        let lanes = self.opts.lanes;
-        let quarantine_log = Mutex::new(Vec::<(u64, Vec<WorkerId>)>::new());
-        // Construct every lane session before spawning anything, so a
-        // bad configuration fails fast with no threads to unwind.
-        let mut sessions = Vec::with_capacity(lanes);
-        for _ in 0..lanes {
-            let mut s = self.lane_session()?;
-            s.set_step_plan(Some(plan.clone()));
-            sessions.push(s);
-        }
-        std::thread::scope(|scope| {
-            for mut session in sessions {
-                let mut lane_model = model.clone();
-                let out = output.clone();
-                let input = &input;
-                let agg = &agg;
-                let seq_end = &seq_end;
-                let quarantine_log = &quarantine_log;
-                scope.spawn(move || {
-                    loop {
-                        let item = {
-                            let mut stream = input.lock().expect("engine input lock");
-                            let item = stream.rx.recv();
-                            if let Ok((seq, _)) = item {
-                                assert!(
-                                    stream.last.is_none_or(|l| seq > l),
-                                    "pump_inference seq numbers must strictly increase \
-                                     (a reused seq would reuse one-time masks)"
-                                );
-                                stream.last = Some(seq);
-                            }
-                            item
-                        };
-                        let Ok((seq, x)) = item else { break };
-                        seq_end.fetch_max(seq + 1, Ordering::Relaxed);
-                        let t0 = Instant::now();
-                        session.begin_numbered_batch(base + seq + 1);
-                        let rec0 = session.stats().recoveries;
-                        let q0 = session.quarantined().len();
-                        let result = if per_sample {
-                            session.private_inference_per_sample(&mut lane_model, &x)
-                        } else {
-                            session.private_inference(&mut lane_model, &x)
-                        };
-                        let repaired = session.stats().recoveries > rec0;
-                        let quarantined = session.quarantined()[q0..].to_vec();
-                        if !quarantined.is_empty() {
-                            quarantine_log
-                                .lock()
-                                .expect("quarantine log lock")
-                                .push((seq, quarantined.clone()));
-                        }
-                        if out
-                            .send(InferenceOutcome {
-                                seq,
-                                input: Some(x),
-                                output: result,
-                                repaired,
-                                quarantined,
-                                service: t0.elapsed(),
-                            })
-                            .is_err()
-                        {
-                            break; // receiver gone: stop consuming
-                        }
-                    }
-                    agg.lock().expect("lane agg lock").absorb(&session);
-                });
+        // (the source, batches pulled): pull order is numbering order.
+        let pull = Mutex::new((source, 0u64));
+        let logs = self.run_lanes(model, |Lane { session, model }| {
+            let mut quarantine_log = Vec::new();
+            let mut spare = None;
+            loop {
+                let (number, x, ticket) = {
+                    // Poisoned: a sibling lane panicked inside `source`.
+                    // Stop pulling; its panic resurfaces at the join.
+                    let Ok(mut pull) = pull.lock() else { break };
+                    let Some((x, ticket)) = (pull.0)(spare.take()) else { break };
+                    pull.1 += 1;
+                    (base + pull.1, x, ticket)
+                };
+                session.begin_numbered_batch(number);
+                let rec0 = session.stats().recoveries;
+                let q0 = session.quarantined().len();
+                let output = if per_sample {
+                    session.private_inference_per_sample(model, x.borrow())
+                } else {
+                    session.private_inference(model, x.borrow())
+                };
+                let outcome = BatchOutcome { output, repaired: session.stats().recoveries > rec0 };
+                let quarantined = &session.quarantined()[q0..];
+                if !quarantined.is_empty() {
+                    quarantine_log.push((number, quarantined.to_vec()));
+                }
+                if let Some(y) = sink(ticket, outcome, quarantined) {
+                    session.recycle_output(y);
+                }
+                spare = Some(x);
             }
-        });
-        drop(output);
-        self.next_batch = base + seq_end.load(Ordering::Relaxed);
-        let agg = agg.into_inner().expect("lane agg lock");
-        self.absorb_lane(agg);
-        let mut log = quarantine_log.into_inner().expect("quarantine log lock");
-        log.sort_by_key(|(seq, _)| *seq);
-        self.quarantine_in_order(log.into_iter().map(|(_, q)| q));
+            quarantine_log
+        })?;
+        let (_, pulled) = pull.into_inner().unwrap_or_else(std::sync::PoisonError::into_inner);
+        self.next_batch = base + pulled;
+        self.quarantine_in_order(logs);
         Ok(())
     }
 
     /// Pipelined private inference over a slice of pre-formed virtual
-    /// batches (each `[K, ...]`); results come back in input order.
+    /// batches (each `[K, ...]`); results come back in input order, and
+    /// `inputs[i]` is batch `batches_consumed() + i + 1` — the numbers
+    /// (so the workers' view, not just the outputs) a sequential session
+    /// would give the same stream.
     ///
     /// # Errors
     ///
@@ -563,24 +557,22 @@ impl PipelineEngine {
         inputs: &[Tensor<f32>],
         per_sample: bool,
     ) -> Result<Vec<BatchOutcome>, DarknightError> {
-        let (tx_in, rx_in) = mpsc::sync_channel(self.opts.lanes.max(1));
-        let (tx_out, rx_out) = mpsc::channel();
-        std::thread::scope(|scope| -> Result<(), DarknightError> {
-            scope.spawn(move || {
-                for (i, x) in inputs.iter().enumerate() {
-                    if tx_in.send((i as u64, x.clone())).is_err() {
-                        return;
-                    }
-                }
-            });
-            self.pump_inference(model, per_sample, rx_in, tx_out)
-        })?;
-        let mut results: Vec<Option<BatchOutcome>> = (0..inputs.len()).map(|_| None).collect();
-        for o in rx_out.iter() {
-            results[o.seq as usize] =
-                Some(BatchOutcome { output: o.output, repaired: o.repaired });
-        }
-        Ok(results.into_iter().map(|r| r.expect("missing batch outcome")).collect())
+        let slots: Vec<OnceLock<BatchOutcome>> = inputs.iter().map(|_| OnceLock::new()).collect();
+        let mut stream = inputs.iter().enumerate();
+        self.pump(
+            model,
+            per_sample,
+            |_spare| stream.next().map(|(i, x)| (x, i)),
+            |i: usize, outcome, _| {
+                // Each index is pulled once, so its slot is empty.
+                let _ = slots[i].set(outcome);
+                None
+            },
+        )?;
+        Ok(slots
+            .into_iter()
+            .map(|slot| slot.into_inner().expect("every pulled batch is delivered"))
+            .collect())
     }
 
     // -----------------------------------------------------------------
@@ -600,11 +592,11 @@ impl PipelineEngine {
     ///
     /// Any private-execution error (the earliest failing batch wins; no
     /// weight update happens); [`DarknightError::BatchShape`] if `N` is
-    /// not a positive multiple of `K`.
+    /// not a positive multiple of `K` or `labels.len() != N`.
     ///
     /// # Panics
     ///
-    /// Panics if `labels.len() != N` or `shard_elems == 0`.
+    /// Panics if `shard_elems == 0`.
     pub fn train_large_batch(
         &mut self,
         model: &mut Sequential,
@@ -614,9 +606,7 @@ impl PipelineEngine {
         shard_elems: usize,
     ) -> Result<LargeBatchReport, DarknightError> {
         assert!(shard_elems > 0, "shard size must be positive");
-        let k = self.cfg.k();
-        let v_count = virtual_batch_count(x, labels, k)?;
-        let plan = Arc::new(StepPlan::extract(model, self.cfg.quant())?);
+        let v_count = virtual_batch_count(x, labels, self.cfg.k())?;
         let base = self.next_batch;
 
         struct VbResult {
@@ -624,78 +614,37 @@ impl PipelineEngine {
             bn: Vec<(Vec<f32>, Vec<f32>)>,
             quarantined: Vec<WorkerId>,
         }
-        let results: Mutex<Vec<Option<Result<VbResult, DarknightError>>>> =
-            Mutex::new((0..v_count).map(|_| None).collect());
-        let next = AtomicU64::new(0);
+        let next = AtomicUsize::new(0);
         let abort = AtomicBool::new(false);
-        let agg = Mutex::new(LaneAgg::default());
-        let proto = &*model;
-        let mut sessions = Vec::with_capacity(self.opts.lanes);
-        for _ in 0..self.opts.lanes {
-            let mut s = self.lane_session()?;
-            s.set_step_plan(Some(plan.clone()));
-            sessions.push(s);
-        }
-        std::thread::scope(|scope| {
-            for mut session in sessions {
-                let mut lane_model = proto.clone();
-                let results = &results;
-                let next = &next;
-                let abort = &abort;
-                let agg = &agg;
-                scope.spawn(move || {
-                    loop {
-                        let v = next.fetch_add(1, Ordering::Relaxed) as usize;
-                        if v >= v_count || abort.load(Ordering::Relaxed) {
-                            break;
-                        }
-                        let vb = slice_virtual_batch(x, v, k);
-                        let vb_labels = &labels[v * k..(v + 1) * k];
-                        lane_model.zero_grad();
-                        session.begin_numbered_batch(base + v as u64 + 1);
-                        let q0 = session.quarantined().len();
-                        let outcome =
-                            session.accumulate_gradients(&mut lane_model, &vb, vb_labels);
-                        let entry = match outcome {
-                            Ok(report) => Ok(VbResult {
-                                grad: SealedGradient::seal(
-                                    report,
-                                    &mut lane_model,
-                                    session.enclave_mut(),
-                                    shard_elems,
-                                ),
-                                bn: collect_bn_stats(&mut lane_model),
-                                quarantined: session.quarantined()[q0..].to_vec(),
-                            }),
-                            Err(e) => {
-                                abort.store(true, Ordering::Relaxed);
-                                Err(e)
-                            }
-                        };
-                        results.lock().expect("results lock")[v] = Some(entry);
-                    }
-                    agg.lock().expect("lane agg lock").absorb(&session);
-                });
+        let results = self.run_lanes(model, |Lane { session, model }| {
+            let mut done = Vec::new();
+            loop {
+                let v = next.fetch_add(1, Ordering::Relaxed);
+                if v >= v_count || abort.load(Ordering::Relaxed) {
+                    break;
+                }
+                session.begin_numbered_batch(base + v as u64 + 1);
+                let q0 = session.quarantined().len();
+                let result = seal_virtual_batch_gradient(session, model, x, labels, v, shard_elems)
+                    .map(|grad| VbResult {
+                        grad,
+                        bn: collect_bn_stats(model),
+                        quarantined: session.quarantined()[q0..].to_vec(),
+                    });
+                if result.is_err() {
+                    abort.store(true, Ordering::Relaxed);
+                }
+                done.push((v as u64, result));
             }
-        });
+            done
+        })?;
         self.next_batch = base + v_count as u64;
-        self.absorb_lane(agg.into_inner().expect("lane agg lock"));
-        let results = results.into_inner().expect("results lock");
-        // Earliest failing batch wins (matches sequential order); no
-        // weight update on failure.
-        let mut per: Vec<VbResult> = Vec::with_capacity(v_count);
-        for r in results {
-            match r {
-                Some(Ok(v)) => per.push(v),
-                Some(Err(e)) => return Err(e),
-                // Skipped after an abort elsewhere — only reachable
-                // together with a Some(Err) at a smaller index... which
-                // was returned above, so getting here means a lane
-                // raced past the abort flag with no error recorded.
-                None => unreachable!("virtual batch skipped without a recorded error"),
-            }
-        }
-        self.quarantine_in_order(per.iter().map(|v| v.quarantined.clone()));
+        // A batch is only ever skipped after a lower-numbered one has
+        // failed (the abort flag is raised by a batch claimed earlier),
+        // so in batch order the earliest failure is met before any gap:
+        // it wins, as in sequential order, and no weight update happens.
+        let per = results.into_iter().collect::<Result<Vec<VbResult>, _>>()?;
+        self.quarantine_in_order(per.iter().map(|vb| vb.quarantined.clone()));
 
         // BatchNorm running statistics are order-sensitive: replay each
         // batch's captured stats onto the real model in batch order.
@@ -893,6 +842,58 @@ mod tests {
         assert!(engine.stats().linear_jobs > 0);
         let cluster = engine.into_cluster();
         assert!(cluster.total_macs() > 0, "worker state must survive the dispatcher");
+    }
+
+    /// Freshness under concurrency (§4.1). Outputs cannot catch a batch
+    /// number used twice — decode is exact whatever the mask — but the
+    /// workers' view can: fed `V` *identical* virtual batches, a worker
+    /// is handed the same masked vector twice exactly when two batches
+    /// shared a number. (Workers record the encodings they are asked to
+    /// store, i.e. training's forward pass.) At every lane count the
+    /// view must also be, as a multiset, the one a sequential session
+    /// leaves behind.
+    #[test]
+    fn identical_batches_get_fresh_masks_at_every_lane_count() {
+        let cfg = DarknightConfig::new(2, 1).with_integrity(true).with_seed(5);
+        let fleet = GpuCluster::honest(cfg.workers_required(), 31);
+        let m = model(8);
+        let (v_count, k) = (6, cfg.k());
+        let x = Tensor::from_fn(&[v_count * k, 2, 3, 3], |i| (i % (k * 18) % 7) as f32 * 0.1 - 0.3);
+        let labels: Vec<usize> = (0..v_count * k).map(|i| i % k).collect();
+        let views = |cluster: &GpuCluster| -> Vec<Vec<Vec<F25>>> {
+            cluster
+                .workers()
+                .iter()
+                .map(|w| {
+                    let mut seen = w.observations().to_vec();
+                    seen.sort();
+                    seen
+                })
+                .collect()
+        };
+
+        let mut trainer = crate::virtual_batch::LargeBatchTrainer::new(
+            DarknightSession::new(cfg, fleet.fork(cfg.seed())).unwrap(),
+            64,
+        );
+        trainer.train_large_batch(&mut m.clone(), &x, &labels, &mut Sgd::new(0.1)).unwrap();
+        let sequential = views(trainer.session().cluster());
+        for seen in &sequential {
+            assert_eq!(seen.len(), v_count * 2, "one observation per batch and linear layer");
+            assert!(seen.windows(2).all(|w| w[0] != w[1]), "a mask was used twice");
+        }
+
+        for lanes in [1, 2, 4] {
+            let opts = EngineOptions::default().with_lanes(lanes);
+            let mut engine = PipelineEngine::new(cfg, fleet.fork(cfg.seed()), opts).unwrap();
+            engine.train_large_batch(&mut m.clone(), &x, &labels, &mut Sgd::new(0.1), 64).unwrap();
+            assert_eq!(engine.batches_consumed(), v_count as u64);
+            assert_eq!(
+                views(&engine.into_cluster()),
+                sequential,
+                "{lanes} lanes: the workers' view differs from the sequential session's"
+            );
+        }
     }
 
     /// Regression: lane sessions must retire their final batch on drop —

@@ -30,9 +30,10 @@ pub enum DarknightError {
     Enclave(EnclaveError),
     /// The model/input shapes are inconsistent with the virtual batch.
     BatchShape {
-        /// Expected leading dimension (`K`).
+        /// Expected count: `K` (or a multiple of it) for a leading
+        /// dimension, the sample count `N` for a label list.
         expected: usize,
-        /// Actual leading dimension.
+        /// Actual leading dimension or label count.
         actual: usize,
     },
     /// A GPU fault (worker loss, timeout, remote refusal) that the
@@ -78,7 +79,7 @@ impl std::fmt::Display for DarknightError {
             DarknightError::Enclave(e) => write!(f, "enclave error: {e}"),
             DarknightError::BatchShape { expected, actual } => write!(
                 f,
-                "input batch dimension {actual} does not match virtual batch size {expected}"
+                "batch of {actual} samples or labels where the virtual batch calls for {expected}"
             ),
             DarknightError::GpuFault { layer_id, phase, fault } => write!(
                 f,

@@ -19,6 +19,7 @@ use crate::checkpoint::TrainingCheckpoint;
 use crate::engine::PipelineEngine;
 use crate::error::DarknightError;
 use crate::session::{DarknightSession, StepReport};
+use dk_gpu::GpuExec;
 use dk_linalg::Tensor;
 use dk_nn::optim::Sgd;
 use dk_nn::Sequential;
@@ -60,26 +61,24 @@ impl LargeBatchReport {
 /// # Errors
 ///
 /// [`DarknightError::BatchShape`] if `N` is not a positive multiple of
-/// `K`.
-///
-/// # Panics
-///
-/// Panics if `labels.len() != N`.
+/// `K`, or if there is not exactly one label per sample.
 pub(crate) fn virtual_batch_count(
     x: &Tensor<f32>,
     labels: &[usize],
     k: usize,
 ) -> Result<usize, DarknightError> {
     let n = x.shape()[0];
-    assert_eq!(labels.len(), n, "one label per sample");
     if !n.is_multiple_of(k) || n == 0 {
         return Err(DarknightError::BatchShape { expected: k, actual: n });
+    }
+    if labels.len() != n {
+        return Err(DarknightError::BatchShape { expected: n, actual: labels.len() });
     }
     Ok(n / k)
 }
 
 /// Slices virtual batch `v` (`K` consecutive samples) out of `x`.
-pub(crate) fn slice_virtual_batch(x: &Tensor<f32>, v: usize, k: usize) -> Tensor<f32> {
+fn slice_virtual_batch(x: &Tensor<f32>, v: usize, k: usize) -> Tensor<f32> {
     let sample_elems: usize = x.shape()[1..].iter().product();
     let mut shape = x.shape().to_vec();
     shape[0] = k;
@@ -96,7 +95,7 @@ pub(crate) struct SealedGradient {
 impl SealedGradient {
     /// Extracts the gradient `model` holds after virtual batch `v`'s
     /// backward pass, shards it and seals each shard with `enclave`.
-    pub(crate) fn seal(
+    fn seal(
         report: StepReport,
         model: &mut Sequential,
         enclave: &mut Enclave,
@@ -109,6 +108,30 @@ impl SealedGradient {
             .collect();
         Self { report, blobs }
     }
+}
+
+/// Algorithm 2's per-virtual-batch body (lines 3–10), the part both
+/// trainers share: slices virtual batch `v` out of the large batch,
+/// computes its `∇W_v` into `model`'s (zeroed) gradient buffers on
+/// `session`'s installed batch, and seals it shard by shard with the
+/// session's enclave.
+///
+/// # Errors
+///
+/// Any private-execution error of the forward/backward pass.
+pub(crate) fn seal_virtual_batch_gradient<X: GpuExec>(
+    session: &mut DarknightSession<X>,
+    model: &mut Sequential,
+    x: &Tensor<f32>,
+    labels: &[usize],
+    v: usize,
+    shard_elems: usize,
+) -> Result<SealedGradient, DarknightError> {
+    let k = session.config().k();
+    let vb = slice_virtual_batch(x, v, k);
+    model.zero_grad();
+    let report = session.accumulate_gradients(model, &vb, &labels[v * k..(v + 1) * k])?;
+    Ok(SealedGradient::seal(report, model, session.enclave_mut(), shard_elems))
 }
 
 /// `UpdateAggregation` and the step (Algorithm 2 lines 12–21), the tail
@@ -366,11 +389,7 @@ impl LargeBatchTrainer {
     /// # Errors
     ///
     /// Any private-execution error; [`DarknightError::BatchShape`] if
-    /// `N` is not a multiple of `K`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `labels.len()` differs from `N`.
+    /// `N` is not a multiple of `K` or `labels.len()` differs from `N`.
     pub fn train_large_batch(
         &mut self,
         model: &mut Sequential,
@@ -406,15 +425,10 @@ fn train_sequential(
     sgd: &mut Sgd,
     shard_elems: usize,
 ) -> Result<LargeBatchReport, DarknightError> {
-    let k = session.config().k();
-    let v_count = virtual_batch_count(x, labels, k)?;
-    let mut grads = Vec::with_capacity(v_count);
-    for v in 0..v_count {
-        let vb = slice_virtual_batch(x, v, k);
-        model.zero_grad();
-        let report = session.accumulate_gradients(model, &vb, &labels[v * k..(v + 1) * k])?;
-        grads.push(SealedGradient::seal(report, model, session.enclave_mut(), shard_elems));
-    }
+    let v_count = virtual_batch_count(x, labels, session.config().k())?;
+    let grads = (0..v_count)
+        .map(|v| seal_virtual_batch_gradient(session, model, x, labels, v, shard_elems))
+        .collect::<Result<Vec<_>, _>>()?;
     aggregate_and_step(session.enclave_mut(), &grads, model, sgd)
 }
 
@@ -521,7 +535,26 @@ mod tests {
         let (x, labels) = batch(5);
         assert!(matches!(
             t.train_large_batch(&mut m, &x, &labels, &mut sgd),
-            Err(DarknightError::BatchShape { .. })
+            Err(DarknightError::BatchShape { expected: 2, actual: 5 })
+        ));
+        // A label-count mismatch is the same typed error, on both
+        // trainers, not a panic.
+        let (x, labels) = batch(4);
+        assert!(matches!(
+            t.train_large_batch(&mut m, &x, &labels[..3], &mut sgd),
+            Err(DarknightError::BatchShape { expected: 4, actual: 3 })
+        ));
+        let cfg = DarknightConfig::new(2, 1).with_seed(77);
+        let engine = PipelineEngine::new(
+            cfg,
+            GpuCluster::honest(cfg.workers_required(), 21),
+            crate::engine::EngineOptions::default(),
+        )
+        .unwrap();
+        let mut pipelined = LargeBatchTrainer::pipelined(engine, 16);
+        assert!(matches!(
+            pipelined.train_large_batch(&mut m, &x, &labels[..3], &mut sgd),
+            Err(DarknightError::BatchShape { expected: 4, actual: 3 })
         ));
     }
 

@@ -1,12 +1,19 @@
 //! Tracing spans: per-lane ring buffers and chrome://tracing export.
 //!
-//! Every thread that records a span lazily registers one fixed-capacity
-//! ring buffer (the "lane") with a process-global sink — the one-time
+//! Every thread that records a span lazily claims one fixed-capacity
+//! ring buffer (the "lane") in a process-global sink — the one-time
 //! allocation happens on the first span a thread ever records (during
 //! warm-up in practice), after which recording is allocation-free:
 //! `Instant::now` twice plus a handful of relaxed stores into a
 //! pre-allocated slot. When the ring wraps, the oldest spans are
 //! overwritten — the newest window is always retained.
+//!
+//! A ring retires with its thread and is claimed again by the next
+//! thread of the same name, which keeps writing where the last one
+//! stopped. Code that starts short-lived threads over and over (the
+//! pipelined engine's `dk-lane-{i}` threads, fresh on every call) thus
+//! holds one ring and one chrome `tid` per *name*, not per thread ever
+//! started.
 //!
 //! When observability is disabled ([`crate::enabled`] is false),
 //! [`span`] costs one relaxed atomic load and returns an inert guard.
@@ -18,7 +25,7 @@
 //! structured [`SpanRecord`]s for tests.
 
 use std::cell::OnceCell;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 
@@ -68,10 +75,11 @@ impl Stage {
 /// One completed span, as read back by [`snapshot`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SpanRecord {
-    /// Lane (ring) index — one per recording thread, in registration
-    /// order. Becomes the chrome `tid`.
+    /// Lane (ring) index, in registration order — one per recording
+    /// thread alive at a time, handed down between threads of one name.
+    /// Becomes the chrome `tid`.
     pub lane: usize,
-    /// Name of the recording thread at registration time (may be empty).
+    /// Name of the recording thread(s) (may be empty).
     pub thread: String,
     /// Protocol stage.
     pub stage: Stage,
@@ -111,6 +119,9 @@ struct SpanSlot {
 struct LaneRing {
     lane: usize,
     thread: String,
+    /// True while a live thread records into this ring. Only read and
+    /// written under the sink lock.
+    claimed: AtomicBool,
     cursor: AtomicUsize,
     slots: Box<[SpanSlot]>,
 }
@@ -144,11 +155,33 @@ pub fn epoch() -> Instant {
     *EPOCH.get_or_init(Instant::now)
 }
 
-thread_local! {
-    static LOCAL_RING: OnceCell<Arc<LaneRing>> = const { OnceCell::new() };
+/// A thread's hold on its ring; dropped with the thread's locals, which
+/// retires the ring for the next thread of the same name.
+struct RingClaim(Arc<LaneRing>);
+
+impl Drop for RingClaim {
+    fn drop(&mut self) {
+        let _rings = sink().lock().unwrap_or_else(|e| e.into_inner());
+        self.0.claimed.store(false, Ordering::Relaxed);
+    }
 }
 
-fn register_ring() -> Arc<LaneRing> {
+thread_local! {
+    static LOCAL_RING: OnceCell<RingClaim> = const { OnceCell::new() };
+}
+
+/// Claims the calling thread's ring: a retired one registered under the
+/// same thread name if there is one, a newly registered one otherwise.
+fn claim_ring() -> RingClaim {
+    let current = std::thread::current();
+    let name = current.name().unwrap_or("");
+    let mut rings = sink().lock().unwrap_or_else(|e| e.into_inner());
+    let retired =
+        rings.iter().find(|r| r.thread == name && !r.claimed.load(Ordering::Relaxed));
+    if let Some(ring) = retired {
+        ring.claimed.store(true, Ordering::Relaxed);
+        return RingClaim(ring.clone());
+    }
     let cap = RING_CAP.load(Ordering::Relaxed);
     let slots: Box<[SpanSlot]> = (0..cap)
         .map(|_| SpanSlot {
@@ -160,15 +193,15 @@ fn register_ring() -> Arc<LaneRing> {
             dur_ns: AtomicU64::new(0),
         })
         .collect();
-    let mut rings = sink().lock().unwrap_or_else(|e| e.into_inner());
     let ring = Arc::new(LaneRing {
         lane: rings.len(),
-        thread: std::thread::current().name().unwrap_or("").to_string(),
+        thread: name.to_string(),
+        claimed: AtomicBool::new(true),
         cursor: AtomicUsize::new(0),
         slots,
     });
     rings.push(ring.clone());
-    ring
+    RingClaim(ring)
 }
 
 /// An in-flight span. Records itself into the calling thread's lane
@@ -207,7 +240,7 @@ impl Drop for SpanGuard {
             let start_us = start.saturating_duration_since(epoch()).as_micros() as u64;
             let dur_ns = end.saturating_duration_since(start).as_nanos() as u64;
             LOCAL_RING.with(|c| {
-                c.get_or_init(register_ring).push(stage, batch, layer, start_us, dur_ns);
+                c.get_or_init(claim_ring).0.push(stage, batch, layer, start_us, dur_ns);
             });
         }
     }

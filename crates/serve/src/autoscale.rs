@@ -6,8 +6,8 @@
 //! Scaling **up** spawns a fresh engine lane-set over a new
 //! [`dk_gpu::GpuCluster::fork`] with a never-reused slot seed (mask
 //! streams must stay unique per engine). Scaling **down** *retires* the
-//! newest worker: its feeder stops pulling batches and the engine
-//! drains everything already in flight — a retired worker is never
+//! newest worker: its lanes stop pulling batches and finish the ones
+//! they already hold — a retired worker is never
 //! killed, so every admitted request completes and, because per-sample
 //! quantization makes each response independent of its batch-mates and
 //! serving engine, completes **bit-identically** to a fixed-size run.

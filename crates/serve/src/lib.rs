@@ -19,16 +19,17 @@
 //!   saturated, the bounded dispatch queue can still delay an expired
 //!   batch until a worker frees up — the deadline bounds aggregation
 //!   wait, not end-to-end latency);
-//! * a pool of worker threads, each owning its own
-//!   [`dk_core::DarknightSession`] over a [`dk_gpu::GpuCluster::fork`]
-//!   of one shared fleet, executes the batches;
+//! * a pool of workers, each owning a [`dk_core::PipelineEngine`] over
+//!   a [`dk_gpu::GpuCluster::fork`] of one shared fleet, executes the
+//!   batches: the engine's TEE lanes pull them off the dispatch queue,
+//!   run them and route the responses themselves;
 //! * each caller's [`Ticket`] resolves to a [`Response`] carrying the
 //!   output, an [`IntegrityVerdict`], and queue/service timings, and
 //!   [`ServerMetrics`] snapshots the deployment (throughput, p50/p95
 //!   queue latency, batch-fill ratio, shed count) for
 //!   `dk_perf::report::serving_table`.
 //!
-//! **Exactness under aggregation.** Sessions run
+//! **Exactness under aggregation.** The lanes' sessions run
 //! [`dk_core::DarknightSession::private_inference_per_sample`], which
 //! quantizes every row with its own scale, so the answer each caller
 //! receives is bit-for-bit the answer [`dk_core::QuantizedReference`]

@@ -7,25 +7,18 @@
 //! through the process-global registry), so every recording is a
 //! relaxed `fetch_add` and the whole set renders through the standard
 //! `render_prometheus`/`render_json` expositions. Queue-wait latency is
-//! double-booked: a `dk_serve_queue_wait_us` histogram for scrapes, and
-//! a bounded sliding window of raw samples for the *exact* nearest-rank
-//! percentiles the serving report prints.
+//! booked once, in the `dk_serve_queue_wait_us` histogram: scrapes and
+//! the serving report's percentiles both read it.
 
 use dk_core::DarknightError;
 use dk_gpu::GpuError;
 use dk_obs::{Counter, Gauge, Histogram, Registry};
 use dk_perf::ServingRow;
-use std::sync::Mutex;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
-/// Queue-latency percentiles are computed over a sliding window of the
-/// most recent responses, so a long-running server neither grows
-/// without bound nor pays an ever-larger sort per snapshot.
-const QUEUE_WAIT_WINDOW: usize = 4096;
-
-/// Thread-shared recorder. Counters are lock-free; only the exact
-/// queue-wait window takes a lock, and those events are tiny compared
-/// to an encode/decode round.
+/// Thread-shared recorder: every recording is lock-free (it runs on the
+/// TEE lanes).
 pub(crate) struct MetricsRecorder {
     started: Instant,
     registry: Registry,
@@ -47,16 +40,9 @@ pub(crate) struct MetricsRecorder {
     dispatch_depth: Gauge,
     pool_workers: Gauge,
     queue_wait_us: Histogram,
-    window: Mutex<WaitWindow>,
-}
-
-#[derive(Debug, Default)]
-struct WaitWindow {
-    /// Ring buffer of the last [`QUEUE_WAIT_WINDOW`] queue waits.
-    waits_us: Vec<u64>,
-    /// Next overwrite position once the ring is full.
-    cursor: usize,
-    last_response_at: Option<Instant>,
+    /// When the latest response was routed, in microseconds (at least
+    /// 1) since `started`; 0 until the first response.
+    last_response_us: AtomicU64,
 }
 
 impl std::fmt::Debug for MetricsRecorder {
@@ -95,13 +81,9 @@ impl MetricsRecorder {
             dispatch_depth: registry.gauge("dk_serve_dispatch_depth"),
             pool_workers: registry.gauge("dk_serve_pool_workers"),
             queue_wait_us: registry.histogram("dk_serve_queue_wait_us"),
-            window: Mutex::new(WaitWindow::default()),
+            last_response_us: AtomicU64::new(0),
             registry,
         }
-    }
-
-    fn lock(&self) -> std::sync::MutexGuard<'_, WaitWindow> {
-        self.window.lock().expect("metrics lock poisoned")
     }
 
     pub fn record_submitted(&self) {
@@ -148,7 +130,7 @@ impl MetricsRecorder {
         self.dispatch_depth.inc();
     }
 
-    /// A worker feeder pulled a batch off the dispatch queue.
+    /// A worker lane pulled a batch off the dispatch queue.
     pub fn record_dispatch_dequeued(&self) {
         self.dispatch_depth.dec();
     }
@@ -201,17 +183,11 @@ impl MetricsRecorder {
         if repaired {
             self.repaired.inc();
         }
-        let wait_us = queue_wait.as_micros() as u64;
-        self.queue_wait_us.record(wait_us);
-        let mut g = self.lock();
-        if g.waits_us.len() < QUEUE_WAIT_WINDOW {
-            g.waits_us.push(wait_us);
-        } else {
-            let cursor = g.cursor;
-            g.waits_us[cursor] = wait_us;
-            g.cursor = (cursor + 1) % QUEUE_WAIT_WINDOW;
-        }
-        g.last_response_at = Some(Instant::now());
+        self.queue_wait_us.record(queue_wait.as_micros() as u64);
+        // A statistic that publishes nothing else: relaxed. `fetch_max`
+        // keeps it the latest across concurrently routing lanes.
+        let now_us = self.started.elapsed().as_micros() as u64;
+        self.last_response_us.fetch_max(now_us.max(1), Ordering::Relaxed);
     }
 
     /// Prometheus text exposition of every serving metric.
@@ -225,14 +201,10 @@ impl MetricsRecorder {
     }
 
     pub fn snapshot(&self) -> ServerMetrics {
-        let g = self.lock();
-        let mut waits = g.waits_us.clone();
-        waits.sort_unstable();
-        let wall = match g.last_response_at {
-            Some(t) => t.duration_since(self.started),
-            None => self.started.elapsed(),
+        let wall = match self.last_response_us.load(Ordering::Relaxed) {
+            0 => self.started.elapsed(),
+            us => Duration::from_micros(us),
         };
-        drop(g);
         let (real_rows, padded_rows) = (self.real_rows.value(), self.padded_rows.value());
         let total_rows = real_rows + padded_rows;
         let served = self.served.value();
@@ -257,21 +229,12 @@ impl MetricsRecorder {
             } else {
                 real_rows as f64 / total_rows as f64
             },
-            p50_queue: percentile(&waits, 0.50),
-            p95_queue: percentile(&waits, 0.95),
+            p50_queue: Duration::from_micros(self.queue_wait_us.percentile(50.0)),
+            p95_queue: Duration::from_micros(self.queue_wait_us.percentile(95.0)),
             wall,
             throughput_rps: if wall.is_zero() { 0.0 } else { served as f64 / wall.as_secs_f64() },
         }
     }
-}
-
-/// Nearest-rank percentile over pre-sorted microsecond samples.
-fn percentile(sorted_us: &[u64], q: f64) -> Duration {
-    if sorted_us.is_empty() {
-        return Duration::ZERO;
-    }
-    let idx = ((sorted_us.len() - 1) as f64 * q).round() as usize;
-    Duration::from_micros(sorted_us[idx])
 }
 
 /// A point-in-time summary of one server's traffic.
@@ -317,11 +280,14 @@ pub struct ServerMetrics {
     /// `real_rows / (real_rows + padded_rows)`; `1.0` when no batch
     /// was dispatched (or none needed padding).
     pub batch_fill_ratio: f64,
-    /// Median submission → dispatch wait over the most recent 4096
-    /// responses.
+    /// Median submission → dispatch wait over all responses, read from
+    /// the log₂-bucket `dk_serve_queue_wait_us` histogram: the upper
+    /// bound of the bucket holding the median, so for a true value `t`
+    /// µs this reads `e` with `t ≤ e < 2t` (exact waits travel in
+    /// [`crate::Response::queue_wait`]).
     pub p50_queue: Duration,
-    /// 95th-percentile submission → dispatch wait over the most recent
-    /// 4096 responses.
+    /// 95th-percentile submission → dispatch wait, at the same
+    /// histogram resolution (`t ≤ e < 2t`).
     pub p95_queue: Duration,
     /// Server start → last routed response.
     pub wall: Duration,
@@ -366,8 +332,11 @@ mod tests {
         assert_eq!(m.batches, 1);
         assert_eq!((m.real_rows, m.padded_rows), (2, 2));
         assert!((m.batch_fill_ratio - 0.5).abs() < 1e-12);
-        assert!(m.p50_queue >= Duration::from_millis(2));
-        assert!(m.p95_queue >= m.p50_queue);
+        // Histogram resolution: a true percentile `t` reads `e` with
+        // `t ≤ e < 2t`.
+        let (ms2, ms4) = (Duration::from_millis(2), Duration::from_millis(4));
+        assert!(ms2 <= m.p50_queue && m.p50_queue < 2 * ms2, "{:?}", m.p50_queue);
+        assert!(ms4 <= m.p95_queue && m.p95_queue < 2 * ms4, "{:?}", m.p95_queue);
         assert!(m.wall > Duration::ZERO);
     }
 
@@ -379,39 +348,6 @@ mod tests {
         assert_eq!(m.p50_queue, Duration::ZERO);
         assert_eq!(m.throughput_rps, 0.0);
         assert_eq!((m.worker_lost, m.timeouts, m.quarantined, m.repaired_rows), (0, 0, 0, 0));
-    }
-
-    /// Regression: the wait buffer is a bounded ring — old samples are
-    /// overwritten, memory does not grow with uptime, and percentiles
-    /// reflect the recent window.
-    #[test]
-    fn queue_waits_are_a_bounded_sliding_window() {
-        let rec = MetricsRecorder::new();
-        for _ in 0..QUEUE_WAIT_WINDOW {
-            rec.record_response(Duration::ZERO, true, false);
-        }
-        for _ in 0..QUEUE_WAIT_WINDOW {
-            rec.record_response(Duration::from_millis(7), true, true);
-        }
-        let m = rec.snapshot();
-        assert_eq!(m.served, 2 * QUEUE_WAIT_WINDOW as u64, "counters still see everything");
-        assert_eq!(m.repaired, QUEUE_WAIT_WINDOW as u64);
-        assert_eq!(
-            m.p50_queue,
-            Duration::from_millis(7),
-            "window holds only the recent samples"
-        );
-        assert_eq!(rec.lock().waits_us.len(), QUEUE_WAIT_WINDOW);
-        // The histogram, by contrast, keeps counting everything.
-        assert_eq!(rec.queue_wait_us.count(), 2 * QUEUE_WAIT_WINDOW as u64);
-    }
-
-    #[test]
-    fn percentiles_nearest_rank() {
-        let us: Vec<u64> = (1..=100).collect();
-        assert_eq!(percentile(&us, 0.50), Duration::from_micros(51));
-        assert_eq!(percentile(&us, 0.95), Duration::from_micros(95));
-        assert_eq!(percentile(&us, 1.0), Duration::from_micros(100));
     }
 
     #[test]

@@ -13,30 +13,33 @@
 //!                          │ shared Mutex<Receiver> (work stealing)
 //!            ┌─────────────┼─────────────┐
 //!        worker 0      worker 1  …   worker N-1
-//!        (each: feeder ▶ PipelineEngine lanes ▶ router)
+//!        (each: PipelineEngine, `pipeline_lanes` TEE lanes)
 //!            │               │             │
 //!            └── per-request mpsc Sender ──┴──▶ Ticket::wait
 //! ```
 //!
 //! Every pool worker owns a [`dk_core::PipelineEngine`] over a
-//! [`GpuCluster::fork`] of one shared fleet: a feeder thread pulls
-//! batches off the shared dispatch queue into the engine's input stream,
-//! `pipeline_lanes` TEE lane threads serve them concurrently over the
-//! engine's persistent GPU worker threads — so the TEE encodes batch
-//! `t+1` while the fleet computes batch `t` (§7.1) — and a router
-//! thread sends per-request responses back in completion order.
-//! Responses are bit-for-bit unchanged from the sequential path (the
-//! engine's determinism guarantee) — per-sample quantization scales make
-//! every answer identical to running that request alone.
+//! [`GpuCluster::fork`] of one shared fleet, and its `pipeline_lanes`
+//! TEE lane threads are the only threads that touch a batch after the
+//! aggregator formed it. A lane pulls the next batch off the shared
+//! dispatch queue itself, assembles `[K, …]` into its own reused tensor,
+//! runs it on its session over the engine's persistent GPU worker
+//! threads — so one lane encodes batch `t+1` while the fleet computes
+//! batch `t` (§7.1) — and routes the per-request responses itself, in
+//! completion order. Responses are bit-for-bit unchanged from the
+//! sequential path (the engine's determinism guarantee) — per-sample
+//! quantization scales make every answer identical to running that
+//! request alone.
 //!
-//! Backpressure is a chain: slow engines fill the dispatch queue, a
-//! full dispatch queue blocks the aggregator, a blocked aggregator
-//! stops absorbing once its own backlog reaches the cap (it never
-//! hoards more than `max(K, queue_capacity)` pending requests), and
-//! the bounded ingress then fills — at which point `submit` sheds
+//! Backpressure is a chain: busy lanes leave batches in the dispatch
+//! queue, a full dispatch queue blocks the aggregator, a blocked
+//! aggregator stops absorbing once its own backlog reaches the cap (it
+//! never hoards more than `max(K, queue_capacity)` pending requests),
+//! and the bounded ingress then fills — at which point `submit` sheds
 //! instead of queueing unboundedly (the overload policy). Outstanding
-//! admitted work is therefore bounded end to end (the engine's input
-//! channel is bounded by its lane count).
+//! admitted work is therefore bounded end to end: a lane pulls only when
+//! it is free to run, so a worker holds at most `pipeline_lanes` batches
+//! between the dispatch queue and the reply.
 
 use crate::aggregator::{Batch, BatchAggregator, Pending};
 use crate::autoscale::{decide, AutoscaleConfig, ScaleDecision, TickSignals};
@@ -45,23 +48,21 @@ use crate::metrics::{MetricsRecorder, ServerMetrics};
 use crate::request::{
     InferenceRequest, IntegrityVerdict, RequestId, Response, Shed, ShedReason, Ticket,
 };
-use dk_core::engine::InferenceOutcome;
+use dk_core::engine::BatchOutcome;
 use dk_core::{DarknightConfig, DarknightError, EngineOptions, PipelineEngine};
 use dk_gpu::GpuCluster;
 use dk_linalg::Tensor;
 use dk_nn::Sequential;
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{self, RecvTimeoutError, TrySendError};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// How long a retired (or shutdown-pending) feeder sleeps between
-/// retire-flag checks while the dispatch queue is empty. Arrivals wake
-/// it immediately; this only bounds how fast a *quiet* feeder notices
-/// it was retired.
-const FEEDER_POLL: Duration = Duration::from_millis(5);
+/// How long a lane waits on an empty dispatch queue between retire-flag
+/// checks. Arrivals wake it immediately; this only bounds how fast a
+/// *quiet* worker notices it was retired.
+const RETIRE_POLL: Duration = Duration::from_millis(5);
 
 /// Deployment parameters for one [`Server`].
 #[derive(Debug, Clone)]
@@ -380,7 +381,7 @@ impl Pool {
     }
 
     /// Joins every worker thread, active and retired (shutdown path —
-    /// the dispatch sender must already be dropped or feeders never
+    /// the dispatch sender must already be dropped or the lanes never
     /// exit).
     fn join_all(&self) {
         let (active, retired) = {
@@ -475,7 +476,7 @@ impl Server {
         };
         for _ in 0..initial {
             if let Err(e) = pool.spawn_worker() {
-                drop(ingress_tx); // feeders exit once dispatch_tx dies below
+                drop(ingress_tx); // lanes exit once dispatch_tx dies below
                 drop(dispatch_tx);
                 pool.join_all();
                 return Err(ServeError::Session(e));
@@ -565,7 +566,7 @@ impl Server {
         let ServerHandle { metrics, .. } = handle;
         // Stop the controller first so it cannot resize a draining
         // pool, then the aggregator (whose exit drops the dispatch
-        // sender and lets the feeders run dry), then the workers.
+        // sender and lets the lanes run dry), then the workers.
         if let Some((stop_tx, h)) = controller {
             drop(stop_tx);
             let _ = h.join();
@@ -734,19 +735,11 @@ fn send_batch(
     })
 }
 
-/// Per-batch metadata the router needs to turn an engine outcome back
-/// into per-request responses.
-struct InFlight {
-    entries: Vec<Pending>,
-    dispatched_at: Instant,
-    fill: f64,
-}
-
-/// One pool worker: a feeder thread pulls batches off the shared
-/// dispatch queue into its [`PipelineEngine`]'s input stream, the
-/// engine's TEE lanes serve them concurrently (encode of batch `t+1`
-/// under the shadow of GPU work for batch `t`), and a router thread
-/// sends per-request responses in completion order.
+/// One pool worker: its [`PipelineEngine`]'s TEE lanes pull batches off
+/// the shared dispatch queue, serve them concurrently (encode of batch
+/// `t+1` under the shadow of GPU work for batch `t`) and route the
+/// per-request responses themselves, in completion order. This thread
+/// only parks until the lanes are done.
 fn worker_loop(
     mut engine: PipelineEngine,
     model: Sequential,
@@ -756,170 +749,109 @@ fn worker_loop(
 ) {
     let k = engine.config().k();
     let integrity = engine.config().integrity();
-    let lanes = engine.options().lanes;
-    let (in_tx, in_rx) = mpsc::sync_channel::<(u64, Tensor<f32>)>(lanes);
-    let (out_tx, out_rx) = mpsc::channel::<InferenceOutcome>();
-    let in_flight: Mutex<HashMap<u64, InFlight>> = Mutex::new(HashMap::new());
-    // Recycled batch tensors: the router pushes each served batch's
-    // input buffer here and the feeder reuses it for the next batch
-    // (padding rows re-zeroed), so steady-state serving assembles
-    // batches without allocating. Bounded by the in-flight batch count.
-    let spare_batches: Mutex<Vec<Tensor<f32>>> = Mutex::new(Vec::new());
-    std::thread::scope(|scope| {
-        // Feeder: dispatch queue → engine input. The bounded engine
-        // input keeps the backpressure chain intact: full lanes block
-        // the feeder, which leaves batches in the dispatch queue.
-        let in_flight_ref = &in_flight;
-        let spare_ref = &spare_batches;
-        scope.spawn(move || {
-            let mut seq = 0u64;
-            loop {
-                // Drain-on-retire: once the flag is up this feeder
-                // stops pulling new batches and exits; everything
-                // already handed to the engine still completes (the
-                // scope below drains the lanes), so a retired worker is
-                // never killed mid-batch.
-                if retire.load(Ordering::Acquire) {
-                    return;
-                }
-                // Holding the lock while blocked on recv is deliberate:
-                // idle workers queue on the mutex instead of the
-                // channel, and the lock is released the moment a batch
-                // (or disconnect) arrives. The timeout only bounds how
-                // long a *quiet* feeder goes between retire-flag
-                // checks.
-                let batch = match lock_unpoisoned(dispatch).recv_timeout(FEEDER_POLL) {
-                    Ok(b) => b,
-                    Err(RecvTimeoutError::Timeout) => continue,
-                    Err(RecvTimeoutError::Disconnected) => return, // aggregator gone, queue drained
-                };
-                metrics.record_dispatch_dequeued();
-                debug_assert!(!batch.entries.is_empty() && batch.entries.len() <= k);
-                let dispatched_at = Instant::now();
-                // Assemble [K, sample...]: real rows first, all-zero
-                // padding after. Per-sample quantization scales make the
-                // padding numerically invisible to the real rows.
-                let mut shape = vec![k];
-                shape.extend_from_slice(batch.entries[0].input.shape());
-                // Reuse a recycled batch tensor when one matches; the
-                // padding rows are re-zeroed below, so stale contents
-                // are numerically invisible (identical to a fresh
-                // zeroed tensor).
-                let recycled = lock_unpoisoned(spare_ref).pop().filter(|t| t.shape() == shape);
-                let mut x = recycled.unwrap_or_else(|| Tensor::<f32>::zeros(&shape));
-                for (i, p) in batch.entries.iter().enumerate() {
-                    x.batch_item_mut(i).copy_from_slice(p.input.as_slice());
-                }
-                for i in batch.entries.len()..k {
-                    x.batch_item_mut(i).fill(0.0);
-                }
-                let fill = batch.fill();
-                lock_unpoisoned(in_flight_ref).insert(
-                    seq,
-                    InFlight { entries: batch.entries, dispatched_at, fill },
-                );
-                if in_tx.send((seq, x)).is_err() {
-                    return; // engine gone (plan extraction failed)
-                }
-                seq += 1;
+    // A lane's pull: the next batch off the dispatch queue, assembled
+    // into the tensor the lane got last time (`spare`), plus what
+    // `route_batch` needs to answer it.
+    let pull = |spare: Option<Tensor<f32>>| {
+        let batch = loop {
+            // Drain-on-retire: once the flag is up the lanes stop
+            // pulling and exit; a batch already pulled is still served
+            // and routed, so a retired worker is never killed mid-batch.
+            if retire.load(Ordering::Acquire) {
+                return None;
             }
-        });
-        // Router: engine outcomes → per-request responses. The served
-        // batch's input tensor goes back to the spare pool for the
-        // feeder to refill.
-        let in_flight_ref = &in_flight;
-        let spare_ref = &spare_batches;
-        scope.spawn(move || {
-            for mut o in out_rx.iter() {
-                let Some(InFlight { entries, dispatched_at, fill }) =
-                    lock_unpoisoned(in_flight_ref).remove(&o.seq)
-                else {
-                    // An outcome for a batch nobody registered can only
-                    // follow a feeder fault; the waiters (if any) see a
-                    // dropped ticket, not a dead server.
-                    continue;
-                };
-                if let Some(input) = o.input.take() {
-                    lock_unpoisoned(spare_ref).push(input);
-                }
-                route_batch(o, entries, dispatched_at, fill, integrity, metrics);
+            // Holding the lock while blocked on recv is deliberate:
+            // idle lanes and workers queue on the mutex instead of the
+            // channel, and the lock is released the moment a batch (or
+            // disconnect) arrives.
+            match lock_unpoisoned(dispatch).recv_timeout(RETIRE_POLL) {
+                Ok(b) => break b,
+                Err(RecvTimeoutError::Timeout) => {}
+                // Aggregator gone and the queue drained.
+                Err(RecvTimeoutError::Disconnected) => return None,
             }
-        });
-        // The engine's TEE lanes run on this thread's scope; returns
-        // when the feeder closes the input (server drained).
-        if engine.pump_inference(&model, true, in_rx, out_tx).is_err() {
-            // Weight quantization failed at plan extraction: senders
-            // are dropped, the feeder and router unwind, and waiting
-            // tickets observe the worker as gone.
+        };
+        metrics.record_dispatch_dequeued();
+        debug_assert!(!batch.entries.is_empty() && batch.entries.len() <= k);
+        let dispatched_at = Instant::now();
+        // Assemble [K, sample...]: real rows first, all-zero padding
+        // after. Per-sample quantization scales make the padding
+        // numerically invisible to the real rows, and re-zeroing it
+        // makes a reused tensor identical to a fresh one.
+        let mut shape = vec![k];
+        shape.extend_from_slice(batch.entries[0].input.shape());
+        let mut x = spare
+            .filter(|t| t.shape() == shape)
+            .unwrap_or_else(|| Tensor::<f32>::zeros(&shape));
+        for (i, p) in batch.entries.iter().enumerate() {
+            x.batch_item_mut(i).copy_from_slice(p.input.as_slice());
         }
-    });
+        for i in batch.entries.len()..k {
+            x.batch_item_mut(i).fill(0.0);
+        }
+        Some((x, (batch, dispatched_at)))
+    };
+    let route = |(batch, dispatched_at): (Batch, Instant), outcome, quarantined: &[_]| {
+        metrics.record_quarantined(quarantined.len());
+        route_batch(outcome, batch, dispatched_at, integrity, metrics)
+    };
+    // An error is weight quantization failing at plan extraction, which
+    // `Server::start` checked on this very model: nothing was pulled,
+    // and the dispatch queue is left to the other workers.
+    let _ = engine.pump(&model, true, pull, route);
 }
 
 /// Turns one engine outcome into per-request responses, dropping padded
-/// rows (only real requests receive responses).
+/// rows (only real requests receive responses). Hands the output tensor
+/// back for the lane to reuse.
 fn route_batch(
-    outcome: InferenceOutcome,
-    entries: Vec<Pending>,
+    outcome: BatchOutcome,
+    batch: Batch,
     dispatched_at: Instant,
-    fill: f64,
     integrity: bool,
     metrics: &MetricsRecorder,
-) {
-    // Measured from the dispatch-queue pull, not from lane pickup
-    // (`outcome.service`): time spent waiting in the engine's bounded
-    // input channel is real latency the client observes, and
-    // queue_wait + service_time must cover the whole journey.
+) -> Option<Tensor<f32>> {
+    // Measured from the dispatch-queue pull: queue_wait + service_time
+    // must cover the request's whole journey.
     let service_time = dispatched_at.elapsed();
-    if !outcome.quarantined.is_empty() {
-        metrics.record_quarantined(outcome.quarantined.len());
-    }
-    match outcome.output {
-        Ok(y) => {
-            let row_shape = y.shape()[1..].to_vec();
-            // A successful decode that needed TEE-side repair is still
-            // evidence of active tampering: surface it as `Repaired`,
-            // never as a clean `Verified`.
-            let verdict = if outcome.repaired {
-                metrics.record_repaired_rows(entries.len());
-                IntegrityVerdict::Repaired
-            } else if integrity {
-                IntegrityVerdict::Verified
-            } else {
-                IntegrityVerdict::Unchecked
-            };
-            for (i, p) in entries.into_iter().enumerate() {
-                let queue_wait = dispatched_at.duration_since(p.enqueued);
-                metrics.record_response(queue_wait, true, outcome.repaired);
-                let _ = p.reply.send(Response {
-                    id: p.id,
-                    output: Ok(Tensor::from_vec(&row_shape, y.batch_item(i).to_vec())),
-                    verdict,
-                    queue_wait,
-                    service_time,
-                    batch_fill: fill,
-                });
-            }
+    let fill = batch.fill();
+    let served = outcome.output.is_ok();
+    let repaired = served && outcome.repaired;
+    let verdict = match &outcome.output {
+        // A successful decode that needed TEE-side repair is still
+        // evidence of active tampering: surface it as `Repaired`, never
+        // as a clean `Verified`.
+        Ok(_) if repaired => {
+            metrics.record_repaired_rows(batch.entries.len());
+            IntegrityVerdict::Repaired
         }
+        Ok(_) if integrity => IntegrityVerdict::Verified,
+        Ok(_) => IntegrityVerdict::Unchecked,
         Err(e) => {
-            metrics.record_fault(&e);
-            let verdict = match &e {
+            metrics.record_fault(e);
+            match e {
                 DarknightError::IntegrityViolation { .. } => IntegrityVerdict::Violated,
                 _ => IntegrityVerdict::Unchecked,
-            };
-            for p in entries {
-                let queue_wait = dispatched_at.duration_since(p.enqueued);
-                metrics.record_response(queue_wait, false, false);
-                let _ = p.reply.send(Response {
-                    id: p.id,
-                    output: Err(e.clone()),
-                    verdict,
-                    queue_wait,
-                    service_time,
-                    batch_fill: fill,
-                });
             }
         }
+    };
+    for (i, p) in batch.entries.into_iter().enumerate() {
+        let queue_wait = dispatched_at.duration_since(p.enqueued);
+        metrics.record_response(queue_wait, served, repaired);
+        let output = match &outcome.output {
+            Ok(y) => Ok(Tensor::from_vec(&y.shape()[1..], y.batch_item(i).to_vec())),
+            Err(e) => Err(e.clone()),
+        };
+        let _ = p.reply.send(Response {
+            id: p.id,
+            output,
+            verdict,
+            queue_wait,
+            service_time,
+            batch_fill: fill,
+        });
     }
+    outcome.output.ok()
 }
 
 #[cfg(test)]
@@ -1408,6 +1340,57 @@ mod tests {
         assert!(m.scale_ups > 1, "burst must have grown the pool: {m:?}");
         assert!(m.scale_downs > 0, "calm must have shrunk the pool: {m:?}");
         assert_eq!(m.pool_workers, 0, "shutdown empties the pool gauge");
+    }
+
+    /// Bounded staging: a lane pulls only when it is free to run, so the
+    /// batches that have left the dispatch queue and are not yet routed
+    /// never exceed the lane count. The dispatch queue here is a
+    /// rendezvous channel — a `send` returns exactly when a lane has
+    /// pulled the batch — and `route_batch` sends the replies before the
+    /// lane pulls again, so after the `n`-th send at least `n − lanes`
+    /// batches must already have their reply waiting. The modeled fleet
+    /// latency makes a batch take milliseconds, so anything staged ahead
+    /// of the lanes would show.
+    #[test]
+    fn a_worker_never_holds_more_batches_than_lanes() {
+        use dk_gpu::LatencyModel;
+        const LANES: usize = 2;
+        let model = mini_vgg(HW, 4, 87);
+        let cfg = DarknightConfig::new(2, 1).with_integrity(true);
+        let cluster = GpuCluster::honest(cfg.workers_required(), 17)
+            .with_latency(Some(LatencyModel { base_ns: 200_000, ns_per_kmac: 0 }));
+        let engine =
+            PipelineEngine::new(cfg, cluster, EngineOptions::default().with_lanes(LANES)).unwrap();
+        let (tx, rx) = mpsc::sync_channel::<Batch>(0);
+        let dispatch = Mutex::new(rx);
+        let metrics = MetricsRecorder::new();
+        let retire = AtomicBool::new(false);
+        std::thread::scope(|scope| {
+            scope.spawn(|| worker_loop(engine, model, &dispatch, &metrics, &retire));
+            let mut replies = Vec::new();
+            for n in 1..=24usize {
+                let (reply, reply_rx) = mpsc::channel();
+                let now = Instant::now();
+                let entry = Pending {
+                    id: RequestId(n as u64),
+                    input: sample(n as u64),
+                    priority: Priority::Normal,
+                    seq: 0,
+                    enqueued: now,
+                    deadline: now,
+                    reply,
+                };
+                tx.send(Batch { entries: vec![entry], k: cfg.k() }).unwrap();
+                replies.push((reply_rx, false));
+                for (rx, routed) in replies.iter_mut().filter(|(_, routed)| !routed) {
+                    *routed = rx.try_recv().is_ok();
+                }
+                let held = replies.iter().filter(|(_, routed)| !routed).count();
+                assert!(held <= LANES, "after pull {n} the worker holds {held} batches");
+            }
+            drop(tx); // queue drained: the lanes finish what they hold and exit
+        });
+        assert_eq!(metrics.snapshot().served, 24);
     }
 
     /// Regression: a request of the wrong shape comes from outside the

@@ -148,6 +148,10 @@ fn main() {
         "expected spans from >=2 lanes (pool threads), got {}",
         lanes.len()
     );
+    assert!(
+        spans.iter().all(|s| s.thread.contains("/dk-lane-")),
+        "every span comes from a named lane of a named pool worker"
+    );
     // At least one pair of spans on *different* lanes must overlap in
     // wall time — the pool really ran concurrently.
     let overlap = spans.iter().any(|a| {
