@@ -23,10 +23,10 @@
 //! the projected weights once, and checks `sᵀ·ȳ = (sᵀW)·x̄` per layer.
 
 use dk_field::{F25, FieldRng, P25, QuantConfig};
-use dk_gpu::{GpuCluster, LinearJob};
+use dk_gpu::{GpuCluster, LinearOp};
 use dk_linalg::conv::conv2d_forward;
-use dk_linalg::{matmul_at_b, ops, Conv2dShape, Tensor};
-use dk_nn::layers::{Conv2d, Dense, Layer};
+use dk_linalg::{matmul_at_b, Conv2dShape, Tensor, Workspace};
+use dk_nn::layers::{LayerExec, LinearMut};
 use dk_nn::Sequential;
 use dk_tee::crypto::SealedBlob;
 use dk_tee::{Enclave, EpcConfig, UntrustedStore};
@@ -61,8 +61,9 @@ pub enum SlalomError {
     Quant(dk_field::QuantError),
     /// Sealed blob failed authentication.
     Seal,
-    /// Residual blocks are not supported by this Slalom port (the
-    /// original targets VGG/MobileNet-style sequential models).
+    /// What this Slalom port does not run: residual blocks (the
+    /// original targets VGG/MobileNet-style sequential models) and any
+    /// backward pass (§7.2).
     UnsupportedLayer(&'static str),
 }
 
@@ -120,13 +121,7 @@ struct LayerPrecompute {
     blob_ids: Vec<u64>,
     next_blob: usize,
     freivalds: Option<Freivalds>,
-    kind: LayerKind,
-}
-
-#[derive(Debug, Clone, Copy)]
-enum LayerKind {
-    Conv(Conv2dShape),
-    Dense,
+    op: LinearOp,
 }
 
 /// Counters for Slalom runs.
@@ -155,6 +150,8 @@ pub struct SlalomSession {
     auto_refill: bool,
     next_blob_id: u64,
     stats: SlalomStats,
+    /// Where the walk's intermediates and the layer outputs cycle.
+    ws: Workspace,
 }
 
 impl SlalomSession {
@@ -172,6 +169,7 @@ impl SlalomSession {
             auto_refill: false,
             next_blob_id: 0,
             stats: SlalomStats::default(),
+            ws: Workspace::new(),
         }
     }
 
@@ -196,37 +194,28 @@ impl SlalomSession {
     ///
     /// Quantization failure or unsupported layers.
     pub fn precompute(&mut self, model: &mut Sequential, pool_size: usize) -> Result<(), SlalomError> {
+        Self::reject_residual(model)?;
         self.layers.clear();
-        let mut id = 0u64;
-        // Traverse top-level layers only (Slalom targets sequential CNNs).
-        for layer in model.layers_mut() {
-            match layer {
-                Layer::Conv2d(conv) => {
-                    let pc = self.precompute_conv(conv, pool_size)?;
-                    self.layers.insert(id, pc);
-                    id += 1;
-                }
-                Layer::Dense(dense) => {
-                    let pc = self.precompute_dense(dense, pool_size)?;
-                    self.layers.insert(id, pc);
-                    id += 1;
-                }
-                Layer::Residual(_) => return Err(SlalomError::UnsupportedLayer("residual")),
-                _ => {}
-            }
-        }
-        Ok(())
+        model.try_visit_linear(|ordinal, layer| {
+            let weights = layer.weights();
+            let pc = match LinearOp::new(layer.conv_shape(), weights.shape()) {
+                LinearOp::Conv(shape) => self.precompute_conv(shape, weights)?,
+                op @ LinearOp::Dense { .. } => self.precompute_dense(op, weights)?,
+            };
+            self.layers.insert(ordinal as u64, pc);
+            // Dense geometry is static, so its pool is filled now; a
+            // conv layer's waits for the input geometry.
+            self.ensure_dense_pool(ordinal as u64, pool_size);
+            Ok(())
+        })
     }
 
-    fn quantize_weights(&self, w: &Tensor<f32>) -> Result<(Vec<F25>, f32), SlalomError> {
-        let max_abs = w.as_slice().iter().fold(0.0f32, |m, v| m.max(v.abs()));
-        let norm = if max_abs > 0.0 { max_abs } else { 1.0 };
-        let inv = 1.0 / norm;
-        let mut out = Vec::with_capacity(w.len());
-        for &v in w.as_slice() {
-            out.push(self.quant.quantize::<P25>((v * inv) as f64)?);
+    /// This port targets VGG/MobileNet-style sequential models.
+    fn reject_residual(model: &Sequential) -> Result<(), SlalomError> {
+        match model.layers().iter().find(|l| l.kind() == "residual") {
+            Some(l) => Err(SlalomError::UnsupportedLayer(l.kind())),
+            None => Ok(()),
         }
-        Ok((out, norm))
     }
 
     fn fingerprint(w: &Tensor<f32>) -> u64 {
@@ -265,18 +254,16 @@ impl SlalomSession {
         Ok((r.to_vec(), u.to_vec()))
     }
 
+    /// The input spatial size is only known at first inference, so a
+    /// conv layer's `(r, u)` pool is filled lazily per input geometry by
+    /// `ensure_conv_pool`.
     fn precompute_conv(
         &mut self,
-        conv: &Conv2d,
-        pool_size: usize,
+        shape: Conv2dShape,
+        weights: &Tensor<f32>,
     ) -> Result<LayerPrecompute, SlalomError> {
-        let shape = *conv.shape();
-        let (wq, norm_w) = self.quantize_weights(conv.weights())?;
-        let weights_q = Arc::new(Tensor::from_vec(&shape.weight_shape(), wq));
-        // Input spatial size is discovered lazily at first inference; we
-        // need it now for r. Defer r generation by storing empty pool and
-        // filling on first use? Simpler: pool is generated per input
-        // size on demand in `ensure_pool`.
+        let (wq, norm_w) = self.quant.normalize_quantize(weights.as_slice())?;
+        let weights_q = Arc::new(Tensor::from_vec(weights.shape(), wq));
         let freivalds = if self.integrity && shape.groups == 1 {
             let s: Vec<F25> = (0..shape.out_channels).map(|_| self.rng.uniform_nonzero::<P25>()).collect();
             let krows = shape.cg_in() * shape.kernel.0 * shape.kernel.1;
@@ -292,26 +279,25 @@ impl SlalomSession {
         } else {
             None
         };
-        let _ = pool_size; // pools are filled lazily per input geometry
         Ok(LayerPrecompute {
             norm_w,
             weights_q,
-            weight_fingerprint: Self::fingerprint(conv.weights()),
+            weight_fingerprint: Self::fingerprint(weights),
             blob_ids: Vec::new(),
             next_blob: 0,
             freivalds,
-            kind: LayerKind::Conv(shape),
+            op: LinearOp::Conv(shape),
         })
     }
 
     fn precompute_dense(
         &mut self,
-        dense: &Dense,
-        pool_size: usize,
+        op: LinearOp,
+        weights: &Tensor<f32>,
     ) -> Result<LayerPrecompute, SlalomError> {
-        let (in_f, out_f) = (dense.in_features(), dense.out_features());
-        let (wq, norm_w) = self.quantize_weights(dense.weights())?;
-        let weights_q = Arc::new(Tensor::from_vec(&[out_f, in_f], wq));
+        let (out_f, in_f) = (weights.shape()[0], weights.shape()[1]);
+        let (wq, norm_w) = self.quant.normalize_quantize(weights.as_slice())?;
+        let weights_q = Arc::new(Tensor::from_vec(weights.shape(), wq));
         let freivalds = if self.integrity {
             let s: Vec<F25> = (0..out_f).map(|_| self.rng.uniform_nonzero::<P25>()).collect();
             // proj = sᵀ·W ∈ F^in  (W stored [out, in])
@@ -324,36 +310,24 @@ impl SlalomSession {
         } else {
             None
         };
-        let mut pc = LayerPrecompute {
+        Ok(LayerPrecompute {
             norm_w,
             weights_q,
-            weight_fingerprint: Self::fingerprint(dense.weights()),
+            weight_fingerprint: Self::fingerprint(weights),
             blob_ids: Vec::new(),
             next_blob: 0,
             freivalds,
-            kind: LayerKind::Dense,
-        };
-        // Dense geometry is static; fill the pool now.
-        for _ in 0..pool_size {
-            let r = self.rng.uniform_vec::<P25>(in_f);
-            let u = {
-                let rt = Tensor::from_vec(&[1, in_f], r.clone());
-                LinearJob::DenseForward { weights: pc.weights_q.clone(), x: rt }
-                    .execute()
-                    .into_vec()
-            };
-            let id = self.seal_pair(&r, &u);
-            pc.blob_ids.push(id);
-        }
-        Ok(pc)
+            op,
+        })
     }
 
-    /// Tops up a dense layer's pool on demand (auto-refill mode).
+    /// Makes sure a dense layer's pool holds `needed` unconsumed pairs
+    /// (at precompute time, and on demand in auto-refill mode).
     fn ensure_dense_pool(&mut self, layer: u64, needed: usize) {
-        let (in_f, weights_q) = {
+        let (op, in_f, weights_q) = {
             let Some(pc) = self.layers.get(&layer) else { return };
-            let LayerKind::Dense = pc.kind else { return };
-            (pc.weights_q.shape()[1], pc.weights_q.clone())
+            let LinearOp::Dense { in_features, .. } = pc.op else { return };
+            (pc.op, in_features, pc.weights_q.clone())
         };
         {
             let pc = self.layers.get_mut(&layer).expect("layer exists");
@@ -365,9 +339,7 @@ impl SlalomSession {
         for _ in 0..needed {
             let r = self.rng.uniform_vec::<P25>(in_f);
             let rt = Tensor::from_vec(&[1, in_f], r.clone());
-            let u = LinearJob::DenseForward { weights: weights_q.clone(), x: rt }
-                .execute()
-                .into_vec();
+            let u = op.forward_job(weights_q.clone(), rt).execute().into_vec();
             new_ids.push(self.seal_pair(&r, &u));
         }
         let pc = self.layers.get_mut(&layer).expect("layer exists");
@@ -378,7 +350,7 @@ impl SlalomSession {
     fn ensure_conv_pool(&mut self, layer: u64, hw: (usize, usize), needed: usize) {
         let (shape, weights_q) = {
             let pc = self.layers.get(&layer).expect("layer exists");
-            let LayerKind::Conv(shape) = pc.kind else { return };
+            let LinearOp::Conv(shape) = pc.op else { return };
             (shape, pc.weights_q.clone())
         };
         let n = shape.in_channels * hw.0 * hw.1;
@@ -410,40 +382,9 @@ impl SlalomSession {
         model: &mut Sequential,
         x: &Tensor<f32>,
     ) -> Result<Tensor<f32>, SlalomError> {
-        let n = x.shape()[0];
-        self.stats.samples += n as u64;
-        let mut h = x.clone();
-        let mut id = 0u64;
-        let layer_count = model.layers_mut().len();
-        for li in 0..layer_count {
-            let layer = &mut model.layers_mut()[li];
-            h = match layer {
-                Layer::Conv2d(conv) => {
-                    let this = id;
-                    id += 1;
-                    self.blinded_conv(this, conv, &h)?
-                }
-                Layer::Dense(dense) => {
-                    let this = id;
-                    id += 1;
-                    self.blinded_dense(this, dense, &h)?
-                }
-                Layer::Residual(_) => return Err(SlalomError::UnsupportedLayer("residual")),
-                other => other.forward(&h, false),
-            };
-        }
-        Ok(h)
-    }
-
-    fn quantize_input(&self, vals: &[f32]) -> Result<(Vec<F25>, f32), SlalomError> {
-        let max_abs = vals.iter().fold(0.0f32, |m, v| m.max(v.abs()));
-        let norm = if max_abs > 0.0 { max_abs } else { 1.0 };
-        let inv = 1.0 / norm;
-        let mut out = Vec::with_capacity(vals.len());
-        for &v in vals {
-            out.push(self.quant.quantize::<P25>((v * inv) as f64)?);
-        }
-        Ok((out, norm))
+        Self::reject_residual(model)?;
+        self.stats.samples += x.shape()[0] as u64;
+        model.forward_with(x, false, self)
     }
 
     fn take_pair(&mut self, layer: u64) -> Result<(Vec<F25>, Vec<F25>), SlalomError> {
@@ -462,30 +403,31 @@ impl SlalomSession {
         self.unseal_pair(&blob)
     }
 
+    /// The blinded forward of a conv layer, bias not yet added.
     fn blinded_conv(
         &mut self,
         layer: u64,
-        conv: &mut Conv2d,
+        shape: Conv2dShape,
+        weights: &Tensor<f32>,
         x: &Tensor<f32>,
     ) -> Result<Tensor<f32>, SlalomError> {
         let n = x.shape()[0];
         let hw = (x.shape()[2], x.shape()[3]);
         {
             let pc = self.layers.get(&layer).ok_or(SlalomError::NotPrecomputed { layer })?;
-            if pc.weight_fingerprint != Self::fingerprint(conv.weights()) {
+            if pc.weight_fingerprint != Self::fingerprint(weights) {
                 return Err(SlalomError::StaleWeights { layer });
             }
         }
         self.ensure_conv_pool(layer, hw, n);
-        let (shape, weights_q, norm_w) = {
+        let (weights_q, norm_w) = {
             let pc = self.layers.get(&layer).expect("checked above");
-            let LayerKind::Conv(shape) = pc.kind else { unreachable!() };
-            (shape, pc.weights_q.clone(), pc.norm_w)
+            (pc.weights_q.clone(), pc.norm_w)
         };
-        let (xq, norm_x) = self.quantize_input(x.as_slice())?;
+        let (xq, norm_x) = self.quant.normalize_quantize(x.as_slice())?;
         let rest: usize = x.shape()[1..].iter().product();
         let (oh, ow) = shape.out_hw(hw);
-        let mut y = Tensor::zeros(&[n, shape.out_channels, oh, ow]);
+        let mut y = self.ws.take_tensor(&[n, shape.out_channels, oh, ow]);
         for i in 0..n {
             let (r, u) = self.take_pair(layer)?;
             // Blind: x̄ = x_q + r.
@@ -494,7 +436,7 @@ impl SlalomSession {
                 *b += rv;
             }
             let xt = Tensor::from_vec(&[1, shape.in_channels, hw.0, hw.1], blinded.clone());
-            let job = LinearJob::ConvForward { weights: weights_q.clone(), x: xt, shape };
+            let job = LinearOp::Conv(shape).forward_job(weights_q.clone(), xt);
             let out = self.cluster.worker_mut(dk_gpu::WorkerId(0)).execute(&job);
             if let Some(Freivalds::Conv { s, proj_filter, shape }) =
                 self.layers.get(&layer).and_then(|pc| pc.freivalds.clone()).as_ref()
@@ -533,30 +475,31 @@ impl SlalomSession {
                 *dst = self.quant.dequantize_product(clean) as f32 * scale;
             }
         }
-        ops::add_bias_nchw(&mut y, conv.bias().as_slice());
         Ok(y)
     }
 
+    /// The blinded forward of a dense layer, bias not yet added.
     fn blinded_dense(
         &mut self,
         layer: u64,
-        dense: &mut Dense,
+        op: LinearOp,
+        weights: &Tensor<f32>,
         x: &Tensor<f32>,
     ) -> Result<Tensor<f32>, SlalomError> {
         let n = x.shape()[0];
-        let (in_f, out_f) = (dense.in_features(), dense.out_features());
+        let (out_f, in_f) = (weights.shape()[0], weights.shape()[1]);
         if self.auto_refill {
             self.ensure_dense_pool(layer, n);
         }
         let (weights_q, norm_w) = {
             let pc = self.layers.get(&layer).ok_or(SlalomError::NotPrecomputed { layer })?;
-            if pc.weight_fingerprint != Self::fingerprint(dense.weights()) {
+            if pc.weight_fingerprint != Self::fingerprint(weights) {
                 return Err(SlalomError::StaleWeights { layer });
             }
             (pc.weights_q.clone(), pc.norm_w)
         };
-        let (xq, norm_x) = self.quantize_input(x.as_slice())?;
-        let mut y = Tensor::zeros(&[n, out_f]);
+        let (xq, norm_x) = self.quant.normalize_quantize(x.as_slice())?;
+        let mut y = self.ws.take_tensor(&[n, out_f]);
         for i in 0..n {
             let (r, u) = self.take_pair(layer)?;
             let mut blinded = xq[i * in_f..(i + 1) * in_f].to_vec();
@@ -564,7 +507,7 @@ impl SlalomSession {
                 *b += rv;
             }
             let xt = Tensor::from_vec(&[1, in_f], blinded.clone());
-            let job = LinearJob::DenseForward { weights: weights_q.clone(), x: xt };
+            let job = op.forward_job(weights_q.clone(), xt);
             let out = self.cluster.worker_mut(dk_gpu::WorkerId(0)).execute(&job);
             if let Some(Freivalds::Dense { s, proj }) =
                 self.layers.get(&layer).and_then(|pc| pc.freivalds.clone()).as_ref()
@@ -584,8 +527,45 @@ impl SlalomSession {
                 *dst = self.quant.dequantize_product(clean) as f32 * scale;
             }
         }
-        ops::add_bias_rows(&mut y, dense.bias().as_slice());
         Ok(y)
+    }
+}
+
+/// Slalom's per-layer step for [`dk_nn`]'s walk: blind, offload,
+/// verify, unblind. Forward only.
+impl LayerExec for SlalomSession {
+    type Error = SlalomError;
+
+    fn workspace(&mut self) -> &mut Workspace {
+        &mut self.ws
+    }
+
+    fn linear_forward(
+        &mut self,
+        ordinal: usize,
+        layer: LinearMut<'_>,
+        x: &Tensor<f32>,
+        _train: bool,
+    ) -> Result<Tensor<f32>, SlalomError> {
+        let (id, weights) = (ordinal as u64, layer.weights());
+        let op = LinearOp::new(layer.conv_shape(), weights.shape());
+        let mut y = match op {
+            LinearOp::Conv(shape) => self.blinded_conv(id, shape, weights, x)?,
+            LinearOp::Dense { .. } => self.blinded_dense(id, op, weights, x)?,
+        };
+        op.add_bias(&mut y, layer.bias().as_slice());
+        Ok(y)
+    }
+
+    /// `u = ⟨W, r⟩` is tied to the weights: there is no blinded backward
+    /// pass (§7.2).
+    fn linear_backward(
+        &mut self,
+        _ordinal: usize,
+        _layer: LinearMut<'_>,
+        _dy: &Tensor<f32>,
+    ) -> Result<Tensor<f32>, SlalomError> {
+        Err(SlalomError::UnsupportedLayer("backward"))
     }
 }
 

@@ -79,8 +79,8 @@ pub(crate) struct PlannedLinear {
 
 /// Per-step execution plan extracted from a [`Sequential`] once:
 /// the quantized weights of every offloaded linear layer, indexed by the
-/// layer's ordinal in the private executor's walk order (main path
-/// before shortcut inside residual blocks).
+/// ordinal [`dk_nn`]'s walk gives the layer
+/// ([`Sequential::try_visit_linear`]).
 ///
 /// Weights are frozen within a step — every virtual batch would quantize
 /// the exact same floats to the exact same field elements — so the plan
@@ -99,42 +99,15 @@ impl StepPlan {
     /// [`DarknightError::Quant`] if any weight tensor fails Algorithm 1
     /// quantization.
     pub fn extract(model: &Sequential, quant: QuantConfig) -> Result<Self, DarknightError> {
-        fn plan(
-            vals: &[f32],
-            shape: &[usize],
-            quant: QuantConfig,
-        ) -> Result<PlannedLinear, DarknightError> {
-            let (wq, norm_w) = crate::reference::normalize_quantize(quant, vals)?;
-            Ok(PlannedLinear { weights_q: Arc::new(Tensor::from_vec(shape, wq)), norm_w })
-        }
-        fn walk(
-            layers: &[Layer],
-            quant: QuantConfig,
-            out: &mut Vec<PlannedLinear>,
-        ) -> Result<(), DarknightError> {
-            for l in layers {
-                match l {
-                    Layer::Conv2d(c) => {
-                        out.push(plan(c.weights().as_slice(), &c.shape().weight_shape(), quant)?);
-                    }
-                    Layer::Dense(d) => {
-                        out.push(plan(
-                            d.weights().as_slice(),
-                            &[d.out_features(), d.in_features()],
-                            quant,
-                        )?);
-                    }
-                    Layer::Residual(r) => {
-                        walk(r.main(), quant, out)?;
-                        walk(r.shortcut(), quant, out)?;
-                    }
-                    _ => {}
-                }
-            }
-            Ok(())
-        }
         let mut linears = Vec::new();
-        walk(model.layers(), quant, &mut linears)?;
+        model.try_visit_linear(|ordinal, layer| {
+            debug_assert_eq!(ordinal, linears.len());
+            let weights = layer.weights();
+            let (wq, norm_w) = quant.normalize_quantize(weights.as_slice())?;
+            let weights_q = Arc::new(Tensor::from_vec(weights.shape(), wq));
+            linears.push(PlannedLinear { weights_q, norm_w });
+            Ok::<(), DarknightError>(())
+        })?;
         Ok(Self { linears })
     }
 
@@ -789,6 +762,28 @@ mod tests {
         assert_eq!(plan.linear(0).unwrap().weights_q.shape(), &[8, 18]);
         assert_eq!(plan.linear(1).unwrap().weights_q.shape(), &[3, 8]);
         assert!(plan.linear(2).is_none());
+    }
+
+    /// Through residual blocks too, entry `i` of the plan is the `i`-th
+    /// linear leaf in the walk's order (main path before shortcut).
+    #[test]
+    fn step_plan_follows_the_walk_through_residual_blocks() {
+        let quant = QuantConfig::new(6);
+        let mut m = dk_nn::arch::mini_resnet(8, 4, 5);
+        let plan = StepPlan::extract(&m, quant).unwrap();
+        let mut leaves = Vec::new();
+        m.visit_leaf_layers_mut(&mut |l| {
+            leaves.extend(l.as_linear().map(|lin| lin.weights().clone()));
+        });
+        assert_eq!(plan.num_linear_layers(), leaves.len());
+        assert!(m.layers().iter().any(|l| l.kind() == "residual"));
+        for (i, w) in leaves.iter().enumerate() {
+            let (wq, norm_w) = quant.normalize_quantize(w.as_slice()).unwrap();
+            let planned = plan.linear(i as u64).unwrap();
+            assert_eq!(planned.weights_q.as_slice(), wq.as_slice(), "linear layer {i}");
+            assert_eq!(planned.weights_q.shape(), w.shape(), "linear layer {i}");
+            assert_eq!(planned.norm_w, norm_w, "linear layer {i}");
+        }
     }
 
     #[test]

@@ -64,6 +64,14 @@
 //!
 //! # Execution backends and determinism
 //!
+//! The traversal is not the session's: [`dk_nn`]'s walk
+//! ([`Sequential::forward_with`] / [`Sequential::backward_with`]) visits
+//! the layers, numbers the offloaded ones, runs the non-linear ones on
+//! the session's workspace and recycles every intermediate; the session
+//! supplies only its step at an offloaded layer (`forward_linear` /
+//! `backward_linear`), which a [`dk_gpu::LinearOp`] makes the same code
+//! for a convolution and a dense layer.
+//!
 //! The session is generic over a [`GpuExec`] backend. With the default
 //! [`GpuCluster`] it is the **sequential reference**: one virtual batch
 //! in flight, blocking dispatch. The pipelined engine
@@ -91,10 +99,10 @@ use crate::config::DarknightConfig;
 use crate::engine::StepPlan;
 use crate::error::DarknightError;
 use crate::scheme::EncodingScheme;
-use dk_field::{derive_seed, F25, FieldRng, P25};
-use dk_gpu::{GpuCluster, GpuError, GpuExec, LinearJob, WorkerId};
-use dk_linalg::{ops, Tensor, Workspace};
-use dk_nn::layers::{Conv2d, Dense, Layer, Residual};
+use dk_field::{derive_seed, F25, FieldRng, P25, QuantConfig};
+use dk_gpu::{GpuCluster, GpuError, GpuExec, LinearJob, LinearOp, WorkerId};
+use dk_linalg::{Tensor, Workspace};
+use dk_nn::layers::{LayerExec, LinearMut};
 use dk_nn::loss::softmax_cross_entropy;
 use dk_nn::optim::Sgd;
 use dk_nn::Sequential;
@@ -196,9 +204,9 @@ pub struct DarknightSession<X: GpuExec = GpuCluster> {
     batch_index: u64,
     batch_seed: u64,
     /// Context ids of the installed batch start here (`batch << 32`),
-    /// so concurrently in-flight batches never collide on a worker.
+    /// so concurrently in-flight batches never collide on a worker:
+    /// layer `ordinal` of the walk is context `ctx_base + ordinal`.
     ctx_base: u64,
-    next_id: u64,
     /// True once a pass ran on the installed batch: the next pass entry
     /// auto-begins a fresh batch instead of reusing stale contexts.
     pass_started: bool,
@@ -293,7 +301,6 @@ impl<X: GpuExec> DarknightSession<X> {
             batch_index: 0,
             batch_seed,
             ctx_base: 0,
-            next_id: 0,
             // A fresh session's first pass must open batch 1, not run
             // on the constructor's batch-0 state.
             pass_started: true,
@@ -504,7 +511,6 @@ impl<X: GpuExec> DarknightSession<X> {
         // rewritten instead of reallocated.
         self.scheme.regenerate(&mut srng);
         self.ctx_base = index << 32;
-        self.next_id = self.ctx_base;
         self.pass_started = false;
     }
 
@@ -547,7 +553,7 @@ impl<X: GpuExec> DarknightSession<X> {
             });
         }
         self.start_pass();
-        self.forward_layers(model.layers_mut(), x, train, false)
+        model.forward_with(x, train, &mut Pass { session: self, per_sample: false })
     }
 
     /// Private backward pass from the loss gradient; accumulates all
@@ -555,13 +561,15 @@ impl<X: GpuExec> DarknightSession<X> {
     ///
     /// # Errors
     ///
-    /// Quantization failure or a backward integrity violation.
+    /// Quantization failure, a backward integrity violation, or
+    /// [`DarknightError::MissingForwardContext`] if no training-mode
+    /// forward pass of the installed batch retained the layer's context.
     pub fn private_backward(
         &mut self,
         model: &mut Sequential,
         dloss: &Tensor<f32>,
     ) -> Result<Tensor<f32>, DarknightError> {
-        self.backward_layers(model.layers_mut(), dloss)
+        model.backward_with(dloss, &mut Pass { session: self, per_sample: false })
     }
 
     /// Full private training step on one virtual batch: forward, loss,
@@ -569,11 +577,8 @@ impl<X: GpuExec> DarknightSession<X> {
     ///
     /// # Errors
     ///
-    /// Any forward/backward error; on error no weight update happens.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `labels.len() != K`.
+    /// Any forward/backward error, or [`DarknightError::BatchShape`] if
+    /// `labels.len() != K`; on error no weight update happens.
     pub fn train_step(
         &mut self,
         model: &mut Sequential,
@@ -593,11 +598,8 @@ impl<X: GpuExec> DarknightSession<X> {
     ///
     /// # Errors
     ///
-    /// Any forward/backward error.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `labels.len() != K`.
+    /// Any forward/backward error, or [`DarknightError::BatchShape`] if
+    /// `labels.len() != K`.
     pub fn accumulate_gradients(
         &mut self,
         model: &mut Sequential,
@@ -614,7 +616,12 @@ impl<X: GpuExec> DarknightSession<X> {
         labels: &[usize],
         zero_first: bool,
     ) -> Result<StepReport, DarknightError> {
-        assert_eq!(labels.len(), self.cfg.k(), "one label per virtual-batch sample");
+        if labels.len() != self.cfg.k() {
+            return Err(DarknightError::BatchShape {
+                expected: self.cfg.k(),
+                actual: labels.len(),
+            });
+        }
         if zero_first {
             model.zero_grad();
         }
@@ -644,92 +651,6 @@ impl<X: GpuExec> DarknightSession<X> {
     // Forward internals
     // -----------------------------------------------------------------
 
-    /// One pass over the layer list. `per_sample` selects the
-    /// quantization-scale policy of the linear layers: shared scale
-    /// (training; the backward γ-aggregate needs it) vs one scale per
-    /// row (serving inference; rows stay numerically independent).
-    ///
-    /// The walk borrows its input — only layer outputs are materialized,
-    /// no defensive clones of the activations travelling through.
-    fn forward_layers(
-        &mut self,
-        layers: &mut [Layer],
-        x: &Tensor<f32>,
-        train: bool,
-        per_sample: bool,
-    ) -> Result<Tensor<f32>, DarknightError> {
-        let mut cur: Option<Tensor<f32>> = None;
-        for layer in layers.iter_mut() {
-            let input = cur.as_ref().unwrap_or(x);
-            let next = match layer {
-                Layer::Conv2d(conv) => {
-                    let id = self.take_id();
-                    self.forward_conv(id, conv, input, train, per_sample)
-                }
-                Layer::Dense(dense) => {
-                    let id = self.take_id();
-                    self.forward_dense(id, dense, input, train, per_sample)
-                }
-                Layer::Residual(res) => self.forward_residual(res, input, train, per_sample),
-                other => {
-                    self.stats.nonlinear_elems += input.len() as u64;
-                    Ok(other.forward_ws(input, train, &mut self.ws))
-                }
-            };
-            let next = match next {
-                Ok(n) => n,
-                Err(e) => {
-                    // Recycle the in-flight activation: an aborted batch
-                    // must not drain the steady-state pool.
-                    if let Some(prev) = cur.take() {
-                        self.ws.give_tensor(prev);
-                    }
-                    return Err(e);
-                }
-            };
-            if let Some(prev) = cur.take() {
-                self.ws.give_tensor(prev);
-            }
-            cur = Some(next);
-        }
-        Ok(cur.unwrap_or_else(|| x.clone()))
-    }
-
-    /// The residual-block arm of [`DarknightSession::forward_layers`]:
-    /// `y = main(x) + shortcut(x)`, with the shortcut sum folded in
-    /// place and all intermediates recycled (also on the error paths).
-    fn forward_residual(
-        &mut self,
-        res: &mut Residual,
-        input: &Tensor<f32>,
-        train: bool,
-        per_sample: bool,
-    ) -> Result<Tensor<f32>, DarknightError> {
-        let mut main = self.forward_layers(res.main_mut(), input, train, per_sample)?;
-        self.stats.nonlinear_elems += main.len() as u64;
-        if res.shortcut().is_empty() {
-            main.add_assign(input);
-        } else {
-            match self.forward_layers(res.shortcut_mut(), input, train, per_sample) {
-                Ok(s) => {
-                    main.add_assign(&s);
-                    self.ws.give_tensor(s);
-                }
-                Err(e) => {
-                    self.ws.give_tensor(main);
-                    return Err(e);
-                }
-            }
-        }
-        Ok(main)
-    }
-
-    fn take_id(&mut self) -> u64 {
-        let id = self.next_id;
-        self.next_id += 1;
-        id
-    }
-
     /// Quantized weights for the layer: from the step plan when one is
     /// installed (weights are frozen within a step, so the engine
     /// quantizes them once), freshly computed otherwise. Identical bits
@@ -738,17 +659,16 @@ impl<X: GpuExec> DarknightSession<X> {
         &self,
         ordinal: u64,
         weights: &Tensor<f32>,
-        weight_shape: &[usize],
     ) -> Result<(Arc<Tensor<F25>>, f32), DarknightError> {
         if let Some(planned) = self.plan.as_ref().and_then(|p| p.linear(ordinal)) {
             return Ok((planned.weights_q.clone(), planned.norm_w));
         }
-        let (wq_flat, norm_w) =
-            crate::reference::normalize_quantize(self.cfg.quant(), weights.as_slice())?;
-        Ok((Arc::new(Tensor::from_vec(weight_shape, wq_flat)), norm_w))
+        let (wq_flat, norm_w) = self.cfg.quant().normalize_quantize(weights.as_slice())?;
+        Ok((Arc::new(Tensor::from_vec(weights.shape(), wq_flat)), norm_w))
     }
 
-    /// The forward offload round: quantize, mask, dispatch, decode.
+    /// The forward offload round of one `op` layer: quantize, mask,
+    /// dispatch, decode, dequantize.
     ///
     /// `per_sample` selects the quantization policy for the inputs —
     /// one shared max-abs scale (training; the backward γ-aggregate
@@ -757,64 +677,47 @@ impl<X: GpuExec> DarknightSession<X> {
     /// set, the encodings are stored on the workers and a
     /// [`LinearCtx`] is returned; when clear, nothing outlives the
     /// call and every buffer — encodings, worker outputs, decode rows —
-    /// completes a pool round-trip. Returns the decoded per-sample
-    /// field outputs, the per-sample dequantize scale (`norm_w ·
-    /// norm_x_i`; all equal in shared mode), the per-encoding output
-    /// shape (pool-backed — callers hand it back via `give_shape`),
-    /// and the backward context (`retain` only).
-    #[allow(clippy::type_complexity, clippy::too_many_arguments)]
+    /// completes a pool round-trip. Returns `W ⋆ x` on floats — each
+    /// decoded row dequantized by its own scale (`norm_w · norm_x_i`;
+    /// all equal in shared mode) — and the backward context (`retain`
+    /// only).
     fn offload_forward(
         &mut self,
         layer_id: u64,
         x: &Tensor<f32>,
         weights: &Tensor<f32>,
-        make_job: impl Fn(Arc<Tensor<F25>>, Tensor<F25>) -> LinearJob,
-        weight_shape: &[usize],
-        enc_shape: &[usize],
+        op: LinearOp,
         per_sample: bool,
         retain: bool,
-    ) -> Result<(Vec<Vec<F25>>, Vec<f32>, Vec<usize>, Option<LinearCtx>), DarknightError> {
+    ) -> Result<(Tensor<f32>, Option<LinearCtx>), DarknightError> {
         let k = self.cfg.k();
         let m = self.cfg.m();
         let ordinal = layer_id - self.ctx_base;
         let batch = self.batch_index;
         let quant = self.cfg.quant();
         let sp = dk_obs::span(dk_obs::Stage::Quantize, batch, ordinal);
-        let (weights_q, norm_w) = self.layer_weights(ordinal, weights, weight_shape)?;
+        let (weights_q, norm_w) = self.layer_weights(ordinal, weights)?;
         let rest: usize = x.shape()[1..].iter().product();
         // Quantization rows come out of the session pool; they are
         // either retained in the backward context (and recycled when it
         // retires) or given back at the end of this call.
         let mut inputs_q: Vec<Vec<F25>> = self.ws.take_cleared(k);
         let mut norms: Vec<f32> = self.ws.take_cleared(k);
-        let quantized: Result<(), DarknightError> = (|| {
-            if per_sample {
-                for i in 0..k {
-                    let mut row = self.ws.take_cleared::<F25>(rest);
-                    let norm_x = crate::reference::normalize_quantize_into(
-                        quant,
-                        &x.as_slice()[i * rest..(i + 1) * rest],
-                        &mut row,
-                    )?;
-                    inputs_q.push(row);
-                    norms.push(norm_x);
-                }
-            } else {
-                let mut flat = self.ws.take_cleared::<F25>(x.len());
-                let norm_x =
-                    crate::reference::normalize_quantize_into(quant, x.as_slice(), &mut flat)?;
-                for i in 0..k {
-                    inputs_q.push(self.ws.take_copy(&flat[i * rest..(i + 1) * rest]));
-                    norms.push(norm_x);
-                }
-                self.ws.give(flat);
-            }
-            Ok(())
-        })();
+        // One scan of the whole batch in shared mode, one per row
+        // otherwise; either way each row is quantized once, straight
+        // into its own buffer.
+        let shared = (!per_sample).then(|| QuantConfig::max_abs_norm(x.as_slice()));
+        let quantized = (0..k).try_for_each(|i| {
+            let src = &x.as_slice()[i * rest..(i + 1) * rest];
+            let norm_x = shared.unwrap_or_else(|| QuantConfig::max_abs_norm(src));
+            norms.push(norm_x);
+            inputs_q.push(self.ws.take_cleared::<F25>(rest));
+            quant.quantize_slice_into(src, 1.0 / norm_x, &mut inputs_q[i])
+        });
         if let Err(e) = quantized {
             self.give_rows(inputs_q);
             self.ws.give(norms);
-            return Err(e);
+            return Err(e.into());
         }
         drop(sp);
         let sp = dk_obs::span(dk_obs::Stage::Encode, batch, ordinal);
@@ -849,12 +752,14 @@ impl<X: GpuExec> DarknightSession<X> {
         };
         self.stats.encoded_elems += (s_cols * rest) as u64;
         // The encoded rows (and their outer Vec) are pool-backed; pair
-        // each with a pooled shape so the whole encoding set becomes
-        // tensors without a fresh allocation.
+        // each with a pooled shape — one sample of `x` — so the whole
+        // encoding set becomes tensors without a fresh allocation.
         let mut enc_tensors: Vec<Tensor<F25>> = self.ws.take_cleared(s_cols);
         let mut enc_rows = encodings;
         for row in enc_rows.drain(..) {
-            enc_tensors.push(Tensor::from_parts(self.ws.take_shape(enc_shape), row));
+            let mut enc_shape = self.ws.take_shape(x.shape());
+            enc_shape[0] = 1;
+            enc_tensors.push(Tensor::from_parts(enc_shape, row));
         }
         self.ws.give(enc_rows);
         // Convicted workers are sent nothing — no store, no job — so
@@ -872,7 +777,7 @@ impl<X: GpuExec> DarknightSession<X> {
         }
         let mut jobs: Vec<LinearJob> = self.ws.take_cleared(enc_tensors.len());
         for t in enc_tensors.drain(..) {
-            jobs.push(make_job(weights_q.clone(), t));
+            jobs.push(op.forward_job(weights_q.clone(), t));
         }
         self.ws.give(enc_tensors);
         self.stats.linear_jobs += sent as u64;
@@ -902,7 +807,7 @@ impl<X: GpuExec> DarknightSession<X> {
         self.recycle_results(&mut outputs);
         self.ws.give(outputs);
         self.recycle_jobs(jobs);
-        let (decoded, out_shape, out_rest) = match decoded {
+        let (decoded, mut y_shape, out_rest) = match decoded {
             Ok(done) => done,
             Err(e) => {
                 // Don't leak the charged working set on an aborted
@@ -920,8 +825,14 @@ impl<X: GpuExec> DarknightSession<X> {
             }
         };
         self.stats.decoded_elems += (decoded.len() * out_rest) as u64;
-        let mut scales: Vec<f32> = self.ws.take_cleared(k);
-        scales.extend(norms.iter().map(|&n| norm_w * n));
+        // One worker output is one sample's; the layer's is `K` of them.
+        y_shape[0] = k;
+        let mut y = self.ws.take_tensor(&y_shape);
+        self.ws.give_shape(y_shape);
+        for (i, (dec, &norm_x)) in decoded.iter().zip(&norms).enumerate() {
+            quant.dequantize_product_slice_into(dec, norm_w * norm_x, y.batch_item_mut(i));
+        }
+        self.give_rows(decoded);
         let norm_x0 = norms[0];
         self.ws.give(norms);
         let ctx = if !retain {
@@ -951,7 +862,7 @@ impl<X: GpuExec> DarknightSession<X> {
                 enclave_bytes: retained,
             })
         };
-        Ok((decoded, scales, out_shape, ctx))
+        Ok((y, ctx))
     }
 
     /// The one fault fold both offload halves share: drains the
@@ -1055,75 +966,25 @@ impl<X: GpuExec> DarknightSession<X> {
         }
     }
 
-    fn forward_conv(
+    /// The session's forward step at offloaded layer `ordinal` of the
+    /// walk: one offload round, then the bias on plaintext floats in the
+    /// TEE. `per_sample` selects the quantization-scale policy: shared
+    /// (training; the backward γ-aggregate needs it) vs one scale per
+    /// row (serving inference; rows stay numerically independent).
+    fn forward_linear(
         &mut self,
-        layer_id: u64,
-        conv: &mut Conv2d,
+        ordinal: usize,
+        layer: &LinearMut<'_>,
         x: &Tensor<f32>,
         train: bool,
         per_sample: bool,
     ) -> Result<Tensor<f32>, DarknightError> {
-        let shape = *conv.shape();
-        let enc_shape = [1, x.shape()[1], x.shape()[2], x.shape()[3]];
-        let (decoded, scales, out_shape, ctx) = self.offload_forward(
-            layer_id,
-            x,
-            conv.weights(),
-            move |w, t| LinearJob::ConvForward { weights: w, x: t, shape },
-            &shape.weight_shape(),
-            &enc_shape,
-            per_sample,
-            train && !per_sample,
-        )?;
-        let k = self.cfg.k();
-        let q = self.cfg.quant();
-        let y_shape = [k, out_shape[1], out_shape[2], out_shape[3]];
-        self.ws.give_shape(out_shape);
-        let mut y = self.ws.take_tensor(&y_shape);
-        for (i, (dec, &scale)) in decoded.iter().zip(&scales).enumerate() {
-            q.dequantize_product_slice_into(dec, scale, y.batch_item_mut(i));
-        }
-        self.give_rows(decoded);
-        self.ws.give(scales);
-        ops::add_bias_nchw(&mut y, conv.bias().as_slice());
-        self.stats.nonlinear_elems += y.len() as u64;
-        if let Some(ctx) = ctx {
-            self.ctxs.insert(layer_id, ctx);
-        }
-        Ok(y)
-    }
-
-    fn forward_dense(
-        &mut self,
-        layer_id: u64,
-        dense: &mut Dense,
-        x: &Tensor<f32>,
-        train: bool,
-        per_sample: bool,
-    ) -> Result<Tensor<f32>, DarknightError> {
-        let in_f = dense.in_features();
-        let out_f = dense.out_features();
-        let enc_shape = [1, in_f];
-        let (decoded, scales, out_shape, ctx) = self.offload_forward(
-            layer_id,
-            x,
-            dense.weights(),
-            move |w, t| LinearJob::DenseForward { weights: w, x: t },
-            &[out_f, in_f],
-            &enc_shape,
-            per_sample,
-            train && !per_sample,
-        )?;
-        self.ws.give_shape(out_shape);
-        let k = self.cfg.k();
-        let q = self.cfg.quant();
-        let mut y = self.ws.take_tensor(&[k, out_f]);
-        for (i, (dec, &scale)) in decoded.iter().zip(&scales).enumerate() {
-            q.dequantize_product_slice_into(dec, scale, y.batch_item_mut(i));
-        }
-        self.give_rows(decoded);
-        self.ws.give(scales);
-        ops::add_bias_rows(&mut y, dense.bias().as_slice());
+        let layer_id = self.ctx_base + ordinal as u64;
+        let op = LinearOp::new(layer.conv_shape(), layer.weights().shape());
+        let retain = train && !per_sample;
+        let (mut y, ctx) =
+            self.offload_forward(layer_id, x, layer.weights(), op, per_sample, retain)?;
+        op.add_bias(&mut y, layer.bias().as_slice());
         self.stats.nonlinear_elems += y.len() as u64;
         if let Some(ctx) = ctx {
             self.ctxs.insert(layer_id, ctx);
@@ -1173,87 +1034,12 @@ impl<X: GpuExec> DarknightSession<X> {
             });
         }
         self.start_pass();
-        self.forward_layers(model.layers_mut(), x, false, true)
+        model.forward_with(x, false, &mut Pass { session: self, per_sample: true })
     }
 
     // -----------------------------------------------------------------
     // Backward internals
     // -----------------------------------------------------------------
-
-    fn backward_layers(
-        &mut self,
-        layers: &mut [Layer],
-        dy: &Tensor<f32>,
-    ) -> Result<Tensor<f32>, DarknightError> {
-        let mut cur: Option<Tensor<f32>> = None;
-        for layer in layers.iter_mut().rev() {
-            let grad = cur.as_ref().unwrap_or(dy);
-            let next = match layer {
-                Layer::Conv2d(conv) => {
-                    let id = self.untake_id();
-                    self.backward_conv(id, conv, grad)
-                }
-                Layer::Dense(dense) => {
-                    let id = self.untake_id();
-                    self.backward_dense(id, dense, grad)
-                }
-                Layer::Residual(res) => self.backward_residual(res, grad),
-                other => {
-                    self.stats.nonlinear_elems += grad.len() as u64;
-                    Ok(other.backward_ws(grad, &mut self.ws))
-                }
-            };
-            let next = match next {
-                Ok(n) => n,
-                Err(e) => {
-                    if let Some(prev) = cur.take() {
-                        self.ws.give_tensor(prev);
-                    }
-                    return Err(e);
-                }
-            };
-            if let Some(prev) = cur.take() {
-                self.ws.give_tensor(prev);
-            }
-            cur = Some(next);
-        }
-        Ok(cur.unwrap_or_else(|| dy.clone()))
-    }
-
-    /// The residual-block arm of
-    /// [`DarknightSession::backward_layers`]. Exact mirror of forward
-    /// id assignment: forward visited main then shortcut, so backward
-    /// visits shortcut then main; intermediates are recycled on every
-    /// path.
-    fn backward_residual(
-        &mut self,
-        res: &mut Residual,
-        grad: &Tensor<f32>,
-    ) -> Result<Tensor<f32>, DarknightError> {
-        let ds = if res.shortcut().is_empty() {
-            None
-        } else {
-            Some(self.backward_layers(res.shortcut_mut(), grad)?)
-        };
-        let mut dm = match self.backward_layers(res.main_mut(), grad) {
-            Ok(dm) => dm,
-            Err(e) => {
-                if let Some(s) = ds {
-                    self.ws.give_tensor(s);
-                }
-                return Err(e);
-            }
-        };
-        self.stats.nonlinear_elems += dm.len() as u64;
-        match ds {
-            Some(s) => {
-                dm.add_assign(&s);
-                self.ws.give_tensor(s);
-            }
-            None => dm.add_assign(grad),
-        }
-        Ok(dm)
-    }
 
     fn quarantine(&mut self, w: WorkerId) {
         if push_unique(&mut self.quarantined, w) && dk_obs::enabled() {
@@ -1273,15 +1059,6 @@ impl<X: GpuExec> DarknightSession<X> {
         push_unique(&mut self.convicted, w);
     }
 
-    fn untake_id(&mut self) -> u64 {
-        debug_assert!(
-            self.next_id > self.ctx_base,
-            "backward pass saw more linear layers than forward"
-        );
-        self.next_id -= 1;
-        self.next_id
-    }
-
     /// The explicit form of worker `j`'s `*Stored` job: the TEE
     /// regenerates `x̄_j` from the retained context (determinism by
     /// derivation; encodings are row-independent, so one coefficient row
@@ -1291,31 +1068,29 @@ impl<X: GpuExec> DarknightSession<X> {
         &mut self,
         j: usize,
         delta_q: &Tensor<F25>,
-        enc_shape: &[usize],
+        op: LinearOp,
         ctx: &LinearCtx,
-        make: &impl Fn(Tensor<F25>, Tensor<F25>) -> LinearJob,
     ) -> LinearJob {
         let row = self.scheme.encode_row_ws(j, &ctx.inputs_q, &ctx.noise, &mut self.ws);
-        let xbar = Tensor::from_parts(self.ws.take_shape(enc_shape), row);
-        make(dk_gpu::job::beta_combine(delta_q, &self.scheme.beta_row(j)), xbar)
+        let mut enc_shape = self.ws.take_shape(&ctx.input_shape);
+        enc_shape[0] = 1;
+        let xbar = Tensor::from_parts(enc_shape, row);
+        op.weight_grad_job(dk_gpu::job::beta_combine(delta_q, &self.scheme.beta_row(j)), xbar)
     }
 
-    /// The backward offload round: quantize `δ`, then build, dispatch
+    /// The backward offload round of one `op` layer: quantize `δ`, then
+    /// build, dispatch
     /// and settle **one** round holding everything the layer asks of the
     /// fleet (see the module docs) — the `K+M` `*Stored` weight-gradient
     /// jobs, their explicit recomputation on TEE-regenerated encodings,
     /// and both copies of the unencoded data-gradient job. Returns the
     /// decoded aggregate weight gradient, `δ`'s scale, and the data
     /// gradient, all still in the field.
-    #[allow(clippy::too_many_arguments)]
     fn offload_backward(
         &mut self,
         layer_id: u64,
         dy: &Tensor<f32>,
-        wgrad_job: impl Fn(Arc<Tensor<F25>>, Vec<F25>) -> LinearJob,
-        explicit_wgrad_job: impl Fn(Tensor<F25>, Tensor<F25>) -> LinearJob,
-        data_job: impl Fn(Tensor<F25>) -> LinearJob,
-        enc_shape: &[usize],
+        op: LinearOp,
         ctx: &LinearCtx,
     ) -> Result<(Vec<F25>, f32, Tensor<F25>), DarknightError> {
         let s_sq = self.cfg.k() + self.cfg.m();
@@ -1324,15 +1099,11 @@ impl<X: GpuExec> DarknightSession<X> {
         let fail = |fault| DarknightError::GpuFault { layer_id, phase: "backward", fault };
         let sp = dk_obs::span(dk_obs::Stage::Quantize, batch, ordinal);
         let mut dq = self.ws.take_cleared::<F25>(dy.len());
-        let norm_d = match crate::reference::normalize_quantize_into(
-            self.cfg.quant(),
-            dy.as_slice(),
-            &mut dq,
-        ) {
+        let norm_d = match self.cfg.quant().normalize_quantize_into(dy.as_slice(), &mut dq) {
             Ok(norm) => norm,
             Err(e) => {
                 self.ws.give(dq);
-                return Err(e);
+                return Err(e.into());
             }
         };
         let delta_q = Arc::new(Tensor::from_parts(self.ws.take_shape(dy.shape()), dq));
@@ -1342,8 +1113,9 @@ impl<X: GpuExec> DarknightSession<X> {
         //    Convicted workers are sent nothing; their `Withheld` slots
         //    are filled below like any other fault.
         let withheld = self.convicted.clone();
-        let jobs: Vec<LinearJob> =
-            (0..s_sq).map(|j| wgrad_job(delta_q.clone(), self.scheme.beta_row(j))).collect();
+        let jobs: Vec<LinearJob> = (0..s_sq)
+            .map(|j| op.weight_grad_stored_job(delta_q.clone(), self.scheme.beta_row(j), layer_id))
+            .collect();
         // 2) Its check: which `Eq_j` get recomputed, and by whom. `j*`
         //    is derived per (batch, layer) from the TEE-only seed, so it
         //    is identical whether the batch runs sequentially or on a
@@ -1367,7 +1139,7 @@ impl<X: GpuExec> DarknightSession<X> {
         };
         let mut check_jobs: Vec<LinearJob> = self.ws.take_cleared(checked.len());
         for &(j, _) in &checked {
-            check_jobs.push(self.explicit_wgrad(j, &delta_q, enc_shape, ctx, &explicit_wgrad_job));
+            check_jobs.push(self.explicit_wgrad(j, &delta_q, op, ctx));
         }
         // 3) The data gradient: offloaded unencoded (§4.2 item 2), to the
         //    first worker not convicted of lying and, when integrity is
@@ -1380,7 +1152,11 @@ impl<X: GpuExec> DarknightSession<X> {
                 .filter(|w| !withheld.contains(w));
             (healthy.next(), healthy.next_back().filter(|_| integrity))
         };
-        let dj = data_job(self.ws.take_tensor_copy(delta_q.shape(), delta_q.as_slice()));
+        let dj = op.backward_data_job(
+            ctx.weights_q.clone(),
+            self.ws.take_tensor_copy(delta_q.shape(), delta_q.as_slice()),
+            &ctx.input_shape,
+        );
         let sent = s_sq - self.withheld_among(s_sq);
         self.stats.linear_jobs += (sent + usize::from(primary.is_some())) as u64;
         self.stats.bytes_to_gpus += (sent * delta_q.len() * 8) as u64;
@@ -1398,7 +1174,7 @@ impl<X: GpuExec> DarknightSession<X> {
             // Fold out withheld, lost and refusing workers: the TEE
             // computes their `Eq_j` explicitly.
             self.fold_faults(layer_id, "backward", replies.by_ref().take(s_sq), &mut eqs, |s, j| {
-                let job = s.explicit_wgrad(j, &delta_q, enc_shape, ctx, &explicit_wgrad_job);
+                let job = s.explicit_wgrad(j, &delta_q, op, ctx);
                 let eq = job.execute_ws(&mut s.ws);
                 s.ws.give_tensor(job.into_input().expect("an explicit job owns its x̄"));
                 eq
@@ -1508,99 +1284,87 @@ impl<X: GpuExec> DarknightSession<X> {
         Ok(replaced)
     }
 
-    /// The tail every linear layer's backward shares: dequantize the
-    /// offloaded aggregate `∇W` (unscale by `norm_d · norm_x`; the 1/K of
-    /// Eq. 3 is already folded into the mean-reduced loss gradients, so
-    /// no extra averaging happens here) and `dx` (by `norm_d · norm_w`),
-    /// and retire the layer's context — also when the offload failed, so
-    /// an aborted step leaks neither its retained bytes nor its buffers.
-    fn finish_backward(
+    /// The session's backward step at offloaded layer `ordinal` of the
+    /// walk: the bias gradient is a cheap float reduction inside the
+    /// TEE, the weight and data gradients are one offload round against
+    /// the context the forward pass retained.
+    fn backward_linear(
         &mut self,
-        offloaded: Result<(Vec<F25>, f32, Tensor<F25>), DarknightError>,
-        ctx: LinearCtx,
-        weight_shape: &[usize],
-    ) -> Result<(Tensor<f32>, Tensor<f32>), DarknightError> {
+        ordinal: usize,
+        layer: &mut LinearMut<'_>,
+        dy: &Tensor<f32>,
+    ) -> Result<Tensor<f32>, DarknightError> {
+        let layer_id = self.ctx_base + ordinal as u64;
+        let op = LinearOp::new(layer.conv_shape(), layer.weights().shape());
+        layer.accumulate_bias_grad(&op.bias_grad(dy));
+        self.stats.nonlinear_elems += dy.len() as u64;
+        let Some(ctx) = self.ctxs.remove(&layer_id) else {
+            return Err(DarknightError::MissingForwardContext { layer_id });
+        };
+        let offloaded = self.offload_backward(layer_id, dy, op, &ctx);
         let _ = self.enclave.release(ctx.enclave_bytes);
+        // Dequantize the aggregate `∇W` (unscale by `norm_d · norm_x`;
+        // the 1/K of Eq. 3 is already folded into the mean-reduced loss
+        // gradients, so no extra averaging happens here) and `dx` (by
+        // `norm_d · norm_w`).
         let grads = offloaded.map(|(grad_field, norm_d, dx_field)| {
             let q = self.cfg.quant();
-            let mut gw = self.ws.take_tensor::<f32>(weight_shape);
+            let mut gw = self.ws.take_tensor::<f32>(ctx.weights_q.shape());
             q.dequantize_product_slice_into(&grad_field, norm_d * ctx.norm_x, gw.as_mut_slice());
             self.ws.give(grad_field);
             let mut dx = self.ws.take_tensor::<f32>(dx_field.shape());
             q.dequantize_product_slice_into(dx_field.as_slice(), norm_d * ctx.norm_w, dx.as_mut_slice());
             (gw, dx)
         });
+        // The context retires also when the offload failed, so an
+        // aborted step leaks neither its retained bytes nor its buffers.
         self.recycle_ctx(ctx);
-        grads
-    }
-
-    fn backward_conv(
-        &mut self,
-        layer_id: u64,
-        conv: &mut Conv2d,
-        dy: &Tensor<f32>,
-    ) -> Result<Tensor<f32>, DarknightError> {
-        // Bias gradient: cheap float reduction inside the TEE.
-        let bg = ops::bias_grad_nchw(dy);
-        conv.accumulate_bias_grad(&Tensor::from_vec(&[bg.len()], bg));
-        self.stats.nonlinear_elems += dy.len() as u64;
-        let Some(ctx) = self.ctxs.remove(&layer_id) else {
-            return Err(DarknightError::MissingForwardContext { layer_id });
-        };
-        let shape = *conv.shape();
-        let input_hw = (ctx.input_shape[2], ctx.input_shape[3]);
-        let enc_shape = [1, ctx.input_shape[1], ctx.input_shape[2], ctx.input_shape[3]];
-        let offloaded = self.offload_backward(
-            layer_id,
-            dy,
-            |delta, beta| LinearJob::ConvWeightGradStored {
-                delta_batch: delta,
-                beta,
-                layer_id,
-                shape,
-            },
-            |dtilde, xbar| LinearJob::ConvWeightGrad { delta: dtilde, x: xbar, shape },
-            |delta| LinearJob::ConvBackwardData {
-                weights: ctx.weights_q.clone(),
-                delta,
-                shape,
-                input_hw,
-            },
-            &enc_shape,
-            &ctx,
-        );
-        let (gw, dx) = self.finish_backward(offloaded, ctx, &shape.weight_shape())?;
-        conv.accumulate_weight_grad(&gw);
+        let (gw, dx) = grads?;
+        layer.accumulate_weight_grad(&gw);
         self.ws.give_tensor(gw);
         Ok(dx)
     }
+}
 
-    fn backward_dense(
+/// One pass of a session over a model: the executor [`dk_nn`]'s walk
+/// drives. The traversal — order, ordinals, residual blocks, recycling
+/// of intermediates into the session pool — is the walk's; the session
+/// supplies its per-layer step and counts the TEE-side elements.
+struct Pass<'a, X: GpuExec> {
+    session: &'a mut DarknightSession<X>,
+    /// One quantization scale per row (serving inference) instead of
+    /// one shared by the virtual batch.
+    per_sample: bool,
+}
+
+impl<X: GpuExec> LayerExec for Pass<'_, X> {
+    type Error = DarknightError;
+
+    fn workspace(&mut self) -> &mut Workspace {
+        &mut self.session.ws
+    }
+
+    fn linear_forward(
         &mut self,
-        layer_id: u64,
-        dense: &mut Dense,
+        ordinal: usize,
+        layer: LinearMut<'_>,
+        x: &Tensor<f32>,
+        train: bool,
+    ) -> Result<Tensor<f32>, DarknightError> {
+        self.session.forward_linear(ordinal, &layer, x, train, self.per_sample)
+    }
+
+    fn linear_backward(
+        &mut self,
+        ordinal: usize,
+        mut layer: LinearMut<'_>,
         dy: &Tensor<f32>,
     ) -> Result<Tensor<f32>, DarknightError> {
-        let bg = ops::bias_grad_rows(dy);
-        dense.accumulate_bias_grad(&Tensor::from_vec(&[bg.len()], bg));
-        self.stats.nonlinear_elems += dy.len() as u64;
-        let Some(ctx) = self.ctxs.remove(&layer_id) else {
-            return Err(DarknightError::MissingForwardContext { layer_id });
-        };
-        let weight_shape = [dense.out_features(), dense.in_features()];
-        let offloaded = self.offload_backward(
-            layer_id,
-            dy,
-            |delta, beta| LinearJob::DenseWeightGradStored { delta_batch: delta, beta, layer_id },
-            |dtilde, xbar| LinearJob::DenseWeightGrad { delta: dtilde, x: xbar },
-            |delta| LinearJob::DenseBackwardData { weights: ctx.weights_q.clone(), delta },
-            &[1, dense.in_features()],
-            &ctx,
-        );
-        let (gw, dx) = self.finish_backward(offloaded, ctx, &weight_shape)?;
-        dense.accumulate_weight_grad(&gw);
-        self.ws.give_tensor(gw);
-        Ok(dx)
+        self.session.backward_linear(ordinal, &mut layer, dy)
+    }
+
+    fn touched(&mut self, elems: usize) {
+        self.session.stats.nonlinear_elems += elems as u64;
     }
 }
 
@@ -1615,7 +1379,7 @@ mod tests {
     use super::*;
     use dk_gpu::Behavior;
     use dk_nn::arch::{mini_mobilenet, mini_resnet, mini_vgg};
-    use dk_nn::layers::{Flatten, Relu};
+    use dk_nn::layers::{Conv2d, Dense, Flatten, Layer, Relu};
 
     fn small_model(seed: u64) -> Sequential {
         Sequential::new(vec![
@@ -1743,6 +1507,37 @@ mod tests {
         let mut model = small_model(8);
         let err = session.private_inference(&mut model, &input(3)).unwrap_err();
         assert!(matches!(err, DarknightError::BatchShape { expected: 2, actual: 3 }));
+    }
+
+    /// A backward pass with no forward context fails closed with the
+    /// typed error, in debug and release alike — there is no layer
+    /// counter left to underflow.
+    #[test]
+    fn backward_before_forward_is_a_typed_error() {
+        let cfg = DarknightConfig::new(2, 1);
+        let cluster = GpuCluster::honest(cfg.workers_required(), 33);
+        let mut session = DarknightSession::new(cfg, cluster).unwrap();
+        let mut model = small_model(34);
+        let dloss = Tensor::from_fn(&[2, 3], |i| i as f32 * 0.1 - 0.2);
+        // Backward meets the dense head — the walk's ordinal 1 — first.
+        let err = session.private_backward(&mut model, &dloss).unwrap_err();
+        assert_eq!(err, DarknightError::MissingForwardContext { layer_id: 1 });
+        // An inference pass retains nothing for a backward pass either.
+        let _ = session.private_inference(&mut model, &input(2)).unwrap();
+        let err = session.private_backward(&mut model, &dloss).unwrap_err();
+        assert!(matches!(err, DarknightError::MissingForwardContext { .. }), "{err}");
+    }
+
+    #[test]
+    fn wrong_label_count_rejected() {
+        let cfg = DarknightConfig::new(2, 1);
+        let cluster = GpuCluster::honest(cfg.workers_required(), 35);
+        let mut session = DarknightSession::new(cfg, cluster).unwrap();
+        let mut model = small_model(36);
+        let before = model.snapshot_params();
+        let err = session.train_step(&mut model, &input(2), &[1], &mut Sgd::new(0.05)).unwrap_err();
+        assert_eq!(err, DarknightError::BatchShape { expected: 2, actual: 1 });
+        assert_eq!(model.max_param_diff(&before), 0.0, "a rejected step must not update weights");
     }
 
     #[test]

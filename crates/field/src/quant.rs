@@ -167,6 +167,50 @@ impl QuantConfig {
         Ok(())
     }
 
+    /// The max-abs norm of a tensor: its largest absolute entry, or 1.0
+    /// for an all-zero one, so `1/norm` is always a usable pre-scale for
+    /// [`QuantConfig::quantize_slice_into`]. The scan half of
+    /// [`QuantConfig::normalize_quantize_into`], callable on its own
+    /// where several slices share one scale.
+    pub fn max_abs_norm(vs: &[f32]) -> f32 {
+        let max_abs = vs.iter().fold(0.0f32, |m, v| m.max(v.abs()));
+        if max_abs > 0.0 { max_abs } else { 1.0 }
+    }
+
+    /// Max-abs normalization followed by Algorithm 1 quantization:
+    /// clears `out`, fills it with the quantized `vs / norm` and returns
+    /// `norm`. The private session, the clear-text reference, the step
+    /// plan and the Slalom baseline all quantize through this one
+    /// function, so they can never diverge numerically.
+    ///
+    /// # Errors
+    ///
+    /// As [`QuantConfig::quantize_slice_into`].
+    pub fn normalize_quantize_into<const P: u64>(
+        self,
+        vs: &[f32],
+        out: &mut Vec<Fp<P>>,
+    ) -> Result<f32, QuantError> {
+        let norm = Self::max_abs_norm(vs);
+        out.clear();
+        self.quantize_slice_into(vs, 1.0 / norm, out)?;
+        Ok(norm)
+    }
+
+    /// Allocating form of [`QuantConfig::normalize_quantize_into`].
+    ///
+    /// # Errors
+    ///
+    /// As [`QuantConfig::quantize_slice_into`].
+    pub fn normalize_quantize<const P: u64>(
+        self,
+        vs: &[f32],
+    ) -> Result<(Vec<Fp<P>>, f32), QuantError> {
+        let mut out = Vec::new();
+        let norm = self.normalize_quantize_into(vs, &mut out)?;
+        Ok((out, norm))
+    }
+
     /// Recovers a float from a quantized *input-scale* value (`2^l`).
     pub fn dequantize_input<const P: u64>(self, x: Fp<P>) -> f64 {
         x.to_centered_i64() as f64 / self.scale()
@@ -354,6 +398,24 @@ mod tests {
         let mut vs2 = vec![0.5f32, -1.0];
         assert_eq!(q.normalize(&mut vs2, 4.0), 1.0);
         assert_eq!(vs2, vec![0.5, -1.0]);
+    }
+
+    #[test]
+    fn normalize_quantize_is_scan_then_prescaled_quantize() {
+        let q = QuantConfig::new(6);
+        let vs = [0.3f32, -2.5, 1.25, 0.0];
+        assert_eq!(QuantConfig::max_abs_norm(&vs), 2.5);
+        assert_eq!(QuantConfig::max_abs_norm(&[0.0, -0.0]), 1.0);
+        let (got, norm) = q.normalize_quantize::<P25>(&vs).unwrap();
+        assert_eq!(norm, 2.5);
+        let want: Vec<F25> =
+            vs.iter().map(|&v| q.quantize::<P25>((v * (1.0 / norm)) as f64).unwrap()).collect();
+        assert_eq!(got, want);
+        // The `_into` form clears what the buffer held.
+        let mut out = vec![F25::ONE; 9];
+        assert_eq!(q.normalize_quantize_into::<P25>(&vs, &mut out), Ok(norm));
+        assert_eq!(out, want);
+        assert_eq!(q.normalize_quantize::<P25>(&[f32::NAN]), Err(QuantError::NotFinite));
     }
 
     #[test]

@@ -6,9 +6,107 @@
 use dk_field::F25;
 use dk_linalg::conv::{conv2d_backward_input_ws, conv2d_backward_weight_ws, conv2d_forward_ws};
 use dk_linalg::{
-    matmul_a_bt_into, matmul_at_b_into, matmul_into, Conv2dShape, Tensor, Workspace,
+    matmul_a_bt_into, matmul_at_b_into, matmul_into, ops, Conv2dShape, Tensor, Workspace,
 };
 use std::sync::Arc;
+
+/// What an offloaded layer computes — the one description of
+/// "convolution or dense" an executor needs. All that differs between
+/// the two kinds hangs off it: which [`LinearJob`] variant each of the
+/// four protocol jobs is, and which axis the TEE-side bias ops run
+/// over. The rest of a layer pass is read off the tensors (an encoding
+/// is one sample of the input, the output is the worker's with batch
+/// `K`, the weight shape is the weight tensor's own) and needs no kind.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum LinearOp {
+    /// A 2-D convolution of the given geometry.
+    Conv(Conv2dShape),
+    /// A fully-connected layer, weights stored `[out, in]`.
+    Dense {
+        /// Input feature count.
+        in_features: usize,
+        /// Output feature count.
+        out_features: usize,
+    },
+}
+
+impl LinearOp {
+    /// The op of a layer as `dk_nn`'s linear view describes it: its
+    /// convolution geometry if it has one, else the dense layer its
+    /// `[out, in]` weight shape spells.
+    pub fn new(conv: Option<Conv2dShape>, weight_shape: &[usize]) -> Self {
+        match conv {
+            Some(shape) => LinearOp::Conv(shape),
+            None => LinearOp::Dense { in_features: weight_shape[1], out_features: weight_shape[0] },
+        }
+    }
+
+    /// `y += b`, broadcast over this op's output layout (`[n, oc, oh,
+    /// ow]` per channel, or `[n, out]` per column).
+    pub fn add_bias(&self, y: &mut Tensor<f32>, bias: &[f32]) {
+        match self {
+            LinearOp::Conv(_) => ops::add_bias_nchw(y, bias),
+            LinearOp::Dense { .. } => ops::add_bias_rows(y, bias),
+        }
+    }
+
+    /// `∂L/∂b`: `dy` reduced over everything but this op's bias axis.
+    pub fn bias_grad(&self, dy: &Tensor<f32>) -> Vec<f32> {
+        match self {
+            LinearOp::Conv(_) => ops::bias_grad_nchw(dy),
+            LinearOp::Dense { .. } => ops::bias_grad_rows(dy),
+        }
+    }
+
+    /// The forward job on one encoded input `x` (`[1, ...]`).
+    pub fn forward_job(&self, weights: Arc<Tensor<F25>>, x: Tensor<F25>) -> LinearJob {
+        match *self {
+            LinearOp::Conv(shape) => LinearJob::ConvForward { weights, x, shape },
+            LinearOp::Dense { .. } => LinearJob::DenseForward { weights, x },
+        }
+    }
+
+    /// The explicit weight-gradient job `Eq = ⟨δ̃, x̄⟩` on operands the
+    /// sender holds.
+    pub fn weight_grad_job(&self, delta: Tensor<F25>, x: Tensor<F25>) -> LinearJob {
+        match *self {
+            LinearOp::Conv(shape) => LinearJob::ConvWeightGrad { delta, x, shape },
+            LinearOp::Dense { .. } => LinearJob::DenseWeightGrad { delta, x },
+        }
+    }
+
+    /// The weight-gradient job against the encoding the worker stored
+    /// under `layer_id` (§6); the worker β-combines `delta_batch` itself.
+    pub fn weight_grad_stored_job(
+        &self,
+        delta_batch: Arc<Tensor<F25>>,
+        beta: Vec<F25>,
+        layer_id: u64,
+    ) -> LinearJob {
+        use LinearJob::{ConvWeightGradStored, DenseWeightGradStored};
+        match *self {
+            LinearOp::Conv(shape) => ConvWeightGradStored { delta_batch, beta, layer_id, shape },
+            LinearOp::Dense { .. } => DenseWeightGradStored { delta_batch, beta, layer_id },
+        }
+    }
+
+    /// The unencoded data-gradient job; `input_shape` is the forward
+    /// input's (a convolution needs the spatial size back).
+    pub fn backward_data_job(
+        &self,
+        weights: Arc<Tensor<F25>>,
+        delta: Tensor<F25>,
+        input_shape: &[usize],
+    ) -> LinearJob {
+        match *self {
+            LinearOp::Conv(shape) => {
+                let input_hw = (input_shape[2], input_shape[3]);
+                LinearJob::ConvBackwardData { weights, delta, shape, input_hw }
+            }
+            LinearOp::Dense { .. } => LinearJob::DenseBackwardData { weights, delta },
+        }
+    }
+}
 
 /// A bilinear computation request.
 ///
@@ -203,7 +301,11 @@ impl LinearJob {
         }
     }
 
-    /// Multiply-accumulate count of this job (perf accounting).
+    /// Multiply-accumulate count of this job (perf accounting), as far
+    /// as the job alone determines it: a `DenseWeightGradStored` job
+    /// does not know its input width, so it counts its β-combination
+    /// and [`crate::worker::GpuWorker::try_execute`], which holds the
+    /// stored encoding, books the outer product on top.
     pub fn macs(&self) -> u64 {
         match self {
             LinearJob::ConvForward { x, shape, .. } => {
@@ -233,13 +335,10 @@ impl LinearJob {
                 let wgrad = (shape.out_channels * oh * ow * shape.cg_in() * shape.kernel.0 * shape.kernel.1) as u64;
                 combine + wgrad
             }
-            LinearJob::DenseWeightGradStored { delta_batch, beta, .. } => {
-                let out_f = delta_batch.shape()[1];
-                // Combination + outer product; input features unknown here,
-                // approximate with out_f * beta.len() for the combine and
-                // leave the outer product to worker-side accounting.
-                (delta_batch.len() + out_f * beta.len()) as u64
-            }
+            // The β-combination only, as in the conv arm: the `out·in`
+            // outer product needs the input width, which only the worker
+            // holding the stored encoding knows — it books that part.
+            LinearJob::DenseWeightGradStored { delta_batch, .. } => delta_batch.len() as u64,
         }
     }
 }
@@ -294,6 +393,78 @@ mod tests {
             input_hw: (4, 4),
         };
         assert_eq!(job.execute().shape(), &[2, 2, 4, 4]);
+    }
+
+    /// Each op constructor builds the variant its kind calls for, field
+    /// for field, and the TEE-side bias ops run over the op's own axis.
+    #[test]
+    fn op_constructors_build_the_matching_variants() {
+        let shape = Conv2dShape::simple(2, 3, 3, 1, 1);
+        let conv = LinearOp::new(Some(shape), &shape.weight_shape());
+        let dense = LinearOp::new(None, &[4, 6]);
+        assert_eq!(conv, LinearOp::Conv(shape));
+        assert_eq!(dense, LinearOp::Dense { in_features: 6, out_features: 4 });
+
+        let w = Arc::new(tensor(&[4, 6], |i| F25::new(i as u64)));
+        let x = tensor(&[1, 6], |i| F25::new(i as u64 + 1));
+        let delta = tensor(&[1, 4], |i| F25::new(i as u64 + 2));
+        let batch = Arc::new(tensor(&[2, 4], |i| F25::new(i as u64 + 3)));
+        let beta = vec![F25::new(5), F25::new(7)];
+        assert_eq!(
+            dense.forward_job(w.clone(), x.clone()),
+            LinearJob::DenseForward { weights: w.clone(), x: x.clone() }
+        );
+        assert_eq!(
+            dense.weight_grad_job(delta.clone(), x.clone()),
+            LinearJob::DenseWeightGrad { delta: delta.clone(), x: x.clone() }
+        );
+        assert_eq!(
+            dense.weight_grad_stored_job(batch.clone(), beta.clone(), 9),
+            LinearJob::DenseWeightGradStored {
+                delta_batch: batch.clone(),
+                beta: beta.clone(),
+                layer_id: 9
+            }
+        );
+        assert_eq!(
+            dense.backward_data_job(w.clone(), delta.clone(), &[2, 6]),
+            LinearJob::DenseBackwardData { weights: w, delta }
+        );
+
+        let w = Arc::new(tensor(&shape.weight_shape(), |i| F25::new(i as u64)));
+        let x = tensor(&[1, 2, 5, 4], |i| F25::new(i as u64 + 1));
+        let delta = tensor(&[1, 3, 5, 4], |i| F25::new(i as u64 + 2));
+        let batch = Arc::new(tensor(&[2, 3, 5, 4], |i| F25::new(i as u64 + 3)));
+        assert_eq!(
+            conv.forward_job(w.clone(), x.clone()),
+            LinearJob::ConvForward { weights: w.clone(), x: x.clone(), shape }
+        );
+        assert_eq!(
+            conv.weight_grad_job(delta.clone(), x.clone()),
+            LinearJob::ConvWeightGrad { delta: delta.clone(), x, shape }
+        );
+        assert_eq!(
+            conv.weight_grad_stored_job(batch.clone(), beta.clone(), 9),
+            LinearJob::ConvWeightGradStored { delta_batch: batch, beta, layer_id: 9, shape }
+        );
+        assert_eq!(
+            conv.backward_data_job(w.clone(), delta.clone(), &[2, 2, 5, 4]),
+            LinearJob::ConvBackwardData { weights: w, delta, shape, input_hw: (5, 4) }
+        );
+
+        let bias = [0.5f32, -1.0, 2.0];
+        let dy = Tensor::from_fn(&[2, 3, 2, 2], |i| i as f32 * 0.25 - 1.0);
+        let (mut got, mut want) = (dy.clone(), dy.clone());
+        conv.add_bias(&mut got, &bias);
+        ops::add_bias_nchw(&mut want, &bias);
+        assert_eq!(got, want);
+        assert_eq!(conv.bias_grad(&dy), ops::bias_grad_nchw(&dy));
+        let dy = Tensor::from_fn(&[2, 3], |i| i as f32 * 0.25 - 1.0);
+        let (mut got, mut want) = (dy.clone(), dy.clone());
+        dense.add_bias(&mut got, &bias);
+        ops::add_bias_rows(&mut want, &bias);
+        assert_eq!(got, want);
+        assert_eq!(dense.bias_grad(&dy), ops::bias_grad_rows(&dy));
     }
 
     #[test]

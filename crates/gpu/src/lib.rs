@@ -8,7 +8,9 @@
 //!
 //! * [`job::LinearJob`] — the five bilinear operations DarKnight
 //!   offloads (conv forward / input-grad / weight-grad, dense forward /
-//!   weight-grad), all over `F_{2^25−39}`.
+//!   weight-grad), all over `F_{2^25−39}`; [`job::LinearOp`] is the
+//!   one description of "convolution or dense" the TEE-side executors
+//!   build them from.
 //! * [`worker::GpuWorker`] — executes jobs, stores forward encodings for
 //!   backward reuse (§6, "Encoded Data Storage During Forward Pass"),
 //!   records everything it observes (for collusion analysis), and can be
@@ -55,7 +57,7 @@ pub use cluster::GpuCluster;
 pub use dispatch::{BatchTag, DispatchClient, GpuDispatcher, JobTicket, Ticket};
 pub use error::GpuError;
 pub use exec::{GpuExec, WorkerResult};
-pub use job::{JobOutput, LinearJob};
+pub use job::{JobOutput, LinearJob, LinearOp};
 pub use tcp::{serve_fleet_worker, serve_fleet_worker_verbose, ConnSummary, FleetManifest, TcpFleet};
 pub use worker::{GpuWorker, WorkerId};
 

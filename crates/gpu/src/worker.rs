@@ -209,6 +209,7 @@ impl GpuWorker {
     ///
     /// [`GpuError::Remote`](crate::GpuError::Remote) as described.
     pub fn try_execute(&mut self, job: &LinearJob) -> crate::WorkerResult {
+        let mut macs = job.macs();
         // Record what the job reveals: the masked input (forward) or the
         // stored encoding is already recorded; backward-data inputs are
         // deltas, which the threat model treats as non-sensitive.
@@ -227,14 +228,16 @@ impl GpuWorker {
             (_, LinearJob::DenseWeightGradStored { delta_batch, beta, layer_id }) => {
                 let x = self.stored_encodings.get(layer_id).ok_or_else(|| missing(self.id, *layer_id))?;
                 let delta = crate::job::beta_combine(delta_batch, beta);
+                // The `out·in` outer product the job could not count.
+                macs += (delta.len() * x.len()) as u64;
                 crate::job::dense_weight_grad(&delta, x, &mut self.ws)
             }
             _ => job.execute_ws(&mut self.ws),
         };
         self.jobs_executed += 1;
-        self.macs_executed += job.macs();
+        self.macs_executed += macs;
         if let Some(l) = self.latency {
-            std::thread::sleep(l.delay(job.macs()));
+            std::thread::sleep(l.delay(macs));
         }
         Ok(self.behavior.corrupt(honest, &mut self.rng))
     }
@@ -269,6 +272,7 @@ fn missing(worker: WorkerId, layer_id: u64) -> crate::GpuError {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::job::LinearOp;
     use dk_linalg::Conv2dShape;
     use std::sync::Arc;
 
@@ -356,6 +360,35 @@ mod tests {
         .execute();
         assert_eq!(w.try_execute(&job), Ok(want));
         assert_eq!(w.stored_encoding(9), Some(&enc));
+    }
+
+    /// A `*Stored` job and the explicit job on the same operands book
+    /// the same MACs, up to the β-combination only the stored form does.
+    #[test]
+    fn stored_and_explicit_weight_grads_book_the_same_macs() {
+        let beta = vec![F25::new(3), F25::new(5)];
+        let shape = Conv2dShape::simple(2, 3, 3, 1, 1);
+        let conv = (
+            LinearOp::Conv(shape),
+            Tensor::from_fn(&[2, 3, 4, 4], |i| F25::new(i as u64 % 11)),
+            Tensor::from_fn(&[1, 2, 4, 4], |i| F25::new(i as u64 % 7)),
+        );
+        let dense = (
+            LinearOp::Dense { in_features: 6, out_features: 4 },
+            Tensor::from_fn(&[2, 4], |i| F25::new(i as u64 + 1)),
+            Tensor::from_fn(&[1, 6], |i| F25::new(i as u64 + 2)),
+        );
+        for (op, delta_batch, enc) in [conv, dense] {
+            let mut stored = GpuWorker::new(WorkerId(0), Behavior::Honest, 8);
+            stored.store_encoding(4, enc.clone());
+            let combine = delta_batch.len() as u64;
+            let explicit_job =
+                op.weight_grad_job(crate::job::beta_combine(&delta_batch, &beta), enc);
+            let stored_job = op.weight_grad_stored_job(Arc::new(delta_batch), beta.clone(), 4);
+            let mut explicit = GpuWorker::new(WorkerId(1), Behavior::Honest, 8);
+            assert_eq!(stored.execute(&stored_job), explicit.execute(&explicit_job), "{op:?}");
+            assert_eq!(stored.macs_executed(), explicit.macs_executed() + combine, "{op:?}");
+        }
     }
 
     #[test]

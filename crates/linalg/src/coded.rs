@@ -14,7 +14,7 @@
 //!   copy, no flat `(k+m)·n` buffer;
 //! * the reduction dimension is register-grouped at [`PGROUP`]
 //!   positions, and the inner loop is the PR-8 [`LANES`]-wide
-//!   accumulator strip (SSE2/AVX2 `pmuludq`/`paddq` for `F25`, the
+//!   accumulator strip (AVX2 `vpmuludq`/`vpaddq` for `F25`, the
 //!   autovectorized portable strip otherwise) with the delayed
 //!   Barrett-fold schedule;
 //! * a redundant-equation check ([`coded_combine_check_acc`]) can ride

@@ -10,7 +10,7 @@
 //! and `ocols = oh · ow`:
 //!
 //! * **forward** — `y[oc/g × ocols] = W[oc/g × krows] · cols(x)`. The
-//!   column matrix is never built: [`crate::matmul`]'s strip kernel
+//!   column matrix is never built: [`mod@crate::matmul`]'s strip kernel
 //!   runs column strips outermost and asks
 //!   [`Window::fill_panel`](crate::im2col) for one `[≤256 × 16]` block
 //!   of `cols(x)` at a time, gathered straight from the NCHW image (row

@@ -10,7 +10,7 @@
 //! * the **forward** convolution never builds the column matrix: its
 //!   strip kernel asks [`Window::fill_panel`] for one `[kb × LANES]`
 //!   block of it at a time, gathered straight from the image into the
-//!   L1-resident panel (see [`crate::matmul`] and [`crate::conv`]);
+//!   L1-resident panel (see [`mod@crate::matmul`] and [`crate::conv`]);
 //! * the **weight-gradient** pass contracts over output positions, so
 //!   it wants whole column-matrix rows contiguous: it is the one
 //!   remaining caller of [`im2col_into`]. The input-gradient pass goes

@@ -17,7 +17,7 @@
 //! (see [`matmul`](mod@matmul)); large shapes fan out on a
 //! lazily-started persistent worker pool (`DK_THREADS` /
 //! [`set_max_threads`] bound the fan-out). Results are bit-for-bit
-//! identical to the per-MAC-reducing [`reference`] kernels at every
+//! identical to the per-MAC-reducing [`mod@reference`] kernels at every
 //! thread count.
 //!
 //! Every kernel also comes in a `_into` form writing into

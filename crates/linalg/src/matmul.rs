@@ -52,9 +52,11 @@
 //! `acc_lift(0) = 0` instead of reading `C`, so the output may hold
 //! stale data.
 //!
-//! For `F25` on x86-64 the micro-kernel is explicit SSE2/AVX2
-//! ([`crate::simd`]); every other instantiation is the portable body
-//! below, which the autovectorizer lowers to vector multiply-adds.
+//! For `F25` on x86-64 with AVX2 the micro-kernel is explicit
+//! intrinsics ([`crate::simd`]: one hand-written tier, detected at
+//! runtime); every other instantiation, and `F25` on a CPU without
+//! AVX2, is the portable body below, which the autovectorizer lowers
+//! to vector multiply-adds.
 //!
 //! Large products fan out across **strip ranges** on the persistent
 //! [`crate::threadpool`] (capped by [`crate::threads::max_threads`],
@@ -87,8 +89,8 @@ use std::ops::Range;
 
 /// Width of the struct-of-arrays accumulator strip: independent
 /// [`Scalar::Acc`] lanes held in registers across a whole panel.
-/// Sixteen `u64` lanes are two AVX-512 registers, four AVX2 registers,
-/// or eight SSE2 registers — within budget everywhere.
+/// Sixteen `u64` lanes are two AVX-512 registers or four AVX2
+/// registers — within budget everywhere.
 pub(crate) const LANES: usize = 16;
 
 /// Reduction positions per packed panel (the `k` block): with 8-byte

@@ -9,7 +9,7 @@
 //!   and the float loops accumulate in the same per-element order), and
 //! * the "before" side of the `dk_bench` speedup measurements.
 //!
-//! Do not use them on hot paths; use the [`crate::matmul`] kernels.
+//! Do not use them on hot paths; use the [`mod@crate::matmul`] kernels.
 
 use crate::scalar::Scalar;
 

@@ -5,14 +5,19 @@
 //! but for the 25-bit field the widening `u32×u32→u64` multiply chain
 //! defeats both the loop vectorizer (it keeps the accumulator strip
 //! stack-resident) and the SLP vectorizer (it leaves eight scalar
-//! `imul`s). The fix that actually sticks is ~60 lines of explicit
-//! SSE2: canonical `F25` values are `u64`s below `2^25`, so the packed
-//! widening multiply (`pmuludq`, which reads the low 32 bits of each
-//! 64-bit lane) computes two exact unreduced products per instruction,
-//! and `paddq` accumulates them — the same delayed-Barrett-fold
-//! schedule as the generic kernel, two lanes at a time. An AVX2 version
-//! (four lanes per instruction) is selected at runtime when the CPU has
-//! it.
+//! `imul`s). The fix that actually sticks is explicit AVX2: canonical
+//! `F25` values are `u64`s below `2^25`, so the packed widening multiply
+//! (`vpmuludq`, which reads the low 32 bits of each 64-bit lane)
+//! computes four exact unreduced products per instruction, and `vpaddq`
+//! accumulates them — the same delayed-Barrett-fold schedule as the
+//! generic kernel, four lanes at a time.
+//!
+//! There is one hand-written tier. AVX2 is detected at runtime; an
+//! x86-64 CPU without it takes the portable kernels — the path aarch64
+//! runs, and the one the `f32` / `F61` instantiations exercise on every
+//! host — rather than a second, SSE2 copy of each kernel that no AVX2
+//! host (CI, the benchmark host, every committed number) would ever
+//! execute or test.
 //!
 //! Dispatch is by `TypeId` from the generic kernels: the comparison is
 //! against a monomorphized constant, so every non-`F25` instantiation
@@ -22,8 +27,8 @@
 //! bit-for-bit identical to [`crate::reference`], which the
 //! `kernel_equivalence` and proptest suites check on every run.
 //!
-//! On non-x86-64 targets every `try_*` entry point returns `false` and
-//! the portable kernels run unchanged.
+//! Without AVX2 — and on non-x86-64 targets — every `try_*` entry point
+//! returns `false` and the portable kernels run unchanged.
 
 use crate::matmul::LANES;
 use crate::scalar::Scalar;
@@ -38,7 +43,7 @@ fn is_f25<T: 'static>() -> bool {
 
 /// The packed-panel matmul micro-kernel (contract as
 /// [`crate::matmul`]'s `lane_strip`). Returns `false` (caller runs the
-/// portable kernel) unless `T` is `F25` on x86-64.
+/// portable kernel) unless `T` is `F25` on x86-64 with AVX2.
 #[inline(always)]
 pub(crate) fn try_f25_lane_strip<T: Scalar>(
     a: &[T],
@@ -49,7 +54,7 @@ pub(crate) fn try_f25_lane_strip<T: Scalar>(
 ) -> bool {
     #[cfg(target_arch = "x86_64")]
     {
-        if is_f25::<T>() {
+        if is_f25::<T>() && x86::has_avx2() {
             let kb = panel.len() / LANES;
             assert!(panel.len() == kb * LANES && (kb == 0 || (kb - 1) * a_stride < a.len()));
             // One block's products must fit the u64 lanes without a fold.
@@ -63,16 +68,9 @@ pub(crate) fn try_f25_lane_strip<T: Scalar>(
                     &mut *(cs as *mut [T; LANES] as *mut [dk_field::F25; LANES]),
                 )
             };
-            // SAFETY: the assert above is the bodies' precondition; SSE2
-            // is baseline on x86-64 and the AVX2 body only runs behind
-            // `is_x86_feature_detected!`.
-            unsafe {
-                if x86::has_avx2() {
-                    x86::lane_strip_avx2(a, a_stride, panel, cs, load);
-                } else {
-                    x86::lane_strip_sse2(a, a_stride, panel, cs, load);
-                }
-            }
+            // SAFETY: the assert above is the body's precondition, and
+            // `has_avx2()` was checked on the way in.
+            unsafe { x86::lane_strip_avx2(a, a_stride, panel, cs, load) };
             return true;
         }
     }
@@ -82,7 +80,7 @@ pub(crate) fn try_f25_lane_strip<T: Scalar>(
 
 /// `C[rows×n] = A[rows×k] · Bᵀ` (`B` stored `n×k`) — the dot-orientation
 /// block, vectorized along the reduction dimension. Returns `false`
-/// unless `T` is `F25` on x86-64.
+/// unless `T` is `F25` on x86-64 with AVX2.
 pub(crate) fn try_f25_a_bt_block<T: Scalar>(
     a: &[T],
     b: &[T],
@@ -93,7 +91,7 @@ pub(crate) fn try_f25_a_bt_block<T: Scalar>(
 ) -> bool {
     #[cfg(target_arch = "x86_64")]
     {
-        if is_f25::<T>() {
+        if is_f25::<T>() && x86::has_avx2() {
             // SAFETY: identity casts as in `try_f25_lane_strip`.
             let (a, b, c) = unsafe {
                 (
@@ -102,19 +100,12 @@ pub(crate) fn try_f25_a_bt_block<T: Scalar>(
                     std::slice::from_raw_parts_mut(c.as_mut_ptr() as *mut dk_field::F25, c.len()),
                 )
             };
-            let avx2 = x86::has_avx2();
             for i in 0..rows {
                 let arow = &a[i * k..(i + 1) * k];
                 for (j, cj) in c[i * n..(i + 1) * n].iter_mut().enumerate() {
                     let brow = &b[j * k..(j + 1) * k];
-                    // SAFETY: equal-length rows; AVX2 body is detection-gated.
-                    *cj = unsafe {
-                        if avx2 {
-                            x86::dot_avx2(arow, brow)
-                        } else {
-                            x86::dot_sse2(arow, brow)
-                        }
-                    };
+                    // SAFETY: equal-length rows; AVX2 was detected above.
+                    *cj = unsafe { x86::dot_avx2(arow, brow) };
                 }
             }
             return true;
@@ -127,7 +118,8 @@ pub(crate) fn try_f25_a_bt_block<T: Scalar>(
 /// `C strip += Σ_p crow[p] · xs[p][j..j+LANES]` — the coded-combine
 /// strip, where each reduction position reads its **own** row slice
 /// instead of a stride of one flat matrix. Returns `false` unless `T`
-/// is `F25` on x86-64 and the group fits one register broadcast pass.
+/// is `F25` on x86-64 with AVX2 and the group fits one register
+/// broadcast pass.
 #[inline(always)]
 pub(crate) fn try_f25_coded_strip<T: Scalar>(
     crow: &[T],
@@ -140,7 +132,7 @@ pub(crate) fn try_f25_coded_strip<T: Scalar>(
         // A coefficient group never exceeds 16 positions (the caller
         // p-groups at that width), so the canonical strip init plus all
         // products stay far below the u64 budget — no mid-strip folds.
-        if is_f25::<T>() && crow.len() <= 16 {
+        if is_f25::<T>() && crow.len() <= 16 && x86::has_avx2() {
             debug_assert_eq!(xs.len(), crow.len());
             // SAFETY: identity casts as in `try_f25_lane_strip`.
             let crow_f = unsafe { cast_slice::<T>(crow) };
@@ -151,14 +143,8 @@ pub(crate) fn try_f25_coded_strip<T: Scalar>(
             }
             let cs_f = unsafe { &mut *(cs as *mut [T; LANES] as *mut [dk_field::F25; LANES]) };
             // SAFETY: strip callers guarantee `j + LANES` elements in
-            // every row; the AVX2 body is detection-gated.
-            unsafe {
-                if x86::has_avx2() {
-                    x86::coded_strip_avx2(crow_f, &xp[..crow_f.len()], cs_f, j);
-                } else {
-                    x86::coded_strip_sse2(crow_f, &xp[..crow_f.len()], cs_f, j);
-                }
-            }
+            // every row; AVX2 was detected above.
+            unsafe { x86::coded_strip_avx2(crow_f, &xp[..crow_f.len()], cs_f, j) };
             return true;
         }
     }
@@ -183,7 +169,7 @@ pub(crate) unsafe fn try_f25_coded_strip_store<T: Scalar>(
 ) -> bool {
     #[cfg(target_arch = "x86_64")]
     {
-        if is_f25::<T>() && crow.len() <= 16 {
+        if is_f25::<T>() && crow.len() <= 16 && x86::has_avx2() {
             debug_assert_eq!(xs.len(), crow.len());
             // SAFETY: identity casts as in `try_f25_lane_strip`.
             let crow_f = unsafe { cast_slice::<T>(crow) };
@@ -194,14 +180,8 @@ pub(crate) unsafe fn try_f25_coded_strip_store<T: Scalar>(
             }
             let out_f = out as *mut dk_field::F25;
             // SAFETY: caller guarantees `j + LANES` elements per row and
-            // `LANES` writable slots at `out`; AVX2 body detection-gated.
-            unsafe {
-                if x86::has_avx2() {
-                    x86::coded_strip_store_avx2(crow_f, &xp[..crow_f.len()], out_f, j);
-                } else {
-                    x86::coded_strip_store_sse2(crow_f, &xp[..crow_f.len()], out_f, j);
-                }
-            }
+            // `LANES` writable slots at `out`; AVX2 was detected above.
+            unsafe { x86::coded_strip_store_avx2(crow_f, &xp[..crow_f.len()], out_f, j) };
             return true;
         }
     }
@@ -226,7 +206,7 @@ mod x86 {
     use std::sync::OnceLock;
 
     // The strip kernels hard-code their register allocation: 16 lanes
-    // are eight SSE2 or four AVX2 accumulators.
+    // are four AVX2 accumulators.
     const _: () = assert!(LANES == 16);
 
     /// One fold chunk: the per-lane unreduced-product budget of the
@@ -238,29 +218,7 @@ mod x86 {
         *AVX2.get_or_init(|| std::arch::is_x86_feature_detected!("avx2"))
     }
 
-    /// Barrett-folds both `u64` lanes back to canonical range.
-    #[inline(always)]
-    unsafe fn fold2(v: __m128i) -> __m128i {
-        let mut t = [0u64; 2];
-        unsafe { _mm_storeu_si128(t.as_mut_ptr() as *mut __m128i, v) };
-        _mm_set_epi64x(
-            F25::reduce_u64(t[1]).value() as i64,
-            F25::reduce_u64(t[0]).value() as i64,
-        )
-    }
-
-    /// Reduces both lanes to canonical `F25` and stores them at `out`.
-    #[inline(always)]
-    unsafe fn finish2(out: *mut F25, v: __m128i) {
-        let mut t = [0u64; 2];
-        unsafe {
-            _mm_storeu_si128(t.as_mut_ptr() as *mut __m128i, v);
-            *out = F25::reduce_u64(t[0]);
-            *out.add(1) = F25::reduce_u64(t[1]);
-        }
-    }
-
-    /// Reduces both `u64` lanes to canonical `F25` entirely
+    /// Reduces all four `u64` lanes to canonical `F25` entirely
     /// in-register, for lanes bounded by the coded-strip budget:
     /// at most `PGROUP = 16` products plus one
     /// canonical carry-in, i.e. `v < 2^25 + 16·(P25−1)² < 2^54.1`.
@@ -273,27 +231,6 @@ mod x86 {
     /// `v₂ ≤ 2^25 + 625·39 < 2·P25` and fits in 31 bits, so the
     /// 32-bit signed compare used for the subtract mask is exact (the
     /// high dwords are zero on both sides and compare false).
-    #[inline(always)]
-    unsafe fn reduce2_coded(v: __m128i) -> __m128i {
-        {
-            let mask = _mm_set1_epi64x((1i64 << 25) - 1);
-            let c39 = _mm_set1_epi64x(39);
-            let v1 = _mm_add_epi64(
-                _mm_and_si128(v, mask),
-                _mm_mul_epu32(_mm_srli_epi64(v, 25), c39),
-            );
-            let v2 = _mm_add_epi64(
-                _mm_and_si128(v1, mask),
-                _mm_mul_epu32(_mm_srli_epi64(v1, 25), c39),
-            );
-            let p = _mm_set1_epi64x(dk_field::P25 as i64);
-            let gt = _mm_cmpgt_epi32(v2, _mm_set1_epi64x((dk_field::P25 - 1) as i64));
-            _mm_sub_epi64(v2, _mm_and_si128(gt, p))
-        }
-    }
-
-    /// Four-lane AVX2 counterpart of [`reduce2_coded`]; same `< 2^54.1`
-    /// input bound, same canonical result.
     #[inline]
     #[target_feature(enable = "avx2")]
     unsafe fn reduce4_coded(v: __m256i) -> __m256i {
@@ -314,69 +251,6 @@ mod x86 {
         }
     }
 
-    /// SSE2 matmul strip over one packed panel block: sixteen column
-    /// accumulators in eight `xmm` registers, two exact widening
-    /// products per `pmuludq`, panel rows at the constant stride
-    /// [`LANES`]. A block holds at most `PANEL_ROWS` products per lane
-    /// on top of one canonical value, far inside the `u64` budget, so
-    /// there is no fold inside the loop.
-    ///
-    /// # Safety
-    ///
-    /// With `kb = panel.len() / LANES`: `panel.len() == kb * LANES` and
-    /// `a` holds element `(kb - 1) * a_stride`.
-    pub(super) unsafe fn lane_strip_sse2(
-        a: &[F25],
-        a_stride: usize,
-        panel: &[F25],
-        cs: &mut [F25; LANES],
-        load: bool,
-    ) {
-        unsafe {
-            let z = _mm_setzero_si128();
-            let (mut a0, mut a1, mut a2, mut a3, mut a4, mut a5, mut a6, mut a7) =
-                (z, z, z, z, z, z, z, z);
-            if load {
-                // acc starts from the lifted C strip, exactly like the
-                // portable kernel (`acc_lift` is the canonical value).
-                let cp = cs.as_ptr() as *const __m128i;
-                a0 = _mm_loadu_si128(cp);
-                a1 = _mm_loadu_si128(cp.add(1));
-                a2 = _mm_loadu_si128(cp.add(2));
-                a3 = _mm_loadu_si128(cp.add(3));
-                a4 = _mm_loadu_si128(cp.add(4));
-                a5 = _mm_loadu_si128(cp.add(5));
-                a6 = _mm_loadu_si128(cp.add(6));
-                a7 = _mm_loadu_si128(cp.add(7));
-            }
-            for p in 0..panel.len() / LANES {
-                let aip = a.get_unchecked(p * a_stride).value();
-                if aip == 0 {
-                    continue;
-                }
-                let av = _mm_set1_epi64x(aip as i64);
-                let bp = panel.as_ptr().add(p * LANES) as *const __m128i;
-                a0 = _mm_add_epi64(a0, _mm_mul_epu32(av, _mm_loadu_si128(bp)));
-                a1 = _mm_add_epi64(a1, _mm_mul_epu32(av, _mm_loadu_si128(bp.add(1))));
-                a2 = _mm_add_epi64(a2, _mm_mul_epu32(av, _mm_loadu_si128(bp.add(2))));
-                a3 = _mm_add_epi64(a3, _mm_mul_epu32(av, _mm_loadu_si128(bp.add(3))));
-                a4 = _mm_add_epi64(a4, _mm_mul_epu32(av, _mm_loadu_si128(bp.add(4))));
-                a5 = _mm_add_epi64(a5, _mm_mul_epu32(av, _mm_loadu_si128(bp.add(5))));
-                a6 = _mm_add_epi64(a6, _mm_mul_epu32(av, _mm_loadu_si128(bp.add(6))));
-                a7 = _mm_add_epi64(a7, _mm_mul_epu32(av, _mm_loadu_si128(bp.add(7))));
-            }
-            let out = cs.as_mut_ptr();
-            finish2(out, a0);
-            finish2(out.add(2), a1);
-            finish2(out.add(4), a2);
-            finish2(out.add(6), a3);
-            finish2(out.add(8), a4);
-            finish2(out.add(10), a5);
-            finish2(out.add(12), a6);
-            finish2(out.add(14), a7);
-        }
-    }
-
     /// Folds all four `u64` lanes back to canonical range.
     #[inline]
     #[target_feature(enable = "avx2")]
@@ -393,11 +267,18 @@ mod x86 {
 
     /// AVX2 matmul strip over one packed panel block: sixteen column
     /// accumulators in four `ymm` registers, four exact widening
-    /// products per `vpmuludq`.
+    /// products per `vpmuludq`, panel rows at the constant stride
+    /// [`LANES`]. With `load`, the accumulators start from the lifted C
+    /// strip, exactly like the portable kernel (`acc_lift` is the
+    /// canonical value). A block holds at most `PANEL_ROWS` products per
+    /// lane on top of one canonical value, far inside the `u64` budget,
+    /// so there is no fold inside the loop.
     ///
     /// # Safety
     ///
-    /// As [`lane_strip_sse2`], plus the CPU must support AVX2.
+    /// With `kb = panel.len() / LANES`: `panel.len() == kb * LANES` and
+    /// `a` holds element `(kb - 1) * a_stride`. The CPU must support
+    /// AVX2.
     #[target_feature(enable = "avx2")]
     pub(super) unsafe fn lane_strip_avx2(
         a: &[F25],
@@ -439,66 +320,17 @@ mod x86 {
         }
     }
 
-    /// SSE2 coded-combine strip: like [`lane_strip_sse2`] but each
+    /// AVX2 coded-combine strip: like [`lane_strip_avx2`] but each
     /// reduction position `p` loads from its own row pointer `xp[p]`
     /// (the stacked coding rows are separate workspace vectors, never
     /// copied flat). At most 16 positions per call — the canonical
     /// strip init plus 16 unreduced products stay below `2^55`, so no
-    /// mid-strip folds are needed (`reduce_u64` takes any `u64`).
+    /// mid-strip folds are needed.
     ///
     /// # Safety
     ///
-    /// Every `xp[p]` must be valid for `j + LANES` elements.
-    pub(super) unsafe fn coded_strip_sse2(
-        crow: &[F25],
-        xp: &[*const F25],
-        cs: &mut [F25; LANES],
-        j: usize,
-    ) {
-        unsafe {
-            let cp = cs.as_ptr() as *const __m128i;
-            let mut a0 = _mm_loadu_si128(cp);
-            let mut a1 = _mm_loadu_si128(cp.add(1));
-            let mut a2 = _mm_loadu_si128(cp.add(2));
-            let mut a3 = _mm_loadu_si128(cp.add(3));
-            let mut a4 = _mm_loadu_si128(cp.add(4));
-            let mut a5 = _mm_loadu_si128(cp.add(5));
-            let mut a6 = _mm_loadu_si128(cp.add(6));
-            let mut a7 = _mm_loadu_si128(cp.add(7));
-            for (p, &xr) in xp.iter().enumerate() {
-                let aip = crow.get_unchecked(p).value();
-                if aip == 0 {
-                    continue;
-                }
-                let av = _mm_set1_epi64x(aip as i64);
-                let bp = xr.add(j) as *const __m128i;
-                a0 = _mm_add_epi64(a0, _mm_mul_epu32(av, _mm_loadu_si128(bp)));
-                a1 = _mm_add_epi64(a1, _mm_mul_epu32(av, _mm_loadu_si128(bp.add(1))));
-                a2 = _mm_add_epi64(a2, _mm_mul_epu32(av, _mm_loadu_si128(bp.add(2))));
-                a3 = _mm_add_epi64(a3, _mm_mul_epu32(av, _mm_loadu_si128(bp.add(3))));
-                a4 = _mm_add_epi64(a4, _mm_mul_epu32(av, _mm_loadu_si128(bp.add(4))));
-                a5 = _mm_add_epi64(a5, _mm_mul_epu32(av, _mm_loadu_si128(bp.add(5))));
-                a6 = _mm_add_epi64(a6, _mm_mul_epu32(av, _mm_loadu_si128(bp.add(6))));
-                a7 = _mm_add_epi64(a7, _mm_mul_epu32(av, _mm_loadu_si128(bp.add(7))));
-            }
-            let out = cs.as_mut_ptr() as *mut __m128i;
-            _mm_storeu_si128(out, reduce2_coded(a0));
-            _mm_storeu_si128(out.add(1), reduce2_coded(a1));
-            _mm_storeu_si128(out.add(2), reduce2_coded(a2));
-            _mm_storeu_si128(out.add(3), reduce2_coded(a3));
-            _mm_storeu_si128(out.add(4), reduce2_coded(a4));
-            _mm_storeu_si128(out.add(5), reduce2_coded(a5));
-            _mm_storeu_si128(out.add(6), reduce2_coded(a6));
-            _mm_storeu_si128(out.add(7), reduce2_coded(a7));
-        }
-    }
-
-    /// AVX2 coded-combine strip: four `ymm` accumulators, per-position
-    /// row pointers as in [`coded_strip_sse2`].
-    ///
-    /// # Safety
-    ///
-    /// As [`coded_strip_sse2`], plus the CPU must support AVX2.
+    /// Every `xp[p]` must be valid for `j + LANES` elements, and the
+    /// CPU must support AVX2.
     #[target_feature(enable = "avx2")]
     pub(super) unsafe fn coded_strip_avx2(
         crow: &[F25],
@@ -532,64 +364,15 @@ mod x86 {
         }
     }
 
-    /// SSE2 coded-combine strip, store mode: the accumulators start at
+    /// AVX2 coded-combine strip, store mode: the accumulators start at
     /// zero (the canonical lift of a zeroed strip, so bit-identical to
     /// accumulating into zeroed lanes) and the finished values go
     /// straight through `out` — the destination is never read.
     ///
     /// # Safety
     ///
-    /// As [`coded_strip_sse2`], plus `out` must be valid for [`LANES`]
+    /// As [`coded_strip_avx2`], plus `out` must be valid for [`LANES`]
     /// writes.
-    pub(super) unsafe fn coded_strip_store_sse2(
-        crow: &[F25],
-        xp: &[*const F25],
-        out: *mut F25,
-        j: usize,
-    ) {
-        unsafe {
-            let mut a0 = _mm_setzero_si128();
-            let mut a1 = _mm_setzero_si128();
-            let mut a2 = _mm_setzero_si128();
-            let mut a3 = _mm_setzero_si128();
-            let mut a4 = _mm_setzero_si128();
-            let mut a5 = _mm_setzero_si128();
-            let mut a6 = _mm_setzero_si128();
-            let mut a7 = _mm_setzero_si128();
-            for (p, &xr) in xp.iter().enumerate() {
-                let aip = crow.get_unchecked(p).value();
-                if aip == 0 {
-                    continue;
-                }
-                let av = _mm_set1_epi64x(aip as i64);
-                let bp = xr.add(j) as *const __m128i;
-                a0 = _mm_add_epi64(a0, _mm_mul_epu32(av, _mm_loadu_si128(bp)));
-                a1 = _mm_add_epi64(a1, _mm_mul_epu32(av, _mm_loadu_si128(bp.add(1))));
-                a2 = _mm_add_epi64(a2, _mm_mul_epu32(av, _mm_loadu_si128(bp.add(2))));
-                a3 = _mm_add_epi64(a3, _mm_mul_epu32(av, _mm_loadu_si128(bp.add(3))));
-                a4 = _mm_add_epi64(a4, _mm_mul_epu32(av, _mm_loadu_si128(bp.add(4))));
-                a5 = _mm_add_epi64(a5, _mm_mul_epu32(av, _mm_loadu_si128(bp.add(5))));
-                a6 = _mm_add_epi64(a6, _mm_mul_epu32(av, _mm_loadu_si128(bp.add(6))));
-                a7 = _mm_add_epi64(a7, _mm_mul_epu32(av, _mm_loadu_si128(bp.add(7))));
-            }
-            let op = out as *mut __m128i;
-            _mm_storeu_si128(op, reduce2_coded(a0));
-            _mm_storeu_si128(op.add(1), reduce2_coded(a1));
-            _mm_storeu_si128(op.add(2), reduce2_coded(a2));
-            _mm_storeu_si128(op.add(3), reduce2_coded(a3));
-            _mm_storeu_si128(op.add(4), reduce2_coded(a4));
-            _mm_storeu_si128(op.add(5), reduce2_coded(a5));
-            _mm_storeu_si128(op.add(6), reduce2_coded(a6));
-            _mm_storeu_si128(op.add(7), reduce2_coded(a7));
-        }
-    }
-
-    /// AVX2 coded-combine strip, store mode: zero-initialized `ymm`
-    /// accumulators, finished lanes written straight through `out`.
-    ///
-    /// # Safety
-    ///
-    /// As [`coded_strip_store_sse2`], plus the CPU must support AVX2.
     #[target_feature(enable = "avx2")]
     pub(super) unsafe fn coded_strip_store_avx2(
         crow: &[F25],
@@ -623,7 +406,7 @@ mod x86 {
     }
 
     /// Adds the two `u64` halves of an `xmm` accumulator pair-tree and
-    /// runs the scalar tail: shared epilogue of both dot kernels.
+    /// runs the scalar tail: the dot kernel's epilogue.
     ///
     /// Capacity: the caller guarantees at most [`CHUNK`] unreduced
     /// products (plus up to one canonical carry-over per sub-lane) are
@@ -644,66 +427,13 @@ mod x86 {
         F25::acc_finish(acc)
     }
 
-    /// SSE2 dot product along `k`: eight sub-accumulators in four `xmm`
-    /// registers, merged exactly at the end.
-    ///
-    /// # Safety
-    ///
-    /// Requires `brow.len() >= arow.len()`.
-    pub(super) unsafe fn dot_sse2(arow: &[F25], brow: &[F25]) -> F25 {
-        unsafe {
-            let k = arow.len();
-            const STRIDE: usize = 8;
-            let kv = k - k % STRIDE;
-            let mut a0 = _mm_setzero_si128();
-            let mut a1 = _mm_setzero_si128();
-            let mut a2 = _mm_setzero_si128();
-            let mut a3 = _mm_setzero_si128();
-            let chunk = CHUNK - CHUNK % STRIDE;
-            let mut p0 = 0;
-            while p0 < kv {
-                let pend = kv.min(p0.saturating_add(chunk));
-                let mut p = p0;
-                while p < pend {
-                    let ap = arow.as_ptr().add(p) as *const __m128i;
-                    let bp = brow.as_ptr().add(p) as *const __m128i;
-                    a0 = _mm_add_epi64(
-                        a0,
-                        _mm_mul_epu32(_mm_loadu_si128(ap), _mm_loadu_si128(bp)),
-                    );
-                    a1 = _mm_add_epi64(
-                        a1,
-                        _mm_mul_epu32(_mm_loadu_si128(ap.add(1)), _mm_loadu_si128(bp.add(1))),
-                    );
-                    a2 = _mm_add_epi64(
-                        a2,
-                        _mm_mul_epu32(_mm_loadu_si128(ap.add(2)), _mm_loadu_si128(bp.add(2))),
-                    );
-                    a3 = _mm_add_epi64(
-                        a3,
-                        _mm_mul_epu32(_mm_loadu_si128(ap.add(3)), _mm_loadu_si128(bp.add(3))),
-                    );
-                    p += STRIDE;
-                }
-                p0 = pend;
-                if p0 < kv {
-                    a0 = fold2(a0);
-                    a1 = fold2(a1);
-                    a2 = fold2(a2);
-                    a3 = fold2(a3);
-                }
-            }
-            let merged = _mm_add_epi64(_mm_add_epi64(a0, a1), _mm_add_epi64(a2, a3));
-            dot_tail(merged, arow, brow, kv)
-        }
-    }
-
     /// AVX2 dot product along `k`: sixteen sub-accumulators in four
-    /// `ymm` registers.
+    /// `ymm` registers, merged exactly at the end.
     ///
     /// # Safety
     ///
-    /// As [`dot_sse2`], plus the CPU must support AVX2.
+    /// Requires `brow.len() >= arow.len()`, and the CPU must support
+    /// AVX2.
     #[target_feature(enable = "avx2")]
     pub(super) unsafe fn dot_avx2(arow: &[F25], brow: &[F25]) -> F25 {
         unsafe {

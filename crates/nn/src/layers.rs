@@ -1,10 +1,36 @@
-//! The layer zoo.
+//! The layer zoo, and the one walk over it.
 //!
-//! [`Layer`] is an *enum*, not a trait object: DarKnight's private
-//! executor (in `dk-core`) pattern-matches layers to route bilinear ops
-//! (conv, dense) to masked GPU workers and everything else (ReLU, pooling,
-//! batch norm — the paper's "non-linear" category) to the TEE. Each
-//! variant owns its parameters, gradients and forward caches.
+//! [`Layer`] is an *enum*, not a trait object; each variant owns its
+//! parameters, gradients and forward caches. DarKnight's execution flow
+//! (§3.1) is one rule applied layer by layer: a bilinear layer (conv,
+//! dense) is offloaded, everything else (ReLU, pooling, batch norm —
+//! the paper's "non-linear" category) runs on plaintext floats in the
+//! TEE. The traversal that rule is applied over is written once, here:
+//! [`crate::Sequential::forward_with`] / [`crate::Sequential::backward_with`]
+//! walk a model on behalf of a [`LayerExec`], which supplies only what
+//! happens at an offloaded layer. There are four: **plain** float
+//! execution (this crate: the linear step is the layer's own kernel),
+//! the **private session** and the **clear-text reference** (`dk_core`),
+//! and the **Slalom baseline** (`dk_baselines`, forward only). None of
+//! them traverses a model, counts layers or knows that a residual block
+//! has two paths.
+//!
+//! **Order contract.** Forward visits layers in list order and, inside
+//! a [`Residual`] block, the main path before the shortcut. Offloaded
+//! layers are numbered from 0 in that order — the *ordinal*. Backward
+//! visits the exact reverse and hands each offloaded layer the ordinal
+//! it had forward. The walk computes the ordinal; executors never
+//! count. [`crate::Sequential::try_visit_linear`] and
+//! [`crate::Sequential::visit_leaf_layers_mut`] enumerate in forward
+//! order. Stored encodings, planned weights and retained backward
+//! contexts are all keyed by the ordinal: their agreement is decided
+//! here and nowhere else.
+//!
+//! **Recycling contract.** Every intermediate the walk creates — each
+//! layer's output but the last, a residual block's second operand —
+//! goes back to [`LayerExec::workspace`] once its consumer has run, on
+//! the error path too: a pass that fails midway leaves the pool where a
+//! successful one does. The final output is the caller's to recycle.
 
 use crate::init;
 use dk_linalg::conv::{conv2d_backward_input_ws, conv2d_backward_weight_ws, conv2d_forward_ws};
@@ -16,6 +42,8 @@ use dk_linalg::pool::{
 use dk_linalg::{
     matmul_a_bt_into, matmul_at_b_into, matmul_into, Conv2dShape, Pool2dShape, Tensor, Workspace,
 };
+use std::convert::Infallible;
+use std::ops::Deref;
 
 /// Replaces a forward cache slot with a copy of `x`, recycling the
 /// previous cache's buffers through the workspace — in steady state
@@ -138,7 +166,26 @@ impl Layer {
 
     /// True for the bilinear layers DarKnight offloads to GPUs.
     pub fn is_linear(&self) -> bool {
-        matches!(self, Layer::Conv2d(_) | Layer::Dense(_))
+        self.as_linear().is_some()
+    }
+
+    /// The linear view of a bilinear (offloaded) layer; `None` for
+    /// every other kind.
+    pub fn as_linear(&self) -> Option<LinearRef<'_>> {
+        match self {
+            Layer::Conv2d(l) => Some(Linear(Kind::Conv(l))),
+            Layer::Dense(l) => Some(Linear(Kind::Dense(l))),
+            _ => None,
+        }
+    }
+
+    /// [`Layer::as_linear`], able to accumulate gradients.
+    pub fn as_linear_mut(&mut self) -> Option<LinearMut<'_>> {
+        match self {
+            Layer::Conv2d(l) => Some(Linear(Kind::Conv(l))),
+            Layer::Dense(l) => Some(Linear(Kind::Dense(l))),
+            _ => None,
+        }
     }
 
     /// A short human-readable kind name.
@@ -153,6 +200,153 @@ impl Layer {
             Layer::Flatten(_) => "flatten",
             Layer::Residual(_) => "residual",
         }
+    }
+}
+
+/// The one view of an offloaded (bilinear) layer — all an executor may
+/// know about it: weights, bias, geometry and, through [`LinearMut`],
+/// where the gradients it computed go. Which of [`Conv2d`] / [`Dense`]
+/// is behind it stays in this module.
+pub struct Linear<C, D>(Kind<C, D>);
+
+enum Kind<C, D> {
+    Conv(C),
+    Dense(D),
+}
+
+/// A read-only [`Linear`] view.
+pub type LinearRef<'a> = Linear<&'a Conv2d, &'a Dense>;
+/// A [`Linear`] view that can also accumulate gradients.
+pub type LinearMut<'a> = Linear<&'a mut Conv2d, &'a mut Dense>;
+
+impl<C: Deref<Target = Conv2d>, D: Deref<Target = Dense>> Linear<C, D> {
+    /// The convolution geometry; `None` for a dense layer, whose
+    /// geometry is its `[out, in]` weight shape.
+    pub fn conv_shape(&self) -> Option<Conv2dShape> {
+        match &self.0 {
+            Kind::Conv(l) => Some(l.shape),
+            Kind::Dense(_) => None,
+        }
+    }
+
+    /// The weight tensor (`[oc, ic/g, kh, kw]` or `[out, in]`).
+    pub fn weights(&self) -> &Tensor<f32> {
+        match &self.0 {
+            Kind::Conv(l) => &l.w,
+            Kind::Dense(l) => &l.w,
+        }
+    }
+
+    /// The bias vector, one entry per output channel / feature.
+    pub fn bias(&self) -> &Tensor<f32> {
+        match &self.0 {
+            Kind::Conv(l) => &l.b,
+            Kind::Dense(l) => &l.b,
+        }
+    }
+}
+
+impl LinearMut<'_> {
+    /// Accumulates an externally-computed weight gradient (DarKnight's
+    /// decoded aggregate `∇W`). Panics on a shape mismatch.
+    pub fn accumulate_weight_grad(&mut self, dw: &Tensor<f32>) {
+        match &mut self.0 {
+            Kind::Conv(l) => l.dw.add_assign(dw),
+            Kind::Dense(l) => l.dw.add_assign(dw),
+        }
+    }
+
+    /// Accumulates an externally-computed bias gradient. Panics on a
+    /// length mismatch.
+    pub fn accumulate_bias_grad(&mut self, db: &[f32]) {
+        let acc = match &mut self.0 {
+            Kind::Conv(l) => &mut l.db,
+            Kind::Dense(l) => &mut l.db,
+        };
+        assert_eq!(acc.len(), db.len(), "bias gradient length mismatch");
+        for (a, &v) in acc.as_mut_slice().iter_mut().zip(db) {
+            *a += v;
+        }
+    }
+
+    /// The layer's own float kernel — the plain executor's linear step.
+    fn forward(self, x: &Tensor<f32>, ws: &mut Workspace) -> Tensor<f32> {
+        match self.0 {
+            Kind::Conv(l) => l.forward(x, ws),
+            Kind::Dense(l) => l.forward(x, ws),
+        }
+    }
+
+    fn backward(self, dy: &Tensor<f32>, ws: &mut Workspace) -> Tensor<f32> {
+        match self.0 {
+            Kind::Conv(l) => l.backward(dy, ws),
+            Kind::Dense(l) => l.backward(dy, ws),
+        }
+    }
+}
+
+/// What happens at an offloaded layer: the per-layer step an executor
+/// supplies to the walk (module docs: the order and recycling contracts
+/// the walk keeps on its behalf).
+pub trait LayerExec {
+    /// The executor's failure type; the walk stops at the first one.
+    type Error;
+
+    /// The pool the non-linear layers, the residual add and the walk's
+    /// recycling draw from and return to.
+    fn workspace(&mut self) -> &mut Workspace;
+
+    /// Runs offloaded layer number `ordinal` forward: `y = W ⋆ x + b`.
+    fn linear_forward(
+        &mut self,
+        ordinal: usize,
+        layer: LinearMut<'_>,
+        x: &Tensor<f32>,
+        train: bool,
+    ) -> Result<Tensor<f32>, Self::Error>;
+
+    /// Runs offloaded layer number `ordinal` backward: accumulates its
+    /// weight and bias gradients into `layer` and returns `∂L/∂x`.
+    fn linear_backward(
+        &mut self,
+        ordinal: usize,
+        layer: LinearMut<'_>,
+        dy: &Tensor<f32>,
+    ) -> Result<Tensor<f32>, Self::Error>;
+
+    /// Told how many elements each TEE-side step (a non-linear layer, a
+    /// residual add) touched, for executors that account for it.
+    fn touched(&mut self, _elems: usize) {}
+}
+
+/// Plain float execution: the linear step is the layer's own kernel,
+/// and nothing can fail.
+pub(crate) struct Plain<'a>(pub(crate) &'a mut Workspace);
+
+impl LayerExec for Plain<'_> {
+    type Error = Infallible;
+
+    fn workspace(&mut self) -> &mut Workspace {
+        self.0
+    }
+
+    fn linear_forward(
+        &mut self,
+        _ordinal: usize,
+        layer: LinearMut<'_>,
+        x: &Tensor<f32>,
+        _train: bool,
+    ) -> Result<Tensor<f32>, Infallible> {
+        Ok(layer.forward(x, self.0))
+    }
+
+    fn linear_backward(
+        &mut self,
+        _ordinal: usize,
+        layer: LinearMut<'_>,
+        dy: &Tensor<f32>,
+    ) -> Result<Tensor<f32>, Infallible> {
+        Ok(layer.backward(dy, self.0))
     }
 }
 
@@ -192,8 +386,7 @@ impl Conv2d {
         &self.w
     }
 
-    /// Mutable weights (used by the private executor to apply decoded
-    /// aggregate updates).
+    /// Mutable weights.
     pub fn weights_mut(&mut self) -> &mut Tensor<f32> {
         &mut self.w
     }
@@ -206,25 +399,6 @@ impl Conv2d {
     /// Mutable bias.
     pub fn bias_mut(&mut self) -> &mut Tensor<f32> {
         &mut self.b
-    }
-
-    /// Accumulates an externally-computed weight gradient (DarKnight's
-    /// decoded aggregate `∇W`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `dw` has the wrong shape.
-    pub fn accumulate_weight_grad(&mut self, dw: &Tensor<f32>) {
-        self.dw.add_assign(dw);
-    }
-
-    /// Accumulates an externally-computed bias gradient.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `db` has the wrong shape.
-    pub fn accumulate_bias_grad(&mut self, db: &Tensor<f32>) {
-        self.db.add_assign(db);
     }
 
     fn forward(&mut self, x: &Tensor<f32>, ws: &mut Workspace) -> Tensor<f32> {
@@ -301,24 +475,6 @@ impl Dense {
     /// Mutable bias.
     pub fn bias_mut(&mut self) -> &mut Tensor<f32> {
         &mut self.b
-    }
-
-    /// Accumulates an externally-computed weight gradient.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `dw` has the wrong shape.
-    pub fn accumulate_weight_grad(&mut self, dw: &Tensor<f32>) {
-        self.dw.add_assign(dw);
-    }
-
-    /// Accumulates an externally-computed bias gradient.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `db` has the wrong shape.
-    pub fn accumulate_bias_grad(&mut self, db: &Tensor<f32>) {
-        self.db.add_assign(db);
     }
 
     fn forward(&mut self, x: &Tensor<f32>, ws: &mut Workspace) -> Tensor<f32> {
@@ -688,85 +844,178 @@ impl Residual {
         &self.main
     }
 
-    /// Mutable access to the main path (used by the private executor).
-    pub fn main_mut(&mut self) -> &mut [Layer] {
-        &mut self.main
-    }
-
     /// The layers of the shortcut path (empty = identity).
     pub fn shortcut(&self) -> &[Layer] {
         &self.shortcut
     }
 
-    /// Mutable access to the shortcut path.
-    pub fn shortcut_mut(&mut self) -> &mut [Layer] {
-        &mut self.shortcut
-    }
-
     fn forward(&mut self, x: &Tensor<f32>, train: bool, ws: &mut Workspace) -> Tensor<f32> {
-        let mut m = chain_forward(&mut self.main, x, train, ws).expect("main path nonempty");
-        match chain_forward(&mut self.shortcut, x, train, ws) {
-            Some(s) => {
-                m.add_assign(&s);
-                ws.give_tensor(s);
-            }
-            None => m.add_assign(x),
-        }
-        m
+        let Ok(y) = self.forward_with(x, train, &mut 0, &mut Plain(ws));
+        y
     }
 
     fn backward(&mut self, dy: &Tensor<f32>, ws: &mut Workspace) -> Tensor<f32> {
-        let mut dm = chain_backward(&mut self.main, dy, ws).expect("main path nonempty");
-        match chain_backward(&mut self.shortcut, dy, ws) {
-            Some(ds) => {
-                dm.add_assign(&ds);
-                ws.give_tensor(ds);
+        let mut next = linear_count(&self.main) + linear_count(&self.shortcut);
+        let Ok(dx) = self.backward_with(dy, &mut next, &mut Plain(ws));
+        dx
+    }
+
+    /// `y = main(x) + shortcut(x)`: main path first, the sum folded in
+    /// place.
+    fn forward_with<E: LayerExec>(
+        &mut self,
+        x: &Tensor<f32>,
+        train: bool,
+        next: &mut usize,
+        exec: &mut E,
+    ) -> Result<Tensor<f32>, E::Error> {
+        let mut m =
+            chain_forward(&mut self.main, x, train, next, exec)?.expect("main path nonempty");
+        exec.touched(m.len());
+        match chain_forward(&mut self.shortcut, x, train, next, exec) {
+            Ok(Some(s)) => {
+                m.add_assign(&s);
+                exec.workspace().give_tensor(s);
+            }
+            Ok(None) => m.add_assign(x),
+            Err(e) => {
+                exec.workspace().give_tensor(m);
+                return Err(e);
+            }
+        }
+        Ok(m)
+    }
+
+    /// The exact reverse of [`Residual::forward_with`]: shortcut first,
+    /// then the main path.
+    fn backward_with<E: LayerExec>(
+        &mut self,
+        dy: &Tensor<f32>,
+        next: &mut usize,
+        exec: &mut E,
+    ) -> Result<Tensor<f32>, E::Error> {
+        let ds = chain_backward(&mut self.shortcut, dy, next, exec)?;
+        let mut dm = match chain_backward(&mut self.main, dy, next, exec) {
+            Ok(dm) => dm.expect("main path nonempty"),
+            Err(e) => {
+                if let Some(s) = ds {
+                    exec.workspace().give_tensor(s);
+                }
+                return Err(e);
+            }
+        };
+        exec.touched(dm.len());
+        match ds {
+            Some(s) => {
+                dm.add_assign(&s);
+                exec.workspace().give_tensor(s);
             }
             None => dm.add_assign(dy),
         }
-        dm
+        Ok(dm)
     }
 }
 
-/// Runs `layers` forward over `x`, recycling every intermediate
-/// activation through the workspace. `None` for an empty chain (the
-/// identity — callers fall back to the borrowed input). This is *the*
-/// take/give recycle loop — [`crate::Sequential`] and the residual
-/// paths both use it, so the recycling discipline lives in one place.
-pub(crate) fn chain_forward(
+/// *The* walk, forward: runs `layers` over `x` on behalf of `exec`,
+/// numbering offloaded layers from `*next` and recycling every
+/// intermediate activation through the executor's workspace (module
+/// docs: order and recycling contracts). `None` for an empty chain (the
+/// identity — callers fall back to the borrowed input).
+pub(crate) fn chain_forward<E: LayerExec>(
     layers: &mut [Layer],
     x: &Tensor<f32>,
     train: bool,
-    ws: &mut Workspace,
-) -> Option<Tensor<f32>> {
+    next: &mut usize,
+    exec: &mut E,
+) -> Result<Option<Tensor<f32>>, E::Error> {
     let mut cur: Option<Tensor<f32>> = None;
-    for l in layers {
+    for layer in layers {
         let input = cur.as_ref().unwrap_or(x);
-        let next = l.forward_ws(input, train, ws);
+        let out = if let Layer::Residual(r) = layer {
+            r.forward_with(input, train, next, exec)
+        } else if let Some(linear) = layer.as_linear_mut() {
+            let ordinal = *next;
+            *next += 1;
+            exec.linear_forward(ordinal, linear, input, train)
+        } else {
+            exec.touched(input.len());
+            Ok(layer.forward_ws(input, train, exec.workspace()))
+        };
         if let Some(prev) = cur.take() {
-            ws.give_tensor(prev);
+            exec.workspace().give_tensor(prev);
         }
-        cur = Some(next);
+        cur = Some(out?);
     }
-    cur
+    Ok(cur)
 }
 
-/// Reverse-order backward analogue of [`chain_forward`].
-pub(crate) fn chain_backward(
+/// *The* walk, backward: the exact reverse of [`chain_forward`].
+/// `*next` enters as one past the last ordinal of `layers` (see
+/// [`linear_count`]) and counts down.
+pub(crate) fn chain_backward<E: LayerExec>(
     layers: &mut [Layer],
     dy: &Tensor<f32>,
-    ws: &mut Workspace,
-) -> Option<Tensor<f32>> {
+    next: &mut usize,
+    exec: &mut E,
+) -> Result<Option<Tensor<f32>>, E::Error> {
     let mut cur: Option<Tensor<f32>> = None;
-    for l in layers.iter_mut().rev() {
+    for layer in layers.iter_mut().rev() {
         let grad = cur.as_ref().unwrap_or(dy);
-        let next = l.backward_ws(grad, ws);
+        let out = if let Layer::Residual(r) = layer {
+            r.backward_with(grad, next, exec)
+        } else if let Some(linear) = layer.as_linear_mut() {
+            *next -= 1;
+            exec.linear_backward(*next, linear, grad)
+        } else {
+            exec.touched(grad.len());
+            Ok(layer.backward_ws(grad, exec.workspace()))
+        };
         if let Some(prev) = cur.take() {
-            ws.give_tensor(prev);
+            exec.workspace().give_tensor(prev);
         }
-        cur = Some(next);
+        cur = Some(out?);
     }
-    cur
+    Ok(cur)
+}
+
+/// Visits every offloaded layer of `layers` with its ordinal, in the
+/// walk's forward order, numbering from `*next`; stops at the first
+/// error.
+pub(crate) fn try_visit_linear<E>(
+    layers: &[Layer],
+    next: &mut usize,
+    f: &mut dyn FnMut(usize, LinearRef<'_>) -> Result<(), E>,
+) -> Result<(), E> {
+    for layer in layers {
+        if let Layer::Residual(r) = layer {
+            try_visit_linear(&r.main, next, f)?;
+            try_visit_linear(&r.shortcut, next, f)?;
+        } else if let Some(linear) = layer.as_linear() {
+            f(*next, linear)?;
+            *next += 1;
+        }
+    }
+    Ok(())
+}
+
+/// Visits every leaf layer of `layers` in the walk's forward order.
+pub(crate) fn visit_leaves_mut(layers: &mut [Layer], f: &mut dyn FnMut(&mut Layer)) {
+    for layer in layers {
+        if let Layer::Residual(r) = layer {
+            visit_leaves_mut(&mut r.main, f);
+            visit_leaves_mut(&mut r.shortcut, f);
+        } else {
+            f(layer);
+        }
+    }
+}
+
+/// How many offloaded layers `layers` holds: where a backward walk
+/// starts counting down from.
+pub(crate) fn linear_count(layers: &[Layer]) -> usize {
+    let mut n = 0;
+    let Ok(()) = try_visit_linear::<Infallible>(layers, &mut n, &mut |_, _| Ok(()));
+    n
 }
 
 #[cfg(test)]
@@ -988,6 +1237,174 @@ mod tests {
         l.visit_params(&mut |_, _| count += 1);
         // conv(w,b) + bn(gamma,beta) + conv(w,b) = 6
         assert_eq!(count, 6);
+    }
+
+    /// A test double for the walk: the plain kernels over its own pool,
+    /// recording the ordinals it is handed and failing on request.
+    #[derive(Default)]
+    struct Recorder {
+        ws: Workspace,
+        /// `(ordinal, first weight)` of every forward linear step.
+        forward: Vec<(usize, f32)>,
+        backward: Vec<(usize, f32)>,
+        fail_forward_at: Option<usize>,
+        fail_backward_at: Option<usize>,
+    }
+
+    impl LayerExec for Recorder {
+        type Error = usize;
+
+        fn workspace(&mut self) -> &mut Workspace {
+            &mut self.ws
+        }
+
+        fn linear_forward(
+            &mut self,
+            ordinal: usize,
+            layer: LinearMut<'_>,
+            x: &Tensor<f32>,
+            _train: bool,
+        ) -> Result<Tensor<f32>, usize> {
+            self.forward.push((ordinal, layer.weights().as_slice()[0]));
+            if self.fail_forward_at == Some(ordinal) {
+                return Err(ordinal);
+            }
+            Ok(layer.forward(x, &mut self.ws))
+        }
+
+        fn linear_backward(
+            &mut self,
+            ordinal: usize,
+            layer: LinearMut<'_>,
+            dy: &Tensor<f32>,
+        ) -> Result<Tensor<f32>, usize> {
+            self.backward.push((ordinal, layer.weights().as_slice()[0]));
+            if self.fail_backward_at == Some(ordinal) {
+                return Err(ordinal);
+            }
+            Ok(layer.backward(dy, &mut self.ws))
+        }
+    }
+
+    /// A conv stem; a residual block whose main path nests an
+    /// identity-shortcut block after its first conv and whose shortcut
+    /// is a two-conv projection; a dense head. Returns the model and
+    /// the first weight of every linear layer in the order the contract
+    /// promises: list order, main path before shortcut.
+    fn nested_model() -> (crate::Sequential, Vec<f32>) {
+        let conv = |cin, cout, k, seed| Conv2d::new(Conv2dShape::simple(cin, cout, k, 1, k / 2), seed);
+        let (stem, m0, i0, i1, m1) =
+            (conv(2, 4, 3, 1), conv(4, 4, 3, 2), conv(4, 4, 3, 3), conv(4, 4, 3, 4), conv(4, 6, 3, 5));
+        let (s0, s1) = (conv(4, 5, 1, 6), conv(5, 6, 1, 7));
+        let head = Dense::new(6 * 4 * 4, 3, 8);
+        let order: Vec<f32> = [&stem, &m0, &i0, &i1, &m1, &s0, &s1]
+            .iter()
+            .map(|c| c.weights().as_slice()[0])
+            .chain([head.weights().as_slice()[0]])
+            .collect();
+        let mut distinct = order.clone();
+        distinct.sort_by(f32::total_cmp);
+        distinct.dedup();
+        assert_eq!(distinct.len(), order.len(), "test needs distinguishable layers");
+        let identity_block = Residual::new(
+            vec![Layer::Conv2d(i0), Layer::Relu(Relu::new()), Layer::Conv2d(i1)],
+            vec![],
+        );
+        let block = Residual::new(
+            vec![
+                Layer::Conv2d(m0),
+                Layer::Relu(Relu::new()),
+                Layer::Residual(identity_block),
+                Layer::Conv2d(m1),
+            ],
+            vec![Layer::Conv2d(s0), Layer::Relu(Relu::new()), Layer::Conv2d(s1)],
+        );
+        let model = crate::Sequential::new(vec![
+            Layer::Conv2d(stem),
+            Layer::Relu(Relu::new()),
+            Layer::Residual(block),
+            Layer::Flatten(Flatten::new()),
+            Layer::Dense(head),
+        ]);
+        (model, order)
+    }
+
+    fn nested_input() -> Tensor<f32> {
+        Tensor::from_fn(&[2, 2, 4, 4], |i| ((i * 7 % 13) as f32 - 6.0) * 0.1)
+    }
+
+    /// The order contract: forward ordinals are `0..n` in list order,
+    /// main path before shortcut; backward is the exact reverse with
+    /// the same ordinals; both visitors enumerate in forward order.
+    #[test]
+    fn walk_numbers_linear_layers_in_list_order_main_before_shortcut() {
+        let (mut model, order) = nested_model();
+        let want: Vec<(usize, f32)> = order.iter().copied().enumerate().collect();
+        let mut exec = Recorder::default();
+        let x = nested_input();
+        let y = model.forward_with(&x, true, &mut exec).unwrap();
+        assert_eq!(exec.forward, want);
+        // The recording executor runs the plain kernels: same bits.
+        let (mut plain_model, _) = nested_model();
+        assert_eq!(y, plain_model.forward(&x, true));
+        let dx = model.backward_with(&Tensor::ones(y.shape()), &mut exec).unwrap();
+        let reversed: Vec<(usize, f32)> = want.iter().rev().copied().collect();
+        assert_eq!(exec.backward, reversed);
+        assert_eq!(dx, plain_model.backward(&Tensor::ones(y.shape())));
+        assert_eq!(model.grad_vector(), plain_model.grad_vector());
+
+        let mut visited = Vec::new();
+        let Ok(()) = model.try_visit_linear(|ordinal, layer| {
+            visited.push((ordinal, layer.weights().as_slice()[0]));
+            Ok::<(), Infallible>(())
+        });
+        assert_eq!(visited, want);
+        let mut leaves = Vec::new();
+        model.visit_leaf_layers_mut(&mut |l| {
+            leaves.extend(l.as_linear().map(|lin| lin.weights().as_slice()[0]));
+        });
+        assert_eq!(leaves, order);
+    }
+
+    /// The recycling contract: a pass that fails in the middle of a
+    /// shortcut path — main-path output in hand, shortcut intermediate
+    /// in flight — returns every intermediate to the pool.
+    #[test]
+    fn failed_walk_leaves_the_pool_where_a_successful_one_does() {
+        let (mut model, _) = nested_model();
+        let mut exec = Recorder::default();
+        let x = nested_input();
+        let warm = |exec: &mut Recorder, model: &mut crate::Sequential| {
+            let y = model.forward_with(&x, true, exec).unwrap();
+            let dx = model.backward_with(&Tensor::ones(y.shape()), exec).unwrap();
+            exec.ws.give_tensor(dx);
+            exec.ws.give_tensor(y);
+        };
+        warm(&mut exec, &mut model);
+        warm(&mut exec, &mut model);
+        let settled = exec.ws.stats();
+
+        // Ordinal 6 is the second linear layer of the shortcut path.
+        exec.fail_forward_at = Some(6);
+        assert_eq!(model.forward_with(&x, true, &mut exec), Err(6));
+        assert_eq!(exec.ws.stats().live_bytes, settled.live_bytes, "forward abort leaked");
+        exec.fail_forward_at = None;
+
+        // Backward meets the shortcut first; ordinal 5 is its second
+        // step, and after it the main path fails with `ds` in hand.
+        let y = model.forward_with(&x, true, &mut exec).unwrap();
+        for at in [5, 3] {
+            exec.fail_backward_at = Some(at);
+            assert_eq!(model.backward_with(&Tensor::ones(y.shape()), &mut exec), Err(at));
+        }
+        exec.ws.give_tensor(y);
+        assert_eq!(exec.ws.stats().live_bytes, settled.live_bytes, "backward abort leaked");
+        exec.fail_backward_at = None;
+
+        // Nothing was dropped on the way: a further pass finds every
+        // buffer it needs in the pool.
+        warm(&mut exec, &mut model);
+        assert_eq!(exec.ws.stats().misses, settled.misses, "an aborted pass drained the pool");
     }
 
     #[test]

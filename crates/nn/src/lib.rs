@@ -4,12 +4,13 @@
 //! SGD. This crate provides everything that stack needs, from scratch:
 //!
 //! * [`layers`] — an enum-based layer zoo (conv, dense, ReLU, max/global
-//!   pooling, batch norm, flatten, residual blocks). The enum shape is
-//!   deliberate: DarKnight's private executor pattern-matches on layers
-//!   to decide which ops are offloaded to masked GPUs (linear) and which
-//!   stay inside the TEE (non-linear).
-//! * [`model`] — [`model::Sequential`], forward/backward, parameter
-//!   visitation.
+//!   pooling, batch norm, flatten, residual blocks) and the one walk
+//!   over it: which ops are offloaded to masked GPUs (linear) and which
+//!   stay inside the TEE (non-linear), in what order, is decided here;
+//!   an executor supplies only its per-layer step
+//!   ([`layers::LayerExec`]).
+//! * [`model`] — [`model::Sequential`], forward/backward (plain, or on
+//!   behalf of an executor), parameter and layer visitation.
 //! * [`loss`] — softmax cross-entropy.
 //! * [`optim`] — SGD with momentum and weight decay.
 //! * [`init`] — seeded He/Xavier initialization.

@@ -1,6 +1,6 @@
 //! Sequential model composition.
 
-use crate::layers::Layer;
+use crate::layers::{self, Layer, LayerExec, LinearRef, Plain};
 use dk_linalg::{Tensor, Workspace, WorkspaceStats};
 
 /// A feed-forward stack of [`Layer`]s.
@@ -59,8 +59,9 @@ impl Sequential {
         &self.layers
     }
 
-    /// Mutable access to the layer stack (the private executor drives
-    /// layers individually).
+    /// Mutable access to the layer stack, for callers that drive
+    /// top-level layers one at a time (the SGX-only baseline charges
+    /// enclave memory per layer).
     pub fn layers_mut(&mut self) -> &mut [Layer] {
         &mut self.layers
     }
@@ -72,7 +73,23 @@ impl Sequential {
     /// [`Sequential::give_back`] to keep the steady state closed.
     pub fn forward(&mut self, x: &Tensor<f32>, train: bool) -> Tensor<f32> {
         let Self { layers, ws, .. } = self;
-        crate::layers::chain_forward(layers, x, train, ws).unwrap_or_else(|| x.clone())
+        let Ok(out) = layers::chain_forward(layers, x, train, &mut 0, &mut Plain(ws));
+        out.unwrap_or_else(|| x.clone())
+    }
+
+    /// Forward pass on behalf of `exec`: the walk (order, ordinals,
+    /// recycling — see [`crate::layers`]) is this crate's, what happens
+    /// at an offloaded layer is the executor's. Intermediates cycle
+    /// through [`LayerExec::workspace`], not the model's own pool.
+    /// Fails with the first error an offloaded layer returns.
+    pub fn forward_with<E: LayerExec>(
+        &mut self,
+        x: &Tensor<f32>,
+        train: bool,
+        exec: &mut E,
+    ) -> Result<Tensor<f32>, E::Error> {
+        let out = layers::chain_forward(&mut self.layers, x, train, &mut 0, exec)?;
+        Ok(out.unwrap_or_else(|| x.clone()))
     }
 
     /// Full backward pass from the loss gradient; accumulates parameter
@@ -84,7 +101,23 @@ impl Sequential {
     /// Panics if called before `forward`.
     pub fn backward(&mut self, dloss: &Tensor<f32>) -> Tensor<f32> {
         let Self { layers, ws, .. } = self;
-        crate::layers::chain_backward(layers, dloss, ws).unwrap_or_else(|| dloss.clone())
+        let mut next = layers::linear_count(layers);
+        let Ok(out) = layers::chain_backward(layers, dloss, &mut next, &mut Plain(ws));
+        out.unwrap_or_else(|| dloss.clone())
+    }
+
+    /// Backward pass on behalf of `exec`, the exact reverse of
+    /// [`Sequential::forward_with`]: each offloaded layer is handed the
+    /// ordinal it had forward. Fails with the first error an offloaded
+    /// layer returns; panics if a non-linear layer never ran forward.
+    pub fn backward_with<E: LayerExec>(
+        &mut self,
+        dloss: &Tensor<f32>,
+        exec: &mut E,
+    ) -> Result<Tensor<f32>, E::Error> {
+        let mut next = layers::linear_count(&self.layers);
+        let out = layers::chain_backward(&mut self.layers, dloss, &mut next, exec)?;
+        Ok(out.unwrap_or_else(|| dloss.clone()))
     }
 
     /// Returns a tensor produced by this model (an output of
@@ -107,21 +140,22 @@ impl Sequential {
         }
     }
 
-    /// Visits every *leaf* layer in execution order, descending into
-    /// [`crate::layers::Residual`] blocks (main path first, then
-    /// shortcut — the same order the private executor walks them).
+    /// Visits every *leaf* layer in the walk's forward order,
+    /// descending into [`crate::layers::Residual`] blocks (main path
+    /// first, then shortcut).
     pub fn visit_leaf_layers_mut(&mut self, f: &mut dyn FnMut(&mut Layer)) {
-        fn walk(layers: &mut [Layer], f: &mut dyn FnMut(&mut Layer)) {
-            for l in layers {
-                if let Layer::Residual(r) = l {
-                    walk(r.main_mut(), f);
-                    walk(r.shortcut_mut(), f);
-                } else {
-                    f(l);
-                }
-            }
-        }
-        walk(&mut self.layers, f);
+        layers::visit_leaves_mut(&mut self.layers, f);
+    }
+
+    /// Visits every offloaded (bilinear) layer with the ordinal the walk
+    /// gives it, in forward order, stopping at the first error `f`
+    /// returns — what a per-model precomputation (a step plan, blinding
+    /// factors) keys its entries by.
+    pub fn try_visit_linear<E>(
+        &self,
+        mut f: impl FnMut(usize, LinearRef<'_>) -> Result<(), E>,
+    ) -> Result<(), E> {
+        layers::try_visit_linear(&self.layers, &mut 0, &mut f)
     }
 
     /// Flattens all accumulated gradients into one vector, in
