@@ -1,6 +1,7 @@
 //! Session configuration.
 
 use dk_field::QuantConfig;
+use dk_linalg::coded::MAX_TERMS;
 
 /// DarKnight deployment parameters.
 ///
@@ -44,10 +45,16 @@ impl DarknightConfig {
     /// # Panics
     ///
     /// Panics if `k == 0` or `m == 0` (at least one noise vector is
-    /// required for the one-time-pad argument of §5).
+    /// required for the one-time-pad argument of §5), or if
+    /// `k + m > MAX_TERMS` (16): a scheme is bounded where it is built,
+    /// so everything downstream of it — the coded kernels of
+    /// [`dk_linalg::coded`] first of all — has one shape. The paper's
+    /// own sizing is far inside it (`K = 4` best, `K > 4` losing to
+    /// enclave paging, `M = 1–2`).
     pub fn new(k: usize, m: usize) -> Self {
         assert!(k > 0, "virtual batch size must be positive");
         assert!(m > 0, "at least one noise vector is required for privacy");
+        assert!(k + m <= MAX_TERMS, "k + m must not exceed MAX_TERMS = {MAX_TERMS}");
         Self { k, m, integrity: false, recovery: false, quant: QuantConfig::new(6), seed: 0xDA2C }
     }
 
@@ -128,6 +135,7 @@ mod tests {
 
     #[test]
     fn encoding_counts() {
+        assert_eq!(DarknightConfig::new(12, 4).num_encodings(), MAX_TERMS);
         let base = DarknightConfig::new(4, 1);
         assert_eq!(base.num_encodings(), 5);
         assert_eq!(base.with_integrity(true).num_encodings(), 6);
@@ -146,6 +154,12 @@ mod tests {
     #[should_panic(expected = "batch size")]
     fn zero_k_rejected() {
         let _ = DarknightConfig::new(0, 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "MAX_TERMS")]
+    fn scheme_past_the_bound_rejected() {
+        let _ = DarknightConfig::new(12, 5);
     }
 
     #[test]

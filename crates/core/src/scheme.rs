@@ -17,13 +17,28 @@
 //!   satisfy `Bᵀ·Γ·Aᵀ = [I_K | 0]`, so
 //!   `Σ_j γ_j·Eq_j = Σ_i ⟨δ_i, x_i⟩` — the aggregate weight update —
 //!   decodes with a single γ-weighted sum.
+//!
+//! # One shape
+//!
+//! A scheme is small on purpose — the paper finds `K = 4` best, `K > 4`
+//! losing to enclave paging, and uses `M = 1–2` — and its size is said
+//! once, here: [`EncodingScheme::generate`] (and
+//! [`crate::DarknightConfig::new`] before it) refuses
+//! `K+M > MAX_TERMS = 16`. Everything below then has one form. Each of
+//! the four passes is **one** call into [`dk_linalg::coded`] over the
+//! rows in place, written straight into recycled buffers that are never
+//! zeroed or read: the encoder and the single-row encoder are a
+//! `coded_combine_write` of `Aᵀ` over the stack table of the `K+M`
+//! input and noise rows (the fused-noise encoder writes the input part
+//! and streams the noise through `coded_axpy_acc`); the forward decode
+//! is `coded_combine_check_write` — outputs and the §4.4 check in the
+//! same pass — with integrity and `coded_combine_write` without; the
+//! backward decode is a one-row `coded_combine_write` of `γ`.
 
 use crate::error::DarknightError;
 use dk_field::{F25, FieldMatrix, FieldRng, P25};
-use dk_linalg::coded::{CHECK_MAX_KDIM, CHECK_MAX_ROWS};
-use dk_linalg::{
-    coded_axpy_acc, coded_combine_acc, coded_combine_check_write, coded_combine_write, Workspace,
-};
+use dk_linalg::coded::MAX_TERMS;
+use dk_linalg::{coded_axpy_acc, coded_combine_check_write, coded_combine_write, Workspace};
 
 /// Columns per fused-noise draw: one `FieldRng` chunk is generated,
 /// applied to every encoding row while cache-hot, then overwritten by
@@ -31,11 +46,15 @@ use dk_linalg::{
 /// L1/L2 (32 KiB of `F25`s).
 const NOISE_CHUNK: usize = 4096;
 
-/// The coded kernels keep the whole stacked-row table on the stack when
-/// the virtual batch fits this bound (`k+m` rows); larger schemes fall
-/// back to one pass over the inputs plus one over the noise, which is
-/// bit-identical (the passes split at a canonical fold boundary).
-const XROWS_MAX: usize = 32;
+/// The `K+M` rows a scheme stacks — inputs, then noise — as one table
+/// of slices on the stack, in the order `Aᵀ`'s columns expect them.
+fn stacked_rows<'a>(inputs: &'a [Vec<F25>], noise: &'a [Vec<F25>]) -> [&'a [F25]; MAX_TERMS] {
+    let mut rows: [&[F25]; MAX_TERMS] = [&[]; MAX_TERMS];
+    for (d, s) in rows.iter_mut().zip(inputs.iter().chain(noise)) {
+        *d = s.as_slice();
+    }
+    rows
+}
 
 /// Takes `rows` empty row buffers with capacity `n` plus their outer
 /// vector from the workspace — the output shape of every streaming
@@ -99,9 +118,13 @@ impl EncodingScheme {
     ///
     /// # Panics
     ///
-    /// Panics if `k == 0` or `m == 0`.
+    /// Panics if `k == 0`, `m == 0` or `k + m > MAX_TERMS` (16): the
+    /// coded kernels every encode and decode runs on are built for one
+    /// register group of stacked rows ([`dk_linalg::coded`]), and the
+    /// size of a scheme is the operator's choice, not the wire's.
     pub fn generate(k: usize, m: usize, integrity: bool, rng: &mut FieldRng) -> Self {
         assert!(k > 0 && m > 0, "k and m must be positive");
+        assert!(k + m <= MAX_TERMS, "k + m must not exceed MAX_TERMS = {MAX_TERMS}");
         let s_sq = k + m;
         let s_cols = s_sq + usize::from(integrity);
         let mut scheme = Self {
@@ -286,16 +309,8 @@ impl EncodingScheme {
         // matrix is the thing that stays resident, not the data. Write
         // mode: the recycled output rows are never zeroed or read.
         let mut enc = take_row_bufs(ws, self.a.cols(), n);
-        if kdim <= XROWS_MAX {
-            let mut xr: [&[F25]; XROWS_MAX] = [&[]; XROWS_MAX];
-            for (d, s) in xr.iter_mut().zip(inputs.iter().chain(noise)) {
-                *d = s.as_slice();
-            }
-            coded_combine_write(self.a_t.as_slice(), kdim, 0, &xr[..kdim], &mut enc, n);
-        } else {
-            coded_combine_write(self.a_t.as_slice(), kdim, 0, inputs, &mut enc, n);
-            coded_combine_acc(self.a_t.as_slice(), kdim, self.k, noise, &mut enc, n);
-        }
+        let rows = stacked_rows(inputs, noise);
+        coded_combine_write(self.a_t.as_slice(), kdim, 0, &rows[..kdim], &mut enc, n);
         enc
     }
 
@@ -360,17 +375,15 @@ impl EncodingScheme {
         let n = inputs[0].len();
         let kdim = self.k + self.m;
         let mut row = ws.take_cleared::<F25>(n);
-        let outs = std::slice::from_mut(&mut row);
-        if kdim <= XROWS_MAX {
-            let mut xr: [&[F25]; XROWS_MAX] = [&[]; XROWS_MAX];
-            for (d, s) in xr.iter_mut().zip(inputs.iter().chain(noise)) {
-                *d = s.as_slice();
-            }
-            coded_combine_write(self.a_t.row(j), kdim, 0, &xr[..kdim], outs, n);
-        } else {
-            coded_combine_write(self.a_t.row(j), kdim, 0, inputs, outs, n);
-            coded_combine_acc(self.a_t.row(j), kdim, self.k, noise, outs, n);
-        }
+        let rows = stacked_rows(inputs, noise);
+        coded_combine_write(
+            self.a_t.row(j),
+            kdim,
+            0,
+            &rows[..kdim],
+            std::slice::from_mut(&mut row),
+            n,
+        );
         row
     }
 
@@ -430,40 +443,20 @@ impl EncodingScheme {
         // it is in cache.
         let ybar = &outputs[..s_sq];
         let mut decoded = take_row_bufs(ws, self.k, n);
-        let mismatches = if self.integrity {
-            let redundant = outputs[self.a.cols() - 1].as_ref();
-            if s_sq <= CHECK_MAX_KDIM && self.k <= CHECK_MAX_ROWS {
-                coded_combine_check_write(
-                    self.a_sq_inv_t.as_slice(),
-                    s_sq,
-                    0,
-                    ybar,
-                    &mut decoded,
-                    n,
-                    &self.integrity_w,
-                    redundant,
-                )
-            } else {
-                // Shapes past the fused kernel's fan-out limit: same
-                // math in two streamed passes.
-                let mut pred = ws.take_cleared::<F25>(n);
-                coded_combine_write(
-                    &self.integrity_w,
-                    s_sq,
-                    0,
-                    ybar,
-                    std::slice::from_mut(&mut pred),
-                    n,
-                );
-                let bad = pred.iter().zip(redundant.iter()).filter(|(p, r)| p != r).count();
-                ws.give(pred);
-                coded_combine_write(self.a_sq_inv_t.as_slice(), s_sq, 0, ybar, &mut decoded, n);
-                bad
-            }
-        } else {
+        if !self.integrity {
             coded_combine_write(self.a_sq_inv_t.as_slice(), s_sq, 0, ybar, &mut decoded, n);
-            0
-        };
+            return Ok(decoded);
+        }
+        let mismatches = coded_combine_check_write(
+            self.a_sq_inv_t.as_slice(),
+            s_sq,
+            0,
+            ybar,
+            &mut decoded,
+            n,
+            &self.integrity_w,
+            outputs[s_sq].as_ref(),
+        );
         if mismatches > 0 {
             for row in decoded.drain(..) {
                 ws.give(row);
@@ -595,6 +588,31 @@ mod tests {
             let decoded = scheme.decode_forward(&encodings, 0).unwrap();
             assert_eq!(decoded, inputs, "k={k} m={m}");
         }
+    }
+
+    /// The bound is inclusive: a scheme of exactly `MAX_TERMS` stacked
+    /// rows encodes, row-encodes, checks and decodes.
+    #[test]
+    fn scheme_at_the_bound_round_trips() {
+        let mut r = rng();
+        let (k, m, n) = (12, MAX_TERMS - 12, 2 * 16 + 5);
+        let scheme = EncodingScheme::generate(k, m, true, &mut r);
+        let inputs: Vec<Vec<F25>> = (0..k).map(|_| r.uniform_vec::<P25>(n)).collect();
+        let noise: Vec<Vec<F25>> = (0..m).map(|_| r.uniform_vec::<P25>(n)).collect();
+        let mut outputs = scheme.encode(&inputs, &noise);
+        assert_eq!(outputs.len(), MAX_TERMS + 1);
+        let mut ws = Workspace::new();
+        assert_eq!(scheme.encode_row_ws(MAX_TERMS, &inputs, &noise, &mut ws), outputs[MAX_TERMS]);
+        assert_eq!(scheme.decode_forward(&outputs, 0).unwrap(), inputs);
+        outputs[MAX_TERMS - 1][n - 1] += F25::ONE;
+        assert!(scheme.decode_forward(&outputs, 0).is_err());
+    }
+
+    /// One row past it is refused where the scheme is built.
+    #[test]
+    #[should_panic(expected = "MAX_TERMS")]
+    fn scheme_past_the_bound_rejected() {
+        let _ = EncodingScheme::generate(12, 5, true, &mut rng());
     }
 
     #[test]

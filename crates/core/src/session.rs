@@ -338,9 +338,7 @@ impl<X: GpuExec> DarknightSession<X> {
     /// the other half of the zero-allocation offload round-trip.
     fn recycle_jobs(&mut self, mut jobs: Vec<LinearJob>) {
         for job in jobs.drain(..) {
-            if let Some(x) = job.into_input() {
-                self.ws.give_tensor(x);
-            }
+            job.recycle_into(&mut self.ws);
         }
         self.ws.give(jobs);
     }
@@ -787,7 +785,9 @@ impl<X: GpuExec> DarknightSession<X> {
             self.cluster
                 .execute_round_into(layer_id, &jobs, &self.convicted, &[], &mut results)
                 .map_err(|fault| DarknightError::GpuFault { layer_id, phase: "forward", fault })?;
-            self.fold_faults(layer_id, "forward", results.drain(..), &mut outputs, |s, j| {
+            let mut dims = [0; 4];
+            let expect = op.sample_output_shape(x.shape(), &mut dims);
+            self.fold_faults(layer_id, "forward", expect, results.drain(..), &mut outputs, |s, j| {
                 jobs[j].execute_ws(&mut s.ws)
             })?;
             drop(sp);
@@ -875,18 +875,23 @@ impl<X: GpuExec> DarknightSession<X> {
     /// equation still checks all of it. A lost or late worker is
     /// quarantined on the way. Without recovery the fault is surfaced as
     /// a fail-closed [`DarknightError::GpuFault`]. A layer with any
-    /// filled slot counts as one recovery.
+    /// filled slot counts as one recovery. `expect` is the shape every
+    /// one of these replies must have, from the op's geometry: a reply
+    /// of any other shape is such a fault too ([`shape_checked`]), so
+    /// the decode downstream only ever sees rows of the length it
+    /// asserts.
     fn fold_faults(
         &mut self,
         layer_id: u64,
         phase: &'static str,
+        expect: &[usize],
         replies: impl Iterator<Item = dk_gpu::WorkerResult>,
         outputs: &mut Vec<Tensor<F25>>,
         mut tee_slot: impl FnMut(&mut Self, usize) -> Tensor<F25>,
     ) -> Result<(), DarknightError> {
         self.tee_filled.clear();
         for (j, r) in replies.enumerate() {
-            match r {
+            match shape_checked(r, expect) {
                 Ok(t) => outputs.push(t),
                 Err(fault) if !self.cfg.recovery() => {
                     return Err(DarknightError::GpuFault { layer_id, phase, fault });
@@ -1075,7 +1080,8 @@ impl<X: GpuExec> DarknightSession<X> {
         let mut enc_shape = self.ws.take_shape(&ctx.input_shape);
         enc_shape[0] = 1;
         let xbar = Tensor::from_parts(enc_shape, row);
-        op.weight_grad_job(dk_gpu::job::beta_combine(delta_q, &self.scheme.beta_row(j)), xbar)
+        let delta = dk_gpu::job::beta_combine(delta_q, &self.scheme.beta_row(j), &mut self.ws);
+        op.weight_grad_job(delta, xbar)
     }
 
     /// The backward offload round of one `op` layer: quantize `δ`, then
@@ -1173,26 +1179,30 @@ impl<X: GpuExec> DarknightSession<X> {
             let mut replies = results.drain(..);
             // Fold out withheld, lost and refusing workers: the TEE
             // computes their `Eq_j` explicitly.
-            self.fold_faults(layer_id, "backward", replies.by_ref().take(s_sq), &mut eqs, |s, j| {
+            let (w_shape, x_shape) = (ctx.weights_q.shape(), ctx.input_shape.as_slice());
+            let stored = replies.by_ref().take(s_sq);
+            self.fold_faults(layer_id, "backward", w_shape, stored, &mut eqs, |s, j| {
                 let job = s.explicit_wgrad(j, &delta_q, op, ctx);
                 let eq = job.execute_ws(&mut s.ws);
-                s.ws.give_tensor(job.into_input().expect("an explicit job owns its x̄"));
+                job.recycle_into(&mut s.ws);
                 eq
             })?;
-            let mut reply = || replies.next().expect("one reply per slot of the round");
+            let mut reply = |expect: &[usize]| {
+                shape_checked(replies.next().expect("one reply per slot of the round"), expect)
+            };
             self.stats.bytes_from_gpus += (sent * eqs[0].len() * 8) as u64;
             drop(sp);
             let sp = dk_obs::span(dk_obs::Stage::Verify, batch, ordinal);
             self.stats.integrity_checks += u64::from(integrity);
             for (&(j, checker), job) in checked.iter().zip(&check_jobs) {
-                let dup = checker.map(|v| (v, reply()));
+                let dup = checker.map(|v| (v, reply(w_shape)));
                 if self.settle(layer_id, job, WorkerId(j), &mut eqs[j], dup)? {
                     self.tee_filled.push(j);
                 }
             }
-            let dx = match primary.map(|w| (w, reply())) {
+            let dx = match primary.map(|w| (w, reply(x_shape))) {
                 Some((w, Ok(mut dx))) if integrity => {
-                    let dup = spare.map(|v| (v, reply()));
+                    let dup = spare.map(|v| (v, reply(x_shape)));
                     self.settle(layer_id, &dj, w, &mut dx, dup)?;
                     dx
                 }
@@ -1223,7 +1233,7 @@ impl<X: GpuExec> DarknightSession<X> {
         self.recycle_results(&mut eqs);
         self.ws.give(eqs);
         self.recycle_jobs(check_jobs);
-        self.ws.give_tensor(dj.into_input().expect("a data-gradient job owns its δ"));
+        dj.recycle_into(&mut self.ws);
         drop(jobs);
         if let Ok(delta_q) = Arc::try_unwrap(delta_q) {
             self.ws.give_tensor(delta_q);
@@ -1323,6 +1333,19 @@ impl<X: GpuExec> DarknightSession<X> {
         layer.accumulate_weight_grad(&gw);
         self.ws.give_tensor(gw);
         Ok(dx)
+    }
+}
+
+/// A reply of any shape but the one its job's geometry dictates is a
+/// fault of the worker that sent it, booked like a lost one
+/// ([`GpuError::Protocol`]): neither the decode nor a duplicate
+/// comparison ever sees it.
+fn shape_checked(reply: dk_gpu::WorkerResult, expect: &[usize]) -> dk_gpu::WorkerResult {
+    match reply {
+        Ok(t) if t.shape() != expect => Err(GpuError::Protocol {
+            detail: format!("reply shaped {:?} where the job's geometry says {expect:?}", t.shape()),
+        }),
+        reply => reply,
     }
 }
 

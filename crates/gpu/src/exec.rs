@@ -59,6 +59,14 @@
 //! one bad worker while using the others' answers. Whole-call failures
 //! (oversubscription) surface as the outer [`GpuError`].
 //!
+//! An `Ok` slot is still only a claim. A backend hands the session
+//! whatever tensor the worker produced — [`crate::TcpFleet`] whatever
+//! an `Output` frame carried — so the session checks each reply's
+//! shape against the one its job's geometry dictates before anything
+//! reads it, and books a mismatch as a fault of that worker
+//! ([`GpuError::Protocol`]) like a lost one: fail closed without
+//! recovery, quarantine plus a TEE-filled slot with it.
+//!
 //! Who gets skipped is the session's policy, and it separates two kinds
 //! of bad worker:
 //!

@@ -5,8 +5,10 @@
 
 use dk_field::F25;
 use dk_linalg::conv::{conv2d_backward_input_ws, conv2d_backward_weight_ws, conv2d_forward_ws};
+use dk_linalg::coded::MAX_TERMS;
 use dk_linalg::{
-    matmul_a_bt_into, matmul_at_b_into, matmul_into, ops, Conv2dShape, Tensor, Workspace,
+    coded_combine_write, matmul_a_bt_into, matmul_at_b_into, matmul_into, ops, Conv2dShape, Tensor,
+    Workspace,
 };
 use std::sync::Arc;
 
@@ -55,6 +57,24 @@ impl LinearOp {
         match self {
             LinearOp::Conv(_) => ops::bias_grad_nchw(dy),
             LinearOp::Dense { .. } => ops::bias_grad_rows(dy),
+        }
+    }
+
+    /// The shape of this op's forward output on **one** sample of an
+    /// input shaped `input` (`[_, ic, h, w]` or `[_, in]`), written into
+    /// `dims` and returned: `[1, oc, oh, ow]` or `[1, out]`. What a
+    /// forward reply must look like, from the op's geometry alone.
+    pub fn sample_output_shape<'a>(&self, input: &[usize], dims: &'a mut [usize; 4]) -> &'a [usize] {
+        match *self {
+            LinearOp::Conv(shape) => {
+                let (oh, ow) = shape.out_hw((input[2], input[3]));
+                *dims = [1, shape.out_channels, oh, ow];
+                dims
+            }
+            LinearOp::Dense { out_features, .. } => {
+                dims[..2].copy_from_slice(&[1, out_features]);
+                &dims[..2]
+            }
         }
     }
 
@@ -192,24 +212,29 @@ pub enum LinearJob {
 }
 
 /// Computes `δ̃ = Σ_i β_i · δ_i` over the batch dimension, yielding a
-/// single gradient image `[1, ...]`.
+/// single gradient image `[1, ...]` drawn from `ws` (give it back once
+/// the weight-gradient kernel has read it). One coded combine — a
+/// one-row coefficient matrix over the `K` rows of `delta_batch` in
+/// place — so every element is written once and nothing is allocated.
 ///
 /// # Panics
 ///
-/// Panics if `beta.len()` differs from the batch size.
-pub fn beta_combine(delta_batch: &Tensor<F25>, beta: &[F25]) -> Tensor<F25> {
+/// Panics if `beta.len()` differs from the batch size, or the batch
+/// size exceeds [`MAX_TERMS`] (a scheme's `K` never does).
+pub fn beta_combine(delta_batch: &Tensor<F25>, beta: &[F25], ws: &mut Workspace) -> Tensor<F25> {
     let k = delta_batch.shape()[0];
     assert_eq!(beta.len(), k, "one beta per gradient");
-    let mut shape = delta_batch.shape().to_vec();
-    shape[0] = 1;
-    if k == 0 {
-        return Tensor::zeros(&shape);
+    assert!(k <= MAX_TERMS, "a virtual batch holds at most MAX_TERMS gradients");
+    let mut rows: [&[F25]; MAX_TERMS] = [&[]; MAX_TERMS];
+    for (i, row) in rows[..k].iter_mut().enumerate() {
+        *row = delta_batch.batch_item(i);
     }
-    // βᵀ[1 × k] · Δ[k × elems]: one delayed-reduction matmul instead of
-    // k scaled-vector passes over the output.
-    let elems = delta_batch.len() / k;
-    let combined = dk_linalg::matmul(beta, delta_batch.as_slice(), 1, k, elems);
-    Tensor::from_vec(&shape, combined)
+    let elems: usize = delta_batch.shape()[1..].iter().product();
+    let mut combined = ws.take_cleared::<F25>(elems);
+    coded_combine_write(beta, k, 0, &rows[..k], std::slice::from_mut(&mut combined), elems);
+    let mut shape = ws.take_shape(delta_batch.shape());
+    shape[0] = 1;
+    Tensor::from_parts(shape, combined)
 }
 
 /// `Eq_j = δ̃_jᵀ·x̄_j` for a dense layer, on borrowed operands: the
@@ -283,21 +308,23 @@ impl LinearJob {
         }
     }
 
-    /// Consumes the job, returning the input tensor it owns — the
-    /// encoded input, or the data-gradient job's copy of `δ` — for
-    /// variants that carry one (the TEE recycles it into its workspace
-    /// once the round's outputs are decoded). Variants whose inputs are
-    /// shared (`Arc`) or stored worker-side return `None`.
-    pub fn into_input(self) -> Option<Tensor<F25>> {
+    /// Consumes the job, giving every tensor it owns — the encoded
+    /// input, an explicit weight-gradient job's β-combined `δ̃`, the
+    /// data-gradient job's copy of `δ` — back to `ws` (the TEE does so
+    /// once the round's outputs are decoded). Operands that are shared
+    /// (`Arc`) or stored worker-side are not the job's to give.
+    pub fn recycle_into(self, ws: &mut Workspace) {
         match self {
-            LinearJob::ConvForward { x, .. }
-            | LinearJob::ConvWeightGrad { x, .. }
-            | LinearJob::DenseForward { x, .. }
-            | LinearJob::DenseWeightGrad { x, .. } => Some(x),
+            LinearJob::ConvForward { x, .. } | LinearJob::DenseForward { x, .. } => {
+                ws.give_tensor(x);
+            }
+            LinearJob::ConvWeightGrad { delta, x, .. } | LinearJob::DenseWeightGrad { delta, x } => {
+                ws.give_tensor(delta);
+                ws.give_tensor(x);
+            }
             LinearJob::ConvBackwardData { delta, .. }
-            | LinearJob::DenseBackwardData { delta, .. } => Some(delta),
-            LinearJob::ConvWeightGradStored { .. }
-            | LinearJob::DenseWeightGradStored { .. } => None,
+            | LinearJob::DenseBackwardData { delta, .. } => ws.give_tensor(delta),
+            LinearJob::ConvWeightGradStored { .. } | LinearJob::DenseWeightGradStored { .. } => {}
         }
     }
 
@@ -449,8 +476,15 @@ mod tests {
         );
         assert_eq!(
             conv.backward_data_job(w.clone(), delta.clone(), &[2, 2, 5, 4]),
-            LinearJob::ConvBackwardData { weights: w, delta, shape, input_hw: (5, 4) }
+            LinearJob::ConvBackwardData { weights: w.clone(), delta, shape, input_hw: (5, 4) }
         );
+
+        // A forward reply's shape, from the geometry alone: it is the
+        // shape the job really produces.
+        let mut dims = [0; 4];
+        let y = conv.forward_job(w, tensor(&[1, 2, 5, 4], |i| F25::new(i as u64 + 1))).execute();
+        assert_eq!(conv.sample_output_shape(&[7, 2, 5, 4], &mut dims), y.shape());
+        assert_eq!(dense.sample_output_shape(&[7, 6], &mut dims), &[1, 4]);
 
         let bias = [0.5f32, -1.0, 2.0];
         let dy = Tensor::from_fn(&[2, 3, 2, 2], |i| i as f32 * 0.25 - 1.0);
@@ -465,6 +499,35 @@ mod tests {
         ops::add_bias_rows(&mut want, &bias);
         assert_eq!(got, want);
         assert_eq!(dense.bias_grad(&dy), ops::bias_grad_rows(&dy));
+    }
+
+    /// `beta_combine` is `δ̃ = Σ_i β_i·δ_i` reduced after every product,
+    /// element for element, whatever the pool hands it to write into.
+    #[test]
+    fn beta_combine_matches_the_per_mac_definition() {
+        use dk_linalg::reference::naive_coded_combine_acc;
+        let mut ws = Workspace::new();
+        for k in [1, 2, 4, MAX_TERMS] {
+            for rest in [vec![3, 5, 7], vec![37]] {
+                let shape: Vec<usize> = std::iter::once(k).chain(rest.iter().copied()).collect();
+                let elems: usize = rest.iter().product();
+                let batch = tensor(&shape, |i| F25::new((i * i) as u64 * 977 + 3));
+                let mut beta: Vec<F25> = (0..k).map(|i| F25::new(i as u64 * 7919 + 11)).collect();
+                beta[k / 2] = if k > 2 { F25::ZERO } else { beta[k / 2] };
+                // Poison the pool: a longer stale buffer and a stale shape.
+                ws.give(vec![F25::new(999); elems + 20]);
+                ws.give_shape(vec![9; 6]);
+                let got = beta_combine(&batch, &beta, &mut ws);
+                let rows: Vec<&[F25]> = (0..k).map(|i| batch.batch_item(i)).collect();
+                let mut want = vec![vec![F25::ZERO; elems]];
+                naive_coded_combine_acc(&beta, k, 0, &rows, &mut want);
+                let mut want_shape = shape.clone();
+                want_shape[0] = 1;
+                let want = Tensor::from_vec(&want_shape, want.remove(0));
+                assert_eq!(got, want, "k={k} rest={rest:?}");
+                ws.give_tensor(got);
+            }
+        }
     }
 
     #[test]

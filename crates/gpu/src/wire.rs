@@ -28,6 +28,16 @@
 //! * **LinearJob**: one tag byte (variant, 0–7) followed by the
 //!   variant's fields in declaration order.
 //!
+//! ## Allocation rule
+//!
+//! A peer's claims size nothing; only bytes in hand do. The payload
+//! buffer grows at most one fixed chunk (1 MiB) past what has been
+//! received, and a tensor or β row takes its `4·n` bytes from the
+//! payload before its vector is sized — so a 20-byte frame claiming
+//! 2^26 elements, or a bare header claiming [`MAX_PAYLOAD`], is a typed
+//! error after at most one chunk, not a half-gigabyte request inside an
+//! enclave sized in megabytes.
+//!
 //! The protocol is deliberately session-free beyond the `Hello`
 //! handshake: each connection serves one logical worker, messages are
 //! answered in order, and the TEE side never pipelines more than one
@@ -47,6 +57,10 @@ pub const VERSION: u16 = 1;
 /// Upper bound on a single payload (guards against garbage lengths from
 /// a malicious or confused peer before any allocation happens).
 pub const MAX_PAYLOAD: u32 = 1 << 28;
+/// How far ahead of the bytes actually received the payload buffer may
+/// be sized (see the module docs' allocation rule). An honest frame no
+/// larger than this is read into one exact allocation.
+const READ_CHUNK: usize = 1 << 20;
 
 /// A message on the wire. The `type` field of the frame header is the
 /// variant's [`WireMsg::msg_type`].
@@ -190,18 +204,23 @@ fn get_tensor(c: &mut Cursor) -> io::Result<Tensor<F25>> {
         len = len.checked_mul(d).ok_or_else(|| bad("tensor size overflow"))?;
         dims.push(d);
     }
-    if len > (MAX_PAYLOAD as usize) / 4 {
-        return Err(bad(format!("tensor of {len} elements exceeds payload cap")));
-    }
-    let mut vals = Vec::with_capacity(len);
-    for _ in 0..len {
-        let raw = c.u32()? as u64;
+    Ok(Tensor::from_vec(&dims, get_field_values(c, len)?))
+}
+
+/// `n` field values, one `u32` each. The `4·n` bytes are taken from the
+/// cursor **before** the vector is sized, so a claimed count the
+/// payload does not back is "payload truncated" and allocates nothing.
+fn get_field_values(c: &mut Cursor, n: usize) -> io::Result<Vec<F25>> {
+    let bytes = c.take(n.checked_mul(4).ok_or_else(|| bad("length overflow"))?)?;
+    let mut vals = Vec::with_capacity(n);
+    for b in bytes.chunks_exact(4) {
+        let raw = u32::from_le_bytes(b.try_into().unwrap()) as u64;
         if raw >= dk_field::P25 {
             return Err(bad(format!("field value {raw} out of range")));
         }
         vals.push(F25::new(raw));
     }
-    Ok(Tensor::from_vec(&dims, vals))
+    Ok(vals)
 }
 
 fn put_shape(buf: &mut Vec<u8>, s: &Conv2dShape) {
@@ -245,18 +264,7 @@ fn put_beta(buf: &mut Vec<u8>, beta: &[F25]) {
 
 fn get_beta(c: &mut Cursor) -> io::Result<Vec<F25>> {
     let n = c.u32()? as usize;
-    if n > 1 << 20 {
-        return Err(bad("beta row too long"));
-    }
-    let mut beta = Vec::with_capacity(n);
-    for _ in 0..n {
-        let raw = c.u32()? as u64;
-        if raw >= dk_field::P25 {
-            return Err(bad(format!("field value {raw} out of range")));
-        }
-        beta.push(F25::new(raw));
-    }
-    Ok(beta)
+    get_field_values(c, n)
 }
 
 fn put_job(buf: &mut Vec<u8>, job: &LinearJob) {
@@ -492,8 +500,18 @@ pub fn read_msg_counted<R: Read>(r: &mut R) -> io::Result<(WireMsg, usize)> {
     if len > MAX_PAYLOAD {
         return Err(bad(format!("payload of {len} bytes exceeds cap")));
     }
-    let mut payload = vec![0u8; len as usize];
-    r.read_exact(&mut payload)?;
+    // The header's length is a claim until the bytes arrive: grow the
+    // buffer one chunk at a time, each chunk reserved only once every
+    // byte before it has been received.
+    let len = len as usize;
+    let mut payload = Vec::new();
+    while payload.len() < len {
+        let have = payload.len();
+        let step = (len - have).min(READ_CHUNK);
+        payload.reserve_exact(step);
+        payload.resize(have + step, 0);
+        r.read_exact(&mut payload[have..])?;
+    }
     decode_payload(msg_type, &payload).map(|msg| (msg, header.len() + payload.len()))
 }
 

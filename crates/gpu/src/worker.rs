@@ -222,15 +222,19 @@ impl GpuWorker {
             // `*Stored` jobs run against a borrow of the stored encoding.
             (_, LinearJob::ConvWeightGradStored { delta_batch, beta, layer_id, shape }) => {
                 let x = self.stored_encodings.get(layer_id).ok_or_else(|| missing(self.id, *layer_id))?;
-                let delta = crate::job::beta_combine(delta_batch, beta);
-                dk_linalg::conv::conv2d_backward_weight_ws(&delta, x, shape, &mut self.ws)
+                let delta = crate::job::beta_combine(delta_batch, beta, &mut self.ws);
+                let dw = dk_linalg::conv::conv2d_backward_weight_ws(&delta, x, shape, &mut self.ws);
+                self.ws.give_tensor(delta);
+                dw
             }
             (_, LinearJob::DenseWeightGradStored { delta_batch, beta, layer_id }) => {
                 let x = self.stored_encodings.get(layer_id).ok_or_else(|| missing(self.id, *layer_id))?;
-                let delta = crate::job::beta_combine(delta_batch, beta);
+                let delta = crate::job::beta_combine(delta_batch, beta, &mut self.ws);
                 // The `out·in` outer product the job could not count.
                 macs += (delta.len() * x.len()) as u64;
-                crate::job::dense_weight_grad(&delta, x, &mut self.ws)
+                let dw = crate::job::dense_weight_grad(&delta, x, &mut self.ws);
+                self.ws.give_tensor(delta);
+                dw
             }
             _ => job.execute_ws(&mut self.ws),
         };
@@ -382,8 +386,8 @@ mod tests {
             let mut stored = GpuWorker::new(WorkerId(0), Behavior::Honest, 8);
             stored.store_encoding(4, enc.clone());
             let combine = delta_batch.len() as u64;
-            let explicit_job =
-                op.weight_grad_job(crate::job::beta_combine(&delta_batch, &beta), enc);
+            let combined = crate::job::beta_combine(&delta_batch, &beta, &mut Workspace::new());
+            let explicit_job = op.weight_grad_job(combined, enc);
             let stored_job = op.weight_grad_stored_job(Arc::new(delta_batch), beta.clone(), 4);
             let mut explicit = GpuWorker::new(WorkerId(1), Behavior::Honest, 8);
             assert_eq!(stored.execute(&stored_job), explicit.execute(&explicit_job), "{op:?}");

@@ -1,98 +1,100 @@
-//! Streaming kernels for the coding shapes: a small `(k+m) × S`
-//! coefficient matrix against `S` stacked rows of enormous `n`.
+//! Streaming kernels for the coding shapes: a small coefficient matrix
+//! against a few stacked rows of enormous `n`.
 //!
 //! The generic blocked matmuls tile for square-ish operands, which is
 //! exactly wrong here: encoding/decoding a virtual batch multiplies a
 //! handful of coefficient rows (the whole matrix fits in registers)
 //! against megabyte-scale data rows, so a row-at-a-time matmul re-reads
 //! the huge operand once **per output row** and the stacking copy the
-//! flat layout needs re-touches it again. The `coded_combine` family
-//! instead streams each column chunk of the input rows exactly once and
-//! accumulates **all** output rows in that single pass:
+//! flat layout needs re-touches it again. A coded combine instead
+//! streams each column chunk of the input rows exactly once and produces
+//! **all** output rows in that single pass.
+//!
+//! # One shape
+//!
+//! A DarKnight scheme is small on purpose: the paper sweeps `K = 2…5`,
+//! finds `K = 4` best and larger virtual batches losing to enclave
+//! paging, and uses `M = 1–2` noise vectors. The kernels are built for
+//! that and nothing else: at most [`MAX_TERMS`] reduction terms (the
+//! `K+M` stacked rows) by at most [`MAX_ROWS`] output rows, asserted by
+//! every entry point and rejected where a scheme is configured
+//! (`DarknightConfig::new`, `EncodingScheme::generate` in `dk_core`).
+//! Sixteen terms are **one register group**: the coefficient row and
+//! the row-slice table stay on the stack, and for `F25` a canonical
+//! carry-in plus sixteen unreduced 50-bit products stay below `2^55`,
+//! so a strip never folds mid-way (the AVX2 strips reduce once, in
+//! register, on exactly that budget). Within the bound:
 //!
 //! * inputs stay as separate row vectors (`AsRef<[T]>`) — no stacking
 //!   copy, no flat `(k+m)·n` buffer;
-//! * the reduction dimension is register-grouped at [`PGROUP`]
-//!   positions, and the inner loop is the PR-8 [`LANES`]-wide
-//!   accumulator strip (AVX2 `vpmuludq`/`vpaddq` for `F25`, the
-//!   autovectorized portable strip otherwise) with the delayed
-//!   Barrett-fold schedule;
-//! * a redundant-equation check ([`coded_combine_check_acc`]) can ride
+//! * the inner loop is the [`LANES`]-wide accumulator strip (AVX2
+//!   `vpmuludq`/`vpaddq` for `F25`, the autovectorized portable strip
+//!   otherwise);
+//! * **write mode is the only mode** of a combine: the accumulators
+//!   start at zero and the finished lanes go straight to the
+//!   destination, so recycled output buffers need no `memset` and are
+//!   never read — every output byte is touched exactly once per call.
+//!   `acc_lift(0) = 0` exactly in both domains, so the result is what
+//!   accumulating into zeroed rows would give;
+//! * a redundant-equation check ([`coded_combine_check_write`]) rides
 //!   the same pass: the §4.4 integrity dot-product reads the worker
 //!   outputs while they are hot instead of in a second sweep;
 //! * [`coded_axpy_acc`] is the rank-1 update the fused-RNG encode
-//!   streams freshly drawn noise chunks through;
-//! * the `_write` variants ([`coded_combine_write`],
-//!   [`coded_combine_check_write`]) overwrite instead of accumulating:
-//!   the first reduction group runs store-mode strips whose
-//!   accumulators start at zero and whose finished lanes go straight
-//!   to the destination, so recycled output buffers need no `memset`
-//!   and are never read — on the memory-bound coding shapes that
-//!   roughly halves the traffic.
-//!   `acc_lift(0) = 0` exactly in both domains, so the results are
-//!   bit-identical to accumulating into zeroed rows.
+//!   streams freshly drawn noise chunks through — the one place a strip
+//!   accumulates into existing values, because a rank-1 update is that
+//!   by definition.
+//!
+//! Five callers, all of them a scheme's coefficient rows against
+//! activation-sized vectors: the encoder (`encode_ws`, `encode_row_ws`,
+//! and `encode_fused_ws` with the axpy for its noise), the forward
+//! decoder with or without the fused check (`decode_forward_ws`), the
+//! backward γ-sum (`decode_backward_ws`), and the β-combine of a
+//! `*Stored` weight-gradient job (`dk_gpu::job::beta_combine`).
 //!
 //! Threading partitions output **columns** (row partitioning cannot
 //! split `k+m` rows): every task runs the identical per-element
 //! recurrence over a disjoint [`LANES`]-aligned column range, so
 //! results are bit-for-bit independent of the thread count in both
-//! domains — columns never share an accumulator. Splitting the
-//! reduction at [`PGROUP`] boundaries is equally invisible: the
-//! intermediate `acc_finish`/`acc_lift` round-trip is the identity on
-//! canonical values (exact in a field, a no-op for floats), so each
-//! element still sees the single ascending-`p` reference recurrence of
+//! domains — columns never share an accumulator — and each element sees
+//! the single ascending-`p` reference recurrence of
 //! [`crate::reference::naive_coded_combine_acc`].
 
 use crate::matmul::{per_lane, LANES};
 use crate::scalar::Scalar;
 use crate::threadpool::{self, SendPtr};
 use crate::threads::col_partition;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
-/// Reduction positions per register group: the coefficient sub-row and
-/// the row-slice table both stay on the stack, and (for `F25`) the
-/// whole group's products fit one unreduced accumulator.
-const PGROUP: usize = 16;
+/// Maximum reduction length (`x.len()`, a scheme's `K+M`) of a coded
+/// combine: one register group, so no strip folds mid-way and the
+/// fused check's predicted row completes in the pass that produces the
+/// outputs.
+pub const MAX_TERMS: usize = 16;
 
-/// Output rows per fan-out batch: bounds the stack array of row
-/// pointers shared with the pool. Coding shapes use `k+m+1` rows, far
-/// below this; larger row counts are processed in batches.
-const MAX_FAN_ROWS: usize = 32;
+/// Maximum output-row count of a coded combine: bounds the stack table
+/// of row pointers shared with the pool. A scheme writes at most
+/// `K+M+1` rows.
+pub const MAX_ROWS: usize = 32;
 
-/// Maximum reduction length (`x.len()`) the fused-check entry points
-/// accept: one register group, so the predicted row is complete in the
-/// same pass that produces the outputs.
-pub const CHECK_MAX_KDIM: usize = PGROUP;
-
-/// Maximum output-row count the fused-check entry points accept.
-pub const CHECK_MAX_ROWS: usize = MAX_FAN_ROWS;
-
-/// One full-width strip: `cs[l] += Σ_p crow[p] · xs[p][j+l]`. Same
-/// structure as the matmul lane strip, but each reduction position
-/// reads its own row slice.
+/// One full-width strip: `cs[l] += Σ_p crow[p] · xs[p][j+l]`, at most
+/// [`MAX_TERMS`] terms. Same structure as the matmul lane strip, but
+/// each reduction position reads its own row slice.
 #[inline]
 fn coded_strip<T: Scalar>(crow: &[T], xs: &[&[T]], cs: &mut [T; LANES], j: usize) {
+    // A lifted value plus one group's products never needs a fold.
+    const { assert!(MAX_TERMS <= T::FOLD_INTERVAL) };
+    debug_assert!(crow.len() <= MAX_TERMS && xs.len() == crow.len());
     if crate::simd::try_f25_coded_strip(crow, xs, cs, j) {
         return;
     }
-    let kdim = crow.len();
-    debug_assert_eq!(xs.len(), kdim);
     let mut acc = [T::acc_zero(); LANES];
     per_lane!(L => acc[L] = cs[L].acc_lift());
-    let mut p0 = 0;
-    while p0 < kdim {
-        let pend = kdim.min(p0.saturating_add(T::FOLD_INTERVAL));
-        for p in p0..pend {
-            let aip = crow[p];
-            if aip == T::zero() {
-                continue;
-            }
-            let brow: &[T; LANES] = xs[p][j..j + LANES].try_into().unwrap();
-            per_lane!(L => acc[L] = T::mac(acc[L], aip, brow[L]));
+    for (&aip, xr) in crow.iter().zip(xs) {
+        if aip == T::zero() {
+            continue;
         }
-        p0 = pend;
-        if p0 < kdim {
-            per_lane!(L => acc[L] = T::acc_fold(acc[L]));
-        }
+        let brow: &[T; LANES] = xr[j..j + LANES].try_into().unwrap();
+        per_lane!(L => acc[L] = T::mac(acc[L], aip, brow[L]));
     }
     per_lane!(L => cs[L] = T::acc_finish(acc[L]));
 }
@@ -120,33 +122,21 @@ unsafe fn coded_strip_store<T: Scalar>(crow: &[T], xs: &[&[T]], out: *mut T, j: 
     unsafe { std::ptr::copy_nonoverlapping(local.as_ptr(), out, LANES) };
 }
 
-/// The variable-width remainder strip (`cs.len() < LANES`).
+/// The variable-width remainder strip (`cs.len() < LANES`), same
+/// recurrence and term bound as [`coded_strip`].
 fn coded_strip_tail<T: Scalar>(crow: &[T], xs: &[&[T]], cs: &mut [T], j: usize) {
-    let kdim = crow.len();
     let w = cs.len();
-    debug_assert!(w < LANES);
+    debug_assert!(w < LANES && crow.len() <= MAX_TERMS && xs.len() == crow.len());
     let mut acc = [T::acc_zero(); LANES];
     for (aj, &cj) in acc.iter_mut().zip(cs.iter()) {
         *aj = cj.acc_lift();
     }
-    let mut p0 = 0;
-    while p0 < kdim {
-        let pend = kdim.min(p0.saturating_add(T::FOLD_INTERVAL));
-        for p in p0..pend {
-            let aip = crow[p];
-            if aip == T::zero() {
-                continue;
-            }
-            let brow = &xs[p][j..j + w];
-            for (aj, &bj) in acc[..w].iter_mut().zip(brow) {
-                *aj = T::mac(*aj, aip, bj);
-            }
+    for (&aip, xr) in crow.iter().zip(xs) {
+        if aip == T::zero() {
+            continue;
         }
-        p0 = pend;
-        if p0 < kdim {
-            for aj in acc[..w].iter_mut() {
-                *aj = T::acc_fold(*aj);
-            }
+        for (aj, &bj) in acc[..w].iter_mut().zip(&xr[j..j + w]) {
+            *aj = T::mac(*aj, aip, bj);
         }
     }
     for (cj, &aj) in cs.iter_mut().zip(acc[..w].iter()) {
@@ -154,375 +144,185 @@ fn coded_strip_tail<T: Scalar>(crow: &[T], xs: &[&[T]], cs: &mut [T], j: usize) 
     }
 }
 
-/// Streams columns `j0..j1` of every output row (and optionally the
-/// check row) in one pass over the input rows, [`PGROUP`] reduction
-/// positions at a time. Returns the mismatch count of the check row
-/// (`0` when `check` is `None`).
+/// Writes columns `j0..j1` of every output row (and optionally
+/// evaluates the check row) in one store-mode pass over the input rows.
+/// Returns the mismatch count of the check row (`0` when `check` is
+/// `None`).
 ///
 /// # Safety
 ///
-/// Every pointer in `ptrs` must reference an initialized row of at
-/// least `j1` elements, exclusively owned for columns `j0..j1` (no two
-/// concurrent callers may overlap column ranges on the same rows).
+/// Every pointer in `ptrs` must be valid for writes of `j1` elements
+/// and exclusively owned for columns `j0..j1` (no two concurrent
+/// callers may overlap column ranges on the same rows); the rows are
+/// never read and may be uninitialized. Every row in `xs` must hold at
+/// least `j1` elements.
 #[allow(clippy::too_many_arguments)]
-unsafe fn coded_block<T: Scalar, S: AsRef<[T]>>(
+unsafe fn coded_block<T: Scalar>(
     coeff: &[T],
     cstride: usize,
     col0: usize,
-    x: &[S],
+    xs: &[&[T]],
     ptrs: &[SendPtr<T>],
     j0: usize,
     j1: usize,
     check: Option<(&[T], &[T])>,
-    init: bool,
 ) -> usize {
-    let kdim = x.len();
-    debug_assert!(kdim > 0);
-    debug_assert!(check.is_none() || kdim <= PGROUP);
+    let kdim = xs.len();
+    let crow = |r: usize| &coeff[r * cstride + col0..r * cstride + col0 + kdim];
     let mut mismatches = 0usize;
-    let mut p0 = 0;
-    while p0 < kdim {
-        let pw = (kdim - p0).min(PGROUP);
-        // In write mode the first reduction group computes each strip
-        // into a zeroed stack-local and raw-copies it out: `acc_lift`
-        // of zero is zero exactly in every domain, so this is
-        // bit-identical to accumulating into zeroed rows — without ever
-        // reading the destination, which may be recycled pool capacity
-        // that was never initialized.
-        let store = init && p0 == 0;
-        // Resolve the group's row slices once; the column loop then
-        // streams every slice exactly once.
-        let mut xs: [&[T]; PGROUP] = [&[]; PGROUP];
-        for (s, xr) in xs.iter_mut().zip(&x[p0..p0 + pw]) {
-            *s = xr.as_ref();
+    let mut j = j0;
+    while j + LANES <= j1 {
+        for (r, pr) in ptrs.iter().enumerate() {
+            // SAFETY: disjoint column range per the caller contract; the
+            // strip writes all `LANES` lanes and never reads them.
+            unsafe { coded_strip_store(crow(r), xs, pr.0.add(j), j) };
         }
-        let xs = &xs[..pw];
-        let mut j = j0;
-        while j + LANES <= j1 {
-            for (r, pr) in ptrs.iter().enumerate() {
-                let base = r * cstride + col0 + p0;
-                if store {
-                    // SAFETY: disjoint column range per the caller
-                    // contract; the strip writes all `LANES` lanes and
-                    // never reads the destination.
-                    unsafe { coded_strip_store(&coeff[base..base + pw], xs, pr.0.add(j), j) };
-                } else {
-                    // SAFETY: disjoint column range per the caller contract.
-                    let cs = unsafe { &mut *(pr.0.add(j) as *mut [T; LANES]) };
-                    coded_strip(&coeff[base..base + pw], xs, cs, j);
-                }
-            }
-            if let Some((w, expect)) = check {
-                // A checked combine is always a single reduction group
-                // (`kdim <= PGROUP`), so the prediction is a complete
-                // from-zero strip: store mode applies.
-                let mut pred = [T::zero(); LANES];
-                // SAFETY: `pred` is a local array of `LANES` lanes.
-                unsafe { coded_strip_store(&w[p0..p0 + pw], xs, pred.as_mut_ptr(), j) };
-                for (pv, &ev) in pred.iter().zip(&expect[j..j + LANES]) {
-                    mismatches += usize::from(*pv != ev);
-                }
-            }
-            j += LANES;
-        }
-        if j < j1 {
-            let wdt = j1 - j;
-            for (r, pr) in ptrs.iter().enumerate() {
-                let base = r * cstride + col0 + p0;
-                if store {
-                    let mut local = [T::zero(); LANES];
-                    coded_strip_tail(&coeff[base..base + pw], xs, &mut local[..wdt], j);
-                    // SAFETY: as above; the tail never crosses `j1`.
-                    unsafe { std::ptr::copy_nonoverlapping(local.as_ptr(), pr.0.add(j), wdt) };
-                } else {
-                    // SAFETY: as above; the tail never crosses `j1`.
-                    let cs = unsafe { std::slice::from_raw_parts_mut(pr.0.add(j), wdt) };
-                    coded_strip_tail(&coeff[base..base + pw], xs, cs, j);
-                }
-            }
-            if let Some((w, expect)) = check {
-                let mut pred = [T::zero(); LANES];
-                coded_strip_tail(&w[p0..p0 + pw], xs, &mut pred[..wdt], j);
-                for (pv, &ev) in pred[..wdt].iter().zip(&expect[j..j1]) {
-                    mismatches += usize::from(*pv != ev);
-                }
+        if let Some((w, expect)) = check {
+            let mut pred = [T::zero(); LANES];
+            // SAFETY: `pred` is a local array of `LANES` lanes.
+            unsafe { coded_strip_store(w, xs, pred.as_mut_ptr(), j) };
+            for (pv, &ev) in pred.iter().zip(&expect[j..j + LANES]) {
+                mismatches += usize::from(*pv != ev);
             }
         }
-        p0 += pw;
+        j += LANES;
+    }
+    if j < j1 {
+        let wdt = j1 - j;
+        for (r, pr) in ptrs.iter().enumerate() {
+            let mut local = [T::zero(); LANES];
+            coded_strip_tail(crow(r), xs, &mut local[..wdt], j);
+            // SAFETY: as above; the tail never crosses `j1`.
+            unsafe { std::ptr::copy_nonoverlapping(local.as_ptr(), pr.0.add(j), wdt) };
+        }
+        if let Some((w, expect)) = check {
+            let mut pred = [T::zero(); LANES];
+            coded_strip_tail(w, xs, &mut pred[..wdt], j);
+            for (pv, &ev) in pred[..wdt].iter().zip(&expect[j..j1]) {
+                mismatches += usize::from(*pv != ev);
+            }
+        }
     }
     mismatches
 }
 
-fn check_shapes<T: Scalar, S: AsRef<[T]>>(
-    coeff: &[T],
-    cstride: usize,
-    col0: usize,
-    x: &[S],
-    outs: &[Vec<T>],
-    n: usize,
-) {
-    for xr in x {
-        assert_eq!(xr.as_ref().len(), n, "input row length");
-    }
-    for o in outs {
-        assert_eq!(o.len(), n, "output row length");
-    }
-    if let Some(rows) = outs.len().checked_sub(1) {
-        assert!(
-            coeff.len() >= rows * cstride + col0 + x.len(),
-            "coefficient matrix too small"
-        );
-    }
-}
-
-/// `outs[r][j] += Σ_p coeff[r·cstride + col0 + p] · x[p][j]` for every
-/// output row `r` and column `j`, streaming each input row exactly once
-/// (per [`PGROUP`] group) while all output rows accumulate in the same
-/// pass. Coefficients for consecutive `p` are contiguous, so a scheme
-/// coefficient row needs no gathering. Fans output columns across the
-/// persistent pool on large shapes — bit-for-bit identical to serial.
-///
-/// # Panics
-///
-/// Panics if row lengths differ from `n` or `coeff` is too small.
-pub fn coded_combine_acc<T: Scalar, S: AsRef<[T]> + Sync>(
+/// The one fan-out driver: checks the shape against the bound, gives
+/// every output row capacity for `n`, partitions columns across the
+/// pool, runs [`coded_block`] over each range and sets the rows to
+/// length `n`. Returns the check row's mismatch count (a sum over
+/// disjoint column ranges, hence thread-count independent; `0` without
+/// a check).
+fn fan_out<T: Scalar, S: AsRef<[T]>>(
     coeff: &[T],
     cstride: usize,
     col0: usize,
     x: &[S],
     outs: &mut [Vec<T>],
     n: usize,
-) {
-    check_shapes(coeff, cstride, col0, x, outs, n);
+    check: Option<(&[T], &[T])>,
+) -> usize {
     let (kdim, rows) = (x.len(), outs.len());
-    if rows == 0 || kdim == 0 || n == 0 {
-        return;
-    }
-    combine_driver(coeff, cstride, col0, x, outs, n, false);
-}
-
-/// [`coded_combine_acc`] with overwrite semantics and **no
-/// pre-zeroing**: prior contents (and lengths) of the output rows are
-/// irrelevant — each row is cleared, given capacity for `n`, written
-/// entirely by the streaming pass, and set to length `n`. The first
-/// reduction group stores instead of accumulating, which on the coding
-/// shapes (`k+m ≤ 16`, one group) means every output byte is touched
-/// exactly once per call — no `memset` and no read-back of zeroes.
-/// Bit-identical to [`coded_combine_acc`] on zeroed rows.
-///
-/// # Panics
-///
-/// Panics if input row lengths differ from `n` or `coeff` is too small.
-pub fn coded_combine_write<T: Scalar, S: AsRef<[T]> + Sync>(
-    coeff: &[T],
-    cstride: usize,
-    col0: usize,
-    x: &[S],
-    outs: &mut [Vec<T>],
-    n: usize,
-) {
-    for xr in x {
-        assert_eq!(xr.as_ref().len(), n, "input row length");
-    }
-    let (kdim, rows) = (x.len(), outs.len());
+    assert!(kdim <= MAX_TERMS, "a coded combine takes at most MAX_TERMS input rows");
+    assert!(rows <= MAX_ROWS, "a coded combine writes at most MAX_ROWS output rows");
     if let Some(r) = rows.checked_sub(1) {
         assert!(coeff.len() >= r * cstride + col0 + kdim, "coefficient matrix too small");
     }
-    if rows == 0 {
-        return;
+    if let Some((w, expect)) = check {
+        assert_eq!(w.len(), kdim, "check weight length");
+        assert_eq!(expect.len(), n, "check row length");
     }
-    if kdim == 0 || n == 0 {
-        for o in outs.iter_mut() {
-            o.clear();
-            o.resize(n, T::zero());
-        }
-        return;
+    // Resolve the row slices once; every strip then indexes the table.
+    let mut xs: [&[T]; MAX_TERMS] = [&[]; MAX_TERMS];
+    for (s, xr) in xs.iter_mut().zip(x) {
+        *s = xr.as_ref();
+        assert_eq!(s.len(), n, "input row length");
     }
-    for o in outs.iter_mut() {
+    let xs = &xs[..kdim];
+    let mut ptrs = [SendPtr(std::ptr::null_mut::<T>()); MAX_ROWS];
+    for (pr, o) in ptrs.iter_mut().zip(outs.iter_mut()) {
         o.clear();
         o.reserve(n);
-    }
-    combine_driver(coeff, cstride, col0, x, outs, n, true);
-    for o in outs.iter_mut() {
-        // SAFETY: the write-mode pass stored all `n` elements of every
-        // row (the column partition covers `0..n` and the first group
-        // stores unconditionally), within the reserved capacity.
-        unsafe { o.set_len(n) };
-    }
-}
-
-/// Shared fan-out driver: batches rows at [`MAX_FAN_ROWS`], partitions
-/// columns across the pool, dispatches [`coded_block`].
-fn combine_driver<T: Scalar, S: AsRef<[T]> + Sync>(
-    coeff: &[T],
-    cstride: usize,
-    col0: usize,
-    x: &[S],
-    outs: &mut [Vec<T>],
-    n: usize,
-    init: bool,
-) {
-    let (kdim, rows) = (x.len(), outs.len());
-    let macs = rows.saturating_mul(kdim).saturating_mul(n);
-    let (tasks, cols_per) = col_partition(n, LANES, macs);
-    let mut done = 0;
-    while done < rows {
-        let take = (rows - done).min(MAX_FAN_ROWS);
-        let mut ptrs = [SendPtr(std::ptr::null_mut::<T>()); MAX_FAN_ROWS];
-        for (pr, o) in ptrs.iter_mut().zip(outs[done..done + take].iter_mut()) {
-            *pr = SendPtr(o.as_mut_ptr());
-        }
-        let ptrs = &ptrs[..take];
-        let cbase = &coeff[done * cstride..];
-        if tasks <= 1 {
-            // SAFETY: full column range, exclusive access via `outs`.
-            unsafe { coded_block(cbase, cstride, col0, x, ptrs, 0, n, None, init) };
-        } else {
-            threadpool::run_tasks(tasks, &|t| {
-                let j0 = t * cols_per;
-                let j1 = n.min(j0 + cols_per);
-                // SAFETY: tasks own disjoint LANES-aligned column ranges.
-                unsafe { coded_block(cbase, cstride, col0, x, ptrs, j0, j1, None, init) };
-            });
-        }
-        done += take;
-    }
-}
-
-/// [`coded_combine_acc`] into freshly zeroed outputs (overwrite
-/// semantics on rows that already have length `n`).
-pub fn coded_combine_into<T: Scalar, S: AsRef<[T]> + Sync>(
-    coeff: &[T],
-    cstride: usize,
-    col0: usize,
-    x: &[S],
-    outs: &mut [Vec<T>],
-    n: usize,
-) {
-    for o in outs.iter_mut() {
-        for v in o.iter_mut() {
-            *v = T::zero();
-        }
-    }
-    coded_combine_acc(coeff, cstride, col0, x, outs, n);
-}
-
-/// [`coded_combine_acc`] with a fused redundant-equation check: the
-/// same streaming pass also evaluates `pred[j] = Σ_p check_w[p]·x[p][j]`
-/// and counts positions where it differs from `check_against` — the
-/// §4.4 integrity verification rides the decode pass, so the worker
-/// outputs are read once for both. Returns the mismatch count (a sum
-/// over disjoint column ranges, hence thread-count independent).
-///
-/// # Panics
-///
-/// Panics on shape mismatches, `x.len() > CHECK_MAX_KDIM` (the check
-/// row must complete within one register group), or
-/// `outs.len() > CHECK_MAX_ROWS`.
-#[allow(clippy::too_many_arguments)]
-pub fn coded_combine_check_acc<T: Scalar, S: AsRef<[T]> + Sync>(
-    coeff: &[T],
-    cstride: usize,
-    col0: usize,
-    x: &[S],
-    outs: &mut [Vec<T>],
-    n: usize,
-    check_w: &[T],
-    check_against: &[T],
-) -> usize {
-    check_shapes(coeff, cstride, col0, x, outs, n);
-    check_driver(coeff, cstride, col0, x, outs, n, check_w, check_against, false)
-}
-
-/// [`coded_combine_check_acc`] with the no-pre-zeroing overwrite
-/// semantics of [`coded_combine_write`]: output rows are cleared,
-/// written entirely by the fused pass, and set to length `n`.
-/// Bit-identical results and mismatch count.
-///
-/// # Panics
-///
-/// As [`coded_combine_check_acc`], with no requirement on the output
-/// rows' prior lengths.
-#[allow(clippy::too_many_arguments)]
-pub fn coded_combine_check_write<T: Scalar, S: AsRef<[T]> + Sync>(
-    coeff: &[T],
-    cstride: usize,
-    col0: usize,
-    x: &[S],
-    outs: &mut [Vec<T>],
-    n: usize,
-    check_w: &[T],
-    check_against: &[T],
-) -> usize {
-    for xr in x {
-        assert_eq!(xr.as_ref().len(), n, "input row length");
-    }
-    if let Some(r) = outs.len().checked_sub(1) {
-        assert!(coeff.len() >= r * cstride + col0 + x.len(), "coefficient matrix too small");
-    }
-    if n == 0 {
-        for o in outs.iter_mut() {
-            o.clear();
-        }
-    } else {
-        for o in outs.iter_mut() {
-            o.clear();
-            o.reserve(n);
-        }
-    }
-    let mm = check_driver(coeff, cstride, col0, x, outs, n, check_w, check_against, true);
-    for o in outs.iter_mut() {
-        // SAFETY: the write-mode pass stored all `n` elements of every
-        // row (single reduction group — `kdim ≤ PGROUP` — storing
-        // unconditionally over the full column partition).
-        unsafe { o.set_len(n) };
-    }
-    mm
-}
-
-#[allow(clippy::too_many_arguments)]
-fn check_driver<T: Scalar, S: AsRef<[T]> + Sync>(
-    coeff: &[T],
-    cstride: usize,
-    col0: usize,
-    x: &[S],
-    outs: &mut [Vec<T>],
-    n: usize,
-    check_w: &[T],
-    check_against: &[T],
-    init: bool,
-) -> usize {
-    let (kdim, rows) = (x.len(), outs.len());
-    assert!((1..=CHECK_MAX_KDIM).contains(&kdim), "check needs 1..=CHECK_MAX_KDIM inputs");
-    assert!(rows <= CHECK_MAX_ROWS, "too many output rows for fused check");
-    assert_eq!(check_w.len(), kdim, "check weight length");
-    assert_eq!(check_against.len(), n, "check row length");
-    if n == 0 {
-        return 0;
-    }
-    let macs = (rows + 1).saturating_mul(kdim).saturating_mul(n);
-    let (tasks, cols_per) = col_partition(n, LANES, macs);
-    let mut ptrs = [SendPtr(std::ptr::null_mut::<T>()); MAX_FAN_ROWS];
-    for (pr, o) in ptrs.iter_mut().zip(outs.iter_mut()) {
         *pr = SendPtr(o.as_mut_ptr());
     }
     let ptrs = &ptrs[..rows];
-    let check = Some((check_w, check_against));
-    if tasks <= 1 {
-        // SAFETY: full column range, exclusive access via `outs`.
-        return unsafe { coded_block(coeff, cstride, col0, x, ptrs, 0, n, check, init) };
+    let macs = (rows + usize::from(check.is_some())).saturating_mul(kdim).saturating_mul(n);
+    let (tasks, cols_per) = col_partition(n, LANES, macs);
+    let mismatches = if tasks <= 1 {
+        // SAFETY: full column range, exclusive access via `outs`, each
+        // row reserved for `n` elements above.
+        unsafe { coded_block(coeff, cstride, col0, xs, ptrs, 0, n, check) }
+    } else {
+        let total = AtomicUsize::new(0);
+        threadpool::run_tasks(tasks, &|t| {
+            let j0 = t * cols_per;
+            let j1 = n.min(j0 + cols_per);
+            // SAFETY: tasks own disjoint LANES-aligned column ranges of
+            // rows reserved for `n` elements above.
+            let mm = unsafe { coded_block(coeff, cstride, col0, xs, ptrs, j0, j1, check) };
+            if mm > 0 {
+                total.fetch_add(mm, Ordering::Relaxed);
+            }
+        });
+        total.into_inner()
+    };
+    for o in outs.iter_mut() {
+        // SAFETY: the store-mode pass wrote all `n` elements of every
+        // row (the column partition covers `0..n` and every strip
+        // stores unconditionally), within the reserved capacity.
+        unsafe { o.set_len(n) };
     }
-    let total = std::sync::atomic::AtomicUsize::new(0);
-    threadpool::run_tasks(tasks, &|t| {
-        let j0 = t * cols_per;
-        let j1 = n.min(j0 + cols_per);
-        // SAFETY: tasks own disjoint LANES-aligned column ranges.
-        let mm = unsafe { coded_block(coeff, cstride, col0, x, ptrs, j0, j1, check, init) };
-        if mm > 0 {
-            total.fetch_add(mm, std::sync::atomic::Ordering::Relaxed);
-        }
-    });
-    total.into_inner()
+    mismatches
+}
+
+/// `outs[r][j] = Σ_p coeff[r·cstride + col0 + p] · x[p][j]` for every
+/// output row `r` and column `j`, streaming each input row exactly once
+/// while all output rows are produced in the same pass. Coefficients
+/// for consecutive `p` are contiguous, so a scheme coefficient row
+/// needs no gathering. Overwrite semantics with **no pre-zeroing**:
+/// prior contents (and lengths) of the output rows are irrelevant —
+/// each row is cleared, given capacity for `n`, written entirely by the
+/// pass, and set to length `n` (all zero when `x` is empty). Fans
+/// output columns across the persistent pool on large shapes —
+/// bit-for-bit identical to serial, and to
+/// [`crate::reference::naive_coded_combine_acc`] into zeroed rows.
+///
+/// # Panics
+///
+/// Panics if `x.len() > MAX_TERMS`, `outs.len() > MAX_ROWS`, an input
+/// row's length differs from `n`, or `coeff` is too small.
+pub fn coded_combine_write<T: Scalar, S: AsRef<[T]>>(
+    coeff: &[T],
+    cstride: usize,
+    col0: usize,
+    x: &[S],
+    outs: &mut [Vec<T>],
+    n: usize,
+) {
+    fan_out(coeff, cstride, col0, x, outs, n, None);
+}
+
+/// [`coded_combine_write`] with a fused redundant-equation check: the
+/// same streaming pass also evaluates `pred[j] = Σ_p check_w[p]·x[p][j]`
+/// and counts positions where it differs from `check_against` — the
+/// §4.4 integrity verification rides the decode pass, so the worker
+/// outputs are read once for both. Returns the mismatch count.
+///
+/// # Panics
+///
+/// As [`coded_combine_write`], or if `check_w.len() != x.len()` or
+/// `check_against.len() != n`.
+#[allow(clippy::too_many_arguments)]
+pub fn coded_combine_check_write<T: Scalar, S: AsRef<[T]>>(
+    coeff: &[T],
+    cstride: usize,
+    col0: usize,
+    x: &[S],
+    outs: &mut [Vec<T>],
+    n: usize,
+    check_w: &[T],
+    check_against: &[T],
+) -> usize {
+    fan_out(coeff, cstride, col0, x, outs, n, Some((check_w, check_against)))
 }
 
 /// Rank-1 column-chunk update:
@@ -536,8 +336,8 @@ fn check_driver<T: Scalar, S: AsRef<[T]> + Sync>(
 ///
 /// # Panics
 ///
-/// Panics if `chunk` does not fit in every output row at `j0` or
-/// `coeff` is too small.
+/// Panics if `outs.len() > MAX_ROWS`, `chunk` does not fit in every
+/// output row at `j0`, or `coeff` is too small.
 pub fn coded_axpy_acc<T: Scalar>(
     coeff: &[T],
     cstride: usize,
@@ -547,6 +347,7 @@ pub fn coded_axpy_acc<T: Scalar>(
     j0: usize,
 ) {
     let w = chunk.len();
+    assert!(outs.len() <= MAX_ROWS, "a coded combine writes at most MAX_ROWS output rows");
     if let Some(rows) = outs.len().checked_sub(1) {
         assert!(coeff.len() > rows * cstride + col, "coefficient matrix too small");
     }
@@ -578,56 +379,31 @@ mod tests {
     use crate::reference::naive_coded_combine_acc;
     use dk_field::F25;
 
-    fn rows_of(vals: &[Vec<u64>]) -> Vec<Vec<F25>> {
-        vals.iter().map(|r| r.iter().map(|&v| F25::new(v)).collect()).collect()
+    /// Output rows as a recycled pool hands them over: wrong lengths,
+    /// stale contents, one with no capacity at all.
+    fn stale_rows(rows: usize, n: usize) -> Vec<Vec<F25>> {
+        (0..rows)
+            .map(|r| match r % 3 {
+                0 => vec![F25::new(777); n + 9],
+                1 => Vec::new(),
+                _ => vec![F25::ONE; 1],
+            })
+            .collect()
+    }
+
+    fn field_rows(kdim: usize, n: usize, mul: usize) -> Vec<Vec<F25>> {
+        (0..kdim).map(|p| (0..n).map(|j| F25::new((p * mul + j) as u64 + 1)).collect()).collect()
     }
 
     #[test]
     fn combine_matches_naive_small() {
         let coeff: Vec<F25> = (0..3 * 4).map(|i| F25::new(i as u64 * 7 + 1)).collect();
-        let x = rows_of(&[
-            (0..21).map(|i| i * 3 + 1).collect(),
-            (0..21).map(|i| i * 5 + 2).collect(),
-            (0..21).map(|i| i * 11 + 3).collect(),
-            (0..21).map(|i| i * 13 + 4).collect(),
-        ]);
-        let mut outs = vec![vec![F25::ZERO; 21]; 3];
-        let mut want = outs.clone();
-        coded_combine_acc(&coeff, 4, 0, &x, &mut outs, 21);
+        let x = field_rows(4, 21, 5);
+        let mut outs = stale_rows(3, 21);
+        let mut want = vec![vec![F25::ZERO; 21]; 3];
+        coded_combine_write(&coeff, 4, 0, &x, &mut outs, 21);
         naive_coded_combine_acc(&coeff, 4, 0, &x, &mut want);
         assert_eq!(outs, want);
-    }
-
-    #[test]
-    fn combine_crosses_pgroup_boundary() {
-        // kdim > PGROUP forces multiple register groups; the canonical
-        // finish/lift round-trip between groups must be invisible.
-        let kdim = PGROUP + 7;
-        let n = 2 * LANES + 5;
-        let coeff: Vec<F25> = (0..2 * kdim).map(|i| F25::new(i as u64 * 17 + 2)).collect();
-        let x: Vec<Vec<F25>> =
-            (0..kdim).map(|p| (0..n).map(|j| F25::new((p * n + j) as u64 + 1)).collect()).collect();
-        let mut outs = vec![vec![F25::ZERO; n]; 2];
-        let mut want = outs.clone();
-        coded_combine_acc(&coeff, kdim, 0, &x, &mut outs, n);
-        naive_coded_combine_acc(&coeff, kdim, 0, &x, &mut want);
-        assert_eq!(outs, want);
-    }
-
-    #[test]
-    fn combine_accumulates_and_into_overwrites() {
-        let coeff: Vec<F25> = (0..2 * 2).map(|i| F25::new(i as u64 + 3)).collect();
-        let x = rows_of(&[vec![1, 2, 3], vec![4, 5, 6]]);
-        let mut acc = vec![vec![F25::new(100); 3], vec![F25::new(200); 3]];
-        let mut want = acc.clone();
-        coded_combine_acc(&coeff, 2, 0, &x, &mut acc, 3);
-        naive_coded_combine_acc(&coeff, 2, 0, &x, &mut want);
-        assert_eq!(acc, want);
-        let mut stale = vec![vec![F25::new(999); 3], vec![F25::new(999); 3]];
-        coded_combine_into(&coeff, 2, 0, &x, &mut stale, 3);
-        let mut fresh = vec![vec![F25::ZERO; 3]; 2];
-        naive_coded_combine_acc(&coeff, 2, 0, &x, &mut fresh);
-        assert_eq!(stale, fresh);
     }
 
     #[test]
@@ -635,14 +411,13 @@ mod tests {
         let n = LANES + 9;
         let coeff: Vec<F25> = (0..2 * 3).map(|i| F25::new(i as u64 * 5 + 1)).collect();
         let w: Vec<F25> = (0..3).map(|i| F25::new(i as u64 + 11)).collect();
-        let x: Vec<Vec<F25>> =
-            (0..3).map(|p| (0..n).map(|j| F25::new((p + j * 3) as u64 + 1)).collect()).collect();
+        let x = field_rows(3, n, 3);
         let mut pred = vec![vec![F25::ZERO; n]];
         naive_coded_combine_acc(&w, 3, 0, &x, &mut pred);
         let mut expect = pred.pop().unwrap();
         // Clean row: zero mismatches, outputs equal the plain combine.
-        let mut outs = vec![vec![F25::ZERO; n]; 2];
-        assert_eq!(coded_combine_check_acc(&coeff, 3, 0, &x, &mut outs, n, &w, &expect), 0);
+        let mut outs = stale_rows(2, n);
+        assert_eq!(coded_combine_check_write(&coeff, 3, 0, &x, &mut outs, n, &w, &expect), 0);
         let mut want = vec![vec![F25::ZERO; n]; 2];
         naive_coded_combine_acc(&coeff, 3, 0, &x, &mut want);
         assert_eq!(outs, want);
@@ -650,8 +425,8 @@ mod tests {
         expect[0] += F25::ONE;
         expect[LANES - 1] += F25::ONE;
         expect[n - 1] += F25::ONE;
-        let mut outs = vec![vec![F25::ZERO; n]; 2];
-        assert_eq!(coded_combine_check_acc(&coeff, 3, 0, &x, &mut outs, n, &w, &expect), 3);
+        assert_eq!(coded_combine_check_write(&coeff, 3, 0, &x, &mut outs, n, &w, &expect), 3);
+        assert_eq!(outs, want);
     }
 
     #[test]
@@ -660,10 +435,10 @@ mod tests {
         let kdim = 5;
         let coeff: Vec<F25> = (0..4 * kdim).map(|i| F25::new(i as u64 * 3 + 1)).collect();
         let noise: Vec<F25> = (0..n).map(|j| F25::new(j as u64 * 7 + 2)).collect();
-        // Applying the noise row as one combine pass...
+        // Applying the noise row as one reference pass...
         let mut want = vec![vec![F25::new(5); n]; 4];
         let mut outs = want.clone();
-        coded_combine_acc(&coeff, kdim, 2, std::slice::from_ref(&noise), &mut want, n);
+        naive_coded_combine_acc(&coeff, kdim, 2, std::slice::from_ref(&noise), &mut want);
         // ...must equal applying it in uneven column chunks.
         let mut j0 = 0;
         for (i, step) in [7usize, LANES, 2 * LANES + 3, n].iter().enumerate() {
@@ -678,92 +453,81 @@ mod tests {
     fn degenerate_shapes() {
         let coeff = vec![F25::ONE; 4];
         let mut none: [Vec<F25>; 0] = [];
-        // n == 0
-        let mut outs: Vec<Vec<F25>> = vec![Vec::new(); 2];
-        coded_combine_acc(&coeff, 2, 0, &[&[][..], &[]], &mut outs, 0);
+        // n == 0 leaves empty rows, whatever they held.
+        let mut outs = stale_rows(2, 4);
+        coded_combine_write(&coeff, 2, 0, &[&[][..], &[]], &mut outs, 0);
         assert!(outs.iter().all(Vec::is_empty));
         let x0: [&[F25]; 1] = [&[]];
-        assert_eq!(coded_combine_check_acc(&coeff, 2, 0, &x0, &mut none, 0, &[F25::ONE], &[]), 0);
-        // no input rows / no output rows
-        let empty: &[&[F25]] = &[];
-        coded_combine_acc(&coeff, 2, 0, empty, &mut outs, 0);
+        assert_eq!(coded_combine_check_write(&coeff, 2, 0, &x0, &mut none, 0, &[F25::ONE], &[]), 0);
+        // No input rows: length-n rows of zeros, and the predicted row
+        // is zero too.
+        let empty: [&[F25]; 0] = [];
+        let mut outs = stale_rows(2, 4);
+        coded_combine_write(&coeff, 2, 0, &empty, &mut outs, 4);
+        assert_eq!(outs, vec![vec![F25::ZERO; 4]; 2]);
+        let against = [F25::ZERO, F25::ONE, F25::ZERO];
+        assert_eq!(coded_combine_check_write(&coeff, 2, 0, &empty, &mut outs, 3, &[], &against), 1);
+        // No output rows.
         let x = [&[F25::ONE][..]];
-        coded_combine_acc(&coeff, 2, 0, &x, &mut none, 1);
+        coded_combine_write(&coeff, 2, 0, &x, &mut none, 1);
         // n == 1 exercises the pure-tail path.
-        let mut one = vec![vec![F25::new(9)]];
-        coded_combine_acc(&[F25::new(3)], 1, 0, &x, &mut one, 1);
-        assert_eq!(one[0][0], F25::new(12));
+        let mut one = stale_rows(1, 1);
+        coded_combine_write(&[F25::new(3)], 1, 0, &x, &mut one, 1);
+        assert_eq!(one, vec![vec![F25::new(3)]]);
         coded_axpy_acc(&[F25::new(2)], 1, 0, &[F25::new(5)], &mut one, 0);
-        assert_eq!(one[0][0], F25::new(22));
+        assert_eq!(one[0][0], F25::new(13));
     }
 
     #[test]
     fn write_mode_matches_acc_from_zero() {
         // Output rows arrive with garbage lengths and contents (even
         // length 0 with stale capacity): the write pass must produce
-        // exactly what accumulating into zeroed rows would.
-        let kdim = PGROUP + 5; // crosses into an accumulating group
+        // exactly what accumulating into zeroed rows would, at the full
+        // register group.
+        let kdim = MAX_TERMS;
         let n = 2 * LANES + 3;
         let coeff: Vec<F25> = (0..3 * kdim).map(|i| F25::new(i as u64 * 13 + 1)).collect();
-        let x: Vec<Vec<F25>> =
-            (0..kdim).map(|p| (0..n).map(|j| F25::new((p * 7 + j) as u64 + 1)).collect()).collect();
+        let x = field_rows(kdim, n, 7);
         let mut want = vec![vec![F25::ZERO; n]; 3];
-        coded_combine_acc(&coeff, kdim, 0, &x, &mut want, n);
+        naive_coded_combine_acc(&coeff, kdim, 0, &x, &mut want);
         let mut outs = vec![vec![F25::new(777); n + 9], Vec::with_capacity(n), vec![F25::ONE; 1]];
         coded_combine_write(&coeff, kdim, 0, &x, &mut outs, n);
         assert_eq!(outs, want);
-        // Float domain too.
-        let cf: Vec<f32> = (0..2 * 3).map(|i| i as f32 - 2.5).collect();
-        let xf: Vec<Vec<f32>> =
-            (0..3).map(|p| (0..n).map(|j| (p * n + j) as f32 * 0.25).collect()).collect();
-        let mut wantf = vec![vec![0.0f32; n]; 2];
-        coded_combine_acc(&cf, 3, 0, &xf, &mut wantf, n);
-        let mut outf = vec![vec![9.9f32; 2], Vec::new()];
-        coded_combine_write(&cf, 3, 0, &xf, &mut outf, n);
-        assert_eq!(outf, wantf);
-        // Degenerate: kdim == 0 and n == 0 still leave length-n rows.
-        let none: [&[F25]; 0] = [];
-        let mut outs = vec![vec![F25::ONE; 5]];
-        coded_combine_write(&coeff, kdim, 0, &none, &mut outs, 4);
-        assert_eq!(outs, vec![vec![F25::ZERO; 4]]);
-        coded_combine_write(&coeff, kdim, 0, &none, &mut outs, 0);
-        assert!(outs[0].is_empty());
     }
 
     #[test]
-    fn check_write_matches_check_acc() {
+    fn check_write_ignores_stale_rows() {
         let n = 2 * LANES + 6;
         let kdim = 4;
         let coeff: Vec<F25> = (0..3 * kdim).map(|i| F25::new(i as u64 * 9 + 2)).collect();
         let w: Vec<F25> = (0..kdim).map(|i| F25::new(i as u64 + 5)).collect();
-        let x: Vec<Vec<F25>> =
-            (0..kdim).map(|p| (0..n).map(|j| F25::new((p + j * 5) as u64 + 1)).collect()).collect();
+        let x = field_rows(kdim, n, 5);
         let mut expect = vec![vec![F25::ZERO; n]];
         naive_coded_combine_acc(&w, kdim, 0, &x, &mut expect);
         let mut expect = expect.pop().unwrap();
         expect[3] += F25::ONE;
         expect[n - 1] += F25::ONE;
-        let mut want = vec![vec![F25::ZERO; n]; 3];
-        let mm_acc = coded_combine_check_acc(&coeff, kdim, 0, &x, &mut want, n, &w, &expect);
+        // The fused check changes nothing about the rows written.
+        let mut want = stale_rows(3, n);
+        coded_combine_write(&coeff, kdim, 0, &x, &mut want, n);
         let mut outs = vec![vec![F25::new(5); 1], Vec::new(), vec![F25::new(8); n + 4]];
-        let mm_w = coded_combine_check_write(&coeff, kdim, 0, &x, &mut outs, n, &w, &expect);
-        assert_eq!((mm_w, outs), (mm_acc, want));
-        assert_eq!(mm_w, 2);
+        let mm = coded_combine_check_write(&coeff, kdim, 0, &x, &mut outs, n, &w, &expect);
+        assert_eq!((mm, outs), (2, want));
     }
 
     #[test]
     fn combine_matches_naive_floats() {
-        // Float domain: the strip recurrence (and the PGROUP split's
-        // identity lift/finish) must reproduce the naive order exactly.
-        let kdim = PGROUP + 3;
+        // Float domain: the strip recurrence must reproduce the naive
+        // order exactly, into rows whose contents it never reads.
+        let kdim = MAX_TERMS;
         let n = LANES + 7;
         let coeff: Vec<f32> = (0..2 * kdim).map(|i| i as f32 * 0.25 - 3.0).collect();
         let x: Vec<Vec<f32>> = (0..kdim)
             .map(|p| (0..n).map(|j| ((p * n + j) % 13) as f32 * 0.5 - 2.0).collect())
             .collect();
-        let mut outs = vec![vec![0.5f32; n]; 2];
-        let mut want = outs.clone();
-        coded_combine_acc(&coeff, kdim, 0, &x, &mut outs, n);
+        let mut outs = vec![vec![f32::NAN; 2], Vec::new()];
+        let mut want = vec![vec![0.0f32; n]; 2];
+        coded_combine_write(&coeff, kdim, 0, &x, &mut outs, n);
         naive_coded_combine_acc(&coeff, kdim, 0, &x, &mut want);
         assert_eq!(outs, want);
     }

@@ -65,10 +65,7 @@ mod threadpool;
 pub mod threads;
 pub mod workspace;
 
-pub use coded::{
-    coded_axpy_acc, coded_combine_acc, coded_combine_check_acc, coded_combine_check_write,
-    coded_combine_into, coded_combine_write,
-};
+pub use coded::{coded_axpy_acc, coded_combine_check_write, coded_combine_write};
 pub use conv::Conv2dShape;
 pub use matmul::{
     matmul, matmul_a_bt, matmul_a_bt_into, matmul_acc, matmul_at_b, matmul_at_b_into,

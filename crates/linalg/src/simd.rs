@@ -30,6 +30,8 @@
 //! Without AVX2 — and on non-x86-64 targets — every `try_*` entry point
 //! returns `false` and the portable kernels run unchanged.
 
+#[cfg(target_arch = "x86_64")]
+use crate::coded::MAX_TERMS;
 use crate::matmul::LANES;
 use crate::scalar::Scalar;
 use std::any::TypeId;
@@ -118,8 +120,15 @@ pub(crate) fn try_f25_a_bt_block<T: Scalar>(
 /// `C strip += Σ_p crow[p] · xs[p][j..j+LANES]` — the coded-combine
 /// strip, where each reduction position reads its **own** row slice
 /// instead of a stride of one flat matrix. Returns `false` unless `T`
-/// is `F25` on x86-64 with AVX2 and the group fits one register
-/// broadcast pass.
+/// is `F25` on x86-64 with AVX2.
+///
+/// # Panics
+///
+/// On the AVX2 path, if `crow` holds more than
+/// [`MAX_TERMS`](crate::coded::MAX_TERMS) terms or
+/// `xs` a different number of rows: one register group is the kernel's
+/// precondition (the canonical strip init plus that many products stay
+/// far below the u64 budget, so there are no mid-strip folds).
 #[inline(always)]
 pub(crate) fn try_f25_coded_strip<T: Scalar>(
     crow: &[T],
@@ -129,14 +138,11 @@ pub(crate) fn try_f25_coded_strip<T: Scalar>(
 ) -> bool {
     #[cfg(target_arch = "x86_64")]
     {
-        // A coefficient group never exceeds 16 positions (the caller
-        // p-groups at that width), so the canonical strip init plus all
-        // products stay far below the u64 budget — no mid-strip folds.
-        if is_f25::<T>() && crow.len() <= 16 && x86::has_avx2() {
-            debug_assert_eq!(xs.len(), crow.len());
+        if is_f25::<T>() && x86::has_avx2() {
+            assert!(crow.len() <= MAX_TERMS && xs.len() == crow.len());
             // SAFETY: identity casts as in `try_f25_lane_strip`.
             let crow_f = unsafe { cast_slice::<T>(crow) };
-            let mut xp = [std::ptr::null::<dk_field::F25>(); 16];
+            let mut xp = [std::ptr::null::<dk_field::F25>(); MAX_TERMS];
             for (d, s) in xp.iter_mut().zip(xs.iter()) {
                 debug_assert!(s.len() >= j + LANES);
                 *d = s.as_ptr() as *const dk_field::F25;
@@ -157,6 +163,10 @@ pub(crate) fn try_f25_coded_strip<T: Scalar>(
 /// straight through `out` — the destination is never read, so it may
 /// be uninitialized (recycled pool capacity).
 ///
+/// # Panics
+///
+/// As [`try_f25_coded_strip`].
+///
 /// # Safety
 ///
 /// `out` must be valid for [`LANES`] writes and every row in `xs` must
@@ -169,11 +179,11 @@ pub(crate) unsafe fn try_f25_coded_strip_store<T: Scalar>(
 ) -> bool {
     #[cfg(target_arch = "x86_64")]
     {
-        if is_f25::<T>() && crow.len() <= 16 && x86::has_avx2() {
-            debug_assert_eq!(xs.len(), crow.len());
+        if is_f25::<T>() && x86::has_avx2() {
+            assert!(crow.len() <= MAX_TERMS && xs.len() == crow.len());
             // SAFETY: identity casts as in `try_f25_lane_strip`.
             let crow_f = unsafe { cast_slice::<T>(crow) };
-            let mut xp = [std::ptr::null::<dk_field::F25>(); 16];
+            let mut xp = [std::ptr::null::<dk_field::F25>(); MAX_TERMS];
             for (d, s) in xp.iter_mut().zip(xs.iter()) {
                 debug_assert!(s.len() >= j + LANES);
                 *d = s.as_ptr() as *const dk_field::F25;
@@ -220,7 +230,7 @@ mod x86 {
 
     /// Reduces all four `u64` lanes to canonical `F25` entirely
     /// in-register, for lanes bounded by the coded-strip budget:
-    /// at most `PGROUP = 16` products plus one
+    /// at most `MAX_TERMS = 16` products plus one
     /// canonical carry-in, i.e. `v < 2^25 + 16·(P25−1)² < 2^54.1`.
     ///
     /// Two pseudo-Mersenne folds (`2^25 ≡ 39 (mod P25)`) bring the
