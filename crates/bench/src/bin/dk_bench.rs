@@ -3,7 +3,9 @@
 //!
 //! Measures the delayed-reduction fast kernels against the preserved
 //! per-MAC-reducing scalar baselines (`dk_linalg::reference`) on the
-//! shapes the offload path actually runs. Also measures the staged
+//! shapes the offload path actually runs, always on one kernel thread
+//! (the rows measure kernels; fanned out, the small ones measure the
+//! pool's wake-up on the day's host). Also measures the staged
 //! engine at its default lane count against the same engine with one
 //! virtual batch in flight, over the same dispatcher-backed fleet, on a
 //! real multi-layer model (the §7.1 overlap claim) and, with `--alloc`,
@@ -156,6 +158,9 @@ impl Entry {
     }
 }
 
+/// Kernel threads the `benches` rows run at (the record's `dk_threads`).
+const KERNEL_ROW_THREADS: usize = 1;
+
 /// Pulls `"key": <number>` out of a (flat) JSON object snippet — the
 /// workspace has no JSON dependency, and the file format is ours.
 fn json_number(snippet: &str, key: &str) -> Option<f64> {
@@ -271,6 +276,15 @@ fn main() {
     let mut bench = |name: String, macs: u64, scalar: &mut dyn FnMut(), kernel: &mut dyn FnMut()| {
         entries.push(Entry { name, macs, timing: time_pairs(target_ms, pairs, scalar, kernel) });
     };
+
+    // The kernel rows run on one thread, whatever the host offers: they
+    // measure the kernels, and the speedup gate compares them with a
+    // record taken the same way. (Fanned out, a row this small measures
+    // the pool's wake-up on the day's host: `matmul_64x128x64/field` is
+    // 20 µs of work and reads anywhere from 13× to 31× at two threads on
+    // a shared 2-vCPU host, 31–38× at one.) The pool has its own suites.
+    let host_threads = dk_linalg::max_threads();
+    dk_linalg::set_max_threads(KERNEL_ROW_THREADS);
 
     // --- kernels: the three matmul orientations -------------------------
     let (m, k, n) = (64usize, 128, 64);
@@ -414,6 +428,28 @@ fn main() {
         },
     );
 
+    // The regime the register tile does not reach: a depthwise 3×3
+    // (`mini_mobilenet`'s, what `infer_tcp` offloads) is one `m = 1`,
+    // `k = 9` product per channel, so there is one output row to tile
+    // and nine products to amortize a panel fill and an epilogue over.
+    // Recorded so the next kernel change has a number to move.
+    let dw = Conv2dShape::new(32, 32, (3, 3), (1, 1), (1, 1), 32);
+    let xdw = Tensor::<F25>::from_fn(&[1, 32, 16, 16], |i| F25::new(i as u64 * 31 % P25));
+    let wdw = Tensor::<F25>::from_fn(&dw.weight_shape(), |i| F25::new(i as u64 * 17 % P25));
+    bench(
+        "conv2d_forward_dw32c3x3_16x16/field".to_string(),
+        dw.forward_macs(1, (16, 16)),
+        &mut || {
+            for (plane, taps) in xdw.batch_item(0).chunks(16 * 16).zip(wdw.as_slice().chunks(9)) {
+                let cols = im2col(plane, 1, (16, 16), (3, 3), (1, 1), (1, 1));
+                std::hint::black_box(naive_matmul(taps, &cols, 1, 9, 16 * 16));
+            }
+        },
+        &mut || {
+            std::hint::black_box(conv2d_forward(&xdw, &wdw, &dw));
+        },
+    );
+
     // --- encoding: Algorithm-1 masking as coefficient-matrix matmuls ----
     let (ek, em) = (4usize, 2);
     let en = if fast { 4096usize } else { 16384 };
@@ -495,6 +531,7 @@ fn main() {
             std::hint::black_box(matmul_a_bt(&x, &w, dn, din, dout));
         },
     );
+    dk_linalg::set_max_threads(host_threads);
 
     // --- pipeline: default lanes vs one lane, same dispatcher -----------
     // Both sides run the engine over persistent per-worker threads, so
@@ -688,7 +725,11 @@ fn main() {
     }
 
     // --- report ---------------------------------------------------------
-    println!("DarKnight kernel micro-benches ({} mode, DK threads = {})", if fast { "fast" } else { "full" }, dk_linalg::max_threads());
+    println!(
+        "DarKnight kernel micro-benches ({} mode, kernel rows at {KERNEL_ROW_THREADS} thread, DK threads = {})",
+        if fast { "fast" } else { "full" },
+        dk_linalg::max_threads()
+    );
     println!("{:<44} {:>12} {:>12} {:>8}", "bench", "scalar Mops", "fast Mops", "speedup");
     for e in &entries {
         println!(
@@ -773,7 +814,7 @@ fn main() {
         "{{\n  \"mode\": \"{}\",\n  \"unix_time\": {},\n  \"dk_threads\": {},\n  \"benches\": [\n{}\n  ],\n  \"pipeline\": [\n{}\n  ]{}\n}}\n",
         if fast { "fast" } else { "full" },
         ts,
-        dk_linalg::max_threads(),
+        KERNEL_ROW_THREADS,
         entries.iter().map(Entry::to_json).collect::<Vec<_>>().join(",\n"),
         pipeline_json,
         extra_sections

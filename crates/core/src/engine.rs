@@ -284,8 +284,11 @@ impl PipelineEngine {
         self.stats
     }
 
-    /// Aggregated enclave counters across all lane enclaves so far
-    /// (peaks are summed: lanes are genuinely co-resident).
+    /// Aggregated enclave counters across all lane enclaves so far.
+    /// Counters add up over every lane of every call; the peak is that
+    /// of the fullest single call — its lanes' peaks summed, since lanes
+    /// of one call are genuinely co-resident, while the lanes of two
+    /// calls never are — plus the aggregation enclave's own.
     pub fn enclave_stats(&self) -> MemoryStats {
         let mut m = self.mem;
         m.merge(&self.tee.stats());
@@ -418,14 +421,20 @@ impl PipelineEngine {
                 .collect()
         });
         let mut reports = Vec::new();
+        let mut call_mem = MemoryStats::default();
         for (report, lane) in finished {
             self.stats.merge(&lane.session.stats());
-            self.mem.merge(&lane.session.enclave_stats());
+            call_mem.merge(&lane.session.enclave_stats());
             for &w in lane.session.convicted() {
                 push_unique(&mut self.convicted, w);
             }
             reports.extend(report);
         }
+        // This call's lanes were resident together and are gone before
+        // the next call's exist: their peaks add, successive calls' don't.
+        let peak = self.mem.peak_bytes.max(call_mem.peak_bytes);
+        self.mem.merge(&call_mem);
+        self.mem.peak_bytes = peak;
         reports.sort_by_key(|(batch, _)| *batch);
         Ok(reports.into_iter().map(|(_, r)| r).collect())
     }
@@ -814,6 +823,30 @@ mod tests {
                 .unwrap();
         assert_eq!(report.batches, 12);
         assert_eq!(diff, 0.0, "pipelined training must be bit-identical");
+    }
+
+    /// The enclave high-water is a property of one call's co-resident
+    /// lanes, not of how many calls were made: the same batches run five
+    /// times over report the peak of running them once, while the
+    /// allocation counter keeps counting.
+    #[test]
+    fn peak_epc_does_not_grow_with_the_number_of_calls() {
+        let cfg = DarknightConfig::new(2, 1).with_integrity(true);
+        let m = model(6);
+        let inputs: Vec<Tensor<f32>> =
+            (0..4).map(|b| Tensor::from_fn(&[2, 2, 3, 3], move |i| ((i + b) % 7) as f32 * 0.1)).collect();
+        let run = |calls: usize| {
+            let fleet = GpuCluster::honest(cfg.workers_required(), 12);
+            let mut engine = PipelineEngine::new(cfg, fleet, EngineOptions::default()).unwrap();
+            for _ in 0..calls {
+                engine.infer_batches(&m, &inputs, false).unwrap();
+            }
+            engine.enclave_stats()
+        };
+        let (once, five) = (run(1), run(5));
+        assert!(once.peak_bytes > 0);
+        assert_eq!(five.peak_bytes, once.peak_bytes);
+        assert_eq!(five.alloc_count, 5 * once.alloc_count);
     }
 
     #[test]

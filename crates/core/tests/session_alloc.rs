@@ -8,12 +8,13 @@
 //! performs **zero** heap allocations, and a warm training step a small
 //! bounded constant.
 //!
-//! Everything runs inside one `#[test]` so no concurrent test thread
-//! can pollute the counters.
+//! The counts are the test thread's own
+//! ([`dk_linalg::workspace::thread_alloc_counts`]): the harness's main
+//! thread allocates while a test runs, and a process-wide count sees it.
 
 use dk_core::{DarknightConfig, DarknightSession, StepPlan};
 use dk_gpu::GpuCluster;
-use dk_linalg::workspace::{alloc_counts as counts, CountingAllocator};
+use dk_linalg::workspace::{thread_alloc_counts as counts, CountingAllocator};
 use dk_linalg::Tensor;
 use dk_nn::arch::mini_vgg;
 use dk_nn::optim::Sgd;

@@ -22,14 +22,17 @@
 //! Sixteen terms are **one register group**: the coefficient row and
 //! the row-slice table stay on the stack, and for `F25` a canonical
 //! carry-in plus sixteen unreduced 50-bit products stay below `2^55`,
-//! so a strip never folds mid-way (the AVX2 strips reduce once, in
-//! register, on exactly that budget). Within the bound:
+//! so a strip never folds mid-way (far inside the `2^58` the vector
+//! reduce of [`crate::simd`] is argued for). Within the bound:
 //!
 //! * inputs stay as separate row vectors (`AsRef<[T]>`) — no stacking
 //!   copy, no flat `(k+m)·n` buffer;
-//! * the inner loop is the [`LANES`]-wide accumulator strip (AVX2
-//!   `vpmuludq`/`vpaddq` for `F25`, the autovectorized portable strip
-//!   otherwise);
+//! * for `F25` on a vector tier (AVX-512 IFMA or AVX2, resolved once
+//!   per combine) a strip is the register tile of [`crate::simd`]: all
+//!   output rows — the check row riding as the last — accumulate while
+//!   each source chunk is loaded **once**, not once per output row;
+//!   everything else runs the [`LANES`]-wide portable strip, row by
+//!   row, which the autovectorizer lowers for floats;
 //! * **write mode is the only mode** of a combine: the accumulators
 //!   start at zero and the finished lanes go straight to the
 //!   destination, so recycled output buffers need no `memset` and are
@@ -61,6 +64,7 @@
 
 use crate::matmul::{per_lane, LANES};
 use crate::scalar::Scalar;
+use crate::simd::{self, Tier};
 use crate::threadpool::{self, SendPtr};
 use crate::threads::col_partition;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -76,17 +80,14 @@ pub const MAX_TERMS: usize = 16;
 /// `K+M+1` rows.
 pub const MAX_ROWS: usize = 32;
 
-/// One full-width strip: `cs[l] += Σ_p crow[p] · xs[p][j+l]`, at most
-/// [`MAX_TERMS`] terms. Same structure as the matmul lane strip, but
-/// each reduction position reads its own row slice.
+/// One full-width portable strip: `cs[l] += Σ_p crow[p] · xs[p][j+l]`,
+/// at most [`MAX_TERMS`] terms. Same structure as the matmul lane
+/// strip, but each reduction position reads its own row slice.
 #[inline]
 fn coded_strip<T: Scalar>(crow: &[T], xs: &[&[T]], cs: &mut [T; LANES], j: usize) {
     // A lifted value plus one group's products never needs a fold.
     const { assert!(MAX_TERMS <= T::FOLD_INTERVAL) };
     debug_assert!(crow.len() <= MAX_TERMS && xs.len() == crow.len());
-    if crate::simd::try_f25_coded_strip(crow, xs, cs, j) {
-        return;
-    }
     let mut acc = [T::acc_zero(); LANES];
     per_lane!(L => acc[L] = cs[L].acc_lift());
     for (&aip, xr) in crow.iter().zip(xs) {
@@ -97,29 +98,6 @@ fn coded_strip<T: Scalar>(crow: &[T], xs: &[&[T]], cs: &mut [T; LANES], j: usize
         per_lane!(L => acc[L] = T::mac(acc[L], aip, brow[L]));
     }
     per_lane!(L => cs[L] = T::acc_finish(acc[L]));
-}
-
-/// Store-mode full-width strip: `out[l] = Σ_p crow[p] · xs[p][j+l]`
-/// written straight through `out` without ever reading it. The
-/// accumulators start from the canonical lift of zero, which is
-/// exactly what accumulating into a zeroed strip produces — so this is
-/// bit-identical to [`coded_strip`] on zeroed lanes, minus the
-/// destination read and the zeroing traffic.
-///
-/// # Safety
-///
-/// `out` must be valid for `LANES` writes and every row in `xs` must
-/// hold at least `j + LANES` elements.
-#[inline]
-unsafe fn coded_strip_store<T: Scalar>(crow: &[T], xs: &[&[T]], out: *mut T, j: usize) {
-    // SAFETY: forwarded caller contract.
-    if unsafe { crate::simd::try_f25_coded_strip_store(crow, xs, out, j) } {
-        return;
-    }
-    let mut local = [T::zero(); LANES];
-    coded_strip(crow, xs, &mut local, j);
-    // SAFETY: `out` is valid for `LANES` writes; plain stores.
-    unsafe { std::ptr::copy_nonoverlapping(local.as_ptr(), out, LANES) };
 }
 
 /// The variable-width remainder strip (`cs.len() < LANES`), same
@@ -144,61 +122,76 @@ fn coded_strip_tail<T: Scalar>(crow: &[T], xs: &[&[T]], cs: &mut [T], j: usize) 
     }
 }
 
-/// Writes columns `j0..j1` of every output row (and optionally
-/// evaluates the check row) in one store-mode pass over the input rows.
-/// Returns the mismatch count of the check row (`0` when `check` is
-/// `None`).
+/// Columns `j0..j1` of every output row (and optionally the check row)
+/// in one pass over the input rows: on a `tier` (so `T` is `F25`) the
+/// register tile of [`crate::simd`], all rows of a strip per source
+/// load; otherwise the portable strips, row by row. With `load` the
+/// rows accumulate on top of what they hold; without, they are written
+/// and never read, so they may be uninitialized. Returns the mismatch
+/// count of the check row (`0` when `check` is `None`).
 ///
 /// # Safety
 ///
-/// Every pointer in `ptrs` must be valid for writes of `j1` elements
-/// and exclusively owned for columns `j0..j1` (no two concurrent
-/// callers may overlap column ranges on the same rows); the rows are
-/// never read and may be uninitialized. Every row in `xs` must hold at
-/// least `j1` elements.
+/// Every pointer in `ptrs` must be valid for writes (and, with `load`,
+/// initialized reads) of `j1` elements and exclusively owned for
+/// columns `j0..j1` (no two concurrent callers may overlap column
+/// ranges on the same rows). Every row in `xs` must hold at least `j1`
+/// elements, `coeff` every `r·cstride + col0 + p` for `r < ptrs.len()`,
+/// `p < xs.len()`, and the check pair `xs.len()` weights and `j1`
+/// expected values.
 #[allow(clippy::too_many_arguments)]
 unsafe fn coded_block<T: Scalar>(
+    tier: Option<Tier>,
     coeff: &[T],
     cstride: usize,
     col0: usize,
     xs: &[&[T]],
     ptrs: &[SendPtr<T>],
-    j0: usize,
-    j1: usize,
+    (j0, j1): (usize, usize),
+    load: bool,
     check: Option<(&[T], &[T])>,
 ) -> usize {
     let kdim = xs.len();
-    let crow = |r: usize| &coeff[r * cstride + col0..r * cstride + col0 + kdim];
-    let mut mismatches = 0usize;
-    let mut j = j0;
-    while j + LANES <= j1 {
-        for (r, pr) in ptrs.iter().enumerate() {
-            // SAFETY: disjoint column range per the caller contract; the
-            // strip writes all `LANES` lanes and never reads them.
-            unsafe { coded_strip_store(crow(r), xs, pr.0.add(j), j) };
+    if let Some(tier) = tier {
+        let mut xp = [std::ptr::null::<T>(); MAX_TERMS];
+        for (d, s) in xp.iter_mut().zip(xs) {
+            *d = s.as_ptr();
         }
-        if let Some((w, expect)) = check {
-            let mut pred = [T::zero(); LANES];
-            // SAFETY: `pred` is a local array of `LANES` lanes.
-            unsafe { coded_strip_store(w, xs, pred.as_mut_ptr(), j) };
-            for (pv, &ev) in pred.iter().zip(&expect[j..j + LANES]) {
-                mismatches += usize::from(*pv != ev);
-            }
+        let mut op = [std::ptr::null_mut::<T>(); MAX_ROWS];
+        for (d, s) in op.iter_mut().zip(ptrs) {
+            *d = s.0;
         }
-        j += LANES;
+        let check = check.map(|(w, e)| (w.as_ptr(), e.as_ptr()));
+        // `wrapping_add`: with no output rows `col0` is unconstrained.
+        let cp = coeff.as_ptr().wrapping_add(col0);
+        // SAFETY: the caller's contract, restated in pointers.
+        return unsafe {
+            simd::coded_block(tier, cp, cstride, &xp[..kdim], &op[..ptrs.len()], (j0, j1), load, check)
+        };
     }
-    if j < j1 {
-        let wdt = j1 - j;
+    let strip = |crow: &[T], cs: &mut [T; LANES], j: usize, w: usize| match w {
+        LANES => coded_strip(crow, xs, cs, j),
+        _ => coded_strip_tail(crow, xs, &mut cs[..w], j),
+    };
+    let mut mismatches = 0usize;
+    for j in (j0..j1).step_by(LANES) {
+        let w = LANES.min(j1 - j);
         for (r, pr) in ptrs.iter().enumerate() {
             let mut local = [T::zero(); LANES];
-            coded_strip_tail(crow(r), xs, &mut local[..wdt], j);
-            // SAFETY: as above; the tail never crosses `j1`.
-            unsafe { std::ptr::copy_nonoverlapping(local.as_ptr(), pr.0.add(j), wdt) };
+            // SAFETY: columns `j..j+w` of row `r` are this caller's, and
+            // initialized when `load` asks to read them.
+            unsafe {
+                if load {
+                    std::ptr::copy_nonoverlapping(pr.0.add(j), local.as_mut_ptr(), w);
+                }
+                strip(&coeff[r * cstride + col0..][..kdim], &mut local, j, w);
+                std::ptr::copy_nonoverlapping(local.as_ptr(), pr.0.add(j), w);
+            }
         }
-        if let Some((w, expect)) = check {
+        if let Some((cw, expect)) = check {
             let mut pred = [T::zero(); LANES];
-            coded_strip_tail(w, xs, &mut pred[..wdt], j);
-            for (pv, &ev) in pred[..wdt].iter().zip(&expect[j..j1]) {
+            strip(cw, &mut pred, j, w);
+            for (pv, &ev) in pred[..w].iter().zip(&expect[j..j + w]) {
                 mismatches += usize::from(*pv != ev);
             }
         }
@@ -211,8 +204,11 @@ unsafe fn coded_block<T: Scalar>(
 /// pool, runs [`coded_block`] over each range and sets the rows to
 /// length `n`. Returns the check row's mismatch count (a sum over
 /// disjoint column ranges, hence thread-count independent; `0` without
-/// a check).
-fn fan_out<T: Scalar, S: AsRef<[T]>>(
+/// a check). `tier` is resolved once per combine by the public entry
+/// points; the tests pass each one the host offers.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn fan_out<T: Scalar, S: AsRef<[T]>>(
+    tier: Option<Tier>,
     coeff: &[T],
     cstride: usize,
     col0: usize,
@@ -249,16 +245,15 @@ fn fan_out<T: Scalar, S: AsRef<[T]>>(
     let (tasks, cols_per) = col_partition(n, LANES, macs);
     let mismatches = if tasks <= 1 {
         // SAFETY: full column range, exclusive access via `outs`, each
-        // row reserved for `n` elements above.
-        unsafe { coded_block(coeff, cstride, col0, xs, ptrs, 0, n, check) }
+        // row reserved for `n` elements above; shapes asserted above.
+        unsafe { coded_block(tier, coeff, cstride, col0, xs, ptrs, (0, n), false, check) }
     } else {
         let total = AtomicUsize::new(0);
         threadpool::run_tasks(tasks, &|t| {
-            let j0 = t * cols_per;
-            let j1 = n.min(j0 + cols_per);
+            let cols = (t * cols_per, n.min((t + 1) * cols_per));
             // SAFETY: tasks own disjoint LANES-aligned column ranges of
             // rows reserved for `n` elements above.
-            let mm = unsafe { coded_block(coeff, cstride, col0, xs, ptrs, j0, j1, check) };
+            let mm = unsafe { coded_block(tier, coeff, cstride, col0, xs, ptrs, cols, false, check) };
             if mm > 0 {
                 total.fetch_add(mm, Ordering::Relaxed);
             }
@@ -298,7 +293,7 @@ pub fn coded_combine_write<T: Scalar, S: AsRef<[T]>>(
     outs: &mut [Vec<T>],
     n: usize,
 ) {
-    fan_out(coeff, cstride, col0, x, outs, n, None);
+    fan_out(simd::tier::<T>(), coeff, cstride, col0, x, outs, n, None);
 }
 
 /// [`coded_combine_write`] with a fused redundant-equation check: the
@@ -322,7 +317,7 @@ pub fn coded_combine_check_write<T: Scalar, S: AsRef<[T]>>(
     check_w: &[T],
     check_against: &[T],
 ) -> usize {
-    fan_out(coeff, cstride, col0, x, outs, n, Some((check_w, check_against)))
+    fan_out(simd::tier::<T>(), coeff, cstride, col0, x, outs, n, Some((check_w, check_against)))
 }
 
 /// Rank-1 column-chunk update:
@@ -346,30 +341,32 @@ pub fn coded_axpy_acc<T: Scalar>(
     outs: &mut [Vec<T>],
     j0: usize,
 ) {
-    let w = chunk.len();
+    coded_axpy_on(simd::tier::<T>(), coeff, cstride, col, chunk, outs, j0);
+}
+
+/// [`coded_axpy_acc`] on a given tier, as [`fan_out`].
+pub(crate) fn coded_axpy_on<T: Scalar>(
+    tier: Option<Tier>,
+    coeff: &[T],
+    cstride: usize,
+    col: usize,
+    chunk: &[T],
+    outs: &mut [Vec<T>],
+    j0: usize,
+) {
     assert!(outs.len() <= MAX_ROWS, "a coded combine writes at most MAX_ROWS output rows");
     if let Some(rows) = outs.len().checked_sub(1) {
         assert!(coeff.len() > rows * cstride + col, "coefficient matrix too small");
     }
-    if w == 0 {
-        return;
+    let mut ptrs = [SendPtr(std::ptr::null_mut::<T>()); MAX_ROWS];
+    for (pr, o) in ptrs.iter_mut().zip(outs.iter_mut()) {
+        *pr = SendPtr(o[j0..j0 + chunk.len()].as_mut_ptr());
     }
-    let xs: [&[T]; 1] = [chunk];
-    for (r, out) in outs.iter_mut().enumerate() {
-        let cval = [coeff[r * cstride + col]];
-        if cval[0] == T::zero() {
-            continue;
-        }
-        let dst = &mut out[j0..j0 + w];
-        let mut l = 0;
-        while l + LANES <= w {
-            let cs: &mut [T; LANES] = (&mut dst[l..l + LANES]).try_into().unwrap();
-            coded_strip(&cval, &xs, cs, l);
-            l += LANES;
-        }
-        if l < w {
-            coded_strip_tail(&cval, &xs, &mut dst[l..], l);
-        }
+    // SAFETY: every row was just sliced at `j0..j0 + chunk.len()`
+    // (initialized, exclusively borrowed through `outs`), the one input
+    // row is `chunk` itself and the coefficient column was checked above.
+    unsafe {
+        coded_block(tier, coeff, cstride, col, &[chunk], &ptrs[..outs.len()], (0, chunk.len()), true, None);
     }
 }
 
@@ -513,6 +510,77 @@ mod tests {
         let mut outs = vec![vec![F25::new(5); 1], Vec::new(), vec![F25::new(8); n + 4]];
         let mm = coded_combine_check_write(&coeff, kdim, 0, &x, &mut outs, n, &w, &expect);
         assert_eq!((mm, outs), (2, want));
+    }
+
+    #[test]
+    fn tile_matches_reference_on_every_tier() {
+        // Term counts up to the register group, output rows around the
+        // tile heights (with and without the check row riding last),
+        // widths around the strip and past the fan-out threshold; rows
+        // arrive stale, the check row with two corrupted positions.
+        let mut rng = dk_field::FieldRng::seed_from(0xc0de);
+        for kdim in [0usize, 1, 3, 7, MAX_TERMS] {
+            for rows in [0usize, 1, 4, 7, 8, 9, 17, MAX_ROWS] {
+                for n in [0usize, 1, 15, 16, 17, 48, 1000, 20_000] {
+                    if n == 20_000 && (kdim, rows) != (7, 7) {
+                        continue;
+                    }
+                    let (cstride, col0) = (kdim + 3, 2);
+                    let coeff = rng.uniform_vec(rows * cstride + col0);
+                    let w = rng.uniform_vec(kdim);
+                    let x: Vec<Vec<F25>> = (0..kdim).map(|_| rng.uniform_vec(n)).collect();
+                    let mut want = vec![vec![F25::ZERO; n]; rows];
+                    naive_coded_combine_acc(&coeff, cstride, col0, &x, &mut want);
+                    let mut expect = vec![vec![F25::ZERO; n]];
+                    naive_coded_combine_acc(&w, kdim, 0, &x, &mut expect);
+                    let mut expect = expect.pop().unwrap();
+                    for j in [0, n.saturating_sub(1)].into_iter().take(n) {
+                        expect[j] += F25::ONE;
+                    }
+                    for tier in crate::simd::offered_tiers() {
+                        let mut outs = stale_rows(rows, n);
+                        fan_out(Some(tier), &coeff, cstride, col0, &x, &mut outs, n, None);
+                        assert_eq!(outs, want, "{tier:?} {rows}x{kdim}x{n}");
+                        let mut outs = stale_rows(rows, n);
+                        let check = Some((&w[..], &expect[..]));
+                        let mm = fan_out(Some(tier), &coeff, cstride, col0, &x, &mut outs, n, check);
+                        assert_eq!((mm, &outs), (n.min(2), &want), "{tier:?} check {rows}x{kdim}x{n}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn tile_holds_the_worst_case_group_and_the_axpy_on_every_tier() {
+        let top = F25::new(dk_field::P25 - 1);
+        let mut rng = dk_field::FieldRng::seed_from(0xa9);
+        for tier in crate::simd::offered_tiers() {
+            // A full register group of (P−1)·(P−1) products per lane.
+            let n = 2 * LANES + 5;
+            let x = vec![vec![top; n]; MAX_TERMS];
+            let coeff = vec![top; 9 * MAX_TERMS];
+            let mut want = vec![vec![F25::ZERO; n]; 9];
+            naive_coded_combine_acc(&coeff, MAX_TERMS, 0, &x, &mut want);
+            let mut outs = stale_rows(9, n);
+            fan_out(Some(tier), &coeff, MAX_TERMS, 0, &x, &mut outs, n, None);
+            assert_eq!(outs, want, "{tier:?} worst case");
+            // The rank-1 update accumulates: uneven chunks at uneven
+            // offsets on top of what the rows hold, zero coefficients
+            // included.
+            for rows in [1usize, 8, 9, MAX_ROWS] {
+                let mut coeff = rng.uniform_vec(rows * 3);
+                coeff[1] = F25::ZERO;
+                let noise = rng.uniform_vec(n);
+                let mut want: Vec<Vec<F25>> = (0..rows).map(|_| rng.uniform_vec(n)).collect();
+                let mut outs = want.clone();
+                naive_coded_combine_acc(&coeff, 3, 1, std::slice::from_ref(&noise), &mut want);
+                for (j0, j1) in [(0, 7), (7, 7), (7, 7 + LANES), (7 + LANES, n)] {
+                    coded_axpy_on(Some(tier), &coeff, 3, 1, &noise[j0..j1], &mut outs, j0);
+                }
+                assert_eq!(outs, want, "{tier:?} axpy {rows} rows");
+            }
+        }
     }
 
     #[test]

@@ -34,10 +34,10 @@
 //! same full-width kernel over a panel whose surplus lanes are zero;
 //! only the strip's own lanes are stored.
 //!
-//! The micro-kernel ([`lane_strip`]) holds [`LANES`] independent
-//! [`Scalar::Acc`] accumulators in registers — one per output column —
-//! and runs the **reference recurrence** on each: ascending `p`,
-//! terms with `A[i,p] = 0` skipped, exactly as
+//! The portable micro-kernel ([`lane_strip`]) holds [`LANES`]
+//! independent [`Scalar::Acc`] accumulators in registers — one per
+//! output column — and runs the **reference recurrence** on each:
+//! ascending `p`, terms with `A[i,p] = 0` skipped, exactly as
 //! [`crate::reference::naive_matmul_acc`] does. Blocking `k` does not
 //! reorder it: a block ends with [`Scalar::acc_finish`] into `C` and
 //! the next starts from [`Scalar::acc_lift`] of that value, which for
@@ -52,11 +52,15 @@
 //! `acc_lift(0) = 0` instead of reading `C`, so the output may hold
 //! stale data.
 //!
-//! For `F25` on x86-64 with AVX2 the micro-kernel is explicit
-//! intrinsics ([`crate::simd`]: one hand-written tier, detected at
-//! runtime); every other instantiation, and `F25` on a CPU without
-//! AVX2, is the portable body below, which the autovectorizer lowers
-//! to vector multiply-adds.
+//! For `F25` on an x86-64 CPU with AVX-512 IFMA or AVX2 the rows of a
+//! block do not go through `lane_strip` one at a time: the whole block
+//! goes to the register tile of [`crate::simd`], `MR` output rows of a
+//! strip per pass over the panel (one tile body, two lane widths; the
+//! tier is detected once per process and resolved once per product in
+//! [`gemm_packed`]). A field sum is exact whatever its shape, so the
+//! tile has no zero test and reduces once per block in register. Every
+//! other instantiation, and `F25` anywhere else, is the portable body
+//! below, which the autovectorizer lowers to vector multiply-adds.
 //!
 //! Large products fan out across **strip ranges** on the persistent
 //! [`crate::threadpool`] (capped by [`crate::threads::max_threads`],
@@ -72,7 +76,9 @@
 //! recurrence order bit-for-bit — see [`a_bt_block`]) and fans out
 //! across row ranges. The field kernels there do reassociate across
 //! lanes, which is value-transparent because field arithmetic is
-//! exact; the float kernels never reassociate.
+//! exact; the float kernels never reassociate. `F25` on a vector tier
+//! runs [`crate::simd`]'s dot block: two rows of `A` against four of
+//! `B` per pass.
 //!
 //! Every kernel has an `_into` variant writing into a caller-provided
 //! buffer; the classic signatures are thin allocating wrappers, so
@@ -83,6 +89,7 @@
 //! `tests/pool_equivalence.rs`.
 
 use crate::scalar::Scalar;
+use crate::simd::{self, Tier};
 use crate::threadpool::{self, SendPtr};
 use crate::threads::{col_partition, workers_for};
 use std::ops::Range;
@@ -90,7 +97,8 @@ use std::ops::Range;
 /// Width of the struct-of-arrays accumulator strip: independent
 /// [`Scalar::Acc`] lanes held in registers across a whole panel.
 /// Sixteen `u64` lanes are two AVX-512 registers or four AVX2
-/// registers — within budget everywhere.
+/// registers — within budget everywhere, and what leaves the register
+/// tile of [`crate::simd`] room for eight (six) output rows at once.
 pub(crate) const LANES: usize = 16;
 
 /// Reduction positions per packed panel (the `k` block): with 8-byte
@@ -149,9 +157,9 @@ macro_rules! per_lane {
 }
 pub(crate) use per_lane;
 
-/// The micro-kernel: `cs[l] (=|+=) Σ_p a[p·a_stride] · panel[p][l]` for
-/// `l = 0..LANES`, over the `panel.len() / LANES` rows of one packed
-/// block.
+/// The portable micro-kernel: `cs[l] (=|+=) Σ_p a[p·a_stride] ·
+/// panel[p][l]` for `l = 0..LANES`, over the `panel.len() / LANES` rows
+/// of one packed block.
 ///
 /// `load` selects accumulate (start from the lifted `cs`) or write
 /// (start from zero; `cs` is not read). The body is one zero-test on
@@ -161,9 +169,6 @@ pub(crate) use per_lane;
 /// zero elements of `A` skipped.
 #[inline]
 fn lane_strip<T: Scalar>(a: &[T], a_stride: usize, panel: &[T], cs: &mut [T; LANES], load: bool) {
-    if crate::simd::try_f25_lane_strip(a, a_stride, panel, cs, load) {
-        return;
-    }
     let mut acc = [T::acc_zero(); LANES];
     if load {
         per_lane!(L => acc[L] = cs[L].acc_lift());
@@ -184,14 +189,19 @@ fn lane_strip<T: Scalar>(a: &[T], a_stride: usize, panel: &[T], cs: &mut [T; LAN
 /// rows)` must overwrite `rows` (`kb × LANES`, row-major) with
 /// `B[p0..p0+kb, j0..j0+LANES]`, zero in the lanes past column `n`.
 ///
+/// With a `tier` (so `T` is `F25`) each packed
+/// block goes to the register tile, all `m` rows in one call; without,
+/// to the portable [`lane_strip`] row by row.
+///
 /// # Safety
 ///
 /// `c` must point to an `m × n` row-major matrix that is valid for
 /// reads and writes, and nothing else may access its columns `cols`
 /// for the duration of the call. `cols.start` must be a multiple of
-/// [`LANES`] and `cols.end <= n`.
+/// [`LANES`] and `cols.end <= n`. `a` must hold `A[m−1, k−1]`.
 #[allow(clippy::too_many_arguments)]
 unsafe fn gemm_strips<T: Scalar, F: Fn(usize, usize, &mut [T])>(
+    tier: Option<Tier>,
     a: &[T],
     (a_row, a_col): (usize, usize),
     c: *mut T,
@@ -208,6 +218,18 @@ unsafe fn gemm_strips<T: Scalar, F: Fn(usize, usize, &mut [T])>(
             let rows = &mut panel.0[..kb * LANES];
             fill(p0, j0, rows);
             let load = !write || p0 > 0;
+            if let Some(tier) = tier {
+                // SAFETY: `A[i, p0 + p]` for `i < m`, `p < kb` is inside
+                // `a` (the caller vouched for its last element), `rows`
+                // is the `kb × LANES` block just filled, and columns
+                // `j0..j0+w` of every row of `C` lie inside `cols`,
+                // which the caller reserved for this call.
+                unsafe {
+                    let ap = a.as_ptr().add(p0 * a_col);
+                    simd::gemm_block(tier, ap, (a_row, a_col), kb, rows.as_ptr(), c.add(j0), n, m, w, load);
+                }
+                continue;
+            }
             for i in 0..m {
                 let ai = &a[i * a_row + p0 * a_col..];
                 // SAFETY: row `i`, columns `j0..j0+w` lie inside the
@@ -240,6 +262,23 @@ pub(crate) fn gemm_packed<T: Scalar, F: Fn(usize, usize, &mut [T]) + Sync>(
     a: &[T],
     a_strides: (usize, usize),
     c: &mut [T],
+    dims: (usize, usize, usize),
+    write: bool,
+    panel: &mut Panel<T>,
+    fill: &F,
+) {
+    gemm_packed_on(simd::tier::<T>(), a, a_strides, c, dims, write, panel, fill);
+}
+
+/// [`gemm_packed`] on a given tier (`None`: the portable kernel): the
+/// tier is resolved once per product, here, and the tests drive each
+/// one the host offers directly.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn gemm_packed_on<T: Scalar, F: Fn(usize, usize, &mut [T]) + Sync>(
+    tier: Option<Tier>,
+    a: &[T],
+    a_strides: (usize, usize),
+    c: &mut [T],
     (m, k, n): (usize, usize, usize),
     write: bool,
     panel: &mut Panel<T>,
@@ -255,11 +294,13 @@ pub(crate) fn gemm_packed<T: Scalar, F: Fn(usize, usize, &mut [T]) + Sync>(
         }
         return;
     }
+    assert!((m - 1) * a_strides.0 + (k - 1) * a_strides.1 < a.len(), "A size");
     let (tasks, cols_per) = col_partition(n, LANES, m.saturating_mul(k).saturating_mul(n));
     let cp = SendPtr(c.as_mut_ptr());
     if tasks <= 1 {
-        // SAFETY: `c` is exclusively borrowed and exactly `m × n`.
-        unsafe { gemm_strips(a, a_strides, cp.0, (m, k, n), 0..n, write, panel, fill) };
+        // SAFETY: `c` is exclusively borrowed and exactly `m × n`; `a`
+        // holds `A[m−1, k−1]` by the assert above.
+        unsafe { gemm_strips(tier, a, a_strides, cp.0, (m, k, n), 0..n, write, panel, fill) };
         return;
     }
     threadpool::run_tasks(tasks, &move |t| {
@@ -271,7 +312,9 @@ pub(crate) fn gemm_packed<T: Scalar, F: Fn(usize, usize, &mut [T]) + Sync>(
         // SAFETY: `c` is exclusively borrowed for the whole fan-out and
         // the tasks' column ranges are disjoint (`cols_per` is a
         // multiple of `LANES`, so no strip straddles two tasks).
-        unsafe { gemm_strips(a, a_strides, cp.0, (m, k, n), cols, write, &mut Panel::new(), fill) };
+        unsafe {
+            gemm_strips(tier, a, a_strides, cp.0, (m, k, n), cols, write, &mut Panel::new(), fill)
+        };
     });
 }
 
@@ -407,12 +450,20 @@ fn a_bt_block_ordered<T: Scalar>(a: &[T], b: &[T], c: &mut [T], rows: usize, k: 
     }
 }
 
-/// Serial kernel: `C[rows×n] = A[rows×k] · Bᵀ` with `B` stored `n×k`.
-fn a_bt_block<T: Scalar>(a: &[T], b: &[T], c: &mut [T], rows: usize, k: usize, n: usize) {
-    if crate::simd::try_f25_a_bt_block(a, b, c, rows, k, n) {
-        return;
-    }
-    if T::EXACT {
+/// Serial kernel: `C[rows×n] = A[rows×k] · Bᵀ` with `B` stored `n×k`,
+/// on a tier from [`simd::tier`] or the portable bodies.
+fn a_bt_block<T: Scalar>(
+    tier: Option<Tier>,
+    a: &[T],
+    b: &[T],
+    c: &mut [T],
+    rows: usize,
+    k: usize,
+    n: usize,
+) {
+    if let Some(tier) = tier {
+        simd::a_bt_block(tier, a, b, c, (rows, k, n));
+    } else if T::EXACT {
         a_bt_block_exact(a, b, c, rows, k, n);
     } else {
         a_bt_block_ordered(a, b, c, rows, k, n);
@@ -526,13 +577,26 @@ pub fn matmul_at_b<T: Scalar>(a: &[T], b: &[T], m: usize, k: usize, n: usize) ->
 ///
 /// Panics if slice lengths do not match the given dimensions.
 pub fn matmul_a_bt_into<T: Scalar>(a: &[T], b: &[T], c: &mut [T], m: usize, k: usize, n: usize) {
+    matmul_a_bt_on(simd::tier::<T>(), a, b, c, m, k, n);
+}
+
+/// [`matmul_a_bt_into`] on a given tier, as [`gemm_packed_on`].
+pub(crate) fn matmul_a_bt_on<T: Scalar>(
+    tier: Option<Tier>,
+    a: &[T],
+    b: &[T],
+    c: &mut [T],
+    m: usize,
+    k: usize,
+    n: usize,
+) {
     assert_eq!(a.len(), m * k, "A size");
     assert_eq!(b.len(), n * k, "B size");
     assert_eq!(c.len(), m * n, "C size");
     if m == 0 || n == 0 {
         return;
     }
-    run_row_partitioned(a, c, m, k, n, |ach, cch, rows| a_bt_block(ach, b, cch, rows, k, n));
+    run_row_partitioned(a, c, m, k, n, |ach, cch, rows| a_bt_block(tier, ach, b, cch, rows, k, n));
 }
 
 /// `C[m×n] = A · Bᵀ` where `B` is stored as `n×k`.
@@ -577,6 +641,7 @@ pub fn matvec<T: Scalar>(a: &[T], x: &[T], m: usize, k: usize) -> Vec<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::reference::{naive_matmul, naive_matmul_a_bt};
     use dk_field::F25;
 
     fn naive<T: Scalar>(a: &[T], b: &[T], m: usize, k: usize, n: usize) -> Vec<T> {
@@ -753,6 +818,98 @@ mod tests {
         let mut y = vec![F25::new(999); m];
         matvec_into(&a, &x, &mut y, m, k);
         assert_eq!(y, matvec(&a, &x, m, k));
+    }
+
+    /// `A` stored both ways: row-major `m×k` (strides `(k, 1)`) and as
+    /// its transpose `k×m` (strides `(1, m)`).
+    fn both_layouts(a: &[F25], m: usize, k: usize) -> [(Vec<F25>, (usize, usize)); 2] {
+        let mut a_t = vec![F25::ZERO; k * m];
+        for i in 0..m {
+            for p in 0..k {
+                a_t[p * m + i] = a[i * k + p];
+            }
+        }
+        [(a.to_vec(), (k, 1)), (a_t, (1, m))]
+    }
+
+    /// Runs one product on every tier the host offers, in write mode
+    /// over a poisoned `C` and in accumulate mode over `c0`, both stride
+    /// pairs, against the per-MAC reference.
+    fn check_tile(a: &[F25], b: &[F25], c0: &[F25], dims: (usize, usize, usize)) {
+        let (m, k, n) = dims;
+        let want = naive_matmul(a, b, m, k, n);
+        let want_acc: Vec<F25> = c0.iter().zip(&want).map(|(&c, &w)| c + w).collect();
+        let fill = fill_from_rows(b, n);
+        for (a, strides) in both_layouts(a, m, k) {
+            for tier in crate::simd::offered_tiers() {
+                let mut c = vec![F25::new(0x1ab_cdef); m * n];
+                gemm_packed_on(Some(tier), &a, strides, &mut c, dims, true, &mut Panel::new(), &fill);
+                assert_eq!(c, want, "{tier:?} write {dims:?} strides {strides:?}");
+                let mut c = c0.to_vec();
+                gemm_packed_on(Some(tier), &a, strides, &mut c, dims, false, &mut Panel::new(), &fill);
+                assert_eq!(c, want_acc, "{tier:?} acc {dims:?} strides {strides:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn tile_matches_reference_on_every_tier() {
+        // Rows around every tile height and its tails, reduction lengths
+        // around the panel block, widths around the strip. The widest
+        // shape (many strips, fanned out) takes three row counts: the
+        // per-MAC reference is what this test's time goes to.
+        let mut rng = dk_field::FieldRng::seed_from(0x711e);
+        for k in [0usize, 1, 9, 27, 255, 256, 257, 600] {
+            for n in [1usize, 15, 16, 17, 48, 1000] {
+                let b = rng.uniform_vec(k * n);
+                for m in (0..=17).filter(|m| n < 1000 || [1, 9, 17].contains(m)) {
+                    check_tile(&rng.uniform_vec(m * k), &b, &rng.uniform_vec(m * n), (m, k, n));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn tile_holds_the_worst_case_block_on_every_tier() {
+        // All-(P−1) operands on top of a (P−1) carry-in fill every lane
+        // to the `< 2^58` budget the vector reduce is argued for; all-zero
+        // operands are the case the old kernels branched around.
+        let top = F25::new(dk_field::P25 - 1);
+        for k in [PANEL_ROWS, PANEL_ROWS + 1, 600] {
+            for n in [16usize, 17] {
+                for m in [1usize, 8, 9, 17] {
+                    let (b, c0) = (vec![top; k * n], vec![top; m * n]);
+                    check_tile(&vec![top; m * k], &b, &c0, (m, k, n));
+                    check_tile(&vec![F25::ZERO; m * k], &b, &c0, (m, k, n));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn dot_block_matches_reference_on_every_tier() {
+        // Reduction lengths around the lane width and around the fold
+        // period of both tiers (255 steps of 4 or 8 positions); row and
+        // column counts around the 2×4 block.
+        let mut rng = dk_field::FieldRng::seed_from(0xd07);
+        let top = F25::new(dk_field::P25 - 1);
+        for tier in crate::simd::offered_tiers() {
+            for k in [0usize, 1, 7, 8, 9, 27, 1019, 1020, 1021, 2039, 2040, 2041, 4100] {
+                for n in [1usize, 3, 4, 5, 9] {
+                    for m in 1..=3 {
+                        for worst in [false, true] {
+                            let (a, b) = match worst {
+                                true => (vec![top; m * k], vec![top; n * k]),
+                                false => (rng.uniform_vec(m * k), rng.uniform_vec(n * k)),
+                            };
+                            let mut c = vec![F25::new(0x1ab_cdef); m * n];
+                            matmul_a_bt_on(Some(tier), &a, &b, &mut c, m, k, n);
+                            assert_eq!(c, naive_matmul_a_bt(&a, &b, m, k, n), "{tier:?} {m}x{k}x{n}");
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -1,39 +1,63 @@
-//! Hand-vectorized `F25` inner kernels for x86-64.
+//! The `F25` register-tile micro-kernel for x86-64.
 //!
-//! The generic lane-strip kernels in [`crate::matmul`] are written so
-//! the autovectorizer *can* emit SIMD for them, and it does for floats —
-//! but for the 25-bit field the widening `u32×u32→u64` multiply chain
-//! defeats both the loop vectorizer (it keeps the accumulator strip
-//! stack-resident) and the SLP vectorizer (it leaves eight scalar
-//! `imul`s). The fix that actually sticks is explicit AVX2: canonical
-//! `F25` values are `u64`s below `2^25`, so the packed widening multiply
-//! (`vpmuludq`, which reads the low 32 bits of each 64-bit lane)
-//! computes four exact unreduced products per instruction, and `vpaddq`
-//! accumulates them — the same delayed-Barrett-fold schedule as the
-//! generic kernel, four lanes at a time.
+//! The generic kernels in [`crate::matmul`] and [`crate::coded`] are
+//! written so the autovectorizer *can* emit SIMD for them, and it does
+//! for floats — but for the 25-bit field the widening multiply chain
+//! defeats it. Canonical `F25` values are `u64`s below `2^25`, so a
+//! product is below `2^50`: it fits the 52-bit multiplier of AVX-512
+//! IFMA (`vpmadd52luq`: eight exact multiply-accumulates in one
+//! instruction — the reason the prime has 25 bits) and the 32-bit
+//! widening multiply of AVX2 (`vpmuludq` + `vpaddq`: four in two).
+//! Field arithmetic is exact ([`crate::Scalar::EXACT`]): no lane split,
+//! tile shape or fold placement can move a bit, and a zero operand adds
+//! zero, so the bodies here carry no zero test. They stay bit-for-bit
+//! identical to [`crate::reference`], which this module's tests, the
+//! `*_equivalence` suites and the workspace's golden table check.
 //!
-//! There is one hand-written tier. AVX2 is detected at runtime; an
-//! x86-64 CPU without it takes the portable kernels — the path aarch64
-//! runs, and the one the `f32` / `F61` instantiations exercise on every
-//! host — rather than a second, SSE2 copy of each kernel that no AVX2
-//! host (CI, the benchmark host, every committed number) would ever
-//! execute or test.
+//! # One body, two lane widths
 //!
-//! Dispatch is by `TypeId` from the generic kernels: the comparison is
-//! against a monomorphized constant, so every non-`F25` instantiation
-//! const-folds the check away and keeps its portable loop. Field
-//! arithmetic is exact ([`crate::Scalar::EXACT`]), so lane splits and
-//! fold placement cannot change any result: these kernels remain
-//! bit-for-bit identical to [`crate::reference`], which the
-//! `kernel_equivalence` and proptest suites check on every run.
+//! Everything is written **once** over [`x86::Lanes`], a shim of a
+//! dozen one-line operations (load, masked load/store, broadcast,
+//! multiply-accumulate, reduce, horizontal sum) on a register of `W`
+//! `u64` lanes:
 //!
-//! Without AVX2 — and on non-x86-64 targets — every `try_*` entry point
-//! returns `false` and the portable kernels run unchanged.
+//! * the **tile** — `MR` output rows × two registers of columns held as
+//!   `2·MR` accumulators across a whole reduction block: each `B` row is
+//!   loaded once per `MR` output rows, each `A` element is broadcast
+//!   straight from memory, nothing but multiply-accumulates runs in the
+//!   loop;
+//! * its **epilogue** — [`x86::Lanes::reduce`], two or three
+//!   pseudo-Mersenne folds (`2^25 ≡ 39`, `2^50 ≡ 39²  (mod 2^25 − 39)`)
+//!   and one conditional subtract, in register, for any lane below
+//!   `2^58` (one canonical carry-in plus [`PANEL_ROWS`] products), then a
+//!   masked store so a partial strip writes only its own columns;
+//! * the **packed-panel block** ([`gemm_block`]) and the **coded
+//!   block** ([`coded_block`]): the same tile over `B` rows that are
+//!   panel rows in one and the scheme's separate source vectors in the
+//!   other — every output row of a strip, the §4.4 check row included,
+//!   from one load of each source chunk;
+//! * the **dot block** ([`a_bt_block`]): two rows of `A` against four
+//!   rows of `B` along the reduction dimension, merged exactly at the
+//!   end.
+//!
+//! A tier is a [`x86::Lanes`] impl and its geometry: `Ifma` (eight
+//! lanes, `MR = 8`: 16 of 32 `zmm` accumulate) and `Avx2` (four lanes,
+//! `MR = 6`: 12 of 16 `ymm`, a strip in two column halves). The best
+//! tier the CPU offers is detected once per process ([`tier`]) and
+//! resolved once per product, not per strip. There is no SSE2 tier — no
+//! host that builds this repository would run or test it — whereas the
+//! benchmark host offers both tiers here and any CI runner at least
+//! AVX2, and the tests drive each tier the host offers directly, not
+//! through [`tier`]. An x86-64 CPU without AVX2, and every other
+//! architecture, gets `None` from [`tier`] and runs the portable
+//! kernels — the ones `f32` and `F61` exercise on every host.
 
-#[cfg(target_arch = "x86_64")]
+// Off x86-64 `Kind` is uninhabited and every `match` on it is empty:
+// the entry points still type-check, their arguments just go unused.
+#![cfg_attr(not(target_arch = "x86_64"), allow(unused_variables))]
+
 use crate::coded::MAX_TERMS;
-use crate::matmul::LANES;
-use crate::scalar::Scalar;
+use crate::matmul::{LANES, PANEL_ROWS};
 use std::any::TypeId;
 
 /// `true` iff the monomorphized element type is exactly [`dk_field::F25`].
@@ -43,455 +67,824 @@ fn is_f25<T: 'static>() -> bool {
     TypeId::of::<T>() == TypeId::of::<dk_field::F25>()
 }
 
-/// The packed-panel matmul micro-kernel (contract as
-/// [`crate::matmul`]'s `lane_strip`). Returns `false` (caller runs the
-/// portable kernel) unless `T` is `F25` on x86-64 with AVX2.
-#[inline(always)]
-pub(crate) fn try_f25_lane_strip<T: Scalar>(
-    a: &[T],
-    a_stride: usize,
-    panel: &[T],
-    cs: &mut [T; LANES],
-    load: bool,
-) -> bool {
+/// A vector instruction tier this CPU offers. Only detection builds one
+/// ([`tier`]; the tests' `offered_tiers`), so holding a `Tier` is the
+/// proof the `#[target_feature]` entry points need.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) struct Tier(Kind);
+
+/// Uninhabited off x86-64.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Kind {
+    /// AVX2: four `u64` lanes, `vpmuludq` + `vpaddq`.
     #[cfg(target_arch = "x86_64")]
-    {
-        if is_f25::<T>() && x86::has_avx2() {
-            let kb = panel.len() / LANES;
-            assert!(panel.len() == kb * LANES && (kb == 0 || (kb - 1) * a_stride < a.len()));
-            // One block's products must fit the u64 lanes without a fold.
-            assert!(kb <= <dk_field::F25 as Scalar>::FOLD_INTERVAL);
-            // SAFETY: `T == F25` (TypeId-checked), so these casts are
-            // identities; `F25` is `repr(transparent)` over `u64`.
-            let (a, panel, cs) = unsafe {
-                (
-                    cast_slice::<T>(a),
-                    cast_slice::<T>(panel),
-                    &mut *(cs as *mut [T; LANES] as *mut [dk_field::F25; LANES]),
-                )
-            };
-            // SAFETY: the assert above is the body's precondition, and
-            // `has_avx2()` was checked on the way in.
-            unsafe { x86::lane_strip_avx2(a, a_stride, panel, cs, load) };
-            return true;
-        }
-    }
-    let _ = (a, a_stride, panel, cs, load);
-    false
+    Avx2,
+    /// AVX-512 F + IFMA: eight `u64` lanes, `vpmadd52luq`.
+    #[cfg(target_arch = "x86_64")]
+    Ifma,
 }
 
-/// `C[rows×n] = A[rows×k] · Bᵀ` (`B` stored `n×k`) — the dot-orientation
-/// block, vectorized along the reduction dimension. Returns `false`
-/// unless `T` is `F25` on x86-64 with AVX2.
-pub(crate) fn try_f25_a_bt_block<T: Scalar>(
-    a: &[T],
-    b: &[T],
-    c: &mut [T],
-    rows: usize,
-    k: usize,
-    n: usize,
-) -> bool {
+impl Kind {
+    /// Every tier, best first.
     #[cfg(target_arch = "x86_64")]
-    {
-        if is_f25::<T>() && x86::has_avx2() {
-            // SAFETY: identity casts as in `try_f25_lane_strip`.
-            let (a, b, c) = unsafe {
-                (
-                    cast_slice::<T>(a),
-                    cast_slice::<T>(b),
-                    std::slice::from_raw_parts_mut(c.as_mut_ptr() as *mut dk_field::F25, c.len()),
-                )
-            };
-            for i in 0..rows {
-                let arow = &a[i * k..(i + 1) * k];
-                for (j, cj) in c[i * n..(i + 1) * n].iter_mut().enumerate() {
-                    let brow = &b[j * k..(j + 1) * k];
-                    // SAFETY: equal-length rows; AVX2 was detected above.
-                    *cj = unsafe { x86::dot_avx2(arow, brow) };
-                }
-            }
-            return true;
+    const ALL: [Kind; 2] = [Kind::Ifma, Kind::Avx2];
+    #[cfg(not(target_arch = "x86_64"))]
+    const ALL: [Kind; 0] = [];
+
+    /// The tier, if this CPU can run it.
+    fn detect(self) -> Option<Tier> {
+        match self {
+            #[cfg(target_arch = "x86_64")]
+            Kind::Avx2 => std::arch::is_x86_feature_detected!("avx2").then_some(Tier(self)),
+            #[cfg(target_arch = "x86_64")]
+            Kind::Ifma => (std::arch::is_x86_feature_detected!("avx512f")
+                && std::arch::is_x86_feature_detected!("avx512ifma"))
+            .then_some(Tier(self)),
         }
     }
-    let _ = (a, b, c, rows, k, n);
-    false
 }
 
-/// `C strip += Σ_p crow[p] · xs[p][j..j+LANES]` — the coded-combine
-/// strip, where each reduction position reads its **own** row slice
-/// instead of a stride of one flat matrix. Returns `false` unless `T`
-/// is `F25` on x86-64 with AVX2.
-///
-/// # Panics
-///
-/// On the AVX2 path, if `crow` holds more than
-/// [`MAX_TERMS`](crate::coded::MAX_TERMS) terms or
-/// `xs` a different number of rows: one register group is the kernel's
-/// precondition (the canonical strip init plus that many products stay
-/// far below the u64 budget, so there are no mid-strip folds).
-#[inline(always)]
-pub(crate) fn try_f25_coded_strip<T: Scalar>(
-    crow: &[T],
-    xs: &[&[T]],
-    cs: &mut [T; LANES],
-    j: usize,
-) -> bool {
-    #[cfg(target_arch = "x86_64")]
-    {
-        if is_f25::<T>() && x86::has_avx2() {
-            assert!(crow.len() <= MAX_TERMS && xs.len() == crow.len());
-            // SAFETY: identity casts as in `try_f25_lane_strip`.
-            let crow_f = unsafe { cast_slice::<T>(crow) };
-            let mut xp = [std::ptr::null::<dk_field::F25>(); MAX_TERMS];
-            for (d, s) in xp.iter_mut().zip(xs.iter()) {
-                debug_assert!(s.len() >= j + LANES);
-                *d = s.as_ptr() as *const dk_field::F25;
-            }
-            let cs_f = unsafe { &mut *(cs as *mut [T; LANES] as *mut [dk_field::F25; LANES]) };
-            // SAFETY: strip callers guarantee `j + LANES` elements in
-            // every row; AVX2 was detected above.
-            unsafe { x86::coded_strip_avx2(crow_f, &xp[..crow_f.len()], cs_f, j) };
-            return true;
-        }
+/// The tier products over `T` run on: the best one the CPU offers when
+/// `T` is `F25`, `None` (the portable kernels) otherwise. Detected once
+/// per process; for every other `T` the test folds away at compile
+/// time.
+#[inline]
+pub(crate) fn tier<T: 'static>() -> Option<Tier> {
+    static BEST: std::sync::OnceLock<Option<Tier>> = std::sync::OnceLock::new();
+    if is_f25::<T>() {
+        *BEST.get_or_init(|| Kind::ALL.into_iter().find_map(Kind::detect))
+    } else {
+        None
     }
-    let _ = (crow, xs, cs, j);
-    false
 }
 
-/// Store-mode variant of [`try_f25_coded_strip`]: accumulators start
-/// from the canonical lift of zero and the finished lanes are written
-/// straight through `out` — the destination is never read, so it may
-/// be uninitialized (recycled pool capacity).
-///
-/// # Panics
-///
-/// As [`try_f25_coded_strip`].
+/// One packed block of a strip, all `m` output rows:
+/// `C[i, 0..w] (=|+=) Σ_{p<kb} A[i, p] · panel[p][0..w]`, with
+/// `A[i, p]` at `a[i·a_row + p·a_col]`, `panel` `kb × LANES` row-major
+/// and `C[i, ·]` at `c[i·ldc ..]`. `load` accumulates on top of `C`
+/// (canonical values); otherwise `C` is written without being read.
 ///
 /// # Safety
 ///
-/// `out` must be valid for [`LANES`] writes and every row in `xs` must
-/// hold at least `j + LANES` elements.
-pub(crate) unsafe fn try_f25_coded_strip_store<T: Scalar>(
-    crow: &[T],
-    xs: &[&[T]],
-    out: *mut T,
-    j: usize,
-) -> bool {
-    #[cfg(target_arch = "x86_64")]
-    {
-        if is_f25::<T>() && x86::has_avx2() {
-            assert!(crow.len() <= MAX_TERMS && xs.len() == crow.len());
-            // SAFETY: identity casts as in `try_f25_lane_strip`.
-            let crow_f = unsafe { cast_slice::<T>(crow) };
-            let mut xp = [std::ptr::null::<dk_field::F25>(); MAX_TERMS];
-            for (d, s) in xp.iter_mut().zip(xs.iter()) {
-                debug_assert!(s.len() >= j + LANES);
-                *d = s.as_ptr() as *const dk_field::F25;
-            }
-            let out_f = out as *mut dk_field::F25;
-            // SAFETY: caller guarantees `j + LANES` elements per row and
-            // `LANES` writable slots at `out`; AVX2 was detected above.
-            unsafe { x86::coded_strip_store_avx2(crow_f, &xp[..crow_f.len()], out_f, j) };
-            return true;
-        }
+/// `a` is valid for reads at every `i·a_row + p·a_col`, `i < m`,
+/// `p < kb`; `panel` for `kb · LANES` reads; `c` for reads and writes of
+/// `w ≤ LANES` elements at every `i·ldc`, `i < m`, shared with no one
+/// for the call.
+///
+/// # Panics
+///
+/// If `T` is not `F25`, or `kb > PANEL_ROWS`: the tile reduces once per
+/// block, on that budget.
+#[allow(clippy::too_many_arguments)]
+pub(crate) unsafe fn gemm_block<T: 'static>(
+    tier: Tier,
+    a: *const T,
+    (a_row, a_col): (usize, usize),
+    kb: usize,
+    panel: *const T,
+    c: *mut T,
+    ldc: usize,
+    m: usize,
+    w: usize,
+    load: bool,
+) {
+    assert!(is_f25::<T>(), "the tile is an F25 kernel");
+    assert!(kb <= PANEL_ROWS, "a block holds at most PANEL_ROWS products per lane");
+    debug_assert!((1..=LANES).contains(&w));
+    // `F25` is `repr(transparent)` over `u64`, so the casts are identities.
+    let (a, panel, c) = (a as *const u64, panel as *const u64, c as *mut u64);
+    match tier.0 {
+        // SAFETY (both arms): the caller's contract is the body's, and
+        // a `Tier` exists only where its CPU features were detected.
+        #[cfg(target_arch = "x86_64")]
+        Kind::Avx2 => unsafe { x86::gemm_block_avx2(a, a_row, a_col, kb, panel, c, ldc, m, w, load) },
+        #[cfg(target_arch = "x86_64")]
+        Kind::Ifma => unsafe { x86::gemm_block_ifma(a, a_row, a_col, kb, panel, c, ldc, m, w, load) },
     }
-    let _ = (crow, xs, out, j);
-    false
 }
 
-/// Reinterprets `&[T]` as `&[F25]`. Caller must have proven `T == F25`.
-#[cfg(target_arch = "x86_64")]
-#[inline(always)]
-unsafe fn cast_slice<T: 'static>(s: &[T]) -> &[dk_field::F25] {
-    debug_assert!(is_f25::<T>());
-    unsafe { std::slice::from_raw_parts(s.as_ptr() as *const dk_field::F25, s.len()) }
+/// Columns `j0..j1` of a coded combine, every output row in one pass:
+/// `outs[r][j] (=|+=) Σ_p coeff[r·cstride + p] · xs[p][j]`, plus — with
+/// `check = (w, expect)` — the predicted row `Σ_p w[p] · xs[p][j]`
+/// compared against `expect[j]`; returns the number of mismatches.
+/// `load` accumulates on top of canonical `outs`; otherwise they are
+/// written without being read.
+///
+/// # Safety
+///
+/// Every `xs[p]` is valid for `j1` reads, every `outs[r]` for `j1`
+/// writes (and reads, with `load`) with columns `j0..j1` shared with no
+/// one for the call; `coeff` is valid for reads at `r·cstride + p` for
+/// every output row `r` and `p < xs.len()`; `w` for `xs.len()` reads and
+/// `expect` for `j1`.
+///
+/// # Panics
+///
+/// If `T` is not `F25`, or `xs` holds more than [`MAX_TERMS`] rows.
+#[allow(clippy::too_many_arguments)]
+pub(crate) unsafe fn coded_block<T: 'static>(
+    tier: Tier,
+    coeff: *const T,
+    cstride: usize,
+    xs: &[*const T],
+    outs: &[*mut T],
+    (j0, j1): (usize, usize),
+    load: bool,
+    check: Option<(*const T, *const T)>,
+) -> usize {
+    assert!(is_f25::<T>(), "the tile is an F25 kernel");
+    assert!(xs.len() <= MAX_TERMS, "a coded combine takes at most MAX_TERMS input rows");
+    let coeff = coeff as *const u64;
+    // SAFETY: `*const T` and `*const u64` are the same type up to the
+    // pointee, which `F25`'s `repr(transparent)` makes an identity.
+    let (xs, outs) = unsafe {
+        (
+            std::slice::from_raw_parts(xs.as_ptr() as *const *const u64, xs.len()),
+            std::slice::from_raw_parts(outs.as_ptr() as *const *mut u64, outs.len()),
+        )
+    };
+    let check = check.map(|(w, e)| (w as *const u64, e as *const u64));
+    match tier.0 {
+        // SAFETY (both arms): as in `gemm_block`.
+        #[cfg(target_arch = "x86_64")]
+        Kind::Avx2 => unsafe { x86::coded_block_avx2(coeff, cstride, xs, outs, j0, j1, load, check) },
+        #[cfg(target_arch = "x86_64")]
+        Kind::Ifma => unsafe { x86::coded_block_ifma(coeff, cstride, xs, outs, j0, j1, load, check) },
+    }
+}
+
+/// `C[rows×n] = A[rows×k] · Bᵀ` (`B` stored `n×k`): the dot
+/// orientation, vectorized along the reduction dimension.
+///
+/// # Panics
+///
+/// If `T` is not `F25`, or a slice is shorter than its matrix.
+pub(crate) fn a_bt_block<T: 'static>(
+    tier: Tier,
+    a: &[T],
+    b: &[T],
+    c: &mut [T],
+    (rows, k, n): (usize, usize, usize),
+) {
+    assert!(is_f25::<T>(), "the tile is an F25 kernel");
+    assert!(a.len() >= rows * k && b.len() >= n * k && c.len() >= rows * n);
+    let (a, b, c) = (a.as_ptr() as *const u64, b.as_ptr() as *const u64, c.as_mut_ptr() as *mut u64);
+    match tier.0 {
+        // SAFETY (both arms): the assert above bounds every access the
+        // body makes (`rows × k`, `n × k`, `rows × n`); features as in
+        // `gemm_block`.
+        #[cfg(target_arch = "x86_64")]
+        Kind::Avx2 => unsafe { x86::a_bt_block_avx2(a, b, c, rows, k, n) },
+        #[cfg(target_arch = "x86_64")]
+        Kind::Ifma => unsafe { x86::a_bt_block_ifma(a, b, c, rows, k, n) },
+    }
 }
 
 #[cfg(target_arch = "x86_64")]
 mod x86 {
-    use super::LANES;
-    use crate::scalar::Scalar;
+    use super::{LANES, MAX_TERMS, PANEL_ROWS};
     use core::arch::x86_64::*;
-    use dk_field::F25;
-    use std::sync::OnceLock;
+    use dk_field::{F25, P25};
 
-    // The strip kernels hard-code their register allocation: 16 lanes
-    // are four AVX2 accumulators.
-    const _: () = assert!(LANES == 16);
+    const M25: i64 = (1 << 25) - 1;
+    /// `2^25 mod P25`; its square is `2^50 mod P25`.
+    const C25: i64 = (1 << 25) - P25 as i64;
+    const P: i64 = P25 as i64;
 
-    /// One fold chunk: the per-lane unreduced-product budget of the
-    /// `u64` accumulator (2^14 for the 25-bit prime).
-    const CHUNK: usize = <F25 as Scalar>::FOLD_INTERVAL;
+    /// Most output rows any tier's tile holds.
+    const MR_MAX: usize = 8;
 
-    pub(super) fn has_avx2() -> bool {
-        static AVX2: OnceLock<bool> = OnceLock::new();
-        *AVX2.get_or_init(|| std::arch::is_x86_feature_detected!("avx2"))
-    }
-
-    /// Reduces all four `u64` lanes to canonical `F25` entirely
-    /// in-register, for lanes bounded by the coded-strip budget:
-    /// at most `MAX_TERMS = 16` products plus one
-    /// canonical carry-in, i.e. `v < 2^25 + 16·(P25−1)² < 2^54.1`.
-    ///
-    /// Two pseudo-Mersenne folds (`2^25 ≡ 39 (mod P25)`) bring the
-    /// value under `2·P25`, then one masked subtract lands canonical —
-    /// the canonical residue is unique, so the bits match the scalar
-    /// Barrett [`F25::reduce_u64`] exactly. After the first fold
-    /// `v₁ ≤ 2^25 + (2^29)·39 < 2^34.3`; after the second
-    /// `v₂ ≤ 2^25 + 625·39 < 2·P25` and fits in 31 bits, so the
-    /// 32-bit signed compare used for the subtract mask is exact (the
-    /// high dwords are zero on both sides and compare false).
-    #[inline]
-    #[target_feature(enable = "avx2")]
-    unsafe fn reduce4_coded(v: __m256i) -> __m256i {
-        {
-            let mask = _mm256_set1_epi64x((1i64 << 25) - 1);
-            let c39 = _mm256_set1_epi64x(39);
-            let v1 = _mm256_add_epi64(
-                _mm256_and_si256(v, mask),
-                _mm256_mul_epu32(_mm256_srli_epi64(v, 25), c39),
-            );
-            let v2 = _mm256_add_epi64(
-                _mm256_and_si256(v1, mask),
-                _mm256_mul_epu32(_mm256_srli_epi64(v1, 25), c39),
-            );
-            let p = _mm256_set1_epi64x(dk_field::P25 as i64);
-            let gt = _mm256_cmpgt_epi32(v2, _mm256_set1_epi64x((dk_field::P25 - 1) as i64));
-            _mm256_sub_epi64(v2, _mm256_and_si256(gt, p))
-        }
-    }
-
-    /// Folds all four `u64` lanes back to canonical range.
-    #[inline]
-    #[target_feature(enable = "avx2")]
-    unsafe fn fold4(v: __m256i) -> __m256i {
-        let mut t = [0u64; 4];
-        unsafe { _mm256_storeu_si256(t.as_mut_ptr() as *mut __m256i, v) };
-        _mm256_set_epi64x(
-            F25::reduce_u64(t[3]).value() as i64,
-            F25::reduce_u64(t[2]).value() as i64,
-            F25::reduce_u64(t[1]).value() as i64,
-            F25::reduce_u64(t[0]).value() as i64,
-        )
-    }
-
-    /// AVX2 matmul strip over one packed panel block: sixteen column
-    /// accumulators in four `ymm` registers, four exact widening
-    /// products per `vpmuludq`, panel rows at the constant stride
-    /// [`LANES`]. With `load`, the accumulators start from the lifted C
-    /// strip, exactly like the portable kernel (`acc_lift` is the
-    /// canonical value). A block holds at most `PANEL_ROWS` products per
-    /// lane on top of one canonical value, far inside the `u64` budget,
-    /// so there is no fold inside the loop.
+    /// What a tier is: a register of [`Lanes::W`] `u64` lanes, the
+    /// operations the bodies below are written over, and the tile
+    /// height its register file affords.
     ///
     /// # Safety
     ///
-    /// With `kb = panel.len() / LANES`: `panel.len() == kb * LANES` and
-    /// `a` holds element `(kb - 1) * a_stride`. The CPU must support
-    /// AVX2.
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn lane_strip_avx2(
-        a: &[F25],
-        a_stride: usize,
-        panel: &[F25],
-        cs: &mut [F25; LANES],
+    /// Every method compiles to the tier's instructions, so it may only
+    /// be reached from a function that carries the tier's
+    /// `#[target_feature]`s (the `*_avx2` / `*_ifma` entry points, into
+    /// which the `#[inline(always)]` bodies and methods dissolve).
+    /// Pointer arguments must be valid for the lanes named.
+    pub(super) trait Lanes {
+        /// The register type.
+        type V: Copy;
+        /// `u64` lanes per register.
+        const W: usize;
+        /// Output rows per tile: `2·MR` accumulators plus two `B`
+        /// registers, one broadcast and a product must fit the register
+        /// file.
+        const MR: usize;
+
+        /// All lanes zero.
+        unsafe fn zero() -> Self::V;
+        /// `W` lanes from `p`.
+        unsafe fn load(p: *const u64) -> Self::V;
+        /// The first `n ≤ W` lanes from `p`, the rest zero; memory past
+        /// lane `n` is not touched.
+        unsafe fn load_masked(p: *const u64, n: usize) -> Self::V;
+        /// The first `n ≤ W` lanes to `p`; memory past lane `n` is not
+        /// touched.
+        unsafe fn store_masked(p: *mut u64, n: usize, v: Self::V);
+        /// `*p` in every lane.
+        unsafe fn splat(p: *const u64) -> Self::V;
+        /// `acc + a·b` per lane, exact for `a, b < 2^32` (the sum must
+        /// fit 64 bits).
+        unsafe fn mac(acc: Self::V, a: Self::V, b: Self::V) -> Self::V;
+        /// Every lane, each below `2^58`, to its canonical residue mod
+        /// `P25` — the bits [`F25::reduce_u64`] gives, since the
+        /// canonical residue is unique.
+        ///
+        /// With `v = lo + 2^25·mid + 2^50·hi` (`lo, mid < 2^25`,
+        /// `hi < 2^8`): `v₁ = lo + 39·mid + 39²·hi < 2^30.4` is
+        /// congruent to `v`, `v₂ = (v₁ mod 2^25) + 39·(v₁ ≫ 25)
+        /// < 2^25 + 39·41 < 2·P25` likewise, and one conditional
+        /// subtract lands in `[0, P25)`. A tier whose multiplier takes
+        /// the 33-bit `v ≫ 25` whole folds `mid` and `hi` together.
+        unsafe fn reduce(v: Self::V) -> Self::V;
+        /// The sum of all lanes (which must fit 64 bits).
+        unsafe fn hsum(v: Self::V) -> u64;
+    }
+
+    /// AVX2: four lanes, the 32-bit widening multiply.
+    pub(super) struct Avx2;
+
+    impl Avx2 {
+        /// All-ones in the first `n` lanes.
+        #[inline(always)]
+        unsafe fn mask(n: usize) -> __m256i {
+            // SAFETY: AVX2 per the trait contract.
+            _mm256_cmpgt_epi64(_mm256_set1_epi64x(n as i64), _mm256_setr_epi64x(0, 1, 2, 3))
+        }
+    }
+
+    // SAFETY (every method body here and in `mask`, each an `unsafe fn`
+    // under the trait's contract): AVX2 intrinsics, available per that
+    // contract; the pointer forms touch exactly the lanes the trait
+    // names, which the caller vouches for.
+    impl Lanes for Avx2 {
+        type V = __m256i;
+        const W: usize = 4;
+        const MR: usize = 6;
+
+        #[inline(always)]
+        unsafe fn zero() -> __m256i {
+            _mm256_setzero_si256()
+        }
+        #[inline(always)]
+        unsafe fn load(p: *const u64) -> __m256i {
+            _mm256_loadu_si256(p as *const __m256i)
+        }
+        #[inline(always)]
+        unsafe fn load_masked(p: *const u64, n: usize) -> __m256i {
+            _mm256_maskload_epi64(p as *const i64, Self::mask(n))
+        }
+        #[inline(always)]
+        unsafe fn store_masked(p: *mut u64, n: usize, v: __m256i) {
+            _mm256_maskstore_epi64(p as *mut i64, Self::mask(n), v)
+        }
+        #[inline(always)]
+        unsafe fn splat(p: *const u64) -> __m256i {
+            _mm256_set1_epi64x(*p as i64)
+        }
+        #[inline(always)]
+        unsafe fn mac(acc: __m256i, a: __m256i, b: __m256i) -> __m256i {
+            _mm256_add_epi64(acc, _mm256_mul_epu32(a, b))
+        }
+        #[inline(always)]
+        unsafe fn reduce(v: __m256i) -> __m256i {
+            let (m, c) = (_mm256_set1_epi64x(M25), _mm256_set1_epi64x(C25));
+            let mid = _mm256_and_si256(_mm256_srli_epi64(v, 25), m);
+            let hi = _mm256_srli_epi64(v, 50);
+            let v1 = Self::mac(Self::mac(_mm256_and_si256(v, m), mid, c), hi, _mm256_set1_epi64x(C25 * C25));
+            let v2 = Self::mac(_mm256_and_si256(v1, m), _mm256_srli_epi64(v1, 25), c);
+            // `v2 < 2^26`: the high dwords are zero on both sides of the
+            // 32-bit signed compare, so it is exact.
+            let ge = _mm256_cmpgt_epi32(v2, _mm256_set1_epi64x(P - 1));
+            _mm256_sub_epi64(v2, _mm256_and_si256(ge, _mm256_set1_epi64x(P)))
+        }
+        #[inline(always)]
+        unsafe fn hsum(v: __m256i) -> u64 {
+            let s = _mm_add_epi64(_mm256_castsi256_si128(v), _mm256_extracti128_si256(v, 1));
+            (_mm_cvtsi128_si64(s) as u64).wrapping_add(_mm_extract_epi64(s, 1) as u64)
+        }
+    }
+
+    /// AVX-512 F + IFMA: eight lanes, the 52-bit multiply-accumulate.
+    pub(super) struct Ifma;
+
+    // SAFETY (every method body): as for `Avx2`, with AVX-512 F and
+    // IFMA.
+    impl Lanes for Ifma {
+        type V = __m512i;
+        const W: usize = 8;
+        const MR: usize = 8;
+
+        #[inline(always)]
+        unsafe fn zero() -> __m512i {
+            _mm512_setzero_si512()
+        }
+        #[inline(always)]
+        unsafe fn load(p: *const u64) -> __m512i {
+            _mm512_loadu_si512(p as *const __m512i)
+        }
+        #[inline(always)]
+        unsafe fn load_masked(p: *const u64, n: usize) -> __m512i {
+            _mm512_maskz_loadu_epi64(((1u32 << n) - 1) as __mmask8, p as *const i64)
+        }
+        #[inline(always)]
+        unsafe fn store_masked(p: *mut u64, n: usize, v: __m512i) {
+            _mm512_mask_storeu_epi64(p as *mut i64, ((1u32 << n) - 1) as __mmask8, v)
+        }
+        #[inline(always)]
+        unsafe fn splat(p: *const u64) -> __m512i {
+            _mm512_set1_epi64(*p as i64)
+        }
+        #[inline(always)]
+        unsafe fn mac(acc: __m512i, a: __m512i, b: __m512i) -> __m512i {
+            _mm512_madd52lo_epu64(acc, a, b)
+        }
+        #[inline(always)]
+        unsafe fn reduce(v: __m512i) -> __m512i {
+            // The multiplier takes 52-bit operands, so `mid` and `hi`
+            // fold as one: `v ≫ 25 < 2^33`, `v₁ < 2^38.3`,
+            // `v₂ < 2^25 + 39·2^13.3 < 2·P25`.
+            let (m, c) = (_mm512_set1_epi64(M25), _mm512_set1_epi64(C25));
+            let v1 = Self::mac(_mm512_and_si512(v, m), _mm512_srli_epi64(v, 25), c);
+            let v2 = Self::mac(_mm512_and_si512(v1, m), _mm512_srli_epi64(v1, 25), c);
+            // `v2 − P` wraps past `v2` exactly when `v2 < P`.
+            _mm512_min_epu64(v2, _mm512_sub_epi64(v2, _mm512_set1_epi64(P)))
+        }
+        #[inline(always)]
+        unsafe fn hsum(v: __m512i) -> u64 {
+            _mm512_reduce_add_epi64(v) as u64
+        }
+    }
+
+    // A strip is a whole number of two-register column groups.
+    const _: () = assert!(LANES.is_multiple_of(2 * Avx2::W) && LANES.is_multiple_of(2 * Ifma::W));
+    const _: () = assert!(Avx2::MR <= MR_MAX && Ifma::MR <= MR_MAX);
+    // `reduce`'s budget: one canonical carry-in plus a block's products.
+    const _: () = assert!(
+        (P25 - 1) as u128 + PANEL_ROWS as u128 * ((P25 - 1) as u128 * (P25 - 1) as u128) < 1 << 58
+    );
+
+    /// The register tile: `C[r][0..w] (=|+=) Σ_{p<kb} A[r][p] · B[p][0..w]`
+    /// for `r < MR`, where row `r` of `A` starts at `arow(r)` with
+    /// consecutive `p` `a_col` apart, row `p` of `B` is the [`LANES`]
+    /// elements at `brow(p)` and row `r` of `C` the `w ≤ LANES` elements
+    /// at `crow(r)`. `2·MR` accumulators live in registers across the
+    /// whole `p` loop; they start from `C` (`load`; canonical values) or
+    /// zero, take at most `PANEL_ROWS` products each, are reduced once
+    /// and stored under the strip's column mask.
+    ///
+    /// # Safety
+    ///
+    /// As [`Lanes`]; `arow(r)` valid for reads at `p·a_col`, `p < kb`;
+    /// `brow(p)` for `LANES` reads (all of them, whatever `w` is);
+    /// `crow(r)` for `w` writes, and reads with `load`. `kb ≤ PANEL_ROWS`.
+    #[inline(always)]
+    unsafe fn tile<L: Lanes, const MR: usize>(
+        arow: &impl Fn(usize) -> *const u64,
+        a_col: usize,
+        kb: usize,
+        brow: &impl Fn(usize) -> *const u64,
+        crow: &impl Fn(usize) -> *mut u64,
+        w: usize,
         load: bool,
     ) {
-        unsafe {
-            let z = _mm256_setzero_si256();
-            let (mut a0, mut a1, mut a2, mut a3) = (z, z, z, z);
-            if load {
-                let cp = cs.as_ptr() as *const __m256i;
-                a0 = _mm256_loadu_si256(cp);
-                a1 = _mm256_loadu_si256(cp.add(1));
-                a2 = _mm256_loadu_si256(cp.add(2));
-                a3 = _mm256_loadu_si256(cp.add(3));
-            }
-            for p in 0..panel.len() / LANES {
-                let aip = a.get_unchecked(p * a_stride).value();
-                if aip == 0 {
-                    continue;
+        let ap: [*const u64; MR] = std::array::from_fn(arow);
+        let cp: [*mut u64; MR] = std::array::from_fn(crow);
+        for c0 in (0..w).step_by(2 * L::W) {
+            // Valid lanes of this column group's two registers.
+            let n0 = L::W.min(w - c0);
+            let n1 = L::W.min(w - c0 - n0);
+            // SAFETY: per the function contract — `c0 + n0 + n1 ≤ w`
+            // bounds the masked `C` accesses, `c0 + 2·W ≤ LANES` the `B`
+            // loads, `p < kb` the `A` reads.
+            unsafe {
+                let mut acc = [[L::zero(); 2]; MR];
+                if load {
+                    for r in 0..MR {
+                        acc[r] = [L::load_masked(cp[r].add(c0), n0), L::load_masked(cp[r].add(c0 + n0), n1)];
+                    }
                 }
-                let av = _mm256_set1_epi64x(aip as i64);
-                let bp = panel.as_ptr().add(p * LANES) as *const __m256i;
-                a0 = _mm256_add_epi64(a0, _mm256_mul_epu32(av, _mm256_loadu_si256(bp)));
-                a1 = _mm256_add_epi64(a1, _mm256_mul_epu32(av, _mm256_loadu_si256(bp.add(1))));
-                a2 = _mm256_add_epi64(a2, _mm256_mul_epu32(av, _mm256_loadu_si256(bp.add(2))));
-                a3 = _mm256_add_epi64(a3, _mm256_mul_epu32(av, _mm256_loadu_si256(bp.add(3))));
-            }
-            let mut t = [0u64; LANES];
-            _mm256_storeu_si256(t.as_mut_ptr() as *mut __m256i, a0);
-            _mm256_storeu_si256(t.as_mut_ptr().add(4) as *mut __m256i, a1);
-            _mm256_storeu_si256(t.as_mut_ptr().add(8) as *mut __m256i, a2);
-            _mm256_storeu_si256(t.as_mut_ptr().add(12) as *mut __m256i, a3);
-            for (c, &v) in cs.iter_mut().zip(t.iter()) {
-                *c = F25::reduce_u64(v);
+                for p in 0..kb {
+                    let bp = brow(p).add(c0);
+                    let (b0, b1) = (L::load(bp), L::load(bp.add(L::W)));
+                    for r in 0..MR {
+                        let av = L::splat(ap[r].add(p * a_col));
+                        acc[r] = [L::mac(acc[r][0], av, b0), L::mac(acc[r][1], av, b1)];
+                    }
+                }
+                for r in 0..MR {
+                    L::store_masked(cp[r].add(c0), n0, L::reduce(acc[r][0]));
+                    L::store_masked(cp[r].add(c0 + n0), n1, L::reduce(acc[r][1]));
+                }
             }
         }
     }
 
-    /// AVX2 coded-combine strip: like [`lane_strip_avx2`] but each
-    /// reduction position `p` loads from its own row pointer `xp[p]`
-    /// (the stacked coding rows are separate workspace vectors, never
-    /// copied flat). At most 16 positions per call — the canonical
-    /// strip init plus 16 unreduced products stay below `2^55`, so no
-    /// mid-strip folds are needed.
+    /// [`tile`] at the instantiation for `rows` output rows: full tiles
+    /// at `L::MR`, the last rows of a matrix at whatever is left.
     ///
     /// # Safety
     ///
-    /// Every `xp[p]` must be valid for `j + LANES` elements, and the
-    /// CPU must support AVX2.
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn coded_strip_avx2(
-        crow: &[F25],
-        xp: &[*const F25],
-        cs: &mut [F25; LANES],
-        j: usize,
-    ) {
-        unsafe {
-            let cp = cs.as_ptr() as *const __m256i;
-            let mut a0 = _mm256_loadu_si256(cp);
-            let mut a1 = _mm256_loadu_si256(cp.add(1));
-            let mut a2 = _mm256_loadu_si256(cp.add(2));
-            let mut a3 = _mm256_loadu_si256(cp.add(3));
-            for (p, &xr) in xp.iter().enumerate() {
-                let aip = crow.get_unchecked(p).value();
-                if aip == 0 {
-                    continue;
-                }
-                let av = _mm256_set1_epi64x(aip as i64);
-                let bp = xr.add(j) as *const __m256i;
-                a0 = _mm256_add_epi64(a0, _mm256_mul_epu32(av, _mm256_loadu_si256(bp)));
-                a1 = _mm256_add_epi64(a1, _mm256_mul_epu32(av, _mm256_loadu_si256(bp.add(1))));
-                a2 = _mm256_add_epi64(a2, _mm256_mul_epu32(av, _mm256_loadu_si256(bp.add(2))));
-                a3 = _mm256_add_epi64(a3, _mm256_mul_epu32(av, _mm256_loadu_si256(bp.add(3))));
-            }
-            let out = cs.as_mut_ptr() as *mut __m256i;
-            _mm256_storeu_si256(out, reduce4_coded(a0));
-            _mm256_storeu_si256(out.add(1), reduce4_coded(a1));
-            _mm256_storeu_si256(out.add(2), reduce4_coded(a2));
-            _mm256_storeu_si256(out.add(3), reduce4_coded(a3));
-        }
-    }
-
-    /// AVX2 coded-combine strip, store mode: the accumulators start at
-    /// zero (the canonical lift of a zeroed strip, so bit-identical to
-    /// accumulating into zeroed lanes) and the finished values go
-    /// straight through `out` — the destination is never read.
-    ///
-    /// # Safety
-    ///
-    /// As [`coded_strip_avx2`], plus `out` must be valid for [`LANES`]
-    /// writes.
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn coded_strip_store_avx2(
-        crow: &[F25],
-        xp: &[*const F25],
-        out: *mut F25,
-        j: usize,
-    ) {
-        unsafe {
-            let mut a0 = _mm256_setzero_si256();
-            let mut a1 = _mm256_setzero_si256();
-            let mut a2 = _mm256_setzero_si256();
-            let mut a3 = _mm256_setzero_si256();
-            for (p, &xr) in xp.iter().enumerate() {
-                let aip = crow.get_unchecked(p).value();
-                if aip == 0 {
-                    continue;
-                }
-                let av = _mm256_set1_epi64x(aip as i64);
-                let bp = xr.add(j) as *const __m256i;
-                a0 = _mm256_add_epi64(a0, _mm256_mul_epu32(av, _mm256_loadu_si256(bp)));
-                a1 = _mm256_add_epi64(a1, _mm256_mul_epu32(av, _mm256_loadu_si256(bp.add(1))));
-                a2 = _mm256_add_epi64(a2, _mm256_mul_epu32(av, _mm256_loadu_si256(bp.add(2))));
-                a3 = _mm256_add_epi64(a3, _mm256_mul_epu32(av, _mm256_loadu_si256(bp.add(3))));
-            }
-            let op = out as *mut __m256i;
-            _mm256_storeu_si256(op, reduce4_coded(a0));
-            _mm256_storeu_si256(op.add(1), reduce4_coded(a1));
-            _mm256_storeu_si256(op.add(2), reduce4_coded(a2));
-            _mm256_storeu_si256(op.add(3), reduce4_coded(a3));
-        }
-    }
-
-    /// Adds the two `u64` halves of an `xmm` accumulator pair-tree and
-    /// runs the scalar tail: the dot kernel's epilogue.
-    ///
-    /// Capacity: the caller guarantees at most [`CHUNK`] unreduced
-    /// products (plus up to one canonical carry-over per sub-lane) are
-    /// spread across the lanes being merged, which is within a single
-    /// accumulator's budget — the same reassociation argument as the
-    /// portable `a_bt_block_exact`, value-exact in a field.
+    /// As [`tile`]; `1 ≤ rows ≤ L::MR`.
     #[inline(always)]
-    unsafe fn dot_tail(merged: __m128i, arow: &[F25], brow: &[F25], kv: usize) -> F25 {
-        let mut t = [0u64; 2];
-        unsafe { _mm_storeu_si128(t.as_mut_ptr() as *mut __m128i, merged) };
-        let mut acc = t[0] + t[1];
-        if kv < arow.len() {
-            acc = F25::acc_fold(acc);
-            for p in kv..arow.len() {
-                acc = F25::mac(acc, arow[p], brow[p]);
-            }
+    #[allow(clippy::too_many_arguments)]
+    unsafe fn tile_rows<L: Lanes>(
+        rows: usize,
+        arow: &impl Fn(usize) -> *const u64,
+        a_col: usize,
+        kb: usize,
+        brow: &impl Fn(usize) -> *const u64,
+        crow: &impl Fn(usize) -> *mut u64,
+        w: usize,
+        load: bool,
+    ) {
+        debug_assert!((1..=L::MR).contains(&rows));
+        macro_rules! arms {
+            ($($mr:literal)*) => {
+                match rows.min(L::MR) {
+                    // SAFETY: the caller's contract, for `rows` rows.
+                    $($mr => unsafe { tile::<L, $mr>(arow, a_col, kb, brow, crow, w, load) },)*
+                    _ => unreachable!("a tile holds 1..=MR rows"),
+                }
+            };
         }
-        F25::acc_finish(acc)
+        arms!(1 2 3 4 5 6 7 8);
     }
 
-    /// AVX2 dot product along `k`: sixteen sub-accumulators in four
-    /// `ymm` registers, merged exactly at the end.
+    /// The body of [`super::gemm_block`].
     ///
     /// # Safety
     ///
-    /// Requires `brow.len() >= arow.len()`, and the CPU must support
-    /// AVX2.
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn dot_avx2(arow: &[F25], brow: &[F25]) -> F25 {
-        unsafe {
-            let k = arow.len();
-            const STRIDE: usize = 16;
-            let kv = k - k % STRIDE;
-            let mut a0 = _mm256_setzero_si256();
-            let mut a1 = _mm256_setzero_si256();
-            let mut a2 = _mm256_setzero_si256();
-            let mut a3 = _mm256_setzero_si256();
-            let chunk = CHUNK - CHUNK % STRIDE;
-            let mut p0 = 0;
-            while p0 < kv {
-                let pend = kv.min(p0.saturating_add(chunk));
-                let mut p = p0;
-                while p < pend {
-                    let ap = arow.as_ptr().add(p) as *const __m256i;
-                    let bp = brow.as_ptr().add(p) as *const __m256i;
-                    a0 = _mm256_add_epi64(
-                        a0,
-                        _mm256_mul_epu32(_mm256_loadu_si256(ap), _mm256_loadu_si256(bp)),
-                    );
-                    a1 = _mm256_add_epi64(
-                        a1,
-                        _mm256_mul_epu32(_mm256_loadu_si256(ap.add(1)), _mm256_loadu_si256(bp.add(1))),
-                    );
-                    a2 = _mm256_add_epi64(
-                        a2,
-                        _mm256_mul_epu32(_mm256_loadu_si256(ap.add(2)), _mm256_loadu_si256(bp.add(2))),
-                    );
-                    a3 = _mm256_add_epi64(
-                        a3,
-                        _mm256_mul_epu32(_mm256_loadu_si256(ap.add(3)), _mm256_loadu_si256(bp.add(3))),
-                    );
-                    p += STRIDE;
-                }
-                p0 = pend;
-                if p0 < kv {
-                    a0 = fold4(a0);
-                    a1 = fold4(a1);
-                    a2 = fold4(a2);
-                    a3 = fold4(a3);
+    /// As [`super::gemm_block`] and [`Lanes`]; `kb ≤ PANEL_ROWS`.
+    #[inline(always)]
+    #[allow(clippy::too_many_arguments)]
+    unsafe fn gemm_block<L: Lanes>(
+        a: *const u64,
+        a_row: usize,
+        a_col: usize,
+        kb: usize,
+        panel: *const u64,
+        c: *mut u64,
+        ldc: usize,
+        m: usize,
+        w: usize,
+        load: bool,
+    ) {
+        for i in (0..m).step_by(L::MR) {
+            // SAFETY: rows `i..i+rows` of `A` and `C` and rows `< kb` of
+            // the panel, all inside what the caller vouched for.
+            unsafe {
+                tile_rows::<L>(
+                    L::MR.min(m - i),
+                    &|r| a.add((i + r) * a_row),
+                    a_col,
+                    kb,
+                    &|p| panel.add(p * LANES),
+                    &|r| c.add((i + r) * ldc),
+                    w,
+                    load,
+                );
+            }
+        }
+    }
+
+    /// The body of [`super::coded_block`]: per strip, one [`tile`] pass
+    /// per `L::MR` output rows — the check row rides as the last row,
+    /// written to a local strip and compared. `B` rows of a full strip
+    /// are the sources in place; the one partial strip (`j1` not a
+    /// multiple of [`LANES`]) reads a zero-padded copy, so the tile's
+    /// `B` loads are full-width everywhere.
+    ///
+    /// # Safety
+    ///
+    /// As [`super::coded_block`] and [`Lanes`]; `xs.len() ≤ MAX_TERMS`.
+    #[inline(always)]
+    #[allow(clippy::too_many_arguments)]
+    unsafe fn coded_block<L: Lanes>(
+        coeff: *const u64,
+        cstride: usize,
+        xs: &[*const u64],
+        outs: &[*mut u64],
+        j0: usize,
+        j1: usize,
+        load: bool,
+        check: Option<(*const u64, *const u64)>,
+    ) -> usize {
+        let kdim = xs.len();
+        let total = outs.len() + usize::from(check.is_some());
+        let mut padded = [0u64; MAX_TERMS * LANES];
+        let mut pred = [0u64; LANES];
+        let (padded_p, pred_p) = (padded.as_mut_ptr(), pred.as_mut_ptr());
+        let check_w = check.map_or(std::ptr::null(), |(w, _)| w);
+        let mut mismatches = 0usize;
+        for j in (j0..j1).step_by(LANES) {
+            let w = LANES.min(j1 - j);
+            let mut bp = [std::ptr::null::<u64>(); MAX_TERMS];
+            for (p, (b, &x)) in bp.iter_mut().zip(xs).enumerate() {
+                // SAFETY: `x` holds `j1 ≥ j + w` elements.
+                *b = unsafe { x.add(j) };
+                if w < LANES {
+                    // SAFETY: `w` elements from the source into row `p`
+                    // (`p < MAX_TERMS`) of the zero-initialized panel.
+                    unsafe {
+                        let row = padded_p.add(p * LANES);
+                        std::ptr::copy_nonoverlapping(*b, row, w);
+                        *b = row;
+                    }
                 }
             }
-            let s = _mm256_add_epi64(_mm256_add_epi64(a0, a1), _mm256_add_epi64(a2, a3));
-            let merged =
-                _mm_add_epi64(_mm256_castsi256_si128(s), _mm256_extracti128_si256(s, 1));
-            dot_tail(merged, arow, brow, kv)
+            for r0 in (0..total).step_by(L::MR) {
+                // SAFETY: output rows `r0..r0+rows` at columns `j..j+w`
+                // (the check row reads `w`'s `kdim` weights and writes
+                // the local strip), `B` rows `LANES` wide by the above.
+                unsafe {
+                    tile_rows::<L>(
+                        L::MR.min(total - r0),
+                        &|r| if r0 + r < outs.len() { coeff.add((r0 + r) * cstride) } else { check_w },
+                        1,
+                        kdim,
+                        &|p| bp[p],
+                        &|r| outs.get(r0 + r).map_or(pred_p, |o| o.add(j)),
+                        w,
+                        load,
+                    );
+                }
+            }
+            if let Some((_, expect)) = check {
+                for l in 0..w {
+                    // SAFETY: `expect` holds `j1 ≥ j + w` elements and
+                    // the tile just wrote `w` lanes of `pred`.
+                    mismatches += usize::from(unsafe { *pred_p.add(l) != *expect.add(j + l) });
+                }
+            }
+        }
+        mismatches
+    }
+
+    /// Reduction positions a dot accumulator takes between two
+    /// [`Lanes::reduce`]s: one fewer than the budget, so the masked tail
+    /// step always fits on top.
+    const DOT_STEPS: usize = PANEL_ROWS - 1;
+
+    /// `C[i][j] = A[i] · B[j]` for `i < MA`, `j < NB`, `k` long: `MA·NB`
+    /// accumulators, each lane summing the products of its own residue
+    /// class of positions (value-exact in a field), reduced at least
+    /// every [`PANEL_ROWS`] products; the last `k % W` positions are a
+    /// masked load. Lanes are merged by a reduce (`< P25` each), a
+    /// horizontal sum (`< 8·P25`) and a scalar reduce.
+    ///
+    /// # Safety
+    ///
+    /// As [`Lanes`]; every `a[i]`, `b[j]` valid for `k` reads, every
+    /// `c[i]` for `NB` writes.
+    #[inline(always)]
+    unsafe fn dot_block<L: Lanes, const MA: usize, const NB: usize>(
+        a: [*const u64; MA],
+        b: [*const u64; NB],
+        k: usize,
+        c: [*mut u64; MA],
+    ) {
+        // SAFETY: per the function contract; `p + W ≤ kv ≤ k` bounds the
+        // full loads, `kv + (k − kv) = k` the masked one.
+        unsafe {
+            let mut acc = [[L::zero(); NB]; MA];
+            let kv = k - k % L::W;
+            let mut p = 0;
+            while p < kv {
+                let pend = kv.min(p + DOT_STEPS * L::W);
+                while p < pend {
+                    let av: [L::V; MA] = std::array::from_fn(|i| L::load(a[i].add(p)));
+                    for j in 0..NB {
+                        let bv = L::load(b[j].add(p));
+                        for i in 0..MA {
+                            acc[i][j] = L::mac(acc[i][j], av[i], bv);
+                        }
+                    }
+                    p += L::W;
+                }
+                for row in acc.iter_mut() {
+                    for v in row.iter_mut() {
+                        *v = L::reduce(*v);
+                    }
+                }
+            }
+            if kv < k {
+                let av: [L::V; MA] = std::array::from_fn(|i| L::load_masked(a[i].add(kv), k - kv));
+                for j in 0..NB {
+                    let bv = L::load_masked(b[j].add(kv), k - kv);
+                    for i in 0..MA {
+                        acc[i][j] = L::mac(acc[i][j], av[i], bv);
+                    }
+                }
+            }
+            for (ci, row) in c.iter().zip(&acc) {
+                for (j, &v) in row.iter().enumerate() {
+                    *ci.add(j) = F25::reduce_u64(L::hsum(L::reduce(v))).value();
+                }
+            }
+        }
+    }
+
+    /// The body of [`super::a_bt_block`]: 2×4 dot blocks, then what is
+    /// left of the rows and columns at 1× and ×1.
+    ///
+    /// # Safety
+    ///
+    /// As [`Lanes`]; `a` valid for `rows·k` reads, `b` for `n·k`, `c`
+    /// for `rows·n` writes.
+    #[inline(always)]
+    unsafe fn a_bt_block<L: Lanes>(a: *const u64, b: *const u64, c: *mut u64, rows: usize, k: usize, n: usize) {
+        let n4 = n - n % 4;
+        for i in (0..rows).step_by(2) {
+            // SAFETY: rows `i`, `i+1` (when there) of `A` and `C`, rows
+            // `j..j+4` or `j` of `B`: inside the three matrices.
+            unsafe {
+                let (ai, ci) = (a.add(i * k), c.add(i * n));
+                let pair = i + 1 < rows;
+                for j in (0..n4).step_by(4) {
+                    let bj: [*const u64; 4] = std::array::from_fn(|l| b.add((j + l) * k));
+                    if pair {
+                        dot_block::<L, 2, 4>([ai, ai.add(k)], bj, k, [ci.add(j), ci.add(n + j)]);
+                    } else {
+                        dot_block::<L, 1, 4>([ai], bj, k, [ci.add(j)]);
+                    }
+                }
+                for j in n4..n {
+                    let bj = [b.add(j * k)];
+                    if pair {
+                        dot_block::<L, 2, 1>([ai, ai.add(k)], bj, k, [ci.add(j), ci.add(n + j)]);
+                    } else {
+                        dot_block::<L, 1, 1>([ai], bj, k, [ci.add(j)]);
+                    }
+                }
+            }
+        }
+    }
+
+    /// `L::reduce` over `vals` (a multiple of `L::W` long), and
+    /// `L::hsum` of each reduced register: what the tests compare with
+    /// [`F25::reduce_u64`].
+    #[cfg(test)]
+    #[inline(always)]
+    unsafe fn reduce_probe<L: Lanes>(vals: &[u64]) -> (Vec<u64>, Vec<u64>) {
+        let (mut out, mut sums) = (vec![0u64; vals.len()], Vec::new());
+        for (src, dst) in vals.chunks_exact(L::W).zip(out.chunks_exact_mut(L::W)) {
+            // SAFETY: both chunks are `W` long; features per the caller.
+            unsafe {
+                let r = L::reduce(L::load(src.as_ptr()));
+                L::store_masked(dst.as_mut_ptr(), L::W, r);
+                sums.push(L::hsum(r));
+            }
+        }
+        (out, sums)
+    }
+
+    /// Instantiates the three bodies (and the tests' probe) for one tier
+    /// under its target features: the only per-tier code besides the
+    /// [`Lanes`] impl.
+    macro_rules! tier_entry_points {
+        ($lanes:ty, $features:literal, $gemm:ident, $coded:ident, $a_bt:ident, $probe:ident) => {
+            /// # Safety
+            ///
+            /// As the generic body of the same name; the CPU must
+            /// support the tier.
+            #[target_feature(enable = $features)]
+            #[allow(clippy::too_many_arguments)]
+            pub(super) unsafe fn $gemm(
+                a: *const u64,
+                a_row: usize,
+                a_col: usize,
+                kb: usize,
+                panel: *const u64,
+                c: *mut u64,
+                ldc: usize,
+                m: usize,
+                w: usize,
+                load: bool,
+            ) {
+                // SAFETY: forwarded contract; this function carries the
+                // features the `Lanes` impl needs.
+                unsafe { gemm_block::<$lanes>(a, a_row, a_col, kb, panel, c, ldc, m, w, load) }
+            }
+
+            /// # Safety
+            ///
+            /// As the generic body of the same name; the CPU must
+            /// support the tier.
+            #[target_feature(enable = $features)]
+            #[allow(clippy::too_many_arguments)]
+            pub(super) unsafe fn $coded(
+                coeff: *const u64,
+                cstride: usize,
+                xs: &[*const u64],
+                outs: &[*mut u64],
+                j0: usize,
+                j1: usize,
+                load: bool,
+                check: Option<(*const u64, *const u64)>,
+            ) -> usize {
+                // SAFETY: as above.
+                unsafe { coded_block::<$lanes>(coeff, cstride, xs, outs, j0, j1, load, check) }
+            }
+
+            /// # Safety
+            ///
+            /// As the generic body of the same name; the CPU must
+            /// support the tier.
+            #[target_feature(enable = $features)]
+            pub(super) unsafe fn $a_bt(a: *const u64, b: *const u64, c: *mut u64, rows: usize, k: usize, n: usize) {
+                // SAFETY: as above.
+                unsafe { a_bt_block::<$lanes>(a, b, c, rows, k, n) }
+            }
+
+            /// # Safety
+            ///
+            /// The CPU must support the tier.
+            #[cfg(test)]
+            #[target_feature(enable = $features)]
+            pub(super) unsafe fn $probe(vals: &[u64]) -> (Vec<u64>, Vec<u64>) {
+                // SAFETY: as above.
+                unsafe { reduce_probe::<$lanes>(vals) }
+            }
+        };
+    }
+    tier_entry_points!(Avx2, "avx2", gemm_block_avx2, coded_block_avx2, a_bt_block_avx2, reduce_probe_avx2);
+    tier_entry_points!(
+        Ifma,
+        "avx512f,avx512ifma",
+        gemm_block_ifma,
+        coded_block_ifma,
+        a_bt_block_ifma,
+        reduce_probe_ifma
+    );
+
+}
+
+/// Every tier this host offers, for the tests that drive each one
+/// directly; a tier the CPU lacks is named on stdout (once per test
+/// process), so a green run says what it did not cover.
+#[cfg(test)]
+pub(crate) fn offered_tiers() -> Vec<Tier> {
+    static REPORT: std::sync::Once = std::sync::Once::new();
+    REPORT.call_once(|| {
+        for kind in Kind::ALL.into_iter().filter(|k| k.detect().is_none()) {
+            println!("tier {kind:?} is not offered by this CPU: skipped");
+        }
+        if tier::<dk_field::F25>().is_none() {
+            println!("no vector tier on this host: only the portable kernels ran");
+        }
+    });
+    Kind::ALL.into_iter().filter_map(Kind::detect).collect()
+}
+
+#[cfg(all(test, target_arch = "x86_64"))]
+mod tests {
+    use super::*;
+    use dk_field::{derive_seed, F25, P25};
+
+    /// The most a tile lane can hold: one canonical carry-in plus
+    /// `PANEL_ROWS` worst-case products.
+    const BOUND: u64 = (P25 - 1) + PANEL_ROWS as u64 * (P25 - 1) * (P25 - 1);
+
+    #[test]
+    fn vector_reduce_is_the_scalar_reduce_on_every_tier() {
+        let mut vals = vec![
+            0,
+            1,
+            P25 - 1,
+            P25,
+            P25 + 1,
+            2 * P25 - 1,
+            2 * P25,
+            1 << 25,
+            (1 << 25) - 1,
+            (1 << 50) - 1,
+            1 << 50,
+            (1 << 50) + 1,
+            BOUND - 1,
+            BOUND,
+            (1 << 58) - 1,
+            ((1 << 58) - 1) / P25 * P25,
+        ];
+        const { assert!(BOUND < 1 << 58) };
+        vals.extend((0..4096u64).map(|i| derive_seed(0x5ed, i) >> (6 + i % 40)));
+        for tier in offered_tiers() {
+            // SAFETY: the tier is offered, so its features are there.
+            let (got, sums) = unsafe {
+                match tier.0 {
+                    Kind::Avx2 => x86::reduce_probe_avx2(&vals),
+                    Kind::Ifma => x86::reduce_probe_ifma(&vals),
+                }
+            };
+            let want: Vec<u64> = vals.iter().map(|&v| F25::reduce_u64(v).value()).collect();
+            assert_eq!(got, want, "{tier:?}");
+            let lanes = vals.len() / sums.len();
+            let want_sums: Vec<u64> = want.chunks(lanes).map(|c| c.iter().sum()).collect();
+            assert_eq!(sums, want_sums, "{tier:?} hsum");
         }
     }
 }

@@ -33,48 +33,86 @@ use crate::scalar::Scalar;
 use crate::tensor::Tensor;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::any::{Any, TypeId};
+use std::cell::Cell;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 static GLOBAL_ALLOCS: AtomicU64 = AtomicU64::new(0);
 static GLOBAL_ALLOC_BYTES: AtomicU64 = AtomicU64::new(0);
 
+thread_local! {
+    /// This thread's `(allocations, bytes requested)`. Const-initialized
+    /// and without a destructor, so the allocator can touch it at any
+    /// point of a thread's life without allocating or registering
+    /// anything.
+    static THREAD_ALLOCS: Cell<(u64, u64)> = const { Cell::new((0, 0)) };
+}
+
+/// Books one allocation of `bytes`, process-wide and for this thread.
+#[inline]
+fn count_alloc(bytes: usize) {
+    GLOBAL_ALLOCS.fetch_add(1, Ordering::Relaxed);
+    GLOBAL_ALLOC_BYTES.fetch_add(bytes as u64, Ordering::Relaxed);
+    // A thread past its thread-local teardown is not one a test reads.
+    let _ = THREAD_ALLOCS.try_with(|c| {
+        let (n, b) = c.get();
+        c.set((n + 1, b + bytes as u64));
+    });
+}
+
 /// A counting wrapper around the system allocator — the enforcement
 /// tool for the zero-allocation invariant. Test binaries and `dk_bench`
-/// install it with `#[global_allocator]` and read [`alloc_counts`];
-/// one shared implementation keeps every measurement surface (the CI
-/// alloc gate, the regression tests) counting identically. The relaxed
-/// atomics cost nothing measurable next to the kernels under test.
+/// install it with `#[global_allocator]` and read [`alloc_counts`]
+/// (the whole process) or [`thread_alloc_counts`] (the calling thread
+/// alone: what a `#[test]` wants, since the harness's own threads
+/// allocate beside it); one shared implementation keeps every
+/// measurement surface (the CI alloc gate, the regression tests)
+/// counting identically. The relaxed atomics and the thread-local bump
+/// cost nothing measurable next to the kernels under test.
 pub struct CountingAllocator;
 
+// SAFETY: every method forwards its arguments unchanged to `System`,
+// whose contract is the one the caller was given; the counting touches
+// only atomics and a destructor-less thread-local, and never allocates.
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        GLOBAL_ALLOCS.fetch_add(1, Ordering::Relaxed);
-        GLOBAL_ALLOC_BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
+        count_alloc(layout.size());
+        // SAFETY: the caller's `GlobalAlloc::alloc` contract, forwarded.
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        GLOBAL_ALLOCS.fetch_add(1, Ordering::Relaxed);
-        GLOBAL_ALLOC_BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
+        count_alloc(layout.size());
+        // SAFETY: the caller's `alloc_zeroed` contract, forwarded.
         unsafe { System.alloc_zeroed(layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        GLOBAL_ALLOCS.fetch_add(1, Ordering::Relaxed);
-        GLOBAL_ALLOC_BYTES.fetch_add(new_size as u64, Ordering::Relaxed);
+        count_alloc(new_size);
+        // SAFETY: `ptr` came from this allocator, i.e. from `System`,
+        // with `layout`; the caller's `realloc` contract, forwarded.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: as in `realloc`.
         unsafe { System.dealloc(ptr, layout) }
     }
 }
 
 /// `(allocations, bytes requested)` recorded by an installed
-/// [`CountingAllocator`] since process start.
+/// [`CountingAllocator`] since process start, on every thread.
 pub fn alloc_counts() -> (u64, u64) {
     (GLOBAL_ALLOCS.load(Ordering::Relaxed), GLOBAL_ALLOC_BYTES.load(Ordering::Relaxed))
+}
+
+/// `(allocations, bytes requested)` the **calling thread** has made
+/// through an installed [`CountingAllocator`]. Unlike [`alloc_counts`]
+/// it cannot be moved by another thread — libtest's main thread
+/// allocates while a `#[test]` runs — so a single-lane zero-allocation
+/// assertion should difference this one.
+pub fn thread_alloc_counts() -> (u64, u64) {
+    THREAD_ALLOCS.with(Cell::get)
 }
 
 /// Allocation-behaviour counters of one [`Workspace`].

@@ -16,10 +16,11 @@
 //!   and a handful of small gradient staging vectors — that does not
 //!   grow from step to step.
 //!
-//! Everything runs inside one `#[test]` so no concurrent test thread
-//! can pollute the counters.
+//! The counts are the test thread's own
+//! ([`dk_linalg::workspace::thread_alloc_counts`]): the harness's main
+//! thread allocates while a test runs, and a process-wide count sees it.
 
-use dk_linalg::workspace::{alloc_counts as counts, CountingAllocator};
+use dk_linalg::workspace::{thread_alloc_counts as counts, CountingAllocator};
 use dk_linalg::Tensor;
 use dk_nn::arch::{mini_resnet, mini_vgg};
 use dk_nn::loss::softmax_cross_entropy;
