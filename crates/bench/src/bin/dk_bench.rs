@@ -5,7 +5,9 @@
 //! per-MAC-reducing scalar baselines (`dk_linalg::reference`) on the
 //! shapes the offload path actually runs, always on one kernel thread
 //! (the rows measure kernels; fanned out, the small ones measure the
-//! pool's wake-up on the day's host). Also measures the staged
+//! pool's wake-up on the day's host), and the TEE's element passes
+//! (`dk_field`'s quantize, dequantize and noise draw) against the public
+//! per-element functions that define them. Also measures the staged
 //! engine at its default lane count against the same engine with one
 //! virtual batch in flight, over the same dispatcher-backed fleet, on a
 //! real multi-layer model (the §7.1 overlap claim) and, with `--alloc`,
@@ -21,15 +23,17 @@
 //! and `unresolved` (printed, exit 0) when their own quartile spread is
 //! wider than it. The three: the tracked kernels' fast:scalar speedup —
 //! conv forward, the field matmul, the streaming encode/decode — not
-//! more than 10% under the committed record's (25% when that row was
-//! measured at another size); the default lane count not more than 10%
+//! more than 10% under the lower quartile the committed record states
+//! for that row (25% when that row was measured at another size); the
+//! default lane count not more than 10%
 //! slower than one lane; and, with `--obs`, the session step with the
 //! `dk_obs` registry enabled not more than 3% slower than disabled. The
 //! JSON is uploaded as an artifact. What pairs inside one run cannot
 //! see is the host having shifted since the committed record's run
 //! (its scalar:fast ratios move ±15% between runs on a shared host):
-//! commit the record from a run whose own pairs agree, and prefer a
-//! low-reading one.
+//! the cross-run gate therefore reads the record's own `speedup_q1`,
+//! not its median, and the record is committed from a run whose own
+//! pairs agree.
 //!
 //! `dk_bench report` prints every table and figure of the paper's
 //! evaluation section instead: Tables 1–4 and Figures 3/5/6a/6b/7 from
@@ -531,6 +535,65 @@ fn main() {
             std::hint::black_box(matmul_a_bt(&x, &w, dn, din, dout));
         },
     );
+
+    // --- the TEE's element passes: quantize, dequantize, noise draw -----
+    // Scalar side: the public single-value function in a loop — the
+    // definition the slice forms are tested against, not a replica of
+    // an older loop. "MACs" counts elements here.
+    let en = 32_768usize;
+    let quant = dk_field::QuantConfig::new(6);
+    let ex: Vec<f32> = (0..en).map(|_| rng.uniform_f32(-3.0, 3.0)).collect();
+    let ey = field_vec(&mut rng, en);
+    let (pre, post) = (1.0 / 3.0f32, 1.7f32);
+    let mut eq: Vec<F25> = Vec::with_capacity(en);
+    let mut eq_fast: Vec<F25> = Vec::with_capacity(en);
+    bench(
+        format!("quantize_n{en}"),
+        en as u64,
+        &mut || {
+            eq.clear();
+            eq.extend(ex.iter().map(|&v| quant.quantize::<P25>((v * pre) as f64).expect("in range")));
+            std::hint::black_box(&eq);
+        },
+        &mut || {
+            eq_fast.clear();
+            quant.quantize_slice_into(&ex, pre, &mut eq_fast).expect("in range");
+            std::hint::black_box(&eq_fast);
+        },
+    );
+    let mut ef = vec![0.0f32; en];
+    let mut ef_fast = vec![0.0f32; en];
+    bench(
+        format!("dequantize_product_n{en}"),
+        en as u64,
+        &mut || {
+            for (dst, &y) in ef.iter_mut().zip(&ey) {
+                *dst = quant.dequantize_product(y) as f32 * post;
+            }
+            std::hint::black_box(&ef);
+        },
+        &mut || {
+            quant.dequantize_product_slice_into(&ey, post, &mut ef_fast);
+            std::hint::black_box(&ef_fast);
+        },
+    );
+    let (mut nrng, mut nrng_fast) = (rng.fork(1), rng.fork(2));
+    let mut noise_row: Vec<F25> = Vec::with_capacity(en);
+    let mut noise_row_fast: Vec<F25> = Vec::with_capacity(en);
+    bench(
+        format!("noise_uniform_n{en}"),
+        en as u64,
+        &mut || {
+            noise_row.clear();
+            noise_row.extend((0..en).map(|_| nrng.uniform::<P25>()));
+            std::hint::black_box(&noise_row);
+        },
+        &mut || {
+            noise_row_fast.clear();
+            nrng_fast.uniform_extend(en, &mut noise_row_fast);
+            std::hint::black_box(&noise_row_fast);
+        },
+    );
     dk_linalg::set_max_threads(host_threads);
 
     // --- pipeline: default lanes vs one lane, same dispatcher -----------
@@ -859,7 +922,10 @@ fn main() {
     // Kernel-trajectory gate against the committed record: raw ns/op is
     // host-dependent, so the comparison is normalized by each run's own
     // same-host scalar baseline — each tracked kernel's scalar:fast
-    // speedup must not be more than 10% under the committed one (25%
+    // speedup must not be more than 10% under the lower quartile of the
+    // committed row's own pairs (`speedup_q1`: the record states how low
+    // an unchanged binary read on its own day, so a run of one does not
+    // trip on the record's median; 25%
     // when the committed row was measured at a different spatial size,
     // e.g. a fast-mode CI run gating against the committed full-mode
     // record: the ratio shifts a few percent with shape, the margin
@@ -884,11 +950,9 @@ fn main() {
                 Some((&doc[at..end], 0.25))
             });
             let Some((row, margin)) = committed_row else { continue };
-            if let (Some(prev_fast), Some(prev_scalar)) =
-                (json_number(row, "fast_ns_per_op"), json_number(row, "scalar_ns_per_op"))
-            {
-                let what = format!("{} speedup over scalar vs the committed record", new.name);
-                regressed |= gate(&what, &new.timing.ratio, prev_scalar / prev_fast, margin);
+            if let Some(floor) = json_number(row, "speedup_q1") {
+                let what = format!("{} speedup over scalar vs the committed record's q1", new.name);
+                regressed |= gate(&what, &new.timing.ratio, floor, margin);
             }
         }
     }

@@ -34,6 +34,7 @@ pub mod fp;
 pub mod matrix;
 pub mod quant;
 pub mod rng;
+mod tier;
 pub mod vandermonde;
 
 pub use fp::{Fp, F25, F61, P25, P61};

@@ -14,8 +14,66 @@
 //! op stays inside `(−p/2, p/2)` — [`QuantConfig::max_dot_terms`] exposes
 //! that bound, and [`QuantConfig::normalize`] implements the paper's
 //! dynamic max-abs normalization used for VGG-style networks (§5).
+//!
+//! # The slice forms
+//!
+//! Quantize and dequantize run over every activation element of every
+//! offloaded layer, inside the TEE, so their slice forms are written to
+//! vectorize: a branch-free, call-free body per element, compiled once
+//! per vector tier (the private `tier` module). The
+//! single-value functions ([`QuantConfig::quantize`],
+//! [`QuantConfig::dequantize_product`]) are the definition, and the
+//! oracle the slice forms are tested against bit for bit.
+//!
+//! * **Rounding without `floor`.** Baseline x86-64 has no vector
+//!   `floor`, and a float-to-int cast saturates (a branch per element).
+//!   Both go through one addition instead: for `|y| < 2^51`,
+//!   `y + 1.5·2^52` is `y` rounded to the nearest integer, which its bit
+//!   pattern holds in two's complement in the low mantissa bits. One
+//!   compare turns nearest into `⌊y⌋` (subtract one where the rounded
+//!   value exceeds `y`).
+//! * **A chunk** is 256 (`CHUNK`) consecutive elements of a quantize call.
+//!   An element Algorithm 1 rejects — NaN, `±∞`, or `|Round(v·2^l)|`
+//!   above `p/2` — does not leave the loop; it clears one flag for its
+//!   chunk (`⌊y⌋ ∈ [−p/2, p/2] ⇔ −p/2 ≤ y < p/2 + 1`, and every
+//!   non-finite `y` fails the comparison), and its lane is clamped so
+//!   the integer extraction stays defined.
+//! * **The error is rebuilt on the cold path.** A flagged chunk is
+//!   discarded and the slice is re-run from that chunk's first element
+//!   through the single-value function, which stops at the offending
+//!   element with the exact [`QuantError`] — so `out` holds exactly the
+//!   elements before it, as the contract always was.
+//! * The slice forms assert once, at compile time, that `p < 2^31`
+//!   (values and their centered lifts fit 32-bit lanes); [`crate::P61`]
+//!   has no slice caller.
 
 use crate::fp::Fp;
+use crate::tier::{Body, Tier};
+
+/// Elements per quantize chunk: the granularity of the range flag, and
+/// so of the work thrown away when a slice holds a bad element. 1 KiB of
+/// input, 2 KiB of output.
+const CHUNK: usize = 256;
+
+/// `1.5 · 2^52`: added to a double below `2^51` in magnitude, it leaves
+/// that double rounded to the nearest integer (ties to even) in the low
+/// mantissa bits of the sum, in two's complement.
+const ROUND_MAGIC: f64 = 6_755_399_441_055_744.0;
+
+/// The slice forms' bound on the modulus, checked where each is
+/// instantiated: field values and their centered lifts must fit the
+/// 32-bit lanes the bodies compute in.
+const fn assert_fits_32_bit_lanes<const P: u64>() {
+    assert!(P < 1 << 31, "the slice forms keep field values in 32-bit lanes");
+}
+
+/// `⌊y⌋` for `|y| < 2^51`, with no `floor` call: round to nearest
+/// through [`ROUND_MAGIC`], then step down where that rounded up.
+#[inline(always)]
+fn floor_small(y: f64) -> f64 {
+    let nearest = (y + ROUND_MAGIC) - ROUND_MAGIC;
+    nearest - if nearest > y { 1.0 } else { 0.0 }
+}
 
 /// Errors produced by the quantization pipeline.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -159,9 +217,23 @@ impl QuantConfig {
         pre: f32,
         out: &mut Vec<Fp<P>>,
     ) -> Result<(), QuantError> {
+        self.quantize_slice_on(Tier::best(), vs, pre, out)
+    }
+
+    /// [`QuantConfig::quantize_slice_into`] on a given tier.
+    fn quantize_slice_on<const P: u64>(
+        self,
+        tier: Tier,
+        vs: &[f32],
+        pre: f32,
+        out: &mut Vec<Fp<P>>,
+    ) -> Result<(), QuantError> {
         let scale = self.scale();
         out.reserve(vs.len());
-        for &v in vs {
+        let clean = tier.run(QuantizeChunks { vs, pre, scale, out: &mut *out });
+        // The chunk at `clean` holds an element Algorithm 1 rejects: the
+        // single-value function finds it and names the error.
+        for &v in &vs[clean..] {
             out.push(Self::quantize_scaled((v * pre) as f64, scale)?);
         }
         Ok(())
@@ -246,10 +318,21 @@ impl QuantConfig {
         post: f32,
         out: &mut [f32],
     ) {
+        self.dequantize_product_slice_on(Tier::best(), ys, post, out);
+    }
+
+    /// [`QuantConfig::dequantize_product_slice_into`] on a given tier.
+    fn dequantize_product_slice_on<const P: u64>(
+        self,
+        tier: Tier,
+        ys: &[Fp<P>],
+        post: f32,
+        out: &mut [f32],
+    ) {
         assert_eq!(ys.len(), out.len(), "dequantize: length mismatch");
-        for (dst, &y) in out.iter_mut().zip(ys) {
-            *dst = self.dequantize_product(y) as f32 * post;
-        }
+        // Dividing by `2^l` and multiplying by `2^-l` are the same exact
+        // operation; only the second is one the vector unit has.
+        tier.run(Dequantize { ys, unscale: 1.0 / self.scale(), post, out });
     }
 
     /// The worst-case quantization error of a single value: `2^{-l-1}`.
@@ -285,6 +368,78 @@ impl QuantConfig {
             max / limit
         } else {
             1.0
+        }
+    }
+}
+
+/// The quantize pass: appends whole clean chunks to `out` and returns
+/// how many elements that was — `vs.len()`, or the offset of the first
+/// chunk holding an element out of range (nothing of it is appended).
+struct QuantizeChunks<'a, const P: u64> {
+    vs: &'a [f32],
+    pre: f32,
+    scale: f64,
+    out: &'a mut Vec<Fp<P>>,
+}
+
+impl<const P: u64> Body for QuantizeChunks<'_, P> {
+    type Out = usize;
+
+    #[inline(always)]
+    fn run(self) -> usize {
+        const { assert_fits_32_bit_lanes::<P>() };
+        let Self { vs, pre, scale, out } = self;
+        let half = (P / 2) as f64;
+        // Clamp bound: one past the range on either side, so a clamped
+        // lane still maps to a canonical value.
+        let bound = half + 1.0;
+        let mut buf = [Fp::ZERO; CHUNK];
+        for (c, chunk) in vs.chunks(CHUNK).enumerate() {
+            let mut in_range = true;
+            for (dst, &v) in buf.iter_mut().zip(chunk) {
+                let y = (v * pre) as f64 * scale + 0.5;
+                in_range &= (y >= -half) & (y < bound);
+                // NaN compares false both times and lands on `bound`.
+                let y = if y < bound { y } else { bound };
+                let y = if y > -bound { y } else { -bound };
+                let nearest = y + ROUND_MAGIC;
+                let floor =
+                    (nearest.to_bits() as u32).wrapping_sub(u32::from(nearest - ROUND_MAGIC > y));
+                // Negative (bit 31 set): add `p`.
+                let lift = (P as u32) & 0u32.wrapping_sub(floor >> 31);
+                *dst = Fp::from_canonical(u64::from(floor.wrapping_add(lift)));
+            }
+            if !in_range {
+                return c * CHUNK;
+            }
+            out.extend_from_slice(&buf[..chunk.len()]);
+        }
+        vs.len()
+    }
+}
+
+/// The dequantize pass: `out[i] = Round(ys[i] · 2^-l) · 2^-l · post`
+/// over the centered lift of `ys[i]`, `unscale = 2^-l`.
+struct Dequantize<'a, const P: u64> {
+    ys: &'a [Fp<P>],
+    unscale: f64,
+    post: f32,
+    out: &'a mut [f32],
+}
+
+impl<const P: u64> Body for Dequantize<'_, P> {
+    type Out = ();
+
+    #[inline(always)]
+    fn run(self) {
+        const { assert_fits_32_bit_lanes::<P>() };
+        let Self { ys, unscale, post, out } = self;
+        for (dst, y) in out.iter_mut().zip(ys) {
+            let v = y.value() as i32;
+            // Centered lift: subtract `p` above `p/2`, by mask.
+            let centered = v - (P as i32 & -i32::from(v > (P / 2) as i32));
+            let first = floor_small(f64::from(centered) * unscale + 0.5);
+            *dst = (first * unscale) as f32 * post;
         }
     }
 }
@@ -423,5 +578,145 @@ mod tests {
         let q5 = QuantConfig::new(5);
         let q8 = QuantConfig::new(8);
         assert!(q5.max_dot_terms::<P25>(1.0, 1.0) > q8.max_dot_terms::<P25>(1.0, 1.0));
+    }
+
+    /// Deterministic stand-in for a random stream in the tier tests.
+    fn word(seed: u64, i: usize) -> u64 {
+        crate::derive_seed(seed, i as u64)
+    }
+
+    /// The per-element definition of `quantize_slice_into`: the result,
+    /// and what `out` must hold alongside it.
+    fn quantize_one_by_one(
+        q: QuantConfig,
+        vs: &[f32],
+        pre: f32,
+    ) -> (Result<(), QuantError>, Vec<F25>) {
+        let mut out = Vec::new();
+        for &v in vs {
+            match q.quantize::<P25>((v * pre) as f64) {
+                Ok(x) => out.push(x),
+                Err(e) => return (Err(e), out),
+            }
+        }
+        (Ok(()), out)
+    }
+
+    #[test]
+    fn quantize_slice_is_the_single_value_function_on_every_tier() {
+        const MAX_LEN: usize = 2 * CHUNK + 1;
+        for tier in Tier::offered() {
+            for l in 0..=20u32 {
+                let q = QuantConfig::new(l);
+                let half = (P25 / 2) as f32;
+                let pre = [1.0, 0.37, -2.5][l as usize % 3];
+                // In-range values with fractions on and around the
+                // rounding edges, both signs, out to `±p/2` itself.
+                let clean: Vec<f32> = (0..MAX_LEN)
+                    .map(|i| {
+                        let w = word(0xc1ea ^ u64::from(l), i);
+                        let int = (w % (P25 / 2 + 1)) as f32 * [1.0, 0.001, 1e-6][i % 3];
+                        let frac = [0.0, 0.5, 0.25, 0.499_999_97, 0.75][(w >> 40) as usize % 5];
+                        let sign = if w >> 63 == 0 { 1.0 } else { -1.0 };
+                        (sign * (int + frac)).clamp(-half, half) / q.scale() as f32 / pre
+                    })
+                    .collect();
+                let faults = [
+                    f32::NAN,
+                    f32::INFINITY,
+                    f32::NEG_INFINITY,
+                    f32::MAX,
+                    (half + 1.0) / q.scale() as f32 / pre,
+                    -(half + 1.0) / q.scale() as f32 / pre,
+                    1.0e30,
+                ];
+                let mut out = vec![F25::ONE; 3];
+                for len in 0..=MAX_LEN {
+                    let mut vs = clean[..len].to_vec();
+                    out.truncate(3);
+                    let got = q.quantize_slice_on(tier, &vs, pre, &mut out);
+                    let (want, want_out) = quantize_one_by_one(q, &vs, pre);
+                    assert_eq!(want, Ok(()), "the clean slice is clean (l={l})");
+                    assert_eq!((got, &out[3..]), (want, &want_out[..]), "{tier:?} l={l} len={len}");
+                    if len == 0 {
+                        continue;
+                    }
+                    // One fault, then a second one behind it: the first
+                    // is the one reported, `out` stops short of it.
+                    let w = word(0xfa17 ^ u64::from(l), len);
+                    let at = w as usize % len;
+                    vs[at] = faults[(w >> 32) as usize % faults.len()];
+                    vs[len - 1] = if at == len - 1 { vs[at] } else { f32::NAN };
+                    out.truncate(3);
+                    let got = q.quantize_slice_on(tier, &vs, pre, &mut out);
+                    let (want, want_out) = quantize_one_by_one(q, &vs, pre);
+                    assert!(want.is_err() && want_out.len() == at, "fault at {at}: {want:?}");
+                    assert_eq!(
+                        (got, &out[3..]),
+                        (want, &want_out[..]),
+                        "{tier:?} l={l} len={len} fault at {at}"
+                    );
+                }
+                // Arbitrary bit patterns for the values and the pre-scale.
+                for round in 0..64 {
+                    let pre = f32::from_bits(word(0x9e ^ u64::from(l), round) as u32);
+                    let vs: Vec<f32> = (0..CHUNK + 9)
+                        .map(|i| f32::from_bits(word(0xb175 + round as u64, i) as u32))
+                        .collect();
+                    for pre in [pre, 1.0e-30, 0.0] {
+                        out.clear();
+                        let got = q.quantize_slice_on(tier, &vs, pre, &mut out);
+                        let (want, want_out) = quantize_one_by_one(q, &vs, pre);
+                        assert_eq!((got, &out), (want, &want_out), "{tier:?} l={l} pre={pre:e}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn dequantize_slice_is_the_single_value_function_on_every_tier() {
+        let mut ys: Vec<F25> =
+            [0, 1, 2, P25 / 2 - 1, P25 / 2, P25 / 2 + 1, P25 / 2 + 2, P25 - 2, P25 - 1]
+                .map(F25::new)
+                .to_vec();
+        // Around every rounding edge of every scale: `k · 2^l ± {0, 1}`
+        // and the half-way points, both signs.
+        for l in 0..=20u32 {
+            for k in [0i64, 1, 2, 3, 1000] {
+                for d in [-1, 0, 1] {
+                    let v = (k << l) + (1 << l >> 1) + d;
+                    ys.extend([
+                        F25::from_i64(v % (P25 as i64 / 2)),
+                        F25::from_i64(-v % (P25 as i64 / 2)),
+                    ]);
+                }
+            }
+        }
+        ys.extend((0..4096).map(|i| F25::new(word(0xde9, i))));
+        for tier in Tier::offered() {
+            for l in 0..=20u32 {
+                let q = QuantConfig::new(l);
+                for round in 0..8 {
+                    let post = match round {
+                        0 => 1.0,
+                        1 => -0.0,
+                        _ => f32::from_bits(word(0x9057 ^ u64::from(l), round) as u32),
+                    };
+                    for len in [0, 1, 7, 8, 9, 31, ys.len()] {
+                        let mut got = vec![f32::NAN; len];
+                        q.dequantize_product_slice_on(tier, &ys[..len], post, &mut got);
+                        for (g, &y) in got.iter().zip(&ys) {
+                            let want = q.dequantize_product(y) as f32 * post;
+                            assert_eq!(
+                                g.to_bits(),
+                                want.to_bits(),
+                                "{tier:?} l={l} y={y} post={post:e}"
+                            );
+                        }
+                    }
+                }
+            }
+        }
     }
 }

@@ -5,8 +5,27 @@
 //! reproducible from a single seed. Sampling uses rejection to guarantee a
 //! perfectly uniform distribution over `[0, P)` — a biased sampler would
 //! weaken the one-time-pad argument of the paper's Lemma 1.
+//!
+//! # Bulk draws
+//!
+//! Masking one layer draws a uniform element per activation element per
+//! noise row, inside the TEE, and nearly all of that time is the ChaCha
+//! block function. [`FieldRng::uniform_extend`] therefore asks the
+//! generator for the next several hundred `u64`s at once
+//! (`ChaCha12Rng::fill_u64`: eight blocks per refill, computed side by
+//! side), then rejects and reduces over that buffer, the whole pass
+//! compiled once per vector tier (the private `tier` module). The stream is
+//! unchanged: the refill produces blocks in counter order, so the
+//! buffer holds exactly the words that many [`FieldRng::next_u64`]
+//! calls return, it never asks for more values than are still wanted
+//! (a rejected one is replaced by a further draw, as in
+//! [`FieldRng::uniform`]), and the generator is left at the same
+//! block, word and counter — so `uniform_extend(n)` is `n` calls of
+//! `uniform`, and whatever is drawn next (`fork`, `uniform_f32`,
+//! `index`, another `uniform`) sees the stream it always did.
 
 use crate::fp::Fp;
+use crate::tier::{Body, Tier};
 use rand::{Rng, RngCore, SeedableRng};
 use rand_chacha::ChaCha12Rng;
 
@@ -87,17 +106,23 @@ impl FieldRng {
 
     /// Fills a vector with `n` uniform field elements.
     pub fn uniform_vec<const P: u64>(&mut self, n: usize) -> Vec<Fp<P>> {
-        (0..n).map(|_| self.uniform()).collect()
+        let mut out = Vec::new();
+        self.uniform_extend(n, &mut out);
+        out
     }
 
     /// Appends `n` uniform field elements to a caller-provided buffer —
-    /// the same draw sequence as [`FieldRng::uniform_vec`], without the
-    /// allocation (hot paths pass workspace-recycled buffers).
+    /// the draws of `n` calls of [`FieldRng::uniform`], in bulk (see the
+    /// module docs) and without an allocation when `out` has the room
+    /// (hot paths pass workspace-recycled buffers).
     pub fn uniform_extend<const P: u64>(&mut self, n: usize, out: &mut Vec<Fp<P>>) {
+        self.uniform_extend_on(Tier::best(), n, out);
+    }
+
+    /// [`FieldRng::uniform_extend`] on a given tier.
+    fn uniform_extend_on<const P: u64>(&mut self, tier: Tier, n: usize, out: &mut Vec<Fp<P>>) {
         out.reserve(n);
-        for _ in 0..n {
-            out.push(self.uniform());
-        }
+        tier.run(UniformExtend { rng: &mut self.inner, n, out });
     }
 
     /// Samples a uniform `f32` in `[lo, hi)`; used for float-domain
@@ -121,6 +146,36 @@ impl FieldRng {
     /// Returns a raw `u64` from the underlying stream.
     pub fn next_u64(&mut self) -> u64 {
         self.inner.next_u64()
+    }
+}
+
+/// `u64`s drawn per pass of [`UniformExtend`]: four wide refills.
+const DRAWS: usize = 256;
+
+/// The bulk draw: `n` accepted values appended to `out`.
+struct UniformExtend<'a, const P: u64> {
+    rng: &'a mut ChaCha12Rng,
+    n: usize,
+    out: &'a mut Vec<Fp<P>>,
+}
+
+impl<const P: u64> Body for UniformExtend<'_, P> {
+    type Out = ();
+
+    #[inline(always)]
+    fn run(self) {
+        let Self { rng, n, out } = self;
+        // Rejection zone: the largest multiple of P below 2^64.
+        let zone = u64::MAX - u64::MAX % P;
+        let target = out.len() + n;
+        let mut draws = [0u64; DRAWS];
+        while out.len() < target {
+            // Never more than are still wanted: each draw yields at most
+            // one value, so the stream ends where `n` `uniform`s end it.
+            let draws = &mut draws[..(target - out.len()).min(DRAWS)];
+            rng.fill_u64(draws);
+            out.extend(draws.iter().filter(|&&v| v < zone).map(|&v| Fp::new(v)));
+        }
     }
 }
 
@@ -211,5 +266,72 @@ mod tests {
         let var = xs.iter().map(|x| (x - mean).powi(2)).sum::<f32>() / n as f32;
         assert!(mean.abs() < 0.05, "mean={mean}");
         assert!((var - 1.0).abs() < 0.1, "var={var}");
+    }
+
+    /// A generator left at every kind of stream position: fresh, inside
+    /// a block, after an odd number of 32-bit draws (so every later
+    /// 64-bit value straddles two words, and some of them two blocks).
+    fn at_position(seed: u64, skip_u64: usize, skip_u32: usize) -> FieldRng {
+        let mut rng = FieldRng::seed_from(seed);
+        for _ in 0..skip_u64 {
+            rng.next_u64();
+        }
+        for _ in 0..skip_u32 {
+            rng.uniform_f32(0.0, 1.0);
+        }
+        rng
+    }
+
+    /// `uniform_extend(n)` against `n` calls of `uniform`, from one
+    /// position, then the two generators against each other.
+    fn check_bulk<const P: u64>(tier: Tier, bulk: &mut FieldRng, single: &mut FieldRng, n: usize) {
+        let mut got = vec![Fp::<P>::ONE; 2];
+        bulk.uniform_extend_on(tier, n, &mut got);
+        let want: Vec<Fp<P>> = (0..n).map(|_| single.uniform()).collect();
+        assert_eq!(got[2..], want[..], "{tier:?} n={n}: appended values");
+        assert_eq!(got[..2], [Fp::ONE; 2], "{tier:?} n={n}: what `out` held stays");
+        assert_eq!(bulk.next_u64(), single.next_u64(), "{tier:?} n={n}: position");
+        assert_eq!(
+            bulk.fork(n as u64).uniform::<P>(),
+            single.fork(n as u64).uniform::<P>(),
+            "{tier:?} n={n}: fork"
+        );
+    }
+
+    #[test]
+    fn bulk_draw_is_the_single_draw_stream_on_every_tier() {
+        // Around one value, one block (8 values), one wide refill (64)
+        // and one pass of the body (256).
+        let lens =
+            [0, 1, 2, 7, 8, 9, 15, 63, 64, 65, 71, 72, 127, 128, 129, 255, 256, 257, 321, 1037];
+        for tier in Tier::offered() {
+            for (skip_u64, skip_u32) in [(0, 0), (3, 0), (8, 0), (5, 1), (7, 1), (0, 3), (64, 15)] {
+                for &n in &lens {
+                    let mut bulk = at_position(n as u64, skip_u64, skip_u32);
+                    let mut single = bulk.clone();
+                    check_bulk::<P25>(tier, &mut bulk, &mut single, n);
+                    // And again from wherever that left them, interleaved
+                    // with a 32-bit draw.
+                    assert_eq!(bulk.uniform_f32(0.0, 1.0), single.uniform_f32(0.0, 1.0));
+                    check_bulk::<P25>(tier, &mut bulk, &mut single, 200 - n.min(100));
+                }
+            }
+            // A modulus that rejects almost half of all draws: the bulk
+            // path must replace each rejected value exactly as `uniform`
+            // does, and stop on the same word.
+            let mut bulk = FieldRng::seed_from(77);
+            let mut single = bulk.clone();
+            for n in [1, 64, 300, 1000] {
+                check_bulk::<{ (1 << 63) + 29 }>(tier, &mut bulk, &mut single, n);
+            }
+        }
+    }
+
+    #[test]
+    fn uniform_vec_is_uniform_extend() {
+        let (mut a, mut b) = (FieldRng::seed_from(8), FieldRng::seed_from(8));
+        let v: Vec<F25> = a.uniform_vec(100);
+        assert_eq!(v, (0..100).map(|_| b.uniform()).collect::<Vec<F25>>());
+        assert_eq!(a.next_u64(), b.next_u64());
     }
 }

@@ -20,20 +20,32 @@
 //!   and each worker's recorded observations (the adversary's view,
 //!   which no equality-with-oracle test covers).
 //!
+//! Two more groups pin what the model cases cannot see:
+//!
+//! * `rng_position` — `encode_fused_ws` at (K, M) = (2,1) (4,1) (4,2)
+//!   (3,3) over rows of 4096 + 1037 elements (two noise chunks, the
+//!   second a multiple of no power of two above 1): every encoding and
+//!   where the noise generator stands afterwards (its next `next_u64`);
+//! * `tcp_fleet` — every byte a loopback [`TcpFleet`] and its worker
+//!   host exchange over one private inference, per worker and
+//!   direction, read off a relay between them.
+//!
 //! The table is computed twice, with the kernel thread cap at 1 and at
 //! 4 (16×16 inputs put the larger layers over the fan-out threshold),
-//! and both must match. Not covered yet (ROADMAP item 1): `FieldRng`
-//! positions after `encode_fused_ws` and the bytes of a `TcpFleet`
-//! round.
+//! and both must match.
 
 use std::fmt::Write as _;
+use std::io::{Read, Write as _};
+use std::net::{Shutdown, TcpListener, TcpStream};
 use std::sync::Arc;
+use std::thread::JoinHandle;
 
-use darknight::core::{DarknightConfig, DarknightSession, StepPlan};
-use darknight::field::derive_seed;
-use darknight::gpu::{Behavior, GpuCluster};
-use darknight::linalg::{set_max_threads, Tensor};
+use darknight::core::{DarknightConfig, DarknightSession, EncodingScheme, StepPlan};
+use darknight::field::{derive_seed, FieldRng, F25, P25};
+use darknight::gpu::{serve_fleet_worker, Behavior, FleetManifest, GpuCluster, TcpFleet};
+use darknight::linalg::{set_max_threads, Conv2dShape, Tensor, Workspace};
 use darknight::nn::arch::{mini_mobilenet, mini_resnet, mini_vgg};
+use darknight::nn::layers::{Conv2d, Dense, Flatten, Layer, Relu};
 use darknight::nn::loss::softmax_cross_entropy;
 use darknight::nn::optim::Sgd;
 use darknight::nn::Sequential;
@@ -60,6 +72,18 @@ impl Fold {
         self.u64(vs.len() as u64);
         for v in vs {
             self.u64(u64::from(v.to_bits()));
+        }
+    }
+    fn field(&mut self, vs: &[F25]) {
+        self.u64(vs.len() as u64);
+        for v in vs {
+            self.u64(v.value());
+        }
+    }
+    fn bytes(&mut self, bs: &[u8]) {
+        self.u64(bs.len() as u64);
+        for b in bs {
+            self.u64(u64::from(*b));
         }
     }
 }
@@ -147,6 +171,91 @@ fn run_case(table: &mut String, name: &str, build: Build, mode: &str) {
     row("view", &f);
 }
 
+/// Row length of the `rng_position` cases: one full noise chunk of
+/// `encode_fused_ws` plus an odd-sized second one.
+const FUSED_ROW: usize = 4096 + 1037;
+
+/// The fused encoder's outputs and the noise generator's position after
+/// it, one row per scheme size.
+fn rng_position_rows(table: &mut String) {
+    for (k, m) in [(2, 1), (4, 1), (4, 2), (3, 3)] {
+        let mut rng = FieldRng::seed_from(0x706f_7369 ^ (k * 16 + m) as u64);
+        let scheme = EncodingScheme::generate(k, m, true, &mut rng);
+        let inputs: Vec<Vec<F25>> = (0..k).map(|_| rng.uniform_vec::<P25>(FUSED_ROW)).collect();
+        let mut nrng = rng.fork(1);
+        let mut f = Fold::new();
+        for enc in scheme.encode_fused_ws(&inputs, &mut nrng, &mut Workspace::new()) {
+            f.field(&enc);
+        }
+        f.u64(nrng.next_u64());
+        writeln!(table, "rng_position/k{k}_m{m} {:016x}", f.0).expect("write to a String");
+    }
+}
+
+/// Every byte one relayed connection carried `(to, from)` its upstream
+/// side.
+type Relayed = (Vec<u8>, Vec<u8>);
+
+/// A loopback relay in front of `upstream` for one connection: forwards
+/// both directions and returns what it carried.
+fn recording_relay(upstream: String) -> (String, JoinHandle<Relayed>) {
+    fn pump(mut src: TcpStream, mut dst: TcpStream) -> Vec<u8> {
+        let (mut seen, mut buf) = (Vec::new(), [0u8; 1 << 14]);
+        while let Ok(n @ 1..) = src.read(&mut buf) {
+            seen.extend_from_slice(&buf[..n]);
+            if dst.write_all(&buf[..n]).is_err() {
+                break;
+            }
+        }
+        let _ = dst.shutdown(Shutdown::Write);
+        seen
+    }
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
+    let addr = listener.local_addr().expect("relay address").to_string();
+    let relay = std::thread::spawn(move || {
+        let (down, _) = listener.accept().expect("fleet dials the relay");
+        let up = TcpStream::connect(upstream).expect("relay dials the worker host");
+        let (down2, up2) = (down.try_clone().expect("clone"), up.try_clone().expect("clone"));
+        let from = std::thread::spawn(move || pump(up2, down2));
+        (pump(down, up), from.join().expect("relay pump"))
+    });
+    (addr, relay)
+}
+
+/// Every byte of one private inference over a loopback `TcpFleet`.
+fn tcp_fleet_row(table: &mut String) {
+    let cfg = DarknightConfig::new(K, 1).with_integrity(true).with_seed(0x7c9);
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
+    let host = listener.local_addr().expect("host address").to_string();
+    let server = std::thread::spawn(move || serve_fleet_worker(listener));
+    let (addrs, relays): (Vec<_>, Vec<_>) =
+        (0..cfg.workers_required()).map(|_| recording_relay(host.clone())).unzip();
+    let fleet = TcpFleet::from_manifest(&FleetManifest {
+        workers: addrs,
+        io_timeout_ms: 10_000,
+        ..FleetManifest::default()
+    });
+    let mut session =
+        DarknightSession::with_backend(cfg, fleet, Default::default()).expect("session");
+    let mut model = Sequential::new(vec![
+        Layer::Conv2d(Conv2d::new(Conv2dShape::simple(2, 4, 3, 1, 1), 9)),
+        Layer::Relu(Relu::new()),
+        Layer::Flatten(Flatten::new()),
+        Layer::Dense(Dense::new(4 * 6 * 6, 3, 10)),
+    ]);
+    let x = Tensor::from_fn(&[K, 2, 6, 6], |i| ((i * 31 % 17) as f32 - 8.0) * 0.06);
+    let mut f = Fold::new();
+    f.f32s(session.private_inference(&mut model, &x).expect("inference over tcp").as_slice());
+    session.cluster_mut().shutdown();
+    for relay in relays {
+        let (to, from) = relay.join().expect("relay");
+        f.bytes(&to);
+        f.bytes(&from);
+    }
+    server.join().expect("worker host").expect("worker host exits cleanly");
+    writeln!(table, "tcp_fleet/inference_bytes {:016x}", f.0).expect("write to a String");
+}
+
 fn fresh_table() -> String {
     let mut table = String::new();
     for (name, build) in MODELS {
@@ -154,6 +263,8 @@ fn fresh_table() -> String {
             run_case(&mut table, name, build, mode);
         }
     }
+    rng_position_rows(&mut table);
+    tcp_fleet_row(&mut table);
     table
 }
 

@@ -1,5 +1,14 @@
 //! Property-based tests over the core cryptographic and numerical
 //! invariants, spanning crates.
+//!
+//! The slice forms of `dk_field` (quantize, dequantize, the bulk noise
+//! draw) run a vectorized body picked per call for the widest tier the
+//! CPU offers; the properties here hold them, through the public API, to
+//! their per-element definitions — the `i128` formula below, the public
+//! single-value functions. The same comparisons on **every** tier the
+//! host offers, the baseline body included, live beside the bodies
+//! (`dk_field`'s `quant` and `rng` unit tests), where the tier can be
+//! named.
 
 use darknight::core::EncodingScheme;
 use darknight::field::vandermonde::{is_mds, mds_matrix};
@@ -66,8 +75,115 @@ fn quantize_matches_the_i128_formula_on_the_edges() {
     }
 }
 
+/// Longest slice of the sweeps below: two quantize chunks (256 elements
+/// each, see `dk_field::quant`) and one element over.
+const SWEEP: usize = 2 * 256 + 1;
+
+/// `quantize_slice_into` by definition: element by element through the
+/// `i128` formula, stopping at the first error.
+fn quantize_slice_via_i128(
+    q: QuantConfig,
+    vs: &[f32],
+    pre: f32,
+) -> (Result<(), QuantError>, Vec<F25>) {
+    let mut out = Vec::new();
+    for &v in vs {
+        match quantize_via_i128(q, (v * pre) as f64) {
+            Ok(x) => out.push(x),
+            Err(e) => return (Err(e), out),
+        }
+    }
+    (Ok(()), out)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The chunked quantize pass is the per-element formula at every
+    /// length up to two chunks and one: same values when every element
+    /// is in range, and with arbitrary bit patterns dropped in, the same
+    /// error and the same elements in `out` before it.
+    #[test]
+    fn quantize_slice_matches_the_i128_formula_element_by_element(
+        seed in arb_seed(),
+        len in 0usize..=SWEEP,
+        l in 0u32..21,
+        pre_bits in any::<u32>(),
+        faults in 0usize..3,
+    ) {
+        let q = QuantConfig::new(l);
+        let mut rng = FieldRng::seed_from(seed);
+        // Two cases in three keep a pre-scale that leaves the values in
+        // range, so the clean prefix is as long as the faults allow.
+        let pre = [1.0, -0.37, f32::from_bits(pre_bits)][pre_bits as usize % 3];
+        let reach = (P25 / 2) as f32 / q.scale() as f32 / if pre.is_normal() { pre.abs() } else { 1.0 };
+        let mut vs: Vec<f32> = (0..len).map(|_| rng.uniform_f32(-reach, reach)).collect();
+        for _ in 0..faults.min(len) {
+            let at = rng.index(len);
+            vs[at] = f32::from_bits(rng.next_u64() as u32);
+        }
+        let mut out = vec![F25::ONE];
+        let got = q.quantize_slice_into::<P25>(&vs, pre, &mut out);
+        let (want, want_out) = quantize_slice_via_i128(q, &vs, pre);
+        prop_assert_eq!(got, want);
+        prop_assert_eq!(&out[1..], &want_out[..]);
+        prop_assert_eq!(out[0], F25::ONE);
+    }
+
+    /// The dequantize pass is `dequantize_product` per element, bit for
+    /// bit, at the centered lift's edges and anywhere else, under any
+    /// post-scale.
+    #[test]
+    fn dequantize_slice_matches_the_single_value_function(
+        seed in arb_seed(),
+        len in 0usize..=SWEEP,
+        l in 0u32..21,
+        post_bits in any::<u32>(),
+    ) {
+        let q = QuantConfig::new(l);
+        let post = f32::from_bits(post_bits);
+        let mut ys: Vec<F25> = [0, 1, P25 / 2, P25 / 2 + 1, P25 - 1].map(F25::new).to_vec();
+        ys.extend(FieldRng::seed_from(seed).uniform_vec::<P25>(len));
+        let mut got = vec![0.0f32; ys.len()];
+        q.dequantize_product_slice_into(&ys, post, &mut got);
+        for (g, &y) in got.iter().zip(&ys) {
+            let want = q.dequantize_product(y) as f32 * post;
+            prop_assert_eq!(g.to_bits(), want.to_bits());
+        }
+    }
+
+    /// `uniform_extend(n)` is `n` calls of `uniform` and leaves the
+    /// generator where they do — from any stream position (mid-block,
+    /// mid-value after 32-bit draws), for `n` on both sides of a block,
+    /// a refill and a pass of the bulk body, with `next_u64`, `fork` and
+    /// 32-bit draws in between.
+    #[test]
+    fn uniform_extend_is_uniform_repeated(
+        seed in arb_seed(),
+        skip_u32 in 0usize..40,
+        ns in proptest::collection::vec(0usize..600, 1..6),
+    ) {
+        let mut bulk = FieldRng::seed_from(seed);
+        for _ in 0..skip_u32 {
+            bulk.uniform_f32(0.0, 1.0);
+        }
+        let mut single = bulk.clone();
+        for (step, n) in ns.into_iter().enumerate() {
+            // Lengths off the random draw, then right on the boundaries.
+            for n in [n, [8, 64, 256][step % 3] + n % 3 - 1] {
+                let mut got = vec![F25::ZERO; step];
+                bulk.uniform_extend::<P25>(n, &mut got);
+                let want: Vec<F25> = (0..n).map(|_| single.uniform()).collect();
+                prop_assert_eq!(&got[step..], &want[..]);
+            }
+            match step % 3 {
+                0 => prop_assert_eq!(bulk.next_u64(), single.next_u64()),
+                1 => prop_assert_eq!(bulk.fork(7).next_u64(), single.fork(7).next_u64()),
+                _ => prop_assert_eq!(bulk.uniform_f32(-1.0, 1.0), single.uniform_f32(-1.0, 1.0)),
+            }
+        }
+        prop_assert_eq!(bulk.next_u64(), single.next_u64());
+    }
 
     /// Quantization without the 128-bit division is the same function:
     /// every `f64` and `f32` bit pattern, every scale, value or error.
