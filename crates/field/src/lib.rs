@@ -14,6 +14,7 @@
 //!   collusion-tolerance requirement of §5 of the paper).
 //! * [`quant`] — the fixed-point quantization pipeline of Algorithm 1
 //!   (scale by `2^l`, map into the field, centered lift on decode).
+//! * [`lanes`] — the 4-byte wire form of a field vector, both ways.
 //!
 //! # Example
 //!
@@ -31,6 +32,7 @@
 //! ```
 
 pub mod fp;
+pub mod lanes;
 pub mod matrix;
 pub mod quant;
 pub mod rng;
@@ -38,6 +40,7 @@ mod tier;
 pub mod vandermonde;
 
 pub use fp::{Fp, F25, F61, P25, P61};
+pub use lanes::{pack_lanes, unpack_lanes};
 pub use matrix::FieldMatrix;
 pub use quant::{QuantConfig, QuantError};
 pub use rng::{derive_seed, FieldRng};

@@ -208,11 +208,11 @@ pub trait GpuExec {
     }
 
     /// Hands decoded output tensors back to the backend so their buffers
-    /// can return to whichever pool produced them (worker workspaces for
-    /// in-process backends). Drains `outputs`; the `Vec` itself stays
+    /// can return to whichever pool produced them: the worker workspaces
+    /// of the in-process backends, the pool [`crate::TcpFleet`] decodes
+    /// `Output` frames into. Drains `outputs`; the `Vec` itself stays
     /// with the caller for reuse. Best-effort — the default simply drops
-    /// the tensors, which is always correct (remote backends received
-    /// them over the wire and have no pool to return them to).
+    /// the tensors, which is always correct.
     fn recycle_outputs(&mut self, outputs: &mut Vec<Tensor<F25>>) {
         outputs.clear();
     }

@@ -314,17 +314,44 @@ impl LinearJob {
     /// once the round's outputs are decoded). Operands that are shared
     /// (`Arc`) or stored worker-side are not the job's to give.
     pub fn recycle_into(self, ws: &mut Workspace) {
+        self.give_owned(ws);
+    }
+
+    /// [`LinearJob::recycle_into`] for a job whose every operand was
+    /// drawn from `ws` — a `Run` a worker decoded off the wire. The
+    /// shared operand (weights, or a stored job's `δ` batch) goes back
+    /// through [`Workspace::give_shared`], so only if this job holds its
+    /// last reference, and β goes back with it.
+    pub fn recycle_decoded_into(self, ws: &mut Workspace) {
+        let (shared, beta) = self.give_owned(ws);
+        if let Some(t) = shared {
+            ws.give_shared(t);
+        }
+        ws.give(beta);
+    }
+
+    /// Gives the tensors this job owns to `ws`; returns its shared
+    /// operand, if it has one, and its β (empty but for stored jobs).
+    fn give_owned(self, ws: &mut Workspace) -> (Option<Arc<Tensor<F25>>>, Vec<F25>) {
         match self {
-            LinearJob::ConvForward { x, .. } | LinearJob::DenseForward { x, .. } => {
+            LinearJob::ConvForward { weights, x, .. } | LinearJob::DenseForward { weights, x } => {
                 ws.give_tensor(x);
+                (Some(weights), Vec::new())
             }
             LinearJob::ConvWeightGrad { delta, x, .. } | LinearJob::DenseWeightGrad { delta, x } => {
                 ws.give_tensor(delta);
                 ws.give_tensor(x);
+                (None, Vec::new())
             }
-            LinearJob::ConvBackwardData { delta, .. }
-            | LinearJob::DenseBackwardData { delta, .. } => ws.give_tensor(delta),
-            LinearJob::ConvWeightGradStored { .. } | LinearJob::DenseWeightGradStored { .. } => {}
+            LinearJob::ConvBackwardData { weights, delta, .. }
+            | LinearJob::DenseBackwardData { weights, delta } => {
+                ws.give_tensor(delta);
+                (Some(weights), Vec::new())
+            }
+            LinearJob::ConvWeightGradStored { delta_batch, beta, .. }
+            | LinearJob::DenseWeightGradStored { delta_batch, beta, .. } => {
+                (Some(delta_batch), beta)
+            }
         }
     }
 

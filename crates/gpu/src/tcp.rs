@@ -29,7 +29,7 @@ use crate::wire::{self, WireMsg};
 use crate::worker::{GpuWorker, WorkerId};
 use crate::{Behavior, LatencyModel};
 use dk_field::F25;
-use dk_linalg::Tensor;
+use dk_linalg::{Tensor, Workspace};
 use std::io::{self, Write};
 use std::net::{TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -227,6 +227,8 @@ struct RemoteWorker {
     /// The encoded frame [`RemoteWorker::send_frame`] writes: one
     /// buffer per connection, reused for every outgoing message.
     frame: Vec<u8>,
+    /// The payload [`RemoteWorker::recv`] reads each reply into.
+    payload: Vec<u8>,
     /// Live `Store`s in issue order, replayed on reconnect.
     replay: Vec<(u64, Tensor<F25>)>,
     reconnects: u64,
@@ -384,13 +386,13 @@ impl RemoteWorker {
         self.send_frame()
     }
 
-    /// Reads one reply frame; faults tear the connection down so the
-    /// next send starts from a clean dial.
-    fn recv(&mut self) -> Result<WireMsg, GpuError> {
+    /// Reads one reply frame, its tensors drawn from `ws`; faults tear
+    /// the connection down so the next send starts from a clean dial.
+    fn recv(&mut self, ws: &mut Workspace) -> Result<WireMsg, GpuError> {
         let Some(stream) = self.conn.as_mut() else {
             return Err(GpuError::lost(self.id, "no connection"));
         };
-        match wire::read_msg_counted(stream) {
+        match wire::read_msg_into(stream, &mut self.payload, ws) {
             Ok((msg, n)) => {
                 self.count_frame(n);
                 Ok(msg)
@@ -410,15 +412,15 @@ impl RemoteWorker {
     }
 
     /// Reads the Output/Fail reply to a `Run` already sent.
-    fn run_reply(&mut self) -> WorkerResult {
-        match self.recv()? {
+    fn run_reply(&mut self, ws: &mut Workspace) -> WorkerResult {
+        match self.recv(ws)? {
             WireMsg::Output { tensor } => Ok(tensor),
             WireMsg::Fail { message } => Err(GpuError::Remote { worker: self.id, message }),
             other => {
                 self.conn = None;
-                Err(GpuError::Protocol {
-                    detail: format!("{}: expected Output/Fail, got {other:?}", self.id),
-                })
+                let detail = format!("{}: expected Output/Fail, got {other:?}", self.id);
+                wire::recycle_msg(other, ws);
+                Err(GpuError::Protocol { detail })
             }
         }
     }
@@ -431,6 +433,9 @@ impl RemoteWorker {
 #[derive(Debug)]
 pub struct TcpFleet {
     workers: Vec<RemoteWorker>,
+    /// The TEE end's pool: `Output` tensors are decoded into it and
+    /// [`GpuExec::recycle_outputs`] gives them back.
+    ws: Workspace,
 }
 
 impl TcpFleet {
@@ -455,6 +460,7 @@ impl TcpFleet {
                 connect_timeout: Duration::from_millis(m.connect_timeout_ms.max(1)),
                 conn: None,
                 frame: Vec::new(),
+                payload: Vec::new(),
                 replay: Vec::new(),
                 reconnects: 0,
                 backoff: Backoff {
@@ -470,7 +476,7 @@ impl TcpFleet {
                 redials_total: redials_total.clone(),
             })
             .collect();
-        Self { workers }
+        Self { workers, ws: Workspace::new() }
     }
 
     /// Total reconnect count across the fleet (each successful dial
@@ -555,7 +561,7 @@ impl GpuExec for TcpFleet {
                 continue;
             }
             if out[first + s].is_ok() {
-                out[first + s] = self.workers[w.0].run_reply();
+                out[first + s] = self.workers[w.0].run_reply(&mut self.ws);
             }
             if let Some(next) =
                 (s + 1..slots).find(|&t| matches!(slot(t), (v, Some(_)) if v == w))
@@ -566,10 +572,16 @@ impl GpuExec for TcpFleet {
         Ok(())
     }
 
+    fn recycle_outputs(&mut self, outputs: &mut Vec<Tensor<F25>>) {
+        for t in outputs.drain(..) {
+            self.ws.give_tensor(t);
+        }
+    }
+
     fn execute_on(&mut self, id: WorkerId, job: &LinearJob) -> WorkerResult {
         let w = &mut self.workers[id.0];
         w.send_run(job)?;
-        w.run_reply()
+        w.run_reply(&mut self.ws)
     }
 
     fn store_encodings(&mut self, ctx_id: u64, encodings: Vec<Tensor<F25>>) {
@@ -729,9 +741,13 @@ fn serve_connection(mut stream: TcpStream) -> ConnSummary {
         return summary;
     }
     summary.frames += 1;
+    // The connection's own buffers (see `wire`'s Buffers section): the
+    // payload each frame is read into, the frame each reply is encoded
+    // into, and the pool decoded operands come out of and go back to.
+    let (mut payload, mut frame, mut ws) = (Vec::new(), Vec::new(), Workspace::new());
     loop {
-        match wire::read_msg(&mut stream) {
-            Ok(WireMsg::Run { job }) => {
+        match wire::read_msg_into(&mut stream, &mut payload, &mut ws) {
+            Ok((WireMsg::Run { job }, _)) => {
                 summary.frames += 1;
                 summary.jobs += 1;
                 // A replay gap is a typed wire fault the TEE can
@@ -741,26 +757,33 @@ fn serve_connection(mut stream: TcpStream) -> ConnSummary {
                     Err(GpuError::Remote { message, .. }) => WireMsg::Fail { message },
                     Err(other) => WireMsg::Fail { message: other.to_string() },
                 };
-                if wire::write_msg(&mut stream, &reply).is_err() {
+                job.recycle_decoded_into(&mut ws);
+                wire::encode_msg(&mut frame, &reply);
+                if let WireMsg::Output { tensor } = reply {
+                    worker.recycle_output(tensor);
+                }
+                if stream.write_all(&frame).is_err() {
                     summary.exit = "write-failed";
                     return summary;
                 }
                 summary.frames += 1;
             }
-            Ok(WireMsg::Store { ctx_id, tensor }) => {
+            Ok((WireMsg::Store { ctx_id, tensor }, _)) => {
                 summary.frames += 1;
                 worker.store_encoding(ctx_id, tensor);
             }
-            Ok(WireMsg::Release { ctx_id }) => {
+            Ok((WireMsg::Release { ctx_id }, _)) => {
                 summary.frames += 1;
-                worker.remove_encoding(ctx_id);
+                if let Some(t) = worker.take_encoding(ctx_id) {
+                    ws.give_tensor(t);
+                }
             }
-            Ok(WireMsg::Shutdown) => {
+            Ok((WireMsg::Shutdown, _)) => {
                 summary.frames += 1;
                 summary.exit = "shutdown";
                 return summary;
             }
-            Ok(other) => {
+            Ok((other, _)) => {
                 summary.frames += 1;
                 let _ = wire::write_msg(
                     &mut stream,

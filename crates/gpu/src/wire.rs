@@ -38,6 +38,35 @@
 //! error after at most one chunk, not a half-gigabyte request inside an
 //! enclave sized in megabytes.
 //!
+//! ## Buffers
+//!
+//! A frame costs one bulk pack, one bulk unpack and its socket calls;
+//! nothing on a warm connection touches the allocator. Each end keeps
+//! its buffers:
+//!
+//! * **Frames out** are encoded into one buffer per connection
+//!   ([`encode_run`], [`encode_store`], [`encode_msg`] replace its
+//!   contents): `TcpFleet` keeps one per remote worker, the worker's
+//!   connection loop one for its replies.
+//! * **Frames in** are read into one payload buffer per connection and
+//!   decoded by [`read_msg_into`], whose tensors, their shapes and the
+//!   `Arc` around a job's shared operand come out of a caller-owned
+//!   [`Workspace`]. `TcpFleet` owns the TEE end's pool and
+//!   `GpuExec::recycle_outputs` refills it with the decoded `Output`
+//!   tensors; the worker's connection loop owns the other, refilled by
+//!   [`LinearJob::recycle_decoded_into`] once a job has run, by each
+//!   `Release`, and through [`recycle_msg`] by any message it refuses.
+//! * A frame rejected part-way gives back whatever it had decoded, so a
+//!   hostile peer neither leaks nor drains the pool.
+//!
+//! None of this shows on the wire: the bytes, and [`VERSION`], are
+//! those of the one-value-at-a-time codec. A tensor's values are
+//! unpacked by [`dk_field::unpack_lanes`] in one branch-free pass that
+//! keeps a single "≥ p" flag; only a flagged tensor is scanned a second
+//! time, there, for its first out-of-range value, which
+//! `get_field_values` reports as the same `field value {raw} out of
+//! range` error the old codec returned.
+//!
 //! The protocol is deliberately session-free beyond the `Hello`
 //! handshake: each connection serves one logical worker, messages are
 //! answered in order, and the TEE side never pipelines more than one
@@ -46,7 +75,7 @@
 
 use crate::job::LinearJob;
 use dk_field::F25;
-use dk_linalg::{Conv2dShape, Tensor};
+use dk_linalg::{Conv2dShape, Tensor, Workspace};
 use std::io::{self, Read, Write};
 use std::sync::Arc;
 
@@ -61,6 +90,8 @@ pub const MAX_PAYLOAD: u32 = 1 << 28;
 /// be sized (see the module docs' allocation rule). An honest frame no
 /// larger than this is read into one exact allocation.
 const READ_CHUNK: usize = 1 << 20;
+/// Largest tensor rank a frame may declare.
+const MAX_RANK: usize = 8;
 
 /// A message on the wire. The `type` field of the frame header is the
 /// variant's [`WireMsg::msg_type`].
@@ -181,44 +212,46 @@ impl<'a> Cursor<'a> {
 
 // ---- composite encodings ----
 
+/// Encoded size of a tensor.
+fn tensor_bytes(t: &Tensor<F25>) -> usize {
+    4 * (1 + t.ndim() + t.len())
+}
+
 fn put_tensor(buf: &mut Vec<u8>, t: &Tensor<F25>) {
-    buf.reserve(4 * (1 + t.shape().len() + t.len()));
-    put_u32(buf, t.shape().len() as u32);
+    buf.reserve(tensor_bytes(t));
+    put_u32(buf, t.ndim() as u32);
     for &d in t.shape() {
         put_u32(buf, d as u32);
     }
-    for &v in t.as_slice() {
-        put_u32(buf, v.value() as u32);
-    }
+    dk_field::pack_lanes(t.as_slice(), buf);
 }
 
-fn get_tensor(c: &mut Cursor) -> io::Result<Tensor<F25>> {
+fn get_tensor(c: &mut Cursor, ws: &mut Workspace) -> io::Result<Tensor<F25>> {
     let ndim = c.u32()? as usize;
-    if ndim > 8 {
+    if ndim > MAX_RANK {
         return Err(bad(format!("tensor rank {ndim} too large")));
     }
-    let mut dims = Vec::with_capacity(ndim);
+    let mut dims = [0usize; MAX_RANK];
     let mut len = 1usize;
-    for _ in 0..ndim {
-        let d = c.u32()? as usize;
-        len = len.checked_mul(d).ok_or_else(|| bad("tensor size overflow"))?;
-        dims.push(d);
+    for d in &mut dims[..ndim] {
+        *d = c.u32()? as usize;
+        len = len.checked_mul(*d).ok_or_else(|| bad("tensor size overflow"))?;
     }
-    Ok(Tensor::from_vec(&dims, get_field_values(c, len)?))
+    let data = get_field_values(c, len, ws)?;
+    Ok(Tensor::from_parts(ws.take_shape(&dims[..ndim]), data))
 }
 
-/// `n` field values, one `u32` each. The `4·n` bytes are taken from the
-/// cursor **before** the vector is sized, so a claimed count the
-/// payload does not back is "payload truncated" and allocates nothing.
-fn get_field_values(c: &mut Cursor, n: usize) -> io::Result<Vec<F25>> {
+/// `n` field values, one `u32` each, into a buffer from `ws`. The `4·n`
+/// bytes are taken from the cursor **before** the buffer is sized, so a
+/// claimed count the payload does not back is "payload truncated" and
+/// takes nothing. One [`dk_field::unpack_lanes`] pass writes and checks
+/// every value; a rejected tensor's buffer goes straight back.
+fn get_field_values(c: &mut Cursor, n: usize, ws: &mut Workspace) -> io::Result<Vec<F25>> {
     let bytes = c.take(n.checked_mul(4).ok_or_else(|| bad("length overflow"))?)?;
-    let mut vals = Vec::with_capacity(n);
-    for b in bytes.chunks_exact(4) {
-        let raw = u32::from_le_bytes(b.try_into().unwrap()) as u64;
-        if raw >= dk_field::P25 {
-            return Err(bad(format!("field value {raw} out of range")));
-        }
-        vals.push(F25::new(raw));
+    let mut vals = ws.take_cleared::<F25>(n);
+    if let Err(raw) = dk_field::unpack_lanes(bytes, &mut vals) {
+        ws.give(vals);
+        return Err(bad(format!("field value {raw} out of range")));
     }
     Ok(vals)
 }
@@ -256,54 +289,44 @@ fn get_shape(c: &mut Cursor) -> io::Result<Conv2dShape> {
 }
 
 fn put_beta(buf: &mut Vec<u8>, beta: &[F25]) {
+    buf.reserve(4 * (1 + beta.len()));
     put_u32(buf, beta.len() as u32);
-    for &b in beta {
-        put_u32(buf, b.value() as u32);
-    }
+    dk_field::pack_lanes(beta, buf);
 }
 
-fn get_beta(c: &mut Cursor) -> io::Result<Vec<F25>> {
+fn get_beta(c: &mut Cursor, ws: &mut Workspace) -> io::Result<Vec<F25>> {
     let n = c.u32()? as usize;
-    get_field_values(c, n)
+    get_field_values(c, n, ws)
+}
+
+/// A job's tag and two tensor operands, with room for them and the
+/// fixed-size fields after them (≤ 44 bytes) reserved at once.
+fn put_operands(buf: &mut Vec<u8>, tag: u8, a: &Tensor<F25>, b: &Tensor<F25>) {
+    buf.reserve(1 + tensor_bytes(a) + tensor_bytes(b) + 44);
+    buf.push(tag);
+    put_tensor(buf, a);
+    put_tensor(buf, b);
 }
 
 fn put_job(buf: &mut Vec<u8>, job: &LinearJob) {
     match job {
         LinearJob::ConvForward { weights, x, shape } => {
-            buf.push(0);
-            put_tensor(buf, weights);
-            put_tensor(buf, x);
+            put_operands(buf, 0, weights, x);
             put_shape(buf, shape);
         }
         LinearJob::ConvWeightGrad { delta, x, shape } => {
-            buf.push(1);
-            put_tensor(buf, delta);
-            put_tensor(buf, x);
+            put_operands(buf, 1, delta, x);
             put_shape(buf, shape);
         }
         LinearJob::ConvBackwardData { weights, delta, shape, input_hw } => {
-            buf.push(2);
-            put_tensor(buf, weights);
-            put_tensor(buf, delta);
+            put_operands(buf, 2, weights, delta);
             put_shape(buf, shape);
             put_u32(buf, input_hw.0 as u32);
             put_u32(buf, input_hw.1 as u32);
         }
-        LinearJob::DenseForward { weights, x } => {
-            buf.push(3);
-            put_tensor(buf, weights);
-            put_tensor(buf, x);
-        }
-        LinearJob::DenseWeightGrad { delta, x } => {
-            buf.push(4);
-            put_tensor(buf, delta);
-            put_tensor(buf, x);
-        }
-        LinearJob::DenseBackwardData { weights, delta } => {
-            buf.push(5);
-            put_tensor(buf, weights);
-            put_tensor(buf, delta);
-        }
+        LinearJob::DenseForward { weights, x } => put_operands(buf, 3, weights, x),
+        LinearJob::DenseWeightGrad { delta, x } => put_operands(buf, 4, delta, x),
+        LinearJob::DenseBackwardData { weights, delta } => put_operands(buf, 5, weights, delta),
         LinearJob::ConvWeightGradStored { delta_batch, beta, layer_id, shape } => {
             buf.push(6);
             put_tensor(buf, delta_batch);
@@ -320,42 +343,92 @@ fn put_job(buf: &mut Vec<u8>, job: &LinearJob) {
     }
 }
 
-fn get_job(c: &mut Cursor) -> io::Result<LinearJob> {
-    Ok(match c.u8()? {
-        0 => LinearJob::ConvForward {
-            weights: Arc::new(get_tensor(c)?),
-            x: get_tensor(c)?,
-            shape: get_shape(c)?,
-        },
-        1 => LinearJob::ConvWeightGrad {
-            delta: get_tensor(c)?,
-            x: get_tensor(c)?,
-            shape: get_shape(c)?,
-        },
-        2 => LinearJob::ConvBackwardData {
-            weights: Arc::new(get_tensor(c)?),
-            delta: get_tensor(c)?,
-            shape: get_shape(c)?,
-            input_hw: (c.u32()? as usize, c.u32()? as usize),
-        },
-        3 => LinearJob::DenseForward { weights: Arc::new(get_tensor(c)?), x: get_tensor(c)? },
-        4 => LinearJob::DenseWeightGrad { delta: get_tensor(c)?, x: get_tensor(c)? },
-        5 => LinearJob::DenseBackwardData {
-            weights: Arc::new(get_tensor(c)?),
-            delta: get_tensor(c)?,
-        },
-        6 => LinearJob::ConvWeightGradStored {
-            delta_batch: Arc::new(get_tensor(c)?),
-            beta: get_beta(c)?,
-            layer_id: c.u64()?,
-            shape: get_shape(c)?,
-        },
-        7 => LinearJob::DenseWeightGradStored {
-            delta_batch: Arc::new(get_tensor(c)?),
-            beta: get_beta(c)?,
-            layer_id: c.u64()?,
-        },
-        t => return Err(bad(format!("unknown job tag {t}"))),
+/// A `Run`'s operands while the rest of its payload is parsed: every
+/// job is a tensor, then a tensor (tags 0–5) or a β row (6–7), then
+/// fixed-size fields. Whatever is still here when it drops — all of it,
+/// if a later field is rejected — goes back to the pool.
+struct Operands<'w> {
+    ws: &'w mut Workspace,
+    first: Tensor<F25>,
+    second: Tensor<F25>,
+    beta: Vec<F25>,
+}
+
+impl Operands<'_> {
+    fn first(&mut self) -> Tensor<F25> {
+        std::mem::take(&mut self.first)
+    }
+
+    /// The first operand as the job's shared one, its `Arc` pooled too.
+    fn shared(&mut self) -> Arc<Tensor<F25>> {
+        let t = self.first();
+        self.ws.share(t)
+    }
+
+    fn second(&mut self) -> Tensor<F25> {
+        std::mem::take(&mut self.second)
+    }
+
+    fn beta(&mut self) -> Vec<F25> {
+        std::mem::take(&mut self.beta)
+    }
+}
+
+impl Drop for Operands<'_> {
+    fn drop(&mut self) {
+        let (first, second, beta) = (self.first(), self.second(), self.beta());
+        self.ws.give_tensor(first);
+        self.ws.give_tensor(second);
+        self.ws.give(beta);
+    }
+}
+
+fn get_job(c: &mut Cursor, ws: &mut Workspace) -> io::Result<LinearJob> {
+    let tag = c.u8()?;
+    if tag > 7 {
+        return Err(bad(format!("unknown job tag {tag}")));
+    }
+    let first = get_tensor(c, ws)?;
+    let mut ops = Operands { ws, first, second: Tensor::default(), beta: Vec::new() };
+    if tag < 6 {
+        ops.second = get_tensor(c, ops.ws)?;
+    } else {
+        ops.beta = get_beta(c, ops.ws)?;
+    }
+    Ok(match tag {
+        0 => {
+            let shape = get_shape(c)?;
+            LinearJob::ConvForward { weights: ops.shared(), x: ops.second(), shape }
+        }
+        1 => {
+            let shape = get_shape(c)?;
+            LinearJob::ConvWeightGrad { delta: ops.first(), x: ops.second(), shape }
+        }
+        2 => {
+            let shape = get_shape(c)?;
+            let input_hw = (c.u32()? as usize, c.u32()? as usize);
+            let (weights, delta) = (ops.shared(), ops.second());
+            LinearJob::ConvBackwardData { weights, delta, shape, input_hw }
+        }
+        3 => LinearJob::DenseForward { weights: ops.shared(), x: ops.second() },
+        4 => LinearJob::DenseWeightGrad { delta: ops.first(), x: ops.second() },
+        5 => LinearJob::DenseBackwardData { weights: ops.shared(), delta: ops.second() },
+        6 => {
+            let layer_id = c.u64()?;
+            let shape = get_shape(c)?;
+            LinearJob::ConvWeightGradStored {
+                delta_batch: ops.shared(),
+                beta: ops.beta(),
+                layer_id,
+                shape,
+            }
+        }
+        // 7: the tag check above leaves no other.
+        _ => {
+            let layer_id = c.u64()?;
+            let (delta_batch, beta) = (ops.shared(), ops.beta());
+            LinearJob::DenseWeightGradStored { delta_batch, beta, layer_id }
+        }
     })
 }
 
@@ -417,7 +490,18 @@ pub fn encode_store(buf: &mut Vec<u8>, ctx_id: u64, tensor: &Tensor<F25>) {
     });
 }
 
-fn decode_payload(msg_type: u16, payload: &[u8]) -> io::Result<WireMsg> {
+/// Gives a decoded message's buffers back to the pool
+/// [`read_msg_into`] drew them from (see the module docs' Buffers
+/// section); a message without any is simply dropped.
+pub fn recycle_msg(msg: WireMsg, ws: &mut Workspace) {
+    match msg {
+        WireMsg::Run { job } => job.recycle_decoded_into(ws),
+        WireMsg::Output { tensor } | WireMsg::Store { tensor, .. } => ws.give_tensor(tensor),
+        _ => {}
+    }
+}
+
+fn decode_payload(msg_type: u16, payload: &[u8], ws: &mut Workspace) -> io::Result<WireMsg> {
     let mut c = Cursor::new(payload);
     let msg = match msg_type {
         1 => WireMsg::Hello {
@@ -426,9 +510,9 @@ fn decode_payload(msg_type: u16, payload: &[u8]) -> io::Result<WireMsg> {
             latency: (c.u64()?, c.u64()?),
         },
         2 => WireMsg::HelloAck,
-        3 => WireMsg::Run { job: get_job(&mut c)? },
-        4 => WireMsg::Output { tensor: get_tensor(&mut c)? },
-        5 => WireMsg::Store { ctx_id: c.u64()?, tensor: get_tensor(&mut c)? },
+        3 => WireMsg::Run { job: get_job(&mut c, ws)? },
+        4 => WireMsg::Output { tensor: get_tensor(&mut c, ws)? },
+        5 => WireMsg::Store { ctx_id: c.u64()?, tensor: get_tensor(&mut c, ws)? },
         6 => WireMsg::Release { ctx_id: c.u64()? },
         7 => {
             let n = c.u32()? as usize;
@@ -441,7 +525,10 @@ fn decode_payload(msg_type: u16, payload: &[u8]) -> io::Result<WireMsg> {
         8 => WireMsg::Shutdown,
         t => return Err(bad(format!("unknown message type {t}"))),
     };
-    c.finish()?;
+    if let Err(e) = c.finish() {
+        recycle_msg(msg, ws);
+        return Err(e);
+    }
     Ok(msg)
 }
 
@@ -485,6 +572,25 @@ pub fn read_msg<R: Read>(r: &mut R) -> io::Result<WireMsg> {
 ///
 /// Same conditions as [`read_msg`].
 pub fn read_msg_counted<R: Read>(r: &mut R) -> io::Result<(WireMsg, usize)> {
+    read_msg_into(r, &mut Vec::new(), &mut Workspace::new())
+}
+
+/// [`read_msg_counted`] into buffers the caller keeps: the payload is
+/// read into the front of `payload`, a scratch buffer that keeps its
+/// largest length, and the message's tensors come out of `ws`. Give
+/// them back with [`recycle_msg`] (or the recycle path of whatever
+/// consumed them) and a warm connection reads every frame without
+/// allocating or zeroing anything. On an error every buffer taken from
+/// `ws` has been given back.
+///
+/// # Errors
+///
+/// Same conditions as [`read_msg`].
+pub fn read_msg_into<R: Read>(
+    r: &mut R,
+    payload: &mut Vec<u8>,
+    ws: &mut Workspace,
+) -> io::Result<(WireMsg, usize)> {
     let mut header = [0u8; HEADER_LEN];
     r.read_exact(&mut header)?;
     let magic = u32::from_le_bytes(header[0..4].try_into().unwrap());
@@ -504,15 +610,19 @@ pub fn read_msg_counted<R: Read>(r: &mut R) -> io::Result<(WireMsg, usize)> {
     // buffer one chunk at a time, each chunk reserved only once every
     // byte before it has been received.
     let len = len as usize;
-    let mut payload = Vec::new();
-    while payload.len() < len {
-        let have = payload.len();
+    let mut have = 0;
+    while have < len {
         let step = (len - have).min(READ_CHUNK);
-        payload.reserve_exact(step);
-        payload.resize(have + step, 0);
-        r.read_exact(&mut payload[have..])?;
+        // The buffer keeps its high-water length, so a warm connection
+        // zeroes nothing and reads each chunk with one `read_exact`.
+        if payload.len() < have + step {
+            payload.reserve_exact(have + step - payload.len());
+            payload.resize(have + step, 0);
+        }
+        r.read_exact(&mut payload[have..have + step])?;
+        have += step;
     }
-    decode_payload(msg_type, &payload).map(|msg| (msg, header.len() + payload.len()))
+    decode_payload(msg_type, &payload[..len], ws).map(|msg| (msg, HEADER_LEN + len))
 }
 
 #[cfg(test)]

@@ -164,7 +164,13 @@ impl GpuWorker {
     /// keys contexts per `(virtual batch, layer)` and releases them
     /// individually, since several batches share the worker at once.
     pub fn remove_encoding(&mut self, ctx_id: u64) {
-        self.stored_encodings.remove(&ctx_id);
+        self.take_encoding(ctx_id);
+    }
+
+    /// [`GpuWorker::remove_encoding`], handing the released tensor back
+    /// so its buffers can return to the pool the encoding came from.
+    pub fn take_encoding(&mut self, ctx_id: u64) -> Option<Tensor<F25>> {
+        self.stored_encodings.remove(&ctx_id)
     }
 
     /// True once a [`Behavior::Crash`] worker has spent its honest-job

@@ -1,22 +1,32 @@
-//! The wire decoder allocates only for bytes it holds, enforced by a
-//! counting global allocator.
+//! The wire's allocation rules, enforced by a counting global
+//! allocator.
 //!
 //! A worker's reply is untrusted input to a TEE whose memory is sized
 //! in megabytes: a frame that *claims* a huge tensor, or a huge
 //! payload, without sending it must come back as a typed error having
-//! cost at most one read chunk — not an allocation-failure abort.
+//! cost at most one read chunk — not an allocation-failure abort. And
+//! an honest round, once both ends are warm, costs the allocator
+//! nothing at all.
 //!
-//! Everything runs inside one `#[test]` so no concurrent test thread
-//! can pollute the counters.
+//! Both tests read process-wide counters (the worker end runs on its
+//! own threads), so they take one lock: no other test of this binary
+//! runs while either counts. libtest's main thread still allocates once
+//! while it reports whichever test finished first; see the rounds
+//! test for how it is kept out of the count.
 
 use dk_field::F25;
 use dk_gpu::wire::{self, WireMsg, MAGIC, MAX_PAYLOAD, VERSION};
+use dk_gpu::{serve_fleet_worker, FleetManifest, GpuCluster, GpuExec, LinearJob, TcpFleet};
 use dk_linalg::workspace::{alloc_counts, CountingAllocator};
-use dk_linalg::Tensor;
+use dk_linalg::{Conv2dShape, Tensor};
 use std::io::ErrorKind;
+use std::net::TcpListener;
+use std::sync::{Arc, Mutex};
 
 #[global_allocator]
 static COUNTER: CountingAllocator = CountingAllocator;
+
+static SERIAL: Mutex<()> = Mutex::new(());
 
 fn header(msg_type: u16, len: u32) -> Vec<u8> {
     let mut frame = MAGIC.to_le_bytes().to_vec();
@@ -36,6 +46,7 @@ fn read_cost(frame: &[u8]) -> (u64, ErrorKind) {
 
 #[test]
 fn hostile_claims_cost_at_most_one_read_chunk() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     const OUTPUT: u16 = 4;
     const BUDGET: u64 = 2 << 20;
 
@@ -82,4 +93,58 @@ fn hostile_claims_cost_at_most_one_read_chunk() {
     wire::write_msg(&mut frame, &big).unwrap();
     assert!(frame.len() > 1 << 20);
     assert_eq!(wire::read_msg(&mut &frame[..]).unwrap(), big);
+}
+
+fn conv_job(scale: u64) -> LinearJob {
+    let shape = Conv2dShape::simple(4, 8, 3, 1, 1);
+    LinearJob::ConvForward {
+        weights: Arc::new(Tensor::from_fn(&shape.weight_shape(), |i| F25::new(i as u64 * scale))),
+        x: Tensor::from_fn(&[1, 4, 9, 9], move |i| F25::new((i as u64 + scale) * 7_919)),
+        shape,
+    }
+}
+
+/// Loopback `TcpFleet` rounds of `ConvForward` jobs against an
+/// in-process `serve_fleet_worker`, outputs handed back with
+/// `recycle_outputs`: once warm, a round allocates nothing — not on the
+/// TEE end (frame, payload, decoded outputs) and not on the worker end
+/// (payload, decoded job and its weights' `Arc`, reply frame, output).
+/// The rounds are counted in windows and one window must be clean: a
+/// round that allocates does so in every window, libtest's one report
+/// in at most one.
+#[test]
+fn warm_loopback_rounds_allocate_nothing_on_either_end() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    const ROUNDS: usize = 20;
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
+    let addr = listener.local_addr().unwrap().to_string();
+    let host = std::thread::spawn(move || serve_fleet_worker(listener));
+    let mut fleet = TcpFleet::from_manifest(&FleetManifest {
+        workers: vec![addr; 3],
+        io_timeout_ms: 10_000,
+        ..FleetManifest::default()
+    });
+    let jobs: Vec<LinearJob> = (1..=3).map(conv_job).collect();
+    let expect = GpuCluster::honest(3, 1).execute(0, &jobs).unwrap();
+    let (mut results, mut outputs) = (Vec::with_capacity(3), Vec::with_capacity(3));
+    let mut round = |fleet: &mut TcpFleet| {
+        fleet.execute_round_into(0, &jobs, &[], &[], &mut results).unwrap();
+        outputs.extend(results.drain(..).map(|r| r.expect("an honest worker answers")));
+        assert!(outputs.iter().zip(&expect).all(|(got, want)| Ok(got) == want.as_ref()));
+        fleet.recycle_outputs(&mut outputs);
+    };
+    for _ in 0..3 {
+        round(&mut fleet);
+    }
+    let mut window = || {
+        let (allocs, bytes) = alloc_counts();
+        for _ in 0..ROUNDS {
+            round(&mut fleet);
+        }
+        (alloc_counts().0 - allocs, alloc_counts().1 - bytes)
+    };
+    let (allocs, bytes) = (0..4).map(|_| window()).min().unwrap();
+    assert_eq!((allocs, bytes), (0, 0), "{ROUNDS} warm rounds allocated {allocs}× ({bytes} B)");
+    fleet.shutdown();
+    host.join().expect("host thread").expect("accept loop");
 }

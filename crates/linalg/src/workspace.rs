@@ -36,6 +36,7 @@ use std::any::{Any, TypeId};
 use std::cell::Cell;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 static GLOBAL_ALLOCS: AtomicU64 = AtomicU64::new(0);
 static GLOBAL_ALLOC_BYTES: AtomicU64 = AtomicU64::new(0);
@@ -140,6 +141,9 @@ pub struct Workspace {
     /// Recycled tensor shape vectors (small, but a `Vec<usize>` per
     /// tensor per layer per batch is still an allocation).
     shapes: Vec<Vec<usize>>,
+    /// `TypeId::of::<T>() → Vec<Arc<Tensor<T>>>`: emptied, uniquely
+    /// held `Arc`s whose allocations [`Workspace::share`] reuses.
+    shared: HashMap<TypeId, Box<dyn Any + Send>>,
     stats: WorkspaceStats,
 }
 
@@ -314,6 +318,42 @@ impl Workspace {
         }
         self.give(data);
     }
+
+    fn shared_pool<T: Scalar>(&mut self) -> &mut Vec<Arc<Tensor<T>>> {
+        self.shared
+            .entry(TypeId::of::<T>())
+            .or_insert_with(|| Box::new(Vec::<Arc<Tensor<T>>>::new()))
+            .downcast_mut::<Vec<Arc<Tensor<T>>>>()
+            .expect("workspace pool type confusion")
+    }
+
+    /// `Arc::new(t)`, with the `Arc`'s own allocation taken from the
+    /// pool when [`Workspace::give_shared`] has left one there.
+    pub fn share<T: Scalar>(&mut self, t: Tensor<T>) -> Arc<Tensor<T>> {
+        self.stats.takes += 1;
+        if let Some(mut arc) = self.shared_pool::<T>().pop() {
+            // Always unique: the pool keeps only `Arc`s it was handed
+            // as the last reference, and never hands out a second one.
+            if let Some(slot) = Arc::get_mut(&mut arc) {
+                *slot = t;
+                return arc;
+            }
+        }
+        self.stats.misses += 1;
+        Arc::new(t)
+    }
+
+    /// Returns a shared tensor to the pool if `t` is its last reference:
+    /// the tensor's buffers as [`Workspace::give_tensor`] does, the
+    /// emptied `Arc` for [`Workspace::share`]. Any other reference just
+    /// drops — the tensor is still someone else's.
+    pub fn give_shared<T: Scalar>(&mut self, mut t: Arc<Tensor<T>>) {
+        if let Some(slot) = Arc::get_mut(&mut t) {
+            let inner = std::mem::take(slot);
+            self.give_tensor(inner);
+            self.shared_pool::<T>().push(t);
+        }
+    }
 }
 
 #[cfg(test)]
@@ -388,6 +428,24 @@ mod tests {
         assert_eq!(t2.get(&[0, 1]), 2.0);
         assert_eq!(ws.stats().misses, misses, "recycled tensor must not allocate");
         ws.give_tensor(t2);
+    }
+
+    #[test]
+    fn shared_tensors_come_home_only_from_their_last_holder() {
+        let mut ws = Workspace::new();
+        let a = ws.share(Tensor::<f32>::from_vec(&[2], vec![1.0, 2.0]));
+        let ptr = Arc::as_ptr(&a);
+        // Still held elsewhere: the pool takes nothing.
+        ws.give_shared(Arc::clone(&a));
+        assert_eq!(ws.stats().misses, 1);
+        ws.give_shared(a);
+        let misses = ws.stats().misses;
+        // The last holder's `Arc`, data and shape are all reused.
+        let t = ws.take_tensor_copy(&[2], &[3.0, 4.0]);
+        let b = ws.share(t);
+        assert_eq!(Arc::as_ptr(&b), ptr);
+        assert_eq!(b.as_slice(), &[3.0, 4.0]);
+        assert_eq!(ws.stats().misses, misses, "a recycled shared tensor must not allocate");
     }
 
     #[test]

@@ -9,17 +9,24 @@
 //! `remote_fleet` example exercises real OS processes.
 
 use std::net::{TcpListener, TcpStream};
+use std::sync::Arc;
 
 use darknight::core::{DarknightConfig, DarknightSession};
+use darknight::field::F25;
 use darknight::gpu::wire::{self, WireMsg};
 use darknight::gpu::{
-    serve_fleet_worker, Behavior, FleetManifest, GpuCluster, GpuWorker, TcpFleet, WorkerId,
+    serve_fleet_worker, Behavior, FleetManifest, GpuCluster, GpuError, GpuExec, GpuWorker,
+    LinearJob, TcpFleet, WorkerId,
 };
+use darknight::linalg::workspace::{thread_alloc_counts, CountingAllocator};
 use darknight::linalg::{Conv2dShape, Tensor};
 use darknight::nn::layers::{Conv2d, Dense, Flatten, Layer, Relu};
 use darknight::nn::optim::Sgd;
 use darknight::nn::Sequential;
 use darknight::tee::EpcConfig;
+
+#[global_allocator]
+static COUNTER: CountingAllocator = CountingAllocator;
 
 fn model(seed: u64) -> Sequential {
     Sequential::new(vec![
@@ -170,6 +177,76 @@ fn worker_process_death_mid_batch_is_repaired() {
     assert!(session.stats().recoveries > 0, "the death must surface as a recovery");
     assert!(session.quarantined().contains(&WorkerId(victim)));
     session.cluster_mut().shutdown();
+}
+
+fn conv_job(scale: u64) -> LinearJob {
+    let shape = Conv2dShape::simple(2, 4, 3, 1, 1);
+    LinearJob::ConvForward {
+        weights: Arc::new(Tensor::from_fn(&shape.weight_shape(), |i| F25::new(i as u64 * scale))),
+        x: Tensor::from_fn(&[1, 2, 6, 6], move |i| F25::new((i as u64 + scale) * 7_919)),
+        shape,
+    }
+}
+
+/// The TEE end's buffer pool survives the fault paths: worker 1's
+/// process dies mid-round (it reads its job and hangs up), then the TEE
+/// drops worker 2's connection. The next rounds redial both, their
+/// outputs are bit-identical to a fresh fleet's, and once warm again a
+/// round allocates nothing on the TEE end — nothing a fault unwound
+/// kept a buffer checked out or let the pool run dry.
+#[test]
+fn fault_paths_leave_the_fleet_pool_sound() {
+    let healthy = spawn_worker_host();
+    // Worker 1's host: the first connection dies mid-round; every later
+    // one is served by the real loop.
+    let victim = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
+    let victim_addr = victim.local_addr().unwrap().to_string();
+    let victim_host = std::thread::spawn(move || {
+        if let Ok((stream, _)) = victim.accept() {
+            flaky_connection(stream, Some(1));
+        }
+        serve_fleet_worker(victim)
+    });
+    let mut addrs = vec![healthy; 3];
+    addrs[1] = victim_addr;
+    let mut fleet = TcpFleet::from_manifest(&FleetManifest {
+        workers: addrs,
+        io_timeout_ms: 10_000,
+        ..FleetManifest::default()
+    });
+    let jobs: Vec<LinearJob> = (1..=3).map(conv_job).collect();
+    let (mut results, mut outputs) = (Vec::new(), Vec::new());
+
+    fleet.execute_round_into(0, &jobs, &[], &[], &mut results).unwrap();
+    let lost = matches!(results[1], Err(GpuError::WorkerLost { worker: WorkerId(1), .. }));
+    assert!(lost, "{results:?}");
+    outputs.extend(results.drain(..).filter_map(Result::ok));
+    assert_eq!(outputs.len(), 2, "the other workers answer the round");
+    fleet.recycle_outputs(&mut outputs);
+    fleet.sever_connection(WorkerId(2));
+
+    let fresh_host = spawn_worker_host();
+    let mut fresh = fleet_for(&fresh_host, 3);
+    let expect = fresh.execute(0, &jobs).unwrap();
+    let mut round = |fleet: &mut TcpFleet| {
+        fleet.execute_round_into(0, &jobs, &[], &[], &mut results).unwrap();
+        assert!(results == expect, "an honest round after the faults must match a fresh fleet");
+        outputs.extend(results.drain(..).map(|r| r.expect("an honest worker answers")));
+        fleet.recycle_outputs(&mut outputs);
+    };
+    for _ in 0..3 {
+        round(&mut fleet);
+    }
+    let (allocs, bytes) = thread_alloc_counts();
+    for _ in 0..10 {
+        round(&mut fleet);
+    }
+    let (allocs, bytes) = (thread_alloc_counts().0 - allocs, thread_alloc_counts().1 - bytes);
+    assert_eq!((allocs, bytes), (0, 0), "warm rounds after the faults allocated on the TEE end");
+    assert_eq!(fleet.reconnects(), 2, "both dropped workers redialed");
+    fleet.shutdown();
+    fresh.shutdown();
+    victim_host.join().expect("victim host thread").expect("accept loop");
 }
 
 /// Serves one worker connection like the real host, but optionally
