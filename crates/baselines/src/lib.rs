@@ -13,6 +13,8 @@
 //!   train**: weight updates invalidate the precomputed factors.
 //! * [`gpu_plain`] — non-private GPU execution (Table 4's upper bound).
 
+#![forbid(unsafe_code)]
+
 pub mod gpu_plain;
 pub mod sgx_only;
 pub mod slalom;

@@ -14,7 +14,7 @@
 //! all on a miss when the pairs disagree by more than the margin
 //! policed.
 
-use dk_core::engine::{EngineOptions, PipelineEngine, PipelineReport};
+use dk_core::engine::{EngineOptions, PipelineEngine};
 use dk_core::{session::DarknightSession, DarknightConfig};
 use dk_gpu::GpuCluster;
 use dk_linalg::Tensor;
@@ -22,7 +22,25 @@ use dk_nn::data::Dataset;
 use dk_nn::model::Sequential;
 use dk_nn::optim::Sgd;
 use dk_nn::train;
-use std::time::Instant;
+use std::time::{Duration, Instant};
+
+/// Wall-clock of one workload at one lane and at the default lane count.
+#[derive(Debug, Clone, Copy)]
+pub struct PipelineReport {
+    /// One-lane wall time.
+    pub sequential: Duration,
+    /// Default-lane wall time.
+    pub pipelined: Duration,
+    /// Virtual batches executed per mode.
+    pub batches: usize,
+}
+
+impl PipelineReport {
+    /// Speedup of the default lane count over one lane.
+    pub fn speedup(&self) -> f64 {
+        self.sequential.as_secs_f64() / self.pipelined.as_secs_f64().max(1e-12)
+    }
+}
 
 /// Runs `run` on an engine with one lane, then with the default lane
 /// count — both dispatcher-backed, so the fleet's `K'` workers are busy

@@ -235,8 +235,11 @@ impl TrainingCheckpoint {
         let next_batch = cur.u64()?;
         let steps = cur.u64()?;
         let params = cur.f32s()?;
+        // A count reserves no more entries than the bytes left could
+        // encode: a `(mean, var)` pair takes at least two 8-byte
+        // lengths, a velocity row one.
         let bn_count = cur.u64()? as usize;
-        let mut bn_stats = Vec::with_capacity(bn_count.min(1024));
+        let mut bn_stats = Vec::with_capacity(bn_count.min(cur.remaining() / 16));
         for _ in 0..bn_count {
             let mean = cur.f32s()?;
             let var = cur.f32s()?;
@@ -246,7 +249,7 @@ impl TrainingCheckpoint {
         let momentum = f32::from_bits(cur.u32()?);
         let weight_decay = f32::from_bits(cur.u32()?);
         let v_count = cur.u64()? as usize;
-        let mut velocity = Vec::with_capacity(v_count.min(1024));
+        let mut velocity = Vec::with_capacity(v_count.min(cur.remaining() / 8));
         for _ in 0..v_count {
             velocity.push(cur.f32s()?);
         }
@@ -293,6 +296,10 @@ struct Cursor<'a> {
 }
 
 impl Cursor<'_> {
+    fn remaining(&self) -> usize {
+        self.bytes.len() - self.pos
+    }
+
     fn take(&mut self, n: usize) -> Result<&[u8], DarknightError> {
         let end = self
             .pos
@@ -318,9 +325,9 @@ impl Cursor<'_> {
 
     fn f32s(&mut self) -> Result<Vec<f32>, DarknightError> {
         let n = self.u64()? as usize;
-        if n > self.bytes.len() - self.pos {
-            // Cheap sanity bound before allocating: each f32 costs 4
-            // bytes, so n can never exceed the remaining byte count.
+        if n > self.remaining() / 4 {
+            // Bound before allocating: each f32 costs 4 bytes, so `n`
+            // can never exceed a quarter of the remaining byte count.
             return Err(DarknightError::Checkpoint { reason: "truncated payload" });
         }
         let mut out = Vec::with_capacity(n);

@@ -68,7 +68,6 @@ use dk_tee::{Enclave, EpcConfig, MemoryStats};
 use std::borrow::Borrow;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
-use std::time::{Duration, Instant};
 
 /// Pre-quantized weights for one linear layer of a step plan.
 #[derive(Debug, Clone)]
@@ -640,115 +639,6 @@ impl PipelineEngine {
     }
 }
 
-// ---------------------------------------------------------------------
-// Benchmark harness: sequential vs pipelined over real models
-// ---------------------------------------------------------------------
-
-/// Wall-clock of the two execution modes over the same workload (the
-/// successor of the removed `dk_core::pipeline::compare_pipelining` toy;
-/// this one runs the real engine against the real sequential session).
-#[derive(Debug, Clone, Copy)]
-pub struct PipelineReport {
-    /// Sequential (blocking session) wall time.
-    pub sequential: Duration,
-    /// Pipelined (engine) wall time.
-    pub pipelined: Duration,
-    /// Virtual batches executed per mode.
-    pub batches: usize,
-}
-
-impl PipelineReport {
-    /// Speedup of pipelined over sequential execution.
-    pub fn speedup(&self) -> f64 {
-        self.sequential.as_secs_f64() / self.pipelined.as_secs_f64().max(1e-12)
-    }
-}
-
-/// Runs `epochs` Algorithm 2 large-batch steps twice — sequential
-/// trainer vs pipelined engine, identical seeds and fleet — and returns
-/// the wall-clock report plus the final max parameter difference (which
-/// must be 0.0: the modes are bit-identical).
-///
-/// # Errors
-///
-/// Any private-execution error in either mode.
-#[allow(clippy::too_many_arguments)]
-pub fn compare_training_modes(
-    cfg: DarknightConfig,
-    fleet: &GpuCluster,
-    model: &Sequential,
-    x: &Tensor<f32>,
-    labels: &[usize],
-    epochs: usize,
-    lr: f32,
-    opts: EngineOptions,
-) -> Result<(PipelineReport, f32), DarknightError> {
-    let shard = 4096;
-    let batches = (x.shape()[0] / cfg.k()) * epochs;
-
-    let mut m_seq = model.clone();
-    let mut trainer = crate::virtual_batch::LargeBatchTrainer::new(
-        DarknightSession::new(cfg, fleet.fork(cfg.seed()))?,
-        shard,
-    );
-    let mut sgd = Sgd::new(lr);
-    let t0 = Instant::now();
-    for _ in 0..epochs {
-        trainer.train_large_batch(&mut m_seq, x, labels, &mut sgd)?;
-    }
-    let sequential = t0.elapsed();
-
-    let mut m_pipe = model.clone();
-    let mut engine = PipelineEngine::new(cfg, fleet.fork(cfg.seed()), opts)?;
-    let mut sgd = Sgd::new(lr);
-    let t0 = Instant::now();
-    for _ in 0..epochs {
-        engine.train_large_batch(&mut m_pipe, x, labels, &mut sgd, shard)?;
-    }
-    let pipelined = t0.elapsed();
-
-    let diff = m_seq.max_param_diff(&m_pipe.snapshot_params());
-    Ok((PipelineReport { sequential, pipelined, batches }, diff))
-}
-
-/// Runs a stream of inference virtual batches twice — sequential session
-/// vs pipelined engine — and returns the wall-clock report plus the max
-/// absolute output difference (must be 0.0).
-///
-/// # Errors
-///
-/// Any private-execution error in either mode.
-pub fn compare_inference_modes(
-    cfg: DarknightConfig,
-    fleet: &GpuCluster,
-    model: &Sequential,
-    inputs: &[Tensor<f32>],
-    opts: EngineOptions,
-) -> Result<(PipelineReport, f32), DarknightError> {
-    let mut m_seq = model.clone();
-    let mut session = DarknightSession::new(cfg, fleet.fork(cfg.seed()))?;
-    let t0 = Instant::now();
-    let mut seq_out = Vec::with_capacity(inputs.len());
-    for x in inputs {
-        seq_out.push(session.private_inference(&mut m_seq, x)?);
-    }
-    let sequential = t0.elapsed();
-
-    let mut engine = PipelineEngine::new(cfg, fleet.fork(cfg.seed()), opts)?;
-    let t0 = Instant::now();
-    let outcomes = engine.infer_batches(model, inputs, false)?;
-    let pipelined = t0.elapsed();
-
-    let mut diff = 0.0f32;
-    for (s, p) in seq_out.iter().zip(&outcomes) {
-        match &p.output {
-            Ok(y) => diff = diff.max(s.max_abs_diff(y)),
-            Err(e) => return Err(e.clone()),
-        }
-    }
-    Ok((PipelineReport { sequential, pipelined, batches: inputs.len() }, diff))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -793,36 +683,6 @@ mod tests {
             assert_eq!(planned.weights_q.shape(), w.shape(), "linear layer {i}");
             assert_eq!(planned.norm_w, norm_w, "linear layer {i}");
         }
-    }
-
-    #[test]
-    fn engine_inference_matches_sequential_bitwise() {
-        let cfg = DarknightConfig::new(2, 1).with_integrity(true);
-        let fleet = GpuCluster::honest(cfg.workers_required(), 9);
-        let m = model(2);
-        let inputs: Vec<Tensor<f32>> = (0..6)
-            .map(|b| {
-                Tensor::from_fn(&[2, 2, 3, 3], move |i| ((i + b) % 11) as f32 * 0.05 - 0.2)
-            })
-            .collect();
-        let (report, diff) =
-            compare_inference_modes(cfg, &fleet, &m, &inputs, EngineOptions::default()).unwrap();
-        assert_eq!(report.batches, 6);
-        assert_eq!(diff, 0.0, "pipelined inference must be bit-identical");
-    }
-
-    #[test]
-    fn engine_training_matches_sequential_bitwise() {
-        let cfg = DarknightConfig::new(2, 1).with_seed(77);
-        let fleet = GpuCluster::honest(cfg.workers_required(), 21);
-        let m = model(3);
-        let x = Tensor::from_fn(&[8, 2, 3, 3], |i| ((i % 11) as f32 - 5.0) * 0.08);
-        let labels: Vec<usize> = (0..8).map(|i| i % 3).collect();
-        let (report, diff) =
-            compare_training_modes(cfg, &fleet, &m, &x, &labels, 3, 0.1, EngineOptions::default())
-                .unwrap();
-        assert_eq!(report.batches, 12);
-        assert_eq!(diff, 0.0, "pipelined training must be bit-identical");
     }
 
     /// The enclave high-water is a property of one call's co-resident

@@ -51,6 +51,8 @@
 //! assert_eq!(logits.shape(), &[2, 10]);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod checkpoint;
 pub mod config;
 pub mod engine;

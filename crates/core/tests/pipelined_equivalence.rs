@@ -8,7 +8,7 @@
 //! engine earns this via stateless per-(batch, layer) seed derivation
 //! and batch-ordered reductions; this suite is the enforcement.
 
-use dk_core::engine::{compare_inference_modes, compare_training_modes, EngineOptions, PipelineEngine};
+use dk_core::engine::{EngineOptions, PipelineEngine};
 use dk_core::virtual_batch::LargeBatchTrainer;
 use dk_core::{DarknightConfig, DarknightError, DarknightSession};
 use dk_gpu::{Behavior, GpuCluster};
@@ -47,6 +47,73 @@ fn training_batch(n: usize, seed: u64) -> (Tensor<f32>, Vec<usize>) {
     (x, labels)
 }
 
+/// Runs `epochs` Algorithm 2 large-batch steps in both modes — the
+/// sequential trainer, then the pipelined engine, identical seeds and
+/// fleet — and asserts the final parameters are bitwise equal.
+#[allow(clippy::too_many_arguments)]
+fn assert_training_modes_agree(
+    cfg: DarknightConfig,
+    fleet: &GpuCluster,
+    model: &Sequential,
+    x: &Tensor<f32>,
+    labels: &[usize],
+    epochs: usize,
+    lr: f32,
+    opts: EngineOptions,
+) {
+    let shard = 4096;
+    let mut m_seq = model.clone();
+    let session = DarknightSession::new(cfg, fleet.fork(cfg.seed())).unwrap();
+    let mut trainer = LargeBatchTrainer::new(session, shard);
+    let mut sgd = Sgd::new(lr);
+    for _ in 0..epochs {
+        trainer
+            .train_large_batch(&mut m_seq, x, labels, &mut sgd)
+            .unwrap();
+    }
+    let mut m_pipe = model.clone();
+    let mut engine = PipelineEngine::new(cfg, fleet.fork(cfg.seed()), opts).unwrap();
+    let mut sgd = Sgd::new(lr);
+    for _ in 0..epochs {
+        engine
+            .train_large_batch(&mut m_pipe, x, labels, &mut sgd, shard)
+            .unwrap();
+    }
+    assert_eq!(
+        m_seq.max_param_diff(&m_pipe.snapshot_params()),
+        0.0,
+        "pipelined training diverged"
+    );
+}
+
+/// Runs a stream of inference virtual batches in both modes — the
+/// sequential session, then the pipelined engine — and asserts the
+/// outputs are bitwise equal.
+fn assert_inference_modes_agree(
+    cfg: DarknightConfig,
+    fleet: &GpuCluster,
+    model: &Sequential,
+    inputs: &[Tensor<f32>],
+    opts: EngineOptions,
+) {
+    let mut m_seq = model.clone();
+    let mut session = DarknightSession::new(cfg, fleet.fork(cfg.seed())).unwrap();
+    let seq: Vec<_> = inputs
+        .iter()
+        .map(|x| session.private_inference(&mut m_seq, x).unwrap())
+        .collect();
+    let mut engine = PipelineEngine::new(cfg, fleet.fork(cfg.seed()), opts).unwrap();
+    let outcomes = engine.infer_batches(model, inputs, false).unwrap();
+    assert_eq!(outcomes.len(), inputs.len());
+    for (s, p) in seq.iter().zip(&outcomes) {
+        assert_eq!(
+            s.as_slice(),
+            p.output.as_ref().unwrap().as_slice(),
+            "pipelined inference diverged"
+        );
+    }
+}
+
 // ---------------------------------------------------------------------
 // Deterministic regressions
 // ---------------------------------------------------------------------
@@ -60,15 +127,8 @@ fn inference_bitwise_equal_honest() {
     let model = small_model(6);
     let inputs = batches(9, 2, 7);
     for lanes in [1usize, 2, 3] {
-        let (_, diff) = compare_inference_modes(
-            cfg,
-            &fleet,
-            &model,
-            &inputs,
-            EngineOptions::default().with_lanes(lanes),
-        )
-        .unwrap();
-        assert_eq!(diff, 0.0, "lanes={lanes}: pipelined inference diverged");
+        let opts = EngineOptions::default().with_lanes(lanes);
+        assert_inference_modes_agree(cfg, &fleet, &model, &inputs, opts);
     }
 }
 
@@ -109,22 +169,12 @@ fn training_with_batchnorm_bitwise_equal_across_epochs() {
     let model = mini_resnet(8, 4, 31);
     let x = Tensor::from_fn(&[8, 3, 8, 8], |i| ((i % 13) as f32 - 6.0) * 0.07);
     let labels: Vec<usize> = (0..8).map(|i| i % 4).collect();
-    let (_, diff) = compare_training_modes(
-        cfg,
-        &fleet,
-        &model,
-        &x,
-        &labels,
-        3,
-        0.03,
-        EngineOptions::default().with_lanes(3),
-    )
-    .unwrap();
-    assert_eq!(diff, 0.0, "BN-bearing pipelined training diverged");
+    let opts = EngineOptions::default().with_lanes(3);
+    assert_training_modes_agree(cfg, &fleet, &model, &x, &labels, 3, 0.03, opts);
 
     // Eval-mode forward uses the running statistics — equality there is
-    // the BN-replay proof (compare_training_modes only compares
-    // parameters, which exclude running stats).
+    // the BN-replay proof (the check above compares only parameters,
+    // which exclude running stats).
     let mut seq_trainer =
         LargeBatchTrainer::new(DarknightSession::new(cfg, fleet.fork(cfg.seed())).unwrap(), 512);
     let engine = PipelineEngine::new(
@@ -287,11 +337,7 @@ proptest! {
         let model = small_model(seed ^ 0xABCD);
         let (x, labels) = training_batch(v_count * k, seed);
         let opts = EngineOptions::default().with_lanes(lanes);
-        let (_, diff) =
-            compare_training_modes(cfg, &fleet, &model, &x, &labels, epochs, 0.05, opts).unwrap();
-        prop_assert_eq!(diff, 0.0);
-        let inputs = batches(lanes + 2, k, seed ^ 0x77);
-        let (_, idiff) = compare_inference_modes(cfg, &fleet, &model, &inputs, opts).unwrap();
-        prop_assert_eq!(idiff, 0.0);
+        assert_training_modes_agree(cfg, &fleet, &model, &x, &labels, epochs, 0.05, opts);
+        assert_inference_modes_agree(cfg, &fleet, &model, &batches(lanes + 2, k, seed ^ 0x77), opts);
     }
 }

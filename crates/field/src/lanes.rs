@@ -10,7 +10,7 @@
 //! is set scans the bytes again to name the first bad value.
 
 use crate::fp::Fp;
-use crate::tier::{Body, Tier};
+use crate::tier::{Body, Tier, Width};
 
 /// The bound the lane forms need: every canonical value fits a `u32`.
 const fn assert_fits_lanes<const P: u64>() {
@@ -62,7 +62,7 @@ impl<const P: u64> Body for Pack<'_, P> {
     type Out = ();
 
     #[inline(always)]
-    fn run(self) {
+    fn run<W: Width>(self, _: W) {
         const { assert_fits_lanes::<P>() };
         for (lane, v) in self.out.as_chunks_mut::<4>().0.iter_mut().zip(self.vals) {
             *lane = (v.value() as u32).to_le_bytes();
@@ -80,7 +80,7 @@ impl<const P: u64> Body for Unpack<'_, P> {
     type Out = bool;
 
     #[inline(always)]
-    fn run(self) -> bool {
+    fn run<W: Width>(self, _: W) -> bool {
         const { assert_fits_lanes::<P>() };
         let mut over = 0u32;
         self.out.extend(self.lanes.iter().map(|&lane| {

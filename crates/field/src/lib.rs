@@ -15,6 +15,8 @@
 //! * [`quant`] — the fixed-point quantization pipeline of Algorithm 1
 //!   (scale by `2^l`, map into the field, centered lift on decode).
 //! * [`lanes`] — the 4-byte wire form of a field vector, both ways.
+//! * [`tier`] — the workspace's one ladder of vector tiers, and the way
+//!   a pass is compiled once per tier.
 //!
 //! # Example
 //!
@@ -31,12 +33,14 @@
 //! assert_eq!(&m * &m, m);
 //! ```
 
+#![warn(clippy::undocumented_unsafe_blocks)]
+
 pub mod fp;
 pub mod lanes;
 pub mod matrix;
 pub mod quant;
 pub mod rng;
-mod tier;
+pub mod tier;
 pub mod vandermonde;
 
 pub use fp::{Fp, F25, F61, P25, P61};

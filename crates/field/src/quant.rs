@@ -20,7 +20,7 @@
 //! Quantize and dequantize run over every activation element of every
 //! offloaded layer, inside the TEE, so their slice forms are written to
 //! vectorize: a branch-free, call-free body per element, compiled once
-//! per vector tier (the private `tier` module). The
+//! per vector tier ([`crate::tier`]). The
 //! single-value functions ([`QuantConfig::quantize`],
 //! [`QuantConfig::dequantize_product`]) are the definition, and the
 //! oracle the slice forms are tested against bit for bit.
@@ -48,7 +48,7 @@
 //!   has no slice caller.
 
 use crate::fp::Fp;
-use crate::tier::{Body, Tier};
+use crate::tier::{Body, Tier, Width};
 
 /// Elements per quantize chunk: the granularity of the range flag, and
 /// so of the work thrown away when a slice holds a bad element. 1 KiB of
@@ -386,7 +386,7 @@ impl<const P: u64> Body for QuantizeChunks<'_, P> {
     type Out = usize;
 
     #[inline(always)]
-    fn run(self) -> usize {
+    fn run<W: Width>(self, _: W) -> usize {
         const { assert_fits_32_bit_lanes::<P>() };
         let Self { vs, pre, scale, out } = self;
         let half = (P / 2) as f64;
@@ -431,7 +431,7 @@ impl<const P: u64> Body for Dequantize<'_, P> {
     type Out = ();
 
     #[inline(always)]
-    fn run(self) {
+    fn run<W: Width>(self, _: W) {
         const { assert_fits_32_bit_lanes::<P>() };
         let Self { ys, unscale, post, out } = self;
         for (dst, y) in out.iter_mut().zip(ys) {

@@ -14,7 +14,7 @@
 //! generator for the next several hundred `u64`s at once
 //! (`ChaCha12Rng::fill_u64`: eight blocks per refill, computed side by
 //! side), then rejects and reduces over that buffer, the whole pass
-//! compiled once per vector tier (the private `tier` module). The stream is
+//! compiled once per vector tier ([`crate::tier`]). The stream is
 //! unchanged: the refill produces blocks in counter order, so the
 //! buffer holds exactly the words that many [`FieldRng::next_u64`]
 //! calls return, it never asks for more values than are still wanted
@@ -25,7 +25,7 @@
 //! `index`, another `uniform`) sees the stream it always did.
 
 use crate::fp::Fp;
-use crate::tier::{Body, Tier};
+use crate::tier::{Body, Tier, Width};
 use rand::{Rng, RngCore, SeedableRng};
 use rand_chacha::ChaCha12Rng;
 
@@ -163,7 +163,7 @@ impl<const P: u64> Body for UniformExtend<'_, P> {
     type Out = ();
 
     #[inline(always)]
-    fn run(self) {
+    fn run<W: Width>(self, _: W) {
         let Self { rng, n, out } = self;
         // Rejection zone: the largest multiple of P below 2^64.
         let zone = u64::MAX - u64::MAX % P;

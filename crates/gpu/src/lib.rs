@@ -41,6 +41,8 @@
 //!   [`tcp::FleetManifest`], with reconnect-and-replay of stored
 //!   encodings after a connection loss.
 
+#![forbid(unsafe_code)]
+
 pub mod behavior;
 pub mod cluster;
 pub mod collusion;

@@ -14,10 +14,17 @@
 //!   buffer stays checked out, and the original frame then decodes
 //!   with no more allocation than a warm read of it makes (none, but
 //!   for a `Fail`'s text).
+//!
+//! The fleet manifest, text an operator hands a TEE-side fleet, is held
+//! to the same rule: mutants — dropped and duplicated tokens, huge
+//! numbers, stray `#`, cuts and splices that split a multi-byte
+//! character — parse to a typed error or a manifest whose addresses are
+//! tokens of the text, with at most the text's bytes plus one chunk
+//! requested.
 
 use dk_field::{derive_seed, F25, P25};
 use dk_gpu::wire::{self, WireMsg, MAX_PAYLOAD};
-use dk_gpu::LinearJob;
+use dk_gpu::{FleetManifest, LinearJob};
 use dk_linalg::workspace::{thread_alloc_counts, CountingAllocator};
 use dk_linalg::{Conv2dShape, Tensor, Workspace};
 use proptest::prelude::*;
@@ -197,8 +204,71 @@ fn read(
     (got, thread_alloc_counts().1 - before)
 }
 
+/// Every directive, a repeated address, comments and multi-byte text.
+const MANIFEST: &str = "# fleet — deux hôtes\nworker 127.0.0.1:7501   # first\nworker 127.0.0.1:7501\n\
+    worker hôte.local:7502\nseed 42\nlatency 50000 25\nio_timeout_ms 2000\nconnect_timeout_ms 77\n\
+    redial_backoff_ms 5\nredial_backoff_max_ms 500\n";
+
+/// Applies manifest mutation `kind` to `text`, drawing from `seed`.
+fn mutate_manifest(text: &str, kind: u64, seed: u64) -> String {
+    let mut draws = (0..).map(|i| derive_seed(seed, i));
+    let mut draw = |n: usize| (draws.next().unwrap() % n.max(1) as u64) as usize;
+    let mut lines: Vec<Vec<&str>> =
+        text.lines().map(|l| l.split_whitespace().collect()).collect();
+    let at = draw(lines.len());
+    let line = &mut lines[at];
+    let i = draw(line.len());
+    match kind {
+        0 if !line.is_empty() => {
+            line.remove(i);
+        }
+        1 if !line.is_empty() => line.insert(i, line[i]),
+        2 => {
+            let huge =
+                ["18446744073709551615", "18446744073709551616", "99999999999999999999999", "-1", "+5", "0x10"];
+            match line.iter().position(|t| t.parse::<u64>().is_ok()) {
+                Some(n) => line[n] = huge[draw(huge.len())],
+                None => line.push(huge[draw(huge.len())]),
+            }
+        }
+        3 => line.insert(i, "#"),
+        _ => {
+            let bytes = text.as_bytes();
+            let (cut, resume) = (draw(bytes.len()), draw(bytes.len()));
+            let spliced = [&bytes[..cut], &bytes[resume.max(cut)..]].concat();
+            return String::from_utf8_lossy(&spliced).into_owned();
+        }
+    }
+    lines.iter().map(|l| l.join(" ")).collect::<Vec<_>>().join("\n")
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(1024))]
+
+    #[test]
+    fn mutated_manifests_are_typed_errors_or_their_own_tokens(kind in 0u64..5, seed in any::<u64>()) {
+        let text = mutate_manifest(MANIFEST, kind, seed);
+        let (_, before) = thread_alloc_counts();
+        let got = FleetManifest::parse(&text);
+        let spent = thread_alloc_counts().1 - before;
+        prop_assert!(
+            spent <= text.len() as u64 + READ_CHUNK,
+            "a {}-byte manifest made the parser request {spent} bytes", text.len()
+        );
+        match got {
+            Ok(m) => {
+                prop_assert!(!m.workers.is_empty());
+                for addr in &m.workers {
+                    let token = text.split_whitespace().any(|t| t == addr);
+                    prop_assert!(token && !addr.contains('#'), "address {addr:?} is not a token of {text:?}");
+                }
+            }
+            Err(e) => prop_assert!(
+                e.starts_with("line ") || e == "manifest declares no workers",
+                "untyped error {e:?}"
+            ),
+        }
+    }
 
     #[test]
     fn mutated_frames_are_typed_errors_or_their_own_bytes(

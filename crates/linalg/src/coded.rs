@@ -27,10 +27,11 @@
 //!
 //! * inputs stay as separate row vectors (`AsRef<[T]>`) — no stacking
 //!   copy, no flat `(k+m)·n` buffer;
-//! * for `F25` on a vector tier (AVX-512 IFMA or AVX2, resolved once
-//!   per combine) a strip is the register tile of [`crate::simd`]: all
-//!   output rows — the check row riding as the last — accumulate while
-//!   each source chunk is loaded **once**, not once per output row;
+//! * for `F25` on a vector tier (AVX-512 with IFMA, or AVX2; resolved
+//!   once per combine) a strip is the register tile of
+//!   [`crate::simd`]: all output rows — the check row riding as the
+//!   last — accumulate while each source chunk is loaded **once**, not
+//!   once per output row;
 //!   everything else runs the [`LANES`]-wide portable strip, row by
 //!   row, which the autovectorizer lowers for floats;
 //! * **write mode is the only mode** of a combine: the accumulators
@@ -64,9 +65,10 @@
 
 use crate::matmul::{per_lane, LANES};
 use crate::scalar::Scalar;
-use crate::simd::{self, Tier};
+use crate::simd;
 use crate::threadpool::{self, SendPtr};
 use crate::threads::col_partition;
+use dk_field::tier::Tier;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Maximum reduction length (`x.len()`, a scheme's `K+M`) of a coded
@@ -123,9 +125,9 @@ fn coded_strip_tail<T: Scalar>(crow: &[T], xs: &[&[T]], cs: &mut [T], j: usize) 
 }
 
 /// Columns `j0..j1` of every output row (and optionally the check row)
-/// in one pass over the input rows: on a `tier` (so `T` is `F25`) the
-/// register tile of [`crate::simd`], all rows of a strip per source
-/// load; otherwise the portable strips, row by row. With `load` the
+/// in one pass over the input rows: on a vector `tier`, with `T` =
+/// `F25`, the register tile of [`crate::simd`], all rows of a strip per
+/// source load; otherwise the portable strips, row by row. With `load` the
 /// rows accumulate on top of what they hold; without, they are written
 /// and never read, so they may be uninitialized. Returns the mismatch
 /// count of the check row (`0` when `check` is `None`).
@@ -141,7 +143,7 @@ fn coded_strip_tail<T: Scalar>(crow: &[T], xs: &[&[T]], cs: &mut [T], j: usize) 
 /// expected values.
 #[allow(clippy::too_many_arguments)]
 unsafe fn coded_block<T: Scalar>(
-    tier: Option<Tier>,
+    tier: Tier,
     coeff: &[T],
     cstride: usize,
     col0: usize,
@@ -152,22 +154,11 @@ unsafe fn coded_block<T: Scalar>(
     check: Option<(&[T], &[T])>,
 ) -> usize {
     let kdim = xs.len();
-    if let Some(tier) = tier {
-        let mut xp = [std::ptr::null::<T>(); MAX_TERMS];
-        for (d, s) in xp.iter_mut().zip(xs) {
-            *d = s.as_ptr();
-        }
-        let mut op = [std::ptr::null_mut::<T>(); MAX_ROWS];
-        for (d, s) in op.iter_mut().zip(ptrs) {
-            *d = s.0;
-        }
-        let check = check.map(|(w, e)| (w.as_ptr(), e.as_ptr()));
-        // `wrapping_add`: with no output rows `col0` is unconstrained.
-        let cp = coeff.as_ptr().wrapping_add(col0);
-        // SAFETY: the caller's contract, restated in pointers.
-        return unsafe {
-            simd::coded_block(tier, cp, cstride, &xp[..kdim], &op[..ptrs.len()], (j0, j1), load, check)
-        };
+    // `wrapping_add`: with no output rows `col0` is unconstrained.
+    let cp = coeff.as_ptr().wrapping_add(col0);
+    // SAFETY: the caller's contract, restated in pointers.
+    if let Some(mismatches) = unsafe { simd::coded_block(tier, cp, cstride, xs, ptrs, (j0, j1), load, check) } {
+        return mismatches;
     }
     let strip = |crow: &[T], cs: &mut [T; LANES], j: usize, w: usize| match w {
         LANES => coded_strip(crow, xs, cs, j),
@@ -208,7 +199,7 @@ unsafe fn coded_block<T: Scalar>(
 /// points; the tests pass each one the host offers.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn fan_out<T: Scalar, S: AsRef<[T]>>(
-    tier: Option<Tier>,
+    tier: Tier,
     coeff: &[T],
     cstride: usize,
     col0: usize,
@@ -293,7 +284,7 @@ pub fn coded_combine_write<T: Scalar, S: AsRef<[T]>>(
     outs: &mut [Vec<T>],
     n: usize,
 ) {
-    fan_out(simd::tier::<T>(), coeff, cstride, col0, x, outs, n, None);
+    fan_out(Tier::best(), coeff, cstride, col0, x, outs, n, None);
 }
 
 /// [`coded_combine_write`] with a fused redundant-equation check: the
@@ -317,7 +308,7 @@ pub fn coded_combine_check_write<T: Scalar, S: AsRef<[T]>>(
     check_w: &[T],
     check_against: &[T],
 ) -> usize {
-    fan_out(simd::tier::<T>(), coeff, cstride, col0, x, outs, n, Some((check_w, check_against)))
+    fan_out(Tier::best(), coeff, cstride, col0, x, outs, n, Some((check_w, check_against)))
 }
 
 /// Rank-1 column-chunk update:
@@ -341,12 +332,12 @@ pub fn coded_axpy_acc<T: Scalar>(
     outs: &mut [Vec<T>],
     j0: usize,
 ) {
-    coded_axpy_on(simd::tier::<T>(), coeff, cstride, col, chunk, outs, j0);
+    coded_axpy_on(Tier::best(), coeff, cstride, col, chunk, outs, j0);
 }
 
 /// [`coded_axpy_acc`] on a given tier, as [`fan_out`].
 pub(crate) fn coded_axpy_on<T: Scalar>(
-    tier: Option<Tier>,
+    tier: Tier,
     coeff: &[T],
     cstride: usize,
     col: usize,
@@ -537,13 +528,13 @@ mod tests {
                     for j in [0, n.saturating_sub(1)].into_iter().take(n) {
                         expect[j] += F25::ONE;
                     }
-                    for tier in crate::simd::offered_tiers() {
+                    for tier in Tier::offered() {
                         let mut outs = stale_rows(rows, n);
-                        fan_out(Some(tier), &coeff, cstride, col0, &x, &mut outs, n, None);
+                        fan_out(tier, &coeff, cstride, col0, &x, &mut outs, n, None);
                         assert_eq!(outs, want, "{tier:?} {rows}x{kdim}x{n}");
                         let mut outs = stale_rows(rows, n);
                         let check = Some((&w[..], &expect[..]));
-                        let mm = fan_out(Some(tier), &coeff, cstride, col0, &x, &mut outs, n, check);
+                        let mm = fan_out(tier, &coeff, cstride, col0, &x, &mut outs, n, check);
                         assert_eq!((mm, &outs), (n.min(2), &want), "{tier:?} check {rows}x{kdim}x{n}");
                     }
                 }
@@ -555,7 +546,7 @@ mod tests {
     fn tile_holds_the_worst_case_group_and_the_axpy_on_every_tier() {
         let top = F25::new(dk_field::P25 - 1);
         let mut rng = dk_field::FieldRng::seed_from(0xa9);
-        for tier in crate::simd::offered_tiers() {
+        for tier in Tier::offered() {
             // A full register group of (P−1)·(P−1) products per lane.
             let n = 2 * LANES + 5;
             let x = vec![vec![top; n]; MAX_TERMS];
@@ -563,7 +554,7 @@ mod tests {
             let mut want = vec![vec![F25::ZERO; n]; 9];
             naive_coded_combine_acc(&coeff, MAX_TERMS, 0, &x, &mut want);
             let mut outs = stale_rows(9, n);
-            fan_out(Some(tier), &coeff, MAX_TERMS, 0, &x, &mut outs, n, None);
+            fan_out(tier, &coeff, MAX_TERMS, 0, &x, &mut outs, n, None);
             assert_eq!(outs, want, "{tier:?} worst case");
             // The rank-1 update accumulates: uneven chunks at uneven
             // offsets on top of what the rows hold, zero coefficients
@@ -576,7 +567,7 @@ mod tests {
                 let mut outs = want.clone();
                 naive_coded_combine_acc(&coeff, 3, 1, std::slice::from_ref(&noise), &mut want);
                 for (j0, j1) in [(0, 7), (7, 7), (7, 7 + LANES), (7 + LANES, n)] {
-                    coded_axpy_on(Some(tier), &coeff, 3, 1, &noise[j0..j1], &mut outs, j0);
+                    coded_axpy_on(tier, &coeff, 3, 1, &noise[j0..j1], &mut outs, j0);
                 }
                 assert_eq!(outs, want, "{tier:?} axpy {rows} rows");
             }

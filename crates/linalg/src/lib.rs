@@ -51,6 +51,8 @@
 //! assert_eq!(y.get(&[0, 0, 1, 1]), 9.0); // full 3x3 window of ones
 //! ```
 
+#![warn(clippy::undocumented_unsafe_blocks)]
+
 pub mod coded;
 pub mod conv;
 pub mod im2col;

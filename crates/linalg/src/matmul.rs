@@ -52,15 +52,15 @@
 //! `acc_lift(0) = 0` instead of reading `C`, so the output may hold
 //! stale data.
 //!
-//! For `F25` on an x86-64 CPU with AVX-512 IFMA or AVX2 the rows of a
-//! block do not go through `lane_strip` one at a time: the whole block
-//! goes to the register tile of [`crate::simd`], `MR` output rows of a
-//! strip per pass over the panel (one tile body, two lane widths; the
-//! tier is detected once per process and resolved once per product in
+//! For `F25` on a vector tier ([`dk_field::tier`]: AVX-512 with IFMA,
+//! or AVX2) the rows of a block do not go through `lane_strip` one at a
+//! time: the whole block goes to the register tile of [`crate::simd`],
+//! `MR` output rows of a strip per pass over the panel (one tile body,
+//! two lane widths; the tier is resolved once per product in
 //! [`gemm_packed`]). A field sum is exact whatever its shape, so the
 //! tile has no zero test and reduces once per block in register. Every
-//! other instantiation, and `F25` anywhere else, is the portable body
-//! below, which the autovectorizer lowers to vector multiply-adds.
+//! other instantiation, and `F25` on the baseline tier, is the portable
+//! body below, which the autovectorizer lowers to vector multiply-adds.
 //!
 //! Large products fan out across **strip ranges** on the persistent
 //! [`crate::threadpool`] (capped by [`crate::threads::max_threads`],
@@ -89,9 +89,10 @@
 //! `tests/pool_equivalence.rs`.
 
 use crate::scalar::Scalar;
-use crate::simd::{self, Tier};
+use crate::simd;
 use crate::threadpool::{self, SendPtr};
 use crate::threads::{col_partition, workers_for};
+use dk_field::tier::Tier;
 use std::ops::Range;
 
 /// Width of the struct-of-arrays accumulator strip: independent
@@ -189,9 +190,9 @@ fn lane_strip<T: Scalar>(a: &[T], a_stride: usize, panel: &[T], cs: &mut [T; LAN
 /// rows)` must overwrite `rows` (`kb × LANES`, row-major) with
 /// `B[p0..p0+kb, j0..j0+LANES]`, zero in the lanes past column `n`.
 ///
-/// With a `tier` (so `T` is `F25`) each packed
-/// block goes to the register tile, all `m` rows in one call; without,
-/// to the portable [`lane_strip`] row by row.
+/// On a vector `tier`, with `T` = `F25`, each packed block goes to the
+/// register tile, all `m` rows in one call; otherwise to the portable
+/// [`lane_strip`] row by row.
 ///
 /// # Safety
 ///
@@ -201,7 +202,7 @@ fn lane_strip<T: Scalar>(a: &[T], a_stride: usize, panel: &[T], cs: &mut [T; LAN
 /// [`LANES`] and `cols.end <= n`. `a` must hold `A[m−1, k−1]`.
 #[allow(clippy::too_many_arguments)]
 unsafe fn gemm_strips<T: Scalar, F: Fn(usize, usize, &mut [T])>(
-    tier: Option<Tier>,
+    tier: Tier,
     a: &[T],
     (a_row, a_col): (usize, usize),
     c: *mut T,
@@ -218,16 +219,16 @@ unsafe fn gemm_strips<T: Scalar, F: Fn(usize, usize, &mut [T])>(
             let rows = &mut panel.0[..kb * LANES];
             fill(p0, j0, rows);
             let load = !write || p0 > 0;
-            if let Some(tier) = tier {
-                // SAFETY: `A[i, p0 + p]` for `i < m`, `p < kb` is inside
-                // `a` (the caller vouched for its last element), `rows`
-                // is the `kb × LANES` block just filled, and columns
-                // `j0..j0+w` of every row of `C` lie inside `cols`,
-                // which the caller reserved for this call.
-                unsafe {
-                    let ap = a.as_ptr().add(p0 * a_col);
-                    simd::gemm_block(tier, ap, (a_row, a_col), kb, rows.as_ptr(), c.add(j0), n, m, w, load);
-                }
+            // SAFETY: `A[i, p0 + p]` for `i < m`, `p < kb` is inside `a`
+            // (the caller vouched for its last element), `rows` is the
+            // `kb × LANES` block just filled, and columns `j0..j0+w` of
+            // every row of `C` lie inside `cols`, which the caller
+            // reserved for this call.
+            let tiled = unsafe {
+                let ap = a.as_ptr().add(p0 * a_col);
+                simd::gemm_block(tier, ap, (a_row, a_col), kb, rows.as_ptr(), c.add(j0), n, m, w, load)
+            };
+            if tiled.is_some() {
                 continue;
             }
             for i in 0..m {
@@ -267,15 +268,15 @@ pub(crate) fn gemm_packed<T: Scalar, F: Fn(usize, usize, &mut [T]) + Sync>(
     panel: &mut Panel<T>,
     fill: &F,
 ) {
-    gemm_packed_on(simd::tier::<T>(), a, a_strides, c, dims, write, panel, fill);
+    gemm_packed_on(Tier::best(), a, a_strides, c, dims, write, panel, fill);
 }
 
-/// [`gemm_packed`] on a given tier (`None`: the portable kernel): the
-/// tier is resolved once per product, here, and the tests drive each
+/// [`gemm_packed`] on a given tier (the baseline: the portable kernel):
+/// the tier is resolved once per product, here, and the tests drive each
 /// one the host offers directly.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn gemm_packed_on<T: Scalar, F: Fn(usize, usize, &mut [T]) + Sync>(
-    tier: Option<Tier>,
+    tier: Tier,
     a: &[T],
     a_strides: (usize, usize),
     c: &mut [T],
@@ -451,9 +452,9 @@ fn a_bt_block_ordered<T: Scalar>(a: &[T], b: &[T], c: &mut [T], rows: usize, k: 
 }
 
 /// Serial kernel: `C[rows×n] = A[rows×k] · Bᵀ` with `B` stored `n×k`,
-/// on a tier from [`simd::tier`] or the portable bodies.
+/// on the register tile or, off it, the portable bodies.
 fn a_bt_block<T: Scalar>(
-    tier: Option<Tier>,
+    tier: Tier,
     a: &[T],
     b: &[T],
     c: &mut [T],
@@ -461,9 +462,10 @@ fn a_bt_block<T: Scalar>(
     k: usize,
     n: usize,
 ) {
-    if let Some(tier) = tier {
-        simd::a_bt_block(tier, a, b, c, (rows, k, n));
-    } else if T::EXACT {
+    if simd::a_bt_block(tier, a, b, c, (rows, k, n)).is_some() {
+        return;
+    }
+    if T::EXACT {
         a_bt_block_exact(a, b, c, rows, k, n);
     } else {
         a_bt_block_ordered(a, b, c, rows, k, n);
@@ -577,12 +579,12 @@ pub fn matmul_at_b<T: Scalar>(a: &[T], b: &[T], m: usize, k: usize, n: usize) ->
 ///
 /// Panics if slice lengths do not match the given dimensions.
 pub fn matmul_a_bt_into<T: Scalar>(a: &[T], b: &[T], c: &mut [T], m: usize, k: usize, n: usize) {
-    matmul_a_bt_on(simd::tier::<T>(), a, b, c, m, k, n);
+    matmul_a_bt_on(Tier::best(), a, b, c, m, k, n);
 }
 
 /// [`matmul_a_bt_into`] on a given tier, as [`gemm_packed_on`].
 pub(crate) fn matmul_a_bt_on<T: Scalar>(
-    tier: Option<Tier>,
+    tier: Tier,
     a: &[T],
     b: &[T],
     c: &mut [T],
@@ -841,12 +843,12 @@ mod tests {
         let want_acc: Vec<F25> = c0.iter().zip(&want).map(|(&c, &w)| c + w).collect();
         let fill = fill_from_rows(b, n);
         for (a, strides) in both_layouts(a, m, k) {
-            for tier in crate::simd::offered_tiers() {
+            for tier in Tier::offered() {
                 let mut c = vec![F25::new(0x1ab_cdef); m * n];
-                gemm_packed_on(Some(tier), &a, strides, &mut c, dims, true, &mut Panel::new(), &fill);
+                gemm_packed_on(tier, &a, strides, &mut c, dims, true, &mut Panel::new(), &fill);
                 assert_eq!(c, want, "{tier:?} write {dims:?} strides {strides:?}");
                 let mut c = c0.to_vec();
-                gemm_packed_on(Some(tier), &a, strides, &mut c, dims, false, &mut Panel::new(), &fill);
+                gemm_packed_on(tier, &a, strides, &mut c, dims, false, &mut Panel::new(), &fill);
                 assert_eq!(c, want_acc, "{tier:?} acc {dims:?} strides {strides:?}");
             }
         }
@@ -893,7 +895,7 @@ mod tests {
         // column counts around the 2×4 block.
         let mut rng = dk_field::FieldRng::seed_from(0xd07);
         let top = F25::new(dk_field::P25 - 1);
-        for tier in crate::simd::offered_tiers() {
+        for tier in Tier::offered() {
             for k in [0usize, 1, 7, 8, 9, 27, 1019, 1020, 1021, 2039, 2040, 2041, 4100] {
                 for n in [1usize, 3, 4, 5, 9] {
                     for m in 1..=3 {
@@ -903,7 +905,7 @@ mod tests {
                                 false => (rng.uniform_vec(m * k), rng.uniform_vec(n * k)),
                             };
                             let mut c = vec![F25::new(0x1ab_cdef); m * n];
-                            matmul_a_bt_on(Some(tier), &a, &b, &mut c, m, k, n);
+                            matmul_a_bt_on(tier, &a, &b, &mut c, m, k, n);
                             assert_eq!(c, naive_matmul_a_bt(&a, &b, m, k, n), "{tier:?} {m}x{k}x{n}");
                         }
                     }

@@ -1,4 +1,4 @@
-//! The `F25` register-tile micro-kernel for x86-64.
+//! The `F25` register-tile micro-kernel, written once over a lane shim.
 //!
 //! The generic kernels in [`crate::matmul`] and [`crate::coded`] are
 //! written so the autovectorizer *can* emit SIMD for them, and it does
@@ -14,10 +14,10 @@
 //! identical to [`crate::reference`], which this module's tests, the
 //! `*_equivalence` suites and the workspace's golden table check.
 //!
-//! # One body, two lane widths
+//! # One body per shape, one lane shim per tier
 //!
-//! Everything is written **once** over [`x86::Lanes`], a shim of a
-//! dozen one-line operations (load, masked load/store, broadcast,
+//! Everything is written **once** over [`Lanes`], a shim of a dozen
+//! one-line operations (load, masked load/store, broadcast,
 //! multiply-accumulate, reduce, horizontal sum) on a register of `W`
 //! `u64` lanes:
 //!
@@ -26,11 +26,11 @@
 //!   loaded once per `MR` output rows, each `A` element is broadcast
 //!   straight from memory, nothing but multiply-accumulates runs in the
 //!   loop;
-//! * its **epilogue** — [`x86::Lanes::reduce`], two or three
-//!   pseudo-Mersenne folds (`2^25 ≡ 39`, `2^50 ≡ 39²  (mod 2^25 − 39)`)
-//!   and one conditional subtract, in register, for any lane below
-//!   `2^58` (one canonical carry-in plus [`PANEL_ROWS`] products), then a
-//!   masked store so a partial strip writes only its own columns;
+//! * its **epilogue** — [`Lanes::reduce`], two or three pseudo-Mersenne
+//!   folds (`2^25 ≡ 39`, `2^50 ≡ 39²  (mod 2^25 − 39)`) and one
+//!   conditional subtract, in register, for any lane below `2^58` (one
+//!   canonical carry-in plus [`PANEL_ROWS`] products), then a masked
+//!   store so a partial strip writes only its own columns;
 //! * the **packed-panel block** ([`gemm_block`]) and the **coded
 //!   block** ([`coded_block`]): the same tile over `B` rows that are
 //!   panel rows in one and the scheme's separate source vectors in the
@@ -40,82 +40,120 @@
 //!   rows of `B` along the reduction dimension, merged exactly at the
 //!   end.
 //!
-//! A tier is a [`x86::Lanes`] impl and its geometry: `Ifma` (eight
-//! lanes, `MR = 8`: 16 of 32 `zmm` accumulate) and `Avx2` (four lanes,
-//! `MR = 6`: 12 of 16 `ymm`, a strip in two column halves). The best
-//! tier the CPU offers is detected once per process ([`tier`]) and
-//! resolved once per product, not per strip. There is no SSE2 tier — no
-//! host that builds this repository would run or test it — whereas the
-//! benchmark host offers both tiers here and any CI runner at least
-//! AVX2, and the tests drive each tier the host offers directly, not
-//! through [`tier`]. An x86-64 CPU without AVX2, and every other
-//! architecture, gets `None` from [`tier`] and runs the portable
-//! kernels — the ones `f32` and `F61` exercise on every host.
+//! The tiers are `dk_field`'s ([`dk_field::tier`]): one ladder,
+//! detected once per process there. Each shape is a [`Tiled`] body that
+//! [`on_lanes`] hands to [`Tier::run`], which compiles it once per tier;
+//! the body picks its shim from the tier it is compiled for. The AVX-512
+//! tier runs eight lanes with `MR = 8` (16 of 32 `zmm` accumulate), the
+//! AVX2 tier four lanes with `MR = 6` (12 of 16 `ymm`, a strip in two
+//! column halves). The baseline tier has no shim — no host that builds
+//! this repository would run an SSE2 one — so there, and for every `T`
+//! but `F25`, the entry points return `None` and the caller runs the
+//! portable kernels, the ones `f32` and `F61` exercise on every host.
 
-// Off x86-64 `Kind` is uninhabited and every `match` on it is empty:
-// the entry points still type-check, their arguments just go unused.
-#![cfg_attr(not(target_arch = "x86_64"), allow(unused_variables))]
+// Off x86-64 no tier has a lane shim: the bodies type-check but are
+// never run.
+#![cfg_attr(not(target_arch = "x86_64"), allow(dead_code))]
 
-use crate::coded::MAX_TERMS;
+use crate::coded::{MAX_ROWS, MAX_TERMS};
 use crate::matmul::{LANES, PANEL_ROWS};
+use crate::threadpool::SendPtr;
+use dk_field::tier::{Body, Kind, Tier, Width};
 use std::any::TypeId;
 
-/// `true` iff the monomorphized element type is exactly [`dk_field::F25`].
-/// Compares two constants, so it folds to `true`/`false` at compile time.
-#[inline(always)]
-fn is_f25<T: 'static>() -> bool {
-    TypeId::of::<T>() == TypeId::of::<dk_field::F25>()
+/// What a tier is to the tile: a register of [`Lanes::W`] `u64` lanes,
+/// the operations the bodies below are written over, and the tile
+/// height its register file affords.
+///
+/// # Safety
+///
+/// Every method compiles to the tier's instructions, so it may only be
+/// reached from the function [`Tier::run`] compiles for that tier, into
+/// which the `#[inline(always)]` bodies and methods dissolve. Pointer
+/// arguments must be valid for the lanes named.
+trait Lanes {
+    /// The register type.
+    type V: Copy;
+    /// `u64` lanes per register.
+    const W: usize;
+    /// Output rows per tile: `2·MR` accumulators plus two `B` registers,
+    /// one broadcast and a product must fit the register file.
+    const MR: usize;
+
+    /// All lanes zero.
+    unsafe fn zero() -> Self::V;
+    /// `W` lanes from `p`.
+    unsafe fn load(p: *const u64) -> Self::V;
+    /// The first `n ≤ W` lanes from `p`, the rest zero; memory past lane
+    /// `n` is not touched.
+    unsafe fn load_masked(p: *const u64, n: usize) -> Self::V;
+    /// The first `n ≤ W` lanes to `p`; memory past lane `n` is not
+    /// touched.
+    unsafe fn store_masked(p: *mut u64, n: usize, v: Self::V);
+    /// `*p` in every lane.
+    unsafe fn splat(p: *const u64) -> Self::V;
+    /// `acc + a·b` per lane, exact for `a, b < 2^32` (the sum must fit 64
+    /// bits).
+    unsafe fn mac(acc: Self::V, a: Self::V, b: Self::V) -> Self::V;
+    /// Every lane, each below `2^58`, to its canonical residue mod `P25`
+    /// — the bits [`dk_field::F25::reduce_u64`] gives, since the
+    /// canonical residue is unique.
+    ///
+    /// With `v = lo + 2^25·mid + 2^50·hi` (`lo, mid < 2^25`, `hi < 2^8`):
+    /// `v₁ = lo + 39·mid + 39²·hi < 2^30.4` is congruent to `v`,
+    /// `v₂ = (v₁ mod 2^25) + 39·(v₁ ≫ 25) < 2^25 + 39·41 < 2·P25`
+    /// likewise, and one conditional subtract lands in `[0, P25)`. A tier
+    /// whose multiplier takes the 33-bit `v ≫ 25` whole folds `mid` and
+    /// `hi` together.
+    unsafe fn reduce(v: Self::V) -> Self::V;
+    /// The sum of all lanes (which must fit 64 bits).
+    unsafe fn hsum(v: Self::V) -> u64;
 }
 
-/// A vector instruction tier this CPU offers. Only detection builds one
-/// ([`tier`]; the tests' `offered_tiers`), so holding a `Tier` is the
-/// proof the `#[target_feature]` entry points need.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub(crate) struct Tier(Kind);
-
-/// Uninhabited off x86-64.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum Kind {
-    /// AVX2: four `u64` lanes, `vpmuludq` + `vpaddq`.
-    #[cfg(target_arch = "x86_64")]
-    Avx2,
-    /// AVX-512 F + IFMA: eight `u64` lanes, `vpmadd52luq`.
-    #[cfg(target_arch = "x86_64")]
-    Ifma,
+/// A kernel body written once over [`Lanes`]; [`on_lanes`] runs it.
+trait Tiled {
+    type Out;
+    /// # Safety
+    ///
+    /// The body's own contract, and [`Lanes`]'.
+    unsafe fn run<L: Lanes>(self) -> Self::Out;
 }
 
-impl Kind {
-    /// Every tier, best first.
-    #[cfg(target_arch = "x86_64")]
-    const ALL: [Kind; 2] = [Kind::Ifma, Kind::Avx2];
-    #[cfg(not(target_arch = "x86_64"))]
-    const ALL: [Kind; 0] = [];
-
-    /// The tier, if this CPU can run it.
-    fn detect(self) -> Option<Tier> {
-        match self {
-            #[cfg(target_arch = "x86_64")]
-            Kind::Avx2 => std::arch::is_x86_feature_detected!("avx2").then_some(Tier(self)),
-            #[cfg(target_arch = "x86_64")]
-            Kind::Ifma => (std::arch::is_x86_feature_detected!("avx512f")
-                && std::arch::is_x86_feature_detected!("avx512ifma"))
-            .then_some(Tier(self)),
+/// Runs `body` on `tier`'s lane shim. `None` when `T` is not `F25` (the
+/// tile is an `F25` kernel; the test folds away at compile time) or the
+/// tier is the baseline, which has no shim: the caller then runs the
+/// portable kernels.
+///
+/// # Safety
+///
+/// `body`'s contract.
+#[inline]
+unsafe fn on_lanes<T: 'static, B: Tiled>(tier: Tier, body: B) -> Option<B::Out> {
+    /// Built only here, so its `run` inherits `on_lanes`' contract.
+    struct OnLanes<B>(B);
+    impl<B: Tiled> Body for OnLanes<B> {
+        type Out = Option<B::Out>;
+        #[inline(always)]
+        fn run<W: Width>(self, _: W) -> Option<B::Out> {
+            match W::KIND {
+                Kind::Baseline => None,
+                // SAFETY: `on_lanes`' caller vouches for the body, and
+                // only `Tier::run` makes a `W` of this kind: for a
+                // detected AVX2 tier, inside its function compiled with
+                // the AVX2 features.
+                #[cfg(target_arch = "x86_64")]
+                Kind::Avx2 => Some(unsafe { self.0.run::<x86::Avx2>() }),
+                // SAFETY: as above, with the AVX-512 features (IFMA
+                // among them).
+                #[cfg(target_arch = "x86_64")]
+                Kind::Avx512 => Some(unsafe { self.0.run::<x86::Avx512>() }),
+            }
         }
     }
-}
-
-/// The tier products over `T` run on: the best one the CPU offers when
-/// `T` is `F25`, `None` (the portable kernels) otherwise. Detected once
-/// per process; for every other `T` the test folds away at compile
-/// time.
-#[inline]
-pub(crate) fn tier<T: 'static>() -> Option<Tier> {
-    static BEST: std::sync::OnceLock<Option<Tier>> = std::sync::OnceLock::new();
-    if is_f25::<T>() {
-        *BEST.get_or_init(|| Kind::ALL.into_iter().find_map(Kind::detect))
-    } else {
-        None
+    if TypeId::of::<T>() != TypeId::of::<dk_field::F25>() {
+        return None;
     }
+    tier.run(OnLanes(body))
 }
 
 /// One packed block of a strip, all `m` output rows:
@@ -123,6 +161,7 @@ pub(crate) fn tier<T: 'static>() -> Option<Tier> {
 /// `A[i, p]` at `a[i·a_row + p·a_col]`, `panel` `kb × LANES` row-major
 /// and `C[i, ·]` at `c[i·ldc ..]`. `load` accumulates on top of `C`
 /// (canonical values); otherwise `C` is written without being read.
+/// `None` (nothing done) off the tile, as [`on_lanes`].
 ///
 /// # Safety
 ///
@@ -133,8 +172,8 @@ pub(crate) fn tier<T: 'static>() -> Option<Tier> {
 ///
 /// # Panics
 ///
-/// If `T` is not `F25`, or `kb > PANEL_ROWS`: the tile reduces once per
-/// block, on that budget.
+/// If `kb > PANEL_ROWS`: the tile reduces once per block, on that
+/// budget.
 #[allow(clippy::too_many_arguments)]
 pub(crate) unsafe fn gemm_block<T: 'static>(
     tier: Tier,
@@ -147,163 +186,415 @@ pub(crate) unsafe fn gemm_block<T: 'static>(
     m: usize,
     w: usize,
     load: bool,
-) {
-    assert!(is_f25::<T>(), "the tile is an F25 kernel");
+) -> Option<()> {
     assert!(kb <= PANEL_ROWS, "a block holds at most PANEL_ROWS products per lane");
     debug_assert!((1..=LANES).contains(&w));
-    // `F25` is `repr(transparent)` over `u64`, so the casts are identities.
+    // `F25` is `repr(transparent)` over `u64`, so the casts are
+    // identities wherever the body runs.
     let (a, panel, c) = (a as *const u64, panel as *const u64, c as *mut u64);
-    match tier.0 {
-        // SAFETY (both arms): the caller's contract is the body's, and
-        // a `Tier` exists only where its CPU features were detected.
-        #[cfg(target_arch = "x86_64")]
-        Kind::Avx2 => unsafe { x86::gemm_block_avx2(a, a_row, a_col, kb, panel, c, ldc, m, w, load) },
-        #[cfg(target_arch = "x86_64")]
-        Kind::Ifma => unsafe { x86::gemm_block_ifma(a, a_row, a_col, kb, panel, c, ldc, m, w, load) },
+    let body = GemmBlock { a, a_row, a_col, kb, panel, c, ldc, m, w, load };
+    // SAFETY: the caller's contract is the body's.
+    unsafe { on_lanes::<T, _>(tier, body) }
+}
+
+struct GemmBlock {
+    a: *const u64,
+    a_row: usize,
+    a_col: usize,
+    kb: usize,
+    panel: *const u64,
+    c: *mut u64,
+    ldc: usize,
+    m: usize,
+    w: usize,
+    load: bool,
+}
+
+impl Tiled for GemmBlock {
+    type Out = ();
+
+    #[inline(always)]
+    unsafe fn run<L: Lanes>(self) {
+        let GemmBlock { a, a_row, a_col, kb, panel, c, ldc, m, w, load } = self;
+        for i in (0..m).step_by(L::MR) {
+            // SAFETY: rows `i..i+rows` of `A` and `C` and rows `< kb` of
+            // the panel, all inside what `gemm_block`'s caller vouched
+            // for.
+            unsafe {
+                tile_rows::<L>(
+                    L::MR.min(m - i),
+                    &|r| a.add((i + r) * a_row),
+                    a_col,
+                    kb,
+                    &|p| panel.add(p * LANES),
+                    &|r| c.add((i + r) * ldc),
+                    w,
+                    load,
+                );
+            }
+        }
     }
 }
 
 /// Columns `j0..j1` of a coded combine, every output row in one pass:
 /// `outs[r][j] (=|+=) Σ_p coeff[r·cstride + p] · xs[p][j]`, plus — with
 /// `check = (w, expect)` — the predicted row `Σ_p w[p] · xs[p][j]`
-/// compared against `expect[j]`; returns the number of mismatches.
-/// `load` accumulates on top of canonical `outs`; otherwise they are
-/// written without being read.
+/// compared against `expect[j]`; returns the number of mismatches, or
+/// `None` (nothing done) off the tile, as [`on_lanes`]. `load`
+/// accumulates on top of canonical `outs`; otherwise they are written
+/// without being read.
 ///
 /// # Safety
 ///
-/// Every `xs[p]` is valid for `j1` reads, every `outs[r]` for `j1`
-/// writes (and reads, with `load`) with columns `j0..j1` shared with no
-/// one for the call; `coeff` is valid for reads at `r·cstride + p` for
-/// every output row `r` and `p < xs.len()`; `w` for `xs.len()` reads and
-/// `expect` for `j1`.
+/// Every `xs[p]` holds at least `j1` elements, every `outs[r]` is valid
+/// for `j1` writes (and reads, with `load`) with columns `j0..j1` shared
+/// with no one for the call; `coeff` is valid for reads at
+/// `r·cstride + p` for every output row `r` and `p < xs.len()`; `w`
+/// holds `xs.len()` weights and `expect` `j1` values.
 ///
 /// # Panics
 ///
-/// If `T` is not `F25`, or `xs` holds more than [`MAX_TERMS`] rows.
+/// If `xs` holds more than [`MAX_TERMS`] rows or `outs` more than
+/// [`MAX_ROWS`].
 #[allow(clippy::too_many_arguments)]
 pub(crate) unsafe fn coded_block<T: 'static>(
     tier: Tier,
     coeff: *const T,
     cstride: usize,
-    xs: &[*const T],
-    outs: &[*mut T],
+    xs: &[&[T]],
+    outs: &[SendPtr<T>],
     (j0, j1): (usize, usize),
     load: bool,
-    check: Option<(*const T, *const T)>,
-) -> usize {
-    assert!(is_f25::<T>(), "the tile is an F25 kernel");
+    check: Option<(&[T], &[T])>,
+) -> Option<usize> {
     assert!(xs.len() <= MAX_TERMS, "a coded combine takes at most MAX_TERMS input rows");
-    let coeff = coeff as *const u64;
-    // SAFETY: `*const T` and `*const u64` are the same type up to the
-    // pointee, which `F25`'s `repr(transparent)` makes an identity.
-    let (xs, outs) = unsafe {
-        (
-            std::slice::from_raw_parts(xs.as_ptr() as *const *const u64, xs.len()),
-            std::slice::from_raw_parts(outs.as_ptr() as *const *mut u64, outs.len()),
-        )
+    assert!(outs.len() <= MAX_ROWS, "a coded combine writes at most MAX_ROWS output rows");
+    let mut body = CodedBlock {
+        coeff: coeff as *const u64,
+        cstride,
+        xs: [std::ptr::null(); MAX_TERMS],
+        kdim: xs.len(),
+        outs: [std::ptr::null_mut(); MAX_ROWS],
+        rows: outs.len(),
+        j0,
+        j1,
+        load,
+        check: check.map(|(w, e)| (w.as_ptr() as *const u64, e.as_ptr() as *const u64)),
     };
-    let check = check.map(|(w, e)| (w as *const u64, e as *const u64));
-    match tier.0 {
-        // SAFETY (both arms): as in `gemm_block`.
-        #[cfg(target_arch = "x86_64")]
-        Kind::Avx2 => unsafe { x86::coded_block_avx2(coeff, cstride, xs, outs, j0, j1, load, check) },
-        #[cfg(target_arch = "x86_64")]
-        Kind::Ifma => unsafe { x86::coded_block_ifma(coeff, cstride, xs, outs, j0, j1, load, check) },
+    for (d, s) in body.xs.iter_mut().zip(xs) {
+        *d = s.as_ptr() as *const u64;
+    }
+    for (d, s) in body.outs.iter_mut().zip(outs) {
+        *d = s.0 as *mut u64;
+    }
+    // SAFETY: the caller's contract, restated in pointers.
+    unsafe { on_lanes::<T, _>(tier, body) }
+}
+
+struct CodedBlock {
+    coeff: *const u64,
+    cstride: usize,
+    xs: [*const u64; MAX_TERMS],
+    kdim: usize,
+    outs: [*mut u64; MAX_ROWS],
+    rows: usize,
+    j0: usize,
+    j1: usize,
+    load: bool,
+    check: Option<(*const u64, *const u64)>,
+}
+
+impl Tiled for CodedBlock {
+    type Out = usize;
+
+    /// Per strip, one [`tile`] pass per `L::MR` output rows — the check
+    /// row rides as the last row, written to a local strip and
+    /// compared. `B` rows of a full strip are the sources in place; the
+    /// one partial strip (`j1` not a multiple of [`LANES`]) reads a
+    /// zero-padded copy, so the tile's `B` loads are full-width
+    /// everywhere.
+    #[inline(always)]
+    unsafe fn run<L: Lanes>(self) -> usize {
+        let CodedBlock { coeff, cstride, xs, kdim, outs, rows, j0, j1, load, check } = self;
+        let outs = &outs[..rows];
+        let total = rows + usize::from(check.is_some());
+        let mut padded = [0u64; MAX_TERMS * LANES];
+        let mut pred = [0u64; LANES];
+        let (padded_p, pred_p) = (padded.as_mut_ptr(), pred.as_mut_ptr());
+        let check_w = check.map_or(std::ptr::null(), |(w, _)| w);
+        let mut mismatches = 0usize;
+        for j in (j0..j1).step_by(LANES) {
+            let w = LANES.min(j1 - j);
+            let mut bp = [std::ptr::null::<u64>(); MAX_TERMS];
+            for (p, (b, &x)) in bp.iter_mut().zip(&xs[..kdim]).enumerate() {
+                // SAFETY: `x` holds `j1 ≥ j + w` elements.
+                *b = unsafe { x.add(j) };
+                if w < LANES {
+                    // SAFETY: `w` elements from the source into row `p`
+                    // (`p < MAX_TERMS`) of the zero-initialized panel.
+                    unsafe {
+                        let row = padded_p.add(p * LANES);
+                        std::ptr::copy_nonoverlapping(*b, row, w);
+                        *b = row;
+                    }
+                }
+            }
+            for r0 in (0..total).step_by(L::MR) {
+                // SAFETY: output rows `r0..r0+rows` at columns `j..j+w`
+                // (the check row reads `w`'s `kdim` weights and writes
+                // the local strip), `B` rows `LANES` wide by the above.
+                unsafe {
+                    tile_rows::<L>(
+                        L::MR.min(total - r0),
+                        &|r| if r0 + r < rows { coeff.add((r0 + r) * cstride) } else { check_w },
+                        1,
+                        kdim,
+                        &|p| bp[p],
+                        &|r| outs.get(r0 + r).map_or(pred_p, |o| o.add(j)),
+                        w,
+                        load,
+                    );
+                }
+            }
+            if let Some((_, expect)) = check {
+                for l in 0..w {
+                    // SAFETY: `expect` holds `j1 ≥ j + w` elements and
+                    // the tile just wrote `w` lanes of `pred`.
+                    mismatches += usize::from(unsafe { *pred_p.add(l) != *expect.add(j + l) });
+                }
+            }
+        }
+        mismatches
     }
 }
 
 /// `C[rows×n] = A[rows×k] · Bᵀ` (`B` stored `n×k`): the dot
-/// orientation, vectorized along the reduction dimension.
+/// orientation, vectorized along the reduction dimension. `None`
+/// (nothing done) off the tile, as [`on_lanes`].
 ///
 /// # Panics
 ///
-/// If `T` is not `F25`, or a slice is shorter than its matrix.
+/// If a slice is shorter than its matrix.
 pub(crate) fn a_bt_block<T: 'static>(
     tier: Tier,
     a: &[T],
     b: &[T],
     c: &mut [T],
     (rows, k, n): (usize, usize, usize),
-) {
-    assert!(is_f25::<T>(), "the tile is an F25 kernel");
+) -> Option<()> {
     assert!(a.len() >= rows * k && b.len() >= n * k && c.len() >= rows * n);
     let (a, b, c) = (a.as_ptr() as *const u64, b.as_ptr() as *const u64, c.as_mut_ptr() as *mut u64);
-    match tier.0 {
-        // SAFETY (both arms): the assert above bounds every access the
-        // body makes (`rows × k`, `n × k`, `rows × n`); features as in
-        // `gemm_block`.
-        #[cfg(target_arch = "x86_64")]
-        Kind::Avx2 => unsafe { x86::a_bt_block_avx2(a, b, c, rows, k, n) },
-        #[cfg(target_arch = "x86_64")]
-        Kind::Ifma => unsafe { x86::a_bt_block_ifma(a, b, c, rows, k, n) },
+    // SAFETY: the assert above bounds every access the body makes
+    // (`rows × k`, `n × k`, `rows × n`).
+    unsafe { on_lanes::<T, _>(tier, ABtBlock { a, b, c, rows, k, n }) }
+}
+
+struct ABtBlock {
+    a: *const u64,
+    b: *const u64,
+    c: *mut u64,
+    rows: usize,
+    k: usize,
+    n: usize,
+}
+
+impl Tiled for ABtBlock {
+    type Out = ();
+
+    /// 2×4 dot blocks, then what is left of the rows and columns at 1×
+    /// and ×1.
+    #[inline(always)]
+    unsafe fn run<L: Lanes>(self) {
+        let ABtBlock { a, b, c, rows, k, n } = self;
+        let n4 = n - n % 4;
+        for i in (0..rows).step_by(2) {
+            // SAFETY: rows `i`, `i+1` (when there) of `A` and `C`, rows
+            // `j..j+4` or `j` of `B`: inside the three matrices.
+            unsafe {
+                let (ai, ci) = (a.add(i * k), c.add(i * n));
+                let pair = i + 1 < rows;
+                for j in (0..n4).step_by(4) {
+                    let bj: [*const u64; 4] = std::array::from_fn(|l| b.add((j + l) * k));
+                    if pair {
+                        dot_block::<L, 2, 4>([ai, ai.add(k)], bj, k, [ci.add(j), ci.add(n + j)]);
+                    } else {
+                        dot_block::<L, 1, 4>([ai], bj, k, [ci.add(j)]);
+                    }
+                }
+                for j in n4..n {
+                    let bj = [b.add(j * k)];
+                    if pair {
+                        dot_block::<L, 2, 1>([ai, ai.add(k)], bj, k, [ci.add(j), ci.add(n + j)]);
+                    } else {
+                        dot_block::<L, 1, 1>([ai], bj, k, [ci.add(j)]);
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// The register tile: `C[r][0..w] (=|+=) Σ_{p<kb} A[r][p] · B[p][0..w]`
+/// for `r < MR`, where row `r` of `A` starts at `arow(r)` with
+/// consecutive `p` `a_col` apart, row `p` of `B` is the [`LANES`]
+/// elements at `brow(p)` and row `r` of `C` the `w ≤ LANES` elements at
+/// `crow(r)`. `2·MR` accumulators live in registers across the whole `p`
+/// loop; they start from `C` (`load`; canonical values) or zero, take at
+/// most `PANEL_ROWS` products each, are reduced once and stored under
+/// the strip's column mask.
+///
+/// # Safety
+///
+/// As [`Lanes`]; `arow(r)` valid for reads at `p·a_col`, `p < kb`;
+/// `brow(p)` for `LANES` reads (all of them, whatever `w` is); `crow(r)`
+/// for `w` writes, and reads with `load`. `kb ≤ PANEL_ROWS`.
+#[inline(always)]
+unsafe fn tile<L: Lanes, const MR: usize>(
+    arow: &impl Fn(usize) -> *const u64,
+    a_col: usize,
+    kb: usize,
+    brow: &impl Fn(usize) -> *const u64,
+    crow: &impl Fn(usize) -> *mut u64,
+    w: usize,
+    load: bool,
+) {
+    let ap: [*const u64; MR] = std::array::from_fn(arow);
+    let cp: [*mut u64; MR] = std::array::from_fn(crow);
+    for c0 in (0..w).step_by(2 * L::W) {
+        // Valid lanes of this column group's two registers.
+        let n0 = L::W.min(w - c0);
+        let n1 = L::W.min(w - c0 - n0);
+        // SAFETY: per the function contract — `c0 + n0 + n1 ≤ w` bounds
+        // the masked `C` accesses, `c0 + 2·W ≤ LANES` the `B` loads,
+        // `p < kb` the `A` reads.
+        unsafe {
+            let mut acc = [[L::zero(); 2]; MR];
+            if load {
+                for r in 0..MR {
+                    acc[r] = [L::load_masked(cp[r].add(c0), n0), L::load_masked(cp[r].add(c0 + n0), n1)];
+                }
+            }
+            for p in 0..kb {
+                let bp = brow(p).add(c0);
+                let (b0, b1) = (L::load(bp), L::load(bp.add(L::W)));
+                for r in 0..MR {
+                    let av = L::splat(ap[r].add(p * a_col));
+                    acc[r] = [L::mac(acc[r][0], av, b0), L::mac(acc[r][1], av, b1)];
+                }
+            }
+            for r in 0..MR {
+                L::store_masked(cp[r].add(c0), n0, L::reduce(acc[r][0]));
+                L::store_masked(cp[r].add(c0 + n0), n1, L::reduce(acc[r][1]));
+            }
+        }
+    }
+}
+
+/// [`tile`] at the instantiation for `rows` output rows: full tiles at
+/// `L::MR`, the last rows of a matrix at whatever is left.
+///
+/// # Safety
+///
+/// As [`tile`]; `1 ≤ rows ≤ L::MR`.
+#[inline(always)]
+#[allow(clippy::too_many_arguments)]
+unsafe fn tile_rows<L: Lanes>(
+    rows: usize,
+    arow: &impl Fn(usize) -> *const u64,
+    a_col: usize,
+    kb: usize,
+    brow: &impl Fn(usize) -> *const u64,
+    crow: &impl Fn(usize) -> *mut u64,
+    w: usize,
+    load: bool,
+) {
+    debug_assert!((1..=L::MR).contains(&rows));
+    macro_rules! arms {
+        ($($mr:literal)*) => {
+            match rows.min(L::MR) {
+                // SAFETY: the caller's contract, for `rows` rows.
+                $($mr => unsafe { tile::<L, $mr>(arow, a_col, kb, brow, crow, w, load) },)*
+                _ => unreachable!("a tile holds 1..=MR rows"),
+            }
+        };
+    }
+    arms!(1 2 3 4 5 6 7 8);
+}
+
+/// Reduction positions a dot accumulator takes between two
+/// [`Lanes::reduce`]s: one fewer than the budget, so the masked tail step
+/// always fits on top.
+const DOT_STEPS: usize = PANEL_ROWS - 1;
+
+/// `C[i][j] = A[i] · B[j]` for `i < MA`, `j < NB`, `k` long: `MA·NB`
+/// accumulators, each lane summing the products of its own residue class
+/// of positions (value-exact in a field), reduced at least every
+/// [`PANEL_ROWS`] products; the last `k % W` positions are a masked load.
+/// Lanes are merged by a reduce (`< P25` each), a horizontal sum
+/// (`< 8·P25`) and a scalar reduce.
+///
+/// # Safety
+///
+/// As [`Lanes`]; every `a[i]`, `b[j]` valid for `k` reads, every `c[i]`
+/// for `NB` writes.
+#[inline(always)]
+unsafe fn dot_block<L: Lanes, const MA: usize, const NB: usize>(
+    a: [*const u64; MA],
+    b: [*const u64; NB],
+    k: usize,
+    c: [*mut u64; MA],
+) {
+    // SAFETY: per the function contract; `p + W ≤ kv ≤ k` bounds the full
+    // loads, `kv + (k − kv) = k` the masked one.
+    unsafe {
+        let mut acc = [[L::zero(); NB]; MA];
+        let kv = k - k % L::W;
+        let mut p = 0;
+        while p < kv {
+            let pend = kv.min(p + DOT_STEPS * L::W);
+            while p < pend {
+                let av: [L::V; MA] = std::array::from_fn(|i| L::load(a[i].add(p)));
+                for j in 0..NB {
+                    let bv = L::load(b[j].add(p));
+                    for i in 0..MA {
+                        acc[i][j] = L::mac(acc[i][j], av[i], bv);
+                    }
+                }
+                p += L::W;
+            }
+            for row in acc.iter_mut() {
+                for v in row.iter_mut() {
+                    *v = L::reduce(*v);
+                }
+            }
+        }
+        if kv < k {
+            let av: [L::V; MA] = std::array::from_fn(|i| L::load_masked(a[i].add(kv), k - kv));
+            for j in 0..NB {
+                let bv = L::load_masked(b[j].add(kv), k - kv);
+                for i in 0..MA {
+                    acc[i][j] = L::mac(acc[i][j], av[i], bv);
+                }
+            }
+        }
+        for (ci, row) in c.iter().zip(&acc) {
+            for (j, &v) in row.iter().enumerate() {
+                *ci.add(j) = dk_field::F25::reduce_u64(L::hsum(L::reduce(v))).value();
+            }
+        }
     }
 }
 
 #[cfg(target_arch = "x86_64")]
 mod x86 {
-    use super::{LANES, MAX_TERMS, PANEL_ROWS};
+    use super::{Lanes, LANES, PANEL_ROWS};
     use core::arch::x86_64::*;
-    use dk_field::{F25, P25};
+    use dk_field::P25;
 
     const M25: i64 = (1 << 25) - 1;
     /// `2^25 mod P25`; its square is `2^50 mod P25`.
     const C25: i64 = (1 << 25) - P25 as i64;
     const P: i64 = P25 as i64;
-
-    /// Most output rows any tier's tile holds.
-    const MR_MAX: usize = 8;
-
-    /// What a tier is: a register of [`Lanes::W`] `u64` lanes, the
-    /// operations the bodies below are written over, and the tile
-    /// height its register file affords.
-    ///
-    /// # Safety
-    ///
-    /// Every method compiles to the tier's instructions, so it may only
-    /// be reached from a function that carries the tier's
-    /// `#[target_feature]`s (the `*_avx2` / `*_ifma` entry points, into
-    /// which the `#[inline(always)]` bodies and methods dissolve).
-    /// Pointer arguments must be valid for the lanes named.
-    pub(super) trait Lanes {
-        /// The register type.
-        type V: Copy;
-        /// `u64` lanes per register.
-        const W: usize;
-        /// Output rows per tile: `2·MR` accumulators plus two `B`
-        /// registers, one broadcast and a product must fit the register
-        /// file.
-        const MR: usize;
-
-        /// All lanes zero.
-        unsafe fn zero() -> Self::V;
-        /// `W` lanes from `p`.
-        unsafe fn load(p: *const u64) -> Self::V;
-        /// The first `n ≤ W` lanes from `p`, the rest zero; memory past
-        /// lane `n` is not touched.
-        unsafe fn load_masked(p: *const u64, n: usize) -> Self::V;
-        /// The first `n ≤ W` lanes to `p`; memory past lane `n` is not
-        /// touched.
-        unsafe fn store_masked(p: *mut u64, n: usize, v: Self::V);
-        /// `*p` in every lane.
-        unsafe fn splat(p: *const u64) -> Self::V;
-        /// `acc + a·b` per lane, exact for `a, b < 2^32` (the sum must
-        /// fit 64 bits).
-        unsafe fn mac(acc: Self::V, a: Self::V, b: Self::V) -> Self::V;
-        /// Every lane, each below `2^58`, to its canonical residue mod
-        /// `P25` — the bits [`F25::reduce_u64`] gives, since the
-        /// canonical residue is unique.
-        ///
-        /// With `v = lo + 2^25·mid + 2^50·hi` (`lo, mid < 2^25`,
-        /// `hi < 2^8`): `v₁ = lo + 39·mid + 39²·hi < 2^30.4` is
-        /// congruent to `v`, `v₂ = (v₁ mod 2^25) + 39·(v₁ ≫ 25)
-        /// < 2^25 + 39·41 < 2·P25` likewise, and one conditional
-        /// subtract lands in `[0, P25)`. A tier whose multiplier takes
-        /// the 33-bit `v ≫ 25` whole folds `mid` and `hi` together.
-        unsafe fn reduce(v: Self::V) -> Self::V;
-        /// The sum of all lanes (which must fit 64 bits).
-        unsafe fn hsum(v: Self::V) -> u64;
-    }
 
     /// AVX2: four lanes, the 32-bit widening multiply.
     pub(super) struct Avx2;
@@ -369,12 +660,12 @@ mod x86 {
         }
     }
 
-    /// AVX-512 F + IFMA: eight lanes, the 52-bit multiply-accumulate.
-    pub(super) struct Ifma;
+    /// AVX-512 with IFMA: eight lanes, the 52-bit multiply-accumulate.
+    pub(super) struct Avx512;
 
     // SAFETY (every method body): as for `Avx2`, with AVX-512 F and
     // IFMA.
-    impl Lanes for Ifma {
+    impl Lanes for Avx512 {
         type V = __m512i;
         const W: usize = 8;
         const MR: usize = 8;
@@ -405,8 +696,8 @@ mod x86 {
         }
         #[inline(always)]
         unsafe fn reduce(v: __m512i) -> __m512i {
-            // The multiplier takes 52-bit operands, so `mid` and `hi`
-            // fold as one: `v ≫ 25 < 2^33`, `v₁ < 2^38.3`,
+            // The multiplier takes 52-bit operands, so `mid` and `hi` fold
+            // as one: `v ≫ 25 < 2^33`, `v₁ < 2^38.3`,
             // `v₂ < 2^25 + 39·2^13.3 < 2·P25`.
             let (m, c) = (_mm512_set1_epi64(M25), _mm512_set1_epi64(C25));
             let v1 = Self::mac(_mm512_and_si512(v, m), _mm512_srli_epi64(v, 25), c);
@@ -420,425 +711,14 @@ mod x86 {
         }
     }
 
-    // A strip is a whole number of two-register column groups.
-    const _: () = assert!(LANES.is_multiple_of(2 * Avx2::W) && LANES.is_multiple_of(2 * Ifma::W));
-    const _: () = assert!(Avx2::MR <= MR_MAX && Ifma::MR <= MR_MAX);
+    // A strip is a whole number of two-register column groups, and a tile
+    // is at most the eight rows `tile_rows` instantiates.
+    const _: () = assert!(LANES.is_multiple_of(2 * Avx2::W) && LANES.is_multiple_of(2 * Avx512::W));
+    const _: () = assert!(Avx2::MR <= 8 && Avx512::MR <= 8);
     // `reduce`'s budget: one canonical carry-in plus a block's products.
     const _: () = assert!(
         (P25 - 1) as u128 + PANEL_ROWS as u128 * ((P25 - 1) as u128 * (P25 - 1) as u128) < 1 << 58
     );
-
-    /// The register tile: `C[r][0..w] (=|+=) Σ_{p<kb} A[r][p] · B[p][0..w]`
-    /// for `r < MR`, where row `r` of `A` starts at `arow(r)` with
-    /// consecutive `p` `a_col` apart, row `p` of `B` is the [`LANES`]
-    /// elements at `brow(p)` and row `r` of `C` the `w ≤ LANES` elements
-    /// at `crow(r)`. `2·MR` accumulators live in registers across the
-    /// whole `p` loop; they start from `C` (`load`; canonical values) or
-    /// zero, take at most `PANEL_ROWS` products each, are reduced once
-    /// and stored under the strip's column mask.
-    ///
-    /// # Safety
-    ///
-    /// As [`Lanes`]; `arow(r)` valid for reads at `p·a_col`, `p < kb`;
-    /// `brow(p)` for `LANES` reads (all of them, whatever `w` is);
-    /// `crow(r)` for `w` writes, and reads with `load`. `kb ≤ PANEL_ROWS`.
-    #[inline(always)]
-    unsafe fn tile<L: Lanes, const MR: usize>(
-        arow: &impl Fn(usize) -> *const u64,
-        a_col: usize,
-        kb: usize,
-        brow: &impl Fn(usize) -> *const u64,
-        crow: &impl Fn(usize) -> *mut u64,
-        w: usize,
-        load: bool,
-    ) {
-        let ap: [*const u64; MR] = std::array::from_fn(arow);
-        let cp: [*mut u64; MR] = std::array::from_fn(crow);
-        for c0 in (0..w).step_by(2 * L::W) {
-            // Valid lanes of this column group's two registers.
-            let n0 = L::W.min(w - c0);
-            let n1 = L::W.min(w - c0 - n0);
-            // SAFETY: per the function contract — `c0 + n0 + n1 ≤ w`
-            // bounds the masked `C` accesses, `c0 + 2·W ≤ LANES` the `B`
-            // loads, `p < kb` the `A` reads.
-            unsafe {
-                let mut acc = [[L::zero(); 2]; MR];
-                if load {
-                    for r in 0..MR {
-                        acc[r] = [L::load_masked(cp[r].add(c0), n0), L::load_masked(cp[r].add(c0 + n0), n1)];
-                    }
-                }
-                for p in 0..kb {
-                    let bp = brow(p).add(c0);
-                    let (b0, b1) = (L::load(bp), L::load(bp.add(L::W)));
-                    for r in 0..MR {
-                        let av = L::splat(ap[r].add(p * a_col));
-                        acc[r] = [L::mac(acc[r][0], av, b0), L::mac(acc[r][1], av, b1)];
-                    }
-                }
-                for r in 0..MR {
-                    L::store_masked(cp[r].add(c0), n0, L::reduce(acc[r][0]));
-                    L::store_masked(cp[r].add(c0 + n0), n1, L::reduce(acc[r][1]));
-                }
-            }
-        }
-    }
-
-    /// [`tile`] at the instantiation for `rows` output rows: full tiles
-    /// at `L::MR`, the last rows of a matrix at whatever is left.
-    ///
-    /// # Safety
-    ///
-    /// As [`tile`]; `1 ≤ rows ≤ L::MR`.
-    #[inline(always)]
-    #[allow(clippy::too_many_arguments)]
-    unsafe fn tile_rows<L: Lanes>(
-        rows: usize,
-        arow: &impl Fn(usize) -> *const u64,
-        a_col: usize,
-        kb: usize,
-        brow: &impl Fn(usize) -> *const u64,
-        crow: &impl Fn(usize) -> *mut u64,
-        w: usize,
-        load: bool,
-    ) {
-        debug_assert!((1..=L::MR).contains(&rows));
-        macro_rules! arms {
-            ($($mr:literal)*) => {
-                match rows.min(L::MR) {
-                    // SAFETY: the caller's contract, for `rows` rows.
-                    $($mr => unsafe { tile::<L, $mr>(arow, a_col, kb, brow, crow, w, load) },)*
-                    _ => unreachable!("a tile holds 1..=MR rows"),
-                }
-            };
-        }
-        arms!(1 2 3 4 5 6 7 8);
-    }
-
-    /// The body of [`super::gemm_block`].
-    ///
-    /// # Safety
-    ///
-    /// As [`super::gemm_block`] and [`Lanes`]; `kb ≤ PANEL_ROWS`.
-    #[inline(always)]
-    #[allow(clippy::too_many_arguments)]
-    unsafe fn gemm_block<L: Lanes>(
-        a: *const u64,
-        a_row: usize,
-        a_col: usize,
-        kb: usize,
-        panel: *const u64,
-        c: *mut u64,
-        ldc: usize,
-        m: usize,
-        w: usize,
-        load: bool,
-    ) {
-        for i in (0..m).step_by(L::MR) {
-            // SAFETY: rows `i..i+rows` of `A` and `C` and rows `< kb` of
-            // the panel, all inside what the caller vouched for.
-            unsafe {
-                tile_rows::<L>(
-                    L::MR.min(m - i),
-                    &|r| a.add((i + r) * a_row),
-                    a_col,
-                    kb,
-                    &|p| panel.add(p * LANES),
-                    &|r| c.add((i + r) * ldc),
-                    w,
-                    load,
-                );
-            }
-        }
-    }
-
-    /// The body of [`super::coded_block`]: per strip, one [`tile`] pass
-    /// per `L::MR` output rows — the check row rides as the last row,
-    /// written to a local strip and compared. `B` rows of a full strip
-    /// are the sources in place; the one partial strip (`j1` not a
-    /// multiple of [`LANES`]) reads a zero-padded copy, so the tile's
-    /// `B` loads are full-width everywhere.
-    ///
-    /// # Safety
-    ///
-    /// As [`super::coded_block`] and [`Lanes`]; `xs.len() ≤ MAX_TERMS`.
-    #[inline(always)]
-    #[allow(clippy::too_many_arguments)]
-    unsafe fn coded_block<L: Lanes>(
-        coeff: *const u64,
-        cstride: usize,
-        xs: &[*const u64],
-        outs: &[*mut u64],
-        j0: usize,
-        j1: usize,
-        load: bool,
-        check: Option<(*const u64, *const u64)>,
-    ) -> usize {
-        let kdim = xs.len();
-        let total = outs.len() + usize::from(check.is_some());
-        let mut padded = [0u64; MAX_TERMS * LANES];
-        let mut pred = [0u64; LANES];
-        let (padded_p, pred_p) = (padded.as_mut_ptr(), pred.as_mut_ptr());
-        let check_w = check.map_or(std::ptr::null(), |(w, _)| w);
-        let mut mismatches = 0usize;
-        for j in (j0..j1).step_by(LANES) {
-            let w = LANES.min(j1 - j);
-            let mut bp = [std::ptr::null::<u64>(); MAX_TERMS];
-            for (p, (b, &x)) in bp.iter_mut().zip(xs).enumerate() {
-                // SAFETY: `x` holds `j1 ≥ j + w` elements.
-                *b = unsafe { x.add(j) };
-                if w < LANES {
-                    // SAFETY: `w` elements from the source into row `p`
-                    // (`p < MAX_TERMS`) of the zero-initialized panel.
-                    unsafe {
-                        let row = padded_p.add(p * LANES);
-                        std::ptr::copy_nonoverlapping(*b, row, w);
-                        *b = row;
-                    }
-                }
-            }
-            for r0 in (0..total).step_by(L::MR) {
-                // SAFETY: output rows `r0..r0+rows` at columns `j..j+w`
-                // (the check row reads `w`'s `kdim` weights and writes
-                // the local strip), `B` rows `LANES` wide by the above.
-                unsafe {
-                    tile_rows::<L>(
-                        L::MR.min(total - r0),
-                        &|r| if r0 + r < outs.len() { coeff.add((r0 + r) * cstride) } else { check_w },
-                        1,
-                        kdim,
-                        &|p| bp[p],
-                        &|r| outs.get(r0 + r).map_or(pred_p, |o| o.add(j)),
-                        w,
-                        load,
-                    );
-                }
-            }
-            if let Some((_, expect)) = check {
-                for l in 0..w {
-                    // SAFETY: `expect` holds `j1 ≥ j + w` elements and
-                    // the tile just wrote `w` lanes of `pred`.
-                    mismatches += usize::from(unsafe { *pred_p.add(l) != *expect.add(j + l) });
-                }
-            }
-        }
-        mismatches
-    }
-
-    /// Reduction positions a dot accumulator takes between two
-    /// [`Lanes::reduce`]s: one fewer than the budget, so the masked tail
-    /// step always fits on top.
-    const DOT_STEPS: usize = PANEL_ROWS - 1;
-
-    /// `C[i][j] = A[i] · B[j]` for `i < MA`, `j < NB`, `k` long: `MA·NB`
-    /// accumulators, each lane summing the products of its own residue
-    /// class of positions (value-exact in a field), reduced at least
-    /// every [`PANEL_ROWS`] products; the last `k % W` positions are a
-    /// masked load. Lanes are merged by a reduce (`< P25` each), a
-    /// horizontal sum (`< 8·P25`) and a scalar reduce.
-    ///
-    /// # Safety
-    ///
-    /// As [`Lanes`]; every `a[i]`, `b[j]` valid for `k` reads, every
-    /// `c[i]` for `NB` writes.
-    #[inline(always)]
-    unsafe fn dot_block<L: Lanes, const MA: usize, const NB: usize>(
-        a: [*const u64; MA],
-        b: [*const u64; NB],
-        k: usize,
-        c: [*mut u64; MA],
-    ) {
-        // SAFETY: per the function contract; `p + W ≤ kv ≤ k` bounds the
-        // full loads, `kv + (k − kv) = k` the masked one.
-        unsafe {
-            let mut acc = [[L::zero(); NB]; MA];
-            let kv = k - k % L::W;
-            let mut p = 0;
-            while p < kv {
-                let pend = kv.min(p + DOT_STEPS * L::W);
-                while p < pend {
-                    let av: [L::V; MA] = std::array::from_fn(|i| L::load(a[i].add(p)));
-                    for j in 0..NB {
-                        let bv = L::load(b[j].add(p));
-                        for i in 0..MA {
-                            acc[i][j] = L::mac(acc[i][j], av[i], bv);
-                        }
-                    }
-                    p += L::W;
-                }
-                for row in acc.iter_mut() {
-                    for v in row.iter_mut() {
-                        *v = L::reduce(*v);
-                    }
-                }
-            }
-            if kv < k {
-                let av: [L::V; MA] = std::array::from_fn(|i| L::load_masked(a[i].add(kv), k - kv));
-                for j in 0..NB {
-                    let bv = L::load_masked(b[j].add(kv), k - kv);
-                    for i in 0..MA {
-                        acc[i][j] = L::mac(acc[i][j], av[i], bv);
-                    }
-                }
-            }
-            for (ci, row) in c.iter().zip(&acc) {
-                for (j, &v) in row.iter().enumerate() {
-                    *ci.add(j) = F25::reduce_u64(L::hsum(L::reduce(v))).value();
-                }
-            }
-        }
-    }
-
-    /// The body of [`super::a_bt_block`]: 2×4 dot blocks, then what is
-    /// left of the rows and columns at 1× and ×1.
-    ///
-    /// # Safety
-    ///
-    /// As [`Lanes`]; `a` valid for `rows·k` reads, `b` for `n·k`, `c`
-    /// for `rows·n` writes.
-    #[inline(always)]
-    unsafe fn a_bt_block<L: Lanes>(a: *const u64, b: *const u64, c: *mut u64, rows: usize, k: usize, n: usize) {
-        let n4 = n - n % 4;
-        for i in (0..rows).step_by(2) {
-            // SAFETY: rows `i`, `i+1` (when there) of `A` and `C`, rows
-            // `j..j+4` or `j` of `B`: inside the three matrices.
-            unsafe {
-                let (ai, ci) = (a.add(i * k), c.add(i * n));
-                let pair = i + 1 < rows;
-                for j in (0..n4).step_by(4) {
-                    let bj: [*const u64; 4] = std::array::from_fn(|l| b.add((j + l) * k));
-                    if pair {
-                        dot_block::<L, 2, 4>([ai, ai.add(k)], bj, k, [ci.add(j), ci.add(n + j)]);
-                    } else {
-                        dot_block::<L, 1, 4>([ai], bj, k, [ci.add(j)]);
-                    }
-                }
-                for j in n4..n {
-                    let bj = [b.add(j * k)];
-                    if pair {
-                        dot_block::<L, 2, 1>([ai, ai.add(k)], bj, k, [ci.add(j), ci.add(n + j)]);
-                    } else {
-                        dot_block::<L, 1, 1>([ai], bj, k, [ci.add(j)]);
-                    }
-                }
-            }
-        }
-    }
-
-    /// `L::reduce` over `vals` (a multiple of `L::W` long), and
-    /// `L::hsum` of each reduced register: what the tests compare with
-    /// [`F25::reduce_u64`].
-    #[cfg(test)]
-    #[inline(always)]
-    unsafe fn reduce_probe<L: Lanes>(vals: &[u64]) -> (Vec<u64>, Vec<u64>) {
-        let (mut out, mut sums) = (vec![0u64; vals.len()], Vec::new());
-        for (src, dst) in vals.chunks_exact(L::W).zip(out.chunks_exact_mut(L::W)) {
-            // SAFETY: both chunks are `W` long; features per the caller.
-            unsafe {
-                let r = L::reduce(L::load(src.as_ptr()));
-                L::store_masked(dst.as_mut_ptr(), L::W, r);
-                sums.push(L::hsum(r));
-            }
-        }
-        (out, sums)
-    }
-
-    /// Instantiates the three bodies (and the tests' probe) for one tier
-    /// under its target features: the only per-tier code besides the
-    /// [`Lanes`] impl.
-    macro_rules! tier_entry_points {
-        ($lanes:ty, $features:literal, $gemm:ident, $coded:ident, $a_bt:ident, $probe:ident) => {
-            /// # Safety
-            ///
-            /// As the generic body of the same name; the CPU must
-            /// support the tier.
-            #[target_feature(enable = $features)]
-            #[allow(clippy::too_many_arguments)]
-            pub(super) unsafe fn $gemm(
-                a: *const u64,
-                a_row: usize,
-                a_col: usize,
-                kb: usize,
-                panel: *const u64,
-                c: *mut u64,
-                ldc: usize,
-                m: usize,
-                w: usize,
-                load: bool,
-            ) {
-                // SAFETY: forwarded contract; this function carries the
-                // features the `Lanes` impl needs.
-                unsafe { gemm_block::<$lanes>(a, a_row, a_col, kb, panel, c, ldc, m, w, load) }
-            }
-
-            /// # Safety
-            ///
-            /// As the generic body of the same name; the CPU must
-            /// support the tier.
-            #[target_feature(enable = $features)]
-            #[allow(clippy::too_many_arguments)]
-            pub(super) unsafe fn $coded(
-                coeff: *const u64,
-                cstride: usize,
-                xs: &[*const u64],
-                outs: &[*mut u64],
-                j0: usize,
-                j1: usize,
-                load: bool,
-                check: Option<(*const u64, *const u64)>,
-            ) -> usize {
-                // SAFETY: as above.
-                unsafe { coded_block::<$lanes>(coeff, cstride, xs, outs, j0, j1, load, check) }
-            }
-
-            /// # Safety
-            ///
-            /// As the generic body of the same name; the CPU must
-            /// support the tier.
-            #[target_feature(enable = $features)]
-            pub(super) unsafe fn $a_bt(a: *const u64, b: *const u64, c: *mut u64, rows: usize, k: usize, n: usize) {
-                // SAFETY: as above.
-                unsafe { a_bt_block::<$lanes>(a, b, c, rows, k, n) }
-            }
-
-            /// # Safety
-            ///
-            /// The CPU must support the tier.
-            #[cfg(test)]
-            #[target_feature(enable = $features)]
-            pub(super) unsafe fn $probe(vals: &[u64]) -> (Vec<u64>, Vec<u64>) {
-                // SAFETY: as above.
-                unsafe { reduce_probe::<$lanes>(vals) }
-            }
-        };
-    }
-    tier_entry_points!(Avx2, "avx2", gemm_block_avx2, coded_block_avx2, a_bt_block_avx2, reduce_probe_avx2);
-    tier_entry_points!(
-        Ifma,
-        "avx512f,avx512ifma",
-        gemm_block_ifma,
-        coded_block_ifma,
-        a_bt_block_ifma,
-        reduce_probe_ifma
-    );
-
-}
-
-/// Every tier this host offers, for the tests that drive each one
-/// directly; a tier the CPU lacks is named on stdout (once per test
-/// process), so a green run says what it did not cover.
-#[cfg(test)]
-pub(crate) fn offered_tiers() -> Vec<Tier> {
-    static REPORT: std::sync::Once = std::sync::Once::new();
-    REPORT.call_once(|| {
-        for kind in Kind::ALL.into_iter().filter(|k| k.detect().is_none()) {
-            println!("tier {kind:?} is not offered by this CPU: skipped");
-        }
-        if tier::<dk_field::F25>().is_none() {
-            println!("no vector tier on this host: only the portable kernels ran");
-        }
-    });
-    Kind::ALL.into_iter().filter_map(Kind::detect).collect()
 }
 
 #[cfg(all(test, target_arch = "x86_64"))]
@@ -849,6 +729,28 @@ mod tests {
     /// The most a tile lane can hold: one canonical carry-in plus
     /// `PANEL_ROWS` worst-case products.
     const BOUND: u64 = (P25 - 1) + PANEL_ROWS as u64 * (P25 - 1) * (P25 - 1);
+
+    /// `L::reduce` over `vals` (a multiple of `L::W` long), and `L::hsum`
+    /// of each reduced register.
+    struct ReduceProbe<'a>(&'a [u64]);
+
+    impl Tiled for ReduceProbe<'_> {
+        type Out = (Vec<u64>, Vec<u64>);
+
+        #[inline(always)]
+        unsafe fn run<L: Lanes>(self) -> Self::Out {
+            let (mut out, mut sums) = (vec![0u64; self.0.len()], Vec::new());
+            for (src, dst) in self.0.chunks_exact(L::W).zip(out.chunks_exact_mut(L::W)) {
+                // SAFETY: both chunks are `W` long; features per the caller.
+                unsafe {
+                    let r = L::reduce(L::load(src.as_ptr()));
+                    L::store_masked(dst.as_mut_ptr(), L::W, r);
+                    sums.push(L::hsum(r));
+                }
+            }
+            (out, sums)
+        }
+    }
 
     #[test]
     fn vector_reduce_is_the_scalar_reduce_on_every_tier() {
@@ -872,13 +774,11 @@ mod tests {
         ];
         const { assert!(BOUND < 1 << 58) };
         vals.extend((0..4096u64).map(|i| derive_seed(0x5ed, i) >> (6 + i % 40)));
-        for tier in offered_tiers() {
-            // SAFETY: the tier is offered, so its features are there.
-            let (got, sums) = unsafe {
-                match tier.0 {
-                    Kind::Avx2 => x86::reduce_probe_avx2(&vals),
-                    Kind::Ifma => x86::reduce_probe_ifma(&vals),
-                }
+        for tier in Tier::offered() {
+            // SAFETY: the probe touches only its own vectors.
+            let Some((got, sums)) = (unsafe { on_lanes::<F25, _>(tier, ReduceProbe(&vals)) }) else {
+                assert_eq!(tier, Tier::BASELINE, "every vector tier has a lane shim");
+                continue;
             };
             let want: Vec<u64> = vals.iter().map(|&v| F25::reduce_u64(v).value()).collect();
             assert_eq!(got, want, "{tier:?}");

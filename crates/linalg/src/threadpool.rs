@@ -69,6 +69,7 @@ struct JobState {
 // `data`, so the pointer is only ever dereferenced while the closure is
 // live, and only through `&F` (shared, `Sync`).
 unsafe impl Send for Job {}
+// SAFETY: as for `Send`; every other field is `Sync` on its own.
 unsafe impl Sync for Job {}
 
 impl Job {
@@ -155,7 +156,14 @@ impl Pool {
     }
 }
 
+/// Calls the closure behind `data` with task index `t`.
+///
+/// # Safety
+///
+/// `data` must point to a live `F`, as [`run_tasks`] guarantees for every
+/// ticket below `total`.
 unsafe fn call_shim<F: Fn(usize) + Sync>(data: *const (), t: usize) {
+    // SAFETY: `data` is a live `F` per the function contract.
     unsafe { (*(data as *const F))(t) }
 }
 
@@ -213,6 +221,8 @@ pub(crate) struct SendPtr<T>(pub *mut T);
 // SAFETY: see type docs — disjointness is guaranteed by the fixed
 // task-index → row-range mapping at every call site.
 unsafe impl<T: Send> Send for SendPtr<T> {}
+// SAFETY: as for `Send`: sharing the pointer only shares the right to
+// write at offsets the call site keeps disjoint.
 unsafe impl<T: Send> Sync for SendPtr<T> {}
 
 #[cfg(test)]

@@ -34,6 +34,8 @@
 //! assert_eq!(logits.shape(), &[2, 10]);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod arch;
 pub mod data;
 pub mod init;

@@ -27,6 +27,8 @@
 //! Instrument sites guard on [`enabled`] — one relaxed load — before
 //! touching anything else.
 
+#![forbid(unsafe_code)]
+
 pub mod health;
 pub mod metrics;
 pub mod trace;

@@ -49,7 +49,7 @@ impl Breakdown {
     /// The Fig.-5 pipelining gain this breakdown predicts:
     /// `total_serial / total_pipelined` — how much wall clock the §7.1
     /// overlap recovers. The measured counterpart is
-    /// `dk_core::engine::PipelineReport::speedup`, and
+    /// `dk_bench::PipelineReport::speedup`, and
     /// [`crate::report::pipeline_table`] renders the two side by side.
     pub fn pipeline_gain(&self) -> f64 {
         self.total_serial() / self.total_pipelined().max(1e-30)

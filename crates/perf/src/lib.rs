@@ -22,6 +22,8 @@
 //! [`report`] renders each experiment as the same rows/series the paper
 //! prints.
 
+#![forbid(unsafe_code)]
+
 pub mod cost;
 pub mod device;
 pub mod experiments;

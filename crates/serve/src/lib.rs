@@ -59,6 +59,8 @@
 //! assert_eq!(metrics.served, 1);
 //! ```
 
+#![forbid(unsafe_code)]
+
 mod aggregator;
 mod autoscale;
 mod error;

@@ -28,6 +28,8 @@
 //! Nothing here is hardened (no constant-time guarantees, no side-channel
 //! defenses — which the paper also scopes out, §2.1).
 
+#![forbid(unsafe_code)]
+
 pub mod attestation;
 pub mod channel;
 pub mod crypto;
