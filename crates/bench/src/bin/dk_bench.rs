@@ -3,9 +3,7 @@
 //!
 //! Measures the delayed-reduction fast kernels against the preserved
 //! per-MAC-reducing scalar baselines (`dk_linalg::reference`) on the
-//! shapes the offload path actually runs, always on one kernel thread
-//! (the rows measure kernels; fanned out, the small ones measure the
-//! pool's wake-up on the day's host), and the TEE's element passes
+//! shapes the offload path actually runs, and the TEE's element passes
 //! (`dk_field`'s quantize, dequantize and noise draw) against the public
 //! per-element functions that define them. Also measures the staged
 //! engine at its default lane count against the same engine with one
@@ -162,9 +160,6 @@ impl Entry {
     }
 }
 
-/// Kernel threads the `benches` rows run at (the record's `dk_threads`).
-const KERNEL_ROW_THREADS: usize = 1;
-
 /// Pulls `"key": <number>` out of a (flat) JSON object snippet — the
 /// workspace has no JSON dependency, and the file format is ours.
 fn json_number(snippet: &str, key: &str) -> Option<f64> {
@@ -280,15 +275,6 @@ fn main() {
     let mut bench = |name: String, macs: u64, scalar: &mut dyn FnMut(), kernel: &mut dyn FnMut()| {
         entries.push(Entry { name, macs, timing: time_pairs(target_ms, pairs, scalar, kernel) });
     };
-
-    // The kernel rows run on one thread, whatever the host offers: they
-    // measure the kernels, and the speedup gate compares them with a
-    // record taken the same way. (Fanned out, a row this small measures
-    // the pool's wake-up on the day's host: `matmul_64x128x64/field` is
-    // 20 µs of work and reads anywhere from 13× to 31× at two threads on
-    // a shared 2-vCPU host, 31–38× at one.) The pool has its own suites.
-    let host_threads = dk_linalg::max_threads();
-    dk_linalg::set_max_threads(KERNEL_ROW_THREADS);
 
     // --- kernels: the three matmul orientations -------------------------
     let (m, k, n) = (64usize, 128, 64);
@@ -594,7 +580,6 @@ fn main() {
             std::hint::black_box(&noise_row_fast);
         },
     );
-    dk_linalg::set_max_threads(host_threads);
 
     // --- pipeline: default lanes vs one lane, same dispatcher -----------
     // Both sides run the engine over persistent per-worker threads, so
@@ -692,10 +677,6 @@ fn main() {
                 total_allocs: a1 - a0,
             });
         };
-        // Threaded kernels spawn scoped threads (which allocate); the
-        // invariant is about the single-lane hot path.
-        let saved_threads = dk_linalg::max_threads();
-        dk_linalg::set_max_threads(1);
         {
             let mut model = mini_vgg(8, 4, 31);
             let x = Tensor::from_fn(&[2, 3, 8, 8], |i| ((i % 13) as f32 - 6.0) * 0.07);
@@ -747,7 +728,6 @@ fn main() {
                 }),
             );
         }
-        dk_linalg::set_max_threads(saved_threads);
     }
 
     // --- obs: instrumentation overhead of the session step (--obs) ------
@@ -758,8 +738,6 @@ fn main() {
     // pairs of the same step (`a` = off, `b` = on).
     let mut obs_row: Option<Paired> = None;
     if measure_obs {
-        let saved_threads = dk_linalg::max_threads();
-        dk_linalg::set_max_threads(1);
         let cfg = DarknightConfig::new(2, 1).with_integrity(true);
         let fleet = GpuCluster::honest(cfg.workers_required(), 34);
         let mut session = dk_core::DarknightSession::new(cfg, fleet).expect("obs-bench session");
@@ -783,16 +761,11 @@ fn main() {
             on.push(sample_ns(iters, &mut step));
             dk_obs::disable();
         }
-        dk_linalg::set_max_threads(saved_threads);
         obs_row = Some(Paired::of(&off, &on));
     }
 
     // --- report ---------------------------------------------------------
-    println!(
-        "DarKnight kernel micro-benches ({} mode, kernel rows at {KERNEL_ROW_THREADS} thread, DK threads = {})",
-        if fast { "fast" } else { "full" },
-        dk_linalg::max_threads()
-    );
+    println!("DarKnight kernel micro-benches ({} mode)", if fast { "fast" } else { "full" });
     println!("{:<44} {:>12} {:>12} {:>8}", "bench", "scalar Mops", "fast Mops", "speedup");
     for e in &entries {
         println!(
@@ -874,10 +847,9 @@ fn main() {
         ));
     }
     let json = format!(
-        "{{\n  \"mode\": \"{}\",\n  \"unix_time\": {},\n  \"dk_threads\": {},\n  \"benches\": [\n{}\n  ],\n  \"pipeline\": [\n{}\n  ]{}\n}}\n",
+        "{{\n  \"mode\": \"{}\",\n  \"unix_time\": {},\n  \"benches\": [\n{}\n  ],\n  \"pipeline\": [\n{}\n  ]{}\n}}\n",
         if fast { "fast" } else { "full" },
         ts,
-        KERNEL_ROW_THREADS,
         entries.iter().map(Entry::to_json).collect::<Vec<_>>().join(",\n"),
         pipeline_json,
         extra_sections

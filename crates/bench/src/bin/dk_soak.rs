@@ -12,8 +12,8 @@
 //! * a deadline storm against bounded-queue admission control;
 //! * elastic scale oscillation (autoscaler + manual resizes at batch
 //!   boundaries) against drain-on-retire exactness;
-//! * a mid-run checkpoint / kill / resume cycle — the resumed half under
-//!   a *different* thread cap — against bit-identical training;
+//! * a mid-run checkpoint / kill / resume cycle — the resumed half on a
+//!   fresh two-lane pipelined engine — against bit-identical training;
 //! * a counting global allocator against the zero-alloc steady state.
 //!
 //! A watchdog thread converts any deadlock into a hard failure. Exit
@@ -421,8 +421,8 @@ fn phase_oscillation(checks: &mut Vec<Check>, factor: u64) {
     );
 }
 
-/// Mid-run checkpoint / kill / resume, the resumed half pipelined under
-/// a serial thread cap — must be bit-identical to the uninterrupted run.
+/// Mid-run checkpoint / kill / resume, the resumed half on a two-lane
+/// pipelined engine — must be bit-identical to the uninterrupted run.
 fn phase_checkpoint_resume(checks: &mut Vec<Check>, factor: u64) {
     let steps = 2 + 2 * factor.min(3);
     let cfg = DarknightConfig::new(2, 1).with_seed(0xCC);
@@ -442,7 +442,7 @@ fn phase_checkpoint_resume(checks: &mut Vec<Check>, factor: u64) {
     }
 
     // Killed at the midpoint, resumed from the sealed checkpoint by a
-    // fresh enclave under a different thread cap.
+    // fresh enclave driving a pipelined engine.
     let kill_at = steps / 2;
     let session = DarknightSession::new(cfg, GpuCluster::honest(cfg.workers_required(), 21)).unwrap();
     let mut t = LargeBatchTrainer::new(session, 64).with_checkpoint_interval(kill_at);
@@ -454,7 +454,6 @@ fn phase_checkpoint_resume(checks: &mut Vec<Check>, factor: u64) {
     let blob = t.latest_checkpoint().expect("checkpoint at the kill point");
     drop(t);
 
-    dk_linalg::set_max_threads(1);
     let engine = PipelineEngine::new(
         cfg,
         GpuCluster::honest(cfg.workers_required(), 99),
@@ -470,7 +469,6 @@ fn phase_checkpoint_resume(checks: &mut Vec<Check>, factor: u64) {
         resumed_losses
             .push(t2.train_large_batch(&mut m2, &x, &labels, &mut sgd2).unwrap().mean_loss());
     }
-    dk_linalg::set_max_threads(0);
 
     let loss_bits_match = ref_losses[kill_at as usize..]
         .iter()
@@ -479,7 +477,7 @@ fn phase_checkpoint_resume(checks: &mut Vec<Check>, factor: u64) {
     let weight_diff = m2.max_param_diff(&m_ref.snapshot_params());
     check(
         checks,
-        "kill/resume at a step boundary (resumed under serial cap): bit-identical",
+        "kill/resume at a step boundary (resumed pipelined): bit-identical",
         loss_bits_match && weight_diff == 0.0,
         format!(
             "{steps} steps, killed at {kill_at}; losses match: {loss_bits_match}, max weight diff: {weight_diff}"
@@ -489,7 +487,6 @@ fn phase_checkpoint_resume(checks: &mut Vec<Check>, factor: u64) {
 
 /// The warm private-inference step must not allocate.
 fn phase_zero_alloc(checks: &mut Vec<Check>) {
-    dk_linalg::set_max_threads(1); // scoped kernel threads allocate
     let cfg = DarknightConfig::new(2, 1).with_integrity(true);
     let fleet = GpuCluster::honest(cfg.workers_required(), 41);
     let mut session = DarknightSession::new(cfg, fleet).expect("session");
@@ -507,7 +504,6 @@ fn phase_zero_alloc(checks: &mut Vec<Check>) {
         session.recycle_output(y);
     }
     let (a1, b1) = alloc_counts();
-    dk_linalg::set_max_threads(0);
     check(
         checks,
         "zero-alloc steady state: 5 warm private-inference steps, 0 heap allocations",

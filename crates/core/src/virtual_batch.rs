@@ -328,7 +328,7 @@ impl LargeBatchTrainer {
 
     /// Resumes onto a pipelined engine — bit-identical to
     /// [`LargeBatchTrainer::resume`] by the engine's sequential
-    /// equivalence, at any lane count or `DK_THREADS` cap.
+    /// equivalence, at any lane count.
     ///
     /// # Errors
     ///

@@ -2,15 +2,12 @@
 //!
 //! The claim (ISSUE tentpole 2): a training run killed at *any*
 //! large-batch step boundary and resumed from its sealed checkpoint —
-//! by a fresh enclave, over a fresh fleet, even under a different
-//! thread cap or an adversarial fleet — lands **bit-identical** to the
+//! by a fresh enclave, over a fresh fleet, even into a pipelined engine
+//! or over an adversarial fleet — lands **bit-identical** to the
 //! uninterrupted run: same per-step losses, same final weights, same
 //! BatchNorm running statistics. This holds because every per-batch
 //! mask/scheme derives from `(seed, batch#)` and the checkpoint carries
 //! exactly `(seed, batch cursor)` plus the model/optimizer state.
-//!
-//! Lives in its own integration binary because the `DK_THREADS` cap
-//! override is process-global.
 
 use dk_core::virtual_batch::LargeBatchTrainer;
 use dk_core::{DarknightConfig, DarknightError, DarknightSession, EngineOptions, PipelineEngine};
@@ -128,10 +125,10 @@ fn resume_at_every_step_boundary_is_bit_identical() {
 }
 
 #[test]
-fn resume_under_a_different_thread_cap_is_bit_identical() {
-    // Uninterrupted reference ran under whatever cap the process has;
-    // kill at step 2, then resume PIPELINED under a serial cap — the
-    // engine's sequential-equivalence guarantee says nothing changes.
+fn resume_into_a_pipelined_engine_is_bit_identical() {
+    // The uninterrupted reference ran on a sequential session; kill at
+    // step 2, then resume on a two-lane pipelined engine — the engine's
+    // sequential-equivalence guarantee says nothing changes.
     let cfg = config();
     let (ref_losses, ref_params, ref_bn) = uninterrupted(cfg);
     let (x, labels) = batch(2 * K);
@@ -147,33 +144,19 @@ fn resume_under_a_different_thread_cap_is_bit_identical() {
     let blob = t.latest_checkpoint().unwrap();
     drop(t);
 
-    dk_linalg::set_max_threads(1);
     let cluster = GpuCluster::honest(cfg.workers_required(), 5);
     let engine = PipelineEngine::new(cfg, cluster, EngineOptions::default().with_lanes(2)).unwrap();
     let mut m2 = model(0);
     let mut opt2 = sgd();
-    let resumed = LargeBatchTrainer::resume_pipelined(engine, 16, &blob, &mut m2, &mut opt2);
-    let mut t2 = match resumed {
-        Ok(t2) => t2,
-        Err(e) => {
-            dk_linalg::set_max_threads(0);
-            panic!("resume_pipelined failed: {e}");
-        }
-    };
-    let mut resumed_losses = Vec::new();
-    for _ in 2..STEPS {
-        match t2.train_large_batch(&mut m2, &x, &labels, &mut opt2) {
-            Ok(r) => resumed_losses.push(r.mean_loss()),
-            Err(e) => {
-                dk_linalg::set_max_threads(0);
-                panic!("resumed step failed: {e}");
-            }
-        }
-    }
-    dk_linalg::set_max_threads(0);
+    let mut t2 = LargeBatchTrainer::resume_pipelined(engine, 16, &blob, &mut m2, &mut opt2)
+        .expect("resume from the sealed checkpoint");
+    let resumed_losses: Vec<f32> = (2..STEPS)
+        .map(|_| t2.train_large_batch(&mut m2, &x, &labels, &mut opt2).expect("resumed step"))
+        .map(|r| r.mean_loss())
+        .collect();
     let expected: Vec<u32> = ref_losses[2..].iter().map(|l| l.to_bits()).collect();
     let got: Vec<u32> = resumed_losses.iter().map(|l| l.to_bits()).collect();
-    assert_eq!(got, expected, "pipelined resume under serial cap diverged");
+    assert_eq!(got, expected, "pipelined resume diverged");
     assert_eq!(m2.max_param_diff(&ref_params), 0.0);
     assert_eq!(bn_stats(&mut m2), ref_bn);
 }

@@ -19,9 +19,8 @@
 //!   poisoned with garbage, since every hot-path buffer is recycled.
 //!
 //! Shapes sweep `n ∈ {0, 1}` and a deterministic case past the 2^14
-//! `F25` fold boundary. One `#[test]` drives the property functions
-//! sequentially (the linalg thread cap is process-global and other
-//! integration binaries churn it).
+//! `F25` fold boundary, where the identity-op round trip (decoding the
+//! encodings themselves) must also give back the inputs.
 
 use dk_core::error::DarknightError;
 use dk_core::scheme::EncodingScheme;
@@ -209,6 +208,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
     // Shape sweep including the degenerate widths n ∈ {0, 1}.
+    #[test]
     fn streamed_scheme_matches_definition(
         seed in any::<u64>(),
         k in 1usize..5,
@@ -223,13 +223,15 @@ proptest! {
 
 #[test]
 fn streamed_scheme_is_bit_identical_to_definition() {
-    streamed_scheme_matches_definition();
     // Deterministic wide case: n past the 2^14 F25 fold boundary, so
-    // the streamed column chunks cross a Barrett-fold-relevant width
-    // and the column fan-out heuristic actually engages.
-    dk_linalg::set_max_threads(1);
-    check_all(0xDEC0DE, 4, 2, true, (1 << 14) + 33, 3);
-    dk_linalg::set_max_threads(4);
-    check_all(0xDEC0DE, 4, 2, true, (1 << 14) + 33, 3);
-    dk_linalg::set_max_threads(0);
+    // the streamed column chunks cross a Barrett-fold-relevant width.
+    let n = (1 << 14) + 33;
+    check_all(0xDEC0DE, 4, 2, true, n, 3);
+    // Identity-op round trip at that width, integrity row included:
+    // decoding the encodings recovers the inputs.
+    let (scheme, mut r) = scheme_for(0xC0DE, 3, 2, true);
+    let inputs = gen_rows(&mut r, 3, n);
+    let noise = gen_rows(&mut r, 2, n);
+    let encodings = scheme.encode(&inputs, &noise);
+    assert_eq!(scheme.decode_forward(&encodings, 0).expect("honest encodings decode"), inputs);
 }

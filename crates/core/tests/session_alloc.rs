@@ -25,10 +25,6 @@ static COUNTER: CountingAllocator = CountingAllocator;
 
 #[test]
 fn private_session_steady_state_allocation_budget() {
-    // Kernel threading spawns scoped threads (which allocate); the
-    // invariant under test is the single-lane hot path.
-    dk_linalg::set_max_threads(1);
-
     // ----- serving: exactly zero allocations once warm ----------------
     {
         let cfg = DarknightConfig::new(2, 1).with_integrity(true);

@@ -1,30 +1,41 @@
-//! Serial-vs-threaded determinism of the encode/decode path.
+//! Encode/decode on several threads at once gives the bits of one thread.
 //!
-//! The streaming coded-combine kernels partition output columns when
-//! the kernel policy would fan out; serial and threaded runs must be
-//! bit-identical.
-//! This lives in its own integration binary because the thread-cap
-//! override is process-global and unit tests run concurrently.
+//! Every coded kernel runs on its calling thread; the parallelism of a
+//! run is the TEE's lanes and the fleet's workers, which call one shared
+//! `EncodingScheme` concurrently. Those concurrent calls must be
+//! bit-identical to a call made alone, and the identity-op round trip
+//! (decoding the encodings themselves) must give back the inputs.
 
 use dk_core::scheme::EncodingScheme;
 use dk_field::{F25, FieldRng, P25};
 
 #[test]
 fn threaded_encode_decode_bit_identical_to_serial() {
-    // Large enough that the streaming coded combine fans out across
-    // column chunks (MACs ≥ 2^18) when the thread cap allows it.
+    // Wide enough that the streamed column chunks cross the 2^14 F25
+    // fold boundary.
     let mut r = FieldRng::seed_from(0xC0DE);
     let (k, m, n) = (3, 2, 32_768);
     let scheme = EncodingScheme::generate(k, m, true, &mut r);
     let inputs: Vec<Vec<F25>> = (0..k).map(|_| r.uniform_vec::<P25>(n)).collect();
     let noise: Vec<Vec<F25>> = (0..m).map(|_| r.uniform_vec::<P25>(n)).collect();
-    dk_linalg::set_max_threads(1);
     let enc_serial = scheme.encode(&inputs, &noise);
     let dec_serial = scheme.decode_forward(&enc_serial, 0).unwrap();
-    dk_linalg::set_max_threads(4);
-    assert_eq!(scheme.encode(&inputs, &noise), enc_serial);
-    assert_eq!(scheme.decode_forward(&enc_serial, 0).unwrap(), dec_serial);
-    dk_linalg::set_max_threads(0);
+    std::thread::scope(|s| {
+        let handles: Vec<_> = (0..4)
+            .map(|_| {
+                s.spawn(|| {
+                    let enc = scheme.encode(&inputs, &noise);
+                    let dec = scheme.decode_forward(&enc, 0).unwrap();
+                    (enc, dec)
+                })
+            })
+            .collect();
+        for h in handles {
+            let (enc, dec) = h.join().unwrap();
+            assert_eq!(enc, enc_serial);
+            assert_eq!(dec, dec_serial);
+        }
+    });
     // Identity-op round trip: decoding the encodings recovers the inputs.
     assert_eq!(dec_serial, inputs);
 }

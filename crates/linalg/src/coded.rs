@@ -55,21 +55,15 @@
 //! backward γ-sum (`decode_backward_ws`), and the β-combine of a
 //! `*Stored` weight-gradient job (`dk_gpu::job::beta_combine`).
 //!
-//! Threading partitions output **columns** (row partitioning cannot
-//! split `k+m` rows): every task runs the identical per-element
-//! recurrence over a disjoint [`LANES`]-aligned column range, so
-//! results are bit-for-bit independent of the thread count in both
-//! domains — columns never share an accumulator — and each element sees
-//! the single ascending-`p` reference recurrence of
-//! [`crate::reference::naive_coded_combine_acc`].
+//! Columns never share an accumulator, and each element sees the single
+//! ascending-`p` reference recurrence of
+//! [`crate::reference::naive_coded_combine_acc`], so results are
+//! bit-for-bit the reference's in both domains.
 
 use crate::matmul::{per_lane, LANES};
 use crate::scalar::Scalar;
 use crate::simd;
-use crate::threadpool::{self, SendPtr};
-use crate::threads::col_partition;
 use dk_field::tier::Tier;
-use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Maximum reduction length (`x.len()`, a scheme's `K+M`) of a coded
 /// combine: one register group, so no strip folds mid-way and the
@@ -78,8 +72,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 pub const MAX_TERMS: usize = 16;
 
 /// Maximum output-row count of a coded combine: bounds the stack table
-/// of row pointers shared with the pool. A scheme writes at most
-/// `K+M+1` rows.
+/// of row pointers. A scheme writes at most `K+M+1` rows.
 pub const MAX_ROWS: usize = 32;
 
 /// One full-width portable strip: `cs[l] += Σ_p crow[p] · xs[p][j+l]`,
@@ -96,7 +89,9 @@ fn coded_strip<T: Scalar>(crow: &[T], xs: &[&[T]], cs: &mut [T; LANES], j: usize
         if aip == T::zero() {
             continue;
         }
-        let brow: &[T; LANES] = xr[j..j + LANES].try_into().unwrap();
+        // An exact-length slice: the constant lane indexes below need no
+        // bounds checks.
+        let brow = &xr[j..j + LANES];
         per_lane!(L => acc[L] = T::mac(acc[L], aip, brow[L]));
     }
     per_lane!(L => cs[L] = T::acc_finish(acc[L]));
@@ -124,7 +119,7 @@ fn coded_strip_tail<T: Scalar>(crow: &[T], xs: &[&[T]], cs: &mut [T], j: usize) 
     }
 }
 
-/// Columns `j0..j1` of every output row (and optionally the check row)
+/// Columns `0..n` of every output row (and optionally the check row)
 /// in one pass over the input rows: on a vector `tier`, with `T` =
 /// `F25`, the register tile of [`crate::simd`], all rows of a strip per
 /// source load; otherwise the portable strips, row by row. With `load` the
@@ -135,11 +130,10 @@ fn coded_strip_tail<T: Scalar>(crow: &[T], xs: &[&[T]], cs: &mut [T], j: usize) 
 /// # Safety
 ///
 /// Every pointer in `ptrs` must be valid for writes (and, with `load`,
-/// initialized reads) of `j1` elements and exclusively owned for
-/// columns `j0..j1` (no two concurrent callers may overlap column
-/// ranges on the same rows). Every row in `xs` must hold at least `j1`
+/// initialized reads) of `n` elements, and not accessed through anything
+/// else for the call. Every row in `xs` must hold at least `n`
 /// elements, `coeff` every `r·cstride + col0 + p` for `r < ptrs.len()`,
-/// `p < xs.len()`, and the check pair `xs.len()` weights and `j1`
+/// `p < xs.len()`, and the check pair `xs.len()` weights and `n`
 /// expected values.
 #[allow(clippy::too_many_arguments)]
 unsafe fn coded_block<T: Scalar>(
@@ -148,8 +142,8 @@ unsafe fn coded_block<T: Scalar>(
     cstride: usize,
     col0: usize,
     xs: &[&[T]],
-    ptrs: &[SendPtr<T>],
-    (j0, j1): (usize, usize),
+    ptrs: &[*mut T],
+    n: usize,
     load: bool,
     check: Option<(&[T], &[T])>,
 ) -> usize {
@@ -157,7 +151,7 @@ unsafe fn coded_block<T: Scalar>(
     // `wrapping_add`: with no output rows `col0` is unconstrained.
     let cp = coeff.as_ptr().wrapping_add(col0);
     // SAFETY: the caller's contract, restated in pointers.
-    if let Some(mismatches) = unsafe { simd::coded_block(tier, cp, cstride, xs, ptrs, (j0, j1), load, check) } {
+    if let Some(mismatches) = unsafe { simd::coded_block(tier, cp, cstride, xs, ptrs, n, load, check) } {
         return mismatches;
     }
     let strip = |crow: &[T], cs: &mut [T; LANES], j: usize, w: usize| match w {
@@ -165,18 +159,18 @@ unsafe fn coded_block<T: Scalar>(
         _ => coded_strip_tail(crow, xs, &mut cs[..w], j),
     };
     let mut mismatches = 0usize;
-    for j in (j0..j1).step_by(LANES) {
-        let w = LANES.min(j1 - j);
-        for (r, pr) in ptrs.iter().enumerate() {
+    for j in (0..n).step_by(LANES) {
+        let w = LANES.min(n - j);
+        for (r, &pr) in ptrs.iter().enumerate() {
             let mut local = [T::zero(); LANES];
             // SAFETY: columns `j..j+w` of row `r` are this caller's, and
             // initialized when `load` asks to read them.
             unsafe {
                 if load {
-                    std::ptr::copy_nonoverlapping(pr.0.add(j), local.as_mut_ptr(), w);
+                    std::ptr::copy_nonoverlapping(pr.add(j), local.as_mut_ptr(), w);
                 }
                 strip(&coeff[r * cstride + col0..][..kdim], &mut local, j, w);
-                std::ptr::copy_nonoverlapping(local.as_ptr(), pr.0.add(j), w);
+                std::ptr::copy_nonoverlapping(local.as_ptr(), pr.add(j), w);
             }
         }
         if let Some((cw, expect)) = check {
@@ -190,15 +184,14 @@ unsafe fn coded_block<T: Scalar>(
     mismatches
 }
 
-/// The one fan-out driver: checks the shape against the bound, gives
-/// every output row capacity for `n`, partitions columns across the
-/// pool, runs [`coded_block`] over each range and sets the rows to
-/// length `n`. Returns the check row's mismatch count (a sum over
-/// disjoint column ranges, hence thread-count independent; `0` without
-/// a check). `tier` is resolved once per combine by the public entry
-/// points; the tests pass each one the host offers.
+/// The one combine driver: checks the shape against the bound, gives
+/// every output row capacity for `n`, runs [`coded_block`] over all
+/// columns and sets the rows to length `n`. Returns the check row's
+/// mismatch count (`0` without a check). `tier` is resolved once per
+/// combine by the public entry points; the tests pass each one the host
+/// offers.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn fan_out<T: Scalar, S: AsRef<[T]>>(
+pub(crate) fn combine_on<T: Scalar, S: AsRef<[T]>>(
     tier: Tier,
     coeff: &[T],
     cstride: usize,
@@ -225,36 +218,19 @@ pub(crate) fn fan_out<T: Scalar, S: AsRef<[T]>>(
         assert_eq!(s.len(), n, "input row length");
     }
     let xs = &xs[..kdim];
-    let mut ptrs = [SendPtr(std::ptr::null_mut::<T>()); MAX_ROWS];
+    let mut ptrs = [std::ptr::null_mut::<T>(); MAX_ROWS];
     for (pr, o) in ptrs.iter_mut().zip(outs.iter_mut()) {
         o.clear();
         o.reserve(n);
-        *pr = SendPtr(o.as_mut_ptr());
+        *pr = o.as_mut_ptr();
     }
-    let ptrs = &ptrs[..rows];
-    let macs = (rows + usize::from(check.is_some())).saturating_mul(kdim).saturating_mul(n);
-    let (tasks, cols_per) = col_partition(n, LANES, macs);
-    let mismatches = if tasks <= 1 {
-        // SAFETY: full column range, exclusive access via `outs`, each
-        // row reserved for `n` elements above; shapes asserted above.
-        unsafe { coded_block(tier, coeff, cstride, col0, xs, ptrs, (0, n), false, check) }
-    } else {
-        let total = AtomicUsize::new(0);
-        threadpool::run_tasks(tasks, &|t| {
-            let cols = (t * cols_per, n.min((t + 1) * cols_per));
-            // SAFETY: tasks own disjoint LANES-aligned column ranges of
-            // rows reserved for `n` elements above.
-            let mm = unsafe { coded_block(tier, coeff, cstride, col0, xs, ptrs, cols, false, check) };
-            if mm > 0 {
-                total.fetch_add(mm, Ordering::Relaxed);
-            }
-        });
-        total.into_inner()
-    };
+    // SAFETY: exclusive access via `outs`, each row reserved for `n`
+    // elements above; shapes asserted above.
+    let mismatches = unsafe { coded_block(tier, coeff, cstride, col0, xs, &ptrs[..rows], n, false, check) };
     for o in outs.iter_mut() {
         // SAFETY: the store-mode pass wrote all `n` elements of every
-        // row (the column partition covers `0..n` and every strip
-        // stores unconditionally), within the reserved capacity.
+        // row (every strip stores unconditionally), within the reserved
+        // capacity.
         unsafe { o.set_len(n) };
     }
     mismatches
@@ -267,9 +243,8 @@ pub(crate) fn fan_out<T: Scalar, S: AsRef<[T]>>(
 /// needs no gathering. Overwrite semantics with **no pre-zeroing**:
 /// prior contents (and lengths) of the output rows are irrelevant —
 /// each row is cleared, given capacity for `n`, written entirely by the
-/// pass, and set to length `n` (all zero when `x` is empty). Fans
-/// output columns across the persistent pool on large shapes —
-/// bit-for-bit identical to serial, and to
+/// pass, and set to length `n` (all zero when `x` is empty) —
+/// bit-for-bit identical to
 /// [`crate::reference::naive_coded_combine_acc`] into zeroed rows.
 ///
 /// # Panics
@@ -284,7 +259,7 @@ pub fn coded_combine_write<T: Scalar, S: AsRef<[T]>>(
     outs: &mut [Vec<T>],
     n: usize,
 ) {
-    fan_out(Tier::best(), coeff, cstride, col0, x, outs, n, None);
+    combine_on(Tier::best(), coeff, cstride, col0, x, outs, n, None);
 }
 
 /// [`coded_combine_write`] with a fused redundant-equation check: the
@@ -308,17 +283,17 @@ pub fn coded_combine_check_write<T: Scalar, S: AsRef<[T]>>(
     check_w: &[T],
     check_against: &[T],
 ) -> usize {
-    fan_out(Tier::best(), coeff, cstride, col0, x, outs, n, Some((check_w, check_against)))
+    combine_on(Tier::best(), coeff, cstride, col0, x, outs, n, Some((check_w, check_against)))
 }
 
 /// Rank-1 column-chunk update:
 /// `outs[r][j0 + l] += coeff[r·cstride + col] · chunk[l]` for every
 /// output row. This is the noise pass of the fused-RNG encode: a
 /// freshly drawn chunk is applied to all encodings while it is still in
-/// cache, so the noise row as a whole is never materialized. Serial by
-/// design (chunks are cache-sized); rows with a zero coefficient are
-/// skipped, which is the identity in every domain (the strip's
-/// `acc_finish(acc_lift(v))` round-trip is `v` on canonical values).
+/// cache, so the noise row as a whole is never materialized. Rows with
+/// a zero coefficient are skipped, which is the identity in every
+/// domain (the strip's `acc_finish(acc_lift(v))` round-trip is `v` on
+/// canonical values).
 ///
 /// # Panics
 ///
@@ -335,7 +310,7 @@ pub fn coded_axpy_acc<T: Scalar>(
     coded_axpy_on(Tier::best(), coeff, cstride, col, chunk, outs, j0);
 }
 
-/// [`coded_axpy_acc`] on a given tier, as [`fan_out`].
+/// [`coded_axpy_acc`] on a given tier, as [`combine_on`].
 pub(crate) fn coded_axpy_on<T: Scalar>(
     tier: Tier,
     coeff: &[T],
@@ -349,15 +324,15 @@ pub(crate) fn coded_axpy_on<T: Scalar>(
     if let Some(rows) = outs.len().checked_sub(1) {
         assert!(coeff.len() > rows * cstride + col, "coefficient matrix too small");
     }
-    let mut ptrs = [SendPtr(std::ptr::null_mut::<T>()); MAX_ROWS];
+    let mut ptrs = [std::ptr::null_mut::<T>(); MAX_ROWS];
     for (pr, o) in ptrs.iter_mut().zip(outs.iter_mut()) {
-        *pr = SendPtr(o[j0..j0 + chunk.len()].as_mut_ptr());
+        *pr = o[j0..j0 + chunk.len()].as_mut_ptr();
     }
     // SAFETY: every row was just sliced at `j0..j0 + chunk.len()`
     // (initialized, exclusively borrowed through `outs`), the one input
     // row is `chunk` itself and the coefficient column was checked above.
     unsafe {
-        coded_block(tier, coeff, cstride, col, &[chunk], &ptrs[..outs.len()], (0, chunk.len()), true, None);
+        coded_block(tier, coeff, cstride, col, &[chunk], &ptrs[..outs.len()], chunk.len(), true, None);
     }
 }
 
@@ -507,7 +482,7 @@ mod tests {
     fn tile_matches_reference_on_every_tier() {
         // Term counts up to the register group, output rows around the
         // tile heights (with and without the check row riding last),
-        // widths around the strip and past the fan-out threshold; rows
+        // widths around the strip and one far past it; rows
         // arrive stale, the check row with two corrupted positions.
         let mut rng = dk_field::FieldRng::seed_from(0xc0de);
         for kdim in [0usize, 1, 3, 7, MAX_TERMS] {
@@ -530,11 +505,11 @@ mod tests {
                     }
                     for tier in Tier::offered() {
                         let mut outs = stale_rows(rows, n);
-                        fan_out(tier, &coeff, cstride, col0, &x, &mut outs, n, None);
+                        combine_on(tier, &coeff, cstride, col0, &x, &mut outs, n, None);
                         assert_eq!(outs, want, "{tier:?} {rows}x{kdim}x{n}");
                         let mut outs = stale_rows(rows, n);
                         let check = Some((&w[..], &expect[..]));
-                        let mm = fan_out(tier, &coeff, cstride, col0, &x, &mut outs, n, check);
+                        let mm = combine_on(tier, &coeff, cstride, col0, &x, &mut outs, n, check);
                         assert_eq!((mm, &outs), (n.min(2), &want), "{tier:?} check {rows}x{kdim}x{n}");
                     }
                 }
@@ -554,7 +529,7 @@ mod tests {
             let mut want = vec![vec![F25::ZERO; n]; 9];
             naive_coded_combine_acc(&coeff, MAX_TERMS, 0, &x, &mut want);
             let mut outs = stale_rows(9, n);
-            fan_out(tier, &coeff, MAX_TERMS, 0, &x, &mut outs, n, None);
+            combine_on(tier, &coeff, MAX_TERMS, 0, &x, &mut outs, n, None);
             assert_eq!(outs, want, "{tier:?} worst case");
             // The rank-1 update accumulates: uneven chunks at uneven
             // offsets on top of what the rows hold, zero coefficients

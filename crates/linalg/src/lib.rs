@@ -14,11 +14,11 @@
 //! outer-product products and the forward convolution walk the output
 //! in column strips, packing each strip's slice of the right-hand
 //! operand into an L1-resident panel that every output row then reuses
-//! (see [`matmul`](mod@matmul)); large shapes fan out on a
-//! lazily-started persistent worker pool (`DK_THREADS` /
-//! [`set_max_threads`] bound the fan-out). Results are bit-for-bit
-//! identical to the per-MAC-reducing [`mod@reference`] kernels at every
-//! thread count.
+//! (see [`matmul`](mod@matmul)). Every product runs on its calling
+//! thread: DarKnight's parallelism is the worker fleet running at once
+//! and the TEE's pipelined lanes, never one product split across CPU
+//! threads. Results are bit-for-bit identical to the per-MAC-reducing
+//! [`mod@reference`] kernels.
 //!
 //! Every kernel also comes in a `_into` form writing into
 //! caller-provided buffers; paired with the [`Workspace`] buffer pool
@@ -52,6 +52,7 @@
 //! ```
 
 #![warn(clippy::undocumented_unsafe_blocks)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod coded;
 pub mod conv;
@@ -63,8 +64,6 @@ pub mod reference;
 pub mod scalar;
 mod simd;
 pub mod tensor;
-mod threadpool;
-pub mod threads;
 pub mod workspace;
 
 pub use coded::{coded_axpy_acc, coded_combine_check_write, coded_combine_write};
@@ -76,5 +75,16 @@ pub use matmul::{
 pub use pool::Pool2dShape;
 pub use scalar::Scalar;
 pub use tensor::Tensor;
-pub use threads::{max_threads, set_max_threads, would_parallelize, PAR_MAC_THRESHOLD};
 pub use workspace::{Workspace, WorkspaceStats};
+
+/// Does nothing: every kernel runs on its calling thread. Kept only so
+/// the end-to-end benchmark package, which pins a kernel thread count,
+/// builds unchanged; nothing else calls it.
+pub fn set_max_threads(_: usize) {}
+
+/// Always 1: every kernel runs on its calling thread. Kept only for the
+/// end-to-end benchmark package, which records it; nothing else calls
+/// it.
+pub fn max_threads() -> usize {
+    1
+}

@@ -62,21 +62,14 @@
 //! other instantiation, and `F25` on the baseline tier, is the portable
 //! body below, which the autovectorizer lowers to vector multiply-adds.
 //!
-//! Large products fan out across **strip ranges** on the persistent
-//! [`crate::threadpool`] (capped by [`crate::threads::max_threads`],
-//! i.e. the `DK_THREADS` knob; small shapes stay serial): each task
-//! owns whole strips, packs only its own panels and writes only its own
-//! columns. An element's recurrence never depends on the partition, so
-//! results are independent of the thread count in every domain.
-//!
 //! # The dot orientation
 //!
 //! `A·Bᵀ` vectorizes along the reduction dimension instead
 //! ([`Scalar::EXACT`] domains only; float dots keep the reference
-//! recurrence order bit-for-bit — see [`a_bt_block`]) and fans out
-//! across row ranges. The field kernels there do reassociate across
-//! lanes, which is value-transparent because field arithmetic is
-//! exact; the float kernels never reassociate. `F25` on a vector tier
+//! recurrence order bit-for-bit — see [`a_bt_block_ordered`]). The
+//! field kernels there do reassociate across lanes, which is
+//! value-transparent because field arithmetic is exact; the float
+//! kernels never reassociate. `F25` on a vector tier
 //! runs [`crate::simd`]'s dot block: two rows of `A` against four of
 //! `B` per pass.
 //!
@@ -85,15 +78,11 @@
 //! steady-state callers (layers, jobs, the encoding scheme) perform
 //! **zero heap allocations** per step. Results are **bit-for-bit
 //! identical** to [`crate::reference`] in both domains — see
-//! `tests/kernel_equivalence.rs`, `tests/conv_equivalence.rs` and
-//! `tests/pool_equivalence.rs`.
+//! `tests/kernel_equivalence.rs` and `tests/conv_equivalence.rs`.
 
 use crate::scalar::Scalar;
 use crate::simd;
-use crate::threadpool::{self, SendPtr};
-use crate::threads::{col_partition, workers_for};
 use dk_field::tier::Tier;
-use std::ops::Range;
 
 /// Width of the struct-of-arrays accumulator strip: independent
 /// [`Scalar::Acc`] lanes held in registers across a whole panel.
@@ -174,92 +163,25 @@ fn lane_strip<T: Scalar>(a: &[T], a_stride: usize, panel: &[T], cs: &mut [T; LAN
     if load {
         per_lane!(L => acc[L] = cs[L].acc_lift());
     }
-    for (p, brow) in panel.chunks_exact(LANES).enumerate() {
+    for (p, brow) in panel.as_chunks::<LANES>().0.iter().enumerate() {
         let aip = a[p * a_stride];
         if aip == T::zero() {
             continue;
         }
-        let brow: &[T; LANES] = brow.try_into().unwrap();
         per_lane!(L => acc[L] = T::mac(acc[L], aip, brow[L]));
     }
     per_lane!(L => cs[L] = T::acc_finish(acc[L]));
 }
 
-/// `C[:, cols] (=|+=) A · B[:, cols]`, column strips outermost (see the
-/// module docs). `A[i, p]` is `a[i·a_row + p·a_col]`; `fill(p0, j0,
-/// rows)` must overwrite `rows` (`kb × LANES`, row-major) with
-/// `B[p0..p0+kb, j0..j0+LANES]`, zero in the lanes past column `n`.
-///
-/// On a vector `tier`, with `T` = `F25`, each packed block goes to the
-/// register tile, all `m` rows in one call; otherwise to the portable
-/// [`lane_strip`] row by row.
-///
-/// # Safety
-///
-/// `c` must point to an `m × n` row-major matrix that is valid for
-/// reads and writes, and nothing else may access its columns `cols`
-/// for the duration of the call. `cols.start` must be a multiple of
-/// [`LANES`] and `cols.end <= n`. `a` must hold `A[m−1, k−1]`.
-#[allow(clippy::too_many_arguments)]
-unsafe fn gemm_strips<T: Scalar, F: Fn(usize, usize, &mut [T])>(
-    tier: Tier,
-    a: &[T],
-    (a_row, a_col): (usize, usize),
-    c: *mut T,
-    (m, k, n): (usize, usize, usize),
-    cols: Range<usize>,
-    write: bool,
-    panel: &mut Panel<T>,
-    fill: &F,
-) {
-    for j0 in cols.step_by(LANES) {
-        let w = LANES.min(n - j0);
-        for p0 in (0..k).step_by(PANEL_ROWS) {
-            let kb = PANEL_ROWS.min(k - p0);
-            let rows = &mut panel.0[..kb * LANES];
-            fill(p0, j0, rows);
-            let load = !write || p0 > 0;
-            // SAFETY: `A[i, p0 + p]` for `i < m`, `p < kb` is inside `a`
-            // (the caller vouched for its last element), `rows` is the
-            // `kb × LANES` block just filled, and columns `j0..j0+w` of
-            // every row of `C` lie inside `cols`, which the caller
-            // reserved for this call.
-            let tiled = unsafe {
-                let ap = a.as_ptr().add(p0 * a_col);
-                simd::gemm_block(tier, ap, (a_row, a_col), kb, rows.as_ptr(), c.add(j0), n, m, w, load)
-            };
-            if tiled.is_some() {
-                continue;
-            }
-            for i in 0..m {
-                let ai = &a[i * a_row + p0 * a_col..];
-                // SAFETY: row `i`, columns `j0..j0+w` lie inside the
-                // `m × n` matrix and inside `cols`, which the caller
-                // reserved for this call.
-                let cs = unsafe { std::slice::from_raw_parts_mut(c.add(i * n + j0), w) };
-                if let Ok(cs) = <&mut [T; LANES]>::try_from(&mut *cs) {
-                    lane_strip(ai, a_col, rows, cs, load);
-                } else {
-                    let mut full = [T::zero(); LANES];
-                    if load {
-                        full[..w].copy_from_slice(cs);
-                    }
-                    lane_strip(ai, a_col, rows, &mut full, load);
-                    cs.copy_from_slice(&full[..w]);
-                }
-            }
-        }
-    }
-}
-
 /// `C[m×n] (=|+=) A · B` with `B` supplied one packed block at a time
-/// by `fill` (contract as in [`gemm_strips`]) and `A[i, p]` read at
-/// `a[i·a_row + p·a_col]`. `write` overwrites `C` (prior contents are
-/// irrelevant); otherwise the product accumulates on top of it. Strip
-/// ranges fan out on the pool when the shape clears the threading
-/// threshold; the serial path packs into the caller's `panel`, so a
-/// caller issuing many small products pays for one panel, not one each.
-pub(crate) fn gemm_packed<T: Scalar, F: Fn(usize, usize, &mut [T]) + Sync>(
+/// by `fill` and `A[i, p]` read at `a[i·a_row + p·a_col]`, column strips
+/// outermost (see the module docs). `fill(p0, j0, rows)` must overwrite
+/// `rows` (`kb × LANES`, row-major) with `B[p0..p0+kb, j0..j0+LANES]`,
+/// zero in the lanes past column `n`. `write` overwrites `C` (prior
+/// contents are irrelevant); otherwise the product accumulates on top
+/// of it. Every block is packed into the caller's `panel`, so a caller
+/// issuing many small products pays for one panel, not one each.
+pub(crate) fn gemm_packed<T: Scalar, F: Fn(usize, usize, &mut [T])>(
     a: &[T],
     a_strides: (usize, usize),
     c: &mut [T],
@@ -273,12 +195,14 @@ pub(crate) fn gemm_packed<T: Scalar, F: Fn(usize, usize, &mut [T]) + Sync>(
 
 /// [`gemm_packed`] on a given tier (the baseline: the portable kernel):
 /// the tier is resolved once per product, here, and the tests drive each
-/// one the host offers directly.
+/// one the host offers directly. On a vector tier, with `T` = `F25`,
+/// each packed block goes to the register tile, all `m` rows in one
+/// call; otherwise to the portable [`lane_strip`] row by row.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn gemm_packed_on<T: Scalar, F: Fn(usize, usize, &mut [T]) + Sync>(
+pub(crate) fn gemm_packed_on<T: Scalar, F: Fn(usize, usize, &mut [T])>(
     tier: Tier,
     a: &[T],
-    a_strides: (usize, usize),
+    (a_row, a_col): (usize, usize),
     c: &mut [T],
     (m, k, n): (usize, usize, usize),
     write: bool,
@@ -295,33 +219,46 @@ pub(crate) fn gemm_packed_on<T: Scalar, F: Fn(usize, usize, &mut [T]) + Sync>(
         }
         return;
     }
-    assert!((m - 1) * a_strides.0 + (k - 1) * a_strides.1 < a.len(), "A size");
-    let (tasks, cols_per) = col_partition(n, LANES, m.saturating_mul(k).saturating_mul(n));
-    let cp = SendPtr(c.as_mut_ptr());
-    if tasks <= 1 {
-        // SAFETY: `c` is exclusively borrowed and exactly `m × n`; `a`
-        // holds `A[m−1, k−1]` by the assert above.
-        unsafe { gemm_strips(tier, a, a_strides, cp.0, (m, k, n), 0..n, write, panel, fill) };
-        return;
+    assert!((m - 1) * a_row + (k - 1) * a_col < a.len(), "A size");
+    for j0 in (0..n).step_by(LANES) {
+        let w = LANES.min(n - j0);
+        for p0 in (0..k).step_by(PANEL_ROWS) {
+            let kb = PANEL_ROWS.min(k - p0);
+            let rows = &mut panel.0[..kb * LANES];
+            fill(p0, j0, rows);
+            let load = !write || p0 > 0;
+            // SAFETY: `A[i, p0 + p]` for `i < m`, `p < kb` is inside `a`
+            // by the assert above, `rows` is the `kb × LANES` block just
+            // filled, and columns `j0..j0+w` of every row of the `m × n`
+            // matrix `c`, exclusively borrowed, lie inside it.
+            let tiled = unsafe {
+                let (ap, cp) = (a.as_ptr().add(p0 * a_col), c.as_mut_ptr().add(j0));
+                simd::gemm_block(tier, ap, (a_row, a_col), kb, rows.as_ptr(), cp, n, m, w, load)
+            };
+            if tiled.is_some() {
+                continue;
+            }
+            for i in 0..m {
+                let ai = &a[i * a_row + p0 * a_col..];
+                let cs = &mut c[i * n + j0..][..w];
+                if let Ok(cs) = <&mut [T; LANES]>::try_from(&mut *cs) {
+                    lane_strip(ai, a_col, rows, cs, load);
+                } else {
+                    let mut full = [T::zero(); LANES];
+                    if load {
+                        full[..w].copy_from_slice(cs);
+                    }
+                    lane_strip(ai, a_col, rows, &mut full, load);
+                    cs.copy_from_slice(&full[..w]);
+                }
+            }
+        }
     }
-    threadpool::run_tasks(tasks, &move |t| {
-        // Capture the whole `SendPtr` wrapper, not its raw-pointer field
-        // (closures capture disjoint fields, and a bare `*mut T` is not
-        // `Sync`).
-        let cp = cp;
-        let cols = t * cols_per..n.min((t + 1) * cols_per);
-        // SAFETY: `c` is exclusively borrowed for the whole fan-out and
-        // the tasks' column ranges are disjoint (`cols_per` is a
-        // multiple of `LANES`, so no strip straddles two tasks).
-        unsafe {
-            gemm_strips(tier, a, a_strides, cp.0, (m, k, n), cols, write, &mut Panel::new(), fill)
-        };
-    });
 }
 
 /// The panel filler for a row-major `B[k×n]`: row segments copied as
 /// they are, surplus lanes of the last strip zeroed.
-fn fill_from_rows<T: Scalar>(b: &[T], n: usize) -> impl Fn(usize, usize, &mut [T]) + Sync + '_ {
+fn fill_from_rows<T: Scalar>(b: &[T], n: usize) -> impl Fn(usize, usize, &mut [T]) + '_ {
     move |p0, j0, rows| {
         let w = LANES.min(n - j0);
         for (r, row) in rows.chunks_exact_mut(LANES).enumerate() {
@@ -365,9 +302,10 @@ fn a_bt_block_exact<T: Scalar>(a: &[T], b: &[T], c: &mut [T], rows: usize, k: us
             let mut merged = T::acc_zero();
             while p0 < kv {
                 let pend = kv.min(p0.saturating_add(chunk));
-                for p in (p0..pend).step_by(LANES) {
-                    let av: &[T; LANES] = arow[p..p + LANES].try_into().unwrap();
-                    let bv: &[T; LANES] = brow[p..p + LANES].try_into().unwrap();
+                // `pend − p0` is a multiple of LANES: no remainder chunks.
+                let avs = arow[p0..pend].as_chunks::<LANES>().0;
+                let bvs = brow[p0..pend].as_chunks::<LANES>().0;
+                for (av, bv) in avs.iter().zip(bvs) {
                     per_lane!(L => acc[L] = T::mac(acc[L], av[L], bv[L]));
                 }
                 p0 = pend;
@@ -451,58 +389,6 @@ fn a_bt_block_ordered<T: Scalar>(a: &[T], b: &[T], c: &mut [T], rows: usize, k: 
     }
 }
 
-/// Serial kernel: `C[rows×n] = A[rows×k] · Bᵀ` with `B` stored `n×k`,
-/// on the register tile or, off it, the portable bodies.
-fn a_bt_block<T: Scalar>(
-    tier: Tier,
-    a: &[T],
-    b: &[T],
-    c: &mut [T],
-    rows: usize,
-    k: usize,
-    n: usize,
-) {
-    if simd::a_bt_block(tier, a, b, c, (rows, k, n)).is_some() {
-        return;
-    }
-    if T::EXACT {
-        a_bt_block_exact(a, b, c, rows, k, n);
-    } else {
-        a_bt_block_ordered(a, b, c, rows, k, n);
-    }
-}
-
-/// Runs `block` over `c` split into contiguous row ranges, fanned out
-/// on the persistent pool when the shape clears the threading
-/// threshold. The task-index → row-range mapping is fixed by the shape
-/// alone, so results are identical at every thread count.
-fn run_row_partitioned<T, F>(a: &[T], c: &mut [T], m: usize, k: usize, n: usize, block: F)
-where
-    T: Scalar,
-    F: Fn(&[T], &mut [T], usize) + Sync,
-{
-    let workers = workers_for(m, m.saturating_mul(k.max(1)).saturating_mul(n));
-    if workers <= 1 {
-        block(a, c, m);
-        return;
-    }
-    let rows_per = m.div_ceil(workers);
-    let tasks = m.div_ceil(rows_per);
-    let cp = SendPtr(c.as_mut_ptr());
-    threadpool::run_tasks(tasks, &move |t| {
-        // Capture the whole `SendPtr` wrapper, not its raw-pointer field
-        // (closures capture disjoint fields, and a bare `*mut T` is not
-        // `Sync`).
-        let cp = cp;
-        let i0 = t * rows_per;
-        let rows = rows_per.min(m - i0);
-        let ach = &a[i0 * k..(i0 + rows) * k];
-        // SAFETY: each task owns the disjoint output rows `i0..i0+rows`.
-        let cch = unsafe { std::slice::from_raw_parts_mut(cp.0.add(i0 * n), rows * n) };
-        block(ach, cch, rows);
-    });
-}
-
 /// `C[m×n] += A[m×k] · B[k×n]` over flat row-major slices.
 ///
 /// # Panics
@@ -582,7 +468,8 @@ pub fn matmul_a_bt_into<T: Scalar>(a: &[T], b: &[T], c: &mut [T], m: usize, k: u
     matmul_a_bt_on(Tier::best(), a, b, c, m, k, n);
 }
 
-/// [`matmul_a_bt_into`] on a given tier, as [`gemm_packed_on`].
+/// [`matmul_a_bt_into`] on a given tier, as [`gemm_packed_on`]: the
+/// register tile's dot block or, off it, the portable bodies.
 pub(crate) fn matmul_a_bt_on<T: Scalar>(
     tier: Tier,
     a: &[T],
@@ -595,10 +482,14 @@ pub(crate) fn matmul_a_bt_on<T: Scalar>(
     assert_eq!(a.len(), m * k, "A size");
     assert_eq!(b.len(), n * k, "B size");
     assert_eq!(c.len(), m * n, "C size");
-    if m == 0 || n == 0 {
+    if m == 0 || n == 0 || simd::a_bt_block(tier, a, b, c, (m, k, n)).is_some() {
         return;
     }
-    run_row_partitioned(a, c, m, k, n, |ach, cch, rows| a_bt_block(tier, ach, b, cch, rows, k, n));
+    if T::EXACT {
+        a_bt_block_exact(a, b, c, m, k, n);
+    } else {
+        a_bt_block_ordered(a, b, c, m, k, n);
+    }
 }
 
 /// `C[m×n] = A · Bᵀ` where `B` is stored as `n×k`.
@@ -858,8 +749,8 @@ mod tests {
     fn tile_matches_reference_on_every_tier() {
         // Rows around every tile height and its tails, reduction lengths
         // around the panel block, widths around the strip. The widest
-        // shape (many strips, fanned out) takes three row counts: the
-        // per-MAC reference is what this test's time goes to.
+        // shape (many strips) takes three row counts: the per-MAC
+        // reference is what this test's time goes to.
         let mut rng = dk_field::FieldRng::seed_from(0x711e);
         for k in [0usize, 1, 9, 27, 255, 256, 257, 600] {
             for n in [1usize, 15, 16, 17, 48, 1000] {

@@ -154,23 +154,25 @@ pub fn softmax_rows(x: &Tensor<f32>) -> Tensor<f32> {
     out
 }
 
-/// Index of the maximum element of each row of a `[n, f]` matrix.
+/// Index of the maximum element of each row of a `[n, f]` matrix; of
+/// equal maxima, the last.
+///
+/// Elements are ordered by [`f32::total_cmp`], so a diverged model's
+/// logits still score instead of panicking: a NaN with the sign bit
+/// clear ranks above `+∞`, one with it set (what x86 arithmetic
+/// produces, e.g. `∞ − ∞`) below `−∞`, and `−0.0` below `+0.0`.
 ///
 /// # Panics
 ///
 /// Panics if `x` is not 2-D or has zero-width rows.
 pub fn argmax_rows(x: &Tensor<f32>) -> Vec<usize> {
     assert_eq!(x.ndim(), 2);
-    let (n, f) = (x.shape()[0], x.shape()[1]);
+    let f = x.shape()[1];
     assert!(f > 0);
-    (0..n)
-        .map(|ni| {
-            let row = &x.as_slice()[ni * f..(ni + 1) * f];
-            row.iter()
-                .enumerate()
-                .max_by(|a, b| a.1.partial_cmp(b.1).expect("no NaN logits"))
-                .map(|(i, _)| i)
-                .expect("nonempty row")
+    x.as_slice()
+        .chunks_exact(f)
+        .map(|row| {
+            (1..f).fold(0, |best, i| if row[i].total_cmp(&row[best]).is_ge() { i } else { best })
         })
         .collect()
 }
@@ -238,5 +240,17 @@ mod tests {
     fn argmax_rows_basic() {
         let x = Tensor::from_vec(&[2, 3], vec![0.1, 0.9, 0.2, 0.7, 0.1, 0.3]);
         assert_eq!(argmax_rows(&x), vec![1, 0]);
+    }
+
+    #[test]
+    fn argmax_rows_ranks_nan_by_total_order() {
+        let (nan, neg_nan) = (f32::from_bits(0x7fc0_0000), f32::from_bits(0xffc0_0000));
+        let x = Tensor::from_vec(
+            &[4, 3],
+            vec![0.1, nan, 0.2, 0.7, neg_nan, 0.3, nan, nan, nan, 0.5, 0.5, f32::NEG_INFINITY],
+        );
+        // A positive NaN beats every number, a negative one loses to
+        // every number; equal maxima go to the last index.
+        assert_eq!(argmax_rows(&x), vec![1, 0, 2, 1]);
     }
 }

@@ -57,7 +57,6 @@
 
 use crate::coded::{MAX_ROWS, MAX_TERMS};
 use crate::matmul::{LANES, PANEL_ROWS};
-use crate::threadpool::SendPtr;
 use dk_field::tier::{Body, Kind, Tier, Width};
 use std::any::TypeId;
 
@@ -236,7 +235,7 @@ impl Tiled for GemmBlock {
     }
 }
 
-/// Columns `j0..j1` of a coded combine, every output row in one pass:
+/// Columns `0..n` of a coded combine, every output row in one pass:
 /// `outs[r][j] (=|+=) Σ_p coeff[r·cstride + p] · xs[p][j]`, plus — with
 /// `check = (w, expect)` — the predicted row `Σ_p w[p] · xs[p][j]`
 /// compared against `expect[j]`; returns the number of mismatches, or
@@ -246,11 +245,11 @@ impl Tiled for GemmBlock {
 ///
 /// # Safety
 ///
-/// Every `xs[p]` holds at least `j1` elements, every `outs[r]` is valid
-/// for `j1` writes (and reads, with `load`) with columns `j0..j1` shared
-/// with no one for the call; `coeff` is valid for reads at
-/// `r·cstride + p` for every output row `r` and `p < xs.len()`; `w`
-/// holds `xs.len()` weights and `expect` `j1` values.
+/// Every `xs[p]` holds at least `n` elements, every `outs[r]` is valid
+/// for `n` writes (and reads, with `load`) and shared with no one for
+/// the call; `coeff` is valid for reads at `r·cstride + p` for every
+/// output row `r` and `p < xs.len()`; `w` holds `xs.len()` weights and
+/// `expect` `n` values.
 ///
 /// # Panics
 ///
@@ -262,8 +261,8 @@ pub(crate) unsafe fn coded_block<T: 'static>(
     coeff: *const T,
     cstride: usize,
     xs: &[&[T]],
-    outs: &[SendPtr<T>],
-    (j0, j1): (usize, usize),
+    outs: &[*mut T],
+    n: usize,
     load: bool,
     check: Option<(&[T], &[T])>,
 ) -> Option<usize> {
@@ -276,8 +275,7 @@ pub(crate) unsafe fn coded_block<T: 'static>(
         kdim: xs.len(),
         outs: [std::ptr::null_mut(); MAX_ROWS],
         rows: outs.len(),
-        j0,
-        j1,
+        n,
         load,
         check: check.map(|(w, e)| (w.as_ptr() as *const u64, e.as_ptr() as *const u64)),
     };
@@ -285,7 +283,7 @@ pub(crate) unsafe fn coded_block<T: 'static>(
         *d = s.as_ptr() as *const u64;
     }
     for (d, s) in body.outs.iter_mut().zip(outs) {
-        *d = s.0 as *mut u64;
+        *d = *s as *mut u64;
     }
     // SAFETY: the caller's contract, restated in pointers.
     unsafe { on_lanes::<T, _>(tier, body) }
@@ -298,8 +296,7 @@ struct CodedBlock {
     kdim: usize,
     outs: [*mut u64; MAX_ROWS],
     rows: usize,
-    j0: usize,
-    j1: usize,
+    n: usize,
     load: bool,
     check: Option<(*const u64, *const u64)>,
 }
@@ -310,12 +307,12 @@ impl Tiled for CodedBlock {
     /// Per strip, one [`tile`] pass per `L::MR` output rows — the check
     /// row rides as the last row, written to a local strip and
     /// compared. `B` rows of a full strip are the sources in place; the
-    /// one partial strip (`j1` not a multiple of [`LANES`]) reads a
+    /// one partial strip (`n` not a multiple of [`LANES`]) reads a
     /// zero-padded copy, so the tile's `B` loads are full-width
     /// everywhere.
     #[inline(always)]
     unsafe fn run<L: Lanes>(self) -> usize {
-        let CodedBlock { coeff, cstride, xs, kdim, outs, rows, j0, j1, load, check } = self;
+        let CodedBlock { coeff, cstride, xs, kdim, outs, rows, n, load, check } = self;
         let outs = &outs[..rows];
         let total = rows + usize::from(check.is_some());
         let mut padded = [0u64; MAX_TERMS * LANES];
@@ -323,11 +320,11 @@ impl Tiled for CodedBlock {
         let (padded_p, pred_p) = (padded.as_mut_ptr(), pred.as_mut_ptr());
         let check_w = check.map_or(std::ptr::null(), |(w, _)| w);
         let mut mismatches = 0usize;
-        for j in (j0..j1).step_by(LANES) {
-            let w = LANES.min(j1 - j);
+        for j in (0..n).step_by(LANES) {
+            let w = LANES.min(n - j);
             let mut bp = [std::ptr::null::<u64>(); MAX_TERMS];
             for (p, (b, &x)) in bp.iter_mut().zip(&xs[..kdim]).enumerate() {
-                // SAFETY: `x` holds `j1 ≥ j + w` elements.
+                // SAFETY: `x` holds `n ≥ j + w` elements.
                 *b = unsafe { x.add(j) };
                 if w < LANES {
                     // SAFETY: `w` elements from the source into row `p`
@@ -358,7 +355,7 @@ impl Tiled for CodedBlock {
             }
             if let Some((_, expect)) = check {
                 for l in 0..w {
-                    // SAFETY: `expect` holds `j1 ≥ j + w` elements and
+                    // SAFETY: `expect` holds `n ≥ j + w` elements and
                     // the tile just wrote `w` lanes of `pred`.
                     mismatches += usize::from(unsafe { *pred_p.add(l) != *expect.add(j + l) });
                 }

@@ -15,8 +15,7 @@
 //! Design rules:
 //!
 //! * A workspace is plain mutable state owned by exactly one execution
-//!   lane — no locks, no sharing. Parallel kernels pre-take one scratch
-//!   slab and split it with `chunks_mut`.
+//!   lane — no locks, no sharing.
 //! * Taking a buffer never changes numerical results: `take_zeroed`
 //!   hands back exactly what `vec![T::zero(); len]` would, and
 //!   `take_copy` what `slice.to_vec()` would. Exactness is a kernel
@@ -134,16 +133,16 @@ pub struct WorkspaceStats {
 /// A pool of reusable `Vec` buffers (see module docs).
 #[derive(Default)]
 pub struct Workspace {
-    /// `TypeId::of::<T>() → Vec<Vec<T>>` (boxed, type-erased). The inner
-    /// vec-of-vecs keeps its capacity across take/give cycles, so the
-    /// steady state never touches the allocator.
+    /// Every pool, boxed and type-erased, keyed by its own type: a
+    /// `Vec<Vec<T>>` of buffers per element type, and a
+    /// `Vec<Arc<Tensor<T>>>` of emptied, uniquely held `Arc`s whose
+    /// allocations [`Workspace::share`] reuses. The vecs keep their
+    /// capacity across take/give cycles, so the steady state never
+    /// touches the allocator.
     pools: HashMap<TypeId, Box<dyn Any + Send>>,
     /// Recycled tensor shape vectors (small, but a `Vec<usize>` per
     /// tensor per layer per batch is still an allocation).
     shapes: Vec<Vec<usize>>,
-    /// `TypeId::of::<T>() → Vec<Arc<Tensor<T>>>`: emptied, uniquely
-    /// held `Arc`s whose allocations [`Workspace::share`] reuses.
-    shared: HashMap<TypeId, Box<dyn Any + Send>>,
     stats: WorkspaceStats,
 }
 
@@ -176,12 +175,14 @@ impl Workspace {
         self.stats
     }
 
-    fn pool_mut<T: Send + 'static>(&mut self) -> &mut Vec<Vec<T>> {
+    /// The pool of type `V`, created empty on first use.
+    #[allow(clippy::expect_used, reason = "an entry is keyed by the type it was created as")]
+    fn pool<V: Default + Send + 'static>(&mut self) -> &mut V {
         self.pools
-            .entry(TypeId::of::<T>())
-            .or_insert_with(|| Box::new(Vec::<Vec<T>>::new()))
-            .downcast_mut::<Vec<Vec<T>>>()
-            .expect("workspace pool type confusion")
+            .entry(TypeId::of::<V>())
+            .or_insert_with(|| Box::new(V::default()))
+            .downcast_mut::<V>()
+            .expect("the pool under `TypeId::of::<V>()` is a `V`")
     }
 
     /// Pops the best-fitting pooled buffer: the smallest whose capacity
@@ -190,7 +191,7 @@ impl Workspace {
     /// whatever its previous user left in it.
     fn pop_buffer<T: Send + 'static>(&mut self, len: usize) -> Vec<T> {
         self.stats.takes += 1;
-        let pool = self.pool_mut::<T>();
+        let pool = self.pool::<Vec<Vec<T>>>();
         let mut best: Option<usize> = None;
         let mut largest: Option<usize> = None;
         for (i, b) in pool.iter().enumerate() {
@@ -258,7 +259,7 @@ impl Workspace {
         self.stats.live_bytes =
             self.stats.live_bytes.saturating_sub(buf.capacity() * std::mem::size_of::<T>());
         if buf.capacity() > 0 {
-            self.pool_mut::<T>().push(buf);
+            self.pool::<Vec<Vec<T>>>().push(buf);
         }
     }
 
@@ -319,19 +320,11 @@ impl Workspace {
         self.give(data);
     }
 
-    fn shared_pool<T: Scalar>(&mut self) -> &mut Vec<Arc<Tensor<T>>> {
-        self.shared
-            .entry(TypeId::of::<T>())
-            .or_insert_with(|| Box::new(Vec::<Arc<Tensor<T>>>::new()))
-            .downcast_mut::<Vec<Arc<Tensor<T>>>>()
-            .expect("workspace pool type confusion")
-    }
-
     /// `Arc::new(t)`, with the `Arc`'s own allocation taken from the
     /// pool when [`Workspace::give_shared`] has left one there.
     pub fn share<T: Scalar>(&mut self, t: Tensor<T>) -> Arc<Tensor<T>> {
         self.stats.takes += 1;
-        if let Some(mut arc) = self.shared_pool::<T>().pop() {
+        if let Some(mut arc) = self.pool::<Vec<Arc<Tensor<T>>>>().pop() {
             // Always unique: the pool keeps only `Arc`s it was handed
             // as the last reference, and never hands out a second one.
             if let Some(slot) = Arc::get_mut(&mut arc) {
@@ -351,7 +344,7 @@ impl Workspace {
         if let Some(slot) = Arc::get_mut(&mut t) {
             let inner = std::mem::take(slot);
             self.give_tensor(inner);
-            self.shared_pool::<T>().push(t);
+            self.pool::<Vec<Arc<Tensor<T>>>>().push(t);
         }
     }
 }

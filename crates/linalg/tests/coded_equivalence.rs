@@ -1,5 +1,4 @@
-//! Streaming coded-combine kernels vs the per-MAC-reducing oracle, and
-//! serial ≡ pooled bit-identity of their column fan-out.
+//! Streaming coded-combine kernels vs the per-MAC-reducing oracle.
 //!
 //! A coded combine restructures the coding matmul — the whole
 //! coefficient matrix against each column chunk of the stacked rows in
@@ -18,21 +17,12 @@
 //!   corrupted positions;
 //! * the rank-1 `coded_axpy_acc` applied in uneven column chunks, which
 //!   must reproduce the oracle's single pass bit-for-bit;
-//! * shapes pushed over `PAR_MAC_THRESHOLD` so the column partitioning
-//!   genuinely fans out — pooled results must be bit-identical to
-//!   serial at every thread cap, floats included;
 //! * one step past the bound, which every entry point refuses.
-//!
-//! Everything runs from a single `#[test]` because the thread cap is
-//! process-global: the property functions are generated without
-//! `#[test]` attributes and driven sequentially.
 
 use dk_field::{FieldRng, F25, P25};
 use dk_linalg::coded::{MAX_ROWS, MAX_TERMS};
 use dk_linalg::reference::naive_coded_combine_acc;
-use dk_linalg::{
-    coded_axpy_acc, coded_combine_check_write, coded_combine_write, set_max_threads, Scalar,
-};
+use dk_linalg::{coded_axpy_acc, coded_combine_check_write, coded_combine_write, Scalar};
 use proptest::prelude::*;
 
 /// Field generator with a sprinkling of zeros (exercises zero-skip).
@@ -168,38 +158,6 @@ fn assert_axpy_chunked(seed: u64, rows: usize, kdim: usize, col: usize, n: usize
     assert_eq!(got, want, "chunked axpy diverged at rows={rows} col={col} n={n} step={step}");
 }
 
-/// Serial vs pooled at a genuine fan-out shape, field and float.
-fn assert_pooled_matches_serial(seed: u64, rows: usize, kdim: usize, n: usize, threads: usize) {
-    fn run<T: Scalar>(gen: impl FnMut() -> T, rows: usize, kdim: usize, n: usize, threads: usize) {
-        let c = make_case(gen, rows, kdim, 0, n);
-        set_max_threads(1);
-        let mut serial = c.poisoned();
-        coded_combine_write(&c.coeff, c.cstride, 0, &c.x, &mut serial, c.n);
-        set_max_threads(threads);
-        let mut pooled = c.poisoned();
-        coded_combine_write(&c.coeff, c.cstride, 0, &c.x, &mut pooled, c.n);
-        assert_eq!(pooled, serial, "pooled ({threads}) diverged at {rows}x{kdim}x{n}");
-    }
-    run(field_gen(seed), rows, kdim, n, threads);
-    run(float_gen(seed ^ 0xF10A7), rows, kdim, n, threads);
-    // The fused check under the pool: outputs and count both invariant.
-    let mut gen = field_gen(seed ^ 0xC4EC);
-    let c = make_case(&mut gen, rows, kdim, 0, n);
-    let w: Vec<F25> = (0..kdim).map(|_| gen()).collect();
-    let mut expect = vec![vec![F25::ZERO; n]];
-    naive_coded_combine_acc(&w, kdim, 0, &c.x, &mut expect);
-    let mut expect = expect.pop().unwrap();
-    expect[n / 2] += F25::ONE;
-    set_max_threads(1);
-    let mut serial = c.poisoned();
-    let mm_s = coded_combine_check_write(&c.coeff, c.cstride, 0, &c.x, &mut serial, n, &w, &expect);
-    set_max_threads(threads);
-    let mut pooled = c.poisoned();
-    let mm_p = coded_combine_check_write(&c.coeff, c.cstride, 0, &c.x, &mut pooled, n, &w, &expect);
-    assert_eq!((mm_p, pooled), (mm_s, serial), "pooled check diverged at {rows}x{kdim}x{n}");
-    assert_eq!(mm_s, 1);
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
@@ -207,6 +165,7 @@ proptest! {
     // to MAX_ROWS, every term count up to MAX_TERMS, lane-misaligned
     // widths, offset coefficient columns. Includes degenerate n and
     // empty row sets.
+    #[test]
     fn write_matches_naive(
         seed in any::<u64>(),
         rows in 0usize..=MAX_ROWS,
@@ -220,6 +179,7 @@ proptest! {
 
     // The fused integrity check: exact mismatch counting at every
     // width, including positions in the vector tail.
+    #[test]
     fn check_counts_are_exact(
         seed in any::<u64>(),
         rows in 0usize..=MAX_ROWS,
@@ -231,6 +191,7 @@ proptest! {
     }
 
     // Chunked noise application ≡ whole-row pass.
+    #[test]
     fn axpy_chunking_is_invisible(
         seed in any::<u64>(),
         rows in 0usize..=MAX_ROWS,
@@ -241,23 +202,11 @@ proptest! {
     ) {
         assert_axpy_chunked(seed, rows, kdim, col, n, step);
     }
-
-    // Column fan-out: n sized so rows·kdim·n crosses PAR_MAC_THRESHOLD
-    // and the pool genuinely partitions columns.
-    fn pooled_matches_serial(
-        seed in any::<u64>(),
-        rows in 2usize..7,
-        kdim in 2usize..7,
-        extra in 1usize..512,
-        threads in 2usize..9,
-    ) {
-        let n = dk_linalg::PAR_MAC_THRESHOLD / (rows * kdim) + extra;
-        assert_pooled_matches_serial(seed, rows, kdim, n, threads);
-    }
 }
 
 /// One term or one row past the bound is refused by the entry point
 /// itself, before anything is written.
+#[test]
 fn bound_is_enforced() {
     let refused = |f: &dyn Fn()| std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)).is_err();
     let n = 5;
@@ -280,14 +229,4 @@ fn bound_is_enforced() {
     let mut outs = rows(MAX_ROWS);
     coded_combine_write(&coeff, stride, 0, &x[..MAX_TERMS], &mut outs, n);
     assert_eq!(outs, vec![vec![F25::new(MAX_TERMS as u64); n]; MAX_ROWS]);
-}
-
-#[test]
-fn coded_kernels_match_oracle_and_pool_is_invisible() {
-    write_matches_naive();
-    check_counts_are_exact();
-    axpy_chunking_is_invisible();
-    pooled_matches_serial();
-    bound_is_enforced();
-    set_max_threads(0);
 }

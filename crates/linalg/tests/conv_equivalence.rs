@@ -8,11 +8,11 @@
 //! whose *weight* is zero skipped, padding read as zero). The kernel
 //! must match it **bit for bit** in f32 — signed zeros, infinities and
 //! where the NaNs fall included — and exactly in both fields, from a
-//! workspace full of garbage, at any thread cap.
+//! workspace full of garbage.
 
 use dk_field::{FieldRng, F25, F61, P25, P61};
 use dk_linalg::conv::conv2d_forward_ws;
-use dk_linalg::{set_max_threads, Conv2dShape, Scalar, Tensor, Workspace};
+use dk_linalg::{Conv2dShape, Scalar, Tensor, Workspace};
 
 /// `y[n, oc, oy, ox] = Σ_{ci,ki,kj} w[oc, ci, ki, kj] · x[n, g·cgi+ci, iy, ix]`.
 fn direct_conv<T: Scalar>(x: &Tensor<T>, w: &Tensor<T>, s: &Conv2dShape) -> Tensor<T> {
@@ -230,38 +230,10 @@ fn f32_non_finite_propagation() {
     assert_conv_on(&x, &w, &s);
 }
 
-/// Serial ≡ pooled: shapes over the fan-out threshold (per sample and
-/// group), so strip ranges really are split across the pool — with a
-/// strip count that does not divide evenly, a ragged last strip, and
-/// grouped channels. The thread cap is process-global; this is the only
-/// test in the binary that touches it.
+/// A ragged grouped shape: 29 × 31 outputs per plane are 57 strips,
+/// the last one ragged, over two groups of channels.
 #[test]
-fn serial_matches_pooled() {
-    fn check<T: Bits>(mut gen: impl FnMut() -> T, s: Conv2dShape, n: usize, hw: (usize, usize)) {
-        let x = Tensor::from_fn(&[n, s.in_channels, hw.0, hw.1], |_| gen());
-        let w = Tensor::from_fn(&s.weight_shape(), |_| gen());
-        let macs = s.forward_macs(1, hw) as usize / s.groups;
-        assert!(macs >= dk_linalg::PAR_MAC_THRESHOLD, "shape must fan out: {macs} MACs");
-        set_max_threads(1);
-        let serial = conv2d_forward_ws(&x, &w, &s, &mut Workspace::new());
-        let want = direct_conv(&x, &w, &s);
-        assert!(serial.as_slice().iter().zip(want.as_slice()).all(|(g, e)| g.bits() == e.bits()));
-        for threads in [2, 3, 4, 7] {
-            set_max_threads(threads);
-            let pooled = conv2d_forward_ws(&x, &w, &s, &mut Workspace::new());
-            assert!(
-                pooled.as_slice().iter().zip(serial.as_slice()).all(|(g, e)| g.bits() == e.bits()),
-                "{threads} threads diverged from serial on {s:?}"
-            );
-        }
-        set_max_threads(0);
-    }
-    let vgg = Conv2dShape::simple(16, 16, 3, 1, 1);
-    check(field_gen::<P25>(0x5E41), vgg, 2, (32, 32));
-    check(field_gen::<P61>(0x5E42), vgg, 1, (32, 32));
-    check(float_gen(0x5E43), vgg, 1, (32, 32));
-    // 29 × 31 outputs: 57 strips (ragged last one) over 2–7 tasks.
+fn ragged_grouped_shape_matches_direct_convolution() {
     let grouped = Conv2dShape::new(16, 24, (3, 3), (1, 1), (1, 1), 2);
-    check(field_gen::<P25>(0x5E44), grouped, 1, (29, 31));
-    check(float_gen(0x5E45), grouped, 2, (29, 31));
+    all_domains(0x5E44, grouped, 2, (29, 31));
 }

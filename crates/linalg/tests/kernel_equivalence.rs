@@ -1,13 +1,15 @@
 //! Fast-vs-naive kernel equivalence: the non-negotiable invariant of the
 //! delayed-reduction rewrite.
 //!
-//! Every blocked/threaded kernel must produce **bit-for-bit** the same
+//! Every blocked kernel must produce **bit-for-bit** the same
 //! output as the original per-MAC-reducing scalar path preserved in
 //! `dk_linalg::reference` — for all three matmul orientations, in the
 //! float domain (identical per-element accumulation order) and in both
 //! field domains (exact arithmetic: deferring reduction can never change
-//! the value mod p). Shapes cover the degenerate `m/k/n ∈ {0, 1}` edges,
-//! `k > 2^14` (the `F25` u64-accumulator fold boundary), and — in
+//! the value mod p). Shapes cover the degenerate `m/k/n ∈ {0, 1}` edges
+//! ([`degenerate_shapes_match_naive`]), `k > 2^14` (the `F25`
+//! u64-accumulator fold boundary, in every domain in
+//! [`fold_boundary_shapes_match_naive`]), and — in
 //! [`strip_sweep_matches_naive`] — output widths around and far past
 //! the sixteen-lane strip with `k` crossing the packed panel's 256-row
 //! block, which the small property shapes never reach.
@@ -156,7 +158,7 @@ proptest! {
     }
 
     /// Tall outputs: m crosses the at_b packed-panel boundary (64 rows
-    /// per panel) and the thread-partition row split.
+    /// per panel).
     #[test]
     fn fast_matches_naive_tall_m(seed in any::<u64>(), m in 60usize..140) {
         assert_equiv(field_gen::<P25>(seed), m, 5, 3);
@@ -277,6 +279,45 @@ fn f25_crosses_fold_boundary_with_worst_case_operands() {
 #[test]
 fn f25_crosses_fold_boundary_random() {
     assert_equiv(field_gen::<P25>(0xF01D), 2, (1 << 14) + 1, 2);
+}
+
+/// Every shape with `m`, `n` ∈ {0, 1} (empty outputs, single rows and
+/// columns) at short and long reductions, and `k` ∈ {0, 1} under
+/// multi-strip outputs, in all three domains.
+#[test]
+fn degenerate_shapes_match_naive() {
+    let mut seed = 0xDE6E;
+    let mut shapes = Vec::new();
+    for m in [0, 1] {
+        for n in [0, 1] {
+            for k in [0, 1, 2, 23, 300] {
+                shapes.push((m, k, n));
+            }
+        }
+    }
+    for k in [0, 1] {
+        shapes.extend([(3, k, 17), (17, k, 3), (1, k, 33), (33, k, 1)]);
+    }
+    for (m, k, n) in shapes {
+        seed += 1;
+        assert_equiv(field_gen::<P25>(seed), m, k, n);
+        assert_equiv(field_gen::<P61>(seed ^ 0x5EED), m, k, n);
+        assert_equiv(float_gen(seed ^ 0xF10A7), m, k, n);
+    }
+}
+
+/// `k` past the `F25` fold boundary (2^14 unreduced MACs per `u64`
+/// accumulator) with several rows and columns, `n` past one strip for
+/// the packed-panel products: every domain must reduce exactly where
+/// the reference does.
+#[test]
+fn fold_boundary_shapes_match_naive() {
+    for (i, (m, extra, n)) in [(4, 1, 4), (5, 63, 17), (6, 127, 39)].into_iter().enumerate() {
+        let (k, seed) = ((1 << 14) + extra, 0xF01D + i as u64);
+        assert_equiv(field_gen::<P25>(seed), m, k, n);
+        assert_equiv(field_gen::<P61>(seed ^ 0x5EED), m, k, n);
+        assert_equiv(float_gen(seed ^ 0xF10A7), m, k, n);
+    }
 }
 
 /// Float non-finite semantics: `matvec` and `matmul_a_bt` never skip

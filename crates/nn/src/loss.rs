@@ -106,4 +106,13 @@ mod tests {
         assert!((accuracy(&logits, &[0, 1, 0]) - 1.0).abs() < 1e-6);
         assert!((accuracy(&logits, &[1, 1, 0]) - 2.0 / 3.0).abs() < 1e-6);
     }
+
+    #[test]
+    fn accuracy_scores_a_diverged_model() {
+        // The sign-set NaN x86 arithmetic produces (`∞ − ∞`) ranks
+        // below every number.
+        let nan = f32::from_bits(0xffc0_0000);
+        let logits = Tensor::from_vec(&[2, 2], vec![nan, 0.3, 0.6, 0.4]);
+        assert!((accuracy(&logits, &[1, 0]) - 1.0).abs() < 1e-6);
+    }
 }

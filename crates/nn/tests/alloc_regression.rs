@@ -31,10 +31,6 @@ static COUNTER: CountingAllocator = CountingAllocator;
 
 #[test]
 fn steady_state_allocation_budget() {
-    // Kernel threading spawns scoped threads (which allocate); the
-    // invariant under test is the single-lane hot path.
-    dk_linalg::set_max_threads(1);
-
     // Observability ENABLED: the instrumented hot path must stay
     // allocation-free too. Handles are pre-registered (setup-path
     // allocations happen here), and the first span below registers this

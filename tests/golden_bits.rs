@@ -29,10 +29,6 @@
 //! * `tcp_fleet` — every byte a loopback [`TcpFleet`] and its worker
 //!   host exchange over one private inference, per worker and
 //!   direction, read off a relay between them.
-//!
-//! The table is computed twice, with the kernel thread cap at 1 and at
-//! 4 (16×16 inputs put the larger layers over the fan-out threshold),
-//! and both must match.
 
 use std::fmt::Write as _;
 use std::io::{Read, Write as _};
@@ -43,7 +39,7 @@ use std::thread::JoinHandle;
 use darknight::core::{DarknightConfig, DarknightSession, EncodingScheme, StepPlan};
 use darknight::field::{derive_seed, FieldRng, F25, P25};
 use darknight::gpu::{serve_fleet_worker, Behavior, FleetManifest, GpuCluster, TcpFleet};
-use darknight::linalg::{set_max_threads, Conv2dShape, Tensor, Workspace};
+use darknight::linalg::{Conv2dShape, Tensor, Workspace};
 use darknight::nn::arch::{mini_mobilenet, mini_resnet, mini_vgg};
 use darknight::nn::layers::{Conv2d, Dense, Flatten, Layer, Relu};
 use darknight::nn::loss::softmax_cross_entropy;
@@ -269,16 +265,12 @@ fn fresh_table() -> String {
 }
 
 #[test]
-fn bits_match_the_checked_in_table_at_1_and_4_threads() {
-    for threads in [1, 4] {
-        set_max_threads(threads);
-        let fresh = fresh_table();
-        set_max_threads(0);
-        for (got, want) in fresh.lines().zip(TABLE.lines()) {
-            assert_eq!(got, want, "a bit moved ({threads} kernel threads)");
-        }
-        assert_eq!(fresh.lines().count(), TABLE.lines().count(), "table length");
+fn bits_match_the_checked_in_table() {
+    let fresh = fresh_table();
+    for (got, want) in fresh.lines().zip(TABLE.lines()) {
+        assert_eq!(got, want, "a bit moved");
     }
+    assert_eq!(fresh.lines().count(), TABLE.lines().count(), "table length");
 }
 
 #[test]
