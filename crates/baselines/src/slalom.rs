@@ -24,8 +24,8 @@
 
 use dk_field::{F25, FieldRng, P25, QuantConfig};
 use dk_gpu::{GpuCluster, LinearOp};
-use dk_linalg::conv::conv2d_forward;
-use dk_linalg::{matmul_at_b, Conv2dShape, Tensor, Workspace};
+use dk_linalg::conv::conv2d_forward_ws;
+use dk_linalg::{matmul_at_b_into, Conv2dShape, Tensor, Workspace};
 use dk_nn::layers::{LayerExec, LinearMut};
 use dk_nn::Sequential;
 use dk_tee::crypto::SealedBlob;
@@ -301,11 +301,8 @@ impl SlalomSession {
         let freivalds = if self.integrity {
             let s: Vec<F25> = (0..out_f).map(|_| self.rng.uniform_nonzero::<P25>()).collect();
             // proj = sᵀ·W ∈ F^in  (W stored [out, in])
-            let proj = matmul_at_b(weights_q.as_slice(), &{
-                let mut id = vec![F25::ZERO; out_f];
-                id.copy_from_slice(&s);
-                id
-            }, in_f, out_f, 1);
+            let mut proj = vec![F25::ZERO; in_f];
+            matmul_at_b_into(weights_q.as_slice(), &s, &mut proj, in_f, out_f, 1);
             Some(Freivalds::Dense { s, proj })
         } else {
             None
@@ -364,7 +361,7 @@ impl SlalomSession {
         for _ in 0..needed {
             let r = self.rng.uniform_vec::<P25>(n);
             let rt = Tensor::from_vec(&[1, shape.in_channels, hw.0, hw.1], r.clone());
-            let u = conv2d_forward(&rt, &weights_q, &shape).into_vec();
+            let u = conv2d_forward_ws(&rt, &weights_q, &shape, &mut self.ws).into_vec();
             new_ids.push(self.seal_pair(&r, &u));
         }
         let pc = self.layers.get_mut(&layer).expect("layer exists");
@@ -461,8 +458,10 @@ impl SlalomSession {
                     shape.padding,
                     1,
                 );
-                let rhs = conv2d_forward(&xt2, proj_filter, &proj_shape);
-                if lhs != rhs.as_slice() {
+                let rhs = conv2d_forward_ws(&xt2, proj_filter, &proj_shape, &mut self.ws);
+                let tampered = lhs != rhs.as_slice();
+                self.ws.give_tensor(rhs);
+                if tampered {
                     return Err(SlalomError::IntegrityViolation { layer });
                 }
             }

@@ -49,10 +49,10 @@ use dk_core::scheme::EncodingScheme;
 use dk_core::DarknightConfig;
 use dk_field::{F25, FieldRng, P25};
 use dk_gpu::{GpuCluster, LatencyModel};
-use dk_linalg::conv::conv2d_forward;
-use dk_linalg::im2col::im2col;
+use dk_linalg::conv::conv2d_forward_ws;
+use dk_linalg::im2col::im2col_into;
 use dk_linalg::reference::{naive_matmul, naive_matmul_a_bt, naive_matmul_at_b};
-use dk_linalg::{matmul, matmul_a_bt, matmul_at_b, Conv2dShape, Tensor, Workspace};
+use dk_linalg::{matmul_a_bt_into, matmul_at_b_into, matmul_into, Conv2dShape, Tensor, Workspace};
 use dk_nn::arch::mini_vgg;
 use dk_linalg::workspace::{alloc_counts, CountingAllocator};
 use dk_perf::{DeviceProfile, PipelineRow};
@@ -277,10 +277,13 @@ fn main() {
     };
 
     // --- kernels: the three matmul orientations -------------------------
+    // The fast side writes into one buffer per product, as its callers
+    // do; the scalar side allocates, as the code it preserves did.
     let (m, k, n) = (64usize, 128, 64);
     let macs = (m * k * n) as u64;
     let a = field_vec(&mut rng, m * k);
     let b = field_vec(&mut rng, k * n);
+    let mut c = vec![F25::ZERO; m * n];
     bench(
         format!("matmul_{m}x{k}x{n}/field"),
         macs,
@@ -288,7 +291,8 @@ fn main() {
             std::hint::black_box(naive_matmul(&a, &b, m, k, n));
         },
         &mut || {
-            std::hint::black_box(matmul(&a, &b, m, k, n));
+            matmul_into(&a, &b, &mut c, m, k, n);
+            std::hint::black_box(&c);
         },
     );
     // The pre-optimization arithmetic in full: per-MAC `u128 %` division
@@ -312,11 +316,13 @@ fn main() {
         macs,
         &mut divmod_matmul,
         &mut || {
-            std::hint::black_box(matmul(&a, &b, m, k, n));
+            matmul_into(&a, &b, &mut c, m, k, n);
+            std::hint::black_box(&c);
         },
     );
     let af: Vec<f32> = (0..m * k).map(|i| (i % 9) as f32 * 0.1).collect();
     let bf: Vec<f32> = (0..k * n).map(|i| (i % 5) as f32 * 0.1).collect();
+    let mut cf = vec![0.0f32; m * n];
     bench(
         format!("matmul_{m}x{k}x{n}/f32"),
         macs,
@@ -324,7 +330,8 @@ fn main() {
             std::hint::black_box(naive_matmul(&af, &bf, m, k, n));
         },
         &mut || {
-            std::hint::black_box(matmul(&af, &bf, m, k, n));
+            matmul_into(&af, &bf, &mut cf, m, k, n);
+            std::hint::black_box(&cf);
         },
     );
     let at = field_vec(&mut rng, k * m);
@@ -335,7 +342,8 @@ fn main() {
             std::hint::black_box(naive_matmul_at_b(&at, &b, m, k, n));
         },
         &mut || {
-            std::hint::black_box(matmul_at_b(&at, &b, m, k, n));
+            matmul_at_b_into(&at, &b, &mut c, m, k, n);
+            std::hint::black_box(&c);
         },
     );
     let bt = field_vec(&mut rng, n * k);
@@ -346,7 +354,8 @@ fn main() {
             std::hint::black_box(naive_matmul_a_bt(&a, &bt, m, k, n));
         },
         &mut || {
-            std::hint::black_box(matmul_a_bt(&a, &bt, m, k, n));
+            matmul_a_bt_into(&a, &bt, &mut c, m, k, n);
+            std::hint::black_box(&c);
         },
     );
 
@@ -357,10 +366,13 @@ fn main() {
     let xq = Tensor::<F25>::from_fn(&[1, 16, hw, hw], |i| F25::new(i as u64 * 31 % P25));
     let wq = Tensor::<F25>::from_fn(&shape.weight_shape(), |i| F25::new(i as u64 * 17 % P25));
     // Baseline: the identical im2col lowering feeding the naive kernel.
+    // The fast side draws its output from a warm workspace.
+    let mut kws = Workspace::new();
     let mut naive_conv = || {
         let (oh, ow) = shape.out_hw((hw, hw));
         let krows = shape.cg_in() * 9;
-        let cols = im2col(xq.batch_item(0), 16, (hw, hw), (3, 3), (1, 1), (1, 1));
+        let mut cols = vec![F25::ZERO; krows * oh * ow];
+        im2col_into(xq.batch_item(0), 16, (hw, hw), (3, 3), (1, 1), (1, 1), &mut cols);
         std::hint::black_box(naive_matmul(wq.as_slice(), &cols, 32, krows, oh * ow));
     };
     bench(
@@ -368,7 +380,8 @@ fn main() {
         conv_macs,
         &mut naive_conv,
         &mut || {
-            std::hint::black_box(conv2d_forward(&xq, &wq, &shape));
+            let y = conv2d_forward_ws(&xq, &wq, &shape, &mut kws);
+            kws.give_tensor(std::hint::black_box(y));
         },
     );
 
@@ -385,11 +398,13 @@ fn main() {
         "conv2d_forward_16c16c3x3_32x32/field".to_string(),
         shape32.forward_macs(1, (32, 32)),
         &mut || {
-            let cols = im2col(x32.batch_item(0), 16, (32, 32), (3, 3), (1, 1), (1, 1));
+            let mut cols = vec![F25::ZERO; ck * cn];
+            im2col_into(x32.batch_item(0), 16, (32, 32), (3, 3), (1, 1), (1, 1), &mut cols);
             std::hint::black_box(naive_matmul(w32.as_slice(), &cols, cm, ck, cn));
         },
         &mut || {
-            std::hint::black_box(conv2d_forward(&x32, &w32, &shape32));
+            let y = conv2d_forward_ws(&x32, &w32, &shape32, &mut kws);
+            kws.give_tensor(std::hint::black_box(y));
         },
     );
     let x32f = Tensor::<f32>::from_fn(&[1, 16, 32, 32], |i| (i % 23) as f32 * 0.05 - 0.5);
@@ -398,15 +413,18 @@ fn main() {
         "conv2d_forward_16c16c3x3_32x32/f32".to_string(),
         shape32.forward_macs(1, (32, 32)),
         &mut || {
-            let cols = im2col(x32f.batch_item(0), 16, (32, 32), (3, 3), (1, 1), (1, 1));
+            let mut cols = vec![0.0f32; ck * cn];
+            im2col_into(x32f.batch_item(0), 16, (32, 32), (3, 3), (1, 1), (1, 1), &mut cols);
             std::hint::black_box(naive_matmul(w32f.as_slice(), &cols, cm, ck, cn));
         },
         &mut || {
-            std::hint::black_box(conv2d_forward(&x32f, &w32f, &shape32));
+            let y = conv2d_forward_ws(&x32f, &w32f, &shape32, &mut kws);
+            kws.give_tensor(std::hint::black_box(y));
         },
     );
     let a32 = field_vec(&mut rng, cm * ck);
     let b32 = field_vec(&mut rng, ck * cn);
+    let mut c32 = vec![F25::ZERO; cm * cn];
     bench(
         format!("matmul_{cm}x{ck}x{cn}/field"),
         (cm * ck * cn) as u64,
@@ -414,7 +432,8 @@ fn main() {
             std::hint::black_box(naive_matmul(&a32, &b32, cm, ck, cn));
         },
         &mut || {
-            std::hint::black_box(matmul(&a32, &b32, cm, ck, cn));
+            matmul_into(&a32, &b32, &mut c32, cm, ck, cn);
+            std::hint::black_box(&c32);
         },
     );
 
@@ -431,12 +450,14 @@ fn main() {
         dw.forward_macs(1, (16, 16)),
         &mut || {
             for (plane, taps) in xdw.batch_item(0).chunks(16 * 16).zip(wdw.as_slice().chunks(9)) {
-                let cols = im2col(plane, 1, (16, 16), (3, 3), (1, 1), (1, 1));
+                let mut cols = vec![F25::ZERO; 9 * 16 * 16];
+                im2col_into(plane, 1, (16, 16), (3, 3), (1, 1), (1, 1), &mut cols);
                 std::hint::black_box(naive_matmul(taps, &cols, 1, 9, 16 * 16));
             }
         },
         &mut || {
-            std::hint::black_box(conv2d_forward(&xdw, &wdw, &dw));
+            let y = conv2d_forward_ws(&xdw, &wdw, &dw, &mut kws);
+            kws.give_tensor(std::hint::black_box(y));
         },
     );
 
@@ -511,6 +532,7 @@ fn main() {
     let (dn, din, dout) = (1usize, 784, 256);
     let w = field_vec(&mut rng, dout * din);
     let x = field_vec(&mut rng, dn * din);
+    let mut y = vec![F25::ZERO; dn * dout];
     bench(
         format!("dense_forward_{din}to{dout}/field"),
         (dn * din * dout) as u64,
@@ -518,7 +540,8 @@ fn main() {
             std::hint::black_box(naive_matmul_a_bt(&x, &w, dn, din, dout));
         },
         &mut || {
-            std::hint::black_box(matmul_a_bt(&x, &w, dn, din, dout));
+            matmul_a_bt_into(&x, &w, &mut y, dn, din, dout);
+            std::hint::black_box(&y);
         },
     );
 

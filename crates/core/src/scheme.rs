@@ -274,7 +274,10 @@ impl EncodingScheme {
     }
 
     /// Encodes a virtual batch: `K` input vectors and `M` noise vectors,
-    /// all of length `n`, into `num_encodings()` masked vectors.
+    /// all of length `n`, into `num_encodings()` masked vectors. The one
+    /// allocating form in the scheme: the end-to-end benchmark and the
+    /// privacy audit (`crate::privacy`) call it; the session encodes
+    /// through [`EncodingScheme::encode_fused_ws`].
     ///
     /// # Panics
     ///
@@ -283,9 +286,8 @@ impl EncodingScheme {
         self.encode_ws(inputs, noise, &mut Workspace::new())
     }
 
-    /// [`EncodingScheme::encode`] with the transient input-stacking
-    /// buffer, the encoding rows and their outer vector all drawn from
-    /// `ws`. The rows leave the TEE for the accelerators, but the
+    /// [`EncodingScheme::encode`] with the encoding rows and their outer
+    /// vector drawn from `ws`. The rows leave the TEE for the accelerators, but the
     /// session recycles them back into this pool once the workers'
     /// jobs retire, so the steady state allocates nothing.
     ///
@@ -388,30 +390,9 @@ impl EncodingScheme {
     }
 
     /// Decodes GPU outputs `ȳ_j = ⟨W, x̄_j⟩` back to the `K` true
-    /// outputs, verifying the redundant equation when enabled.
-    ///
-    /// Returns the `K` decoded output vectors.
-    ///
-    /// # Errors
-    ///
-    /// [`DarknightError::IntegrityViolation`] if the redundant equation
-    /// is inconsistent (some worker tampered with its result).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the output count or lengths are inconsistent.
-    pub fn decode_forward<S: AsRef<[F25]> + Sync>(
-        &self,
-        outputs: &[S],
-        layer_id: u64,
-    ) -> Result<Vec<Vec<F25>>, DarknightError> {
-        self.decode_forward_ws(outputs, layer_id, &mut Workspace::new())
-    }
-
-    /// [`EncodingScheme::decode_forward`] with the stacking buffer, the
-    /// integrity-prediction row and the decoded output rows all drawn
-    /// from `ws`. Give the returned rows (and their outer vector) back
-    /// once consumed to keep the steady state allocation-free.
+    /// outputs, verifying the redundant equation when enabled. The `K`
+    /// decoded rows and their outer vector are drawn from `ws`: give
+    /// them back once consumed to keep the steady state allocation-free.
     ///
     /// # Errors
     ///
@@ -474,18 +455,8 @@ impl EncodingScheme {
     /// Decodes the aggregate backward term: `Σ_j γ_j·Eq_j` over the
     /// `K+M` gradient-bearing equations (Eq. 6). The result is
     /// `Σ_i ⟨δ_i, x_i⟩` at product scale; the `1/K` averaging happens in
-    /// the float domain after dequantization.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the equation count or lengths are inconsistent.
-    pub fn decode_backward<S: AsRef<[F25]> + Sync>(&self, eqs: &[S]) -> Vec<F25> {
-        self.decode_backward_ws(eqs, &mut Workspace::new())
-    }
-
-    /// [`EncodingScheme::decode_backward`] with the stacking buffer and
-    /// the aggregate row drawn from `ws` (give the returned row back
-    /// once dequantized).
+    /// the float domain after dequantization. The row is drawn from
+    /// `ws` (give it back once dequantized).
     ///
     /// # Panics
     ///
@@ -574,6 +545,7 @@ mod tests {
 
     #[test]
     fn encode_decode_round_trip_no_integrity() {
+        let mut ws = Workspace::new();
         let mut r = rng();
         for (k, m) in [(1, 1), (2, 1), (4, 1), (2, 3), (3, 2)] {
             let scheme = EncodingScheme::generate(k, m, false, &mut r);
@@ -585,7 +557,7 @@ mod tests {
             // "GPU" applies a random linear functional elementwise — here
             // we simply treat identity: ȳ_j = x̄_j (identity is bilinear
             // with W = I).
-            let decoded = scheme.decode_forward(&encodings, 0).unwrap();
+            let decoded = scheme.decode_forward_ws(&encodings, 0, &mut ws).unwrap();
             assert_eq!(decoded, inputs, "k={k} m={m}");
         }
     }
@@ -603,9 +575,9 @@ mod tests {
         assert_eq!(outputs.len(), MAX_TERMS + 1);
         let mut ws = Workspace::new();
         assert_eq!(scheme.encode_row_ws(MAX_TERMS, &inputs, &noise, &mut ws), outputs[MAX_TERMS]);
-        assert_eq!(scheme.decode_forward(&outputs, 0).unwrap(), inputs);
+        assert_eq!(scheme.decode_forward_ws(&outputs, 0, &mut ws).unwrap(), inputs);
         outputs[MAX_TERMS - 1][n - 1] += F25::ONE;
-        assert!(scheme.decode_forward(&outputs, 0).is_err());
+        assert!(scheme.decode_forward_ws(&outputs, 0, &mut ws).is_err());
     }
 
     /// One row past it is refused where the scheme is built.
@@ -617,6 +589,7 @@ mod tests {
 
     #[test]
     fn decode_commutes_with_linear_op() {
+        let mut ws = Workspace::new();
         let mut r = rng();
         let (k, m, n, out_n) = (3, 2, 12, 5);
         let scheme = EncodingScheme::generate(k, m, true, &mut r);
@@ -627,7 +600,7 @@ mod tests {
         let w: Vec<Vec<F25>> = (0..out_n).map(|_| r.uniform_vec::<P25>(n)).collect();
         let gpu = |v: &Vec<F25>| -> Vec<F25> { w.iter().map(|row| apply_functional(row, v)).collect() };
         let outputs: Vec<Vec<F25>> = encodings.iter().map(gpu).collect();
-        let decoded = scheme.decode_forward(&outputs, 0).unwrap();
+        let decoded = scheme.decode_forward_ws(&outputs, 0, &mut ws).unwrap();
         for i in 0..k {
             assert_eq!(decoded[i], gpu(&inputs[i]), "input {i}");
         }
@@ -635,6 +608,7 @@ mod tests {
 
     #[test]
     fn integrity_detects_single_corruption() {
+        let mut ws = Workspace::new();
         let mut r = rng();
         let scheme = EncodingScheme::generate(2, 1, true, &mut r);
         let n = 8;
@@ -643,7 +617,7 @@ mod tests {
         let mut outputs = scheme.encode(&inputs, &noise); // identity op
         // Corrupt one element of one worker's output.
         outputs[1][3] += F25::ONE;
-        let err = scheme.decode_forward(&outputs, 7).unwrap_err();
+        let err = scheme.decode_forward_ws(&outputs, 7, &mut ws).unwrap_err();
         match err {
             DarknightError::IntegrityViolation { layer_id, phase, mismatches } => {
                 assert_eq!(layer_id, 7);
@@ -656,6 +630,7 @@ mod tests {
 
     #[test]
     fn integrity_detects_corruption_of_every_worker() {
+        let mut ws = Workspace::new();
         let mut r = rng();
         let scheme = EncodingScheme::generate(2, 2, true, &mut r);
         let n = 6;
@@ -666,7 +641,7 @@ mod tests {
             let mut outputs = clean.clone();
             outputs[victim][0] += F25::new(42);
             assert!(
-                scheme.decode_forward(&outputs, 0).is_err(),
+                scheme.decode_forward_ws(&outputs, 0, &mut ws).is_err(),
                 "corruption of worker {victim} undetected"
             );
         }
@@ -674,6 +649,7 @@ mod tests {
 
     #[test]
     fn integrity_detects_multi_worker_corruption() {
+        let mut ws = Workspace::new();
         // (K'-1)-security: corrupt all but one worker.
         let mut r = rng();
         let scheme = EncodingScheme::generate(3, 1, true, &mut r);
@@ -686,18 +662,19 @@ mod tests {
                 *v += r.uniform_nonzero::<P25>();
             }
         }
-        assert!(scheme.decode_forward(&outputs, 0).is_err());
+        assert!(scheme.decode_forward_ws(&outputs, 0, &mut ws).is_err());
     }
 
     #[test]
     fn clean_outputs_pass_integrity() {
+        let mut ws = Workspace::new();
         let mut r = rng();
         for _ in 0..20 {
             let scheme = EncodingScheme::generate(2, 1, true, &mut r);
             let inputs: Vec<Vec<F25>> = (0..2).map(|_| r.uniform_vec::<P25>(10)).collect();
             let noise = vec![r.uniform_vec::<P25>(10)];
             let outputs = scheme.encode(&inputs, &noise);
-            assert!(scheme.decode_forward(&outputs, 0).is_ok());
+            assert!(scheme.decode_forward_ws(&outputs, 0, &mut ws).is_ok());
         }
     }
 
@@ -714,6 +691,7 @@ mod tests {
 
     #[test]
     fn backward_decode_recovers_aggregate() {
+        let mut ws = Workspace::new();
         // Scalar model: x_i, delta_i are vectors; Eq_j = ⟨Σ_i β_ji δ_i, x̄_j⟩
         // as an outer-product-free scalar: use elementwise product then sum
         // — i.e., the bilinear form is the dot product.
@@ -738,7 +716,7 @@ mod tests {
                 dt.iter().zip(&encodings[j]).map(|(&a, &b)| a * b).collect()
             })
             .collect();
-        let decoded = scheme.decode_backward(&eqs);
+        let decoded = scheme.decode_backward_ws(&eqs, &mut ws);
         // Expected: Σ_i δ_i ⊙ x_i elementwise.
         let mut expect = vec![F25::ZERO; n];
         for i in 0..k {
@@ -837,6 +815,7 @@ mod tests {
 
     #[test]
     fn decode_accepts_tensor_rows() {
+        let mut ws = Workspace::new();
         use dk_linalg::Tensor;
         let mut r = rng();
         let scheme = EncodingScheme::generate(2, 1, true, &mut r);
@@ -846,8 +825,8 @@ mod tests {
         let as_tensors: Vec<Tensor<F25>> =
             outputs.iter().map(|o| Tensor::from_vec(&[o.len()], o.clone())).collect();
         assert_eq!(
-            scheme.decode_forward(&outputs, 0).unwrap(),
-            scheme.decode_forward(&as_tensors, 0).unwrap(),
+            scheme.decode_forward_ws(&outputs, 0, &mut ws).unwrap(),
+            scheme.decode_forward_ws(&as_tensors, 0, &mut ws).unwrap(),
         );
     }
 

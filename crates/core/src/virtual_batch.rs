@@ -374,14 +374,6 @@ impl LargeBatchTrainer {
         }
     }
 
-    /// Mutable access to the wrapped engine, if pipelined.
-    pub fn engine_mut(&mut self) -> Option<&mut PipelineEngine> {
-        match &mut self.backend {
-            Backend::Pipelined(e) => Some(e),
-            Backend::Sequential(_) => None,
-        }
-    }
-
     /// Runs one large-batch step: `x` is `[N, ...]` with
     /// `N = V·K`, `labels.len() == N`. Performs Algorithm 2 and one SGD
     /// update.

@@ -10,11 +10,11 @@
 //! * `encode_fused_ws` vs materialize-the-noise-then-encode, **and**
 //!   the RNG must land on the identical stream position (the fused
 //!   chunks consume exactly the draws the materialized rows would);
-//! * `decode_forward` vs `Y = (A_sq⁻¹)ᵀ·Ȳ` plus the
+//! * `decode_forward_ws` vs `Y = (A_sq⁻¹)ᵀ·Ȳ` plus the
 //!   `w = A_sq⁻¹·a_last` redundant-equation count — including that a
 //!   tampered worker output still raises `IntegrityViolation` with the
 //!   exact mismatch count;
-//! * `decode_backward` vs the γ-weighted sum;
+//! * `decode_backward_ws` vs the γ-weighted sum;
 //! * all of it on workspaces whose pooled buffers were deliberately
 //!   poisoned with garbage, since every hot-path buffer is recycled.
 //!
@@ -119,7 +119,7 @@ fn assert_fused_encode_matches(seed: u64, k: usize, m: usize, integrity: bool, n
     }
 }
 
-/// decode_forward ≡ `(A_sq⁻¹)ᵀ·Ȳ` + the redundant-equation count, with
+/// decode_forward_ws ≡ `(A_sq⁻¹)ᵀ·Ȳ` + the redundant-equation count, with
 /// tampering detected exactly.
 fn assert_decode_forward_matches(seed: u64, k: usize, m: usize, integrity: bool, n: usize, taint: usize) {
     let (scheme, mut r) = scheme_for(seed, k, m, integrity);
@@ -150,7 +150,7 @@ fn assert_decode_forward_matches(seed: u64, k: usize, m: usize, integrity: bool,
     assert_eq!(
         scheme.decode_forward_ws(&outputs, 7, &mut ws).expect("consistent outputs decode"),
         want,
-        "decode_forward at k={k} m={m} n={n}"
+        "decode_forward_ws at k={k} m={m} n={n}"
     );
     if integrity && n > 0 {
         // Tamper `taint` distinct positions of one worker's output: the
@@ -176,7 +176,7 @@ fn assert_decode_forward_matches(seed: u64, k: usize, m: usize, integrity: bool,
     }
 }
 
-/// decode_backward ≡ the γ-weighted sum.
+/// decode_backward_ws ≡ the γ-weighted sum.
 fn assert_decode_backward_matches(seed: u64, k: usize, m: usize, integrity: bool, n: usize) {
     let (scheme, mut r) = scheme_for(seed, k, m, integrity);
     let s_sq = k + m;
@@ -188,7 +188,6 @@ fn assert_decode_backward_matches(seed: u64, k: usize, m: usize, integrity: bool
             *o += gamma[j] * v;
         }
     }
-    assert_eq!(scheme.decode_backward(&eqs), want, "decode_backward at k={k} m={m} n={n}");
     let mut ws = poisoned_ws(k, m, integrity, n);
     assert_eq!(
         scheme.decode_backward_ws(&eqs, &mut ws),
@@ -233,5 +232,6 @@ fn streamed_scheme_is_bit_identical_to_definition() {
     let inputs = gen_rows(&mut r, 3, n);
     let noise = gen_rows(&mut r, 2, n);
     let encodings = scheme.encode(&inputs, &noise);
-    assert_eq!(scheme.decode_forward(&encodings, 0).expect("honest encodings decode"), inputs);
+    let decoded = scheme.decode_forward_ws(&encodings, 0, &mut Workspace::new());
+    assert_eq!(decoded.expect("honest encodings decode"), inputs);
 }

@@ -8,6 +8,7 @@
 
 use dk_core::scheme::EncodingScheme;
 use dk_field::{F25, FieldRng, P25};
+use dk_linalg::Workspace;
 
 #[test]
 fn threaded_encode_decode_bit_identical_to_serial() {
@@ -19,13 +20,14 @@ fn threaded_encode_decode_bit_identical_to_serial() {
     let inputs: Vec<Vec<F25>> = (0..k).map(|_| r.uniform_vec::<P25>(n)).collect();
     let noise: Vec<Vec<F25>> = (0..m).map(|_| r.uniform_vec::<P25>(n)).collect();
     let enc_serial = scheme.encode(&inputs, &noise);
-    let dec_serial = scheme.decode_forward(&enc_serial, 0).unwrap();
+    let dec_serial = scheme.decode_forward_ws(&enc_serial, 0, &mut Workspace::new()).unwrap();
     std::thread::scope(|s| {
         let handles: Vec<_> = (0..4)
             .map(|_| {
                 s.spawn(|| {
-                    let enc = scheme.encode(&inputs, &noise);
-                    let dec = scheme.decode_forward(&enc, 0).unwrap();
+                    let mut ws = Workspace::new();
+                    let enc = scheme.encode_ws(&inputs, &noise, &mut ws);
+                    let dec = scheme.decode_forward_ws(&enc, 0, &mut ws).unwrap();
                     (enc, dec)
                 })
             })

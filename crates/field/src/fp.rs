@@ -1,17 +1,16 @@
 //! Constant-modulus prime-field scalars.
 //!
 //! [`Fp<P>`] stores a canonical representative in `[0, P)` as a `u64`.
-//! Any modulus below `2^64` is supported, and the reduction strategy is
-//! chosen per modulus at compile time: Barrett reduction (multiply +
-//! shift, no hardware division) for `P < 2^32`, shift-add folding for
-//! the Mersenne prime `2^61 − 1`, and a generic `u128 %` fallback
-//! otherwise. DarKnight uses two concrete fields:
+//! The modulus is bounded once, at compile time: `P < 2^31`. Under that
+//! bound a product of two canonical elements plus a third fits a `u64`,
+//! so every multiply reduces with one Barrett step (multiply + shift, no
+//! hardware division), and every value and centered lift fits the 32-bit
+//! lanes the quantize, dequantize and wire passes compute in. DarKnight
+//! computes in one field:
 //!
 //! * [`F25`] with `p = 2^25 − 39 = 33_554_393` — the paper's data-plane
 //!   prime (§5: "the largest prime with 25 bits"), chosen so that products
 //!   of two canonical elements fit comfortably in accelerator arithmetic.
-//! * [`F61`] with `p = 2^61 − 1` (Mersenne) — used by the TEE simulator for
-//!   its polynomial MAC and toy key exchange.
 
 use std::fmt;
 use std::iter::{Product, Sum};
@@ -20,14 +19,14 @@ use std::ops::{Add, AddAssign, Div, DivAssign, Mul, MulAssign, Neg, Sub, SubAssi
 /// The DarKnight data-plane prime `2^25 − 39`, the largest 25-bit prime.
 pub const P25: u64 = (1 << 25) - 39;
 
-/// The Mersenne prime `2^61 − 1` used for MAC/key-exchange simulation.
-pub const P61: u64 = (1 << 61) - 1;
-
 /// An element of the prime field `F_P`, stored canonically in `[0, P)`.
 ///
-/// All arithmetic is implemented with `u128` intermediates so it is exact
-/// for any prime modulus `P < 2^64`. The type is `Copy` and 8 bytes, so
-/// large tensors of field elements are cache-friendly.
+/// The type is `Copy` and 8 bytes. `P` must be below `2^31`; a larger
+/// modulus is refused where the type is first used:
+///
+/// ```compile_fail,E0080
+/// let _ = dk_field::Fp::<{ 1 << 31 }>::new(1);
+/// ```
 ///
 /// # Example
 ///
@@ -45,80 +44,39 @@ pub struct Fp<const P: u64>(u64);
 /// DarKnight's data-plane field (`p = 2^25 − 39`).
 pub type F25 = Fp<P25>;
 
-/// The MAC-plane field (`p = 2^61 − 1`).
-pub type F61 = Fp<P61>;
-
 impl<const P: u64> Fp<P> {
+    /// The modulus bound, evaluated wherever an element is made.
+    const BOUND: () = assert!(P < 1 << 31, "Fp needs a modulus below 2^31");
+
     /// The additive identity.
-    pub const ZERO: Self = Fp(0);
+    pub const ZERO: Self = {
+        let () = Self::BOUND;
+        Fp(0)
+    };
     /// The multiplicative identity.
-    pub const ONE: Self = Fp(1);
+    pub const ONE: Self = {
+        let () = Self::BOUND;
+        Fp(1)
+    };
     /// The field modulus.
     pub const MODULUS: u64 = P;
 
-    /// Whether `P` is the Mersenne prime `2^61 − 1`, which reduces with
-    /// shift-and-add instead of division.
-    const IS_MERSENNE_61: bool = P == P61;
-    /// Whether `P < 2^32`, so products of canonical elements fit in a
-    /// `u64` and Barrett reduction applies to full-width `u64` values.
-    const FITS_BARRETT_U64: bool = P < (1 << 32);
-    /// Barrett reciprocal `⌊2^64 / P⌋` (used when `P < 2^32`).
+    /// Barrett reciprocal `⌊2^64 / P⌋`.
     const BARRETT_MU: u64 = ((1u128 << 64) / P as u128) as u64;
 
-    /// Reduces an arbitrary `u64` modulo `P` without a hardware division
-    /// when the modulus allows it.
-    ///
-    /// * `P < 2^32`: Barrett reduction — one widening multiply, one
-    ///   shift, one multiply-subtract and a conditional subtract.
-    /// * `P = 2^61 − 1`: Mersenne shift-add folding.
-    /// * otherwise: the generic `%` fallback.
-    ///
-    /// The branch on the modulus class is resolved at compile time, so
-    /// each instantiation contains exactly one reduction strategy.
+    /// Reduces an arbitrary `u64` modulo `P` by Barrett reduction: one
+    /// widening multiply, one shift, one multiply-subtract and a
+    /// conditional subtract.
     #[inline]
     pub fn reduce_u64(x: u64) -> Self {
-        if Self::FITS_BARRETT_U64 {
-            // q = ⌊x·µ / 2^64⌋ ∈ {⌊x/P⌋ − 1, ⌊x/P⌋}, so x − q·P ∈ [0, 2P).
-            let q = ((x as u128 * Self::BARRETT_MU as u128) >> 64) as u64;
-            let mut r = x - q * P;
-            if r >= P {
-                r -= P;
-            }
-            Fp(r)
-        } else if Self::IS_MERSENNE_61 {
-            let mut v = (x & P61) + (x >> 61);
-            if v >= P {
-                v -= P;
-            }
-            Fp(v)
-        } else {
-            Fp(x % P)
+        let () = Self::BOUND;
+        // q = ⌊x·µ / 2^64⌋ ∈ {⌊x/P⌋ − 1, ⌊x/P⌋}, so x − q·P ∈ [0, 2P).
+        let q = ((x as u128 * Self::BARRETT_MU as u128) >> 64) as u64;
+        let mut r = x - q * P;
+        if r >= P {
+            r -= P;
         }
-    }
-
-    /// Reduces an arbitrary `u128` modulo `P`.
-    ///
-    /// For the Mersenne modulus this is pure shift-add folding; for
-    /// Barrett moduli values below `2^64` take the fast `u64` path and
-    /// only genuinely 128-bit values pay for a wide division.
-    #[inline]
-    pub fn reduce_u128(x: u128) -> Self {
-        if Self::IS_MERSENNE_61 {
-            let mask = P61 as u128;
-            let mut v = (x & mask) + (x >> 61);
-            while v >> 61 != 0 {
-                v = (v & mask) + (v >> 61);
-            }
-            let mut r = v as u64;
-            if r >= P {
-                r -= P;
-            }
-            Fp(r)
-        } else if x >> 64 == 0 {
-            Self::reduce_u64(x as u64)
-        } else {
-            Fp((x % P as u128) as u64)
-        }
+        Fp(r)
     }
 
     /// Creates a field element, reducing `v` modulo `P`.
@@ -134,6 +92,7 @@ impl<const P: u64> Fp<P> {
     /// Panics in debug builds if `v >= P`.
     #[inline]
     pub fn from_canonical(v: u64) -> Self {
+        let () = Self::BOUND;
         debug_assert!(v < P, "non-canonical representative {v} for modulus {P}");
         Fp(v)
     }
@@ -143,14 +102,8 @@ impl<const P: u64> Fp<P> {
     /// This is the `Field` procedure of Algorithm 1 in the paper.
     #[inline]
     pub fn from_i64(v: i64) -> Self {
+        let () = Self::BOUND;
         let m = v.rem_euclid(P as i64);
-        Fp(m as u64)
-    }
-
-    /// Maps a signed 128-bit integer into the field.
-    #[inline]
-    pub fn from_i128(v: i128) -> Self {
-        let m = v.rem_euclid(P as i128);
         Fp(m as u64)
     }
 
@@ -206,15 +159,10 @@ impl<const P: u64> Fp<P> {
         }
     }
 
-    /// Computes `a*b + c` with a single reduction.
+    /// Computes `a*b + c` with a single reduction: `a·b + c < 2^63`.
     #[inline]
     pub fn mul_add(a: Self, b: Self, c: Self) -> Self {
-        if Self::FITS_BARRETT_U64 {
-            // a·b ≤ (2^32−1)^2 and c < 2^32, so the sum fits in a u64.
-            Self::reduce_u64(a.0 * b.0 + c.0)
-        } else {
-            Self::reduce_u128(a.0 as u128 * b.0 as u128 + c.0 as u128)
-        }
+        Self::reduce_u64(a.0 * b.0 + c.0)
     }
 
     /// Batch inversion (Montgomery's trick): inverts every nonzero element
@@ -246,6 +194,9 @@ impl<const P: u64> Fp<P> {
             prefix.push(acc);
             acc *= x;
         }
+        // The assert above admits only nonzero factors, and a product of
+        // nonzero elements of a prime field is nonzero: `inv` is `Some`.
+        #[allow(clippy::expect_used)]
         let mut inv_acc = acc.inv().expect("product of nonzeros is nonzero");
         for i in (0..xs.len()).rev() {
             let orig = xs[i];
@@ -309,13 +260,9 @@ impl<const P: u64> Mul for Fp<P> {
     type Output = Self;
     #[inline]
     fn mul(self, rhs: Self) -> Self {
-        if Self::FITS_BARRETT_U64 {
-            // Both operands are canonical (< 2^32), so the product fits
-            // in a u64 and Barrett reduction avoids any division.
-            Self::reduce_u64(self.0 * rhs.0)
-        } else {
-            Self::reduce_u128(self.0 as u128 * rhs.0 as u128)
-        }
+        // Both operands are canonical (< 2^31), so the product fits a
+        // u64 and Barrett reduction avoids any division.
+        Self::reduce_u64(self.0 * rhs.0)
     }
 }
 
@@ -332,8 +279,10 @@ impl<const P: u64> Div for Fp<P> {
     ///
     /// Panics on division by zero.
     #[inline]
-    // Field division IS multiplication by the inverse.
-    #[allow(clippy::suspicious_arithmetic_impl)]
+    // Field division IS multiplication by the inverse. Zero has none, and
+    // `Div` has no way to say so but to panic: the documented contract,
+    // as for integer division. Fallible callers use `inv`.
+    #[allow(clippy::suspicious_arithmetic_impl, clippy::expect_used)]
     fn div(self, rhs: Self) -> Self {
         self * rhs.inv().expect("division by zero field element")
     }
@@ -395,7 +344,6 @@ mod tests {
     #[test]
     fn modulus_is_prime_sized() {
         assert_eq!(P25, 33_554_393);
-        assert_eq!(P61, 2_305_843_009_213_693_951);
     }
 
     #[test]
@@ -431,12 +379,6 @@ mod tests {
             assert_eq!(x * x.inv().unwrap(), F25::ONE, "v={v}");
         }
         assert!(F25::ZERO.inv().is_none());
-    }
-
-    #[test]
-    fn inverse_in_f61() {
-        let x = F61::new(1_234_567_890_123);
-        assert_eq!(x * x.inv().unwrap(), F61::ONE);
     }
 
     #[test]
@@ -510,7 +452,6 @@ mod tests {
     fn send_sync() {
         fn assert_send_sync<T: Send + Sync>() {}
         assert_send_sync::<F25>();
-        assert_send_sync::<F61>();
     }
 
     #[test]
@@ -529,26 +470,14 @@ mod tests {
     }
 
     #[test]
-    fn mersenne_reduce_matches_modulo() {
-        let mut xs = vec![0u128, 1, P61 as u128, P61 as u128 + 1, (1u128 << 61), u128::MAX, u64::MAX as u128];
-        let mut x = 0x9E37_79B9_7F4A_7C15u64;
-        for _ in 0..10_000 {
-            x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-            xs.push(x as u128 * x as u128);
-        }
-        for &v in &xs {
-            assert_eq!(F61::reduce_u128(v).value(), (v % P61 as u128) as u64, "v={v}");
-            assert_eq!(F61::reduce_u64(v as u64).value(), v as u64 % P61, "v={v}");
-        }
-    }
-
-    #[test]
-    fn reduce_u128_f25_matches_modulo() {
+    fn mul_add_matches_u128_reference() {
         let mut x = 0xDEAD_BEEF_CAFE_F00Du64;
         for _ in 0..10_000 {
             x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-            let wide = x as u128 * x.rotate_left(17) as u128;
-            assert_eq!(F25::reduce_u128(wide).value(), (wide % P25 as u128) as u64);
+            let (a, b, c) = (x % P25, x.rotate_left(17) % P25, x.rotate_left(41) % P25);
+            let want = ((a as u128 * b as u128 + c as u128) % P25 as u128) as u64;
+            let [a, b, c] = [a, b, c].map(F25::from_canonical);
+            assert_eq!(F25::mul_add(a, b, c).value(), want);
         }
     }
 
@@ -559,12 +488,6 @@ mod tests {
             for b in (P25 - 50)..P25 {
                 let expect = (a as u128 * b as u128 % P25 as u128) as u64;
                 assert_eq!((F25::from_canonical(a) * F25::from_canonical(b)).value(), expect);
-            }
-        }
-        for a in (P61 - 20)..P61 {
-            for b in (P61 - 20)..P61 {
-                let expect = (a as u128 * b as u128 % P61 as u128) as u64;
-                assert_eq!((F61::from_canonical(a) * F61::from_canonical(b)).value(), expect);
             }
         }
     }

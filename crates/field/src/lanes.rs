@@ -7,15 +7,12 @@
 //! enclave become field elements, so it checks every lane but does not
 //! stop at a bad one: it keeps one "≥ p" flag over the whole slice,
 //! writes zero in place of any lane that fails, and only when the flag
-//! is set scans the bytes again to name the first bad value.
+//! is set scans the bytes again to name the first bad value. A
+//! canonical value fits its lane because every [`Fp`] modulus is below
+//! `2^31`.
 
 use crate::fp::Fp;
 use crate::tier::{Body, Tier, Width};
-
-/// The bound the lane forms need: every canonical value fits a `u32`.
-const fn assert_fits_lanes<const P: u64>() {
-    assert!(P < 1 << 32, "the wire form keeps field values in 32-bit lanes");
-}
 
 /// Appends `vals` to `out`, four little-endian bytes per value.
 pub fn pack_lanes<const P: u64>(vals: &[Fp<P>], out: &mut Vec<u8>) {
@@ -63,7 +60,6 @@ impl<const P: u64> Body for Pack<'_, P> {
 
     #[inline(always)]
     fn run<W: Width>(self, _: W) {
-        const { assert_fits_lanes::<P>() };
         for (lane, v) in self.out.as_chunks_mut::<4>().0.iter_mut().zip(self.vals) {
             *lane = (v.value() as u32).to_le_bytes();
         }
@@ -81,7 +77,6 @@ impl<const P: u64> Body for Unpack<'_, P> {
 
     #[inline(always)]
     fn run<W: Width>(self, _: W) -> bool {
-        const { assert_fits_lanes::<P>() };
         let mut over = 0u32;
         self.out.extend(self.lanes.iter().map(|&lane| {
             let raw = u32::from_le_bytes(lane);

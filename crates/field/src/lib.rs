@@ -4,9 +4,9 @@
 //! finite field `F_p` with `p = 2^25 − 39`, the largest 25-bit prime. This
 //! crate provides:
 //!
-//! * [`Fp`] — a constant-modulus prime-field scalar with full arithmetic,
-//!   and the two concrete fields used by the framework:
-//!   [`F25`] (data plane, the paper's prime) and [`F61`] (MAC plane).
+//! * [`Fp`] — a constant-modulus prime-field scalar with full arithmetic
+//!   (modulus below `2^31`, checked at compile time), and [`F25`], the
+//!   paper's prime and the one field the framework computes in.
 //! * [`FieldMatrix`] — dense matrices over `F_p` with multiplication,
 //!   Gauss–Jordan inversion, rank, and submatrix extraction.
 //! * [`vandermonde`] — Vandermonde/MDS coefficient generators used to build
@@ -34,6 +34,7 @@
 //! ```
 
 #![warn(clippy::undocumented_unsafe_blocks)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod fp;
 pub mod lanes;
@@ -43,7 +44,7 @@ pub mod rng;
 pub mod tier;
 pub mod vandermonde;
 
-pub use fp::{Fp, F25, F61, P25, P61};
+pub use fp::{Fp, F25, P25};
 pub use lanes::{pack_lanes, unpack_lanes};
 pub use matrix::FieldMatrix;
 pub use quant::{QuantConfig, QuantError};

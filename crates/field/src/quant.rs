@@ -5,7 +5,7 @@
 //!
 //! * inputs and weights are scaled by `2^l` and rounded
 //!   (`X_q = Field(Round(X · 2^l))`),
-//! * biases are scaled by `2^{2l}` so they align with the product scale,
+//! * biases stay in floats: the TEE adds them after dequantization,
 //! * after the linear operation the TEE applies the *centered lift*
 //!   (values above `p/2` become negative) and rescales:
 //!   `Y = Round(Y_q · 2^{-l}) · 2^{-l}`.
@@ -43,9 +43,9 @@
 //!   through the single-value function, which stops at the offending
 //!   element with the exact [`QuantError`] — so `out` holds exactly the
 //!   elements before it, as the contract always was.
-//! * The slice forms assert once, at compile time, that `p < 2^31`
-//!   (values and their centered lifts fit 32-bit lanes); [`crate::P61`]
-//!   has no slice caller.
+//! * Field values and their centered lifts fit the bodies' 32-bit lanes
+//!   because every [`Fp`] modulus is below `2^31`, a bound `Fp` checks
+//!   at compile time.
 
 use crate::fp::Fp;
 use crate::tier::{Body, Tier, Width};
@@ -59,13 +59,6 @@ const CHUNK: usize = 256;
 /// that double rounded to the nearest integer (ties to even) in the low
 /// mantissa bits of the sum, in two's complement.
 const ROUND_MAGIC: f64 = 6_755_399_441_055_744.0;
-
-/// The slice forms' bound on the modulus, checked where each is
-/// instantiated: field values and their centered lifts must fit the
-/// 32-bit lanes the bodies compute in.
-const fn assert_fits_32_bit_lanes<const P: u64>() {
-    assert!(P < 1 << 31, "the slice forms keep field values in 32-bit lanes");
-}
 
 /// `⌊y⌋` for `|y| < 2^51`, with no `floor` call: round to nearest
 /// through [`ROUND_MAGIC`], then step down where that rounded up.
@@ -179,15 +172,6 @@ impl QuantConfig {
     #[inline]
     pub fn quantize<const P: u64>(self, v: f64) -> Result<Fp<P>, QuantError> {
         Self::quantize_scaled(v, self.scale())
-    }
-
-    /// Quantizes a bias value at product scale: `Field(Round(v · 2^{2l}))`.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`QuantConfig::quantize`].
-    pub fn quantize_bias<const P: u64>(self, v: f64) -> Result<Fp<P>, QuantError> {
-        Self::quantize_scaled(v, self.scale() * self.scale())
     }
 
     /// Quantizes a slice of inputs/weights.
@@ -387,7 +371,6 @@ impl<const P: u64> Body for QuantizeChunks<'_, P> {
 
     #[inline(always)]
     fn run<W: Width>(self, _: W) -> usize {
-        const { assert_fits_32_bit_lanes::<P>() };
         let Self { vs, pre, scale, out } = self;
         let half = (P / 2) as f64;
         // Clamp bound: one past the range on either side, so a clamped
@@ -432,7 +415,6 @@ impl<const P: u64> Body for Dequantize<'_, P> {
 
     #[inline(always)]
     fn run<W: Width>(self, _: W) {
-        const { assert_fits_32_bit_lanes::<P>() };
         let Self { ys, unscale, post, out } = self;
         for (dst, y) in out.iter_mut().zip(ys) {
             let v = y.value() as i32;
@@ -467,13 +449,6 @@ mod tests {
             let back = q.dequantize_input(x);
             assert!((back - v).abs() <= q.unit_error() + 1e-12, "v={v} back={back}");
         }
-    }
-
-    #[test]
-    fn bias_uses_product_scale() {
-        let q = QuantConfig::new(8);
-        let b = q.quantize_bias::<P25>(0.5).unwrap();
-        assert_eq!(b.to_centered_i64(), (0.5 * 65536.0) as i64);
     }
 
     #[test]

@@ -84,12 +84,16 @@ impl FieldRng {
 
     /// Samples a uniformly random element of `F_P` (rejection sampling).
     pub fn uniform<const P: u64>(&mut self) -> Fp<P> {
-        // Rejection zone: the largest multiple of P below 2^64.
-        let zone = u64::MAX - u64::MAX % P;
+        self.uniform_below(rejection_zone::<P>())
+    }
+
+    /// [`FieldRng::uniform`] with the rejection zone given: the first
+    /// draw below `zone`, reduced.
+    fn uniform_below<const P: u64>(&mut self, zone: u64) -> Fp<P> {
         loop {
             let v = self.inner.next_u64();
             if v < zone {
-                return Fp::new(v % P);
+                return Fp::new(v);
             }
         }
     }
@@ -116,13 +120,20 @@ impl FieldRng {
     /// module docs) and without an allocation when `out` has the room
     /// (hot paths pass workspace-recycled buffers).
     pub fn uniform_extend<const P: u64>(&mut self, n: usize, out: &mut Vec<Fp<P>>) {
-        self.uniform_extend_on(Tier::best(), n, out);
+        self.uniform_extend_on(Tier::best(), rejection_zone::<P>(), n, out);
     }
 
-    /// [`FieldRng::uniform_extend`] on a given tier.
-    fn uniform_extend_on<const P: u64>(&mut self, tier: Tier, n: usize, out: &mut Vec<Fp<P>>) {
+    /// [`FieldRng::uniform_extend`] on a given tier, with the rejection
+    /// zone given.
+    fn uniform_extend_on<const P: u64>(
+        &mut self,
+        tier: Tier,
+        zone: u64,
+        n: usize,
+        out: &mut Vec<Fp<P>>,
+    ) {
         out.reserve(n);
-        tier.run(UniformExtend { rng: &mut self.inner, n, out });
+        tier.run(UniformExtend { rng: &mut self.inner, zone, n, out });
     }
 
     /// Samples a uniform `f32` in `[lo, hi)`; used for float-domain
@@ -149,12 +160,20 @@ impl FieldRng {
     }
 }
 
+/// The rejection zone of `F_P`, shared by [`FieldRng::uniform`] and
+/// [`UniformExtend`]: the largest multiple of `P` below `2^64`. A draw at
+/// or above it is replaced by the next one.
+const fn rejection_zone<const P: u64>() -> u64 {
+    u64::MAX - u64::MAX % P
+}
+
 /// `u64`s drawn per pass of [`UniformExtend`]: four wide refills.
 const DRAWS: usize = 256;
 
-/// The bulk draw: `n` accepted values appended to `out`.
+/// The bulk draw: `n` values below `zone` appended to `out`.
 struct UniformExtend<'a, const P: u64> {
     rng: &'a mut ChaCha12Rng,
+    zone: u64,
     n: usize,
     out: &'a mut Vec<Fp<P>>,
 }
@@ -164,9 +183,7 @@ impl<const P: u64> Body for UniformExtend<'_, P> {
 
     #[inline(always)]
     fn run<W: Width>(self, _: W) {
-        let Self { rng, n, out } = self;
-        // Rejection zone: the largest multiple of P below 2^64.
-        let zone = u64::MAX - u64::MAX % P;
+        let Self { rng, zone, n, out } = self;
         let target = out.len() + n;
         let mut draws = [0u64; DRAWS];
         while out.len() < target {
@@ -282,12 +299,19 @@ mod tests {
         rng
     }
 
-    /// `uniform_extend(n)` against `n` calls of `uniform`, from one
-    /// position, then the two generators against each other.
-    fn check_bulk<const P: u64>(tier: Tier, bulk: &mut FieldRng, single: &mut FieldRng, n: usize) {
+    /// `uniform_extend(n)` against `n` calls of `uniform`, both with the
+    /// rejection zone `zone`, from one position, then the two generators
+    /// against each other.
+    fn check_bulk<const P: u64>(
+        tier: Tier,
+        zone: u64,
+        bulk: &mut FieldRng,
+        single: &mut FieldRng,
+        n: usize,
+    ) {
         let mut got = vec![Fp::<P>::ONE; 2];
-        bulk.uniform_extend_on(tier, n, &mut got);
-        let want: Vec<Fp<P>> = (0..n).map(|_| single.uniform()).collect();
+        bulk.uniform_extend_on(tier, zone, n, &mut got);
+        let want: Vec<Fp<P>> = (0..n).map(|_| single.uniform_below(zone)).collect();
         assert_eq!(got[2..], want[..], "{tier:?} n={n}: appended values");
         assert_eq!(got[..2], [Fp::ONE; 2], "{tier:?} n={n}: what `out` held stays");
         assert_eq!(bulk.next_u64(), single.next_u64(), "{tier:?} n={n}: position");
@@ -304,25 +328,37 @@ mod tests {
         // and one pass of the body (256).
         let lens =
             [0, 1, 2, 7, 8, 9, 15, 63, 64, 65, 71, 72, 127, 128, 129, 255, 256, 257, 321, 1037];
+        // F25's own zone, where a draw is rejected with probability under
+        // `2^-38`, and one that rejects about half the draws, so that the
+        // replacement path runs: a rejected value is replaced by a further
+        // draw, and the stream still ends where `n` single draws end it.
+        // (That zone is no multiple of `P`: the path is under test here,
+        // not uniformity.)
+        let zones = [rejection_zone::<P25>(), u64::MAX / 2];
         for tier in Tier::offered() {
-            for (skip_u64, skip_u32) in [(0, 0), (3, 0), (8, 0), (5, 1), (7, 1), (0, 3), (64, 15)] {
-                for &n in &lens {
-                    let mut bulk = at_position(n as u64, skip_u64, skip_u32);
-                    let mut single = bulk.clone();
-                    check_bulk::<P25>(tier, &mut bulk, &mut single, n);
-                    // And again from wherever that left them, interleaved
-                    // with a 32-bit draw.
-                    assert_eq!(bulk.uniform_f32(0.0, 1.0), single.uniform_f32(0.0, 1.0));
-                    check_bulk::<P25>(tier, &mut bulk, &mut single, 200 - n.min(100));
+            for zone in zones {
+                for (skip_u64, skip_u32) in
+                    [(0, 0), (3, 0), (8, 0), (5, 1), (7, 1), (0, 3), (64, 15)]
+                {
+                    for &n in &lens {
+                        let mut bulk = at_position(n as u64, skip_u64, skip_u32);
+                        let mut single = bulk.clone();
+                        check_bulk::<P25>(tier, zone, &mut bulk, &mut single, n);
+                        // And again from wherever that left them,
+                        // interleaved with a 32-bit draw.
+                        assert_eq!(bulk.uniform_f32(0.0, 1.0), single.uniform_f32(0.0, 1.0));
+                        check_bulk::<P25>(tier, zone, &mut bulk, &mut single, 200 - n.min(100));
+                    }
                 }
             }
-            // A modulus that rejects almost half of all draws: the bulk
-            // path must replace each rejected value exactly as `uniform`
-            // does, and stop on the same word.
+            // The largest modulus `Fp` admits, `2^31 − 1`: other Barrett
+            // constants, the same stream.
+            const P31: u64 = (1 << 31) - 1;
             let mut bulk = FieldRng::seed_from(77);
             let mut single = bulk.clone();
             for n in [1, 64, 300, 1000] {
-                check_bulk::<{ (1 << 63) + 29 }>(tier, &mut bulk, &mut single, n);
+                check_bulk::<P31>(tier, rejection_zone::<P31>(), &mut bulk, &mut single, n);
+                check_bulk::<P31>(tier, u64::MAX / 2, &mut bulk, &mut single, n);
             }
         }
     }

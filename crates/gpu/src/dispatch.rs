@@ -41,8 +41,9 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-/// Identifies the virtual batch a submission belongs to (tracing and
-/// bookkeeping; uniqueness is the submitter's concern).
+/// Identifies the virtual batch a submission belongs to, for the
+/// submitter's own bookkeeping: the dispatcher keeps no record of it
+/// (a [`Ticket`] redeems its own slots, in worker order).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct BatchTag(pub u64);
 
@@ -65,16 +66,10 @@ struct ReplySlot {
 /// [`GpuDispatcher::complete`].
 #[derive(Debug)]
 pub struct Ticket {
-    tag: BatchTag,
     slots: Vec<ReplySlot>,
 }
 
 impl Ticket {
-    /// The tag this submission was made under.
-    pub fn tag(&self) -> BatchTag {
-        self.tag
-    }
-
     /// Number of jobs in flight under this ticket.
     pub fn len(&self) -> usize {
         self.slots.len()
@@ -233,29 +228,25 @@ impl GpuDispatcher {
     ///
     /// [`GpuError::Oversubscribed`] if more jobs than workers are
     /// supplied.
-    pub fn submit(&self, tag: BatchTag, jobs: Vec<LinearJob>) -> Result<Ticket, GpuError> {
+    pub fn submit(&self, _tag: BatchTag, jobs: Vec<LinearJob>) -> Result<Ticket, GpuError> {
         if jobs.len() > self.senders.len() {
             return Err(GpuError::Oversubscribed { jobs: jobs.len(), workers: self.senders.len() });
         }
-        Ok(self.submit_slots(tag, jobs.into_iter().enumerate().map(|(i, j)| (WorkerId(i), Some(j)))))
+        Ok(self.submit_slots(jobs.into_iter().enumerate().map(|(i, j)| (WorkerId(i), Some(j)))))
     }
 
     /// The one submission path: each slot names its worker, and a worker
     /// named twice runs its slots in order (per-worker FIFO). A `None`
     /// slot is withheld — nothing is sent and the slot redeems as
     /// [`GpuError::Withheld`]. Every slot is queued before this returns.
-    fn submit_slots(
-        &self,
-        tag: BatchTag,
-        slots: impl Iterator<Item = (WorkerId, Option<LinearJob>)>,
-    ) -> Ticket {
+    fn submit_slots(&self, slots: impl Iterator<Item = (WorkerId, Option<LinearJob>)>) -> Ticket {
         let slots = slots
             .map(|(worker, job)| match job {
                 Some(job) => self.submit_on(worker, job).slot,
                 None => ReplySlot { worker, rx: Err(GpuError::Withheld { worker }) },
             })
             .collect();
-        Ticket { tag, slots }
+        Ticket { slots }
     }
 
     fn redeem(&self, slot: ReplySlot) -> WorkerResult {
@@ -410,11 +401,6 @@ impl DispatchClient {
     pub fn new(inner: Arc<GpuDispatcher>) -> Self {
         Self { inner }
     }
-
-    /// The underlying dispatcher.
-    pub fn dispatcher(&self) -> &Arc<GpuDispatcher> {
-        &self.inner
-    }
 }
 
 impl GpuExec for DispatchClient {
@@ -442,7 +428,7 @@ impl GpuExec for DispatchClient {
     /// is awaited.
     fn execute_round_into(
         &mut self,
-        tag: u64,
+        _tag: u64,
         jobs: &[LinearJob],
         withheld: &[WorkerId],
         extra: &[(WorkerId, &LinearJob)],
@@ -456,7 +442,7 @@ impl GpuExec for DispatchClient {
             (worker, (!withheld.contains(&worker)).then(|| job.clone()))
         });
         let addressed = extra.iter().map(|&(w, job)| (w, Some(job.clone())));
-        let ticket = self.inner.submit_slots(BatchTag(tag), positional.chain(addressed));
+        let ticket = self.inner.submit_slots(positional.chain(addressed));
         self.inner.complete_into(ticket, out);
         Ok(())
     }

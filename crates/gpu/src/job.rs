@@ -253,8 +253,10 @@ pub(crate) fn dense_weight_grad(delta: &Tensor<F25>, x: &Tensor<F25>, ws: &mut W
 pub type JobOutput = Tensor<F25>;
 
 impl LinearJob {
-    /// Executes the job honestly (the math a real GPU would run).
-    /// Allocating wrapper over [`LinearJob::execute_ws`].
+    /// Executes the job honestly (the math a real GPU would run) on a
+    /// fresh workspace: [`LinearJob::execute_ws`] for one-off callers.
+    /// The end-to-end benchmark and the Slalom baseline's
+    /// precomputation call it; workers run `execute_ws`.
     ///
     /// # Panics
     ///
@@ -411,7 +413,8 @@ mod tests {
         let w = Arc::new(tensor(&shape.weight_shape(), |i| F25::new(i as u64 % 9)));
         let x = tensor(&[1, 2, 4, 4], |i| F25::new((i * 3) as u64 % 17));
         let job = LinearJob::ConvForward { weights: w.clone(), x: x.clone(), shape };
-        assert_eq!(job.execute(), dk_linalg::conv::conv2d_forward(&x, &w, &shape));
+        let want = conv2d_forward_ws(&x, &w, &shape, &mut Workspace::new());
+        assert_eq!(job.execute(), want);
     }
 
     #[test]

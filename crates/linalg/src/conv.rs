@@ -16,11 +16,12 @@
 //!   of `cols(x)` at a time, gathered straight from the NCHW image (row
 //!   copies, clipped at the padding; any stride, padding, grouping,
 //!   depthwise, 1×1) into an L1-resident panel over which all `oc/g`
-//!   filter rows run before the next strip is touched. The kernel runs
-//!   in write mode, so the output tensor is taken from the workspace
-//!   uncleared. Each output element is the reference recurrence over
-//!   ascending `(ci, ki, kj)`, so results are bit-identical to
-//!   im2col-then-[`crate::reference::naive_matmul`] in every domain.
+//!   filter rows run before the next strip is touched. The kernel
+//!   overwrites its output, so the output tensor is taken from the
+//!   workspace uncleared. Each output element is the reference
+//!   recurrence over ascending `(ci, ki, kj)`, so results are
+//!   bit-identical to im2col-then-[`crate::reference::naive_matmul`] in
+//!   both domains.
 //! * **input gradient** — `dcols = Wᵀ · dy` ([`matmul_at_b_into`], the
 //!   same strip kernel reading `W` transposed in place), scatter-added
 //!   into the image by [`col2im_acc_into`].
@@ -132,9 +133,9 @@ impl Conv2dShape {
 }
 
 /// Forward convolution `y = W ∗ x` (no bias; bias lives in the layer),
-/// with the output tensor drawn from `ws` — the allocation-free hot
-/// path (give the returned tensor back to the workspace when done with
-/// it). See the module docs for the kernel.
+/// with the output tensor drawn from `ws`, so a warm caller allocates
+/// nothing (give the returned tensor back to the workspace when done
+/// with it). See the module docs for the kernel.
 ///
 /// `x: [n, ic, h, w]`, `w: [oc, ic/g, kh, kw]` → `y: [n, oc, oh, ow]`.
 ///
@@ -156,7 +157,7 @@ pub fn conv2d_forward_ws<T: Scalar>(
     let krows = cgi * s.kernel.0 * s.kernel.1;
     let ocols = oh * ow;
     let win = Window::new(hw, s.kernel, s.stride, s.padding);
-    // Every output element is stored by the write-mode kernel.
+    // Every output element is stored by the kernel.
     let mut y = ws.take_tensor_dirty(&[n, s.out_channels, oh, ow]);
     let mut panel = Panel::new();
     for ni in 0..n {
@@ -169,19 +170,10 @@ pub fn conv2d_forward_ws<T: Scalar>(
             // yg[cgo x ocols] = wg[cgo x krows] · cols(xg)[krows x ocols],
             // the column matrix packed one panel block at a time.
             let fill = |p0, j0, rows: &mut [T]| win.fill_panel(xg, p0, j0, rows);
-            gemm_packed(wg, (krows, 1), yg, (cgo, krows, ocols), true, &mut panel, &fill);
+            gemm_packed(wg, (krows, 1), yg, (cgo, krows, ocols), &mut panel, &fill);
         }
     }
     y
-}
-
-/// Forward convolution, allocating wrapper over [`conv2d_forward_ws`].
-///
-/// # Panics
-///
-/// Panics on any shape inconsistency.
-pub fn conv2d_forward<T: Scalar>(x: &Tensor<T>, w: &Tensor<T>, s: &Conv2dShape) -> Tensor<T> {
-    conv2d_forward_ws(x, w, s, &mut Workspace::new())
 }
 
 /// Convolution input gradient: `dx = Wᵀ ⊛ dy`.
@@ -227,21 +219,6 @@ pub fn conv2d_backward_input_ws<T: Scalar>(
     }
     ws.give(dcol);
     dx
-}
-
-/// Convolution input gradient, allocating wrapper over
-/// [`conv2d_backward_input_ws`].
-///
-/// # Panics
-///
-/// Panics on any shape inconsistency.
-pub fn conv2d_backward_input<T: Scalar>(
-    dy: &Tensor<T>,
-    w: &Tensor<T>,
-    s: &Conv2dShape,
-    hw: (usize, usize),
-) -> Tensor<T> {
-    conv2d_backward_input_ws(dy, w, s, hw, &mut Workspace::new())
 }
 
 /// Convolution weight gradient: `dW = dy ⊛ x` summed over the batch.
@@ -293,20 +270,6 @@ pub fn conv2d_backward_weight_ws<T: Scalar>(
     dw
 }
 
-/// Convolution weight gradient, allocating wrapper over
-/// [`conv2d_backward_weight_ws`].
-///
-/// # Panics
-///
-/// Panics on any shape inconsistency.
-pub fn conv2d_backward_weight<T: Scalar>(
-    dy: &Tensor<T>,
-    x: &Tensor<T>,
-    s: &Conv2dShape,
-) -> Tensor<T> {
-    conv2d_backward_weight_ws(dy, x, s, &mut Workspace::new())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -354,57 +317,69 @@ mod tests {
 
     #[test]
     fn forward_matches_reference_basic() {
+        let mut ws = Workspace::new();
         let s = Conv2dShape::simple(3, 4, 3, 1, 1);
         let x = seq_tensor(&[2, 3, 5, 5], 0.01, -0.5);
         let w = seq_tensor(&s.weight_shape(), 0.02, -0.3);
-        let y = conv2d_forward(&x, &w, &s);
+        let y = conv2d_forward_ws(&x, &w, &s, &mut ws);
         let r = conv_reference(&x, &w, &s);
         assert!(y.max_abs_diff(&r) < 1e-4, "diff={}", y.max_abs_diff(&r));
     }
 
     #[test]
     fn forward_matches_reference_strided() {
+        let mut ws = Workspace::new();
         let s = Conv2dShape::simple(2, 3, 3, 2, 1);
         let x = seq_tensor(&[1, 2, 7, 7], 0.03, -1.0);
         let w = seq_tensor(&s.weight_shape(), -0.01, 0.2);
-        assert!(conv2d_forward(&x, &w, &s).max_abs_diff(&conv_reference(&x, &w, &s)) < 1e-4);
+        assert!(
+            conv2d_forward_ws(&x, &w, &s, &mut ws).max_abs_diff(&conv_reference(&x, &w, &s)) < 1e-4
+        );
     }
 
     #[test]
     fn forward_matches_reference_depthwise() {
+        let mut ws = Workspace::new();
         let s = Conv2dShape::depthwise(4, 3, 1, 1);
         let x = seq_tensor(&[2, 4, 6, 6], 0.05, -0.7);
         let w = seq_tensor(&s.weight_shape(), 0.04, -0.1);
-        assert!(conv2d_forward(&x, &w, &s).max_abs_diff(&conv_reference(&x, &w, &s)) < 1e-4);
+        assert!(
+            conv2d_forward_ws(&x, &w, &s, &mut ws).max_abs_diff(&conv_reference(&x, &w, &s)) < 1e-4
+        );
     }
 
     #[test]
     fn forward_matches_reference_grouped() {
+        let mut ws = Workspace::new();
         let s = Conv2dShape::new(4, 6, (3, 3), (1, 1), (0, 0), 2);
         let x = seq_tensor(&[1, 4, 5, 5], 0.02, 0.0);
         let w = seq_tensor(&s.weight_shape(), 0.03, -0.2);
-        assert!(conv2d_forward(&x, &w, &s).max_abs_diff(&conv_reference(&x, &w, &s)) < 1e-4);
+        assert!(
+            conv2d_forward_ws(&x, &w, &s, &mut ws).max_abs_diff(&conv_reference(&x, &w, &s)) < 1e-4
+        );
     }
 
     #[test]
     fn pointwise_conv_is_channel_matmul() {
+        let mut ws = Workspace::new();
         let s = Conv2dShape::simple(3, 2, 1, 1, 0);
         let x = seq_tensor(&[1, 3, 2, 2], 1.0, 0.0);
         let w = seq_tensor(&s.weight_shape(), 1.0, 0.0);
-        let y = conv2d_forward(&x, &w, &s);
+        let y = conv2d_forward_ws(&x, &w, &s, &mut ws);
         // y[0,0,0,0] = sum_c w[0,c] * x[c,0,0] = 0*0 + 1*4 + 2*8 = 20
         assert_eq!(y.get(&[0, 0, 0, 0]), 20.0);
     }
 
     #[test]
     fn field_forward_matches_float_on_integers() {
+        let mut ws = Workspace::new();
         let s = Conv2dShape::simple(2, 2, 3, 1, 1);
         let xf = Tensor::<f32>::from_fn(&[1, 2, 4, 4], |i| (i % 5) as f32);
         let wf = Tensor::<f32>::from_fn(&s.weight_shape(), |i| (i % 3) as f32);
         let xq: Tensor<F25> = xf.map(|v| F25::new(v as u64));
         let wq: Tensor<F25> = wf.map(|v| F25::new(v as u64));
-        let yf = conv2d_forward(&xf, &wf, &s);
-        let yq = conv2d_forward(&xq, &wq, &s);
+        let yf = conv2d_forward_ws(&xf, &wf, &s, &mut ws);
+        let yq = conv2d_forward_ws(&xq, &wq, &s, &mut ws);
         for (a, b) in yf.as_slice().iter().zip(yq.as_slice()) {
             assert_eq!(*a as u64, b.value());
         }
@@ -413,21 +388,22 @@ mod tests {
     /// Numerical-gradient check for the input gradient.
     #[test]
     fn backward_input_matches_numerical() {
+        let mut ws = Workspace::new();
         let s = Conv2dShape::simple(2, 2, 3, 1, 1);
         let x = seq_tensor(&[1, 2, 4, 4], 0.1, -0.5);
         let w = seq_tensor(&s.weight_shape(), 0.1, -0.2);
         // Loss = sum(y); dL/dy = ones.
         let (oh, ow) = s.out_hw((4, 4));
         let dy = Tensor::<f32>::ones(&[1, 2, oh, ow]);
-        let dx = conv2d_backward_input(&dy, &w, &s, (4, 4));
+        let dx = conv2d_backward_input_ws(&dy, &w, &s, (4, 4), &mut ws);
         let eps = 1e-2;
         for probe in [0usize, 7, 15, 20, 31] {
             let mut xp = x.clone();
             xp.as_mut_slice()[probe] += eps;
             let mut xm = x.clone();
             xm.as_mut_slice()[probe] -= eps;
-            let lp = conv2d_forward(&xp, &w, &s).sum();
-            let lm = conv2d_forward(&xm, &w, &s).sum();
+            let lp = conv2d_forward_ws(&xp, &w, &s, &mut ws).sum();
+            let lm = conv2d_forward_ws(&xm, &w, &s, &mut ws).sum();
             let num = (lp - lm) / (2.0 * eps);
             let ana = dx.as_slice()[probe];
             assert!((num - ana).abs() < 1e-2, "probe {probe}: num={num} ana={ana}");
@@ -437,20 +413,21 @@ mod tests {
     /// Numerical-gradient check for the weight gradient.
     #[test]
     fn backward_weight_matches_numerical() {
+        let mut ws = Workspace::new();
         let s = Conv2dShape::simple(2, 3, 3, 2, 1);
         let x = seq_tensor(&[2, 2, 5, 5], 0.07, -0.4);
         let w = seq_tensor(&s.weight_shape(), 0.05, -0.15);
         let (oh, ow) = s.out_hw((5, 5));
         let dy = Tensor::<f32>::ones(&[2, 3, oh, ow]);
-        let dw = conv2d_backward_weight(&dy, &x, &s);
+        let dw = conv2d_backward_weight_ws(&dy, &x, &s, &mut ws);
         let eps = 1e-2;
         for probe in [0usize, 10, 25, 40, dw.len() - 1] {
             let mut wp = w.clone();
             wp.as_mut_slice()[probe] += eps;
             let mut wm = w.clone();
             wm.as_mut_slice()[probe] -= eps;
-            let lp = conv2d_forward(&x, &wp, &s).sum();
-            let lm = conv2d_forward(&x, &wm, &s).sum();
+            let lp = conv2d_forward_ws(&x, &wp, &s, &mut ws).sum();
+            let lm = conv2d_forward_ws(&x, &wm, &s, &mut ws).sum();
             let num = (lp - lm) / (2.0 * eps);
             let ana = dw.as_slice()[probe];
             assert!((num - ana).abs() < 2e-2, "probe {probe}: num={num} ana={ana}");
@@ -459,20 +436,21 @@ mod tests {
 
     #[test]
     fn backward_weight_depthwise_matches_numerical() {
+        let mut ws = Workspace::new();
         let s = Conv2dShape::depthwise(3, 3, 1, 1);
         let x = seq_tensor(&[1, 3, 4, 4], 0.09, -0.3);
         let w = seq_tensor(&s.weight_shape(), 0.06, -0.1);
         let (oh, ow) = s.out_hw((4, 4));
         let dy = Tensor::<f32>::ones(&[1, 3, oh, ow]);
-        let dw = conv2d_backward_weight(&dy, &x, &s);
+        let dw = conv2d_backward_weight_ws(&dy, &x, &s, &mut ws);
         let eps = 1e-2;
         for probe in 0..dw.len() {
             let mut wp = w.clone();
             wp.as_mut_slice()[probe] += eps;
-            let lp = conv2d_forward(&x, &wp, &s).sum();
+            let lp = conv2d_forward_ws(&x, &wp, &s, &mut ws).sum();
             let mut wm = w.clone();
             wm.as_mut_slice()[probe] -= eps;
-            let lm = conv2d_forward(&x, &wm, &s).sum();
+            let lm = conv2d_forward_ws(&x, &wm, &s, &mut ws).sum();
             let num = (lp - lm) / (2.0 * eps);
             assert!((num - dw.as_slice()[probe]).abs() < 2e-2, "probe {probe}");
         }
@@ -497,9 +475,10 @@ mod tests {
     #[test]
     #[should_panic(expected = "weight tensor shape")]
     fn bad_weight_shape_panics() {
+        let mut ws = Workspace::new();
         let s = Conv2dShape::simple(3, 4, 3, 1, 1);
         let x = Tensor::<f32>::zeros(&[1, 3, 5, 5]);
         let w = Tensor::<f32>::zeros(&[4, 3, 2, 2]);
-        let _ = conv2d_forward(&x, &w, &s);
+        let _ = conv2d_forward_ws(&x, &w, &s, &mut ws);
     }
 }

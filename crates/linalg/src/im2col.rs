@@ -163,8 +163,8 @@ impl Window {
 /// column-matrix buffer of shape `[c*kh*kw, out_h*out_w]` (row-major,
 /// flat). Every element is written exactly once (padding taps become
 /// `T::zero()`), so a reused scratch buffer with stale contents is
-/// fine — this is the allocation-free form the weight-gradient pass
-/// calls with [`crate::workspace::Workspace`] scratch.
+/// fine — the weight-gradient pass calls it with
+/// [`crate::workspace::Workspace`] scratch.
 ///
 /// # Panics
 ///
@@ -196,27 +196,7 @@ pub fn im2col_into<T: Scalar>(
     }
 }
 
-/// Allocating wrapper over [`im2col_into`], kept as the public
-/// reference entry point for tests and cold paths.
-///
-/// # Panics
-///
-/// Panics if `input.len() != c*h*w`.
-pub fn im2col<T: Scalar>(
-    input: &[T],
-    c: usize,
-    hw: (usize, usize),
-    k: (usize, usize),
-    s: (usize, usize),
-    p: (usize, usize),
-) -> Vec<T> {
-    let (oh, ow) = out_hw(hw, k, s, p);
-    let mut out = vec![T::zero(); c * k.0 * k.1 * oh * ow];
-    im2col_into(input, c, hw, k, s, p, &mut out);
-    out
-}
-
-/// Inverse of [`im2col`]: **scatter-adds** a column matrix into an
+/// Inverse of [`im2col_into`]: **scatter-adds** a column matrix into an
 /// image block of shape `[c, h, w]`, accumulating on top of whatever
 /// `out` already holds. This is the fused form the convolution
 /// input-gradient pass uses — the old
@@ -265,25 +245,6 @@ pub fn col2im_acc_into<T: Scalar>(
     }
 }
 
-/// Allocating wrapper over [`col2im_acc_into`] starting from a zeroed
-/// image (the classic col2im), kept for tests and cold paths.
-///
-/// # Panics
-///
-/// Panics if `cols_mat.len()` is inconsistent with the geometry.
-pub fn col2im<T: Scalar>(
-    cols_mat: &[T],
-    c: usize,
-    hw: (usize, usize),
-    k: (usize, usize),
-    s: (usize, usize),
-    p: (usize, usize),
-) -> Vec<T> {
-    let mut out = vec![T::zero(); c * hw.0 * hw.1];
-    col2im_acc_into(cols_mat, c, hw, k, s, p, &mut out);
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -307,7 +268,8 @@ mod tests {
     fn im2col_identity_kernel() {
         // 1x1 kernel, stride 1, no pad: col matrix == input.
         let input: Vec<f32> = (0..12).map(|i| i as f32).collect();
-        let cols = im2col(&input, 3, (2, 2), (1, 1), (1, 1), (0, 0));
+        let mut cols = vec![-1.0; 12];
+        im2col_into(&input, 3, (2, 2), (1, 1), (1, 1), (0, 0), &mut cols);
         assert_eq!(cols, input);
     }
 
@@ -315,9 +277,9 @@ mod tests {
     fn im2col_3x3_no_pad() {
         // Single channel 3x3, kernel 2x2 stride 1 -> 2x2 output, 4 rows.
         let input: Vec<f32> = (1..=9).map(|i| i as f32).collect();
-        let cols = im2col(&input, 1, (3, 3), (2, 2), (1, 1), (0, 0));
         // rows: k(0,0), k(0,1), k(1,0), k(1,1); columns: 4 windows
-        assert_eq!(cols.len(), 4 * 4);
+        let mut cols = vec![-1.0; 4 * 4];
+        im2col_into(&input, 1, (3, 3), (2, 2), (1, 1), (0, 0), &mut cols);
         assert_eq!(&cols[0..4], &[1.0, 2.0, 4.0, 5.0]); // top-left tap of each window
         assert_eq!(&cols[12..16], &[5.0, 6.0, 8.0, 9.0]); // bottom-right tap
     }
@@ -325,10 +287,11 @@ mod tests {
     #[test]
     fn im2col_padding_zeros() {
         let input = vec![1.0f32; 4]; // 1ch 2x2 of ones
-        let cols = im2col(&input, 1, (2, 2), (3, 3), (1, 1), (1, 1));
-        // 2x2 output, each window has some zero (padding) taps.
+                                     // 2x2 output, each window has some zero (padding) taps.
         let (oh, ow) = out_hw((2, 2), (3, 3), (1, 1), (1, 1));
         assert_eq!((oh, ow), (2, 2));
+        let mut cols = vec![-1.0; 9 * 4];
+        im2col_into(&input, 1, (2, 2), (3, 3), (1, 1), (1, 1), &mut cols);
         // Tap (0,0) of window (0,0) is padding -> zero.
         assert_eq!(cols[0], 0.0);
         // Center tap (1,1) of window (0,0) is input(0,0) = 1.
@@ -341,8 +304,10 @@ mod tests {
         // im2col then col2im multiplies each pixel by its window coverage.
         let input: Vec<f32> = (1..=16).map(|i| i as f32).collect();
         let geom = ((4, 4), (3, 3), (1, 1), (0, 0));
-        let cols = im2col(&input, 1, geom.0, geom.1, geom.2, geom.3);
-        let back = col2im(&cols, 1, geom.0, geom.1, geom.2, geom.3);
+        let mut cols = vec![0.0; 9 * 4];
+        im2col_into(&input, 1, geom.0, geom.1, geom.2, geom.3, &mut cols);
+        let mut back = vec![0.0; 16];
+        col2im_acc_into(&cols, 1, geom.0, geom.1, geom.2, geom.3, &mut back);
         // Corner pixel participates in exactly 1 window, center in 4.
         assert_eq!(back[0], input[0]);
         assert_eq!(back[5], 4.0 * input[5]);
@@ -352,8 +317,9 @@ mod tests {
     fn field_domain_im2col_matches_f32_pattern() {
         let input_f: Vec<f32> = (0..18).map(|i| i as f32).collect();
         let input_q: Vec<F25> = (0..18).map(|i| F25::new(i as u64)).collect();
-        let cf = im2col(&input_f, 2, (3, 3), (2, 2), (1, 1), (0, 0));
-        let cq = im2col(&input_q, 2, (3, 3), (2, 2), (1, 1), (0, 0));
+        let (mut cf, mut cq) = (vec![0.0; 8 * 4], vec![F25::ZERO; 8 * 4]);
+        im2col_into(&input_f, 2, (3, 3), (2, 2), (1, 1), (0, 0), &mut cf);
+        im2col_into(&input_q, 2, (3, 3), (2, 2), (1, 1), (0, 0), &mut cq);
         for (a, b) in cf.iter().zip(&cq) {
             assert_eq!(*a as u64, b.value());
         }
@@ -362,9 +328,10 @@ mod tests {
     #[test]
     fn strided_dims() {
         let input = vec![0.5f32; 2 * 8 * 8];
-        let cols = im2col(&input, 2, (8, 8), (3, 3), (2, 2), (1, 1));
         let (oh, ow) = out_hw((8, 8), (3, 3), (2, 2), (1, 1));
         assert_eq!((oh, ow), (4, 4));
-        assert_eq!(cols.len(), 2 * 9 * oh * ow);
+        let mut cols = vec![-1.0; 2 * 9 * oh * ow];
+        im2col_into(&input, 2, (8, 8), (3, 3), (2, 2), (1, 1), &mut cols);
+        assert!(cols.iter().all(|&v| v == 0.0 || v == 0.5));
     }
 }

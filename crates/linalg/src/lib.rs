@@ -5,11 +5,11 @@
 //! the untrusted GPUs (masked path). This crate therefore provides a
 //! generic [`Tensor<T>`] and generic convolution / matrix-multiplication /
 //! pooling kernels parameterized over a [`Scalar`] element, instantiated
-//! at both `f32` and [`dk_field::Fp`].
+//! at exactly two: `f32` and [`dk_field::F25`].
 //!
 //! The dense kernels run over the unreduced accumulator of
-//! [`Scalar::Acc`] (delayed modular reduction with Barrett/Mersenne
-//! folds in the field domain) and hold a sixteen-wide struct-of-arrays
+//! [`Scalar::Acc`] (delayed modular reduction with Barrett folds in the
+//! field domain) and hold a sixteen-wide struct-of-arrays
 //! strip of independent accumulator lanes in registers. The
 //! outer-product products and the forward convolution walk the output
 //! in column strips, packing each strip's slice of the right-hand
@@ -20,15 +20,16 @@
 //! threads. Results are bit-for-bit identical to the per-MAC-reducing
 //! [`mod@reference`] kernels.
 //!
-//! Every kernel also comes in a `_into` form writing into
-//! caller-provided buffers; paired with the [`Workspace`] buffer pool
-//! (which also backs the convolution/pooling `_ws` entry points),
-//! steady-state callers perform **zero heap allocations** per step —
-//! the classic allocating signatures remain as thin wrappers.
+//! Every product, convolution, pooling, lowering and ReLU pass has one
+//! entry point, and it takes the caller's buffer: an `_into` form
+//! writes into a slice or tensor, a `_ws` form draws its output from
+//! the [`Workspace`] buffer pool, and an `_in_place` form rewrites its
+//! argument. Steady-state callers therefore perform **zero heap
+//! allocations** per step.
 //!
 //! Kernels included:
 //!
-//! * [`matmul()`] and its transpose variants,
+//! * [`matmul_into`] and its transpose variants,
 //! * 2-D convolution with stride, padding and groups (depthwise
 //!   convolutions are `groups == in_channels`), lowered to those
 //!   products without materializing the forward column matrix,
@@ -41,14 +42,16 @@
 //! # Example
 //!
 //! ```
-//! use dk_linalg::{Tensor, Conv2dShape, conv::conv2d_forward};
+//! use dk_linalg::{conv::conv2d_forward_ws, Conv2dShape, Tensor, Workspace};
 //!
+//! let mut ws = Workspace::new();
 //! let shape = Conv2dShape::new(1, 1, (3, 3), (1, 1), (1, 1), 1);
 //! let x = Tensor::<f32>::ones(&[1, 1, 4, 4]);
 //! let w = Tensor::<f32>::ones(&[1, 1, 3, 3]);
-//! let y = conv2d_forward(&x, &w, &shape);
+//! let y = conv2d_forward_ws(&x, &w, &shape, &mut ws);
 //! assert_eq!(y.shape(), &[1, 1, 4, 4]);
 //! assert_eq!(y.get(&[0, 0, 1, 1]), 9.0); // full 3x3 window of ones
+//! ws.give_tensor(y); // the next call reuses its buffer
 //! ```
 
 #![warn(clippy::undocumented_unsafe_blocks)]
@@ -68,10 +71,7 @@ pub mod workspace;
 
 pub use coded::{coded_axpy_acc, coded_combine_check_write, coded_combine_write};
 pub use conv::Conv2dShape;
-pub use matmul::{
-    matmul, matmul_a_bt, matmul_a_bt_into, matmul_acc, matmul_at_b, matmul_at_b_into,
-    matmul_into, matvec, matvec_into,
-};
+pub use matmul::{matmul_a_bt_into, matmul_at_b_into, matmul_into};
 pub use pool::Pool2dShape;
 pub use scalar::Scalar;
 pub use tensor::Tensor;

@@ -3,9 +3,9 @@
 //! Three orientations are provided because the convolution passes need
 //! all of them without materializing transposes at the call sites:
 //!
-//! * [`matmul`] — `C[m×n] = A[m×k] · B[k×n]`
-//! * [`matmul_at_b`] — `C[m×n] = Aᵀ · B` with `A[k×m]`
-//! * [`matmul_a_bt`] — `C[m×n] = A · Bᵀ` with `B[n×k]`
+//! * [`matmul_into`] — `C[m×n] = A[m×k] · B[k×n]`
+//! * [`matmul_at_b_into`] — `C[m×n] = Aᵀ · B` with `A[k×m]`
+//! * [`matmul_a_bt_into`] — `C[m×n] = A · Bᵀ` with `B[n×k]`
 //!
 //! # The outer-product orientations: strip-major over a packed panel
 //!
@@ -17,7 +17,7 @@
 //!   for each block of PANEL_ROWS reduction positions p0..p0+kb
 //!     pack B[p0..p0+kb, j0..j0+LANES] into a contiguous [kb × LANES] panel
 //!     for every output row i
-//!       C[i, strip] (=|+=) A[i, p0..p0+kb] · panel
+//!       C[i, strip] (= if p0 = 0, else +=) A[i, p0..p0+kb] · panel
 //! ```
 //!
 //! The panel ([`Panel`], stack scratch, at most 32 KB, cache-line
@@ -38,19 +38,18 @@
 //! independent [`Scalar::Acc`] accumulators in registers — one per
 //! output column — and runs the **reference recurrence** on each:
 //! ascending `p`, terms with `A[i,p] = 0` skipped, exactly as
-//! [`crate::reference::naive_matmul_acc`] does. Blocking `k` does not
+//! [`crate::reference::naive_matmul`] does. Blocking `k` does not
 //! reorder it: a block ends with [`Scalar::acc_finish`] into `C` and
 //! the next starts from [`Scalar::acc_lift`] of that value, which for
 //! floats are both the identity (the running sum round-trips through
-//! `C` untouched) and for the fields a canonical reduction, which can
+//! `C` untouched) and for the field a canonical reduction, which can
 //! never change a value mod `p`. So f32 results are bit-identical to
 //! the reference — loop order and panel layout only change *which
 //! register serves which column*, never the order of any element's
 //! additions — and field results are exact. `PANEL_ROWS` is below
 //! every domain's [`Scalar::FOLD_INTERVAL`], so a block never needs a
-//! fold in the middle. Write mode (`C = …`) starts the first block from
-//! `acc_lift(0) = 0` instead of reading `C`, so the output may hold
-//! stale data.
+//! fold in the middle. The first block starts from `acc_lift(0) = 0`
+//! instead of reading `C`, so the output may hold stale data.
 //!
 //! For `F25` on a vector tier ([`dk_field::tier`]: AVX-512 with IFMA,
 //! or AVX2) the rows of a block do not go through `lane_strip` one at a
@@ -58,9 +57,9 @@
 //! `MR` output rows of a strip per pass over the panel (one tile body,
 //! two lane widths; the tier is resolved once per product in
 //! [`gemm_packed`]). A field sum is exact whatever its shape, so the
-//! tile has no zero test and reduces once per block in register. Every
-//! other instantiation, and `F25` on the baseline tier, is the portable
-//! body below, which the autovectorizer lowers to vector multiply-adds.
+//! tile has no zero test and reduces once per block in register. `f32`,
+//! and `F25` on the baseline tier, run the portable body below, which
+//! the autovectorizer lowers to vector multiply-adds.
 //!
 //! # The dot orientation
 //!
@@ -73,11 +72,10 @@
 //! runs [`crate::simd`]'s dot block: two rows of `A` against four of
 //! `B` per pass.
 //!
-//! Every kernel has an `_into` variant writing into a caller-provided
-//! buffer; the classic signatures are thin allocating wrappers, so
-//! steady-state callers (layers, jobs, the encoding scheme) perform
-//! **zero heap allocations** per step. Results are **bit-for-bit
-//! identical** to [`crate::reference`] in both domains — see
+//! Every kernel writes into a caller-provided buffer, so steady-state
+//! callers (layers, jobs, the encoding scheme) perform **zero heap
+//! allocations** per step. Results are **bit-for-bit identical** to
+//! [`crate::reference`] in both domains — see
 //! `tests/kernel_equivalence.rs` and `tests/conv_equivalence.rs`.
 
 use crate::scalar::Scalar;
@@ -151,8 +149,8 @@ pub(crate) use per_lane;
 /// panel[p][l]` for `l = 0..LANES`, over the `panel.len() / LANES` rows
 /// of one packed block.
 ///
-/// `load` selects accumulate (start from the lifted `cs`) or write
-/// (start from zero; `cs` is not read). The body is one zero-test on
+/// `load` selects carry-in (start from the lifted `cs`) or a first
+/// block (start from zero; `cs` is not read). The body is one zero-test on
 /// the `A` element (hoisted over all lanes) and a branch-free
 /// fully-unrolled lane group ([`per_lane`]) that stays in registers.
 /// Per output element this is the reference recurrence: ascending `p`,
@@ -173,24 +171,23 @@ fn lane_strip<T: Scalar>(a: &[T], a_stride: usize, panel: &[T], cs: &mut [T; LAN
     per_lane!(L => cs[L] = T::acc_finish(acc[L]));
 }
 
-/// `C[m×n] (=|+=) A · B` with `B` supplied one packed block at a time
-/// by `fill` and `A[i, p]` read at `a[i·a_row + p·a_col]`, column strips
+/// `C[m×n] = A · B` with `B` supplied one packed block at a time by
+/// `fill` and `A[i, p]` read at `a[i·a_row + p·a_col]`, column strips
 /// outermost (see the module docs). `fill(p0, j0, rows)` must overwrite
 /// `rows` (`kb × LANES`, row-major) with `B[p0..p0+kb, j0..j0+LANES]`,
-/// zero in the lanes past column `n`. `write` overwrites `C` (prior
-/// contents are irrelevant); otherwise the product accumulates on top
-/// of it. Every block is packed into the caller's `panel`, so a caller
-/// issuing many small products pays for one panel, not one each.
+/// zero in the lanes past column `n`. `C` is overwritten (prior
+/// contents are irrelevant). Every block is packed into the caller's
+/// `panel`, so a caller issuing many small products pays for one panel,
+/// not one each.
 pub(crate) fn gemm_packed<T: Scalar, F: Fn(usize, usize, &mut [T])>(
     a: &[T],
     a_strides: (usize, usize),
     c: &mut [T],
     dims: (usize, usize, usize),
-    write: bool,
     panel: &mut Panel<T>,
     fill: &F,
 ) {
-    gemm_packed_on(Tier::best(), a, a_strides, c, dims, write, panel, fill);
+    gemm_packed_on(Tier::best(), a, a_strides, c, dims, panel, fill);
 }
 
 /// [`gemm_packed`] on a given tier (the baseline: the portable kernel):
@@ -198,14 +195,12 @@ pub(crate) fn gemm_packed<T: Scalar, F: Fn(usize, usize, &mut [T])>(
 /// one the host offers directly. On a vector tier, with `T` = `F25`,
 /// each packed block goes to the register tile, all `m` rows in one
 /// call; otherwise to the portable [`lane_strip`] row by row.
-#[allow(clippy::too_many_arguments)]
 pub(crate) fn gemm_packed_on<T: Scalar, F: Fn(usize, usize, &mut [T])>(
     tier: Tier,
     a: &[T],
     (a_row, a_col): (usize, usize),
     c: &mut [T],
     (m, k, n): (usize, usize, usize),
-    write: bool,
     panel: &mut Panel<T>,
     fill: &F,
 ) {
@@ -214,9 +209,7 @@ pub(crate) fn gemm_packed_on<T: Scalar, F: Fn(usize, usize, &mut [T])>(
         return;
     }
     if k == 0 {
-        if write {
-            c.fill(T::zero());
-        }
+        c.fill(T::zero());
         return;
     }
     assert!((m - 1) * a_row + (k - 1) * a_col < a.len(), "A size");
@@ -226,7 +219,7 @@ pub(crate) fn gemm_packed_on<T: Scalar, F: Fn(usize, usize, &mut [T])>(
             let kb = PANEL_ROWS.min(k - p0);
             let rows = &mut panel.0[..kb * LANES];
             fill(p0, j0, rows);
-            let load = !write || p0 > 0;
+            let load = p0 > 0;
             // SAFETY: `A[i, p0 + p]` for `i < m`, `p < kb` is inside `a`
             // by the assert above, `rows` is the `kb × LANES` block just
             // filled, and columns `j0..j0+w` of every row of the `m × n`
@@ -389,17 +382,6 @@ fn a_bt_block_ordered<T: Scalar>(a: &[T], b: &[T], c: &mut [T], rows: usize, k: 
     }
 }
 
-/// `C[m×n] += A[m×k] · B[k×n]` over flat row-major slices.
-///
-/// # Panics
-///
-/// Panics if slice lengths do not match the given dimensions.
-pub fn matmul_acc<T: Scalar>(a: &[T], b: &[T], c: &mut [T], m: usize, k: usize, n: usize) {
-    assert_eq!(a.len(), m * k, "A size");
-    assert_eq!(b.len(), k * n, "B size");
-    gemm_packed(a, (k, 1), c, (m, k, n), false, &mut Panel::new(), &fill_from_rows(b, n));
-}
-
 /// `C[m×n] = A[m×k] · B[k×n]` into a caller-provided buffer
 /// (overwritten; prior contents are irrelevant).
 ///
@@ -409,18 +391,7 @@ pub fn matmul_acc<T: Scalar>(a: &[T], b: &[T], c: &mut [T], m: usize, k: usize, 
 pub fn matmul_into<T: Scalar>(a: &[T], b: &[T], c: &mut [T], m: usize, k: usize, n: usize) {
     assert_eq!(a.len(), m * k, "A size");
     assert_eq!(b.len(), k * n, "B size");
-    gemm_packed(a, (k, 1), c, (m, k, n), true, &mut Panel::new(), &fill_from_rows(b, n));
-}
-
-/// `C[m×n] = A[m×k] · B[k×n]`.
-///
-/// # Panics
-///
-/// Panics if slice lengths do not match the given dimensions.
-pub fn matmul<T: Scalar>(a: &[T], b: &[T], m: usize, k: usize, n: usize) -> Vec<T> {
-    let mut c = vec![T::zero(); m * n];
-    matmul_into(a, b, &mut c, m, k, n);
-    c
+    gemm_packed(a, (k, 1), c, (m, k, n), &mut Panel::new(), &fill_from_rows(b, n));
 }
 
 /// `C[m×n] = Aᵀ · B` (with `A` stored `k×m`) into a caller-provided
@@ -442,20 +413,7 @@ pub fn matmul_at_b_into<T: Scalar>(
 ) {
     assert_eq!(a.len(), k * m, "A size");
     assert_eq!(b.len(), k * n, "B size");
-    gemm_packed(a, (1, m), c, (m, k, n), true, &mut Panel::new(), &fill_from_rows(b, n));
-}
-
-/// `C[m×n] = Aᵀ · B` where `A` is stored as `k×m`.
-///
-/// Thin allocating wrapper over [`matmul_at_b_into`].
-///
-/// # Panics
-///
-/// Panics if slice lengths do not match the given dimensions.
-pub fn matmul_at_b<T: Scalar>(a: &[T], b: &[T], m: usize, k: usize, n: usize) -> Vec<T> {
-    let mut c = vec![T::zero(); m * n];
-    matmul_at_b_into(a, b, &mut c, m, k, n);
-    c
+    gemm_packed(a, (1, m), c, (m, k, n), &mut Panel::new(), &fill_from_rows(b, n));
 }
 
 /// `C[m×n] = A · Bᵀ` (with `B` stored `n×k`) into a caller-provided
@@ -492,45 +450,6 @@ pub(crate) fn matmul_a_bt_on<T: Scalar>(
     }
 }
 
-/// `C[m×n] = A · Bᵀ` where `B` is stored as `n×k`.
-///
-/// # Panics
-///
-/// Panics if slice lengths do not match the given dimensions.
-pub fn matmul_a_bt<T: Scalar>(a: &[T], b: &[T], m: usize, k: usize, n: usize) -> Vec<T> {
-    let mut c = vec![T::zero(); m * n];
-    matmul_a_bt_into(a, b, &mut c, m, k, n);
-    c
-}
-
-/// Matrix–vector product `y[m] = A[m×k] · x[k]` into a caller-provided
-/// buffer.
-///
-/// Routes through the `A·Bᵀ` dot kernel: fields take the
-/// reduction-vectorized exact path, floats keep the branch-free ordered
-/// loop of the original `matvec`, so non-finite inputs
-/// (`0.0 · ∞ = NaN`) propagate bit-identically to
-/// [`crate::reference::naive_matvec`].
-///
-/// # Panics
-///
-/// Panics if slice lengths do not match the given dimensions.
-pub fn matvec_into<T: Scalar>(a: &[T], x: &[T], y: &mut [T], m: usize, k: usize) {
-    assert_eq!(x.len(), k, "x size");
-    matmul_a_bt_into(a, x, y, m, k, 1);
-}
-
-/// Matrix–vector product `y[m] = A[m×k] · x[k]`.
-///
-/// # Panics
-///
-/// Panics if slice lengths do not match the given dimensions.
-pub fn matvec<T: Scalar>(a: &[T], x: &[T], m: usize, k: usize) -> Vec<T> {
-    let mut y = vec![T::zero(); m];
-    matvec_into(a, x, &mut y, m, k);
-    y
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -555,7 +474,9 @@ mod tests {
         let (m, k, n) = (3, 4, 5);
         let a: Vec<f32> = (0..m * k).map(|i| (i as f32) * 0.5 - 2.0).collect();
         let b: Vec<f32> = (0..k * n).map(|i| (i as f32) * 0.25 - 1.0).collect();
-        assert_eq!(matmul(&a, &b, m, k, n), naive(&a, &b, m, k, n));
+        let mut c = vec![0.0; m * n];
+        matmul_into(&a, &b, &mut c, m, k, n);
+        assert_eq!(c, naive(&a, &b, m, k, n));
     }
 
     #[test]
@@ -563,7 +484,9 @@ mod tests {
         let (m, k, n) = (4, 3, 4);
         let a: Vec<F25> = (0..m * k).map(|i| F25::new(i as u64 * 7 + 1)).collect();
         let b: Vec<F25> = (0..k * n).map(|i| F25::new(i as u64 * 13 + 5)).collect();
-        assert_eq!(matmul(&a, &b, m, k, n), naive(&a, &b, m, k, n));
+        let mut c = vec![F25::ZERO; m * n];
+        matmul_into(&a, &b, &mut c, m, k, n);
+        assert_eq!(c, naive(&a, &b, m, k, n));
     }
 
     #[test]
@@ -573,7 +496,9 @@ mod tests {
         let (m, k, n) = (2, 3, 33 * LANES + 3);
         let a: Vec<F25> = (0..m * k).map(|i| F25::new(i as u64 + 1)).collect();
         let b: Vec<F25> = (0..k * n).map(|i| F25::new(i as u64 * 31 + 2)).collect();
-        assert_eq!(matmul(&a, &b, m, k, n), naive(&a, &b, m, k, n));
+        let mut c = vec![F25::ZERO; m * n];
+        matmul_into(&a, &b, &mut c, m, k, n);
+        assert_eq!(c, naive(&a, &b, m, k, n));
     }
 
     #[test]
@@ -588,7 +513,10 @@ mod tests {
             }
         }
         let b: Vec<f32> = (0..k * n).map(|i| (i * i) as f32).collect();
-        assert_eq!(matmul_at_b(&a_kxm, &b, m, k, n), matmul(&a_mxk, &b, m, k, n));
+        let (mut got, mut want) = (vec![0.0; m * n], vec![0.0; m * n]);
+        matmul_at_b_into(&a_kxm, &b, &mut got, m, k, n);
+        matmul_into(&a_mxk, &b, &mut want, m, k, n);
+        assert_eq!(got, want);
     }
 
     #[test]
@@ -603,7 +531,21 @@ mod tests {
                 a_t[i * k + p] = a[p * m + i];
             }
         }
-        assert_eq!(matmul_at_b(&a, &b, m, k, n), matmul(&a_t, &b, m, k, n));
+        let (mut got, mut want) = (vec![F25::ZERO; m * n], vec![F25::ZERO; m * n]);
+        matmul_at_b_into(&a, &b, &mut got, m, k, n);
+        matmul_into(&a_t, &b, &mut want, m, k, n);
+        assert_eq!(got, want);
+    }
+
+    /// `B` stored `n×k` and its transpose `k×n`.
+    fn with_transpose<T: Scalar>(b_nxk: &[T], k: usize, n: usize) -> Vec<T> {
+        let mut b_kxn = vec![T::zero(); k * n];
+        for j in 0..n {
+            for p in 0..k {
+                b_kxn[p * n + j] = b_nxk[j * k + p];
+            }
+        }
+        b_kxn
     }
 
     #[test]
@@ -611,13 +553,10 @@ mod tests {
         let (m, k, n) = (2, 5, 3);
         let a: Vec<f32> = (0..m * k).map(|i| i as f32 * 0.1).collect();
         let b_nxk: Vec<f32> = (0..n * k).map(|i| i as f32 - 4.0).collect();
-        let mut b_kxn = vec![0.0f32; k * n];
-        for j in 0..n {
-            for p in 0..k {
-                b_kxn[p * n + j] = b_nxk[j * k + p];
-            }
-        }
-        assert_eq!(matmul_a_bt(&a, &b_nxk, m, k, n), matmul(&a, &b_kxn, m, k, n));
+        let (mut got, mut want) = (vec![0.0; m * n], vec![0.0; m * n]);
+        matmul_a_bt_into(&a, &b_nxk, &mut got, m, k, n);
+        matmul_into(&a, &with_transpose(&b_nxk, k, n), &mut want, m, k, n);
+        assert_eq!(got, want);
     }
 
     #[test]
@@ -627,21 +566,23 @@ mod tests {
         let (m, k, n) = (3, 2 * LANES + 7, LANES + 5);
         let a: Vec<F25> = (0..m * k).map(|i| F25::new(i as u64 * 17 + 3)).collect();
         let b_nxk: Vec<F25> = (0..n * k).map(|i| F25::new(i as u64 * 23 + 9)).collect();
-        let mut b_kxn = vec![F25::ZERO; k * n];
-        for j in 0..n {
-            for p in 0..k {
-                b_kxn[p * n + j] = b_nxk[j * k + p];
-            }
-        }
-        assert_eq!(matmul_a_bt(&a, &b_nxk, m, k, n), matmul(&a, &b_kxn, m, k, n));
+        let (mut got, mut want) = (vec![F25::ZERO; m * n], vec![F25::ZERO; m * n]);
+        matmul_a_bt_into(&a, &b_nxk, &mut got, m, k, n);
+        matmul_into(&a, &with_transpose(&b_nxk, k, n), &mut want, m, k, n);
+        assert_eq!(got, want);
     }
 
+    /// A matrix–vector product is a one-column product in either
+    /// orientation: the dot kernel at `n = 1` against the strip kernel.
     #[test]
     fn matvec_matches_matmul() {
         let (m, k) = (4, 6);
         let a: Vec<f32> = (0..m * k).map(|i| (i % 7) as f32).collect();
         let x: Vec<f32> = (0..k).map(|i| i as f32).collect();
-        assert_eq!(matvec(&a, &x, m, k), matmul(&a, &x, m, k, 1));
+        let (mut dot, mut strip) = (vec![0.0; m], vec![0.0; m]);
+        matmul_a_bt_into(&a, &x, &mut dot, m, k, 1);
+        matmul_into(&a, &x, &mut strip, m, k, 1);
+        assert_eq!(dot, strip);
     }
 
     #[test]
@@ -652,40 +593,32 @@ mod tests {
             id[i * n + i] = 1.0;
         }
         let b: Vec<f32> = (0..n * n).map(|i| i as f32).collect();
-        assert_eq!(matmul(&id, &b, n, n, n), b);
+        let mut c = vec![0.0; n * n];
+        matmul_into(&id, &b, &mut c, n, n, n);
+        assert_eq!(c, b);
     }
 
     #[test]
     fn field_matmul_wraps_mod_p() {
         let a = vec![F25::new(dk_field::P25 - 1)]; // -1
         let b = vec![F25::new(dk_field::P25 - 1)]; // -1
-        assert_eq!(matmul(&a, &b, 1, 1, 1)[0], F25::ONE);
+        let mut c = vec![F25::ZERO];
+        matmul_into(&a, &b, &mut c, 1, 1, 1);
+        assert_eq!(c[0], F25::ONE);
     }
 
     #[test]
     fn empty_dims_are_fine() {
-        assert!(matmul::<F25>(&[], &[], 0, 3, 0).is_empty());
-        assert!(matmul::<F25>(&[], &[], 0, 0, 4).is_empty());
-        let c = matmul::<F25>(&[], &[], 3, 0, 5);
+        matmul_into::<F25>(&[], &[], &mut [], 0, 3, 0);
+        matmul_into::<F25>(&[], &[], &mut [], 0, 0, 4);
+        let mut c = vec![F25::ONE; 15];
+        matmul_into::<F25>(&[], &[], &mut c, 3, 0, 5);
         assert!(c.iter().all(|v| v.is_zero()));
-        assert!(matmul_a_bt::<f32>(&[], &[], 0, 2, 0).is_empty());
-        assert!(matmul_at_b::<f32>(&[], &[], 0, 0, 0).is_empty());
-        let c = matmul_at_b::<F25>(&[], &[], 3, 0, 2);
+        matmul_a_bt_into::<f32>(&[], &[], &mut [], 0, 2, 0);
+        matmul_at_b_into::<f32>(&[], &[], &mut [], 0, 0, 0);
+        let mut c = vec![F25::ONE; 6];
+        matmul_at_b_into::<F25>(&[], &[], &mut c, 3, 0, 2);
         assert!(c.iter().all(|v| v.is_zero()));
-    }
-
-    #[test]
-    fn matmul_acc_accumulates_into_existing() {
-        let (m, k, n) = (2, 3, 2);
-        let a: Vec<F25> = (0..m * k).map(|i| F25::new(i as u64 + 2)).collect();
-        let b: Vec<F25> = (0..k * n).map(|i| F25::new(i as u64 * 5 + 1)).collect();
-        let mut c: Vec<F25> = (0..m * n).map(|i| F25::new(i as u64 * 100)).collect();
-        let base = c.clone();
-        matmul_acc(&a, &b, &mut c, m, k, n);
-        let prod = matmul(&a, &b, m, k, n);
-        for i in 0..m * n {
-            assert_eq!(c[i], base[i] + prod[i]);
-        }
     }
 
     #[test]
@@ -695,22 +628,17 @@ mod tests {
         let b: Vec<F25> = (0..k * n).map(|i| F25::new(i as u64 * 3 + 2)).collect();
         let mut c = vec![F25::new(999); m * n];
         matmul_into(&a, &b, &mut c, m, k, n);
-        assert_eq!(c, matmul(&a, &b, m, k, n));
+        assert_eq!(c, naive_matmul(&a, &b, m, k, n));
 
         let bt: Vec<F25> = (0..n * k).map(|i| F25::new(i as u64 * 7 + 3)).collect();
         let mut c = vec![F25::new(999); m * n];
         matmul_a_bt_into(&a, &bt, &mut c, m, k, n);
-        assert_eq!(c, matmul_a_bt(&a, &bt, m, k, n));
+        assert_eq!(c, naive_matmul_a_bt(&a, &bt, m, k, n));
 
         let at: Vec<F25> = (0..k * m).map(|i| F25::new(i as u64 * 11 + 4)).collect();
         let mut c = vec![F25::new(999); m * n];
         matmul_at_b_into(&at, &b, &mut c, m, k, n);
-        assert_eq!(c, matmul_at_b(&at, &b, m, k, n));
-
-        let x: Vec<F25> = (0..k).map(|i| F25::new(i as u64 + 5)).collect();
-        let mut y = vec![F25::new(999); m];
-        matvec_into(&a, &x, &mut y, m, k);
-        assert_eq!(y, matvec(&a, &x, m, k));
+        assert_eq!(c, crate::reference::naive_matmul_at_b(&at, &b, m, k, n));
     }
 
     /// `A` stored both ways: row-major `m×k` (strides `(k, 1)`) and as
@@ -725,22 +653,17 @@ mod tests {
         [(a.to_vec(), (k, 1)), (a_t, (1, m))]
     }
 
-    /// Runs one product on every tier the host offers, in write mode
-    /// over a poisoned `C` and in accumulate mode over `c0`, both stride
-    /// pairs, against the per-MAC reference.
-    fn check_tile(a: &[F25], b: &[F25], c0: &[F25], dims: (usize, usize, usize)) {
+    /// Runs one product on every tier the host offers, over a poisoned
+    /// `C`, both stride pairs, against the per-MAC reference.
+    fn check_tile(a: &[F25], b: &[F25], dims: (usize, usize, usize)) {
         let (m, k, n) = dims;
         let want = naive_matmul(a, b, m, k, n);
-        let want_acc: Vec<F25> = c0.iter().zip(&want).map(|(&c, &w)| c + w).collect();
         let fill = fill_from_rows(b, n);
         for (a, strides) in both_layouts(a, m, k) {
             for tier in Tier::offered() {
                 let mut c = vec![F25::new(0x1ab_cdef); m * n];
-                gemm_packed_on(tier, &a, strides, &mut c, dims, true, &mut Panel::new(), &fill);
-                assert_eq!(c, want, "{tier:?} write {dims:?} strides {strides:?}");
-                let mut c = c0.to_vec();
-                gemm_packed_on(tier, &a, strides, &mut c, dims, false, &mut Panel::new(), &fill);
-                assert_eq!(c, want_acc, "{tier:?} acc {dims:?} strides {strides:?}");
+                gemm_packed_on(tier, &a, strides, &mut c, dims, &mut Panel::new(), &fill);
+                assert_eq!(c, want, "{tier:?} {dims:?} strides {strides:?}");
             }
         }
     }
@@ -756,7 +679,7 @@ mod tests {
             for n in [1usize, 15, 16, 17, 48, 1000] {
                 let b = rng.uniform_vec(k * n);
                 for m in (0..=17).filter(|m| n < 1000 || [1, 9, 17].contains(m)) {
-                    check_tile(&rng.uniform_vec(m * k), &b, &rng.uniform_vec(m * n), (m, k, n));
+                    check_tile(&rng.uniform_vec(m * k), &b, (m, k, n));
                 }
             }
         }
@@ -764,16 +687,17 @@ mod tests {
 
     #[test]
     fn tile_holds_the_worst_case_block_on_every_tier() {
-        // All-(P−1) operands on top of a (P−1) carry-in fill every lane
-        // to the `< 2^58` budget the vector reduce is argued for; all-zero
-        // operands are the case the old kernels branched around.
+        // All-(P−1) operands fill every lane of a block to the `< 2^58`
+        // budget the vector reduce is argued for, on top of the carry-in
+        // from the block before it; all-zero operands are the case the
+        // old kernels branched around.
         let top = F25::new(dk_field::P25 - 1);
         for k in [PANEL_ROWS, PANEL_ROWS + 1, 600] {
             for n in [16usize, 17] {
                 for m in [1usize, 8, 9, 17] {
-                    let (b, c0) = (vec![top; k * n], vec![top; m * n]);
-                    check_tile(&vec![top; m * k], &b, &c0, (m, k, n));
-                    check_tile(&vec![F25::ZERO; m * k], &b, &c0, (m, k, n));
+                    let b = vec![top; k * n];
+                    check_tile(&vec![top; m * k], &b, (m, k, n));
+                    check_tile(&vec![F25::ZERO; m * k], &b, (m, k, n));
                 }
             }
         }
@@ -806,10 +730,29 @@ mod tests {
     }
 
     #[test]
+    fn fold_boundary_on_every_tier() {
+        // `k` past the `F25` fold interval (2^14 unreduced products per
+        // `u64` lane) with worst-case operands: the baseline tier's dot
+        // kernel folds mid-row here, and every strip carries `C` across
+        // 65 panel blocks.
+        let top = F25::new(dk_field::P25 - 1);
+        let k = F25::FOLD_INTERVAL + LANES + 5;
+        for (m, n) in [(1, 1), (2, 5)] {
+            let (a, b) = (vec![top; m * k], vec![top; n * k]);
+            for tier in Tier::offered() {
+                let mut c = vec![F25::new(0x1ab_cdef); m * n];
+                matmul_a_bt_on(tier, &a, &b, &mut c, m, k, n);
+                assert_eq!(c, naive_matmul_a_bt(&a, &b, m, k, n), "{tier:?} dot {m}x{k}x{n}");
+            }
+            check_tile(&a, &b, (m, k, n));
+        }
+    }
+
+    #[test]
     #[should_panic(expected = "A size")]
     fn dimension_mismatch_panics() {
         let a = vec![0.0f32; 5];
         let b = vec![0.0f32; 6];
-        let _ = matmul(&a, &b, 2, 3, 2);
+        matmul_into(&a, &b, &mut [0.0; 4], 2, 3, 2);
     }
 }

@@ -6,7 +6,7 @@
 
 use crate::tensor::Tensor;
 
-/// The one ReLU gate predicate: every forward/backward form below (and
+/// The one ReLU gate predicate: the forward and backward passes below (and
 /// therefore every execution path — clear-text reference and private
 /// alike) routes through this, so the gating can never silently diverge
 /// between paths.
@@ -19,30 +19,16 @@ fn relu_gate(v: f32, pass: f32) -> f32 {
     }
 }
 
-/// ReLU forward: `max(0, x)` elementwise.
-pub fn relu(x: &Tensor<f32>) -> Tensor<f32> {
-    x.map(|v| relu_gate(v, v))
-}
-
-/// ReLU forward in place (the workspace hot path: callers copy `x`
-/// into a recycled buffer first). Identical gating to [`relu`].
+/// ReLU forward in place, `max(0, x)` elementwise (callers copy `x`
+/// into a recycled buffer first).
 pub fn relu_in_place(y: &mut Tensor<f32>) {
     for v in y.as_mut_slice() {
         *v = relu_gate(*v, *v);
     }
 }
 
-/// ReLU backward: gates `dy` by the sign of the forward *input*.
-///
-/// # Panics
-///
-/// Panics if shapes differ.
-pub fn relu_backward(dy: &Tensor<f32>, x: &Tensor<f32>) -> Tensor<f32> {
-    dy.zip_map(x, |g, v| relu_gate(v, g))
-}
-
-/// ReLU backward writing into a caller-provided tensor. Identical
-/// gating to [`relu_backward`].
+/// ReLU backward: gates `dy` by the sign of the forward *input*,
+/// writing into a caller-provided tensor.
 ///
 /// # Panics
 ///
@@ -183,15 +169,18 @@ mod tests {
 
     #[test]
     fn relu_clamps_negatives() {
-        let x = Tensor::from_vec(&[4], vec![-1.0, 0.0, 2.0, -0.5]);
-        assert_eq!(relu(&x).as_slice(), &[0.0, 0.0, 2.0, 0.0]);
+        let mut x = Tensor::from_vec(&[4], vec![-1.0, 0.0, 2.0, -0.5]);
+        relu_in_place(&mut x);
+        assert_eq!(x.as_slice(), &[0.0, 0.0, 2.0, 0.0]);
     }
 
     #[test]
     fn relu_backward_gates() {
         let x = Tensor::from_vec(&[4], vec![-1.0, 0.5, 2.0, -0.5]);
         let dy = Tensor::from_vec(&[4], vec![10.0, 10.0, 10.0, 10.0]);
-        assert_eq!(relu_backward(&dy, &x).as_slice(), &[0.0, 10.0, 10.0, 0.0]);
+        let mut dx = Tensor::from_vec(&[4], vec![-7.0; 4]);
+        relu_backward_into(&dy, &x, &mut dx);
+        assert_eq!(dx.as_slice(), &[0.0, 10.0, 10.0, 0.0]);
     }
 
     #[test]

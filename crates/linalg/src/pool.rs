@@ -6,6 +6,7 @@
 
 use crate::im2col::out_hw;
 use crate::tensor::Tensor;
+use crate::workspace::Workspace;
 
 /// Static geometry of a 2-D pooling layer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -44,9 +45,10 @@ impl Pool2dShape {
     }
 }
 
-/// Max pooling forward with the pooled tensor drawn from `ws` and the
-/// flat argmax bookkeeping written into the caller's reusable buffer —
-/// the allocation-free form the layer hot path uses.
+/// Max pooling forward with the pooled tensor drawn from `ws`. The flat
+/// argmax (into the input tensor) of every output element, which the
+/// backward pass scatters gradients through, is written into the
+/// caller's reusable `arg`.
 ///
 /// # Panics
 ///
@@ -54,7 +56,7 @@ impl Pool2dShape {
 pub fn maxpool2d_forward_ws(
     x: &Tensor<f32>,
     s: &Pool2dShape,
-    ws: &mut crate::workspace::Workspace,
+    ws: &mut Workspace,
     arg: &mut Vec<usize>,
 ) -> Tensor<f32> {
     assert_eq!(x.ndim(), 4, "input must be NCHW");
@@ -102,20 +104,6 @@ pub fn maxpool2d_forward_ws(
     y
 }
 
-/// Max pooling forward. Returns the pooled tensor and the flat argmax
-/// index (into the input tensor) of every output element, which the
-/// backward pass scatters gradients through. Allocating wrapper over
-/// [`maxpool2d_forward_ws`].
-///
-/// # Panics
-///
-/// Panics if `x` is not NCHW or the window does not fit.
-pub fn maxpool2d_forward(x: &Tensor<f32>, s: &Pool2dShape) -> (Tensor<f32>, Vec<usize>) {
-    let mut arg = Vec::new();
-    let y = maxpool2d_forward_ws(x, s, &mut crate::workspace::Workspace::new(), &mut arg);
-    (y, arg)
-}
-
 /// Max pooling backward with the gradient image drawn from `ws`:
 /// routes each output gradient to the input element that won the
 /// forward max.
@@ -127,7 +115,7 @@ pub fn maxpool2d_backward_ws(
     dy: &Tensor<f32>,
     argmax: &[usize],
     input_shape: &[usize],
-    ws: &mut crate::workspace::Workspace,
+    ws: &mut Workspace,
 ) -> Tensor<f32> {
     assert_eq!(dy.len(), argmax.len(), "argmax bookkeeping mismatch");
     let mut dx = ws.take_tensor(input_shape);
@@ -138,26 +126,13 @@ pub fn maxpool2d_backward_ws(
     dx
 }
 
-/// Max pooling backward. Allocating wrapper over
-/// [`maxpool2d_backward_ws`].
-///
-/// # Panics
-///
-/// Panics if `dy.len() != argmax.len()`.
-pub fn maxpool2d_backward(dy: &Tensor<f32>, argmax: &[usize], input_shape: &[usize]) -> Tensor<f32> {
-    maxpool2d_backward_ws(dy, argmax, input_shape, &mut crate::workspace::Workspace::new())
-}
-
 /// Global average pooling `[n, c, h, w] → [n, c]` with the output
 /// drawn from `ws`.
 ///
 /// # Panics
 ///
 /// Panics if `x` is not NCHW.
-pub fn global_avg_pool_forward_ws(
-    x: &Tensor<f32>,
-    ws: &mut crate::workspace::Workspace,
-) -> Tensor<f32> {
+pub fn global_avg_pool_forward_ws(x: &Tensor<f32>, ws: &mut Workspace) -> Tensor<f32> {
     assert_eq!(x.ndim(), 4, "input must be NCHW");
     let (n, c, h, w) = (x.shape()[0], x.shape()[1], x.shape()[2], x.shape()[3]);
     let inv = 1.0 / (h * w) as f32;
@@ -172,16 +147,6 @@ pub fn global_avg_pool_forward_ws(
     y
 }
 
-/// Global average pooling: `[n, c, h, w] → [n, c]`. Allocating wrapper
-/// over [`global_avg_pool_forward_ws`].
-///
-/// # Panics
-///
-/// Panics if `x` is not NCHW.
-pub fn global_avg_pool_forward(x: &Tensor<f32>) -> Tensor<f32> {
-    global_avg_pool_forward_ws(x, &mut crate::workspace::Workspace::new())
-}
-
 /// Global average pooling backward with the gradient image drawn from
 /// `ws`: broadcasts `dy/(h·w)` over the plane.
 ///
@@ -191,7 +156,7 @@ pub fn global_avg_pool_forward(x: &Tensor<f32>) -> Tensor<f32> {
 pub fn global_avg_pool_backward_ws(
     dy: &Tensor<f32>,
     input_shape: &[usize],
-    ws: &mut crate::workspace::Workspace,
+    ws: &mut Workspace,
 ) -> Tensor<f32> {
     assert_eq!(input_shape.len(), 4);
     let (n, c, h, w) = (input_shape[0], input_shape[1], input_shape[2], input_shape[3]);
@@ -210,16 +175,6 @@ pub fn global_avg_pool_backward_ws(
     dx
 }
 
-/// Global average pooling backward: broadcasts `dy/(h·w)` over the
-/// plane. Allocating wrapper over [`global_avg_pool_backward_ws`].
-///
-/// # Panics
-///
-/// Panics if `dy` is not `[n, c]` matching the input shape.
-pub fn global_avg_pool_backward(dy: &Tensor<f32>, input_shape: &[usize]) -> Tensor<f32> {
-    global_avg_pool_backward_ws(dy, input_shape, &mut crate::workspace::Workspace::new())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -235,7 +190,8 @@ mod tests {
                 11.0, 12.0, 15.0, 16.0,
             ],
         );
-        let (y, arg) = maxpool2d_forward(&x, &Pool2dShape::square(2));
+        let mut arg = Vec::new();
+        let y = maxpool2d_forward_ws(&x, &Pool2dShape::square(2), &mut Workspace::new(), &mut arg);
         assert_eq!(y.shape(), &[1, 1, 2, 2]);
         assert_eq!(y.as_slice(), &[4.0, 8.0, 12.0, 16.0]);
         assert_eq!(arg, vec![5, 7, 13, 15]);
@@ -244,17 +200,22 @@ mod tests {
     #[test]
     fn maxpool_negative_values() {
         let x = Tensor::from_vec(&[1, 1, 2, 2], vec![-5.0, -2.0, -8.0, -3.0]);
-        let (y, _) = maxpool2d_forward(&x, &Pool2dShape::square(2));
+        let y = maxpool2d_forward_ws(
+            &x,
+            &Pool2dShape::square(2),
+            &mut Workspace::new(),
+            &mut vec![],
+        );
         assert_eq!(y.as_slice(), &[-2.0]);
     }
 
     #[test]
     fn maxpool_backward_routes_to_argmax() {
         let x = Tensor::from_vec(&[1, 1, 2, 2], vec![1.0, 9.0, 3.0, 4.0]);
-        let s = Pool2dShape::square(2);
-        let (_, arg) = maxpool2d_forward(&x, &s);
+        let (s, mut ws, mut arg) = (Pool2dShape::square(2), Workspace::new(), Vec::new());
+        maxpool2d_forward_ws(&x, &s, &mut ws, &mut arg);
         let dy = Tensor::from_vec(&[1, 1, 1, 1], vec![2.5]);
-        let dx = maxpool2d_backward(&dy, &arg, &[1, 1, 2, 2]);
+        let dx = maxpool2d_backward_ws(&dy, &arg, &[1, 1, 2, 2], &mut ws);
         assert_eq!(dx.as_slice(), &[0.0, 2.5, 0.0, 0.0]);
     }
 
@@ -263,17 +224,19 @@ mod tests {
         // stride 1 window 2: input max at center gets grads from several windows.
         let x = Tensor::from_vec(&[1, 1, 3, 3], vec![0., 0., 0., 0., 9., 0., 0., 0., 0.]);
         let s = Pool2dShape::new((2, 2), (1, 1), (0, 0));
-        let (y, arg) = maxpool2d_forward(&x, &s);
+        let (mut ws, mut arg) = (Workspace::new(), Vec::new());
+        let y = maxpool2d_forward_ws(&x, &s, &mut ws, &mut arg);
         assert_eq!(y.as_slice(), &[9.0; 4]);
         let dy = Tensor::ones(&[1, 1, 2, 2]);
-        let dx = maxpool2d_backward(&dy, &arg, &[1, 1, 3, 3]);
+        let dx = maxpool2d_backward_ws(&dy, &arg, &[1, 1, 3, 3], &mut ws);
         assert_eq!(dx.get(&[0, 0, 1, 1]), 4.0);
     }
 
     #[test]
     fn maxpool_multichannel_batches() {
         let x = Tensor::from_fn(&[2, 3, 4, 4], |i| (i % 17) as f32);
-        let (y, arg) = maxpool2d_forward(&x, &Pool2dShape::square(2));
+        let mut arg = Vec::new();
+        let y = maxpool2d_forward_ws(&x, &Pool2dShape::square(2), &mut Workspace::new(), &mut arg);
         assert_eq!(y.shape(), &[2, 3, 2, 2]);
         assert_eq!(arg.len(), y.len());
         // Every argmax must point inside its own (n, c) plane.
@@ -286,18 +249,18 @@ mod tests {
     #[test]
     fn numerical_gradient_maxpool() {
         let x = Tensor::from_fn(&[1, 2, 4, 4], |i| ((i * 7 + 3) % 11) as f32 * 0.1);
-        let s = Pool2dShape::square(2);
-        let (_, arg) = maxpool2d_forward(&x, &s);
+        let (s, mut ws, mut arg) = (Pool2dShape::square(2), Workspace::new(), Vec::new());
+        maxpool2d_forward_ws(&x, &s, &mut ws, &mut arg);
         let dy = Tensor::ones(&[1, 2, 2, 2]);
-        let dx = maxpool2d_backward(&dy, &arg, x.shape());
+        let dx = maxpool2d_backward_ws(&dy, &arg, x.shape(), &mut ws);
         let eps = 1e-3;
         for probe in [0usize, 5, 10, 21, 31] {
             let mut xp = x.clone();
             xp.as_mut_slice()[probe] += eps;
             let mut xm = x.clone();
             xm.as_mut_slice()[probe] -= eps;
-            let lp = maxpool2d_forward(&xp, &s).0.sum();
-            let lm = maxpool2d_forward(&xm, &s).0.sum();
+            let lp = maxpool2d_forward_ws(&xp, &s, &mut ws, &mut arg).sum();
+            let lm = maxpool2d_forward_ws(&xm, &s, &mut ws, &mut arg).sum();
             let num = (lp - lm) / (2.0 * eps);
             assert!((num - dx.as_slice()[probe]).abs() < 1e-3, "probe {probe}");
         }
@@ -306,7 +269,7 @@ mod tests {
     #[test]
     fn global_avg_pool_values() {
         let x = Tensor::from_fn(&[1, 2, 2, 2], |i| i as f32);
-        let y = global_avg_pool_forward(&x);
+        let y = global_avg_pool_forward_ws(&x, &mut Workspace::new());
         assert_eq!(y.shape(), &[1, 2]);
         assert_eq!(y.as_slice(), &[1.5, 5.5]);
     }
@@ -314,7 +277,7 @@ mod tests {
     #[test]
     fn global_avg_pool_backward_broadcast() {
         let dy = Tensor::from_vec(&[1, 2], vec![4.0, 8.0]);
-        let dx = global_avg_pool_backward(&dy, &[1, 2, 2, 2]);
+        let dx = global_avg_pool_backward_ws(&dy, &[1, 2, 2, 2], &mut Workspace::new());
         assert_eq!(dx.as_slice(), &[1.0, 1.0, 1.0, 1.0, 2.0, 2.0, 2.0, 2.0]);
     }
 

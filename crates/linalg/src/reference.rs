@@ -13,15 +13,15 @@
 
 use crate::scalar::Scalar;
 
-/// `C[m×n] += A[m×k] · B[k×n]`, reducing after every product.
+/// `C[m×n] = A[m×k] · B[k×n]`, reducing after every product.
 ///
 /// # Panics
 ///
 /// Panics if slice lengths do not match the given dimensions.
-pub fn naive_matmul_acc<T: Scalar>(a: &[T], b: &[T], c: &mut [T], m: usize, k: usize, n: usize) {
+pub fn naive_matmul<T: Scalar>(a: &[T], b: &[T], m: usize, k: usize, n: usize) -> Vec<T> {
     assert_eq!(a.len(), m * k, "A size");
     assert_eq!(b.len(), k * n, "B size");
-    assert_eq!(c.len(), m * n, "C size");
+    let mut c = vec![T::zero(); m * n];
     for i in 0..m {
         let arow = &a[i * k..(i + 1) * k];
         let crow = &mut c[i * n..(i + 1) * n];
@@ -35,16 +35,6 @@ pub fn naive_matmul_acc<T: Scalar>(a: &[T], b: &[T], c: &mut [T], m: usize, k: u
             }
         }
     }
-}
-
-/// `C[m×n] = A[m×k] · B[k×n]`, reducing after every product.
-///
-/// # Panics
-///
-/// Panics if slice lengths do not match the given dimensions.
-pub fn naive_matmul<T: Scalar>(a: &[T], b: &[T], m: usize, k: usize, n: usize) -> Vec<T> {
-    let mut c = vec![T::zero(); m * n];
-    naive_matmul_acc(a, b, &mut c, m, k, n);
     c
 }
 
@@ -124,23 +114,4 @@ pub fn naive_coded_combine_acc<T: Scalar, S: AsRef<[T]>>(
             }
         }
     }
-}
-
-/// `y[m] = A[m×k] · x[k]`, reducing after every product.
-///
-/// # Panics
-///
-/// Panics if slice lengths do not match the given dimensions.
-pub fn naive_matvec<T: Scalar>(a: &[T], x: &[T], m: usize, k: usize) -> Vec<T> {
-    assert_eq!(a.len(), m * k, "A size");
-    assert_eq!(x.len(), k, "x size");
-    (0..m)
-        .map(|i| {
-            let mut acc = T::zero();
-            for (&aij, &xj) in a[i * k..(i + 1) * k].iter().zip(x) {
-                acc += aij * xj;
-            }
-            acc
-        })
-        .collect()
 }

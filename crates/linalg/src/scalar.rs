@@ -4,20 +4,19 @@
 //! accumulator** ([`Scalar::Acc`]) so the dense kernels can delay modular
 //! reduction: for the 25-bit DarKnight prime, products of two canonical
 //! elements fit in 50 bits, so a `u64` accumulator absorbs 2^14
-//! multiply-accumulates before a single Barrett fold; the Mersenne field
-//! `2^61 − 1` folds each product with two shift-adds into a `u128`
-//! accumulator. Floats use a trivial pass-through accumulator, so one
-//! generic kernel serves every domain with zero abstraction cost.
+//! multiply-accumulates before a single Barrett fold. `f32` uses a
+//! trivial pass-through accumulator, so one generic kernel serves both
+//! domains with zero abstraction cost.
 
-use dk_field::{F25, F61, Fp, P25, P61};
+use dk_field::{F25, Fp, P25};
 use std::fmt::Debug;
 use std::ops::{Add, AddAssign, Mul, Neg, Sub};
 
 /// A ring element the generic kernels can compute with.
 ///
-/// Implemented for `f32`, `f64` and DarKnight's two concrete fields
-/// ([`F25`], [`F61`]), so the identical im2col/matmul code paths serve
-/// both the TEE's float domain and the GPU workers' masked field domain.
+/// Implemented for exactly two element types, `f32` and [`F25`], so the
+/// identical im2col/matmul code paths serve both the TEE's float domain
+/// and the GPU workers' masked field domain.
 pub trait Scalar:
     Copy
     + Debug
@@ -44,8 +43,7 @@ pub trait Scalar:
 
     /// Maximum number of [`Scalar::mac`] steps between folds.
     ///
-    /// `usize::MAX` means the accumulator can never overflow at realistic
-    /// sizes (floats; the Mersenne field's pre-folded products).
+    /// `usize::MAX` means the accumulator never needs folding (floats).
     const FOLD_INTERVAL: usize;
 
     /// Whether inner-loop kernels should branch around zero operands.
@@ -90,56 +88,50 @@ pub trait Scalar:
     /// without one full modular reduction per lane.
     fn acc_add(a: Self::Acc, b: Self::Acc) -> Self::Acc;
     /// Compresses the accumulator back into canonical range (a no-op for
-    /// floats, a Barrett/Mersenne reduction for fields).
+    /// floats, a Barrett reduction for the field).
     fn acc_fold(acc: Self::Acc) -> Self::Acc;
     /// Final exact reduction back to the scalar domain.
     fn acc_finish(acc: Self::Acc) -> Self;
 }
 
-macro_rules! impl_float_scalar {
-    ($($t:ty),*) => {$(
-        impl Scalar for $t {
-            /// Floats accumulate natively; no folding is ever needed.
-            type Acc = $t;
-            const FOLD_INTERVAL: usize = usize::MAX;
-            const SKIP_ZEROS: bool = false;
-            const EXACT: bool = false;
+impl Scalar for f32 {
+    /// Floats accumulate natively; no folding is ever needed.
+    type Acc = f32;
+    const FOLD_INTERVAL: usize = usize::MAX;
+    const SKIP_ZEROS: bool = false;
+    const EXACT: bool = false;
 
-            fn zero() -> Self {
-                0.0
-            }
-            fn one() -> Self {
-                1.0
-            }
-            #[inline]
-            fn acc_zero() -> Self {
-                0.0
-            }
-            #[inline]
-            fn acc_lift(self) -> Self {
-                self
-            }
-            #[inline]
-            fn mac(acc: Self, a: Self, b: Self) -> Self {
-                acc + a * b
-            }
-            #[inline]
-            fn acc_add(a: Self, b: Self) -> Self {
-                a + b
-            }
-            #[inline]
-            fn acc_fold(acc: Self) -> Self {
-                acc
-            }
-            #[inline]
-            fn acc_finish(acc: Self) -> Self {
-                acc
-            }
-        }
-    )*};
+    fn zero() -> Self {
+        0.0
+    }
+    fn one() -> Self {
+        1.0
+    }
+    #[inline]
+    fn acc_zero() -> Self {
+        0.0
+    }
+    #[inline]
+    fn acc_lift(self) -> Self {
+        self
+    }
+    #[inline]
+    fn mac(acc: Self, a: Self, b: Self) -> Self {
+        acc + a * b
+    }
+    #[inline]
+    fn acc_add(a: Self, b: Self) -> Self {
+        a + b
+    }
+    #[inline]
+    fn acc_fold(acc: Self) -> Self {
+        acc
+    }
+    #[inline]
+    fn acc_finish(acc: Self) -> Self {
+        acc
+    }
 }
-
-impl_float_scalar!(f32, f64);
 
 /// Largest `n` such that `(P−1) + n·(P−1)²` still fits in a `u64` — the
 /// number of unreduced MACs a `u64` accumulator absorbs. For
@@ -190,48 +182,6 @@ impl Scalar for F25 {
     #[inline]
     fn acc_finish(acc: u64) -> Self {
         F25::reduce_u64(acc)
-    }
-}
-
-impl Scalar for F61 {
-    /// Each 122-bit product is pre-folded to under 2^62 with two
-    /// shift-adds (Mersenne reduction), so the `u128` accumulator would
-    /// only overflow after ~2^66 MACs — beyond any addressable `k`.
-    type Acc = u128;
-    const FOLD_INTERVAL: usize = usize::MAX;
-    const SKIP_ZEROS: bool = true;
-    const EXACT: bool = true;
-
-    fn zero() -> Self {
-        Fp::ZERO
-    }
-    fn one() -> Self {
-        Fp::ONE
-    }
-    #[inline]
-    fn acc_zero() -> u128 {
-        0
-    }
-    #[inline]
-    fn acc_lift(self) -> u128 {
-        self.value() as u128
-    }
-    #[inline]
-    fn mac(acc: u128, a: Self, b: Self) -> u128 {
-        let wide = a.value() as u128 * b.value() as u128;
-        acc + ((wide & P61 as u128) + (wide >> 61))
-    }
-    #[inline]
-    fn acc_add(a: u128, b: u128) -> u128 {
-        a + b
-    }
-    #[inline]
-    fn acc_fold(acc: u128) -> u128 {
-        F61::reduce_u128(acc).value() as u128
-    }
-    #[inline]
-    fn acc_finish(acc: u128) -> Self {
-        F61::reduce_u128(acc)
     }
 }
 
@@ -288,18 +238,5 @@ mod tests {
         };
         assert_eq!(F25::acc_finish(acc), expect);
         assert_eq!(F25::acc_finish(F25::acc_fold(acc)), expect);
-    }
-
-    #[test]
-    fn f61_mac_chain_matches_reduced() {
-        let a = F61::new(dk_field::P61 - 3);
-        let b = F61::new(dk_field::P61 - 7);
-        let mut acc = F61::acc_zero();
-        let mut expect = F61::ZERO;
-        for _ in 0..1000 {
-            acc = F61::mac(acc, a, b);
-            expect += a * b;
-        }
-        assert_eq!(F61::acc_finish(acc), expect);
     }
 }

@@ -47,9 +47,10 @@
 //! tier runs eight lanes with `MR = 8` (16 of 32 `zmm` accumulate), the
 //! AVX2 tier four lanes with `MR = 6` (12 of 16 `ymm`, a strip in two
 //! column halves). The baseline tier has no shim — no host that builds
-//! this repository would run an SSE2 one — so there, and for every `T`
-//! but `F25`, the entry points return `None` and the caller runs the
-//! portable kernels, the ones `f32` and `F61` exercise on every host.
+//! this repository would run an SSE2 one — so there, and for `f32`, the
+//! entry points return `None` and the caller runs the portable kernels:
+//! `f32` on every host, `F25` on the baseline tier, which
+//! [`Tier::offered`] always includes, so the per-tier tests reach them.
 
 // Off x86-64 no tier has a lane shim: the bodies type-check but are
 // never run.

@@ -114,12 +114,6 @@ impl ArchSpec {
         self.layers.iter().map(|l| l.out_elems.max(l.in_elems)).max().unwrap_or(0)
     }
 
-    /// Sum of all layer output activations per sample (feature-map
-    /// traffic between TEE and GPUs).
-    pub fn total_activation_elems(&self) -> u64 {
-        self.layers.iter().map(|l| l.out_elems).sum()
-    }
-
     /// Layers of a given kind.
     pub fn layers_of(&self, kind: SpecKind) -> impl Iterator<Item = &LayerSpec> {
         self.layers.iter().filter(move |l| l.kind == kind)

@@ -447,16 +447,6 @@ impl Dense {
         }
     }
 
-    /// Input feature count.
-    pub fn in_features(&self) -> usize {
-        self.in_features
-    }
-
-    /// Output feature count.
-    pub fn out_features(&self) -> usize {
-        self.out_features
-    }
-
     /// The weight matrix `[out, in]`.
     pub fn weights(&self) -> &Tensor<f32> {
         &self.w

@@ -10,7 +10,6 @@ use crate::data::Dataset;
 use crate::loss::{accuracy, softmax_cross_entropy};
 use crate::model::Sequential;
 use crate::optim::Sgd;
-use dk_linalg::Tensor;
 
 /// Per-epoch training metrics.
 #[derive(Debug, Clone, Default)]
@@ -97,13 +96,6 @@ pub fn train(
         }
     }
     report
-}
-
-/// Computes a single-batch forward+loss without mutating gradients, used
-/// by equivalence tests.
-pub fn batch_loss(model: &mut Sequential, x: &Tensor<f32>, labels: &[usize]) -> f32 {
-    let logits = model.forward(x, false);
-    softmax_cross_entropy(&logits, labels).0
 }
 
 #[cfg(test)]

@@ -12,7 +12,7 @@
 //!   reachable via [`global()`]; standalone registries
 //!   ([`metrics::Registry::new`]) serve tests and embedded recorders.
 //!   Export via [`metrics::Registry::render_prometheus`] (text
-//!   exposition) and [`metrics::Registry::render_json`].
+//!   exposition).
 //! * [`trace`] — (batch, layer, stage) spans recorded into per-lane
 //!   (per-thread) fixed-capacity ring buffers, exportable as
 //!   chrome://tracing JSON ([`trace::export_chrome`]) so the §7.1

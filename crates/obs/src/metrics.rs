@@ -229,11 +229,6 @@ impl Registry {
         self.enabled.store(false, Ordering::Relaxed);
     }
 
-    /// Is this registry recording?
-    pub fn is_enabled(&self) -> bool {
-        self.enabled.load(Ordering::Relaxed)
-    }
-
     fn lock(&self) -> std::sync::MutexGuard<'_, Vec<Entry>> {
         self.entries.lock().unwrap_or_else(|e| e.into_inner())
     }
@@ -374,48 +369,6 @@ impl Registry {
         }
         out
     }
-
-    /// The same data as a flat JSON document (hand-rolled — the
-    /// workspace carries no JSON dependency and names are ours).
-    pub fn render_json(&self) -> String {
-        let entries = self.lock();
-        let mut counters = Vec::new();
-        let mut gauges = Vec::new();
-        let mut hists = Vec::new();
-        for e in entries.iter() {
-            let full = if e.labels.is_empty() {
-                e.name.clone()
-            } else {
-                format!("{}{{{}}}", e.name, e.labels)
-            };
-            let full = full.replace('"', "\\\"");
-            match &e.kind {
-                Kind::Counter(c) => {
-                    counters.push(format!("    {{\"name\": \"{full}\", \"value\": {}}}", c.load(Ordering::Relaxed)));
-                }
-                Kind::Gauge(g) => {
-                    gauges.push(format!("    {{\"name\": \"{full}\", \"value\": {}}}", g.load(Ordering::Relaxed)));
-                }
-                Kind::Histogram(cell) => {
-                    let h = Histogram { enabled: self.enabled.clone(), cell: cell.clone() };
-                    hists.push(format!(
-                        "    {{\"name\": \"{full}\", \"count\": {}, \"sum\": {}, \"p50\": {}, \"p95\": {}, \"p99\": {}}}",
-                        h.count(),
-                        h.sum(),
-                        h.percentile(50.0),
-                        h.percentile(95.0),
-                        h.percentile(99.0)
-                    ));
-                }
-            }
-        }
-        format!(
-            "{{\n  \"counters\": [\n{}\n  ],\n  \"gauges\": [\n{}\n  ],\n  \"histograms\": [\n{}\n  ]\n}}\n",
-            counters.join(",\n"),
-            gauges.join(",\n"),
-            hists.join(",\n")
-        )
-    }
 }
 
 #[cfg(test)]
@@ -543,9 +496,6 @@ mod tests {
             let (_, value) = line.rsplit_split_once_space();
             assert!(value.parse::<i64>().is_ok(), "unparseable line: {line}");
         }
-        let json = r.render_json();
-        assert!(json.contains("\"dk_test_total\""));
-        assert!(json.contains("\"p95\""));
     }
 
     trait RSplit {

@@ -211,14 +211,6 @@ pub struct SpanGuard {
     live: Option<(Instant, Stage, u64, u64)>,
 }
 
-impl SpanGuard {
-    /// A guard that records nothing — for call sites that decide
-    /// dynamically.
-    pub fn inert() -> SpanGuard {
-        SpanGuard { live: None }
-    }
-}
-
 /// Open a span for `stage` of (`batch`, `layer`). Disabled cost: one
 /// relaxed atomic load. The span closes (and is recorded) when the
 /// returned guard drops.

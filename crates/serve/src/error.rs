@@ -14,9 +14,6 @@ pub enum ConfigError {
     ZeroWorkers,
     /// `queue_capacity == 0` — admission control needs a queue.
     ZeroQueueCapacity,
-    /// `dispatch_depth == 0` — the aggregator needs somewhere to put
-    /// batches.
-    ZeroDispatchDepth,
     /// `pipeline_lanes == 0` — an engine needs at least one TEE lane.
     ZeroPipelineLanes,
     /// The autoscale range is empty or unusable: `min == 0` or
@@ -34,7 +31,6 @@ impl std::fmt::Display for ConfigError {
         match self {
             ConfigError::ZeroWorkers => write!(f, "a server needs at least one worker"),
             ConfigError::ZeroQueueCapacity => write!(f, "ingress queue needs capacity"),
-            ConfigError::ZeroDispatchDepth => write!(f, "dispatch queue needs capacity"),
             ConfigError::ZeroPipelineLanes => write!(f, "an engine needs at least one lane"),
             ConfigError::AutoscaleRange { min, max } => write!(
                 f,

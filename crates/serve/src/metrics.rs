@@ -6,7 +6,7 @@
 //! (one per server — exact-count tests must not cross-contaminate
 //! through the process-global registry), so every recording is a
 //! relaxed `fetch_add` and the whole set renders through the standard
-//! `render_prometheus`/`render_json` expositions. Queue-wait latency is
+//! `render_prometheus` exposition. Queue-wait latency is
 //! booked once, in the `dk_serve_queue_wait_us` histogram: scrapes and
 //! the serving report's percentiles both read it.
 
@@ -193,11 +193,6 @@ impl MetricsRecorder {
     /// Prometheus text exposition of every serving metric.
     pub fn render_prometheus(&self) -> String {
         self.registry.render_prometheus()
-    }
-
-    /// The same metrics as a flat JSON document.
-    pub fn render_json(&self) -> String {
-        self.registry.render_json()
     }
 
     pub fn snapshot(&self) -> ServerMetrics {
@@ -417,7 +412,5 @@ mod tests {
         assert!(text.contains("dk_serve_submitted_total 1"));
         assert!(text.contains("dk_serve_real_rows_total 4"));
         assert!(text.contains("dk_serve_queue_wait_us_count 1"));
-        let json = rec.render_json();
-        assert!(json.contains("\"dk_serve_queue_wait_us\""));
     }
 }

@@ -64,6 +64,12 @@ use std::time::{Duration, Instant};
 /// *quiet* worker notices it was retired.
 const RETIRE_POLL: Duration = Duration::from_millis(5);
 
+/// Batches the bounded dispatch queue between aggregator and pool
+/// holds: a worker that finishes one finds the next waiting, and a full
+/// queue blocks the aggregator, which backs requests up into the
+/// bounded ingress queue, where `submit` sheds.
+const DISPATCH_DEPTH: usize = 2;
+
 /// Deployment parameters for one [`Server`].
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
@@ -79,8 +85,6 @@ pub struct ServerConfig {
     /// Default cap on how long a request may wait for its batch to
     /// fill before a padded partial batch dispatches.
     pub max_batch_wait: Duration,
-    /// Bounded dispatch queue length between aggregator and pool.
-    pub dispatch_depth: usize,
     /// In-flight virtual batches per worker engine (TEE lane threads);
     /// 1 disables overlap.
     pub pipeline_lanes: usize,
@@ -99,7 +103,6 @@ impl ServerConfig {
             workers: 2,
             queue_capacity: 64,
             max_batch_wait: Duration::from_millis(2),
-            dispatch_depth: 2,
             pipeline_lanes: 2,
             autoscale: None,
         }
@@ -126,12 +129,6 @@ impl ServerConfig {
         self
     }
 
-    /// Sets the dispatch queue depth. Validated at [`Server::start`].
-    pub fn with_dispatch_depth(mut self, dispatch_depth: usize) -> Self {
-        self.dispatch_depth = dispatch_depth;
-        self
-    }
-
     /// Sets the per-worker pipeline lane count (in-flight virtual
     /// batches; 1 disables stage overlap). Validated at
     /// [`Server::start`].
@@ -155,9 +152,6 @@ impl ServerConfig {
         }
         if self.queue_capacity == 0 {
             return Err(ConfigError::ZeroQueueCapacity);
-        }
-        if self.dispatch_depth == 0 {
-            return Err(ConfigError::ZeroDispatchDepth);
         }
         if self.pipeline_lanes == 0 {
             return Err(ConfigError::ZeroPipelineLanes);
@@ -263,11 +257,6 @@ impl ServerHandle {
     /// server.
     pub fn render_metrics(&self) -> String {
         self.metrics.render_prometheus()
-    }
-
-    /// The server's metrics as a flat JSON document.
-    pub fn render_metrics_json(&self) -> String {
-        self.metrics.render_json()
     }
 }
 
@@ -451,7 +440,7 @@ impl Server {
 
         let metrics = Arc::new(MetricsRecorder::new());
         let (ingress_tx, ingress_rx) = mpsc::sync_channel::<Ingress>(config.queue_capacity);
-        let (dispatch_tx, dispatch_rx) = mpsc::sync_channel::<Batch>(config.dispatch_depth);
+        let (dispatch_tx, dispatch_rx) = mpsc::sync_channel::<Batch>(DISPATCH_DEPTH);
         let pool = Arc::new(Pool {
             session: config.session,
             opts: EngineOptions::default().with_lanes(config.pipeline_lanes),
@@ -1035,7 +1024,6 @@ mod tests {
             ServerConfig::new(cfg, &[3, HW, HW])
                 .with_workers(1)
                 .with_queue_capacity(2)
-                .with_dispatch_depth(1)
                 .with_max_batch_wait(Duration::from_secs(10)),
             &model,
             &cluster,
@@ -1066,7 +1054,7 @@ mod tests {
 
     #[test]
     fn priority_rides_earlier_batches() {
-        // One slow worker, K=2, 1-deep dispatch: flood Low requests,
+        // One slow worker, K=2, 2-deep dispatch: flood Low requests,
         // then one High; the High request must overtake the tail.
         let model = mini_vgg(HW, 4, 79);
         let cfg = DarknightConfig::new(2, 1);
@@ -1075,7 +1063,6 @@ mod tests {
             ServerConfig::new(cfg, &[3, HW, HW])
                 .with_workers(1)
                 .with_queue_capacity(32)
-                .with_dispatch_depth(1)
                 .with_max_batch_wait(Duration::from_millis(1)),
             &model,
             &cluster,
@@ -1247,7 +1234,6 @@ mod tests {
         for (config, want) in [
             (base().with_workers(0), ConfigError::ZeroWorkers),
             (base().with_queue_capacity(0), ConfigError::ZeroQueueCapacity),
-            (base().with_dispatch_depth(0), ConfigError::ZeroDispatchDepth),
             (base().with_pipeline_lanes(0), ConfigError::ZeroPipelineLanes),
             (
                 base().with_autoscale(AutoscaleConfig::new(0, 2)),
@@ -1307,7 +1293,6 @@ mod tests {
             ServerConfig::new(cfg, &[3, HW, HW])
                 .with_workers(1)
                 .with_queue_capacity(64)
-                .with_dispatch_depth(1)
                 .with_max_batch_wait(Duration::from_millis(1))
                 .with_autoscale(
                     AutoscaleConfig::new(1, 3)

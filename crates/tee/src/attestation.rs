@@ -6,7 +6,8 @@
 //! secret key exchange protocol at the beginning of the session". This
 //! module simulates both with a quote structure signed by a platform key
 //! (standing in for the EPID/DCAP infrastructure) and a toy
-//! Diffie–Hellman exchange over the 61-bit Mersenne prime field.
+//! Diffie–Hellman exchange in the multiplicative group modulo the prime
+//! `2^61 − 1`, whose arithmetic is the private `mod_pow` below.
 //!
 //! **Not real cryptography** — a 61-bit DH group is trivially breakable;
 //! it exists to exercise the protocol shape. See the crate-level
@@ -14,40 +15,58 @@
 
 use crate::crypto::sha256::Sha256;
 use crate::crypto::siphash::siphash24;
-use dk_field::{F61, FieldRng};
+use dk_field::FieldRng;
+
+/// The group modulus of the toy exchange: the prime `2^61 − 1`.
+const MODULUS: u64 = (1 << 61) - 1;
 
 /// The DH generator used by the toy exchange.
 const GENERATOR: u64 = 5;
 
-/// A Diffie–Hellman key pair over `F_{2^61−1}`.
+/// `base^e mod 2^61 − 1` by square-and-multiply. Operands are reduced
+/// below the modulus, so every product fits a `u128`.
+fn mod_pow(base: u64, mut e: u64) -> u64 {
+    let mul = |a: u64, b: u64| (a as u128 * b as u128 % MODULUS as u128) as u64;
+    let (mut base, mut acc) = (base % MODULUS, 1);
+    while e > 0 {
+        if e & 1 == 1 {
+            acc = mul(acc, base);
+        }
+        base = mul(base, base);
+        e >>= 1;
+    }
+    acc
+}
+
+/// A Diffie–Hellman key pair modulo `2^61 − 1`.
 #[derive(Debug, Clone)]
 pub struct KeyPair {
     secret: u64,
-    public: F61,
+    public: u64,
 }
 
 impl KeyPair {
     /// Generates a key pair from the given RNG.
     pub fn generate(rng: &mut FieldRng) -> Self {
         // Secret in [2, p-2].
-        let secret = 2 + rng.next_u64() % (F61::MODULUS - 3);
-        let public = F61::new(GENERATOR).pow(secret);
+        let secret = 2 + rng.next_u64() % (MODULUS - 3);
+        let public = mod_pow(GENERATOR, secret);
         Self { secret, public }
     }
 
-    /// The public half.
-    pub fn public(&self) -> F61 {
+    /// The public half, a group element below `2^61 − 1`.
+    pub fn public(&self) -> u64 {
         self.public
     }
 
     /// Computes the shared secret with a peer's public value and derives
     /// a 32-byte session key (SHA-256 over the shared group element and
     /// a context label).
-    pub fn session_key(&self, peer_public: F61, context: &[u8]) -> [u8; 32] {
-        let shared = peer_public.pow(self.secret);
+    pub fn session_key(&self, peer_public: u64, context: &[u8]) -> [u8; 32] {
+        let shared = mod_pow(peer_public, self.secret);
         let mut h = Sha256::new();
         h.update(b"darknight-session");
-        h.update(&shared.value().to_le_bytes());
+        h.update(&shared.to_le_bytes());
         h.update(context);
         h.finalize()
     }
@@ -120,14 +139,12 @@ pub fn attested_key_exchange(
     let enclave = KeyPair::generate(rng);
     // Enclave binds its DH public key into the quote.
     let mut report = [0u8; 32];
-    report[..8].copy_from_slice(&enclave.public().value().to_le_bytes());
+    report[..8].copy_from_slice(&enclave.public().to_le_bytes());
     let quote = platform.quote(enclave_measurement, report);
     if !platform.verify(&quote, Some(expected_measurement)) {
         return Err("quote verification failed");
     }
-    let quoted_pub = F61::new(u64::from_le_bytes(
-        quote.report_data[..8].try_into().expect("8 bytes"),
-    ));
+    let quoted_pub = u64::from_le_bytes(quote.report_data[..8].try_into().expect("8 bytes"));
     let client_key = client.session_key(quoted_pub, b"client-enclave");
     let enclave_key = enclave.session_key(client.public(), b"client-enclave");
     Ok((client_key, enclave_key))
@@ -136,6 +153,15 @@ pub fn attested_key_exchange(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn mod_pow_is_the_group_power() {
+        assert_eq!(mod_pow(GENERATOR, 0), 1);
+        assert_eq!(mod_pow(GENERATOR, 3), 125);
+        assert_eq!(mod_pow(MODULUS + 5, 2), 25, "the base is reduced first");
+        assert_eq!(mod_pow(MODULUS - 1, 2), 1, "(−1)² = 1");
+        assert_eq!(mod_pow(GENERATOR, MODULUS - 1), 1, "Fermat: the modulus is prime");
+    }
 
     #[test]
     fn dh_agreement() {

@@ -13,6 +13,7 @@
 use darknight::core::EncodingScheme;
 use darknight::field::vandermonde::{is_mds, mds_matrix};
 use darknight::field::{F25, FieldMatrix, FieldRng, QuantConfig, QuantError, P25};
+use darknight::linalg::Workspace;
 use darknight::tee::crypto::SealKey;
 use proptest::prelude::*;
 
@@ -261,7 +262,7 @@ proptest! {
         let inputs: Vec<Vec<F25>> = (0..k).map(|_| rng.uniform_vec::<P25>(n)).collect();
         let noise: Vec<Vec<F25>> = (0..m).map(|_| rng.uniform_vec::<P25>(n)).collect();
         let encodings = scheme.encode(&inputs, &noise);
-        let decoded = scheme.decode_forward(&encodings, 0).unwrap();
+        let decoded = scheme.decode_forward_ws(&encodings, 0, &mut Workspace::new()).unwrap();
         prop_assert_eq!(decoded, inputs);
     }
 
@@ -285,7 +286,7 @@ proptest! {
         let victim = victim_sel as usize % outputs.len();
         let elem = elem_sel as usize % n;
         outputs[victim][elem] += F25::new(bump);
-        prop_assert!(scheme.decode_forward(&outputs, 0).is_err());
+        prop_assert!(scheme.decode_forward_ws(&outputs, 0, &mut Workspace::new()).is_err());
     }
 
     /// The Eq. 5 relation holds for every sampled scheme.
