@@ -49,8 +49,8 @@ use dk_core::scheme::EncodingScheme;
 use dk_core::DarknightConfig;
 use dk_field::{F25, FieldRng, P25};
 use dk_gpu::{GpuCluster, LatencyModel};
-use dk_linalg::conv::conv2d_forward_ws;
-use dk_linalg::im2col::im2col_into;
+use dk_linalg::conv::{conv2d_backward_input_ws, conv2d_backward_weight_ws, conv2d_forward_ws};
+use dk_linalg::im2col::{col2im_acc_into, im2col_into};
 use dk_linalg::reference::{naive_matmul, naive_matmul_a_bt, naive_matmul_at_b};
 use dk_linalg::{matmul_a_bt_into, matmul_at_b_into, matmul_into, Conv2dShape, Tensor, Workspace};
 use dk_nn::arch::mini_vgg;
@@ -458,6 +458,49 @@ fn main() {
         &mut || {
             let y = conv2d_forward_ws(&xdw, &wdw, &dw, &mut kws);
             kws.give_tensor(std::hint::black_box(y));
+        },
+    );
+
+    // --- conv2d backward: the two training products -------------------
+    // mini_resnet's 16→16 3×3 layer at 16×16. The weight gradient is
+    // one encoded sample (what a worker's `*Stored` job runs); the
+    // input gradient is the unencoded `δ` of a `K = 2` batch. Baselines:
+    // the same im2col lowering feeding the naive dot kernel, and the
+    // naive `Wᵀ·δ` scattered by col2im.
+    let bshape = Conv2dShape::simple(16, 16, 3, 1, 1);
+    let bmacs = bshape.forward_macs(1, (16, 16));
+    let xb = Tensor::<F25>::from_fn(&[1, 16, 16, 16], |i| F25::new(i as u64 * 31 % P25));
+    let wb = Tensor::<F25>::from_fn(&bshape.weight_shape(), |i| F25::new(i as u64 * 17 % P25));
+    let dyb = Tensor::<F25>::from_fn(&[2, 16, 16, 16], |i| F25::new(i as u64 * 13 % P25));
+    let dy1 = Tensor::<F25>::from_fn(&[1, 16, 16, 16], |i| F25::new(i as u64 * 13 % P25));
+    let (bk, bn) = (144usize, 256usize);
+    bench(
+        "conv2d_backward_weight_16c16c3x3_16x16/field".to_string(),
+        bmacs,
+        &mut || {
+            let mut cols = vec![F25::ZERO; bk * bn];
+            im2col_into(xb.batch_item(0), 16, (16, 16), (3, 3), (1, 1), (1, 1), &mut cols);
+            std::hint::black_box(naive_matmul_a_bt(dy1.as_slice(), &cols, 16, bn, bk));
+        },
+        &mut || {
+            let dw = conv2d_backward_weight_ws(&dy1, &xb, &bshape, &mut kws);
+            kws.give_tensor(std::hint::black_box(dw));
+        },
+    );
+    bench(
+        "conv2d_backward_input_16c16c3x3_16x16_n2/field".to_string(),
+        2 * bmacs,
+        &mut || {
+            let mut dx = vec![F25::ZERO; 2 * 16 * 16 * 16];
+            for (dyi, dxi) in dyb.as_slice().chunks(16 * bn).zip(dx.chunks_mut(16 * 16 * 16)) {
+                let dcol = naive_matmul_at_b(wb.as_slice(), dyi, bk, 16, bn);
+                col2im_acc_into(&dcol, 16, (16, 16), (3, 3), (1, 1), (1, 1), dxi);
+            }
+            std::hint::black_box(dx);
+        },
+        &mut || {
+            let dx = conv2d_backward_input_ws(&dyb, &wb, &bshape, (16, 16), &mut kws);
+            kws.give_tensor(std::hint::black_box(dx));
         },
     );
 
@@ -925,13 +968,16 @@ fn main() {
     // e.g. a fast-mode CI run gating against the committed full-mode
     // record: the ratio shifts a few percent with shape, the margin
     // absorbs it). Tracked kernels: the conv hot job (the offload's
-    // dominant cost) at both recorded shapes, the field matmul (the SIMD
+    // dominant cost) at both recorded shapes, training's two backward
+    // products, the field matmul (the SIMD
     // kernel this ratio was built to protect), and the TEE-side
     // streaming encode/decode (the coded-combine fast path).
     if let Some(doc) = &committed {
         for prefix in [
             "conv2d_forward",
             "conv2d_forward_16c16c3x3_32x32/field",
+            "conv2d_backward_weight_16c16c3x3_16x16/field",
+            "conv2d_backward_input_16c16c3x3_16x16_n2/field",
             "matmul_64x128x64/field",
             "encode_k4_m2",
             "decode_forward_k4_m2",

@@ -14,7 +14,8 @@
 //!   threads do other batches' masking.
 //! * A [`StepPlan`] is extracted from the [`Sequential`] once per step:
 //!   weights are frozen within a step, so their quantization happens
-//!   once instead of once per virtual batch and layer.
+//!   once instead of once per virtual batch and layer (and into the
+//!   previous call's buffers).
 //! * `lanes` TEE threads stream numbered virtual batches through the
 //!   three stages — encode (quantize + mask), GPU linear ops, decode +
 //!   §4.4 integrity check. While lane A waits on the fleet for batch
@@ -27,10 +28,22 @@
 //! the only concurrency there is, and every lane — inference, training,
 //! a `dk_serve` pool worker — is the same loop on one thread: pull the
 //! next unit of work, run it on the lane's session, deliver the result.
-//! One private scaffold (`run_lanes`) builds the sessions, starts the
+//! One private scaffold (`run_lanes`) readies the lanes, starts the
 //! named threads (`dk-lane-{i}`), joins them and hands back, in batch
 //! order, what the lanes report; nothing relays a batch to or from a
 //! lane.
+//!
+//! **Lanes outlive a call.** The first call builds each lane — a
+//! session with its warm workspace and dispatch client, and a copy of
+//! the model — and every later call reuses it. Per call a lane takes
+//! the caller's weights and running statistics in place, installs the
+//! call's step plan and the engine's convictions, restarts its enclave
+//! counters (the engine folds per-call deltas), and retires its last
+//! batch before its thread ends, so no stored encoding outlives the
+//! call. Buffers a lane's batches hand the engine — sealed gradient
+//! shards, BatchNorm statistics — go back to that lane's workspace
+//! after aggregation. [`PipelineEngine::into_cluster`] drops the lanes
+//! before it joins the dispatcher.
 //!
 //! **Numbering is the engine's.** A batch's masks are a pure function of
 //! its number, so a number must never be used twice (§4.1). The engine
@@ -59,7 +72,7 @@ use crate::virtual_batch::{
 use dk_field::{F25, QuantConfig};
 use dk_gpu::dispatch::DispatchClient;
 use dk_gpu::{GpuCluster, GpuDispatcher, WorkerId};
-use dk_linalg::Tensor;
+use dk_linalg::{Tensor, Workspace};
 use dk_nn::layers::Layer;
 use dk_nn::optim::Sgd;
 use dk_nn::Sequential;
@@ -115,6 +128,37 @@ impl StepPlan {
         self.linears.len()
     }
 
+    /// Re-quantizes the plan for `model`'s current weights in place,
+    /// reusing every buffer. False when it cannot — a planned tensor is
+    /// still shared, or the model's linear layers are not the planned
+    /// ones — and the plan is then to be discarded.
+    ///
+    /// # Errors
+    ///
+    /// As [`StepPlan::extract`].
+    fn refresh(&mut self, model: &Sequential, quant: QuantConfig) -> Result<bool, DarknightError> {
+        let (mut same, mut count) = (true, 0);
+        let linears = &mut self.linears;
+        model.try_visit_linear(|ordinal, layer| {
+            count += 1;
+            let w = layer.weights();
+            let Some(planned) = linears.get_mut(ordinal) else {
+                same = false;
+                return Ok(());
+            };
+            let Some(t) = Arc::get_mut(&mut planned.weights_q).filter(|t| t.shape() == w.shape()) else {
+                same = false;
+                return Ok(());
+            };
+            let (shape, mut data) = std::mem::take(t).into_parts();
+            let norm = quant.normalize_quantize_into(w.as_slice(), &mut data);
+            *t = Tensor::from_parts(shape, data);
+            planned.norm_w = norm?;
+            Ok::<(), DarknightError>(())
+        })?;
+        Ok(same && count == linears.len())
+    }
+
     /// The planned weights for the layer with the given walk ordinal.
     pub(crate) fn linear(&self, ordinal: u64) -> Option<&PlannedLinear> {
         self.linears.get(ordinal as usize)
@@ -165,38 +209,50 @@ pub struct BatchOutcome {
 }
 
 /// One TEE lane: a session over the shared dispatcher and the lane's
-/// own clone of the model.
+/// own copy of the model.
+#[derive(Debug)]
 struct Lane {
+    index: usize,
     session: DarknightSession<DispatchClient>,
     model: Sequential,
 }
 
-/// Captures each BatchNorm layer's per-batch statistics (walk order).
-fn collect_bn_stats(model: &mut Sequential) -> Vec<(Vec<f32>, Vec<f32>)> {
-    let mut v = Vec::new();
+/// Each BatchNorm layer's per-batch statistics in walk order — every
+/// layer's means, then its variances — in a buffer drawn from `ws`.
+fn collect_bn_stats(model: &mut Sequential, ws: &mut Workspace) -> Vec<f32> {
+    let mut len = 0;
     model.visit_leaf_layers_mut(&mut |l| {
         if let Layer::BatchNorm2d(bn) = l {
-            if let Some(s) = bn.take_batch_stats() {
-                v.push(s);
+            len += 2 * bn.channels();
+        }
+    });
+    let mut out = ws.take_cleared(len);
+    model.visit_leaf_layers_mut(&mut |l| {
+        if let Layer::BatchNorm2d(bn) = l {
+            if let Some((mean, var)) = bn.batch_stats() {
+                out.extend_from_slice(mean);
+                out.extend_from_slice(var);
             }
         }
     });
-    v
+    out
 }
 
 /// Replays one batch's BatchNorm statistics onto the real model, in the
 /// same walk order they were captured — restoring the exact sequential
 /// running-average chain.
-fn replay_bn_stats(model: &mut Sequential, stats: &[(Vec<f32>, Vec<f32>)]) {
-    let mut i = 0;
+fn replay_bn_stats(model: &mut Sequential, stats: &[f32]) {
+    let mut rest = stats;
     model.visit_leaf_layers_mut(&mut |l| {
         if let Layer::BatchNorm2d(bn) = l {
-            let (mean, var) = &stats[i];
+            let c = bn.channels();
+            let (mean, tail) = rest.split_at(c);
+            let (var, tail) = tail.split_at(c);
             bn.apply_running_update(mean, var);
-            i += 1;
+            rest = tail;
         }
     });
-    assert_eq!(i, stats.len(), "BatchNorm layer arity changed mid-step");
+    assert!(rest.is_empty(), "BatchNorm layer arity changed mid-step");
 }
 
 /// The staged pipelined executor (see module docs).
@@ -221,6 +277,13 @@ pub struct PipelineEngine {
     /// call instead of being rediscovered (a full TEE localization) per
     /// lane per call.
     convicted: Vec<WorkerId>,
+    /// The TEE lanes, kept from call to call (see
+    /// [`PipelineEngine::run_lanes`]); empty until the first call.
+    lanes: Vec<Lane>,
+    /// The last call's step plan, re-quantized in place by the next.
+    plan: Option<Arc<StepPlan>>,
+    /// The aggregation enclave's buffer pool.
+    ws: Workspace,
 }
 
 impl PipelineEngine {
@@ -270,6 +333,9 @@ impl PipelineEngine {
             mem: MemoryStats::default(),
             quarantined: Vec::new(),
             convicted: Vec::new(),
+            lanes: Vec::new(),
+            plan: None,
+            ws: Workspace::new(),
         })
     }
 
@@ -339,10 +405,12 @@ impl PipelineEngine {
     ///
     /// # Panics
     ///
-    /// Panics if lane threads are still running (they hold dispatcher
-    /// references only during calls, so this cannot happen between
-    /// calls).
-    pub fn into_cluster(self) -> GpuCluster {
+    /// Panics if lane threads are still running (they run only inside
+    /// a call, so this cannot happen between calls).
+    pub fn into_cluster(mut self) -> GpuCluster {
+        // The lane sessions hold clients of the dispatcher: they go
+        // first (each retires its last batch on drop).
+        self.lanes.clear();
         // Workers lost mid-run were already quarantined (and repaired
         // around) by the lane sessions; `join` respawns them fresh, so
         // the lost list adds nothing here.
@@ -364,14 +432,27 @@ impl PipelineEngine {
         Ok(lane)
     }
 
-    /// The lane scaffold, owned once: extracts the step plan, builds
-    /// `lanes` sessions and model clones, runs `body` on each on its own
+    /// The lane scaffold, owned once: extracts the step plan, readies
+    /// `lanes` sessions and model copies, runs `body` on each on its own
     /// named thread, and after the join folds every lane's counters and
     /// convictions into the engine. `body` returns what its lane has to
     /// report per batch, keyed by batch; the lanes' reports come back
     /// merged **in batch order**, which is the order every
     /// order-sensitive reduction (quarantine list, BatchNorm replay,
     /// gradient sums) must run in.
+    ///
+    /// **Lanes outlive a call.** The sessions, with their warm
+    /// workspaces and dispatch clients, and the model copies are built
+    /// by the first call and kept. What a lane resets per call:
+    /// - its model copy takes the caller's weights and running
+    ///   statistics in place ([`Sequential::copy_state_from`]);
+    /// - its session installs this call's [`StepPlan`] and is seeded
+    ///   with every conviction the engine knows of;
+    /// - its enclave counters restart, so the lane's peak is this call's
+    ///   and its counters this call's delta; its session counters are
+    ///   taken (left at zero) when the call folds them in;
+    /// - before its thread ends it retires its last batch, so no
+    ///   encoding it stored outlives the call.
     ///
     /// # Errors
     ///
@@ -382,15 +463,30 @@ impl PipelineEngine {
         model: &Sequential,
         body: impl Fn(&mut Lane) -> Vec<(u64, R)> + Sync,
     ) -> Result<Vec<R>, DarknightError> {
-        let plan = Arc::new(StepPlan::extract(model, self.cfg.quant())?);
-        // Sessions and model clones are all made here, on the calling
+        let quant = self.cfg.quant();
+        let mut plan = self.plan.take();
+        let fresh = match plan.as_mut().and_then(Arc::get_mut) {
+            Some(planned) => !planned.refresh(model, quant)?,
+            None => true,
+        };
+        let plan = match plan {
+            Some(plan) if !fresh => plan,
+            _ => Arc::new(StepPlan::extract(model, quant)?),
+        };
+        self.plan = Some(plan.clone());
+        // Sessions and model copies are all readied here, on the calling
         // thread, before any lane starts: a bad configuration fails with
         // nothing to unwind, and `Sequential` is `Send` but not `Sync`.
-        let mut lanes = Vec::with_capacity(self.opts.lanes);
-        for _ in 0..self.opts.lanes {
-            let mut session = self.lane_session()?;
+        while self.lanes.len() < self.opts.lanes {
+            let index = self.lanes.len();
+            let lane = Lane { index, session: self.lane_session()?, model: model.clone() };
+            self.lanes.push(lane);
+        }
+        for Lane { session, model: copy, .. } in &mut self.lanes {
+            copy.copy_state_from(model);
             session.set_step_plan(Some(plan.clone()));
-            lanes.push(Lane { session, model: model.clone() });
+            session.seed_convictions(&self.convicted);
+            session.enclave_mut().reset_stats();
         }
         // Stable names, call after call: `dk_obs` keys a lane's span
         // ring on them. A named caller (a `dk_serve` pool worker) shows
@@ -401,14 +497,23 @@ impl PipelineEngine {
             _ => String::new(),
         };
         let body = &body;
-        let finished: Vec<(Vec<(u64, R)>, Lane)> = std::thread::scope(|scope| {
-            let handles: Vec<_> = lanes
-                .into_iter()
+        let finished: Vec<(Vec<(u64, R)>, &mut Lane)> = std::thread::scope(|scope| {
+            let handles: Vec<_> = self
+                .lanes
+                .iter_mut()
                 .enumerate()
-                .map(|(i, mut lane)| {
+                .map(|(i, lane)| {
                     std::thread::Builder::new()
                         .name(format!("{prefix}dk-lane-{i}"))
-                        .spawn_scoped(scope, move || (body(&mut lane), lane))
+                        .spawn_scoped(scope, move || {
+                            let report = body(lane);
+                            // Nothing of this call stays referenced: no
+                            // stored encoding on the workers, no planned
+                            // tensor (the next call re-quantizes in place).
+                            lane.session.retire_batch();
+                            lane.session.set_step_plan(None);
+                            (report, lane)
+                        })
                         .expect("spawn lane thread")
                 })
                 .collect();
@@ -422,15 +527,15 @@ impl PipelineEngine {
         let mut reports = Vec::new();
         let mut call_mem = MemoryStats::default();
         for (report, lane) in finished {
-            self.stats.merge(&lane.session.stats());
+            self.stats.merge(&lane.session.take_stats());
             call_mem.merge(&lane.session.enclave_stats());
             for &w in lane.session.convicted() {
                 push_unique(&mut self.convicted, w);
             }
             reports.extend(report);
         }
-        // This call's lanes were resident together and are gone before
-        // the next call's exist: their peaks add, successive calls' don't.
+        // This call's lanes were resident together, and their peaks were
+        // restarted at its start: their peaks add, successive calls' don't.
         let peak = self.mem.peak_bytes.max(call_mem.peak_bytes);
         self.mem.merge(&call_mem);
         self.mem.peak_bytes = peak;
@@ -484,7 +589,7 @@ impl PipelineEngine {
         let base = self.next_batch;
         // (the source, batches pulled): pull order is numbering order.
         let pull = Mutex::new((source, 0u64));
-        let logs = self.run_lanes(model, |Lane { session, model }| {
+        let logs = self.run_lanes(model, |Lane { session, model, .. }| {
             let mut quarantine_log = Vec::new();
             let mut spare = None;
             loop {
@@ -592,12 +697,18 @@ impl PipelineEngine {
 
         struct VbResult {
             grad: SealedGradient,
-            bn: Vec<(Vec<f32>, Vec<f32>)>,
+            bn: Vec<f32>,
             quarantined: Vec<WorkerId>,
+            lane: usize,
+        }
+        impl AsRef<SealedGradient> for VbResult {
+            fn as_ref(&self) -> &SealedGradient {
+                &self.grad
+            }
         }
         let next = AtomicUsize::new(0);
         let abort = AtomicBool::new(false);
-        let results = self.run_lanes(model, |Lane { session, model }| {
+        let results = self.run_lanes(model, |Lane { index, session, model }| {
             let mut done = Vec::new();
             loop {
                 let v = next.fetch_add(1, Ordering::Relaxed);
@@ -606,11 +717,11 @@ impl PipelineEngine {
                 }
                 session.begin_numbered_batch(base + v as u64 + 1);
                 let q0 = session.quarantined().len();
-                let result = seal_virtual_batch_gradient(session, model, x, labels, v, shard_elems)
-                    .map(|grad| VbResult {
-                        grad,
-                        bn: collect_bn_stats(model),
-                        quarantined: session.quarantined()[q0..].to_vec(),
+                let result =
+                    seal_virtual_batch_gradient(session, model, x, labels, v, shard_elems).map(|grad| {
+                        let bn = collect_bn_stats(model, session.tee_parts().1);
+                        let quarantined = session.quarantined()[q0..].to_vec();
+                        VbResult { grad, bn, quarantined, lane: *index }
                     });
                 if result.is_err() {
                     abort.store(true, Ordering::Relaxed);
@@ -634,8 +745,14 @@ impl PipelineEngine {
         }
         // The lanes' shards unseal in the aggregation enclave and sum in
         // batch order — the identical float-sum order to sequential.
-        let grads: Vec<SealedGradient> = per.into_iter().map(|vb| vb.grad).collect();
-        aggregate_and_step(&mut self.tee, &grads, model, sgd)
+        let report = aggregate_and_step((&mut self.tee, &mut self.ws), &per, model, sgd);
+        // Each batch's buffers go home to the lane that sealed it.
+        for vb in per {
+            let ws = self.lanes[vb.lane].session.tee_parts().1;
+            ws.give(vb.bn);
+            vb.grad.recycle_into(ws);
+        }
+        report
     }
 }
 

@@ -187,7 +187,9 @@ impl LayerExec for QuantizedReference {
         dy: &Tensor<f32>,
     ) -> Result<Tensor<f32>, DarknightError> {
         let op = LinearOp::new(layer.conv_shape(), layer.weights().shape());
-        layer.accumulate_bias_grad(&op.bias_grad(dy));
+        let mut db = vec![0.0; layer.bias().len()];
+        op.bias_grad_into(dy, &mut db);
+        layer.accumulate_bias_grad(&db);
         let Some(ctx) = self.ctxs.remove(&ordinal) else {
             return Err(DarknightError::MissingForwardContext { layer_id: ordinal as u64 });
         };

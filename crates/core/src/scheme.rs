@@ -261,8 +261,8 @@ impl EncodingScheme {
     /// # Panics
     ///
     /// Panics if `j` is out of range.
-    pub fn beta_row(&self, j: usize) -> Vec<F25> {
-        self.b.row(j).to_vec()
+    pub fn beta_row(&self, j: usize) -> &[F25] {
+        self.b.row(j)
     }
 
     /// The secret noise block `A2` columns (white-box collusion audits

@@ -101,9 +101,10 @@ use crate::error::DarknightError;
 use crate::scheme::EncodingScheme;
 use dk_field::{derive_seed, F25, FieldRng, P25, QuantConfig};
 use dk_gpu::{GpuCluster, GpuError, GpuExec, LinearJob, LinearOp, WorkerId};
+use dk_linalg::coded::MAX_TERMS;
 use dk_linalg::{Tensor, Workspace};
 use dk_nn::layers::{LayerExec, LinearMut};
-use dk_nn::loss::softmax_cross_entropy;
+use dk_nn::loss::softmax_cross_entropy_into;
 use dk_nn::optim::Sgd;
 use dk_nn::Sequential;
 use dk_tee::{Enclave, EpcConfig};
@@ -331,6 +332,7 @@ impl<X: GpuExec> DarknightSession<X> {
     fn recycle_ctx(&mut self, ctx: LinearCtx) {
         self.give_rows(ctx.inputs_q);
         self.give_rows(ctx.noise);
+        self.ws.give_shape(ctx.input_shape);
     }
 
     /// Recovers the encoded-input tensors owned by a finished job set
@@ -361,9 +363,22 @@ impl<X: GpuExec> DarknightSession<X> {
         self.stats
     }
 
+    /// The counters so far, leaving them at zero: how the pipelined
+    /// engine folds a lane's per-call delta into its own.
+    pub(crate) fn take_stats(&mut self) -> SessionStats {
+        std::mem::take(&mut self.stats)
+    }
+
     /// Enclave memory statistics so far.
     pub fn enclave_stats(&self) -> dk_tee::MemoryStats {
         self.enclave.stats()
+    }
+
+    /// The enclave and the session's buffer pool at once: Algorithm 2
+    /// seals and aggregates gradient shards in buffers drawn from the
+    /// pool.
+    pub(crate) fn tee_parts(&mut self) -> (&mut Enclave, &mut Workspace) {
+        (&mut self.enclave, &mut self.ws)
     }
 
     /// Mutable enclave access, used by the Algorithm 2 large-batch
@@ -460,11 +475,12 @@ impl<X: GpuExec> DarknightSession<X> {
     /// Also runs on drop — a pipelined lane's backend (the shared
     /// dispatcher with its persistent workers) outlives the lane
     /// session, so the final batch's encodings must not be left behind.
-    fn retire_batch(&mut self) {
+    pub(crate) fn retire_batch(&mut self) {
         let mut retained = 0usize;
         let Self { ctxs, ws, .. } = self;
         for (_, ctx) in ctxs.drain() {
             retained += ctx.enclave_bytes;
+            ws.give_shape(ctx.input_shape);
             for mut rows in [ctx.inputs_q, ctx.noise] {
                 for r in rows.drain(..) {
                     ws.give(r);
@@ -477,9 +493,10 @@ impl<X: GpuExec> DarknightSession<X> {
             // Split-borrow so the id list can be passed by reference and
             // cleared in place instead of `mem::take`-ing a fresh Vec
             // every batch.
-            let Self { stored_ctxs, cluster, .. } = self;
+            let Self { stored_ctxs, cluster, ws, .. } = self;
             cluster.release_contexts(stored_ctxs);
             stored_ctxs.clear();
+            cluster.reclaim_stored(ws);
         }
         self.publish_workspace_gauges();
     }
@@ -624,11 +641,13 @@ impl<X: GpuExec> DarknightSession<X> {
             model.zero_grad();
         }
         let logits = self.private_forward(model, x, true)?;
-        let (loss, dlogits) = softmax_cross_entropy(&logits, labels);
+        let mut dlogits = self.ws.take_tensor_dirty::<f32>(logits.shape());
+        let loss = softmax_cross_entropy_into(&logits, labels, &mut dlogits);
         let accuracy = dk_nn::loss::accuracy(&logits, labels);
         self.ws.give_tensor(logits);
-        let dx = self.private_backward(model, &dlogits)?;
-        self.ws.give_tensor(dx);
+        let dx = self.private_backward(model, &dlogits);
+        self.ws.give_tensor(dlogits);
+        self.ws.give_tensor(dx?);
         Ok(StepReport { loss, accuracy })
     }
 
@@ -769,8 +788,14 @@ impl<X: GpuExec> DarknightSession<X> {
         if retain {
             // Only a pass with a backward half needs the workers to hold
             // the encodings (§6 stored-input reuse); inference skips the
-            // store — and its clone — entirely.
-            self.cluster.store_encodings_sparse(layer_id, enc_tensors.clone(), &self.convicted);
+            // store — and its copy — entirely. The copy is pooled: the
+            // backend hands released encodings back when the batch
+            // retires (`GpuExec::reclaim_stored`).
+            let mut stored: Vec<Tensor<F25>> = self.ws.take_cleared(enc_tensors.len());
+            for t in &enc_tensors {
+                stored.push(self.ws.take_tensor_copy(t.shape(), t.as_slice()));
+            }
+            self.cluster.store_encodings_sparse(layer_id, stored, &self.convicted);
             self.stored_ctxs.push(layer_id);
         }
         let mut jobs: Vec<LinearJob> = self.ws.take_cleared(enc_tensors.len());
@@ -855,7 +880,7 @@ impl<X: GpuExec> DarknightSession<X> {
             Some(LinearCtx {
                 norm_x: norm_x0,
                 norm_w,
-                input_shape: x.shape().to_vec(),
+                input_shape: self.ws.take_shape(x.shape()),
                 weights_q,
                 noise: noise.take().expect("retaining pass materializes noise"),
                 inputs_q,
@@ -1080,7 +1105,7 @@ impl<X: GpuExec> DarknightSession<X> {
         let mut enc_shape = self.ws.take_shape(&ctx.input_shape);
         enc_shape[0] = 1;
         let xbar = Tensor::from_parts(enc_shape, row);
-        let delta = dk_gpu::job::beta_combine(delta_q, &self.scheme.beta_row(j), &mut self.ws);
+        let delta = dk_gpu::job::beta_combine(delta_q, self.scheme.beta_row(j), &mut self.ws);
         op.weight_grad_job(delta, xbar)
     }
 
@@ -1098,7 +1123,7 @@ impl<X: GpuExec> DarknightSession<X> {
         dy: &Tensor<f32>,
         op: LinearOp,
         ctx: &LinearCtx,
-    ) -> Result<(Vec<F25>, f32, Tensor<F25>), DarknightError> {
+    ) -> Result<(Vec<F25>, f32, Homed), DarknightError> {
         let s_sq = self.cfg.k() + self.cfg.m();
         let (batch, ordinal) = (self.batch_index, layer_id - self.ctx_base);
         let (recovery, integrity) = (self.cfg.recovery(), self.scheme.has_integrity());
@@ -1112,16 +1137,19 @@ impl<X: GpuExec> DarknightSession<X> {
                 return Err(e.into());
             }
         };
-        let delta_q = Arc::new(Tensor::from_parts(self.ws.take_shape(dy.shape()), dq));
+        let dq = Tensor::from_parts(self.ws.take_shape(dy.shape()), dq);
+        let delta_q = self.ws.share(dq);
         drop(sp);
         let sp = dk_obs::span(dk_obs::Stage::Dispatch, batch, ordinal);
         // 1) The aggregate weight gradient via the encoded scheme.
         //    Convicted workers are sent nothing; their `Withheld` slots
         //    are filled below like any other fault.
         let withheld = self.convicted.clone();
-        let jobs: Vec<LinearJob> = (0..s_sq)
-            .map(|j| op.weight_grad_stored_job(delta_q.clone(), self.scheme.beta_row(j), layer_id))
-            .collect();
+        let mut jobs: Vec<LinearJob> = self.ws.take_cleared(s_sq);
+        for j in 0..s_sq {
+            let beta = self.ws.take_copy(self.scheme.beta_row(j));
+            jobs.push(op.weight_grad_stored_job(delta_q.clone(), beta, layer_id));
+        }
         // 2) Its check: which `Eq_j` get recomputed, and by whom. `j*`
         //    is derived per (batch, layer) from the TEE-only seed, so it
         //    is identical whether the batch runs sequentially or on a
@@ -1131,18 +1159,18 @@ impl<X: GpuExec> DarknightSession<X> {
         //    worker additionally observes one neighbouring encoding — one
         //    and never two — so an M-tolerant configuration effectively
         //    tolerates ⌊M/2⌋ colluders in that mode.
-        let checked: Vec<(usize, Option<WorkerId>)> = if !integrity {
-            Vec::new()
-        } else if recovery {
+        let mut checked: Vec<(usize, Option<WorkerId>)> = self.ws.take_cleared(s_sq);
+        if integrity && recovery {
             let offered = |w: &WorkerId| !withheld.contains(w);
-            (0..s_sq)
-                .filter(|&j| offered(&WorkerId(j)))
-                .map(|j| (j, (1..s_sq).map(|d| WorkerId((j + d) % s_sq)).find(offered)))
-                .collect()
-        } else {
+            checked.extend(
+                (0..s_sq)
+                    .filter(|&j| offered(&WorkerId(j)))
+                    .map(|j| (j, (1..s_sq).map(|d| WorkerId((j + d) % s_sq)).find(offered))),
+            );
+        } else if integrity {
             let jstar = self.layer_rng(DOMAIN_JSTAR, ordinal).index(s_sq);
-            vec![(jstar, Some(WorkerId(self.cluster.num_workers() - 1)))]
-        };
+            checked.push((jstar, Some(WorkerId(self.cluster.num_workers() - 1))));
+        }
         let mut check_jobs: Vec<LinearJob> = self.ws.take_cleared(checked.len());
         for &(j, _) in &checked {
             check_jobs.push(self.explicit_wgrad(j, &delta_q, op, ctx));
@@ -1168,10 +1196,15 @@ impl<X: GpuExec> DarknightSession<X> {
         self.stats.bytes_to_gpus += (sent * delta_q.len() * 8) as u64;
         let mut results: Vec<dk_gpu::WorkerResult> = self.ws.take_cleared(2 * s_sq + 2);
         let dispatched = {
-            let mut extra: Vec<(WorkerId, &LinearJob)> =
-                checked.iter().zip(&check_jobs).filter_map(|(&(_, v), job)| Some((v?, job))).collect();
-            extra.extend(primary.into_iter().chain(spare).map(|w| (w, &dj)));
-            self.cluster.execute_round_into(layer_id, &jobs, &withheld, &extra, &mut results)
+            // At most one check per `Eq_j` and two data-gradient copies.
+            let mut extra = [(WorkerId(0), &dj); MAX_TERMS + 2];
+            let mut n_extra = 0;
+            let checks = checked.iter().zip(&check_jobs).filter_map(|(&(_, v), job)| Some((v?, job)));
+            for slot in checks.chain(primary.into_iter().chain(spare).map(|w| (w, &dj))) {
+                extra[n_extra] = slot;
+                n_extra += 1;
+            }
+            self.cluster.execute_round_into(layer_id, &jobs, &withheld, &extra[..n_extra], &mut results)
         };
         let mut eqs: Vec<Tensor<F25>> = self.ws.take_cleared(s_sq);
         let settled = (|| {
@@ -1200,13 +1233,14 @@ impl<X: GpuExec> DarknightSession<X> {
                     self.tee_filled.push(j);
                 }
             }
+            // The data gradient, and the worker whose pool it came from.
             let dx = match primary.map(|w| (w, reply(x_shape))) {
                 Some((w, Ok(mut dx))) if integrity => {
                     let dup = spare.map(|v| (v, reply(x_shape)));
-                    self.settle(layer_id, &dj, w, &mut dx, dup)?;
-                    dx
+                    let replaced = self.settle(layer_id, &dj, w, &mut dx, dup)?;
+                    (dx, (!replaced).then_some(w))
                 }
-                Some((_, Ok(dx))) => dx,
+                Some((w, Ok(dx))) => (dx, Some(w)),
                 Some((_, Err(fault))) if !recovery => return Err(fail(fault)),
                 // A lost primary, or every worker convicted: the TEE's
                 // own result stands, and needs no second opinion.
@@ -1215,10 +1249,10 @@ impl<X: GpuExec> DarknightSession<X> {
                         self.quarantine(fault.worker().unwrap_or(w));
                     }
                     self.stats.recoveries += 1;
-                    dj.execute()
+                    (dj.execute(), None)
                 }
             };
-            self.stats.bytes_from_gpus += (dx.len() * 8) as u64;
+            self.stats.bytes_from_gpus += (dx.0.len() * 8) as u64;
             drop(sp);
             let _sp = dk_obs::span(dk_obs::Stage::Decode, batch, ordinal);
             // The decode reads the Eq tensors in place.
@@ -1234,10 +1268,12 @@ impl<X: GpuExec> DarknightSession<X> {
         self.ws.give(eqs);
         self.recycle_jobs(check_jobs);
         dj.recycle_into(&mut self.ws);
-        drop(jobs);
-        if let Ok(delta_q) = Arc::try_unwrap(delta_q) {
-            self.ws.give_tensor(delta_q);
+        self.ws.give(checked);
+        for job in jobs.drain(..) {
+            job.recycle_decoded_into(&mut self.ws);
         }
+        self.ws.give(jobs);
+        self.ws.give_shared(delta_q);
         settled
     }
 
@@ -1258,7 +1294,10 @@ impl<X: GpuExec> DarknightSession<X> {
         dup: Option<(WorkerId, dk_gpu::WorkerResult)>,
     ) -> Result<bool, DarknightError> {
         let dup = match dup {
-            Some((_, Ok(dup))) if dup == *answer => return Ok(false),
+            Some((v, Ok(dup))) if dup == *answer => {
+                self.cluster.recycle_output_of(v, dup);
+                return Ok(false);
+            }
             Some((_, Ok(dup))) if !self.cfg.recovery() => {
                 let mismatches =
                     dup.as_slice().iter().zip(answer.as_slice()).filter(|(a, b)| a != b).count();
@@ -1306,7 +1345,10 @@ impl<X: GpuExec> DarknightSession<X> {
     ) -> Result<Tensor<f32>, DarknightError> {
         let layer_id = self.ctx_base + ordinal as u64;
         let op = LinearOp::new(layer.conv_shape(), layer.weights().shape());
-        layer.accumulate_bias_grad(&op.bias_grad(dy));
+        let mut db = self.ws.take_zeroed::<f32>(layer.bias().len());
+        op.bias_grad_into(dy, &mut db);
+        layer.accumulate_bias_grad(&db);
+        self.ws.give(db);
         self.stats.nonlinear_elems += dy.len() as u64;
         let Some(ctx) = self.ctxs.remove(&layer_id) else {
             return Err(DarknightError::MissingForwardContext { layer_id });
@@ -1317,13 +1359,17 @@ impl<X: GpuExec> DarknightSession<X> {
         // the 1/K of Eq. 3 is already folded into the mean-reduced loss
         // gradients, so no extra averaging happens here) and `dx` (by
         // `norm_d · norm_w`).
-        let grads = offloaded.map(|(grad_field, norm_d, dx_field)| {
+        let grads = offloaded.map(|(grad_field, norm_d, (dx_field, from))| {
             let q = self.cfg.quant();
             let mut gw = self.ws.take_tensor::<f32>(ctx.weights_q.shape());
             q.dequantize_product_slice_into(&grad_field, norm_d * ctx.norm_x, gw.as_mut_slice());
             self.ws.give(grad_field);
             let mut dx = self.ws.take_tensor::<f32>(dx_field.shape());
             q.dequantize_product_slice_into(dx_field.as_slice(), norm_d * ctx.norm_w, dx.as_mut_slice());
+            match from {
+                Some(worker) => self.cluster.recycle_output_of(worker, dx_field),
+                None => self.ws.give_tensor(dx_field),
+            }
             (gw, dx)
         });
         // The context retires also when the offload failed, so an
@@ -1335,6 +1381,10 @@ impl<X: GpuExec> DarknightSession<X> {
         Ok(dx)
     }
 }
+
+/// A worker's output and the worker whose pool its buffers belong to
+/// (`None`: the session's own).
+type Homed = (Tensor<F25>, Option<WorkerId>);
 
 /// A reply of any shape but the one its job's geometry dictates is a
 /// fault of the worker that sent it, booked like a lost one
@@ -1402,6 +1452,7 @@ mod tests {
     use super::*;
     use dk_gpu::Behavior;
     use dk_nn::arch::{mini_mobilenet, mini_resnet, mini_vgg};
+    use dk_nn::loss::softmax_cross_entropy;
     use dk_nn::layers::{Conv2d, Dense, Flatten, Layer, Relu};
 
     fn small_model(seed: u64) -> Sequential {

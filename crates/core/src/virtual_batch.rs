@@ -23,7 +23,8 @@ use dk_gpu::GpuExec;
 use dk_linalg::Tensor;
 use dk_nn::optim::Sgd;
 use dk_nn::Sequential;
-use dk_tee::crypto::{bytes_to_f32s, f32s_to_bytes, SealedBlob};
+use dk_linalg::Workspace;
+use dk_tee::crypto::SealedBlob;
 use dk_tee::{Enclave, UntrustedStore};
 
 /// Telemetry from one large-batch training step.
@@ -77,12 +78,14 @@ pub(crate) fn virtual_batch_count(
     Ok(n / k)
 }
 
-/// Slices virtual batch `v` (`K` consecutive samples) out of `x`.
-fn slice_virtual_batch(x: &Tensor<f32>, v: usize, k: usize) -> Tensor<f32> {
+/// Slices virtual batch `v` (`K` consecutive samples) out of `x`, into
+/// buffers drawn from `ws`.
+fn slice_virtual_batch(x: &Tensor<f32>, v: usize, k: usize, ws: &mut Workspace) -> Tensor<f32> {
     let sample_elems: usize = x.shape()[1..].iter().product();
-    let mut shape = x.shape().to_vec();
+    let mut shape = ws.take_shape(x.shape());
     shape[0] = k;
-    Tensor::from_vec(&shape, x.as_slice()[v * k * sample_elems..(v + 1) * k * sample_elems].to_vec())
+    let data = ws.take_copy(&x.as_slice()[v * k * sample_elems..(v + 1) * k * sample_elems]);
+    Tensor::from_parts(shape, data)
 }
 
 /// One virtual batch's `∇W_v` as it leaves the enclave: sharded and
@@ -92,21 +95,42 @@ pub(crate) struct SealedGradient {
     blobs: Vec<SealedBlob>,
 }
 
+impl AsRef<SealedGradient> for SealedGradient {
+    fn as_ref(&self) -> &SealedGradient {
+        self
+    }
+}
+
 impl SealedGradient {
     /// Extracts the gradient `model` holds after virtual batch `v`'s
-    /// backward pass, shards it and seals each shard with `enclave`.
+    /// backward pass, shards it and seals each shard with `enclave`,
+    /// every buffer drawn from `ws`.
     fn seal(
         report: StepReport,
         model: &mut Sequential,
-        enclave: &mut Enclave,
+        (enclave, ws): (&mut Enclave, &mut Workspace),
         shard_elems: usize,
     ) -> Self {
-        let blobs = model
-            .grad_vector()
-            .chunks(shard_elems)
-            .map(|shard| enclave.seal(&f32s_to_bytes(shard)))
-            .collect();
+        let mut flat = ws.take_cleared::<f32>(model.num_params());
+        model.grad_vector_into(&mut flat);
+        let mut blobs = ws.take_cleared(flat.len().div_ceil(shard_elems));
+        for shard in flat.chunks(shard_elems) {
+            let mut bytes = ws.take_cleared::<u8>(shard.len() * 4);
+            for v in shard {
+                bytes.extend_from_slice(&v.to_le_bytes());
+            }
+            blobs.push(enclave.seal_vec(bytes));
+        }
+        ws.give(flat);
         Self { report, blobs }
+    }
+
+    /// Gives the blobs' buffers to `ws` once they have been aggregated.
+    pub(crate) fn recycle_into(mut self, ws: &mut Workspace) {
+        for blob in self.blobs.drain(..) {
+            ws.give(blob.ciphertext);
+        }
+        ws.give(self.blobs);
     }
 }
 
@@ -128,10 +152,11 @@ pub(crate) fn seal_virtual_batch_gradient<X: GpuExec>(
     shard_elems: usize,
 ) -> Result<SealedGradient, DarknightError> {
     let k = session.config().k();
-    let vb = slice_virtual_batch(x, v, k);
+    let vb = slice_virtual_batch(x, v, k, session.tee_parts().1);
     model.zero_grad();
-    let report = session.accumulate_gradients(model, &vb, &labels[v * k..(v + 1) * k])?;
-    Ok(SealedGradient::seal(report, model, session.enclave_mut(), shard_elems))
+    let report = session.accumulate_gradients(model, &vb, &labels[v * k..(v + 1) * k]);
+    session.tee_parts().1.give_tensor(vb);
+    Ok(SealedGradient::seal(report?, model, session.tee_parts(), shard_elems))
 }
 
 /// `UpdateAggregation` and the step (Algorithm 2 lines 12–21), the tail
@@ -139,46 +164,66 @@ pub(crate) fn seal_virtual_batch_gradient<X: GpuExec>(
 /// `tee` only ever holds one shard of the aggregate — unseals and sums
 /// them **in batch order**, takes the mean over virtual batches,
 /// installs it as the model's gradient and applies one SGD update
-/// (`W ← W − η·∇W`).
+/// (`W ← W − η·∇W`). The aggregate and the unsealed shard live in
+/// buffers drawn from `ws`.
 ///
 /// # Errors
 ///
 /// The enclave's authentication failure if a blob was tampered with.
-pub(crate) fn aggregate_and_step(
-    tee: &mut Enclave,
-    grads: &[SealedGradient],
+pub(crate) fn aggregate_and_step<G: AsRef<SealedGradient>>(
+    (tee, ws): (&mut Enclave, &mut Workspace),
+    grads: &[G],
     model: &mut Sequential,
     sgd: &mut Sgd,
 ) -> Result<LargeBatchReport, DarknightError> {
-    let mut report = LargeBatchReport { virtual_batches: grads.len(), ..Default::default() };
-    for g in grads {
+    let mut report = LargeBatchReport {
+        virtual_batches: grads.len(),
+        losses: Vec::with_capacity(grads.len()),
+        accuracies: Vec::with_capacity(grads.len()),
+        ..Default::default()
+    };
+    let grads = || grads.iter().map(AsRef::as_ref);
+    let first = grads().next().map_or(&[][..], |g| g.blobs.as_slice());
+    for g in grads() {
         report.losses.push(g.report.loss);
         report.accuracies.push(g.report.accuracy);
         report.seal_ops += g.blobs.len() as u64;
         report.bytes_evicted += g.blobs.iter().map(|b| b.len() as u64).sum::<u64>();
     }
-    let mut aggregate: Vec<f32> = Vec::with_capacity(model.num_params());
-    for s in 0..grads[0].blobs.len() {
-        let mut acc: Vec<f32> = Vec::new();
-        for g in grads {
-            report.bytes_reloaded += g.blobs[s].len() as u64;
-            let shard = bytes_to_f32s(&tee.unseal(&g.blobs[s])?);
-            report.unseal_ops += 1;
-            if acc.is_empty() {
-                acc = shard;
-            } else {
-                for (a, b) in acc.iter_mut().zip(shard) {
-                    *a += b;
+    let mut aggregate = ws.take_cleared::<f32>(model.num_params());
+    let mut plain = ws.take_cleared::<u8>(first.first().map_or(0, |b| b.ciphertext.len()));
+    let summed = (|| {
+        for s in 0..first.len() {
+            let off = aggregate.len();
+            for (i, g) in grads().enumerate() {
+                report.bytes_reloaded += g.blobs[s].len() as u64;
+                tee.unseal_into(&g.blobs[s], &mut plain)?;
+                report.unseal_ops += 1;
+                let (words, rest) = plain.as_chunks::<4>();
+                assert!(rest.is_empty(), "byte length must be a multiple of 4");
+                let shard = words.iter().map(|w| f32::from_le_bytes(*w));
+                if i == 0 {
+                    aggregate.extend(shard);
+                } else {
+                    for (a, b) in aggregate[off..].iter_mut().zip(shard) {
+                        *a += b;
+                    }
                 }
             }
         }
-        aggregate.append(&mut acc);
+        Ok::<(), DarknightError>(())
+    })();
+    ws.give(plain);
+    if let Err(e) = summed {
+        ws.give(aggregate);
+        return Err(e);
     }
-    let inv_v = 1.0 / grads.len() as f32;
+    let inv_v = 1.0 / report.virtual_batches as f32;
     for g in aggregate.iter_mut() {
         *g *= inv_v;
     }
     model.set_grad_vector(&aggregate);
+    ws.give(aggregate);
     sgd.step(model);
     Ok(report)
 }
@@ -421,7 +466,11 @@ fn train_sequential(
     let grads = (0..v_count)
         .map(|v| seal_virtual_batch_gradient(session, model, x, labels, v, shard_elems))
         .collect::<Result<Vec<_>, _>>()?;
-    aggregate_and_step(session.enclave_mut(), &grads, model, sgd)
+    let report = aggregate_and_step(session.tee_parts(), &grads, model, sgd);
+    for g in grads {
+        g.recycle_into(session.tee_parts().1);
+    }
+    report
 }
 
 #[cfg(test)]

@@ -8,23 +8,35 @@
 //! performs **zero** heap allocations, and a warm training step a small
 //! bounded constant.
 //!
-//! The counts are the test thread's own
+//! The blocking session's counts are the test thread's own
 //! ([`dk_linalg::workspace::thread_alloc_counts`]): the harness's main
 //! thread allocates while a test runs, and a process-wide count sees it.
+//! The dispatcher-backed rounds and the pipelined engine run on worker
+//! and lane threads, so those tests count process-wide, one test at a
+//! time ([`SERIAL`]); the exact-zero ones over several windows
+//! ([`fewest_allocs_per_window`]).
 
-use dk_core::{DarknightConfig, DarknightSession, StepPlan};
-use dk_gpu::GpuCluster;
-use dk_linalg::workspace::{thread_alloc_counts as counts, CountingAllocator};
+use dk_core::virtual_batch::LargeBatchTrainer;
+use dk_core::{DarknightConfig, DarknightSession, EngineOptions, PipelineEngine, StepPlan};
+use dk_gpu::{Behavior, DispatchClient, GpuCluster, GpuExec, WorkerId};
+use dk_linalg::workspace::{alloc_counts, thread_alloc_counts as counts, CountingAllocator};
 use dk_linalg::Tensor;
-use dk_nn::arch::mini_vgg;
+use dk_nn::arch::{mini_resnet, mini_vgg};
 use dk_nn::optim::Sgd;
-use std::sync::Arc;
+use dk_nn::Sequential;
+use dk_tee::EpcConfig;
+use std::sync::{Arc, Mutex};
 
 #[global_allocator]
 static COUNTER: CountingAllocator = CountingAllocator;
 
+/// Held by every test of this binary, so a process-wide count sees one
+/// test's threads only.
+static SERIAL: Mutex<()> = Mutex::new(());
+
 #[test]
 fn private_session_steady_state_allocation_budget() {
+    let _serial = SERIAL.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
     // ----- serving: exactly zero allocations once warm ----------------
     {
         let cfg = DarknightConfig::new(2, 1).with_integrity(true);
@@ -85,12 +97,133 @@ fn private_session_steady_state_allocation_budget() {
         "private training-step allocation count must be a steady constant \
          (got {deltas:?})"
     );
-    // The constant covers work that is inherently per-step: the
-    // stored-encoding clone handed to the workers (the paper keeps
-    // encoded inputs resident in GPU memory for the backward pass), the
-    // adversary-view audit copies, β-row staging and bias-gradient
-    // tensors. Measured at 298/step today; the bound leaves a little
-    // headroom while catching any drift back toward the old per-step
-    // thousands.
-    assert!(first <= 320, "private training step allocates too much: {first} per step");
+    // The constant covers what the blocking backend does not hand
+    // back: the stored encodings the workers drop on release (the
+    // paper keeps encoded inputs resident in GPU memory for the
+    // backward pass), the adversary-view audit copies while that record
+    // fills, and the step's own report. Measured at 92/step today (298
+    // before the backward round drew its jobs, β rows and scratch from
+    // the session pool); the bound catches any drift back toward the
+    // old per-step hundreds.
+    assert!(first <= 100, "private training step allocates too much: {first} per step");
+}
+
+/// The fewest allocations, process-wide, over three windows of five
+/// warm inferences each. A process-wide count also sees the harness's
+/// main thread, which reports the previous test (and starts the next)
+/// as this one begins; that happens once, so it can spoil one window
+/// but not all three, while a per-round allocation shows in every one.
+fn fewest_allocs_per_window<E: GpuExec>(
+    session: &mut DarknightSession<E>,
+    model: &mut Sequential,
+    x: &Tensor<f32>,
+) -> (u64, u64) {
+    let mut fewest = (u64::MAX, 0);
+    for _ in 0..3 {
+        let (a0, b0) = alloc_counts();
+        for _ in 0..5 {
+            let y = session.private_inference(model, x).expect("steady");
+            session.recycle_output(y);
+        }
+        let (a1, b1) = alloc_counts();
+        fewest = fewest.min((a1 - a0, b1 - b0));
+    }
+    fewest
+}
+
+/// A session over a [`DispatchClient`] — persistent worker threads —
+/// serves a warm inference with **zero** allocations process-wide:
+/// job copies come from the client's pool and come back with the
+/// answers, outputs return to the workers' pools without a message, and
+/// no round makes a reply channel or a `Box`.
+#[test]
+fn warm_dispatch_client_inference_allocates_nothing() {
+    let _serial = SERIAL.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+    let cfg = DarknightConfig::new(2, 1).with_integrity(true);
+    let dispatcher = GpuCluster::honest(cfg.workers_required(), 45).into_dispatcher(8);
+    let client = DispatchClient::new(Arc::new(dispatcher));
+    let mut session =
+        DarknightSession::with_backend(cfg, client, EpcConfig::default()).expect("session");
+    let mut model = mini_vgg(8, 4, 46);
+    let plan = StepPlan::extract(&model, cfg.quant()).expect("plan");
+    session.set_step_plan(Some(Arc::new(plan)));
+    let x = Tensor::from_fn(&[2, 3, 8, 8], |i| ((i % 13) as f32 - 6.0) * 0.07);
+    for _ in 0..4 {
+        let y = session.private_inference(&mut model, &x).expect("warmup");
+        session.recycle_output(y);
+    }
+    let (allocs, bytes) = fewest_allocs_per_window(&mut session, &mut model, &x);
+    assert_eq!(
+        allocs, 0,
+        "a warm dispatcher round must not allocate ({allocs} allocs / {bytes} bytes over 5 inferences)"
+    );
+}
+
+/// The same with a lying worker, convicted at its first lie: from then
+/// on its slot is withheld and computed in the TEE every layer, and a
+/// warm inference still allocates nothing: the TEE's slot keeps its
+/// buffers in the session pool. (That nothing piles up on the return
+/// bin of the convicted worker, which never runs a job again, is the
+/// dispatcher's own unit test: a bin that grows reallocates only now
+/// and then, which a count over windows cannot pin down.)
+#[test]
+fn warm_dispatch_client_inference_with_a_convicted_worker_allocates_nothing() {
+    let _serial = SERIAL.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+    let cfg = DarknightConfig::new(2, 1).with_integrity(true).with_recovery(true);
+    let mut behaviors = vec![Behavior::Honest; cfg.workers_required()];
+    behaviors[0] = Behavior::AdditiveNoise;
+    let dispatcher = GpuCluster::with_behaviors(&behaviors, 50).into_dispatcher(8);
+    let client = DispatchClient::new(Arc::new(dispatcher));
+    let mut session =
+        DarknightSession::with_backend(cfg, client, EpcConfig::default()).expect("session");
+    let mut model = mini_vgg(8, 4, 51);
+    let plan = StepPlan::extract(&model, cfg.quant()).expect("plan");
+    session.set_step_plan(Some(Arc::new(plan)));
+    let x = Tensor::from_fn(&[2, 3, 8, 8], |i| ((i % 13) as f32 - 6.0) * 0.07);
+    for _ in 0..4 {
+        let y = session.private_inference(&mut model, &x).expect("warmup");
+        session.recycle_output(y);
+    }
+    assert_eq!(session.quarantined(), [WorkerId(0)]);
+    let (allocs, bytes) = fewest_allocs_per_window(&mut session, &mut model, &x);
+    assert_eq!(
+        allocs, 0,
+        "a warm round with a convicted worker must not allocate \
+         ({allocs} allocs / {bytes} bytes over 5 inferences)"
+    );
+}
+
+/// A warm pipelined Algorithm 2 step (`V = 4` virtual batches over two
+/// lanes) stays under a small process-wide bound. Lanes, their
+/// workspaces and model copies outlive the call; job copies, worker
+/// outputs, stored encodings, sealed shards and BatchNorm statistics
+/// all return to the pools they came from. What remains is per call:
+/// the two lane threads (spawn, name) and the vectors that carry the
+/// lanes' reports and the step's report back — measured at 27–28 per
+/// step (2-vCPU x86-64). Warm means the workers' adversary-view record has
+/// filled and turned over once.
+#[test]
+fn warm_pipelined_training_step_allocation_bound() {
+    let _serial = SERIAL.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+    let cfg = DarknightConfig::new(2, 1).with_integrity(true).with_seed(47);
+    let fleet = GpuCluster::honest(cfg.workers_required(), 48);
+    let engine = PipelineEngine::new(cfg, fleet, EngineOptions::default()).expect("engine");
+    let mut trainer = LargeBatchTrainer::pipelined(engine, 4096);
+    let mut model = mini_resnet(8, 4, 49);
+    let mut sgd = Sgd::new(0.01);
+    let x = Tensor::from_fn(&[8, 3, 8, 8], |i| ((i % 17) as f32 - 8.0) * 0.05);
+    let labels = [0usize, 1, 2, 3, 3, 2, 1, 0];
+    for _ in 0..250 {
+        trainer.train_large_batch(&mut model, &x, &labels, &mut sgd).expect("warmup");
+    }
+    let mut per_step = [0u64; 8];
+    for d in per_step.iter_mut() {
+        let (a0, _) = alloc_counts();
+        trainer.train_large_batch(&mut model, &x, &labels, &mut sgd).expect("step");
+        *d = alloc_counts().0 - a0;
+    }
+    assert!(
+        per_step.iter().all(|&d| d <= 36),
+        "a warm pipelined training step allocates too much: {per_step:?} per step"
+    );
 }

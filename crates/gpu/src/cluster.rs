@@ -188,6 +188,12 @@ impl crate::GpuExec for GpuCluster {
         }
     }
 
+    fn recycle_output_of(&mut self, worker: WorkerId, output: dk_linalg::Tensor<dk_field::F25>) {
+        if let Some(w) = self.workers.get_mut(worker.0) {
+            w.recycle_output(output);
+        }
+    }
+
     fn execute_on(&mut self, id: WorkerId, job: &LinearJob) -> crate::WorkerResult {
         let w = &mut self.workers[id.0];
         if w.crash_pending() {

@@ -129,7 +129,8 @@ pub fn null_space_vector(m: &FieldMatrix<P25>) -> Option<Vec<F25>> {
                 a[(r, cc)] = tmp;
             }
         }
-        let inv = a[(r, c)].inv().expect("pivot nonzero");
+        // `p` was chosen with a nonzero entry, so this always inverts.
+        let Some(inv) = a[(r, c)].inv() else { continue };
         for cc in 0..cols {
             a[(r, cc)] *= inv;
         }

@@ -28,6 +28,30 @@
 //!   blows the optional reply deadline yields [`GpuError::Timeout`].
 //!   `join` replaces lost workers with fresh respawns and reports their
 //!   ids. Nothing in this module aborts the process over a dead worker.
+//!
+//! # Buffers are lent and come back
+//!
+//! A job's answer lands in a slot of a reply board (a `Mutex`ed slot
+//! vector and a `Condvar`) instead of a channel made for it: the worker
+//! posts the result together with the job it ran, and a slot stamped
+//! with an older round ignores a straggler's late post. A
+//! [`DispatchClient`] owns one board for its lifetime, so a round makes
+//! no channel and boxes nothing. What crosses threads goes home:
+//!
+//! * the copy of each job a worker runs is drawn from the client's
+//!   workspace and returned to it when the answer is redeemed;
+//! * an output the session has decoded is pushed onto its worker's
+//!   return bin ([`GpuExec::recycle_outputs`] by position,
+//!   [`GpuExec::recycle_output_of`] by worker), which the worker empties
+//!   into its own workspace before its next job — no inbox message, no
+//!   wakeup. The empty slot of a job the TEE ran itself is not pushed:
+//!   a withheld or dead worker would never empty its bin;
+//! * an encoding a worker stored is handed back on release to the
+//!   client that stored it, and leaves it through
+//!   [`GpuExec::reclaim_stored`].
+//!
+//! A warm round therefore allocates nothing on either side
+//! (`crates/core/tests/session_alloc.rs`).
 
 use crate::cluster::GpuCluster;
 use crate::error::GpuError;
@@ -36,10 +60,11 @@ use crate::job::LinearJob;
 use crate::worker::{GpuWorker, WorkerId};
 use dk_field::F25;
 use dk_linalg::Tensor;
-use std::sync::mpsc;
-use std::sync::Arc;
+use crate::exec::round_slot;
+use dk_linalg::Workspace;
+use std::sync::{mpsc, Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Identifies the virtual batch a submission belongs to, for the
 /// submitter's own bookkeeping: the dispatcher keeps no record of it
@@ -49,24 +74,118 @@ pub struct BatchTag(pub u64);
 
 /// What flows to a worker thread.
 enum WorkerMsg {
-    Run { job: Box<LinearJob>, reply: mpsc::Sender<WorkerResult> },
+    Run { job: LinearJob, reply: Reply },
     Store { ctx_id: u64, encoding: Tensor<F25> },
-    Release { ctx_id: u64 },
+    /// Drops a stored context; its encoding goes to `home` when the
+    /// releasing client keeps one (see [`DispatchClient`]).
+    Release { ctx_id: u64, home: Option<Arc<Bin>> },
 }
 
-/// One job's pending reply: either a live receiver or the fault that
-/// already claimed the slot at submission time.
-#[derive(Debug)]
-struct ReplySlot {
+/// Tensors in transit back to the pool of another thread.
+type Bin = Mutex<Vec<Tensor<F25>>>;
+
+/// A poisoned lock only means another thread panicked while holding it;
+/// the plain vectors behind these locks stay valid.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// One job's answer, and the job itself handed back so its buffers can
+/// go home.
+type Answer = (WorkerResult, Option<LinearJob>);
+
+/// Where the answers of a round land: one slot per job, each stamped
+/// with the round it belongs to, so a straggler's late answer to an
+/// abandoned round is dropped instead of landing in a later one. A
+/// [`DispatchClient`] keeps one board for its lifetime; a public
+/// [`Ticket`] brings its own.
+#[derive(Debug, Default)]
+struct Board {
+    slots: Mutex<Vec<(u64, Option<Answer>)>>,
+    posted: Condvar,
+}
+
+impl Board {
+    /// Empties slots `0..n` and stamps them with `round`.
+    fn open(&self, n: usize, round: u64) {
+        let mut slots = lock(&self.slots);
+        if slots.len() < n {
+            slots.resize_with(n, || (0, None));
+        }
+        for slot in &mut slots[..n] {
+            *slot = (round, None);
+        }
+    }
+
+    fn post(&self, slot: usize, round: u64, answer: Answer) {
+        let mut slots = lock(&self.slots);
+        if let Some(s) = slots.get_mut(slot).filter(|s| s.0 == round) {
+            s.1 = Some(answer);
+        }
+        drop(slots);
+        self.posted.notify_all();
+    }
+
+    /// Blocks until slot `slot` is answered, or `timeout` passes.
+    fn wait(&self, slot: usize, timeout: Option<Duration>) -> Option<Answer> {
+        let deadline = timeout.map(|t| Instant::now() + t);
+        let mut slots = lock(&self.slots);
+        loop {
+            if let Some(answer) = slots[slot].1.take() {
+                return Some(answer);
+            }
+            slots = match deadline {
+                None => self.posted.wait(slots).unwrap_or_else(PoisonError::into_inner),
+                Some(d) => {
+                    let left = d.checked_duration_since(Instant::now())?;
+                    self.posted.wait_timeout(slots, left).unwrap_or_else(PoisonError::into_inner).0
+                }
+            };
+        }
+    }
+}
+
+/// A worker's claim on one board slot. Posting consumes it; one dropped
+/// unposted — the worker thread died with the job queued or running —
+/// answers the slot with [`GpuError::WorkerLost`], so no waiter hangs.
+struct Reply {
+    board: Arc<Board>,
+    slot: usize,
+    round: u64,
     worker: WorkerId,
-    rx: Result<mpsc::Receiver<WorkerResult>, GpuError>,
+    armed: bool,
+}
+
+impl Reply {
+    fn post(mut self, result: WorkerResult, job: LinearJob) {
+        self.armed = false;
+        self.board.post(self.slot, self.round, (result, Some(job)));
+    }
+}
+
+impl Drop for Reply {
+    fn drop(&mut self) {
+        if self.armed {
+            let lost = GpuError::lost(self.worker, "worker thread dropped the job");
+            self.board.post(self.slot, self.round, (Err(lost), None));
+        }
+    }
+}
+
+/// One job of a submission: the board slot its answer lands in, or the
+/// fault that already claimed it at submission time.
+#[derive(Debug)]
+struct Pending {
+    worker: WorkerId,
+    slot: Result<usize, GpuError>,
 }
 
 /// A pending virtual-batch submission: redeem with
 /// [`GpuDispatcher::complete`].
 #[derive(Debug)]
 pub struct Ticket {
-    slots: Vec<ReplySlot>,
+    board: Arc<Board>,
+    slots: Vec<Pending>,
 }
 
 impl Ticket {
@@ -85,7 +204,7 @@ impl Ticket {
 /// [`GpuDispatcher::complete_one`].
 #[derive(Debug)]
 pub struct JobTicket {
-    slot: ReplySlot,
+    ticket: Ticket,
 }
 
 /// What it takes to respawn a lost worker at `join` time: identity and
@@ -106,6 +225,9 @@ struct WorkerSpec {
 /// stage threads of a pipelined engine (typically behind an [`Arc`]).
 pub struct GpuDispatcher {
     senders: Vec<mpsc::SyncSender<WorkerMsg>>,
+    /// Per worker, the outputs the TEE has decoded and handed back: the
+    /// worker moves them into its own pool before its next job.
+    returns: Vec<Arc<Bin>>,
     handles: Vec<JoinHandle<GpuWorker>>,
     specs: Vec<WorkerSpec>,
     reply_timeout: Option<Duration>,
@@ -128,17 +250,20 @@ impl std::fmt::Debug for GpuDispatcher {
 fn worker_main(
     mut worker: GpuWorker,
     rx: mpsc::Receiver<WorkerMsg>,
+    returns: Arc<Bin>,
     health: dk_obs::WorkerHandle,
 ) -> GpuWorker {
     for msg in rx.iter() {
         match msg {
             WorkerMsg::Run { job, reply } => {
                 // A crash-behaviour worker whose budget is spent dies
-                // here: the thread exits, the inbox closes, queued and
-                // future messages fail over to typed worker-lost errors
-                // at the submitting side.
+                // here: the thread exits, the inbox closes, and this and
+                // every queued reply answer as worker-lost.
                 if worker.crash_pending() {
                     return worker;
+                }
+                for t in lock(&returns).drain(..) {
+                    worker.recycle_output(t);
                 }
                 let t0 = dk_obs::enabled().then(std::time::Instant::now);
                 // A job the worker cannot run (a `*Stored` job whose
@@ -148,13 +273,17 @@ fn worker_main(
                 if let Some(t0) = t0 {
                     health.job_done(t0.elapsed().as_nanos() as u64);
                 }
-                // A send error means the submitter gave up on the
-                // ticket; the job still ran (state advanced), which
-                // mirrors a real accelerator that cannot be recalled.
-                let _ = reply.send(out);
+                // Nobody may be waiting any more (a timed-out round);
+                // the job still ran (state advanced), which mirrors a
+                // real accelerator that cannot be recalled.
+                reply.post(out, job);
             }
             WorkerMsg::Store { ctx_id, encoding } => worker.store_encoding(ctx_id, encoding),
-            WorkerMsg::Release { ctx_id } => worker.remove_encoding(ctx_id),
+            WorkerMsg::Release { ctx_id, home } => {
+                if let (Some(t), Some(home)) = (worker.take_encoding(ctx_id), home) {
+                    lock(&home).push(t);
+                }
+            }
         }
     }
     worker
@@ -169,23 +298,29 @@ impl GpuDispatcher {
     pub(crate) fn spawn(workers: Vec<GpuWorker>, depth: usize) -> Self {
         assert!(depth > 0, "worker queues need capacity");
         let mut senders = Vec::with_capacity(workers.len());
+        let mut returns = Vec::with_capacity(workers.len());
         let mut handles = Vec::with_capacity(workers.len());
         let mut specs = Vec::with_capacity(workers.len());
         for w in workers {
             specs.push(WorkerSpec { id: w.id(), behavior: w.behavior(), latency: w.latency() });
             let (tx, rx) = mpsc::sync_channel(depth);
+            let bin = Arc::new(Bin::default());
             let name = format!("dk-gpu-{}", w.id());
             let health = dk_obs::fleet().worker(w.id().0);
+            let home = bin.clone();
+            #[allow(clippy::expect_used, reason = "documented: a fleet without threads cannot run")]
             handles.push(
                 std::thread::Builder::new()
                     .name(name)
-                    .spawn(move || worker_main(w, rx, health))
+                    .spawn(move || worker_main(w, rx, home, health))
                     .expect("spawn gpu worker thread"),
             );
             senders.push(tx);
+            returns.push(bin);
         }
         Self {
             senders,
+            returns,
             handles,
             specs,
             reply_timeout: None,
@@ -220,6 +355,50 @@ impl GpuDispatcher {
             .map_err(|_| GpuError::lost(WorkerId(w), "worker thread terminated (inbox closed)"))
     }
 
+    /// Queues `job` on `worker`, its answer to land in `board` slot
+    /// `slot` of round `round`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the worker id is out of range.
+    fn send_job(
+        &self,
+        board: &Arc<Board>,
+        (slot, round): (usize, u64),
+        worker: WorkerId,
+        job: LinearJob,
+    ) -> Pending {
+        let reply = Reply { board: board.clone(), slot, round, worker, armed: true };
+        self.queue_depth.inc();
+        self.jobs_total.inc();
+        let sent = self.senders[worker.0].send(WorkerMsg::Run { job, reply }).map_err(|e| {
+            if let WorkerMsg::Run { mut reply, .. } = e.0 {
+                reply.armed = false;
+            }
+            GpuError::lost(worker, "worker thread terminated (inbox closed)")
+        });
+        Pending { worker, slot: sent.map(|()| slot) }
+    }
+
+    /// Waits for one pending job's answer.
+    fn redeem(&self, board: &Board, pending: Pending) -> Answer {
+        let Pending { worker, slot } = pending;
+        // Balanced against the `inc` in `send_job`: every submitted
+        // slot — faulted ones included — passes through here once. A
+        // withheld slot was never submitted.
+        if !matches!(slot, Err(GpuError::Withheld { .. })) {
+            self.queue_depth.dec();
+        }
+        let slot = match slot {
+            Ok(slot) => slot,
+            Err(fault) => return (Err(fault), None),
+        };
+        board.wait(slot, self.reply_timeout).unwrap_or_else(|| {
+            let waited_ms = self.reply_timeout.map_or(0, |t| t.as_millis() as u64);
+            (Err(GpuError::Timeout { worker, waited_ms }), None)
+        })
+    }
+
     /// Submits `jobs[i]` to worker `i` and returns immediately. A dead
     /// worker does not fail the submission: its slot carries the fault
     /// and [`GpuDispatcher::complete`] reports it in worker order.
@@ -232,42 +411,14 @@ impl GpuDispatcher {
         if jobs.len() > self.senders.len() {
             return Err(GpuError::Oversubscribed { jobs: jobs.len(), workers: self.senders.len() });
         }
-        Ok(self.submit_slots(jobs.into_iter().enumerate().map(|(i, j)| (WorkerId(i), Some(j)))))
-    }
-
-    /// The one submission path: each slot names its worker, and a worker
-    /// named twice runs its slots in order (per-worker FIFO). A `None`
-    /// slot is withheld — nothing is sent and the slot redeems as
-    /// [`GpuError::Withheld`]. Every slot is queued before this returns.
-    fn submit_slots(&self, slots: impl Iterator<Item = (WorkerId, Option<LinearJob>)>) -> Ticket {
-        let slots = slots
-            .map(|(worker, job)| match job {
-                Some(job) => self.submit_on(worker, job).slot,
-                None => ReplySlot { worker, rx: Err(GpuError::Withheld { worker }) },
-            })
+        let board = Arc::new(Board::default());
+        board.open(jobs.len(), 0);
+        let slots = jobs
+            .into_iter()
+            .enumerate()
+            .map(|(i, job)| self.send_job(&board, (i, 0), WorkerId(i), job))
             .collect();
-        Ticket { slots }
-    }
-
-    fn redeem(&self, slot: ReplySlot) -> WorkerResult {
-        let ReplySlot { worker, rx } = slot;
-        // Balanced against the `inc` in submit_on: every submitted slot
-        // — including faulted ones — passes through here exactly once.
-        // A withheld slot was never submitted.
-        if !matches!(rx, Err(GpuError::Withheld { .. })) {
-            self.queue_depth.dec();
-        }
-        let rx = rx?;
-        let dropped = || GpuError::lost(worker, "worker thread dropped the job");
-        match self.reply_timeout {
-            None => rx.recv().map_err(|_| dropped())?,
-            Some(t) => rx.recv_timeout(t).map_err(|e| match e {
-                mpsc::RecvTimeoutError::Timeout => {
-                    GpuError::Timeout { worker, waited_ms: t.as_millis() as u64 }
-                }
-                mpsc::RecvTimeoutError::Disconnected => dropped(),
-            })?,
-        }
+        Ok(Ticket { board, slots })
     }
 
     /// Blocks until every job under the ticket finished (or faulted);
@@ -275,14 +426,8 @@ impl GpuDispatcher {
     /// worker claims only its own slot — the other workers' outputs are
     /// still returned, which is what lets the TEE repair around it.
     pub fn complete(&self, ticket: Ticket) -> Vec<WorkerResult> {
-        let mut out = Vec::with_capacity(ticket.len());
-        self.complete_into(ticket, &mut out);
-        out
-    }
-
-    /// [`GpuDispatcher::complete`], appending to a caller-owned buffer.
-    fn complete_into(&self, ticket: Ticket, out: &mut Vec<WorkerResult>) {
-        out.extend(ticket.slots.into_iter().map(|slot| self.redeem(slot)));
+        let Ticket { board, slots } = ticket;
+        slots.into_iter().map(|p| self.redeem(&board, p).0).collect()
     }
 
     /// Submits one job to a specific worker.
@@ -291,18 +436,16 @@ impl GpuDispatcher {
     ///
     /// Panics if the id is out of range.
     pub fn submit_on(&self, id: WorkerId, job: LinearJob) -> JobTicket {
-        let (tx, rx) = mpsc::channel();
-        let rx = self
-            .send(id.0, WorkerMsg::Run { job: Box::new(job), reply: tx })
-            .map(|()| rx);
-        self.queue_depth.inc();
-        self.jobs_total.inc();
-        JobTicket { slot: ReplySlot { worker: id, rx } }
+        let board = Arc::new(Board::default());
+        board.open(1, 0);
+        let pending = self.send_job(&board, (0, 0), id, job);
+        JobTicket { ticket: Ticket { board, slots: vec![pending] } }
     }
 
     /// Blocks until a single-job submission finished (or faulted).
     pub fn complete_one(&self, ticket: JobTicket) -> WorkerResult {
-        self.redeem(ticket.slot)
+        let mut results = self.complete(ticket.ticket);
+        results.pop().unwrap_or_else(|| Err(GpuError::lost(WorkerId(0), "empty job ticket")))
     }
 
     /// Stores per-worker forward encodings under a context id (worker
@@ -315,19 +458,20 @@ impl GpuDispatcher {
     ///
     /// Panics if more encodings than workers are supplied.
     pub fn store_encodings(&self, ctx_id: u64, encodings: Vec<Tensor<F25>>) {
-        self.store_encodings_sparse(ctx_id, encodings, &[]);
+        self.store_encodings_sparse(ctx_id, encodings.into_iter(), &[]);
     }
 
     /// [`GpuDispatcher::store_encodings`] that sends nothing to the
-    /// workers in `withheld`.
+    /// workers in `withheld`, draining `encodings` (the `Vec` stays with
+    /// the caller).
     fn store_encodings_sparse(
         &self,
         ctx_id: u64,
-        encodings: Vec<Tensor<F25>>,
+        encodings: impl ExactSizeIterator<Item = Tensor<F25>>,
         withheld: &[WorkerId],
     ) {
         assert!(encodings.len() <= self.senders.len(), "more encodings than workers");
-        for (i, e) in encodings.into_iter().enumerate() {
+        for (i, e) in encodings.enumerate() {
             if !withheld.contains(&WorkerId(i)) {
                 let _ = self.send(i, WorkerMsg::Store { ctx_id, encoding: e });
             }
@@ -337,8 +481,12 @@ impl GpuDispatcher {
     /// Releases the stored encodings of a retired virtual-batch context
     /// on every worker (best-effort on dead workers).
     pub fn release_context(&self, ctx_id: u64) {
+        self.release_context_to(ctx_id, None);
+    }
+
+    fn release_context_to(&self, ctx_id: u64, home: Option<&Arc<Bin>>) {
         for i in 0..self.senders.len() {
-            let _ = self.send(i, WorkerMsg::Release { ctx_id });
+            let _ = self.send(i, WorkerMsg::Release { ctx_id, home: home.cloned() });
         }
     }
 
@@ -388,18 +536,93 @@ impl Drop for GpuDispatcher {
     }
 }
 
-/// A cloneable [`GpuExec`] backend over a shared dispatcher. Each
-/// pipelined TEE lane holds one client; all clients feed the same
-/// persistent worker threads.
-#[derive(Debug, Clone)]
+/// A [`GpuExec`] backend over a shared dispatcher. Each pipelined TEE
+/// lane holds one client; all clients feed the same persistent worker
+/// threads.
+///
+/// **A round lends and gets back.** The session keeps its jobs, so the
+/// copy each worker runs is made here, from the client's own pool, and
+/// comes back with the answer: a worker posts the result *and the job*
+/// to the client's reply board (one slot per job, reused round after
+/// round), and the client returns the job's buffers to its pool before
+/// the round ends. Outputs the session has decoded go to the producing
+/// worker's return bin, which that worker empties into its own pool
+/// when it next runs a job — no inbox message, no wakeup. Encodings a
+/// worker stored come back to the client on release and leave through
+/// [`GpuExec::reclaim_stored`]. Once every pool has seen a round's
+/// sizes, a round allocates nothing: no job clone, no reply channel, no
+/// `Box`.
+#[derive(Debug)]
 pub struct DispatchClient {
     inner: Arc<GpuDispatcher>,
+    board: Arc<Board>,
+    round: u64,
+    pending: Vec<Pending>,
+    ws: Workspace,
+    /// Encodings the workers released, on their way back to the caller.
+    home: Arc<Bin>,
+    /// The emptied vectors stores arrived in, likewise.
+    spent: Vec<Vec<Tensor<F25>>>,
+}
+
+impl Clone for DispatchClient {
+    /// A second client on the same dispatcher, with its own board and
+    /// pools.
+    fn clone(&self) -> Self {
+        Self::new(self.inner.clone())
+    }
 }
 
 impl DispatchClient {
     /// Wraps a shared dispatcher.
     pub fn new(inner: Arc<GpuDispatcher>) -> Self {
-        Self { inner }
+        Self {
+            inner,
+            board: Arc::new(Board::default()),
+            round: 0,
+            pending: Vec::new(),
+            ws: Workspace::new(),
+            home: Arc::new(Bin::default()),
+            spent: Vec::new(),
+        }
+    }
+
+    /// Runs one round: slot `s` goes to `slot(s).0` with a pooled copy
+    /// of job `slot(s).1` (`None`: withheld), every job is queued before
+    /// the first answer is awaited, and `sink` gets the answers in slot
+    /// order.
+    fn round<'a>(
+        &mut self,
+        slots: usize,
+        slot: impl Fn(usize) -> (WorkerId, Option<&'a LinearJob>),
+        mut sink: impl FnMut(WorkerResult),
+    ) {
+        let Self { inner, board, round, pending, ws, .. } = self;
+        *round += 1;
+        board.open(slots, *round);
+        for s in 0..slots {
+            pending.push(match slot(s) {
+                (worker, Some(job)) => inner.send_job(board, (s, *round), worker, job.clone_in(ws)),
+                (worker, None) => Pending { worker, slot: Err(GpuError::Withheld { worker }) },
+            });
+        }
+        for p in pending.drain(..) {
+            let (result, job) = inner.redeem(board, p);
+            if let Some(job) = job {
+                job.recycle_decoded_into(ws);
+            }
+            sink(result);
+        }
+    }
+}
+
+/// Puts an output on its worker's return bin, unless it is an empty
+/// shell: the slot of a job the TEE ran itself (a withheld, convicted
+/// or lost worker) comes back with its buffers already in the session
+/// pool, and that worker may never run a job again to empty its bin.
+fn bin_output(bin: &Bin, t: Tensor<F25>) {
+    if !t.is_empty() {
+        lock(bin).push(t);
     }
 }
 
@@ -437,36 +660,56 @@ impl GpuExec for DispatchClient {
         if jobs.len() > self.inner.len() {
             return Err(GpuError::Oversubscribed { jobs: jobs.len(), workers: self.inner.len() });
         }
-        let positional = jobs.iter().enumerate().map(|(i, job)| {
-            let worker = WorkerId(i);
-            (worker, (!withheld.contains(&worker)).then(|| job.clone()))
-        });
-        let addressed = extra.iter().map(|&(w, job)| (w, Some(job.clone())));
-        let ticket = self.inner.submit_slots(positional.chain(addressed));
-        self.inner.complete_into(ticket, out);
+        let slot = |s| round_slot(jobs, withheld, extra, s);
+        self.round(jobs.len() + extra.len(), slot, |r| out.push(r));
         Ok(())
     }
 
+    fn recycle_outputs(&mut self, outputs: &mut Vec<Tensor<F25>>) {
+        // Worker `i` produced `outputs[i]`.
+        for (t, bin) in outputs.drain(..).zip(&self.inner.returns) {
+            bin_output(bin, t);
+        }
+    }
+
+    fn recycle_output_of(&mut self, worker: WorkerId, output: Tensor<F25>) {
+        if let Some(bin) = self.inner.returns.get(worker.0) {
+            bin_output(bin, output);
+        }
+    }
+
     fn execute_on(&mut self, id: WorkerId, job: &LinearJob) -> WorkerResult {
-        self.inner.complete_one(self.inner.submit_on(id, job.clone()))
+        let mut answer = Err(GpuError::lost(id, "no answer"));
+        self.round(1, |_| (id, Some(job)), |r| answer = r);
+        answer
     }
 
     fn store_encodings(&mut self, ctx_id: u64, encodings: Vec<Tensor<F25>>) {
-        self.inner.store_encodings(ctx_id, encodings);
+        self.store_encodings_sparse(ctx_id, encodings, &[]);
     }
 
     fn store_encodings_sparse(
         &mut self,
         ctx_id: u64,
-        encodings: Vec<Tensor<F25>>,
+        mut encodings: Vec<Tensor<F25>>,
         withheld: &[WorkerId],
     ) {
-        self.inner.store_encodings_sparse(ctx_id, encodings, withheld);
+        self.inner.store_encodings_sparse(ctx_id, encodings.drain(..), withheld);
+        self.spent.push(encodings);
     }
 
     fn release_contexts(&mut self, ctx_ids: &[u64]) {
         for &c in ctx_ids {
-            self.inner.release_context(c);
+            self.inner.release_context_to(c, Some(&self.home));
+        }
+    }
+
+    fn reclaim_stored(&mut self, into: &mut Workspace) {
+        for t in lock(&self.home).drain(..) {
+            into.give_tensor(t);
+        }
+        for v in self.spent.drain(..) {
+            into.give(v);
         }
     }
 }
@@ -614,6 +857,30 @@ mod tests {
         }
         let err = d.complete_one(d.submit_on(WorkerId(0), dense_job(3))).unwrap_err();
         assert!(matches!(err, GpuError::WorkerLost { worker: WorkerId(0), .. }));
+    }
+
+    /// A worker that is withheld for good (convicted, say) never runs a
+    /// job again, so nothing would ever empty its return bin: the empty
+    /// slots the TEE filled for it must not land there.
+    #[test]
+    fn a_withheld_workers_bin_stays_empty() {
+        let d = StdArc::new(GpuCluster::honest(2, 11).into_dispatcher(4));
+        let mut client = DispatchClient::new(d.clone());
+        let jobs: Vec<_> = (1..=2).map(dense_job).collect();
+        let mut out = Vec::new();
+        for _ in 0..64 {
+            client.execute_round_into(0, &jobs, &[WorkerId(1)], &[], &mut out).unwrap();
+            assert!(matches!(out[1], Err(GpuError::Withheld { worker: WorkerId(1) })));
+            // What the session hands back: worker 0's output, and the
+            // shell of the slot it filled in the TEE (buffers kept).
+            let mut outputs = vec![out.remove(0).unwrap(), Tensor::default()];
+            out.clear();
+            client.recycle_outputs(&mut outputs);
+            client.recycle_output_of(WorkerId(1), Tensor::default());
+        }
+        assert!(lock(&d.returns[1]).is_empty());
+        // Worker 0 empties its bin before each job: one output waits.
+        assert_eq!(lock(&d.returns[0]).len(), 1);
     }
 
     #[test]

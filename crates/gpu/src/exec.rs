@@ -97,7 +97,7 @@ use crate::error::GpuError;
 use crate::job::{JobOutput, LinearJob};
 use crate::worker::WorkerId;
 use dk_field::F25;
-use dk_linalg::Tensor;
+use dk_linalg::{Tensor, Workspace};
 
 /// One worker's outcome for one job: the output, or the fault that kept
 /// it from answering.
@@ -216,6 +216,20 @@ pub trait GpuExec {
     fn recycle_outputs(&mut self, outputs: &mut Vec<Tensor<F25>>) {
         outputs.clear();
     }
+
+    /// Hands one output back to the pool of `worker`, the worker that
+    /// produced it: a reply the caller took out of a round's `extra`
+    /// part, whose position does not say whose it is (what
+    /// [`GpuExec::recycle_outputs`] goes by). Best-effort — the default
+    /// drops it.
+    fn recycle_output_of(&mut self, _worker: WorkerId, _output: Tensor<F25>) {}
+
+    /// Gives back, into `ws`, the encodings the workers have released
+    /// ([`GpuExec::release_contexts`]) and the vectors the stores
+    /// arrived in, where the backend keeps them: [`crate::DispatchClient`]
+    /// does, so a caller that draws its stores from `ws` gets them home
+    /// one release later. Best-effort — the default returns nothing.
+    fn reclaim_stored(&mut self, _ws: &mut Workspace) {}
 
     /// Executes a single job on a specific worker, blocking until it
     /// answers. The session never calls this (a layer pass is one

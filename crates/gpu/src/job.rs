@@ -52,11 +52,13 @@ impl LinearOp {
         }
     }
 
-    /// `∂L/∂b`: `dy` reduced over everything but this op's bias axis.
-    pub fn bias_grad(&self, dy: &Tensor<f32>) -> Vec<f32> {
+    /// `∂L/∂b` — `dy` reduced over everything but this op's bias axis —
+    /// added into `g`, one entry per output channel or feature (zero it
+    /// for the gradient itself).
+    pub fn bias_grad_into(&self, dy: &Tensor<f32>, g: &mut [f32]) {
         match self {
-            LinearOp::Conv(_) => ops::bias_grad_nchw(dy),
-            LinearOp::Dense { .. } => ops::bias_grad_rows(dy),
+            LinearOp::Conv(_) => ops::bias_grad_nchw_into(dy, g),
+            LinearOp::Dense { .. } => ops::bias_grad_rows_into(dy, g),
         }
     }
 
@@ -310,6 +312,54 @@ impl LinearJob {
         }
     }
 
+    /// A copy of this job whose owned operands — the encoded input, a
+    /// `δ` or `δ̃`, a stored job's β — are drawn from `ws`, and whose
+    /// shared ones are shared. [`LinearJob::recycle_decoded_into`] gives
+    /// them back.
+    pub fn clone_in(&self, ws: &mut Workspace) -> LinearJob {
+        let mut copy = |t: &Tensor<F25>| ws.take_tensor_copy(t.shape(), t.as_slice());
+        match self {
+            LinearJob::ConvForward { weights, x, shape } => {
+                LinearJob::ConvForward { weights: weights.clone(), x: copy(x), shape: *shape }
+            }
+            LinearJob::ConvWeightGrad { delta, x, shape } => {
+                LinearJob::ConvWeightGrad { delta: copy(delta), x: copy(x), shape: *shape }
+            }
+            LinearJob::ConvBackwardData { weights, delta, shape, input_hw } => {
+                LinearJob::ConvBackwardData {
+                    weights: weights.clone(),
+                    delta: copy(delta),
+                    shape: *shape,
+                    input_hw: *input_hw,
+                }
+            }
+            LinearJob::DenseForward { weights, x } => {
+                LinearJob::DenseForward { weights: weights.clone(), x: copy(x) }
+            }
+            LinearJob::DenseWeightGrad { delta, x } => {
+                LinearJob::DenseWeightGrad { delta: copy(delta), x: copy(x) }
+            }
+            LinearJob::DenseBackwardData { weights, delta } => {
+                LinearJob::DenseBackwardData { weights: weights.clone(), delta: copy(delta) }
+            }
+            LinearJob::ConvWeightGradStored { delta_batch, beta, layer_id, shape } => {
+                LinearJob::ConvWeightGradStored {
+                    delta_batch: delta_batch.clone(),
+                    beta: ws.take_copy(beta),
+                    layer_id: *layer_id,
+                    shape: *shape,
+                }
+            }
+            LinearJob::DenseWeightGradStored { delta_batch, beta, layer_id } => {
+                LinearJob::DenseWeightGradStored {
+                    delta_batch: delta_batch.clone(),
+                    beta: ws.take_copy(beta),
+                    layer_id: *layer_id,
+                }
+            }
+        }
+    }
+
     /// Consumes the job, giving every tensor it owns — the encoded
     /// input, an explicit weight-gradient job's β-combined `δ̃`, the
     /// data-gradient job's copy of `δ` — back to `ws` (the TEE does so
@@ -522,13 +572,19 @@ mod tests {
         conv.add_bias(&mut got, &bias);
         ops::add_bias_nchw(&mut want, &bias);
         assert_eq!(got, want);
-        assert_eq!(conv.bias_grad(&dy), ops::bias_grad_nchw(&dy));
+        let (mut got, mut want) = (vec![0.0; 3], vec![0.0; 3]);
+        conv.bias_grad_into(&dy, &mut got);
+        ops::bias_grad_nchw_into(&dy, &mut want);
+        assert_eq!(got, want);
         let dy = Tensor::from_fn(&[2, 3], |i| i as f32 * 0.25 - 1.0);
         let (mut got, mut want) = (dy.clone(), dy.clone());
         dense.add_bias(&mut got, &bias);
         ops::add_bias_rows(&mut want, &bias);
         assert_eq!(got, want);
-        assert_eq!(dense.bias_grad(&dy), ops::bias_grad_rows(&dy));
+        let (mut got, mut want) = (vec![0.0; 3], vec![0.0; 3]);
+        dense.bias_grad_into(&dy, &mut got);
+        ops::bias_grad_rows_into(&dy, &mut want);
+        assert_eq!(got, want);
     }
 
     /// `beta_combine` is `δ̃ = Σ_i β_i·δ_i` reduced after every product,

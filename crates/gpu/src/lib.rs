@@ -42,6 +42,7 @@
 //!   encodings after a connection loss.
 
 #![forbid(unsafe_code)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod behavior;
 pub mod cluster;

@@ -352,8 +352,11 @@ impl RemoteWorker {
             self.reconnect()?;
         }
         let attempt = |this: &mut Self| -> io::Result<()> {
-            let stream = this.conn.as_mut().expect("reconnect installed a stream");
-            stream.write_all(&this.frame)
+            // `reconnect` installed a stream, or failed above.
+            match this.conn.as_mut() {
+                Some(stream) => stream.write_all(&this.frame),
+                None => Err(io::ErrorKind::NotConnected.into()),
+            }
         };
         let mut written = attempt(self);
         if written.is_err() && had_conn {

@@ -190,12 +190,19 @@ impl<'a> Cursor<'a> {
         Ok(s)
     }
 
+    /// The next `N` bytes as an array.
+    fn array<const N: usize>(&mut self) -> io::Result<[u8; N]> {
+        let mut a = [0u8; N];
+        a.copy_from_slice(self.take(N)?);
+        Ok(a)
+    }
+
     fn u32(&mut self) -> io::Result<u32> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
+        Ok(u32::from_le_bytes(self.array()?))
     }
 
     fn u64(&mut self) -> io::Result<u64> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
+        Ok(u64::from_le_bytes(self.array()?))
     }
 
     fn u8(&mut self) -> io::Result<u8> {
@@ -593,16 +600,17 @@ pub fn read_msg_into<R: Read>(
 ) -> io::Result<(WireMsg, usize)> {
     let mut header = [0u8; HEADER_LEN];
     r.read_exact(&mut header)?;
-    let magic = u32::from_le_bytes(header[0..4].try_into().unwrap());
+    let [m0, m1, m2, m3, v0, v1, t0, t1, l0, l1, l2, l3] = header;
+    let magic = u32::from_le_bytes([m0, m1, m2, m3]);
     if magic != MAGIC {
         return Err(bad(format!("bad frame magic {magic:#010x}")));
     }
-    let version = u16::from_le_bytes(header[4..6].try_into().unwrap());
+    let version = u16::from_le_bytes([v0, v1]);
     if version != VERSION {
         return Err(bad(format!("protocol version {version} (want {VERSION})")));
     }
-    let msg_type = u16::from_le_bytes(header[6..8].try_into().unwrap());
-    let len = u32::from_le_bytes(header[8..12].try_into().unwrap());
+    let msg_type = u16::from_le_bytes([t0, t1]);
+    let len = u32::from_le_bytes([l0, l1, l2, l3]);
     if len > MAX_PAYLOAD {
         return Err(bad(format!("payload of {len} bytes exceeds cap")));
     }

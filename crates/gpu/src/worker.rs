@@ -140,11 +140,14 @@ impl GpuWorker {
         slot.extend_from_slice(seen);
         self.obs_bytes += bytes;
         // A larger observation than the one it replaced also evicts the
-        // next-oldest ones (their slots refill as the cursor comes round).
+        // next-oldest ones (their slots keep their allocation and refill
+        // as the cursor comes round, so a turned-over record stops
+        // allocating).
         let mut next = (at + 1) % slots;
         while self.obs_bytes > OBSERVATION_BUDGET_BYTES && next != at {
-            let evicted = std::mem::take(&mut self.observations[next]);
+            let evicted = &mut self.observations[next];
             self.obs_bytes -= std::mem::size_of_val(evicted.as_slice());
+            evicted.clear();
             next = (next + 1) % slots;
         }
         self.obs_next = Some((at + 1) % slots);

@@ -22,19 +22,37 @@
 //!   recurrence over ascending `(ci, ki, kj)`, so results are
 //!   bit-identical to im2col-then-[`crate::reference::naive_matmul`] in
 //!   both domains.
-//! * **input gradient** — `dcols = Wᵀ · dy` ([`matmul_at_b_into`], the
-//!   same strip kernel reading `W` transposed in place), scatter-added
-//!   into the image by [`col2im_acc_into`].
-//! * **weight gradient** — `dW += dy · cols(x)ᵀ`: the contraction runs
-//!   over output positions, so this pass does materialize `cols(x)` row
-//!   by row ([`im2col_into`], its only caller) for the dot-orientation
-//!   kernel [`matmul_a_bt_into`].
+//! * **input gradient** (`dx = Wᵀ ⊛ dy`). Two passes, one choice made
+//!   on [`Scalar::EXACT`] and the stride, as the dot kernel already
+//!   chooses:
+//!   - a stride-1 `F25` layer whose padding is below its kernel is the
+//!     *transposed convolution*: the forward pass above run on `dy`
+//!     with the filter flipped in both spatial axes and its two channel
+//!     axes swapped per group, padded by `k − 1 − p`. Each `dx` element
+//!     is then one tile reduction over `(co, ki, kj)`; no `dcol` is
+//!     written and nothing is scattered. The field sum is exact, so the
+//!     result is the same value whatever order the taps arrive in;
+//!   - a strided layer, and every `f32` call, computes
+//!     `dcols = Wᵀ · dy` ([`matmul_at_b_into`], the strip kernel reading
+//!     `W` transposed in place) and scatter-adds it into the image with
+//!     [`col2im_acc_into`]. `f32` is the plain baseline and keeps this
+//!     recurrence bit for bit: per `dx` element, the taps in ascending
+//!     `(ki, kj)`, each its own ascending-`co` sum.
+//! * **weight gradient** (`dW += dy · cols(x)ᵀ`). The contraction runs
+//!   over output positions, so the column matrix of each sample is
+//!   materialized ([`im2col_into`], its only caller). For `F25` it is
+//!   the `A` operand of one packed-panel product per sample and group,
+//!   `dWᵀ[krows × cgo] = cols(x) · dyᵀ`, read in place at strides
+//!   `(ocols, 1)` while a transposing filler packs `dyᵀ` into the panel;
+//!   the product is added, transposed, into `dW`. `f32` keeps the
+//!   dot-orientation kernel [`matmul_a_bt_into`], whose ascending-`p`
+//!   sums with no zero skip are its reference bits.
 //!
 //! Grouped convolution is supported (`groups > 1`); depthwise convolution
 //! — the core of MobileNet — is the special case `groups == in_channels`.
 
 use crate::im2col::{col2im_acc_into, im2col_into, out_hw, Window};
-use crate::matmul::{gemm_packed, matmul_a_bt_into, matmul_at_b_into, Panel};
+use crate::matmul::{fill_transposed, gemm_packed, matmul_a_bt_into, matmul_at_b_into, Panel};
 use crate::scalar::Scalar;
 use crate::tensor::Tensor;
 use crate::workspace::Workspace;
@@ -179,7 +197,7 @@ pub fn conv2d_forward_ws<T: Scalar>(
 /// Convolution input gradient: `dx = Wᵀ ⊛ dy`.
 ///
 /// `dy: [n, oc, oh, ow]` → `dx: [n, ic, h, w]` for the original input
-/// spatial size `hw`.
+/// spatial size `hw`. See the module docs for the two passes.
 ///
 /// # Panics
 ///
@@ -196,8 +214,13 @@ pub fn conv2d_backward_input_ws<T: Scalar>(
     let n = dy.shape()[0];
     let (oh, ow) = s.out_hw(hw);
     assert_eq!((dy.shape()[2], dy.shape()[3]), (oh, ow), "dy spatial mismatch");
+    let (kh, kw) = s.kernel;
+    let (ph, pw) = s.padding;
+    if T::EXACT && s.stride == (1, 1) && ph < kh && pw < kw {
+        return transposed_conv(dy, w, s, ws);
+    }
     let (cgi, cgo) = (s.cg_in(), s.cg_out());
-    let krows = cgi * s.kernel.0 * s.kernel.1;
+    let krows = cgi * kh * kw;
     let ocols = oh * ow;
     let mut dx = ws.take_tensor(&[n, s.in_channels, hw.0, hw.1]);
     let mut dcol = ws.take_dirty::<T>(krows * ocols);
@@ -208,10 +231,7 @@ pub fn conv2d_backward_input_ws<T: Scalar>(
             let wg = &w.as_slice()[g * cgo * krows..(g + 1) * cgo * krows];
             let dyg = &dyi[g * cgo * ocols..(g + 1) * cgo * ocols];
             // dcol[krows x ocols] = wgᵀ[krows x cgo] · dyg[cgo x ocols],
-            // then one fused scatter-add into the (zero-initialized)
-            // gradient image — contribution order is identical to the
-            // old dcol → col2im → add triple pass, so float bits are
-            // unchanged.
+            // then one scatter-add into the (zero-initialized) image.
             matmul_at_b_into(wg, dyg, &mut dcol, krows, cgo, ocols);
             let dst = &mut dxi[g * cgi * hw.0 * hw.1..(g + 1) * cgi * hw.0 * hw.1];
             col2im_acc_into(&dcol, cgi, hw, s.kernel, s.stride, s.padding, dst);
@@ -221,10 +241,49 @@ pub fn conv2d_backward_input_ws<T: Scalar>(
     dx
 }
 
+/// The stride-1 input gradient as a forward convolution of `dy`: the
+/// filter `W[oc, ci, ki, kj]` becomes `Wᵗ[ic, co, kh−1−ki, kw−1−kj]`
+/// (group by group, so a group's output channels become its input
+/// channels) and the padding `k − 1 − p`, which maps an `oh × ow`
+/// gradient back onto the `h × w` image.
+fn transposed_conv<T: Scalar>(
+    dy: &Tensor<T>,
+    w: &Tensor<T>,
+    s: &Conv2dShape,
+    ws: &mut Workspace,
+) -> Tensor<T> {
+    let ((kh, kw), (ph, pw)) = (s.kernel, s.padding);
+    let (cgi, cgo) = (s.cg_in(), s.cg_out());
+    let t = Conv2dShape::new(
+        s.out_channels,
+        s.in_channels,
+        s.kernel,
+        (1, 1),
+        (kh - 1 - ph, kw - 1 - pw),
+        s.groups,
+    );
+    // Every element is written: the loops cover `[ic, cgo, kh, kw]`.
+    let mut wt = ws.take_tensor_dirty::<T>(&t.weight_shape());
+    let taps = kh * kw;
+    let dst = wt.as_mut_slice();
+    for (row, filter) in w.as_slice().chunks_exact(cgi * taps).enumerate() {
+        let (g, co) = (row / cgo, row % cgo);
+        for (ci, src) in filter.chunks_exact(taps).enumerate() {
+            let out = &mut dst[((g * cgi + ci) * cgo + co) * taps..][..taps];
+            for (d, &v) in out.iter_mut().zip(src.iter().rev()) {
+                *d = v;
+            }
+        }
+    }
+    let dx = conv2d_forward_ws(dy, &wt, &t, ws);
+    ws.give_tensor(wt);
+    dx
+}
+
 /// Convolution weight gradient: `dW = dy ⊛ x` summed over the batch.
 ///
 /// This is the bilinear op of the paper's Eq. 3 — the one DarKnight's
-/// backward encoding protects.
+/// backward encoding protects. See the module docs for the kernel.
 ///
 /// # Panics
 ///
@@ -248,6 +307,7 @@ pub fn conv2d_backward_weight_ws<T: Scalar>(
     // Both fully overwritten before each use.
     let mut cols = ws.take_dirty::<T>(krows * ocols);
     let mut dwg = ws.take_dirty::<T>(cgo * krows);
+    let mut panel = Panel::new();
     for ni in 0..n {
         let xi = x.batch_item(ni);
         let dyi = dy.batch_item(ni);
@@ -255,13 +315,23 @@ pub fn conv2d_backward_weight_ws<T: Scalar>(
             let xg = &xi[g * cgi * hw.0 * hw.1..(g + 1) * cgi * hw.0 * hw.1];
             im2col_into(xg, cgi, hw, s.kernel, s.stride, s.padding, &mut cols);
             let dyg = &dyi[g * cgo * ocols..(g + 1) * cgo * ocols];
-            // dwg[cgo x krows] = dyg[cgo x ocols] · colsᵀ[ocols x krows];
-            // accumulated into dw as a separate elementwise pass so the
-            // float summation order matches the allocating original.
-            matmul_a_bt_into(dyg, &cols, &mut dwg, cgo, ocols, krows);
             let dst = &mut dw.as_mut_slice()[g * cgo * krows..(g + 1) * cgo * krows];
-            for (d, &v) in dst.iter_mut().zip(dwg.iter()) {
-                *d += v;
+            if T::EXACT {
+                // dwgᵀ[krows x cgo] = cols[krows x ocols] · dygᵀ[ocols x cgo].
+                let fill = fill_transposed(dyg, ocols, cgo);
+                gemm_packed(&cols, (ocols, 1), &mut dwg, (krows, ocols, cgo), &mut panel, &fill);
+                for (r, row) in dwg.chunks_exact(cgo).enumerate() {
+                    for (co, &v) in row.iter().enumerate() {
+                        dst[co * krows + r] += v;
+                    }
+                }
+            } else {
+                // dwg[cgo x krows] = dyg[cgo x ocols] · colsᵀ[ocols x krows],
+                // added into dw as a separate elementwise pass.
+                matmul_a_bt_into(dyg, &cols, &mut dwg, cgo, ocols, krows);
+                for (d, &v) in dst.iter_mut().zip(dwg.iter()) {
+                    *d += v;
+                }
             }
         }
     }

@@ -13,8 +13,10 @@
 //!   L1-resident panel (see [`mod@crate::matmul`] and [`crate::conv`]);
 //! * the **weight-gradient** pass contracts over output positions, so
 //!   it wants whole column-matrix rows contiguous: it is the one
-//!   remaining caller of [`im2col_into`]. The input-gradient pass goes
-//!   the other way through [`col2im_acc_into`].
+//!   remaining caller of [`im2col_into`] (the column matrix is the `A`
+//!   operand of its packed-panel product). The strided input-gradient
+//!   pass goes the other way through [`col2im_acc_into`]; the stride-1
+//!   one is a forward convolution and needs neither.
 //!
 //! Both write every tap exactly once — a copy where the tap is inside
 //! the image, a zero where it is padding — so neither needs a cleared

@@ -27,7 +27,9 @@
 //! whatever `n` is. Who packs the panel is the caller's business: the
 //! matmuls copy row segments of a row-major `B`, the forward
 //! convolution gathers them straight from the NCHW image (see
-//! [`crate::conv`]), so no column matrix ever exists. `A` is read in
+//! [`crate::conv`]), so no column matrix ever exists, and the `F25`
+//! convolution weight gradient packs `dyᵀ` down the panel's lanes
+//! (`fill_transposed`). `A` is read in
 //! place through a `(row, column)` stride pair — `(k, 1)` for `A·B`,
 //! `(1, m)` for `Aᵀ·B` — so no transpose is packed either. A strip
 //! narrower than [`LANES`] (the last one when `n % LANES ≠ 0`) is the
@@ -263,6 +265,30 @@ fn fill_from_rows<T: Scalar>(b: &[T], n: usize) -> impl Fn(usize, usize, &mut [T
             } else {
                 row[..w].copy_from_slice(src);
                 row[w..].fill(T::zero());
+            }
+        }
+    }
+}
+
+/// The panel filler for `B = Bᵗᵀ` with `Bᵗ[n×k]` row-major: column
+/// `j` of `B` is row `j` of `bt`, so each lane of a block is one
+/// contiguous run of `bt` written down the panel; lanes past column `n`
+/// are zero. The convolution weight gradient packs `dyᵀ` with it.
+pub(crate) fn fill_transposed<T: Scalar>(
+    bt: &[T],
+    k: usize,
+    n: usize,
+) -> impl Fn(usize, usize, &mut [T]) + '_ {
+    move |p0, j0, rows| {
+        let w = LANES.min(n - j0);
+        let kb = rows.len() / LANES;
+        if w < LANES {
+            rows.fill(T::zero());
+        }
+        for l in 0..w {
+            let src = &bt[(j0 + l) * k + p0..][..kb];
+            for (row, &v) in rows.chunks_exact_mut(LANES).zip(src) {
+                row[l] = v;
             }
         }
     }

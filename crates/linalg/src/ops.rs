@@ -79,51 +79,53 @@ pub fn add_bias_rows(y: &mut Tensor<f32>, bias: &[f32]) {
     }
 }
 
-/// Gradient of the NCHW bias: sums `dy` over batch and spatial dims.
+/// Gradient of the NCHW bias — `dy` summed over batch and spatial
+/// dims — added into `g` (one entry per channel; zero it for the
+/// gradient itself).
 ///
 /// # Panics
 ///
-/// Panics if `dy` is not 4-D.
-pub fn bias_grad_nchw(dy: &Tensor<f32>) -> Vec<f32> {
+/// Panics if `dy` is not 4-D or `g` is not one entry per channel.
+pub fn bias_grad_nchw_into(dy: &Tensor<f32>, g: &mut [f32]) {
     assert_eq!(dy.ndim(), 4);
     let (n, c, h, w) = (dy.shape()[0], dy.shape()[1], dy.shape()[2], dy.shape()[3]);
+    assert_eq!(g.len(), c, "one bias gradient per channel");
     let plane = h * w;
-    let mut g = vec![0.0f32; c];
     for ni in 0..n {
         for (ci, gc) in g.iter_mut().enumerate() {
             let base = (ni * c + ci) * plane;
             *gc += dy.as_slice()[base..base + plane].iter().sum::<f32>();
         }
     }
-    g
 }
 
-/// Gradient of the row bias: sums `dy` over the batch dimension.
+/// Gradient of the row bias — `dy` summed over the batch dimension —
+/// added into `g` (one entry per column; zero it for the gradient
+/// itself).
 ///
 /// # Panics
 ///
-/// Panics if `dy` is not 2-D.
-pub fn bias_grad_rows(dy: &Tensor<f32>) -> Vec<f32> {
+/// Panics if `dy` is not 2-D or `g` is not one entry per column.
+pub fn bias_grad_rows_into(dy: &Tensor<f32>, g: &mut [f32]) {
     assert_eq!(dy.ndim(), 2);
     let (n, f) = (dy.shape()[0], dy.shape()[1]);
-    let mut g = vec![0.0f32; f];
+    assert_eq!(g.len(), f, "one bias gradient per column");
     for ni in 0..n {
         for (gi, &v) in g.iter_mut().zip(&dy.as_slice()[ni * f..(ni + 1) * f]) {
             *gi += v;
         }
     }
-    g
 }
 
-/// Numerically-stable row softmax for a `[n, classes]` matrix.
+/// Numerically-stable row softmax of a `[n, classes]` matrix, in
+/// place.
 ///
 /// # Panics
 ///
-/// Panics if `x` is not 2-D.
-pub fn softmax_rows(x: &Tensor<f32>) -> Tensor<f32> {
-    assert_eq!(x.ndim(), 2);
-    let (n, f) = (x.shape()[0], x.shape()[1]);
-    let mut out = x.clone();
+/// Panics if `out` is not 2-D.
+pub fn softmax_rows_in_place(out: &mut Tensor<f32>) {
+    assert_eq!(out.ndim(), 2);
+    let (n, f) = (out.shape()[0], out.shape()[1]);
     for ni in 0..n {
         let row = &mut out.as_mut_slice()[ni * f..(ni + 1) * f];
         let m = row.iter().fold(f32::NEG_INFINITY, |a, &b| a.max(b));
@@ -137,7 +139,6 @@ pub fn softmax_rows(x: &Tensor<f32>) -> Tensor<f32> {
             *v *= inv;
         }
     }
-    out
 }
 
 /// Index of the maximum element of each row of a `[n, f]` matrix; of
@@ -151,16 +152,13 @@ pub fn softmax_rows(x: &Tensor<f32>) -> Tensor<f32> {
 /// # Panics
 ///
 /// Panics if `x` is not 2-D or has zero-width rows.
-pub fn argmax_rows(x: &Tensor<f32>) -> Vec<usize> {
+pub fn argmax_rows(x: &Tensor<f32>) -> impl Iterator<Item = usize> + '_ {
     assert_eq!(x.ndim(), 2);
     let f = x.shape()[1];
     assert!(f > 0);
-    x.as_slice()
-        .chunks_exact(f)
-        .map(|row| {
-            (1..f).fold(0, |best, i| if row[i].total_cmp(&row[best]).is_ge() { i } else { best })
-        })
-        .collect()
+    x.as_slice().chunks_exact(f).map(move |row| {
+        (1..f).fold(0, |best, i| if row[i].total_cmp(&row[best]).is_ge() { i } else { best })
+    })
 }
 
 #[cfg(test)]
@@ -191,7 +189,9 @@ mod tests {
         assert_eq!(y.get(&[1, 2, 1, 1]), 3.0);
         // grad of sum-loss wrt bias = count of elements per channel.
         let dy = Tensor::ones(&[2, 3, 2, 2]);
-        assert_eq!(bias_grad_nchw(&dy), vec![8.0, 8.0, 8.0]);
+        let mut g = vec![1.0; 3];
+        bias_grad_nchw_into(&dy, &mut g);
+        assert_eq!(g, vec![9.0, 9.0, 9.0], "added into what g held");
     }
 
     #[test]
@@ -200,13 +200,15 @@ mod tests {
         add_bias_rows(&mut y, &[1.0, 2.0, 3.0]);
         assert_eq!(y.as_slice(), &[1.0, 2.0, 3.0, 1.0, 2.0, 3.0]);
         let dy = Tensor::from_vec(&[2, 3], vec![1., 2., 3., 4., 5., 6.]);
-        assert_eq!(bias_grad_rows(&dy), vec![5.0, 7.0, 9.0]);
+        let mut g = vec![0.0; 3];
+        bias_grad_rows_into(&dy, &mut g);
+        assert_eq!(g, vec![5.0, 7.0, 9.0]);
     }
 
     #[test]
     fn softmax_rows_sum_to_one() {
-        let x = Tensor::from_vec(&[2, 3], vec![1.0, 2.0, 3.0, -1.0, 0.0, 1.0]);
-        let s = softmax_rows(&x);
+        let mut s = Tensor::from_vec(&[2, 3], vec![1.0, 2.0, 3.0, -1.0, 0.0, 1.0]);
+        softmax_rows_in_place(&mut s);
         for ni in 0..2 {
             let sum: f32 = s.as_slice()[ni * 3..(ni + 1) * 3].iter().sum();
             assert!((sum - 1.0).abs() < 1e-6);
@@ -217,10 +219,10 @@ mod tests {
 
     #[test]
     fn softmax_is_shift_invariant_and_stable() {
-        let a = Tensor::from_vec(&[1, 3], vec![1000.0, 1001.0, 1002.0]);
-        let b = Tensor::from_vec(&[1, 3], vec![0.0, 1.0, 2.0]);
-        let sa = softmax_rows(&a);
-        let sb = softmax_rows(&b);
+        let mut sa = Tensor::from_vec(&[1, 3], vec![1000.0, 1001.0, 1002.0]);
+        let mut sb = Tensor::from_vec(&[1, 3], vec![0.0, 1.0, 2.0]);
+        softmax_rows_in_place(&mut sa);
+        softmax_rows_in_place(&mut sb);
         assert!(sa.max_abs_diff(&sb) < 1e-6);
         assert!(sa.as_slice().iter().all(|v| v.is_finite()));
     }
@@ -228,7 +230,7 @@ mod tests {
     #[test]
     fn argmax_rows_basic() {
         let x = Tensor::from_vec(&[2, 3], vec![0.1, 0.9, 0.2, 0.7, 0.1, 0.3]);
-        assert_eq!(argmax_rows(&x), vec![1, 0]);
+        assert_eq!(argmax_rows(&x).collect::<Vec<_>>(), vec![1, 0]);
     }
 
     #[test]
@@ -240,6 +242,6 @@ mod tests {
         );
         // A positive NaN beats every number, a negative one loses to
         // every number; equal maxima go to the last index.
-        assert_eq!(argmax_rows(&x), vec![1, 0, 2, 1]);
+        assert_eq!(argmax_rows(&x).collect::<Vec<_>>(), vec![1, 0, 2, 1]);
     }
 }

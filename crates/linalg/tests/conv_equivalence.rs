@@ -1,4 +1,4 @@
-//! The forward convolution against a direct-convolution oracle.
+//! The three convolution passes against direct-convolution oracles.
 //!
 //! `conv2d_forward_ws` never builds a column matrix: its strip kernel
 //! gathers each panel block straight from the NCHW image. The oracle
@@ -9,9 +9,16 @@
 //! must match it **bit for bit** in f32 — signed zeros, infinities and
 //! where the NaNs fall included — and exactly in the field, from a
 //! workspace full of garbage.
+//!
+//! The backward passes get the same treatment. Their oracles are the
+//! definitions of `∂L/∂x` and `∂L/∂W` spelled out one element at a
+//! time, in the summation order the `f32` kernels keep (the plain
+//! baseline's bits); `F25` sums are exact, so the same loops are its
+//! oracle too, whichever kernel — transposed convolution, packed-panel
+//! weight gradient, or the strided scatter — produced the value.
 
 use dk_field::{FieldRng, F25, P25};
-use dk_linalg::conv::conv2d_forward_ws;
+use dk_linalg::conv::{conv2d_backward_input_ws, conv2d_backward_weight_ws, conv2d_forward_ws};
 use dk_linalg::{Conv2dShape, Scalar, Tensor, Workspace};
 
 /// `y[n, oc, oy, ox] = Σ_{ci,ki,kj} w[oc, ci, ki, kj] · x[n, g·cgi+ci, iy, ix]`.
@@ -229,4 +236,189 @@ fn f32_non_finite_propagation() {
 fn ragged_grouped_shape_matches_direct_convolution() {
     let grouped = Conv2dShape::new(16, 24, (3, 3), (1, 1), (1, 1), 2);
     all_domains(0x5E44, grouped, 2, (29, 31));
+}
+
+/// `dx[n, ic, iy, ix] = Σ_{ki,kj} Σ_co w[co, ci, ki, kj] · dy[n, co, oy, ox]`
+/// over the taps that land on `(iy, ix)`: taps in ascending `(ki, kj)`,
+/// each its own ascending-`co` sum with zero *weights* skipped, added
+/// to a zero image.
+fn direct_conv_backward_input<T: Scalar>(
+    dy: &Tensor<T>,
+    w: &Tensor<T>,
+    s: &Conv2dShape,
+    (h, wd): (usize, usize),
+) -> Tensor<T> {
+    let n = dy.shape()[0];
+    let (oh, ow) = s.out_hw((h, wd));
+    let (cgi, cgo) = (s.cg_in(), s.cg_out());
+    let ((sh, sw), (ph, pw)) = (s.stride, s.padding);
+    // The output position tap `k` of a window reads pixel `i` from.
+    let at = |i: usize, k: usize, p: usize, st: usize, o: usize| {
+        let q = (i + p).checked_sub(k)?;
+        (q % st == 0 && q / st < o).then_some(q / st)
+    };
+    let mut dx = Tensor::zeros(&[n, s.in_channels, h, wd]);
+    for ni in 0..n {
+        for ic in 0..s.in_channels {
+            let (g, ci) = (ic / cgi, ic % cgi);
+            for iy in 0..h {
+                for ix in 0..wd {
+                    let mut acc = T::zero();
+                    for ki in 0..s.kernel.0 {
+                        for kj in 0..s.kernel.1 {
+                            let (Some(oy), Some(ox)) = (at(iy, ki, ph, sh, oh), at(ix, kj, pw, sw, ow))
+                            else {
+                                continue;
+                            };
+                            let mut tap = T::zero();
+                            for co in g * cgo..(g + 1) * cgo {
+                                let wv = w.get(&[co, ci, ki, kj]);
+                                if wv != T::zero() {
+                                    tap += wv * dy.get(&[ni, co, oy, ox]);
+                                }
+                            }
+                            acc += tap;
+                        }
+                    }
+                    dx.set(&[ni, ic, iy, ix], acc);
+                }
+            }
+        }
+    }
+    dx
+}
+
+/// `dW[oc, ci, ki, kj] = Σ_n Σ_{oy,ox} dy[n, oc, oy, ox] · x[n, ic, iy, ix]`:
+/// per sample one ascending sum over output positions, nothing skipped
+/// and padding read as zero, the samples' sums added in order.
+fn direct_conv_backward_weight<T: Scalar>(dy: &Tensor<T>, x: &Tensor<T>, s: &Conv2dShape) -> Tensor<T> {
+    let (n, h, wd) = (x.shape()[0], x.shape()[2], x.shape()[3]);
+    let (oh, ow) = s.out_hw((h, wd));
+    let (cgi, cgo) = (s.cg_in(), s.cg_out());
+    let ((sh, sw), (ph, pw)) = (s.stride, s.padding);
+    let mut dw = Tensor::zeros(&s.weight_shape());
+    for oc in 0..s.out_channels {
+        let ic0 = oc / cgo * cgi;
+        for ci in 0..cgi {
+            for ki in 0..s.kernel.0 {
+                for kj in 0..s.kernel.1 {
+                    let mut acc = T::zero();
+                    for ni in 0..n {
+                        let mut sample = T::zero();
+                        for oy in 0..oh {
+                            for ox in 0..ow {
+                                let (iy, ix) = (oy * sh + ki, ox * sw + kj);
+                                let inside = iy >= ph && iy - ph < h && ix >= pw && ix - pw < wd;
+                                let xv = if inside {
+                                    x.get(&[ni, ic0 + ci, iy - ph, ix - pw])
+                                } else {
+                                    T::zero()
+                                };
+                                sample += dy.get(&[ni, oc, oy, ox]) * xv;
+                            }
+                        }
+                        acc += sample;
+                    }
+                    dw.set(&[oc, ci, ki, kj], acc);
+                }
+            }
+        }
+    }
+    dw
+}
+
+fn assert_bits<T: Bits>(got: &Tensor<T>, want: &Tensor<T>, what: &str) {
+    assert_eq!(got.shape(), want.shape(), "{what}");
+    for (i, (g, e)) in got.as_slice().iter().zip(want.as_slice()).enumerate() {
+        assert_eq!(g.bits(), e.bits(), "{what}: element {i}: {g:?} != {e:?}");
+    }
+}
+
+/// Both backward passes on `(x, w, dy)`, from a workspace poisoned at
+/// every length they take, then again on the buffers the first call
+/// dirtied.
+fn assert_backward_on<T: Bits>(x: &Tensor<T>, w: &Tensor<T>, dy: &Tensor<T>, s: &Conv2dShape) {
+    let hw = (x.shape()[2], x.shape()[3]);
+    let (oh, ow) = s.out_hw(hw);
+    let krows = s.cg_in() * s.kernel.0 * s.kernel.1;
+    let want_dx = direct_conv_backward_input(dy, w, s, hw);
+    let want_dw = direct_conv_backward_weight(dy, x, s);
+    let mut ws = poisoned_workspace::<T>(&[
+        want_dx.len(),
+        want_dw.len(),
+        krows * oh * ow,
+        s.cg_out() * krows,
+        x.len(),
+        dy.len(),
+    ]);
+    for round in 0..2 {
+        let what = format!("{s:?} n={} hw={hw:?} round {round}", x.shape()[0]);
+        let dx = conv2d_backward_input_ws(dy, w, s, hw, &mut ws);
+        assert_bits(&dx, &want_dx, &format!("dx {what}"));
+        let dw = conv2d_backward_weight_ws(dy, x, s, &mut ws);
+        assert_bits(&dw, &want_dw, &format!("dW {what}"));
+        ws.give_tensor(dx);
+        ws.give_tensor(dw);
+    }
+}
+
+fn assert_backward<T: Bits>(mut gen: impl FnMut() -> T, s: Conv2dShape, n: usize, hw: (usize, usize)) {
+    let (oh, ow) = s.out_hw(hw);
+    let x = Tensor::from_fn(&[n, s.in_channels, hw.0, hw.1], |_| gen());
+    let w = Tensor::from_fn(&s.weight_shape(), |_| gen());
+    let dy = Tensor::from_fn(&[n, s.out_channels, oh, ow], |_| gen());
+    assert_backward_on(&x, &w, &dy, &s);
+}
+
+fn backward_all_domains(seed: u64, s: Conv2dShape, n: usize, hw: (usize, usize)) {
+    assert_backward(field_gen(seed), s, n, hw);
+    assert_backward(float_gen(seed ^ 0xF32), s, n, hw);
+}
+
+/// Stride × padding (0 to 2, past the kernel for 1×1) × kernel ×
+/// grouping (dense, grouped, depthwise) × batch, for both backward
+/// passes: the `F25` stride-1 layers take the transposed convolution
+/// and the others the scatter, every `F25` weight gradient the packed
+/// panel.
+#[test]
+fn backward_geometry_sweep_matches_direct_definitions() {
+    let mut seed = 0xBAC_0000;
+    for kernel in [(1, 1), (3, 3), (2, 3)] {
+        for stride in [1, 2] {
+            for pad in [0, 1, 2] {
+                for (ic, oc, groups) in [(4, 6, 1), (4, 6, 2), (4, 4, 4)] {
+                    for n in [1, 2, 3] {
+                        let s = Conv2dShape::new(ic, oc, kernel, (stride, stride), (pad, pad), groups);
+                        seed += 1;
+                        backward_all_domains(seed, s, n, (7, 11));
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// More output positions than a panel block (`ocols > 256`): the
+/// weight gradient's reduction carries across blocks; more output
+/// channels than a strip, so `dyᵀ` spans two panel strips.
+#[test]
+fn backward_reduction_crosses_the_panel_block() {
+    backward_all_domains(0xB1, Conv2dShape::simple(3, 18, 3, 1, 1), 2, (17, 17));
+    backward_all_domains(0xB2, Conv2dShape::new(4, 34, (3, 3), (2, 2), (1, 1), 2), 1, (35, 33));
+    backward_all_domains(0xB3, Conv2dShape::depthwise(5, 3, 1, 1), 3, (16, 19));
+}
+
+/// `F25` operands at `p − 1`: the largest unreduced products through
+/// the transposed convolution, the panel weight gradient and the
+/// strided scatter, from a poisoned workspace.
+#[test]
+fn backward_worst_case_field_operands() {
+    let top = || F25::new(P25 - 1);
+    for s in [Conv2dShape::simple(20, 17, 3, 1, 1), Conv2dShape::simple(20, 17, 3, 2, 1)] {
+        let x = Tensor::from_fn(&[2, 20, 17, 16], |_| top());
+        let (oh, ow) = s.out_hw((17, 16));
+        let w = Tensor::from_fn(&s.weight_shape(), |_| top());
+        let dy = Tensor::from_fn(&[2, 17, oh, ow], |_| top());
+        assert_backward_on(&x, &w, &dy, &s);
+    }
 }

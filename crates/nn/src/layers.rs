@@ -45,6 +45,13 @@ use dk_linalg::{
 use std::convert::Infallible;
 use std::ops::Deref;
 
+/// `acc += g`, element by element.
+fn add_into(acc: &mut Tensor<f32>, g: &[f32]) {
+    for (a, &v) in acc.as_mut_slice().iter_mut().zip(g) {
+        *a += v;
+    }
+}
+
 /// Replaces a forward cache slot with a copy of `x`, recycling the
 /// previous cache's buffers through the workspace — in steady state
 /// the same buffer ping-pongs between the slot and the pool, so
@@ -161,6 +168,44 @@ impl Layer {
                 }
             }
             _ => {}
+        }
+    }
+
+    /// Makes this layer's parameters and running statistics those of
+    /// `src`, in place, if the two are the same kind of layer with the
+    /// same shapes, and says whether they were (when not, this layer is
+    /// left partly copied). Gradients and forward caches are not copied:
+    /// the next pass rewrites them.
+    fn copy_state_from(&mut self, src: &Layer) -> bool {
+        fn copy(d: &mut Tensor<f32>, s: &Tensor<f32>) -> bool {
+            let same = d.shape() == s.shape();
+            if same {
+                d.as_mut_slice().copy_from_slice(s.as_slice());
+            }
+            same
+        }
+        match (self, src) {
+            (Layer::Conv2d(d), Layer::Conv2d(s)) => {
+                d.shape == s.shape && copy(&mut d.w, &s.w) && copy(&mut d.b, &s.b)
+            }
+            (Layer::Dense(d), Layer::Dense(s)) => copy(&mut d.w, &s.w) && copy(&mut d.b, &s.b),
+            (Layer::BatchNorm2d(d), Layer::BatchNorm2d(s)) => {
+                let same = d.channels == s.channels && copy(&mut d.gamma, &s.gamma) && copy(&mut d.beta, &s.beta);
+                if same {
+                    d.running_mean.copy_from_slice(&s.running_mean);
+                    d.running_var.copy_from_slice(&s.running_var);
+                    (d.eps, d.momentum) = (s.eps, s.momentum);
+                }
+                same
+            }
+            (Layer::MaxPool2d(d), Layer::MaxPool2d(s)) => d.shape == s.shape,
+            (Layer::Residual(d), Layer::Residual(s)) => {
+                copy_layers(&mut d.main, &s.main) && copy_layers(&mut d.shortcut, &s.shortcut)
+            }
+            (Layer::Relu(_), Layer::Relu(_))
+            | (Layer::GlobalAvgPool(_), Layer::GlobalAvgPool(_))
+            | (Layer::Flatten(_), Layer::Flatten(_)) => true,
+            _ => false,
         }
     }
 
@@ -414,8 +459,10 @@ impl Conv2d {
         let dw = conv2d_backward_weight_ws(dy, x, &self.shape, ws);
         self.dw.add_assign(&dw);
         ws.give_tensor(dw);
-        let bg = ops::bias_grad_nchw(dy);
-        self.db.add_assign(&Tensor::from_vec(&[bg.len()], bg));
+        let mut bg = ws.take_zeroed::<f32>(self.db.len());
+        ops::bias_grad_nchw_into(dy, &mut bg);
+        add_into(&mut self.db, &bg);
+        ws.give(bg);
         conv2d_backward_input_ws(dy, &self.w, &self.shape, hw, ws)
     }
 }
@@ -503,8 +550,10 @@ impl Dense {
             *d += v;
         }
         ws.give(dw);
-        let bg = ops::bias_grad_rows(dy);
-        self.db.add_assign(&Tensor::from_vec(&[bg.len()], bg));
+        let mut bg = ws.take_zeroed::<f32>(self.db.len());
+        ops::bias_grad_rows_into(dy, &mut bg);
+        add_into(&mut self.db, &bg);
+        ws.give(bg);
         // dx[n, in] = dy[n, out] · W[out, in]
         let mut dx = ws.take_tensor(&[n, self.in_features]);
         matmul_into(
@@ -648,10 +697,10 @@ impl BatchNorm2d {
         self.channels
     }
 
-    /// Takes the per-channel `(mean, var)` recorded by the last
-    /// train-mode forward (None if none happened since the last take).
-    pub fn take_batch_stats(&mut self) -> Option<(Vec<f32>, Vec<f32>)> {
-        self.last_batch_stats.take()
+    /// The per-channel `(mean, var)` recorded by the last train-mode
+    /// forward (None before the first).
+    pub fn batch_stats(&self) -> Option<(&[f32], &[f32])> {
+        self.last_batch_stats.as_ref().map(|(m, v)| (m.as_slice(), v.as_slice()))
     }
 
     /// Per-channel running `(mean, var)` as maintained by train-mode
@@ -701,10 +750,18 @@ impl BatchNorm2d {
         let mut xhat = ws.take_tensor(x.shape());
         self.inv_std.clear();
         self.inv_std.resize(c, 0.0);
-        // Only train-mode forwards record batch statistics (they move
-        // into `last_batch_stats`); eval stays allocation-free.
-        let (mut batch_means, mut batch_vars) =
-            if train { (vec![0.0f32; c], vec![0.0f32; c]) } else { (Vec::new(), Vec::new()) };
+        // Only train-mode forwards record batch statistics, into the
+        // vectors of the last record; eval stays allocation-free.
+        let (mut batch_means, mut batch_vars) = if train {
+            let (mut m, mut v) = self.last_batch_stats.take().unwrap_or_default();
+            for s in [&mut m, &mut v] {
+                s.clear();
+                s.resize(c, 0.0);
+            }
+            (m, v)
+        } else {
+            (Vec::new(), Vec::new())
+        };
         for ci in 0..c {
             let (mean, var) = if train {
                 let mut sum = 0.0f32;
@@ -986,6 +1043,12 @@ pub(crate) fn try_visit_linear<E>(
         }
     }
     Ok(())
+}
+
+/// [`Layer::copy_state_from`] over two stacks, layer by layer: false if
+/// they differ in length, or in any layer's kind or shapes.
+pub(crate) fn copy_layers(dst: &mut [Layer], src: &[Layer]) -> bool {
+    dst.len() == src.len() && dst.iter_mut().zip(src).all(|(d, s)| d.copy_state_from(s))
 }
 
 /// Visits every leaf layer of `layers` in the walk's forward order.

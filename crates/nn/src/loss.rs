@@ -1,6 +1,6 @@
 //! Softmax cross-entropy loss.
 
-use dk_linalg::ops::softmax_rows;
+use dk_linalg::ops::softmax_rows_in_place;
 use dk_linalg::Tensor;
 
 /// Softmax cross-entropy over a `[n, classes]` logit matrix.
@@ -14,24 +14,42 @@ use dk_linalg::Tensor;
 /// Panics if `labels.len()` differs from the batch size or any label is
 /// out of range.
 pub fn softmax_cross_entropy(logits: &Tensor<f32>, labels: &[usize]) -> (f32, Tensor<f32>) {
+    let mut grad = logits.clone();
+    let loss = softmax_cross_entropy_into(logits, labels, &mut grad);
+    (loss, grad)
+}
+
+/// [`softmax_cross_entropy`] writing `dlogits` into `grad`, a tensor of
+/// the logits' shape whose contents are overwritten; returns the mean
+/// loss. Same bits as the allocating form.
+///
+/// # Panics
+///
+/// As [`softmax_cross_entropy`], or if `grad`'s shape differs.
+pub fn softmax_cross_entropy_into(
+    logits: &Tensor<f32>,
+    labels: &[usize],
+    grad: &mut Tensor<f32>,
+) -> f32 {
     assert_eq!(logits.ndim(), 2, "logits must be [n, classes]");
+    assert_eq!(grad.shape(), logits.shape(), "gradient shaped like the logits");
     let (n, c) = (logits.shape()[0], logits.shape()[1]);
     assert_eq!(labels.len(), n, "one label per sample");
-    let probs = softmax_rows(logits);
+    grad.as_mut_slice().copy_from_slice(logits.as_slice());
+    softmax_rows_in_place(grad);
     let mut loss = 0.0f32;
-    let mut grad = probs.clone();
     let inv_n = 1.0 / n as f32;
+    let g = grad.as_mut_slice();
     for (ni, &label) in labels.iter().enumerate() {
         assert!(label < c, "label {label} out of range for {c} classes");
-        let p = probs.get(&[ni, label]).max(1e-12);
+        let p = g[ni * c + label].max(1e-12);
         loss -= p.ln();
-        let g = grad.as_mut_slice();
         g[ni * c + label] -= 1.0;
     }
-    for g in grad.as_mut_slice() {
-        *g *= inv_n;
+    for v in g.iter_mut() {
+        *v *= inv_n;
     }
-    (loss * inv_n, grad)
+    loss * inv_n
 }
 
 /// Classification accuracy of a logit matrix against labels.
@@ -40,9 +58,9 @@ pub fn softmax_cross_entropy(logits: &Tensor<f32>, labels: &[usize]) -> (f32, Te
 ///
 /// Panics if `labels.len()` differs from the batch size.
 pub fn accuracy(logits: &Tensor<f32>, labels: &[usize]) -> f32 {
+    assert_eq!(logits.shape()[0], labels.len());
     let preds = dk_linalg::ops::argmax_rows(logits);
-    assert_eq!(preds.len(), labels.len());
-    let correct = preds.iter().zip(labels).filter(|(p, l)| p == l).count();
+    let correct = preds.zip(labels).filter(|(p, l)| p == *l).count();
     correct as f32 / labels.len() as f32
 }
 

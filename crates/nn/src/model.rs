@@ -66,6 +66,19 @@ impl Sequential {
         &mut self.layers
     }
 
+    /// Makes this model a copy of `src` for another execution lane.
+    /// When the two share an architecture, the parameters and BatchNorm
+    /// running statistics are copied in place and this model keeps its
+    /// buffer pool and every tensor's allocation; otherwise the layer
+    /// stack is cloned. Either way the forward and backward passes of
+    /// both models then compute the same bits.
+    pub fn copy_state_from(&mut self, src: &Sequential) {
+        if !layers::copy_layers(&mut self.layers, &src.layers) {
+            self.layers = src.layers.clone();
+        }
+        self.name.clone_from(&src.name);
+    }
+
     /// Full forward pass. Every intermediate activation is recycled
     /// through the model-owned [`Workspace`]; after one warm-up step a
     /// steady-state forward performs zero heap allocations (asserted by
@@ -163,8 +176,13 @@ impl Sequential {
     /// on this layout).
     pub fn grad_vector(&mut self) -> Vec<f32> {
         let mut flat = Vec::new();
-        self.visit_params(&mut |_, g| flat.extend_from_slice(g.as_slice()));
+        self.grad_vector_into(&mut flat);
         flat
+    }
+
+    /// [`Sequential::grad_vector`] appended to a caller's buffer.
+    pub fn grad_vector_into(&mut self, flat: &mut Vec<f32>) {
+        self.visit_params(&mut |_, g| flat.extend_from_slice(g.as_slice()));
     }
 
     /// Installs a flat gradient vector produced by
@@ -283,6 +301,30 @@ mod tests {
             let num = (lp - lm) / (2.0 * eps);
             assert!((num - dx.as_slice()[p]).abs() < 1e-2, "p={p}");
         }
+    }
+
+    /// A copy made in place computes what a clone computes, keeps its
+    /// pool, and an architecture change falls back to a clone.
+    #[test]
+    fn copy_state_from_matches_a_clone() {
+        let x = Tensor::from_fn(&[2, 3, 8, 8], |i| ((i % 13) as f32 - 6.0) * 0.05);
+        let mut src = crate::arch::mini_resnet(8, 4, 3);
+        src.visit_params(&mut |p, _| p.as_mut_slice()[0] += 0.25);
+        let _ = src.forward(&x, true);
+        let mut lane = crate::arch::mini_resnet(8, 4, 9);
+        for _ in 0..2 {
+            let warm = lane.forward(&x, false);
+            lane.give_back(warm);
+        }
+        let misses = lane.workspace_stats().misses;
+        lane.copy_state_from(&src);
+        let want = src.clone().forward(&x, false);
+        let got = lane.forward(&x, false);
+        assert_eq!(got.as_slice(), want.as_slice());
+        assert_eq!(lane.workspace_stats().misses, misses, "the lane kept its warm pool");
+        let mut other = toy();
+        other.copy_state_from(&src);
+        assert_eq!(other.forward(&x, false).as_slice(), want.as_slice());
     }
 
     #[test]

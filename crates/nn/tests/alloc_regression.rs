@@ -12,9 +12,8 @@
 //!   counters, gauges and histograms recording on every step must not
 //!   allocate either (rings and cells are pre-registered at setup);
 //! * a steady-state **training** step (forward, loss, backward, SGD)
-//!   performs a small *constant* number of allocations — the loss pair
-//!   and a handful of small gradient staging vectors — that does not
-//!   grow from step to step.
+//!   performs a small *constant* number of allocations — the loss
+//!   gradient's shape and data — that does not grow from step to step.
 //!
 //! The counts are the test thread's own
 //! ([`dk_linalg::workspace::thread_alloc_counts`]): the harness's main
@@ -118,9 +117,10 @@ fn steady_state_allocation_budget() {
         first, second,
         "training-step allocation count must be a steady constant ({first} vs {second})"
     );
-    // The constant covers the loss pair and per-layer bias-gradient
-    // staging only — measured at exactly 14 today; anything near the
-    // old per-step hundreds (fresh activations, im2col buffers, caches)
-    // is a regression.
-    assert!(first <= 14, "training step allocates too much: {first} allocations per step");
+    // The constant is the loss gradient the allocating
+    // `softmax_cross_entropy` returns (shape and data) — measured at
+    // exactly 2 today (bias gradients are staged in the workspace);
+    // anything near the old per-step hundreds (fresh activations, im2col
+    // buffers, caches) is a regression.
+    assert!(first <= 2, "training step allocates too much: {first} allocations per step");
 }

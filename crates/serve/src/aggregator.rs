@@ -26,9 +26,10 @@
 //! threads and channels around it — so every policy above is unit
 //! tested without timing races.
 
-use crate::request::{Priority, RequestId, Response};
+use crate::request::{Priority, Replier, RequestId};
+use crate::server::lock_unpoisoned;
 use dk_linalg::Tensor;
-use std::sync::mpsc;
+use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 /// An admitted request waiting for a batch, with its routing state.
@@ -42,8 +43,9 @@ pub(crate) struct Pending {
     pub enqueued: Instant,
     /// Latest instant this request may wait unbatched.
     pub deadline: Instant,
-    /// Where the worker routes this request's [`Response`].
-    pub reply: mpsc::Sender<Response>,
+    /// Where the worker routes this request's
+    /// [`Response`](crate::request::Response).
+    pub reply: Replier,
 }
 
 /// A dispatched virtual batch: up to `k` real entries; workers pad the
@@ -53,7 +55,13 @@ pub(crate) struct Pending {
 pub(crate) struct Batch {
     pub entries: Vec<Pending>,
     pub k: usize,
+    /// Where the emptied `entries` vector goes once the batch is routed
+    /// ([`Batch::spent`]); the aggregator forms its next batches in them.
+    pub home: Arc<EntryPool>,
 }
+
+/// Emptied batch vectors, on their way back to the aggregator.
+pub(crate) type EntryPool = Mutex<Vec<Vec<Pending>>>;
 
 impl Batch {
     /// Real rows / `K`.
@@ -65,6 +73,12 @@ impl Batch {
     pub fn padded_rows(&self) -> usize {
         self.k - self.entries.len()
     }
+
+    /// Hands the (drained) entries vector back to the aggregator.
+    pub fn spent(mut self) {
+        self.entries.clear();
+        lock_unpoisoned(&self.home).push(self.entries);
+    }
 }
 
 /// Accumulates pending requests into `K`-sized virtual batches (see
@@ -74,6 +88,7 @@ pub(crate) struct BatchAggregator {
     k: usize,
     pending: Vec<Pending>,
     seq: u64,
+    spent: Arc<EntryPool>,
 }
 
 impl BatchAggregator {
@@ -84,7 +99,7 @@ impl BatchAggregator {
     /// Panics if `k == 0`.
     pub fn new(k: usize) -> Self {
         assert!(k > 0, "virtual batch size must be positive");
-        Self { k, pending: Vec::new(), seq: 0 }
+        Self { k, pending: Vec::new(), seq: 0, spent: Arc::default() }
     }
 
     /// Number of requests waiting. The server loop compares this
@@ -153,20 +168,21 @@ impl BatchAggregator {
     /// order by (priority rank, arrival seq).
     fn take(&mut self, n: usize, now: Instant) -> Batch {
         self.pending.sort_by_key(|p| (p.deadline > now, p.priority.rank(), p.seq));
-        let rest = self.pending.split_off(n);
-        let entries = std::mem::replace(&mut self.pending, rest);
-        Batch { entries, k: self.k }
+        let mut entries = lock_unpoisoned(&self.spent).pop().unwrap_or_default();
+        entries.extend(self.pending.drain(..n));
+        Batch { entries, k: self.k, home: self.spent.clone() }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::request::reply_pair;
     use std::time::Duration;
 
     fn pending(id: u64, priority: Priority, wait: Duration) -> Pending {
         // Routing is not under test here; the receiver is dropped.
-        let (tx, _rx) = mpsc::channel();
+        let (tx, _ticket) = reply_pair(RequestId(id), None);
         let now = Instant::now();
         Pending {
             id: RequestId(id),

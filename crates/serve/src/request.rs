@@ -1,8 +1,9 @@
 //! Request and response types for the serving runtime.
 
+use crate::server::lock_unpoisoned;
 use dk_core::DarknightError;
 use dk_linalg::Tensor;
-use std::sync::mpsc;
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::Duration;
 
 /// Identity of an accepted request, unique within one server.
@@ -172,12 +173,68 @@ impl std::fmt::Display for Shed {
 
 impl std::error::Error for Shed {}
 
+/// Where one request's [`Response`] lands: a one-shot slot the routing
+/// lane fills ([`Replier`]) and the [`Ticket`] empties. A server handle
+/// keeps a pool of them and a ticket hands its slot back once it is the
+/// slot's last holder, so a warm request makes no channel.
+#[derive(Debug, Default)]
+pub(crate) struct ReplySlot {
+    state: Mutex<Reply>,
+    ready: Condvar,
+}
+
+#[derive(Debug, Default)]
+enum Reply {
+    #[default]
+    Waiting,
+    Ready(Response),
+    /// Taken, or the server dropped the request without routing it.
+    Gone,
+}
+
+/// Reply slots free for the next request.
+pub(crate) type ReplyPool = Mutex<Vec<Arc<ReplySlot>>>;
+
+/// The server's side of one request's reply. Dropped without a
+/// [`Replier::send`] — a worker panicked, the server shut down — it
+/// tells the ticket no response is coming.
+#[derive(Debug)]
+pub(crate) struct Replier(Option<Arc<ReplySlot>>);
+
+impl Replier {
+    /// Delivers the response (the ticket may already be gone).
+    pub(crate) fn send(mut self, response: Response) {
+        if let Some(slot) = self.0.take() {
+            *lock_unpoisoned(&slot.state) = Reply::Ready(response);
+            slot.ready.notify_all();
+        }
+    }
+}
+
+impl Drop for Replier {
+    fn drop(&mut self) {
+        if let Some(slot) = self.0.take() {
+            *lock_unpoisoned(&slot.state) = Reply::Gone;
+            slot.ready.notify_all();
+        }
+    }
+}
+
+/// A connected replier and ticket for request `id`, on a slot from
+/// `pool` when it has one.
+pub(crate) fn reply_pair(id: RequestId, pool: Option<&Arc<ReplyPool>>) -> (Replier, Ticket) {
+    let slot = pool.and_then(|p| lock_unpoisoned(p).pop()).unwrap_or_default();
+    let ticket = Ticket { id, slot: slot.clone(), pool: pool.cloned() };
+    (Replier(Some(slot)), ticket)
+}
+
 /// The caller's side of one accepted request: blocks until the routed
 /// [`Response`] arrives.
 #[derive(Debug)]
 pub struct Ticket {
     pub(crate) id: RequestId,
-    pub(crate) rx: mpsc::Receiver<Response>,
+    slot: Arc<ReplySlot>,
+    pool: Option<Arc<ReplyPool>>,
 }
 
 impl Ticket {
@@ -189,12 +246,40 @@ impl Ticket {
     /// Blocks until the response arrives. Returns `None` only if the
     /// server died without routing a response (worker panic).
     pub fn wait(self) -> Option<Response> {
-        self.rx.recv().ok()
+        let mut state = lock_unpoisoned(&self.slot.state);
+        while matches!(*state, Reply::Waiting) {
+            state = self.slot.ready.wait(state).unwrap_or_else(PoisonError::into_inner);
+        }
+        match std::mem::replace(&mut *state, Reply::Gone) {
+            Reply::Ready(response) => Some(response),
+            _ => None,
+        }
     }
 
     /// Non-blocking poll.
     pub fn try_wait(&self) -> Option<Response> {
-        self.rx.try_recv().ok()
+        let mut state = lock_unpoisoned(&self.slot.state);
+        match std::mem::replace(&mut *state, Reply::Gone) {
+            Reply::Ready(response) => Some(response),
+            other => {
+                *state = other;
+                None
+            }
+        }
+    }
+}
+
+impl Drop for Ticket {
+    fn drop(&mut self) {
+        // `Gone`: the response was taken or will never come, so the
+        // replier writes this slot no more and it can serve again.
+        let Some(pool) = &self.pool else { return };
+        let mut state = lock_unpoisoned(&self.slot.state);
+        if matches!(*state, Reply::Gone) {
+            *state = Reply::Waiting;
+            drop(state);
+            lock_unpoisoned(pool).push(self.slot.clone());
+        }
     }
 }
 

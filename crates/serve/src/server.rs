@@ -15,7 +15,7 @@
 //!        worker 0      worker 1  …   worker N-1
 //!        (each: PipelineEngine, `pipeline_lanes` TEE lanes)
 //!            │               │             │
-//!            └── per-request mpsc Sender ──┴──▶ Ticket::wait
+//!            └── per-request reply slot ───┴──▶ Ticket::wait
 //! ```
 //!
 //! Every pool worker owns a [`dk_core::PipelineEngine`] over a
@@ -46,7 +46,8 @@ use crate::autoscale::{decide, AutoscaleConfig, ScaleDecision, TickSignals};
 use crate::error::{ConfigError, ServeError};
 use crate::metrics::{MetricsRecorder, ServerMetrics};
 use crate::request::{
-    InferenceRequest, IntegrityVerdict, RequestId, Response, Shed, ShedReason, Ticket,
+    reply_pair, InferenceRequest, IntegrityVerdict, ReplyPool, RequestId, Response, Shed,
+    ShedReason, Ticket,
 };
 use dk_core::engine::BatchOutcome;
 use dk_core::{DarknightConfig, DarknightError, EngineOptions, PipelineEngine};
@@ -184,6 +185,8 @@ pub struct ServerHandle {
     metrics: Arc<MetricsRecorder>,
     sample_shape: Vec<usize>,
     max_batch_wait: Duration,
+    /// Reply slots tickets have handed back.
+    replies: Arc<ReplyPool>,
 }
 
 impl ServerHandle {
@@ -211,7 +214,7 @@ impl ServerHandle {
         }
         let max_wait = request.max_wait;
         let id = RequestId(self.next_id.fetch_add(1, Ordering::Relaxed));
-        let (reply_tx, reply_rx) = mpsc::channel();
+        let (reply, ticket) = reply_pair(id, Some(&self.replies));
         let now = Instant::now();
         // Clamp to a day so a huge caller-supplied max_wait (e.g.
         // Duration::MAX as "no deadline") cannot overflow Instant
@@ -224,13 +227,13 @@ impl ServerHandle {
             seq: 0, // assigned by the aggregator
             enqueued: now,
             deadline: now + wait,
-            reply: reply_tx,
+            reply,
         };
         match self.ingress.try_send(Ingress::Request(pending)) {
             Ok(()) => {
                 self.metrics.record_submitted();
                 self.metrics.record_enqueued();
-                Ok(Ticket { id, rx: reply_rx })
+                Ok(ticket)
             }
             Err(e) => {
                 let (reason, msg) = match e {
@@ -499,6 +502,7 @@ impl Server {
                 metrics,
                 sample_shape: config.sample_shape,
                 max_batch_wait: config.max_batch_wait,
+                replies: Arc::default(),
             },
             aggregator,
             pool,
@@ -702,7 +706,7 @@ fn absorb_available(
 /// insert / remove calls (no multi-step invariants), so the data is
 /// consistent even after a panicking holder — the poison flag alone must
 /// not take down the rest of the server with the one dead thread.
-fn lock_unpoisoned<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
+pub(crate) fn lock_unpoisoned<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
     m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
@@ -767,11 +771,14 @@ fn worker_loop(
         // after. Per-sample quantization scales make the padding
         // numerically invisible to the real rows, and re-zeroing it
         // makes a reused tensor identical to a fresh one.
-        let mut shape = vec![k];
-        shape.extend_from_slice(batch.entries[0].input.shape());
+        let sample = batch.entries[0].input.shape();
         let mut x = spare
-            .filter(|t| t.shape() == shape)
-            .unwrap_or_else(|| Tensor::<f32>::zeros(&shape));
+            .filter(|t| t.shape()[0] == k && &t.shape()[1..] == sample)
+            .unwrap_or_else(|| {
+                let mut shape = vec![k];
+                shape.extend_from_slice(sample);
+                Tensor::<f32>::zeros(&shape)
+            });
         for (i, p) in batch.entries.iter().enumerate() {
             x.batch_item_mut(i).copy_from_slice(p.input.as_slice());
         }
@@ -795,7 +802,7 @@ fn worker_loop(
 /// back for the lane to reuse.
 fn route_batch(
     outcome: BatchOutcome,
-    batch: Batch,
+    mut batch: Batch,
     dispatched_at: Instant,
     integrity: bool,
     metrics: &MetricsRecorder,
@@ -824,14 +831,14 @@ fn route_batch(
             }
         }
     };
-    for (i, p) in batch.entries.into_iter().enumerate() {
+    for (i, p) in batch.entries.drain(..).enumerate() {
         let queue_wait = dispatched_at.duration_since(p.enqueued);
         metrics.record_response(queue_wait, served, repaired);
         let output = match &outcome.output {
             Ok(y) => Ok(Tensor::from_vec(&y.shape()[1..], y.batch_item(i).to_vec())),
             Err(e) => Err(e.clone()),
         };
-        let _ = p.reply.send(Response {
+        p.reply.send(Response {
             id: p.id,
             output,
             verdict,
@@ -840,6 +847,7 @@ fn route_batch(
             batch_fill: fill,
         });
     }
+    batch.spent();
     outcome.output.ok()
 }
 
@@ -960,7 +968,7 @@ mod tests {
         let (tx, rx) = mpsc::sync_channel::<Ingress>(16);
         let mut agg = BatchAggregator::new(4);
         for i in 0..10u64 {
-            let (reply, _rx) = mpsc::channel();
+            let (reply, _ticket) = reply_pair(RequestId(i), None);
             let now = Instant::now();
             tx.try_send(Ingress::Request(Pending {
                 id: RequestId(i),
@@ -1354,7 +1362,7 @@ mod tests {
             scope.spawn(|| worker_loop(engine, model, &dispatch, &metrics, &retire));
             let mut replies = Vec::new();
             for n in 1..=24usize {
-                let (reply, reply_rx) = mpsc::channel();
+                let (reply, ticket) = reply_pair(RequestId(n as u64), None);
                 let now = Instant::now();
                 let entry = Pending {
                     id: RequestId(n as u64),
@@ -1365,10 +1373,10 @@ mod tests {
                     deadline: now,
                     reply,
                 };
-                tx.send(Batch { entries: vec![entry], k: cfg.k() }).unwrap();
-                replies.push((reply_rx, false));
-                for (rx, routed) in replies.iter_mut().filter(|(_, routed)| !routed) {
-                    *routed = rx.try_recv().is_ok();
+                tx.send(Batch { entries: vec![entry], k: cfg.k(), home: Arc::default() }).unwrap();
+                replies.push((ticket, false));
+                for (ticket, routed) in replies.iter_mut().filter(|(_, routed)| !routed) {
+                    *routed = ticket.try_wait().is_some();
                 }
                 let held = replies.iter().filter(|(_, routed)| !routed).count();
                 assert!(held <= LANES, "after pull {n} the worker holds {held} batches");

@@ -11,7 +11,7 @@ pub mod siphash;
 
 use chacha::ChaCha20;
 use sha256::Sha256;
-use siphash::siphash24;
+use siphash::siphash24_parts;
 
 /// A sealed (encrypted + authenticated) blob, as produced by
 /// [`SealKey::seal`]. This is what Algorithm 2 writes to untrusted
@@ -82,10 +82,15 @@ impl SealKey {
 
     /// Seals a plaintext: encrypts with a fresh nonce and appends a MAC.
     pub fn seal(&mut self, plaintext: &[u8]) -> SealedBlob {
+        self.seal_vec(plaintext.to_vec())
+    }
+
+    /// [`SealKey::seal`] of the bytes in `buf`, encrypted in place: the
+    /// buffer becomes the blob's ciphertext.
+    pub fn seal_vec(&mut self, mut ciphertext: Vec<u8>) -> SealedBlob {
         let mut nonce = [0u8; 12];
         nonce[..8].copy_from_slice(&self.seq.to_le_bytes());
         self.seq += 1;
-        let mut ciphertext = plaintext.to_vec();
         ChaCha20::new(&self.enc_key, &nonce).apply(&mut ciphertext);
         let tag = self.compute_tag(&nonce, &ciphertext);
         SealedBlob { nonce, ciphertext, tag }
@@ -97,20 +102,33 @@ impl SealKey {
     ///
     /// [`SealError::TagMismatch`] if the blob was tampered with.
     pub fn unseal(&self, blob: &SealedBlob) -> Result<Vec<u8>, SealError> {
+        let mut plaintext = Vec::new();
+        self.unseal_into(blob, &mut plaintext)?;
+        Ok(plaintext)
+    }
+
+    /// [`SealKey::unseal`] into a caller's buffer, whose contents are
+    /// replaced (its allocation is reused). On error `out` is left
+    /// unchanged.
+    ///
+    /// # Errors
+    ///
+    /// [`SealError::TagMismatch`] if the blob was tampered with.
+    pub fn unseal_into(&self, blob: &SealedBlob, out: &mut Vec<u8>) -> Result<(), SealError> {
         let expect = self.compute_tag(&blob.nonce, &blob.ciphertext);
         if expect != blob.tag {
             return Err(SealError::TagMismatch);
         }
-        let mut plaintext = blob.ciphertext.clone();
-        ChaCha20::new(&self.enc_key, &blob.nonce).apply(&mut plaintext);
-        Ok(plaintext)
+        out.clear();
+        out.extend_from_slice(&blob.ciphertext);
+        ChaCha20::new(&self.enc_key, &blob.nonce).apply(out);
+        Ok(())
     }
 
+    /// SipHash-2-4 over nonce ‖ ciphertext, streamed over the two
+    /// slices rather than copied into one.
     fn compute_tag(&self, nonce: &[u8; 12], ciphertext: &[u8]) -> u64 {
-        let mut msg = Vec::with_capacity(12 + ciphertext.len());
-        msg.extend_from_slice(nonce);
-        msg.extend_from_slice(ciphertext);
-        siphash24(&self.mac_key, &msg)
+        siphash24_parts(&self.mac_key, &[nonce, ciphertext])
     }
 }
 
@@ -145,6 +163,19 @@ mod tests {
         let mut key = SealKey::derive(b"master secret");
         let blob = key.seal(b"gradient update bytes");
         assert_eq!(key.unseal(&blob).unwrap(), b"gradient update bytes");
+    }
+
+    /// The tag is SipHash-2-4 of nonce ‖ ciphertext, as the blob
+    /// documents.
+    #[test]
+    fn tag_is_siphash_of_nonce_and_ciphertext() {
+        let mut key = SealKey::derive(b"m");
+        for len in [0usize, 3, 4, 11, 64, 333] {
+            let blob = key.seal(&vec![0x5a; len]);
+            let mut msg = blob.nonce.to_vec();
+            msg.extend_from_slice(&blob.ciphertext);
+            assert_eq!(blob.tag, siphash::siphash24(&key.mac_key, &msg), "len {len}");
+        }
     }
 
     #[test]

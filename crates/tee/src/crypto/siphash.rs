@@ -12,55 +12,82 @@
 /// assert_ne!(siphash24(&key, b"a"), siphash24(&key, b"b"));
 /// ```
 pub fn siphash24(key: &[u8; 16], data: &[u8]) -> u64 {
-    let k0 = u64::from_le_bytes(key[0..8].try_into().expect("8 bytes"));
-    let k1 = u64::from_le_bytes(key[8..16].try_into().expect("8 bytes"));
-    let mut v0 = 0x736f6d6570736575u64 ^ k0;
-    let mut v1 = 0x646f72616e646f6du64 ^ k1;
-    let mut v2 = 0x6c7967656e657261u64 ^ k0;
-    let mut v3 = 0x7465646279746573u64 ^ k1;
+    siphash24_parts(key, &[data])
+}
 
-    #[inline]
-    fn sipround(v0: &mut u64, v1: &mut u64, v2: &mut u64, v3: &mut u64) {
-        *v0 = v0.wrapping_add(*v1);
-        *v1 = v1.rotate_left(13);
-        *v1 ^= *v0;
-        *v0 = v0.rotate_left(32);
-        *v2 = v2.wrapping_add(*v3);
-        *v3 = v3.rotate_left(16);
-        *v3 ^= *v2;
-        *v0 = v0.wrapping_add(*v3);
-        *v3 = v3.rotate_left(21);
-        *v3 ^= *v0;
-        *v2 = v2.wrapping_add(*v1);
-        *v1 = v1.rotate_left(17);
-        *v1 ^= *v2;
-        *v2 = v2.rotate_left(32);
-    }
-
-    let mut chunks = data.chunks_exact(8);
-    for chunk in &mut chunks {
-        let m = u64::from_le_bytes(chunk.try_into().expect("8 bytes"));
-        v3 ^= m;
-        sipround(&mut v0, &mut v1, &mut v2, &mut v3);
-        sipround(&mut v0, &mut v1, &mut v2, &mut v3);
-        v0 ^= m;
+/// The SipHash-2-4 tag of the concatenation of `parts`, streamed: equal
+/// to [`siphash24`] of the joined bytes, without joining them. A block
+/// that straddles two parts is assembled in an 8-byte buffer.
+pub fn siphash24_parts(key: &[u8; 16], parts: &[&[u8]]) -> u64 {
+    // Bytes 0..8 and 8..16, little-endian.
+    let k = u128::from_le_bytes(*key);
+    let (k0, k1) = (k as u64, (k >> 64) as u64);
+    let mut v = [
+        0x736f6d6570736575u64 ^ k0,
+        0x646f72616e646f6du64 ^ k1,
+        0x6c7967656e657261u64 ^ k0,
+        0x7465646279746573u64 ^ k1,
+    ];
+    let mut pending = [0u8; 8];
+    let mut held = 0;
+    let mut len = 0usize;
+    for &part in parts {
+        len += part.len();
+        let mut part = part;
+        if held > 0 {
+            let take = (8 - held).min(part.len());
+            pending[held..held + take].copy_from_slice(&part[..take]);
+            (held, part) = (held + take, &part[take..]);
+            if held < 8 {
+                continue;
+            }
+            compress(&mut v, u64::from_le_bytes(pending));
+        }
+        let (blocks, rest) = part.as_chunks::<8>();
+        for block in blocks {
+            compress(&mut v, u64::from_le_bytes(*block));
+        }
+        pending[..rest.len()].copy_from_slice(rest);
+        held = rest.len();
     }
     // Final block: remaining bytes plus the length in the top byte.
-    let rem = chunks.remainder();
-    let mut last = (data.len() as u64) << 56;
-    for (i, &b) in rem.iter().enumerate() {
+    let mut last = (len as u64) << 56;
+    for (i, &b) in pending[..held].iter().enumerate() {
         last |= (b as u64) << (8 * i);
     }
-    v3 ^= last;
-    sipround(&mut v0, &mut v1, &mut v2, &mut v3);
-    sipround(&mut v0, &mut v1, &mut v2, &mut v3);
-    v0 ^= last;
-
-    v2 ^= 0xff;
+    compress(&mut v, last);
+    v[2] ^= 0xff;
     for _ in 0..4 {
-        sipround(&mut v0, &mut v1, &mut v2, &mut v3);
+        sipround(&mut v);
     }
-    v0 ^ v1 ^ v2 ^ v3
+    v[0] ^ v[1] ^ v[2] ^ v[3]
+}
+
+/// One message block: two compression rounds.
+#[inline]
+fn compress(v: &mut [u64; 4], m: u64) {
+    v[3] ^= m;
+    sipround(v);
+    sipround(v);
+    v[0] ^= m;
+}
+
+#[inline]
+fn sipround(v: &mut [u64; 4]) {
+    v[0] = v[0].wrapping_add(v[1]);
+    v[1] = v[1].rotate_left(13);
+    v[1] ^= v[0];
+    v[0] = v[0].rotate_left(32);
+    v[2] = v[2].wrapping_add(v[3]);
+    v[3] = v[3].rotate_left(16);
+    v[3] ^= v[2];
+    v[0] = v[0].wrapping_add(v[3]);
+    v[3] = v[3].rotate_left(21);
+    v[3] ^= v[0];
+    v[2] = v[2].wrapping_add(v[1]);
+    v[1] = v[1].rotate_left(17);
+    v[1] ^= v[2];
+    v[2] = v[2].rotate_left(32);
 }
 
 #[cfg(test)]
@@ -102,6 +129,25 @@ mod tests {
         let a = siphash24(&key, b"gradient shard 0");
         let b = siphash24(&key, b"gradient shard 1");
         assert_ne!(a, b);
+    }
+
+    /// Streaming over parts equals hashing their concatenation, for
+    /// every split of messages around the 8-byte block, empty parts
+    /// included.
+    #[test]
+    fn parts_equal_the_concatenation() {
+        let key: [u8; 16] = core::array::from_fn(|i| (i * 7 + 1) as u8);
+        let data: Vec<u8> = (0..40u8).map(|b| b.wrapping_mul(31)).collect();
+        for len in 0..data.len() {
+            let msg = &data[..len];
+            let whole = siphash24(&key, msg);
+            for a in 0..=len {
+                for b in a..=len {
+                    let parts = [&msg[..a], &msg[a..b], &[][..], &msg[b..]];
+                    assert_eq!(siphash24_parts(&key, &parts), whole, "len {len} split {a}/{b}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -213,9 +213,15 @@ impl Enclave {
 
     /// Seals data for storage outside the enclave (Algorithm 2 line 9).
     pub fn seal(&mut self, plaintext: &[u8]) -> SealedBlob {
+        self.seal_vec(plaintext.to_vec())
+    }
+
+    /// [`Enclave::seal`] of the bytes in `buf`, encrypted in place: the
+    /// buffer becomes the blob's ciphertext.
+    pub fn seal_vec(&mut self, buf: Vec<u8>) -> SealedBlob {
         self.stats.seal_count += 1;
-        self.stats.sealed_out_bytes += plaintext.len() as u64;
-        self.seal_key.seal(plaintext)
+        self.stats.sealed_out_bytes += buf.len() as u64;
+        self.seal_key.seal_vec(buf)
     }
 
     /// Unseals data previously sealed by this enclave (Algorithm 2
@@ -225,10 +231,22 @@ impl Enclave {
     ///
     /// [`EnclaveError::Seal`] on authentication failure.
     pub fn unseal(&mut self, blob: &SealedBlob) -> Result<Vec<u8>, EnclaveError> {
-        let plaintext = self.seal_key.unseal(blob)?;
-        self.stats.unseal_count += 1;
-        self.stats.sealed_in_bytes += plaintext.len() as u64;
+        let mut plaintext = Vec::new();
+        self.unseal_into(blob, &mut plaintext)?;
         Ok(plaintext)
+    }
+
+    /// [`Enclave::unseal`] into a caller's buffer, whose contents are
+    /// replaced (its allocation is reused).
+    ///
+    /// # Errors
+    ///
+    /// [`EnclaveError::Seal`] on authentication failure.
+    pub fn unseal_into(&mut self, blob: &SealedBlob, out: &mut Vec<u8>) -> Result<(), EnclaveError> {
+        self.seal_key.unseal_into(blob, out)?;
+        self.stats.unseal_count += 1;
+        self.stats.sealed_in_bytes += out.len() as u64;
+        Ok(())
     }
 
     /// Memory statistics so far.
