@@ -270,6 +270,9 @@ fn main() {
     // against their own quartile spread — a single wall-clock pair on a
     // shared host says nothing either way.
     let pairs = if fast { 5 } else { 7 };
+    // The two sizes that differ between the modes: the 16→32 conv's
+    // spatial side and the encoding rows' length.
+    let (hw, coded_n) = if fast { (8usize, 4096usize) } else { (16, 16384) };
     let mut rng = FieldRng::seed_from(0xBE4C);
     let mut entries: Vec<Entry> = Vec::new();
     let mut bench = |name: String, macs: u64, scalar: &mut dyn FnMut(), kernel: &mut dyn FnMut()| {
@@ -361,7 +364,6 @@ fn main() {
 
     // --- conv2d forward (the GPU worker's hot job) ----------------------
     let shape = Conv2dShape::simple(16, 32, 3, 1, 1);
-    let hw = if fast { 8usize } else { 16 };
     let conv_macs = shape.forward_macs(1, (hw, hw));
     let xq = Tensor::<F25>::from_fn(&[1, 16, hw, hw], |i| F25::new(i as u64 * 31 % P25));
     let wq = Tensor::<F25>::from_fn(&shape.weight_shape(), |i| F25::new(i as u64 * 17 % P25));
@@ -437,11 +439,9 @@ fn main() {
         },
     );
 
-    // The regime the register tile does not reach: a depthwise 3×3
-    // (`mini_mobilenet`'s, what `infer_tcp` offloads) is one `m = 1`,
-    // `k = 9` product per channel, so there is one output row to tile
-    // and nine products to amortize a panel fill and an epilogue over.
-    // Recorded so the next kernel change has a number to move.
+    // The thinnest product: a depthwise 3×3 (`mini_mobilenet`'s, what
+    // `infer_tcp` offloads) is one `m = 1`, `k = 9` product per channel,
+    // one output row to tile and nine products per column.
     let dw = Conv2dShape::new(32, 32, (3, 3), (1, 1), (1, 1), 32);
     let xdw = Tensor::<F25>::from_fn(&[1, 32, 16, 16], |i| F25::new(i as u64 * 31 % P25));
     let wdw = Tensor::<F25>::from_fn(&dw.weight_shape(), |i| F25::new(i as u64 * 17 % P25));
@@ -457,6 +457,43 @@ fn main() {
         },
         &mut || {
             let y = conv2d_forward_ws(&xdw, &wdw, &dw, &mut kws);
+            kws.give_tensor(std::hint::black_box(y));
+        },
+    );
+
+    // The strided layers of the same models at 16×16: `mini_mobilenet`'s
+    // stride-2 depthwise 3×3 and `mini_resnet`'s stride-2 16→32 3×3.
+    // Same size in both modes.
+    let dws2 = Conv2dShape::new(32, 32, (3, 3), (2, 2), (1, 1), 32);
+    let (dh, dw_) = dws2.out_hw((16, 16));
+    bench(
+        "conv2d_forward_dw32c3x3s2_16x16/field".to_string(),
+        dws2.forward_macs(1, (16, 16)),
+        &mut || {
+            for (plane, taps) in xdw.batch_item(0).chunks(16 * 16).zip(wdw.as_slice().chunks(9)) {
+                let mut cols = vec![F25::ZERO; 9 * dh * dw_];
+                im2col_into(plane, 1, (16, 16), (3, 3), (2, 2), (1, 1), &mut cols);
+                std::hint::black_box(naive_matmul(taps, &cols, 1, 9, dh * dw_));
+            }
+        },
+        &mut || {
+            let y = conv2d_forward_ws(&xdw, &wdw, &dws2, &mut kws);
+            kws.give_tensor(std::hint::black_box(y));
+        },
+    );
+    let s2 = Conv2dShape::simple(16, 32, 3, 2, 1);
+    let (sh, sw) = s2.out_hw((16, 16));
+    let xs2 = Tensor::<F25>::from_fn(&[1, 16, 16, 16], |i| F25::new(i as u64 * 31 % P25));
+    bench(
+        "conv2d_forward_16c32c3x3s2_16x16/field".to_string(),
+        s2.forward_macs(1, (16, 16)),
+        &mut || {
+            let mut cols = vec![F25::ZERO; 144 * sh * sw];
+            im2col_into(xs2.batch_item(0), 16, (16, 16), (3, 3), (2, 2), (1, 1), &mut cols);
+            std::hint::black_box(naive_matmul(wq.as_slice(), &cols, 32, 144, sh * sw));
+        },
+        &mut || {
+            let y = conv2d_forward_ws(&xs2, &wq, &s2, &mut kws);
             kws.give_tensor(std::hint::black_box(y));
         },
     );
@@ -505,8 +542,7 @@ fn main() {
     );
 
     // --- encoding: Algorithm-1 masking as coefficient-matrix matmuls ----
-    let (ek, em) = (4usize, 2);
-    let en = if fast { 4096usize } else { 16384 };
+    let (ek, em, en) = (4usize, 2, coded_n);
     let scheme = EncodingScheme::generate(ek, em, true, &mut rng);
     let s_cols = scheme.num_encodings();
     let inputs: Vec<Vec<F25>> = (0..ek).map(|_| field_vec(&mut rng, en)).collect();
@@ -964,35 +1000,44 @@ fn main() {
     // committed row's own pairs (`speedup_q1`: the record states how low
     // an unchanged binary read on its own day, so a run of one does not
     // trip on the record's median; 25%
-    // when the committed row was measured at a different spatial size,
-    // e.g. a fast-mode CI run gating against the committed full-mode
-    // record: the ratio shifts a few percent with shape, the margin
-    // absorbs it). Tracked kernels: the conv hot job (the offload's
-    // dominant cost) at both recorded shapes, training's two backward
-    // products, the field matmul (the SIMD
-    // kernel this ratio was built to protect), and the TEE-side
+    // when the committed row was measured at a different size, e.g. a
+    // fast-mode CI run gating against the committed full-mode record:
+    // the ratio shifts a few percent with shape, the margin absorbs it).
+    // Tracked kernels, each row by its exact name: the conv forward (the
+    // offload's dominant cost) at every recorded shape — dense, depthwise
+    // and strided — training's two backward products, the field matmul
+    // (the SIMD kernel this ratio was built to protect), and the TEE-side
     // streaming encode/decode (the coded-combine fast path).
     if let Some(doc) = &committed {
-        for prefix in [
-            "conv2d_forward",
-            "conv2d_forward_16c16c3x3_32x32/field",
-            "conv2d_backward_weight_16c16c3x3_16x16/field",
-            "conv2d_backward_input_16c16c3x3_16x16_n2/field",
-            "matmul_64x128x64/field",
-            "encode_k4_m2",
-            "decode_forward_k4_m2",
-        ] {
-            let Some(new) = entries.iter().find(|e| e.name.starts_with(prefix)) else {
+        let tracked = [
+            format!("conv2d_forward_16c32c3x3_{hw}x{hw}/field"),
+            "conv2d_forward_16c16c3x3_32x32/field".to_string(),
+            "conv2d_forward_dw32c3x3_16x16/field".to_string(),
+            "conv2d_forward_dw32c3x3s2_16x16/field".to_string(),
+            "conv2d_forward_16c32c3x3s2_16x16/field".to_string(),
+            "conv2d_backward_weight_16c16c3x3_16x16/field".to_string(),
+            "conv2d_backward_input_16c16c3x3_16x16_n2/field".to_string(),
+            "matmul_64x128x64/field".to_string(),
+            format!("encode_k4_m2_n{coded_n}/field"),
+            format!("decode_forward_k4_m2_n{coded_n}/field"),
+        ];
+        for name in &tracked {
+            let Some(new) = entries.iter().find(|e| &e.name == name) else {
+                eprintln!("REGRESSION: tracked kernel row {name} was not measured");
+                regressed = true;
                 continue;
             };
-            let committed_row = json_row(doc, &new.name).map(|r| (r, 0.10)).or_else(|| {
-                let at = doc.find(&format!("\"name\": \"{prefix}"))?;
+            // The same kernel at the record's other size: the row whose
+            // name differs only in its last `_`-separated field.
+            let committed_row = json_row(doc, name).map(|r| (r, 0.10)).or_else(|| {
+                let (stem, _) = name.rsplit_once('_')?;
+                let at = doc.find(&format!("\"name\": \"{stem}_"))?;
                 let end = doc[at..].find('}')? + at;
                 Some((&doc[at..end], 0.25))
             });
             let Some((row, margin)) = committed_row else { continue };
             if let Some(floor) = json_number(row, "speedup_q1") {
-                let what = format!("{} speedup over scalar vs the committed record's q1", new.name);
+                let what = format!("{name} speedup over scalar vs the committed record's q1");
                 regressed |= gate(&what, &new.timing.ratio, floor, margin);
             }
         }

@@ -3,6 +3,8 @@
 use crate::behavior::Behavior;
 use crate::job::LinearJob;
 use crate::worker::{GpuWorker, WorkerId};
+use dk_field::F25;
+use dk_linalg::{Tensor, Workspace};
 
 /// A fleet of simulated accelerators.
 ///
@@ -13,6 +15,11 @@ use crate::worker::{GpuWorker, WorkerId};
 #[derive(Debug, Clone)]
 pub struct GpuCluster {
     workers: Vec<GpuWorker>,
+    /// Encodings the workers released, and the emptied vectors stores
+    /// arrived in, until [`crate::GpuExec::reclaim_stored`] hands them
+    /// back.
+    released: Vec<Tensor<F25>>,
+    spent: Vec<Vec<Tensor<F25>>>,
 }
 
 impl GpuCluster {
@@ -28,13 +35,13 @@ impl GpuCluster {
             .enumerate()
             .map(|(i, &b)| GpuWorker::new(WorkerId(i), b, seed))
             .collect();
-        Self { workers }
+        Self::from_workers(workers)
     }
 
     /// Reassembles a cluster from workers previously moved into a
     /// dispatcher (state intact).
     pub(crate) fn from_workers(workers: Vec<GpuWorker>) -> Self {
-        Self { workers }
+        Self { workers, released: Vec::new(), spent: Vec::new() }
     }
 
     /// Attaches a modeled accelerator latency profile to every worker
@@ -178,7 +185,7 @@ impl crate::GpuExec for GpuCluster {
         Ok(())
     }
 
-    fn recycle_outputs(&mut self, outputs: &mut Vec<dk_linalg::Tensor<dk_field::F25>>) {
+    fn recycle_outputs(&mut self, outputs: &mut Vec<Tensor<F25>>) {
         // Worker `i` produced `outputs[i]`; hand each buffer back to the
         // workspace it was drawn from.
         for (i, t) in outputs.drain(..).enumerate() {
@@ -188,7 +195,7 @@ impl crate::GpuExec for GpuCluster {
         }
     }
 
-    fn recycle_output_of(&mut self, worker: WorkerId, output: dk_linalg::Tensor<dk_field::F25>) {
+    fn recycle_output_of(&mut self, worker: WorkerId, output: Tensor<F25>) {
         if let Some(w) = self.workers.get_mut(worker.0) {
             w.recycle_output(output);
         }
@@ -202,29 +209,39 @@ impl crate::GpuExec for GpuCluster {
         w.try_execute(job)
     }
 
-    fn store_encodings(&mut self, ctx_id: u64, encodings: Vec<dk_linalg::Tensor<dk_field::F25>>) {
+    fn store_encodings(&mut self, ctx_id: u64, encodings: Vec<Tensor<F25>>) {
         self.store_encodings_sparse(ctx_id, encodings, &[]);
     }
 
     fn store_encodings_sparse(
         &mut self,
         ctx_id: u64,
-        encodings: Vec<dk_linalg::Tensor<dk_field::F25>>,
+        mut encodings: Vec<Tensor<F25>>,
         withheld: &[WorkerId],
     ) {
         assert!(encodings.len() <= self.workers.len(), "more encodings than workers");
-        for (w, e) in self.workers.iter_mut().zip(encodings) {
-            if !withheld.contains(&w.id()) {
+        for (w, e) in self.workers.iter_mut().zip(encodings.drain(..)) {
+            if withheld.contains(&w.id()) {
+                self.released.push(e);
+            } else {
                 w.store_encoding(ctx_id, e);
             }
         }
+        self.spent.push(encodings);
     }
 
     fn release_contexts(&mut self, ctx_ids: &[u64]) {
         for w in &mut self.workers {
-            for &c in ctx_ids {
-                w.remove_encoding(c);
-            }
+            self.released.extend(ctx_ids.iter().filter_map(|&c| w.take_encoding(c)));
+        }
+    }
+
+    fn reclaim_stored(&mut self, into: &mut Workspace) {
+        for t in self.released.drain(..) {
+            into.give_tensor(t);
+        }
+        for v in self.spent.drain(..) {
+            into.give(v);
         }
     }
 }
@@ -233,8 +250,6 @@ impl crate::GpuExec for GpuCluster {
 mod tests {
     use super::*;
     use crate::{GpuError, GpuExec};
-    use dk_field::F25;
-    use dk_linalg::Tensor;
     use std::sync::Arc;
 
     fn dense_job(scale: u64) -> LinearJob {

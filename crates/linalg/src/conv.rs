@@ -10,16 +10,30 @@
 //! and `ocols = oh · ow`:
 //!
 //! * **forward** — `y[oc/g × ocols] = W[oc/g × krows] · cols(x)`. The
-//!   column matrix is never built: [`mod@crate::matmul`]'s strip kernel
-//!   runs column strips outermost and asks
-//!   [`Window::fill_panel`](crate::im2col) for one `[≤256 × 16]` block
-//!   of `cols(x)` at a time, gathered straight from the NCHW image (row
-//!   copies, clipped at the padding; any stride, padding, grouping,
-//!   depthwise, 1×1) into an L1-resident panel over which all `oc/g`
-//!   filter rows run before the next strip is touched. The kernel
-//!   overwrites its output, so the output tensor is taken from the
-//!   workspace uncleared. Each output element is the reference
-//!   recurrence over ascending `(ci, ki, kj)`, so results are
+//!   column matrix is neither built nor packed: it is read where it
+//!   already lies. Per sample and group the image is written once into
+//!   a **staging buffer** from the workspace, zero-padded and split into
+//!   `sh·sw` **phase planes** per channel, each `⌈(h+2ph)/sh⌉ ×
+//!   ⌈(w+2pw)/sw⌉` (`wq` columns): plane `(a, b)` holds the padded
+//!   pixels `(a + sh·r, b + sw·c)`. The output is computed in **wide**
+//!   coordinates, `oh × wq`, where tap `(ki, kj)` of output `(oy, ox)`
+//!   is element `(oy + ⌊ki/sh⌋, ox + ⌊kj/sw⌋)` of plane
+//!   `(ki mod sh, kj mod sw)`; so row `(ci, ki, kj)` of the column
+//!   matrix, over the wide plane, is one contiguous run of the staging
+//!   buffer starting at a fixed offset, and the strip kernel of
+//!   [`mod@crate::matmul`] reads its `B` rows there
+//!   ([`InPlace`](crate::matmul)). The `wq − ow` surplus columns of each
+//!   wide row are computed and dropped when the `ow` valid ones are
+//!   copied into `y` (written straight into `y` when there are none).
+//!   The last wide row's surplus columns and the last strip's lanes past
+//!   the wide plane read past the last phase plane, fewer than
+//!   `LANES + kw` elements: the buffer carries that much **slack**. The
+//!   buffer is zeroed once per call — borders, phase positions past the
+//!   image and slack; each (sample, group) then overwrites the same
+//!   interior — so padding taps read zeros. This is one path for every
+//!   stride, padding and grouping, depthwise and 1×1 included, in both
+//!   domains. Each output element is the reference recurrence over
+//!   ascending `(ci, ki, kj)`, zero weights skipped, so results are
 //!   bit-identical to im2col-then-[`crate::reference::naive_matmul`] in
 //!   both domains.
 //! * **input gradient** (`dx = Wᵀ ⊛ dy`). Two passes, one choice made
@@ -51,11 +65,15 @@
 //! Grouped convolution is supported (`groups > 1`); depthwise convolution
 //! — the core of MobileNet — is the special case `groups == in_channels`.
 
-use crate::im2col::{col2im_acc_into, im2col_into, out_hw, Window};
-use crate::matmul::{fill_transposed, gemm_packed, matmul_a_bt_into, matmul_at_b_into, Panel};
+use crate::im2col::{col2im_acc_into, im2col_into, out_hw};
+use crate::matmul::{
+    fill_transposed, gemm_packed, gemm_packed_on, matmul_a_bt_into, matmul_at_b_into, InPlace, Panel,
+    Rows, LANES,
+};
 use crate::scalar::Scalar;
 use crate::tensor::Tensor;
 use crate::workspace::Workspace;
+use dk_field::tier::Tier;
 
 /// Static geometry of a 2-D convolution layer.
 ///
@@ -166,6 +184,19 @@ pub fn conv2d_forward_ws<T: Scalar>(
     s: &Conv2dShape,
     ws: &mut Workspace,
 ) -> Tensor<T> {
+    conv2d_forward_on(Tier::best(), x, w, s, ws)
+}
+
+/// [`conv2d_forward_ws`] on a given tier, as
+/// [`crate::matmul::gemm_packed_on`]; the tests drive every tier the
+/// host offers through it.
+pub(crate) fn conv2d_forward_on<T: Scalar>(
+    tier: Tier,
+    x: &Tensor<T>,
+    w: &Tensor<T>,
+    s: &Conv2dShape,
+    ws: &mut Workspace,
+) -> Tensor<T> {
     s.check_input(x);
     s.check_weights(w);
     let n = x.shape()[0];
@@ -173,25 +204,144 @@ pub fn conv2d_forward_ws<T: Scalar>(
     let (oh, ow) = s.out_hw(hw);
     let (cgi, cgo) = (s.cg_in(), s.cg_out());
     let krows = cgi * s.kernel.0 * s.kernel.1;
-    let ocols = oh * ow;
-    let win = Window::new(hw, s.kernel, s.stride, s.padding);
-    // Every output element is stored by the kernel.
+    let st = Staging::new(hw, s);
+    let wide = oh * st.wq;
+    // Every output element is stored below.
     let mut y = ws.take_tensor_dirty(&[n, s.out_channels, oh, ow]);
-    let mut panel = Panel::new();
+    // One scratch buffer: the staging buffer, then the wide output
+    // unless there is no surplus column to drop. The staging part is
+    // zeroed once: staging the next (sample, group) writes the same
+    // interior positions, so the borders, the unused phase positions
+    // and the slack stay zero for the whole call.
+    let surplus = if st.wq == ow { 0 } else { cgo * wide };
+    let mut scratch = ws.take_dirty::<T>(st.len + surplus);
+    let (stage, ywide) = scratch.split_at_mut(st.len);
+    stage.fill(T::zero());
+    let mut offs = ws.take_cleared::<usize>(krows);
+    st.offsets(cgi, &mut offs);
     for ni in 0..n {
         let xi = x.batch_item(ni);
         let yi = y.batch_item_mut(ni);
         for g in 0..s.groups {
-            let xg = &xi[g * cgi * hw.0 * hw.1..(g + 1) * cgi * hw.0 * hw.1];
+            st.stage(&xi[g * cgi * hw.0 * hw.1..(g + 1) * cgi * hw.0 * hw.1], stage);
             let wg = &w.as_slice()[g * cgo * krows..(g + 1) * cgo * krows];
-            let yg = &mut yi[g * cgo * ocols..(g + 1) * cgo * ocols];
-            // yg[cgo x ocols] = wg[cgo x krows] · cols(xg)[krows x ocols],
-            // the column matrix packed one panel block at a time.
-            let fill = |p0, j0, rows: &mut [T]| win.fill_panel(xg, p0, j0, rows);
-            gemm_packed(wg, (krows, 1), yg, (cgo, krows, ocols), &mut panel, &fill);
+            let yg = &mut yi[g * cgo * oh * ow..(g + 1) * cgo * oh * ow];
+            // yg[cgo x wide] = wg[cgo x krows] · cols(xg)[krows x wide],
+            // the column matrix read where it lies in the staging buffer.
+            let rows = Rows::InPlace(InPlace::new(stage, &offs, wide));
+            if st.wq == ow {
+                gemm_packed_on(tier, wg, (krows, 1), yg, (cgo, krows, wide), rows);
+            } else {
+                gemm_packed_on(tier, wg, (krows, 1), ywide, (cgo, krows, wide), rows);
+                for (dst, src) in yg.chunks_exact_mut(ow).zip(ywide.chunks_exact(st.wq)) {
+                    dst.copy_from_slice(&src[..ow]);
+                }
+            }
         }
     }
+    ws.give(offs);
+    ws.give(scratch);
     y
+}
+
+/// The forward convolution's staging layout for one (sample, group):
+/// each of the `cgi` channels, zero-padded, split into `sh·sw` phase
+/// planes of `hq × wq`, where plane `(a, b)` holds the padded pixels
+/// `(a + sh·r, b + sw·c)`, followed by `LANES + kw` zeros of slack. In
+/// these coordinates tap `(ki, kj)` of output `(oy, ox)` is element
+/// `(oy + ki/sh, ox + kj/sw)` of phase plane `(ki mod sh, kj mod sw)`:
+/// row `(ci, ki, kj)` of the column matrix, over the "wide" output
+/// plane `oh × wq`, is one contiguous run of the buffer.
+#[derive(Debug, Clone, Copy)]
+struct Staging {
+    hw: (usize, usize),
+    kernel: (usize, usize),
+    stride: (usize, usize),
+    padding: (usize, usize),
+    /// Columns of a phase plane, and of a wide output row.
+    wq: usize,
+    /// Elements of a phase plane.
+    plane: usize,
+    /// Elements of the whole buffer, slack included.
+    len: usize,
+}
+
+impl Staging {
+    fn new(hw: (usize, usize), s: &Conv2dShape) -> Self {
+        let ((sh, sw), (ph, pw)) = (s.stride, s.padding);
+        let hq = (hw.0 + 2 * ph).div_ceil(sh);
+        let wq = (hw.1 + 2 * pw).div_ceil(sw);
+        let plane = hq * wq;
+        // A wide row `oy` plus the deepest tap row stays inside its
+        // plane (`oh + (kh−1)/sh ≤ hq`, and likewise across); what runs
+        // past the plane is the last wide row's `(kw−1)/sw` surplus
+        // columns and the lanes of the last strip past the wide plane,
+        // fewer than `LANES + kw` elements.
+        let len = s.cg_in() * sh * sw * plane + LANES + s.kernel.1;
+        Self { hw, kernel: s.kernel, stride: s.stride, padding: s.padding, wq, plane, len }
+    }
+
+    /// Appends to `offs` where each row `p = (ci, ki, kj)` of the column
+    /// matrix starts, for `cgi` channels: its element for wide output
+    /// column `j` is at `offs[p] + j`. (A division per tap, not per row:
+    /// a channel's rows are the first channel's, one channel further.)
+    fn offsets(&self, cgi: usize, offs: &mut Vec<usize>) {
+        let ((kh, kw), (sh, sw)) = (self.kernel, self.stride);
+        offs.extend((0..kh * kw).map(|t| {
+            let (ki, kj) = (t / kw, t % kw);
+            (ki % sh * sw + kj % sw) * self.plane + ki / sh * self.wq + kj / sw
+        }));
+        let channel = sh * sw * self.plane;
+        for ci in 1..cgi {
+            offs.extend_from_within(..kh * kw);
+            for o in &mut offs[ci * kh * kw..] {
+                *o += ci * channel;
+            }
+        }
+    }
+
+    /// Writes the pixels of `image` (`[cgi, h, w]`) to their phase
+    /// positions in `stage`; nothing else is written. The divisions are
+    /// per phase, not per row: consecutive image rows of one row phase
+    /// land on consecutive rows of its planes.
+    fn stage<T: Scalar>(&self, image: &[T], stage: &mut [T]) {
+        let ((h, w), (sh, sw), (ph, pw)) = (self.hw, self.stride, self.padding);
+        if h * w == 0 {
+            return;
+        }
+        // Column phase `b` takes the pixels `ix ≡ b − pw (mod sw)`, from
+        // `ix0` on, to columns `c0..c0 + count` of its planes; row phase
+        // `a` likewise.
+        let first = |b: usize, s: usize, p: usize| (b + s - p % s) % s;
+        for b in 0..sw {
+            let ix0 = first(b, sw, pw);
+            if ix0 >= w {
+                continue;
+            }
+            let (c0, count) = ((ix0 + pw) / sw, (w - ix0).div_ceil(sw));
+            for a in 0..sh {
+                let iy0 = first(a, sh, ph);
+                if iy0 >= h {
+                    continue;
+                }
+                let at = (a * sw + b) * self.plane + (iy0 + ph) / sh * self.wq + c0;
+                for (c, plane) in image.chunks_exact(h * w).enumerate() {
+                    let rows = plane.chunks_exact(w).skip(iy0).step_by(sh);
+                    let dst = &mut stage[at + c * sh * sw * self.plane..];
+                    for (dst, row) in dst.chunks_mut(self.wq).zip(rows) {
+                        let dst = &mut dst[..count];
+                        if sw == 1 {
+                            dst.copy_from_slice(row);
+                        } else {
+                            for (d, &v) in dst.iter_mut().zip(row[ix0..].iter().step_by(sw)) {
+                                *d = v;
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
 }
 
 /// Convolution input gradient: `dx = Wᵀ ⊛ dy`.
@@ -319,7 +469,8 @@ pub fn conv2d_backward_weight_ws<T: Scalar>(
             if T::EXACT {
                 // dwgᵀ[krows x cgo] = cols[krows x ocols] · dygᵀ[ocols x cgo].
                 let fill = fill_transposed(dyg, ocols, cgo);
-                gemm_packed(&cols, (ocols, 1), &mut dwg, (krows, ocols, cgo), &mut panel, &fill);
+                let rows = Rows::Packed(&mut panel, &fill);
+                gemm_packed(&cols, (ocols, 1), &mut dwg, (krows, ocols, cgo), rows);
                 for (r, row) in dwg.chunks_exact(cgo).enumerate() {
                     for (co, &v) in row.iter().enumerate() {
                         dst[co * krows + r] += v;
@@ -347,7 +498,7 @@ mod tests {
 
     /// Direct (nested-loop) convolution reference used to validate the
     /// lowered kernels.
-    fn conv_reference(x: &Tensor<f32>, w: &Tensor<f32>, s: &Conv2dShape) -> Tensor<f32> {
+    fn conv_reference<T: Scalar>(x: &Tensor<T>, w: &Tensor<T>, s: &Conv2dShape) -> Tensor<T> {
         let n = x.shape()[0];
         let (h, wd) = (x.shape()[2], x.shape()[3]);
         let (oh, ow) = s.out_hw((h, wd));
@@ -358,7 +509,7 @@ mod tests {
                 let g = oc / cgo;
                 for oy in 0..oh {
                     for ox in 0..ow {
-                        let mut acc = 0.0;
+                        let mut acc = T::zero();
                         for ci in 0..cgi {
                             let ic = g * cgi + ci;
                             for ky in 0..s.kernel.0 {
@@ -427,6 +578,31 @@ mod tests {
         assert!(
             conv2d_forward_ws(&x, &w, &s, &mut ws).max_abs_diff(&conv_reference(&x, &w, &s)) < 1e-4
         );
+    }
+
+    /// The forward pass on every tier the host offers, the baseline's
+    /// portable strip included, exactly against the reference: dense,
+    /// strided and grouped, depthwise, a reduction past one block, and a
+    /// 1×1 kernel narrower than its stride.
+    #[test]
+    fn forward_on_every_tier_matches_reference() {
+        let mut rng = dk_field::FieldRng::seed_from(0x7133);
+        for s in [
+            Conv2dShape::simple(16, 16, 3, 1, 1),
+            Conv2dShape::new(4, 6, (3, 3), (2, 2), (1, 1), 2),
+            Conv2dShape::depthwise(8, 3, 2, 1),
+            Conv2dShape::simple(30, 5, 3, 1, 1),
+            Conv2dShape::new(3, 4, (1, 1), (3, 2), (0, 0), 1),
+        ] {
+            let x = Tensor::from_fn(&[2, s.in_channels, 9, 13], |_| rng.uniform::<{ dk_field::P25 }>());
+            let w = Tensor::from_fn(&s.weight_shape(), |_| rng.uniform::<{ dk_field::P25 }>());
+            let want = conv_reference(&x, &w, &s);
+            for tier in Tier::offered() {
+                let mut ws = Workspace::new();
+                let got = conv2d_forward_on(tier, &x, &w, &s, &mut ws);
+                assert_eq!(got.as_slice(), want.as_slice(), "{tier:?} {s:?}");
+            }
+        }
     }
 
     #[test]

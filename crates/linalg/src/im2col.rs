@@ -3,26 +3,22 @@
 //! A convolution is a matrix product against the *column matrix* of
 //! its input: row `(ci, ki, kj)` holds, for every output position, the
 //! pixel that kernel tap `(ki, kj)` of channel `ci` reads there (zero
-//! where the tap lands in the padding). [`Window`] is that geometry in
-//! one place, generic over [`Scalar`] so the identical lowering runs in
-//! the float and field domains, and it serves two consumers:
+//! where the tap lands in the padding). [`Window`] is that geometry,
+//! generic over [`Scalar`] so the identical lowering runs in the float
+//! and field domains, and it lowers only for the **weight
+//! gradient**: that pass contracts over output positions, so it wants
+//! whole column-matrix rows contiguous, and it is the one caller of
+//! [`im2col_into`] (the column matrix is the `A` operand of its
+//! packed-panel product). The forward convolution reads the column
+//! matrix in place from a padded, phase-split copy of the image instead
+//! (see [`crate::conv`]). The strided input-gradient pass goes the other
+//! way through [`col2im_acc_into`]; the stride-1 one is a forward
+//! convolution and needs neither.
 //!
-//! * the **forward** convolution never builds the column matrix: its
-//!   strip kernel asks [`Window::fill_panel`] for one `[kb × LANES]`
-//!   block of it at a time, gathered straight from the image into the
-//!   L1-resident panel (see [`mod@crate::matmul`] and [`crate::conv`]);
-//! * the **weight-gradient** pass contracts over output positions, so
-//!   it wants whole column-matrix rows contiguous: it is the one
-//!   remaining caller of [`im2col_into`] (the column matrix is the `A`
-//!   operand of its packed-panel product). The strided input-gradient
-//!   pass goes the other way through [`col2im_acc_into`]; the stride-1
-//!   one is a forward convolution and needs neither.
-//!
-//! Both write every tap exactly once — a copy where the tap is inside
-//! the image, a zero where it is padding — so neither needs a cleared
-//! destination.
+//! [`im2col_into`] writes every tap exactly once — a copy where the tap
+//! is inside the image, a zero where it is padding — so it needs no
+//! cleared destination.
 
-use crate::matmul::LANES;
 use crate::scalar::Scalar;
 use std::ops::Range;
 
@@ -49,7 +45,6 @@ pub fn out_hw(
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Window {
     hw: (usize, usize),
-    kernel: (usize, usize),
     stride: (usize, usize),
     padding: (usize, usize),
     out: (usize, usize),
@@ -65,14 +60,13 @@ impl Window {
         stride: (usize, usize),
         padding: (usize, usize),
     ) -> Self {
-        Self { hw, kernel, stride, padding, out: out_hw(hw, kernel, stride, padding) }
+        Self { hw, stride, padding, out: out_hw(hw, kernel, stride, padding) }
     }
 
     /// The output columns `ox` at which tap column `kj` lands inside an
     /// image row (`0 <= ox·sw + kj − pw < w`); everywhere else in the
     /// row it reads padding. Only the first and last `pw` columns can,
-    /// so each loop runs at most `pw + 1` steps — this is computed per
-    /// panel block, where the closed form's two divisions would show.
+    /// so each loop runs at most `pw + 1` steps.
     fn ox_inside(&self, kj: usize) -> Range<usize> {
         let ((_, w), (_, ow), (_, sw), (_, pw)) = (self.hw, self.out, self.stride, self.padding);
         let mut lo = 0;
@@ -129,34 +123,6 @@ impl Window {
                 }
             }
             (oy, ox, dst) = (oy + 1, 0, rest);
-        }
-    }
-
-    /// Packs one block of the column matrix of `image` (`[c, h, w]`)
-    /// into a strip-kernel panel: `rows` is `[kb × LANES]` row-major and
-    /// receives column-matrix rows `p0..p0+kb`, columns `j0..j0+LANES`
-    /// (zero in lanes past the last output position). This is the
-    /// `fill` contract of [`crate::matmul::gemm_packed`].
-    pub(crate) fn fill_panel<T: Scalar>(&self, image: &[T], p0: usize, j0: usize, rows: &mut [T]) {
-        let ((h, w), (oh, ow), (kh, kw)) = (self.hw, self.out, self.kernel);
-        let width = LANES.min(oh * ow - j0);
-        let start = (j0 / ow, j0 % ow);
-        let block = p0..p0 + rows.len() / LANES;
-        let channels = p0 / (kh * kw)..block.end.div_ceil(kh * kw);
-        for kj in 0..kw {
-            let inside = self.ox_inside(kj);
-            for ci in channels.clone() {
-                let plane = &image[ci * h * w..(ci + 1) * h * w];
-                for ki in 0..kh {
-                    let p = (ci * kh + ki) * kw + kj;
-                    if !block.contains(&p) {
-                        continue;
-                    }
-                    let row = &mut rows[(p - p0) * LANES..(p - p0 + 1) * LANES];
-                    self.gather_tap(plane, (ki, kj), &inside, start, &mut row[..width]);
-                    row[width..].fill(T::zero());
-                }
-            }
         }
     }
 }

@@ -12,9 +12,11 @@
 //! field domain) and hold a sixteen-wide struct-of-arrays
 //! strip of independent accumulator lanes in registers. The
 //! outer-product products and the forward convolution walk the output
-//! in column strips, packing each strip's slice of the right-hand
-//! operand into an L1-resident panel that every output row then reuses
-//! (see [`matmul`](mod@matmul)). Every product runs on its calling
+//! in column strips: the matmuls pack each strip's slice of the
+//! right-hand operand into an L1-resident panel that every output row
+//! then reuses, and the forward convolution reads the rows of its
+//! column matrix where they lie in a padded, phase-split copy of the
+//! image (see [`matmul`](mod@matmul) and [`conv`](mod@conv)). Every product runs on its calling
 //! thread: DarKnight's parallelism is the worker fleet running at once
 //! and the TEE's pipelined lanes, never one product split across CPU
 //! threads. Results are bit-for-bit identical to the per-MAC-reducing

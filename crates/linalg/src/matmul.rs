@@ -7,34 +7,43 @@
 //! * [`matmul_at_b_into`] — `C[m×n] = Aᵀ · B` with `A[k×m]`
 //! * [`matmul_a_bt_into`] — `C[m×n] = A · Bᵀ` with `B[n×k]`
 //!
-//! # The outer-product orientations: strip-major over a packed panel
+//! # The outer-product orientations: one strip kernel, two row sources
 //!
 //! `A·B`, `Aᵀ·B` and the forward convolution are one kernel
-//! ([`gemm_packed`]). Its loop order is **column strips outermost**:
+//! ([`gemm_packed`]) over `LANES`-wide strips of output columns, blocks
+//! of [`PANEL_ROWS`] reduction positions, and every output row of a
+//! strip per block. What differs is where a block's `B` rows come from
+//! ([`Rows`]); either way a block is a base slice and one offset per
+//! reduction position, row `p` being the [`LANES`] elements at
+//! `base[offs[p]..]`, and that is all the micro-kernels read:
 //!
 //! ```text
-//! for each LANES-wide strip of output columns j0..j0+LANES
-//!   for each block of PANEL_ROWS reduction positions p0..p0+kb
-//!     pack B[p0..p0+kb, j0..j0+LANES] into a contiguous [kb × LANES] panel
-//!     for every output row i
-//!       C[i, strip] (= if p0 = 0, else +=) A[i, p0..p0+kb] · panel
+//! Packed (the matmuls, the F25 weight gradient): strips outermost
+//!   for each strip j0, for each block p0
+//!     fill B[p0..p0+kb, j0..j0+LANES] into a contiguous [kb × LANES] panel
+//!     C[·, strip] (= if p0 = 0, else +=) A[·, p0..p0+kb] · panel
+//! InPlace (the forward convolution): the rows already lie in memory
+//!   for each block p0, for each strip j0
+//!     C[·, strip] (=|+=) A[·, p0..p0+kb] · B rows at base[offs[p] + j0..]
 //! ```
 //!
-//! The panel ([`Panel`], stack scratch, at most 32 KB, cache-line
-//! aligned) is written once and then read by *all* `m` rows while it
-//! sits in L1, so `B` is streamed from memory exactly once per product
-//! whatever `m` is, and the micro-kernel's `B` loads are unit-stride
-//! whatever `n` is. Who packs the panel is the caller's business: the
-//! matmuls copy row segments of a row-major `B`, the forward
-//! convolution gathers them straight from the NCHW image (see
-//! [`crate::conv`]), so no column matrix ever exists, and the `F25`
-//! convolution weight gradient packs `dyᵀ` down the panel's lanes
-//! (`fill_transposed`). `A` is read in
-//! place through a `(row, column)` stride pair — `(k, 1)` for `A·B`,
+//! The panel ([`Panel`], at most 32 KB, cache-line aligned) is written
+//! once and then read by *all* `m` rows while it sits in L1, so `B` is
+//! streamed from memory exactly once per product whatever `m` is, and
+//! the micro-kernel's `B` loads are unit-stride whatever `n` is. The
+//! matmuls copy row segments of a row-major `B` into it; the `F25`
+//! convolution weight gradient packs `dyᵀ` down its lanes
+//! (`fill_transposed`). The forward convolution packs nothing: its
+//! column matrix's rows are contiguous runs of a padded, phase-split
+//! copy of the image (see [`crate::conv`]), so a block names them by
+//! offset ([`InPlace`]) and one call covers every strip; the buffer
+//! carries the slack the last strip's surplus lanes read. `A` is read
+//! in place through a `(row, column)` stride pair — `(k, 1)` for `A·B`,
 //! `(1, m)` for `Aᵀ·B` — so no transpose is packed either. A strip
 //! narrower than [`LANES`] (the last one when `n % LANES ≠ 0`) is the
-//! same full-width kernel over a panel whose surplus lanes are zero;
-//! only the strip's own lanes are stored.
+//! same full-width kernel over rows whose surplus lanes are zero (a
+//! panel) or whatever follows (in place); only the strip's own lanes
+//! are stored.
 //!
 //! The portable micro-kernel ([`lane_strip`]) holds [`LANES`]
 //! independent [`Scalar::Acc`] accumulators in registers — one per
@@ -46,7 +55,7 @@
 //! floats are both the identity (the running sum round-trips through
 //! `C` untouched) and for the field a canonical reduction, which can
 //! never change a value mod `p`. So f32 results are bit-identical to
-//! the reference — loop order and panel layout only change *which
+//! the reference — loop order and row source only change *which
 //! register serves which column*, never the order of any element's
 //! additions — and field results are exact. `PANEL_ROWS` is below
 //! every domain's [`Scalar::FOLD_INTERVAL`], so a block never needs a
@@ -56,7 +65,7 @@
 //! For `F25` on a vector tier ([`dk_field::tier`]: AVX-512 with IFMA,
 //! or AVX2) the rows of a block do not go through `lane_strip` one at a
 //! time: the whole block goes to the register tile of [`crate::simd`],
-//! `MR` output rows of a strip per pass over the panel (one tile body,
+//! `MR` output rows of a strip per pass over its `B` rows (one tile body,
 //! two lane widths; the tier is resolved once per product in
 //! [`gemm_packed`]). A field sum is exact whatever its shape, so the
 //! tile has no zero test and reduces once per block in register. `f32`,
@@ -148,8 +157,8 @@ macro_rules! per_lane {
 pub(crate) use per_lane;
 
 /// The portable micro-kernel: `cs[l] (=|+=) Σ_p a[p·a_stride] ·
-/// panel[p][l]` for `l = 0..LANES`, over the `panel.len() / LANES` rows
-/// of one packed block.
+/// B[p][l]` for `l = 0..LANES`, over the `offs.len()` rows of one block,
+/// row `p` of `B` being the [`LANES`] elements at `b[offs[p]..]`.
 ///
 /// `load` selects carry-in (start from the lifted `cs`) or a first
 /// block (start from zero; `cs` is not read). The body is one zero-test on
@@ -157,56 +166,116 @@ pub(crate) use per_lane;
 /// fully-unrolled lane group ([`per_lane`]) that stays in registers.
 /// Per output element this is the reference recurrence: ascending `p`,
 /// zero elements of `A` skipped.
+///
+/// # Safety
+///
+/// `b[offs[p]..]` holds `LANES` elements for every `p`: the row is read
+/// unchecked, since a bounds check per row is a fifth of the `f32`
+/// body.
 #[inline]
-fn lane_strip<T: Scalar>(a: &[T], a_stride: usize, panel: &[T], cs: &mut [T; LANES], load: bool) {
+unsafe fn lane_strip<T: Scalar>(
+    a: &[T],
+    a_stride: usize,
+    (b, offs): (&[T], &[usize]),
+    cs: &mut [T; LANES],
+    load: bool,
+) {
     let mut acc = [T::acc_zero(); LANES];
     if load {
         per_lane!(L => acc[L] = cs[L].acc_lift());
     }
-    for (p, brow) in panel.as_chunks::<LANES>().0.iter().enumerate() {
+    for (p, &o) in offs.iter().enumerate() {
         let aip = a[p * a_stride];
         if aip == T::zero() {
             continue;
         }
+        // SAFETY: `o + LANES ≤ b.len()` by the function contract.
+        let brow = unsafe { &*(b.as_ptr().add(o) as *const [T; LANES]) };
         per_lane!(L => acc[L] = T::mac(acc[L], aip, brow[L]));
     }
     per_lane!(L => cs[L] = T::acc_finish(acc[L]));
 }
 
-/// `C[m×n] = A · B` with `B` supplied one packed block at a time by
-/// `fill` and `A[i, p]` read at `a[i·a_row + p·a_col]`, column strips
-/// outermost (see the module docs). `fill(p0, j0, rows)` must overwrite
-/// `rows` (`kb × LANES`, row-major) with `B[p0..p0+kb, j0..j0+LANES]`,
-/// zero in the lanes past column `n`. `C` is overwritten (prior
-/// contents are irrelevant). Every block is packed into the caller's
-/// `panel`, so a caller issuing many small products pays for one panel,
-/// not one each.
-pub(crate) fn gemm_packed<T: Scalar, F: Fn(usize, usize, &mut [T])>(
+/// Row offsets of a packed block: row `p` of the panel at `p · LANES`.
+const PANEL_OFFS: [usize; PANEL_ROWS] = {
+    let mut offs = [0; PANEL_ROWS];
+    let mut p = 0;
+    while p < PANEL_ROWS {
+        offs[p] = p * LANES;
+        p += 1;
+    }
+    offs
+};
+
+/// Where the `B` rows of [`gemm_packed`] come from. Either way one
+/// block of a strip is a base slice and one offset per reduction
+/// position: row `p` is the [`LANES`] elements at `base[offs[p]..]`,
+/// which is what the register tile and [`lane_strip`] read.
+pub(crate) enum Rows<'a, T> {
+    /// Packed: `fill(p0, j0, rows)` overwrites `rows` (`kb × LANES`,
+    /// row-major) with `B[p0..p0+kb, j0..j0+LANES]`, zero in the lanes
+    /// past column `n`, and the rows are read from the panel.
+    Packed(&'a mut Panel<T>, &'a dyn Fn(usize, usize, &mut [T])),
+    /// Read where they lie (see [`InPlace`]).
+    InPlace(InPlace<'a, T>),
+}
+
+/// `B` rows that already lie in memory: row `p` of the strip at column
+/// `j0` is `b[offs[p] + j0..][..LANES]`. The lanes past column `n` read
+/// whatever follows (never stored), so `b` carries the slack for them.
+pub(crate) struct InPlace<'a, T> {
+    b: &'a [T],
+    offs: &'a [usize],
+    n: usize,
+}
+
+impl<'a, T> InPlace<'a, T> {
+    /// The rows `offs` of `b` for an `n`-column product.
+    ///
+    /// # Panics
+    ///
+    /// If a row of the last strip would read past `b`: every
+    /// `offs[p] + j0 + LANES` must be at most `b.len()` for the last
+    /// strip's first column `j0`.
+    pub(crate) fn new(b: &'a [T], offs: &'a [usize], n: usize) -> Self {
+        let last = n.saturating_sub(1) / LANES * LANES;
+        let reach = offs.iter().max().map_or(0, |&o| o + last + LANES);
+        assert!(reach <= b.len(), "in-place B rows reach past their buffer");
+        Self { b, offs, n }
+    }
+}
+
+/// `C[m×n] = A · B` with `A[i, p]` read at `a[i·a_row + p·a_col]` and
+/// `B` from `rows`, in strips and blocks (see the module docs). `C` is
+/// overwritten (prior contents are irrelevant). A caller issuing many
+/// small packed products passes one panel to all of them.
+pub(crate) fn gemm_packed<T: Scalar>(
     a: &[T],
     a_strides: (usize, usize),
     c: &mut [T],
     dims: (usize, usize, usize),
-    panel: &mut Panel<T>,
-    fill: &F,
+    rows: Rows<'_, T>,
 ) {
-    gemm_packed_on(Tier::best(), a, a_strides, c, dims, panel, fill);
+    gemm_packed_on(Tier::best(), a, a_strides, c, dims, rows);
 }
 
 /// [`gemm_packed`] on a given tier (the baseline: the portable kernel):
 /// the tier is resolved once per product, here, and the tests drive each
-/// one the host offers directly. On a vector tier, with `T` = `F25`,
-/// each packed block goes to the register tile, all `m` rows in one
-/// call; otherwise to the portable [`lane_strip`] row by row.
-pub(crate) fn gemm_packed_on<T: Scalar, F: Fn(usize, usize, &mut [T])>(
+/// one the host offers directly. A packed block is one strip's; an
+/// in-place block covers every strip of its reduction positions, so an
+/// in-place product is one block call per [`PANEL_ROWS`] positions.
+pub(crate) fn gemm_packed_on<T: Scalar>(
     tier: Tier,
     a: &[T],
-    (a_row, a_col): (usize, usize),
+    a_strides: (usize, usize),
     c: &mut [T],
     (m, k, n): (usize, usize, usize),
-    panel: &mut Panel<T>,
-    fill: &F,
+    mut rows: Rows<'_, T>,
 ) {
     assert_eq!(c.len(), m * n, "C size");
+    if let Rows::InPlace(r) = &rows {
+        assert_eq!((r.offs.len(), r.n), (k, n), "in-place B shape");
+    }
     if m == 0 || n == 0 {
         return;
     }
@@ -214,38 +283,79 @@ pub(crate) fn gemm_packed_on<T: Scalar, F: Fn(usize, usize, &mut [T])>(
         c.fill(T::zero());
         return;
     }
-    assert!((m - 1) * a_row + (k - 1) * a_col < a.len(), "A size");
-    for j0 in (0..n).step_by(LANES) {
-        let w = LANES.min(n - j0);
-        for p0 in (0..k).step_by(PANEL_ROWS) {
-            let kb = PANEL_ROWS.min(k - p0);
-            let rows = &mut panel.0[..kb * LANES];
-            fill(p0, j0, rows);
-            let load = p0 > 0;
-            // SAFETY: `A[i, p0 + p]` for `i < m`, `p < kb` is inside `a`
-            // by the assert above, `rows` is the `kb × LANES` block just
-            // filled, and columns `j0..j0+w` of every row of the `m × n`
-            // matrix `c`, exclusively borrowed, lie inside it.
-            let tiled = unsafe {
-                let (ap, cp) = (a.as_ptr().add(p0 * a_col), c.as_mut_ptr().add(j0));
-                simd::gemm_block(tier, ap, (a_row, a_col), kb, rows.as_ptr(), cp, n, m, w, load)
-            };
-            if tiled.is_some() {
-                continue;
-            }
-            for i in 0..m {
-                let ai = &a[i * a_row + p0 * a_col..];
-                let cs = &mut c[i * n + j0..][..w];
-                if let Ok(cs) = <&mut [T; LANES]>::try_from(&mut *cs) {
-                    lane_strip(ai, a_col, rows, cs, load);
-                } else {
-                    let mut full = [T::zero(); LANES];
-                    if load {
-                        full[..w].copy_from_slice(cs);
-                    }
-                    lane_strip(ai, a_col, rows, &mut full, load);
-                    cs.copy_from_slice(&full[..w]);
+    assert!((m - 1) * a_strides.0 + (k - 1) * a_strides.1 < a.len(), "A size");
+    let blocks = (0..k).step_by(PANEL_ROWS).map(|p0| (p0, PANEL_ROWS.min(k - p0)));
+    match &mut rows {
+        Rows::Packed(panel, fill) => {
+            for j0 in (0..n).step_by(LANES) {
+                for (p0, kb) in blocks.clone() {
+                    let packed = &mut panel.0[..kb * LANES];
+                    fill(p0, j0, packed);
+                    let (b, cols) = ((&*packed, &PANEL_OFFS[..kb]), j0..LANES.min(n - j0) + j0);
+                    // SAFETY: one strip, its rows at `p·LANES < kb·LANES`.
+                    unsafe { block(tier, (a, a_strides, p0), b, c, (m, n), cols) };
                 }
+            }
+        }
+        Rows::InPlace(r) => {
+            for (p0, kb) in blocks {
+                let b = (r.b, &r.offs[p0..p0 + kb]);
+                // SAFETY: `InPlace::new` bounded every row, slack included,
+                // for the last strip of the `n` columns, so for all of them.
+                unsafe { block(tier, (a, a_strides, p0), b, c, (m, n), 0..n) };
+            }
+        }
+    }
+}
+
+/// One block of [`gemm_packed_on`]: reduction positions
+/// `p0..p0 + offs.len()` into columns `cols` of every row of the `m × n`
+/// matrix `c` (`=` for the first block, `+=` after), row `p0 + p` of
+/// `B` for column `cols.start + j` being the [`LANES`] elements at
+/// `b[offs[p] + j..]`. On a vector tier with `T` = `F25` this is one
+/// register-tile call; otherwise [`lane_strip`] per strip and row.
+///
+/// # Safety
+///
+/// `b[offs[p] + j..]` holds `LANES` elements for every `p` and every
+/// strip start `j < cols.len()`: both kernels read `B` unchecked.
+unsafe fn block<T: Scalar>(
+    tier: Tier,
+    (a, (a_row, a_col), p0): (&[T], (usize, usize), usize),
+    (b, offs): (&[T], &[usize]),
+    c: &mut [T],
+    (m, n): (usize, usize),
+    cols: std::ops::Range<usize>,
+) {
+    let load = p0 > 0;
+    // SAFETY: `A[i, p0 + p]` for `i < m`, `p < offs.len()` is inside `a`
+    // by `gemm_packed_on`'s assert, the `B` rows by the function
+    // contract, and columns `cols` of every row of the `m × n` matrix
+    // `c`, exclusively borrowed, lie inside it.
+    let tiled = unsafe {
+        let (ap, cp) = (a.as_ptr().add(p0 * a_col), c.as_mut_ptr().add(cols.start));
+        simd::gemm_block(tier, ap, (a_row, a_col), (b, offs), cp, n, (m, cols.len()), load)
+    };
+    if tiled.is_some() {
+        return;
+    }
+    for j0 in cols.clone().step_by(LANES) {
+        let w = LANES.min(cols.end - j0);
+        let strip = (&b[j0 - cols.start..], offs);
+        for i in 0..m {
+            let ai = &a[i * a_row + p0 * a_col..];
+            let cs = &mut c[i * n + j0..][..w];
+            if let Ok(cs) = <&mut [T; LANES]>::try_from(&mut *cs) {
+                // SAFETY: this strip's `B` rows, by the function contract.
+                unsafe { lane_strip(ai, a_col, strip, cs, load) };
+            } else {
+                let mut full = [T::zero(); LANES];
+                if load {
+                    full[..w].copy_from_slice(cs);
+                }
+                // SAFETY: as above.
+                unsafe { lane_strip(ai, a_col, strip, &mut full, load) };
+                cs.copy_from_slice(&full[..w]);
             }
         }
     }
@@ -417,7 +527,7 @@ fn a_bt_block_ordered<T: Scalar>(a: &[T], b: &[T], c: &mut [T], rows: usize, k: 
 pub fn matmul_into<T: Scalar>(a: &[T], b: &[T], c: &mut [T], m: usize, k: usize, n: usize) {
     assert_eq!(a.len(), m * k, "A size");
     assert_eq!(b.len(), k * n, "B size");
-    gemm_packed(a, (k, 1), c, (m, k, n), &mut Panel::new(), &fill_from_rows(b, n));
+    gemm_packed(a, (k, 1), c, (m, k, n), Rows::Packed(&mut Panel::new(), &fill_from_rows(b, n)));
 }
 
 /// `C[m×n] = Aᵀ · B` (with `A` stored `k×m`) into a caller-provided
@@ -439,7 +549,7 @@ pub fn matmul_at_b_into<T: Scalar>(
 ) {
     assert_eq!(a.len(), k * m, "A size");
     assert_eq!(b.len(), k * n, "B size");
-    gemm_packed(a, (1, m), c, (m, k, n), &mut Panel::new(), &fill_from_rows(b, n));
+    gemm_packed(a, (1, m), c, (m, k, n), Rows::Packed(&mut Panel::new(), &fill_from_rows(b, n)));
 }
 
 /// `C[m×n] = A · Bᵀ` (with `B` stored `n×k`) into a caller-provided
@@ -688,7 +798,7 @@ mod tests {
         for (a, strides) in both_layouts(a, m, k) {
             for tier in Tier::offered() {
                 let mut c = vec![F25::new(0x1ab_cdef); m * n];
-                gemm_packed_on(tier, &a, strides, &mut c, dims, &mut Panel::new(), &fill);
+                gemm_packed_on(tier, &a, strides, &mut c, dims, Rows::Packed(&mut Panel::new(), &fill));
                 assert_eq!(c, want, "{tier:?} {dims:?} strides {strides:?}");
             }
         }

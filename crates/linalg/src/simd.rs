@@ -31,11 +31,15 @@
 //!   conditional subtract, in register, for any lane below `2^58` (one
 //!   canonical carry-in plus [`PANEL_ROWS`] products), then a masked
 //!   store so a partial strip writes only its own columns;
-//! * the **packed-panel block** ([`gemm_block`]) and the **coded
-//!   block** ([`coded_block`]): the same tile over `B` rows that are
-//!   panel rows in one and the scheme's separate source vectors in the
-//!   other — every output row of a strip, the §4.4 check row included,
-//!   from one load of each source chunk;
+//! * the **strip block** ([`gemm_block`]) and the **coded block**
+//!   ([`coded_block`]): the same tile over `B` rows named by pointer.
+//!   In the strip block a row is a base plus a per-position offset:
+//!   the rows of a packed panel (the matmuls, the weight gradient), or
+//!   the column-matrix rows of a convolution read where they lie in its
+//!   phase-split staging buffer, every strip of a block in one call. In
+//!   the coded block the rows are the scheme's separate source vectors —
+//!   every output row of a strip, the §4.4 check row included, from one
+//!   load of each source chunk;
 //! * the **dot block** ([`a_bt_block`]): two rows of `A` against four
 //!   rows of `B` along the reduction dimension, merged exactly at the
 //!   end.
@@ -156,19 +160,23 @@ unsafe fn on_lanes<T: 'static, B: Tiled>(tier: Tier, body: B) -> Option<B::Out> 
     tier.run(OnLanes(body))
 }
 
-/// One packed block of a strip, all `m` output rows:
-/// `C[i, 0..w] (=|+=) Σ_{p<kb} A[i, p] · panel[p][0..w]`, with
-/// `A[i, p]` at `a[i·a_row + p·a_col]`, `panel` `kb × LANES` row-major
-/// and `C[i, ·]` at `c[i·ldc ..]`. `load` accumulates on top of `C`
-/// (canonical values); otherwise `C` is written without being read.
-/// `None` (nothing done) off the tile, as [`on_lanes`].
+/// One block, all `m` output rows and columns `0..n`:
+/// `C[i, j] (=|+=) Σ_{p<kb} A[i, p] · B[p][j]`, with `A[i, p]` at
+/// `a[i·a_row + p·a_col]`, `C[i, j]` at `c[i·ldc + j]`, and row `p` of
+/// `B` for the strip starting at column `j` the [`LANES`] elements at
+/// `b[offs[p] + j..]` (`kb = offs.len()`; a packed panel is one strip,
+/// rows read where they lie are any number, see
+/// [`crate::matmul::Rows`]). Per strip, `MR` rows at a time. `load`
+/// accumulates on top of `C` (canonical values); otherwise `C` is
+/// written without being read. `None` (nothing done) off the tile, as
+/// [`on_lanes`].
 ///
 /// # Safety
 ///
 /// `a` is valid for reads at every `i·a_row + p·a_col`, `i < m`,
-/// `p < kb`; `panel` for `kb · LANES` reads; `c` for reads and writes of
-/// `w ≤ LANES` elements at every `i·ldc`, `i < m`, shared with no one
-/// for the call.
+/// `p < kb`; `b[offs[p] + j..]` holds `LANES` elements for every strip
+/// start `j < n`; `c` is valid for reads and writes at every
+/// `i·ldc + j`, `i < m`, `j < n`, shared with no one for the call.
 ///
 /// # Panics
 ///
@@ -179,20 +187,18 @@ pub(crate) unsafe fn gemm_block<T: 'static>(
     tier: Tier,
     a: *const T,
     (a_row, a_col): (usize, usize),
-    kb: usize,
-    panel: *const T,
+    (b, offs): (&[T], &[usize]),
     c: *mut T,
     ldc: usize,
-    m: usize,
-    w: usize,
+    (m, n): (usize, usize),
     load: bool,
 ) -> Option<()> {
+    let kb = offs.len();
     assert!(kb <= PANEL_ROWS, "a block holds at most PANEL_ROWS products per lane");
-    debug_assert!((1..=LANES).contains(&w));
     // `F25` is `repr(transparent)` over `u64`, so the casts are
     // identities wherever the body runs.
-    let (a, panel, c) = (a as *const u64, panel as *const u64, c as *mut u64);
-    let body = GemmBlock { a, a_row, a_col, kb, panel, c, ldc, m, w, load };
+    let (a, b, c) = (a as *const u64, b.as_ptr() as *const u64, c as *mut u64);
+    let body = GemmBlock { a, a_row, a_col, b, offs: offs.as_ptr(), kb, c, ldc, m, n, load };
     // SAFETY: the caller's contract is the body's.
     unsafe { on_lanes::<T, _>(tier, body) }
 }
@@ -201,12 +207,13 @@ struct GemmBlock {
     a: *const u64,
     a_row: usize,
     a_col: usize,
+    b: *const u64,
+    offs: *const usize,
     kb: usize,
-    panel: *const u64,
     c: *mut u64,
     ldc: usize,
     m: usize,
-    w: usize,
+    n: usize,
     load: bool,
 }
 
@@ -215,22 +222,25 @@ impl Tiled for GemmBlock {
 
     #[inline(always)]
     unsafe fn run<L: Lanes>(self) {
-        let GemmBlock { a, a_row, a_col, kb, panel, c, ldc, m, w, load } = self;
-        for i in (0..m).step_by(L::MR) {
-            // SAFETY: rows `i..i+rows` of `A` and `C` and rows `< kb` of
-            // the panel, all inside what `gemm_block`'s caller vouched
-            // for.
-            unsafe {
-                tile_rows::<L>(
-                    L::MR.min(m - i),
-                    &|r| a.add((i + r) * a_row),
-                    a_col,
-                    kb,
-                    &|p| panel.add(p * LANES),
-                    &|r| c.add((i + r) * ldc),
-                    w,
-                    load,
-                );
+        let GemmBlock { a, a_row, a_col, b, offs, kb, c, ldc, m, n, load } = self;
+        for j in (0..n).step_by(LANES) {
+            for i in (0..m).step_by(L::MR) {
+                // SAFETY: rows `i..i+rows` of `A`, of `C` at columns
+                // `j..j + LANES.min(n − j)`, and the `B` rows at
+                // `offs[p] + j`, `p < kb`: all inside what `gemm_block`'s
+                // caller vouched for.
+                unsafe {
+                    tile_rows::<L>(
+                        L::MR.min(m - i),
+                        &|r| a.add((i + r) * a_row),
+                        a_col,
+                        kb,
+                        &|p| b.add(*offs.add(p) + j),
+                        &|r| c.add((i + r) * ldc + j),
+                        LANES.min(n - j),
+                        load,
+                    );
+                }
             }
         }
     }

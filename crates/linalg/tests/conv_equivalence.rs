@@ -1,7 +1,9 @@
 //! The three convolution passes against direct-convolution oracles.
 //!
-//! `conv2d_forward_ws` never builds a column matrix: its strip kernel
-//! gathers each panel block straight from the NCHW image. The oracle
+//! `conv2d_forward_ws` never builds a column matrix: it stages each
+//! sample's image once, padded and split into stride phases, and its
+//! strip kernel reads the column matrix's rows where they lie there,
+//! over a "wide" output plane whose surplus columns it drops. The oracle
 //! here knows nothing about strips, panels or lowering — it is the
 //! definition of a convolution, one output element at a time, with the
 //! reference recurrence spelled out (ascending `(ci, ki, kj)`, terms
@@ -97,9 +99,23 @@ fn assert_conv<T: Bits>(mut gen: impl FnMut() -> T, s: Conv2dShape, n: usize, hw
     assert_conv_on(&x, &w, &s);
 }
 
+/// The forward pass's own scratch for `x`'s geometry, one buffer: the
+/// staging part (`cgi` channels of `sh·sw` phase planes, `hq × wq`
+/// each, and `LANES + kw` of slack) and the wide output (`cgo × oh ×
+/// wq`) when it has surplus columns. Returns both parts' lengths.
+fn forward_scratch_lens(s: &Conv2dShape, hw: (usize, usize)) -> [usize; 2] {
+    const LANES: usize = 16;
+    let ((sh, sw), (ph, pw)) = (s.stride, s.padding);
+    let (hq, wq) = ((hw.0 + 2 * ph).div_ceil(sh), (hw.1 + 2 * pw).div_ceil(sw));
+    let (oh, ow) = s.out_hw(hw);
+    let wide = if wq == ow { 0 } else { s.cg_out() * oh * wq };
+    [s.cg_in() * sh * sw * hq * wq + LANES + s.kernel.1, wide]
+}
+
 fn assert_conv_on<T: Bits>(x: &Tensor<T>, w: &Tensor<T>, s: &Conv2dShape) {
     let want = direct_conv(x, w, s);
-    let mut ws = poisoned_workspace::<T>(&[want.len(), want.len() + 7]);
+    let [stage, wide] = forward_scratch_lens(s, (x.shape()[2], x.shape()[3]));
+    let mut ws = poisoned_workspace::<T>(&[want.len(), want.len() + 7, stage + wide]);
     let got = conv2d_forward_ws(x, w, s, &mut ws);
     assert_eq!(got.shape(), want.shape(), "{s:?}");
     for (i, (g, e)) in got.as_slice().iter().zip(want.as_slice()).enumerate() {
@@ -223,6 +239,82 @@ fn f32_non_finite_propagation() {
     w.set(&[1, 1, 0, 0], f32::INFINITY); // meets zero pixels and padding: NaN
     w.set(&[2, 0, 2, 2], f32::NAN);
     w.set(&[2, 1, 1, 0], -0.0); // -0.0 == 0.0: skipped too
+    let want = direct_conv(&x, &w, &s);
+    assert!(want.as_slice().iter().any(|v| v.is_nan()));
+    assert!(want.as_slice().iter().any(|v| v.is_infinite()));
+    assert!(want.as_slice().iter().any(|v| v.is_finite()));
+    assert_conv_on(&x, &w, &s);
+}
+
+/// Strides past 2, and unequal ones, on padded sizes that are not a
+/// multiple of the stride: the phase planes are ragged (their last row
+/// or column is partly padding past the image), and some phases are
+/// never read (a kernel narrower than its stride).
+#[test]
+fn uneven_strides_match_direct_convolution() {
+    for (s, hw) in [
+        (Conv2dShape::new(3, 4, (3, 3), (3, 3), (1, 1), 1), (11, 12)),
+        (Conv2dShape::new(4, 6, (3, 3), (2, 3), (1, 2), 2), (9, 10)),
+        (Conv2dShape::new(2, 3, (3, 2), (3, 1), (2, 0), 1), (10, 7)),
+        (Conv2dShape::new(3, 3, (1, 2), (3, 3), (0, 1), 3), (8, 7)),
+        (Conv2dShape::depthwise(4, 3, 3, 1), (13, 14)),
+    ] {
+        let (h, w) = (hw.0 + 2 * s.padding.0, hw.1 + 2 * s.padding.1);
+        assert!(h % s.stride.0 != 0 || w % s.stride.1 != 0, "{s:?} {hw:?}");
+        all_domains(hw.0 as u64 * 131 + hw.1 as u64, s, 2, hw);
+    }
+}
+
+/// Wide output planes one column past a whole number of strips
+/// (`oh·wq = 33`, `81`, `33`): the last strip is one column wide, so
+/// its surplus lanes read past the last phase plane into the staging
+/// buffer's slack — checked here against the layout, so the shapes keep
+/// testing what they claim to.
+#[test]
+fn last_strip_reads_into_the_staging_slack() {
+    const LANES: usize = 16;
+    for (s, hw) in [
+        (Conv2dShape::simple(3, 5, 3, 1, 1), (3, 9)),
+        (Conv2dShape::depthwise(2, 3, 2, 1), (17, 16)),
+        (Conv2dShape::new(2, 2, (3, 5), (1, 1), (0, 2), 1), (5, 7)),
+    ] {
+        let ((kh, kw), (sh, sw), (ph, pw)) = (s.kernel, s.stride, s.padding);
+        let (hq, wq) = ((hw.0 + 2 * ph).div_ceil(sh), (hw.1 + 2 * pw).div_ceil(sw));
+        let wide = s.out_hw(hw).0 * wq;
+        assert_eq!(wide % LANES, 1, "{s:?}");
+        // The furthest tap row of the last channel, plus the last strip.
+        let deepest = (0..kh * kw)
+            .map(|t| {
+                let (ki, kj) = (t / kw, t % kw);
+                ((s.cg_in() - 1) * sh * sw + ki % sh * sw + kj % sw) * hq * wq + ki / sh * wq + kj / sw
+            })
+            .max()
+            .unwrap();
+        let reach = deepest + (wide - 1) / LANES * LANES + LANES;
+        let [stage, _] = forward_scratch_lens(&s, hw);
+        let planes = s.cg_in() * sh * sw * hq * wq;
+        assert!(planes < reach && reach <= stage, "{s:?}: {planes} < {reach} <= {stage}");
+        all_domains(wide as u64 * 7 + kw as u64, s, 2, hw);
+    }
+}
+
+/// Non-finite f32 inputs through a strided layer: the padding taps of
+/// the phase planes read zero, so an infinite weight meeting them is NaN
+/// exactly where the reference puts it.
+#[test]
+fn f32_non_finite_propagation_strided() {
+    let s = Conv2dShape::new(2, 3, (3, 3), (2, 2), (1, 1), 1);
+    let mut gen = float_gen(0x2F);
+    let mut x = Tensor::from_fn(&[2, 2, 7, 8], |_| gen());
+    let mut w = Tensor::from_fn(&s.weight_shape(), |_| gen());
+    x.set(&[0, 0, 3, 3], f32::INFINITY);
+    x.set(&[0, 1, 0, 0], f32::NAN);
+    x.set(&[1, 1, 6, 7], f32::NEG_INFINITY);
+    x.set(&[1, 0, 2, 4], -0.0);
+    w.set(&[0, 0, 1, 1], 0.0);
+    w.set(&[1, 1, 0, 0], f32::INFINITY);
+    w.set(&[2, 0, 2, 2], f32::NAN);
+    w.set(&[2, 1, 1, 0], -0.0);
     let want = direct_conv(&x, &w, &s);
     assert!(want.as_slice().iter().any(|v| v.is_nan()));
     assert!(want.as_slice().iter().any(|v| v.is_infinite()));
