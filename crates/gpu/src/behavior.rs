@@ -24,8 +24,9 @@ pub enum Behavior {
     /// Scales every element by a constant (a "almost right" adversary,
     /// defeats sanity checks that only look at magnitudes of change).
     Scale(u64),
-    /// Returns stale results: executes honestly but on a zeroed input,
-    /// modelling a worker that skips the fresh data.
+    /// Returns stale results, modelling a worker that skips the fresh
+    /// data: its output is all zeros, what a bilinear op yields on a
+    /// zeroed input, and the job's MACs are counted as if it had run.
     StaleInput,
     /// Executes `after` jobs honestly, then dies: the execution backends
     /// interpret this as worker loss (a dispatcher thread exits, a
@@ -44,10 +45,10 @@ impl Behavior {
     }
 
     /// Applies the behaviour's corruption to an honestly-computed
-    /// output. `StaleInput` is handled at job-execution time and acts
-    /// like `ZeroOutput` here (a zeroed input to a bilinear op produces
-    /// a zero output). `Crash` never corrupts — up to the moment the
-    /// backend declares the worker dead, its answers are honest.
+    /// output. `StaleInput` acts like `ZeroOutput` (a zeroed input to a
+    /// bilinear op produces a zero output). `Crash` never corrupts — up
+    /// to the moment the backend declares the worker dead, its answers
+    /// are honest.
     pub fn corrupt(self, mut honest: Tensor<F25>, rng: &mut FieldRng) -> Tensor<F25> {
         match self {
             Behavior::Honest | Behavior::Crash { .. } => honest,

@@ -76,9 +76,9 @@ pub struct BatchTag(pub u64);
 enum WorkerMsg {
     Run { job: LinearJob, reply: Reply },
     Store { ctx_id: u64, encoding: Tensor<F25> },
-    /// Drops a stored context; its encoding goes to `home` when the
-    /// releasing client keeps one (see [`DispatchClient`]).
-    Release { ctx_id: u64, home: Option<Arc<Bin>> },
+    /// Drops a stored context; its encoding goes to `home`, the
+    /// releasing client's bin (see [`DispatchClient`]).
+    Release { ctx_id: u64, home: Arc<Bin> },
 }
 
 /// Tensors in transit back to the pool of another thread.
@@ -200,13 +200,6 @@ impl Ticket {
     }
 }
 
-/// A pending single-job submission: redeem with
-/// [`GpuDispatcher::complete_one`].
-#[derive(Debug)]
-pub struct JobTicket {
-    ticket: Ticket,
-}
-
 /// What it takes to respawn a lost worker at `join` time: identity and
 /// configuration survive a crash, accumulated state (RNG, encodings,
 /// observations, counters) does not — exactly like replacing a dead GPU.
@@ -280,7 +273,7 @@ fn worker_main(
             }
             WorkerMsg::Store { ctx_id, encoding } => worker.store_encoding(ctx_id, encoding),
             WorkerMsg::Release { ctx_id, home } => {
-                if let (Some(t), Some(home)) = (worker.take_encoding(ctx_id), home) {
+                if let Some(t) = worker.take_encoding(ctx_id) {
                     lock(&home).push(t);
                 }
             }
@@ -430,40 +423,16 @@ impl GpuDispatcher {
         slots.into_iter().map(|p| self.redeem(&board, p).0).collect()
     }
 
-    /// Submits one job to a specific worker.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the id is out of range.
-    pub fn submit_on(&self, id: WorkerId, job: LinearJob) -> JobTicket {
-        let board = Arc::new(Board::default());
-        board.open(1, 0);
-        let pending = self.send_job(&board, (0, 0), id, job);
-        JobTicket { ticket: Ticket { board, slots: vec![pending] } }
-    }
-
-    /// Blocks until a single-job submission finished (or faulted).
-    pub fn complete_one(&self, ticket: JobTicket) -> WorkerResult {
-        let mut results = self.complete(ticket.ticket);
-        results.pop().unwrap_or_else(|| Err(GpuError::lost(WorkerId(0), "empty job ticket")))
-    }
-
     /// Stores per-worker forward encodings under a context id (worker
-    /// `i` receives `encodings[i]`). Per-worker FIFO ordering makes the
-    /// encoding visible to any job this thread submits afterwards.
-    /// Best-effort: a dead worker's store is dropped — its jobs fail
-    /// with a typed error and the session repairs around it.
+    /// `i` receives the `i`-th, except the workers in `withheld`, which
+    /// are sent nothing). Per-worker FIFO ordering makes the encoding
+    /// visible to any job this thread submits afterwards. Best-effort: a
+    /// dead worker's store is dropped — its jobs fail with a typed error
+    /// and the session repairs around it.
     ///
     /// # Panics
     ///
     /// Panics if more encodings than workers are supplied.
-    pub fn store_encodings(&self, ctx_id: u64, encodings: Vec<Tensor<F25>>) {
-        self.store_encodings_sparse(ctx_id, encodings.into_iter(), &[]);
-    }
-
-    /// [`GpuDispatcher::store_encodings`] that sends nothing to the
-    /// workers in `withheld`, draining `encodings` (the `Vec` stays with
-    /// the caller).
     fn store_encodings_sparse(
         &self,
         ctx_id: u64,
@@ -479,14 +448,11 @@ impl GpuDispatcher {
     }
 
     /// Releases the stored encodings of a retired virtual-batch context
-    /// on every worker (best-effort on dead workers).
-    pub fn release_context(&self, ctx_id: u64) {
-        self.release_context_to(ctx_id, None);
-    }
-
-    fn release_context_to(&self, ctx_id: u64, home: Option<&Arc<Bin>>) {
+    /// on every worker (best-effort on dead workers); they come back to
+    /// `home`.
+    fn release_context_to(&self, ctx_id: u64, home: &Arc<Bin>) {
         for i in 0..self.senders.len() {
-            let _ = self.send(i, WorkerMsg::Release { ctx_id, home: home.cloned() });
+            let _ = self.send(i, WorkerMsg::Release { ctx_id, home: home.clone() });
         }
     }
 
@@ -700,7 +666,7 @@ impl GpuExec for DispatchClient {
 
     fn release_contexts(&mut self, ctx_ids: &[u64]) {
         for &c in ctx_ids {
-            self.inner.release_context_to(c, Some(&self.home));
+            self.inner.release_context_to(c, &self.home);
         }
     }
 
@@ -754,18 +720,28 @@ mod tests {
         assert_eq!(o2[1], dense_job(4).execute());
     }
 
+    /// A dispatcher behind a client, and a way back to it for `join`.
+    fn client(cluster: GpuCluster) -> (StdArc<GpuDispatcher>, DispatchClient) {
+        let d = StdArc::new(cluster.into_dispatcher(4));
+        (d.clone(), DispatchClient::new(d))
+    }
+
+    fn join(d: StdArc<GpuDispatcher>) -> (GpuCluster, Vec<WorkerId>) {
+        StdArc::into_inner(d).expect("every client dropped").join()
+    }
+
     #[test]
     fn store_then_stored_job_sees_encoding() {
-        let d = GpuCluster::honest(1, 3).into_dispatcher(4);
+        let (_d, mut c) = client(GpuCluster::honest(1, 3));
         let enc = Tensor::from_fn(&[1, 3], |i| F25::new(i as u64 + 2));
-        d.store_encodings(77, vec![enc.clone()]);
+        c.store_encodings(77, vec![enc.clone()]);
         let delta = StdArc::new(Tensor::from_fn(&[1, 2], |i| F25::new(i as u64 + 1)));
         let job = LinearJob::DenseWeightGradStored {
             delta_batch: delta.clone(),
             beta: vec![F25::ONE],
             layer_id: 77,
         };
-        let out = d.complete_one(d.submit_on(WorkerId(0), job)).unwrap();
+        let out = c.execute_on(WorkerId(0), &job).unwrap();
         let expect = LinearJob::DenseWeightGrad {
             delta: (*delta).clone(),
             x: enc,
@@ -776,11 +752,12 @@ mod tests {
 
     #[test]
     fn release_context_drops_encoding() {
-        let mut cluster = GpuCluster::honest(1, 4);
-        let d = cluster.clone().into_dispatcher(4);
-        d.store_encodings(5, vec![Tensor::from_fn(&[1, 2], |i| F25::new(i as u64))]);
-        d.release_context(5);
-        cluster = d.join().0;
+        let (d, mut c) = client(GpuCluster::honest(1, 4));
+        let enc = Tensor::from_fn(&[1, 2], |i| F25::new(i as u64));
+        c.store_encodings(5, vec![enc.clone()]);
+        c.release_contexts(&[5]);
+        drop(c);
+        let cluster = join(d).0;
         assert!(cluster.worker(WorkerId(0)).stored_encoding(5).is_none());
         // But the observation (the adversary's view) survives.
         assert_eq!(cluster.worker(WorkerId(0)).observations().len(), 1);
@@ -825,11 +802,10 @@ mod tests {
 
     #[test]
     fn crashed_worker_surfaces_as_worker_lost_not_panic() {
-        let d = GpuCluster::with_behaviors(
+        let (d, mut c) = client(GpuCluster::with_behaviors(
             &[Behavior::Honest, Behavior::Crash { after: 0 }, Behavior::Honest],
             8,
-        )
-        .into_dispatcher(4);
+        ));
         let results = d.complete(d.submit(BatchTag(0), (1..=3).map(dense_job).collect()).unwrap());
         assert_eq!(results[0], Ok(dense_job(1).execute()));
         assert!(matches!(results[1], Err(GpuError::WorkerLost { worker: WorkerId(1), .. })));
@@ -840,9 +816,10 @@ mod tests {
         assert!(again[1].is_err());
         assert_eq!(again[0], Ok(dense_job(1).execute()));
         // Store/release to the dead worker are silently dropped.
-        d.store_encodings(9, vec![Tensor::from_fn(&[1, 2], |i| F25::new(i as u64)); 3]);
-        d.release_context(9);
-        let (cluster, lost) = d.join();
+        c.store_encodings(9, vec![Tensor::from_fn(&[1, 2], |i| F25::new(i as u64)); 3]);
+        c.release_contexts(&[9]);
+        drop(c);
+        let (cluster, lost) = join(d);
         // The crash was a clean simulated exit, not a thread panic.
         assert!(lost.is_empty());
         assert_eq!(cluster.len(), 3);
@@ -850,12 +827,12 @@ mod tests {
 
     #[test]
     fn crash_after_budget_executes_honestly_first() {
-        let d = GpuCluster::with_behaviors(&[Behavior::Crash { after: 2 }], 9).into_dispatcher(4);
+        let (_d, mut c) = client(GpuCluster::with_behaviors(&[Behavior::Crash { after: 2 }], 9));
         for round in 1..=2u64 {
-            let out = d.complete_one(d.submit_on(WorkerId(0), dense_job(round))).unwrap();
+            let out = c.execute_on(WorkerId(0), &dense_job(round)).unwrap();
             assert_eq!(out, dense_job(round).execute());
         }
-        let err = d.complete_one(d.submit_on(WorkerId(0), dense_job(3))).unwrap_err();
+        let err = c.execute_on(WorkerId(0), &dense_job(3)).unwrap_err();
         assert!(matches!(err, GpuError::WorkerLost { worker: WorkerId(0), .. }));
     }
 

@@ -57,7 +57,7 @@ pub mod worker;
 
 pub use behavior::Behavior;
 pub use cluster::GpuCluster;
-pub use dispatch::{BatchTag, DispatchClient, GpuDispatcher, JobTicket, Ticket};
+pub use dispatch::{BatchTag, DispatchClient, GpuDispatcher, Ticket};
 pub use error::GpuError;
 pub use exec::{GpuExec, WorkerResult};
 pub use job::{JobOutput, LinearJob, LinearOp};

@@ -223,11 +223,6 @@ impl GpuWorker {
         // stored encoding is already recorded; backward-data inputs are
         // deltas, which the threat model treats as non-sensitive.
         let honest = match (self.behavior, job) {
-            (Behavior::StaleInput, LinearJob::ConvForward { weights, x, shape }) => {
-                let zero = Tensor::zeros(x.shape());
-                LinearJob::ConvForward { weights: weights.clone(), x: zero, shape: *shape }
-                    .execute_ws(&mut self.ws)
-            }
             // `*Stored` jobs run against a borrow of the stored encoding.
             (_, LinearJob::ConvWeightGradStored { delta_batch, beta, layer_id, shape }) => {
                 let x = self.stored_encodings.get(layer_id).ok_or_else(|| missing(self.id, *layer_id))?;

@@ -456,15 +456,16 @@ fn a_bt_block_exact<T: Scalar>(a: &[T], b: &[T], c: &mut [T], rows: usize, k: us
     }
 }
 
-/// Ordered dot kernel: `C[rows×n] = A[rows×k] · Bᵀ` for domains where
-/// reassociation changes results (floats).
+/// Ordered dot kernel, the float path: `C[rows×n] = A[rows×k] · Bᵀ`
+/// for domains where reassociation changes results.
 ///
 /// Four rows of `B` are consumed per pass over the `A` row, each with
 /// its own register accumulator, so every element keeps the exact
-/// reference recurrence: ascending `p`, zero-skip gated on
-/// [`Scalar::SKIP_ZEROS`] (off for floats — `0.0 · ∞ = NaN` must
-/// propagate bit-identically to the naive kernel).
+/// reference recurrence: ascending `p`, no zero skip (`0.0 · ∞ = NaN`
+/// must propagate bit-identically to the naive kernel) and no fold
+/// (a float accumulator never needs one).
 fn a_bt_block_ordered<T: Scalar>(a: &[T], b: &[T], c: &mut [T], rows: usize, k: usize, n: usize) {
+    debug_assert!(!T::EXACT);
     const DOTS: usize = 4;
     for i in 0..rows {
         let arow = &a[i * k..(i + 1) * k];
@@ -475,22 +476,11 @@ fn a_bt_block_ordered<T: Scalar>(a: &[T], b: &[T], c: &mut [T], rows: usize, k: 
             let b2 = &b[(j + 2) * k..(j + 3) * k];
             let b3 = &b[(j + 3) * k..(j + 4) * k];
             let mut acc = [T::acc_zero(); DOTS];
-            let mut unfolded = 0usize;
             for (p, &x) in arow.iter().enumerate() {
-                if T::SKIP_ZEROS && x == T::zero() {
-                    continue;
-                }
-                if unfolded == T::FOLD_INTERVAL {
-                    for aj in acc.iter_mut() {
-                        *aj = T::acc_fold(*aj);
-                    }
-                    unfolded = 0;
-                }
                 acc[0] = T::mac(acc[0], x, b0[p]);
                 acc[1] = T::mac(acc[1], x, b1[p]);
                 acc[2] = T::mac(acc[2], x, b2[p]);
                 acc[3] = T::mac(acc[3], x, b3[p]);
-                unfolded += 1;
             }
             for (l, &aj) in acc.iter().enumerate() {
                 c[i * n + j + l] = T::acc_finish(aj);
@@ -499,19 +489,7 @@ fn a_bt_block_ordered<T: Scalar>(a: &[T], b: &[T], c: &mut [T], rows: usize, k: 
         }
         while j < n {
             let brow = &b[j * k..(j + 1) * k];
-            let mut acc = T::acc_zero();
-            let mut unfolded = 0usize;
-            for (&x, &y) in arow.iter().zip(brow) {
-                if T::SKIP_ZEROS && x == T::zero() {
-                    continue;
-                }
-                if unfolded == T::FOLD_INTERVAL {
-                    acc = T::acc_fold(acc);
-                    unfolded = 0;
-                }
-                acc = T::mac(acc, x, y);
-                unfolded += 1;
-            }
+            let acc = arow.iter().zip(brow).fold(T::acc_zero(), |acc, (&x, &y)| T::mac(acc, x, y));
             c[i * n + j] = T::acc_finish(acc);
             j += 1;
         }

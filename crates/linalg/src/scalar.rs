@@ -46,15 +46,6 @@ pub trait Scalar:
     /// `usize::MAX` means the accumulator never needs folding (floats).
     const FOLD_INTERVAL: usize;
 
-    /// Whether inner-loop kernels should branch around zero operands.
-    ///
-    /// Skipping `a == 0` terms is a win for field elements (it elides a
-    /// multiply + reduce and never changes the exact result) but poisons
-    /// float auto-vectorization, so floats keep the branch-free loop.
-    /// Per-*row* zero skips (one test covering `n` MACs) stay
-    /// unconditional in every domain.
-    const SKIP_ZEROS: bool;
-
     /// Whether arithmetic in this domain is **exact** — i.e. results do
     /// not depend on association order or on where fold boundaries land.
     ///
@@ -98,7 +89,6 @@ impl Scalar for f32 {
     /// Floats accumulate natively; no folding is ever needed.
     type Acc = f32;
     const FOLD_INTERVAL: usize = usize::MAX;
-    const SKIP_ZEROS: bool = false;
     const EXACT: bool = false;
 
     fn zero() -> Self {
@@ -146,7 +136,6 @@ impl Scalar for F25 {
     /// `u64` absorbs 2^14 of them before one Barrett fold.
     type Acc = u64;
     const FOLD_INTERVAL: usize = u64_fold_interval(P25);
-    const SKIP_ZEROS: bool = true;
     const EXACT: bool = true;
 
     fn zero() -> Self {

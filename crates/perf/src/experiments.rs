@@ -8,10 +8,10 @@
 
 use crate::cost::{
     aggregation_time, darknight_inference, darknight_training, gpu_plain_training, sgx_inference,
-    sgx_multithread_latency, sgx_training, slalom_inference, Breakdown,
+    sgx_multithread_latency, sgx_training, slalom_inference,
 };
 use crate::device::DeviceProfile;
-use dk_nn::arch::{mobilenet_v1, mobilenet_v2, resnet50, vgg16, ArchSpec, SpecKind};
+use dk_nn::arch::{mobilenet_v1, mobilenet_v2, resnet50, vgg16, SpecKind};
 
 /// Table 1: per-op GPU-vs-SGX speedups for VGG16 training.
 #[derive(Debug, Clone)]
@@ -321,19 +321,6 @@ pub fn summary(p: &DeviceProfile) -> Summary {
         avg_training_speedup: train.iter().sum::<f64>() / train.len() as f64,
         avg_inference_speedup: inf.iter().sum::<f64>() / inf.len() as f64,
     }
-}
-
-/// Convenience: the breakdowns behind Table 3 / Fig. 5 for external
-/// consumers (benches, docs).
-pub fn training_breakdowns(p: &DeviceProfile) -> Vec<(ArchSpec, Breakdown, Breakdown)> {
-    [vgg16(), resnet50(), mobilenet_v2()]
-        .into_iter()
-        .map(|spec| {
-            let dk = darknight_training(&spec, p, 2, 1, false);
-            let sgx = sgx_training(&spec, p);
-            (spec, dk, sgx)
-        })
-        .collect()
 }
 
 #[cfg(test)]

@@ -11,20 +11,19 @@
 //!   its `max_wait`: on expiry the partial batch dispatches with
 //!   all-zero padded rows (the per-sample quantization scales of
 //!   `DarknightSession::private_inference_per_sample` make padding
-//!   numerically invisible to the real rows). When the pool itself is
-//!   saturated the bounded dispatch queue can still delay an expired
-//!   batch — the deadline bounds aggregation wait, not end-to-end
-//!   latency;
-//! * **priority** — when more than `K` requests are pending (workers
-//!   busy, dispatch backpressured), higher-priority requests board
-//!   first; FIFO within a class. The deadline outranks priority:
-//!   overdue requests board unconditionally first, so a steady
-//!   high-priority stream cannot starve an expired low-priority
-//!   request.
+//!   numerically invisible to the real rows). When every lane is busy
+//!   an expired batch waits for the next free one — the deadline bounds
+//!   the wait for batch-mates, not end-to-end latency;
+//! * **priority** — when more than `K` requests are pending (every lane
+//!   busy), higher-priority requests board first; FIFO within a class.
+//!   The deadline outranks priority: overdue requests board
+//!   unconditionally first, so a steady high-priority stream cannot
+//!   starve an expired low-priority request.
 //!
-//! The aggregator is a pure data structure — the server owns the
-//! threads and channels around it — so every policy above is unit
-//! tested without timing races.
+//! The aggregator is a pure data structure — the server's intake puts
+//! it behind a lock, and the lanes that take batches out of it are the
+//! only threads — so every policy above is unit tested without timing
+//! races.
 
 use crate::request::{Priority, Replier, RequestId};
 use crate::server::lock_unpoisoned;
@@ -43,12 +42,12 @@ pub(crate) struct Pending {
     pub enqueued: Instant,
     /// Latest instant this request may wait unbatched.
     pub deadline: Instant,
-    /// Where the worker routes this request's
+    /// Where the lane routes this request's
     /// [`Response`](crate::request::Response).
     pub reply: Replier,
 }
 
-/// A dispatched virtual batch: up to `k` real entries; workers pad the
+/// A virtual batch a lane took: up to `k` real entries; the lane pads the
 /// remaining `k - entries.len()` rows with zeros and drop them again
 /// before routing responses.
 #[derive(Debug)]
@@ -69,7 +68,7 @@ impl Batch {
         self.entries.len() as f64 / self.k as f64
     }
 
-    /// Number of all-zero rows the worker must add.
+    /// Number of all-zero rows the lane must add.
     pub fn padded_rows(&self) -> usize {
         self.k - self.entries.len()
     }
@@ -102,10 +101,9 @@ impl BatchAggregator {
         Self { k, pending: Vec::new(), seq: 0, spent: Arc::default() }
     }
 
-    /// Number of requests waiting. The server loop compares this
-    /// against its backlog cap: absorption from the ingress queue stops
-    /// while the backlog is at the cap, so admitted-but-undispatched
-    /// work stays bounded under sustained overload.
+    /// Number of requests waiting. The intake compares this against
+    /// its admission bound, so admitted-but-unboarded work stays bounded
+    /// under sustained overload.
     pub fn len(&self) -> usize {
         self.pending.len()
     }
@@ -123,8 +121,8 @@ impl BatchAggregator {
         self.pending.push(p);
     }
 
-    /// The earliest deadline among pending requests — when the server
-    /// must wake even if no new request arrives.
+    /// The earliest deadline among pending requests — when a waiting
+    /// lane must wake even if no new request arrives.
     pub fn next_deadline(&self) -> Option<Instant> {
         self.pending.iter().map(|p| p.deadline).min()
     }

@@ -1,12 +1,17 @@
 //! The autoscale control loop: a controller thread that watches the
-//! pressure signals the serving data plane already publishes (ingress
-//! queue depth, dispatch-queue depth, shed rate) and resizes the worker
-//! pool within `[min_workers, max_workers]`.
+//! pressure signals the serving data plane already publishes (the
+//! intake's depth and the shed count) and resizes the worker pool within
+//! `[min_workers, max_workers]`.
+//!
+//! Pressure is a shed request, or a full batch waiting in the intake
+//! that no free lane has taken: either way the pool is too small for
+//! the traffic. A request waiting for batch-mates under sparse load is
+//! not pressure — a bigger pool would not fill its batch any sooner.
 //!
 //! Scaling **up** spawns a fresh engine lane-set over a new
 //! [`dk_gpu::GpuCluster::fork`] with a never-reused slot seed (mask
 //! streams must stay unique per engine). Scaling **down** *retires* the
-//! newest worker: its lanes stop pulling batches and finish the ones
+//! newest worker: its lanes stop taking batches and finish the ones
 //! they already hold — a retired worker is never
 //! killed, so every admitted request completes and, because per-sample
 //! quantization makes each response independent of its batch-mates and
@@ -18,10 +23,6 @@
 
 use std::time::Duration;
 
-/// Ingress-queue depth at which a tick scales up: any standing queue is
-/// pressure that admission control is about to turn into sheds.
-const QUEUE_HIGH: u64 = 1;
-
 /// Bounds and cadence for the elastic pool.
 #[derive(Debug, Clone)]
 pub struct AutoscaleConfig {
@@ -31,8 +32,8 @@ pub struct AutoscaleConfig {
     pub max_workers: usize,
     /// Controller tick interval.
     pub interval: Duration,
-    /// Consecutive calm ticks (no sheds, empty queues) before one
-    /// worker is retired.
+    /// Consecutive calm ticks (no sheds, no full batch waiting) before
+    /// one worker is retired.
     pub idle_ticks: u32,
 }
 
@@ -68,10 +69,9 @@ impl AutoscaleConfig {
 pub(crate) struct TickSignals {
     /// Requests shed since the last tick.
     pub shed_delta: u64,
-    /// Current ingress-queue occupancy.
-    pub queue_depth: u64,
-    /// Current dispatch-queue occupancy (batches waiting for a worker).
-    pub dispatch_depth: u64,
+    /// At least `K` admitted requests wait in the intake: a full batch
+    /// no free lane has taken.
+    pub full_batch_waits: bool,
 }
 
 /// What the controller decided to do this tick.
@@ -83,27 +83,24 @@ pub(crate) enum ScaleDecision {
 }
 
 /// Pure decision function, separated from the thread so the policy is
-/// unit-testable without a running server: scale up on any shed or a
-/// standing queue, scale down after `idle_ticks` consecutive calm
-/// ticks, hold otherwise. `calm_ticks` is caller-owned hysteresis
-/// state; this function updates it.
+/// unit-testable without a running server: scale up under pressure (a
+/// shed, or a full batch waiting), scale down after `idle_ticks`
+/// consecutive calm ticks, hold otherwise. `calm_ticks` is caller-owned
+/// hysteresis state; this function updates it.
 pub(crate) fn decide(
     cfg: &AutoscaleConfig,
     s: TickSignals,
     active: usize,
     calm_ticks: &mut u32,
 ) -> ScaleDecision {
-    let pressure =
-        s.shed_delta > 0 || s.queue_depth >= QUEUE_HIGH || s.dispatch_depth > 1;
-    if pressure {
+    if s.shed_delta > 0 || s.full_batch_waits {
         *calm_ticks = 0;
         if active < cfg.max_workers {
             return ScaleDecision::Up;
         }
         return ScaleDecision::Hold;
     }
-    let calm = s.queue_depth == 0 && s.dispatch_depth == 0;
-    if calm && active > cfg.min_workers {
+    if active > cfg.min_workers {
         *calm_ticks += 1;
         if *calm_ticks >= cfg.idle_ticks {
             *calm_ticks = 0;
@@ -134,7 +131,7 @@ mod tests {
     #[test]
     fn standing_queue_scales_up() {
         let mut calm = 0;
-        let s = TickSignals { queue_depth: 5, ..Default::default() };
+        let s = TickSignals { full_batch_waits: true, ..Default::default() };
         assert_eq!(decide(&cfg(), s, 2, &mut calm), ScaleDecision::Up);
     }
 

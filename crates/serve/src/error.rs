@@ -12,7 +12,7 @@ use dk_core::DarknightError;
 pub enum ConfigError {
     /// `workers == 0` — a server needs at least one pool worker.
     ZeroWorkers,
-    /// `queue_capacity == 0` — admission control needs a queue.
+    /// `queue_capacity == 0` — admission control needs a bound.
     ZeroQueueCapacity,
     /// `pipeline_lanes == 0` — an engine needs at least one TEE lane.
     ZeroPipelineLanes,
@@ -30,7 +30,7 @@ impl std::fmt::Display for ConfigError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             ConfigError::ZeroWorkers => write!(f, "a server needs at least one worker"),
-            ConfigError::ZeroQueueCapacity => write!(f, "ingress queue needs capacity"),
+            ConfigError::ZeroQueueCapacity => write!(f, "the request queue needs capacity"),
             ConfigError::ZeroPipelineLanes => write!(f, "an engine needs at least one lane"),
             ConfigError::AutoscaleRange { min, max } => write!(
                 f,

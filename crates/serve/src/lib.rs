@@ -9,20 +9,18 @@
 //!
 //! * [`ServerHandle::submit`] accepts individual [`InferenceRequest`]s
 //!   (with priorities and per-request aggregation deadlines) from any
-//!   number of caller threads, behind bounded-queue admission control
-//!   that sheds on overload instead of queueing unboundedly;
-//! * an aggregator thread assembles requests into `K`-sized virtual
-//!   batches — full batches dispatch immediately, and the aggregator
-//!   never holds a request past its deadline: on expiry the partial
-//!   batch dispatches padded with all-zero rows, which are dropped
-//!   again before responses are routed (once the pool itself is
-//!   saturated, the bounded dispatch queue can still delay an expired
-//!   batch until a worker frees up — the deadline bounds aggregation
-//!   wait, not end-to-end latency);
+//!   number of caller threads into one bounded intake, whose admission
+//!   control sheds on overload instead of queueing unboundedly;
 //! * a pool of workers, each owning a [`dk_core::PipelineEngine`] over
-//!   a [`dk_gpu::GpuCluster::fork`] of one shared fleet, executes the
-//!   batches: the engine's TEE lanes pull them off the dispatch queue,
-//!   run them and route the responses themselves;
+//!   a [`dk_gpu::GpuCluster::fork`] of one shared fleet, serves them:
+//!   a free TEE lane takes its own `K`-sized virtual batch out of the
+//!   intake — a full batch as soon as `K` requests wait, and never
+//!   later than a request's deadline: on expiry the partial batch is
+//!   padded with all-zero rows, which are dropped again before
+//!   responses are routed (when every lane is busy, an expired batch
+//!   waits for the next free one — the deadline bounds the wait for
+//!   batch-mates, not end-to-end latency) — runs it and routes the
+//!   responses itself;
 //! * each caller's [`Ticket`] resolves to a [`Response`] carrying the
 //!   output, an [`IntegrityVerdict`], and queue/service timings, and
 //!   [`ServerMetrics`] snapshots the deployment (throughput, p50/p95
@@ -60,6 +58,7 @@
 //! ```
 
 #![forbid(unsafe_code)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 mod aggregator;
 mod autoscale;

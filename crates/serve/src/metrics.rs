@@ -37,7 +37,6 @@ pub(crate) struct MetricsRecorder {
     scale_ups: Counter,
     scale_downs: Counter,
     queue_depth: Gauge,
-    dispatch_depth: Gauge,
     pool_workers: Gauge,
     queue_wait_us: Histogram,
     /// When the latest response was routed, in microseconds (at least
@@ -78,7 +77,6 @@ impl MetricsRecorder {
             scale_ups: c("dk_serve_scale_ups_total"),
             scale_downs: c("dk_serve_scale_downs_total"),
             queue_depth: registry.gauge("dk_serve_queue_depth"),
-            dispatch_depth: registry.gauge("dk_serve_dispatch_depth"),
             pool_workers: registry.gauge("dk_serve_pool_workers"),
             queue_wait_us: registry.histogram("dk_serve_queue_wait_us"),
             last_response_us: AtomicU64::new(0),
@@ -112,27 +110,10 @@ impl MetricsRecorder {
         }
     }
 
-    /// A request entered the ingress queue (gauge pairs with
-    /// [`MetricsRecorder::record_dequeued`]).
-    pub fn record_enqueued(&self) {
-        self.queue_depth.inc();
-    }
-
-    /// The aggregator absorbed a request off the ingress queue.
-    pub fn record_dequeued(&self) {
-        self.queue_depth.dec();
-    }
-
-    /// A batch entered (or left) the dispatch queue. The enter side is
-    /// recorded *before* the (blocking) send so a batch stuck behind a
-    /// full queue still shows up as dispatch pressure.
-    pub fn record_dispatch_enqueued(&self) {
-        self.dispatch_depth.inc();
-    }
-
-    /// A worker lane pulled a batch off the dispatch queue.
-    pub fn record_dispatch_dequeued(&self) {
-        self.dispatch_depth.dec();
+    /// Publishes how many admitted requests wait for a lane (set under
+    /// the intake's lock).
+    pub fn set_queue_depth(&self, n: usize) {
+        self.queue_depth.set(n as i64);
     }
 
     /// Publishes the current pool size (workers still being fed).
@@ -149,14 +130,9 @@ impl MetricsRecorder {
         }
     }
 
-    /// Current ingress-queue occupancy (controller signal).
+    /// Admitted requests no lane has taken yet (controller signal).
     pub fn queue_depth_now(&self) -> u64 {
         self.queue_depth.value().max(0) as u64
-    }
-
-    /// Current dispatch-queue occupancy (controller signal).
-    pub fn dispatch_depth_now(&self) -> u64 {
-        self.dispatch_depth.value().max(0) as u64
     }
 
     /// Total requests shed so far (controller computes deltas).
@@ -383,21 +359,19 @@ mod tests {
     #[test]
     fn elastic_gauges_and_scale_counters() {
         let rec = MetricsRecorder::new();
-        rec.record_enqueued();
-        rec.record_enqueued();
-        rec.record_dequeued();
-        rec.record_dispatch_enqueued();
+        rec.set_queue_depth(2);
+        rec.set_queue_depth(1);
         rec.set_pool_workers(3);
         rec.record_scale(true);
         rec.record_scale(true);
         rec.record_scale(false);
         assert_eq!(rec.queue_depth_now(), 1);
-        assert_eq!(rec.dispatch_depth_now(), 1);
         let m = rec.snapshot();
         assert_eq!(m.pool_workers, 3);
         assert_eq!((m.scale_ups, m.scale_downs), (2, 1));
         let text = rec.render_prometheus();
         assert!(text.contains("dk_serve_pool_workers 3"));
+        assert!(text.contains("dk_serve_queue_depth 1"));
         assert!(text.contains("dk_serve_scale_ups_total 2"));
     }
 

@@ -62,10 +62,9 @@ impl InferenceRequest {
         self
     }
 
-    /// Caps how long the aggregator may hold this request while waiting
-    /// for the virtual batch to fill; on expiry the batch dispatches
-    /// partially filled (padded). Defaults to the server-wide
-    /// `max_batch_wait`.
+    /// Caps how long this request may wait for the virtual batch to
+    /// fill; on expiry the batch dispatches partially filled (padded).
+    /// Defaults to the server-wide `max_batch_wait`.
     pub fn with_max_wait(mut self, max_wait: Duration) -> Self {
         self.max_wait = Some(max_wait);
         self
@@ -129,7 +128,8 @@ impl Response {
 /// Why admission control refused a request.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ShedReason {
-    /// The bounded ingress queue is full (overload).
+    /// `max(K, queue_capacity)` admitted requests already wait for a
+    /// lane (overload).
     QueueFull,
     /// The server is shutting down and no longer accepts work.
     ShuttingDown,
@@ -147,7 +147,7 @@ pub enum ShedReason {
 impl std::fmt::Display for ShedReason {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            ShedReason::QueueFull => write!(f, "ingress queue full"),
+            ShedReason::QueueFull => write!(f, "request queue full"),
             ShedReason::ShuttingDown => write!(f, "server shutting down"),
             ShedReason::NonFiniteInput => write!(f, "input contains non-finite values"),
             ShedReason::WrongShape => write!(f, "input shape does not match the model's"),

@@ -1,16 +1,14 @@
-//! The serving runtime: admission → aggregation → pipelined engine pool
-//! → response routing.
+//! The serving runtime: admission → batch formation on a free lane →
+//! pipelined engine pool → response routing.
 //!
 //! Thread topology (all std, matching the workspace's no-crossbeam
 //! convention):
 //!
 //! ```text
-//! callers ──try_send──▶ ingress (bounded: admission control)
-//!                          │ recv / recv_timeout(next deadline)
-//!                      aggregator thread  [BatchAggregator]
-//!                          │ send (bounded: dispatch backpressure)
-//!                      dispatch queue
-//!                          │ shared Mutex<Receiver> (work stealing)
+//! callers ──admit──▶ Intake  [Mutex<BatchAggregator> + Condvar]
+//!                      (bounded: max(K, queue_capacity) unboarded requests)
+//!                          │ a free lane waits on the condvar and
+//!                          │ leaves with the batch it will run
 //!            ┌─────────────┼─────────────┐
 //!        worker 0      worker 1  …   worker N-1
 //!        (each: PipelineEngine, `pipeline_lanes` TEE lanes)
@@ -18,28 +16,25 @@
 //!            └── per-request reply slot ───┴──▶ Ticket::wait
 //! ```
 //!
-//! Every pool worker owns a [`dk_core::PipelineEngine`] over a
-//! [`GpuCluster::fork`] of one shared fleet, and its `pipeline_lanes`
-//! TEE lane threads are the only threads that touch a batch after the
-//! aggregator formed it. A lane pulls the next batch off the shared
-//! dispatch queue itself, assembles `[K, …]` into its own reused tensor,
-//! runs it on its session over the engine's persistent GPU worker
-//! threads — so one lane encodes batch `t+1` while the fleet computes
-//! batch `t` (§7.1) — and routes the per-request responses itself, in
-//! completion order. Responses are bit-for-bit unchanged from the
-//! sequential path (the engine's determinism guarantee) — per-sample
-//! quantization scales make every answer identical to running that
-//! request alone.
+//! After admission a request meets one thread: the TEE lane that takes
+//! it. Every pool worker owns a [`dk_core::PipelineEngine`] over a
+//! [`GpuCluster::fork`] of one shared fleet. A free lane takes its next
+//! batch out of the shared intake itself — a full batch as soon as `K`
+//! requests wait, a padded one once the earliest deadline has passed —
+//! assembles `[K, …]` into its own reused tensor, runs it on its session
+//! over the engine's persistent GPU worker threads — so one lane encodes
+//! batch `t+1` while the fleet computes batch `t` (§7.1) — and routes the
+//! per-request responses itself, in completion order. Responses are
+//! bit-for-bit unchanged from the sequential path (the engine's
+//! determinism guarantee) — per-sample quantization scales make every
+//! answer identical to running that request alone.
 //!
-//! Backpressure is a chain: busy lanes leave batches in the dispatch
-//! queue, a full dispatch queue blocks the aggregator, a blocked
-//! aggregator stops absorbing once its own backlog reaches the cap (it
-//! never hoards more than `max(K, queue_capacity)` pending requests),
-//! and the bounded ingress then fills — at which point `submit` sheds
-//! instead of queueing unboundedly (the overload policy). Outstanding
-//! admitted work is therefore bounded end to end: a lane pulls only when
-//! it is free to run, so a worker holds at most `pipeline_lanes` batches
-//! between the dispatch queue and the reply.
+//! Backpressure is one bound: a lane takes requests only when it is free
+//! to run them, so busy lanes leave them in the intake, and once
+//! `max(K, queue_capacity)` wait there `submit` sheds instead of queueing
+//! unboundedly (the overload policy). Outstanding admitted work is
+//! therefore bounded end to end: the intake's bound, plus at most
+//! `pipeline_lanes` batches per worker between the intake and the reply.
 
 use crate::aggregator::{Batch, BatchAggregator, Pending};
 use crate::autoscale::{decide, AutoscaleConfig, ScaleDecision, TickSignals};
@@ -55,21 +50,10 @@ use dk_gpu::GpuCluster;
 use dk_linalg::Tensor;
 use dk_nn::Sequential;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{self, RecvTimeoutError, TrySendError};
-use std::sync::{Arc, Mutex};
+use std::sync::mpsc::{self, RecvTimeoutError};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
-
-/// How long a lane waits on an empty dispatch queue between retire-flag
-/// checks. Arrivals wake it immediately; this only bounds how fast a
-/// *quiet* worker notices it was retired.
-const RETIRE_POLL: Duration = Duration::from_millis(5);
-
-/// Batches the bounded dispatch queue between aggregator and pool
-/// holds: a worker that finishes one finds the next waiting, and a full
-/// queue blocks the aggregator, which backs requests up into the
-/// bounded ingress queue, where `submit` sheds.
-const DISPATCH_DEPTH: usize = 2;
 
 /// Deployment parameters for one [`Server`].
 #[derive(Debug, Clone)]
@@ -81,7 +65,8 @@ pub struct ServerConfig {
     pub sample_shape: Vec<usize>,
     /// Session threads in the pool.
     pub workers: usize,
-    /// Bounded ingress queue length; when full, `submit` sheds.
+    /// Admission bound: once `max(K, queue_capacity)` admitted requests
+    /// wait for a lane, `submit` sheds.
     pub queue_capacity: usize,
     /// Default cap on how long a request may wait for its batch to
     /// fill before a padded partial batch dispatches.
@@ -95,7 +80,7 @@ pub struct ServerConfig {
 }
 
 impl ServerConfig {
-    /// A 2-worker pool with a 64-deep ingress queue and a 2 ms
+    /// A 2-worker pool admitting up to 64 waiting requests, with a 2 ms
     /// aggregation deadline.
     pub fn new(session: DarknightConfig, sample_shape: &[usize]) -> Self {
         Self {
@@ -117,8 +102,8 @@ impl ServerConfig {
         self
     }
 
-    /// Sets the ingress queue bound (admission control). Validated at
-    /// [`Server::start`].
+    /// Sets the admission bound (see [`ServerConfig::queue_capacity`]).
+    /// Validated at [`Server::start`].
     pub fn with_queue_capacity(mut self, queue_capacity: usize) -> Self {
         self.queue_capacity = queue_capacity;
         self
@@ -169,18 +154,143 @@ impl ServerConfig {
     }
 }
 
-/// What flows through the ingress channel: requests, or the single
-/// stop signal [`Server::shutdown`] injects.
-enum Ingress {
-    Request(Pending),
-    Stop,
+/// Where admitted requests wait for a lane: the batch policy's pending
+/// set and an open flag behind one lock, and the condvar free lanes wait
+/// on. Callers admit into it; a pool lane takes out the batch it will
+/// run itself.
+///
+/// No lane sleeps through work it has to do. A waiting lane sleeps until
+/// the earliest pending deadline, so admission wakes every waiting lane
+/// when a request brings that deadline forward, and one lane when a
+/// request completes a batch; retiring a worker or closing the intake
+/// wakes them all. A lane that leaves with a batch needs to wake no
+/// one: every other waiting lane's timer is already due no later than
+/// what is left.
+#[derive(Debug)]
+struct Intake {
+    state: Mutex<IntakeState>,
+    wake: Condvar,
+    k: usize,
+    /// Unboarded requests at which admission sheds:
+    /// `max(K, queue_capacity)`.
+    bound: usize,
+    metrics: Arc<MetricsRecorder>,
+}
+
+#[derive(Debug)]
+struct IntakeState {
+    pending: BatchAggregator,
+    /// Cleared by [`Intake::close`]: admission sheds, and the lanes
+    /// serve what is left and exit.
+    open: bool,
+}
+
+impl Intake {
+    fn new(k: usize, queue_capacity: usize, metrics: Arc<MetricsRecorder>) -> Self {
+        Self {
+            state: Mutex::new(IntakeState { pending: BatchAggregator::new(k), open: true }),
+            wake: Condvar::new(),
+            k,
+            bound: queue_capacity.max(k),
+            metrics,
+        }
+    }
+
+    /// Admits a request, or hands it back with the reason it was shed.
+    fn admit(&self, p: Pending) -> Result<(), (ShedReason, Pending)> {
+        let mut s = lock_unpoisoned(&self.state);
+        if !s.open {
+            return Err((ShedReason::ShuttingDown, p));
+        }
+        if s.pending.len() >= self.bound {
+            return Err((ShedReason::QueueFull, p));
+        }
+        let due_first = s.pending.next_deadline().is_none_or(|d| p.deadline < d);
+        s.pending.add(p);
+        let n = s.pending.len();
+        self.metrics.set_queue_depth(n);
+        drop(s);
+        if due_first {
+            // Every waiting lane re-arms its timer.
+            self.wake.notify_all();
+        } else if n.is_multiple_of(self.k) {
+            // Takes remove `K` requests or all of them, so `n` is a
+            // multiple of `K` exactly when this request completed a
+            // batch.
+            self.wake.notify_one();
+        }
+        Ok(())
+    }
+
+    /// A lane's pull: blocks until there is a batch for it — a full one,
+    /// a padded one whose earliest deadline has passed, or, once the
+    /// intake is closed, whatever is left — and takes it. `None` once
+    /// `retire` is set (the pending requests stay for the other lanes)
+    /// or the intake is closed and empty.
+    fn take(&self, retire: &AtomicBool) -> Option<Batch> {
+        let mut s = lock_unpoisoned(&self.state);
+        let batch = loop {
+            if retire.load(Ordering::Acquire) {
+                break None;
+            }
+            let now = Instant::now();
+            let batch = if s.open {
+                s.pending.take_full(now).or_else(|| s.pending.flush_due(now))
+            } else {
+                s.pending.drain()
+            };
+            if batch.is_some() || !s.open {
+                break batch;
+            }
+            s = match s.pending.next_deadline() {
+                Some(d) => {
+                    let wait = d.saturating_duration_since(now);
+                    self.wake.wait_timeout(s, wait).unwrap_or_else(PoisonError::into_inner).0
+                }
+                None => self.wake.wait(s).unwrap_or_else(PoisonError::into_inner),
+            };
+        };
+        self.metrics.set_queue_depth(s.pending.len());
+        drop(s);
+        let batch = batch?;
+        self.metrics.record_batch(batch.entries.len(), batch.padded_rows());
+        Some(batch)
+    }
+
+    /// Sets a worker's retire flag and wakes its waiting lane.
+    fn retire(&self, flag: &AtomicBool) {
+        // Under the lock: a lane checks the flag and starts waiting in
+        // one critical section, so it either sees the flag or is
+        // already waiting when the wake comes.
+        let s = lock_unpoisoned(&self.state);
+        flag.store(true, Ordering::Release);
+        drop(s);
+        self.wake.notify_all();
+    }
+
+    /// Stops admission; the lanes serve every admitted request and exit.
+    fn close(&self) {
+        lock_unpoisoned(&self.state).open = false;
+        self.wake.notify_all();
+    }
+}
+
+/// The callers' hold on the intake: dropping the last [`ServerHandle`]
+/// closes it.
+#[derive(Debug)]
+struct Admission(Arc<Intake>);
+
+impl Drop for Admission {
+    fn drop(&mut self) {
+        self.0.close();
+    }
 }
 
 /// A caller-side handle: cheap to clone, shareable across client
 /// threads. All clones feed the same server.
 #[derive(Debug, Clone)]
 pub struct ServerHandle {
-    ingress: mpsc::SyncSender<Ingress>,
+    intake: Arc<Admission>,
     next_id: Arc<AtomicU64>,
     metrics: Arc<MetricsRecorder>,
     sample_shape: Vec<usize>,
@@ -191,10 +301,10 @@ pub struct ServerHandle {
 
 impl ServerHandle {
     /// Submits a request. On acceptance returns a [`Ticket`] that
-    /// blocks until the response is routed back; on overload (ingress
-    /// queue full), after shutdown, or for an input the model cannot
-    /// take (wrong shape, non-finite values) the request is handed back
-    /// in a [`Shed`].
+    /// blocks until the response is routed back; on overload (the
+    /// admission bound reached), after shutdown, or for an input the
+    /// model cannot take (wrong shape, non-finite values) the request is
+    /// handed back in a [`Shed`].
     pub fn submit(&self, request: InferenceRequest) -> Result<Ticket, Shed> {
         // Reject malformed inputs here, where only the offending caller
         // pays: a request comes from outside, so a wrong shape is an
@@ -229,18 +339,12 @@ impl ServerHandle {
             deadline: now + wait,
             reply,
         };
-        match self.ingress.try_send(Ingress::Request(pending)) {
+        match self.intake.0.admit(pending) {
             Ok(()) => {
                 self.metrics.record_submitted();
-                self.metrics.record_enqueued();
                 Ok(ticket)
             }
-            Err(e) => {
-                let (reason, msg) = match e {
-                    TrySendError::Full(m) => (ShedReason::QueueFull, m),
-                    TrySendError::Disconnected(m) => (ShedReason::ShuttingDown, m),
-                };
-                let Ingress::Request(p) = msg else { unreachable!("submit only sends requests") };
+            Err((reason, p)) => {
                 self.metrics.record_shed();
                 Err(Shed {
                     reason,
@@ -272,7 +376,7 @@ impl ServerHandle {
 struct Pool {
     session: DarknightConfig,
     opts: EngineOptions,
-    dispatch: Arc<Mutex<mpsc::Receiver<Batch>>>,
+    intake: Arc<Intake>,
     metrics: Arc<MetricsRecorder>,
     /// Prototypes and the slot table live behind one lock — the model
     /// prototype owns a scratch [`dk_linalg` workspace] and is only
@@ -310,8 +414,7 @@ impl Pool {
 
     /// Spawns one worker on a fresh slot: a new [`PipelineEngine`] over
     /// a [`GpuCluster::fork`] with a slot-derived session seed (no two
-    /// slots ever share a mask stream), fed from the shared dispatch
-    /// queue.
+    /// slots ever share a mask stream), fed from the shared intake.
     fn spawn_worker(&self) -> Result<(), DarknightError> {
         let mut inner = lock_unpoisoned(&self.inner);
         let slot = inner.next_slot;
@@ -320,13 +423,14 @@ impl Pool {
         let engine =
             PipelineEngine::new(session_cfg, inner.cluster.fork(seed ^ 0x5EED), self.opts)?;
         let retire = Arc::new(AtomicBool::new(false));
-        let rx = self.dispatch.clone();
+        let intake = self.intake.clone();
         let metrics = self.metrics.clone();
         let model = inner.model.clone();
         let flag = retire.clone();
+        #[allow(clippy::expect_used, reason = "documented: a pool without threads cannot serve")]
         let handle = std::thread::Builder::new()
             .name(format!("dk-serve-worker-{slot}"))
-            .spawn(move || worker_loop(engine, model, &rx, &metrics, &flag))
+            .spawn(move || worker_loop(engine, model, &intake, &metrics, &flag))
             .expect("spawn worker thread");
         inner.next_slot = slot + 1;
         inner.active.push(WorkerSlot { retire, handle });
@@ -340,14 +444,14 @@ impl Pool {
     /// to a fixed-size run — per-sample quantization makes each
     /// response independent of which engine serves it) and exits; its
     /// thread is joined at shutdown. Returns `false` when only one
-    /// worker remains (the pool never starves the dispatch queue).
+    /// worker remains (the pool never leaves the intake unserved).
     fn retire_worker(&self) -> bool {
         let mut inner = lock_unpoisoned(&self.inner);
         if inner.active.len() <= 1 {
             return false;
         }
-        let WorkerSlot { retire, handle } = inner.active.pop().expect("len checked above");
-        retire.store(true, Ordering::Release);
+        let Some(WorkerSlot { retire, handle }) = inner.active.pop() else { return false };
+        self.intake.retire(&retire);
         inner.retired.push(handle);
         self.metrics.set_pool_workers(inner.active.len());
         self.metrics.record_scale(false);
@@ -373,8 +477,7 @@ impl Pool {
     }
 
     /// Joins every worker thread, active and retired (shutdown path —
-    /// the dispatch sender must already be dropped or the lanes never
-    /// exit).
+    /// the intake must already be closed or the lanes never exit).
     fn join_all(&self) {
         let (active, retired) = {
             let mut inner = lock_unpoisoned(&self.inner);
@@ -395,13 +498,13 @@ impl Pool {
 /// A running serving deployment (see module docs for the topology).
 ///
 /// Dropping a `Server` without calling [`Server::shutdown`] detaches
-/// its threads; they keep serving outstanding [`ServerHandle`] clones
-/// and exit when the last one is dropped.
+/// its threads; they keep serving outstanding [`ServerHandle`] clones,
+/// and dropping the last one closes the intake: the lanes serve what it
+/// holds and exit.
 #[derive(Debug)]
 pub struct Server {
     /// The prototype handle all caller handles are cloned from.
     handle: ServerHandle,
-    aggregator: JoinHandle<()>,
     pool: Arc<Pool>,
     /// Autoscale controller: dropping the sender stops it.
     controller: Option<(mpsc::Sender<()>, JoinHandle<()>)>,
@@ -418,8 +521,8 @@ impl Server {
     /// engine, `pipeline_lanes` TEE threads stream batches over
     /// persistent per-(simulated-)GPU dispatch threads. With
     /// [`ServerConfig::with_autoscale`], a controller thread resizes
-    /// the pool between `min_workers` and `max_workers` from the queue
-    /// and shed pressure signals.
+    /// the pool between `min_workers` and `max_workers` from the
+    /// waiting-batch and shed pressure signals.
     ///
     /// # Errors
     ///
@@ -433,7 +536,6 @@ impl Server {
         cluster: &GpuCluster,
     ) -> Result<Self, ServeError> {
         config.validate()?;
-        let k = config.session.k();
         // Fail fast on a model whose weights cannot survive Algorithm 1
         // quantization: the engines extract this exact plan inside
         // their workers, and a worker dying there would silently strand
@@ -442,12 +544,12 @@ impl Server {
             .map_err(ServeError::Session)?;
 
         let metrics = Arc::new(MetricsRecorder::new());
-        let (ingress_tx, ingress_rx) = mpsc::sync_channel::<Ingress>(config.queue_capacity);
-        let (dispatch_tx, dispatch_rx) = mpsc::sync_channel::<Batch>(DISPATCH_DEPTH);
+        let intake =
+            Arc::new(Intake::new(config.session.k(), config.queue_capacity, metrics.clone()));
         let pool = Arc::new(Pool {
             session: config.session,
             opts: EngineOptions::default().with_lanes(config.pipeline_lanes),
-            dispatch: Arc::new(Mutex::new(dispatch_rx)),
+            intake: intake.clone(),
             metrics: metrics.clone(),
             inner: Mutex::new(PoolInner {
                 model: model.clone(),
@@ -458,36 +560,26 @@ impl Server {
             }),
         });
 
-        // Build the initial pool before spawning the aggregator, so a
-        // bad session configuration fails fast with no threads to
-        // clean up (the first spawn constructs a full engine and hits
-        // every validation path the rest would).
+        // The first spawn constructs a full engine and hits every
+        // validation path the rest would, so a bad session configuration
+        // fails here, before any caller could have been admitted.
         let initial = match &config.autoscale {
             Some(a) => config.workers.clamp(a.min_workers, a.max_workers),
             None => config.workers,
         };
         for _ in 0..initial {
             if let Err(e) = pool.spawn_worker() {
-                drop(ingress_tx); // lanes exit once dispatch_tx dies below
-                drop(dispatch_tx);
+                intake.close(); // the lanes already spawned exit
                 pool.join_all();
                 return Err(ServeError::Session(e));
             }
         }
 
-        let aggregator = {
-            let metrics = metrics.clone();
-            let backlog_cap = config.queue_capacity.max(k);
-            std::thread::Builder::new()
-                .name("dk-serve-aggregator".into())
-                .spawn(move || aggregate_loop(k, backlog_cap, &ingress_rx, &dispatch_tx, &metrics))
-                .expect("spawn aggregator thread")
-        };
-
         let controller = config.autoscale.map(|auto| {
             let (stop_tx, stop_rx) = mpsc::channel::<()>();
             let pool = pool.clone();
             let metrics = metrics.clone();
+            #[allow(clippy::expect_used, reason = "documented: autoscaling needs its thread")]
             let handle = std::thread::Builder::new()
                 .name("dk-serve-autoscale".into())
                 .spawn(move || controller_loop(&auto, &pool, &metrics, &stop_rx))
@@ -497,14 +589,13 @@ impl Server {
 
         Ok(Self {
             handle: ServerHandle {
-                ingress: ingress_tx,
+                intake: Arc::new(Admission(intake)),
                 next_id: Arc::new(AtomicU64::new(0)),
                 metrics,
                 sample_shape: config.sample_shape,
                 max_batch_wait: config.max_batch_wait,
                 replies: Arc::default(),
             },
-            aggregator,
             pool,
             controller,
         })
@@ -539,34 +630,27 @@ impl Server {
         Ok(self.pool.resize(workers)?)
     }
 
-    /// Stops the server: every request admitted before this call is
+    /// Stops the server: admission closes, every admitted request is
     /// still served (partial batches dispatch padded), the pool is
     /// joined — retired workers included — and the final metrics are
     /// returned.
     ///
-    /// Outstanding [`ServerHandle`] clones remain valid but their
-    /// `submit` sheds with [`ShedReason::ShuttingDown`] once the stop
-    /// signal is processed; a submission racing the stop signal may
-    /// instead be accepted and dropped, in which case its
-    /// [`Ticket::wait`] returns `None`.
+    /// Outstanding [`ServerHandle`] clones remain valid, but their
+    /// `submit` sheds with [`ShedReason::ShuttingDown`]. Admission and
+    /// the close take the same lock, so a submission racing this call
+    /// is either admitted before the close, and then served, or shed:
+    /// its [`Ticket::wait`] never returns `None`.
     pub fn shutdown(self) -> ServerMetrics {
-        let Server { handle, aggregator, pool, controller } = self;
-        // A blocking send: the stop signal queues behind admitted
-        // requests, which is exactly the drain order we want. The
-        // server's own sender is dropped right after, ahead of the
-        // joins.
-        let _ = handle.ingress.send(Ingress::Stop);
-        let ServerHandle { metrics, .. } = handle;
-        // Stop the controller first so it cannot resize a draining
-        // pool, then the aggregator (whose exit drops the dispatch
-        // sender and lets the lanes run dry), then the workers.
+        let Server { handle, pool, controller } = self;
+        pool.intake.close();
+        // Stop the controller so it cannot resize a draining pool, then
+        // join the workers, whose lanes exit once the intake is empty.
         if let Some((stop_tx, h)) = controller {
             drop(stop_tx);
             let _ = h.join();
         }
-        let _ = aggregator.join();
         pool.join_all();
-        metrics.snapshot()
+        handle.metrics.snapshot()
     }
 }
 
@@ -589,8 +673,7 @@ fn controller_loop(
         let shed = metrics.shed_total();
         let signals = TickSignals {
             shed_delta: shed - last_shed,
-            queue_depth: metrics.queue_depth_now(),
-            dispatch_depth: metrics.dispatch_depth_now(),
+            full_batch_waits: metrics.queue_depth_now() >= pool.session.k() as u64,
         };
         last_shed = shed;
         match decide(auto, signals, pool.active_count(), &mut calm_ticks) {
@@ -609,164 +692,39 @@ fn controller_loop(
     }
 }
 
-/// The aggregator thread: blocks on ingress (bounded by the earliest
-/// pending deadline), drains greedily up to `backlog_cap`, dispatches
-/// full batches on the hot path and padded partial batches on deadline
-/// expiry.
-fn aggregate_loop(
-    k: usize,
-    backlog_cap: usize,
-    ingress: &mpsc::Receiver<Ingress>,
-    dispatch: &mpsc::SyncSender<Batch>,
-    metrics: &MetricsRecorder,
-) {
-    let mut agg = BatchAggregator::new(k);
-    let mut open = true;
-    while open {
-        // Wait for the next event: a new request, or the earliest
-        // deadline among pending requests.
-        match agg.next_deadline() {
-            None => match ingress.recv() {
-                Ok(Ingress::Request(p)) => {
-                    metrics.record_dequeued();
-                    agg.add(p);
-                }
-                Ok(Ingress::Stop) | Err(_) => open = false,
-            },
-            Some(d) => {
-                let now = Instant::now();
-                if d > now {
-                    match ingress.recv_timeout(d - now) {
-                        Ok(Ingress::Request(p)) => {
-                            metrics.record_dequeued();
-                            agg.add(p);
-                        }
-                        Ok(Ingress::Stop) | Err(RecvTimeoutError::Disconnected) => open = false,
-                        Err(RecvTimeoutError::Timeout) => {}
-                    }
-                }
-            }
-        }
-        open &= absorb_available(ingress, &mut agg, backlog_cap, metrics);
-        // Hot path: dispatch full batches, re-absorbing arrivals after
-        // every (possibly blocking) send so a high-priority request can
-        // still overtake batches that have not boarded yet.
-        while let Some(batch) = agg.take_full(Instant::now()) {
-            if send_batch(dispatch, batch, metrics).is_err() {
-                return;
-            }
-            open &= absorb_available(ingress, &mut agg, backlog_cap, metrics);
-        }
-        // Deadline path: the oldest pending request is due — dispatch
-        // partially filled (the worker pads).
-        while let Some(batch) = agg.flush_due(Instant::now()) {
-            if send_batch(dispatch, batch, metrics).is_err() {
-                return;
-            }
-            open &= absorb_available(ingress, &mut agg, backlog_cap, metrics);
-        }
-    }
-    // Shutdown drain: every admitted request still gets served.
-    while let Some(batch) = agg.drain() {
-        if send_batch(dispatch, batch, metrics).is_err() {
-            return;
-        }
-    }
-}
-
-/// Non-blocking drain of what is already in the ingress queue, so
-/// bursts form full batches instead of trickling one recv at a time —
-/// but never beyond `backlog_cap` pending requests. The cap is what
-/// makes admission control real: without it, a backpressured
-/// aggregator would keep siphoning the (refilling) bounded ingress
-/// into an unbounded backlog, and `submit` would never shed. Requests
-/// left in the channel simply wait; a full channel sheds at `submit`.
-/// Returns `false` if the stop signal was absorbed.
-fn absorb_available(
-    ingress: &mpsc::Receiver<Ingress>,
-    agg: &mut BatchAggregator,
-    backlog_cap: usize,
-    metrics: &MetricsRecorder,
-) -> bool {
-    while agg.len() < backlog_cap {
-        match ingress.try_recv() {
-            Ok(Ingress::Request(p)) => {
-                metrics.record_dequeued();
-                agg.add(p);
-            }
-            Ok(Ingress::Stop) => return false,
-            Err(_) => break,
-        }
-    }
-    true
-}
-
 /// Locks a mutex, recovering the value if a previous holder panicked.
 /// Everything behind these locks is mutated through single push / pop /
 /// insert / remove calls (no multi-step invariants), so the data is
 /// consistent even after a panicking holder — the poison flag alone must
 /// not take down the rest of the server with the one dead thread.
 pub(crate) fn lock_unpoisoned<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+    m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-fn send_batch(
-    dispatch: &mpsc::SyncSender<Batch>,
-    batch: Batch,
-    metrics: &MetricsRecorder,
-) -> Result<(), ()> {
-    metrics.record_batch(batch.entries.len(), batch.padded_rows());
-    // Recorded before the (possibly blocking) send so a batch stuck
-    // behind a full dispatch queue still reads as dispatch pressure to
-    // the autoscale controller.
-    metrics.record_dispatch_enqueued();
-    // A send error means every worker died (panic); the entries'
-    // reply senders are dropped with the batch and callers observe the
-    // server as gone.
-    dispatch.send(batch).map_err(|_| {
-        metrics.record_dispatch_dequeued();
-    })
-}
-
-/// One pool worker: its [`PipelineEngine`]'s TEE lanes pull batches off
-/// the shared dispatch queue, serve them concurrently (encode of batch
-/// `t+1` under the shadow of GPU work for batch `t`) and route the
-/// per-request responses themselves, in completion order. This thread
-/// only parks until the lanes are done.
+/// One pool worker: its [`PipelineEngine`]'s TEE lanes take batches out
+/// of the shared intake, serve them concurrently (encode of batch `t+1`
+/// under the shadow of GPU work for batch `t`) and route the per-request
+/// responses themselves, in completion order. This thread only parks
+/// until the lanes are done.
 fn worker_loop(
     mut engine: PipelineEngine,
     model: Sequential,
-    dispatch: &Mutex<mpsc::Receiver<Batch>>,
+    intake: &Intake,
     metrics: &MetricsRecorder,
     retire: &AtomicBool,
 ) {
     let k = engine.config().k();
     let integrity = engine.config().integrity();
-    // A lane's pull: the next batch off the dispatch queue, assembled
+    // A lane's pull: the batch it takes out of the intake, assembled
     // into the tensor the lane got last time (`spare`), plus what
-    // `route_batch` needs to answer it.
+    // `route_batch` needs to answer it. Drain-on-retire: once the flag
+    // is up the lanes stop taking and exit; a batch already taken is
+    // still served and routed, so a retired worker is never killed
+    // mid-batch.
     let pull = |spare: Option<Tensor<f32>>| {
-        let batch = loop {
-            // Drain-on-retire: once the flag is up the lanes stop
-            // pulling and exit; a batch already pulled is still served
-            // and routed, so a retired worker is never killed mid-batch.
-            if retire.load(Ordering::Acquire) {
-                return None;
-            }
-            // Holding the lock while blocked on recv is deliberate:
-            // idle lanes and workers queue on the mutex instead of the
-            // channel, and the lock is released the moment a batch (or
-            // disconnect) arrives.
-            match lock_unpoisoned(dispatch).recv_timeout(RETIRE_POLL) {
-                Ok(b) => break b,
-                Err(RecvTimeoutError::Timeout) => {}
-                // Aggregator gone and the queue drained.
-                Err(RecvTimeoutError::Disconnected) => return None,
-            }
-        };
-        metrics.record_dispatch_dequeued();
+        let batch = intake.take(retire)?;
         debug_assert!(!batch.entries.is_empty() && batch.entries.len() <= k);
-        let dispatched_at = Instant::now();
+        let taken_at = Instant::now();
         // Assemble [K, sample...]: real rows first, all-zero padding
         // after. Per-sample quantization scales make the padding
         // numerically invisible to the real rows, and re-zeroing it
@@ -785,15 +743,15 @@ fn worker_loop(
         for i in batch.entries.len()..k {
             x.batch_item_mut(i).fill(0.0);
         }
-        Some((x, (batch, dispatched_at)))
+        Some((x, (batch, taken_at)))
     };
-    let route = |(batch, dispatched_at): (Batch, Instant), outcome, quarantined: &[_]| {
+    let route = |(batch, taken_at): (Batch, Instant), outcome, quarantined: &[_]| {
         metrics.record_quarantined(quarantined.len());
-        route_batch(outcome, batch, dispatched_at, integrity, metrics)
+        route_batch(outcome, batch, taken_at, integrity, metrics)
     };
     // An error is weight quantization failing at plan extraction, which
-    // `Server::start` checked on this very model: nothing was pulled,
-    // and the dispatch queue is left to the other workers.
+    // `Server::start` checked on this very model: nothing was taken,
+    // and the intake is left to the other workers.
     let _ = engine.pump(&model, true, pull, route);
 }
 
@@ -803,13 +761,13 @@ fn worker_loop(
 fn route_batch(
     outcome: BatchOutcome,
     mut batch: Batch,
-    dispatched_at: Instant,
+    taken_at: Instant,
     integrity: bool,
     metrics: &MetricsRecorder,
 ) -> Option<Tensor<f32>> {
-    // Measured from the dispatch-queue pull: queue_wait + service_time
-    // must cover the request's whole journey.
-    let service_time = dispatched_at.elapsed();
+    // Measured from the moment a lane took the batch: queue_wait +
+    // service_time must cover the request's whole journey.
+    let service_time = taken_at.elapsed();
     let fill = batch.fill();
     let served = outcome.output.is_ok();
     let repaired = served && outcome.repaired;
@@ -832,7 +790,7 @@ fn route_batch(
         }
     };
     for (i, p) in batch.entries.drain(..).enumerate() {
-        let queue_wait = dispatched_at.duration_since(p.enqueued);
+        let queue_wait = taken_at.duration_since(p.enqueued);
         metrics.record_response(queue_wait, served, repaired);
         let output = match &outcome.output {
             Ok(y) => Ok(Tensor::from_vec(&y.shape()[1..], y.batch_item(i).to_vec())),
@@ -959,38 +917,6 @@ mod tests {
         }
     }
 
-    /// Regression: a backpressured aggregator must not siphon the
-    /// (refilling) bounded ingress into an unbounded backlog — it
-    /// absorbs only up to the cap and leaves the rest in the channel,
-    /// which is what lets `submit` shed under sustained overload.
-    #[test]
-    fn absorb_respects_the_backlog_cap() {
-        let (tx, rx) = mpsc::sync_channel::<Ingress>(16);
-        let mut agg = BatchAggregator::new(4);
-        for i in 0..10u64 {
-            let (reply, _ticket) = reply_pair(RequestId(i), None);
-            let now = Instant::now();
-            tx.try_send(Ingress::Request(Pending {
-                id: RequestId(i),
-                input: Tensor::zeros(&[2]),
-                priority: Priority::Normal,
-                seq: 0,
-                enqueued: now,
-                deadline: now + Duration::from_secs(1),
-                reply,
-            }))
-            .unwrap();
-        }
-        let metrics = MetricsRecorder::new();
-        assert!(absorb_available(&rx, &mut agg, 6, &metrics), "no stop signal yet");
-        assert_eq!(agg.len(), 6, "absorption stops at the cap");
-        // The rest is still queued in the channel, not hoarded.
-        assert_eq!(rx.try_iter().count(), 4);
-        // A stop signal is reported once the backlog has room again.
-        tx.try_send(Ingress::Stop).unwrap();
-        assert!(!absorb_available(&rx, &mut agg, 12, &metrics));
-    }
-
     /// Regression: a poisoned (non-finite) input must be refused at
     /// admission — admitted, it would abort quantization for the whole
     /// virtual batch and fail its innocent batch-mates.
@@ -1040,7 +966,7 @@ mod tests {
         let handle = server.handle();
         let mut shed = 0;
         let mut tickets = Vec::new();
-        // Far more submissions than the 2-deep ingress can absorb while
+        // Far more submissions than the 2-deep intake can hold while
         // the single worker grinds: some must shed.
         for i in 0..64 {
             match handle.submit(InferenceRequest::new(sample(i))) {
@@ -1051,7 +977,7 @@ mod tests {
                 }
             }
         }
-        assert!(shed > 0, "bounded ingress must shed under overload");
+        assert!(shed > 0, "the bounded intake must shed under overload");
         let m = server.shutdown();
         assert_eq!(m.shed, shed);
         assert_eq!(m.served as usize, tickets.len(), "admitted requests all served");
@@ -1062,8 +988,8 @@ mod tests {
 
     #[test]
     fn priority_rides_earlier_batches() {
-        // One slow worker, K=2, 2-deep dispatch: flood Low requests,
-        // then one High; the High request must overtake the tail.
+        // One slow worker, K=2: flood Low requests, then one High; the
+        // High request must overtake the tail.
         let model = mini_vgg(HW, 4, 79);
         let cfg = DarknightConfig::new(2, 1);
         let cluster = GpuCluster::honest(cfg.workers_required(), 9);
@@ -1192,7 +1118,7 @@ mod tests {
     fn dead_worker_without_recovery_sheds_the_batch_not_the_server() {
         // Fail closed: no recovery → typed GpuFault responses for the
         // affected batch, and the *next* batches still get served (the
-        // worker loop and dispatch queue survive).
+        // worker loop and the intake survive).
         let model = mini_vgg(HW, 4, 84);
         let cfg = DarknightConfig::new(2, 1).with_integrity(true);
         let mut behaviors = vec![Behavior::Honest; cfg.workers_required()];
@@ -1335,15 +1261,15 @@ mod tests {
         assert_eq!(m.pool_workers, 0, "shutdown empties the pool gauge");
     }
 
-    /// Bounded staging: a lane pulls only when it is free to run, so the
-    /// batches that have left the dispatch queue and are not yet routed
-    /// never exceed the lane count. The dispatch queue here is a
-    /// rendezvous channel — a `send` returns exactly when a lane has
-    /// pulled the batch — and `route_batch` sends the replies before the
-    /// lane pulls again, so after the `n`-th send at least `n − lanes`
-    /// batches must already have their reply waiting. The modeled fleet
-    /// latency makes a batch take milliseconds, so anything staged ahead
-    /// of the lanes would show.
+    /// Bounded staging: a lane takes requests only when it is free to
+    /// run them, so the batches a worker has taken and not yet routed
+    /// never exceed the lane count. Each request here is due on arrival
+    /// and is admitted only once the previous one has left the intake,
+    /// so every take is one batch; `route_batch` sends the replies
+    /// before the lane takes again, so after the `n`-th take at least
+    /// `n − lanes` batches must already have their reply waiting. The
+    /// modeled fleet latency makes a batch take milliseconds, so
+    /// anything staged ahead of the lanes would show.
     #[test]
     fn a_worker_never_holds_more_batches_than_lanes() {
         use dk_gpu::LatencyModel;
@@ -1354,12 +1280,11 @@ mod tests {
             .with_latency(Some(LatencyModel { base_ns: 200_000, ns_per_kmac: 0 }));
         let engine =
             PipelineEngine::new(cfg, cluster, EngineOptions::default().with_lanes(LANES)).unwrap();
-        let (tx, rx) = mpsc::sync_channel::<Batch>(0);
-        let dispatch = Mutex::new(rx);
-        let metrics = MetricsRecorder::new();
+        let metrics = Arc::new(MetricsRecorder::new());
+        let intake = Intake::new(cfg.k(), 1, metrics.clone());
         let retire = AtomicBool::new(false);
         std::thread::scope(|scope| {
-            scope.spawn(|| worker_loop(engine, model, &dispatch, &metrics, &retire));
+            scope.spawn(|| worker_loop(engine, model, &intake, &metrics, &retire));
             let mut replies = Vec::new();
             for n in 1..=24usize {
                 let (reply, ticket) = reply_pair(RequestId(n as u64), None);
@@ -1373,17 +1298,135 @@ mod tests {
                     deadline: now,
                     reply,
                 };
-                tx.send(Batch { entries: vec![entry], k: cfg.k(), home: Arc::default() }).unwrap();
+                assert!(intake.admit(entry).is_ok(), "the previous request has left");
+                while metrics.queue_depth_now() > 0 {
+                    std::thread::yield_now();
+                }
                 replies.push((ticket, false));
                 for (ticket, routed) in replies.iter_mut().filter(|(_, routed)| !routed) {
                     *routed = ticket.try_wait().is_some();
                 }
                 let held = replies.iter().filter(|(_, routed)| !routed).count();
-                assert!(held <= LANES, "after pull {n} the worker holds {held} batches");
+                assert!(held <= LANES, "after take {n} the worker holds {held} batches");
             }
-            drop(tx); // queue drained: the lanes finish what they hold and exit
+            intake.close(); // the lanes finish what they hold and exit
         });
         assert_eq!(metrics.snapshot().served, 24);
+    }
+
+    /// The admission bound is `max(K, queue_capacity)` requests no lane
+    /// has taken: with the only lane busy on a slow batch, exactly that
+    /// many are admitted, the next sheds `QueueFull`, and every admitted
+    /// one is served.
+    #[test]
+    fn the_intake_admits_exactly_its_bound_while_the_lane_is_busy() {
+        use dk_gpu::LatencyModel;
+        for (k, capacity) in [(4, 2), (2, 5)] {
+            let model = mini_vgg(HW, 4, 88);
+            let cfg = DarknightConfig::new(k, 1);
+            // Every job sleeps 20 ms: the lane's batch outlasts the
+            // submissions below by orders of magnitude.
+            let cluster = GpuCluster::honest(cfg.workers_required(), 18)
+                .with_latency(Some(LatencyModel { base_ns: 20_000_000, ns_per_kmac: 0 }));
+            let server = Server::start(
+                ServerConfig::new(cfg, &[3, HW, HW])
+                    .with_workers(1)
+                    .with_pipeline_lanes(1)
+                    .with_queue_capacity(capacity)
+                    .with_max_batch_wait(Duration::from_secs(10)),
+                &model,
+                &cluster,
+            )
+            .unwrap();
+            let handle = server.handle();
+            // One full batch occupies the only lane.
+            let submit = |i: usize| handle.submit(InferenceRequest::new(sample(i as u64)));
+            let mut tickets: Vec<Ticket> = (0..k).map(|i| submit(i).unwrap()).collect();
+            while handle.metrics.queue_depth_now() > 0 {
+                std::thread::yield_now();
+            }
+            let bound = capacity.max(k);
+            for i in 0..bound {
+                tickets.push(submit(100 + i).expect("below the bound"));
+            }
+            let shed = submit(99).unwrap_err();
+            assert_eq!(shed.reason, ShedReason::QueueFull, "K={k} capacity={capacity}");
+            let m = server.shutdown();
+            assert_eq!((m.served, m.shed), ((k + bound) as u64, 1));
+            for t in tickets {
+                assert!(t.try_wait().is_some(), "admitted requests are all served");
+            }
+        }
+    }
+
+    /// A submission racing `shutdown` is either admitted before the
+    /// intake closes, and then served, or shed `ShuttingDown`: no
+    /// ticket is ever left without a response.
+    #[test]
+    fn a_submission_racing_shutdown_is_served_or_shed() {
+        let (server, _model, _cfg) = server(2, Duration::from_millis(1));
+        let handle = server.handle();
+        let submitter = std::thread::spawn(move || {
+            let mut tickets = Vec::new();
+            for i in 0.. {
+                match handle.submit(InferenceRequest::new(sample(i))) {
+                    Ok(t) => tickets.push(t),
+                    Err(s) if s.reason == ShedReason::QueueFull => std::thread::yield_now(),
+                    Err(s) => {
+                        assert_eq!(s.reason, ShedReason::ShuttingDown);
+                        break;
+                    }
+                }
+            }
+            tickets
+        });
+        std::thread::sleep(Duration::from_millis(20));
+        let m = server.shutdown();
+        let tickets = submitter.join().unwrap();
+        assert!(!tickets.is_empty());
+        assert_eq!(m.served, tickets.len() as u64, "everything admitted was served");
+        for t in tickets {
+            assert!(t.wait().is_some(), "no admitted request is dropped");
+        }
+    }
+
+    /// Drain-on-retire under sparse arrivals: each request arrives
+    /// alone, and a worker is retired while it waits for batch-mates.
+    /// The retired worker's lanes leave it in the intake, and the
+    /// remaining worker serves it at its deadline, not at shutdown.
+    #[test]
+    fn a_retire_under_sparse_arrivals_strands_no_request() {
+        let (server, model, cfg) = server(1, Duration::from_millis(2));
+        let handle = server.handle();
+        for i in 0..20 {
+            assert_eq!(server.resize_pool(2).unwrap(), 2);
+            let x = sample(i + 200);
+            let ticket = handle.submit(InferenceRequest::new(x.clone())).unwrap();
+            assert_eq!(server.resize_pool(1).unwrap(), 1);
+            let resp = ticket.wait().expect("alive");
+            assert!(resp.queue_wait < Duration::from_secs(1), "stranded: {:?}", resp.queue_wait);
+            let y = resp.output.expect("served");
+            assert_eq!(y.as_slice(), solo_reference(&model, &x, cfg.quant()).as_slice());
+        }
+        let m = server.shutdown();
+        assert_eq!((m.served, m.scale_downs), (20, 20));
+    }
+
+    /// Retiring wakes the worker's waiting lane: with nothing to serve
+    /// and nothing arriving, the retired worker's thread still exits.
+    #[test]
+    fn a_retired_worker_exits_without_waiting_for_traffic() {
+        let (server, _model, _cfg) = server(2, Duration::from_millis(1));
+        // Time for both workers' lanes to reach the intake and wait.
+        std::thread::sleep(Duration::from_millis(300));
+        assert_eq!(server.resize_pool(1).unwrap(), 1);
+        let deadline = Instant::now() + Duration::from_secs(5);
+        let finished = || lock_unpoisoned(&server.pool.inner).retired[0].is_finished();
+        while !finished() && Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        assert!(finished(), "the retired worker is still waiting on an idle intake");
+        server.shutdown();
     }
 
     /// Regression: a request of the wrong shape comes from outside the

@@ -1,12 +1,12 @@
 //! The allocation ratchet of a warm `dk_serve` request, counted
-//! process-wide (aggregator, pool worker, lane and GPU worker threads
-//! included) by a counting global allocator.
+//! process-wide (pool worker, lane and GPU worker threads included) by
+//! a counting global allocator.
 //!
 //! Per request the server allocates exactly the response it hands the
 //! caller — the output tensor's shape and data, which the caller owns
 //! and keeps. Everything else cycles: the reply slot goes back to the
 //! handle's pool when its ticket is done, batch vectors go back to the
-//! aggregator, the assembled `[K, …]` input and the engine's lanes,
+//! intake, the assembled `[K, …]` input and the engine's lanes,
 //! sessions and dispatch rounds are reused from batch to batch.
 
 use dk_core::DarknightConfig;

@@ -32,15 +32,15 @@ fn shared_configuration_types_are_send_and_sync() {
 
 #[test]
 fn request_and_response_types_are_send() {
-    // Cross the caller → aggregator → worker → caller channel chain.
+    // Cross from the caller through the intake to a lane and back.
     assert_send_sync::<InferenceRequest>();
     assert_send_sync::<RequestId>();
     assert_send_sync::<Priority>();
     assert_send_sync::<IntegrityVerdict>();
     assert_send::<Response>();
     assert_send::<Shed>();
-    // A ticket wraps an mpsc receiver: movable to a waiter thread, but
-    // deliberately not shareable between two.
+    // A ticket is one request's reply slot: movable to a waiter
+    // thread.
     assert_send::<Ticket>();
 }
 
