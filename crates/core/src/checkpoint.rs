@@ -290,6 +290,8 @@ fn put_f32s(out: &mut Vec<u8>, vals: &[f32]) {
     }
 }
 
+const TRUNCATED: DarknightError = DarknightError::Checkpoint { reason: "truncated payload" };
+
 struct Cursor<'a> {
     bytes: &'a [u8],
     pos: usize,
@@ -305,7 +307,7 @@ impl Cursor<'_> {
             .pos
             .checked_add(n)
             .filter(|&e| e <= self.bytes.len())
-            .ok_or(DarknightError::Checkpoint { reason: "truncated payload" })?;
+            .ok_or(TRUNCATED)?;
         let s = &self.bytes[self.pos..end];
         self.pos = end;
         Ok(s)
@@ -316,11 +318,11 @@ impl Cursor<'_> {
     }
 
     fn u32(&mut self) -> Result<u32, DarknightError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().expect("sized take")))
+        Ok(u32::from_le_bytes(*self.take(4)?.first_chunk().ok_or(TRUNCATED)?))
     }
 
     fn u64(&mut self) -> Result<u64, DarknightError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().expect("sized take")))
+        Ok(u64::from_le_bytes(*self.take(8)?.first_chunk().ok_or(TRUNCATED)?))
     }
 
     fn f32s(&mut self) -> Result<Vec<f32>, DarknightError> {
@@ -328,7 +330,7 @@ impl Cursor<'_> {
         if n > self.remaining() / 4 {
             // Bound before allocating: each f32 costs 4 bytes, so `n`
             // can never exceed a quarter of the remaining byte count.
-            return Err(DarknightError::Checkpoint { reason: "truncated payload" });
+            return Err(TRUNCATED);
         }
         let mut out = Vec::with_capacity(n);
         for _ in 0..n {

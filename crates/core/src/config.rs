@@ -65,7 +65,7 @@ impl DarknightConfig {
     }
 
     /// Enables fault localization and repair on integrity violations
-    /// (extension beyond the paper — see [`crate::recovery`]). Implies
+    /// (extension beyond the paper — see [`crate::session`]). Implies
     /// nothing unless integrity is also on: without the redundant
     /// equation, violations are never detected in the first place.
     pub fn with_recovery(mut self, on: bool) -> Self {

@@ -414,6 +414,7 @@ impl PipelineEngine {
         // Workers lost mid-run were already quarantined (and repaired
         // around) by the lane sessions; `join` respawns them fresh, so
         // the lost list adds nothing here.
+        #[allow(clippy::expect_used, reason = "documented: the lanes, its only other holders, are gone")]
         let (cluster, _lost) = Arc::try_unwrap(self.dispatcher)
             .expect("dispatcher still shared — a lane outlived its call")
             .join();
@@ -503,6 +504,7 @@ impl PipelineEngine {
                 .iter_mut()
                 .enumerate()
                 .map(|(i, lane)| {
+                    #[allow(clippy::expect_used, reason = "documented: an engine without threads cannot run")]
                     std::thread::Builder::new()
                         .name(format!("{prefix}dk-lane-{i}"))
                         .spawn_scoped(scope, move || {
@@ -655,10 +657,8 @@ impl PipelineEngine {
                 None
             },
         )?;
-        Ok(slots
-            .into_iter()
-            .map(|slot| slot.into_inner().expect("every pulled batch is delivered"))
-            .collect())
+        // `pump` delivers every batch it pulls, so every slot is set.
+        Ok(slots.into_iter().filter_map(OnceLock::into_inner).collect())
     }
 
     // -----------------------------------------------------------------

@@ -52,13 +52,13 @@
 //! ```
 
 #![forbid(unsafe_code)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod checkpoint;
 pub mod config;
 pub mod engine;
 pub mod error;
 pub mod privacy;
-pub mod recovery;
 pub mod reference;
 pub mod scheme;
 pub mod session;

@@ -15,7 +15,7 @@
 //!   tolerance is exactly `M`.
 
 use crate::scheme::EncodingScheme;
-use dk_field::{F25, FieldRng, P25, QuantConfig};
+use dk_field::{F25, FieldRng, P25};
 use dk_gpu::collusion::{noise_cancellation_attack, uniformity_chi_square, AttackOutcome};
 use dk_gpu::GpuCluster;
 
@@ -46,11 +46,10 @@ pub fn gpu_view_chi_square(cluster: &GpuCluster, buckets: usize) -> Option<f64> 
 /// observation's mean distance to the field representatives of the two
 /// candidate inputs. Perfect masking ⇒ advantage ≈ 0.
 pub fn distinguishing_advantage(k: usize, m: usize, n: usize, trials: usize, seed: u64) -> f64 {
-    let quant = QuantConfig::new(8);
     let mut rng = FieldRng::seed_from(seed);
-    let world_value = |b: usize| -> F25 {
-        quant.quantize::<P25>(if b == 0 { 0.0 } else { 0.9 }).expect("in range")
-    };
+    // Each world's quantized representative at `l = 8`: 0 and
+    // `Round(0.9 · 2⁸) = 230`.
+    let world_value = |b: usize| F25::new(if b == 0 { 0 } else { 230 });
     let mut correct = 0usize;
     for t in 0..trials {
         let b = (rng.next_u64() & 1) as usize;
@@ -108,6 +107,7 @@ mod tests {
     use super::*;
     use crate::config::DarknightConfig;
     use crate::session::DarknightSession;
+    use dk_field::QuantConfig;
     use dk_gpu::collusion::chi_square_threshold_999;
     use dk_linalg::Tensor;
     use dk_nn::layers::{Dense, Flatten, Layer};
@@ -153,6 +153,8 @@ mod tests {
 
     #[test]
     fn distinguishing_advantage_is_negligible() {
+        // The adversary's world-1 representative is `+0.9` quantized.
+        assert_eq!(QuantConfig::new(8).quantize::<P25>(0.9).unwrap(), F25::new(230));
         let adv = distinguishing_advantage(2, 1, 64, 400, 33);
         assert!(adv < 0.15, "advantage={adv}");
     }

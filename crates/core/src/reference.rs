@@ -159,21 +159,17 @@ impl LayerExec for QuantizedReference {
         let inputs_q: Vec<Tensor<F25>> = (0..self.k)
             .map(|i| Tensor::from_vec(&sample_shape, xq[i * rest..(i + 1) * rest].to_vec()))
             .collect();
-        let mut y: Option<Tensor<f32>> = None;
+        let mut shape = op.sample_output_shape(x.shape(), &mut [0; 4]).to_vec();
+        shape[0] = self.k;
+        let mut y = self.ws.take_tensor(&shape);
         for (i, xt) in inputs_q.iter().enumerate() {
             let yq = op.forward_job(weights_q.clone(), xt.clone()).execute();
-            let out = y.get_or_insert_with(|| {
-                let mut shape = yq.shape().to_vec();
-                shape[0] = self.k;
-                self.ws.take_tensor(&shape)
-            });
             self.quant.dequantize_product_slice_into(
                 yq.as_slice(),
                 norm_w * norm_x,
-                out.batch_item_mut(i),
+                y.batch_item_mut(i),
             );
         }
-        let mut y = y.expect("k > 0");
         op.add_bias(&mut y, layer.bias().as_slice());
         let ctx = RefCtx { norm_x, norm_w, input_shape: x.shape().to_vec(), weights_q, inputs_q };
         self.ctxs.insert(ordinal, ctx);
@@ -199,20 +195,14 @@ impl LayerExec for QuantizedReference {
         // the session recovers via Σ_j γ_j·Eq_j (Eq. 6).
         let mut sample_shape = dy.shape().to_vec();
         sample_shape[0] = 1;
-        let mut grad_field: Option<Tensor<F25>> = None;
+        let mut grad_field = Tensor::<F25>::zeros(layer.weights().shape());
         for (i, xt) in ctx.inputs_q.iter().enumerate() {
             let dt = Tensor::from_vec(&sample_shape, delta_q.batch_item(i).to_vec());
             let gw_i = op.weight_grad_job(dt, xt.clone()).execute();
-            match &mut grad_field {
-                None => grad_field = Some(gw_i),
-                Some(acc) => {
-                    for (a, &v) in acc.as_mut_slice().iter_mut().zip(gw_i.as_slice()) {
-                        *a += v;
-                    }
-                }
+            for (a, &v) in grad_field.as_mut_slice().iter_mut().zip(gw_i.as_slice()) {
+                *a += v;
             }
         }
-        let grad_field = grad_field.expect("k > 0");
         let mut gw = Tensor::zeros(grad_field.shape());
         self.quant.dequantize_product_slice_into(
             grad_field.as_slice(),

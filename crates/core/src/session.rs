@@ -24,43 +24,47 @@
 //! # A layer pass is one round
 //!
 //! Each offloaded layer makes exactly one dispatch into the backend per
-//! pass — a round, [`GpuExec::execute_round_into`]: the TEE builds every
-//! job the pass needs, sends them together and waits once, so no job of
-//! a layer queues behind the reply to another. Forward, the round is the
-//! `K+M(+1)` encoded jobs and has no addressed part. Backward,
-//! everything depends only on the quantized `δ` and the retained
-//! `LinearCtx`, and the round holds:
+//! pass ([`GpuExec::execute_round_into`]; [`dk_gpu::exec`] has the
+//! contract). Both halves build one `Round` (in `session/round.rs`) and
+//! drive it the same way: jobs → dispatch → shape check and fault fold →
+//! verify → decode → every buffer back to its pool, on every path. What
+//! differs is data the round holds:
 //!
-//! * the `K+M` `*Stored` weight-gradient jobs, one per worker holding a
-//!   forward encoding (§6);
-//! * their check. The paper dedicates the spare worker to "redundant
-//!   computation to verify the results" (§4.5): the spare recomputes one
-//!   TEE-chosen `Eq_{j*}` as an explicit job on the `x̄_{j*}` the TEE
-//!   regenerates from its retained quantized inputs and noise. With
-//!   recovery on, every `Eq_j` is recomputed instead, by the next worker
-//!   round the ring;
-//! * the unencoded data-gradient job (it carries no input information,
-//!   §4.2), twice when integrity is on: to the first and to the last
-//!   worker not convicted of lying.
+//! * the job kind and coefficient block: forward, the `K+M(+1)` encoded
+//!   jobs decoded with `A⁻¹` plus the redundant equation (§4.4);
+//!   backward, the `K+M` `*Stored` weight-gradient jobs (§6) decoded
+//!   with β/γ;
+//! * each positional slot's explicit form: forward the job itself;
+//!   backward the TEE regenerates `x̄_j` from its retained quantized
+//!   inputs and noise;
+//! * whether the workers store the encodings for the backward half;
+//! * the backward round's addressed part. The spare worker recomputes
+//!   one TEE-chosen `Eq_{j*}` on the explicit form, "redundant
+//!   computation to verify the results" (§4.5); with recovery on, every
+//!   `Eq_j` is recomputed instead, by the next worker round the ring. The
+//!   unencoded data-gradient job (it carries no input information, §4.2)
+//!   goes to the first worker not convicted of lying and, with integrity
+//!   on, also to the last.
 //!
-//! Then one fold (`settle`) compares each answer
-//! with its duplicate: equal answers stand, a mismatch aborts the step
-//! or — with recovery — is resolved by the TEE's own recomputation,
-//! which convicts whoever it contradicts.
+//! # Recovery
 //!
-//! Issuing the check concurrently with the jobs it checks concedes
-//! nothing. `j*` comes from the TEE-only `(seed, batch, layer)` stream
-//! and is revealed only to the spot-checker, by the job it receives; the
-//! same tensors are compared with the same equality; the data gradient
-//! is still computed twice. What a sequential check might seem to add —
-//! worker `j*` has already committed to its answer when the checker is
-//! asked — protects nothing: a checker that colludes with worker `j*`
-//! defeats the comparison in either order, by echoing `j*`'s answer, and
-//! a checker that does not collude tells worker `j*` nothing in either
-//! order.
+//! Every disagreement — a missing reply, a failed redundant equation, an
+//! answer against its duplicate — goes through one conviction fold. Equal
+//! answers stand; otherwise the layer fails closed or, with recovery, the
+//! TEE's own recomputation decides and convicts whoever it contradicts. A
+//! convicted worker is sent nothing again; a lost or late one is only
+//! quarantined. `session/round.rs` gives the rationale and what is booked.
 //!
-//! In `dk_obs` terms the wait for all of it is the `Dispatch` span; the
-//! backward `Verify` span covers the comparison only.
+//! Issuing a check concurrently with the job it checks concedes nothing.
+//! `j*` comes from the TEE-only `(seed, batch, layer)` stream and is
+//! revealed only to the spot-checker, by the job it receives. A checker
+//! that colludes with worker `j*` defeats the comparison in either order,
+//! by echoing `j*`'s answer, and one that does not collude tells worker
+//! `j*` nothing in either order.
+//!
+//! In `dk_obs` terms the wait for the replies is the `Dispatch` span, the
+//! backward comparisons the `Verify` span, and forward localization the
+//! `Repair` span inside `Decode`.
 //!
 //! # Execution backends and determinism
 //!
@@ -100,16 +104,19 @@ use crate::engine::StepPlan;
 use crate::error::DarknightError;
 use crate::scheme::EncodingScheme;
 use dk_field::{derive_seed, F25, FieldRng, P25, QuantConfig};
-use dk_gpu::{GpuCluster, GpuError, GpuExec, LinearJob, LinearOp, WorkerId};
-use dk_linalg::coded::MAX_TERMS;
+use dk_gpu::{GpuCluster, GpuExec, LinearJob, LinearOp, WorkerId};
 use dk_linalg::{Tensor, Workspace};
 use dk_nn::layers::{LayerExec, LinearMut};
 use dk_nn::loss::softmax_cross_entropy_into;
 use dk_nn::optim::Sgd;
 use dk_nn::Sequential;
+use dk_obs::Stage;
 use dk_tee::{Enclave, EpcConfig};
+use round::Coefficients;
 use std::collections::HashMap;
 use std::sync::Arc;
+
+mod round;
 
 /// Domain separators for the stateless per-batch seed derivation.
 const DOMAIN_SCHEME: u64 = 0x5343_4845;
@@ -134,9 +141,10 @@ pub struct SessionStats {
     pub integrity_checks: u64,
     /// Elements processed by non-linear TEE ops.
     pub nonlinear_elems: u64,
-    /// Layers whose result set needed a TEE-computed slot (recovery
-    /// mode): a localized lie, a lost worker's row, or the row withheld
-    /// from a convicted worker.
+    /// Recovery-mode TEE interventions: one per layer pass whose result
+    /// set needed a TEE-computed slot (a localized lie, a lost worker's
+    /// row, or the row withheld from a convicted worker), plus one per
+    /// backward check or data gradient the TEE recomputed.
     pub recoveries: u64,
 }
 
@@ -224,10 +232,6 @@ pub struct DarknightSession<X: GpuExec = GpuCluster> {
     /// and no store, and the TEE computes their slot itself. Only ever
     /// grows, by `push` — a prefix is a snapshot.
     convicted: Vec<WorkerId>,
-    /// Slots of the result set in flight whose tensors the TEE computed
-    /// out of `ws`; [`DarknightSession::recycle_results`] returns them
-    /// there instead of to the worker that owns the slot.
-    tee_filled: Vec<usize>,
     /// The session's TEE-side buffer pool: quantization rows, noise
     /// vectors, stacking buffers, decoded rows and float activations
     /// all cycle through it across virtual batches, so the steady state
@@ -309,7 +313,6 @@ impl<X: GpuExec> DarknightSession<X> {
             plan: None,
             quarantined: Vec::new(),
             convicted: Vec::new(),
-            tee_filled: Vec::new(),
             ws: Workspace::new(),
         })
     }
@@ -333,16 +336,6 @@ impl<X: GpuExec> DarknightSession<X> {
         self.give_rows(ctx.inputs_q);
         self.give_rows(ctx.noise);
         self.ws.give_shape(ctx.input_shape);
-    }
-
-    /// Recovers the encoded-input tensors owned by a finished job set
-    /// and returns them (plus the job `Vec` itself) to the buffer pool —
-    /// the other half of the zero-allocation offload round-trip.
-    fn recycle_jobs(&mut self, mut jobs: Vec<LinearJob>) {
-        for job in jobs.drain(..) {
-            job.recycle_into(&mut self.ws);
-        }
-        self.ws.give(jobs);
     }
 
     /// Returns a pass output (from [`DarknightSession::private_forward`]
@@ -477,17 +470,12 @@ impl<X: GpuExec> DarknightSession<X> {
     /// session, so the final batch's encodings must not be left behind.
     pub(crate) fn retire_batch(&mut self) {
         let mut retained = 0usize;
-        let Self { ctxs, ws, .. } = self;
+        let mut ctxs = std::mem::take(&mut self.ctxs);
         for (_, ctx) in ctxs.drain() {
             retained += ctx.enclave_bytes;
-            ws.give_shape(ctx.input_shape);
-            for mut rows in [ctx.inputs_q, ctx.noise] {
-                for r in rows.drain(..) {
-                    ws.give(r);
-                }
-                ws.give(rows);
-            }
+            self.recycle_ctx(ctx);
         }
+        self.ctxs = ctxs;
         let _ = self.enclave.release(retained);
         if !self.stored_ctxs.is_empty() {
             // Split-borrow so the id list can be passed by reference and
@@ -668,52 +656,44 @@ impl<X: GpuExec> DarknightSession<X> {
     // Forward internals
     // -----------------------------------------------------------------
 
-    /// Quantized weights for the layer: from the step plan when one is
-    /// installed (weights are frozen within a step, so the engine
-    /// quantizes them once), freshly computed otherwise. Identical bits
-    /// either way — same floats, same pipeline.
-    fn layer_weights(
-        &self,
-        ordinal: u64,
-        weights: &Tensor<f32>,
-    ) -> Result<(Arc<Tensor<F25>>, f32), DarknightError> {
-        if let Some(planned) = self.plan.as_ref().and_then(|p| p.linear(ordinal)) {
-            return Ok((planned.weights_q.clone(), planned.norm_w));
-        }
-        let (wq_flat, norm_w) = self.cfg.quant().normalize_quantize(weights.as_slice())?;
-        Ok((Arc::new(Tensor::from_vec(weights.shape(), wq_flat)), norm_w))
-    }
-
-    /// The forward offload round of one `op` layer: quantize, mask,
-    /// dispatch, decode, dequantize.
+    /// The session's forward step at offloaded layer `ordinal` of the
+    /// walk: quantize, mask, one `Round` (dispatch, decode, dequantize),
+    /// then the bias on plaintext floats in the TEE. Returns `W ⋆ x + b`,
+    /// each decoded row dequantized by its own scale (`norm_w · norm_x_i`;
+    /// all equal in shared mode).
     ///
-    /// `per_sample` selects the quantization policy for the inputs —
-    /// one shared max-abs scale (training; the backward γ-aggregate
-    /// needs it) vs one scale per row (serving inference). `retain`
-    /// selects whether a backward pass will revisit this layer: when
-    /// set, the encodings are stored on the workers and a
-    /// [`LinearCtx`] is returned; when clear, nothing outlives the
-    /// call and every buffer — encodings, worker outputs, decode rows —
-    /// completes a pool round-trip. Returns `W ⋆ x` on floats — each
-    /// decoded row dequantized by its own scale (`norm_w · norm_x_i`;
-    /// all equal in shared mode) — and the backward context (`retain`
-    /// only).
-    fn offload_forward(
+    /// `per_sample` selects the quantization policy for the inputs — one
+    /// shared max-abs scale (training; the backward γ-aggregate needs it)
+    /// vs one scale per row (serving inference; rows stay numerically
+    /// independent). A training pass with a shared scale retains the
+    /// layer for the backward half: the encodings are stored on the
+    /// workers and a [`LinearCtx`] is kept. Otherwise nothing outlives
+    /// the call and every buffer — encodings, worker outputs, decode rows
+    /// — completes a pool round-trip.
+    fn forward_linear(
         &mut self,
-        layer_id: u64,
+        ordinal: usize,
+        layer: &LinearMut<'_>,
         x: &Tensor<f32>,
-        weights: &Tensor<f32>,
-        op: LinearOp,
+        train: bool,
         per_sample: bool,
-        retain: bool,
-    ) -> Result<(Tensor<f32>, Option<LinearCtx>), DarknightError> {
-        let k = self.cfg.k();
-        let m = self.cfg.m();
-        let ordinal = layer_id - self.ctx_base;
-        let batch = self.batch_index;
-        let quant = self.cfg.quant();
-        let sp = dk_obs::span(dk_obs::Stage::Quantize, batch, ordinal);
-        let (weights_q, norm_w) = self.layer_weights(ordinal, weights)?;
+    ) -> Result<Tensor<f32>, DarknightError> {
+        let layer_id = self.ctx_base + ordinal as u64;
+        let op = LinearOp::new(layer.conv_shape(), layer.weights().shape());
+        let retain = train && !per_sample;
+        let (k, m, quant) = (self.cfg.k(), self.cfg.m(), self.cfg.quant());
+        let (batch, ordinal) = (self.batch_index, ordinal as u64);
+        let sp = dk_obs::span(Stage::Quantize, batch, ordinal);
+        // Quantized weights: from the step plan when one is installed
+        // (weights are frozen within a step, so the engine quantizes them
+        // once), freshly computed otherwise. Identical bits either way.
+        let (weights_q, norm_w) = match self.plan.as_ref().and_then(|p| p.linear(ordinal)) {
+            Some(planned) => (planned.weights_q.clone(), planned.norm_w),
+            None => {
+                let (wq, norm_w) = quant.normalize_quantize(layer.weights().as_slice())?;
+                (Arc::new(Tensor::from_vec(layer.weights().shape(), wq)), norm_w)
+            }
+        };
         let rest: usize = x.shape()[1..].iter().product();
         // Quantization rows come out of the session pool; they are
         // either retained in the backward context (and recycled when it
@@ -737,7 +717,7 @@ impl<X: GpuExec> DarknightSession<X> {
             return Err(e.into());
         }
         drop(sp);
-        let sp = dk_obs::span(dk_obs::Stage::Encode, batch, ordinal);
+        let sp = dk_obs::span(Stage::Encode, batch, ordinal);
         // Per-(batch, layer) derived noise: the masks of batch `b`,
         // layer `l` are a pure function of (seed, b, l), so pipelined
         // lanes draw exactly the masks sequential execution would.
@@ -749,7 +729,7 @@ impl<X: GpuExec> DarknightSession<X> {
         let s_cols = self.scheme.num_encodings();
         let work_bytes = x.len() * 4 + k * rest * 8 + (m + s_cols) * rest * 8;
         let _paged = self.enclave.alloc_paged(work_bytes);
-        let (encodings, mut noise) = if retain {
+        let (mut encodings, noise) = if retain {
             // The backward spot check replays encodings from the stored
             // noise rows, so a training pass still materializes them.
             let mut rows: Vec<Vec<F25>> = self.ws.take_cleared(m);
@@ -758,267 +738,74 @@ impl<X: GpuExec> DarknightSession<X> {
                 nrng.uniform_extend::<P25>(rest, &mut v);
                 rows.push(v);
             }
-            let enc = self.scheme.encode_ws(&inputs_q, &rows, &mut self.ws);
-            (enc, Some(rows))
+            (self.scheme.encode_ws(&inputs_q, &rows, &mut self.ws), rows)
         } else {
             // Inference never revisits the noise: draw it in cache-sized
             // chunks fused straight into the encodings. Identical draw
             // order and count, so bits and RNG stream position match the
             // materialized branch exactly.
-            (self.scheme.encode_fused_ws(&inputs_q, &mut nrng, &mut self.ws), None)
+            (self.scheme.encode_fused_ws(&inputs_q, &mut nrng, &mut self.ws), Vec::new())
         };
         self.stats.encoded_elems += (s_cols * rest) as u64;
-        // The encoded rows (and their outer Vec) are pool-backed; pair
-        // each with a pooled shape — one sample of `x` — so the whole
-        // encoding set becomes tensors without a fresh allocation.
-        let mut enc_tensors: Vec<Tensor<F25>> = self.ws.take_cleared(s_cols);
-        let mut enc_rows = encodings;
-        for row in enc_rows.drain(..) {
-            let mut enc_shape = self.ws.take_shape(x.shape());
-            enc_shape[0] = 1;
-            enc_tensors.push(Tensor::from_parts(enc_shape, row));
-        }
-        self.ws.give(enc_rows);
         // Convicted workers are sent nothing — no store, no job — so
         // their encodings never leave the TEE.
         let sent = s_cols - self.withheld_among(s_cols);
         self.stats.bytes_to_gpus += (sent * rest * 8) as u64;
         drop(sp);
-        let sp = dk_obs::span(dk_obs::Stage::Dispatch, batch, ordinal);
-        if retain {
-            // Only a pass with a backward half needs the workers to hold
-            // the encodings (§6 stored-input reuse); inference skips the
-            // store — and its copy — entirely. The copy is pooled: the
-            // backend hands released encodings back when the batch
-            // retires (`GpuExec::reclaim_stored`).
-            let mut stored: Vec<Tensor<F25>> = self.ws.take_cleared(enc_tensors.len());
-            for t in &enc_tensors {
+        let sp = dk_obs::span(Stage::Dispatch, batch, ordinal);
+        // Each pool-backed encoded row becomes one sample-shaped job
+        // input. Only a pass with a backward half has the workers keep a
+        // (pooled) copy (§6 stored-input reuse); the backend hands
+        // released encodings back when the batch retires
+        // (`GpuExec::reclaim_stored`).
+        let mut stored: Option<Vec<Tensor<F25>>> = retain.then(|| self.ws.take_cleared(s_cols));
+        let mut jobs: Vec<LinearJob> = self.ws.take_cleared(s_cols);
+        for row in encodings.drain(..) {
+            let mut enc_shape = self.ws.take_shape(x.shape());
+            enc_shape[0] = 1;
+            let t = Tensor::from_parts(enc_shape, row);
+            if let Some(stored) = stored.as_mut() {
                 stored.push(self.ws.take_tensor_copy(t.shape(), t.as_slice()));
             }
-            self.cluster.store_encodings_sparse(layer_id, stored, &self.convicted);
-            self.stored_ctxs.push(layer_id);
-        }
-        let mut jobs: Vec<LinearJob> = self.ws.take_cleared(enc_tensors.len());
-        for t in enc_tensors.drain(..) {
             jobs.push(op.forward_job(weights_q.clone(), t));
         }
-        self.ws.give(enc_tensors);
-        self.stats.linear_jobs += sent as u64;
-        let mut results: Vec<dk_gpu::WorkerResult> = self.ws.take_cleared(jobs.len());
-        let mut outputs: Vec<Tensor<F25>> = self.ws.take_cleared(jobs.len());
-        let decoded = (|| {
-            self.cluster
-                .execute_round_into(layer_id, &jobs, &self.convicted, &[], &mut results)
-                .map_err(|fault| DarknightError::GpuFault { layer_id, phase: "forward", fault })?;
-            let mut dims = [0; 4];
-            let expect = op.sample_output_shape(x.shape(), &mut dims);
-            self.fold_faults(layer_id, "forward", expect, results.drain(..), &mut outputs, |s, j| {
-                jobs[j].execute_ws(&mut s.ws)
-            })?;
-            drop(sp);
-            let out_rest: usize = outputs[0].shape().iter().product();
-            self.stats.bytes_from_gpus += (sent * out_rest * 8) as u64;
-            if self.scheme.has_integrity() {
-                self.stats.integrity_checks += 1;
-            }
-            let _sp = dk_obs::span(dk_obs::Stage::Decode, batch, ordinal);
-            let decoded = self.decode_forward_repairing(&jobs, &mut outputs, layer_id)?;
-            Ok((decoded, self.ws.take_shape(outputs[0].shape()), out_rest))
-        })();
-        // Close the round-trip, on the error paths too: worker outputs
-        // return to the worker pools that produced them, TEE-filled
-        // slots and the job encodings to the session's.
-        self.ws.give(results);
-        self.recycle_results(&mut outputs);
-        self.ws.give(outputs);
-        self.recycle_jobs(jobs);
-        let (decoded, mut y_shape, out_rest) = match decoded {
-            Ok(done) => done,
-            Err(e) => {
-                // Don't leak the charged working set on an aborted
-                // batch: serving reuses one session across unboundedly
-                // many batches, so a leak here would grow
-                // `current_bytes` monotonically under attack and turn
-                // every later honest batch into pure paging traffic.
-                let _ = self.enclave.release(work_bytes);
-                self.give_rows(inputs_q);
-                if let Some(rows) = noise.take() {
-                    self.give_rows(rows);
-                }
-                self.ws.give(norms);
-                return Err(e);
-            }
-        };
-        self.stats.decoded_elems += (decoded.len() * out_rest) as u64;
-        // One worker output is one sample's; the layer's is `K` of them.
-        y_shape[0] = k;
-        let mut y = self.ws.take_tensor(&y_shape);
-        self.ws.give_shape(y_shape);
-        for (i, (dec, &norm_x)) in decoded.iter().zip(&norms).enumerate() {
-            quant.dequantize_product_slice_into(dec, norm_w * norm_x, y.batch_item_mut(i));
-        }
-        self.give_rows(decoded);
-        let norm_x0 = norms[0];
+        self.ws.give(encodings);
+        let mut round = self.open_round(layer_id, sp, jobs, Coefficients::Forward, None);
+        round.stored = stored;
+        round.scales.extend(norms.iter().map(|&norm_x| norm_w * norm_x));
+        round.reply_shape.extend_from_slice(op.sample_output_shape(x.shape(), &mut [0; 4]));
+        let norm_x = norms[0];
         self.ws.give(norms);
-        let ctx = if !retain {
-            // Non-retaining passes (inference in either scale mode)
-            // never revisit this layer with a backward spot check, so
-            // the whole working set is released and the
-            // quantization/noise rows go straight back to the pool.
-            self.enclave.release(work_bytes)?;
-            self.give_rows(inputs_q);
-            if let Some(rows) = noise.take() {
-                self.give_rows(rows);
-            }
-            None
-        } else {
-            // Transient working set released; the retained context
-            // (noise + quantized inputs for the backward spot check)
-            // stays charged.
+        let y = self.run_round(round).map(|(y, _)| y);
+        // An aborted batch must not leak its charged working set: serving
+        // reuses one session across unboundedly many batches, so a leak
+        // here would grow `current_bytes` under attack and turn every
+        // later honest batch into paging traffic.
+        let released = if retain && y.is_ok() {
+            // The retained context (noise + quantized inputs for the
+            // backward spot check) stays charged.
             let retained = (m + k) * rest * 8;
-            self.enclave.release(work_bytes.saturating_sub(retained))?;
-            Some(LinearCtx {
-                norm_x: norm_x0,
+            let input_shape = self.ws.take_shape(x.shape());
+            let ctx = LinearCtx {
+                norm_x,
                 norm_w,
-                input_shape: self.ws.take_shape(x.shape()),
+                input_shape,
                 weights_q,
-                noise: noise.take().expect("retaining pass materializes noise"),
+                noise,
                 inputs_q,
                 enclave_bytes: retained,
-            })
+            };
+            self.ctxs.insert(layer_id, ctx);
+            self.enclave.release(work_bytes.saturating_sub(retained))
+        } else {
+            self.give_rows(inputs_q);
+            self.give_rows(noise);
+            self.enclave.release(work_bytes)
         };
-        Ok((y, ctx))
-    }
-
-    /// The one fault fold both offload halves share: drains the
-    /// positional replies of a round into `outputs`, folding per-worker
-    /// faults (loss, timeout, remote refusal, a slot withheld from a
-    /// convicted worker) out on the way. With recovery enabled the TEE
-    /// fills slot `j` itself with `tee_slot(self, j)` — the *explicit*
-    /// form of the job, which it holds or can regenerate — so the decode
-    /// downstream sees a complete, honest result set, and its redundant
-    /// equation still checks all of it. A lost or late worker is
-    /// quarantined on the way. Without recovery the fault is surfaced as
-    /// a fail-closed [`DarknightError::GpuFault`]. A layer with any
-    /// filled slot counts as one recovery. `expect` is the shape every
-    /// one of these replies must have, from the op's geometry: a reply
-    /// of any other shape is such a fault too ([`shape_checked`]), so
-    /// the decode downstream only ever sees rows of the length it
-    /// asserts.
-    fn fold_faults(
-        &mut self,
-        layer_id: u64,
-        phase: &'static str,
-        expect: &[usize],
-        replies: impl Iterator<Item = dk_gpu::WorkerResult>,
-        outputs: &mut Vec<Tensor<F25>>,
-        mut tee_slot: impl FnMut(&mut Self, usize) -> Tensor<F25>,
-    ) -> Result<(), DarknightError> {
-        self.tee_filled.clear();
-        for (j, r) in replies.enumerate() {
-            match shape_checked(r, expect) {
-                Ok(t) => outputs.push(t),
-                Err(fault) if !self.cfg.recovery() => {
-                    return Err(DarknightError::GpuFault { layer_id, phase, fault });
-                }
-                Err(fault) => {
-                    self.book_fault(j, &fault);
-                    let filled = tee_slot(self, j);
-                    outputs.push(filled);
-                    self.tee_filled.push(j);
-                }
-            }
-        }
-        if !self.tee_filled.is_empty() {
-            self.stats.recoveries += 1;
-        }
-        Ok(())
-    }
-
-    /// Books a per-worker fault whose slot the TEE is about to fill: a
-    /// withheld slot is counted against the convicted worker it was
-    /// withheld from; any real fault quarantines its worker (which keeps
-    /// being offered work — see [`dk_gpu::exec`] on why loss and lying
-    /// are routed differently).
-    fn book_fault(&mut self, slot: usize, fault: &GpuError) {
-        let worker = fault.worker().unwrap_or(WorkerId(slot));
-        if !matches!(fault, GpuError::Withheld { .. }) {
-            self.quarantine(worker);
-        } else if dk_obs::enabled() {
-            dk_obs::fleet().worker(worker.0).withheld(1);
-        }
-    }
-
-    /// Returns a result set's tensors to the pools they came from:
-    /// TEE-filled slots to the session workspace, the rest to the
-    /// backend (worker `i` gets `results[i]` back; the emptied shell left
-    /// in a TEE-filled slot recycles as a no-op).
-    fn recycle_results(&mut self, results: &mut Vec<Tensor<F25>>) {
-        for j in self.tee_filled.drain(..) {
-            if let Some(slot) = results.get_mut(j) {
-                self.ws.give_tensor(std::mem::take(slot));
-            }
-        }
-        self.cluster.recycle_outputs(results);
-    }
-
-    /// Decodes forward outputs, routing integrity violations through the
-    /// recovery extension (localize the liars by TEE recomputation,
-    /// repair, convict, re-decode) when it is enabled.
-    fn decode_forward_repairing(
-        &mut self,
-        jobs: &[LinearJob],
-        outputs: &mut Vec<Tensor<F25>>,
-        layer_id: u64,
-    ) -> Result<Vec<Vec<F25>>, DarknightError> {
-        match self.scheme.decode_forward_ws(outputs, layer_id, &mut self.ws) {
-            Ok(d) => Ok(d),
-            Err(violation @ DarknightError::IntegrityViolation { .. }) if self.cfg.recovery() => {
-                let _sp =
-                    dk_obs::span(dk_obs::Stage::Repair, self.batch_index, layer_id - self.ctx_base);
-                let liars = crate::recovery::localize_and_repair(jobs, outputs, &mut self.ws);
-                if liars.is_empty() {
-                    // Detection without a localizable fault should not
-                    // happen with explicit jobs; surface the original.
-                    return Err(violation);
-                }
-                // One recovery per layer, however its slots got filled.
-                if self.tee_filled.is_empty() {
-                    self.stats.recoveries += 1;
-                }
-                for w in liars {
-                    self.convict(w);
-                    self.tee_filled.push(w.0);
-                }
-                self.scheme.decode_forward_ws(outputs, layer_id, &mut self.ws)
-            }
-            Err(e) => Err(e),
-        }
-    }
-
-    /// The session's forward step at offloaded layer `ordinal` of the
-    /// walk: one offload round, then the bias on plaintext floats in the
-    /// TEE. `per_sample` selects the quantization-scale policy: shared
-    /// (training; the backward γ-aggregate needs it) vs one scale per
-    /// row (serving inference; rows stay numerically independent).
-    fn forward_linear(
-        &mut self,
-        ordinal: usize,
-        layer: &LinearMut<'_>,
-        x: &Tensor<f32>,
-        train: bool,
-        per_sample: bool,
-    ) -> Result<Tensor<f32>, DarknightError> {
-        let layer_id = self.ctx_base + ordinal as u64;
-        let op = LinearOp::new(layer.conv_shape(), layer.weights().shape());
-        let retain = train && !per_sample;
-        let (mut y, ctx) =
-            self.offload_forward(layer_id, x, layer.weights(), op, per_sample, retain)?;
+        let mut y = y?;
+        released?;
         op.add_bias(&mut y, layer.bias().as_slice());
         self.stats.nonlinear_elems += y.len() as u64;
-        if let Some(ctx) = ctx {
-            self.ctxs.insert(layer_id, ctx);
-        }
         Ok(y)
     }
 
@@ -1089,46 +876,23 @@ impl<X: GpuExec> DarknightSession<X> {
         push_unique(&mut self.convicted, w);
     }
 
-    /// The explicit form of worker `j`'s `*Stored` job: the TEE
-    /// regenerates `x̄_j` from the retained context (determinism by
-    /// derivation; encodings are row-independent, so one coefficient row
-    /// reproduces it bit for bit) and β-combines `δ` itself, so another
-    /// worker — or the TEE — can compute `Eq_j`.
-    fn explicit_wgrad(
-        &mut self,
-        j: usize,
-        delta_q: &Tensor<F25>,
-        op: LinearOp,
-        ctx: &LinearCtx,
-    ) -> LinearJob {
-        let row = self.scheme.encode_row_ws(j, &ctx.inputs_q, &ctx.noise, &mut self.ws);
-        let mut enc_shape = self.ws.take_shape(&ctx.input_shape);
-        enc_shape[0] = 1;
-        let xbar = Tensor::from_parts(enc_shape, row);
-        let delta = dk_gpu::job::beta_combine(delta_q, self.scheme.beta_row(j), &mut self.ws);
-        op.weight_grad_job(delta, xbar)
-    }
-
     /// The backward offload round of one `op` layer: quantize `δ`, then
-    /// build, dispatch
-    /// and settle **one** round holding everything the layer asks of the
-    /// fleet (see the module docs) — the `K+M` `*Stored` weight-gradient
-    /// jobs, their explicit recomputation on TEE-regenerated encodings,
-    /// and both copies of the unencoded data-gradient job. Returns the
-    /// decoded aggregate weight gradient, `δ`'s scale, and the data
-    /// gradient, all still in the field.
+    /// one `Round` holding everything the layer asks of the fleet (see
+    /// the module docs) — the `K+M` `*Stored` weight-gradient jobs, their
+    /// checks on TEE-regenerated encodings, and both copies of the
+    /// unencoded data-gradient job. Returns the dequantized aggregate
+    /// weight gradient and data gradient.
     fn offload_backward(
         &mut self,
         layer_id: u64,
         dy: &Tensor<f32>,
         op: LinearOp,
         ctx: &LinearCtx,
-    ) -> Result<(Vec<F25>, f32, Homed), DarknightError> {
+    ) -> Result<(Tensor<f32>, Tensor<f32>), DarknightError> {
         let s_sq = self.cfg.k() + self.cfg.m();
         let (batch, ordinal) = (self.batch_index, layer_id - self.ctx_base);
         let (recovery, integrity) = (self.cfg.recovery(), self.scheme.has_integrity());
-        let fail = |fault| DarknightError::GpuFault { layer_id, phase: "backward", fault };
-        let sp = dk_obs::span(dk_obs::Stage::Quantize, batch, ordinal);
+        let sp = dk_obs::span(Stage::Quantize, batch, ordinal);
         let mut dq = self.ws.take_cleared::<F25>(dy.len());
         let norm_d = match self.cfg.quant().normalize_quantize_into(dy.as_slice(), &mut dq) {
             Ok(norm) => norm,
@@ -1140,50 +904,24 @@ impl<X: GpuExec> DarknightSession<X> {
         let dq = Tensor::from_parts(self.ws.take_shape(dy.shape()), dq);
         let delta_q = self.ws.share(dq);
         drop(sp);
-        let sp = dk_obs::span(dk_obs::Stage::Dispatch, batch, ordinal);
-        // 1) The aggregate weight gradient via the encoded scheme.
-        //    Convicted workers are sent nothing; their `Withheld` slots
-        //    are filled below like any other fault.
-        let withheld = self.convicted.clone();
+        let sp = dk_obs::span(Stage::Dispatch, batch, ordinal);
+        // The aggregate weight gradient via the encoded scheme. Convicted
+        // workers are sent nothing; the round fills their slots.
         let mut jobs: Vec<LinearJob> = self.ws.take_cleared(s_sq);
         for j in 0..s_sq {
             let beta = self.ws.take_copy(self.scheme.beta_row(j));
             jobs.push(op.weight_grad_stored_job(delta_q.clone(), beta, layer_id));
         }
-        // 2) Its check: which `Eq_j` get recomputed, and by whom. `j*`
-        //    is derived per (batch, layer) from the TEE-only seed, so it
-        //    is identical whether the batch runs sequentially or on a
-        //    pipeline lane. With recovery on, every `Eq_j` a worker is
-        //    asked for is recomputed by the next worker round the ring
-        //    of those offered work (the TEE where there is none): each
-        //    worker additionally observes one neighbouring encoding — one
-        //    and never two — so an M-tolerant configuration effectively
-        //    tolerates ⌊M/2⌋ colluders in that mode.
-        let mut checked: Vec<(usize, Option<WorkerId>)> = self.ws.take_cleared(s_sq);
-        if integrity && recovery {
-            let offered = |w: &WorkerId| !withheld.contains(w);
-            checked.extend(
-                (0..s_sq)
-                    .filter(|&j| offered(&WorkerId(j)))
-                    .map(|j| (j, (1..s_sq).map(|d| WorkerId((j + d) % s_sq)).find(offered))),
-            );
-        } else if integrity {
-            let jstar = self.layer_rng(DOMAIN_JSTAR, ordinal).index(s_sq);
-            checked.push((jstar, Some(WorkerId(self.cluster.num_workers() - 1))));
-        }
-        let mut check_jobs: Vec<LinearJob> = self.ws.take_cleared(checked.len());
-        for &(j, _) in &checked {
-            check_jobs.push(self.explicit_wgrad(j, &delta_q, op, ctx));
-        }
-        // 3) The data gradient: offloaded unencoded (§4.2 item 2), to the
-        //    first worker not convicted of lying and, when integrity is
-        //    on, also to the last — workers `0` and `K' − 1` on a clean
-        //    fleet. The job carries no secret state, so routing it past
-        //    a convicted worker costs the TEE nothing.
+        let sent = s_sq - self.withheld_among(s_sq);
+        self.stats.bytes_to_gpus += (sent * delta_q.len() * 8) as u64;
+        // The data gradient: offloaded unencoded (§4.2 item 2), to the
+        // first worker not convicted of lying and, when integrity is on,
+        // also to the last — workers `0` and `K' − 1` on a clean fleet.
+        // The job carries no secret state, so routing it past a
+        // convicted worker costs the TEE nothing.
         let (primary, spare) = {
-            let mut healthy = (0..self.cluster.num_workers())
-                .map(WorkerId)
-                .filter(|w| !withheld.contains(w));
+            let mut healthy =
+                (0..self.cluster.num_workers()).map(WorkerId).filter(|w| !self.convicted.contains(w));
             (healthy.next(), healthy.next_back().filter(|_| integrity))
         };
         let dj = op.backward_data_job(
@@ -1191,146 +929,35 @@ impl<X: GpuExec> DarknightSession<X> {
             self.ws.take_tensor_copy(delta_q.shape(), delta_q.as_slice()),
             &ctx.input_shape,
         );
-        let sent = s_sq - self.withheld_among(s_sq);
-        self.stats.linear_jobs += (sent + usize::from(primary.is_some())) as u64;
-        self.stats.bytes_to_gpus += (sent * delta_q.len() * 8) as u64;
-        let mut results: Vec<dk_gpu::WorkerResult> = self.ws.take_cleared(2 * s_sq + 2);
-        let dispatched = {
-            // At most one check per `Eq_j` and two data-gradient copies.
-            let mut extra = [(WorkerId(0), &dj); MAX_TERMS + 2];
-            let mut n_extra = 0;
-            let checks = checked.iter().zip(&check_jobs).filter_map(|(&(_, v), job)| Some((v?, job)));
-            for slot in checks.chain(primary.into_iter().chain(spare).map(|w| (w, &dj))) {
-                extra[n_extra] = slot;
-                n_extra += 1;
-            }
-            self.cluster.execute_round_into(layer_id, &jobs, &withheld, &extra[..n_extra], &mut results)
-        };
-        let mut eqs: Vec<Tensor<F25>> = self.ws.take_cleared(s_sq);
-        let settled = (|| {
-            dispatched.map_err(fail)?;
-            let mut replies = results.drain(..);
-            // Fold out withheld, lost and refusing workers: the TEE
-            // computes their `Eq_j` explicitly.
-            let (w_shape, x_shape) = (ctx.weights_q.shape(), ctx.input_shape.as_slice());
-            let stored = replies.by_ref().take(s_sq);
-            self.fold_faults(layer_id, "backward", w_shape, stored, &mut eqs, |s, j| {
-                let job = s.explicit_wgrad(j, &delta_q, op, ctx);
-                let eq = job.execute_ws(&mut s.ws);
-                job.recycle_into(&mut s.ws);
-                eq
-            })?;
-            let mut reply = |expect: &[usize]| {
-                shape_checked(replies.next().expect("one reply per slot of the round"), expect)
-            };
-            self.stats.bytes_from_gpus += (sent * eqs[0].len() * 8) as u64;
-            drop(sp);
-            let sp = dk_obs::span(dk_obs::Stage::Verify, batch, ordinal);
-            self.stats.integrity_checks += u64::from(integrity);
-            for (&(j, checker), job) in checked.iter().zip(&check_jobs) {
-                let dup = checker.map(|v| (v, reply(w_shape)));
-                if self.settle(layer_id, job, WorkerId(j), &mut eqs[j], dup)? {
-                    self.tee_filled.push(j);
-                }
-            }
-            // The data gradient, and the worker whose pool it came from.
-            let dx = match primary.map(|w| (w, reply(x_shape))) {
-                Some((w, Ok(mut dx))) if integrity => {
-                    let dup = spare.map(|v| (v, reply(x_shape)));
-                    let replaced = self.settle(layer_id, &dj, w, &mut dx, dup)?;
-                    (dx, (!replaced).then_some(w))
-                }
-                Some((w, Ok(dx))) => (dx, Some(w)),
-                Some((_, Err(fault))) if !recovery => return Err(fail(fault)),
-                // A lost primary, or every worker convicted: the TEE's
-                // own result stands, and needs no second opinion.
-                lost => {
-                    if let Some((w, Err(fault))) = lost {
-                        self.quarantine(fault.worker().unwrap_or(w));
-                    }
-                    self.stats.recoveries += 1;
-                    (dj.execute(), None)
-                }
-            };
-            self.stats.bytes_from_gpus += (dx.0.len() * 8) as u64;
-            drop(sp);
-            let _sp = dk_obs::span(dk_obs::Stage::Decode, batch, ordinal);
-            // The decode reads the Eq tensors in place.
-            let grad_field = self.scheme.decode_backward_ws(&eqs, &mut self.ws);
-            self.stats.decoded_elems += grad_field.len() as u64;
-            Ok((grad_field, norm_d, dx))
-        })();
-        // Every buffer goes back to the pool that produced it, on the
-        // error paths too: an aborted step must not drain the pools.
-        results.clear();
-        self.ws.give(results);
-        self.recycle_results(&mut eqs);
-        self.ws.give(eqs);
-        self.recycle_jobs(check_jobs);
-        dj.recycle_into(&mut self.ws);
-        self.ws.give(checked);
-        for job in jobs.drain(..) {
-            job.recycle_decoded_into(&mut self.ws);
+        let coefficients =
+            Coefficients::Backward { delta_q, op, ctx, dx_scale: norm_d * ctx.norm_w };
+        let mut round = self.open_round(layer_id, sp, jobs, coefficients, Some(dj));
+        (round.primary, round.spare) = (primary, spare);
+        // The checks: which `Eq_j` get recomputed, and by whom. `j*` is
+        // derived per (batch, layer) from the TEE-only seed, so it is
+        // identical whether the batch runs sequentially or on a pipeline
+        // lane. With recovery on, every `Eq_j` a worker is asked for is
+        // recomputed by the next worker round the ring of those offered
+        // work (the TEE where there is none): each worker additionally
+        // observes one neighbouring encoding — one and never two — so an
+        // M-tolerant configuration effectively tolerates ⌊M/2⌋ colluders
+        // in that mode.
+        if integrity && recovery {
+            let offered = |w: &WorkerId| !self.convicted.contains(w);
+            round.checked.extend(
+                (0..s_sq)
+                    .filter(|&j| offered(&WorkerId(j)))
+                    .map(|j| (j, (1..s_sq).map(|d| WorkerId((j + d) % s_sq)).find(offered))),
+            );
+        } else if integrity {
+            let jstar = self.layer_rng(DOMAIN_JSTAR, ordinal).index(s_sq);
+            round.checked.push((jstar, Some(WorkerId(self.cluster.num_workers() - 1))));
         }
-        self.ws.give(jobs);
-        self.ws.give_shared(delta_q);
-        settled
-    }
-
-    /// Settles one duplicated job — the single fault / conviction fold of
-    /// the backward round. `answer` came from `worker`; `dup` is what the
-    /// worker asked to recompute the same `job` said, if one was asked.
-    /// Equal answers stand. Otherwise, without recovery the layer fails
-    /// closed; with it the TEE computes the ground truth itself, which
-    /// convicts whoever it contradicts and replaces a wrong `answer`
-    /// (returns `true`: `answer` now comes out of `ws`) — and likewise
-    /// stands in for a checker that was lost or never asked.
-    fn settle(
-        &mut self,
-        layer_id: u64,
-        job: &LinearJob,
-        worker: WorkerId,
-        answer: &mut Tensor<F25>,
-        dup: Option<(WorkerId, dk_gpu::WorkerResult)>,
-    ) -> Result<bool, DarknightError> {
-        let dup = match dup {
-            Some((v, Ok(dup))) if dup == *answer => {
-                self.cluster.recycle_output_of(v, dup);
-                return Ok(false);
-            }
-            Some((_, Ok(dup))) if !self.cfg.recovery() => {
-                let mismatches =
-                    dup.as_slice().iter().zip(answer.as_slice()).filter(|(a, b)| a != b).count();
-                return Err(DarknightError::IntegrityViolation {
-                    layer_id,
-                    phase: "backward",
-                    mismatches,
-                });
-            }
-            Some((_, Err(fault))) if !self.cfg.recovery() => {
-                return Err(DarknightError::GpuFault { layer_id, phase: "backward", fault });
-            }
-            Some((v, Err(fault))) => {
-                self.quarantine(fault.worker().unwrap_or(v));
-                None
-            }
-            Some((v, Ok(dup))) => Some((v, dup)),
-            None => None,
-        };
-        let mut truth = job.execute_ws(&mut self.ws);
-        if let Some((v, dup)) = dup {
-            if truth != dup {
-                self.convict(v);
-            }
-        }
-        let replaced = truth != *answer;
-        if replaced {
-            self.convict(worker);
-            std::mem::swap(answer, &mut truth);
-        }
-        self.ws.give_tensor(truth);
-        self.stats.recoveries += 1;
-        Ok(replaced)
+        // Unscale `∇W` by `norm_d · norm_x`; the 1/K of Eq. 3 is already
+        // folded into the mean-reduced loss gradients.
+        round.scales.push(norm_d * ctx.norm_x);
+        round.reply_shape.extend_from_slice(ctx.weights_q.shape());
+        self.run_round(round)
     }
 
     /// The session's backward step at offloaded layer `ordinal` of the
@@ -1354,48 +981,14 @@ impl<X: GpuExec> DarknightSession<X> {
             return Err(DarknightError::MissingForwardContext { layer_id });
         };
         let offloaded = self.offload_backward(layer_id, dy, op, &ctx);
-        let _ = self.enclave.release(ctx.enclave_bytes);
-        // Dequantize the aggregate `∇W` (unscale by `norm_d · norm_x`;
-        // the 1/K of Eq. 3 is already folded into the mean-reduced loss
-        // gradients, so no extra averaging happens here) and `dx` (by
-        // `norm_d · norm_w`).
-        let grads = offloaded.map(|(grad_field, norm_d, (dx_field, from))| {
-            let q = self.cfg.quant();
-            let mut gw = self.ws.take_tensor::<f32>(ctx.weights_q.shape());
-            q.dequantize_product_slice_into(&grad_field, norm_d * ctx.norm_x, gw.as_mut_slice());
-            self.ws.give(grad_field);
-            let mut dx = self.ws.take_tensor::<f32>(dx_field.shape());
-            q.dequantize_product_slice_into(dx_field.as_slice(), norm_d * ctx.norm_w, dx.as_mut_slice());
-            match from {
-                Some(worker) => self.cluster.recycle_output_of(worker, dx_field),
-                None => self.ws.give_tensor(dx_field),
-            }
-            (gw, dx)
-        });
         // The context retires also when the offload failed, so an
         // aborted step leaks neither its retained bytes nor its buffers.
+        let _ = self.enclave.release(ctx.enclave_bytes);
         self.recycle_ctx(ctx);
-        let (gw, dx) = grads?;
+        let (gw, dx) = offloaded?;
         layer.accumulate_weight_grad(&gw);
         self.ws.give_tensor(gw);
         Ok(dx)
-    }
-}
-
-/// A worker's output and the worker whose pool its buffers belong to
-/// (`None`: the session's own).
-type Homed = (Tensor<F25>, Option<WorkerId>);
-
-/// A reply of any shape but the one its job's geometry dictates is a
-/// fault of the worker that sent it, booked like a lost one
-/// ([`GpuError::Protocol`]): neither the decode nor a duplicate
-/// comparison ever sees it.
-fn shape_checked(reply: dk_gpu::WorkerResult, expect: &[usize]) -> dk_gpu::WorkerResult {
-    match reply {
-        Ok(t) if t.shape() != expect => Err(GpuError::Protocol {
-            detail: format!("reply shaped {:?} where the job's geometry says {expect:?}", t.shape()),
-        }),
-        reply => reply,
     }
 }
 

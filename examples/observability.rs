@@ -125,6 +125,10 @@ fn main() {
     behaviors[crasher] = Behavior::Crash { after: 4 };
     let (crashed, _) = burst("worker-crash burst", &GpuCluster::with_behaviors(&behaviors, 13), cfg);
     assert_eq!(crashed.failed, 0, "crash must be absorbed, not surfaced");
+    // Fault kinds are indexed like `FaultKind`, `WorkerLost` first.
+    let snapshot = obs::fleet().snapshot();
+    let lost = snapshot.iter().find(|w| w.worker == crasher).map_or(0, |w| w.faults[0]);
+    assert!(lost > 0, "the crashed worker must be booked as lost in fleet health");
 
     // ---- global registry scrape (dispatch / recovery counters) -------
     let global = obs::global().render_prometheus();

@@ -1,7 +1,7 @@
 //! A batch the TEE cannot quantize must cost that batch and nothing
 //! else: `DarknightError::Quant` comes back from the first offloaded
 //! layer, every buffer that layer had taken goes back to the session's
-//! pool (`offload_forward` unwinds a finished row, a half-written row
+//! pool (the forward step unwinds a finished row, a half-written row
 //! and the norms), nothing stays charged to the enclave, and the next
 //! honest batch runs exactly as in a session that never saw the bad
 //! one — same output bits, same pool counters.
