@@ -7,7 +7,7 @@
 //! (`dk_field`'s quantize, dequantize and noise draw) against the public
 //! per-element functions that define them. Also measures the staged
 //! engine at its default lane count against the same engine with one
-//! virtual batch in flight, over the same dispatcher-backed fleet, on a
+//! virtual batch in flight, over the same fleet, on a
 //! real multi-layer model (the §7.1 overlap claim) and, with `--alloc`,
 //! the allocation behaviour of steady-state steps via a counting global
 //! allocator. Everything lands in `BENCH_kernels.json` so the kernel
@@ -683,10 +683,10 @@ fn main() {
         },
     );
 
-    // --- pipeline: default lanes vs one lane, same dispatcher -----------
-    // Both sides run the engine over persistent per-worker threads, so
-    // the fleet's workers are busy at once either way; what differs is
-    // how many virtual batches are in flight. The workers simulate GPUs
+    // --- pipeline: default lanes vs one lane, same fleet ----------------
+    // Both sides run the engine; each lane runs its rounds inline on its
+    // own replica of the fleet, so what differs is how many virtual
+    // batches (and so threads) are in flight. The workers simulate GPUs
     // on this host's CPU, so two flavours are measured: `compute-only`
     // (pure host compute — overlap can only pay on a multi-core host)
     // and `modeled-gpu` (workers additionally occupy wall-clock per the

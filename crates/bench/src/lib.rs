@@ -7,8 +7,8 @@
 //! the per-epoch accuracy of both modes side by side.
 //!
 //! [`lanes_training`] / [`lanes_inference`] time the §7.1 overlap: the
-//! same engine over the same dispatcher-backed fleet with one virtual
-//! batch in flight, then with [`EngineOptions::default`] lanes.
+//! same engine over the same fleet with one virtual batch in flight,
+//! then with [`EngineOptions::default`] lanes.
 //! [`PairedRatio`] is the noise rule `dk_bench`'s pipelining gates
 //! judge those by: a median over interleaved pairs, and no verdict at
 //! all on a miss when the pairs disagree by more than the margin
@@ -43,10 +43,10 @@ impl PipelineReport {
 }
 
 /// Runs `run` on an engine with one lane, then with the default lane
-/// count — both dispatcher-backed, so the fleet's `K'` workers are busy
-/// at once either way and the pair differs only in how many virtual
-/// batches are in flight. The one-lane time lands in the report's
-/// `sequential` field.
+/// count. Each lane runs its rounds inline on its own replica of the
+/// fleet, so the pair differs only in how many virtual batches are in
+/// flight; with modeled latency a round waits about one job time either
+/// way. The one-lane time lands in the report's `sequential` field.
 fn one_lane_vs_default<T>(
     cfg: DarknightConfig,
     fleet: &GpuCluster,

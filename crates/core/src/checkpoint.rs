@@ -187,7 +187,7 @@ impl TrainingCheckpoint {
     }
 
     /// Serializes to the sealed-payload byte format (little-endian,
-    /// versioned by [`MAGIC`]).
+    /// versioned by a leading magic number).
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(64 + self.params.len() * 4);
         put_u64(&mut out, MAGIC);

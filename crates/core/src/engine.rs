@@ -8,21 +8,25 @@
 //! workloads — the Algorithm 2 large-batch trainer and `dk_serve`'s
 //! inference workers — rather than a synthetic demo:
 //!
-//! * The GPU fleet is driven through [`dk_gpu::GpuDispatcher`]:
-//!   persistent per-worker OS threads behind bounded queues, fed by
-//!   `submit → Ticket → complete`. Accelerator work proceeds while TEE
-//!   threads do other batches' masking.
+//! * Each lane drives its own [replica](GpuCluster::replica) of the
+//!   fleet: the same worker ids, behaviours and modeled devices, with an
+//!   execution state of its own. A lane runs a round inline, on its own
+//!   thread, right after writing the round's encodings — no thread
+//!   hand-off, no job copy, no reply board per job. Accelerator work of
+//!   one lane proceeds while the other lanes do their batches' masking;
+//!   on a fleet with modeled latency the replicas of a worker share its
+//!   device, so two lanes' jobs on one worker still queue behind each
+//!   other.
 //! * A [`StepPlan`] is extracted from the [`Sequential`] once per step:
 //!   weights are frozen within a step, so their quantization happens
 //!   once instead of once per virtual batch and layer (and into the
 //!   previous call's buffers).
 //! * `lanes` TEE threads stream numbered virtual batches through the
 //!   three stages — encode (quantize + mask), GPU linear ops, decode +
-//!   §4.4 integrity check. While lane A waits on the fleet for batch
+//!   §4.4 integrity check. While lane A runs the fleet's jobs for batch
 //!   `t`, lane B encodes batch `t+1` and lane C decodes batch `t−1`;
-//!   each lane owns a [`DarknightSession`] over a shared
-//!   [`DispatchClient`], so the *same* protocol code runs in both
-//!   modes.
+//!   each lane owns a [`DarknightSession`] over its replica, so the
+//!   *same* protocol code runs in both modes.
 //!
 //! **One lane loop.** Virtual batches are independent, so the lanes are
 //! the only concurrency there is, and every lane — inference, training,
@@ -34,16 +38,16 @@
 //! lane.
 //!
 //! **Lanes outlive a call.** The first call builds each lane — a
-//! session with its warm workspace and dispatch client, and a copy of
-//! the model — and every later call reuses it. Per call a lane takes
+//! session with its warm workspace and fleet replica, and a copy of the
+//! model — and every later call reuses it. Per call a lane takes
 //! the caller's weights and running statistics in place, installs the
 //! call's step plan and the engine's convictions, restarts its enclave
 //! counters (the engine folds per-call deltas), and retires its last
 //! batch before its thread ends, so no stored encoding outlives the
 //! call. Buffers a lane's batches hand the engine — sealed gradient
 //! shards, BatchNorm statistics — go back to that lane's workspace
-//! after aggregation. [`PipelineEngine::into_cluster`] drops the lanes
-//! before it joins the dispatcher.
+//! after aggregation. [`PipelineEngine::into_cluster`] folds every
+//! lane's replica back into the fleet.
 //!
 //! **Numbering is the engine's.** A batch's masks are a pure function of
 //! its number, so a number must never be used twice (§4.1). The engine
@@ -70,8 +74,7 @@ use crate::virtual_batch::{
     SealedGradient,
 };
 use dk_field::{F25, QuantConfig};
-use dk_gpu::dispatch::DispatchClient;
-use dk_gpu::{GpuCluster, GpuDispatcher, WorkerId};
+use dk_gpu::{GpuCluster, WorkerId};
 use dk_linalg::{Tensor, Workspace};
 use dk_nn::layers::Layer;
 use dk_nn::optim::Sgd;
@@ -165,16 +168,12 @@ impl StepPlan {
     }
 }
 
-/// Bounded inbox depth of each persistent GPU worker thread: room for
-/// every job a few lanes' rounds address to one worker, small enough
-/// that a flooded fleet backpressures the encoders.
-const GPU_QUEUE_DEPTH: usize = 8;
-
 /// Tuning knobs for the pipelined engine.
 #[derive(Debug, Clone, Copy)]
 pub struct EngineOptions {
-    /// In-flight virtual batches / TEE stage threads. 1 disables
-    /// overlap (still dispatcher-backed).
+    /// In-flight virtual batches: TEE lane threads, each driving its own
+    /// replica of the fleet. 1 disables overlap: one thread runs every
+    /// batch and every round in turn.
     pub lanes: usize,
 }
 
@@ -208,12 +207,12 @@ pub struct BatchOutcome {
     pub repaired: bool,
 }
 
-/// One TEE lane: a session over the shared dispatcher and the lane's
-/// own copy of the model.
+/// One TEE lane: a session over the lane's replica of the fleet and
+/// the lane's own copy of the model.
 #[derive(Debug)]
 struct Lane {
     index: usize,
-    session: DarknightSession<DispatchClient>,
+    session: DarknightSession<GpuCluster>,
     model: Sequential,
 }
 
@@ -261,7 +260,9 @@ pub struct PipelineEngine {
     cfg: DarknightConfig,
     epc: EpcConfig,
     opts: EngineOptions,
-    dispatcher: Arc<GpuDispatcher>,
+    /// The fleet the lanes replicate; it takes their state back in
+    /// [`PipelineEngine::into_cluster`].
+    fleet: GpuCluster,
     /// Aggregation enclave: shares the lane enclaves' code identity, so
     /// it unseals their Algorithm 2 gradient shards.
     tee: Enclave,
@@ -287,8 +288,9 @@ pub struct PipelineEngine {
 }
 
 impl PipelineEngine {
-    /// Builds an engine over the fleet: moves the workers onto
-    /// persistent dispatcher threads.
+    /// Builds an engine over the fleet. No thread starts here: a call
+    /// starts its lanes, and the first call builds each lane's replica
+    /// of the fleet.
     ///
     /// # Errors
     ///
@@ -326,7 +328,7 @@ impl PipelineEngine {
             cfg,
             epc,
             opts,
-            dispatcher: Arc::new(cluster.into_dispatcher(GPU_QUEUE_DEPTH)),
+            fleet: cluster,
             tee: Enclave::new(epc, b"darknight-enclave-v1"),
             next_batch: 0,
             stats: SessionStats::default(),
@@ -400,35 +402,24 @@ impl PipelineEngine {
         Ok(self.tee.unseal(blob)?)
     }
 
-    /// Stops the dispatcher threads and returns the fleet with all
-    /// accumulated worker state.
-    ///
-    /// # Panics
-    ///
-    /// Panics if lane threads are still running (they run only inside
-    /// a call, so this cannot happen between calls).
+    /// Returns the fleet with every lane replica's state folded in: per
+    /// worker the jobs and MACs the lanes ran, what they observed and
+    /// any encoding they still hold (none between calls: a lane retires
+    /// its last batch before its thread ends).
     pub fn into_cluster(mut self) -> GpuCluster {
-        // The lane sessions hold clients of the dispatcher: they go
-        // first (each retires its last batch on drop).
-        self.lanes.clear();
-        // Workers lost mid-run were already quarantined (and repaired
-        // around) by the lane sessions; `join` respawns them fresh, so
-        // the lost list adds nothing here.
-        #[allow(clippy::expect_used, reason = "documented: the lanes, its only other holders, are gone")]
-        let (cluster, _lost) = Arc::try_unwrap(self.dispatcher)
-            .expect("dispatcher still shared — a lane outlived its call")
-            .join();
-        cluster
+        for lane in &mut self.lanes {
+            self.fleet.absorb(lane.session.cluster_mut());
+        }
+        self.fleet
     }
 
-    fn lane_session(&self) -> Result<DarknightSession<DispatchClient>, DarknightError> {
+    fn lane_session(&self, index: usize) -> Result<DarknightSession<GpuCluster>, DarknightError> {
         let lane_epc =
             EpcConfig::with_capacity(self.epc.capacity_bytes / self.opts.lanes.max(1));
-        let mut lane = DarknightSession::with_backend(
-            self.cfg,
-            DispatchClient::new(self.dispatcher.clone()),
-            lane_epc,
-        )?;
+        // A replica's worker RNGs are a function of the engine seed and
+        // the lane, so a rerun makes the same corruptions.
+        let seed = self.cfg.seed() ^ (index as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        let mut lane = DarknightSession::with_backend(self.cfg, self.fleet.replica(seed), lane_epc)?;
         lane.seed_convictions(&self.convicted);
         Ok(lane)
     }
@@ -443,8 +434,8 @@ impl PipelineEngine {
     /// gradient sums) must run in.
     ///
     /// **Lanes outlive a call.** The sessions, with their warm
-    /// workspaces and dispatch clients, and the model copies are built
-    /// by the first call and kept. What a lane resets per call:
+    /// workspaces and fleet replicas, and the model copies are built by
+    /// the first call and kept. What a lane resets per call:
     /// - its model copy takes the caller's weights and running
     ///   statistics in place ([`Sequential::copy_state_from`]);
     /// - its session installs this call's [`StepPlan`] and is seeded
@@ -480,7 +471,7 @@ impl PipelineEngine {
         // nothing to unwind, and `Sequential` is `Send` but not `Sync`.
         while self.lanes.len() < self.opts.lanes {
             let index = self.lanes.len();
-            let lane = Lane { index, session: self.lane_session()?, model: model.clone() };
+            let lane = Lane { index, session: self.lane_session(index)?, model: model.clone() };
             self.lanes.push(lane);
         }
         for Lane { session, model: copy, .. } in &mut self.lanes {
@@ -510,7 +501,7 @@ impl PipelineEngine {
                         .spawn_scoped(scope, move || {
                             let report = body(lane);
                             // Nothing of this call stays referenced: no
-                            // stored encoding on the workers, no planned
+                            // stored encoding on the replica, no planned
                             // tensor (the next call re-quantizes in place).
                             lane.session.retire_batch();
                             lane.session.set_step_plan(None);
@@ -556,8 +547,8 @@ impl PipelineEngine {
     // -----------------------------------------------------------------
 
     /// Serves a stream of virtual batches on `lanes` concurrent TEE
-    /// threads over the shared dispatcher. Every lane runs the same
-    /// loop until `source` returns `None`: pull, run, deliver.
+    /// threads, each over its own fleet replica. Every lane runs the
+    /// same loop until `source` returns `None`: pull, run, deliver.
     ///
     /// * `source(spare)` yields the next `[K, ...]` batch plus a ticket
     ///   (whatever the caller needs to recognize the answer). `spare` is
@@ -806,6 +797,10 @@ mod tests {
     /// lanes, not of how many calls were made: the same batches run five
     /// times over report the peak of running them once, while the
     /// allocation counter keeps counting.
+    ///
+    /// A call's peak sums the peaks of the lanes that ran a batch, so
+    /// every call must give both lanes one: each lane holds its first
+    /// batch's delivery until the other lane has delivered one too.
     #[test]
     fn peak_epc_does_not_grow_with_the_number_of_calls() {
         let cfg = DarknightConfig::new(2, 1).with_integrity(true);
@@ -815,8 +810,25 @@ mod tests {
         let run = |calls: usize| {
             let fleet = GpuCluster::honest(cfg.workers_required(), 12);
             let mut engine = PipelineEngine::new(cfg, fleet, EngineOptions::default()).unwrap();
+            assert_eq!(engine.opts.lanes, 2);
             for _ in 0..calls {
-                engine.infer_batches(&m, &inputs, false).unwrap();
+                let both_lanes = std::sync::Barrier::new(2);
+                let mut stream = inputs.iter().enumerate();
+                engine
+                    .pump(
+                        &m,
+                        false,
+                        |_spare| stream.next().map(|(i, x)| (x, i)),
+                        |i, outcome, _| {
+                            // Batches 0 and 1 are each lane's first.
+                            if i < 2 {
+                                both_lanes.wait();
+                            }
+                            outcome.output.unwrap();
+                            None
+                        },
+                    )
+                    .unwrap();
             }
             engine.enclave_stats()
         };
@@ -846,7 +858,36 @@ mod tests {
         let _ = engine.infer_batches(&m, &[x], false).unwrap();
         assert!(engine.stats().linear_jobs > 0);
         let cluster = engine.into_cluster();
-        assert!(cluster.total_macs() > 0, "worker state must survive the dispatcher");
+        assert!(cluster.total_macs() > 0, "worker state must survive the lanes");
+    }
+
+    /// Every lane's replica folds back: after a 2-lane training call the
+    /// fleet holds, per worker, the jobs and MACs a sequential session
+    /// runs on the same fleet and batches.
+    #[test]
+    fn into_cluster_folds_every_lane_replica() {
+        let cfg = DarknightConfig::new(2, 1).with_integrity(true).with_seed(9);
+        let fleet = GpuCluster::honest(cfg.workers_required(), 33);
+        let m = model(10);
+        let (v_count, k) = (8, cfg.k());
+        let x = Tensor::from_fn(&[v_count * k, 2, 3, 3], |i| (i % 11) as f32 * 0.1 - 0.5);
+        let labels: Vec<usize> = (0..v_count * k).map(|i| i % 3).collect();
+        let per_worker = |cluster: &GpuCluster| -> Vec<(u64, u64)> {
+            cluster.workers().iter().map(|w| (w.jobs_executed(), w.macs_executed())).collect()
+        };
+
+        let mut trainer = crate::virtual_batch::LargeBatchTrainer::new(
+            DarknightSession::new(cfg, fleet.fork(1)).unwrap(),
+            64,
+        );
+        trainer.train_large_batch(&mut m.clone(), &x, &labels, &mut Sgd::new(0.1)).unwrap();
+        let sequential = per_worker(trainer.session().cluster());
+        assert!(sequential.iter().all(|&(jobs, macs)| jobs > 0 && macs > 0));
+
+        let opts = EngineOptions::default().with_lanes(2);
+        let mut engine = PipelineEngine::new(cfg, fleet.fork(2), opts).unwrap();
+        engine.train_large_batch(&mut m.clone(), &x, &labels, &mut Sgd::new(0.1), 64).unwrap();
+        assert_eq!(per_worker(&engine.into_cluster()), sequential);
     }
 
     /// Freshness under concurrency (§4.1). Outputs cannot catch a batch
@@ -901,9 +942,9 @@ mod tests {
         }
     }
 
-    /// Regression: lane sessions must retire their final batch on drop —
-    /// the dispatcher workers are persistent, so a leaked context would
-    /// accumulate activation-sized encodings on every engine call.
+    /// Regression: lanes must retire their final batch — a lane's fleet
+    /// replica outlives the call, so a leaked context would accumulate
+    /// activation-sized encodings on every engine call.
     #[test]
     fn retired_lanes_leave_no_stored_encodings_behind() {
         let cfg = DarknightConfig::new(2, 1);

@@ -78,10 +78,10 @@
 //!
 //! The session is generic over a [`GpuExec`] backend. With the default
 //! [`GpuCluster`] it is the **sequential reference**: one virtual batch
-//! in flight, blocking dispatch. The pipelined engine
-//! ([`crate::engine`]) runs the *same* session code over a
-//! [`dk_gpu::DispatchClient`], with several numbered batches in flight
-//! on different TEE lanes.
+//! in flight, rounds run inline. The pipelined engine
+//! ([`crate::engine`]) runs the *same* session code on several TEE
+//! lanes, each over its own [replica](GpuCluster::replica) of the
+//! fleet, with several numbered batches in flight at once.
 //!
 //! What makes the two modes bit-for-bit identical is that **all
 //! per-batch randomness is derived statelessly**: batch `b` of a session
@@ -269,9 +269,9 @@ impl DarknightSession<GpuCluster> {
 }
 
 impl<X: GpuExec> DarknightSession<X> {
-    /// Creates a session over an arbitrary execution backend (the
-    /// pipelined engine builds its TEE lanes this way, sharing one
-    /// [`dk_gpu::GpuDispatcher`] across lanes).
+    /// Creates a session over an arbitrary execution backend: a
+    /// [`dk_gpu::DispatchClient`], a [`dk_gpu::TcpFleet`], or a fleet
+    /// replica (the pipelined engine builds its TEE lanes this way).
     ///
     /// # Errors
     ///
@@ -465,9 +465,9 @@ impl<X: GpuExec> DarknightSession<X> {
 
     /// Retires the installed batch: drops per-layer contexts, releases
     /// their retained enclave bytes and the backend-stored encodings.
-    /// Also runs on drop — a pipelined lane's backend (the shared
-    /// dispatcher with its persistent workers) outlives the lane
-    /// session, so the final batch's encodings must not be left behind.
+    /// Also runs on drop — a backend can outlive the session (a shared
+    /// dispatcher with its persistent workers), so the final batch's
+    /// encodings must not be left behind.
     pub(crate) fn retire_batch(&mut self) {
         let mut retained = 0usize;
         let mut ctxs = std::mem::take(&mut self.ctxs);

@@ -1,11 +1,12 @@
-//! What the protocol round books and refuses: per-worker fault kinds and
-//! backward convictions reach `dk_obs`'s fleet health, and a backend that
-//! appends fewer replies than the round has slots is a typed fault, not a
-//! panic.
+//! What the protocol round books and refuses: per-worker occupancy, fault
+//! kinds and backward convictions reach `dk_obs`'s fleet health, and a
+//! backend that appends fewer replies than the round has slots is a
+//! typed fault, not a panic.
 //!
 //! Runs as its own integration binary: the fleet health table and the
-//! observability switch are process-global. Each test books onto workers
-//! no other test here touches.
+//! observability switch are process-global. Each test books its faults
+//! onto workers no other test here touches; occupancy, which every test
+//! books, is read as increases.
 
 use dk_core::{DarknightConfig, DarknightError, DarknightSession};
 use dk_field::F25;
@@ -68,6 +69,28 @@ fn a_crashed_worker_is_booked_as_lost() {
     assert!(session.quarantined().contains(&WorkerId(crasher)));
     // Faults are indexed like `FaultKind`, `WorkerLost` first.
     assert!(health(crasher).faults[0] > 0, "{}", dk_obs::fleet().render_table());
+}
+
+/// With `dk_obs` on, a session over the inline `GpuCluster` books each
+/// job's occupancy on the health cell of the worker that ran it, as the
+/// dispatcher's worker threads do. (Other tests here book onto the same
+/// workers, so this one reads increases.)
+#[test]
+fn an_inline_round_books_every_workers_occupancy() {
+    dk_obs::enable();
+    let booked = |snapshot: &[dk_obs::WorkerHealth], worker: usize| {
+        snapshot.iter().find(|w| w.worker == worker).map_or((0, 0), |w| (w.jobs, w.busy_ns))
+    };
+    let before = dk_obs::fleet().snapshot();
+    let mut session = DarknightSession::new(cfg(false), GpuCluster::honest(4, 9)).unwrap();
+    session.private_inference(&mut model(), &input()).unwrap();
+    for w in session.cluster().workers() {
+        let (jobs, busy_ns) = booked(&before, w.id().0);
+        let now = health(w.id().0);
+        assert!(w.jobs_executed() > 0, "the round used {}", w.id());
+        assert!(now.jobs >= jobs + w.jobs_executed(), "{}", dk_obs::fleet().render_table());
+        assert!(now.busy_ns > busy_ns, "{}", dk_obs::fleet().render_table());
+    }
 }
 
 #[test]

@@ -197,13 +197,14 @@ fn warm_dispatch_client_inference_with_a_convicted_worker_allocates_nothing() {
 
 /// A warm pipelined Algorithm 2 step (`V = 4` virtual batches over two
 /// lanes) stays under a small process-wide bound. Lanes, their
-/// workspaces and model copies outlive the call; job copies, worker
+/// workspaces, fleet replicas and model copies outlive the call; worker
 /// outputs, stored encodings, sealed shards and BatchNorm statistics
 /// all return to the pools they came from. What remains is per call:
 /// the two lane threads (spawn, name) and the vectors that carry the
-/// lanes' reports and the step's report back — measured at 27–28 per
-/// step (2-vCPU x86-64). Warm means the workers' adversary-view record has
-/// filled and turned over once.
+/// lanes' reports and the step's report back — measured at 25–26 per
+/// step (2-vCPU x86-64). Warm means every replica's adversary-view
+/// record has filled and turned over once: each replica records only
+/// its own lane's stores, so that takes about 210 steps here.
 #[test]
 fn warm_pipelined_training_step_allocation_bound() {
     let _serial = SERIAL.lock().unwrap_or_else(std::sync::PoisonError::into_inner);

@@ -30,8 +30,12 @@ pub enum Behavior {
     StaleInput,
     /// Executes `after` jobs honestly, then dies: the execution backends
     /// interpret this as worker loss (a dispatcher thread exits, a
-    /// blocking cluster reports [`crate::GpuError::WorkerLost`]) — the
-    /// fail-stop fault class, as opposed to the Byzantine ones above.
+    /// cluster reports [`crate::GpuError::WorkerLost`]) — the fail-stop
+    /// fault class, as opposed to the Byzantine ones above. The budget
+    /// counts the jobs of one worker state: each
+    /// [replica](crate::GpuCluster::replica) of the worker (a pipelined
+    /// engine runs one per lane) counts its own, and a fork starts from
+    /// zero.
     Crash {
         /// Jobs executed honestly before the simulated death.
         after: u64,

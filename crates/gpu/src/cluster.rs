@@ -56,11 +56,13 @@ impl GpuCluster {
     }
 
     /// Moves the fleet into a [`crate::GpuDispatcher`]: one persistent
-    /// OS thread per worker behind a `queue_depth`-bounded inbox. This
-    /// is how the `K'` workers run concurrently (as the real deployment
-    /// drives its GPUs) — the cluster's own [`crate::GpuExec`] impl runs
-    /// them one after another. [`crate::GpuDispatcher::join`] returns
-    /// the fleet with all accumulated state.
+    /// OS thread per worker behind a `queue_depth`-bounded inbox, so one
+    /// session's round runs its `K'` jobs at once, with a reply deadline
+    /// if one is set. The cluster's own [`crate::GpuExec`] impl runs a
+    /// round's jobs one after another on the calling thread; concurrent
+    /// sessions get concurrency without threads of their own from
+    /// [replicas](GpuCluster::replica). [`crate::GpuDispatcher::join`]
+    /// returns the fleet with all accumulated state.
     ///
     /// # Panics
     ///
@@ -70,13 +72,14 @@ impl GpuCluster {
     }
 
     /// Creates a fresh cluster over the *same fleet* — identical worker
-    /// count and per-worker behaviours — but with reseeded worker RNGs
-    /// and no accumulated state (stored encodings, observations,
-    /// counters). Serving pools use this so every session thread drives
-    /// its own independent view of one shared deployment: behaviours
-    /// (including adversarial ones) follow the fleet, while execution
-    /// state stays per-session. Use [`Clone`] instead when the
-    /// accumulated state should travel too.
+    /// count, per-worker behaviours and latency profiles — but with
+    /// reseeded worker RNGs, no accumulated state (stored encodings,
+    /// observations, counters) and modeled devices of its own. Serving
+    /// pools use this so every pool session drives its own independent
+    /// deployment of one fleet description: behaviours (including
+    /// adversarial ones) follow the fleet, while execution state stays
+    /// per-session. Use [`Clone`] instead when the accumulated state
+    /// should travel too.
     pub fn fork(&self, seed: u64) -> Self {
         let behaviors: Vec<Behavior> = self.workers.iter().map(|w| w.behavior()).collect();
         let mut fork = Self::with_behaviors(&behaviors, seed);
@@ -84,6 +87,32 @@ impl GpuCluster {
             w.set_latency(old.latency());
         }
         fork
+    }
+
+    /// A replica of the fleet for one of several threads driving it at
+    /// once: the same worker ids, behaviours and modeled devices, with
+    /// reseeded RNGs and an execution state of its own. A pipelined
+    /// engine gives each lane one, so a lane runs its rounds inline on
+    /// its own thread. The replicas of worker `i` share its modeled
+    /// device, so their modeled jobs still queue behind each other;
+    /// [`GpuCluster::absorb`] folds a replica's state back.
+    pub fn replica(&self, seed: u64) -> Self {
+        Self::from_workers(self.workers.iter().map(|w| w.replica(seed)).collect())
+    }
+
+    /// Folds a [replica](GpuCluster::replica)'s execution state into
+    /// this fleet, worker by worker: jobs and MACs executed, observations
+    /// (appended to this worker's record, oldest first) and the
+    /// encodings it still holds. The replica is left with none of them.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the two clusters differ in size.
+    pub fn absorb(&mut self, replica: &mut GpuCluster) {
+        assert_eq!(self.len(), replica.len(), "a replica has the fleet's workers");
+        for (w, r) in self.workers.iter_mut().zip(&mut replica.workers) {
+            w.absorb(r);
+        }
     }
 
     /// Number of workers (`K'`).
@@ -130,13 +159,24 @@ impl GpuCluster {
     pub fn total_macs(&self) -> u64 {
         self.workers.iter().map(|w| w.macs_executed()).sum()
     }
+
+    /// Runs `job` on worker `id` without waiting for its modeled device.
+    fn run_on(&mut self, id: WorkerId, job: &LinearJob) -> crate::WorkerResult {
+        let w = &mut self.workers[id.0];
+        if w.crash_pending() {
+            return Err(crate::GpuError::lost(id, "worker crashed (simulated fail-stop)"));
+        }
+        w.run(job)
+    }
 }
 
-/// The blocking reference backend: one virtual batch in flight, jobs run
-/// inline and to completion inside the call. A [`Behavior::Crash`] worker
-/// whose honest-job budget is spent is reported as
-/// [`GpuError::WorkerLost`](crate::GpuError::WorkerLost) — the blocking
-/// backend's rendition of a dead accelerator.
+/// The inline backend: jobs run on the calling thread, one after
+/// another, inside the call; with modeled latency the call returns when
+/// the last of them ends on its device, so a round takes about one job
+/// time, not one per job. A [`Behavior::Crash`] worker whose
+/// honest-job budget is spent is reported as
+/// [`GpuError::WorkerLost`](crate::GpuError::WorkerLost) — the inline
+/// rendition of a dead accelerator.
 impl crate::GpuExec for GpuCluster {
     fn num_workers(&self) -> usize {
         self.len()
@@ -178,10 +218,13 @@ impl crate::GpuExec for GpuCluster {
         }
         for s in 0..jobs.len() + extra.len() {
             out.push(match crate::exec::round_slot(jobs, withheld, extra, s) {
-                (w, Some(job)) => self.execute_on(w, job),
+                (w, Some(job)) => self.run_on(w, job),
                 (worker, None) => Err(crate::GpuError::Withheld { worker }),
             });
         }
+        // Earlier rounds' jobs have all ended: the latest end is this
+        // round's.
+        crate::worker::wait_until(self.workers.iter().filter_map(GpuWorker::done_at).max());
         Ok(())
     }
 
@@ -202,11 +245,9 @@ impl crate::GpuExec for GpuCluster {
     }
 
     fn execute_on(&mut self, id: WorkerId, job: &LinearJob) -> crate::WorkerResult {
-        let w = &mut self.workers[id.0];
-        if w.crash_pending() {
-            return Err(crate::GpuError::lost(id, "worker crashed (simulated fail-stop)"));
-        }
-        w.try_execute(job)
+        let out = self.run_on(id, job);
+        self.workers[id.0].wait_for_device();
+        out
     }
 
     fn store_encodings(&mut self, ctx_id: u64, encodings: Vec<Tensor<F25>>) {

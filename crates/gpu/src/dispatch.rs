@@ -1,9 +1,12 @@
 //! Asynchronous job dispatch over persistent per-worker OS threads.
 //!
-//! This is the one way the fleet's workers run concurrently (the
-//! blocking [`GpuExec`] impl of [`GpuCluster`] remains as the inline,
-//! serial reference): a [`GpuDispatcher`] owns one long-lived OS thread
-//! per worker, each fed by a bounded channel. Callers
+//! A [`GpuDispatcher`] runs the jobs of *one* session's round at once:
+//! it owns one long-lived OS thread per worker, each fed by a bounded
+//! channel, and can hold each reply to a deadline. (The [`GpuExec`] impl
+//! of [`GpuCluster`] runs a round inline on the calling thread; the
+//! pipelined engine gets its concurrency from lanes that each drive
+//! their own [replica](GpuCluster::replica) of the fleet that way, with
+//! no thread hand-off per job.) Callers
 //! [`submit`](GpuDispatcher::submit) a virtual batch of jobs and get a
 //! [`Ticket`] back immediately; [`complete`](GpuDispatcher::complete)
 //! blocks until the results are in. Between the two calls the submitting
@@ -240,12 +243,7 @@ impl std::fmt::Debug for GpuDispatcher {
     }
 }
 
-fn worker_main(
-    mut worker: GpuWorker,
-    rx: mpsc::Receiver<WorkerMsg>,
-    returns: Arc<Bin>,
-    health: dk_obs::WorkerHandle,
-) -> GpuWorker {
+fn worker_main(mut worker: GpuWorker, rx: mpsc::Receiver<WorkerMsg>, returns: Arc<Bin>) -> GpuWorker {
     for msg in rx.iter() {
         match msg {
             WorkerMsg::Run { job, reply } => {
@@ -258,14 +256,11 @@ fn worker_main(
                 for t in lock(&returns).drain(..) {
                     worker.recycle_output(t);
                 }
-                let t0 = dk_obs::enabled().then(std::time::Instant::now);
                 // A job the worker cannot run (a `*Stored` job whose
                 // context never arrived) is answered with the typed
                 // refusal; the thread lives on.
-                let out = worker.try_execute(&job);
-                if let Some(t0) = t0 {
-                    health.job_done(t0.elapsed().as_nanos() as u64);
-                }
+                let out = worker.run(&job);
+                worker.wait_for_device();
                 // Nobody may be waiting any more (a timed-out round);
                 // the job still ran (state advanced), which mirrors a
                 // real accelerator that cannot be recalled.
@@ -299,13 +294,12 @@ impl GpuDispatcher {
             let (tx, rx) = mpsc::sync_channel(depth);
             let bin = Arc::new(Bin::default());
             let name = format!("dk-gpu-{}", w.id());
-            let health = dk_obs::fleet().worker(w.id().0);
             let home = bin.clone();
             #[allow(clippy::expect_used, reason = "documented: a fleet without threads cannot run")]
             handles.push(
                 std::thread::Builder::new()
                     .name(name)
-                    .spawn(move || worker_main(w, rx, home, health))
+                    .spawn(move || worker_main(w, rx, home))
                     .expect("spawn gpu worker thread"),
             );
             senders.push(tx);
@@ -502,9 +496,8 @@ impl Drop for GpuDispatcher {
     }
 }
 
-/// A [`GpuExec`] backend over a shared dispatcher. Each pipelined TEE
-/// lane holds one client; all clients feed the same persistent worker
-/// threads.
+/// A [`GpuExec`] backend over a shared dispatcher. Each session holds
+/// one client; all clients feed the same persistent worker threads.
 ///
 /// **A round lends and gets back.** The session keeps its jobs, so the
 /// copy each worker runs is made here, from the client's own pool, and

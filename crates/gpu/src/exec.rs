@@ -5,13 +5,16 @@
 //! this trait; the backend decides *how* the linear jobs reach the
 //! accelerators:
 //!
-//! * [`crate::GpuCluster`] — the blocking reference backend: jobs run
-//!   inline, one after another, inside the call. One virtual batch is
-//!   in flight at a time.
-//! * [`crate::DispatchClient`] — the concurrent backend: jobs are
+//! * [`crate::GpuCluster`] — the inline backend: jobs run on the
+//!   calling thread, one after another, inside the call. A session over
+//!   the fleet is the sequential reference; the pipelined engine gives
+//!   each of its lanes a [replica](crate::GpuCluster::replica) of the
+//!   fleet, so several virtual batches are in flight on as many threads
+//!   with no hand-off per job.
+//! * [`crate::DispatchClient`] — the threaded backend: jobs are
 //!   submitted to a shared [`crate::GpuDispatcher`] whose persistent
-//!   per-worker threads keep the `K'` workers busy at once and serve
-//!   *several* virtual batches concurrently.
+//!   per-worker threads run one round's `K'` jobs at once, each reply
+//!   held to an optional deadline.
 //! * [`crate::TcpFleet`] — the wire backend: jobs travel as framed
 //!   messages to remote worker processes over TCP.
 //!

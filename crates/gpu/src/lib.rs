@@ -16,17 +16,18 @@
 //!   records everything it observes (for collusion analysis), and can be
 //!   configured with adversarial [`behavior::Behavior`]s that corrupt
 //!   results — the faults DarKnight's integrity check (§4.4) must catch.
-//! * [`dispatch::GpuDispatcher`] — the one concurrent in-process
-//!   executor: asynchronous `submit(batch_tag, jobs) → Ticket` /
-//!   `complete(Ticket)` dispatch over persistent per-worker OS threads
-//!   with bounded queues, so the `K'` workers run at once and TEE
-//!   encode/decode work overlaps accelerator execution (§7.1's
-//!   pipelined mode).
 //! * [`cluster::GpuCluster`] — the fleet container (worker state), and
-//!   the blocking reference backend: its `GpuExec` impl runs jobs
-//!   inline, one after another.
+//!   the inline backend: its `GpuExec` impl runs a round's jobs on the
+//!   calling thread, one after another. [`GpuCluster::replica`] gives
+//!   each of several threads (a pipelined engine's lanes) its own
+//!   execution state over the same workers and modeled devices.
+//! * [`dispatch::GpuDispatcher`] — the threaded in-process executor:
+//!   asynchronous `submit(batch_tag, jobs) → Ticket` / `complete(Ticket)`
+//!   dispatch over persistent per-worker OS threads with bounded
+//!   queues, so one session's round runs its `K'` jobs at once, with an
+//!   optional reply deadline.
 //! * [`exec::GpuExec`] — the backend abstraction the `dk-core` session
-//!   is generic over: the same TEE-side protocol code drives a blocking
+//!   is generic over: the same TEE-side protocol code drives an inline
 //!   cluster, a shared dispatcher or a TCP fleet.
 //! * [`collusion`] — the empirical privacy harness: uniformity testing
 //!   of observations and a white-box noise-cancellation audit that
@@ -69,10 +70,13 @@ pub use worker::{GpuWorker, WorkerId};
 /// The workers in this crate *simulate* GPUs on the host CPU, so by
 /// default a job takes however long the host needs to run the field
 /// kernels — which says nothing about real accelerator timing. Attaching
-/// a `LatencyModel` makes every job additionally occupy the worker for
-/// `base_ns + macs·ns_per_kmac/1000` of wall-clock time (a fixed
-/// dispatch/transfer overhead plus a throughput term), without consuming
-/// host CPU. Pipeline experiments use this to measure *overlap*: TEE
+/// a `LatencyModel` makes every job additionally occupy the worker's
+/// device for `base_ns + macs·ns_per_kmac/1000` of wall-clock time (a
+/// fixed dispatch/transfer overhead plus a throughput term), without
+/// consuming host CPU. One model is one device per worker id: jobs on
+/// it queue, jobs on different workers overlap, and a round returns
+/// once its last job has ended (see [`GpuWorker::set_latency`]).
+/// Pipeline experiments use this to measure *overlap*: TEE
 /// encode/decode compute can genuinely hide under the modeled device
 /// time, exactly as §7.1 hides it under real GPU execution.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -760,6 +760,7 @@ fn serve_connection(mut stream: TcpStream) -> ConnSummary {
                     Err(GpuError::Remote { message, .. }) => WireMsg::Fail { message },
                     Err(other) => WireMsg::Fail { message: other.to_string() },
                 };
+                worker.wait_for_device();
                 job.recycle_decoded_into(&mut ws);
                 wire::encode_msg(&mut frame, &reply);
                 if let WireMsg::Output { tensor } = reply {

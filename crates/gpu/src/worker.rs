@@ -5,6 +5,8 @@ use crate::job::{JobOutput, LinearJob};
 use dk_field::{F25, FieldRng};
 use dk_linalg::{Tensor, Workspace};
 use std::collections::HashMap;
+use std::sync::{Arc, Mutex, PoisonError};
+use std::time::{Duration, Instant};
 
 /// Worker identity within a cluster.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -29,6 +31,26 @@ const OBSERVATION_BUDGET_BYTES: usize = 4 << 20;
 /// training steps stay allocation-steady): the budget in 1 KiB entries.
 const OBSERVATION_SLOTS: usize = OBSERVATION_BUDGET_BYTES / 1024;
 
+/// A modeled accelerator: its latency profile and the moment it is next
+/// free. The replicas of a worker share it, so their modeled jobs queue
+/// on one device.
+#[derive(Debug)]
+struct Device {
+    model: crate::LatencyModel,
+    free_at: Mutex<Instant>,
+}
+
+impl Device {
+    /// Books a job of `macs` on the device, starting once both the
+    /// device and the job's operands are ready (now): when it ends.
+    fn occupy(&self, macs: u64) -> Instant {
+        let mut free_at = self.free_at.lock().unwrap_or_else(PoisonError::into_inner);
+        let end = (*free_at).max(Instant::now()) + self.model.delay(macs);
+        *free_at = end;
+        end
+    }
+}
+
 /// A simulated accelerator.
 ///
 /// Besides executing jobs, the worker does two things a real deployment
@@ -38,10 +60,13 @@ const OBSERVATION_SLOTS: usize = OBSERVATION_BUDGET_BYTES / 1024;
 ///   the backward pass can reuse them without re-transmission (§6 of the
 ///   paper: "our current implementation of DarKnight stores these
 ///   encoded inputs within the GPU memory");
-/// * it **records every masked vector it observes** (up to
-///   [`OBSERVATION_BUDGET_BYTES`], then a wrapping window), which is
+/// * it **records every masked vector it observes** (up to a 4 MiB
+///   budget, then a wrapping window of the most recent), which is
 ///   exactly the adversary's view — the collusion analyzer consumes
 ///   this.
+///
+/// A clone carries the worker's state and shares its modeled device
+/// (see [`GpuWorker::set_latency`]).
 #[derive(Debug, Clone)]
 pub struct GpuWorker {
     id: WorkerId,
@@ -56,7 +81,11 @@ pub struct GpuWorker {
     obs_next: Option<usize>,
     jobs_executed: u64,
     macs_executed: u64,
-    latency: Option<crate::LatencyModel>,
+    device: Option<Arc<Device>>,
+    /// When the last job this worker ran ends on its modeled device.
+    done_at: Option<Instant>,
+    /// The worker's fleet-health cell (`dk_obs`).
+    health: dk_obs::WorkerHandle,
     /// Kernel scratch pool (im2col columns, packed panels): one per
     /// worker, reused across the job stream. Cloned/forked workers
     /// start with a fresh pool — scratch carries no state.
@@ -76,23 +105,81 @@ impl GpuWorker {
             obs_next: None,
             jobs_executed: 0,
             macs_executed: 0,
-            latency: None,
+            device: None,
+            done_at: None,
+            health: dk_obs::fleet().worker(id.0),
             ws: Workspace::new(),
         }
     }
 
-    /// Attaches (or clears) a modeled execution-latency profile. When
-    /// set, [`GpuWorker::execute`] sleeps for the modeled accelerator
-    /// time after computing the (host-CPU-simulated) result, so
-    /// wall-clock measurements reflect device latency rather than the
-    /// speed of the simulation itself.
+    /// A replica of this worker: the same id, behaviour and modeled
+    /// device, its own RNG (from `seed`) and a fresh execution state.
+    pub(crate) fn replica(&self, seed: u64) -> Self {
+        let mut w = Self::new(self.id, self.behavior, seed);
+        w.device = self.device.clone();
+        w
+    }
+
+    /// Moves `other`'s execution state into this worker: its job and MAC
+    /// counts, its observations (oldest first) and the encodings it
+    /// still holds. `other` is left with none of them.
+    pub(crate) fn absorb(&mut self, other: &mut GpuWorker) {
+        self.jobs_executed += std::mem::take(&mut other.jobs_executed);
+        self.macs_executed += std::mem::take(&mut other.macs_executed);
+        let mut seen = std::mem::take(&mut other.observations);
+        // Once wrapped, the oldest entry sits at the cursor; entries an
+        // oversized observation evicted are empty.
+        seen.rotate_left(other.obs_next.take().unwrap_or(0));
+        for o in seen.iter().filter(|o| !o.is_empty()) {
+            self.observe(o);
+        }
+        other.obs_bytes = 0;
+        self.stored_encodings.extend(other.stored_encodings.drain());
+    }
+
+    /// Attaches (or clears) a modeled execution-latency profile, on a
+    /// device of its own. When set, every job additionally occupies the
+    /// device for the modeled accelerator time, starting once it is
+    /// free, and the backend that ran the job returns only when the job
+    /// ends, so wall-clock measurements reflect device latency rather
+    /// than the speed of the simulation itself. Replicas of the worker
+    /// (the lanes of one engine) share its device; a
+    /// [fork](crate::GpuCluster::fork) gets a device of its own.
     pub fn set_latency(&mut self, latency: Option<crate::LatencyModel>) {
-        self.latency = latency;
+        self.device =
+            latency.map(|model| Arc::new(Device { model, free_at: Mutex::new(Instant::now()) }));
     }
 
     /// The modeled latency profile, if any.
     pub fn latency(&self) -> Option<crate::LatencyModel> {
-        self.latency
+        self.device.as_ref().map(|d| d.model)
+    }
+
+    /// When the last job this worker ran ends on its modeled device;
+    /// `None` without a latency profile.
+    pub(crate) fn done_at(&self) -> Option<Instant> {
+        self.done_at
+    }
+
+    /// Blocks until the last job this worker ran has ended on its
+    /// modeled device.
+    pub(crate) fn wait_for_device(&self) {
+        wait_until(self.done_at);
+    }
+
+    /// [`GpuWorker::try_execute`] as an in-process backend runs a job:
+    /// while `dk_obs` is enabled, the job's occupancy — host compute plus
+    /// its modeled device time — is booked on the worker's fleet-health
+    /// cell.
+    pub(crate) fn run(&mut self, job: &LinearJob) -> crate::WorkerResult {
+        if !dk_obs::enabled() {
+            return self.try_execute(job);
+        }
+        let (t0, macs0) = (Instant::now(), self.macs_executed);
+        let out = self.try_execute(job);
+        let modeled = self.latency().map_or(Duration::ZERO, |l| l.delay(self.macs_executed - macs0));
+        self.health.job_done((t0.elapsed() + modeled).as_nanos() as u64);
+        out
     }
 
     /// The worker id.
@@ -244,8 +331,8 @@ impl GpuWorker {
         };
         self.jobs_executed += 1;
         self.macs_executed += macs;
-        if let Some(l) = self.latency {
-            std::thread::sleep(l.delay(macs));
+        if let Some(device) = &self.device {
+            self.done_at = Some(device.occupy(macs));
         }
         Ok(self.behavior.corrupt(honest, &mut self.rng))
     }
@@ -270,6 +357,13 @@ impl GpuWorker {
     /// Total MACs executed (perf accounting).
     pub fn macs_executed(&self) -> u64 {
         self.macs_executed
+    }
+}
+
+/// Sleeps until `t`, if it is set and still ahead.
+pub(crate) fn wait_until(t: Option<Instant>) {
+    if let Some(left) = t.and_then(|t| t.checked_duration_since(Instant::now())) {
+        std::thread::sleep(left);
     }
 }
 

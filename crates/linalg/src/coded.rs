@@ -23,16 +23,16 @@
 //! the row-slice table stay on the stack, and for `F25` a canonical
 //! carry-in plus sixteen unreduced 50-bit products stay below `2^55`,
 //! so a strip never folds mid-way (far inside the `2^58` the vector
-//! reduce of [`crate::simd`] is argued for). Within the bound:
+//! reduce of `simd` is argued for). Within the bound:
 //!
 //! * inputs stay as separate row vectors (`AsRef<[T]>`) — no stacking
 //!   copy, no flat `(k+m)·n` buffer;
 //! * for `F25` on a vector tier (AVX-512 with IFMA, or AVX2; resolved
 //!   once per combine) a strip is the register tile of
-//!   [`crate::simd`]: all output rows — the check row riding as the
+//!   `simd`: all output rows — the check row riding as the
 //!   last — accumulate while each source chunk is loaded **once**, not
 //!   once per output row;
-//!   everything else runs the [`LANES`]-wide portable strip, row by
+//!   everything else runs the `LANES`-wide portable strip, row by
 //!   row, which the autovectorizer lowers for floats;
 //! * **write mode is the only mode** of a combine: the accumulators
 //!   start at zero and the finished lanes go straight to the

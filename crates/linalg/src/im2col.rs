@@ -3,7 +3,7 @@
 //! A convolution is a matrix product against the *column matrix* of
 //! its input: row `(ci, ki, kj)` holds, for every output position, the
 //! pixel that kernel tap `(ki, kj)` of channel `ci` reads there (zero
-//! where the tap lands in the padding). [`Window`] is that geometry,
+//! where the tap lands in the padding). `Window` is that geometry,
 //! generic over [`Scalar`] so the identical lowering runs in the float
 //! and field domains, and it lowers only for the **weight
 //! gradient**: that pass contracts over output positions, so it wants

@@ -10,11 +10,11 @@
 //! # The outer-product orientations: one strip kernel, two row sources
 //!
 //! `A·B`, `Aᵀ·B` and the forward convolution are one kernel
-//! ([`gemm_packed`]) over `LANES`-wide strips of output columns, blocks
-//! of [`PANEL_ROWS`] reduction positions, and every output row of a
+//! (`gemm_packed`) over `LANES`-wide strips of output columns, blocks
+//! of `PANEL_ROWS` reduction positions, and every output row of a
 //! strip per block. What differs is where a block's `B` rows come from
-//! ([`Rows`]); either way a block is a base slice and one offset per
-//! reduction position, row `p` being the [`LANES`] elements at
+//! (`Rows`); either way a block is a base slice and one offset per
+//! reduction position, row `p` being the `LANES` elements at
 //! `base[offs[p]..]`, and that is all the micro-kernels read:
 //!
 //! ```text
@@ -27,7 +27,7 @@
 //!     C[·, strip] (=|+=) A[·, p0..p0+kb] · B rows at base[offs[p] + j0..]
 //! ```
 //!
-//! The panel ([`Panel`], at most 32 KB, cache-line aligned) is written
+//! The panel (`Panel`, at most 32 KB, cache-line aligned) is written
 //! once and then read by *all* `m` rows while it sits in L1, so `B` is
 //! streamed from memory exactly once per product whatever `m` is, and
 //! the micro-kernel's `B` loads are unit-stride whatever `n` is. The
@@ -36,16 +36,16 @@
 //! (`fill_transposed`). The forward convolution packs nothing: its
 //! column matrix's rows are contiguous runs of a padded, phase-split
 //! copy of the image (see [`crate::conv`]), so a block names them by
-//! offset ([`InPlace`]) and one call covers every strip; the buffer
+//! offset (`InPlace`) and one call covers every strip; the buffer
 //! carries the slack the last strip's surplus lanes read. `A` is read
 //! in place through a `(row, column)` stride pair — `(k, 1)` for `A·B`,
 //! `(1, m)` for `Aᵀ·B` — so no transpose is packed either. A strip
-//! narrower than [`LANES`] (the last one when `n % LANES ≠ 0`) is the
+//! narrower than `LANES` (the last one when `n % LANES ≠ 0`) is the
 //! same full-width kernel over rows whose surplus lanes are zero (a
 //! panel) or whatever follows (in place); only the strip's own lanes
 //! are stored.
 //!
-//! The portable micro-kernel ([`lane_strip`]) holds [`LANES`]
+//! The portable micro-kernel (`lane_strip`) holds `LANES`
 //! independent [`Scalar::Acc`] accumulators in registers — one per
 //! output column — and runs the **reference recurrence** on each:
 //! ascending `p`, terms with `A[i,p] = 0` skipped, exactly as
@@ -64,10 +64,10 @@
 //!
 //! For `F25` on a vector tier ([`dk_field::tier`]: AVX-512 with IFMA,
 //! or AVX2) the rows of a block do not go through `lane_strip` one at a
-//! time: the whole block goes to the register tile of [`crate::simd`],
+//! time: the whole block goes to the register tile of `simd`,
 //! `MR` output rows of a strip per pass over its `B` rows (one tile body,
 //! two lane widths; the tier is resolved once per product in
-//! [`gemm_packed`]). A field sum is exact whatever its shape, so the
+//! `gemm_packed`). A field sum is exact whatever its shape, so the
 //! tile has no zero test and reduces once per block in register. `f32`,
 //! and `F25` on the baseline tier, run the portable body below, which
 //! the autovectorizer lowers to vector multiply-adds.
@@ -76,11 +76,11 @@
 //!
 //! `A·Bᵀ` vectorizes along the reduction dimension instead
 //! ([`Scalar::EXACT`] domains only; float dots keep the reference
-//! recurrence order bit-for-bit — see [`a_bt_block_ordered`]). The
+//! recurrence order bit-for-bit — see `a_bt_block_ordered`). The
 //! field kernels there do reassociate across lanes, which is
 //! value-transparent because field arithmetic is exact; the float
 //! kernels never reassociate. `F25` on a vector tier
-//! runs [`crate::simd`]'s dot block: two rows of `A` against four of
+//! runs `simd`'s dot block: two rows of `A` against four of
 //! `B` per pass.
 //!
 //! Every kernel writes into a caller-provided buffer, so steady-state

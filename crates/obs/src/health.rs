@@ -1,10 +1,11 @@
 //! Fleet health: per-worker fault and throughput accounting.
 //!
-//! The dispatcher, the TCP transport, the session, and the recovery
-//! path all report into one process-global [`FleetHealth`] through
-//! cheap per-worker [`WorkerHandle`]s (registered at setup). Recording
-//! is gated on the master switch ([`crate::enabled`], one relaxed
-//! load when disabled) and is lock-free when enabled.
+//! The in-process workers (inline or on dispatcher threads), the TCP
+//! transport, the session, and the recovery path all report into one
+//! process-global [`FleetHealth`] through cheap per-worker
+//! [`WorkerHandle`]s (registered at setup). Recording is gated on the
+//! master switch ([`crate::enabled`], one relaxed load when disabled)
+//! and is lock-free when enabled.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
@@ -78,6 +79,12 @@ struct WorkerCell {
 /// load) while observability is disabled.
 #[derive(Clone)]
 pub struct WorkerHandle(Arc<WorkerCell>);
+
+impl std::fmt::Debug for WorkerHandle {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_tuple("WorkerHandle").field(&self.0.id).finish()
+    }
+}
 
 impl WorkerHandle {
     /// One job executed, occupying the worker for `busy_ns`.

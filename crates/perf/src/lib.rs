@@ -39,7 +39,7 @@ pub use serving::ServingRow;
 /// `measured_speedup` comes from actually running the staged engine
 /// (`dk_core::engine`) at its default lane count against the same
 /// engine with one lane — "sequential" here is one virtual batch in
-/// flight over the same dispatcher-backed fleet; `analytical`
+/// flight over the same fleet; `analytical`
 /// is the Fig.-5 overlap gain the cost model predicts for a reference
 /// architecture ([`cost::Breakdown::pipeline_gain`]). The two describe
 /// different hosts — the measured row is this machine's simulation, the

@@ -22,8 +22,9 @@
 //! batch out of the shared intake itself — a full batch as soon as `K`
 //! requests wait, a padded one once the earliest deadline has passed —
 //! assembles `[K, …]` into its own reused tensor, runs it on its session
-//! over the engine's persistent GPU worker threads — so one lane encodes
-//! batch `t+1` while the fleet computes batch `t` (§7.1) — and routes the
+//! over its own replica of the engine's fleet, the round's jobs inline
+//! on the lane thread — so one lane encodes batch `t+1` while another
+//! runs batch `t`'s jobs (§7.1) — and routes the
 //! per-request responses itself, in completion order. Responses are
 //! bit-for-bit unchanged from the sequential path (the engine's
 //! determinism guarantee) — per-sample quantization scales make every
@@ -519,7 +520,7 @@ impl Server {
     /// per-slot session seeds so no two workers — across the server's
     /// whole elastic lifetime — share a mask stream. Within each
     /// engine, `pipeline_lanes` TEE threads stream batches over
-    /// persistent per-(simulated-)GPU dispatch threads. With
+    /// their own replicas of the engine's fleet. With
     /// [`ServerConfig::with_autoscale`], a controller thread resizes
     /// the pool between `min_workers` and `max_workers` from the
     /// waiting-batch and shed pressure signals.

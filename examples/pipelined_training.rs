@@ -9,9 +9,9 @@
 //! the workers carry a modeled accelerator latency profile
 //! (`dk_gpu::LatencyModel`): wall clock then reflects device occupancy,
 //! and the overlap is measurable exactly as it would be against real
-//! hardware. Both runs drive the fleet through the engine's dispatcher
-//! (the paper's `K'` concurrent GPUs), so they differ only in how many
-//! virtual batches are in flight.
+//! hardware. In both runs a round's jobs occupy the `K'` modeled devices
+//! at once (the paper's concurrent GPUs), so the runs differ only in how
+//! many virtual batches are in flight.
 //!
 //! The punchline is printed twice: the measured speedup, and the proof
 //! that it costs nothing — final weights are **bit-for-bit identical**

@@ -4,7 +4,8 @@
 //! keeps checking the complete result set on every layer.
 //!
 //! Pinned here, on all three backends (`GpuCluster`, a 2-lane
-//! `PipelineEngine` over the dispatcher, a loopback `TcpFleet`):
+//! `PipelineEngine` whose lanes each drive a replica of the fleet, a
+//! loopback `TcpFleet`):
 //!
 //! * privacy — a convicted worker's job and observation counters stop;
 //! * exactness — every output stays bit-equal to `QuantizedReference`,
@@ -14,7 +15,8 @@
 //! * recovery off — nothing changes: every batch fails closed;
 //! * loss is not lying — a lost worker keeps being offered work and is
 //!   re-admitted by the transport's redial;
-//! * degraded dispatch stays batched on the dispatcher and on the wire.
+//! * degraded dispatch stays one round: on a `GpuCluster` session, on
+//!   the dispatcher, on engine lanes and on the wire.
 
 use std::collections::HashMap;
 use std::net::{TcpListener, TcpStream};
@@ -357,7 +359,7 @@ fn cluster_lost_worker_is_still_offered_work() {
 }
 
 // ---------------------------------------------------------------------
-// PipelineEngine / dispatcher
+// PipelineEngine, GpuCluster and the dispatcher
 // ---------------------------------------------------------------------
 
 /// (a) + (d) on a 2-lane engine. Within one call each lane has to find
@@ -409,11 +411,14 @@ fn engine_lanes_inherit_convictions_across_calls() {
     assert!(stores <= lanes, "liar was sent {stores} encodings over three steps");
 }
 
-/// A degraded layer on the dispatcher is still one submit/complete
-/// round: with every worker modelled at 250 ms a job, a batch of two
-/// layers takes about two job times, not two times `K+M` of them. (The
-/// job time is that long so the 750 ms between the two outcomes dwarfs
-/// any scheduling delay the other tests of this binary can cause.)
+/// A degraded layer is still one round of modeled device time on every
+/// in-process path — a `GpuCluster` session, a session over the
+/// dispatcher, a 2-lane engine: with every worker modelled at 250 ms a
+/// job, a batch of two layers takes about two job times, not two times
+/// `K+M` of them. (The job time is that long so the 750 ms between the
+/// two outcomes dwarfs any scheduling delay the other tests of this
+/// binary can cause.) Each path convicts the liar on batch 0 and times
+/// batch 1.
 #[test]
 fn dispatcher_degraded_layer_is_one_round() {
     let job_time = Duration::from_millis(250);
@@ -423,29 +428,53 @@ fn dispatcher_degraded_layer_is_one_round() {
         base_ns: job_time.as_nanos() as u64,
         ns_per_kmac: 0,
     }));
-    let dispatcher = Arc::new(fleet.into_dispatcher(4));
+    let mut m = model(59);
+    let check = |path: &str, took: Duration, y: &Tensor<f32>, m: &Sequential| {
+        assert_eq!(y.as_slice(), oracle(cfg, m, &input(4, 1)).as_slice(), "{path}");
+        assert!(took >= job_time * LAYERS as u32, "{path}: a degraded batch took {took:?}");
+        assert!(
+            took < job_time * (LAYERS * healthy) as u32 / 2,
+            "{path}: a degraded batch took {took:?}: its {healthy} jobs per layer ran one after another"
+        );
+    };
+    let liar_ran_once = |path: &str, cluster: &GpuCluster| {
+        assert_eq!(seen(cluster, 1).0, 1, "{path}: the liar ran only the job that convicted it");
+    };
+
+    let mut session = DarknightSession::new(cfg, fleet.fork(47)).unwrap();
+    session.private_inference(&mut m, &input(4, 0)).unwrap();
+    assert_eq!(session.quarantined(), [WorkerId(1)]);
+    let t0 = Instant::now();
+    let y = session.private_inference(&mut m, &input(4, 1)).unwrap();
+    check("GpuCluster", t0.elapsed(), &y, &m);
+    liar_ran_once("GpuCluster", session.cluster());
+
+    let dispatcher = Arc::new(fleet.fork(47).into_dispatcher(4));
     let mut session = DarknightSession::with_backend(
         cfg,
         DispatchClient::new(dispatcher.clone()),
         EpcConfig::default(),
     )
     .unwrap();
-    let mut m = model(59);
     session.private_inference(&mut m, &input(4, 0)).unwrap();
     assert_eq!(session.quarantined(), [WorkerId(1)]);
-
     let t0 = Instant::now();
     let y = session.private_inference(&mut m, &input(4, 1)).unwrap();
-    let took = t0.elapsed();
-    assert_eq!(y.as_slice(), oracle(cfg, &m, &input(4, 1)).as_slice());
-    assert!(took >= job_time * LAYERS as u32);
-    assert!(
-        took < job_time * (LAYERS * healthy) as u32 / 2,
-        "a degraded batch took {took:?}: its {healthy} jobs per layer ran one after another"
-    );
+    check("dispatcher", t0.elapsed(), &y, &m);
     drop(session);
     let (cluster, _) = Arc::try_unwrap(dispatcher).expect("session dropped").join();
-    assert_eq!(seen(&cluster, 1).0, 1, "the liar ran only the job that convicted it");
+    liar_ran_once("dispatcher", &cluster);
+
+    let opts = EngineOptions::default().with_lanes(2);
+    let mut engine = PipelineEngine::new(cfg, fleet.fork(47), opts).unwrap();
+    let first = engine.infer_batches(&m, &[input(4, 0)], false).unwrap();
+    assert!(first[0].output.is_ok() && first[0].repaired);
+    assert_eq!(engine.quarantined(), [WorkerId(1)]);
+    let t0 = Instant::now();
+    let mut second = engine.infer_batches(&m, &[input(4, 1)], false).unwrap();
+    let took = t0.elapsed();
+    check("2-lane engine", took, &second.remove(0).output.unwrap(), &m);
+    liar_ran_once("2-lane engine", &engine.into_cluster());
 }
 
 // ---------------------------------------------------------------------
