@@ -5,7 +5,9 @@
 //! per-MAC-reducing scalar baselines (`dk_linalg::reference`) on the
 //! shapes the offload path actually runs, and the TEE's element passes
 //! (`dk_field`'s quantize, dequantize and noise draw) against the public
-//! per-element functions that define them. Also measures the staged
+//! per-element functions that define them, and Algorithm 2's sealing of
+//! one training step's gradient shards against ChaCha20 run one block
+//! at a time, as RFC 8439 writes it. Also measures the staged
 //! engine at its default lane count against the same engine with one
 //! virtual batch in flight, over the same fleet, on a
 //! real multi-layer model (the §7.1 overlap claim) and, with `--alloc`,
@@ -20,7 +22,8 @@
 //! when the pairs agree with each other to within the margin policed
 //! and `unresolved` (printed, exit 0) when their own quartile spread is
 //! wider than it. The three: the tracked kernels' fast:scalar speedup —
-//! conv forward, the field matmul, the streaming encode/decode — not
+//! conv forward and backward, the field matmul, the streaming
+//! encode/decode, the gradient-shard seal and unseal — not
 //! more than 10% under the lower quartile the committed record states
 //! for that row (25% when that row was measured at another size); the
 //! default lane count not more than 10%
@@ -200,6 +203,52 @@ fn gate(what: &str, q: &PairedRatio, floor: f64, margin: f64) -> bool {
         GateVerdict::Regressed => eprintln!("REGRESSION: {detail}"),
     }
     verdict == GateVerdict::Regressed
+}
+
+/// ChaCha20 as RFC 8439 §2.3–2.4 writes it: one 64-byte block of
+/// keystream at a time from the scalar block function, XORed in byte by
+/// byte (counter 0). The scalar side of the seal row.
+fn rfc_chacha20(key: &[u8; 32], nonce: &[u8; 12], data: &mut [u8]) {
+    fn quarter_round(s: &mut [u32; 16], a: usize, b: usize, c: usize, d: usize) {
+        s[a] = s[a].wrapping_add(s[b]);
+        s[d] = (s[d] ^ s[a]).rotate_left(16);
+        s[c] = s[c].wrapping_add(s[d]);
+        s[b] = (s[b] ^ s[c]).rotate_left(12);
+        s[a] = s[a].wrapping_add(s[b]);
+        s[d] = (s[d] ^ s[a]).rotate_left(8);
+        s[c] = s[c].wrapping_add(s[d]);
+        s[b] = (s[b] ^ s[c]).rotate_left(7);
+    }
+    let word = |b: &[u8]| u32::from_le_bytes([b[0], b[1], b[2], b[3]]);
+    let mut state = [0u32; 16];
+    state[..4].copy_from_slice(&[0x6170_7865, 0x3320_646E, 0x7962_2D32, 0x6B20_6574]);
+    for i in 0..8 {
+        state[4 + i] = word(&key[4 * i..]);
+    }
+    for i in 0..3 {
+        state[13 + i] = word(&nonce[4 * i..]);
+    }
+    for chunk in data.chunks_mut(64) {
+        let mut x = state;
+        for _ in 0..10 {
+            quarter_round(&mut x, 0, 4, 8, 12);
+            quarter_round(&mut x, 1, 5, 9, 13);
+            quarter_round(&mut x, 2, 6, 10, 14);
+            quarter_round(&mut x, 3, 7, 11, 15);
+            quarter_round(&mut x, 0, 5, 10, 15);
+            quarter_round(&mut x, 1, 6, 11, 12);
+            quarter_round(&mut x, 2, 7, 8, 13);
+            quarter_round(&mut x, 3, 4, 9, 14);
+        }
+        let mut ks = [0u8; 64];
+        for (k, (w, s)) in ks.chunks_exact_mut(4).zip(x.iter().zip(&state)) {
+            k.copy_from_slice(&w.wrapping_add(*s).to_le_bytes());
+        }
+        for (d, k) in chunk.iter_mut().zip(ks) {
+            *d ^= k;
+        }
+        state[12] = state[12].wrapping_add(1);
+    }
 }
 
 fn field_vec(rng: &mut FieldRng, len: usize) -> Vec<F25> {
@@ -524,6 +573,22 @@ fn main() {
             kws.give_tensor(std::hint::black_box(dw));
         },
     );
+    // mini_resnet's stride-2 16→32 layer, one encoded sample, as the
+    // row above.
+    let dys2 = Tensor::<F25>::from_fn(&[1, 32, sh, sw], |i| F25::new(i as u64 * 13 % P25));
+    bench(
+        "conv2d_backward_weight_16c32c3x3s2_16x16/field".to_string(),
+        s2.forward_macs(1, (16, 16)),
+        &mut || {
+            let mut cols = vec![F25::ZERO; 144 * sh * sw];
+            im2col_into(xs2.batch_item(0), 16, (16, 16), (3, 3), (2, 2), (1, 1), &mut cols);
+            std::hint::black_box(naive_matmul_a_bt(dys2.as_slice(), &cols, 32, sh * sw, 144));
+        },
+        &mut || {
+            let dw = conv2d_backward_weight_ws(&dys2, &xs2, &s2, &mut kws);
+            kws.give_tensor(std::hint::black_box(dw));
+        },
+    );
     bench(
         "conv2d_backward_input_16c16c3x3_16x16_n2/field".to_string(),
         2 * bmacs,
@@ -680,6 +745,48 @@ fn main() {
             noise_row_fast.clear();
             nrng_fast.uniform_extend(en, &mut noise_row_fast);
             std::hint::black_box(&noise_row_fast);
+        },
+    );
+
+    // --- Algorithm 2's sealing: one training step's gradient shards ----
+    // `train_pipelined`'s step: `mini_resnet`'s gradient for each of its
+    // four virtual batches, in shards of 4096 floats, sealed and then
+    // unsealed (the row is named by the bytes through the cipher, both
+    // ways). Scalar side: the same encrypt-then-MAC with ChaCha20 run
+    // the way RFC 8439 writes it — one block, then a byte-by-byte XOR —
+    // and the same SipHash. "MACs" counts those bytes here.
+    let step_floats = 4 * dk_nn::arch::mini_resnet(16, 10, 1).num_params();
+    let shards: Vec<Vec<u8>> = (0..step_floats)
+        .step_by(4096)
+        .map(|s0| (s0..step_floats.min(s0 + 4096)).flat_map(|i| (i as f32).to_le_bytes()).collect())
+        .collect();
+    let step_bytes: usize = shards.iter().map(Vec::len).sum();
+    let mut key = dk_tee::crypto::SealKey::derive(b"dk_bench seal");
+    let mut plain = Vec::new();
+    let seal_row = format!("seal_unseal_{}KB", 2 * step_bytes / 1000);
+    bench(
+        seal_row.clone(),
+        2 * step_bytes as u64,
+        &mut || {
+            for (i, shard) in shards.iter().enumerate() {
+                let mut nonce = [0u8; 12];
+                nonce[..8].copy_from_slice(&(i as u64).to_le_bytes());
+                let mut ct = shard.clone();
+                rfc_chacha20(&[7; 32], &nonce, &mut ct);
+                let tag = dk_tee::crypto::siphash::siphash24_parts(&[9; 16], &[&nonce[..], &ct[..]]);
+                assert_eq!(dk_tee::crypto::siphash::siphash24_parts(&[9; 16], &[&nonce[..], &ct[..]]), tag);
+                rfc_chacha20(&[7; 32], &nonce, &mut ct);
+                std::hint::black_box(&ct);
+            }
+        },
+        &mut || {
+            for shard in &shards {
+                let mut ct = Vec::with_capacity(shard.len());
+                ct.extend_from_slice(shard);
+                let blob = key.seal_vec(ct);
+                key.unseal_into(&blob, &mut plain).expect("own blob");
+                std::hint::black_box(&plain);
+            }
         },
     );
 
@@ -1005,9 +1112,11 @@ fn main() {
     // the ratio shifts a few percent with shape, the margin absorbs it).
     // Tracked kernels, each row by its exact name: the conv forward (the
     // offload's dominant cost) at every recorded shape — dense, depthwise
-    // and strided — training's two backward products, the field matmul
-    // (the SIMD kernel this ratio was built to protect), and the TEE-side
-    // streaming encode/decode (the coded-combine fast path).
+    // and strided — training's backward products (the weight gradient at
+    // a dense and a strided layer, the input gradient), the field matmul
+    // (the SIMD kernel this ratio was built to protect), the TEE-side
+    // streaming encode/decode (the coded-combine fast path), and
+    // Algorithm 2's seal-and-unseal of one step's gradient shards.
     if let Some(doc) = &committed {
         let tracked = [
             format!("conv2d_forward_16c32c3x3_{hw}x{hw}/field"),
@@ -1016,10 +1125,12 @@ fn main() {
             "conv2d_forward_dw32c3x3s2_16x16/field".to_string(),
             "conv2d_forward_16c32c3x3s2_16x16/field".to_string(),
             "conv2d_backward_weight_16c16c3x3_16x16/field".to_string(),
+            "conv2d_backward_weight_16c32c3x3s2_16x16/field".to_string(),
             "conv2d_backward_input_16c16c3x3_16x16_n2/field".to_string(),
             "matmul_64x128x64/field".to_string(),
             format!("encode_k4_m2_n{coded_n}/field"),
             format!("decode_forward_k4_m2_n{coded_n}/field"),
+            seal_row,
         ];
         for name in &tracked {
             let Some(new) = entries.iter().find(|e| &e.name == name) else {

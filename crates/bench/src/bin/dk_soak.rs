@@ -256,11 +256,17 @@ fn phase_crash_churn(checks: &mut Vec<Check>, factor: u64) {
     .expect("server start");
     let (e, w, f, _) = drive(&server, &model, cfg, 0xDEAD, 10 * factor);
     let m = server.shutdown();
+    // The crash must have fired: recovery serves the requests, so none
+    // fails with `WorkerLost`, and the evidence is the lost worker's
+    // quarantine.
     check(
         checks,
-        "fail-stop crash mid-stream: every admitted request still served exactly",
-        w == 0 && f == 0 && e == 10 * factor,
-        format!("{e} exact, {w} wrong, {f} failed (lost workers seen: {})", m.worker_lost),
+        "fail-stop crash mid-stream: the worker is quarantined and every admitted request still served exactly",
+        w == 0 && f == 0 && e == 10 * factor && m.quarantined >= 1,
+        format!(
+            "{e} exact, {w} wrong, {f} failed; {} worker(s) quarantined, {} request(s) lost a worker",
+            m.quarantined, m.worker_lost
+        ),
     );
 }
 

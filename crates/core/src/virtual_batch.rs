@@ -24,7 +24,7 @@ use dk_linalg::Tensor;
 use dk_nn::optim::Sgd;
 use dk_nn::Sequential;
 use dk_linalg::Workspace;
-use dk_tee::crypto::SealedBlob;
+use dk_tee::crypto::{extend_f32s_as_bytes, SealedBlob};
 use dk_tee::{Enclave, UntrustedStore};
 
 /// Telemetry from one large-batch training step.
@@ -116,9 +116,7 @@ impl SealedGradient {
         let mut blobs = ws.take_cleared(flat.len().div_ceil(shard_elems));
         for shard in flat.chunks(shard_elems) {
             let mut bytes = ws.take_cleared::<u8>(shard.len() * 4);
-            for v in shard {
-                bytes.extend_from_slice(&v.to_le_bytes());
-            }
+            extend_f32s_as_bytes(shard, &mut bytes);
             blobs.push(enclave.seal_vec(bytes));
         }
         ws.give(flat);

@@ -15,6 +15,11 @@
 //! * [`quant`] — the fixed-point quantization pipeline of Algorithm 1
 //!   (scale by `2^l`, map into the field, centered lift on decode).
 //! * [`lanes`] — the 4-byte wire form of a field vector, both ways.
+//! * [`rng`] — [`FieldRng`], the seeded uniform sampler every mask and
+//!   noise row is drawn from.
+//! * [`chacha`] — the ChaCha block function, eight blocks per call, at
+//!   any round count: `FieldRng`'s generator (12 rounds) and `dk_tee`'s
+//!   sealing cipher (ChaCha20) both run it.
 //! * [`tier`] — the workspace's one ladder of vector tiers, and the way
 //!   a pass is compiled once per tier.
 //!
@@ -36,6 +41,7 @@
 #![warn(clippy::undocumented_unsafe_blocks)]
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
+pub mod chacha;
 pub mod fp;
 pub mod lanes;
 pub mod matrix;

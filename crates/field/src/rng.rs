@@ -1,8 +1,9 @@
 //! Uniform sampling of field elements.
 //!
 //! All randomness in the framework flows through [`FieldRng`], a thin
-//! wrapper over a seedable ChaCha PRNG, so that every experiment is
-//! reproducible from a single seed. Sampling uses rejection to guarantee a
+//! wrapper over a seedable ChaCha12 generator (this module's own, on
+//! the block function of [`crate::chacha`]), so that every experiment
+//! is reproducible from a single seed. Sampling uses rejection to guarantee a
 //! perfectly uniform distribution over `[0, P)` — a biased sampler would
 //! weaken the one-time-pad argument of the paper's Lemma 1.
 //!
@@ -13,10 +14,11 @@
 //! block function. [`FieldRng::uniform_extend`] therefore asks the
 //! generator for the next several hundred `u64`s at once
 //! (`ChaCha12Rng::fill_u64`: eight blocks per refill, computed side by
-//! side), then rejects and reduces over that buffer, the whole pass
-//! compiled once per vector tier ([`crate::tier`]). The stream is
-//! unchanged: the refill produces blocks in counter order, so the
-//! buffer holds exactly the words that many [`FieldRng::next_u64`]
+//! side), then rejects and reduces over that buffer, the whole pass —
+//! refills included — compiled once per vector tier ([`crate::tier`]);
+//! a refill for a single draw runs in a tier body of its own. The
+//! stream is unchanged: the refill produces blocks in counter order, so
+//! the buffer holds exactly the words that many [`FieldRng::next_u64`]
 //! calls return, it never asks for more values than are still wanted
 //! (a rejected one is replaced by a further draw, as in
 //! [`FieldRng::uniform`]), and the generator is left at the same
@@ -24,10 +26,10 @@
 //! `uniform`, and whatever is drawn next (`fork`, `uniform_f32`,
 //! `index`, another `uniform`) sees the stream it always did.
 
+use crate::chacha::{self, Counter, WORDS};
 use crate::fp::Fp;
 use crate::tier::{Body, Tier, Width};
 use rand::{Rng, RngCore, SeedableRng};
-use rand_chacha::ChaCha12Rng;
 
 /// Deterministically mixes a seed with a label into a new seed
 /// (splitmix64 finalizer over the xor-folded pair).
@@ -160,6 +162,114 @@ impl FieldRng {
     }
 }
 
+/// The generator under [`FieldRng`]: ChaCha with 12 rounds, keyed by a
+/// 32-byte seed, a 64-bit block counter and no nonce. The stream is the
+/// blocks' words in counter order; how many blocks one refill buffers
+/// ([`chacha::BLOCKS`]) is not observable in it.
+#[derive(Debug, Clone)]
+struct ChaCha12Rng {
+    key: [u32; 8],
+    /// The next block's counter.
+    counter: u64,
+    buffer: [u32; WORDS],
+    /// Next unread word in `buffer`; `WORDS` means exhausted.
+    index: usize,
+}
+
+impl ChaCha12Rng {
+    #[inline(always)]
+    fn refill(&mut self) {
+        chacha::blocks::<12>(&self.key, Counter::Wide(self.counter), &mut self.buffer);
+        self.counter = self.counter.wrapping_add(chacha::BLOCKS as u64);
+        self.index = 0;
+    }
+
+    /// Fills `dest` with the next `dest.len()` values of
+    /// [`RngCore::next_u64`], leaving the generator where that many
+    /// calls would: buffered words are paired up in bulk, and the refill
+    /// between them is compiled into the caller (`#[inline(always)]`),
+    /// so a caller built for a wider vector unit refills on it.
+    #[inline(always)]
+    fn fill_u64(&mut self, dest: &mut [u64]) {
+        let mut dest = dest.iter_mut();
+        // After an odd number of `next_u32`s a buffer ends on the low
+        // half of a value; it waits here for the refill to bring the
+        // high half. (One refill site, so the block function is
+        // compiled into the caller once.)
+        let mut low_half = None;
+        while dest.len() > 0 {
+            if self.index >= WORDS {
+                self.refill();
+            }
+            if let Some(low) = low_half.take() {
+                let Some(d) = dest.next() else { break };
+                *d = u64::from(low) | u64::from(self.buffer[0]) << 32;
+                self.index = 1;
+            }
+            let buffered = self.buffer[self.index..].chunks_exact(2);
+            let last_word = buffered.remainder().first().copied();
+            // (`buffered` first: a `zip` that runs out of its second
+            // iterator has already taken an item from its first.)
+            let mut paired = 0;
+            for (pair, d) in buffered.zip(dest.by_ref()) {
+                *d = u64::from(pair[0]) | u64::from(pair[1]) << 32;
+                paired += 2;
+            }
+            self.index += paired;
+            if self.index == WORDS - 1 && dest.len() > 0 {
+                low_half = last_word;
+                self.index = WORDS;
+            }
+        }
+    }
+}
+
+/// A refill for a single draw, compiled for the best tier.
+struct Refill<'a>(&'a mut ChaCha12Rng);
+
+impl Body for Refill<'_> {
+    type Out = ();
+
+    #[inline(always)]
+    fn run<W: Width>(self, _: W) {
+        self.0.refill();
+    }
+}
+
+impl SeedableRng for ChaCha12Rng {
+    type Seed = [u8; 32];
+
+    fn from_seed(seed: Self::Seed) -> Self {
+        let (words, _) = seed.as_chunks::<4>();
+        let key = std::array::from_fn(|i| u32::from_le_bytes(words[i]));
+        Self { key, counter: 0, buffer: [0; WORDS], index: WORDS }
+    }
+}
+
+impl RngCore for ChaCha12Rng {
+    fn next_u32(&mut self) -> u32 {
+        if self.index >= WORDS {
+            Tier::best().run(Refill(self));
+        }
+        let w = self.buffer[self.index];
+        self.index += 1;
+        w
+    }
+
+    fn next_u64(&mut self) -> u64 {
+        let lo = self.next_u32() as u64;
+        let hi = self.next_u32() as u64;
+        lo | (hi << 32)
+    }
+
+    fn fill_bytes(&mut self, dest: &mut [u8]) {
+        for chunk in dest.chunks_mut(4) {
+            let b = self.next_u32().to_le_bytes();
+            chunk.copy_from_slice(&b[..chunk.len()]);
+        }
+    }
+}
+
 /// The rejection zone of `F_P`, shared by [`FieldRng::uniform`] and
 /// [`UniformExtend`]: the largest multiple of `P` below `2^64`. A draw at
 /// or above it is replaced by the next one.
@@ -200,6 +310,76 @@ impl<const P: u64> Body for UniformExtend<'_, P> {
 mod tests {
     use super::*;
     use crate::fp::{F25, P25};
+
+    #[test]
+    fn deterministic_and_seed_sensitive() {
+        let mut a = ChaCha12Rng::seed_from_u64(7);
+        let mut b = ChaCha12Rng::seed_from_u64(7);
+        let mut c = ChaCha12Rng::seed_from_u64(8);
+        let va: Vec<u64> = (0..64).map(|_| a.next_u64()).collect();
+        let vb: Vec<u64> = (0..64).map(|_| b.next_u64()).collect();
+        let vc: Vec<u64> = (0..64).map(|_| c.next_u64()).collect();
+        assert_eq!(va, vb);
+        assert_ne!(va, vc);
+    }
+
+    #[test]
+    fn blocks_differ_by_counter() {
+        let mut rng = ChaCha12Rng::seed_from_u64(1);
+        let first: Vec<u32> = (0..16).map(|_| rng.next_u32()).collect();
+        let second: Vec<u32> = (0..16).map(|_| rng.next_u32()).collect();
+        assert_ne!(first, second);
+    }
+
+    #[test]
+    fn bits_are_balanced() {
+        // Rough sanity: population count over 64k words near 50%.
+        let mut rng = ChaCha12Rng::seed_from_u64(3);
+        let ones: u64 = (0..65_536).map(|_| rng.next_u32().count_ones() as u64).sum();
+        let total = 65_536u64 * 32;
+        let frac = ones as f64 / total as f64;
+        assert!((frac - 0.5).abs() < 0.01, "bit balance {frac}");
+    }
+
+    #[test]
+    fn stream_is_the_blocks_in_counter_order() {
+        let mut rng = ChaCha12Rng::seed_from_u64(11);
+        // Across the 32-bit carry of the block counter.
+        rng.counter = (1 << 32) - 3;
+        let (key, first) = (rng.key, rng.counter);
+        for block in 0..3 * chacha::BLOCKS as u64 {
+            let want = chacha::block::<12>(&chacha::block_input(&key, Counter::Wide(first + block)));
+            let got: [u32; 16] = std::array::from_fn(|_| rng.next_u32());
+            assert_eq!(got, want, "block {block}");
+        }
+    }
+
+    /// `fill_u64` is `next_u64` repeated — values, and the state left
+    /// behind — from every word position around a refill, for lengths
+    /// on both sides of one refill and of two.
+    #[test]
+    fn fill_u64_is_next_u64_repeated_from_every_position() {
+        const WIDE: usize = chacha::BLOCKS;
+        for skip in (0..=35).chain(WORDS - 3..=WORDS + 3) {
+            for len in [0, 1, 7, 8, 8 * WIDE - 1, 8 * WIDE, 8 * WIDE + 1, 16 * WIDE + 9, 40 * WIDE]
+            {
+                let mut bulk = ChaCha12Rng::seed_from_u64(skip as u64);
+                for _ in 0..skip {
+                    bulk.next_u32();
+                }
+                let mut single = bulk.clone();
+                let mut got = vec![0u64; len];
+                bulk.fill_u64(&mut got);
+                let want: Vec<u64> = (0..len).map(|_| single.next_u64()).collect();
+                assert_eq!(got, want, "skip={skip} len={len}");
+                assert_eq!(
+                    (bulk.counter, bulk.index, bulk.buffer),
+                    (single.counter, single.index, single.buffer),
+                    "skip={skip} len={len}: state"
+                );
+            }
+        }
+    }
 
     #[test]
     fn deterministic_from_seed() {

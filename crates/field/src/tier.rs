@@ -20,10 +20,11 @@
 //! once per rung: as it stands for the baseline, and inside a
 //! `#[target_feature]` function for each wider rung. The body learns the
 //! rung through its [`Width`] parameter. This crate's element passes —
-//! quantize, dequantize, the noise draw, the wire's lane pack and unpack
-//! — ignore it: they are branch-free loops the compiler vectorizes at
-//! whatever width it may use. `dk_linalg`'s register tile picks its lane
-//! shim by [`Width::KIND`]. Every instantiation computes the same bits,
+//! quantize, dequantize, the noise draw and its ChaCha refills, the
+//! wire's lane pack and unpack — and `dk_tee`'s seal cipher ignore it:
+//! they are branch-free loops the compiler vectorizes at whatever width
+//! it may use. `dk_linalg`'s register tile picks its lane shim by
+//! [`Width::KIND`]. Every instantiation computes the same bits,
 //! which the per-tier tests of both crates check on every rung
 //! [`Tier::offered`] names.
 

@@ -52,23 +52,29 @@
 //!     [`col2im_acc_into`]. `f32` is the plain baseline and keeps this
 //!     recurrence bit for bit: per `dx` element, the taps in ascending
 //!     `(ki, kj)`, each its own ascending-`co` sum.
-//! * **weight gradient** (`dW += dy · cols(x)ᵀ`). The contraction runs
-//!   over output positions, so the column matrix of each sample is
-//!   materialized ([`im2col_into`], its only caller). For `F25` it is
-//!   the `A` operand of one packed-panel product per sample and group,
-//!   `dWᵀ[krows × cgo] = cols(x) · dyᵀ`, read in place at strides
-//!   `(ocols, 1)` while a transposing filler packs `dyᵀ` into the panel;
-//!   the product is added, transposed, into `dW`. `f32` keeps the
-//!   dot-orientation kernel [`matmul_a_bt_into`], whose ascending-`p`
-//!   sums with no zero skip are its reference bits.
+//! * **weight gradient** (`dW = Σ_n dy · cols(x)ᵀ`). The contraction
+//!   runs over output positions. For `F25` the column matrix is read
+//!   where it lies, as in the forward pass: each (sample, group) is
+//!   staged once into the same padded, phase-split buffer, and one
+//!   packed-panel product per (sample, group) computes
+//!   `dWᵀ[krows × cgo] = cols(x) · dyᵀ` over the **wide** plane
+//!   (`K = oh · wq`), its `A` rows named by the staging offsets
+//!   ([`ARows::At`](crate::matmul)). The panel filler packs `dyᵀ` in
+//!   wide order with zeros at each output row's `wq − ow` surplus
+//!   columns, so the surplus taps add nothing, and the field sum is
+//!   exact whatever its order. The product is stored into `dW`
+//!   transposed (the first sample stores, later ones add). `f32` keeps
+//!   the dot-orientation kernel [`matmul_a_bt_into`] over a
+//!   materialized column matrix ([`im2col_into`], its only caller),
+//!   whose ascending-`p` sums with no zero skip are its reference bits.
 //!
 //! Grouped convolution is supported (`groups > 1`); depthwise convolution
 //! — the core of MobileNet — is the special case `groups == in_channels`.
 
 use crate::im2col::{col2im_acc_into, im2col_into, out_hw};
 use crate::matmul::{
-    fill_transposed, gemm_packed, gemm_packed_on, matmul_a_bt_into, matmul_at_b_into, InPlace, Panel,
-    Rows, LANES,
+    fill_wide, gemm_packed_on, matmul_a_bt_into, matmul_at_b_into, store_transposed, ARows, InPlace,
+    Panel, Rows, LANES,
 };
 use crate::scalar::Scalar;
 use crate::tensor::Tensor;
@@ -229,10 +235,11 @@ pub(crate) fn conv2d_forward_on<T: Scalar>(
             // yg[cgo x wide] = wg[cgo x krows] · cols(xg)[krows x wide],
             // the column matrix read where it lies in the staging buffer.
             let rows = Rows::InPlace(InPlace::new(stage, &offs, wide));
+            let a_index = (ARows::Every(krows), 1);
             if st.wq == ow {
-                gemm_packed_on(tier, wg, (krows, 1), yg, (cgo, krows, wide), rows);
+                gemm_packed_on(tier, wg, a_index, yg, (cgo, krows, wide), rows);
             } else {
-                gemm_packed_on(tier, wg, (krows, 1), ywide, (cgo, krows, wide), rows);
+                gemm_packed_on(tier, wg, a_index, ywide, (cgo, krows, wide), rows);
                 for (dst, src) in yg.chunks_exact_mut(ow).zip(ywide.chunks_exact(st.wq)) {
                     dst.copy_from_slice(&src[..ow]);
                 }
@@ -444,50 +451,71 @@ pub fn conv2d_backward_weight_ws<T: Scalar>(
     s: &Conv2dShape,
     ws: &mut Workspace,
 ) -> Tensor<T> {
+    conv2d_backward_weight_on(Tier::best(), dy, x, s, ws)
+}
+
+/// [`conv2d_backward_weight_ws`] on a given tier, as
+/// [`conv2d_forward_on`].
+pub(crate) fn conv2d_backward_weight_on<T: Scalar>(
+    tier: Tier,
+    dy: &Tensor<T>,
+    x: &Tensor<T>,
+    s: &Conv2dShape,
+    ws: &mut Workspace,
+) -> Tensor<T> {
     s.check_input(x);
     assert_eq!(dy.shape()[1], s.out_channels, "dy channel mismatch");
     let n = x.shape()[0];
     assert_eq!(dy.shape()[0], n, "batch mismatch");
     let hw = (x.shape()[2], x.shape()[3]);
     let (oh, ow) = s.out_hw(hw);
+    assert_eq!((dy.shape()[2], dy.shape()[3]), (oh, ow), "dy spatial mismatch");
     let (cgi, cgo) = (s.cg_in(), s.cg_out());
     let krows = cgi * s.kernel.0 * s.kernel.1;
     let ocols = oh * ow;
+    let st = Staging::new(hw, s);
     let mut dw = ws.take_tensor(&s.weight_shape());
-    // Both fully overwritten before each use.
-    let mut cols = ws.take_dirty::<T>(krows * ocols);
-    let mut dwg = ws.take_dirty::<T>(cgo * krows);
+    // The staging buffer (`F25`) or the column matrix (`f32`), then one
+    // (sample, group)'s product, fully overwritten by each. The staging
+    // buffer is zeroed once, as the forward's.
+    let cols_len = if T::EXACT { st.len } else { krows * ocols };
+    let mut scratch = ws.take_dirty::<T>(cols_len + krows * cgo);
+    let (cols, dwg) = scratch.split_at_mut(cols_len);
+    let mut offs = ws.take_cleared::<usize>(krows);
+    if T::EXACT {
+        cols.fill(T::zero());
+        st.offsets(cgi, &mut offs);
+    }
     let mut panel = Panel::new();
     for ni in 0..n {
         let xi = x.batch_item(ni);
         let dyi = dy.batch_item(ni);
         for g in 0..s.groups {
             let xg = &xi[g * cgi * hw.0 * hw.1..(g + 1) * cgi * hw.0 * hw.1];
-            im2col_into(xg, cgi, hw, s.kernel, s.stride, s.padding, &mut cols);
             let dyg = &dyi[g * cgo * ocols..(g + 1) * cgo * ocols];
             let dst = &mut dw.as_mut_slice()[g * cgo * krows..(g + 1) * cgo * krows];
             if T::EXACT {
-                // dwgᵀ[krows x cgo] = cols[krows x ocols] · dygᵀ[ocols x cgo].
-                let fill = fill_transposed(dyg, ocols, cgo);
-                let rows = Rows::Packed(&mut panel, &fill);
-                gemm_packed(&cols, (ocols, 1), &mut dwg, (krows, ocols, cgo), rows);
-                for (r, row) in dwg.chunks_exact(cgo).enumerate() {
-                    for (co, &v) in row.iter().enumerate() {
-                        dst[co * krows + r] += v;
-                    }
-                }
+                // dwgᵀ[krows x cgo] = cols(xg)[krows x wide] · dygᵀ[wide x cgo]:
+                // the column matrix read where it lies, `dyᵀ` packed in
+                // wide order with zeros at the surplus columns.
+                st.stage(xg, cols);
+                let fill = fill_wide(dyg, (oh, ow, st.wq), cgo);
+                let (a, rows) = ((ARows::At(&offs), 1), Rows::Packed(&mut panel, &fill));
+                gemm_packed_on(tier, cols, a, dwg, (krows, oh * st.wq, cgo), rows);
+                store_transposed(dwg, (krows, cgo), dst, ni > 0);
             } else {
                 // dwg[cgo x krows] = dyg[cgo x ocols] · colsᵀ[ocols x krows],
                 // added into dw as a separate elementwise pass.
-                matmul_a_bt_into(dyg, &cols, &mut dwg, cgo, ocols, krows);
+                im2col_into(xg, cgi, hw, s.kernel, s.stride, s.padding, cols);
+                matmul_a_bt_into(dyg, cols, dwg, cgo, ocols, krows);
                 for (d, &v) in dst.iter_mut().zip(dwg.iter()) {
                     *d += v;
                 }
             }
         }
     }
-    ws.give(dwg);
-    ws.give(cols);
+    ws.give(offs);
+    ws.give(scratch);
     dw
 }
 
@@ -601,6 +629,79 @@ mod tests {
                 let mut ws = Workspace::new();
                 let got = conv2d_forward_on(tier, &x, &w, &s, &mut ws);
                 assert_eq!(got.as_slice(), want.as_slice(), "{tier:?} {s:?}");
+            }
+        }
+    }
+
+    /// Direct (nested-loop) weight gradient: `dW[oc, ci, ky, kx] =
+    /// Σ_{n, oy, ox} dy[n, oc, oy, ox] · x[n, g·cgi + ci, iy, ix]`.
+    fn weight_grad_reference(dy: &Tensor<F25>, x: &Tensor<F25>, s: &Conv2dShape) -> Tensor<F25> {
+        let n = x.shape()[0];
+        let (h, wd) = (x.shape()[2], x.shape()[3]);
+        let (oh, ow) = s.out_hw((h, wd));
+        let (cgi, cgo) = (s.cg_in(), s.cg_out());
+        let mut dw = Tensor::zeros(&s.weight_shape());
+        for oc in 0..s.out_channels {
+            for ci in 0..cgi {
+                for ky in 0..s.kernel.0 {
+                    for kx in 0..s.kernel.1 {
+                        let mut acc = F25::ZERO;
+                        for ni in 0..n {
+                            for oy in 0..oh {
+                                for ox in 0..ow {
+                                    let iy = (oy * s.stride.0 + ky) as isize - s.padding.0 as isize;
+                                    let ix = (ox * s.stride.1 + kx) as isize - s.padding.1 as isize;
+                                    if iy >= 0 && ix >= 0 && (iy as usize) < h && (ix as usize) < wd {
+                                        let ic = oc / cgo * cgi + ci;
+                                        acc += dy.get(&[ni, oc, oy, ox])
+                                            * x.get(&[ni, ic, iy as usize, ix as usize]);
+                                    }
+                                }
+                            }
+                        }
+                        dw.set(&[oc, ci, ky, kx], acc);
+                    }
+                }
+            }
+        }
+        dw
+    }
+
+    /// The `F25` weight gradient on every tier the host offers, exactly
+    /// against the direct reference: dense with a wide plane wider than
+    /// the output (`wq ≠ ow`), stride 2, 1×1 at stride 2, no padding,
+    /// grouped, depthwise, more output channels than one strip, and a
+    /// reduction past one panel block; each at `n = 1` and at `n = 2`
+    /// (samples accumulated), over a workspace whose recycled buffers
+    /// hold stale values.
+    #[test]
+    fn backward_weight_on_every_tier_matches_reference() {
+        let mut rng = dk_field::FieldRng::seed_from(0x3d3);
+        for (s, hw) in [
+            (Conv2dShape::simple(16, 16, 3, 1, 1), (9, 13)),
+            (Conv2dShape::simple(4, 6, 3, 2, 1), (9, 13)),
+            (Conv2dShape::new(3, 5, (1, 1), (2, 2), (0, 0), 1), (9, 13)),
+            (Conv2dShape::simple(5, 3, 3, 1, 0), (7, 10)),
+            (Conv2dShape::new(4, 6, (3, 3), (2, 1), (1, 0), 2), (9, 13)),
+            (Conv2dShape::depthwise(8, 3, 2, 1), (9, 13)),
+            (Conv2dShape::simple(3, 21, 3, 1, 1), (20, 19)),
+        ] {
+            for n in [1, 2] {
+                let (oh, ow) = s.out_hw(hw);
+                let mut draw = |shape: &[usize]| Tensor::from_fn(shape, |_| rng.uniform::<{ dk_field::P25 }>());
+                let x = draw(&[n, s.in_channels, hw.0, hw.1]);
+                let dy = draw(&[n, s.out_channels, oh, ow]);
+                let want = weight_grad_reference(&dy, &x, &s);
+                for tier in Tier::offered() {
+                    let mut ws = Workspace::new();
+                    for _ in 0..2 {
+                        let got = conv2d_backward_weight_on(tier, &dy, &x, &s, &mut ws);
+                        assert_eq!(got.as_slice(), want.as_slice(), "{tier:?} n={n} {s:?} {hw:?}");
+                        ws.give_tensor(got);
+                        let stale = ws.take_tensor_dirty::<F25>(&s.weight_shape());
+                        ws.give_tensor(stale.map(|_| F25::new(0x1ab_cdef)));
+                    }
+                }
             }
         }
     }

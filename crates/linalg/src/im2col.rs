@@ -5,13 +5,13 @@
 //! pixel that kernel tap `(ki, kj)` of channel `ci` reads there (zero
 //! where the tap lands in the padding). `Window` is that geometry,
 //! generic over [`Scalar`] so the identical lowering runs in the float
-//! and field domains, and it lowers only for the **weight
-//! gradient**: that pass contracts over output positions, so it wants
+//! and field domains, and it lowers only for the `f32` **weight
+//! gradient**: that pass keeps the dot-orientation kernel, which wants
 //! whole column-matrix rows contiguous, and it is the one caller of
-//! [`im2col_into`] (the column matrix is the `A` operand of its
-//! packed-panel product). The forward convolution reads the column
-//! matrix in place from a padded, phase-split copy of the image instead
-//! (see [`crate::conv`]). The strided input-gradient pass goes the other
+//! [`im2col_into`]. The forward convolution and the `F25` weight
+//! gradient read the column matrix in place from a padded, phase-split
+//! copy of the image instead (see [`crate::conv`]). The strided
+//! input-gradient pass goes the other
 //! way through [`col2im_acc_into`]; the stride-1 one is a forward
 //! convolution and needs neither.
 //!

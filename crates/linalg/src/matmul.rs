@@ -9,13 +9,14 @@
 //!
 //! # The outer-product orientations: one strip kernel, two row sources
 //!
-//! `A·B`, `Aᵀ·B` and the forward convolution are one kernel
-//! (`gemm_packed`) over `LANES`-wide strips of output columns, blocks
-//! of `PANEL_ROWS` reduction positions, and every output row of a
-//! strip per block. What differs is where a block's `B` rows come from
-//! (`Rows`); either way a block is a base slice and one offset per
-//! reduction position, row `p` being the `LANES` elements at
-//! `base[offs[p]..]`, and that is all the micro-kernels read:
+//! `A·B`, `Aᵀ·B` and both `F25` convolution products — the forward and
+//! the weight gradient — are one kernel (`gemm_packed`) over
+//! `LANES`-wide strips of output columns, blocks of `PANEL_ROWS`
+//! reduction positions, and every output row of a strip per block.
+//! What differs is where a block's `B` rows come from (`Rows`); either
+//! way a block is a base slice and one offset per reduction position,
+//! row `p` being the `LANES` elements at `base[offs[p]..]`, and that is
+//! all the micro-kernels read:
 //!
 //! ```text
 //! Packed (the matmuls, the F25 weight gradient): strips outermost
@@ -32,18 +33,20 @@
 //! streamed from memory exactly once per product whatever `m` is, and
 //! the micro-kernel's `B` loads are unit-stride whatever `n` is. The
 //! matmuls copy row segments of a row-major `B` into it; the `F25`
-//! convolution weight gradient packs `dyᵀ` down its lanes
-//! (`fill_transposed`). The forward convolution packs nothing: its
-//! column matrix's rows are contiguous runs of a padded, phase-split
-//! copy of the image (see [`crate::conv`]), so a block names them by
-//! offset (`InPlace`) and one call covers every strip; the buffer
-//! carries the slack the last strip's surplus lanes read. `A` is read
-//! in place through a `(row, column)` stride pair — `(k, 1)` for `A·B`,
-//! `(1, m)` for `Aᵀ·B` — so no transpose is packed either. A strip
-//! narrower than `LANES` (the last one when `n % LANES ≠ 0`) is the
-//! same full-width kernel over rows whose surplus lanes are zero (a
-//! panel) or whatever follows (in place); only the strip's own lanes
-//! are stored.
+//! convolution weight gradient packs `dyᵀ` in wide order
+//! (`fill_wide`). The forward convolution packs nothing: its column
+//! matrix's rows are contiguous runs of a padded, phase-split copy of
+//! the image (see [`crate::conv`]), so a block names them by offset
+//! (`InPlace`) and one call covers every strip; the buffer carries the
+//! slack the last strip's surplus lanes read. `A` is read in place too:
+//! row `i` starts where `ARows` says — every `k` for `A·B` and the
+//! forward's weights, every 1 (columns `m` apart) for `Aᵀ·B`, and at the
+//! staging buffer's per-row offsets for the weight gradient, whose `A`
+//! is the column matrix — so no transpose or column matrix is packed
+//! either. A strip narrower than `LANES` (the last one when
+//! `n % LANES ≠ 0`) is the same full-width kernel over rows whose
+//! surplus lanes are zero (a panel) or whatever follows (in place);
+//! only the strip's own lanes are stored.
 //!
 //! The portable micro-kernel (`lane_strip`) holds `LANES`
 //! independent [`Scalar::Acc`] accumulators in registers — one per
@@ -245,18 +248,56 @@ impl<'a, T> InPlace<'a, T> {
     }
 }
 
-/// `C[m×n] = A · B` with `A[i, p]` read at `a[i·a_row + p·a_col]` and
-/// `B` from `rows`, in strips and blocks (see the module docs). `C` is
-/// overwritten (prior contents are irrelevant). A caller issuing many
+/// Where row `i` of a product's `A` operand starts in its buffer; its
+/// element `p` lies `p · a_col` further on.
+#[derive(Clone, Copy, Debug)]
+pub(crate) enum ARows<'a> {
+    /// Row `i` at `i · stride`: a row-major matrix (`stride = k`) or a
+    /// transposed one (`stride = 1`, `a_col = m`).
+    Every(usize),
+    /// Row `i` at `offs[i]`: the column-matrix rows of a convolution,
+    /// read where they lie in its staging buffer.
+    At(&'a [usize]),
+}
+
+impl ARows<'_> {
+    /// Where row `i` starts.
+    #[inline(always)]
+    fn start(self, i: usize) -> usize {
+        match self {
+            ARows::Every(stride) => i * stride,
+            ARows::At(offs) => offs[i],
+        }
+    }
+
+    /// The furthest start of `m ≥ 1` rows.
+    ///
+    /// # Panics
+    ///
+    /// If row offsets do not name exactly `m` rows.
+    fn last_start(self, m: usize) -> usize {
+        match self {
+            ARows::Every(stride) => (m - 1) * stride,
+            ARows::At(offs) => {
+                assert_eq!(offs.len(), m, "A row offsets");
+                offs.iter().copied().max().unwrap_or(0)
+            }
+        }
+    }
+}
+
+/// `C[m×n] = A · B` with `A[i, p]` read at `a[a_rows.start(i) + p·a_col]`
+/// and `B` from `rows`, in strips and blocks (see the module docs). `C`
+/// is overwritten (prior contents are irrelevant). A caller issuing many
 /// small packed products passes one panel to all of them.
 pub(crate) fn gemm_packed<T: Scalar>(
     a: &[T],
-    a_strides: (usize, usize),
+    a_index: (ARows<'_>, usize),
     c: &mut [T],
     dims: (usize, usize, usize),
     rows: Rows<'_, T>,
 ) {
-    gemm_packed_on(Tier::best(), a, a_strides, c, dims, rows);
+    gemm_packed_on(Tier::best(), a, a_index, c, dims, rows);
 }
 
 /// [`gemm_packed`] on a given tier (the baseline: the portable kernel):
@@ -267,7 +308,7 @@ pub(crate) fn gemm_packed<T: Scalar>(
 pub(crate) fn gemm_packed_on<T: Scalar>(
     tier: Tier,
     a: &[T],
-    a_strides: (usize, usize),
+    a_index: (ARows<'_>, usize),
     c: &mut [T],
     (m, k, n): (usize, usize, usize),
     mut rows: Rows<'_, T>,
@@ -283,7 +324,7 @@ pub(crate) fn gemm_packed_on<T: Scalar>(
         c.fill(T::zero());
         return;
     }
-    assert!((m - 1) * a_strides.0 + (k - 1) * a_strides.1 < a.len(), "A size");
+    assert!(a_index.0.last_start(m) + (k - 1) * a_index.1 < a.len(), "A size");
     let blocks = (0..k).step_by(PANEL_ROWS).map(|p0| (p0, PANEL_ROWS.min(k - p0)));
     match &mut rows {
         Rows::Packed(panel, fill) => {
@@ -293,7 +334,7 @@ pub(crate) fn gemm_packed_on<T: Scalar>(
                     fill(p0, j0, packed);
                     let (b, cols) = ((&*packed, &PANEL_OFFS[..kb]), j0..LANES.min(n - j0) + j0);
                     // SAFETY: one strip, its rows at `p·LANES < kb·LANES`.
-                    unsafe { block(tier, (a, a_strides, p0), b, c, (m, n), cols) };
+                    unsafe { block(tier, (a, a_index, p0), b, c, (m, n), cols) };
                 }
             }
         }
@@ -302,7 +343,7 @@ pub(crate) fn gemm_packed_on<T: Scalar>(
                 let b = (r.b, &r.offs[p0..p0 + kb]);
                 // SAFETY: `InPlace::new` bounded every row, slack included,
                 // for the last strip of the `n` columns, so for all of them.
-                unsafe { block(tier, (a, a_strides, p0), b, c, (m, n), 0..n) };
+                unsafe { block(tier, (a, a_index, p0), b, c, (m, n), 0..n) };
             }
         }
     }
@@ -321,7 +362,7 @@ pub(crate) fn gemm_packed_on<T: Scalar>(
 /// strip start `j < cols.len()`: both kernels read `B` unchecked.
 unsafe fn block<T: Scalar>(
     tier: Tier,
-    (a, (a_row, a_col), p0): (&[T], (usize, usize), usize),
+    (a, (a_rows, a_col), p0): (&[T], (ARows<'_>, usize), usize),
     (b, offs): (&[T], &[usize]),
     c: &mut [T],
     (m, n): (usize, usize),
@@ -334,7 +375,7 @@ unsafe fn block<T: Scalar>(
     // `c`, exclusively borrowed, lie inside it.
     let tiled = unsafe {
         let (ap, cp) = (a.as_ptr().add(p0 * a_col), c.as_mut_ptr().add(cols.start));
-        simd::gemm_block(tier, ap, (a_row, a_col), (b, offs), cp, n, (m, cols.len()), load)
+        simd::gemm_block(tier, ap, (a_rows, a_col), (b, offs), cp, n, (m, cols.len()), load)
     };
     if tiled.is_some() {
         return;
@@ -343,7 +384,7 @@ unsafe fn block<T: Scalar>(
         let w = LANES.min(cols.end - j0);
         let strip = (&b[j0 - cols.start..], offs);
         for i in 0..m {
-            let ai = &a[i * a_row + p0 * a_col..];
+            let ai = &a[a_rows.start(i) + p0 * a_col..];
             let cs = &mut c[i * n + j0..][..w];
             if let Ok(cs) = <&mut [T; LANES]>::try_from(&mut *cs) {
                 // SAFETY: this strip's `B` rows, by the function contract.
@@ -380,26 +421,56 @@ fn fill_from_rows<T: Scalar>(b: &[T], n: usize) -> impl Fn(usize, usize, &mut [T
     }
 }
 
-/// The panel filler for `B = Bᵗᵀ` with `Bᵗ[n×k]` row-major: column
-/// `j` of `B` is row `j` of `bt`, so each lane of a block is one
-/// contiguous run of `bt` written down the panel; lanes past column `n`
-/// are zero. The convolution weight gradient packs `dyᵀ` with it.
-pub(crate) fn fill_transposed<T: Scalar>(
-    bt: &[T],
-    k: usize,
+/// The panel filler for `B = dyᵀ` over a **wide** reduction: `dy` is
+/// `n` rows (output channels) of an `oh × ow` plane, and reduction
+/// position `p` is wide output position `(p / wq, p % wq)` of an
+/// `oh × wq` plane (`wq ≥ ow`), so row `p` of `B` is column `p` of `dy`
+/// where `p % wq < ow` and zero at each wide row's `wq − ow` surplus
+/// columns; lanes past column `n` are zero. The convolution weight
+/// gradient packs `dy` with it, to meet the column matrix it reads in
+/// wide coordinates.
+pub(crate) fn fill_wide<T: Scalar>(
+    dy: &[T],
+    (oh, ow, wq): (usize, usize, usize),
     n: usize,
 ) -> impl Fn(usize, usize, &mut [T]) + '_ {
+    let plane = oh * ow;
     move |p0, j0, rows| {
         let w = LANES.min(n - j0);
-        let kb = rows.len() / LANES;
-        if w < LANES {
-            rows.fill(T::zero());
-        }
-        for l in 0..w {
-            let src = &bt[(j0 + l) * k + p0..][..kb];
-            for (row, &v) in rows.chunks_exact_mut(LANES).zip(src) {
-                row[l] = v;
+        let (mut oy, mut ox) = (p0 / wq, p0 % wq);
+        for row in rows.as_chunks_mut::<LANES>().0 {
+            if ox >= ow {
+                *row = [T::zero(); LANES];
+            } else if w == LANES {
+                // One element of each of sixteen channel planes: a fixed
+                // gather the compiler unrolls.
+                let q = j0 * plane + oy * ow + ox;
+                *row = std::array::from_fn(|l| dy[q + l * plane]);
+            } else {
+                let q = j0 * plane + oy * ow + ox;
+                for (l, d) in row.iter_mut().enumerate() {
+                    *d = if l < w { dy[q + l * plane] } else { T::zero() };
+                }
             }
+            ox += 1;
+            if ox == wq {
+                (oy, ox) = (oy + 1, 0);
+            }
+        }
+    }
+}
+
+/// `dst[n×m] (=|+=) srcᵀ` for a row-major `src[m×n]`: the weight
+/// gradient's product is `dWᵀ`. `add` accumulates (a later sample)
+/// instead of storing. Both fit in L1 at the sizes it is called with,
+/// so it is the plain loop: `src` read in order, `dst` written `m`
+/// apart.
+pub(crate) fn store_transposed<T: Scalar>(src: &[T], (m, n): (usize, usize), dst: &mut [T], add: bool) {
+    assert!(src.len() == m * n && dst.len() == m * n, "transposed store size");
+    for (i, row) in src.chunks_exact(n.max(1)).enumerate() {
+        for (j, &v) in row.iter().enumerate() {
+            let d = &mut dst[j * m + i];
+            *d = if add { *d + v } else { v };
         }
     }
 }
@@ -505,7 +576,8 @@ fn a_bt_block_ordered<T: Scalar>(a: &[T], b: &[T], c: &mut [T], rows: usize, k: 
 pub fn matmul_into<T: Scalar>(a: &[T], b: &[T], c: &mut [T], m: usize, k: usize, n: usize) {
     assert_eq!(a.len(), m * k, "A size");
     assert_eq!(b.len(), k * n, "B size");
-    gemm_packed(a, (k, 1), c, (m, k, n), Rows::Packed(&mut Panel::new(), &fill_from_rows(b, n)));
+    let rows = Rows::Packed(&mut Panel::new(), &fill_from_rows(b, n));
+    gemm_packed(a, (ARows::Every(k), 1), c, (m, k, n), rows);
 }
 
 /// `C[m×n] = Aᵀ · B` (with `A` stored `k×m`) into a caller-provided
@@ -527,7 +599,8 @@ pub fn matmul_at_b_into<T: Scalar>(
 ) {
     assert_eq!(a.len(), k * m, "A size");
     assert_eq!(b.len(), k * n, "B size");
-    gemm_packed(a, (1, m), c, (m, k, n), Rows::Packed(&mut Panel::new(), &fill_from_rows(b, n)));
+    let rows = Rows::Packed(&mut Panel::new(), &fill_from_rows(b, n));
+    gemm_packed(a, (ARows::Every(1), m), c, (m, k, n), rows);
 }
 
 /// `C[m×n] = A · Bᵀ` (with `B` stored `n×k`) into a caller-provided
@@ -755,29 +828,39 @@ mod tests {
         assert_eq!(c, crate::reference::naive_matmul_at_b(&at, &b, m, k, n));
     }
 
-    /// `A` stored both ways: row-major `m×k` (strides `(k, 1)`) and as
-    /// its transpose `k×m` (strides `(1, m)`).
-    fn both_layouts(a: &[F25], m: usize, k: usize) -> [(Vec<F25>, (usize, usize)); 2] {
+    /// `A` stored three ways — row-major `m×k` (rows every `k`), as its
+    /// transpose `k×m` (rows every 1, columns every `m`), and as rows
+    /// named by offset, in reverse order with gaps between them — each
+    /// with its row offsets (`None`: every `stride`), row stride and
+    /// column step.
+    #[allow(clippy::type_complexity)]
+    fn layouts(a: &[F25], m: usize, k: usize) -> [(Vec<F25>, Option<Vec<usize>>, usize, usize); 3] {
         let mut a_t = vec![F25::ZERO; k * m];
         for i in 0..m {
             for p in 0..k {
                 a_t[p * m + i] = a[i * k + p];
             }
         }
-        [(a.to_vec(), (k, 1)), (a_t, (1, m))]
+        let offs: Vec<usize> = (0..m).map(|i| (m - 1 - i) * (k + 3) + 1).collect();
+        let mut scattered = vec![F25::new(7); m * (k + 3) + 1];
+        for (i, &o) in offs.iter().enumerate() {
+            scattered[o..o + k].copy_from_slice(&a[i * k..(i + 1) * k]);
+        }
+        [(a.to_vec(), None, k, 1), (a_t, None, 1, m), (scattered, Some(offs), 0, 1)]
     }
 
     /// Runs one product on every tier the host offers, over a poisoned
-    /// `C`, both stride pairs, against the per-MAC reference.
+    /// `C`, every `A` layout, against the per-MAC reference.
     fn check_tile(a: &[F25], b: &[F25], dims: (usize, usize, usize)) {
         let (m, k, n) = dims;
         let want = naive_matmul(a, b, m, k, n);
         let fill = fill_from_rows(b, n);
-        for (a, strides) in both_layouts(a, m, k) {
+        for (a, offs, stride, col) in layouts(a, m, k) {
+            let a_index = (offs.as_deref().map_or(ARows::Every(stride), ARows::At), col);
             for tier in Tier::offered() {
                 let mut c = vec![F25::new(0x1ab_cdef); m * n];
-                gemm_packed_on(tier, &a, strides, &mut c, dims, Rows::Packed(&mut Panel::new(), &fill));
-                assert_eq!(c, want, "{tier:?} {dims:?} strides {strides:?}");
+                gemm_packed_on(tier, &a, a_index, &mut c, dims, Rows::Packed(&mut Panel::new(), &fill));
+                assert_eq!(c, want, "{tier:?} {dims:?} A {a_index:?}");
             }
         }
     }

@@ -36,7 +36,10 @@
 //!   In the strip block a row is a base plus a per-position offset:
 //!   the rows of a packed panel (the matmuls, the weight gradient), or
 //!   the column-matrix rows of a convolution read where they lie in its
-//!   phase-split staging buffer, every strip of a block in one call. In
+//!   phase-split staging buffer, every strip of a block in one call;
+//!   an `A` row is a base plus a per-row start (a stride, or the
+//!   staging offsets when the column matrix is `A`: the weight
+//!   gradient). In
 //!   the coded block the rows are the scheme's separate source vectors —
 //!   every output row of a strip, the §4.4 check row included, from one
 //!   load of each source chunk;
@@ -61,7 +64,7 @@
 #![cfg_attr(not(target_arch = "x86_64"), allow(dead_code))]
 
 use crate::coded::{MAX_ROWS, MAX_TERMS};
-use crate::matmul::{LANES, PANEL_ROWS};
+use crate::matmul::{ARows, LANES, PANEL_ROWS};
 use dk_field::tier::{Body, Kind, Tier, Width};
 use std::any::TypeId;
 
@@ -162,7 +165,7 @@ unsafe fn on_lanes<T: 'static, B: Tiled>(tier: Tier, body: B) -> Option<B::Out> 
 
 /// One block, all `m` output rows and columns `0..n`:
 /// `C[i, j] (=|+=) Σ_{p<kb} A[i, p] · B[p][j]`, with `A[i, p]` at
-/// `a[i·a_row + p·a_col]`, `C[i, j]` at `c[i·ldc + j]`, and row `p` of
+/// `a[a_rows.start(i) + p·a_col]`, `C[i, j]` at `c[i·ldc + j]`, and row `p` of
 /// `B` for the strip starting at column `j` the [`LANES`] elements at
 /// `b[offs[p] + j..]` (`kb = offs.len()`; a packed panel is one strip,
 /// rows read where they lie are any number, see
@@ -173,7 +176,7 @@ unsafe fn on_lanes<T: 'static, B: Tiled>(tier: Tier, body: B) -> Option<B::Out> 
 ///
 /// # Safety
 ///
-/// `a` is valid for reads at every `i·a_row + p·a_col`, `i < m`,
+/// `a` is valid for reads at every `a_rows.start(i) + p·a_col`, `i < m`,
 /// `p < kb`; `b[offs[p] + j..]` holds `LANES` elements for every strip
 /// start `j < n`; `c` is valid for reads and writes at every
 /// `i·ldc + j`, `i < m`, `j < n`, shared with no one for the call.
@@ -186,7 +189,7 @@ unsafe fn on_lanes<T: 'static, B: Tiled>(tier: Tier, body: B) -> Option<B::Out> 
 pub(crate) unsafe fn gemm_block<T: 'static>(
     tier: Tier,
     a: *const T,
-    (a_row, a_col): (usize, usize),
+    (a_rows, a_col): (ARows<'_>, usize),
     (b, offs): (&[T], &[usize]),
     c: *mut T,
     ldc: usize,
@@ -198,14 +201,15 @@ pub(crate) unsafe fn gemm_block<T: 'static>(
     // `F25` is `repr(transparent)` over `u64`, so the casts are
     // identities wherever the body runs.
     let (a, b, c) = (a as *const u64, b.as_ptr() as *const u64, c as *mut u64);
-    let body = GemmBlock { a, a_row, a_col, b, offs: offs.as_ptr(), kb, c, ldc, m, n, load };
+    let body = GemmBlock { a, a_rows, a_col, b, offs: offs.as_ptr(), kb, c, ldc, m, n, load };
     // SAFETY: the caller's contract is the body's.
     unsafe { on_lanes::<T, _>(tier, body) }
 }
 
-struct GemmBlock {
+#[derive(Clone, Copy)]
+struct GemmBlock<'a> {
     a: *const u64,
-    a_row: usize,
+    a_rows: ARows<'a>,
     a_col: usize,
     b: *const u64,
     offs: *const usize,
@@ -217,30 +221,45 @@ struct GemmBlock {
     load: bool,
 }
 
-impl Tiled for GemmBlock {
+impl Tiled for GemmBlock<'_> {
     type Out = ();
 
+    /// Per strip, one [`tile`] pass per `L::MR` output rows; the strips
+    /// are run once per kind of `A` row start, so a tile's row pointer is
+    /// a multiply or a load, never a branch.
     #[inline(always)]
     unsafe fn run<L: Lanes>(self) {
-        let GemmBlock { a, a_row, a_col, b, offs, kb, c, ldc, m, n, load } = self;
-        for j in (0..n).step_by(LANES) {
-            for i in (0..m).step_by(L::MR) {
-                // SAFETY: rows `i..i+rows` of `A`, of `C` at columns
-                // `j..j + LANES.min(n − j)`, and the `B` rows at
-                // `offs[p] + j`, `p < kb`: all inside what `gemm_block`'s
-                // caller vouched for.
-                unsafe {
-                    tile_rows::<L>(
-                        L::MR.min(m - i),
-                        &|r| a.add((i + r) * a_row),
-                        a_col,
-                        kb,
-                        &|p| b.add(*offs.add(p) + j),
-                        &|r| c.add((i + r) * ldc + j),
-                        LANES.min(n - j),
-                        load,
-                    );
+        #[inline(always)]
+        unsafe fn strips<L: Lanes>(g: &GemmBlock<'_>, arow: &impl Fn(usize) -> *const u64) {
+            let GemmBlock { a_col, b, offs, kb, c, ldc, m, n, load, .. } = *g;
+            for j in (0..n).step_by(LANES) {
+                for i in (0..m).step_by(L::MR) {
+                    // SAFETY: rows `i..i+rows` of `A`, of `C` at columns
+                    // `j..j + LANES.min(n − j)`, and the `B` rows at
+                    // `offs[p] + j`, `p < kb`: all inside what
+                    // `gemm_block`'s caller vouched for.
+                    unsafe {
+                        tile_rows::<L>(
+                            L::MR.min(m - i),
+                            &|r| arow(i + r),
+                            a_col,
+                            kb,
+                            &|p| b.add(*offs.add(p) + j),
+                            &|r| c.add((i + r) * ldc + j),
+                            LANES.min(n - j),
+                            load,
+                        );
+                    }
                 }
+            }
+        }
+        let a = self.a;
+        // SAFETY: `gemm_block`'s contract, each row start as `ARows`
+        // gives it.
+        unsafe {
+            match self.a_rows {
+                ARows::Every(stride) => strips::<L>(&self, &|i| a.add(i * stride)),
+                ARows::At(offs) => strips::<L>(&self, &|i| a.add(offs[i])),
             }
         }
     }

@@ -4,6 +4,16 @@
 //! crates): [`sha256`] for measurements, [`chacha`] for sealing
 //! confidentiality, [`siphash`] for sealing integrity, composed into the
 //! encrypt-then-MAC [`SealKey`].
+//!
+//! Algorithm 2 seals every virtual batch's gradient shard by shard and
+//! unseals them all for the aggregate, so a training step's sealing
+//! time is the cipher's and the MAC's, per byte. [`chacha::ChaCha20`] runs
+//! `dk_field`'s block function ([`dk_field::chacha`]) eight blocks per
+//! pass inside a [`dk_field::tier`] body and XORs as it goes; sealing
+//! encrypts the caller's buffer in place, and [`SealKey::unseal_into`]
+//! checks the tag over the ciphertext first, then decrypts from the
+//! ciphertext straight into the caller's buffer. SipHash-2-4 stays
+//! scalar.
 
 pub mod chacha;
 pub mod sha256;
@@ -108,8 +118,9 @@ impl SealKey {
     }
 
     /// [`SealKey::unseal`] into a caller's buffer, whose contents are
-    /// replaced (its allocation is reused). On error `out` is left
-    /// unchanged.
+    /// replaced (its allocation is reused): the tag is verified over the
+    /// ciphertext, and only then is the ciphertext decrypted into `out`,
+    /// in one pass. On error `out` is left unchanged.
     ///
     /// # Errors
     ///
@@ -120,8 +131,7 @@ impl SealKey {
             return Err(SealError::TagMismatch);
         }
         out.clear();
-        out.extend_from_slice(&blob.ciphertext);
-        ChaCha20::new(&self.enc_key, &blob.nonce).apply(out);
+        ChaCha20::new(&self.enc_key, &blob.nonce).apply_into(&blob.ciphertext, out);
         Ok(())
     }
 
@@ -135,10 +145,17 @@ impl SealKey {
 /// Serializes a slice of `f32` to little-endian bytes (sealing payloads).
 pub fn f32s_to_bytes(vals: &[f32]) -> Vec<u8> {
     let mut out = Vec::with_capacity(vals.len() * 4);
-    for v in vals {
-        out.extend_from_slice(&v.to_le_bytes());
-    }
+    extend_f32s_as_bytes(vals, &mut out);
     out
+}
+
+/// Appends `vals` to `out` as little-endian bytes, in one pass.
+pub fn extend_f32s_as_bytes(vals: &[f32], out: &mut Vec<u8>) {
+    let at = out.len();
+    out.resize(at + 4 * vals.len(), 0);
+    for (b, v) in out[at..].as_chunks_mut::<4>().0.iter_mut().zip(vals) {
+        *b = v.to_le_bytes();
+    }
 }
 
 /// Deserializes little-endian bytes back to `f32`s.
