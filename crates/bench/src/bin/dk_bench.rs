@@ -5,7 +5,9 @@
 //! per-MAC-reducing scalar baselines (`dk_linalg::reference`) on the
 //! shapes the offload path actually runs, and the TEE's element passes
 //! (`dk_field`'s quantize, dequantize and noise draw) against the public
-//! per-element functions that define them, and Algorithm 2's sealing of
+//! per-element functions that define them, the enclave's non-linear
+//! pass (max-pool, ReLU, the max-abs scan) against the scalar loops in
+//! `dk_linalg::reference`, and Algorithm 2's sealing of
 //! one training step's gradient shards against ChaCha20 run one block
 //! at a time, as RFC 8439 writes it. Also measures the staged
 //! engine at its default lane count against the same engine with one
@@ -23,7 +25,8 @@
 //! and `unresolved` (printed, exit 0) when their own quartile spread is
 //! wider than it. The three: the tracked kernels' fast:scalar speedup —
 //! conv forward and backward, the field matmul, the streaming
-//! encode/decode, the gradient-shard seal and unseal — not
+//! encode/decode, the gradient-shard seal and unseal, max-pool, ReLU
+//! and the max-abs scan — not
 //! more than 10% under the lower quartile the committed record states
 //! for that row (25% when that row was measured at another size); the
 //! default lane count not more than 10%
@@ -54,7 +57,11 @@ use dk_field::{F25, FieldRng, P25};
 use dk_gpu::{GpuCluster, LatencyModel};
 use dk_linalg::conv::{conv2d_backward_input_ws, conv2d_backward_weight_ws, conv2d_forward_ws};
 use dk_linalg::im2col::{col2im_acc_into, im2col_into};
-use dk_linalg::reference::{naive_matmul, naive_matmul_a_bt, naive_matmul_at_b};
+use dk_linalg::pool::maxpool2d_forward_ws;
+use dk_linalg::reference::{
+    naive_matmul, naive_matmul_a_bt, naive_matmul_at_b, naive_max_abs, naive_maxpool2d_forward,
+    naive_relu_in_place,
+};
 use dk_linalg::{matmul_a_bt_into, matmul_at_b_into, matmul_into, Conv2dShape, Tensor, Workspace};
 use dk_nn::arch::mini_vgg;
 use dk_linalg::workspace::{alloc_counts, CountingAllocator};
@@ -748,6 +755,60 @@ fn main() {
         },
     );
 
+    // --- the enclave's non-linear pass: max-pool, ReLU, max-abs scan ---
+    // `mini_vgg`'s first pool and its ReLU at K = 4 (four 16×32×32
+    // images, post-ReLU for the pool: half its taps are zero), and a
+    // max-abs scan the length of one quantized activation. Scalar side:
+    // the loops in `dk_linalg::reference` these passes replaced, as an
+    // inference forward ran them (the pool wrote its argmax, the ReLU
+    // copied and then clamped); fast side: the tier bodies as an
+    // inference forward calls them. "MACs" counts outputs.
+    let pool = dk_linalg::Pool2dShape::square(2);
+    let act: Vec<f32> = (0..4 * 16 * 32 * 32).map(|_| rng.uniform_f32(-1.0, 1.0)).collect();
+    let act = Tensor::from_vec(&[4, 16, 32, 32], act);
+    let mut pooled_in = act.clone();
+    naive_relu_in_place(pooled_in.as_mut_slice());
+    let mut pool_arg = Vec::new();
+    let mut nl_ws = Workspace::new();
+    bench(
+        "maxpool2d_2x2_16c32x32_n4/f32".to_string(),
+        (act.len() / 4) as u64,
+        &mut || {
+            std::hint::black_box(naive_maxpool2d_forward(&pooled_in, &pool, &mut pool_arg));
+        },
+        &mut || {
+            let y = maxpool2d_forward_ws(&pooled_in, &pool, &mut nl_ws, None);
+            std::hint::black_box(&y);
+            nl_ws.give_tensor(y);
+        },
+    );
+    let mut relu_y = act.clone();
+    let mut relu_y_fast = act.clone();
+    bench(
+        "relu_16c32x32_n4/f32".to_string(),
+        act.len() as u64,
+        &mut || {
+            relu_y.as_mut_slice().copy_from_slice(act.as_slice());
+            naive_relu_in_place(relu_y.as_mut_slice());
+            std::hint::black_box(&relu_y);
+        },
+        &mut || {
+            dk_linalg::ops::relu_into(&act, &mut relu_y_fast);
+            std::hint::black_box(&relu_y_fast);
+        },
+    );
+    let scan = &act.as_slice()[..16_384];
+    bench(
+        "max_abs_n16384".to_string(),
+        scan.len() as u64,
+        &mut || {
+            std::hint::black_box(naive_max_abs(std::hint::black_box(scan)));
+        },
+        &mut || {
+            std::hint::black_box(dk_field::QuantConfig::max_abs_norm(std::hint::black_box(scan)));
+        },
+    );
+
     // --- Algorithm 2's sealing: one training step's gradient shards ----
     // `train_pipelined`'s step: `mini_resnet`'s gradient for each of its
     // four virtual batches, in shards of 4096 floats, sealed and then
@@ -1115,8 +1176,9 @@ fn main() {
     // and strided — training's backward products (the weight gradient at
     // a dense and a strided layer, the input gradient), the field matmul
     // (the SIMD kernel this ratio was built to protect), the TEE-side
-    // streaming encode/decode (the coded-combine fast path), and
-    // Algorithm 2's seal-and-unseal of one step's gradient shards.
+    // streaming encode/decode (the coded-combine fast path),
+    // Algorithm 2's seal-and-unseal of one step's gradient shards, and
+    // the enclave's non-linear pass (max-pool, ReLU, the max-abs scan).
     if let Some(doc) = &committed {
         let tracked = [
             format!("conv2d_forward_16c32c3x3_{hw}x{hw}/field"),
@@ -1131,6 +1193,9 @@ fn main() {
             format!("encode_k4_m2_n{coded_n}/field"),
             format!("decode_forward_k4_m2_n{coded_n}/field"),
             seal_row,
+            "maxpool2d_2x2_16c32x32_n4/f32".to_string(),
+            "relu_16c32x32_n4/f32".to_string(),
+            "max_abs_n16384".to_string(),
         ];
         for name in &tracked {
             let Some(new) = entries.iter().find(|e| &e.name == name) else {

@@ -133,9 +133,11 @@ pub struct SessionStats {
     pub encoded_elems: u64,
     /// Field elements consumed by TEE decoding.
     pub decoded_elems: u64,
-    /// Bytes of masked data sent TEE→GPU.
+    /// Bytes of masked data sent TEE→GPU, in-memory, 8 B per element
+    /// (the `TcpFleet` wire carries 4 B per element).
     pub bytes_to_gpus: u64,
-    /// Bytes of results received GPU→TEE.
+    /// Bytes of results received GPU→TEE, in-memory, 8 B per element
+    /// (the `TcpFleet` wire carries 4 B per element).
     pub bytes_from_gpus: u64,
     /// Redundant-equation / spot checks performed.
     pub integrity_checks: u64,

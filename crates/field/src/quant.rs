@@ -228,8 +228,17 @@ impl QuantConfig {
     /// [`QuantConfig::quantize_slice_into`]. The scan half of
     /// [`QuantConfig::normalize_quantize_into`], callable on its own
     /// where several slices share one scale.
+    ///
+    /// NaN entries are ignored. The scan runs lane-parallel on the
+    /// tier: the largest `|v|` does not depend on the order it is
+    /// looked for in, so every tier returns the value of the scalar
+    /// fold `m.max(v.abs())`.
     pub fn max_abs_norm(vs: &[f32]) -> f32 {
-        let max_abs = vs.iter().fold(0.0f32, |m, v| m.max(v.abs()));
+        Self::max_abs_norm_on(Tier::best(), vs)
+    }
+
+    fn max_abs_norm_on(tier: Tier, vs: &[f32]) -> f32 {
+        let max_abs = tier.run(MaxAbs(vs));
         if max_abs > 0.0 { max_abs } else { 1.0 }
     }
 
@@ -401,6 +410,40 @@ impl<const P: u64> Body for QuantizeChunks<'_, P> {
     }
 }
 
+/// The max-abs scan: the largest `|v|` that is not NaN, 0 if none is
+/// positive. [`MAX_ABS_LANES`] running maxima, each a strict-`>` select
+/// (a NaN never wins), folded at the end.
+struct MaxAbs<'a>(&'a [f32]);
+
+/// Independent running maxima of the max-abs scan: enough to keep a
+/// 512-bit tier's compare-and-select units busy (four registers).
+const MAX_ABS_LANES: usize = 64;
+
+impl Body for MaxAbs<'_> {
+    type Out = f32;
+
+    #[inline(always)]
+    fn run<W: Width>(self, _: W) -> f32 {
+        #[inline(always)]
+        fn keep(m: f32, v: f32) -> f32 {
+            let v = v.abs();
+            if v > m { v } else { m }
+        }
+        let mut acc = [0.0f32; MAX_ABS_LANES];
+        let chunks = self.0.chunks_exact(MAX_ABS_LANES);
+        let tail = chunks.remainder();
+        for chunk in chunks {
+            for (m, &v) in acc.iter_mut().zip(chunk) {
+                *m = keep(*m, v);
+            }
+        }
+        for (m, &v) in acc.iter_mut().zip(tail) {
+            *m = keep(*m, v);
+        }
+        acc.into_iter().fold(0.0, keep)
+    }
+}
+
 /// The dequantize pass: `out[i] = Round(ys[i] · 2^-l) · 2^-l · post`
 /// over the centered lift of `ys[i]`, `unscale = 2^-l`.
 struct Dequantize<'a, const P: u64> {
@@ -546,6 +589,34 @@ mod tests {
         assert_eq!(q.normalize_quantize_into::<P25>(&vs, &mut out), Ok(norm));
         assert_eq!(out, want);
         assert_eq!(q.normalize_quantize::<P25>(&[f32::NAN]), Err(QuantError::NotFinite));
+    }
+
+    #[test]
+    fn max_abs_norm_is_the_scalar_fold_on_every_tier() {
+        let special = [f32::NAN, -f32::NAN, 0.0, -0.0, f32::INFINITY, f32::NEG_INFINITY, 1.0e-40, -3.5];
+        for tier in Tier::offered() {
+            for len in (0..=130).chain([4095, 16_384]) {
+                for round in 0..4u64 {
+                    let vs: Vec<f32> = (0..len)
+                        .map(|i| {
+                            let w = word(0x3a5 ^ round, i);
+                            match round {
+                                // Specials at every position of the lanes.
+                                0 => special[(w % special.len() as u64) as usize],
+                                // The maximum in the tail, or only NaN.
+                                1 => if i + 1 == len { -9.0 } else { f32::NAN },
+                                2 => if w.is_multiple_of(7) { f32::NAN } else { -(i as f32) },
+                                _ => f32::from_bits(w as u32),
+                            }
+                        })
+                        .collect();
+                    let fold = vs.iter().fold(0.0f32, |m, v| m.max(v.abs()));
+                    let want = if fold > 0.0 { fold } else { 1.0 };
+                    let got = QuantConfig::max_abs_norm_on(tier, &vs);
+                    assert_eq!(got.to_bits(), want.to_bits(), "{tier:?} len={len} round={round}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -55,12 +55,14 @@ fn add_into(acc: &mut Tensor<f32>, g: &[f32]) {
 /// Replaces a forward cache slot with a copy of `x`, recycling the
 /// previous cache's buffers through the workspace — in steady state
 /// the same buffer ping-pongs between the slot and the pool, so
-/// caching allocates nothing after warm-up.
-fn recache(slot: &mut Option<Tensor<f32>>, x: &Tensor<f32>, ws: &mut Workspace) {
+/// caching allocates nothing after warm-up. Without `x` (an inference
+/// forward) the slot is left empty, so a backward after it panics
+/// instead of reading what an earlier training forward cached.
+fn recache(slot: &mut Option<Tensor<f32>>, x: Option<&Tensor<f32>>, ws: &mut Workspace) {
     if let Some(old) = slot.take() {
         ws.give_tensor(old);
     }
-    *slot = Some(ws.take_tensor_copy(x.shape(), x.as_slice()));
+    *slot = x.map(|x| ws.take_tensor_copy(x.shape(), x.as_slice()));
 }
 
 /// A single network layer.
@@ -93,8 +95,11 @@ impl Layer {
     /// Runs the forward pass, caching whatever the backward pass needs.
     ///
     /// `train` selects batch-statistics (true) vs running-statistics
-    /// (false) behaviour in batch norm. Allocating wrapper over
-    /// [`Layer::forward_ws`].
+    /// (false) behaviour in batch norm. An inference forward
+    /// (`train == false`) writes no ReLU, max-pool or batch-norm cache
+    /// and drops the ones a training forward left, so only a training
+    /// forward can be followed by [`Layer::backward`]. Allocating
+    /// wrapper over [`Layer::forward_ws`].
     pub fn forward(&mut self, x: &Tensor<f32>, train: bool) -> Tensor<f32> {
         self.forward_ws(x, train, &mut Workspace::new())
     }
@@ -108,8 +113,8 @@ impl Layer {
         match self {
             Layer::Conv2d(l) => l.forward(x, ws),
             Layer::Dense(l) => l.forward(x, ws),
-            Layer::Relu(l) => l.forward(x, ws),
-            Layer::MaxPool2d(l) => l.forward(x, ws),
+            Layer::Relu(l) => l.forward(x, train, ws),
+            Layer::MaxPool2d(l) => l.forward(x, train, ws),
             Layer::GlobalAvgPool(l) => l.forward(x, ws),
             Layer::BatchNorm2d(l) => l.forward(x, train, ws),
             Layer::Flatten(l) => l.forward(x, ws),
@@ -123,7 +128,8 @@ impl Layer {
     ///
     /// # Panics
     ///
-    /// Panics if called before `forward` (no cache).
+    /// Panics if the layer holds no forward cache: before any forward,
+    /// and for ReLU, max-pool and batch norm after an inference one.
     pub fn backward(&mut self, dy: &Tensor<f32>) -> Tensor<f32> {
         self.backward_ws(dy, &mut Workspace::new())
     }
@@ -133,7 +139,8 @@ impl Layer {
     ///
     /// # Panics
     ///
-    /// Panics if called before a forward pass (no cache).
+    /// As [`Layer::backward`], with the message
+    /// "`<Layer>::backward before forward`".
     pub fn backward_ws(&mut self, dy: &Tensor<f32>, ws: &mut Workspace) -> Tensor<f32> {
         match self {
             Layer::Conv2d(l) => l.backward(dy, ws),
@@ -449,10 +456,11 @@ impl Conv2d {
     fn forward(&mut self, x: &Tensor<f32>, ws: &mut Workspace) -> Tensor<f32> {
         let mut y = conv2d_forward_ws(x, &self.w, &self.shape, ws);
         ops::add_bias_nchw(&mut y, self.b.as_slice());
-        recache(&mut self.x_cache, x, ws);
+        recache(&mut self.x_cache, Some(x), ws);
         y
     }
 
+    #[allow(clippy::expect_used, reason = "documented: `Layer::backward_ws` panics before a forward")]
     fn backward(&mut self, dy: &Tensor<f32>, ws: &mut Workspace) -> Tensor<f32> {
         let x = self.x_cache.as_ref().expect("Conv2d::backward before forward");
         let hw = (x.shape()[2], x.shape()[3]);
@@ -528,10 +536,11 @@ impl Dense {
             self.out_features,
         );
         ops::add_bias_rows(&mut y, self.b.as_slice());
-        recache(&mut self.x_cache, x, ws);
+        recache(&mut self.x_cache, Some(x), ws);
         y
     }
 
+    #[allow(clippy::expect_used, reason = "documented: `Layer::backward_ws` panics before a forward")]
     fn backward(&mut self, dy: &Tensor<f32>, ws: &mut Workspace) -> Tensor<f32> {
         let x = self.x_cache.as_ref().expect("Dense::backward before forward");
         let n = x.shape()[0];
@@ -580,16 +589,17 @@ impl Relu {
         Self::default()
     }
 
-    fn forward(&mut self, x: &Tensor<f32>, ws: &mut Workspace) -> Tensor<f32> {
-        recache(&mut self.x_cache, x, ws);
-        let mut y = ws.take_tensor_copy(x.shape(), x.as_slice());
-        ops::relu_in_place(&mut y);
+    fn forward(&mut self, x: &Tensor<f32>, train: bool, ws: &mut Workspace) -> Tensor<f32> {
+        recache(&mut self.x_cache, train.then_some(x), ws);
+        let mut y = ws.take_tensor_dirty(x.shape());
+        ops::relu_into(x, &mut y);
         y
     }
 
+    #[allow(clippy::expect_used, reason = "documented: `Layer::backward_ws` panics before a training forward")]
     fn backward(&mut self, dy: &Tensor<f32>, ws: &mut Workspace) -> Tensor<f32> {
         let x = self.x_cache.as_ref().expect("Relu::backward before forward");
-        let mut dx = ws.take_tensor(dy.shape());
+        let mut dx = ws.take_tensor_dirty(dy.shape());
         ops::relu_backward_into(dy, x, &mut dx);
         dx
     }
@@ -614,11 +624,16 @@ impl MaxPool2d {
         &self.shape
     }
 
-    fn forward(&mut self, x: &Tensor<f32>, ws: &mut Workspace) -> Tensor<f32> {
-        let y = maxpool2d_forward_ws(x, &self.shape, ws, &mut self.argmax);
+    /// An inference forward writes no argmax and forgets the input
+    /// shape, so a backward after it panics.
+    fn forward(&mut self, x: &Tensor<f32>, train: bool, ws: &mut Workspace) -> Tensor<f32> {
         self.in_shape.clear();
+        if !train {
+            self.argmax.clear();
+            return maxpool2d_forward_ws(x, &self.shape, ws, None);
+        }
         self.in_shape.extend_from_slice(x.shape());
-        y
+        maxpool2d_forward_ws(x, &self.shape, ws, Some(&mut self.argmax))
     }
 
     fn backward(&mut self, dy: &Tensor<f32>, ws: &mut Workspace) -> Tensor<f32> {
@@ -737,71 +752,59 @@ impl BatchNorm2d {
         }
     }
 
+    /// Normalizes with the batch's statistics (`train`, caching `xhat`
+    /// for the backward pass) or the running ones (inference: one pass
+    /// per channel plane, no `xhat`, and any cached one dropped).
     fn forward(&mut self, x: &Tensor<f32>, train: bool, ws: &mut Workspace) -> Tensor<f32> {
         assert_eq!(x.ndim(), 4, "BatchNorm2d expects NCHW");
         let (n, c, h, w) = (x.shape()[0], x.shape()[1], x.shape()[2], x.shape()[3]);
         assert_eq!(c, self.channels, "channel mismatch");
-        let plane = h * w;
-        let count = (n * plane) as f32;
-        let mut y = ws.take_tensor(x.shape());
         if let Some(old) = self.xhat.take() {
             ws.give_tensor(old);
         }
-        let mut xhat = ws.take_tensor(x.shape());
+        let mut y = ws.take_tensor_dirty(x.shape());
+        let eps = self.eps;
+        let (gamma, beta) = (self.gamma.as_slice(), self.beta.as_slice());
+        if !train {
+            self.inv_std.clear();
+            self.inv_std.extend(self.running_var.iter().map(|&var| 1.0 / (var + eps).sqrt()));
+            let stats = [&self.running_mean[..], &self.inv_std, gamma, beta];
+            ops::batchnorm_affine_into(x, stats, &mut y, None);
+            return y;
+        }
+        let plane = h * w;
+        let count = (n * plane) as f32;
+        // Batch statistics go into the vectors of the last record, so a
+        // warm training forward allocates nothing for them.
+        let (mut means, mut vars) = self.last_batch_stats.take().unwrap_or_default();
+        means.clear();
+        vars.clear();
         self.inv_std.clear();
-        self.inv_std.resize(c, 0.0);
-        // Only train-mode forwards record batch statistics, into the
-        // vectors of the last record; eval stays allocation-free.
-        let (mut batch_means, mut batch_vars) = if train {
-            let (mut m, mut v) = self.last_batch_stats.take().unwrap_or_default();
-            for s in [&mut m, &mut v] {
-                s.clear();
-                s.resize(c, 0.0);
-            }
-            (m, v)
-        } else {
-            (Vec::new(), Vec::new())
-        };
         for ci in 0..c {
-            let (mean, var) = if train {
-                let mut sum = 0.0f32;
-                let mut sq = 0.0f32;
-                for ni in 0..n {
-                    let base = (ni * c + ci) * plane;
-                    for &v in &x.as_slice()[base..base + plane] {
-                        sum += v;
-                        sq += v * v;
-                    }
-                }
-                let mean = sum / count;
-                let var = (sq / count - mean * mean).max(0.0);
-                batch_means[ci] = mean;
-                batch_vars[ci] = var;
-                (mean, var)
-            } else {
-                (self.running_mean[ci], self.running_var[ci])
-            };
-            let inv_std = 1.0 / (var + self.eps).sqrt();
-            self.inv_std[ci] = inv_std;
-            let g = self.gamma.as_slice()[ci];
-            let b = self.beta.as_slice()[ci];
+            let mut sum = 0.0f32;
+            let mut sq = 0.0f32;
             for ni in 0..n {
                 let base = (ni * c + ci) * plane;
-                for i in base..base + plane {
-                    let xh = (x.as_slice()[i] - mean) * inv_std;
-                    xhat.as_mut_slice()[i] = xh;
-                    y.as_mut_slice()[i] = g * xh + b;
+                for &v in &x.as_slice()[base..base + plane] {
+                    sum += v;
+                    sq += v * v;
                 }
             }
+            let mean = sum / count;
+            let var = (sq / count - mean * mean).max(0.0);
+            means.push(mean);
+            vars.push(var);
+            self.inv_std.push(1.0 / (var + eps).sqrt());
         }
-        if train {
-            self.apply_running_update(&batch_means, &batch_vars);
-            self.last_batch_stats = Some((batch_means, batch_vars));
-        }
+        let mut xhat = ws.take_tensor_dirty(x.shape());
+        ops::batchnorm_affine_into(x, [&means, &self.inv_std, gamma, beta], &mut y, Some(&mut xhat));
+        self.apply_running_update(&means, &vars);
+        self.last_batch_stats = Some((means, vars));
         self.xhat = Some(xhat);
         y
     }
 
+    #[allow(clippy::expect_used, reason = "documented: `Layer::backward_ws` panics before a training forward")]
     fn backward(&mut self, dy: &Tensor<f32>, ws: &mut Workspace) -> Tensor<f32> {
         let xhat = self.xhat.as_ref().expect("BatchNorm2d::backward before forward");
         let (n, c, h, w) = (dy.shape()[0], dy.shape()[1], dy.shape()[2], dy.shape()[3]);
@@ -916,8 +919,12 @@ impl Residual {
         next: &mut usize,
         exec: &mut E,
     ) -> Result<Tensor<f32>, E::Error> {
-        let mut m =
-            chain_forward(&mut self.main, x, train, next, exec)?.expect("main path nonempty");
+        // `Residual::new` refuses an empty main path; were one here, it
+        // would be the identity.
+        let mut m = match chain_forward(&mut self.main, x, train, next, exec)? {
+            Some(m) => m,
+            None => exec.workspace().take_tensor_copy(x.shape(), x.as_slice()),
+        };
         exec.touched(m.len());
         match chain_forward(&mut self.shortcut, x, train, next, exec) {
             Ok(Some(s)) => {
@@ -943,7 +950,8 @@ impl Residual {
     ) -> Result<Tensor<f32>, E::Error> {
         let ds = chain_backward(&mut self.shortcut, dy, next, exec)?;
         let mut dm = match chain_backward(&mut self.main, dy, next, exec) {
-            Ok(dm) => dm.expect("main path nonempty"),
+            Ok(Some(dm)) => dm,
+            Ok(None) => exec.workspace().take_tensor_copy(dy.shape(), dy.as_slice()),
             Err(e) => {
                 if let Some(s) = ds {
                     exec.workspace().give_tensor(s);
@@ -1163,6 +1171,71 @@ mod tests {
         assert_eq!(y.as_slice(), &[0.0, 2.0, 0.0, 4.0]);
         let dx = l.backward(&Tensor::ones(&[4]));
         assert_eq!(dx.as_slice(), &[0.0, 1.0, 0.0, 1.0]);
+    }
+
+    fn bits(t: &Tensor<f32>) -> Vec<u32> {
+        t.as_slice().iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// A training forward and its backward through ReLU and max-pool
+    /// give the scalar loops' bits, and an inference forward between
+    /// two training ones changes neither.
+    #[test]
+    fn training_forward_and_backward_are_the_scalar_loops() {
+        use dk_linalg::reference::{
+            naive_maxpool2d_backward, naive_maxpool2d_forward, naive_relu_backward, naive_relu_in_place,
+        };
+        let x = Tensor::from_fn(&[2, 3, 9, 8], |i| ((i * 37 % 19) as f32 - 9.0) * 0.25);
+        let dy_relu = Tensor::from_fn(x.shape(), |i| (i % 7) as f32 - 3.0);
+        let mut relu = Layer::Relu(Relu::new());
+        let mut want = x.clone();
+        naive_relu_in_place(want.as_mut_slice());
+        for train in [true, false, true] {
+            assert_eq!(bits(&relu.forward(&x, train)), bits(&want), "train={train}");
+        }
+        let want_dx = naive_relu_backward(dy_relu.as_slice(), x.as_slice());
+        assert_eq!(relu.backward(&dy_relu).as_slice(), &want_dx[..]);
+
+        for s in [Pool2dShape::square(2), Pool2dShape::new((3, 3), (2, 2), (1, 1))] {
+            let mut pool = Layer::MaxPool2d(MaxPool2d::new(s));
+            let mut want_arg = Vec::new();
+            let want = naive_maxpool2d_forward(&x, &s, &mut want_arg);
+            let dy = Tensor::from_fn(want.shape(), |i| (i % 5) as f32 + 0.5);
+            for train in [true, false, true] {
+                assert_eq!(bits(&pool.forward(&x, train)), bits(&want), "{s:?} train={train}");
+            }
+            let want_dx = naive_maxpool2d_backward(&dy, &want_arg, x.shape());
+            assert_eq!(bits(&pool.backward(&dy)), bits(&want_dx), "{s:?}");
+        }
+    }
+
+    /// An inference forward between a training forward and its backward
+    /// drops the training caches: the backward panics with the message
+    /// `Layer::backward_ws` documents, instead of reading stale data.
+    #[test]
+    fn inference_forward_drops_the_training_caches() {
+        let x = Tensor::from_fn(&[2, 2, 4, 4], |i| (i % 9) as f32 - 4.0);
+        let layers = [
+            (Layer::Relu(Relu::new()), "Relu::backward before forward"),
+            (Layer::MaxPool2d(MaxPool2d::new(Pool2dShape::square(2))), "MaxPool2d::backward before forward"),
+            (Layer::BatchNorm2d(BatchNorm2d::new(2)), "BatchNorm2d::backward before forward"),
+        ];
+        for (mut layer, message) in layers {
+            let y = layer.forward(&x, true);
+            let dy = Tensor::ones(y.shape());
+            layer.forward(&x, false);
+            let panic = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| layer.backward(&dy)))
+                .expect_err("a backward after an inference forward must panic");
+            let text = panic
+                .downcast_ref::<&str>()
+                .map(|s| s.to_string())
+                .or_else(|| panic.downcast_ref::<String>().cloned())
+                .unwrap_or_default();
+            assert!(text.contains(message), "{}: panicked with {text:?}", layer.kind());
+            // A training forward re-arms it.
+            layer.forward(&x, true);
+            assert_eq!(layer.backward(&dy).shape(), x.shape());
+        }
     }
 
     #[test]
