@@ -183,26 +183,6 @@ pub fn naive_maxpool2d_forward(
     y
 }
 
-/// Max pooling backward: each output gradient added, in output order,
-/// to the input element its forward argmax names.
-///
-/// # Panics
-///
-/// Panics if `dy.len() != argmax.len()` or an argmax is out of range.
-pub fn naive_maxpool2d_backward(
-    dy: &Tensor<f32>,
-    argmax: &[usize],
-    input_shape: &[usize],
-) -> Tensor<f32> {
-    assert_eq!(dy.len(), argmax.len(), "argmax bookkeeping mismatch");
-    let mut dx = Tensor::zeros(input_shape);
-    let d = dx.as_mut_slice();
-    for (&g, &a) in dy.as_slice().iter().zip(argmax) {
-        d[a] += g;
-    }
-    dx
-}
-
 /// ReLU in place, `max(0, x)` with NaN and `−0.0` going to `+0.0`.
 pub fn naive_relu_in_place(y: &mut [f32]) {
     for v in y {

@@ -912,6 +912,7 @@ impl Residual {
 
     /// `y = main(x) + shortcut(x)`: main path first, the sum folded in
     /// place.
+    #[allow(clippy::expect_used, reason = "`Residual::new` asserts a non-empty main path")]
     fn forward_with<E: LayerExec>(
         &mut self,
         x: &Tensor<f32>,
@@ -919,12 +920,8 @@ impl Residual {
         next: &mut usize,
         exec: &mut E,
     ) -> Result<Tensor<f32>, E::Error> {
-        // `Residual::new` refuses an empty main path; were one here, it
-        // would be the identity.
-        let mut m = match chain_forward(&mut self.main, x, train, next, exec)? {
-            Some(m) => m,
-            None => exec.workspace().take_tensor_copy(x.shape(), x.as_slice()),
-        };
+        let mut m =
+            chain_forward(&mut self.main, x, train, next, exec)?.expect("main path nonempty");
         exec.touched(m.len());
         match chain_forward(&mut self.shortcut, x, train, next, exec) {
             Ok(Some(s)) => {
@@ -942,6 +939,7 @@ impl Residual {
 
     /// The exact reverse of [`Residual::forward_with`]: shortcut first,
     /// then the main path.
+    #[allow(clippy::expect_used, reason = "`Residual::new` asserts a non-empty main path")]
     fn backward_with<E: LayerExec>(
         &mut self,
         dy: &Tensor<f32>,
@@ -950,8 +948,7 @@ impl Residual {
     ) -> Result<Tensor<f32>, E::Error> {
         let ds = chain_backward(&mut self.shortcut, dy, next, exec)?;
         let mut dm = match chain_backward(&mut self.main, dy, next, exec) {
-            Ok(Some(dm)) => dm,
-            Ok(None) => exec.workspace().take_tensor_copy(dy.shape(), dy.as_slice()),
+            Ok(dm) => dm.expect("main path nonempty"),
             Err(e) => {
                 if let Some(s) = ds {
                     exec.workspace().give_tensor(s);
@@ -1182,9 +1179,7 @@ mod tests {
     /// two training ones changes neither.
     #[test]
     fn training_forward_and_backward_are_the_scalar_loops() {
-        use dk_linalg::reference::{
-            naive_maxpool2d_backward, naive_maxpool2d_forward, naive_relu_backward, naive_relu_in_place,
-        };
+        use dk_linalg::reference::{naive_maxpool2d_forward, naive_relu_backward, naive_relu_in_place};
         let x = Tensor::from_fn(&[2, 3, 9, 8], |i| ((i * 37 % 19) as f32 - 9.0) * 0.25);
         let dy_relu = Tensor::from_fn(x.shape(), |i| (i % 7) as f32 - 3.0);
         let mut relu = Layer::Relu(Relu::new());
@@ -1204,7 +1199,7 @@ mod tests {
             for train in [true, false, true] {
                 assert_eq!(bits(&pool.forward(&x, train)), bits(&want), "{s:?} train={train}");
             }
-            let want_dx = naive_maxpool2d_backward(&dy, &want_arg, x.shape());
+            let want_dx = maxpool2d_backward_ws(&dy, &want_arg, x.shape(), &mut Workspace::new());
             assert_eq!(bits(&pool.backward(&dy)), bits(&want_dx), "{s:?}");
         }
     }
