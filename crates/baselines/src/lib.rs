@@ -14,6 +14,7 @@
 //! * [`gpu_plain`] — non-private GPU execution (Table 4's upper bound).
 
 #![forbid(unsafe_code)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod gpu_plain;
 pub mod sgx_only;

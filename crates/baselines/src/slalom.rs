@@ -245,12 +245,14 @@ impl SlalomSession {
 
     fn unseal_pair(&mut self, blob: &SealedBlob) -> Result<(Vec<F25>, Vec<F25>), SlalomError> {
         let bytes = self.enclave.unseal(blob).map_err(|_| SlalomError::Seal)?;
-        let r_len = u64::from_le_bytes(bytes[..8].try_into().expect("8 bytes")) as usize;
-        let vals: Vec<F25> = bytes[8..]
-            .chunks_exact(8)
-            .map(|c| F25::new(u64::from_le_bytes(c.try_into().expect("8 bytes"))))
-            .collect();
-        let (r, u) = vals.split_at(r_len);
+        let Some((&r_len, rest)) = bytes.split_first_chunk::<8>() else {
+            return Err(SlalomError::Seal);
+        };
+        let vals: Vec<F25> = rest.as_chunks::<8>().0.iter().map(|&c| F25::new(u64::from_le_bytes(c))).collect();
+        let (r, u) = usize::try_from(u64::from_le_bytes(r_len))
+            .ok()
+            .and_then(|at| vals.split_at_checked(at))
+            .ok_or(SlalomError::Seal)?;
         Ok((r.to_vec(), u.to_vec()))
     }
 
@@ -327,7 +329,7 @@ impl SlalomSession {
             (pc.op, in_features, pc.weights_q.clone())
         };
         {
-            let pc = self.layers.get_mut(&layer).expect("layer exists");
+            let Some(pc) = self.layers.get_mut(&layer) else { return };
             if pc.blob_ids.len() - pc.next_blob >= needed {
                 return;
             }
@@ -339,21 +341,22 @@ impl SlalomSession {
             let u = op.forward_job(weights_q.clone(), rt).execute().into_vec();
             new_ids.push(self.seal_pair(&r, &u));
         }
-        let pc = self.layers.get_mut(&layer).expect("layer exists");
-        pc.blob_ids.extend(new_ids);
+        if let Some(pc) = self.layers.get_mut(&layer) {
+            pc.blob_ids.extend(new_ids);
+        }
     }
 
     /// Lazily fills a conv layer's pool once the input geometry is known.
     fn ensure_conv_pool(&mut self, layer: u64, hw: (usize, usize), needed: usize) {
         let (shape, weights_q) = {
-            let pc = self.layers.get(&layer).expect("layer exists");
+            let Some(pc) = self.layers.get(&layer) else { return };
             let LinearOp::Conv(shape) = pc.op else { return };
             (shape, pc.weights_q.clone())
         };
         let n = shape.in_channels * hw.0 * hw.1;
         let mut new_ids = Vec::new();
         {
-            let pc = self.layers.get_mut(&layer).expect("layer exists");
+            let Some(pc) = self.layers.get_mut(&layer) else { return };
             if pc.blob_ids.len() - pc.next_blob >= needed {
                 return;
             }
@@ -364,8 +367,9 @@ impl SlalomSession {
             let u = conv2d_forward_ws(&rt, &weights_q, &shape, &mut self.ws).into_vec();
             new_ids.push(self.seal_pair(&r, &u));
         }
-        let pc = self.layers.get_mut(&layer).expect("layer exists");
-        pc.blob_ids.extend(new_ids);
+        if let Some(pc) = self.layers.get_mut(&layer) {
+            pc.blob_ids.extend(new_ids);
+        }
     }
 
     /// Blinded inference over a batch `[n, ...]`.
@@ -418,7 +422,7 @@ impl SlalomSession {
         }
         self.ensure_conv_pool(layer, hw, n);
         let (weights_q, norm_w) = {
-            let pc = self.layers.get(&layer).expect("checked above");
+            let pc = self.layers.get(&layer).ok_or(SlalomError::NotPrecomputed { layer })?;
             (pc.weights_q.clone(), pc.norm_w)
         };
         let (xq, norm_x) = self.quant.normalize_quantize(x.as_slice())?;

@@ -613,6 +613,62 @@ fn main() {
         },
     );
 
+    // The same input gradient through mini_resnet's stride-2 16→32
+    // layer: four stride-1 phase convolutions of `δ` against the naive
+    // `Wᵀ·δ` scattered by col2im.
+    let dyb2 = Tensor::<F25>::from_fn(&[2, 32, sh, sw], |i| F25::new(i as u64 * 13 % P25));
+    bench(
+        "conv2d_backward_input_16c32c3x3s2_16x16_n2/field".to_string(),
+        2 * s2.forward_macs(1, (16, 16)),
+        &mut || {
+            let mut dx = vec![F25::ZERO; 2 * 16 * 16 * 16];
+            for (dyi, dxi) in dyb2.as_slice().chunks(32 * sh * sw).zip(dx.chunks_mut(16 * 16 * 16)) {
+                let dcol = naive_matmul_at_b(wq.as_slice(), dyi, 144, 32, sh * sw);
+                col2im_acc_into(&dcol, 16, (16, 16), (3, 3), (2, 2), (1, 1), dxi);
+            }
+            std::hint::black_box(dx);
+        },
+        &mut || {
+            let dx = conv2d_backward_input_ws(&dyb2, &wq, &s2, (16, 16), &mut kws);
+            kws.give_tensor(std::hint::black_box(dx));
+        },
+    );
+    // mini_resnet's stride-2 1×1 shortcut (16→32, 16×16 → 8×8), one
+    // sample: a `K = 16` product behind the one phase its tap reads.
+    let p2 = Conv2dShape::simple(16, 32, 1, 2, 0);
+    let wp2 = Tensor::<F25>::from_fn(&p2.weight_shape(), |i| F25::new(i as u64 * 17 % P25));
+    bench(
+        "conv2d_forward_16c32c1x1s2_16x16/field".to_string(),
+        p2.forward_macs(1, (16, 16)),
+        &mut || {
+            let mut cols = vec![F25::ZERO; 16 * sh * sw];
+            im2col_into(xs2.batch_item(0), 16, (16, 16), (1, 1), (2, 2), (0, 0), &mut cols);
+            std::hint::black_box(naive_matmul(wp2.as_slice(), &cols, 32, 16, sh * sw));
+        },
+        &mut || {
+            let y = conv2d_forward_ws(&xs2, &wp2, &p2, &mut kws);
+            kws.give_tensor(std::hint::black_box(y));
+        },
+    );
+    // mini_resnet's 32→32 3×3 layer at 8×8, one sample: the output plane
+    // where the staged rows' `wq − ow` surplus is a fifth of them.
+    let w8 = Conv2dShape::simple(32, 32, 3, 1, 1);
+    let x8 = Tensor::<F25>::from_fn(&[1, 32, 8, 8], |i| F25::new(i as u64 * 31 % P25));
+    let dy8 = Tensor::<F25>::from_fn(&[1, 32, 8, 8], |i| F25::new(i as u64 * 13 % P25));
+    bench(
+        "conv2d_backward_weight_32c32c3x3_8x8/field".to_string(),
+        w8.forward_macs(1, (8, 8)),
+        &mut || {
+            let mut cols = vec![F25::ZERO; 288 * 64];
+            im2col_into(x8.batch_item(0), 32, (8, 8), (3, 3), (1, 1), (1, 1), &mut cols);
+            std::hint::black_box(naive_matmul_a_bt(dy8.as_slice(), &cols, 32, 64, 288));
+        },
+        &mut || {
+            let dw = conv2d_backward_weight_ws(&dy8, &x8, &w8, &mut kws);
+            kws.give_tensor(std::hint::black_box(dw));
+        },
+    );
+
     // --- encoding: Algorithm-1 masking as coefficient-matrix matmuls ----
     let (ek, em, en) = (4usize, 2, coded_n);
     let scheme = EncodingScheme::generate(ek, em, true, &mut rng);
@@ -1173,8 +1229,9 @@ fn main() {
     // the ratio shifts a few percent with shape, the margin absorbs it).
     // Tracked kernels, each row by its exact name: the conv forward (the
     // offload's dominant cost) at every recorded shape — dense, depthwise
-    // and strided — training's backward products (the weight gradient at
-    // a dense and a strided layer, the input gradient), the field matmul
+    // and strided, the strided 1×1 — training's backward products (the
+    // weight gradient at a dense, a strided and an 8×8 layer, the input
+    // gradient at a dense and a strided one), the field matmul
     // (the SIMD kernel this ratio was built to protect), the TEE-side
     // streaming encode/decode (the coded-combine fast path),
     // Algorithm 2's seal-and-unseal of one step's gradient shards, and
@@ -1188,7 +1245,10 @@ fn main() {
             "conv2d_forward_16c32c3x3s2_16x16/field".to_string(),
             "conv2d_backward_weight_16c16c3x3_16x16/field".to_string(),
             "conv2d_backward_weight_16c32c3x3s2_16x16/field".to_string(),
+            "conv2d_backward_weight_32c32c3x3_8x8/field".to_string(),
             "conv2d_backward_input_16c16c3x3_16x16_n2/field".to_string(),
+            "conv2d_backward_input_16c32c3x3s2_16x16_n2/field".to_string(),
+            "conv2d_forward_16c32c1x1s2_16x16/field".to_string(),
             "matmul_64x128x64/field".to_string(),
             format!("encode_k4_m2_n{coded_n}/field"),
             format!("decode_forward_k4_m2_n{coded_n}/field"),

@@ -258,11 +258,11 @@ fn phase_crash_churn(checks: &mut Vec<Check>, factor: u64) {
     let m = server.shutdown();
     // The crash must have fired: recovery serves the requests, so none
     // fails with `WorkerLost`, and the evidence is the lost worker's
-    // quarantine.
+    // quarantine — one worker, however many lanes convicted it.
     check(
         checks,
-        "fail-stop crash mid-stream: the worker is quarantined and every admitted request still served exactly",
-        w == 0 && f == 0 && e == 10 * factor && m.quarantined >= 1,
+        "fail-stop crash mid-stream: the one crashed worker is quarantined and every admitted request still served exactly",
+        w == 0 && f == 0 && e == 10 * factor && m.quarantined == 1,
         format!(
             "{e} exact, {w} wrong, {f} failed; {} worker(s) quarantined, {} request(s) lost a worker",
             m.quarantined, m.worker_lost

@@ -13,73 +13,87 @@
 //!   column matrix is neither built nor packed: it is read where it
 //!   already lies. Per sample and group the image is written once into
 //!   a **staging buffer** from the workspace, zero-padded and split into
-//!   `sh·sw` **phase planes** per channel, each `⌈(h+2ph)/sh⌉ ×
-//!   ⌈(w+2pw)/sw⌉` (`wq` columns): plane `(a, b)` holds the padded
-//!   pixels `(a + sh·r, b + sw·c)`. The output is computed in **wide**
-//!   coordinates, `oh × wq`, where tap `(ki, kj)` of output `(oy, ox)`
-//!   is element `(oy + ⌊ki/sh⌋, ox + ⌊kj/sw⌋)` of plane
-//!   `(ki mod sh, kj mod sw)`; so row `(ci, ki, kj)` of the column
-//!   matrix, over the wide plane, is one contiguous run of the staging
-//!   buffer starting at a fixed offset, and the strip kernel of
-//!   [`mod@crate::matmul`] reads its `B` rows there
-//!   ([`InPlace`](crate::matmul)). The `wq − ow` surplus columns of each
-//!   wide row are computed and dropped when the `ow` valid ones are
-//!   copied into `y` (written straight into `y` when there are none).
-//!   The last wide row's surplus columns and the last strip's lanes past
-//!   the wide plane read past the last phase plane, fewer than
-//!   `LANES + kw` elements: the buffer carries that much **slack**. The
-//!   buffer is zeroed once per call — borders, phase positions past the
-//!   image and slack; each (sample, group) then overwrites the same
-//!   interior — so padding taps read zeros. This is one path for every
-//!   stride, padding and grouping, depthwise and 1×1 included, in both
+//!   **phase planes** per channel, each `⌈(h+2ph)/sh⌉ × ⌈(w+2pw)/sw⌉`
+//!   (`wq` columns): plane `(a, b)` holds the padded pixels
+//!   `(a + sh·r, b + sw·c)`. Only the planes some tap reads are staged —
+//!   all `sh·sw` of them for a kernel at least as large as its stride,
+//!   plane `(0, 0)` alone for a strided 1×1 — and each image row goes to
+//!   its column phases by a strided extract the tier vectorizes (a copy
+//!   at stride 1). The output is computed in **wide** coordinates,
+//!   `oh × wq`, where tap `(ki, kj)` of output `(oy, ox)` is element
+//!   `(oy + ⌊ki/sh⌋, ox + ⌊kj/sw⌋)` of plane `(ki mod sh, kj mod sw)`; so
+//!   row `(ci, ki, kj)` of the column matrix, over the wide plane, is
+//!   one contiguous run of the staging buffer starting at a fixed
+//!   offset, and the strip kernel of [`mod@crate::matmul`] reads its `B`
+//!   rows there ([`InPlace`](crate::matmul)). The `wq − ow` surplus
+//!   columns of each wide row are computed and dropped when the `ow`
+//!   valid ones are copied into `y` (written straight into `y` when
+//!   there are none). The last wide row's surplus columns and the last
+//!   strip's lanes past the wide plane read past the last phase plane,
+//!   fewer than `LANES + kw` elements: the buffer carries that much
+//!   **slack**. The buffer is zeroed once per call — borders, phase
+//!   positions past the image and slack; each (sample, group) then
+//!   overwrites the same interior — so padding taps read zeros. A 1×1,
+//!   stride-1, unpadded layer stages nothing: its image's channel planes
+//!   are the column matrix's rows, and the strip kernel packs only a
+//!   last strip that would read past the tensor. This is one path for
+//!   every stride, padding and grouping, depthwise included, in both
 //!   domains. Each output element is the reference recurrence over
 //!   ascending `(ci, ki, kj)`, zero weights skipped, so results are
 //!   bit-identical to im2col-then-[`crate::reference::naive_matmul`] in
 //!   both domains.
 //! * **input gradient** (`dx = Wᵀ ⊛ dy`). Two passes, one choice made
-//!   on [`Scalar::EXACT`] and the stride, as the dot kernel already
-//!   chooses:
-//!   - a stride-1 `F25` layer whose padding is below its kernel is the
-//!     *transposed convolution*: the forward pass above run on `dy`
-//!     with the filter flipped in both spatial axes and its two channel
-//!     axes swapped per group, padded by `k − 1 − p`. Each `dx` element
-//!     is then one tile reduction over `(co, ki, kj)`; no `dcol` is
-//!     written and nothing is scattered. The field sum is exact, so the
+//!   on [`Scalar::EXACT`]:
+//!   - `F25` splits the image into its `sh·sw` **output phases**: the
+//!     pixels `(a − ph + sh·r, b − pw + sw·c)` take exactly the kernel
+//!     taps `(a + sh·t, b + sw·u)`, and in `(r, c)` that is a stride-1
+//!     convolution of `dy` with those taps reversed and the filter's two
+//!     channel axes swapped per group — at stride 1, the one phase is
+//!     the transposed convolution. `dy` is staged once per sample,
+//!     zero-padded so every tap of every phase reads inside it (read in
+//!     place where no padding is needed: the 1×1 layers), and each
+//!     phase is one tile product over its wide plane, reading `dy`'s
+//!     rows in place as the forward reads the image's. A row phase's
+//!     column phases are then woven into `dx`'s rows in one
+//!     interleaving pass. No `dcol` is formed and nothing is
+//!     scatter-added; a pixel whose phase has no tap (a kernel
+//!     narrower than its stride) is zero. Each `dx` element is one tile
+//!     reduction over `(co, t, u)`; the field sum is exact, so the
 //!     result is the same value whatever order the taps arrive in;
-//!   - a strided layer, and every `f32` call, computes
-//!     `dcols = Wᵀ · dy` ([`matmul_at_b_into`], the strip kernel reading
-//!     `W` transposed in place) and scatter-adds it into the image with
-//!     [`col2im_acc_into`]. `f32` is the plain baseline and keeps this
-//!     recurrence bit for bit: per `dx` element, the taps in ascending
-//!     `(ki, kj)`, each its own ascending-`co` sum.
+//!   - `f32` computes `dcols = Wᵀ · dy` ([`matmul_at_b_into`], the strip
+//!     kernel reading `W` transposed in place) and scatter-adds it into
+//!     the image with [`col2im_acc_into`]. `f32` is the plain baseline
+//!     and keeps this recurrence bit for bit: per `dx` element, the taps
+//!     in ascending `(ki, kj)`, each its own ascending-`co` sum.
 //! * **weight gradient** (`dW = Σ_n dy · cols(x)ᵀ`). The contraction
 //!   runs over output positions. For `F25` the column matrix is read
 //!   where it lies, as in the forward pass: each (sample, group) is
-//!   staged once into the same padded, phase-split buffer, and one
+//!   staged once into the same padded, phase-split buffer (or read from
+//!   the image itself, for a 1×1 stride-1 unpadded layer), and one
 //!   packed-panel product per (sample, group) computes
-//!   `dWᵀ[krows × cgo] = cols(x) · dyᵀ` over the **wide** plane
-//!   (`K = oh · wq`), its `A` rows named by the staging offsets
-//!   ([`ARows::At`](crate::matmul)). The panel filler packs `dyᵀ` in
-//!   wide order with zeros at each output row's `wq − ow` surplus
-//!   columns, so the surplus taps add nothing, and the field sum is
-//!   exact whatever its order. The product is stored into `dW`
-//!   transposed (the first sample stores, later ones add). `f32` keeps
-//!   the dot-orientation kernel [`matmul_a_bt_into`] over a
-//!   materialized column matrix ([`im2col_into`], its only caller),
-//!   whose ascending-`p` sums with no zero skip are its reference bits.
+//!   `dWᵀ[krows × cgo] = cols(x) · dyᵀ` over the **narrow** plane
+//!   (`K = oh · ow`): its `A` rows are named by the staging offsets and
+//!   its positions by one offset each, `oy·wq + ox`, that all rows of a
+//!   tile share ([`ARows::Gather`](crate::matmul)), so no tap is spent
+//!   on the wide plane's surplus columns. The panel filler packs
+//!   `dyᵀ` as it is. The product is stored into `dW` transposed (the
+//!   first sample stores, later ones add). `f32` keeps the
+//!   dot-orientation kernel [`matmul_a_bt_into`] over a materialized
+//!   column matrix ([`im2col_into`], its only caller), whose
+//!   ascending-`p` sums with no zero skip are its reference bits.
 //!
 //! Grouped convolution is supported (`groups > 1`); depthwise convolution
 //! — the core of MobileNet — is the special case `groups == in_channels`.
 
 use crate::im2col::{col2im_acc_into, im2col_into, out_hw};
 use crate::matmul::{
-    fill_wide, gemm_packed_on, matmul_a_bt_into, matmul_at_b_into, store_transposed, ARows, InPlace,
+    fill_columns, gemm_packed_on, matmul_a_bt_into, matmul_at_b_into, store_transposed, ARows, InPlace,
     Panel, Rows, LANES,
 };
 use crate::scalar::Scalar;
 use crate::tensor::Tensor;
 use crate::workspace::Workspace;
-use dk_field::tier::Tier;
+use dk_field::tier::{Body, Tier, Width};
 
 /// Static geometry of a 2-D convolution layer.
 ///
@@ -193,10 +207,14 @@ pub fn conv2d_forward_ws<T: Scalar>(
     conv2d_forward_on(Tier::best(), x, w, s, ws)
 }
 
-/// [`conv2d_forward_ws`] on a given tier, as
-/// [`crate::matmul::gemm_packed_on`]; the tests drive every tier the
-/// host offers through it.
-pub(crate) fn conv2d_forward_on<T: Scalar>(
+/// [`conv2d_forward_ws`] on a given tier, as the register tile's
+/// entry points take one: the oracle tests drive every tier the host
+/// offers through it, the baseline's portable kernels included.
+///
+/// # Panics
+///
+/// Panics on any shape inconsistency.
+pub fn conv2d_forward_on<T: Scalar>(
     tier: Tier,
     x: &Tensor<T>,
     w: &Tensor<T>,
@@ -214,14 +232,16 @@ pub(crate) fn conv2d_forward_on<T: Scalar>(
     let wide = oh * st.wq;
     // Every output element is stored below.
     let mut y = ws.take_tensor_dirty(&[n, s.out_channels, oh, ow]);
-    // One scratch buffer: the staging buffer, then the wide output
-    // unless there is no surplus column to drop. The staging part is
-    // zeroed once: staging the next (sample, group) writes the same
-    // interior positions, so the borders, the unused phase positions
-    // and the slack stay zero for the whole call.
+    // One scratch buffer: the staging buffer (none when the image is
+    // its own), then the wide output unless there is no surplus column
+    // to drop. The staging part is zeroed once: staging the next
+    // (sample, group) writes the same interior positions, so the
+    // borders, the unused phase positions and the slack stay zero for
+    // the whole call.
+    let stage_len = if st.in_place() { 0 } else { st.len };
     let surplus = if st.wq == ow { 0 } else { cgo * wide };
-    let mut scratch = ws.take_dirty::<T>(st.len + surplus);
-    let (stage, ywide) = scratch.split_at_mut(st.len);
+    let mut scratch = ws.take_dirty::<T>(stage_len + surplus);
+    let (stage, ywide) = scratch.split_at_mut(stage_len);
     stage.fill(T::zero());
     let mut offs = ws.take_cleared::<usize>(krows);
     st.offsets(cgi, &mut offs);
@@ -229,19 +249,19 @@ pub(crate) fn conv2d_forward_on<T: Scalar>(
         let xi = x.batch_item(ni);
         let yi = y.batch_item_mut(ni);
         for g in 0..s.groups {
-            st.stage(&xi[g * cgi * hw.0 * hw.1..(g + 1) * cgi * hw.0 * hw.1], stage);
+            let cols = st.columns(tier, &xi[g * cgi * hw.0 * hw.1..(g + 1) * cgi * hw.0 * hw.1], stage);
             let wg = &w.as_slice()[g * cgo * krows..(g + 1) * cgo * krows];
             let yg = &mut yi[g * cgo * oh * ow..(g + 1) * cgo * oh * ow];
             // yg[cgo x wide] = wg[cgo x krows] · cols(xg)[krows x wide],
-            // the column matrix read where it lies in the staging buffer.
-            let rows = Rows::InPlace(InPlace::new(stage, &offs, wide));
+            // the column matrix read where it lies.
+            let rows = Rows::InPlace(InPlace::new(cols, &offs, wide));
             let a_index = (ARows::Every(krows), 1);
             if st.wq == ow {
                 gemm_packed_on(tier, wg, a_index, yg, (cgo, krows, wide), rows);
             } else {
                 gemm_packed_on(tier, wg, a_index, ywide, (cgo, krows, wide), rows);
                 for (dst, src) in yg.chunks_exact_mut(ow).zip(ywide.chunks_exact(st.wq)) {
-                    dst.copy_from_slice(&src[..ow]);
+                    copy(dst, &src[..ow]);
                 }
             }
         }
@@ -252,19 +272,24 @@ pub(crate) fn conv2d_forward_on<T: Scalar>(
 }
 
 /// The forward convolution's staging layout for one (sample, group):
-/// each of the `cgi` channels, zero-padded, split into `sh·sw` phase
-/// planes of `hq × wq`, where plane `(a, b)` holds the padded pixels
-/// `(a + sh·r, b + sw·c)`, followed by `LANES + kw` zeros of slack. In
-/// these coordinates tap `(ki, kj)` of output `(oy, ox)` is element
-/// `(oy + ki/sh, ox + kj/sw)` of phase plane `(ki mod sh, kj mod sw)`:
-/// row `(ci, ki, kj)` of the column matrix, over the "wide" output
-/// plane `oh × wq`, is one contiguous run of the buffer.
+/// each of the `cgi` channels, zero-padded, split into the phase planes
+/// of `hq × wq` some tap reads, plane `(a, b)` holding the padded pixels
+/// `(a + sh·r, b + sw·c)` (all `sh·sw` of them when the kernel is at
+/// least as large as the stride, plane `(0, 0)` alone for a strided
+/// 1×1), followed by `LANES + kw` zeros of slack. In these coordinates
+/// tap `(ki, kj)` of output `(oy, ox)` is element `(oy + ki/sh,
+/// ox + kj/sw)` of phase plane `(ki mod sh, kj mod sw)`: row
+/// `(ci, ki, kj)` of the column matrix, over the "wide" output plane
+/// `oh × wq`, is one contiguous run of the buffer. A 1×1, stride-1,
+/// unpadded layer's image is that layout already, and is not copied.
 #[derive(Debug, Clone, Copy)]
 struct Staging {
     hw: (usize, usize),
     kernel: (usize, usize),
     stride: (usize, usize),
     padding: (usize, usize),
+    /// Row and column phases staged: those a tap reads.
+    phases: (usize, usize),
     /// Columns of a phase plane, and of a wide output row.
     wq: usize,
     /// Elements of a phase plane.
@@ -279,13 +304,20 @@ impl Staging {
         let hq = (hw.0 + 2 * ph).div_ceil(sh);
         let wq = (hw.1 + 2 * pw).div_ceil(sw);
         let plane = hq * wq;
+        let phases = (sh.min(s.kernel.0), sw.min(s.kernel.1));
         // A wide row `oy` plus the deepest tap row stays inside its
         // plane (`oh + (kh−1)/sh ≤ hq`, and likewise across); what runs
         // past the plane is the last wide row's `(kw−1)/sw` surplus
         // columns and the lanes of the last strip past the wide plane,
         // fewer than `LANES + kw` elements.
-        let len = s.cg_in() * sh * sw * plane + LANES + s.kernel.1;
-        Self { hw, kernel: s.kernel, stride: s.stride, padding: s.padding, wq, plane, len }
+        let len = s.cg_in() * phases.0 * phases.1 * plane + LANES + s.kernel.1;
+        Self { hw, kernel: s.kernel, stride: s.stride, padding: s.padding, phases, wq, plane, len }
+    }
+
+    /// A 1×1, stride-1, unpadded layer: the image's channel planes are
+    /// the column matrix's rows.
+    fn in_place(&self) -> bool {
+        (self.kernel, self.stride, self.padding) == ((1, 1), (1, 1), (0, 0))
     }
 
     /// Appends to `offs` where each row `p = (ci, ki, kj)` of the column
@@ -293,12 +325,12 @@ impl Staging {
     /// column `j` is at `offs[p] + j`. (A division per tap, not per row:
     /// a channel's rows are the first channel's, one channel further.)
     fn offsets(&self, cgi: usize, offs: &mut Vec<usize>) {
-        let ((kh, kw), (sh, sw)) = (self.kernel, self.stride);
+        let ((kh, kw), (sh, sw), (na, nb)) = (self.kernel, self.stride, self.phases);
         offs.extend((0..kh * kw).map(|t| {
             let (ki, kj) = (t / kw, t % kw);
-            (ki % sh * sw + kj % sw) * self.plane + ki / sh * self.wq + kj / sw
+            (ki % sh * nb + kj % sw) * self.plane + ki / sh * self.wq + kj / sw
         }));
-        let channel = sh * sw * self.plane;
+        let channel = na * nb * self.plane;
         for ci in 1..cgi {
             offs.extend_from_within(..kh * kw);
             for o in &mut offs[ci * kh * kw..] {
@@ -307,47 +339,81 @@ impl Staging {
         }
     }
 
-    /// Writes the pixels of `image` (`[cgi, h, w]`) to their phase
-    /// positions in `stage`; nothing else is written. The divisions are
-    /// per phase, not per row: consecutive image rows of one row phase
-    /// land on consecutive rows of its planes.
-    fn stage<T: Scalar>(&self, image: &[T], stage: &mut [T]) {
-        let ((h, w), (sh, sw), (ph, pw)) = (self.hw, self.stride, self.padding);
+    /// The buffer the column matrix of `image` (`[cgi, h, w]`) is read
+    /// from: `image` itself for an [`in_place`](Self::in_place) layer,
+    /// otherwise `stage` with the image's pixels written to their phase
+    /// positions (nothing else is written).
+    fn columns<'a, T: Scalar>(&self, tier: Tier, image: &'a [T], stage: &'a mut [T]) -> &'a [T] {
+        if self.in_place() {
+            return image;
+        }
+        tier.run(Split { st: self, image, stage: &mut *stage });
+        stage
+    }
+}
+
+/// The phase split of one (sample, group) as a pass on the tier: per
+/// image row and column phase, one strided extract that the tier's
+/// shuffles vectorize at stride 2 ([`every_other`]).
+struct Split<'a, T> {
+    st: &'a Staging,
+    image: &'a [T],
+    stage: &'a mut [T],
+}
+
+impl<T: Scalar> Body for Split<'_, T> {
+    type Out = ();
+
+    /// The divisions are per phase, not per row: consecutive image rows
+    /// of one row phase land on consecutive rows of its planes.
+    #[inline(always)]
+    fn run<W: Width>(self, _: W) {
+        let Split { st, image, stage } = self;
+        let ((h, w), (sh, sw), (ph, pw), (na, nb)) = (st.hw, st.stride, st.padding, st.phases);
         if h * w == 0 {
             return;
         }
-        // Column phase `b` takes the pixels `ix ≡ b − pw (mod sw)`, from
-        // `ix0` on, to columns `c0..c0 + count` of its planes; row phase
-        // `a` likewise.
-        let first = |b: usize, s: usize, p: usize| (b + s - p % s) % s;
-        for b in 0..sw {
+        // Phase `a` of an axis padded by `p` takes the pixels
+        // `i ≡ a − p (mod s)`, from the first one on, to positions
+        // `(i + p) / s` of its planes' rows (columns).
+        let first = |a: usize, s: usize, p: usize| (a + s - p % s) % s;
+        for b in 0..nb {
             let ix0 = first(b, sw, pw);
             if ix0 >= w {
                 continue;
             }
             let (c0, count) = ((ix0 + pw) / sw, (w - ix0).div_ceil(sw));
-            for a in 0..sh {
+            for a in 0..na {
                 let iy0 = first(a, sh, ph);
-                if iy0 >= h {
-                    continue;
-                }
-                let at = (a * sw + b) * self.plane + (iy0 + ph) / sh * self.wq + c0;
-                for (c, plane) in image.chunks_exact(h * w).enumerate() {
-                    let rows = plane.chunks_exact(w).skip(iy0).step_by(sh);
-                    let dst = &mut stage[at + c * sh * sw * self.plane..];
-                    for (dst, row) in dst.chunks_mut(self.wq).zip(rows) {
-                        let dst = &mut dst[..count];
-                        if sw == 1 {
-                            dst.copy_from_slice(row);
-                        } else {
-                            for (d, &v) in dst.iter_mut().zip(row[ix0..].iter().step_by(sw)) {
-                                *d = v;
-                            }
+                let at = (a * nb + b) * st.plane + (iy0 + ph) / sh * st.wq + c0;
+                for (c, pixels) in image.chunks_exact(h * w).enumerate() {
+                    let rows = pixels.chunks_exact(w).skip(iy0).step_by(sh);
+                    let dst = &mut stage[at + c * na * nb * st.plane..];
+                    for (dst, row) in dst.chunks_mut(st.wq).zip(rows) {
+                        let (src, dst) = (&row[ix0..], &mut dst[..count]);
+                        match sw {
+                            1 => copy(dst, src),
+                            2 => every_other(src, dst),
+                            _ => dst.iter_mut().zip(src.iter().step_by(sw)).for_each(|(d, &v)| *d = v),
                         }
                     }
                 }
             }
         }
+    }
+}
+
+/// `dst[c] = src[2c]` for the `⌈src.len() / 2⌉` elements of `dst`:
+/// whole pairs as a fixed-shape gather, then the last element.
+#[inline(always)]
+fn every_other<T: Copy>(src: &[T], dst: &mut [T]) {
+    let (groups, rest) = src.as_chunks::<2>();
+    let (body, tail) = dst.split_at_mut(groups.len());
+    for (d, g) in body.iter_mut().zip(groups) {
+        *d = g[0];
+    }
+    if let (Some(d), Some(&v)) = (tail.first_mut(), rest.first()) {
+        *d = v;
     }
 }
 
@@ -366,18 +432,33 @@ pub fn conv2d_backward_input_ws<T: Scalar>(
     hw: (usize, usize),
     ws: &mut Workspace,
 ) -> Tensor<T> {
+    conv2d_backward_input_on(Tier::best(), dy, w, s, hw, ws)
+}
+
+/// [`conv2d_backward_input_ws`] on a given tier, as
+/// [`conv2d_forward_on`].
+///
+/// # Panics
+///
+/// Panics on any shape inconsistency.
+pub fn conv2d_backward_input_on<T: Scalar>(
+    tier: Tier,
+    dy: &Tensor<T>,
+    w: &Tensor<T>,
+    s: &Conv2dShape,
+    hw: (usize, usize),
+    ws: &mut Workspace,
+) -> Tensor<T> {
     s.check_weights(w);
     assert_eq!(dy.shape()[1], s.out_channels, "dy channel mismatch");
     let n = dy.shape()[0];
     let (oh, ow) = s.out_hw(hw);
     assert_eq!((dy.shape()[2], dy.shape()[3]), (oh, ow), "dy spatial mismatch");
-    let (kh, kw) = s.kernel;
-    let (ph, pw) = s.padding;
-    if T::EXACT && s.stride == (1, 1) && ph < kh && pw < kw {
-        return transposed_conv(dy, w, s, ws);
+    if T::EXACT {
+        return phase_convolutions(tier, dy, w, s, hw, ws);
     }
     let (cgi, cgo) = (s.cg_in(), s.cg_out());
-    let krows = cgi * kh * kw;
+    let krows = cgi * s.kernel.0 * s.kernel.1;
     let ocols = oh * ow;
     let mut dx = ws.take_tensor(&[n, s.in_channels, hw.0, hw.1]);
     let mut dcol = ws.take_dirty::<T>(krows * ocols);
@@ -398,43 +479,250 @@ pub fn conv2d_backward_input_ws<T: Scalar>(
     dx
 }
 
-/// The stride-1 input gradient as a forward convolution of `dy`: the
-/// filter `W[oc, ci, ki, kj]` becomes `Wᵗ[ic, co, kh−1−ki, kw−1−kj]`
-/// (group by group, so a group's output channels become its input
-/// channels) and the padding `k − 1 − p`, which maps an `oh × ow`
-/// gradient back onto the `h × w` image.
-fn transposed_conv<T: Scalar>(
+/// One output phase of the input gradient along one axis: the image
+/// coordinates `first + s·r`, `r < count` (those `≡ a − p (mod s)`),
+/// take the kernel taps `a + s·t`, `t < taps`, each from `dy` at
+/// `q0 + r − t` (zero outside `dy`). In `r` that is a stride-1
+/// correlation of `dy` with the phase's taps in reverse order.
+#[derive(Debug, Clone, Copy)]
+struct Phase {
+    a: usize,
+    s: usize,
+    taps: usize,
+    q0: usize,
+    count: usize,
+    first: usize,
+}
+
+impl Phase {
+    /// Phase `a` of an axis of `len` pixels, kernel `k`, stride `s`,
+    /// padding `p`.
+    fn new(len: usize, k: usize, s: usize, p: usize, a: usize) -> Self {
+        let taps = if a < k { (k - a).div_ceil(s) } else { 0 };
+        let q0 = p.saturating_sub(a).div_ceil(s);
+        let count = (len + p).saturating_sub(a).div_ceil(s).saturating_sub(q0);
+        Self { a, s, taps, q0, count, first: a + s * q0 - p }
+    }
+
+    /// The phase has pixels and taps to give them.
+    fn live(&self) -> bool {
+        self.taps > 0 && self.count > 0
+    }
+
+    /// Where, in a `dy` axis staged after `pad` zeros, output `r = 0`
+    /// reads its first tap (`t = taps − 1`); tap `t` of output `r` is
+    /// `taps − 1 − t + r` further on.
+    fn start(&self, pad: usize) -> usize {
+        pad + self.q0 + 1 - self.taps
+    }
+
+    /// The kernel index of the phase's `u`-th tap in reading order.
+    fn tap(&self, u: usize) -> usize {
+        self.a + self.s * (self.taps - 1 - u)
+    }
+}
+
+/// The `dy` layout the phases of one axis read: `pad` zeros before the
+/// `o` positions of `dy`, and `len` positions in all.
+fn dy_axis(phases: impl Iterator<Item = Phase> + Clone, o: usize) -> (usize, usize) {
+    let live = phases.filter(Phase::live);
+    let pad = live.clone().map(|q| (q.taps - 1).saturating_sub(q.q0)).max().unwrap_or(0);
+    let len = pad + live.map(|q| q.q0 + q.count).max().unwrap_or(0).max(o);
+    (pad, len)
+}
+
+/// The `F25` input gradient as `sh·sw` stride-1 convolutions of `dy`,
+/// one per output phase `(a, b)`: the phase's pixels take the kernel
+/// taps `(a + sh·t, b + sw·u)` in reverse order, channel axes swapped
+/// per group, over `dy` padded so that every tap of every phase reads
+/// inside it (see the module docs).
+fn phase_convolutions<T: Scalar>(
+    tier: Tier,
     dy: &Tensor<T>,
     w: &Tensor<T>,
     s: &Conv2dShape,
+    hw: (usize, usize),
     ws: &mut Workspace,
 ) -> Tensor<T> {
-    let ((kh, kw), (ph, pw)) = (s.kernel, s.padding);
+    let n = dy.shape()[0];
+    let (oh, ow) = s.out_hw(hw);
+    let ((kh, kw), (sh, sw), (ph, pw)) = (s.kernel, s.stride, s.padding);
     let (cgi, cgo) = (s.cg_in(), s.cg_out());
-    let t = Conv2dShape::new(
-        s.out_channels,
-        s.in_channels,
-        s.kernel,
-        (1, 1),
-        (kh - 1 - ph, kw - 1 - pw),
-        s.groups,
-    );
-    // Every element is written: the loops cover `[ic, cgo, kh, kw]`.
-    let mut wt = ws.take_tensor_dirty::<T>(&t.weight_shape());
+    let rows = move |a| Phase::new(hw.0, kh, sh, ph, a);
+    let cols = move |b| Phase::new(hw.1, kw, sw, pw, b);
+    let phases = move || {
+        let live = (0..sh).flat_map(move |a| (0..sw).map(move |b| (rows(a), cols(b))));
+        live.filter(|(r, c)| r.live() && c.live())
+    };
+    let ((ty, hs), (tx, wd)) = (dy_axis((0..sh).map(rows), oh), dy_axis((0..sw).map(cols), ow));
+    let dplane = hs * wd;
+    // `dy` needs no padding (1×1 layers): its channel planes are read
+    // where they lie.
+    let in_place = (ty, tx, hs, wd) == (0, 0, oh, ow);
+    // A pixel whose phase has no tap (a kernel narrower than its
+    // stride) is never written: only then is `dx` cleared first.
+    let mut dx = match kh < sh || kw < sw {
+        true => ws.take_tensor(&[n, s.in_channels, hw.0, hw.1]),
+        false => ws.take_tensor_dirty(&[n, s.in_channels, hw.0, hw.1]),
+    };
+    // Each phase's taps in reading order, `cgo` positions per tap: the
+    // `B` row offsets into a staged group of `dy`, and where the weight
+    // `W[g·cgo + co, ci, tap]` lies past filter row `ci` of group `g`'s
+    // first filter (`A` read in place: rows `ci·kh·kw` apart, each
+    // position at its own offset). `first[(a, b)]` is where the phase's
+    // positions start.
     let taps = kh * kw;
-    let dst = wt.as_mut_slice();
-    for (row, filter) in w.as_slice().chunks_exact(cgi * taps).enumerate() {
-        let (g, co) = (row / cgo, row % cgo);
-        for (ci, src) in filter.chunks_exact(taps).enumerate() {
-            let out = &mut dst[((g * cgi + ci) * cgo + co) * taps..][..taps];
-            for (d, &v) in out.iter_mut().zip(src.iter().rev()) {
-                *d = v;
+    let len = 2 * cgo * taps + cgi + sh * sw;
+    let mut idx = ws.take_cleared::<usize>(len);
+    idx.resize(len, 0);
+    let (offs, rest) = idx.split_at_mut(cgo * taps);
+    let (wcols, rest) = rest.split_at_mut(cgo * taps);
+    let (wrows, first) = rest.split_at_mut(cgi);
+    wrows.iter_mut().enumerate().for_each(|(ci, o)| *o = ci * taps);
+    let mut at = 0;
+    for (r, c) in phases() {
+        first[r.a * sw + c.a] = at;
+        for co in 0..cgo {
+            for t in 0..r.taps {
+                for u in 0..c.taps {
+                    offs[at] = co * dplane + (r.start(ty) + t) * wd + c.start(tx) + u;
+                    wcols[at] = co * cgi * taps + r.tap(t) * kw + c.tap(u);
+                    at += 1;
+                }
             }
         }
     }
-    let dx = conv2d_forward_ws(dy, &wt, &t, ws);
-    ws.give_tensor(wt);
+    // The staged `dy` of one sample (zeroed once; each sample rewrites
+    // the same interior), with the slack the last wide row and strip
+    // read past it, then one row phase's products, `cgi × count·wd`
+    // per column phase; a column phase with no tap stays zero.
+    let stage_len = if in_place { 0 } else { s.out_channels * dplane + wd + LANES };
+    let wide = (0..sh).map(rows).filter(Phase::live).map(|r| r.count * wd).max().unwrap_or(0);
+    let part = cgi * wide;
+    let mut scratch = ws.take_dirty::<T>(stage_len + sw * part);
+    let (stage, cwide) = scratch.split_at_mut(stage_len);
+    stage.fill(T::zero());
+    for b in (0..sw).filter(|&b| !cols(b).live()) {
+        cwide[b * part..][..part].fill(T::zero());
+    }
+    for ni in 0..n {
+        let dyi = dy.batch_item(ni);
+        let src: &[T] = if in_place {
+            dyi
+        } else {
+            tier.run(Pad { dy: dyi, stage: &mut *stage, ohw: (oh, ow), plane: dplane, at: ty * wd + tx, wd });
+            stage
+        };
+        let dxi = dx.batch_item_mut(ni);
+        for r in (0..sh).map(rows).filter(Phase::live) {
+            let wide = r.count * wd;
+            for g in 0..s.groups {
+                for c in (0..sw).map(cols).filter(Phase::live) {
+                    let (at, k) = (first[r.a * sw + c.a], cgo * r.taps * c.taps);
+                    let wg = &w.as_slice()[g * cgo * cgi * taps..];
+                    let a_rows = ARows::Gather(wrows, &wcols[at..at + k]);
+                    let b = &src[g * cgo * dplane..];
+                    let rows = Rows::InPlace(InPlace::new(b, &offs[at..at + k], wide));
+                    let cg = &mut cwide[c.a * part..][..cgi * wide];
+                    gemm_packed_on(tier, wg, (a_rows, 0), cg, (cgi, k, wide), rows);
+                }
+                let planes = &mut dxi[g * cgi * hw.0 * hw.1..(g + 1) * cgi * hw.0 * hw.1];
+                let rows = (r.first, sh, wide, wd);
+                tier.run(Weave { planes, from: cwide, hw, rows, s: sw, lead: pw % sw, part });
+            }
+        }
+    }
+    ws.give(scratch);
+    ws.give(idx);
     dx
+}
+
+/// One sample's `dy` (`[oc, oh, ow]`) into the interior of its padded
+/// staging planes, `plane` apart, row `r` of a channel at
+/// `at + r·wd`, as a pass on the tier.
+struct Pad<'a, T> {
+    dy: &'a [T],
+    stage: &'a mut [T],
+    ohw: (usize, usize),
+    plane: usize,
+    at: usize,
+    wd: usize,
+}
+
+impl<T: Scalar> Body for Pad<'_, T> {
+    type Out = ();
+
+    #[inline(always)]
+    fn run<W: Width>(self, _: W) {
+        let Pad { dy, stage, ohw: (oh, ow), plane, at, wd } = self;
+        for (dst, src) in stage.chunks_exact_mut(plane).zip(dy.chunks_exact(oh * ow)) {
+            for (d, row) in dst[at..].chunks_mut(wd).zip(src.chunks_exact(ow)) {
+                copy(&mut d[..ow], row);
+            }
+        }
+    }
+}
+
+/// One row phase's image rows of `cgi` planes (`h × w` each), each
+/// woven from the phase's output rows (`wd` apart, a plane's `wide`
+/// apart, each column phase's `part` apart in `from`): column `s·k + j`
+/// of the image row is element `k` of column phase `(j + pw) mod s`'s
+/// row. One interleaving pass on the tier.
+struct Weave<'a, T> {
+    planes: &'a mut [T],
+    from: &'a [T],
+    hw: (usize, usize),
+    /// The phase's first image row, the row step, and the spacing of
+    /// its output planes and rows.
+    rows: (usize, usize, usize, usize),
+    s: usize,
+    lead: usize,
+    part: usize,
+}
+
+impl<T: Scalar> Body for Weave<'_, T> {
+    type Out = ();
+
+    #[inline(always)]
+    fn run<W: Width>(self, _: W) {
+        let Weave { planes, from, hw: (h, w), rows: (first, step, wide, wd), s, lead, part } = self;
+        let phase = |j: usize| if j + lead < s { j + lead } else { j + lead - s } * part;
+        for (ci, plane) in planes.chunks_exact_mut(h * w).enumerate() {
+            for (q, line) in plane.chunks_exact_mut(w).skip(first).step_by(step).enumerate() {
+                let at = ci * wide + q * wd;
+                match s {
+                    1 => copy(line, &from[at..][..w]),
+                    2 => {
+                        let (pairs, tail) = line.as_chunks_mut::<2>();
+                        let even = &from[phase(0) + at..][..pairs.len() + tail.len()];
+                        let odd = &from[phase(1) + at..][..pairs.len()];
+                        for ((d, &x), &y) in pairs.iter_mut().zip(even).zip(odd) {
+                            *d = [x, y];
+                        }
+                        if let (Some(d), Some(&v)) = (tail.first_mut(), even.get(pairs.len())) {
+                            *d = v;
+                        }
+                    }
+                    _ => {
+                        for (k, group) in line.chunks_mut(s).enumerate() {
+                            for (j, d) in group.iter_mut().enumerate() {
+                                *d = from[phase(j) + at + k];
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// `dst = src` for a short row: eight elements at a time, so the copy
+/// is a few vector moves instead of a `memcpy` call.
+#[inline(always)]
+fn copy<T: Copy>(dst: &mut [T], src: &[T]) {
+    let ((d8, dr), (s8, sr)) = (dst.as_chunks_mut::<8>(), src.as_chunks::<8>());
+    d8.iter_mut().zip(s8).for_each(|(d, s)| *d = *s);
+    dr.iter_mut().zip(sr).for_each(|(d, s)| *d = *s);
 }
 
 /// Convolution weight gradient: `dW = dy ⊛ x` summed over the batch.
@@ -456,7 +744,11 @@ pub fn conv2d_backward_weight_ws<T: Scalar>(
 
 /// [`conv2d_backward_weight_ws`] on a given tier, as
 /// [`conv2d_forward_on`].
-pub(crate) fn conv2d_backward_weight_on<T: Scalar>(
+///
+/// # Panics
+///
+/// Panics on any shape inconsistency.
+pub fn conv2d_backward_weight_on<T: Scalar>(
     tier: Tier,
     dy: &Tensor<T>,
     x: &Tensor<T>,
@@ -474,47 +766,62 @@ pub(crate) fn conv2d_backward_weight_on<T: Scalar>(
     let krows = cgi * s.kernel.0 * s.kernel.1;
     let ocols = oh * ow;
     let st = Staging::new(hw, s);
-    let mut dw = ws.take_tensor(&s.weight_shape());
-    // The staging buffer (`F25`) or the column matrix (`f32`), then one
-    // (sample, group)'s product, fully overwritten by each. The staging
-    // buffer is zeroed once, as the forward's.
-    let cols_len = if T::EXACT { st.len } else { krows * ocols };
+    // The first `F25` sample stores every element; `f32` adds into it.
+    let mut dw = match T::EXACT && n > 0 {
+        true => ws.take_tensor_dirty(&s.weight_shape()),
+        false => ws.take_tensor(&s.weight_shape()),
+    };
+    // The staging buffer (`F25`, none when the image is its own) or the
+    // column matrix (`f32`), then one (sample, group)'s product, fully
+    // overwritten by each. The staging buffer is zeroed once, as the
+    // forward's.
+    let cols_len = match T::EXACT {
+        true if st.in_place() => 0,
+        true => st.len,
+        false => krows * ocols,
+    };
     let mut scratch = ws.take_dirty::<T>(cols_len + krows * cgo);
     let (cols, dwg) = scratch.split_at_mut(cols_len);
-    let mut offs = ws.take_cleared::<usize>(krows);
+    // The column matrix's row starts, and where each narrow output
+    // position `(oy, ox)` lies in a row: `oy·wq + ox`.
+    let mut idx = ws.take_cleared::<usize>(krows + ocols);
     if T::EXACT {
         cols.fill(T::zero());
-        st.offsets(cgi, &mut offs);
+        st.offsets(cgi, &mut idx);
+        idx.extend((0..oh).flat_map(|oy| (0..ow).map(move |ox| oy * st.wq + ox)));
     }
+    // (Both empty for `f32`.)
+    let (offs, narrow) = idx.split_at(idx.len().min(krows));
     let mut panel = Panel::new();
     for ni in 0..n {
-        let xi = x.batch_item(ni);
-        let dyi = dy.batch_item(ni);
-        for g in 0..s.groups {
-            let xg = &xi[g * cgi * hw.0 * hw.1..(g + 1) * cgi * hw.0 * hw.1];
-            let dyg = &dyi[g * cgo * ocols..(g + 1) * cgo * ocols];
-            let dst = &mut dw.as_mut_slice()[g * cgo * krows..(g + 1) * cgo * krows];
-            if T::EXACT {
-                // dwgᵀ[krows x cgo] = cols(xg)[krows x wide] · dygᵀ[wide x cgo]:
-                // the column matrix read where it lies, `dyᵀ` packed in
-                // wide order with zeros at the surplus columns.
-                st.stage(xg, cols);
-                let fill = fill_wide(dyg, (oh, ow, st.wq), cgo);
-                let (a, rows) = ((ARows::At(&offs), 1), Rows::Packed(&mut panel, &fill));
-                gemm_packed_on(tier, cols, a, dwg, (krows, oh * st.wq, cgo), rows);
+        let (xi, dyi) = (x.batch_item(ni), dy.batch_item(ni));
+        if T::EXACT {
+            // dwgᵀ[krows x cgo] = cols(xg)[krows x ocols] · dygᵀ[ocols x cgo]
+            // per group: the column matrix read where it lies, over the
+            // narrow plane, `dyᵀ` packed as it is.
+            for g in 0..s.groups {
+                let a = st.columns(tier, &xi[g * cgi * hw.0 * hw.1..(g + 1) * cgi * hw.0 * hw.1], cols);
+                let fill = fill_columns(&dyi[g * cgo * ocols..(g + 1) * cgo * ocols], ocols, cgo);
+                let a_rows = ARows::Gather(offs, narrow);
+                gemm_packed_on(tier, a, (a_rows, 1), dwg, (krows, ocols, cgo), Rows::Packed(&mut panel, &fill));
+                let dst = &mut dw.as_mut_slice()[g * cgo * krows..(g + 1) * cgo * krows];
                 store_transposed(dwg, (krows, cgo), dst, ni > 0);
-            } else {
+            }
+        } else {
+            for g in 0..s.groups {
                 // dwg[cgo x krows] = dyg[cgo x ocols] · colsᵀ[ocols x krows],
                 // added into dw as a separate elementwise pass.
+                let xg = &xi[g * cgi * hw.0 * hw.1..(g + 1) * cgi * hw.0 * hw.1];
                 im2col_into(xg, cgi, hw, s.kernel, s.stride, s.padding, cols);
-                matmul_a_bt_into(dyg, cols, dwg, cgo, ocols, krows);
+                matmul_a_bt_into(&dyi[g * cgo * ocols..(g + 1) * cgo * ocols], cols, dwg, cgo, ocols, krows);
+                let dst = &mut dw.as_mut_slice()[g * cgo * krows..(g + 1) * cgo * krows];
                 for (d, &v) in dst.iter_mut().zip(dwg.iter()) {
                     *d += v;
                 }
             }
         }
     }
-    ws.give(offs);
+    ws.give(idx);
     ws.give(scratch);
     dw
 }
@@ -668,8 +975,8 @@ mod tests {
     }
 
     /// The `F25` weight gradient on every tier the host offers, exactly
-    /// against the direct reference: dense with a wide plane wider than
-    /// the output (`wq ≠ ow`), stride 2, 1×1 at stride 2, no padding,
+    /// against the direct reference: dense with a staged plane wider
+    /// than the output (`wq ≠ ow`, positions gathered), stride 2, 1×1 at stride 2, no padding,
     /// grouped, depthwise, more output channels than one strip, and a
     /// reduction past one panel block; each at `n = 1` and at `n = 2`
     /// (samples accumulated), over a workspace whose recycled buffers

@@ -10,10 +10,10 @@
 //! whole column-matrix rows contiguous, and it is the one caller of
 //! [`im2col_into`]. The forward convolution and the `F25` weight
 //! gradient read the column matrix in place from a padded, phase-split
-//! copy of the image instead (see [`crate::conv`]). The strided
-//! input-gradient pass goes the other
-//! way through [`col2im_acc_into`]; the stride-1 one is a forward
-//! convolution and needs neither.
+//! copy of the image instead (see [`crate::conv`]). The `f32`
+//! input-gradient pass goes the other way through [`col2im_acc_into`];
+//! the `F25` one is a stride-1 convolution of `dy` per output phase and
+//! needs neither.
 //!
 //! [`im2col_into`] writes every tap exactly once — a copy where the tap
 //! is inside the image, a zero where it is padding — so it needs no

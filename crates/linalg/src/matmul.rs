@@ -33,17 +33,20 @@
 //! streamed from memory exactly once per product whatever `m` is, and
 //! the micro-kernel's `B` loads are unit-stride whatever `n` is. The
 //! matmuls copy row segments of a row-major `B` into it; the `F25`
-//! convolution weight gradient packs `dyᵀ` in wide order
-//! (`fill_wide`). The forward convolution packs nothing: its column
-//! matrix's rows are contiguous runs of a padded, phase-split copy of
-//! the image (see [`crate::conv`]), so a block names them by offset
-//! (`InPlace`) and one call covers every strip; the buffer carries the
-//! slack the last strip's surplus lanes read. `A` is read in place too:
-//! row `i` starts where `ARows` says — every `k` for `A·B` and the
-//! forward's weights, every 1 (columns `m` apart) for `Aᵀ·B`, and at the
-//! staging buffer's per-row offsets for the weight gradient, whose `A`
-//! is the column matrix — so no transpose or column matrix is packed
-//! either. A strip narrower than `LANES` (the last one when
+//! convolution weight gradient packs `dyᵀ` (`fill_columns`). The
+//! forward convolution and the `F25` input gradient pack nothing: their
+//! column matrix's rows are contiguous runs of a padded, phase-split
+//! copy of the image (of `dy`), or of the tensor itself (see
+//! [`crate::conv`]), so a block names them by offset (`InPlace`) and one
+//! call covers every strip; a staging buffer carries the slack the last
+//! strip's surplus lanes read, and a strip whose rows would run past a
+//! tensor is packed instead. `A` is read in place too: row `i` starts
+//! where `ARows` says — every `k` for `A·B` and the forward's weights,
+//! every 1 (columns `m` apart) for `Aᵀ·B`, and at named offsets, each
+//! position at its own offset too, for the `F25` weight gradient (whose
+//! `A` is the column matrix over the narrow output plane) and input
+//! gradient (whose `A` is the filter) — so no transpose or column matrix
+//! is packed either. A strip narrower than `LANES` (the last one when
 //! `n % LANES ≠ 0`) is the same full-width kernel over rows whose
 //! surplus lanes are zero (a panel) or whatever follows (in place);
 //! only the strip's own lanes are stored.
@@ -159,7 +162,7 @@ macro_rules! per_lane {
 }
 pub(crate) use per_lane;
 
-/// The portable micro-kernel: `cs[l] (=|+=) Σ_p a[p·a_stride] ·
+/// The portable micro-kernel: `cs[l] (=|+=) Σ_p a[a_col(p)] ·
 /// B[p][l]` for `l = 0..LANES`, over the `offs.len()` rows of one block,
 /// row `p` of `B` being the [`LANES`] elements at `b[offs[p]..]`.
 ///
@@ -178,7 +181,7 @@ pub(crate) use per_lane;
 #[inline]
 unsafe fn lane_strip<T: Scalar>(
     a: &[T],
-    a_stride: usize,
+    a_col: impl Fn(usize) -> usize,
     (b, offs): (&[T], &[usize]),
     cs: &mut [T; LANES],
     load: bool,
@@ -188,7 +191,7 @@ unsafe fn lane_strip<T: Scalar>(
         per_lane!(L => acc[L] = cs[L].acc_lift());
     }
     for (p, &o) in offs.iter().enumerate() {
-        let aip = a[p * a_stride];
+        let aip = a[a_col(p)];
         if aip == T::zero() {
             continue;
         }
@@ -210,6 +213,10 @@ const PANEL_OFFS: [usize; PANEL_ROWS] = {
     offs
 };
 
+/// A panel filler: `fill(p0, j0, rows)` packs a block's rows (see
+/// [`Rows::Packed`]).
+pub(crate) type Fill<'a, T> = &'a dyn Fn(usize, usize, &mut [T]);
+
 /// Where the `B` rows of [`gemm_packed`] come from. Either way one
 /// block of a strip is a base slice and one offset per reduction
 /// position: row `p` is the [`LANES`] elements at `base[offs[p]..]`,
@@ -218,18 +225,26 @@ pub(crate) enum Rows<'a, T> {
     /// Packed: `fill(p0, j0, rows)` overwrites `rows` (`kb × LANES`,
     /// row-major) with `B[p0..p0+kb, j0..j0+LANES]`, zero in the lanes
     /// past column `n`, and the rows are read from the panel.
-    Packed(&'a mut Panel<T>, &'a dyn Fn(usize, usize, &mut [T])),
+    Packed(&'a mut Panel<T>, Fill<'a, T>),
     /// Read where they lie (see [`InPlace`]).
     InPlace(InPlace<'a, T>),
 }
 
 /// `B` rows that already lie in memory: row `p` of the strip at column
 /// `j0` is `b[offs[p] + j0..][..LANES]`. The lanes past column `n` read
-/// whatever follows (never stored), so `b` carries the slack for them.
+/// whatever follows (never stored). A buffer that carries the slack for
+/// them (a staging buffer) is read in place throughout; where a strip's
+/// rows would run past `b` (rows that end with the buffer: a tensor's
+/// own channel planes, or the surplus columns of a wide plane over
+/// them), that strip and the ones after it are packed into a panel,
+/// elements past `b` or column `n` read as zero. A caller whose columns
+/// reach past `b` drops their results.
 pub(crate) struct InPlace<'a, T> {
     b: &'a [T],
     offs: &'a [usize],
     n: usize,
+    /// The first column of the strips that are packed, or `n`.
+    packed_from: usize,
 }
 
 impl<'a, T> InPlace<'a, T> {
@@ -237,27 +252,31 @@ impl<'a, T> InPlace<'a, T> {
     ///
     /// # Panics
     ///
-    /// If a row of the last strip would read past `b`: every
-    /// `offs[p] + j0 + LANES` must be at most `b.len()` for the last
-    /// strip's first column `j0`.
+    /// If a row starts past `b`.
     pub(crate) fn new(b: &'a [T], offs: &'a [usize], n: usize) -> Self {
-        let last = n.saturating_sub(1) / LANES * LANES;
-        let reach = offs.iter().max().map_or(0, |&o| o + last + LANES);
-        assert!(reach <= b.len(), "in-place B rows reach past their buffer");
-        Self { b, offs, n }
+        let far = offs.iter().copied().max().unwrap_or(0);
+        assert!(offs.is_empty() || far < b.len(), "in-place B rows start past their buffer");
+        // Strips starting at `j0 ≤ len − far − LANES` stay inside `b`.
+        let fitting = (b.len() - far) / LANES;
+        Self { b, offs, n, packed_from: n.min(fitting * LANES) }
     }
 }
 
-/// Where row `i` of a product's `A` operand starts in its buffer; its
-/// element `p` lies `p · a_col` further on.
+/// Where row `i` of a product's `A` operand starts in its buffer, and
+/// where its element `p` lies past that.
 #[derive(Clone, Copy, Debug)]
 pub(crate) enum ARows<'a> {
-    /// Row `i` at `i · stride`: a row-major matrix (`stride = k`) or a
-    /// transposed one (`stride = 1`, `a_col = m`).
+    /// Row `i` at `i · stride`, element `p` at `p · a_col` further on: a
+    /// row-major matrix (`stride = k`, `a_col = 1`) or a transposed one
+    /// (`stride = 1`, `a_col = m`).
     Every(usize),
-    /// Row `i` at `offs[i]`: the column-matrix rows of a convolution,
-    /// read where they lie in its staging buffer.
-    At(&'a [usize]),
+    /// Row `i` at `rows[i]`, its element `p` at `cols[p]` further on
+    /// (`a_col` unused): the column matrix of a convolution read where
+    /// it lies in its staging buffer, over the narrow output plane
+    /// (position `(oy, ox)` at `oy·wq + ox` of a staged row `wq` wide),
+    /// or a filter read in place by one output phase of the input
+    /// gradient.
+    Gather(&'a [usize], &'a [usize]),
 }
 
 impl ARows<'_> {
@@ -266,27 +285,38 @@ impl ARows<'_> {
     fn start(self, i: usize) -> usize {
         match self {
             ARows::Every(stride) => i * stride,
-            ARows::At(offs) => offs[i],
+            ARows::Gather(rows, _) => rows[i],
         }
     }
 
-    /// The furthest start of `m ≥ 1` rows.
+    /// The furthest element of `m ≥ 1` rows of `k ≥ 1` positions.
     ///
     /// # Panics
     ///
-    /// If row offsets do not name exactly `m` rows.
-    fn last_start(self, m: usize) -> usize {
+    /// If row offsets do not name exactly `m` rows, or column offsets
+    /// exactly `k` positions.
+    fn reach(self, (m, k): (usize, usize), a_col: usize) -> usize {
+        let last = |offs: &[usize], len| {
+            assert_eq!(offs.len(), len, "A row or column offsets");
+            offs.iter().copied().max().unwrap_or(0)
+        };
         match self {
-            ARows::Every(stride) => (m - 1) * stride,
-            ARows::At(offs) => {
-                assert_eq!(offs.len(), m, "A row offsets");
-                offs.iter().copied().max().unwrap_or(0)
-            }
+            ARows::Every(stride) => (m - 1) * stride + (k - 1) * a_col,
+            ARows::Gather(rows, cols) => last(rows, m) + last(cols, k),
+        }
+    }
+
+    /// Rows `p0..` of the reduction: the row starts, and how far into
+    /// the buffer position `p0` lies.
+    fn advanced(self, p0: usize, a_col: usize) -> (Self, usize) {
+        match self {
+            ARows::Gather(rows, cols) => (ARows::Gather(rows, &cols[p0..]), 0),
+            rows => (rows, p0 * a_col),
         }
     }
 }
 
-/// `C[m×n] = A · B` with `A[i, p]` read at `a[a_rows.start(i) + p·a_col]`
+/// `C[m×n] = A · B` with `A[i, p]` read where `a_index` says
 /// and `B` from `rows`, in strips and blocks (see the module docs). `C`
 /// is overwritten (prior contents are irrelevant). A caller issuing many
 /// small packed products passes one panel to all of them.
@@ -324,29 +354,65 @@ pub(crate) fn gemm_packed_on<T: Scalar>(
         c.fill(T::zero());
         return;
     }
-    assert!(a_index.0.last_start(m) + (k - 1) * a_index.1 < a.len(), "A size");
-    let blocks = (0..k).step_by(PANEL_ROWS).map(|p0| (p0, PANEL_ROWS.min(k - p0)));
+    assert!(a_index.0.reach((m, k), a_index.1) < a.len(), "A size");
     match &mut rows {
-        Rows::Packed(panel, fill) => {
-            for j0 in (0..n).step_by(LANES) {
-                for (p0, kb) in blocks.clone() {
-                    let packed = &mut panel.0[..kb * LANES];
-                    fill(p0, j0, packed);
-                    let (b, cols) = ((&*packed, &PANEL_OFFS[..kb]), j0..LANES.min(n - j0) + j0);
-                    // SAFETY: one strip, its rows at `p·LANES < kb·LANES`.
-                    unsafe { block(tier, (a, a_index, p0), b, c, (m, n), cols) };
-                }
-            }
-        }
+        Rows::Packed(panel, fill) => packed_strips(tier, (a, a_index), c, (m, k, n), (panel, fill), 0),
         Rows::InPlace(r) => {
-            for (p0, kb) in blocks {
-                let b = (r.b, &r.offs[p0..p0 + kb]);
+            let tail = r.packed_from;
+            for p0 in (0..k).step_by(PANEL_ROWS).filter(|_| tail > 0) {
+                let b = (r.b, &r.offs[p0..PANEL_ROWS.min(k - p0) + p0]);
                 // SAFETY: `InPlace::new` bounded every row, slack included,
-                // for the last strip of the `n` columns, so for all of them.
-                unsafe { block(tier, (a, a_index, p0), b, c, (m, n), 0..n) };
+                // for every strip before `packed_from`.
+                unsafe { block(tier, (a, a_index, p0), b, c, (m, n), 0..tail) };
+            }
+            if tail < n {
+                packed_tail(tier, (a, a_index), c, (m, k, n), r);
             }
         }
     }
+}
+
+/// The packed products' loop: per strip from column `j0` on, per block,
+/// `fill` packs the panel and one [`block`] runs over it.
+fn packed_strips<T: Scalar>(
+    tier: Tier,
+    (a, a_index): (&[T], (ARows<'_>, usize)),
+    c: &mut [T],
+    (m, k, n): (usize, usize, usize),
+    (panel, fill): (&mut Panel<T>, Fill<'_, T>),
+    j0: usize,
+) {
+    for j0 in (j0..n).step_by(LANES) {
+        for p0 in (0..k).step_by(PANEL_ROWS) {
+            let packed = &mut panel.0[..PANEL_ROWS.min(k - p0) * LANES];
+            fill(p0, j0, packed);
+            let (b, cols) = ((&*packed, &PANEL_OFFS[..packed.len() / LANES]), j0..LANES.min(n - j0) + j0);
+            // SAFETY: one strip, its rows at `p·LANES < kb·LANES`.
+            unsafe { block(tier, (a, a_index, p0), b, c, (m, n), cols) };
+        }
+    }
+}
+
+/// The strips of an in-place product whose rows would run past their
+/// buffer, packed: elements past `b` or column `n` read as zero. Its
+/// 32 KB panel lives in this frame, not in every product's.
+#[inline(never)]
+fn packed_tail<T: Scalar>(
+    tier: Tier,
+    a: (&[T], (ARows<'_>, usize)),
+    c: &mut [T],
+    (m, k, n): (usize, usize, usize),
+    r: &InPlace<'_, T>,
+) {
+    let fill = |p0: usize, j0: usize, rows: &mut [T]| {
+        for (row, &o) in rows.chunks_exact_mut(LANES).zip(&r.offs[p0..]) {
+            let src = &r.b[o + j0..r.b.len().min(o + n)];
+            let w = src.len().min(LANES);
+            row[..w].copy_from_slice(&src[..w]);
+            row[w..].fill(T::zero());
+        }
+    };
+    packed_strips(tier, a, c, (m, k, n), (&mut Panel::new(), &fill), r.packed_from);
 }
 
 /// One block of [`gemm_packed_on`]: reduction positions
@@ -369,33 +435,60 @@ unsafe fn block<T: Scalar>(
     cols: std::ops::Range<usize>,
 ) {
     let load = p0 > 0;
+    let (a_rows, shift) = a_rows.advanced(p0, a_col);
     // SAFETY: `A[i, p0 + p]` for `i < m`, `p < offs.len()` is inside `a`
     // by `gemm_packed_on`'s assert, the `B` rows by the function
     // contract, and columns `cols` of every row of the `m × n` matrix
     // `c`, exclusively borrowed, lie inside it.
     let tiled = unsafe {
-        let (ap, cp) = (a.as_ptr().add(p0 * a_col), c.as_mut_ptr().add(cols.start));
+        let (ap, cp) = (a.as_ptr().add(shift), c.as_mut_ptr().add(cols.start));
         simd::gemm_block(tier, ap, (a_rows, a_col), (b, offs), cp, n, (m, cols.len()), load)
     };
     if tiled.is_some() {
         return;
     }
+    // One portable loop per kind of position offset, so neither pays a
+    // branch per position.
+    let rows = |i| a_rows.start(i) + shift;
+    let strip = ((b, offs), (m, n), cols, load);
+    match a_rows {
+        // SAFETY: the function contract.
+        ARows::Gather(_, at) => unsafe { portable_strips(a, rows, |p| at[p], strip, c) },
+        // SAFETY: as above.
+        _ => unsafe { portable_strips(a, rows, |p| p * a_col, strip, c) },
+    }
+}
+
+/// [`block`] off the tile: [`lane_strip`] per strip and output row, row
+/// `i` of `A` at `a[row(i)..]`, its position `p` `at(p)` further on.
+///
+/// # Safety
+///
+/// As [`block`].
+#[allow(clippy::type_complexity)]
+unsafe fn portable_strips<T: Scalar>(
+    a: &[T],
+    row: impl Fn(usize) -> usize,
+    at: impl Fn(usize) -> usize + Copy,
+    ((b, offs), (m, n), cols, load): ((&[T], &[usize]), (usize, usize), std::ops::Range<usize>, bool),
+    c: &mut [T],
+) {
     for j0 in cols.clone().step_by(LANES) {
         let w = LANES.min(cols.end - j0);
         let strip = (&b[j0 - cols.start..], offs);
         for i in 0..m {
-            let ai = &a[a_rows.start(i) + p0 * a_col..];
+            let ai = &a[row(i)..];
             let cs = &mut c[i * n + j0..][..w];
             if let Ok(cs) = <&mut [T; LANES]>::try_from(&mut *cs) {
                 // SAFETY: this strip's `B` rows, by the function contract.
-                unsafe { lane_strip(ai, a_col, strip, cs, load) };
+                unsafe { lane_strip(ai, at, strip, cs, load) };
             } else {
                 let mut full = [T::zero(); LANES];
                 if load {
                     full[..w].copy_from_slice(cs);
                 }
                 // SAFETY: as above.
-                unsafe { lane_strip(ai, a_col, strip, &mut full, load) };
+                unsafe { lane_strip(ai, at, strip, &mut full, load) };
                 cs.copy_from_slice(&full[..w]);
             }
         }
@@ -421,40 +514,24 @@ fn fill_from_rows<T: Scalar>(b: &[T], n: usize) -> impl Fn(usize, usize, &mut [T
     }
 }
 
-/// The panel filler for `B = dyᵀ` over a **wide** reduction: `dy` is
-/// `n` rows (output channels) of an `oh × ow` plane, and reduction
-/// position `p` is wide output position `(p / wq, p % wq)` of an
-/// `oh × wq` plane (`wq ≥ ow`), so row `p` of `B` is column `p` of `dy`
-/// where `p % wq < ow` and zero at each wide row's `wq − ow` surplus
-/// columns; lanes past column `n` are zero. The convolution weight
-/// gradient packs `dy` with it, to meet the column matrix it reads in
-/// wide coordinates.
-pub(crate) fn fill_wide<T: Scalar>(
-    dy: &[T],
-    (oh, ow, wq): (usize, usize, usize),
-    n: usize,
-) -> impl Fn(usize, usize, &mut [T]) + '_ {
-    let plane = oh * ow;
+/// The panel filler for `B = dyᵀ`: `dy` is `n` rows (output channels)
+/// of a `plane`-element output plane, and row `p` of `B` is column `p`
+/// of `dy`; lanes past column `n` are zero. The convolution weight
+/// gradient packs `dy` with it, to meet the column matrix it reads over
+/// the narrow output plane.
+pub(crate) fn fill_columns<T: Scalar>(dy: &[T], plane: usize, n: usize) -> impl Fn(usize, usize, &mut [T]) + '_ {
     move |p0, j0, rows| {
         let w = LANES.min(n - j0);
-        let (mut oy, mut ox) = (p0 / wq, p0 % wq);
-        for row in rows.as_chunks_mut::<LANES>().0 {
-            if ox >= ow {
-                *row = [T::zero(); LANES];
-            } else if w == LANES {
+        for (p, row) in (p0..).zip(rows.as_chunks_mut::<LANES>().0) {
+            let q = j0 * plane + p;
+            if w == LANES {
                 // One element of each of sixteen channel planes: a fixed
                 // gather the compiler unrolls.
-                let q = j0 * plane + oy * ow + ox;
                 *row = std::array::from_fn(|l| dy[q + l * plane]);
             } else {
-                let q = j0 * plane + oy * ow + ox;
                 for (l, d) in row.iter_mut().enumerate() {
                     *d = if l < w { dy[q + l * plane] } else { T::zero() };
                 }
-            }
-            ox += 1;
-            if ox == wq {
-                (oy, ox) = (oy + 1, 0);
             }
         }
     }
@@ -462,14 +539,27 @@ pub(crate) fn fill_wide<T: Scalar>(
 
 /// `dst[n×m] (=|+=) srcᵀ` for a row-major `src[m×n]`: the weight
 /// gradient's product is `dWᵀ`. `add` accumulates (a later sample)
-/// instead of storing. Both fit in L1 at the sizes it is called with,
-/// so it is the plain loop: `src` read in order, `dst` written `m`
-/// apart.
+/// instead of storing. Eight rows of `src` at a time, so each write is
+/// a run of eight `dst` elements (one cache line) instead of eight
+/// lines `m` apart.
 pub(crate) fn store_transposed<T: Scalar>(src: &[T], (m, n): (usize, usize), dst: &mut [T], add: bool) {
+    const R: usize = 8;
     assert!(src.len() == m * n && dst.len() == m * n, "transposed store size");
-    for (i, row) in src.chunks_exact(n.max(1)).enumerate() {
-        for (j, &v) in row.iter().enumerate() {
-            let d = &mut dst[j * m + i];
+    let rows = m - m % R;
+    for i0 in (0..rows).step_by(R) {
+        for j in 0..n {
+            let col: [T; R] = std::array::from_fn(|r| src[(i0 + r) * n + j]);
+            let d = &mut dst[j * m + i0..][..R];
+            if add {
+                d.iter_mut().zip(col).for_each(|(d, v)| *d += v);
+            } else {
+                d.copy_from_slice(&col);
+            }
+        }
+    }
+    for i in rows..m {
+        for j in 0..n {
+            let (d, v) = (&mut dst[j * m + i], src[i * n + j]);
             *d = if add { *d + v } else { v };
         }
     }
@@ -828,13 +918,15 @@ mod tests {
         assert_eq!(c, crate::reference::naive_matmul_at_b(&at, &b, m, k, n));
     }
 
-    /// `A` stored three ways — row-major `m×k` (rows every `k`), as its
+    /// `A` stored four ways — row-major `m×k` (rows every `k`), as its
     /// transpose `k×m` (rows every 1, columns every `m`), and as rows
-    /// named by offset, in reverse order with gaps between them — each
-    /// with its row offsets (`None`: every `stride`), row stride and
-    /// column step.
+    /// named by offset, in reverse order with gaps between them, their
+    /// positions named too: contiguous, or in runs of three with a gap
+    /// after each (the narrow plane inside a wide one) — each with its
+    /// row and position offsets (`None`: every `stride` and `col`), row
+    /// stride and column step.
     #[allow(clippy::type_complexity)]
-    fn layouts(a: &[F25], m: usize, k: usize) -> [(Vec<F25>, Option<Vec<usize>>, usize, usize); 3] {
+    fn layouts(a: &[F25], m: usize, k: usize) -> [(Vec<F25>, Option<Vec<usize>>, Option<Vec<usize>>, usize, usize); 4] {
         let mut a_t = vec![F25::ZERO; k * m];
         for i in 0..m {
             for p in 0..k {
@@ -846,7 +938,21 @@ mod tests {
         for (i, &o) in offs.iter().enumerate() {
             scattered[o..o + k].copy_from_slice(&a[i * k..(i + 1) * k]);
         }
-        [(a.to_vec(), None, k, 1), (a_t, None, 1, m), (scattered, Some(offs), 0, 1)]
+        let cols: Vec<usize> = (0..k).map(|p| p / 3 * 4 + p % 3).collect();
+        let span = cols.last().map_or(0, |&c| c + 1);
+        let rows: Vec<usize> = (0..m).map(|i| (m - 1 - i) * (span + 2) + 2).collect();
+        let mut gathered = vec![F25::new(9); m * (span + 2) + 2];
+        for (i, &o) in rows.iter().enumerate() {
+            for (p, &c) in cols.iter().enumerate() {
+                gathered[o + c] = a[i * k + p];
+            }
+        }
+        [
+            (a.to_vec(), None, None, k, 1),
+            (a_t, None, None, 1, m),
+            (scattered, Some(offs), Some((0..k).collect()), 0, 0),
+            (gathered, Some(rows), Some(cols), 0, 0),
+        ]
     }
 
     /// Runs one product on every tier the host offers, over a poisoned
@@ -855,8 +961,12 @@ mod tests {
         let (m, k, n) = dims;
         let want = naive_matmul(a, b, m, k, n);
         let fill = fill_from_rows(b, n);
-        for (a, offs, stride, col) in layouts(a, m, k) {
-            let a_index = (offs.as_deref().map_or(ARows::Every(stride), ARows::At), col);
+        for (a, offs, cols, stride, col) in layouts(a, m, k) {
+            let a_rows = match (offs.as_deref(), cols.as_deref()) {
+                (Some(rows), Some(cols)) => ARows::Gather(rows, cols),
+                _ => ARows::Every(stride),
+            };
+            let a_index = (a_rows, col);
             for tier in Tier::offered() {
                 let mut c = vec![F25::new(0x1ab_cdef); m * n];
                 gemm_packed_on(tier, &a, a_index, &mut c, dims, Rows::Packed(&mut Panel::new(), &fill));

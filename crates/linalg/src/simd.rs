@@ -37,9 +37,10 @@
 //!   the rows of a packed panel (the matmuls, the weight gradient), or
 //!   the column-matrix rows of a convolution read where they lie in its
 //!   phase-split staging buffer, every strip of a block in one call;
-//!   an `A` row is a base plus a per-row start (a stride, or the
-//!   staging offsets when the column matrix is `A`: the weight
-//!   gradient). In
+//!   an `A` row is a base plus a per-row start, its positions a stride
+//!   apart, or a named start with one loaded offset per position that
+//!   all `MR` rows share (the convolutions' backward passes: the column
+//!   matrix over the narrow output plane, the filter read in place). In
 //!   the coded block the rows are the scheme's separate source vectors —
 //!   every output row of a strip, the §4.4 check row included, from one
 //!   load of each source chunk;
@@ -165,8 +166,9 @@ unsafe fn on_lanes<T: 'static, B: Tiled>(tier: Tier, body: B) -> Option<B::Out> 
 
 /// One block, all `m` output rows and columns `0..n`:
 /// `C[i, j] (=|+=) Σ_{p<kb} A[i, p] · B[p][j]`, with `A[i, p]` at
-/// `a[a_rows.start(i) + p·a_col]`, `C[i, j]` at `c[i·ldc + j]`, and row `p` of
-/// `B` for the strip starting at column `j` the [`LANES`] elements at
+/// `a[a_rows.start(i) + p·a_col]` (`a[rows[i] + cols[p]]` for
+/// [`ARows::Gather`]), `C[i, j]` at `c[i·ldc + j]`, and row `p` of `B`
+/// for the strip starting at column `j` the [`LANES`] elements at
 /// `b[offs[p] + j..]` (`kb = offs.len()`; a packed panel is one strip,
 /// rows read where they lie are any number, see
 /// [`crate::matmul::Rows`]). Per strip, `MR` rows at a time. `load`
@@ -176,8 +178,8 @@ unsafe fn on_lanes<T: 'static, B: Tiled>(tier: Tier, body: B) -> Option<B::Out> 
 ///
 /// # Safety
 ///
-/// `a` is valid for reads at every `a_rows.start(i) + p·a_col`, `i < m`,
-/// `p < kb`; `b[offs[p] + j..]` holds `LANES` elements for every strip
+/// `a` is valid for reads at every `A[i, p]`, `i < m`, `p < kb` (a
+/// `Gather`'s column offsets name at least `kb` positions); `b[offs[p] + j..]` holds `LANES` elements for every strip
 /// start `j < n`; `c` is valid for reads and writes at every
 /// `i·ldc + j`, `i < m`, `j < n`, shared with no one for the call.
 ///
@@ -225,13 +227,18 @@ impl Tiled for GemmBlock<'_> {
     type Out = ();
 
     /// Per strip, one [`tile`] pass per `L::MR` output rows; the strips
-    /// are run once per kind of `A` row start, so a tile's row pointer is
-    /// a multiply or a load, never a branch.
+    /// are run once per kind of `A` row start, so a tile's row pointer
+    /// and its per-position `A` offset are each a multiply or a load,
+    /// never a branch.
     #[inline(always)]
     unsafe fn run<L: Lanes>(self) {
         #[inline(always)]
-        unsafe fn strips<L: Lanes>(g: &GemmBlock<'_>, arow: &impl Fn(usize) -> *const u64) {
-            let GemmBlock { a_col, b, offs, kb, c, ldc, m, n, load, .. } = *g;
+        unsafe fn strips<L: Lanes>(
+            g: &GemmBlock<'_>,
+            arow: &impl Fn(usize) -> *const u64,
+            a_col: &impl Fn(usize) -> usize,
+        ) {
+            let GemmBlock { b, offs, kb, c, ldc, m, n, load, .. } = *g;
             for j in (0..n).step_by(LANES) {
                 for i in (0..m).step_by(L::MR) {
                     // SAFETY: rows `i..i+rows` of `A`, of `C` at columns
@@ -253,13 +260,16 @@ impl Tiled for GemmBlock<'_> {
                 }
             }
         }
-        let a = self.a;
-        // SAFETY: `gemm_block`'s contract, each row start as `ARows`
-        // gives it.
+        let (a, a_col) = (self.a, self.a_col);
+        // SAFETY: `gemm_block`'s contract, each row start and position
+        // offset as `ARows` gives it (`cols` holds `kb` of them).
         unsafe {
             match self.a_rows {
-                ARows::Every(stride) => strips::<L>(&self, &|i| a.add(i * stride)),
-                ARows::At(offs) => strips::<L>(&self, &|i| a.add(offs[i])),
+                ARows::Every(stride) => strips::<L>(&self, &|i| a.add(i * stride), &|p| p * a_col),
+                ARows::Gather(rows, cols) => {
+                    let cols = cols.as_ptr();
+                    strips::<L>(&self, &|i| a.add(rows[i]), &|p| *cols.add(p))
+                }
             }
         }
     }
@@ -374,7 +384,7 @@ impl Tiled for CodedBlock {
                     tile_rows::<L>(
                         L::MR.min(total - r0),
                         &|r| if r0 + r < rows { coeff.add((r0 + r) * cstride) } else { check_w },
-                        1,
+                        &|p| p,
                         kdim,
                         &|p| bp[p],
                         &|r| outs.get(r0 + r).map_or(pred_p, |o| o.add(j)),
@@ -462,8 +472,9 @@ impl Tiled for ABtBlock {
 }
 
 /// The register tile: `C[r][0..w] (=|+=) Σ_{p<kb} A[r][p] · B[p][0..w]`
-/// for `r < MR`, where row `r` of `A` starts at `arow(r)` with
-/// consecutive `p` `a_col` apart, row `p` of `B` is the [`LANES`]
+/// for `r < MR`, where row `r` of `A` starts at `arow(r)` with its
+/// element `p` `a_col(p)` further on (one offset per position, shared by
+/// the `MR` rows), row `p` of `B` is the [`LANES`]
 /// elements at `brow(p)` and row `r` of `C` the `w ≤ LANES` elements at
 /// `crow(r)`. `2·MR` accumulators live in registers across the whole `p`
 /// loop; they start from `C` (`load`; canonical values) or zero, take at
@@ -472,13 +483,13 @@ impl Tiled for ABtBlock {
 ///
 /// # Safety
 ///
-/// As [`Lanes`]; `arow(r)` valid for reads at `p·a_col`, `p < kb`;
+/// As [`Lanes`]; `arow(r)` valid for reads at `a_col(p)`, `p < kb`;
 /// `brow(p)` for `LANES` reads (all of them, whatever `w` is); `crow(r)`
 /// for `w` writes, and reads with `load`. `kb ≤ PANEL_ROWS`.
 #[inline(always)]
 unsafe fn tile<L: Lanes, const MR: usize>(
     arow: &impl Fn(usize) -> *const u64,
-    a_col: usize,
+    a_col: &impl Fn(usize) -> usize,
     kb: usize,
     brow: &impl Fn(usize) -> *const u64,
     crow: &impl Fn(usize) -> *mut u64,
@@ -502,10 +513,11 @@ unsafe fn tile<L: Lanes, const MR: usize>(
                 }
             }
             for p in 0..kb {
+                let ac = a_col(p);
                 let bp = brow(p).add(c0);
                 let (b0, b1) = (L::load(bp), L::load(bp.add(L::W)));
                 for r in 0..MR {
-                    let av = L::splat(ap[r].add(p * a_col));
+                    let av = L::splat(ap[r].add(ac));
                     acc[r] = [L::mac(acc[r][0], av, b0), L::mac(acc[r][1], av, b1)];
                 }
             }
@@ -528,7 +540,7 @@ unsafe fn tile<L: Lanes, const MR: usize>(
 unsafe fn tile_rows<L: Lanes>(
     rows: usize,
     arow: &impl Fn(usize) -> *const u64,
-    a_col: usize,
+    a_col: &impl Fn(usize) -> usize,
     kb: usize,
     brow: &impl Fn(usize) -> *const u64,
     crow: &impl Fn(usize) -> *mut u64,

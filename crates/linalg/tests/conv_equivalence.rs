@@ -19,8 +19,14 @@
 //! oracle too, whichever kernel — transposed convolution, packed-panel
 //! weight gradient, or the strided scatter — produced the value.
 
+use dk_field::tier::Tier;
 use dk_field::{FieldRng, F25, P25};
-use dk_linalg::conv::{conv2d_backward_input_ws, conv2d_backward_weight_ws, conv2d_forward_ws};
+use dk_linalg::conv::{
+    conv2d_backward_input_on, conv2d_backward_input_ws, conv2d_backward_weight_on, conv2d_backward_weight_ws,
+    conv2d_forward_ws,
+};
+use dk_linalg::im2col::{col2im_acc_into, im2col_into};
+use dk_linalg::reference::{naive_matmul_a_bt, naive_matmul_at_b};
 use dk_linalg::{Conv2dShape, Scalar, Tensor, Workspace};
 
 /// `y[n, oc, oy, ox] = Σ_{ci,ki,kj} w[oc, ci, ki, kj] · x[n, g·cgi+ci, iy, ix]`.
@@ -100,16 +106,17 @@ fn assert_conv<T: Bits>(mut gen: impl FnMut() -> T, s: Conv2dShape, n: usize, hw
 }
 
 /// The forward pass's own scratch for `x`'s geometry, one buffer: the
-/// staging part (`cgi` channels of `sh·sw` phase planes, `hq × wq`
-/// each, and `LANES + kw` of slack) and the wide output (`cgo × oh ×
-/// wq`) when it has surplus columns. Returns both parts' lengths.
+/// staging part (`cgi` channels of the phase planes a tap reads,
+/// `min(sh, kh) · min(sw, kw)` of `hq × wq` each, and `LANES + kw` of
+/// slack) and the wide output (`cgo × oh × wq`) when it has surplus
+/// columns. Returns both parts' lengths.
 fn forward_scratch_lens(s: &Conv2dShape, hw: (usize, usize)) -> [usize; 2] {
     const LANES: usize = 16;
-    let ((sh, sw), (ph, pw)) = (s.stride, s.padding);
+    let ((sh, sw), (ph, pw), (kh, kw)) = (s.stride, s.padding, s.kernel);
     let (hq, wq) = ((hw.0 + 2 * ph).div_ceil(sh), (hw.1 + 2 * pw).div_ceil(sw));
     let (oh, ow) = s.out_hw(hw);
     let wide = if wq == ow { 0 } else { s.cg_out() * oh * wq };
-    [s.cg_in() * sh * sw * hq * wq + LANES + s.kernel.1, wide]
+    [s.cg_in() * sh.min(kh) * sw.min(kw) * hq * wq + LANES + kw, wide]
 }
 
 fn assert_conv_on<T: Bits>(x: &Tensor<T>, w: &Tensor<T>, s: &Conv2dShape) {
@@ -512,5 +519,98 @@ fn backward_worst_case_field_operands() {
         let w = Tensor::from_fn(&s.weight_shape(), |_| top());
         let dy = Tensor::from_fn(&[2, 17, oh, ow], |_| top());
         assert_backward_on(&x, &w, &dy, &s);
+    }
+}
+
+/// The `F25` input and weight gradients on every tier the host offers
+/// (the baseline's portable kernels included), exactly against the
+/// direct definitions: stride {1, 2, 3} × padding {0, 1, 2} × kernel
+/// {1×1, 2×3, 3×3} × grouping {dense, grouped, depthwise}, each on an
+/// image whose padded size less the kernel is a multiple of the stride
+/// on both axes and on one that is not (the last output phase is then
+/// ragged), from a workspace full of garbage and again on the buffers
+/// the first call dirtied.
+#[test]
+fn field_backward_passes_on_every_tier() {
+    let mut seed = 0x7E_0000;
+    for stride in [1, 2, 3] {
+        for pad in [0, 1, 2] {
+            for kernel in [(1, 1), (2, 3), (3, 3)] {
+                // The smallest sizes from 5 on whose `h + 2p − k` is a
+                // multiple of the stride, then one past them.
+                let fit = |k: usize| (5..).find(|&h: &usize| (h + 2 * pad - k).is_multiple_of(stride)).unwrap_or(5);
+                let fitted = (fit(kernel.0), fit(kernel.1) + stride);
+                for hw in [fitted, (fitted.0 + 1, fitted.1 + 1)] {
+                    for (ic, oc, groups) in [(4, 6, 1), (4, 6, 2), (4, 4, 4)] {
+                        let s = Conv2dShape::new(ic, oc, kernel, (stride, stride), (pad, pad), groups);
+                        seed += 1;
+                        let mut gen = field_gen(seed);
+                        let (oh, ow) = s.out_hw(hw);
+                        let x = Tensor::from_fn(&[2, ic, hw.0, hw.1], |_| gen());
+                        let w = Tensor::from_fn(&s.weight_shape(), |_| gen());
+                        let dy = Tensor::from_fn(&[2, oc, oh, ow], |_| gen());
+                        let want_dx = direct_conv_backward_input(&dy, &w, &s, hw);
+                        let want_dw = direct_conv_backward_weight(&dy, &x, &s);
+                        for tier in Tier::offered() {
+                            let big = 4 * (x.len() + dy.len() + w.len()) + 256;
+                            let mut ws = poisoned_workspace::<F25>(&[big; 4]);
+                            for round in 0..2 {
+                                let what = format!("{tier:?} {s:?} hw={hw:?} round {round}");
+                                let dx = conv2d_backward_input_on(tier, &dy, &w, &s, hw, &mut ws);
+                                assert_bits(&dx, &want_dx, &format!("dx {what}"));
+                                let dw = conv2d_backward_weight_on(tier, &dy, &x, &s, &mut ws);
+                                assert_bits(&dw, &want_dw, &format!("dW {what}"));
+                                ws.give_tensor(dx);
+                                ws.give_tensor(dw);
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// The `f32` backward passes are the plain baseline's bits: per sample
+/// and group, the strided input gradient is `dk_linalg::reference`'s
+/// `Wᵀ·dy` scattered by `col2im`, and the weight gradient its
+/// `dy · cols(x)ᵀ` over the `im2col` column matrix, the samples added
+/// in order.
+#[test]
+fn f32_backward_passes_are_the_reference_lowering() {
+    for (s, hw) in [
+        (Conv2dShape::simple(16, 32, 3, 2, 1), (16, 16)),
+        (Conv2dShape::simple(16, 32, 1, 2, 0), (16, 16)),
+        (Conv2dShape::new(4, 6, (2, 3), (3, 2), (1, 2), 2), (11, 10)),
+        (Conv2dShape::depthwise(4, 3, 2, 1), (9, 8)),
+    ] {
+        let mut gen = float_gen(hw.0 as u64 * 97 + s.out_channels as u64);
+        let (n, (oh, ow)) = (2, s.out_hw(hw));
+        let (cgi, cgo, krows) = (s.cg_in(), s.cg_out(), s.cg_in() * s.kernel.0 * s.kernel.1);
+        let x = Tensor::from_fn(&[n, s.in_channels, hw.0, hw.1], |_| gen());
+        let w = Tensor::from_fn(&s.weight_shape(), |_| gen());
+        let dy = Tensor::from_fn(&[n, s.out_channels, oh, ow], |_| gen());
+        let mut want_dx = Tensor::<f32>::zeros(&[n, s.in_channels, hw.0, hw.1]);
+        let mut want_dw = Tensor::<f32>::zeros(&s.weight_shape());
+        let mut cols = vec![0.0f32; krows * oh * ow];
+        for ni in 0..n {
+            for g in 0..s.groups {
+                let wg = &w.as_slice()[g * cgo * krows..(g + 1) * cgo * krows];
+                let dyg = &dy.batch_item(ni)[g * cgo * oh * ow..(g + 1) * cgo * oh * ow];
+                let xg = &x.batch_item(ni)[g * cgi * hw.0 * hw.1..(g + 1) * cgi * hw.0 * hw.1];
+                let dcol = naive_matmul_at_b(wg, dyg, krows, cgo, oh * ow);
+                let dxg = &mut want_dx.batch_item_mut(ni)[g * cgi * hw.0 * hw.1..(g + 1) * cgi * hw.0 * hw.1];
+                col2im_acc_into(&dcol, cgi, hw, s.kernel, s.stride, s.padding, dxg);
+                im2col_into(xg, cgi, hw, s.kernel, s.stride, s.padding, &mut cols);
+                let dwg = naive_matmul_a_bt(dyg, &cols, cgo, oh * ow, krows);
+                let dst = &mut want_dw.as_mut_slice()[g * cgo * krows..(g + 1) * cgo * krows];
+                dst.iter_mut().zip(&dwg).for_each(|(d, &v)| *d += v);
+            }
+        }
+        let mut ws = Workspace::new();
+        let dx = conv2d_backward_input_ws(&dy, &w, &s, hw, &mut ws);
+        assert_bits(&dx, &want_dx, &format!("f32 dx {s:?}"));
+        let dw = conv2d_backward_weight_ws(&dy, &x, &s, &mut ws);
+        assert_bits(&dw, &want_dw, &format!("f32 dW {s:?}"));
     }
 }

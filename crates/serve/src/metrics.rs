@@ -11,14 +11,16 @@
 //! the serving report's percentiles both read it.
 
 use dk_core::DarknightError;
-use dk_gpu::GpuError;
+use dk_gpu::{GpuError, WorkerId};
 use dk_obs::{Counter, Gauge, Histogram, Registry};
 use dk_perf::ServingRow;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 /// Thread-shared recorder: every recording is lock-free (it runs on the
-/// TEE lanes).
+/// TEE lanes), save a quarantine, which takes a lock to learn whether
+/// another lane convicted the same worker first.
 pub(crate) struct MetricsRecorder {
     started: Instant,
     registry: Registry,
@@ -33,6 +35,9 @@ pub(crate) struct MetricsRecorder {
     worker_lost: Counter,
     timeouts: Counter,
     quarantined: Counter,
+    /// The workers counted in `quarantined`: each lane convicts on its
+    /// own fleet replica, so one worker can be convicted once per lane.
+    convicted: Mutex<Vec<WorkerId>>,
     repaired_rows: Counter,
     scale_ups: Counter,
     scale_downs: Counter,
@@ -73,6 +78,7 @@ impl MetricsRecorder {
             worker_lost: c("dk_serve_worker_lost_total"),
             timeouts: c("dk_serve_timeouts_total"),
             quarantined: c("dk_serve_quarantined_total"),
+            convicted: Mutex::new(Vec::new()),
             repaired_rows: c("dk_serve_repaired_rows_total"),
             scale_ups: c("dk_serve_scale_ups_total"),
             scale_downs: c("dk_serve_scale_downs_total"),
@@ -140,9 +146,19 @@ impl MetricsRecorder {
         self.shed.value()
     }
 
-    /// Workers newly quarantined while serving one batch.
-    pub fn record_quarantined(&self, workers: usize) {
-        self.quarantined.add(workers as u64);
+    /// Workers a lane newly quarantined while serving one batch; each
+    /// worker counts once per server, whichever lanes convict it.
+    pub fn record_quarantined(&self, workers: &[WorkerId]) {
+        if workers.is_empty() {
+            return;
+        }
+        let mut convicted = self.convicted.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+        for &w in workers {
+            if !convicted.contains(&w) {
+                convicted.push(w);
+                self.quarantined.inc();
+            }
+        }
     }
 
     /// Real request rows served out of a TEE-repaired batch.
@@ -235,7 +251,8 @@ pub struct ServerMetrics {
     pub worker_lost: u64,
     /// Batches aborted by a worker deadline expiry.
     pub timeouts: u64,
-    /// Workers quarantined by the recovery extension across all batches.
+    /// Distinct workers quarantined by the recovery extension across all
+    /// batches and lanes.
     pub quarantined: u64,
     /// Real request rows served out of TEE-repaired batches.
     pub repaired_rows: u64,
@@ -347,13 +364,30 @@ mod tests {
         });
         // Non-GPU errors classify as neither.
         rec.record_fault(&DarknightError::BatchShape { expected: 4, actual: 2 });
-        rec.record_quarantined(2);
+        rec.record_quarantined(&[dk_gpu::WorkerId(1), dk_gpu::WorkerId(3)]);
         rec.record_repaired_rows(3);
         let m = rec.snapshot();
         assert_eq!(m.worker_lost, 1);
         assert_eq!(m.timeouts, 1);
         assert_eq!(m.quarantined, 2);
         assert_eq!(m.repaired_rows, 3);
+    }
+
+    /// Each lane convicts on its own fleet replica: the same worker
+    /// convicted by two lanes, and again by the first, is one worker.
+    #[test]
+    fn quarantine_counts_workers_not_convictions() {
+        let rec = MetricsRecorder::new();
+        let lanes = [[dk_gpu::WorkerId(2)], [dk_gpu::WorkerId(2)], [dk_gpu::WorkerId(2)]];
+        std::thread::scope(|s| {
+            for lane in &lanes {
+                s.spawn(|| rec.record_quarantined(lane));
+            }
+        });
+        rec.record_quarantined(&[]);
+        assert_eq!(rec.snapshot().quarantined, 1);
+        rec.record_quarantined(&[dk_gpu::WorkerId(0), dk_gpu::WorkerId(2)]);
+        assert_eq!(rec.snapshot().quarantined, 2);
     }
 
     #[test]

@@ -747,7 +747,7 @@ fn worker_loop(
         Some((x, (batch, taken_at)))
     };
     let route = |(batch, taken_at): (Batch, Instant), outcome, quarantined: &[_]| {
-        metrics.record_quarantined(quarantined.len());
+        metrics.record_quarantined(quarantined);
         route_batch(outcome, batch, taken_at, integrity, metrics)
     };
     // An error is weight quantization failing at plan extraction, which

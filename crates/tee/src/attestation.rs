@@ -144,7 +144,10 @@ pub fn attested_key_exchange(
     if !platform.verify(&quote, Some(expected_measurement)) {
         return Err("quote verification failed");
     }
-    let quoted_pub = u64::from_le_bytes(quote.report_data[..8].try_into().expect("8 bytes"));
+    let Some(&quoted) = quote.report_data.first_chunk::<8>() else {
+        return Err("quote carries no public key");
+    };
+    let quoted_pub = u64::from_le_bytes(quoted);
     let client_key = client.session_key(quoted_pub, b"client-enclave");
     let enclave_key = enclave.session_key(client.public(), b"client-enclave");
     Ok((client_key, enclave_key))

@@ -165,10 +165,7 @@ pub fn extend_f32s_as_bytes(vals: &[f32], out: &mut Vec<u8>) {
 /// Panics if the byte length is not a multiple of 4.
 pub fn bytes_to_f32s(bytes: &[u8]) -> Vec<f32> {
     assert_eq!(bytes.len() % 4, 0, "byte length must be a multiple of 4");
-    bytes
-        .chunks_exact(4)
-        .map(|c| f32::from_le_bytes(c.try_into().expect("4 bytes")))
-        .collect()
+    bytes.as_chunks::<4>().0.iter().map(|&c| f32::from_le_bytes(c)).collect()
 }
 
 #[cfg(test)]

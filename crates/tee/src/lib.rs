@@ -32,6 +32,7 @@
 //! defenses — which the paper also scopes out, §2.1).
 
 #![forbid(unsafe_code)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod attestation;
 pub mod channel;
