@@ -207,14 +207,10 @@ pub fn conv2d_forward_ws<T: Scalar>(
     conv2d_forward_on(Tier::best(), x, w, s, ws)
 }
 
-/// [`conv2d_forward_ws`] on a given tier, as the register tile's
-/// entry points take one: the oracle tests drive every tier the host
-/// offers through it, the baseline's portable kernels included.
-///
-/// # Panics
-///
-/// Panics on any shape inconsistency.
-pub fn conv2d_forward_on<T: Scalar>(
+/// [`conv2d_forward_ws`] on a given tier, as
+/// [`crate::matmul::gemm_packed_on`]; the tests drive every tier the
+/// host offers through it.
+pub(crate) fn conv2d_forward_on<T: Scalar>(
     tier: Tier,
     x: &Tensor<T>,
     w: &Tensor<T>,
@@ -437,11 +433,7 @@ pub fn conv2d_backward_input_ws<T: Scalar>(
 
 /// [`conv2d_backward_input_ws`] on a given tier, as
 /// [`conv2d_forward_on`].
-///
-/// # Panics
-///
-/// Panics on any shape inconsistency.
-pub fn conv2d_backward_input_on<T: Scalar>(
+pub(crate) fn conv2d_backward_input_on<T: Scalar>(
     tier: Tier,
     dy: &Tensor<T>,
     w: &Tensor<T>,
@@ -720,6 +712,7 @@ impl<T: Scalar> Body for Weave<'_, T> {
 /// is a few vector moves instead of a `memcpy` call.
 #[inline(always)]
 fn copy<T: Copy>(dst: &mut [T], src: &[T]) {
+    assert_eq!(dst.len(), src.len(), "copy between rows of different lengths");
     let ((d8, dr), (s8, sr)) = (dst.as_chunks_mut::<8>(), src.as_chunks::<8>());
     d8.iter_mut().zip(s8).for_each(|(d, s)| *d = *s);
     dr.iter_mut().zip(sr).for_each(|(d, s)| *d = *s);
@@ -744,11 +737,7 @@ pub fn conv2d_backward_weight_ws<T: Scalar>(
 
 /// [`conv2d_backward_weight_ws`] on a given tier, as
 /// [`conv2d_forward_on`].
-///
-/// # Panics
-///
-/// Panics on any shape inconsistency.
-pub fn conv2d_backward_weight_on<T: Scalar>(
+pub(crate) fn conv2d_backward_weight_on<T: Scalar>(
     tier: Tier,
     dy: &Tensor<T>,
     x: &Tensor<T>,
@@ -1007,6 +996,90 @@ mod tests {
                         ws.give_tensor(got);
                         let stale = ws.take_tensor_dirty::<F25>(&s.weight_shape());
                         ws.give_tensor(stale.map(|_| F25::new(0x1ab_cdef)));
+                    }
+                }
+            }
+        }
+    }
+
+    /// Direct (scatter) input gradient: every tap of every output
+    /// position adds `W[oc, ci, ky, kx] · dy[n, oc, oy, ox]` to the pixel
+    /// it read, if it read one.
+    fn input_grad_reference(dy: &Tensor<F25>, w: &Tensor<F25>, s: &Conv2dShape, hw: (usize, usize)) -> Tensor<F25> {
+        let n = dy.shape()[0];
+        let (oh, ow) = s.out_hw(hw);
+        let (cgi, cgo) = (s.cg_in(), s.cg_out());
+        let mut dx = Tensor::zeros(&[n, s.in_channels, hw.0, hw.1]);
+        for ni in 0..n {
+            for oc in 0..s.out_channels {
+                for ci in 0..cgi {
+                    let ic = oc / cgo * cgi + ci;
+                    for ky in 0..s.kernel.0 {
+                        for kx in 0..s.kernel.1 {
+                            for oy in 0..oh {
+                                for ox in 0..ow {
+                                    let iy = (oy * s.stride.0 + ky) as isize - s.padding.0 as isize;
+                                    let ix = (ox * s.stride.1 + kx) as isize - s.padding.1 as isize;
+                                    if iy >= 0 && ix >= 0 && (iy as usize) < hw.0 && (ix as usize) < hw.1 {
+                                        let at = [ni, ic, iy as usize, ix as usize];
+                                        let v = dx.get(&at) + w.get(&[oc, ci, ky, kx]) * dy.get(&[ni, oc, oy, ox]);
+                                        dx.set(&at, v);
+                                    }
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        dx
+    }
+
+    /// Both `F25` backward passes on every tier the host offers, exactly
+    /// against the direct references: stride {1, 2, 3} × padding
+    /// {0, 1, 2} × kernel {1×1, 2×3, 3×3} × grouping {dense, grouped,
+    /// depthwise}, each on an image whose padded size less the kernel is
+    /// a multiple of the stride on both axes and on one that is not (the
+    /// last output phase is then ragged), from a workspace whose pooled
+    /// buffers hold garbage and again on the buffers the first call
+    /// dirtied.
+    #[test]
+    fn field_backward_passes_on_every_tier() {
+        let mut rng = dk_field::FieldRng::seed_from(0x7e0);
+        for stride in [1, 2, 3] {
+            for pad in [0, 1, 2] {
+                for kernel in [(1, 1), (2, 3), (3, 3)] {
+                    // The smallest sizes from 5 on whose `h + 2p − k` is
+                    // a multiple of the stride, then one past them.
+                    let fit = |k: usize| (5..).find(|&h: &usize| (h + 2 * pad - k).is_multiple_of(stride)).unwrap_or(5);
+                    let fitted = (fit(kernel.0), fit(kernel.1) + stride);
+                    for hw in [fitted, (fitted.0 + 1, fitted.1 + 1)] {
+                        for (ic, oc, groups) in [(4, 6, 1), (4, 6, 2), (4, 4, 4)] {
+                            let s = Conv2dShape::new(ic, oc, kernel, (stride, stride), (pad, pad), groups);
+                            let (oh, ow) = s.out_hw(hw);
+                            let mut draw = |shape: &[usize]| Tensor::from_fn(shape, |_| rng.uniform::<{ dk_field::P25 }>());
+                            let x = draw(&[2, ic, hw.0, hw.1]);
+                            let w = draw(&s.weight_shape());
+                            let dy = draw(&[2, oc, oh, ow]);
+                            let want_dx = input_grad_reference(&dy, &w, &s, hw);
+                            let want_dw = weight_grad_reference(&dy, &x, &s);
+                            for tier in Tier::offered() {
+                                let mut ws = Workspace::new();
+                                let big = 4 * (x.len() + dy.len() + w.len()) + 256;
+                                for _ in 0..4 {
+                                    ws.give(vec![F25::new(0x1ab_cdef); big]);
+                                }
+                                for round in 0..2 {
+                                    let what = format!("{tier:?} {s:?} hw={hw:?} round {round}");
+                                    let dx = conv2d_backward_input_on(tier, &dy, &w, &s, hw, &mut ws);
+                                    assert_eq!(dx.as_slice(), want_dx.as_slice(), "dx {what}");
+                                    let dw = conv2d_backward_weight_on(tier, &dy, &x, &s, &mut ws);
+                                    assert_eq!(dw.as_slice(), want_dw.as_slice(), "dW {what}");
+                                    ws.give_tensor(dx);
+                                    ws.give_tensor(dw);
+                                }
+                            }
+                        }
                     }
                 }
             }

@@ -120,7 +120,7 @@ pub fn thread_alloc_counts() -> (u64, u64) {
 pub struct WorkspaceStats {
     /// Buffers handed out in total.
     pub takes: u64,
-    /// Takes that had to allocate or grow a buffer (cold pool). After
+    /// Takes that had to allocate a buffer (cold pool). After
     /// warm-up this counter must stop moving — that is the
     /// zero-allocation invariant.
     pub misses: u64,
@@ -186,32 +186,29 @@ impl Workspace {
     }
 
     /// Pops the best-fitting pooled buffer: the smallest whose capacity
-    /// covers `len`, else the largest available (which then grows —
-    /// a miss), else a fresh allocation (also a miss). Returned with
+    /// covers `len`, else a fresh allocation (a miss). Returned with
     /// whatever its previous user left in it.
+    ///
+    /// A miss leaves the smaller pooled buffers for smaller takes rather
+    /// than growing one: growing moves the buffer and frees its old
+    /// block, and blocks freed mid-step let the allocator hand pages
+    /// back to the OS that the same cold step then faults in again.
     fn pop_buffer<T: Send + 'static>(&mut self, len: usize) -> Vec<T> {
         self.stats.takes += 1;
         let pool = self.pool::<Vec<Vec<T>>>();
         let mut best: Option<usize> = None;
-        let mut largest: Option<usize> = None;
         for (i, b) in pool.iter().enumerate() {
-            if b.capacity() >= len {
-                if best.is_none_or(|j| b.capacity() < pool[j].capacity()) {
-                    best = Some(i);
-                }
-            } else if largest.is_none_or(|j| b.capacity() > pool[j].capacity()) {
-                largest = Some(i);
+            if b.capacity() >= len && best.is_none_or(|j| b.capacity() < pool[j].capacity()) {
+                best = Some(i);
             }
         }
-        let mut buf = match best.or(largest) {
+        let buf = match best {
             Some(i) => pool.swap_remove(i),
-            None => Vec::new(),
+            None => {
+                self.stats.misses += 1;
+                Vec::with_capacity(len)
+            }
         };
-        if buf.capacity() < len {
-            self.stats.misses += 1;
-            buf.clear();
-            buf.reserve_exact(len);
-        }
         self.stats.live_bytes += buf.capacity() * std::mem::size_of::<T>();
         self.stats.peak_bytes = self.stats.peak_bytes.max(self.stats.live_bytes);
         buf
@@ -377,6 +374,24 @@ mod tests {
         }
         assert_eq!(ws.stats().misses, before, "warm pool must not miss");
         assert!(ws.stats().takes >= 21);
+    }
+
+    /// A take no pooled buffer covers allocates a fresh one and leaves
+    /// the smaller buffer pooled, unmoved, for the next small take.
+    #[test]
+    fn a_miss_leaves_smaller_buffers_pooled() {
+        let mut ws = Workspace::new();
+        let small: Vec<f32> = ws.take_dirty(10);
+        let (ptr, cap) = (small.as_ptr(), small.capacity());
+        ws.give(small);
+        let big: Vec<f32> = ws.take_dirty(1000);
+        assert_eq!(ws.stats().misses, 2);
+        assert_ne!(big.as_ptr(), ptr);
+        let again: Vec<f32> = ws.take_dirty(8);
+        assert_eq!((again.as_ptr(), again.capacity()), (ptr, cap));
+        assert_eq!(ws.stats().misses, 2, "the small buffer was still pooled");
+        ws.give(big);
+        ws.give(again);
     }
 
     #[test]

@@ -19,12 +19,8 @@
 //! oracle too, whichever kernel — transposed convolution, packed-panel
 //! weight gradient, or the strided scatter — produced the value.
 
-use dk_field::tier::Tier;
 use dk_field::{FieldRng, F25, P25};
-use dk_linalg::conv::{
-    conv2d_backward_input_on, conv2d_backward_input_ws, conv2d_backward_weight_on, conv2d_backward_weight_ws,
-    conv2d_forward_ws,
-};
+use dk_linalg::conv::{conv2d_backward_input_ws, conv2d_backward_weight_ws, conv2d_forward_ws};
 use dk_linalg::im2col::{col2im_acc_into, im2col_into};
 use dk_linalg::reference::{naive_matmul_a_bt, naive_matmul_at_b};
 use dk_linalg::{Conv2dShape, Scalar, Tensor, Workspace};
@@ -519,55 +515,6 @@ fn backward_worst_case_field_operands() {
         let w = Tensor::from_fn(&s.weight_shape(), |_| top());
         let dy = Tensor::from_fn(&[2, 17, oh, ow], |_| top());
         assert_backward_on(&x, &w, &dy, &s);
-    }
-}
-
-/// The `F25` input and weight gradients on every tier the host offers
-/// (the baseline's portable kernels included), exactly against the
-/// direct definitions: stride {1, 2, 3} × padding {0, 1, 2} × kernel
-/// {1×1, 2×3, 3×3} × grouping {dense, grouped, depthwise}, each on an
-/// image whose padded size less the kernel is a multiple of the stride
-/// on both axes and on one that is not (the last output phase is then
-/// ragged), from a workspace full of garbage and again on the buffers
-/// the first call dirtied.
-#[test]
-fn field_backward_passes_on_every_tier() {
-    let mut seed = 0x7E_0000;
-    for stride in [1, 2, 3] {
-        for pad in [0, 1, 2] {
-            for kernel in [(1, 1), (2, 3), (3, 3)] {
-                // The smallest sizes from 5 on whose `h + 2p − k` is a
-                // multiple of the stride, then one past them.
-                let fit = |k: usize| (5..).find(|&h: &usize| (h + 2 * pad - k).is_multiple_of(stride)).unwrap_or(5);
-                let fitted = (fit(kernel.0), fit(kernel.1) + stride);
-                for hw in [fitted, (fitted.0 + 1, fitted.1 + 1)] {
-                    for (ic, oc, groups) in [(4, 6, 1), (4, 6, 2), (4, 4, 4)] {
-                        let s = Conv2dShape::new(ic, oc, kernel, (stride, stride), (pad, pad), groups);
-                        seed += 1;
-                        let mut gen = field_gen(seed);
-                        let (oh, ow) = s.out_hw(hw);
-                        let x = Tensor::from_fn(&[2, ic, hw.0, hw.1], |_| gen());
-                        let w = Tensor::from_fn(&s.weight_shape(), |_| gen());
-                        let dy = Tensor::from_fn(&[2, oc, oh, ow], |_| gen());
-                        let want_dx = direct_conv_backward_input(&dy, &w, &s, hw);
-                        let want_dw = direct_conv_backward_weight(&dy, &x, &s);
-                        for tier in Tier::offered() {
-                            let big = 4 * (x.len() + dy.len() + w.len()) + 256;
-                            let mut ws = poisoned_workspace::<F25>(&[big; 4]);
-                            for round in 0..2 {
-                                let what = format!("{tier:?} {s:?} hw={hw:?} round {round}");
-                                let dx = conv2d_backward_input_on(tier, &dy, &w, &s, hw, &mut ws);
-                                assert_bits(&dx, &want_dx, &format!("dx {what}"));
-                                let dw = conv2d_backward_weight_on(tier, &dy, &x, &s, &mut ws);
-                                assert_bits(&dw, &want_dw, &format!("dW {what}"));
-                                ws.give_tensor(dx);
-                                ws.give_tensor(dw);
-                            }
-                        }
-                    }
-                }
-            }
-        }
     }
 }
 
